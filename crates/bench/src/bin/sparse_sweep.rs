@@ -20,9 +20,8 @@
 //!      peak store bytes as the bounded-memory evidence.
 //! * `--quick` — CI smoke: the 8-site chain (4,900 determinants), both
 //!   sparse engines vs the dense reference, writes
-//!   `results/BENCH_sparse_sweep_quick.json` for `fcix-bench-diff`, and
-//!   **exits 1** if either engine misses the dense energy by more than
-//!   1.6 mHa.
+//!   `results/BENCH_sparse_sweep_quick.json`, and **exits 1** if either
+//!   engine misses the dense energy by more than 1.6 mHa.
 
 use fci_core::{DetSpace, DiagMethod, FciOptions, Hamiltonian};
 use fci_obs::JsonValue;

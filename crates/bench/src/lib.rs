@@ -2,8 +2,9 @@
 
 //! Shared infrastructure for the experiment harnesses.
 //!
-//! One binary per table/figure of the paper lives in `src/bin/`; the
-//! Criterion microbenches live in `benches/`. This library prepares the
+//! One binary per table/figure of the paper lives in `src/bin/`; they
+//! report *simulated* time or accuracy. Host time is measured in one
+//! place only, `fcix-perf` (`perf/`). This library prepares the
 //! benchmark *systems* — molecule → integrals → orbitals → active-space
 //! MO integrals with symmetry labels — and provides small table-printing
 //! helpers so every harness reports in the same format.
@@ -19,9 +20,6 @@
 //! | O ³P / aug-cc-pVQZ | O ³P / svp window |
 //! | O⁻ / aug-cc-pVQZ (Fig. 5) | O⁻ / svp window |
 //! | C2 X¹Σg⁺ / cc-pVTZ(+) 65e9 dets | C2 / svp window, D2h blocked |
-
-pub mod harness;
-pub mod regress;
 
 use fci_core::{DetSpace, Hamiltonian};
 use fci_ints::{

@@ -23,7 +23,7 @@
 //! observed runtime lock-order edge is predicted by the static graph).
 
 use fci_check::{analyze_trace_events, explore_mixed, ExploreConfig, RaceDetector};
-use fci_ddi::{AccFault, Backend, CheckConfig, Ddi, DistMatrix};
+use fci_ddi::{Backend, CheckConfig, Ddi, DistMatrix, ProtocolFault};
 use fci_ints::EriTensor;
 use fci_linalg::Matrix;
 use fci_scf::MoIntegrals;
@@ -261,16 +261,16 @@ fn hubbard(n: usize, t: f64, u: f64) -> MoIntegrals {
 }
 
 fn race(args: &[String]) -> ExitCode {
-    let mut fault: Option<AccFault> = None;
+    let mut fault: Option<ProtocolFault> = None;
     let mut solve = false;
     let mut trace: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--fault" => match it.next().map(String::as_str) {
-                Some("none") => fault = Some(AccFault::None),
-                Some("skip-fence") => fault = Some(AccFault::SkipFence),
-                Some("skip-lock") => fault = Some(AccFault::SkipLock),
+                Some("none") => fault = None,
+                Some("skip-fence") => fault = Some(ProtocolFault::SkipFence),
+                Some("skip-lock") => fault = Some(ProtocolFault::SkipLock),
                 _ => return usage(),
             },
             "--solve" => solve = true,
@@ -287,12 +287,12 @@ fn race(args: &[String]) -> ExitCode {
     if solve {
         return race_solve();
     }
-    race_fault(fault.unwrap_or(AccFault::None))
+    race_fault(fault)
 }
 
 /// Replay the DDI_ACC protocol (optionally with an injected bug) under
 /// the threads backend with the happens-before detector attached.
-fn race_fault(fault: AccFault) -> ExitCode {
+fn race_fault(fault: Option<ProtocolFault>) -> ExitCode {
     let nproc = 4;
     let detector = Arc::new(RaceDetector::new());
     let ddi = Ddi::new(nproc, Backend::Threads);
@@ -304,16 +304,20 @@ fn race_fault(fault: AccFault) -> ExitCode {
     ddi.run(|rank, stats| {
         let buf = vec![1.0 + rank as f64; 32];
         for col in 0..8 {
-            m.acc_col_faulty(rank, col, &buf, fault, stats);
+            match fault {
+                None => m.acc_col(rank, col, &buf, stats),
+                Some(pf) => m.acc_col_broken(rank, col, &buf, pf, stats),
+            }
         }
     });
     let races = detector.races();
     for r in &races {
         println!("{r}");
     }
-    let expect_races = !matches!(fault, AccFault::None);
+    let expect_races = fault.is_some();
     println!(
-        "fcix-check race: fault={fault:?}, {} protocol events, {} race report(s)",
+        "fcix-check race: fault={}, {} protocol events, {} race report(s)",
+        fault.map_or("None".to_string(), |pf| format!("{pf:?}")),
         detector.nevents(),
         races.len()
     );

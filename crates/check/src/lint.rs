@@ -12,7 +12,7 @@
 //! | `unsafe`   | every `unsafe` or `get_unchecked[_mut]` token is covered by a `// SAFETY:` comment attached to its enclosing statement: on a line of the statement itself, or in the contiguous comment block immediately above the statement (the covering `unsafe` block may open far from the unchecked access, so each access justifies itself) |
 //! | `wallclock`| no `Instant::now` / `SystemTime` outside `crates/obs` (simulated time must come from the cost model; real time only via the tracer) |
 //! | `unwrap`   | no `.unwrap()` / `.expect(` in hot-path or recovery code (`crates/ddi/src`, `crates/linalg/src`, `crates/core/src/sigma`, `crates/fault/src`, `crates/core/src/recovery.rs`, `crates/core/src/checkpoint.rs`, `crates/serve/src` — a scheduler that panics takes every queued tenant down with it — and `crates/sparse/src`, whose solvers must truncate rather than die); the mutex idiom `.lock().unwrap()` is allowed |
-//! | `println`  | no `println!` outside bins, tests, and the bench harness (library output goes through the tracer or return values) |
+//! | `println`  | no `println!` outside bins, tests, and the bench crate (library output goes through the tracer or return values) |
 //! | `alloc`    | no heap allocation (`vec!`, `Vec::new`, `Vec::with_capacity`, `Box::new`, `.to_vec()`, `.collect()`, `.reserve(`) in the zero-alloc kernel modules (`crates/linalg/src/gemm.rs`, `crates/linalg/src/arena.rs`, `crates/linalg/src/tridiag.rs`, `crates/linalg/src/cholqr.rs`, `crates/sparse/src/kernel.rs`) outside tests — the σ, eigensolver, and sparse-engine hot paths must not touch the heap after warm-up |
 //! | `metric-name` | literal metric names passed to the metrics plane (`.observe("…")`, `.counter_add(`, `.counter_incr(`, `.gauge_set(`, `.incr(`) must match `[a-z0-9_.]+` — the text exposition mangles anything else, and two spellings of one metric split its series |
 //! | `metric-wallclock` | on simulated-path crates (`crates/ddi`, `crates/core`, `crates/fault`, `crates/xsim`), a metric-recording call must not read host time (`now_us(`, `Instant::now`, `SystemTime`) in the same statement or on the same line — simulated metrics must come from the cost model, or the histogram mixes host jitter into X1 numbers |
@@ -817,7 +817,7 @@ mod tests {
         assert!(lint("crates/obs/src/tracer.rs", src).is_empty());
         let waived =
             "// lint: allow(wallclock) — real timing harness\nfn f() { let t = Instant::now(); }\n";
-        assert!(lint("crates/bench/src/harness.rs", waived).is_empty());
+        assert!(lint("crates/bench/src/lib.rs", waived).is_empty());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 
 use fci_check::{analyze, RaceDetector};
 use fci_ddi::{
-    protocol_events, AccFault, Backend, CheckConfig, Ddi, DistMatrix, FaultConfig, FaultPlan,
-    ProtocolFault, TraceRecorder,
+    protocol_events, Backend, CheckConfig, Ddi, DistMatrix, FaultConfig, FaultPlan, ProtocolFault,
+    TraceRecorder,
 };
 use fci_ints::EriTensor;
 use fci_linalg::Matrix;
@@ -72,35 +72,6 @@ fn skipped_lock_is_flagged() {
     let msg = races[0].to_string();
     assert!(msg.contains("no lock/fence/barrier edge"), "{msg}");
     assert_ne!(races[0].first.rank, races[0].second.rank);
-}
-
-/// The legacy [`AccFault`] entry point is a shim over the same mechanism:
-/// it must reach the identical broken protocols.
-#[test]
-fn legacy_shim_matches_fault_plan_routing() {
-    for (legacy, pf) in [
-        (AccFault::None, None),
-        (AccFault::SkipFence, Some(ProtocolFault::SkipFence)),
-        (AccFault::SkipLock, Some(ProtocolFault::SkipLock)),
-    ] {
-        assert_eq!(legacy.protocol(), pf);
-        let detector = Arc::new(RaceDetector::new());
-        let ddi = Ddi::new(4, Backend::Threads);
-        ddi.attach_recorder(detector.clone());
-        let m = DistMatrix::zeros(16, 8, 4);
-        ddi.adopt(&m);
-        ddi.run(|rank, stats| {
-            let buf = vec![1.0; 16];
-            for col in 0..8 {
-                m.acc_col_faulty(rank, col, &buf, legacy, stats);
-            }
-        });
-        assert_eq!(
-            !detector.races().is_empty(),
-            pf.is_some(),
-            "shim verdict diverged for {legacy:?}"
-        );
-    }
 }
 
 /// Offline path: record protocol events into an fci-obs trace, replay the

@@ -14,12 +14,13 @@ use fci_fault::Crc32;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-/// Current format: magic, version byte, shape, payload, CRC32 trailer.
+/// Format: magic, version byte, shape, payload, CRC32 trailer.
 const MAGIC_V2: &[u8; 8] = b"FCIXCKP2";
-/// Legacy format (no version byte, no checksum); still readable.
-const MAGIC_V1: &[u8; 8] = b"FCIXCKP1";
 /// Format version written after [`MAGIC_V2`].
 const VERSION: u8 = 2;
+/// Bytes around the payload: magic + version + `nrows` + `ncols` before
+/// it, the CRC32 after it.
+const FRAME_BYTES: u64 = 8 + 1 + 8 + 8 + 4;
 /// I/O chunk size in f64 elements (64 KiB blocks).
 const CHUNK: usize = 8192;
 
@@ -60,34 +61,40 @@ pub fn save_ci(path: &Path, c: &DistMatrix) -> io::Result<()> {
 
 /// Load a CI vector from `path`, distributing it over `nproc` ranks.
 ///
-/// Reads the current checksummed format and, behind the magic check, the
-/// legacy `FCIXCKP1` layout (no version byte, no CRC). A checksum
-/// mismatch, unknown version, truncation, or trailing garbage is an
-/// `InvalidData` error.
+/// A foreign magic, unknown version, checksum mismatch, or a file whose
+/// length is not the one its header implies (truncation, trailing
+/// garbage, a corrupted shape) is an `InvalidData` error.
 pub fn load_ci(path: &Path, nproc: usize) -> io::Result<DistMatrix> {
-    let mut f = io::BufReader::new(std::fs::File::open(path)?);
+    let file = std::fs::File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut f = io::BufReader::new(file);
     let mut magic = [0u8; 8];
     f.read_exact(&mut magic)?;
-    let checksummed = match &magic {
-        m if m == MAGIC_V2 => {
-            let mut ver = [0u8; 1];
-            f.read_exact(&mut ver)?;
-            if ver[0] != VERSION {
-                return Err(bad("unsupported checkpoint format version"));
-            }
-            true
-        }
-        m if m == MAGIC_V1 => false,
-        _ => return Err(bad("not an fcix checkpoint")),
+    if &magic != MAGIC_V2 {
+        return Err(bad("not an fcix checkpoint"));
+    }
+    let mut ver = [0u8; 1];
+    f.read_exact(&mut ver)?;
+    if ver[0] != VERSION {
+        return Err(bad("unsupported checkpoint format version"));
+    }
+    let mut read_dim = || -> io::Result<usize> {
+        let mut b8 = [0u8; 8];
+        f.read_exact(&mut b8)?;
+        usize::try_from(u64::from_le_bytes(b8)).map_err(|_| bad("checkpoint shape overflows"))
     };
-    let mut b8 = [0u8; 8];
-    f.read_exact(&mut b8)?;
-    let nrows = u64::from_le_bytes(b8) as usize;
-    f.read_exact(&mut b8)?;
-    let ncols = u64::from_le_bytes(b8) as usize;
+    let (nrows, ncols) = (read_dim()?, read_dim()?);
     let n = nrows
         .checked_mul(ncols)
         .ok_or_else(|| bad("checkpoint shape overflows"))?;
+    // The header is untrusted: the payload it claims must be exactly the
+    // bytes the file has, checked before allocating for it.
+    let implied_len = (n as u64)
+        .checked_mul(8)
+        .and_then(|payload| payload.checked_add(FRAME_BYTES));
+    if implied_len != Some(file_len) {
+        return Err(bad("checkpoint length does not match its header"));
+    }
     let mut data = vec![0.0f64; n];
     let mut crc = Crc32::new();
     let mut block = vec![0u8; CHUNK * 8];
@@ -101,16 +108,10 @@ pub fn load_ci(path: &Path, nproc: usize) -> io::Result<DistMatrix> {
             *v = f64::from_le_bytes(le);
         }
     }
-    if checksummed {
-        let mut b4 = [0u8; 4];
-        f.read_exact(&mut b4)?;
-        if u32::from_le_bytes(b4) != crc.finish() {
-            return Err(bad("checkpoint payload checksum mismatch (corrupted file)"));
-        }
-    }
-    // Reject trailing garbage (truncated/corrupted files fail above).
-    if f.read(&mut [0u8; 1])? != 0 {
-        return Err(bad("trailing bytes in checkpoint"));
+    let mut b4 = [0u8; 4];
+    f.read_exact(&mut b4)?;
+    if u32::from_le_bytes(b4) != crc.finish() {
+        return Err(bad("checkpoint payload checksum mismatch (corrupted file)"));
     }
     Ok(DistMatrix::from_dense(nrows, ncols, nproc, &data))
 }
@@ -160,8 +161,25 @@ mod tests {
         let path = tmpdir().join("trunc.ckp");
         save_ci(&path, &m).unwrap();
         let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 9]).unwrap();
-        assert!(load_ci(&path, 1).is_err());
+        // Cut inside the CRC, the payload, the shape and the magic.
+        for keep in [full.len() - 1, full.len() - 9, V2_PAYLOAD + 8, 20, 9, 3] {
+            std::fs::write(&path, &full[..keep]).unwrap();
+            assert!(load_ci(&path, 1).is_err(), "accepted {keep} bytes");
+        }
+        // A flipped header byte claiming 2^40 elements: an error, not an
+        // attempt to allocate 8 TiB.
+        let mut huge = full.clone();
+        huge[9..17].copy_from_slice(&(1u64 << 20).to_le_bytes());
+        huge[17..25].copy_from_slice(&(1u64 << 20).to_le_bytes());
+        std::fs::write(&path, &huge).unwrap();
+        let err = load_ci(&path, 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // So is trailing garbage after an intact checkpoint.
+        let mut long = full.clone();
+        long.push(0xab);
+        std::fs::write(&path, &long).unwrap();
+        let err = load_ci(&path, 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     /// Byte offset of the first payload byte in the v2 layout.
@@ -209,26 +227,21 @@ mod tests {
     }
 
     #[test]
-    fn reads_legacy_v1_format() {
-        // A pre-CRC checkpoint written by an older build: plain header +
-        // payload, no version byte, no trailer. Must still load.
-        let data: Vec<f64> = (0..6).map(|x| x as f64 * 1.5 - 4.0).collect();
+    fn rejects_legacy_v1_format() {
+        // The pre-CRC layout (plain header + payload, no version byte, no
+        // trailer) carries no integrity check, so it is no longer read.
         let path = tmpdir().join("legacy.ckp");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"FCIXCKP1");
         bytes.extend_from_slice(&2u64.to_le_bytes());
         bytes.extend_from_slice(&3u64.to_le_bytes());
-        for v in &data {
-            bytes.extend_from_slice(&v.to_le_bytes());
+        for x in 0..6 {
+            bytes.extend_from_slice(&(x as f64 * 1.5 - 4.0).to_le_bytes());
         }
         std::fs::write(&path, &bytes).unwrap();
-        let back = load_ci(&path, 2).unwrap();
-        assert_eq!((back.nrows(), back.ncols()), (2, 3));
-        assert_eq!(back.to_dense(), data);
-        // The legacy reader still rejects trailing garbage.
-        bytes.push(0xab);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(load_ci(&path, 2).is_err());
+        let err = load_ci(&path, 2).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not an fcix checkpoint"), "{err}");
     }
 
     #[test]

@@ -594,9 +594,6 @@ fn single_vector(
             }
         };
 
-        if std::env::var("FCIX_DIAG_TRACE").is_ok() {
-            eprintln!("    it={iterations} res={res:.3e} lambda={lambda:+.4} tau={tau:.3e} trust={trust:.2}");
-        }
         // C ← S (C + λ t)
         c.axpy(lambda, &t);
         let nrm = c.norm();

@@ -76,7 +76,7 @@ pub use properties::{natural_occupations, one_rdm, s_squared};
 pub use recovery::{solve_resilient, solve_resilient_prepared, RecoveryOptions, ResilientResult};
 pub use sigma::{apply_sigma, SigmaBreakdown, SigmaCtx, SigmaMethod};
 pub use solver::{
-    build_space, solve, solve_prepared, solve_roots, solve_roots_prepared, FciOptions, FciResult,
+    build_space, solve, solve_prepared, solve_roots_prepared, FciOptions, FciResult,
     FciRootsResult, SolverKind,
 };
 pub use taskpool::{PoolParams, TaskPool};

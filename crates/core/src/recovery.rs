@@ -24,8 +24,8 @@ use crate::detspace::DetSpace;
 use crate::diag::{diagonalize_from, DiagOptions, Preconditioner};
 use crate::hamiltonian::Hamiltonian;
 use crate::sigma::{SigmaBreakdown, SigmaCtx};
-use crate::solver::{build_space, FciOptions, FciResult};
-use fci_ddi::{Ddi, DistMatrix, FaultConfig, FaultPlan, FaultStats};
+use crate::solver::{build_space, fci_result, open_tracer, open_world, FciOptions, FciResult};
+use fci_ddi::{DistMatrix, FaultConfig, FaultPlan, FaultStats};
 use fci_scf::MoIntegrals;
 use std::io;
 use std::path::PathBuf;
@@ -126,10 +126,7 @@ pub fn solve_resilient_prepared(
     let plan = Arc::new(FaultPlan::new(
         opts.fault.clone().unwrap_or_else(|| FaultConfig::quiet(1)),
     ));
-    let tracer = opts.obs.tracer().unwrap_or_else(|e| {
-        eprintln!("warning: could not open trace output: {e}; tracing disabled");
-        fci_obs::Tracer::disabled()
-    });
+    let tracer = open_tracer(opts);
 
     let mut nproc = opts.nproc;
     let mut restarts = 0usize;
@@ -141,12 +138,7 @@ pub fn solve_resilient_prepared(
     let mut have_ckp = rec.checkpoint.exists();
 
     'world: loop {
-        let ddi = Ddi::new(nproc, opts.backend);
-        ddi.attach_tracer(tracer.clone());
-        if let Some(r) = &opts.check.recorder {
-            ddi.attach_recorder(r.clone());
-        }
-        ddi.attach_faults(plan.clone());
+        let ddi = open_world(opts, nproc, Some(&plan), &tracer);
         let ctx = SigmaCtx {
             space,
             ham,
@@ -223,24 +215,8 @@ pub fn solve_resilient_prepared(
                 d.residual_history = residual_history;
                 tracer.flush();
                 return Ok(ResilientResult {
-                    fci: FciResult {
-                        energy: d.e_elec + ham.e_core,
-                        e_elec: d.e_elec,
-                        e_core: ham.e_core,
-                        iterations: d.iterations,
-                        converged: d.converged,
-                        energy_history: d.energy_history.iter().map(|e| e + ham.e_core).collect(),
-                        residual_history: d.residual_history.clone(),
-                        dim: space.dim(),
-                        sector_dim: space.sector_dim(),
-                        sigma_cost: {
-                            // `sigma_cost` already includes the final chunk.
-                            let mut s = SigmaBreakdown::default();
-                            s.merge(&sigma_cost);
-                            s
-                        },
-                        diag: d,
-                    },
+                    // `sigma_cost` already includes the final chunk.
+                    fci: fci_result(space, ham, d, sigma_cost),
                     restarts,
                     ranks_lost,
                     fault_stats: plan.stats(),

@@ -36,7 +36,7 @@ use fci_linalg::{
 };
 use fci_obs::Category;
 use fci_xsim::{Clock, MachineModel, RunReport};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Receives one α-column contribution of a task: `(column, values, stats)`.
 /// The default sink remote-accumulates into σ; the `fci-check` schedule
@@ -79,21 +79,10 @@ impl WorkBufs {
     }
 }
 
-/// Upper bound in bytes on one worker's packed-`V_K` cache:
-/// `FCIX_PACK_CACHE_MB` (≥1, in MiB) or 256 MiB. Resolved once. When the
+/// Upper bound in bytes on one worker's packed-`V_K` cache. When the
 /// budget fills, remaining families simply keep the build-and-pack-per-call
 /// path — correctness never depends on a cache hit.
-fn pack_cache_budget() -> usize {
-    static BUDGET: OnceLock<usize> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        std::env::var("FCIX_PACK_CACHE_MB")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&mb| mb >= 1)
-            .unwrap_or(256)
-            * (1 << 20)
-    })
-}
+const PACK_CACHE_BYTES: usize = 256 << 20;
 
 /// Cache of packed `V_K` GEMM operands, indexed by Kα.
 ///
@@ -130,7 +119,7 @@ impl PackedCache {
 
     /// Store a packed operand for `ka` if it fits the budget.
     fn insert(&mut self, ka: usize, pa: PackedA) {
-        if self.bytes + pa.bytes() <= pack_cache_budget() {
+        if self.bytes + pa.bytes() <= PACK_CACHE_BYTES {
             self.bytes += pa.bytes();
             self.panels[ka] = Some(pa);
         }

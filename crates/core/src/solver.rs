@@ -15,9 +15,8 @@ use std::sync::Arc;
 ///
 /// `fci-core` only implements the dense path itself; the sparse variants
 /// live in `fci-sparse` (which depends on this crate), so the enum is
-/// pure configuration data here and the dispatch happens one layer up —
-/// in the `fcix` facade (`fcix::solve_any`) and in `fci-serve`'s job
-/// executor. Dense solvers ignore the field.
+/// pure wire-level data here (job specs, WAL records) and the dispatch
+/// happens in `fci-serve`'s job executor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverKind {
     /// Dense CI vector, GEMM-based σ (the paper's engine; the default).
@@ -84,10 +83,6 @@ pub struct FciOptions {
     /// recovered inside `solve`; permanent rank death needs
     /// [`crate::recovery::solve_resilient`].
     pub fault: Option<FaultConfig>,
-    /// Which CI engine to run. `fci-core`'s own entry points implement
-    /// only [`SolverKind::Dense`] and ignore this field; callers that can
-    /// see `fci-sparse` (the `fcix` facade, `fci-serve`) dispatch on it.
-    pub solver: SolverKind,
 }
 
 impl Default for FciOptions {
@@ -104,7 +99,6 @@ impl Default for FciOptions {
             obs: ObsConfig::off(),
             check: CheckConfig::off(),
             fault: None,
-            solver: SolverKind::Dense,
         }
     }
 }
@@ -188,18 +182,8 @@ pub fn solve(
 /// bitwise-identical results whether the artifacts were freshly built or
 /// cache hits, because the solve reads them immutably.
 pub fn solve_prepared(space: &DetSpace, ham: &Hamiltonian, opts: &FciOptions) -> FciResult {
-    let ddi = Ddi::new(opts.nproc, opts.backend);
-    if let Some(cfg) = &opts.fault {
-        ddi.attach_faults(Arc::new(FaultPlan::new(cfg.clone())));
-    }
-    let tracer = opts.obs.tracer().unwrap_or_else(|e| {
-        eprintln!("warning: could not open trace output: {e}; tracing disabled");
-        fci_obs::Tracer::disabled()
-    });
-    ddi.attach_tracer(tracer.clone());
-    if let Some(rec) = &opts.check.recorder {
-        ddi.attach_recorder(rec.clone());
-    }
+    let tracer = open_tracer(opts);
+    let ddi = open_world(opts, opts.nproc, None, &tracer);
     tracer.instant(
         None,
         "solve_begin",
@@ -229,6 +213,54 @@ pub fn solve_prepared(space: &DetSpace, ham: &Hamiltonian, opts: &FciOptions) ->
         ],
     );
     tracer.flush();
+    let sigma_cost = d.sigma_cost.clone();
+    fci_result(space, ham, d, sigma_cost)
+}
+
+/// The run's tracer. A trace output that cannot be opened disables
+/// tracing with a warning instead of failing the solve.
+pub(crate) fn open_tracer(opts: &FciOptions) -> fci_obs::Tracer {
+    opts.obs.tracer().unwrap_or_else(|e| {
+        eprintln!("warning: could not open trace output: {e}; tracing disabled");
+        fci_obs::Tracer::disabled()
+    })
+}
+
+/// A world of `nproc` virtual MSPs wired to the run's fault plan, tracer
+/// and protocol recorder. A resilient solve passes the one plan it shares
+/// across world rebuilds; otherwise the world gets a fresh plan from
+/// `opts.fault`, if set.
+pub(crate) fn open_world(
+    opts: &FciOptions,
+    nproc: usize,
+    shared_plan: Option<&Arc<FaultPlan>>,
+    tracer: &fci_obs::Tracer,
+) -> Ddi {
+    let ddi = Ddi::new(nproc, opts.backend);
+    let plan = shared_plan.cloned().or_else(|| {
+        opts.fault
+            .as_ref()
+            .map(|cfg| Arc::new(FaultPlan::new(cfg.clone())))
+    });
+    if let Some(plan) = plan {
+        ddi.attach_faults(plan);
+    }
+    ddi.attach_tracer(tracer.clone());
+    if let Some(rec) = &opts.check.recorder {
+        ddi.attach_recorder(rec.clone());
+    }
+    ddi
+}
+
+/// Wrap the eigensolver's output as the run's result. `sigma_cost` is the
+/// whole run's σ cost, which a chunked resilient solve accumulates across
+/// chunks (so it is not always `d.sigma_cost`).
+pub(crate) fn fci_result(
+    space: &DetSpace,
+    ham: &Hamiltonian,
+    d: DiagResult,
+    sigma_cost: SigmaBreakdown,
+) -> FciResult {
     FciResult {
         energy: d.e_elec + ham.e_core,
         e_elec: d.e_elec,
@@ -239,16 +271,12 @@ pub fn solve_prepared(space: &DetSpace, ham: &Hamiltonian, opts: &FciOptions) ->
         residual_history: d.residual_history.clone(),
         dim: space.dim(),
         sector_dim: space.sector_dim(),
-        sigma_cost: {
-            let mut s = SigmaBreakdown::default();
-            s.merge(&d.sigma_cost);
-            s
-        },
+        sigma_cost,
         diag: d,
     }
 }
 
-/// Result of a multi-state FCI run ([`solve_roots`]).
+/// Result of a multi-state FCI run ([`solve_roots_prepared`]).
 #[derive(Debug)]
 pub struct FciRootsResult {
     /// Total energies (electronic + core), ascending by root.
@@ -270,43 +298,20 @@ pub struct FciRootsResult {
 }
 
 /// Solve for the `nroots` lowest FCI states of the sector in one block
-/// Davidson run (see [`crate::multiroot`]). The `opts.method` field is
-/// ignored — the block method is always the subspace one; callers that
-/// need a single-vector scheme should use [`solve`] per state.
-pub fn solve_roots(
-    mo: &MoIntegrals,
-    n_alpha: usize,
-    n_beta: usize,
-    target_irrep: u8,
-    opts: &FciOptions,
-    nroots: usize,
-) -> FciRootsResult {
-    let ham = Hamiltonian::new(mo);
-    let space = build_space(&ham, n_alpha, n_beta, target_irrep, opts.excitation_level);
-    solve_roots_prepared(&space, &ham, opts, nroots)
-}
-
-/// Like [`solve_roots`], but over a prebuilt space and Hamiltonian — the
-/// batching hook `fci-serve` uses to coalesce jobs that share a
-/// determinant space into one multi-state solve.
+/// Davidson run (see [`crate::multiroot`]) over a prebuilt space and
+/// Hamiltonian ([`build_space`]) — also the batching hook `fci-serve`
+/// uses to coalesce jobs that share a determinant space into one
+/// multi-state solve. The `opts.method` field is ignored — the block
+/// method is always the subspace one; callers that need a single-vector
+/// scheme should use [`solve`] per state.
 pub fn solve_roots_prepared(
     space: &DetSpace,
     ham: &Hamiltonian,
     opts: &FciOptions,
     nroots: usize,
 ) -> FciRootsResult {
-    let ddi = Ddi::new(opts.nproc, opts.backend);
-    if let Some(cfg) = &opts.fault {
-        ddi.attach_faults(Arc::new(FaultPlan::new(cfg.clone())));
-    }
-    let tracer = opts.obs.tracer().unwrap_or_else(|e| {
-        eprintln!("warning: could not open trace output: {e}; tracing disabled");
-        fci_obs::Tracer::disabled()
-    });
-    ddi.attach_tracer(tracer.clone());
-    if let Some(rec) = &opts.check.recorder {
-        ddi.attach_recorder(rec.clone());
-    }
+    let tracer = open_tracer(opts);
+    let ddi = open_world(opts, opts.nproc, None, &tracer);
     tracer.instant(
         None,
         "solve_roots_begin",
@@ -482,18 +487,13 @@ mod tests {
             ..Default::default()
         };
         let single = solve(&mo, 2, 1, 0, &opts);
-        let multi = solve_roots(&mo, 2, 1, 0, &opts, 3);
+        let ham = Hamiltonian::new(&mo);
+        let space = build_space(&ham, 2, 1, 0, None);
+        let multi = solve_roots_prepared(&space, &ham, &opts, 3);
         assert!(multi.converged.iter().all(|&b| b), "{:?}", multi.converged);
         assert!((multi.energies[0] - single.energy).abs() < 1e-8);
         assert!(multi.energies[0] <= multi.energies[1]);
         assert!(multi.energies[1] <= multi.energies[2]);
-        // Prepared variant is bitwise identical.
-        let ham = Hamiltonian::new(&mo);
-        let space = build_space(&ham, 2, 1, 0, None);
-        let prep = solve_roots_prepared(&space, &ham, &opts, 3);
-        for (a, b) in multi.energies.iter().zip(&prep.energies) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

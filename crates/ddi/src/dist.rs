@@ -10,41 +10,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Process-wide matrix id source; ids label matrices in protocol records.
 static NEXT_MAT_ID: AtomicU32 = AtomicU32::new(0);
 
-/// How `acc_col_faulty` corrupts the accumulate protocol. Exists so the
-/// `fci-check` race detector can be validated against *known* ordering
-/// bugs; production code must always use [`DistMatrix::acc_col`].
-///
-/// Legacy shim: the one fault-injection mechanism is now
-/// [`fci_fault::FaultPlan`] — a plan whose
-/// [`FaultConfig::protocol`](fci_fault::FaultConfig) is set routes plain
-/// `acc_col` calls through the same broken protocols. This enum survives
-/// only as a convenience mapping for old call sites.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccFault {
-    /// The full, correct protocol (identical to `acc_col`).
-    None,
-    /// Lock, get, add, put, unlock — **no fence** before the unlock, so
-    /// the remote put is not ordered before the lock release (on real
-    /// hardware the next locker may read stale data).
-    SkipFence,
-    /// Get, add, put with **no per-node lock** spanning the
-    /// read-modify-write. Under the threads backend this genuinely loses
-    /// updates; under the serial backend the numbers survive but the
-    /// protocol violation is still visible to a recorder.
-    SkipLock,
-}
-
-impl AccFault {
-    /// The [`ProtocolFault`] this legacy variant corresponds to.
-    pub fn protocol(self) -> Option<ProtocolFault> {
-        match self {
-            AccFault::None => None,
-            AccFault::SkipFence => Some(ProtocolFault::SkipFence),
-            AccFault::SkipLock => Some(ProtocolFault::SkipLock),
-        }
-    }
-}
-
 /// A dense `nrows × ncols` matrix distributed by contiguous column blocks
 /// over `nproc` virtual processors.
 ///
@@ -783,23 +748,6 @@ impl DistMatrix {
             stats.acc_msgs += 1;
             stats.acc_bytes += (self.nrows * 16) as u64;
             self.trace_op(rank, "ddi_acc", (self.nrows * 16) as u64, col, owner);
-        }
-    }
-
-    /// Legacy entry point kept for old call sites: maps the [`AccFault`]
-    /// shim onto the one fault-injection mechanism ([`FaultPlan`] /
-    /// [`ProtocolFault`]) and delegates.
-    pub fn acc_col_faulty(
-        &self,
-        rank: usize,
-        col: usize,
-        buf: &[f64],
-        fault: AccFault,
-        stats: &mut CommStats,
-    ) {
-        match fault.protocol() {
-            None => self.acc_col(rank, col, buf, stats),
-            Some(pf) => self.acc_col_broken(rank, col, buf, pf, stats),
         }
     }
 

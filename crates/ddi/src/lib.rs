@@ -42,7 +42,7 @@ pub mod record;
 pub mod stats;
 pub mod world;
 
-pub use dist::{AccFault, DistMatrix};
+pub use dist::DistMatrix;
 pub use fci_fault::{
     Corruption, FaultConfig, FaultPlan, FaultStats, ProtocolFault, RankDeath, RetryPolicy,
 };

@@ -112,71 +112,6 @@ fn grow_and_fill(buf: &mut Vec<f64>, len: usize) {
     buf.resize(len, 0.0);
 }
 
-// ---------------------------------------------------------------------
-// f32 pool — the mixed-precision GEMM variant packs its operands in
-// single precision (halving pack bandwidth) while accumulating in f64.
-// Same policy as the f64 pool; kept separate so a giant f64 panel never
-// pins an f32 request and vice versa.
-// ---------------------------------------------------------------------
-
-// lint: allow(alloc) — const Vec::new; the pool is the one sanctioned allocation site
-static POOL32: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
-
-/// A pooled f32 scratch buffer; returns itself to the pool on drop.
-pub struct ScratchGuardF32 {
-    buf: Vec<f32>,
-}
-
-impl ScratchGuardF32 {
-    /// The scratch area (exactly the length passed to [`acquire_f32`]).
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.buf
-    }
-}
-
-impl Drop for ScratchGuardF32 {
-    fn drop(&mut self) {
-        let buf = std::mem::take(&mut self.buf);
-        let mut pool = POOL32.lock().unwrap();
-        if pool.len() < MAX_POOLED {
-            pool.push(buf);
-        }
-    }
-}
-
-/// Check out an f32 scratch buffer with `len` elements of unspecified
-/// content (same best-fit policy as [`acquire`]).
-pub fn acquire_f32(len: usize) -> ScratchGuardF32 {
-    let mut buf = {
-        let mut pool = POOL32.lock().unwrap();
-        let best = {
-            let mut best: Option<usize> = None;
-            for (i, b) in pool.iter().enumerate() {
-                if b.capacity() >= len
-                    && best.is_none_or(|j: usize| b.capacity() < pool[j].capacity())
-                {
-                    best = Some(i);
-                }
-            }
-            best.or_else(|| (0..pool.len()).max_by_key(|&i| pool[i].capacity()))
-        };
-        match best {
-            Some(i) => pool.swap_remove(i),
-            // Capacity-0 vector: no allocation until the reserve below.
-            // lint: allow(alloc) — capacity-0 Vec::new; no heap touch until the reserve below
-            None => Vec::new(),
-        }
-    };
-    if buf.capacity() < len {
-        // lint: allow(alloc) — pool warm-up growth, amortized to zero across the run
-        buf.reserve(len - buf.len());
-    }
-    buf.clear();
-    buf.resize(len, 0.0);
-    ScratchGuardF32 { buf }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,17 +122,6 @@ mod tests {
         assert_eq!(g.as_mut_slice().len(), 1000);
         g.as_mut_slice()[999] = 1.0;
         assert_eq!(g.as_slice()[999], 1.0);
-    }
-
-    #[test]
-    fn acquire_f32_round_trips_through_pool() {
-        let mut g = acquire_f32(512);
-        assert_eq!(g.as_mut_slice().len(), 512);
-        g.as_mut_slice()[511] = 2.0;
-        drop(g);
-        let mut g2 = acquire_f32(256);
-        assert_eq!(g2.as_mut_slice().len(), 256);
-        assert!(g2.as_mut_slice().iter().all(|&x| x == 0.0));
     }
 
     // The global pool is shared by every test thread in the process, so

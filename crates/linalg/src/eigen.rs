@@ -22,8 +22,7 @@ pub struct Eigh {
 }
 
 /// Largest matrix order still solved by cyclic Jacobi; above this the
-/// two-stage tridiagonal route wins. The `eigh_sweep --quick` bench
-/// re-measures the crossover (Jacobi's many O(n³) sweeps lose to
+/// two-stage tridiagonal route wins (Jacobi's many O(n³) sweeps lose to
 /// tridiagonalization in the low tens on every host measured; the
 /// boundary test below pins agreement of the two solvers at the cutoff).
 pub const EIGH_JACOBI_CUTOFF: usize = 24;

@@ -29,7 +29,7 @@
 //!
 //! Small multiplies (the mixed-spin `V_K·D` products are often tiny)
 //! skip packing and threading entirely via an unpacked fast path; the
-//! crossover is set from the in-repo `gemm_sweep --autotune` bench.
+//! crossover is a measured constant (`SMALL_FLOPS`).
 //!
 //! **Persistent packed operands:** when the same A operand multiplies
 //! many different B's (the σ build reuses its coupling matrices every
@@ -41,12 +41,6 @@
 //! [`gemm_prefers_packed`] tells callers whether a shape would take the
 //! packed path at all — below the crossover the handle would be dead
 //! weight.
-//!
-//! A mixed-precision variant ([`GemmPath::PackedF32`]) packs both
-//! operands in f32 — halving pack bandwidth and cache footprint — while
-//! accumulating in f64. It is measured in `gemm_sweep` but never chosen
-//! by [`GemmPath::Auto`]: the f32 rounding of the inputs costs ~1e-7
-//! relative accuracy, unacceptable for production σ builds.
 //!
 //! Correctness is established by exhaustive small-size tests and property
 //! tests against [`dgemm_naive`].
@@ -77,9 +71,9 @@ const KC: usize = 256;
 const NC: usize = 512;
 
 /// Below this many flops (`2·m·n·k`) the unpacked small path wins; the
-/// `gemm_sweep --autotune` bench measures the crossover between 48³
-/// (small still ahead) and 56³ (packed ahead) on the dev host, so the
-/// threshold sits at the midpoint 52³ (see DESIGN.md §11).
+/// crossover was measured between 48³ (small still ahead) and 56³
+/// (packed ahead) on the dev host, so the threshold sits at the
+/// midpoint 52³ (see DESIGN.md §11).
 const SMALL_FLOPS: usize = 2 * 52 * 52 * 52;
 
 /// Do not spawn worker threads unless the multiply has at least this
@@ -87,20 +81,17 @@ const SMALL_FLOPS: usize = 2 * 52 * 52 * 52;
 /// that same range single-threaded, so smaller problems stay serial).
 const PAR_MIN_FLOPS: usize = 2 * 96 * 96 * 96;
 
-/// Kernel-path override, used by the autotune/sweep benches to measure
-/// each path in isolation. Production code uses [`GemmPath::Auto`].
+/// Kernel-path override: this module's tests force each path in
+/// isolation; everything else runs [`GemmPath::Auto`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GemmPath {
+#[cfg_attr(not(test), allow(dead_code))]
+enum GemmPath {
     /// Pick small vs packed by the measured flop crossover.
     Auto,
     /// Force the unpacked small-matrix path.
     Small,
     /// Force the packed blocked path.
     Packed,
-    /// Force the mixed-precision packed path: operands packed in f32,
-    /// accumulation in f64. Serial, bench-only — never chosen by `Auto`
-    /// (see module docs); `gemm_sweep` measures it against `Packed`.
-    PackedF32,
 }
 
 /// Default GEMM worker-thread count: `FCIX_GEMM_THREADS` if set (≥1),
@@ -217,9 +208,9 @@ pub fn dgemm_with_threads(
     );
 }
 
-/// [`dgemm`] with an explicit kernel path and thread count (bench hook).
+/// [`dgemm`] with an explicit kernel path and thread count.
 #[allow(clippy::too_many_arguments)]
-pub fn dgemm_path(
+fn dgemm_path(
     path: GemmPath,
     nthreads: usize,
     transa: Trans,
@@ -253,7 +244,7 @@ pub fn dgemm_path(
     let small = match path {
         GemmPath::Auto => 2 * m * n * k <= SMALL_FLOPS,
         GemmPath::Small => true,
-        GemmPath::Packed | GemmPath::PackedF32 => false,
+        GemmPath::Packed => false,
     };
     // Host-time probe for per-shape throughput metrics; one relaxed
     // atomic load when nobody is observing. This is real (host) kernel
@@ -261,8 +252,6 @@ pub fn dgemm_path(
     let timer = crate::probe::active().then(std::time::Instant::now); // lint: allow(wallclock) — real host kernel time by design
     if small {
         small_dgemm(transa, transb, alpha, a, b, c, m, k, n);
-    } else if path == GemmPath::PackedF32 {
-        packed_dgemm_f32(transa, transb, alpha, a, b, c, m, k, n);
     } else {
         packed_dgemm(nthreads, transa, transb, alpha, a, b, c, m, k, n);
     }
@@ -852,200 +841,6 @@ fn run_item_prepacked(
     }
 }
 
-// ---------------------------------------------------------------------
-// Mixed-precision packed path (bench-only; see module docs).
-// ---------------------------------------------------------------------
-
-/// Packed blocked multiply with f32 operand packing and f64
-/// accumulation. Serial (it exists to measure the memory-traffic side
-/// of the precision trade, not to win races); structure mirrors the
-/// five-loop f64 path with the thread plan collapsed to one item chain.
-#[allow(clippy::too_many_arguments)]
-fn packed_dgemm_f32(
-    transa: Trans,
-    transb: Trans,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let npanels = n.div_ceil(NR);
-    let mut bguard = arena::acquire_f32(npanels * k * NR);
-    let bpack: &mut [f32] = bguard.as_mut_slice();
-    pack_b_f32(transb, b, k, n, bpack);
-    let bpack: &[f32] = bpack;
-
-    let cm = c.nrows();
-    let cs = c.as_mut_slice();
-    let cout = COut {
-        ptr: cs.as_mut_ptr(),
-        len: cs.len(),
-    };
-
-    let mut aguard = arena::acquire_f32(MC * KC);
-    let apack = aguard.as_mut_slice();
-    let mut i0 = 0;
-    while i0 < m {
-        let mc = MC.min(m - i0);
-        let mut l0 = 0;
-        while l0 < k {
-            let kc = KC.min(k - l0);
-            pack_a_f32(transa, a, i0, mc, l0, kc, apack);
-            for q in 0..npanels {
-                let jr = q * NR;
-                let nr = NR.min(n - jr);
-                let bt = &bpack[q * (k * NR) + l0 * NR..][..kc * NR];
-                let mut ir = 0;
-                while ir < mc {
-                    let mr = MR.min(mc - ir);
-                    let at = &apack[(ir / MR) * (kc * MR)..][..kc * MR];
-                    if mr == MR && nr == NR {
-                        micro_8x4_f32(kc, alpha, at, bt, cout, i0 + ir, jr, cm);
-                    } else {
-                        micro_edge_f32(kc, alpha, at, bt, cout, i0 + ir, jr, cm, mr, nr);
-                    }
-                    ir += MR;
-                }
-            }
-            l0 += KC;
-        }
-        i0 += MC;
-    }
-}
-
-/// [`pack_a`] with the operand rounded to f32 (same tight `kc·MR`
-/// panel layout).
-fn pack_a_f32(
-    transa: Trans,
-    a: &Matrix,
-    i0: usize,
-    mc: usize,
-    l0: usize,
-    kc: usize,
-    apack: &mut [f32],
-) {
-    let npanels = mc.div_ceil(MR);
-    for p in 0..npanels {
-        let base = p * (kc * MR);
-        let rmax = MR.min(mc - p * MR);
-        for l in 0..kc {
-            for r in 0..MR {
-                let v = if r < rmax {
-                    let i = i0 + p * MR + r;
-                    match transa {
-                        Trans::No => a[(i, l0 + l)],
-                        Trans::Yes => a[(l0 + l, i)],
-                    }
-                } else {
-                    0.0
-                };
-                apack[base + l * MR + r] = v as f32;
-            }
-        }
-    }
-}
-
-/// [`pack_b`] with the operand rounded to f32 (same panel layout).
-fn pack_b_f32(transb: Trans, b: &Matrix, k: usize, n: usize, bpack: &mut [f32]) {
-    let npanels = n.div_ceil(NR);
-    for q in 0..npanels {
-        let base = q * (k * NR);
-        let smax = NR.min(n - q * NR);
-        for l in 0..k {
-            for s in 0..NR {
-                let v = if s < smax {
-                    let j = q * NR + s;
-                    match transb {
-                        Trans::No => b[(l, j)],
-                        Trans::Yes => b[(j, l)],
-                    }
-                } else {
-                    0.0
-                };
-                bpack[base + l * NR + s] = v as f32;
-            }
-        }
-    }
-}
-
-/// [`micro_8x4`] over f32 panels: each element is promoted to f64 at
-/// load; all multiplies and the accumulator stay in f64, so the only
-/// precision loss is the initial operand rounding.
-#[inline(always)]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn micro_8x4_f32(
-    kc: usize,
-    alpha: f64,
-    at: &[f32],
-    bt: &[f32],
-    c: COut,
-    i0: usize,
-    j0: usize,
-    cm: usize,
-) {
-    let mut acc = [[0.0f64; NR]; MR];
-    for l in 0..kc {
-        let ab = l * MR;
-        let bb = l * NR;
-        // SAFETY: `bt` was sliced to length >= kc*NR, so bb..bb+NR is in
-        // bounds for every l < kc.
-        let bv: [f64; NR] = std::array::from_fn(|s| unsafe { *bt.get_unchecked(bb + s) } as f64);
-        for r in 0..MR {
-            // SAFETY: `at` was sliced to length >= kc*MR; ab+r < kc*MR.
-            let ar = unsafe { *at.get_unchecked(ab + r) } as f64;
-            for s in 0..NR {
-                acc[r][s] = fmadd(ar, bv[s], acc[r][s]);
-            }
-        }
-    }
-    for s in 0..NR {
-        let cbase = (j0 + s) * cm + i0;
-        for r in 0..MR {
-            // SAFETY: the caller guarantees the full 8×4 tile lies inside
-            // C (serial path: no concurrent writers at all).
-            unsafe { c.add(cbase + r, alpha * acc[r][s]) };
-        }
-    }
-}
-
-/// [`micro_edge`] over f32 panels (bounds-checked; partial tiles).
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn micro_edge_f32(
-    kc: usize,
-    alpha: f64,
-    at: &[f32],
-    bt: &[f32],
-    c: COut,
-    i0: usize,
-    j0: usize,
-    cm: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut acc = [[0.0f64; NR]; MR];
-    for l in 0..kc {
-        let ab = l * MR;
-        let bb = l * NR;
-        for r in 0..mr {
-            let av = at[ab + r] as f64;
-            for s in 0..nr {
-                acc[r][s] += av * (bt[bb + s] as f64);
-            }
-        }
-    }
-    for s in 0..nr {
-        let cbase = (j0 + s) * cm + i0;
-        for r in 0..mr {
-            // SAFETY: r < mr and s < nr keep the store inside the partial
-            // tile, which lies inside C (serial path).
-            unsafe { c.add(cbase + r, alpha * acc[r][s]) };
-        }
-    }
-}
-
 /// Fused multiply-add when the build target has hardware FMA, plain
 /// multiply+add otherwise. `mul_add` without hardware support lowers to
 /// a libm call — catastrophically slow in a microkernel — so the fusion
@@ -1406,35 +1201,5 @@ mod tests {
         assert!(!gemm_prefers_packed(52, 52, 52)); // exactly SMALL_FLOPS: small path
         assert!(gemm_prefers_packed(53, 53, 53));
         assert!(gemm_prefers_packed(80, 45, 80));
-    }
-
-    #[test]
-    fn packed_f32_path_is_close_to_f64() {
-        // f32 operand rounding costs ~1e-7 relative per element; with
-        // k ≈ 100 inputs in [-0.5, 0.5] the worst-case accumulated error
-        // sits well under 1e-5 — and must be nonzero (the operands really
-        // were rounded).
-        for &(ta, tb, m, n, k) in &[
-            (Trans::No, Trans::No, 97usize, 61usize, 96usize),
-            (Trans::Yes, Trans::No, 64, 64, 70),
-            (Trans::No, Trans::Yes, 70, 33, 64),
-        ] {
-            let a = match ta {
-                Trans::No => rand_mat(m, k, 31),
-                Trans::Yes => rand_mat(k, m, 31),
-            };
-            let b = match tb {
-                Trans::No => rand_mat(k, n, 32),
-                Trans::Yes => rand_mat(n, k, 32),
-            };
-            let c0 = rand_mat(m, n, 33);
-            let mut c_ref = c0.clone();
-            dgemm_naive(ta, tb, 1.5, &a, &b, 0.25, &mut c_ref);
-            let mut c32 = c0.clone();
-            dgemm_path(GemmPath::PackedF32, 1, ta, tb, 1.5, &a, &b, 0.25, &mut c32);
-            let diff = c32.max_abs_diff(&c_ref);
-            assert!(diff < 5e-5, "f32 path error {diff} ({ta:?} {tb:?})");
-            assert!(diff > 0.0, "f32 packing should round the operands");
-        }
     }
 }

@@ -21,8 +21,8 @@
 //!   afterwards from the stored reflectors with compact-WY block
 //!   applications (`Q₂ ← Q₂ − V·T·VᵀQ₂`, three GEMMs per panel). Roughly
 //!   2/3 of the reduction flops and all of the Q-accumulation flops run
-//!   at GEMM rate; `BENCH_eigh_sweep.json` tracks the speedup over the
-//!   scalar path (≥3× at n = 512 is the PR 9 acceptance bar).
+//!   at GEMM rate (5.8× the scalar path at n = 512 when PR 9 measured
+//!   it; `fcix-perf`'s `linalg.eigh_s` times the dispatch today).
 //!
 //! Both paths produce a valid factorization `A = Q·T·Qᵀ` (they differ in
 //! the reduction order, so the intermediate `T` matrices differ); the
@@ -45,13 +45,16 @@ const NB: usize = 32;
 
 /// Smallest order where the blocked path beats the scalar `tred2`
 /// (below this the GEMM calls sit under their own small-path crossover
-/// and the panel bookkeeping is pure overhead; see `eigh_sweep`).
+/// and the panel bookkeeping is pure overhead; measured values are in
+/// DESIGN.md §16).
 const BLOCKED_MIN_N: usize = 48;
 
 /// Reduction-path override for [`reduce_to_tridiag`] /
-/// [`eigh_tridiag_path`]; production code uses [`TridiagPath::Auto`].
+/// [`eigh_tridiag_path`]: this module's tests force each path;
+/// everything else runs [`TridiagPath::Auto`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TridiagPath {
+#[cfg_attr(not(test), allow(dead_code))]
+enum TridiagPath {
     /// Blocked for `n ≥ 48`, scalar below.
     Auto,
     /// Force the scalar Numerical-Recipes `tred2`.
@@ -61,14 +64,14 @@ pub enum TridiagPath {
 }
 
 /// Result of a Householder tridiagonalization `A = Q·T·Qᵀ`.
-pub struct Tridiag {
+struct Tridiag {
     /// Accumulated orthogonal factor (`n×n`).
-    pub q: Matrix,
+    q: Matrix,
     /// Diagonal of `T` (`d[i] = T[i,i]`).
-    pub d: Vec<f64>,
+    d: Vec<f64>,
     /// Sub-diagonal of `T` in the `tred2` convention:
     /// `e[i] = T[i, i−1]`, with `e[0]` unused (zero).
-    pub e: Vec<f64>,
+    e: Vec<f64>,
 }
 
 /// Non-convergence of the implicit QL iteration (more than 50 sweeps on
@@ -120,8 +123,8 @@ pub fn eigh_tridiag(a: &Matrix) -> Eigh {
     eigh_tridiag_path(TridiagPath::Auto, a)
 }
 
-/// [`eigh_tridiag`] with an explicit reduction path (bench/test hook).
-pub fn eigh_tridiag_path(path: TridiagPath, a: &Matrix) -> Eigh {
+/// [`eigh_tridiag`] with an explicit reduction path.
+fn eigh_tridiag_path(path: TridiagPath, a: &Matrix) -> Eigh {
     let n = a.nrows();
     assert_eq!(n, a.ncols(), "eigh_tridiag requires a square matrix");
     if n == 0 {
@@ -157,9 +160,8 @@ pub fn eigh_tridiag_path(path: TridiagPath, a: &Matrix) -> Eigh {
 ///
 /// Reads the upper triangle; panics on a non-square input. The returned
 /// `(d, e)` follow the `tred2` convention (`e[i] = T[i, i−1]`, `e[0]`
-/// zero) and feed [`tqli`] via [`eigh_tridiag_path`]; the bench bin
-/// `eigh_sweep` times this stage in isolation per [`TridiagPath`].
-pub fn reduce_to_tridiag(path: TridiagPath, a: &Matrix) -> Tridiag {
+/// zero) and feed [`tqli`] via [`eigh_tridiag_path`].
+fn reduce_to_tridiag(path: TridiagPath, a: &Matrix) -> Tridiag {
     let n = a.nrows();
     assert_eq!(n, a.ncols(), "reduce_to_tridiag requires a square matrix");
     let blocked = match path {

@@ -7,11 +7,8 @@
 //! mutex. A metric is addressed by `(name, labels)`; an FNV-1a hash of
 //! that key picks the shard **and** indexes an open-addressed table
 //! inside it, so hot-path recording is: hash (no allocation), lock one
-//! shard, one probe, bump a slot. The previous implementation kept every
-//! metric in one `Mutex<Vec<_>>` and linearly scanned names under the
-//! global lock; that API ([`MetricsRegistry::add`], `incr`, `set`, `get`,
-//! `snapshot`, `to_json`) survives as a thin shim over the sharded store
-//! (a label-less metric is just `(name, [])`).
+//! shard, one probe, bump a slot. A label-less metric is just
+//! `(name, [])`.
 //!
 //! Label order is significant: pass labels in a fixed order per call
 //! site (they are hashed and compared as given).

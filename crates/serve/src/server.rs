@@ -33,7 +33,7 @@ use fci_core::{
     Hamiltonian, RecoveryOptions, SolverKind,
 };
 use fci_obs::{Category, ObsConfig, Tracer, TrackedCondvar, TrackedMutex};
-use fci_sparse::{solve_sparse, SparseOptions};
+use fci_sparse::{solve_cdfci, solve_selected, SparseOptions, SparseResult};
 use fci_strings::binomial;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -658,7 +658,13 @@ impl Server {
     ) {
         let spec = &q.spec;
         let opts = self.job_options(spec);
-        let (status, energy, converged, iterations, restarts) = if spec.solver != SolverKind::Dense
+        let sparse_engine: Option<fn(&DetSpace, &Hamiltonian, &SparseOptions) -> SparseResult> =
+            match spec.solver {
+                SolverKind::Dense => None,
+                SolverKind::SparseCdfci => Some(solve_cdfci),
+                SolverKind::SparseSelected => Some(solve_selected),
+            };
+        let (status, energy, converged, iterations, restarts) = if let Some(engine) = sparse_engine
         {
             let so = SparseOptions {
                 threads: spec.nproc.max(1),
@@ -670,7 +676,7 @@ impl Server {
                 obs: opts.obs.clone(),
                 ..SparseOptions::default()
             };
-            let r = solve_sparse(space, ham, spec.solver, &so);
+            let r = engine(space, ham, &so);
             if spec.root < r.energies.len() {
                 (
                     JobStatus::Done,

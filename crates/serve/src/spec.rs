@@ -354,7 +354,6 @@ impl JobSpec {
     pub fn fci_options(&self) -> FciOptions {
         let mut opts = FciOptions {
             method: self.method,
-            solver: self.solver,
             nproc: self.nproc,
             excitation_level: self.excitation_level,
             ..FciOptions::default()

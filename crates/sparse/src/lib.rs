@@ -37,13 +37,13 @@
 //! tie-break (gradient scan).
 //!
 //! ```
-//! use fci_core::{DetSpace, SolverKind};
+//! use fci_core::DetSpace;
 //! use fci_core::hamiltonian::random_hamiltonian;
-//! use fci_sparse::{solve_sparse, SparseOptions};
+//! use fci_sparse::{solve_selected, SparseOptions};
 //!
 //! let ham = random_hamiltonian(6, 7);
 //! let space = DetSpace::c1(6, 2, 2);
-//! let res = solve_sparse(&space, &ham, SolverKind::SparseSelected, &SparseOptions::default());
+//! let res = solve_selected(&space, &ham, &SparseOptions::default());
 //! assert!(res.converged);
 //! ```
 
@@ -58,9 +58,7 @@ pub use connect::{exc_element, reference_det, ConnGen, Exc};
 pub use selected::solve_selected;
 pub use store::{CoefMap, Det, DetSet, Pair};
 
-use fci_core::detspace::DetSpace;
 use fci_core::hamiltonian::Hamiltonian;
-use fci_core::SolverKind;
 use fci_obs::ObsConfig;
 
 /// Controls for both sparse solvers. Defaults favour the cross-validation
@@ -163,23 +161,6 @@ impl SparseResult {
     /// Ground-state total energy.
     pub fn energy(&self) -> f64 {
         self.energies[0]
-    }
-}
-
-/// Dispatch on [`SolverKind`]. `Dense` is not this crate's job — calling
-/// it here is a programming error.
-pub fn solve_sparse(
-    space: &DetSpace,
-    ham: &Hamiltonian,
-    kind: SolverKind,
-    opts: &SparseOptions,
-) -> SparseResult {
-    match kind {
-        SolverKind::SparseCdfci => solve_cdfci(space, ham, opts),
-        SolverKind::SparseSelected => solve_selected(space, ham, opts),
-        SolverKind::Dense => {
-            panic!("SolverKind::Dense is handled by fci-core, not fci-sparse")
-        }
     }
 }
 

@@ -13,11 +13,11 @@
 //! growth curve. At the default 8 sites all three agree to micro-Hartrees
 //! while the sparse engines touch a fraction of the 4,900 determinants.
 
-use fcix::core::{solve, DetSpace, DiagMethod, DiagOptions, FciOptions, Hamiltonian, SolverKind};
+use fcix::core::{solve, DetSpace, DiagMethod, DiagOptions, FciOptions, Hamiltonian};
 use fcix::ints::EriTensor;
 use fcix::linalg::Matrix;
 use fcix::scf::MoIntegrals;
-use fcix::sparse::{solve_sparse, SparseOptions};
+use fcix::sparse::{solve_cdfci, solve_selected, SparseOptions};
 
 fn hubbard(n: usize, t: f64, u: f64) -> MoIntegrals {
     let mut h = Matrix::zeros(n, n);
@@ -73,10 +73,9 @@ fn main() {
     println!("dense FCI      E = {:.9}  (full vector)", dense.energy);
 
     // CDFCI: coordinate descent on the energy, support grows on demand.
-    let cd = solve_sparse(
+    let cd = solve_cdfci(
         &space,
         &ham,
-        SolverKind::SparseCdfci,
         &SparseOptions {
             tol: 1e-10,
             ..SparseOptions::default()
@@ -91,10 +90,9 @@ fn main() {
     );
 
     // Selected CI: importance-screened growth, truncated Davidson inner.
-    let sel = solve_sparse(
+    let sel = solve_selected(
         &space,
         &ham,
-        SolverKind::SparseSelected,
         &SparseOptions {
             eps: 1e-4,
             tol: 1e-9,

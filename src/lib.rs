@@ -16,32 +16,3 @@ pub use fci_serve as serve;
 pub use fci_sparse as sparse;
 pub use fci_strings as strings;
 pub use fci_xsim as xsim;
-
-/// Dispatch a ground-state solve on [`fci_core::FciOptions::solver`]:
-/// the dense DGEMM engine for [`fci_core::SolverKind::Dense`], otherwise
-/// the sparse engines from [`fci_sparse`]. Sparse runs derive their knobs
-/// from `opts` (`nproc` → threads) and `sparse` (everything else) and are
-/// reported through the same scalar-energy shape.
-pub fn solve_any(
-    mo: &fci_scf::MoIntegrals,
-    na: usize,
-    nb: usize,
-    irrep: u8,
-    opts: &fci_core::FciOptions,
-    sparse_opts: &fci_sparse::SparseOptions,
-) -> (f64, bool) {
-    match opts.solver {
-        fci_core::SolverKind::Dense => {
-            let res = fci_core::solve(mo, na, nb, irrep, opts);
-            (res.energy, res.converged)
-        }
-        kind => {
-            let ham = fci_core::Hamiltonian::new(mo);
-            let space = fci_core::DetSpace::for_hamiltonian(&ham, na, nb, irrep);
-            let mut so = sparse_opts.clone();
-            so.threads = opts.nproc.max(1);
-            let res = fci_sparse::solve_sparse(&space, &ham, kind, &so);
-            (res.energy(), res.converged)
-        }
-    }
-}

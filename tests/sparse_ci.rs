@@ -4,11 +4,11 @@
 //! shared-space checks — 63k and 854k determinants — run in release mode
 //! in `sparse_sweep`; these tests pin correctness at dev-profile sizes.)
 
-use fcix::core::{slater, solve, DetSpace, DiagMethod, FciOptions, Hamiltonian, SolverKind};
+use fcix::core::{slater, solve, DetSpace, DiagMethod, FciOptions, Hamiltonian};
 use fcix::ints::{BasisSet, Molecule};
 use fcix::linalg::eigh;
 use fcix::scf::{rhf, transform_integrals, MoIntegrals, RhfOptions};
-use fcix::sparse::{solve_cdfci, solve_selected, solve_sparse, SparseOptions};
+use fcix::sparse::{solve_cdfci, solve_selected, SparseOptions, SparseResult};
 
 /// Open Hubbard chain MO integrals (t = 1).
 fn hubbard_mo(sites: usize, u: f64) -> MoIntegrals {
@@ -117,21 +117,17 @@ fn water_frozen_core_sparse_matches_dense() {
     let ham = Hamiltonian::new(&mo);
     let space = DetSpace::for_hamiltonian(&ham, 4, 4, 0);
     let exact = dense_spectrum(&mo, 4, 4)[0];
-    // Dispatch through the SolverKind front door, as the facade and the
-    // job server do.
-    let cd = solve_sparse(
+    let cd = solve_cdfci(
         &space,
         &ham,
-        SolverKind::SparseCdfci,
         &SparseOptions {
             tol: 1e-12,
             ..SparseOptions::default()
         },
     );
-    let sel = solve_sparse(
+    let sel = solve_selected(
         &space,
         &ham,
-        SolverKind::SparseSelected,
         &SparseOptions {
             eps: 1e-10,
             tol: 1e-11,
@@ -195,38 +191,37 @@ fn sparse_energies_bitwise_reproducible_across_thread_counts() {
     // Property: for T ∈ {1, 2, 4}, every reported energy is the same
     // *bit pattern*, and the iteration/support trajectories agree — the
     // partition of work across threads is not observable in the result.
-    let run = |threads: usize, kind: SolverKind| {
-        let opts = SparseOptions {
-            threads,
-            eps: 1e-7,
-            tol: 1e-10,
-            nroots: if kind == SolverKind::SparseSelected {
-                2
-            } else {
-                1
-            },
-            ..SparseOptions::default()
+    type Engine = fn(&DetSpace, &Hamiltonian, &SparseOptions) -> SparseResult;
+    let engines: [(&str, Engine, usize); 2] =
+        [("cdfci", solve_cdfci, 1), ("selected", solve_selected, 2)];
+    for (name, engine, nroots) in engines {
+        let run = |threads: usize| {
+            let opts = SparseOptions {
+                threads,
+                eps: 1e-7,
+                tol: 1e-10,
+                nroots,
+                ..SparseOptions::default()
+            };
+            engine(&space, &ham, &opts)
         };
-        solve_sparse(&space, &ham, kind, &opts)
-    };
-    for kind in [SolverKind::SparseCdfci, SolverKind::SparseSelected] {
-        let r1 = run(1, kind);
-        let r2 = run(2, kind);
-        let r4 = run(4, kind);
+        let r1 = run(1);
+        let r2 = run(2);
+        let r4 = run(4);
         for (i, e) in r1.energies.iter().enumerate() {
             assert_eq!(
                 e.to_bits(),
                 r2.energies[i].to_bits(),
-                "{kind:?} root {i}: T=1 vs T=2"
+                "{name} root {i}: T=1 vs T=2"
             );
             assert_eq!(
                 e.to_bits(),
                 r4.energies[i].to_bits(),
-                "{kind:?} root {i}: T=1 vs T=4"
+                "{name} root {i}: T=1 vs T=4"
             );
         }
-        assert_eq!(r1.iterations, r2.iterations, "{kind:?} iterations");
-        assert_eq!(r1.iterations, r4.iterations, "{kind:?} iterations");
-        assert_eq!(r1.support, r4.support, "{kind:?} support");
+        assert_eq!(r1.iterations, r2.iterations, "{name} iterations");
+        assert_eq!(r1.iterations, r4.iterations, "{name} iterations");
+        assert_eq!(r1.support, r4.support, "{name} support");
     }
 }
