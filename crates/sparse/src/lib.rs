@@ -20,9 +20,10 @@
 //! * [`kernel`] — the allocation-free inner loops (CSR mat-vec,
 //!   gradient scan, coordinate line search), written so every output is
 //!   a pure function of the inputs regardless of thread partition;
-//! * [`cdfci`] — coordinate-descent FCI: each step updates the
-//!   largest-gradient coefficient and only its connections, tracking the
-//!   energy estimate incrementally in O(connections) per update;
+//! * [`cdfci`] — coordinate-descent FCI: each step updates one
+//!   coefficient and only its connections, tracking the energy estimate
+//!   incrementally in O(connections) per update; one gradient scan of
+//!   the store picks a block of up to 64 large-gradient coordinates;
 //! * [`selected`] — selected CI: grow the variational determinant set by
 //!   importance screening (`|H_ji·c_i| > ε`), diagonalize in the selected
 //!   space with Davidson on a CSR Hamiltonian (subspace eigenproblems go
@@ -32,9 +33,8 @@
 //! Both solvers are **bitwise-reproducible at any thread count**: all
 //! parallel loops compute disjoint output ranges whose per-element
 //! arithmetic is partition-independent, and every reduction either has
-//! that property (row sums), merges fixed-size chunks in a fixed order
-//! (norm recomputation), or is a max with a partition-invariant
-//! tie-break (gradient scan).
+//! that property (row sums) or merges the results of a fixed 64-chunk
+//! grid in a fixed order (norm recomputation, block gradient scan).
 //!
 //! ```
 //! use fci_core::DetSpace;
@@ -208,73 +208,70 @@ pub(crate) fn eval_elements(
     });
 }
 
-/// Parallel largest-gradient scan over a coefficient store's slots.
-/// Per-chunk winners merge with strict `>` in ascending chunk order,
-/// which reproduces the serial scan for *any* partition (ties resolve to
-/// the lowest slot either way) — thread-count-invariant by construction.
-pub(crate) fn parallel_scan_gradient(
+/// Number of chunks in the fixed slot grid that the block gradient scan
+/// and the norm recomputation both reduce over. The grid is *constant*
+/// (not a function of the thread count), so per-chunk results and their
+/// sequential merge order never change with `threads`.
+pub(crate) const GRID_CHUNKS: usize = 64;
+
+/// `out[k] = f(lo, hi)` for every chunk `lo..hi` of the fixed grid over
+/// `n` slots. Threads only divide the chunks among themselves; each
+/// chunk's result is a pure function of that chunk.
+fn per_grid_chunk<T: Send>(
+    threads: usize,
+    n: usize,
+    out: &mut [T; GRID_CHUNKS],
+    f: impl Fn(usize, usize) -> T + Sync,
+) {
+    let fill = |first: usize, outs: &mut [T]| {
+        for (i, o) in outs.iter_mut().enumerate() {
+            let (lo, hi) = kernel::range_of(n, GRID_CHUNKS, first + i);
+            *o = f(lo, hi);
+        }
+    };
+    if threads <= 1 || n < 16_384 {
+        fill(0, out);
+        return;
+    }
+    let fill = &fill;
+    std::thread::scope(|sc| {
+        let mut rest = out.as_mut_slice();
+        for t in 0..threads {
+            let (clo, chi) = kernel::range_of(GRID_CHUNKS, threads, t);
+            let (head, tail) = rest.split_at_mut(chi - clo);
+            rest = tail;
+            sc.spawn(move || fill(clo, head));
+        }
+    });
+}
+
+/// Block gradient scan: one pass over a store's slots that leaves in
+/// `winners` the `(slot, |gradient|)` of the largest-gradient live slot
+/// of each grid chunk ([`kernel::scan_gradient`] per chunk), ordered by
+/// gradient descending with ties to the lower slot; chunks without a
+/// live slot, `(usize::MAX, -1.0)`, sort last. The head is therefore
+/// exactly the full-range `scan_gradient` result, and the list is
+/// thread-count-invariant by construction.
+pub(crate) fn scan_block(
     threads: usize,
     flags: &[u8],
     vals: &[Pair],
     e: f64,
-) -> (usize, f64) {
-    let n = flags.len();
-    if threads <= 1 || n < 16_384 {
-        return kernel::scan_gradient(flags, vals, e, 0, n);
-    }
-    let mut parts = vec![(usize::MAX, -1.0f64); threads];
-    std::thread::scope(|s| {
-        for (k, out) in parts.iter_mut().enumerate() {
-            s.spawn(move || {
-                let (lo, hi) = kernel::range_of(n, threads, k);
-                *out = kernel::scan_gradient(flags, vals, e, lo, hi);
-            });
-        }
+    winners: &mut [(usize, f64); GRID_CHUNKS],
+) {
+    per_grid_chunk(threads, flags.len(), winners, |lo, hi| {
+        kernel::scan_gradient(flags, vals, e, lo, hi)
     });
-    let mut best = (usize::MAX, -1.0f64);
-    for p in parts {
-        if p.1 > best.1 {
-            best = p;
-        }
-    }
-    best
+    winners.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
 }
-
-/// Number of fixed reduction chunks for norm recomputation. The chunk
-/// grid is *constant* (not a function of the thread count), so partial
-/// sums and their sequential merge order never change with `threads`.
-const NORM_CHUNKS: usize = 64;
 
 /// Recompute `(Σ c², Σ c·b)` over a store's live slots exactly, in
 /// parallel, bitwise thread-count-invariant: partials are computed per
 /// fixed chunk and merged in chunk order.
 pub(crate) fn recompute_norms(threads: usize, flags: &[u8], vals: &[Pair]) -> (f64, f64) {
-    let n = flags.len();
-    if threads <= 1 || n < 16_384 {
-        let mut s = 0.0;
-        let mut a = 0.0;
-        for k in 0..NORM_CHUNKS {
-            let (lo, hi) = kernel::range_of(n, NORM_CHUNKS, k);
-            let (ps, pa) = kernel::scan_norms(flags, vals, lo, hi);
-            s += ps;
-            a += pa;
-        }
-        return (s, a);
-    }
-    let mut parts = vec![(0.0f64, 0.0f64); NORM_CHUNKS];
-    std::thread::scope(|sc| {
-        let mut rest = parts.as_mut_slice();
-        for t in 0..threads {
-            let (clo, chi) = kernel::range_of(NORM_CHUNKS, threads, t);
-            let (head, tail) = rest.split_at_mut(chi - clo);
-            rest = tail;
-            sc.spawn(move || {
-                for (i, out) in head.iter_mut().enumerate() {
-                    let (lo, hi) = kernel::range_of(n, NORM_CHUNKS, clo + i);
-                    *out = kernel::scan_norms(flags, vals, lo, hi);
-                }
-            });
-        }
+    let mut parts = [(0.0f64, 0.0f64); GRID_CHUNKS];
+    per_grid_chunk(threads, flags.len(), &mut parts, |lo, hi| {
+        kernel::scan_norms(flags, vals, lo, hi)
     });
     let mut s = 0.0;
     let mut a = 0.0;
@@ -313,4 +310,66 @@ pub(crate) fn spmv(
             });
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn block_scan_is_partition_invariant_and_headed_by_the_full_scan() {
+        // Past the 16,384-slot threshold, so threads > 1 takes the
+        // threaded path.
+        let n = 40_000;
+        let mut flags = vec![0u8; n];
+        let mut vals = vec![[0.0f64; 2]; n];
+        for i in 0..n {
+            flags[i] = u8::from(i % 5 != 2);
+            vals[i] = [(i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()];
+        }
+        // The maximum three times, twice inside one chunk (625 slots
+        // each) and once in a later one; a lesser value twice.
+        for i in [7_003, 7_100, 31_000] {
+            flags[i] = 1;
+            vals[i] = [0.0, 5.0];
+        }
+        for i in [12_345, 20_000] {
+            flags[i] = 1;
+            vals[i] = [0.0, -4.0];
+        }
+        let e = 0.3;
+        let mut serial = [(usize::MAX, -1.0f64); GRID_CHUNKS];
+        scan_block(1, &flags, &vals, e, &mut serial);
+        assert_eq!(serial[0], kernel::scan_gradient(&flags, &vals, e, 0, n));
+        assert_eq!(
+            [serial[0].0, serial[1].0, serial[2].0, serial[3].0],
+            [7_003, 31_000, 12_345, 20_000]
+        );
+        for w in serial.windows(2) {
+            assert!(w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0));
+        }
+        for threads in [2usize, 3, 4, 7] {
+            let mut threaded = [(usize::MAX, -1.0f64); GRID_CHUNKS];
+            scan_block(threads, &flags, &vals, e, &mut threaded);
+            for (s, t) in serial.iter().zip(&threaded) {
+                assert_eq!((s.0, s.1.to_bits()), (t.0, t.1.to_bits()));
+            }
+        }
+    }
+
+    #[test]
+    fn block_scan_sorts_empty_chunks_last() {
+        // 128 slots, two per chunk; only chunks 3 and 40 hold a live slot.
+        let mut flags = vec![0u8; 128];
+        let mut vals = vec![[0.0f64; 2]; 128];
+        flags[6] = 1;
+        vals[6] = [0.0, 1.0];
+        flags[81] = 1;
+        vals[81] = [0.0, -2.0];
+        let mut winners = [(0usize, 0.0f64); GRID_CHUNKS];
+        scan_block(1, &flags, &vals, 0.0, &mut winners);
+        assert_eq!(winners[0], (81, 2.0));
+        assert_eq!(winners[1], (6, 1.0));
+        assert!(winners[2..].iter().all(|w| *w == (usize::MAX, -1.0)));
+    }
 }
