@@ -43,7 +43,7 @@ use fci_obs::JsonValue;
 
 /// Hot-path roots the transitive analyses start from: the σ-task body
 /// and the GEMM dispatch/macro/micro kernels.
-pub const DEFAULT_ROOTS: [&str; 9] = [
+pub const DEFAULT_ROOTS: [&str; 10] = [
     "process_task_into",
     "dgemm",
     "packed_dgemm",
@@ -54,6 +54,8 @@ pub const DEFAULT_ROOTS: [&str; 9] = [
     // The sparse engine's per-iteration kernels (crates/sparse).
     "spmv_rows",
     "scan_gradient",
+    // The connection walker both sparse solvers run per determinant.
+    "walk_connections",
 ];
 
 /// Method names resolved to std/core rather than workspace impls; calls

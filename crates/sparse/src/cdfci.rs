@@ -31,15 +31,14 @@
 //!
 //! Thread-count determinism: the block scan and the (S, A) drift-control
 //! recomputation both reduce over the same *fixed* chunk grid and merge
-//! in chunk order, element evaluation writes disjoint ranges, and all
-//! store mutation is single-threaded in enumeration order.
+//! in chunk order, and all store mutation is single-threaded in the
+//! connection generator's enumeration order.
 
-use crate::connect::{reference_det, ConnGen, Exc};
+use crate::connect::{reference_det, ConnGen};
 use crate::kernel;
 use crate::store::{CoefMap, Det};
 use crate::{
-    eval_elements, recompute_norms, scan_block, tracer_for, SparseOptions, SparseResult, SweepStat,
-    GRID_CHUNKS,
+    recompute_norms, scan_block, tracer_for, SparseOptions, SparseResult, SweepStat, GRID_CHUNKS,
 };
 use fci_core::detspace::DetSpace;
 use fci_core::hamiltonian::Hamiltonian;
@@ -60,17 +59,16 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
     let d_ref = ham.diagonal_element(refdet.a, refdet.b);
     let mut cg = ConnGen::for_space(space);
     let mut map = CoefMap::with_capacity(opts.max_store.min(1 << 10));
-    let mut excs: Vec<Exc> = Vec::new();
-    let mut hbuf: Vec<f64> = Vec::new();
     let mut dropped = 0usize;
 
     // c = e_ref, b = H·e_ref (reference column), S = 1, A = H_rr.
     let rs = map.slot_or_insert(refdet);
     map.vals_mut()[rs] = [1.0, d_ref];
-    cg.excitations_into(refdet, &mut excs);
-    hbuf.resize(excs.len(), 0.0);
-    eval_elements(threads, ham, refdet, &excs, &mut hbuf);
-    apply_column(&mut map, refdet, &excs, &hbuf, 1.0, opts, &mut dropped);
+    let mut ref_connections = 0usize;
+    cg.for_each_connection(ham, refdet, opts.h_cut, |j, h| {
+        ref_connections += 1;
+        add_to_b(&mut map, j, h, opts.max_store, &mut dropped);
+    });
     let mut s_norm = 1.0f64;
     let mut a_dot = d_ref;
 
@@ -79,10 +77,13 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
         "cdfci_begin",
         Category::Other,
         &[
-            ("connections", excs.len() as f64),
+            ("connections", ref_connections as f64),
             ("e_ref", d_ref + ham.e_core),
         ],
     );
+    if let Some(m) = tracer.metrics() {
+        m.gauge_set("sparse.conn.table_bytes", &[], cg.table_bytes() as f64);
+    }
 
     // Gradient floor: ‖b − ρc‖∞ below this means the energy error
     // (quadratic in the gradient) is far below `tol`.
@@ -151,10 +152,12 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
             vals[slot][0] = u + t;
             vals[slot][1] = b_i + t * d_i;
         }
-        cg.excitations_into(det_i, &mut excs);
-        hbuf.resize(excs.len(), 0.0);
-        eval_elements(threads, ham, det_i, &excs, &mut hbuf);
-        apply_column(&mut map, det_i, &excs, &hbuf, t, opts, &mut dropped);
+        // The column update `b += t·H·e_i` over the connections of
+        // `det_i`, sequential and in enumeration order: the store layout
+        // stays a pure function of the update history.
+        cg.for_each_connection(ham, det_i, opts.h_cut, |j, h| {
+            add_to_b(&mut map, j, t * h, opts.max_store, &mut dropped);
+        });
 
         updates += 1;
         if updates.is_multiple_of(SWEEP) {
@@ -224,34 +227,17 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
     }
 }
 
-/// Apply the rank-one column update `b += t·H·e_i` over the connections
-/// of `det_i` (already enumerated into `excs` with elements in `hbuf`).
-/// Inserts on first contact while the store is under `max_store`;
-/// afterwards only existing entries update and the rest are counted as
-/// dropped. Sequential, in enumeration order — the store layout stays a
-/// pure function of the update history.
-fn apply_column(
-    map: &mut CoefMap,
-    det_i: Det,
-    excs: &[Exc],
-    hbuf: &[f64],
-    t: f64,
-    opts: &SparseOptions,
-    dropped: &mut usize,
-) {
-    for (&e, &h) in excs.iter().zip(hbuf) {
-        if h.abs() <= opts.h_cut {
-            continue;
-        }
-        let j = e.apply(det_i);
-        if map.len() < opts.max_store {
-            let sj = map.slot_or_insert(j);
-            map.vals_mut()[sj][1] += t * h;
-        } else if let Some(sj) = map.find(j) {
-            map.vals_mut()[sj][1] += t * h;
-        } else {
-            *dropped += 1;
-        }
+/// `b_j += th`, one term of a column update. Inserts `j` on first
+/// contact while the store is under `max_store`; afterwards only existing
+/// entries update and the rest are counted as dropped.
+fn add_to_b(map: &mut CoefMap, j: Det, th: f64, max_store: usize, dropped: &mut usize) {
+    if map.len() < max_store {
+        let sj = map.slot_or_insert(j);
+        map.vals_mut()[sj][1] += th;
+    } else if let Some(sj) = map.find(j) {
+        map.vals_mut()[sj][1] += th;
+    } else {
+        *dropped += 1;
     }
 }
 

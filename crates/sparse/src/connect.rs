@@ -2,12 +2,12 @@
 //!
 //! The dense σ kernels touch every determinant through GEMMs over
 //! precomputed coupling tables. The sparse engine instead walks the
-//! Hamiltonian *row by row*: given a pivot determinant it enumerates all
-//! singles and doubles (the only determinants with a nonzero coupling),
+//! Hamiltonian *row by row*: given a pivot determinant it visits the
+//! singles and doubles whose integrals can make the coupling nonzero,
 //! evaluates each Slater–Condon element per connection, and hands the
 //! `(determinant, ⟨J|H|I⟩)` pairs to a caller-supplied sink.
 //!
-//! Two things matter here:
+//! Three things matter here:
 //!
 //! 1. **Bitwise agreement with `fci_core::slater::element`.** That routine
 //!    allocates (it diffs occupation masks into `Vec`s per call), so the
@@ -15,15 +15,30 @@
 //!    below instead receive the excitation already identified and
 //!    replicate `element`'s arithmetic *in the same order*, so the two
 //!    agree bit for bit (a property the unit tests pin).
-//! 2. **Deterministic enumeration order.** Connections are emitted in a
-//!    fixed order — α singles, β singles, αα doubles, ββ doubles, αβ
-//!    doubles, each orbital-lexicographic — independent of thread count,
-//!    which the solvers rely on for reproducibility.
+//! 2. **Deterministic enumeration order, and the superset rule.**
+//!    Connections are emitted in a fixed order — α singles, β singles, αα
+//!    doubles, ββ doubles, αβ doubles, each orbital-lexicographic —
+//!    independent of thread count, which the solvers rely on for
+//!    reproducibility. [`ConnGen::for_each_connection`] does not visit
+//!    every excitation of that order: per Hamiltonian it keeps bitmask
+//!    rows (`ConnTables`) of the excitations for which *some* integral
+//!    entering the element is `!= 0.0`, intersects them with the pivot's
+//!    occupation masks, and evaluates only those. The rows are a superset
+//!    of the nonzero elements decided by exact comparison (no threshold):
+//!    a skipped excitation's element is a sum of exact zeros, so it could
+//!    never pass `|h| > cut` for any `cut ≥ 0`, and the emitted sequence
+//!    is bit for bit that of the full enumeration
+//!    ([`ConnGen::excitations_into`] + [`exc_element`] + `|h| > cut`),
+//!    which stays as the test oracle.
+//! 3. **No allocation per pivot.** The walker reads the tables and the
+//!    pivot's two masks and calls the sink directly; `fcix-check graph`
+//!    proves `walk_connections` allocation- and panic-free transitively.
 
 use crate::store::Det;
 use fci_core::detspace::{DetSpace, ExcitationFilter};
 use fci_core::hamiltonian::Hamiltonian;
 use fci_core::slater::{double_phase, single_phase};
+use fci_strings::pair_index;
 
 /// One excitation connecting a pivot determinant to a neighbour. Orbital
 /// labels fit in `u8` (masks are `u64`, so ≤ 64 orbitals).
@@ -142,11 +157,126 @@ fn same_spin_double(
     phase * (ham.eri.get(p1, q1, p2, q2) - ham.eri.get(p1, q2, p2, q1))
 }
 
+/// Ascending set bits of a mask, as orbital labels.
+struct Bits(u64);
+
+impl Iterator for Bits {
+    type Item = u8;
+
+    #[inline]
+    fn next(&mut self) -> Option<u8> {
+        if self.0 == 0 {
+            return None;
+        }
+        let p = self.0.trailing_zeros() as u8;
+        self.0 &= self.0 - 1;
+        Some(p)
+    }
+}
+
+/// Per-Hamiltonian bitmask rows of the symmetry-allowed excitations whose
+/// element can be nonzero: bit `p` of a row is set iff some integral that
+/// enters the element is `!= 0.0` (exact comparison, so the rows are a
+/// superset of the nonzero elements for every determinant). Fixed size,
+/// `8·(2n + C(n,2)·(n+1) + n²·(n+1))` bytes for `n` orbitals.
+#[derive(Default)]
+struct ConnTables {
+    /// [`Hamiltonian::id`] the rows were built from; 0 = none yet.
+    ham_id: u64,
+    /// `single[q]`: the `p` with `h_pq`, some `(pq|rr)` or some `(pr|rq)`
+    /// nonzero.
+    single: Vec<u64>,
+    /// `same[pair_index(q2,q1)·n + p1]`, `q1 < q2`: the `p2 > p1` with
+    /// `(p1q1|p2q2)` or `(p1q2|p2q1)` nonzero.
+    same: Vec<u64>,
+    /// `same_p1[pair_index(q2,q1)]`: the `p1` whose `same` row is nonempty.
+    same_p1: Vec<u64>,
+    /// `mixed[(qa·n + pa)·n + qb]`: the `pb` with `(pa qa|pb qb)` nonzero.
+    mixed: Vec<u64>,
+    /// `mixed_qb[qa·n + pa]`: the `qb` whose `mixed` row is nonempty.
+    mixed_qb: Vec<u64>,
+    /// `mixed_pa[qa]`: the `pa` with any nonempty `mixed` row.
+    mixed_pa: Vec<u64>,
+}
+
+impl ConnTables {
+    fn build(ham: &Hamiltonian, orb_sym: &[u8]) -> Self {
+        let n = orb_sym.len();
+        let npair = n * n.saturating_sub(1) / 2;
+        let eri = &ham.eri;
+        let mut t = ConnTables {
+            ham_id: ham.id(),
+            single: vec![0; n],
+            same: vec![0; npair * n],
+            same_p1: vec![0; npair],
+            mixed: vec![0; n * n * n],
+            mixed_qb: vec![0; n * n],
+            mixed_pa: vec![0; n],
+        };
+        for q in 0..n {
+            for p in 0..n {
+                if p == q || orb_sym[p] != orb_sym[q] {
+                    continue;
+                }
+                if ham.h[(p, q)] != 0.0
+                    || (0..n).any(|r| eri.get(p, q, r, r) != 0.0 || eri.get(p, r, r, q) != 0.0)
+                {
+                    t.single[q] |= 1u64 << p;
+                }
+            }
+        }
+        let quad_sym = |a: usize, b: usize, c: usize, d: usize| {
+            orb_sym[a] ^ orb_sym[b] ^ orb_sym[c] ^ orb_sym[d] == 0
+        };
+        for q2 in 1..n {
+            for q1 in 0..q2 {
+                let row = pair_index(q2, q1);
+                for p1 in (0..n).filter(|&p| p != q1 && p != q2) {
+                    for p2 in (p1 + 1..n).filter(|&p| p != q1 && p != q2) {
+                        if quad_sym(p1, p2, q1, q2)
+                            && (eri.get(p1, q1, p2, q2) != 0.0 || eri.get(p1, q2, p2, q1) != 0.0)
+                        {
+                            t.same[row * n + p1] |= 1u64 << p2;
+                            t.same_p1[row] |= 1u64 << p1;
+                        }
+                    }
+                }
+            }
+        }
+        for qa in 0..n {
+            for pa in (0..n).filter(|&p| p != qa) {
+                let row = qa * n + pa;
+                for qb in 0..n {
+                    for pb in (0..n).filter(|&p| p != qb) {
+                        if quad_sym(pa, qa, pb, qb) && eri.get(pa, qa, pb, qb) != 0.0 {
+                            t.mixed[row * n + qb] |= 1u64 << pb;
+                            t.mixed_qb[row] |= 1u64 << qb;
+                            t.mixed_pa[qa] |= 1u64 << pa;
+                        }
+                    }
+                }
+            }
+        }
+        t
+    }
+
+    fn bytes(&self) -> usize {
+        let words = self.single.len()
+            + self.same.len()
+            + self.same_p1.len()
+            + self.mixed.len()
+            + self.mixed_qb.len()
+            + self.mixed_pa.len();
+        words * std::mem::size_of::<u64>()
+    }
+}
+
 /// Connection generator bound to one determinant space's symmetry sector.
 ///
-/// Holds reusable occupied/virtual scratch lists so enumeration performs
-/// no per-pivot allocation after warm-up. Cheap to construct; not `Sync`
-/// (each thread builds its own from the shared [`DetSpace`]).
+/// Holds the integral-driven tables of the Hamiltonian it last walked
+/// (built on first use, rebuilt when a Hamiltonian with another
+/// [`Hamiltonian::id`] arrives) and the occupied/virtual scratch lists of
+/// the full enumeration. Cheap to construct.
 pub struct ConnGen {
     n_orb: usize,
     orb_sym: Vec<u8>,
@@ -156,7 +286,7 @@ pub struct ConnGen {
     avirt: Vec<u8>,
     bocc: Vec<u8>,
     bvirt: Vec<u8>,
-    exc_buf: Vec<Exc>,
+    tables: ConnTables,
 }
 
 impl ConnGen {
@@ -174,7 +304,7 @@ impl ConnGen {
             avirt: Vec::with_capacity(n_orb),
             bocc: Vec::with_capacity(n_orb),
             bvirt: Vec::with_capacity(n_orb),
-            exc_buf: Vec::new(),
+            tables: ConnTables::default(),
         }
     }
 
@@ -236,9 +366,10 @@ impl ConnGen {
     /// Enumerate every in-sector excitation from `det` into `out`
     /// (cleared first), in the fixed deterministic order: α singles,
     /// β singles, αα doubles, ββ doubles, αβ doubles, each loop nest
-    /// orbital-ascending. Matrix elements are *not* computed — callers
-    /// evaluate [`exc_element`] themselves (possibly in parallel over
-    /// disjoint chunks of `out`).
+    /// orbital-ascending. Matrix elements are *not* computed and the
+    /// integrals are not consulted: this is the full symmetry-allowed
+    /// enumeration, the oracle [`Self::for_each_connection`] is tested
+    /// against.
     pub fn excitations_into(&mut self, det: Det, out: &mut Vec<Exc>) {
         out.clear();
         self.fill_occ_virt(det);
@@ -310,25 +441,98 @@ impl ConnGen {
         }
     }
 
-    /// Enumerate connections of `det` and hand each `(neighbour, ⟨J|H|I⟩)`
-    /// with `|⟨J|H|I⟩| > cut` to `sink`, in the deterministic enumeration
-    /// order. Single-threaded convenience over [`Self::excitations_into`].
+    /// Hand each connection `(neighbour, ⟨J|H|I⟩)` of `det` with
+    /// `|⟨J|H|I⟩| > cut` (`cut ≥ 0`) to `sink`, in the deterministic
+    /// enumeration order — the sequence [`Self::excitations_into`] +
+    /// [`exc_element`] + the cut would give, bit for bit, reached through
+    /// the Hamiltonian's nonzero-integral tables.
     pub fn for_each_connection(
         &mut self,
         ham: &Hamiltonian,
         det: Det,
         cut: f64,
+        sink: impl FnMut(Det, f64),
+    ) {
+        self.prepare(ham);
+        self.walk_connections(ham, det, cut, sink);
+    }
+
+    /// Make the tables those of `ham`: built on first use, rebuilt when
+    /// `ham` is not the Hamiltonian they were built from.
+    pub(crate) fn prepare(&mut self, ham: &Hamiltonian) {
+        if self.tables.ham_id != ham.id() {
+            self.tables = ConnTables::build(ham, &self.orb_sym);
+        }
+    }
+
+    /// [`Self::for_each_connection`] over tables already
+    /// [`Self::prepare`]d for `ham` — `&self`, so the threads of one
+    /// solve share one generator. Reads the tables and the two masks of
+    /// `det`, nothing else: no allocation, no scratch.
+    pub(crate) fn walk_connections(
+        &self,
+        ham: &Hamiltonian,
+        det: Det,
+        cut: f64,
         mut sink: impl FnMut(Det, f64),
     ) {
-        let mut excs = std::mem::take(&mut self.exc_buf);
-        self.excitations_into(det, &mut excs);
-        for &e in &excs {
-            let h = exc_element(ham, det, e);
-            if h.abs() > cut {
-                sink(e.apply(det), h);
+        debug_assert_eq!(self.tables.ham_id, ham.id(), "prepare(ham) first");
+        let t = &self.tables;
+        let n = self.n_orb;
+        let mut emit = |e: Exc| {
+            let to = e.apply(det);
+            if self.level_ok(to) {
+                let h = exc_element(ham, det, e);
+                if h.abs() > cut {
+                    sink(to, h);
+                }
+            }
+        };
+        let all = if n >= 64 { !0 } else { (1u64 << n) - 1 };
+        let (avirt, bvirt) = (!det.a & all, !det.b & all);
+        for q in Bits(det.a) {
+            for p in Bits(t.single[q as usize] & avirt) {
+                emit(Exc::AlphaSingle { p, q });
             }
         }
-        self.exc_buf = excs;
+        for q in Bits(det.b) {
+            for p in Bits(t.single[q as usize] & bvirt) {
+                emit(Exc::BetaSingle { p, q });
+            }
+        }
+        for (alpha, occ, virt) in [(true, det.a, avirt), (false, det.b, bvirt)] {
+            let mut above = Bits(occ);
+            while let Some(q1) = above.next() {
+                for q2 in Bits(above.0) {
+                    let row = pair_index(q2 as usize, q1 as usize);
+                    for p1 in Bits(t.same_p1[row] & virt) {
+                        for p2 in Bits(t.same[row * n + p1 as usize] & virt) {
+                            emit(if alpha {
+                                Exc::AlphaDouble { p1, p2, q1, q2 }
+                            } else {
+                                Exc::BetaDouble { p1, p2, q1, q2 }
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        for qa in Bits(det.a) {
+            for pa in Bits(t.mixed_pa[qa as usize] & avirt) {
+                let row = qa as usize * n + pa as usize;
+                for qb in Bits(t.mixed_qb[row] & det.b) {
+                    for pb in Bits(t.mixed[row * n + qb as usize] & bvirt) {
+                        emit(Exc::Mixed { pa, qa, pb, qb });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Bytes of the integral-driven tables currently held (0 before the
+    /// first [`Self::for_each_connection`]).
+    pub fn table_bytes(&self) -> usize {
+        self.tables.bytes()
     }
 
     /// Number of orbitals.

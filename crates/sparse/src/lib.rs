@@ -13,10 +13,11 @@
 //!   ([`store::Det`]) with a deterministic layout, and [`store::DetSet`],
 //!   a compressed sorted determinant set with merge-based union and
 //!   intersection;
-//! * [`connect`] — on-the-fly connected-determinant generation: singles
-//!   and doubles from a pivot in a fixed deterministic order, with
+//! * [`connect`] — on-the-fly connected-determinant generation: the
+//!   singles and doubles of a pivot that the Hamiltonian's nonzero
+//!   integrals allow, in a fixed deterministic order, with
 //!   per-connection Slater–Condon elements that agree bitwise with
-//!   `fci_core::slater::element`;
+//!   `fci_core::slater::element`; one walker serves both solvers;
 //! * [`kernel`] — the allocation-free inner loops (CSR mat-vec,
 //!   gradient scan, coordinate line search), written so every output is
 //!   a pure function of the inputs regardless of thread partition;
@@ -58,7 +59,6 @@ pub use connect::{exc_element, reference_det, ConnGen, Exc};
 pub use selected::solve_selected;
 pub use store::{CoefMap, Det, DetSet, Pair};
 
-use fci_core::hamiltonian::Hamiltonian;
 use fci_obs::ObsConfig;
 
 /// Controls for both sparse solvers. Defaults favour the cross-validation
@@ -66,8 +66,9 @@ use fci_obs::ObsConfig;
 /// `max_store` and loosen `eps`.
 #[derive(Clone, Debug)]
 pub struct SparseOptions {
-    /// Worker threads for element evaluation, mat-vecs and scans. Any
-    /// value produces bitwise-identical results; 1 is fully serial.
+    /// Worker threads for row-parallel connection generation, mat-vecs
+    /// and scans. Any value produces bitwise-identical results; 1 is
+    /// fully serial.
     pub threads: usize,
     /// Hard cap on stored coefficients (CDFCI) / selected determinants
     /// (selected CI) — the memory bound. When reached, CDFCI stops
@@ -171,41 +172,6 @@ pub(crate) fn tracer_for(obs: &ObsConfig) -> fci_obs::Tracer {
         Ok(t) => t,
         Err(_) => fci_obs::Tracer::disabled(),
     }
-}
-
-/// Evaluate the Slater–Condon element of every excitation in `excs`
-/// (all from the same pivot `from`) into `out`. Parallel over disjoint
-/// chunks; each element's arithmetic is independent of the partition, so
-/// the output is bitwise thread-count-invariant.
-pub(crate) fn eval_elements(
-    threads: usize,
-    ham: &Hamiltonian,
-    from: Det,
-    excs: &[Exc],
-    out: &mut [f64],
-) {
-    assert_eq!(excs.len(), out.len());
-    let n = excs.len();
-    if threads <= 1 || n < 1024 {
-        for (o, &e) in out.iter_mut().zip(excs) {
-            *o = exc_element(ham, from, e);
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut rest = out;
-        for k in 0..threads {
-            let (lo, hi) = kernel::range_of(n, threads, k);
-            let (head, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let chunk = &excs[lo..hi];
-            s.spawn(move || {
-                for (o, &e) in head.iter_mut().zip(chunk) {
-                    *o = exc_element(ham, from, e);
-                }
-            });
-        }
-    });
 }
 
 /// Number of chunks in the fixed slot grid that the block gradient scan

@@ -5,11 +5,11 @@
 //! determinant `j ∉ V` with `max_i |H_ji·c_i| > ε` (the heat-bath/CIPSI
 //! selection criterion, screening connections of the current wave
 //! function). Each round's eigenproblem runs over an explicit CSR of
-//! `H_VV` — built row-parallel from the on-the-fly connection generator
-//! — with a Davidson iteration whose subspace eigenproblems go through
-//! `fci_linalg::eigh` and whose warm-start block is orthonormalized by
-//! CholQR² when possible (MGS fallback). Small selected spaces skip the
-//! iteration entirely and call the dense `eigh`.
+//! `H_VV` — built row-parallel from the integral-driven connection
+//! generator — with a Davidson iteration whose subspace eigenproblems go
+//! through `fci_linalg::eigh` and whose warm-start block is
+//! orthonormalized by CholQR² when possible (MGS fallback). Small
+//! selected spaces skip the iteration entirely and call the dense `eigh`.
 //!
 //! Convergence: the outer loop stops when either no candidate passes the
 //! threshold (the ε-selected space is exhausted — for small ε this is
@@ -35,7 +35,7 @@
 //! sorted determinant order; the Davidson recurrence itself is serial
 //! apart from the row-partitioned mat-vec.
 
-use crate::connect::{exc_element, reference_det, ConnGen, Exc};
+use crate::connect::{reference_det, ConnGen};
 use crate::store::{CoefMap, Det, DetSet};
 use crate::{kernel, spmv, tracer_for, SparseOptions, SparseResult, SweepStat};
 use fci_core::detspace::DetSpace;
@@ -53,6 +53,11 @@ pub fn solve_selected(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions)
     let threads = opts.threads.max(1);
     let nroots = opts.nroots.max(1);
     let refdet = reference_det(space, ham);
+    // One generator, its tables built once, shared by every thread of
+    // every round.
+    let mut cg = ConnGen::for_space(space);
+    cg.prepare(ham);
+    let cg = &cg;
     let mut v = DetSet::from_vec(vec![refdet]);
     let mut prev: Option<(DetSet, Vec<Vec<f64>>)> = None;
     let mut prev_e: Vec<f64> = Vec::new();
@@ -69,11 +74,14 @@ pub fn solve_selected(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions)
         Category::Other,
         &[("eps", opts.eps), ("nroots", nroots as f64)],
     );
+    if let Some(mt) = tracer.metrics() {
+        mt.gauge_set("sparse.conn.table_bytes", &[], cg.table_bytes() as f64);
+    }
 
     for outer in 0..opts.max_outer {
         let t0 = tracer.now_us();
         let m = v.len();
-        let csr = build_csr(threads, space, ham, &v, opts.h_cut);
+        let csr = build_csr(threads, cg, ham, &v, opts.h_cut);
         let warm = scatter_warm(&prev, &v);
         let (evals, vecs, inner_conv, inner_iters) =
             davidson(threads, &csr, nroots.min(m), &warm, opts);
@@ -127,7 +135,7 @@ pub fn solve_selected(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions)
         }
         let cands = select_candidates(
             threads,
-            space,
+            cg,
             ham,
             &v,
             &vectors,
@@ -177,10 +185,26 @@ pub fn solve_selected(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions)
     }
 }
 
+/// `f(k, &mut parts[k])` for every part: on the calling thread when
+/// there is one part, one scoped thread each otherwise.
+fn for_each_part<T: Send>(parts: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+    if let [only] = parts {
+        f(0, only);
+        return;
+    }
+    let f = &f;
+    std::thread::scope(|s| {
+        for (k, part) in parts.iter_mut().enumerate() {
+            s.spawn(move || f(k, part));
+        }
+    });
+}
+
 /// CSR of the strict off-diagonal of `H` restricted to `V`, plus the
 /// diagonal. Row contents depend only on the row (enumeration order of
 /// the connection generator), so the row-parallel build is
 /// partition-invariant and chunks concatenate in row order.
+#[derive(Default)]
 struct Csr {
     rowptr: Vec<usize>,
     cols: Vec<u32>,
@@ -194,62 +218,39 @@ impl Csr {
     }
 }
 
-fn build_csr(threads: usize, space: &DetSpace, ham: &Hamiltonian, v: &DetSet, h_cut: f64) -> Csr {
+fn build_csr(threads: usize, cg: &ConnGen, ham: &Hamiltonian, v: &DetSet, h_cut: f64) -> Csr {
     let m = v.len();
     let nchunks = if threads <= 1 || m < 256 { 1 } else { threads };
-    let mut parts: Vec<(Vec<usize>, Vec<u32>, Vec<f64>)> = Vec::new();
-    parts.resize_with(nchunks, || (Vec::new(), Vec::new(), Vec::new()));
-    let mut diag = vec![0.0; m];
-    std::thread::scope(|s| {
-        let mut drest = diag.as_mut_slice();
-        for (k, part) in parts.iter_mut().enumerate() {
-            let (lo, hi) = kernel::range_of(m, nchunks, k);
-            let (dhead, dtail) = drest.split_at_mut(hi - lo);
-            drest = dtail;
-            s.spawn(move || {
-                let mut cg = ConnGen::for_space(space);
-                let mut excs: Vec<Exc> = Vec::new();
-                let (rlen, cols, vals) = part;
-                for r in lo..hi {
-                    let dr = v.det(r);
-                    dhead[r - lo] = ham.diagonal_element(dr.a, dr.b);
-                    cg.excitations_into(dr, &mut excs);
-                    let mut cnt = 0usize;
-                    for &e in &excs {
-                        let j = e.apply(dr);
-                        if let Some(c) = v.rank(j) {
-                            let h = exc_element(ham, dr, e);
-                            if h.abs() > h_cut {
-                                cols.push(c as u32);
-                                vals.push(h);
-                                cnt += 1;
-                            }
-                        }
-                    }
-                    rlen.push(cnt);
+    // One CSR per chunk of rows, `rowptr` relative to the chunk.
+    let mut parts: Vec<Csr> = Vec::new();
+    parts.resize_with(nchunks, Csr::default);
+    for_each_part(&mut parts, |k, part| {
+        let (lo, hi) = kernel::range_of(m, nchunks, k);
+        part.rowptr.push(0);
+        for r in lo..hi {
+            let dr = v.det(r);
+            part.diag.push(ham.diagonal_element(dr.a, dr.b));
+            cg.walk_connections(ham, dr, h_cut, |j, h| {
+                if let Some(c) = v.rank(j) {
+                    part.cols.push(c as u32);
+                    part.vals.push(h);
                 }
             });
+            part.rowptr.push(part.cols.len());
         }
     });
-    let mut rowptr = Vec::with_capacity(m + 1);
-    rowptr.push(0usize);
-    let mut total = 0usize;
-    let mut cols = Vec::new();
-    let mut vals = Vec::new();
-    for (rlen, c, vl) in parts {
-        for l in rlen {
-            total += l;
-            rowptr.push(total);
-        }
-        cols.extend_from_slice(&c);
-        vals.extend_from_slice(&vl);
-    }
-    Csr {
-        rowptr,
-        cols,
-        vals,
-        diag,
-    }
+    parts
+        .into_iter()
+        .reduce(|mut csr, part| {
+            let base = csr.cols.len();
+            csr.rowptr
+                .extend(part.rowptr[1..].iter().map(|end| base + end));
+            csr.cols.extend_from_slice(&part.cols);
+            csr.vals.extend_from_slice(&part.vals);
+            csr.diag.extend_from_slice(&part.diag);
+            csr
+        })
+        .unwrap_or_default()
 }
 
 /// Scatter the previous round's eigenvectors into the grown space by
@@ -315,6 +316,11 @@ fn davidson(
     let mut basis: Vec<Vec<f64>> = Vec::new();
     let mut sigma: Vec<Vec<f64>> = Vec::new();
     seed_basis(&mut basis, warm, &csr.diag, nr, m);
+    // Lower triangle of the subspace matrix `basis[p]·sigma[q]`, packed
+    // by rows. Basis and σ vectors never change once pushed, so a row is
+    // computed once, when its vector arrives, and kept until a collapse.
+    let mut gram: Vec<f64> = Vec::new();
+    let mut gram_rows = 0usize;
     let mut matvecs = 0usize;
     let mut evals = vec![0.0f64; nr];
     let mut ritz: Vec<Vec<f64>> = Vec::new();
@@ -336,10 +342,14 @@ fn davidson(
             matvecs += 1;
         }
         let k = basis.len();
+        for p in gram_rows..k {
+            gram.extend(sigma[..=p].iter().map(|s| ddot(&basis[p], s)));
+        }
+        gram_rows = k;
         let mut gm = Matrix::zeros(k, k);
         for p in 0..k {
             for q in 0..=p {
-                let g = ddot(&basis[p], &sigma[q]);
+                let g = gram[p * (p + 1) / 2 + q];
                 gm[(p, q)] = g;
                 gm[(q, p)] = g;
             }
@@ -376,8 +386,10 @@ fn davidson(
             // Collapse to the Ritz block and restart (σ recomputed).
             basis.clear();
             sigma.clear();
+            gram.clear();
+            gram_rows = 0;
             for x in &ritz {
-                push_orthonormal(&mut basis, x, &csr.diag, m);
+                push_orthonormal(&mut basis, x);
             }
             if basis.is_empty() {
                 break;
@@ -397,7 +409,7 @@ fn davidson(
                 }
                 t[i] = res[i] / den;
             }
-            if push_orthonormal(&mut basis, &t, &csr.diag, m) {
+            if push_orthonormal(&mut basis, &t) {
                 grew = true;
             }
         }
@@ -436,7 +448,7 @@ fn seed_basis(basis: &mut Vec<Vec<f64>>, warm: &[Vec<f64>], diag: &[f64], nr: us
     }
     if basis.is_empty() {
         for w in warm {
-            push_orthonormal(basis, w, diag, m);
+            push_orthonormal(basis, w);
         }
     }
     if basis.len() < nr {
@@ -446,22 +458,21 @@ fn seed_basis(basis: &mut Vec<Vec<f64>>, warm: &[Vec<f64>], diag: &[f64], nr: us
             }
             let mut u = vec![0.0; m];
             u[i] = 1.0;
-            push_orthonormal(basis, &u, diag, m);
+            push_orthonormal(basis, &u);
         }
     }
 }
 
 /// Two-pass MGS projection of `x` against `basis`; appends the
 /// normalized remainder when it is numerically independent. Returns
-/// whether a vector was added. (`diag`/`m` only break pathological
-/// all-zero candidates via a deterministic unit fallback — none today.)
-fn push_orthonormal(basis: &mut Vec<Vec<f64>>, x: &[f64], _diag: &[f64], m: usize) -> bool {
+/// whether a vector was added.
+fn push_orthonormal(basis: &mut Vec<Vec<f64>>, x: &[f64]) -> bool {
     let mut t = x.to_vec();
     for _ in 0..2 {
         for b in basis.iter() {
             let c = ddot(b, &t);
-            for i in 0..m {
-                t[i] -= c * b[i];
+            for (ti, bi) in t.iter_mut().zip(b) {
+                *ti -= c * bi;
             }
         }
     }
@@ -484,7 +495,7 @@ fn push_orthonormal(basis: &mut Vec<Vec<f64>>, x: &[f64], _diag: &[f64], m: usiz
 #[allow(clippy::too_many_arguments)]
 fn select_candidates(
     threads: usize,
-    space: &DetSpace,
+    cg: &ConnGen,
     ham: &Hamiltonian,
     v: &DetSet,
     coefs: &[Vec<f64>],
@@ -498,50 +509,36 @@ fn select_candidates(
     let cap = max_store.saturating_mul(2).max(1024);
     let mut parts: Vec<(CoefMap, usize)> = Vec::new();
     parts.resize_with(nchunks, || (CoefMap::with_capacity(1024), 0));
-    std::thread::scope(|s| {
-        for (k, part) in parts.iter_mut().enumerate() {
-            let (lo, hi) = kernel::range_of(m, nchunks, k);
-            s.spawn(move || {
-                let mut cg = ConnGen::for_space(space);
-                let mut excs: Vec<Exc> = Vec::new();
-                let (lmap, lost) = part;
-                for r in lo..hi {
-                    // Largest |c| over roots drives the row screen.
-                    let mut cmax = 0.0f64;
-                    for c in coefs {
-                        cmax = cmax.max(c[r].abs());
-                    }
-                    if cmax < 1e-12 {
-                        continue;
-                    }
-                    let dr = v.det(r);
-                    cg.excitations_into(dr, &mut excs);
-                    for &e in &excs {
-                        let j = e.apply(dr);
-                        if v.rank(j).is_some() {
-                            continue;
-                        }
-                        let h = exc_element(ham, dr, e);
-                        if h.abs() <= h_cut || h.abs() * cmax <= eps {
-                            continue;
-                        }
-                        let mut w = 0.0f64;
-                        for c in coefs {
-                            w = w.max((h * c[r]).abs());
-                        }
-                        if w <= eps {
-                            continue;
-                        }
-                        if lmap.find(j).is_none() && lmap.len() >= cap {
-                            *lost += 1;
-                            continue;
-                        }
-                        let slot = lmap.slot_or_insert(j);
-                        let cur = lmap.vals_mut();
-                        if w > cur[slot][0] {
-                            cur[slot][0] = w;
-                        }
-                    }
+    for_each_part(&mut parts, |k, (lmap, lost)| {
+        let (lo, hi) = kernel::range_of(m, nchunks, k);
+        for r in lo..hi {
+            // Largest |c| over roots drives the row screen.
+            let mut cmax = 0.0f64;
+            for c in coefs {
+                cmax = cmax.max(c[r].abs());
+            }
+            if cmax < 1e-12 {
+                continue;
+            }
+            cg.walk_connections(ham, v.det(r), h_cut, |j, h| {
+                if h.abs() * cmax <= eps || v.rank(j).is_some() {
+                    return;
+                }
+                let mut w = 0.0f64;
+                for c in coefs {
+                    w = w.max((h * c[r]).abs());
+                }
+                if w <= eps {
+                    return;
+                }
+                if lmap.find(j).is_none() && lmap.len() >= cap {
+                    *lost += 1;
+                    return;
+                }
+                let slot = lmap.slot_or_insert(j);
+                let cur = lmap.vals_mut();
+                if w > cur[slot][0] {
+                    cur[slot][0] = w;
                 }
             });
         }

@@ -5,10 +5,12 @@
 //! in `sparse_sweep`; these tests pin correctness at dev-profile sizes.)
 
 use fcix::core::{slater, solve, DetSpace, DiagMethod, FciOptions, Hamiltonian};
-use fcix::ints::{BasisSet, Molecule};
+use fcix::ints::{detect_point_group, overlap, BasisSet, Molecule};
 use fcix::linalg::eigh;
-use fcix::scf::{rhf, transform_integrals, MoIntegrals, RhfOptions};
-use fcix::sparse::{solve_cdfci, solve_selected, SparseOptions, SparseResult};
+use fcix::scf::{rhf, symmetry_adapt, transform_integrals, MoIntegrals, RhfOptions, RhfResult};
+use fcix::sparse::{
+    exc_element, solve_cdfci, solve_selected, ConnGen, Det, SparseOptions, SparseResult,
+};
 
 /// Open Hubbard chain MO integrals (t = 1).
 fn hubbard_mo(sites: usize, u: f64) -> MoIntegrals {
@@ -31,8 +33,8 @@ fn hubbard_mo(sites: usize, u: f64) -> MoIntegrals {
     }
 }
 
-/// Water / STO-3G with the oxygen 1s frozen: 225 determinants.
-fn water_mo() -> MoIntegrals {
+/// Water / STO-3G at the RHF solution.
+fn water_rhf() -> (Molecule, BasisSet, RhfResult) {
     let mol = Molecule::from_symbols_bohr(
         &[
             ("O", [0.0, 0.0, 0.0]),
@@ -44,6 +46,12 @@ fn water_mo() -> MoIntegrals {
     let basis = BasisSet::build(&mol, "sto-3g");
     let scf = rhf(&mol, &basis, &RhfOptions::default());
     assert!(scf.converged);
+    (mol, basis, scf)
+}
+
+/// Water / STO-3G with the oxygen 1s frozen: 225 determinants.
+fn water_mo() -> MoIntegrals {
+    let (mol, _, scf) = water_rhf();
     transform_integrals(
         &scf.h_ao,
         &scf.eri_ao,
@@ -52,6 +60,15 @@ fn water_mo() -> MoIntegrals {
         1,
         6,
     )
+}
+
+/// The same, in C2v symmetry-adapted orbitals with their irreps.
+fn water_c2v_mo() -> MoIntegrals {
+    let (mol, basis, scf) = water_rhf();
+    let pg = detect_point_group(&mol);
+    let (cad, irreps) = symmetry_adapt(&pg, &basis, &overlap(&basis), &scf.mo_coeffs);
+    transform_integrals(&scf.h_ao, &scf.eri_ao, &cad, mol.nuclear_repulsion(), 1, 6)
+        .with_symmetry(irreps[1..7].to_vec(), pg.n_irrep())
 }
 
 fn dense_spectrum(mo: &MoIntegrals, na: usize, nb: usize) -> Vec<f64> {
@@ -223,5 +240,208 @@ fn sparse_energies_bitwise_reproducible_across_thread_counts() {
         assert_eq!(r1.iterations, r2.iterations, "{name} iterations");
         assert_eq!(r1.iterations, r4.iterations, "{name} iterations");
         assert_eq!(r1.support, r4.support, "{name} support");
+    }
+}
+
+/// A random 6-orbital Hamiltonian with each off-diagonal `h_pq` kept with
+/// probability `keep_h` and each stored two-electron integral with
+/// probability `keep_eri`; the rest are set to exactly zero.
+fn sparsified_hamiltonian(seed: u64, keep_h: f64, keep_eri: f64) -> Hamiltonian {
+    let dense = fcix::core::random_hamiltonian(6, seed);
+    let n = dense.n;
+    let mut state = seed ^ 0x5bd1_e995_9e37_79b9;
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let (mut h, mut eri) = (dense.h.clone(), dense.eri.clone());
+    for p in 0..n {
+        for q in 0..p {
+            if unit() >= keep_h {
+                h[(p, q)] = 0.0;
+                h[(q, p)] = 0.0;
+            }
+        }
+    }
+    // Every (pq|rs); a permutational image seen again may only be zeroed
+    // again, so each stored value survives with probability ≤ keep_eri.
+    for p in 0..n {
+        for q in 0..=p {
+            for r in 0..=p {
+                for s in 0..=r {
+                    if unit() >= keep_eri {
+                        eri.set(p, q, r, s, 0.0);
+                    }
+                }
+            }
+        }
+    }
+    Hamiltonian::new(&MoIntegrals {
+        n_orb: n,
+        h,
+        eri,
+        e_core: dense.e_core,
+        orb_sym: dense.orb_sym.clone(),
+        n_irrep: dense.n_irrep,
+    })
+}
+
+/// The property the integral-driven walker must keep: for every
+/// determinant of the sector, `for_each_connection` emits exactly what
+/// full enumeration + `exc_element` + the cut emits — same determinants,
+/// same order, same bits. Returns the number of connections compared.
+fn assert_walker_matches_enumeration(
+    what: &str,
+    gen: &mut ConnGen,
+    space: &DetSpace,
+    ham: &Hamiltonian,
+    cut: f64,
+) -> usize {
+    let mut excs = Vec::new();
+    let mut walked: Vec<(Det, u64)> = Vec::new();
+    let mut total = 0;
+    for ia in 0..space.alpha.len() {
+        for ib in 0..space.beta.len() {
+            if !space.in_sector(ib, ia) {
+                continue;
+            }
+            let d = Det::new(space.alpha.mask(ia), space.beta.mask(ib));
+            walked.clear();
+            gen.for_each_connection(ham, d, cut, |to, h| walked.push((to, h.to_bits())));
+            gen.excitations_into(d, &mut excs);
+            let enumerated: Vec<(Det, u64)> = excs
+                .iter()
+                .map(|&e| (e.apply(d), exc_element(ham, d, e)))
+                .filter(|(_, h)| h.abs() > cut)
+                .map(|(to, h)| (to, h.to_bits()))
+                .collect();
+            assert_eq!(
+                walked, enumerated,
+                "{what}: connections of {d:?}, cut {cut:e}"
+            );
+            total += walked.len();
+        }
+    }
+    total
+}
+
+#[test]
+fn walker_emits_the_full_enumerations_sequence() {
+    let cut = SparseOptions::default().h_cut;
+    let check = |what: &str, space: &DetSpace, ham: &Hamiltonian, cut: f64| {
+        let mut gen = ConnGen::for_space(space);
+        assert_walker_matches_enumeration(what, &mut gen, space, ham, cut)
+    };
+
+    for seed in [3, 17, 40] {
+        let ham = fcix::core::random_hamiltonian(6, seed);
+        for (na, nb) in [(3, 3), (3, 2), (1, 4)] {
+            let space = DetSpace::for_hamiltonian(&ham, na, nb, 0);
+            for cut in [0.0, cut, 0.05] {
+                assert!(check("dense random", &space, &ham, cut) > 0);
+            }
+        }
+    }
+
+    // (keep_h, keep_eri): sparse both ways; no one-electron coupling at
+    // all, so a single is nonzero through its spectator terms only; no
+    // two-electron integral at all.
+    for (seed, keep_h, keep_eri) in [
+        (5, 0.5, 0.3),
+        (6, 0.3, 0.05),
+        (7, 0.0, 0.2),
+        (8, 0.0, 0.02),
+        (9, 0.4, 0.0),
+    ] {
+        let ham = sparsified_hamiltonian(seed, keep_h, keep_eri);
+        let space = DetSpace::for_hamiltonian(&ham, 3, 2, 0);
+        let kept = check("sparsified", &space, &ham, cut);
+        let of = check(
+            "sparsified",
+            &space,
+            &fcix::core::random_hamiltonian(6, seed),
+            cut,
+        );
+        assert!(0 < kept && kept < of, "{kept} of {of} connections kept");
+    }
+
+    // 4,900 and 63,504 determinants; the 8-site count is the one
+    // `fcix-perf` reports as `sparse.conn.count`.
+    for (sites, connections) in [(8, 39_200), (10, 635_040)] {
+        let ham = Hamiltonian::new(&hubbard_mo(sites, 4.0));
+        let space = DetSpace::for_hamiltonian(&ham, sites / 2, sites / 2, 0);
+        assert_eq!(check("Hubbard", &space, &ham, cut), connections);
+    }
+
+    let mo = water_c2v_mo();
+    let ham = Hamiltonian::new(&mo);
+    for irrep in 0..mo.n_irrep as u8 {
+        let space = DetSpace::for_hamiltonian(&ham, 4, 4, irrep);
+        assert!(space.sector_dim() < space.dim());
+        assert!(check("water C2v", &space, &ham, cut) > 0);
+    }
+
+    let ham = fcix::core::random_hamiltonian(6, 3);
+    for level in [1, 2, 3] {
+        let space = DetSpace::for_hamiltonian(&ham, 3, 2, 0)
+            .with_excitation_limit(0b000111, 0b000011, level);
+        assert!(check("excitation-limited", &space, &ham, cut) > 0);
+    }
+}
+
+#[test]
+fn one_generator_rebuilds_its_tables_for_another_hamiltonian() {
+    let dense = fcix::core::random_hamiltonian(6, 5);
+    let sparse = sparsified_hamiltonian(5, 0.3, 0.05);
+    let dense_again = dense.clone();
+    assert_ne!(dense.id(), dense_again.id());
+    let space = DetSpace::for_hamiltonian(&dense, 3, 2, 0);
+    let mut gen = ConnGen::for_space(&space);
+    assert_eq!(gen.table_bytes(), 0, "tables are built on first use");
+    let cut = SparseOptions::default().h_cut;
+    // `sparse` first: its rows are subsets of `dense`'s, so walking
+    // `dense` over stale rows would drop connections (the other way
+    // round would cost only time).
+    let n_sparse = assert_walker_matches_enumeration("sparse", &mut gen, &space, &sparse, cut);
+    let bytes = gen.table_bytes();
+    assert!(bytes > 0);
+    let n_dense = assert_walker_matches_enumeration("dense", &mut gen, &space, &dense, cut);
+    assert!(n_sparse < n_dense);
+    for (what, ham, n) in [
+        ("sparse, again", &sparse, n_sparse),
+        ("a clone of dense", &dense_again, n_dense),
+    ] {
+        assert_eq!(
+            assert_walker_matches_enumeration(what, &mut gen, &space, ham, cut),
+            n
+        );
+    }
+    assert_eq!(
+        gen.table_bytes(),
+        bytes,
+        "fixed size for a given orbital count"
+    );
+}
+
+#[test]
+fn both_solvers_report_the_connection_table_footprint() {
+    let ham = Hamiltonian::new(&hubbard_mo(6, 4.0));
+    let space = DetSpace::for_hamiltonian(&ham, 3, 3, 0);
+    // 8·(2n + C(n,2)·(n+1) + n²·(n+1)) bytes of bitmask rows at n = 6.
+    let expected = 8.0 * (12 + 15 * 7 + 36 * 7) as f64;
+    type Engine = fn(&DetSpace, &Hamiltonian, &SparseOptions) -> SparseResult;
+    for engine in [solve_cdfci as Engine, solve_selected] {
+        let registry = fcix::obs::MetricsRegistry::new();
+        let opts = SparseOptions {
+            obs: fcix::obs::ObsConfig::metrics_into(registry.clone()),
+            ..SparseOptions::default()
+        };
+        assert!(engine(&space, &ham, &opts).converged);
+        assert_eq!(
+            registry.value("sparse.conn.table_bytes", &[]),
+            Some(expected)
+        );
     }
 }
