@@ -25,7 +25,7 @@
 
 use fci_core::{DetSpace, DiagMethod, FciOptions, Hamiltonian};
 use fci_obs::JsonValue;
-use fci_serve::ProblemSpec;
+use fci_scf::MoIntegrals;
 use fci_sparse::{solve_cdfci, solve_selected, SparseOptions, SparseResult};
 use std::time::Instant;
 
@@ -35,13 +35,7 @@ const GATE_MHA: f64 = 1.6;
 
 /// Open half-filled Hubbard chain (t = 1, U = 4) as (space, Hamiltonian).
 fn hubbard_chain(sites: usize) -> (DetSpace, Hamiltonian) {
-    let mo = ProblemSpec::Hubbard {
-        sites,
-        t: 1.0,
-        u: 4.0,
-        periodic: false,
-    }
-    .build();
+    let mo = MoIntegrals::hubbard_chain(sites, 1.0, 4.0, false);
     let ham = Hamiltonian::new(&mo);
     let space = DetSpace::for_hamiltonian(&ham, sites / 2, sites / 2, 0);
     (space, ham)
@@ -50,13 +44,7 @@ fn hubbard_chain(sites: usize) -> (DetSpace, Hamiltonian) {
 /// Dense-engine reference energy (Davidson — lattice diagonals are
 /// degenerate) and its wall time.
 fn dense_reference(sites: usize) -> (f64, f64) {
-    let mo = ProblemSpec::Hubbard {
-        sites,
-        t: 1.0,
-        u: 4.0,
-        periodic: false,
-    }
-    .build();
+    let mo = MoIntegrals::hubbard_chain(sites, 1.0, 4.0, false);
     let opts = FciOptions {
         method: DiagMethod::Davidson,
         ..FciOptions::default()

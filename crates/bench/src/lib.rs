@@ -21,7 +21,7 @@
 //! | O⁻ / aug-cc-pVQZ (Fig. 5) | O⁻ / svp window |
 //! | C2 X¹Σg⁺ / cc-pVTZ(+) 65e9 dets | C2 / svp window, D2h blocked |
 
-use fci_core::{DetSpace, Hamiltonian};
+use fci_core::{lowest_det_irrep, DetSpace, Hamiltonian};
 use fci_ints::{
     detect_point_group, eri_tensor, kinetic, nuclear_attraction, overlap, BasisSet, Molecule,
 };
@@ -169,24 +169,6 @@ pub fn prepare(
         state_irrep,
         e_scf,
     }
-}
-
-/// Combined spatial irrep of the lowest-diagonal determinant.
-pub fn lowest_det_irrep(ham: &Hamiltonian, na: usize, nb: usize) -> u8 {
-    let space = DetSpace::new(ham.n, na, nb, &ham.orb_sym, ham.n_irrep, 0);
-    let mut best = (f64::INFINITY, 0u8);
-    for ia in 0..space.alpha.len() {
-        for ib in 0..space.beta.len() {
-            let d = ham.diagonal_element(space.alpha.mask(ia), space.beta.mask(ib));
-            if d < best.0 {
-                best = (
-                    d,
-                    space.alpha.irrep_of_index(ia) ^ space.beta.irrep_of_index(ib),
-                );
-            }
-        }
-    }
-    best.1
 }
 
 // ---------------- benchmark system catalogue ----------------

@@ -23,9 +23,7 @@
 //! observed runtime lock-order edge is predicted by the static graph).
 
 use fci_check::{analyze_trace_events, explore_mixed, ExploreConfig, RaceDetector};
-use fci_ddi::{Backend, CheckConfig, Ddi, DistMatrix, ProtocolFault};
-use fci_ints::EriTensor;
-use fci_linalg::Matrix;
+use fci_ddi::{Backend, CheckConfig, Ddi, DistMatrix, FaultConfig, FaultPlan, ProtocolFault};
 use fci_scf::MoIntegrals;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -238,28 +236,6 @@ fn locks(args: &[String]) -> ExitCode {
     }
 }
 
-/// Hubbard-style synthetic integrals (hopping −t, on-site U): the
-/// standard small exactly-solvable case used across the test suite.
-fn hubbard(n: usize, t: f64, u: f64) -> MoIntegrals {
-    let mut h = Matrix::zeros(n, n);
-    for i in 0..n.saturating_sub(1) {
-        h[(i, i + 1)] = -t;
-        h[(i + 1, i)] = -t;
-    }
-    let mut eri = EriTensor::zeros(n);
-    for i in 0..n {
-        eri.set(i, i, i, i, u);
-    }
-    MoIntegrals {
-        n_orb: n,
-        h,
-        eri,
-        e_core: 0.0,
-        orb_sym: vec![0; n],
-        n_irrep: 1,
-    }
-}
-
 fn race(args: &[String]) -> ExitCode {
     let mut fault: Option<ProtocolFault> = None;
     let mut solve = false;
@@ -297,6 +273,14 @@ fn race_fault(fault: Option<ProtocolFault>) -> ExitCode {
     let detector = Arc::new(RaceDetector::new());
     let ddi = Ddi::new(nproc, Backend::Threads);
     ddi.attach_recorder(detector.clone());
+    // The injected bug rides in on a fault plan, so the ordinary
+    // `acc_col` call site below exercises the broken protocol.
+    if fault.is_some() {
+        ddi.attach_faults(Arc::new(FaultPlan::new(FaultConfig {
+            protocol: fault,
+            ..FaultConfig::quiet(1)
+        })));
+    }
     let m = DistMatrix::zeros(32, 8, nproc);
     ddi.adopt(&m);
     // Every rank accumulates into every column: maximal contention on the
@@ -304,10 +288,7 @@ fn race_fault(fault: Option<ProtocolFault>) -> ExitCode {
     ddi.run(|rank, stats| {
         let buf = vec![1.0 + rank as f64; 32];
         for col in 0..8 {
-            match fault {
-                None => m.acc_col(rank, col, &buf, stats),
-                Some(pf) => m.acc_col_broken(rank, col, &buf, pf, stats),
-            }
+            m.acc_col(rank, col, &buf, stats);
         }
     });
     let races = detector.races();
@@ -350,7 +331,7 @@ fn race_fault(fault: Option<ProtocolFault>) -> ExitCode {
 fn race_solve() -> ExitCode {
     let nproc = 4;
     let detector = Arc::new(RaceDetector::new());
-    let mo = hubbard(4, 1.0, 2.0);
+    let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.0, false);
     let opts = fci_core::FciOptions {
         nproc,
         backend: Backend::Threads,

@@ -43,41 +43,14 @@ use fci_core::sigma::mixed::{mixed_spin_dgemm, MixedWorker};
 use fci_core::sigma::SigmaCtx;
 use fci_core::taskpool::{PoolParams, TaskPool};
 use fci_ddi::{Backend, Ddi, DistMatrix};
+use fci_fault::Xorshift64;
 use fci_xsim::MachineModel;
 use std::collections::HashMap;
 
-/// xorshift64* — deterministic, seedable, no external state.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 /// FNV-1a over the bit patterns of a float slice.
 fn digest(xs: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for x in xs {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = xs.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect();
+    fci_obs::fnv1a(&bytes)
 }
 
 /// What to explore.
@@ -311,8 +284,8 @@ pub fn explore_mixed(cfg: &ExploreConfig) -> ExploreReport {
 
     // K seeded adversarial schedules.
     for &seed in &cfg.seeds {
-        let mut rng = Rng::new(seed);
-        let assignment: Vec<usize> = (0..ntasks).map(|_| rng.below(cfg.nproc)).collect();
+        let mut rng = Xorshift64::new(seed);
+        let assignment: Vec<usize> = (0..ntasks).map(|_| rng.next_index(cfg.nproc)).collect();
         // Interleave the per-worker streams: repeatedly run the head task
         // of a randomly chosen nonempty worker queue.
         let mut queues: Vec<std::collections::VecDeque<usize>> =
@@ -323,7 +296,7 @@ pub fn explore_mixed(cfg: &ExploreConfig) -> ExploreReport {
         let mut exec_order = Vec::with_capacity(ntasks);
         while exec_order.len() < ntasks {
             let nonempty: Vec<usize> = (0..cfg.nproc).filter(|&r| !queues[r].is_empty()).collect();
-            let r = nonempty[rng.below(nonempty.len())];
+            let r = nonempty[rng.next_index(nonempty.len())];
             if let Some(t) = queues[r].pop_front() {
                 exec_order.push(t);
             }
@@ -399,17 +372,6 @@ pub fn explore_mixed(cfg: &ExploreConfig) -> ExploreReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rng_is_deterministic() {
-        let mut a = Rng::new(42);
-        let mut b = Rng::new(42);
-        for _ in 0..10 {
-            assert_eq!(a.next(), b.next());
-        }
-        let mut c = Rng::new(43);
-        assert_ne!(a.next(), c.next());
-    }
 
     #[test]
     fn digest_sensitive_to_last_bit() {

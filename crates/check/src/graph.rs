@@ -35,10 +35,10 @@
 //! honor, so one reviewed comment covers both engines.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::lex::TokKind;
-use crate::lint::FileCtx;
+use crate::lint::{collect_rs, FileCtx};
 use fci_obs::JsonValue;
 
 /// Hot-path roots the transitive analyses start from: the σ-task body
@@ -796,24 +796,6 @@ pub fn build_workspace_graph(root: &Path) -> std::io::Result<CallGraph> {
     g.edges = edges;
     g.unresolved = unresolved;
     Ok(g)
-}
-
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
-                continue;
-            }
-            collect_rs(&path, out)?;
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
 }
 
 /// A finding attributed to a root via its call chain.

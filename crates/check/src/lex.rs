@@ -347,16 +347,6 @@ pub fn emit(src: &str, toks: &[Tok]) -> String {
     out
 }
 
-/// Convenience: the code tokens only (comments and whitespace dropped),
-/// as indices into the full stream.
-pub fn code_indices(toks: &[Tok]) -> Vec<usize> {
-    toks.iter()
-        .enumerate()
-        .filter(|(_, t)| t.kind.is_code())
-        .map(|(i, _)| i)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

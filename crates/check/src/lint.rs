@@ -648,9 +648,13 @@ impl LintReport {
     }
 }
 
-/// Recursively collect `.rs` files under `dir`, skipping build output and
-/// VCS internals.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Recursively collect `.rs` files under `dir` (or `dir` itself when it
+/// is a file), skipping build output and VCS internals.
+pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    if dir.is_file() {
+        out.push(dir.to_path_buf());
+        return Ok(());
+    }
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();

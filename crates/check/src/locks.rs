@@ -38,7 +38,7 @@ use std::path::Path;
 
 use crate::graph::{fn_body_range, parse_impl_type, skip_angles, STD_METHODS};
 use crate::lex::TokKind;
-use crate::lint::FileCtx;
+use crate::lint::{collect_rs, FileCtx};
 use fci_obs::JsonValue;
 
 /// Directories `fcix-check locks` scans by default (workspace-relative).
@@ -1075,28 +1075,6 @@ pub fn analyze_locks(root: &Path, paths: &[&str]) -> std::io::Result<LockReport>
         }
     }
     Ok(analyze_lock_sources(&sources))
-}
-
-fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {
-    if dir.is_file() {
-        out.push(dir.to_path_buf());
-        return Ok(());
-    }
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
-                continue;
-            }
-            collect_rs(&path, out)?;
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
 }
 
 /// Dynamic cross-check result: lockwitness edges vs the static graph.

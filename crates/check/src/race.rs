@@ -684,7 +684,7 @@ mod tests {
             kind: AccessKind::Write,
             cols: 0..1,
             owner: 1,
-            site: DdiSite::Put,
+            site: DdiSite::AccPut,
         }];
         evs.push(DdiAccess::Barrier);
         evs.push(DdiAccess::Access {

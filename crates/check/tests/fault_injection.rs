@@ -11,11 +11,9 @@
 
 use fci_check::{analyze, RaceDetector};
 use fci_ddi::{
-    protocol_events, Backend, CheckConfig, Ddi, DistMatrix, FaultConfig, FaultPlan, ProtocolFault,
-    TraceRecorder,
+    protocol_events, Backend, CheckConfig, Ddi, DdiAccess, DistMatrix, FaultConfig, FaultPlan,
+    ProtocolFault, TraceRecorder,
 };
-use fci_ints::EriTensor;
-use fci_linalg::Matrix;
 use fci_obs::Tracer;
 use fci_scf::MoIntegrals;
 use std::sync::Arc;
@@ -78,6 +76,7 @@ fn skipped_lock_is_flagged() {
 /// trace through the analyzer, and reach the same verdicts.
 #[test]
 fn offline_trace_analysis_matches_online() {
+    let mut streams = Vec::new();
     for (pf, expect_races) in [
         (None, false),
         (Some(ProtocolFault::SkipFence), true),
@@ -107,27 +106,25 @@ fn offline_trace_analysis_matches_online() {
             "fault {pf:?}: wrong offline verdict ({} reports)",
             races.len()
         );
+        streams.push(accesses);
     }
-}
-
-fn hubbard(n: usize, t: f64, u: f64) -> MoIntegrals {
-    let mut h = Matrix::zeros(n, n);
-    for i in 0..n.saturating_sub(1) {
-        h[(i, i + 1)] = -t;
-        h[(i + 1, i)] = -t;
-    }
-    let mut eri = EriTensor::zeros(n);
-    for i in 0..n {
-        eri.set(i, i, i, i, u);
-    }
-    MoIntegrals {
-        n_orb: n,
-        h,
-        eri,
-        e_core: 0.0,
-        orb_sym: vec![0; n],
-        n_irrep: 1,
-    }
+    // The skip-fence fixture runs the production accumulate body with
+    // only its fence record switched off: step for step the correct
+    // protocol's record stream, minus the fences.
+    let steps = |evs: &[DdiAccess]| -> Vec<_> {
+        evs.iter()
+            .filter(|e| !matches!(e, DdiAccess::Fence { .. }))
+            .map(std::mem::discriminant)
+            .collect()
+    };
+    let (correct, skip_fence) = (&streams[0], &streams[1]);
+    assert_eq!(steps(skip_fence), steps(correct));
+    assert_eq!(
+        steps(skip_fence).len(),
+        skip_fence.len(),
+        "a fence was recorded"
+    );
+    assert!(steps(correct).len() < correct.len());
 }
 
 /// The production solver, threads backend, online detector: the full
@@ -136,7 +133,7 @@ fn hubbard(n: usize, t: f64, u: f64) -> MoIntegrals {
 #[test]
 fn full_solve_is_race_free_online() {
     let detector = Arc::new(RaceDetector::new());
-    let mo = hubbard(4, 1.0, 2.0);
+    let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.0, false);
     let opts = fci_core::FciOptions {
         nproc: 4,
         backend: Backend::Threads,

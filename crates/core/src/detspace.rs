@@ -206,34 +206,57 @@ impl DetSpace {
         c.map_inplace(|ib, ia, v| if self.in_sector(ib, ia) { v } else { 0.0 });
     }
 
-    /// Unit guess vector on the lowest-diagonal in-sector determinant.
-    pub fn guess(&self, ham: &Hamiltonian, nproc: usize) -> DistMatrix {
-        let mut best = (f64::INFINITY, 0usize, 0usize);
+    /// The lowest-diagonal determinant among those `keep(ib, ia)` admits,
+    /// as `(ib, ia, H_dd)`: the first minimum in α-major order.
+    fn lowest_where(
+        &self,
+        ham: &Hamiltonian,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Option<(usize, usize, f64)> {
+        let mut best = None;
+        let mut lowest = f64::INFINITY;
         for ia in 0..self.alpha.len() {
             for ib in 0..self.beta.len() {
-                if !self.in_sector(ib, ia) {
+                if !keep(ib, ia) {
                     continue;
                 }
                 let d = ham.diagonal_element(self.alpha.mask(ia), self.beta.mask(ib));
-                if d < best.0 {
-                    best = (d, ib, ia);
+                if d < lowest {
+                    lowest = d;
+                    best = Some((ib, ia, d));
                 }
             }
         }
-        assert!(
-            best.0.is_finite(),
-            "no determinant in the requested symmetry sector"
-        );
+        best
+    }
+
+    /// The in-sector determinant of lowest diagonal energy, as
+    /// `(ib, ia, H_dd)` — the first minimum in α-major order — or `None`
+    /// when the sector is empty.
+    pub fn lowest_diagonal(&self, ham: &Hamiltonian) -> Option<(usize, usize, f64)> {
+        self.lowest_where(ham, |ib, ia| self.in_sector(ib, ia))
+    }
+
+    /// Unit guess vector on the lowest-diagonal in-sector determinant.
+    pub fn guess(&self, ham: &Hamiltonian, nproc: usize) -> DistMatrix {
+        let (ib, ia, _) = self
+            .lowest_diagonal(ham)
+            .expect("no determinant in the requested symmetry sector");
         let c = self.zeros_ci(nproc);
-        c.map_inplace(|ib, ia, _| {
-            if (ib, ia) == (best.1, best.2) {
-                1.0
-            } else {
-                0.0
-            }
-        });
+        c.map_inplace(|b, a, _| if (b, a) == (ib, ia) { 1.0 } else { 0.0 });
         c
     }
+}
+
+/// Combined spatial irrep of the lowest-diagonal determinant over all
+/// symmetry sectors (the state a run targets when none is named).
+pub fn lowest_det_irrep(ham: &Hamiltonian, na: usize, nb: usize) -> u8 {
+    let space = DetSpace::new(ham.n, na, nb, &ham.orb_sym, ham.n_irrep, 0);
+    space
+        .lowest_where(ham, |_, _| true)
+        .map_or(0, |(ib, ia, _)| {
+            space.alpha.irrep_of_index(ia) ^ space.beta.irrep_of_index(ib)
+        })
 }
 
 #[cfg(test)]

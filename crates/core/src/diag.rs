@@ -125,7 +125,7 @@ impl Preconditioner {
             }
         }
         Preconditioner {
-            diag: clone_dist(diag),
+            diag: diag.duplicate(),
             dets,
             h_mm,
         }
@@ -133,7 +133,7 @@ impl Preconditioner {
 
     /// `x = (H₀ − E)⁻¹ v`. Out-of-sector entries (diag = ∞) map to zero.
     pub fn apply(&self, v: &DistMatrix, e: f64) -> DistMatrix {
-        let out = clone_dist(v);
+        let out = v.duplicate();
         {
             let d = self.diag.to_dense();
             let mut idx = 0;
@@ -189,22 +189,6 @@ impl Preconditioner {
     pub fn ci_shape(&self) -> (usize, usize) {
         (self.diag.nrows(), self.diag.ncols())
     }
-
-    /// Ground eigenvector of the exact model-space block, embedded in the
-    /// full CI space (zeros outside) — the natural starting vector when a
-    /// model space is in play, and essential for multireference systems
-    /// where no single determinant dominates.
-    pub fn model_space_guess(&self, nproc: usize) -> Option<DistMatrix> {
-        if self.dets.is_empty() {
-            return None;
-        }
-        let es = eigh(&self.h_mm);
-        let c = DistMatrix::zeros(self.diag.nrows(), self.diag.ncols(), nproc);
-        for (k, &(ib, ia)) in self.dets.iter().enumerate() {
-            c.set(ib, ia, es.eigenvectors[(k, 0)]);
-        }
-        Some(c)
-    }
 }
 
 /// Emit one solver-iteration telemetry point (energy, residual) through
@@ -232,12 +216,6 @@ fn trace_iteration(ctx: &SigmaCtx, iter: usize, e: f64, res: f64) {
     }
 }
 
-fn clone_dist(a: &DistMatrix) -> DistMatrix {
-    let out = DistMatrix::zeros(a.nrows(), a.ncols(), a.nproc());
-    out.copy_from(a);
-    out
-}
-
 /// Olsen correction vector: `t = −[(H₀−E)⁻¹ r − Δ (H₀−E)⁻¹ C]` with Δ
 /// fixing `⟨C|t⟩ = 0` (paper eqs. 11–12).
 fn olsen_correction(pre: &Preconditioner, c: &DistMatrix, r: &DistMatrix, e: f64) -> DistMatrix {
@@ -252,6 +230,22 @@ fn olsen_correction(pre: &Preconditioner, c: &DistMatrix, r: &DistMatrix, e: f64
     t
 }
 
+/// The default starting vector: ground vector of the exact model-space
+/// block — the natural start when a model space is in play, and essential
+/// for multireference systems where no single determinant dominates —
+/// falling back to the lowest-diagonal determinant without one.
+pub(crate) fn initial_guess(ctx: &SigmaCtx, opts: &DiagOptions) -> DistMatrix {
+    let nproc = ctx.ddi.nproc();
+    if opts.model_space > 0 {
+        let diag = ctx.space.diagonal(ctx.ham, nproc);
+        let pre = Preconditioner::new(ctx.space, ctx.ham, &diag, opts.model_space);
+        if let Some(c) = pre.model_space_guesses(nproc, 1).pop() {
+            return c;
+        }
+    }
+    ctx.space.guess(ctx.ham, nproc)
+}
+
 /// Run the chosen diagonalizer for the lowest eigenpair of `H − E_core`.
 pub fn diagonalize(
     ctx: &SigmaCtx,
@@ -259,17 +253,7 @@ pub fn diagonalize(
     method: DiagMethod,
     opts: &DiagOptions,
 ) -> DiagResult {
-    // Default start: the ground vector of the exact model-space block
-    // (falls back to the lowest-diagonal determinant without one).
-    let nproc = ctx.ddi.nproc();
-    let c0 = if opts.model_space > 0 {
-        let diag = ctx.space.diagonal(ctx.ham, nproc);
-        let pre = Preconditioner::new(ctx.space, ctx.ham, &diag, opts.model_space);
-        pre.model_space_guess(nproc)
-            .unwrap_or_else(|| ctx.space.guess(ctx.ham, nproc))
-    } else {
-        ctx.space.guess(ctx.ham, nproc)
-    };
+    let c0 = initial_guess(ctx, opts);
     diagonalize_from(ctx, sigma_method, method, opts, c0)
 }
 
@@ -335,7 +319,7 @@ fn davidson(
 
     let mut iterations = 0;
     let mut converged = false;
-    let (mut best_c, mut best_e) = (clone_dist(&basis[0]), 0.0);
+    let (mut best_c, mut best_e) = (basis[0].duplicate(), 0.0);
 
     while iterations < opts.max_iter {
         // σ for the newest basis vector.
@@ -364,7 +348,7 @@ fn davidson(
         e_hist.push(theta);
         r_hist.push(res);
         trace_iteration(ctx, iterations, theta, res);
-        best_c = clone_dist(&c);
+        best_c = c.duplicate();
         best_e = theta;
         if res < opts.tol {
             converged = true;
@@ -429,7 +413,7 @@ fn two_vector(
 
     while iterations < opts.max_iter {
         e = c.dot(&hc);
-        let r = clone_dist(&hc);
+        let r = hc.duplicate();
         r.axpy(-e, &c);
         let res = r.norm();
         e_hist.push(e);
@@ -465,7 +449,7 @@ fn two_vector(
     if e_hist.len() < iterations && !converged {
         e = c.dot(&hc);
         e_hist.push(e);
-        let r = clone_dist(&hc);
+        let r = hc.duplicate();
         r.axpy(-e, &c);
         r_hist.push(r.norm());
     }
@@ -527,7 +511,7 @@ fn single_vector(
         cost.merge(&bd);
         iterations += 1;
         e = c.dot(&sigma);
-        let r = clone_dist(&sigma);
+        let r = sigma.duplicate();
         r.axpy(-e, &c);
         let res = r.norm();
         e_hist.push(e);

@@ -28,18 +28,10 @@
 //!
 //! ```
 //! use fci_core::{solve, FciOptions};
-//! # use fci_linalg::Matrix;
-//! # use fci_ints::EriTensor;
-//! # use fci_scf::MoIntegrals;
+//! use fci_scf::MoIntegrals;
 //! // Two-site Hubbard model at half filling.
 //! let (t, u) = (1.0, 4.0);
-//! let mut h = Matrix::zeros(2, 2);
-//! h[(0, 1)] = -t;
-//! h[(1, 0)] = -t;
-//! let mut eri = EriTensor::zeros(2);
-//! eri.set(0, 0, 0, 0, u);
-//! eri.set(1, 1, 1, 1, u);
-//! let mo = MoIntegrals { n_orb: 2, h, eri, e_core: 0.0, orb_sym: vec![0; 2], n_irrep: 1 };
+//! let mo = MoIntegrals::hubbard_chain(2, t, u, false);
 //! // Lattice diagonals are degenerate: use the Davidson subspace method
 //! // (molecular systems can use the default auto-adjusted single-vector
 //! // scheme — see the `diag` module docs).
@@ -64,7 +56,7 @@ pub mod solver;
 pub mod taskpool;
 
 pub use checkpoint::{load_ci, save_ci};
-pub use detspace::DetSpace;
+pub use detspace::{lowest_det_irrep, DetSpace};
 pub use diag::{
     diagonalize, diagonalize_from, DiagMethod, DiagOptions, DiagResult, Preconditioner,
 };

@@ -28,12 +28,6 @@ pub struct MultiRootResult {
     pub sigma_cost: SigmaBreakdown,
 }
 
-fn clone_dist(a: &DistMatrix) -> DistMatrix {
-    let out = DistMatrix::zeros(a.nrows(), a.ncols(), a.nproc());
-    out.copy_from(a);
-    out
-}
-
 /// Compute the `nroots` lowest eigenpairs of `H − E_core` in the sector.
 pub fn diagonalize_roots(
     ctx: &SigmaCtx,
@@ -104,7 +98,7 @@ pub fn diagonalize_roots(
             let res = r.norm();
             conv[k] = res < opts.tol;
             states.push(c);
-            residuals.push((k, theta, r, res));
+            residuals.push((theta, r, res));
         }
         if conv.iter().all(|&b| b) {
             break;
@@ -115,18 +109,17 @@ pub fn diagonalize_roots(
 
         // Collapse if the subspace is full.
         if m + nroots > max_subspace {
-            basis = states.iter().map(clone_dist).collect();
+            basis = states.iter().map(DistMatrix::duplicate).collect();
             orthonormalize(&mut basis, 0);
             hbasis.clear();
             continue;
         }
         // Expand with preconditioned residuals of unconverged roots.
         let start = basis.len();
-        for (k, theta, r, res) in residuals {
+        for (theta, r, res) in residuals {
             if res < opts.tol {
                 continue;
             }
-            let _ = k;
             let t = pre.apply(&r, theta);
             basis.push(t);
         }
@@ -404,7 +397,7 @@ mod tests {
         assert_eq!(orthonormalize(&mut v, 0), 2);
         // Append an exact duplicate of a prefix vector plus one genuinely
         // new direction, then orthonormalize from mid-basis.
-        let dup = clone_dist(&v[0]);
+        let dup = v[0].duplicate();
         v.push(dup);
         v.push(dv(&rand_data(3), nproc));
         let kept = orthonormalize(&mut v, 2);
@@ -451,7 +444,7 @@ mod tests {
                 let want = if i == j { 1.0 } else { 0.0 };
                 assert!((qr[i].dot(&qr[j]) - want).abs() < 1e-10);
             }
-            let t = clone_dist(&qr[i]);
+            let t = qr[i].duplicate();
             project_against(&gs, &t);
             assert!(t.norm() < 1e-10, "vector {i} leaves the MGS span");
         }

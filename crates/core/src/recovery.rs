@@ -21,11 +21,11 @@
 
 use crate::checkpoint::{load_ci, save_ci};
 use crate::detspace::DetSpace;
-use crate::diag::{diagonalize_from, DiagOptions, Preconditioner};
+use crate::diag::{diagonalize_from, initial_guess, DiagOptions};
 use crate::hamiltonian::Hamiltonian;
 use crate::sigma::{SigmaBreakdown, SigmaCtx};
 use crate::solver::{build_space, fci_result, open_tracer, open_world, FciOptions, FciResult};
-use fci_ddi::{DistMatrix, FaultConfig, FaultPlan, FaultStats};
+use fci_ddi::{FaultConfig, FaultPlan, FaultStats};
 use fci_scf::MoIntegrals;
 use std::io;
 use std::path::PathBuf;
@@ -62,18 +62,23 @@ impl RecoveryOptions {
     /// vector — so anything driving more than one solve (the `fci-serve`
     /// worker pool) derives paths through this constructor.
     pub fn for_job(dir: impl Into<PathBuf>, job_id: &str, space_hash: u64) -> Self {
-        let safe: String = job_id
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
+        let safe = filename_safe(job_id);
         Self::new(dir.into().join(format!("ckp-{safe}-{space_hash:016x}.ckp")))
     }
+}
+
+/// `id` with every character outside `[A-Za-z0-9._-]` replaced by `_`, so
+/// a hostile job id names a file instead of escaping the directory.
+pub fn filename_safe(id: &str) -> String {
+    id.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect()
 }
 
 /// Outcome of a resilient solve.
@@ -149,7 +154,7 @@ pub fn solve_resilient_prepared(
         let mut c0 = if have_ckp {
             load_ci(&rec.checkpoint, nproc)?
         } else {
-            initial_guess(&ctx, &opts.diag, nproc)
+            initial_guess(&ctx, &opts.diag)
         };
         if !have_ckp {
             // Checkpoint the starting vector so a death inside the very
@@ -227,49 +232,13 @@ pub fn solve_resilient_prepared(
     }
 }
 
-/// The same starting vector [`crate::diag::diagonalize`] uses: ground
-/// vector of the exact model-space block, falling back to the
-/// lowest-diagonal determinant.
-fn initial_guess(ctx: &SigmaCtx, opts: &DiagOptions, nproc: usize) -> DistMatrix {
-    if opts.model_space > 0 {
-        let diag = ctx.space.diagonal(ctx.ham, nproc);
-        let pre = Preconditioner::new(ctx.space, ctx.ham, &diag, opts.model_space);
-        pre.model_space_guess(nproc)
-            .unwrap_or_else(|| ctx.space.guess(ctx.ham, nproc))
-    } else {
-        ctx.space.guess(ctx.ham, nproc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::diag::DiagMethod;
     use crate::solver::solve;
     use fci_ddi::RankDeath;
-    use fci_ints::EriTensor;
-    use fci_linalg::Matrix;
     use std::path::Path;
-
-    fn hubbard(n: usize, t: f64, u: f64) -> MoIntegrals {
-        let mut h = Matrix::zeros(n, n);
-        for i in 0..n.saturating_sub(1) {
-            h[(i, i + 1)] = -t;
-            h[(i + 1, i)] = -t;
-        }
-        let mut eri = EriTensor::zeros(n);
-        for i in 0..n {
-            eri.set(i, i, i, i, u);
-        }
-        MoIntegrals {
-            n_orb: n,
-            h,
-            eri,
-            e_core: 0.0,
-            orb_sym: vec![0; n],
-            n_irrep: 1,
-        }
-    }
 
     fn ckp(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("fcix-rec-{}", std::process::id()));
@@ -294,7 +263,7 @@ mod tests {
 
     #[test]
     fn fault_free_resilient_matches_plain_solve() {
-        let mo = hubbard(4, 1.0, 2.5);
+        let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
         let plain = solve(&mo, 2, 2, 0, &base_opts(3));
         let r = solve_resilient(
             &mo,
@@ -313,7 +282,7 @@ mod tests {
 
     #[test]
     fn survives_rank_death_mid_solve() {
-        let mo = hubbard(4, 1.0, 2.5);
+        let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
         let plain = solve(&mo, 2, 2, 0, &base_opts(4));
         let mut opts = base_opts(4);
         opts.fault = Some(FaultConfig {
@@ -343,7 +312,7 @@ mod tests {
         // Kill-and-restart: run a few iterations, "crash", then start a
         // fresh resilient solve pointed at the same checkpoint. It must
         // pick up the saved vector, not start over.
-        let mo = hubbard(4, 1.0, 2.5);
+        let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
         let path = ckp("resume.ckp");
         let mut first = base_opts(2);
         first.diag.max_iter = 6;
@@ -398,8 +367,8 @@ mod tests {
         // other's vector; both must converge to their own references.
         let dir = std::env::temp_dir().join(format!("fcix-interleave-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mo_a = hubbard(4, 1.0, 2.5);
-        let mo_b = hubbard(4, 1.0, 6.0);
+        let mo_a = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
+        let mo_b = MoIntegrals::hubbard_chain(4, 1.0, 6.0, false);
         let ref_a = solve(&mo_a, 2, 2, 0, &base_opts(2));
         let ref_b = solve(&mo_b, 2, 1, 0, &base_opts(2));
         let mk_rec = |job: &str, hash: u64| RecoveryOptions {
@@ -432,7 +401,7 @@ mod tests {
 
     #[test]
     fn restart_budget_exhaustion_is_an_error() {
-        let mo = hubbard(4, 1.0, 2.5);
+        let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
         let mut opts = base_opts(3);
         opts.fault = Some(FaultConfig {
             seed: 5,

@@ -144,19 +144,10 @@ pub fn build_space(
     let mut space = DetSpace::for_hamiltonian(ham, n_alpha, n_beta, target_irrep);
     if let Some(level) = excitation_level {
         // Reference = the lowest-diagonal in-sector determinant.
-        let mut best = (f64::INFINITY, 0u64, 0u64);
-        for ia in 0..space.alpha.len() {
-            for ib in 0..space.beta.len() {
-                if !space.in_sector(ib, ia) {
-                    continue;
-                }
-                let d = ham.diagonal_element(space.alpha.mask(ia), space.beta.mask(ib));
-                if d < best.0 {
-                    best = (d, space.alpha.mask(ia), space.beta.mask(ib));
-                }
-            }
-        }
-        space = space.with_excitation_limit(best.1, best.2, level);
+        let (ref_a, ref_b) = space.lowest_diagonal(ham).map_or((0, 0), |(ib, ia, _)| {
+            (space.alpha.mask(ia), space.beta.mask(ib))
+        });
+        space = space.with_excitation_limit(ref_a, ref_b, level);
     }
     space
 }
@@ -348,36 +339,12 @@ pub fn solve_roots_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fci_ints::EriTensor;
-    use fci_linalg::Matrix;
-
-    /// Hubbard-style synthetic integrals: nearest-neighbour hopping −t and
-    /// on-site repulsion U. An exactly solvable sanity playground.
-    pub fn hubbard(n: usize, t: f64, u: f64) -> MoIntegrals {
-        let mut h = Matrix::zeros(n, n);
-        for i in 0..n.saturating_sub(1) {
-            h[(i, i + 1)] = -t;
-            h[(i + 1, i)] = -t;
-        }
-        let mut eri = EriTensor::zeros(n);
-        for i in 0..n {
-            eri.set(i, i, i, i, u);
-        }
-        MoIntegrals {
-            n_orb: n,
-            h,
-            eri,
-            e_core: 0.0,
-            orb_sym: vec![0; n],
-            n_irrep: 1,
-        }
-    }
 
     #[test]
     fn hubbard_dimer_exact() {
         // Two-site Hubbard at half filling: E0 = (U − sqrt(U² + 16t²))/2.
         let (t, u) = (1.0, 4.0);
-        let mo = hubbard(2, t, u);
+        let mo = MoIntegrals::hubbard_chain(2, t, u, false);
         // Degenerate lattice diagonal: subspace method (see diag docs).
         let opts = FciOptions {
             method: DiagMethod::Davidson,
@@ -394,7 +361,7 @@ mod tests {
         // U = 0: FCI energy = sum of the lowest Nα + Nβ one-electron
         // levels of the chain.
         let n = 6;
-        let mo = hubbard(n, 1.0, 0.0);
+        let mo = MoIntegrals::hubbard_chain(n, 1.0, 0.0, false);
         // U = 0 makes every determinant diagonal-degenerate; the
         // single-vector methods presume a dominant reference, so use the
         // subspace method here (see diag module docs).
@@ -416,7 +383,7 @@ mod tests {
 
     #[test]
     fn sigma_methods_give_same_energy() {
-        let mo = hubbard(4, 1.0, 2.5);
+        let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
         let opts = |s: SigmaMethod| FciOptions {
             sigma: s,
             method: DiagMethod::Davidson,
@@ -435,7 +402,7 @@ mod tests {
 
     #[test]
     fn processor_count_does_not_change_physics() {
-        let mo = hubbard(4, 1.0, 3.0);
+        let mo = MoIntegrals::hubbard_chain(4, 1.0, 3.0, false);
         let opts = |p: usize| FciOptions {
             nproc: p,
             method: DiagMethod::Davidson,
@@ -456,7 +423,7 @@ mod tests {
     fn prepared_solve_is_bitwise_identical_to_plain() {
         // The serve-layer cache depends on this: handing a prebuilt
         // (space, ham) to the solver must change nothing, bit for bit.
-        let mo = hubbard(4, 1.0, 2.5);
+        let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
         let opts = FciOptions {
             method: DiagMethod::Davidson,
             diag: DiagOptions {
@@ -476,7 +443,7 @@ mod tests {
 
     #[test]
     fn solve_roots_ground_state_matches_single_root() {
-        let mo = hubbard(4, 1.0, 2.5);
+        let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
         let opts = FciOptions {
             method: DiagMethod::Davidson,
             diag: DiagOptions {
@@ -498,7 +465,7 @@ mod tests {
 
     #[test]
     fn result_records_dimensions_and_cost() {
-        let mo = hubbard(4, 1.0, 1.0);
+        let mo = MoIntegrals::hubbard_chain(4, 1.0, 1.0, false);
         let r = solve(
             &mo,
             2,

@@ -85,7 +85,7 @@ impl DistMatrix {
         }
     }
 
-    /// Attach a tracer; remote `get`/`acc`/`put` and `transpose` on this
+    /// Attach a tracer; remote `get`/`acc` and `transpose` on this
     /// matrix then emit byte-counted events. First attachment wins.
     pub fn attach_tracer(&self, tracer: Tracer) {
         let _ = self.tracer.set(tracer);
@@ -106,12 +106,6 @@ impl DistMatrix {
         let _ = self.faults.set(plan);
     }
 
-    /// Process-unique id of this matrix (stable for the lifetime of the
-    /// process; used to key protocol records).
-    pub fn mat_id(&self) -> u32 {
-        self.mat_id
-    }
-
     #[inline]
     fn rec(&self, access: DdiAccess) {
         if let Some(r) = self.recorder.get() {
@@ -129,11 +123,16 @@ impl DistMatrix {
     }
 
     #[inline]
-    fn trace_op(&self, rank: usize, op: &str, bytes: u64, col: usize, owner: usize) {
+    fn trace_op(&self, rank: usize, op: TransferOp, bytes: u64, col: usize, owner: usize) {
         if let Some(t) = self.tracer.get() {
+            // Event name and the transfer-size histogram it feeds.
+            let (event, hist) = match op {
+                TransferOp::Get => ("ddi_get", "ddi.get_bytes"),
+                TransferOp::Acc => ("ddi_acc", "ddi.acc_bytes"),
+            };
             t.instant(
                 Some(rank),
-                op,
+                event,
                 Category::Net,
                 &[
                     ("bytes", bytes as f64),
@@ -142,15 +141,7 @@ impl DistMatrix {
                 ],
             );
             if let Some(m) = t.metrics() {
-                // "ddi_get" → "ddi.get_bytes" etc.; transfer-size
-                // distributions per one-sided op.
-                let name = match op {
-                    "ddi_get" => "ddi.get_bytes",
-                    "ddi_acc" => "ddi.acc_bytes",
-                    "ddi_put" => "ddi.put_bytes",
-                    _ => "ddi.op_bytes",
-                };
-                m.observe(name, &[], bytes as f64);
+                m.observe(hist, &[], bytes as f64);
             }
         }
     }
@@ -223,66 +214,31 @@ impl DistMatrix {
         out
     }
 
-    /// One-sided `DDI_GET` of a single column into `buf`.
+    /// One-sided `DDI_GET` of a set of columns (one column = a one-element
+    /// `cols`) into a column-major buffer: `out[i + slot·nrows]` receives
+    /// element `i` of column `cols[slot]`.
     ///
-    /// `rank` is the calling processor; traffic is counted only when the
-    /// column is remote. With a fault plan attached, remote gets run the
-    /// checked delivery path: every response carries a sequence number
-    /// and a CRC32, a dropped or garbled response is detected and resent
-    /// (bounded by the plan's [`fci_fault::RetryPolicy`]), and the wasted
-    /// traffic plus backoff wait are charged to the caller's stats.
-    pub fn get_col(&self, rank: usize, col: usize, buf: &mut [f64], stats: &mut CommStats) {
-        assert_eq!(buf.len(), self.nrows);
-        let owner = self.owner(col);
-        let local0 = col - self.col_offsets[owner];
-        if let Some(plan) = self.faults.get() {
-            plan.note_op();
-            if owner != rank {
-                return self.get_col_checked(plan, rank, col, owner, local0, buf, stats);
-            }
-        }
-        self.get_protocol(rank, col, owner, local0, buf);
-        if owner != rank {
-            stats.get_msgs += 1;
-            stats.get_bytes += (self.nrows * 8) as u64;
-            self.trace_op(rank, "ddi_get", (self.nrows * 8) as u64, col, owner);
-        }
-    }
-
-    /// Aggregated one-sided gather of a set of columns into a
-    /// column-major buffer: `out[i + slot·nrows]` receives element `i`
-    /// of column `cols[slot]`.
-    ///
-    /// Columns in one maximal run of `cols` sharing an owner are copied
-    /// under a **single** lock acquisition and — when the owner is
+    /// `rank` is the calling processor; only remote columns count as
+    /// traffic. Columns in one maximal run of `cols` sharing an owner are
+    /// copied under a **single** lock acquisition and — when the owner is
     /// remote — charged as **one** strided `SHMEM_GET` message carrying
-    /// the run's total bytes, with one trace event for the whole run.
-    /// This mirrors the "one strided get per remote source rank" model
-    /// of [`DistMatrix::transpose`] (the X1's vector gather hardware
-    /// turns a strided remote read into a single operation) and is what
-    /// lets the σ driver pay one latency charge per aggregated family
-    /// instead of one per column. Bytes moved are identical to the
-    /// equivalent sequence of [`DistMatrix::get_col`] calls; only the
-    /// message count (and hence the latency charge) drops.
+    /// the run's total bytes, with one trace event for the whole run. This
+    /// mirrors the "one strided get per remote source rank" model of
+    /// [`DistMatrix::transpose`] (the X1's vector gather hardware turns a
+    /// strided remote read into a single operation) and is what lets the σ
+    /// driver pay one latency charge per aggregated family instead of one
+    /// per column. Each column is still recorded individually with the
+    /// protocol recorder.
     ///
-    /// Each column is still recorded individually with the protocol
-    /// recorder, so `fci-check` sees the same read set either way. With
-    /// a fault plan attached, the gather degrades to per-column checked
-    /// deliveries (each transfer's faults inject and recover
-    /// independently).
+    /// With a fault plan attached the gather degrades to per-column
+    /// checked deliveries: every response carries a sequence number and a
+    /// CRC32, a dropped or garbled one is detected and resent (bounded by
+    /// the plan's [`fci_fault::RetryPolicy`]), and the wasted traffic plus
+    /// backoff wait are charged to the caller's stats.
     pub fn get_cols(&self, rank: usize, cols: &[usize], out: &mut [f64], stats: &mut CommStats) {
         assert_eq!(out.len(), self.nrows * cols.len());
-        if cols.is_empty() {
-            return;
-        }
-        if self.faults.get().is_some() {
-            // Checked delivery is inherently per-message; keep the
-            // aggregated op semantically identical by falling back.
-            for (slot, &col) in cols.iter().enumerate() {
-                let buf = &mut out[slot * self.nrows..(slot + 1) * self.nrows];
-                self.get_col(rank, col, buf, stats);
-            }
-            return;
+        if let Some(plan) = self.faults.get() {
+            return self.get_cols_checked(plan, rank, cols, out, stats);
         }
         let mut s = 0;
         while s < cols.len() {
@@ -330,77 +286,44 @@ impl DistMatrix {
         }
     }
 
-    /// The unperturbed get protocol: copy the column out under the
-    /// owner's lock, recording the read.
-    fn get_protocol(&self, rank: usize, col: usize, owner: usize, local0: usize, buf: &mut [f64]) {
-        let seg = self.segments[owner].lock().unwrap();
-        self.rec(DdiAccess::Access {
-            rank,
-            mat: self.mat_id,
-            kind: AccessKind::Read,
-            cols: col..col + 1,
-            owner,
-            site: DdiSite::Get,
-        });
-        buf.copy_from_slice(&seg[local0 * self.nrows..(local0 + 1) * self.nrows]);
-    }
-
-    /// Checked remote get: delivery attempts draw faults from the plan;
-    /// faulted attempts are detected (timeout for drops, CRC mismatch
-    /// for corruption) and retried without touching `buf` or emitting
-    /// protocol records — only the final validated delivery performs the
-    /// recorded read, so the race detector sees the same protocol as the
-    /// fast path.
-    #[allow(clippy::too_many_arguments)]
-    fn get_col_checked(
+    /// The gather under a fault plan: checked delivery is inherently
+    /// per-message, so every column is one op. Faulted attempts never
+    /// touch `out` or emit protocol records — only the final validated
+    /// delivery performs the recorded read under the owner's lock, so
+    /// the race detector sees the same protocol as the fast path.
+    fn get_cols_checked(
         &self,
         plan: &FaultPlan,
         rank: usize,
-        col: usize,
-        owner: usize,
-        local0: usize,
-        buf: &mut [f64],
+        cols: &[usize],
+        out: &mut [f64],
         stats: &mut CommStats,
     ) {
         let bytes = (self.nrows * 8) as u64;
-        let mut attempt: u32 = 0;
-        loop {
-            match plan.on_transfer(TransferOp::Get, attempt) {
-                Some(TransferFault::Drop) => {
-                    // The response is lost in flight; the requester's ack
-                    // timeout fires and the get is reissued after backoff.
-                    self.charge_retry(plan, TransferOp::Get, rank, col, bytes, attempt, stats);
-                    attempt += 1;
-                }
-                Some(TransferFault::Corrupt(kind)) => {
-                    // The response arrives garbled: its CRC32 disagrees
-                    // with the checksum the owner computed, so the
-                    // delivery is rejected before any data is used.
-                    // lint: allow(alloc) — injected-fault recovery path; never runs in a fault-free production sweep
-                    let mut wire = vec![0.0; self.nrows];
-                    let sent = {
-                        let seg = self.segments[owner].lock().unwrap();
-                        wire.copy_from_slice(&seg[local0 * self.nrows..(local0 + 1) * self.nrows]);
-                        checksum_f64s(&wire)
-                    };
-                    plan.corrupt(kind, &mut wire);
-                    debug_assert_ne!(sent, checksum_f64s(&wire), "corruption escaped the CRC");
-                    self.charge_retry(plan, TransferOp::Get, rank, col, bytes, attempt, stats);
-                    attempt += 1;
-                }
-                fault => {
-                    // Clean (possibly duplicated) delivery: the real
-                    // protocol, recorded exactly once.
-                    self.get_protocol(rank, col, owner, local0, buf);
-                    stats.get_msgs += 1;
-                    stats.get_bytes += bytes;
-                    self.trace_op(rank, "ddi_get", bytes, col, owner);
-                    let seq = self.next_seq(rank);
-                    if fault == Some(TransferFault::Duplicate) {
-                        self.discard_duplicate(plan, TransferOp::Get, rank, col, bytes, seq, stats);
-                    }
-                    return;
-                }
+        for (slot, &col) in cols.iter().enumerate() {
+            let owner = self.owner(col);
+            let range = self.local_range(owner, col);
+            plan.note_op();
+            let duplicated = owner != rank
+                && self.deliver(plan, TransferOp::Get, rank, col, bytes, stats, |wire| {
+                    wire.copy_from_slice(&self.segments[owner].lock().unwrap()[range.clone()]);
+                });
+            {
+                let seg = self.segments[owner].lock().unwrap();
+                self.rec(DdiAccess::Access {
+                    rank,
+                    mat: self.mat_id,
+                    kind: AccessKind::Read,
+                    cols: col..col + 1,
+                    owner,
+                    site: DdiSite::Get,
+                });
+                out[slot * self.nrows..(slot + 1) * self.nrows].copy_from_slice(&seg[range]);
+            }
+            if owner != rank {
+                stats.count(TransferOp::Get, bytes);
+                self.trace_op(rank, TransferOp::Get, bytes, col, owner);
+                self.stamp(plan, TransferOp::Get, rank, col, bytes, duplicated, stats);
             }
         }
     }
@@ -415,31 +338,62 @@ impl DistMatrix {
     pub fn acc_col(&self, rank: usize, col: usize, buf: &[f64], stats: &mut CommStats) {
         assert_eq!(buf.len(), self.nrows);
         let owner = self.owner(col);
-        let local0 = col - self.col_offsets[owner];
         if let Some(plan) = self.faults.get() {
             plan.note_op();
             // A plan carrying a broken-protocol mode (race-detector
             // validation) routes every accumulate through that protocol.
             if let Some(pf) = plan.protocol_fault() {
-                return self.acc_col_broken(rank, col, buf, pf, stats);
+                return self.acc_col_broken(rank, col, owner, buf, pf, stats);
             }
             if owner != rank {
-                return self.acc_col_checked(plan, rank, col, owner, local0, buf, stats);
+                return self.acc_col_checked(plan, rank, col, owner, buf, stats);
             }
         }
-        self.acc_protocol(rank, col, owner, local0, buf);
+        self.acc_protocol(rank, col, owner, buf, true);
         stats.mutex_acquires += 1;
         if owner != rank {
             stats.acc_msgs += 1;
             stats.acc_bytes += (self.nrows * 16) as u64;
-            self.trace_op(rank, "ddi_acc", (self.nrows * 16) as u64, col, owner);
+            self.trace_op(rank, TransferOp::Acc, (self.nrows * 16) as u64, col, owner);
+        }
+    }
+
+    /// Remote accumulate under a fault plan: the payload is CRC32-validated
+    /// *before* it is applied, so a corrupted delivery never pollutes the
+    /// remote column, and only the validated delivery runs the (recorded)
+    /// lock/fence protocol.
+    fn acc_col_checked(
+        &self,
+        plan: &FaultPlan,
+        rank: usize,
+        col: usize,
+        owner: usize,
+        buf: &[f64],
+        stats: &mut CommStats,
+    ) {
+        let bytes = (self.nrows * 16) as u64;
+        let duplicated = self.deliver(plan, TransferOp::Acc, rank, col, bytes, stats, |wire| {
+            wire.copy_from_slice(buf)
+        });
+        self.acc_protocol(rank, col, owner, buf, true);
+        stats.mutex_acquires += 1;
+        stats.count(TransferOp::Acc, bytes);
+        self.trace_op(rank, TransferOp::Acc, bytes, col, owner);
+        self.stamp(plan, TransferOp::Acc, rank, col, bytes, duplicated, stats);
+        // Injected fence delay: the accumulate's trailing memory fence
+        // takes longer to drain; pure simulated wait, no reordering.
+        if let Some(ns) = plan.on_fence() {
+            stats.backoff_ns += ns;
+            self.trace_fault(rank, "fence_delay", TransferOp::Acc, col, 0, ns);
         }
     }
 
     /// The protocol of §3.1, recorded step by step while the node mutex
     /// is held so the record order is the true lock order:
-    /// lock → SHMEM_GET → add → SHMEM_PUT → fence → unlock.
-    fn acc_protocol(&self, rank: usize, col: usize, owner: usize, local0: usize, buf: &[f64]) {
+    /// lock → SHMEM_GET → add → SHMEM_PUT → fence → unlock. `fence:
+    /// false` drops the fence record — [`ProtocolFault::SkipFence`], the
+    /// only caller that passes it.
+    fn acc_protocol(&self, rank: usize, col: usize, owner: usize, buf: &[f64], fence: bool) {
         let mut seg = self.segments[owner].lock().unwrap();
         self.rec(DdiAccess::Lock {
             rank,
@@ -454,7 +408,7 @@ impl DistMatrix {
             owner,
             site: DdiSite::AccGet,
         });
-        let dst = &mut seg[local0 * self.nrows..(local0 + 1) * self.nrows];
+        let dst = &mut seg[self.local_range(owner, col)];
         for (d, s) in dst.iter_mut().zip(buf) {
             *d += s;
         }
@@ -466,7 +420,9 @@ impl DistMatrix {
             owner,
             site: DdiSite::AccPut,
         });
-        self.rec(DdiAccess::Fence { rank });
+        if fence {
+            self.rec(DdiAccess::Fence { rank });
+        }
         self.rec(DdiAccess::Unlock {
             rank,
             mat: self.mat_id,
@@ -474,134 +430,80 @@ impl DistMatrix {
         });
     }
 
-    /// Checked remote accumulate: the update payload is CRC32-validated
-    /// *before* it is applied, so a corrupted delivery never pollutes the
-    /// remote column — it is rejected and resent. Only the final
-    /// validated attempt runs the (recorded) lock/fence protocol.
+    /// Positions of column `col` inside `owner`'s column-major segment.
+    #[inline]
+    fn local_range(&self, owner: usize, col: usize) -> std::ops::Range<usize> {
+        let local0 = col - self.col_offsets[owner];
+        local0 * self.nrows..(local0 + 1) * self.nrows
+    }
+
+    /// Checked delivery of one remote transfer — the one retry loop. Each
+    /// attempt draws a fault from the plan. A dropped attempt (the ack
+    /// timeout fires) or a garbled one (its CRC32 disagrees with the
+    /// sender's checksum of `fill`'s payload, so it is rejected before any
+    /// data is used) still crossed the wire: its traffic and the backoff
+    /// before the resend are charged to the caller's stats, and from there
+    /// to the xsim clock. Returns whether the attempt that got through
+    /// arrives twice; the caller runs the protocol once, then [`Self::stamp`].
     #[allow(clippy::too_many_arguments)]
-    fn acc_col_checked(
+    fn deliver(
         &self,
         plan: &FaultPlan,
+        op: TransferOp,
         rank: usize,
         col: usize,
-        owner: usize,
-        local0: usize,
-        buf: &[f64],
+        bytes: u64,
         stats: &mut CommStats,
-    ) {
-        let bytes = (self.nrows * 16) as u64;
+        fill: impl Fn(&mut [f64]),
+    ) -> bool {
         let mut attempt: u32 = 0;
-        let duplicated = loop {
-            match plan.on_transfer(TransferOp::Acc, attempt) {
-                Some(TransferFault::Drop) => {
-                    self.charge_retry(plan, TransferOp::Acc, rank, col, bytes, attempt, stats);
-                    attempt += 1;
-                }
+        loop {
+            match plan.on_transfer(op, attempt) {
+                Some(TransferFault::Drop) => {}
                 Some(TransferFault::Corrupt(kind)) => {
-                    let sent = checksum_f64s(buf);
-                    let mut wire = buf.to_vec();
+                    // lint: allow(alloc) — injected-fault recovery path; never runs in a fault-free production sweep
+                    let mut wire = vec![0.0; self.nrows];
+                    fill(&mut wire);
+                    let sent = checksum_f64s(&wire);
                     plan.corrupt(kind, &mut wire);
                     debug_assert_ne!(sent, checksum_f64s(&wire), "corruption escaped the CRC");
-                    self.charge_retry(plan, TransferOp::Acc, rank, col, bytes, attempt, stats);
-                    attempt += 1;
                 }
-                Some(TransferFault::Duplicate) => break true,
-                None => break false,
+                fault => return fault == Some(TransferFault::Duplicate),
             }
-        };
-        self.acc_protocol(rank, col, owner, local0, buf);
-        stats.mutex_acquires += 1;
-        stats.acc_msgs += 1;
-        stats.acc_bytes += bytes;
-        self.trace_op(rank, "ddi_acc", bytes, col, owner);
-        let seq = self.next_seq(rank);
-        if duplicated {
-            self.discard_duplicate(plan, TransferOp::Acc, rank, col, bytes, seq, stats);
-        }
-        // Injected fence delay: the accumulate's trailing memory fence
-        // takes longer to drain; pure simulated wait, no reordering.
-        if let Some(ns) = plan.on_fence() {
-            stats.backoff_ns += ns;
-            self.trace_fault(rank, "fence_delay", TransferOp::Acc, col, 0, ns);
+            stats.count(op, bytes);
+            stats.retries += 1;
+            let backoff_ns = plan.backoff_ns(attempt);
+            stats.backoff_ns += backoff_ns;
+            plan.count_retry();
+            self.trace_fault(rank, "transient", op, col, attempt, backoff_ns);
+            attempt += 1;
         }
     }
 
-    /// Stamp the next sequence number for a delivery from `rank` and
-    /// record it as applied.
-    fn next_seq(&self, rank: usize) -> u64 {
+    /// Stamp the validated delivery from `rank` with the next sequence
+    /// number and record it as applied. A duplicated delivery re-arrives
+    /// bearing that already-applied number: the sequence guard discards
+    /// it, costing only the extra wire traffic.
+    #[allow(clippy::too_many_arguments)]
+    fn stamp(
+        &self,
+        plan: &FaultPlan,
+        op: TransferOp,
+        rank: usize,
+        col: usize,
+        bytes: u64,
+        duplicated: bool,
+        stats: &mut CommStats,
+    ) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         self.last_seq[rank].store(seq, Ordering::Release);
-        seq
-    }
-
-    /// A duplicated delivery re-arrives bearing an already-applied
-    /// sequence number: it is discarded by the sequence guard, costing
-    /// only the extra wire traffic.
-    #[allow(clippy::too_many_arguments)]
-    fn discard_duplicate(
-        &self,
-        plan: &FaultPlan,
-        op: TransferOp,
-        rank: usize,
-        col: usize,
-        bytes: u64,
-        seq: u64,
-        stats: &mut CommStats,
-    ) {
-        if self.last_seq[rank].load(Ordering::Acquire) >= seq {
-            plan.count_dup_discard();
+        if duplicated {
+            if self.last_seq[rank].load(Ordering::Acquire) >= seq {
+                plan.count_dup_discard();
+            }
+            stats.count(op, bytes);
+            self.trace_fault(rank, "duplicate", op, col, 0, 0);
         }
-        match op {
-            TransferOp::Get => {
-                stats.get_msgs += 1;
-                stats.get_bytes += bytes;
-            }
-            TransferOp::Acc => {
-                stats.acc_msgs += 1;
-                stats.acc_bytes += bytes;
-            }
-            TransferOp::Put => {
-                stats.put_msgs += 1;
-                stats.put_bytes += bytes;
-            }
-        }
-        self.trace_fault(rank, "duplicate", op, col, 0, 0);
-    }
-
-    /// Charge one failed delivery attempt: the lost/garbled message
-    /// still crossed the wire, and the sender backs off before the
-    /// resend. Both are folded into the caller's stats (and from there
-    /// into the xsim clock).
-    #[allow(clippy::too_many_arguments)]
-    fn charge_retry(
-        &self,
-        plan: &FaultPlan,
-        op: TransferOp,
-        rank: usize,
-        col: usize,
-        bytes: u64,
-        attempt: u32,
-        stats: &mut CommStats,
-    ) {
-        match op {
-            TransferOp::Get => {
-                stats.get_msgs += 1;
-                stats.get_bytes += bytes;
-            }
-            TransferOp::Acc => {
-                stats.acc_msgs += 1;
-                stats.acc_bytes += bytes;
-            }
-            TransferOp::Put => {
-                stats.put_msgs += 1;
-                stats.put_bytes += bytes;
-            }
-        }
-        stats.retries += 1;
-        let backoff_ns = plan.backoff_ns(attempt);
-        stats.backoff_ns += backoff_ns;
-        plan.count_retry();
-        self.trace_fault(rank, "transient", op, col, attempt, backoff_ns);
     }
 
     /// Emit a `fault_injected` instant for an injected fault handled on
@@ -622,7 +524,6 @@ impl DistMatrix {
             let opcode = match op {
                 TransferOp::Get => 0.0,
                 TransferOp::Acc => 1.0,
-                TransferOp::Put => 2.0,
             };
             let kindcode = match kind {
                 "transient" => 0.0,
@@ -631,18 +532,16 @@ impl DistMatrix {
                 _ => 3.0,
             };
             let backoff_s = backoff_ns as f64 / 1e9;
-            // lint: allow(alloc) — fault-trace emission; runs only when a fault was injected
-            let mut args = vec![
+            let args = [
                 ("op", opcode),
                 ("col", col as f64),
                 ("attempt", attempt as f64),
                 ("kind", kindcode),
+                ("backoff_s", backoff_s),
             ];
-            if backoff_ns > 0 {
-                // lint: allow(alloc) — fault-trace emission; runs only when a fault was injected
-                args.push(("backoff_s", backoff_s));
-            }
-            t.instant(Some(rank), "fault_injected", Category::Other, &args);
+            // `backoff_s` rides along only when the fault cost a wait.
+            let n = if backoff_ns > 0 { 5 } else { 4 };
+            t.instant(Some(rank), "fault_injected", Category::Other, &args[..n]);
             if let Some(m) = t.metrics() {
                 m.counter_incr("fault.injected", &[("kind", kind)]);
                 if backoff_ns > 0 {
@@ -652,66 +551,30 @@ impl DistMatrix {
         }
     }
 
-    /// `DDI_ACC` with a deliberately broken protocol — fault injection
-    /// for the `fci-check` race detector. See [`ProtocolFault`] for the
-    /// menu. [`DistMatrix::acc_col`] routes here automatically when the
-    /// attached [`FaultPlan`] carries a protocol fault; never call this
-    /// from production code.
-    ///
-    /// Traffic accounting matches [`DistMatrix::acc_col`], except that
+    /// `DDI_ACC` with a deliberately broken protocol — what
+    /// [`DistMatrix::acc_col`] runs when the attached [`FaultPlan`] carries
+    /// a [`ProtocolFault`] (the `fci-check` race detector's fixtures).
+    /// Traffic accounting matches the correct protocol's, except that
     /// [`ProtocolFault::SkipLock`] charges no mutex acquisition (that is
     /// the injected bug).
-    pub fn acc_col_broken(
+    fn acc_col_broken(
         &self,
         rank: usize,
         col: usize,
+        owner: usize,
         buf: &[f64],
         pf: ProtocolFault,
         stats: &mut CommStats,
     ) {
-        assert_eq!(buf.len(), self.nrows);
-        let owner = self.owner(col);
-        let local0 = col - self.col_offsets[owner];
         match pf {
             ProtocolFault::SkipFence => {
-                let mut seg = self.segments[owner].lock().unwrap();
-                self.rec(DdiAccess::Lock {
-                    rank,
-                    mat: self.mat_id,
-                    owner,
-                });
-                self.rec(DdiAccess::Access {
-                    rank,
-                    mat: self.mat_id,
-                    kind: AccessKind::Read,
-                    cols: col..col + 1,
-                    owner,
-                    site: DdiSite::AccGet,
-                });
-                let dst = &mut seg[local0 * self.nrows..(local0 + 1) * self.nrows];
-                for (d, s) in dst.iter_mut().zip(buf) {
-                    *d += s;
-                }
-                self.rec(DdiAccess::Access {
-                    rank,
-                    mat: self.mat_id,
-                    kind: AccessKind::Write,
-                    cols: col..col + 1,
-                    owner,
-                    site: DdiSite::AccPut,
-                });
                 // BUG under test: no fence — the put is not ordered
                 // before the unlock that publishes it.
-                self.rec(DdiAccess::Unlock {
-                    rank,
-                    mat: self.mat_id,
-                    owner,
-                });
-                drop(seg);
+                self.acc_protocol(rank, col, owner, buf, false);
                 stats.mutex_acquires += 1;
             }
             ProtocolFault::SkipLock => {
-                let range = local0 * self.nrows..(local0 + 1) * self.nrows;
+                let range = self.local_range(owner, col);
                 // BUG under test: the read-modify-write is not spanned by
                 // the per-node lock. The two short internal borrows below
                 // only keep Rust memory-safe; between them another rank
@@ -747,97 +610,8 @@ impl DistMatrix {
         if owner != rank {
             stats.acc_msgs += 1;
             stats.acc_bytes += (self.nrows * 16) as u64;
-            self.trace_op(rank, "ddi_acc", (self.nrows * 16) as u64, col, owner);
+            self.trace_op(rank, TransferOp::Acc, (self.nrows * 16) as u64, col, owner);
         }
-    }
-
-    /// One-sided `DDI_PUT`: overwrite a column. With a fault plan
-    /// attached, remote puts run the same checked (sequence + CRC32,
-    /// retry-with-backoff) delivery path as [`DistMatrix::get_col`].
-    pub fn put_col(&self, rank: usize, col: usize, buf: &[f64], stats: &mut CommStats) {
-        assert_eq!(buf.len(), self.nrows);
-        let owner = self.owner(col);
-        let local0 = col - self.col_offsets[owner];
-        if let Some(plan) = self.faults.get() {
-            plan.note_op();
-            if owner != rank {
-                return self.put_col_checked(plan, rank, col, owner, local0, buf, stats);
-            }
-        }
-        self.put_protocol(rank, col, owner, local0, buf);
-        if owner != rank {
-            stats.put_msgs += 1;
-            stats.put_bytes += (self.nrows * 8) as u64;
-            self.trace_op(rank, "ddi_put", (self.nrows * 8) as u64, col, owner);
-        }
-    }
-
-    /// The unperturbed put protocol: overwrite the column under the
-    /// owner's lock, recording the write.
-    fn put_protocol(&self, rank: usize, col: usize, owner: usize, local0: usize, buf: &[f64]) {
-        let mut seg = self.segments[owner].lock().unwrap();
-        self.rec(DdiAccess::Access {
-            rank,
-            mat: self.mat_id,
-            kind: AccessKind::Write,
-            cols: col..col + 1,
-            owner,
-            site: DdiSite::Put,
-        });
-        seg[local0 * self.nrows..(local0 + 1) * self.nrows].copy_from_slice(buf);
-    }
-
-    /// Checked remote put: the payload is CRC32-validated before the
-    /// overwrite is applied, so a garbled delivery never lands — it is
-    /// rejected and resent, bounded by the plan's retry policy.
-    #[allow(clippy::too_many_arguments)]
-    fn put_col_checked(
-        &self,
-        plan: &FaultPlan,
-        rank: usize,
-        col: usize,
-        owner: usize,
-        local0: usize,
-        buf: &[f64],
-        stats: &mut CommStats,
-    ) {
-        let bytes = (self.nrows * 8) as u64;
-        let mut attempt: u32 = 0;
-        let duplicated = loop {
-            match plan.on_transfer(TransferOp::Put, attempt) {
-                Some(TransferFault::Drop) => {
-                    self.charge_retry(plan, TransferOp::Put, rank, col, bytes, attempt, stats);
-                    attempt += 1;
-                }
-                Some(TransferFault::Corrupt(kind)) => {
-                    let sent = checksum_f64s(buf);
-                    let mut wire = buf.to_vec();
-                    plan.corrupt(kind, &mut wire);
-                    debug_assert_ne!(sent, checksum_f64s(&wire), "corruption escaped the CRC");
-                    self.charge_retry(plan, TransferOp::Put, rank, col, bytes, attempt, stats);
-                    attempt += 1;
-                }
-                Some(TransferFault::Duplicate) => break true,
-                None => break false,
-            }
-        };
-        self.put_protocol(rank, col, owner, local0, buf);
-        stats.put_msgs += 1;
-        stats.put_bytes += bytes;
-        self.trace_op(rank, "ddi_put", bytes, col, owner);
-        let seq = self.next_seq(rank);
-        if duplicated {
-            self.discard_duplicate(plan, TransferOp::Put, rank, col, bytes, seq, stats);
-        }
-    }
-
-    /// Zero all elements.
-    pub fn fill_zero(&self) {
-        self.rec_barrier();
-        for s in &self.segments {
-            s.lock().unwrap().iter_mut().for_each(|x| *x = 0.0);
-        }
-        self.rec_barrier();
     }
 
     /// Gather the whole matrix into a local column-major buffer
@@ -860,10 +634,8 @@ impl DistMatrix {
         let m = Self::zeros(nrows, ncols, nproc);
         for p in 0..nproc {
             let mut seg = m.segments[p].lock().unwrap();
-            let c0 = m.col_offsets[p];
-            let n = seg.len();
-            seg.copy_from_slice(&data[c0 * nrows..c0 * nrows + n]);
-            drop(seg);
+            let (start, n) = (m.col_offsets[p] * nrows, seg.len());
+            seg.copy_from_slice(&data[start..start + n]);
         }
         m
     }
@@ -932,22 +704,14 @@ impl DistMatrix {
         self.rec_barrier();
     }
 
-    /// Copy `other` into `self`.
-    pub fn copy_from(&self, other: &DistMatrix) {
-        assert!(
-            !std::ptr::eq(self, other),
-            "copy_from operands must not alias (non-reentrant locks)"
-        );
-        assert_eq!((self.nrows, self.ncols), (other.nrows, other.ncols));
-        assert_eq!(self.nproc, other.nproc);
+    /// A new matrix with this one's shape, distribution and contents.
+    pub fn duplicate(&self) -> DistMatrix {
         self.rec_barrier();
-        other.rec_barrier();
-        for p in 0..self.nproc {
-            let mut x = self.segments[p].lock().unwrap();
-            let y = other.segments[p].lock().unwrap();
-            x.copy_from_slice(&y);
+        let out = DistMatrix::zeros(self.nrows, self.ncols, self.nproc);
+        for (dst, src) in out.segments.iter().zip(&self.segments) {
+            dst.lock().unwrap().copy_from_slice(&src.lock().unwrap());
         }
-        self.rec_barrier();
+        out
     }
 
     /// Read one element (diagnostic / small-model-space use; takes the
@@ -955,16 +719,14 @@ impl DistMatrix {
     pub fn get(&self, row: usize, col: usize) -> f64 {
         assert!(row < self.nrows && col < self.ncols);
         let p = self.owner(col);
-        let local0 = col - self.col_offsets[p];
-        self.segments[p].lock().unwrap()[local0 * self.nrows + row]
+        self.segments[p].lock().unwrap()[self.local_range(p, col).start + row]
     }
 
     /// Write one element (diagnostic / small-model-space use).
     pub fn set(&self, row: usize, col: usize, v: f64) {
         assert!(row < self.nrows && col < self.ncols);
         let p = self.owner(col);
-        let local0 = col - self.col_offsets[p];
-        self.segments[p].lock().unwrap()[local0 * self.nrows + row] = v;
+        self.segments[p].lock().unwrap()[self.local_range(p, col).start + row] = v;
     }
 
     /// Weighted inner product `Σ_i w_i a_i b_i`, skipping entries whose
@@ -1073,7 +835,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn distribution_covers_columns() {
+    fn block_distribution_covers_columns() {
         let m = DistMatrix::zeros(3, 10, 4);
         // 10 cols over 4 ranks: 3,3,2,2.
         assert_eq!(m.local_cols(0), 0..3);
@@ -1084,10 +846,7 @@ mod tests {
             let p = m.owner(c);
             assert!(m.local_cols(p).contains(&c), "col {c} owner {p}");
         }
-    }
-
-    #[test]
-    fn more_ranks_than_columns() {
+        // More ranks than columns: the trailing ranks own nothing.
         let m = DistMatrix::zeros(2, 2, 5);
         assert_eq!(m.local_cols(0), 0..1);
         assert_eq!(m.local_cols(1), 1..2);
@@ -1096,38 +855,24 @@ mod tests {
     }
 
     #[test]
-    fn get_put_acc_roundtrip() {
+    fn get_acc_roundtrip_and_local_ops_are_free() {
         let m = DistMatrix::zeros(4, 6, 3);
         let mut st = CommStats::default();
         let v = [1.0, 2.0, 3.0, 4.0];
-        m.put_col(0, 5, &v, &mut st); // remote put (owner = 2)
-        assert_eq!(st.put_msgs, 1);
-        assert_eq!(st.put_bytes, 32);
+        m.acc_col(0, 5, &v, &mut st); // remote acc (owner = 2)
+        assert_eq!((st.acc_msgs, st.acc_bytes), (1, 64)); // 2× payload
         let mut buf = [0.0; 4];
-        m.get_col(0, 5, &mut buf, &mut st);
+        m.get_cols(0, &[5], &mut buf, &mut st);
         assert_eq!(buf, v);
-        assert_eq!(st.get_msgs, 1);
-        m.acc_col(0, 5, &v, &mut st);
-        m.get_col(2, 5, &mut buf, &mut st); // local get for owner: free
+        assert_eq!((st.get_msgs, st.get_bytes), (1, 32));
+        // The owner's own acc and get: locked, but free on the wire.
+        let remote = st;
+        m.acc_col(2, 5, &v, &mut st);
+        m.get_cols(2, &[5], &mut buf, &mut st);
         assert_eq!(buf, [2.0, 4.0, 6.0, 8.0]);
-        assert_eq!(st.acc_msgs, 1);
-        assert_eq!(st.acc_bytes, 64); // 2× payload
-        assert_eq!(st.get_msgs, 1); // unchanged by the local get
-    }
-
-    #[test]
-    fn local_ops_are_free() {
-        let m = DistMatrix::zeros(4, 6, 3);
-        let mut st = CommStats::default();
-        let v = [1.0; 4];
-        let own = m.owner(1);
-        m.put_col(own, 1, &v, &mut st);
-        m.acc_col(own, 1, &v, &mut st);
-        let mut buf = [0.0; 4];
-        m.get_col(own, 1, &mut buf, &mut st);
-        assert_eq!(st.total_bytes(), 0);
-        assert_eq!(st.get_msgs + st.acc_msgs + st.put_msgs, 0);
-        assert_eq!(st.mutex_acquires, 1);
+        assert_eq!(st.mutex_acquires, remote.mutex_acquires + 1);
+        assert_eq!(st.total_bytes(), remote.total_bytes());
+        assert_eq!(st.total_msgs(), remote.total_msgs());
     }
 
     #[test]
@@ -1147,10 +892,7 @@ mod tests {
         assert_eq!(b.to_dense(), vec![3.0, 5.0, 7.0, 9.0]);
         b.scale(0.5);
         assert_eq!(b.to_dense(), vec![1.5, 2.5, 3.5, 4.5]);
-        b.copy_from(&a);
-        assert_eq!(b.to_dense(), a.to_dense());
-        b.fill_zero();
-        assert_eq!(b.norm(), 0.0);
+        assert_eq!(a.duplicate().to_dense(), a.to_dense());
     }
 
     #[test]
@@ -1190,19 +932,16 @@ mod tests {
         let checked = DistMatrix::from_dense(4, 6, 3, &data);
         checked.attach_faults(Arc::new(FaultPlan::new(fci_fault::FaultConfig::quiet(7))));
         let v = [0.5, -0.25, 1.0, 2.0];
-        let (mut sa, mut sb) = (CommStats::default(), CommStats::default());
-        for m in [&plain, &checked] {
-            let st = if std::ptr::eq(m, &plain) {
-                &mut sa
-            } else {
-                &mut sb
-            };
-            m.put_col(0, 5, &v, st);
-            m.acc_col(0, 5, &v, st);
-            m.acc_col(2, 4, &v, st);
-        }
+        let drive = |m: &DistMatrix| {
+            let mut st = CommStats::default();
+            m.acc_col(0, 5, &v, &mut st);
+            m.acc_col(2, 4, &v, &mut st);
+            let mut got = [0.0; 8];
+            m.get_cols(0, &[5, 1], &mut got, &mut st);
+            (got, st)
+        };
+        assert_eq!(drive(&plain), drive(&checked));
         assert_eq!(plain.to_dense(), checked.to_dense());
-        assert_eq!(sa, sb);
     }
 
     #[test]
@@ -1221,15 +960,15 @@ mod tests {
         for _ in 0..50 {
             m.acc_col(0, 5, &v, &mut st); // remote acc (owner = 2)
         }
-        m.put_col(0, 3, &v, &mut st); // remote put (owner = 1)
+        m.acc_col(0, 3, &v, &mut st); // remote acc (owner = 1)
         let mut buf = [0.0; 4];
         for _ in 0..50 {
-            m.get_col(0, 5, &mut buf, &mut st); // remote get
+            m.get_cols(0, &[5], &mut buf, &mut st); // remote get
         }
         // Every injected fault was detected and recovered: values exact.
         assert_eq!(buf, [50.0, 100.0, 150.0, 200.0]);
         let mut buf3 = [0.0; 4];
-        m.get_col(1, 3, &mut buf3, &mut st); // owner-local get
+        m.get_cols(1, &[3], &mut buf3, &mut st); // owner-local get
         assert_eq!(buf3, v);
         // With these probabilities over 101 remote ops, retries are
         // statistically certain (and seeded, so deterministic).
@@ -1252,7 +991,7 @@ mod tests {
         m.attach_faults(plan.clone());
         let mut st = CommStats::default();
         let mut buf = [0.0; 2];
-        m.get_col(0, 1, &mut buf, &mut st);
+        m.get_cols(0, &[1], &mut buf, &mut st);
         assert_eq!(buf, [3.0, 4.0]);
         assert_eq!(st.get_msgs, cap + 1);
         assert_eq!(st.retries, cap);
@@ -1263,8 +1002,8 @@ mod tests {
     #[test]
     fn get_cols_matches_per_column_gets_with_fewer_messages() {
         let data: Vec<f64> = (0..40).map(|x| (x as f64).cos()).collect();
-        let m = DistMatrix::from_dense(4, 10, 3, &data); // ranks own 4,3,3 cols
-                                                         // Mixed-owner, non-contiguous column set as a σ family would use.
+        let m = DistMatrix::from_dense(4, 10, 3, &data);
+        // Mixed-owner, non-contiguous column set as a σ family would use.
         let cols = [1usize, 2, 5, 6, 7, 9];
         let mut agg = vec![0.0; 4 * cols.len()];
         let mut st_agg = CommStats::default();
@@ -1272,13 +1011,12 @@ mod tests {
         let mut per = vec![0.0; 4 * cols.len()];
         let mut st_per = CommStats::default();
         for (slot, &c) in cols.iter().enumerate() {
-            m.get_col(0, c, &mut per[slot * 4..(slot + 1) * 4], &mut st_per);
+            m.get_cols(0, &[c], &mut per[slot * 4..(slot + 1) * 4], &mut st_per);
         }
         assert_eq!(agg, per, "aggregated gather altered the data");
         assert_eq!(st_agg.get_bytes, st_per.get_bytes, "bytes must match");
-        // cols 1,2 are local to rank 0 (free); 5 (rank 1 run), 6,7
-        // (wait: owner layout 0..4 | 4..7 | 7..10) → runs: [1,2]@0,
-        // [5,6]@1, [7,9]@2 → 2 remote messages vs 4 per-column.
+        // Owner layout 0..4 | 4..7 | 7..10 → runs [1,2]@0 (local, free),
+        // [5,6]@1, [7,9]@2: 2 remote messages vs 4 per-column.
         assert_eq!(st_per.get_msgs, 4);
         assert_eq!(st_agg.get_msgs, 2, "one message per remote owner-run");
     }

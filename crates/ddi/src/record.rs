@@ -34,26 +34,23 @@ pub enum AccessKind {
 /// race reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DdiSite {
-    /// `DistMatrix::get_col` — one-sided `DDI_GET`.
+    /// `DistMatrix::get_cols` — one-sided `DDI_GET`.
     Get,
     /// The `SHMEM_GET` half of `DDI_ACC`.
     AccGet,
     /// The `SHMEM_PUT` half of `DDI_ACC`.
     AccPut,
-    /// `DistMatrix::put_col` — one-sided `DDI_PUT`.
-    Put,
     /// `DistMatrix::with_local` — direct access to the owned segment.
     WithLocal,
 }
 
 impl DdiSite {
-    /// Stable numeric code used in serialized traces.
+    /// Stable numeric code used in serialized traces (3 is unassigned).
     pub fn code(self) -> u32 {
         match self {
             DdiSite::Get => 0,
             DdiSite::AccGet => 1,
             DdiSite::AccPut => 2,
-            DdiSite::Put => 3,
             DdiSite::WithLocal => 4,
         }
     }
@@ -64,7 +61,6 @@ impl DdiSite {
             0 => Some(DdiSite::Get),
             1 => Some(DdiSite::AccGet),
             2 => Some(DdiSite::AccPut),
-            3 => Some(DdiSite::Put),
             4 => Some(DdiSite::WithLocal),
             _ => None,
         }
@@ -76,7 +72,6 @@ impl DdiSite {
             DdiSite::Get => "ddi_get",
             DdiSite::AccGet => "ddi_acc.get",
             DdiSite::AccPut => "ddi_acc.put",
-            DdiSite::Put => "ddi_put",
             DdiSite::WithLocal => "with_local",
         }
     }
@@ -387,7 +382,6 @@ mod tests {
             DdiSite::Get,
             DdiSite::AccGet,
             DdiSite::AccPut,
-            DdiSite::Put,
             DdiSite::WithLocal,
         ] {
             assert_eq!(DdiSite::from_code(site.code()), Some(site));

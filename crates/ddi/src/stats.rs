@@ -1,5 +1,7 @@
 //! Per-rank communication statistics.
 
+use fci_fault::TransferOp;
+
 /// Counts of one-sided traffic issued by one rank.
 ///
 /// Byte counts follow the paper's accounting: a remote `get` of n doubles
@@ -11,14 +13,10 @@ pub struct CommStats {
     pub get_bytes: u64,
     /// Bytes moved by remote accumulates (2× the payload).
     pub acc_bytes: u64,
-    /// Bytes written by remote puts.
-    pub put_bytes: u64,
     /// Number of remote get operations.
     pub get_msgs: u64,
     /// Number of remote accumulate operations.
     pub acc_msgs: u64,
-    /// Number of remote put operations.
-    pub put_msgs: u64,
     /// Number of atomic counter (SHMEM_SWAP-style) operations.
     pub nxtval_msgs: u64,
     /// Number of mutex acquisitions performed for accumulates.
@@ -36,22 +34,30 @@ pub struct CommStats {
 impl CommStats {
     /// Total bytes moved over the (simulated) interconnect.
     pub fn total_bytes(&self) -> u64 {
-        self.get_bytes + self.acc_bytes + self.put_bytes
+        self.get_bytes + self.acc_bytes
     }
 
     /// Total message count (including counter traffic).
     pub fn total_msgs(&self) -> u64 {
-        self.get_msgs + self.acc_msgs + self.put_msgs + self.nxtval_msgs
+        self.get_msgs + self.acc_msgs + self.nxtval_msgs
+    }
+
+    /// Charge one message of `bytes` wire bytes to `op`'s counters.
+    pub(crate) fn count(&mut self, op: TransferOp, bytes: u64) {
+        let (msgs, total) = match op {
+            TransferOp::Get => (&mut self.get_msgs, &mut self.get_bytes),
+            TransferOp::Acc => (&mut self.acc_msgs, &mut self.acc_bytes),
+        };
+        *msgs += 1;
+        *total += bytes;
     }
 
     /// Elementwise sum.
     pub fn merge(&mut self, other: &CommStats) {
         self.get_bytes += other.get_bytes;
         self.acc_bytes += other.acc_bytes;
-        self.put_bytes += other.put_bytes;
         self.get_msgs += other.get_msgs;
         self.acc_msgs += other.acc_msgs;
-        self.put_msgs += other.put_msgs;
         self.nxtval_msgs += other.nxtval_msgs;
         self.mutex_acquires += other.mutex_acquires;
         self.retries += other.retries;
@@ -68,17 +74,15 @@ mod tests {
         let a = CommStats {
             get_bytes: 100,
             acc_bytes: 40,
-            put_bytes: 4,
             get_msgs: 2,
             acc_msgs: 1,
-            put_msgs: 1,
             nxtval_msgs: 5,
             mutex_acquires: 1,
             retries: 3,
             backoff_ns: 40_000,
         };
-        assert_eq!(a.total_bytes(), 144);
-        assert_eq!(a.total_msgs(), 9);
+        assert_eq!(a.total_bytes(), 140);
+        assert_eq!(a.total_msgs(), 8);
         let mut b = CommStats::default();
         b.merge(&a);
         b.merge(&a);

@@ -7,8 +7,8 @@ use fci_ddi::{Backend, CommStats, Ddi, DistMatrix};
 use fci_obs::Tracer;
 
 /// Drive a representative communication pattern: every rank reads every
-/// column, accumulates into every column, claims tasks off the shared
-/// counter, and puts one column it owns.
+/// column (one at a time, then one aggregated gather of them all),
+/// accumulates into every column, and claims tasks off the shared counter.
 fn traced_run(nproc: usize, ncols: usize) -> (Vec<CommStats>, Vec<fci_obs::Event>) {
     let nrows = 16;
     let ddi = Ddi::new(nproc, Backend::Serial);
@@ -21,11 +21,11 @@ fn traced_run(nproc: usize, ncols: usize) -> (Vec<CommStats>, Vec<fci_obs::Event
     let stats = ddi.run(|rank, st| {
         let mut buf = vec![0.0; nrows];
         for col in 0..ncols {
-            c.get_col(rank, col, &mut buf, st);
+            c.get_cols(rank, &[col], &mut buf, st);
             sigma.acc_col(rank, col, &buf, st);
         }
-        // Each rank overwrites one (mostly remote) column.
-        sigma.put_col(rank, (rank + 1) % ncols, &buf, st);
+        let all: Vec<usize> = (0..ncols).collect();
+        c.get_cols(rank, &all, &mut vec![0.0; nrows * ncols], st);
         // Task claims through the shared counter (manager/worker pattern).
         loop {
             let t = ddi.nxtval_rank(rank, st);
@@ -59,21 +59,27 @@ fn comm_stats_agree_with_trace_events() {
             total.merge(s);
         }
         // One trace event per charged remote message, kind by kind.
-        assert_eq!(total.get_msgs, count(&events, "ddi_get"), "nproc={nproc}");
+        assert_eq!(
+            total.get_msgs,
+            count(&events, "ddi_get_cols"),
+            "nproc={nproc}"
+        );
         assert_eq!(total.acc_msgs, count(&events, "ddi_acc"), "nproc={nproc}");
-        assert_eq!(total.put_msgs, count(&events, "ddi_put"), "nproc={nproc}");
         assert_eq!(
             total.nxtval_msgs,
             count(&events, "ddi_nxtval"),
             "nproc={nproc}"
         );
         // Byte totals agree with the per-event payload arguments.
-        assert_eq!(total.get_bytes, bytes(&events, "ddi_get"), "nproc={nproc}");
+        assert_eq!(
+            total.get_bytes,
+            bytes(&events, "ddi_get_cols"),
+            "nproc={nproc}"
+        );
         assert_eq!(total.acc_bytes, bytes(&events, "ddi_acc"), "nproc={nproc}");
-        assert_eq!(total.put_bytes, bytes(&events, "ddi_put"), "nproc={nproc}");
         assert_eq!(
             total.total_bytes(),
-            bytes(&events, "ddi_get") + bytes(&events, "ddi_acc") + bytes(&events, "ddi_put")
+            bytes(&events, "ddi_get_cols") + bytes(&events, "ddi_acc")
         );
     }
 }
@@ -84,10 +90,10 @@ fn local_operations_are_invisible_to_both_views() {
     // remote traffic and the trace carries no remote events — the two
     // views agree on "nothing happened on the wire".
     let (stats, events) = traced_run(1, 6);
-    assert_eq!(stats[0].get_msgs + stats[0].acc_msgs + stats[0].put_msgs, 0);
+    assert_eq!(stats[0].get_msgs + stats[0].acc_msgs, 0);
     assert_eq!(stats[0].total_bytes(), 0);
     assert_eq!(
-        count(&events, "ddi_get") + count(&events, "ddi_acc") + count(&events, "ddi_put"),
+        count(&events, "ddi_get_cols") + count(&events, "ddi_acc"),
         0
     );
     // The shared counter is still charged and still traced.

@@ -26,19 +26,6 @@ pub enum TransferOp {
     Get,
     /// `DDI_ACC` accumulate into a σ column (16·n bytes on the wire).
     Acc,
-    /// `DDI_PUT` of a column.
-    Put,
-}
-
-impl TransferOp {
-    /// Short name used in trace event arguments.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TransferOp::Get => "get",
-            TransferOp::Acc => "acc",
-            TransferOp::Put => "put",
-        }
-    }
 }
 
 /// How a corrupted payload is garbled in flight.
@@ -496,13 +483,13 @@ mod tests {
         let cap = plan.retry().max_retries;
         for attempt in 0..cap {
             assert_eq!(
-                plan.on_transfer(TransferOp::Put, attempt),
+                plan.on_transfer(TransferOp::Get, attempt),
                 Some(TransferFault::Drop)
             );
         }
         // The capping attempt (and anything later) must be clean.
-        assert_eq!(plan.on_transfer(TransferOp::Put, cap), None);
-        assert_eq!(plan.on_transfer(TransferOp::Put, cap + 7), None);
+        assert_eq!(plan.on_transfer(TransferOp::Get, cap), None);
+        assert_eq!(plan.on_transfer(TransferOp::Get, cap + 7), None);
         assert!(!plan.poison_task(cap));
     }
 

@@ -95,11 +95,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the underlying buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow column `j` as a contiguous slice.
     pub fn col(&self, j: usize) -> &[f64] {
         assert!(j < self.ncols);

@@ -26,23 +26,31 @@ pub const NSHARDS: usize = 16;
 
 const EMPTY: usize = usize::MAX;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a continued from state `h` over `bytes`.
 #[inline]
-fn fnv1a(name: &str, labels: &[(&str, &str)]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    eat(name.as_bytes());
-    for (k, v) in labels {
-        eat(k.as_bytes());
-        eat(v.as_bytes());
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a, the repo's standard content hash (no external hash crates).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Hash of a metric key: FNV-1a over the name and every label key and
+/// value, each terminated by a `0xff` byte.
+#[inline]
+fn key_hash(name: &str, labels: &[(&str, &str)]) -> u64 {
+    let eat = |h, s: &str| fnv1a_extend(fnv1a_extend(h, s.as_bytes()), &[0xff]);
+    labels
+        .iter()
+        .fold(eat(FNV_OFFSET, name), |h, (k, v)| eat(eat(h, k), v))
 }
 
 enum Value {
@@ -205,7 +213,7 @@ impl MetricsRegistry {
         mk: impl FnOnce() -> Value,
         f: impl FnOnce(&mut Value),
     ) {
-        let hash = fnv1a(name, labels);
+        let hash = key_hash(name, labels);
         let shard = &self.store.shards[(hash >> 56) as usize & (NSHARDS - 1)];
         let mut shard = shard.lock().unwrap();
         let idx = match shard.find(hash, name, labels) {
@@ -221,7 +229,7 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         f: impl FnOnce(&Value) -> Option<T>,
     ) -> Option<T> {
-        let hash = fnv1a(name, labels);
+        let hash = key_hash(name, labels);
         let shard = &self.store.shards[(hash >> 56) as usize & (NSHARDS - 1)];
         let shard = shard.lock().unwrap();
         let idx = shard.find(hash, name, labels)?;
@@ -458,11 +466,6 @@ impl MetricsRegistry {
                     "ddi_acc" => {
                         if let Some(b) = e.arg("bytes") {
                             reg.observe("ddi.acc_bytes", &[], b);
-                        }
-                    }
-                    "ddi_put" => {
-                        if let Some(b) = e.arg("bytes") {
-                            reg.observe("ddi.put_bytes", &[], b);
                         }
                     }
                     "fault_injected" => {

@@ -7,7 +7,7 @@
 //! the raw AO integrals from `fci-ints` into that form:
 //!
 //! * [`lowdin`] — symmetric (Löwdin) orthogonalization `X = S^{−1/2}`;
-//! * [`rhf`] — restricted Hartree–Fock with DIIS convergence acceleration
+//! * [`rhf()`] — restricted Hartree–Fock with DIIS convergence acceleration
 //!   (closed-shell reference orbitals; also the baseline energy the FCI
 //!   correlation energy is measured against);
 //! * [`core_orbitals`] — core-Hamiltonian eigenvectors in the Löwdin basis,

@@ -36,12 +36,40 @@ impl MoIntegrals {
         self.n_irrep = n_irrep;
         self
     }
+
+    /// 1-D Hubbard chain in the site basis: hopping `t` between
+    /// neighbours (wrapped into a ring when `periodic` and `sites > 2`),
+    /// on-site repulsion `u`, no core energy, no symmetry labels.
+    pub fn hubbard_chain(sites: usize, t: f64, u: f64, periodic: bool) -> Self {
+        let n = sites;
+        let mut h = Matrix::zeros(n, n);
+        for i in 0..n.saturating_sub(1) {
+            h[(i, i + 1)] = -t;
+            h[(i + 1, i)] = -t;
+        }
+        if periodic && n > 2 {
+            h[(0, n - 1)] = -t;
+            h[(n - 1, 0)] = -t;
+        }
+        let mut eri = EriTensor::zeros(n);
+        for i in 0..n {
+            eri.set(i, i, i, i, u);
+        }
+        MoIntegrals {
+            n_orb: n,
+            h,
+            eri,
+            e_core: 0.0,
+            orb_sym: vec![0; n],
+            n_irrep: 1,
+        }
+    }
 }
 
 /// Transform AO integrals to the MO basis and fold a frozen core.
 ///
 /// * `h_ao`, `eri_ao` — AO integrals;
-/// * `c` — MO coefficients (AO × MO), e.g. from [`crate::rhf`];
+/// * `c` — MO coefficients (AO × MO), e.g. from [`crate::rhf()`];
 /// * `e_nuc` — nuclear repulsion;
 /// * `n_frozen` — number of lowest MOs folded into the core as doubly
 ///   occupied;

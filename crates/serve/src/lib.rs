@@ -46,5 +46,5 @@ pub use cache::{Artifact, ArtifactCache, CacheKey, CacheStats};
 pub use net::{NetClient, NetConfig, NetServer};
 pub use result::{JobResult, JobStatus, RejectReason, ServeReport, ServeSummary};
 pub use server::{estimated_bytes, serve, serve_with, QueueStats, ServeConfig, Server};
-pub use spec::{fnv1a, JobSpec, ProblemSpec};
+pub use spec::{JobSpec, ProblemSpec};
 pub use wal::{Replay, Wal, WalRecord};

@@ -103,7 +103,7 @@ impl JobResult {
         buf.extend_from_slice(&self.energy.to_bits().to_le_bytes());
         buf.push(self.converged as u8);
         buf.extend_from_slice(&(self.iterations as u64).to_le_bytes());
-        crate::spec::fnv1a(&buf)
+        fci_obs::fnv1a(&buf)
     }
 
     /// Full-fidelity JSON for the write-ahead log. Unlike
@@ -134,7 +134,7 @@ impl JobResult {
         JsonValue::obj(pairs)
     }
 
-    /// Parse a WAL completion payload written by [`to_wal_json`].
+    /// Parse a WAL completion payload written by [`Self::to_wal_json`].
     pub fn from_wal_json(v: &JsonValue) -> Result<JobResult, String> {
         let id = v
             .get("id")

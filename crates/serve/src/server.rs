@@ -28,6 +28,7 @@ use crate::cache::{Artifact, ArtifactCache, CacheKey};
 use crate::result::{percentile, JobResult, JobStatus, RejectReason, ServeReport, ServeSummary};
 use crate::spec::JobSpec;
 use crate::wal::{Replay, Wal, WalRecord};
+use fci_core::recovery::filename_safe;
 use fci_core::{
     build_space, solve_prepared, solve_resilient_prepared, solve_roots_prepared, DetSpace,
     Hamiltonian, RecoveryOptions, SolverKind,
@@ -101,6 +102,21 @@ pub struct QueueStats {
     pub closed: bool,
     /// Write-ahead log size in bytes (0 when durability is off).
     pub wal_bytes: u64,
+}
+
+/// What one job's solve produced — `(status, energy, converged,
+/// iterations, restarts)` — before [`Server::complete`] stamps it into a
+/// [`JobResult`].
+type Outcome = (JobStatus, f64, bool, usize, usize);
+
+fn failed(why: String) -> Outcome {
+    (JobStatus::Failed(why), f64::NAN, false, 0, 0)
+}
+
+fn root_outside(root: usize, sector_dim: usize) -> Outcome {
+    failed(format!(
+        "root {root} outside sector of {sector_dim} determinants"
+    ))
 }
 
 struct Queued {
@@ -632,17 +648,7 @@ impl Server {
     fn job_options(&self, spec: &JobSpec) -> fci_core::FciOptions {
         let mut opts = spec.fci_options();
         if let Some(dir) = &self.cfg.job_trace_dir {
-            let safe: String = spec
-                .id
-                .chars()
-                .map(|c| {
-                    if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                        c
-                    } else {
-                        '_'
-                    }
-                })
-                .collect();
+            let safe = filename_safe(&spec.id);
             opts.obs = ObsConfig::to_file(dir.join(format!("job-{safe}.trace.jsonl")));
         }
         opts
@@ -664,8 +670,7 @@ impl Server {
                 SolverKind::SparseCdfci => Some(solve_cdfci),
                 SolverKind::SparseSelected => Some(solve_selected),
             };
-        let (status, energy, converged, iterations, restarts) = if let Some(engine) = sparse_engine
-        {
+        let outcome = if let Some(engine) = sparse_engine {
             let so = SparseOptions {
                 threads: spec.nproc.max(1),
                 max_store: spec.sparse_cap,
@@ -686,42 +691,25 @@ impl Server {
                     0,
                 )
             } else {
-                (
-                    JobStatus::Failed(format!(
-                        "sparse solve produced {} roots, job wants root {}",
-                        r.energies.len(),
-                        spec.root
-                    )),
-                    f64::NAN,
-                    false,
-                    0,
-                    0,
-                )
+                failed(format!(
+                    "sparse solve produced {} roots, job wants root {}",
+                    r.energies.len(),
+                    spec.root
+                ))
             }
+        } else if spec.root > 0 && spec.root >= sector_dim {
+            root_outside(spec.root, sector_dim)
         } else if spec.root > 0 {
             // An excited-state job that didn't coalesce still needs the
             // block solver — single-vector schemes only reach root 0.
-            if spec.root >= sector_dim {
-                (
-                    JobStatus::Failed(format!(
-                        "root {} outside sector of {sector_dim} determinants",
-                        spec.root
-                    )),
-                    f64::NAN,
-                    false,
-                    0,
-                    0,
-                )
-            } else {
-                let r = solve_roots_prepared(space, ham, &opts, spec.root + 1);
-                (
-                    JobStatus::Done,
-                    r.energies[spec.root],
-                    r.converged[spec.root],
-                    r.iterations,
-                    0,
-                )
-            }
+            let r = solve_roots_prepared(space, ham, &opts, spec.root + 1);
+            (
+                JobStatus::Done,
+                r.energies[spec.root],
+                r.converged[spec.root],
+                r.iterations,
+                0,
+            )
         } else if spec.resilient {
             let rec =
                 RecoveryOptions::for_job(&self.cfg.checkpoint_dir, &spec.id, spec.space_hash());
@@ -733,35 +721,13 @@ impl Server {
                     r.fci.iterations,
                     r.restarts,
                 ),
-                Err(e) => (JobStatus::Failed(e.to_string()), f64::NAN, false, 0, 0),
+                Err(e) => failed(e.to_string()),
             }
         } else {
             let r = solve_prepared(space, ham, &opts);
             (JobStatus::Done, r.energy, r.converged, r.iterations, 0)
         };
-        let done_us = self.clock.now_us();
-        self.note_job(
-            q,
-            status == JobStatus::Done,
-            start_us - q.submit_us,
-            done_us - start_us,
-        );
-        self.finish(
-            q,
-            JobResult {
-                id: spec.id.clone(),
-                tenant: spec.tenant.clone(),
-                status,
-                energy,
-                converged,
-                iterations,
-                sector_dim,
-                batch_size: 1,
-                restarts,
-                queue_us: start_us - q.submit_us,
-                exec_us: done_us - start_us,
-            },
-        );
+        self.complete(q, outcome, sector_dim, 1, start_us, self.clock.now_us());
     }
 
     fn execute_multiroot(
@@ -787,45 +753,50 @@ impl Server {
         };
         let done_us = self.clock.now_us();
         for q in batch {
-            let spec = &q.spec;
-            let (status, energy, converged) = match &roots {
-                Some(r) if spec.root < sector_dim => (
-                    JobStatus::Done,
-                    r.energies[spec.root],
-                    r.converged[spec.root],
-                ),
-                _ => (
-                    JobStatus::Failed(format!(
-                        "root {} outside sector of {} determinants",
-                        spec.root, sector_dim
-                    )),
-                    f64::NAN,
-                    false,
-                ),
+            let root = q.spec.root;
+            let mut outcome = match &roots {
+                Some(r) if root < sector_dim => {
+                    (JobStatus::Done, r.energies[root], r.converged[root], 0, 0)
+                }
+                _ => root_outside(root, sector_dim),
             };
-            self.note_job(
-                q,
-                status == JobStatus::Done,
-                start_us - q.submit_us,
-                done_us - start_us,
-            );
-            self.finish(
-                q,
-                JobResult {
-                    id: spec.id.clone(),
-                    tenant: spec.tenant.clone(),
-                    status,
-                    energy,
-                    converged,
-                    iterations: roots.as_ref().map_or(0, |r| r.iterations),
-                    sector_dim,
-                    batch_size: batch.len(),
-                    restarts: 0,
-                    queue_us: start_us - q.submit_us,
-                    exec_us: done_us - start_us,
-                },
-            );
+            // Every member, failed or not, reports the shared solve's
+            // iteration count.
+            outcome.3 = roots.as_ref().map_or(0, |r| r.iterations);
+            self.complete(q, outcome, sector_dim, batch.len(), start_us, done_us);
         }
+    }
+
+    /// The one place a job's outcome becomes a [`JobResult`]: emit the
+    /// completion telemetry, then publish through [`Self::finish`].
+    fn complete(
+        &self,
+        q: &Queued,
+        outcome: Outcome,
+        sector_dim: usize,
+        batch_size: usize,
+        start_us: f64,
+        done_us: f64,
+    ) {
+        let (status, energy, converged, iterations, restarts) = outcome;
+        let (queue_us, exec_us) = (start_us - q.submit_us, done_us - start_us);
+        self.note_job(q, status == JobStatus::Done, queue_us, exec_us);
+        self.finish(
+            q,
+            JobResult {
+                id: q.spec.id.clone(),
+                tenant: q.spec.tenant.clone(),
+                status,
+                energy,
+                converged,
+                iterations,
+                sector_dim,
+                batch_size,
+                restarts,
+                queue_us,
+                exec_us,
+            },
+        );
     }
 
     fn finish(&self, q: &Queued, result: JobResult) {

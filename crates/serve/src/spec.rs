@@ -11,7 +11,7 @@ use fci_core::{DiagMethod, FciOptions, SolverKind};
 use fci_ddi::{FaultConfig, RankDeath};
 use fci_ints::EriTensor;
 use fci_linalg::Matrix;
-use fci_obs::JsonValue;
+use fci_obs::{fnv1a, JsonValue};
 use fci_scf::MoIntegrals;
 
 /// Deterministic recipe for a problem's MO integrals.
@@ -41,16 +41,6 @@ pub enum ProblemSpec {
         /// Seed for the integral stream.
         seed: u64,
     },
-}
-
-/// FNV-1a, the repo's standard content hash (no external hash crates).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn hash_mix(h: &mut Vec<u8>, x: u64) {
@@ -101,30 +91,7 @@ impl ProblemSpec {
                 t,
                 u,
                 periodic,
-            } => {
-                let n = *sites;
-                let mut h = Matrix::zeros(n, n);
-                for i in 0..n.saturating_sub(1) {
-                    h[(i, i + 1)] = -t;
-                    h[(i + 1, i)] = -t;
-                }
-                if *periodic && n > 2 {
-                    h[(0, n - 1)] = -t;
-                    h[(n - 1, 0)] = -t;
-                }
-                let mut eri = EriTensor::zeros(n);
-                for i in 0..n {
-                    eri.set(i, i, i, i, *u);
-                }
-                MoIntegrals {
-                    n_orb: n,
-                    h,
-                    eri,
-                    e_core: 0.0,
-                    orb_sym: vec![0; n],
-                    n_irrep: 1,
-                }
-            }
+            } => MoIntegrals::hubbard_chain(*sites, *t, *u, *periodic),
             ProblemSpec::Random { n_orb, seed } => {
                 let n = *n_orb;
                 // splitmix64: tiny, seedable, and identical everywhere.

@@ -250,23 +250,7 @@ mod tests {
 
     /// Open half-filled Hubbard chain (t = 1, U = 4).
     fn hubbard_chain(sites: usize) -> (DetSpace, Hamiltonian) {
-        let mut h = fci_linalg::Matrix::zeros(sites, sites);
-        for i in 0..sites - 1 {
-            h[(i, i + 1)] = -1.0;
-            h[(i + 1, i)] = -1.0;
-        }
-        let mut eri = fci_ints::EriTensor::zeros(sites);
-        for i in 0..sites {
-            eri.set(i, i, i, i, 4.0);
-        }
-        let ham = Hamiltonian::new(&fci_scf::MoIntegrals {
-            n_orb: sites,
-            h,
-            eri,
-            e_core: 0.0,
-            orb_sym: vec![0; sites],
-            n_irrep: 1,
-        });
+        let ham = Hamiltonian::new(&fci_scf::MoIntegrals::hubbard_chain(sites, 1.0, 4.0, false));
         let space = DetSpace::for_hamiltonian(&ham, sites / 2, sites / 2, 0);
         (space, ham)
     }

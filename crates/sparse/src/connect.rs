@@ -539,19 +539,6 @@ impl ConnGen {
     pub fn n_orb(&self) -> usize {
         self.n_orb
     }
-
-    /// Upper bound on the number of singles+doubles from any determinant
-    /// in this space (used to pre-size buffers).
-    pub fn max_connections(&self, n_alpha: usize, n_beta: usize) -> usize {
-        let n = self.n_orb;
-        let va = n - n_alpha;
-        let vb = n - n_beta;
-        let s = n_alpha * va + n_beta * vb;
-        let paira = n_alpha * n_alpha.saturating_sub(1) / 2 * (va * va.saturating_sub(1) / 2);
-        let pairb = n_beta * n_beta.saturating_sub(1) / 2 * (vb * vb.saturating_sub(1) / 2);
-        let mixed = n_alpha * va * n_beta * vb;
-        s + paira + pairb + mixed
-    }
 }
 
 /// Find a good reference determinant for `space`: the in-sector
@@ -569,27 +556,13 @@ pub fn reference_det(space: &DetSpace, ham: &Hamiltonian) -> Det {
         };
     }
     if space.dim() <= 4_000_000 {
-        let mut best = (f64::INFINITY, Det { a: 0, b: 0 });
-        for ia in 0..space.alpha.len() {
-            for ib in 0..space.beta.len() {
-                if !space.in_sector(ib, ia) {
-                    continue;
-                }
-                let d = Det {
-                    a: space.alpha.mask(ia),
-                    b: space.beta.mask(ib),
-                };
-                let e = ham.diagonal_element(d.a, d.b);
-                if e < best.0 {
-                    best = (e, d);
-                }
-            }
-        }
-        assert!(
-            best.0.is_finite(),
-            "no determinant in the requested symmetry sector"
-        );
-        return best.1;
+        let Some((ib, ia, _)) = space.lowest_diagonal(ham) else {
+            panic!("no determinant in the requested symmetry sector")
+        };
+        return Det {
+            a: space.alpha.mask(ia),
+            b: space.beta.mask(ib),
+        };
     }
     // Large space: start from the first in-sector pair and descend.
     let mut start = None;

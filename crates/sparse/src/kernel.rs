@@ -9,7 +9,7 @@
 //! never change the arithmetic performed for any single element, and the
 //! (sequential) merges upstream are in fixed chunk order.
 
-/// y[k] = Σ_j H[lo+k, j]·x[j] for the CSR row range `lo .. lo+y.len()`.
+/// `y[k] = Σ_j H[lo+k, j]·x[j]` for the CSR row range `lo .. lo+y.len()`.
 ///
 /// `rowptr`/`cols`/`vals` hold the strict off-diagonal entries of the
 /// selected-space Hamiltonian; `diag` its diagonal. Row sums accumulate

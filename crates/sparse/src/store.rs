@@ -261,25 +261,6 @@ impl DetSet {
         DetSet { dets: out }
     }
 
-    /// Sorted-merge intersection.
-    pub fn intersect(&self, other: &DetSet) -> DetSet {
-        let (a, b) = (&self.dets, &other.dets);
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        DetSet { dets: out }
-    }
-
     /// Resident bytes of the backing array.
     pub fn mem_bytes(&self) -> usize {
         self.dets.len() * std::mem::size_of::<Det>()
@@ -354,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn set_union_intersect_rank() {
+    fn set_union_rank() {
         let a = DetSet::from_vec(vec![d(1, 0), d(3, 0), d(5, 0)]);
         let b = DetSet::from_vec(vec![d(3, 0), d(4, 0), d(5, 0), d(3, 0)]);
         assert_eq!(b.len(), 3);
@@ -364,8 +345,6 @@ mod tests {
             &[d(1, 0), d(3, 0), d(4, 0), d(5, 0)],
             "union is a sorted merge"
         );
-        let i = a.intersect(&b);
-        assert_eq!(i.as_slice(), &[d(3, 0), d(5, 0)]);
         assert_eq!(u.rank(d(4, 0)), Some(2));
         assert_eq!(u.rank(d(2, 0)), None);
         assert!(u.contains(d(1, 0)));

@@ -11,29 +11,8 @@
 //! Heisenberg limit.
 
 use fcix::core::{solve, DiagMethod, DiagOptions, FciOptions};
-use fcix::ints::EriTensor;
-use fcix::linalg::{eigh, Matrix};
+use fcix::linalg::eigh;
 use fcix::scf::MoIntegrals;
-
-fn hubbard(n: usize, t: f64, u: f64) -> MoIntegrals {
-    let mut h = Matrix::zeros(n, n);
-    for i in 0..n - 1 {
-        h[(i, i + 1)] = -t;
-        h[(i + 1, i)] = -t;
-    }
-    let mut eri = EriTensor::zeros(n);
-    for i in 0..n {
-        eri.set(i, i, i, i, u);
-    }
-    MoIntegrals {
-        n_orb: n,
-        h,
-        eri,
-        e_core: 0.0,
-        orb_sym: vec![0; n],
-        n_irrep: 1,
-    }
-}
 
 fn main() {
     let sites: usize = std::env::args()
@@ -49,13 +28,13 @@ fn main() {
     println!("{:>8} {:>16} {:>14}", "U/t", "E0 [t]", "E0/site [t]");
 
     // U = 0 reference: fill the lowest single-particle levels twice.
-    let mo0 = hubbard(sites, 1.0, 0.0);
+    let mo0 = MoIntegrals::hubbard_chain(sites, 1.0, 0.0, false);
     let band = eigh(&mo0.h).eigenvalues;
     let e_band: f64 = 2.0 * band[..ne].iter().sum::<f64>();
 
     let mut u = 0.0;
     while u <= umax + 1e-9 {
-        let mo = hubbard(sites, 1.0, u);
+        let mo = MoIntegrals::hubbard_chain(sites, 1.0, u, false);
         // Lattice diagonals are highly degenerate: use the Davidson
         // subspace method (the single-vector schemes presume a dominant
         // reference determinant — fine for molecules, not for lattices).

@@ -14,30 +14,8 @@
 //! while the sparse engines touch a fraction of the 4,900 determinants.
 
 use fcix::core::{solve, DetSpace, DiagMethod, DiagOptions, FciOptions, Hamiltonian};
-use fcix::ints::EriTensor;
-use fcix::linalg::Matrix;
 use fcix::scf::MoIntegrals;
 use fcix::sparse::{solve_cdfci, solve_selected, SparseOptions};
-
-fn hubbard(n: usize, t: f64, u: f64) -> MoIntegrals {
-    let mut h = Matrix::zeros(n, n);
-    for i in 0..n - 1 {
-        h[(i, i + 1)] = -t;
-        h[(i + 1, i)] = -t;
-    }
-    let mut eri = EriTensor::zeros(n);
-    for i in 0..n {
-        eri.set(i, i, i, i, u);
-    }
-    MoIntegrals {
-        n_orb: n,
-        h,
-        eri,
-        e_core: 0.0,
-        orb_sym: vec![0; n],
-        n_irrep: 1,
-    }
-}
 
 fn main() {
     let sites: usize = std::env::args()
@@ -45,7 +23,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(8);
     let ne = sites / 2;
-    let mo = hubbard(sites, 1.0, 4.0);
+    let mo = MoIntegrals::hubbard_chain(sites, 1.0, 4.0, false);
     let ham = Hamiltonian::new(&mo);
     let space = DetSpace::for_hamiltonian(&ham, ne, ne, 0);
     println!(

@@ -22,8 +22,6 @@ use fcix::check::RaceDetector;
 use fcix::core::{solve, solve_resilient, FciOptions, RecoveryOptions};
 use fcix::ddi::{Backend, CheckConfig, FaultConfig, RankDeath};
 use fcix::fault::Xorshift64;
-use fcix::ints::EriTensor;
-use fcix::linalg::Matrix;
 use fcix::scf::MoIntegrals;
 
 fn usage() -> ExitCode {
@@ -36,26 +34,6 @@ fn usage() -> ExitCode {
          \x20 --json FILE     also write a JSON report"
     );
     ExitCode::from(2)
-}
-
-fn hubbard(n: usize, t: f64, u: f64) -> MoIntegrals {
-    let mut h = Matrix::zeros(n, n);
-    for i in 0..n.saturating_sub(1) {
-        h[(i, i + 1)] = -t;
-        h[(i + 1, i)] = -t;
-    }
-    let mut eri = EriTensor::zeros(n);
-    for i in 0..n {
-        eri.set(i, i, i, i, u);
-    }
-    MoIntegrals {
-        n_orb: n,
-        h,
-        eri,
-        e_core: 0.0,
-        orb_sym: vec![0; n],
-        n_irrep: 1,
-    }
 }
 
 /// The schedule categories, cycled over by index.
@@ -116,7 +94,7 @@ struct Row {
 }
 
 fn run(n_schedules: usize, base_seed: u64, nproc: usize) -> Vec<Row> {
-    let mo = hubbard(4, 1.0, 2.5);
+    let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
     let opts = |p: usize| FciOptions {
         nproc: p,
         method: fcix::core::DiagMethod::Davidson,

@@ -30,7 +30,9 @@
 //! checkpoint water.ckp    # optional: save the converged CI vector
 //! ```
 
-use fcix::core::{save_ci, solve, DiagMethod, DiagOptions, FciOptions, SigmaMethod};
+use fcix::core::{
+    lowest_det_irrep, save_ci, solve, DiagMethod, DiagOptions, FciOptions, Hamiltonian, SigmaMethod,
+};
 use fcix::ints::{detect_point_group, overlap, BasisSet, Molecule};
 use fcix::scf::{core_orbitals, rhf, symmetry_adapt, transform_integrals, RhfOptions};
 use std::process::ExitCode;
@@ -213,7 +215,7 @@ fn run(inp: &Input) -> Result<(), String> {
         (c, None, h, fcix::ints::eri_tensor(&basis))
     };
 
-    let (c, irreps, n_irrep, group) = if inp.symmetry {
+    let (c, irreps, n_irrep) = if inp.symmetry {
         let pg = detect_point_group(&mol);
         let s = overlap(&basis);
         let (cad, irr) = symmetry_adapt(&pg, &basis, &s, &c);
@@ -222,11 +224,10 @@ fn run(inp: &Input) -> Result<(), String> {
             pg.name(),
             pg.n_irrep()
         );
-        (cad, irr, pg.n_irrep(), pg.name().to_string())
+        (cad, irr, pg.n_irrep())
     } else {
-        (c, vec![0u8; basis.n_basis()], 1, "C1".into())
+        (c, vec![0u8; basis.n_basis()], 1)
     };
-    let _ = group;
 
     let n_active = inp.active.unwrap_or(basis.n_basis() - inp.frozen);
     let mo = transform_integrals(
@@ -255,7 +256,7 @@ fn run(inp: &Input) -> Result<(), String> {
         excitation_level: inp.excitation,
         ..Default::default()
     };
-    let irrep = fci_best_irrep(&mo, na, nb);
+    let irrep = lowest_det_irrep(&Hamiltonian::new(&mo), na, nb);
     let r = solve(&mo, na, nb, irrep, &opts);
     println!("CI dimension      : {} (sector {})", r.dim, r.sector_dim);
     println!(
@@ -322,26 +323,6 @@ fn run(inp: &Input) -> Result<(), String> {
         return Err("FCI did not converge".into());
     }
     Ok(())
-}
-
-/// Irrep of the lowest-diagonal determinant (the state the run targets).
-fn fci_best_irrep(mo: &fcix::scf::MoIntegrals, na: usize, nb: usize) -> u8 {
-    use fcix::core::{DetSpace, Hamiltonian};
-    let ham = Hamiltonian::new(mo);
-    let space = DetSpace::new(ham.n, na, nb, &ham.orb_sym, ham.n_irrep, 0);
-    let mut best = (f64::INFINITY, 0u8);
-    for ia in 0..space.alpha.len() {
-        for ib in 0..space.beta.len() {
-            let d = ham.diagonal_element(space.alpha.mask(ia), space.beta.mask(ib));
-            if d < best.0 {
-                best = (
-                    d,
-                    space.alpha.irrep_of_index(ia) ^ space.beta.irrep_of_index(ib),
-                );
-            }
-        }
-    }
-    best.1
 }
 
 fn main() -> ExitCode {

@@ -13,34 +13,16 @@
 //!    retries, recomputes all visible in the `RunSummary`).
 
 use fci_check::RaceDetector;
-use fci_core::{solve, solve_resilient, FciOptions, RecoveryOptions};
-use fci_ddi::{Backend, CheckConfig, FaultConfig, RankDeath};
-use fci_ints::EriTensor;
-use fci_linalg::Matrix;
+use fci_core::{
+    apply_sigma, solve, solve_resilient, DetSpace, FciOptions, Hamiltonian, PoolParams,
+    RecoveryOptions, SigmaCtx, SigmaMethod,
+};
+use fci_ddi::{Backend, CheckConfig, Ddi, FaultConfig, FaultPlan, FaultStats, RankDeath};
 use fci_obs::{parse_jsonl, ObsConfig, RunSummary};
 use fci_scf::MoIntegrals;
+use fci_xsim::MachineModel;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-fn hubbard(n: usize, t: f64, u: f64) -> MoIntegrals {
-    let mut h = Matrix::zeros(n, n);
-    for i in 0..n.saturating_sub(1) {
-        h[(i, i + 1)] = -t;
-        h[(i + 1, i)] = -t;
-    }
-    let mut eri = EriTensor::zeros(n);
-    for i in 0..n {
-        eri.set(i, i, i, i, u);
-    }
-    MoIntegrals {
-        n_orb: n,
-        h,
-        eri,
-        e_core: 0.0,
-        orb_sym: vec![0; n],
-        n_irrep: 1,
-    }
-}
 
 fn tmp(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("fcix-chaos-{}", std::process::id()));
@@ -65,7 +47,7 @@ fn base_opts(nproc: usize, backend: Backend) -> FciOptions {
 }
 
 fn reference_energy(nproc: usize) -> f64 {
-    let mo = hubbard(4, 1.0, 2.5);
+    let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
     let r = solve(&mo, 2, 2, 0, &base_opts(nproc, Backend::Serial));
     assert!(r.converged);
     r.energy
@@ -84,7 +66,7 @@ struct ChaosRun {
 /// Run one schedule end to end: resilient solve + race detector +
 /// telemetry trace, all on.
 fn run_schedule(name: &str, cfg: FaultConfig, nproc: usize, backend: Backend) -> ChaosRun {
-    let mo = hubbard(4, 1.0, 2.5);
+    let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
     let detector = Arc::new(RaceDetector::new());
     let trace = tmp(&format!("{name}.trace.jsonl"));
     let mut opts = base_opts(nproc, backend);
@@ -263,7 +245,7 @@ fn schedule_08_kill_and_restart_under_faults() {
     // Phase 1: solve under faults, "killed" after a few iterations
     // (max_iter budget runs out before convergence).
     let e_ref = reference_energy(2);
-    let mo = hubbard(4, 1.0, 2.5);
+    let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
     let ckp = tmp("s08-restart.ckp");
     let faults = FaultConfig {
         p_drop: 0.06,
@@ -343,4 +325,91 @@ fn schedules_are_deterministic() {
     assert_eq!(a.stats.drops, b.stats.drops);
     assert_eq!(a.stats.corruptions, b.stats.corruptions);
     assert_eq!(a.stats.retries, b.stats.retries);
+}
+
+/// Replay pin for the checked-delivery path. One σ application per
+/// algorithm under a fixed-seed heavy-fault plan on the serial backend:
+/// the plan's op count, its injection/recovery counters and the traffic
+/// charged to the ranks' clocks were recorded before the per-op retry
+/// loops were merged into one, and move if the order or number of
+/// `note_op` calls or fault draws ever does.
+#[test]
+fn heavy_fault_sigma_replays_recorded_counts() {
+    let ham = Hamiltonian::new(&MoIntegrals::hubbard_chain(6, 1.0, 4.0, false));
+    let space = DetSpace::for_hamiltonian(&ham, 3, 3, 0);
+    let model = MachineModel::cray_x1();
+    let nproc = 4;
+    let c = space.zeros_ci(nproc);
+    c.map_inplace(|ib, ia, _| ((ib * 31 + ia * 17) % 13) as f64 - 6.0);
+    let sigma_under = |method, plan: Option<Arc<FaultPlan>>| {
+        let ddi = Ddi::new(nproc, Backend::Serial);
+        if let Some(plan) = plan {
+            ddi.attach_faults(plan);
+        }
+        let ctx = SigmaCtx {
+            space: &space,
+            ham: &ham,
+            ddi: &ddi,
+            model: &model,
+            pool: PoolParams::default(),
+        };
+        let (sigma, cost) = apply_sigma(&ctx, &c.duplicate(), method);
+        (sigma.to_dense(), cost.total())
+    };
+    for (method, ops, faults, traffic) in [
+        (
+            SigmaMethod::Dgemm,
+            139,
+            FaultStats {
+                drops: 26,
+                duplicates: 14,
+                corruptions: 19,
+                stalls: 4,
+                fence_delays: 10,
+                retries: 45,
+                dup_discards: 14,
+                ..FaultStats::default()
+            },
+            [39_840u64, 190, 60, 19, 45],
+        ),
+        (
+            SigmaMethod::Moc,
+            240,
+            FaultStats {
+                drops: 50,
+                duplicates: 14,
+                corruptions: 39,
+                fence_delays: 14,
+                retries: 89,
+                dup_discards: 14,
+                ..FaultStats::default()
+            },
+            [74_880, 243, 240, 0, 89],
+        ),
+    ] {
+        let plan = Arc::new(FaultPlan::new(FaultConfig {
+            seed: 20_260_930,
+            p_drop: 0.2,
+            p_corrupt: 0.2,
+            p_duplicate: 0.15,
+            p_stall: 0.1,
+            p_fence_delay: 0.1,
+            ..FaultConfig::default()
+        }));
+        let (sigma, cost) = sigma_under(method, Some(plan.clone()));
+        let (clean, _) = sigma_under(method, None);
+        assert_eq!(sigma, clean, "{method:?}: recovered σ is not bitwise exact");
+        let retries: f64 = cost.clocks.iter().map(|ck| ck.retries).sum();
+        // Net bytes, net messages, lock acquisitions, counter ops, resends.
+        let got = [
+            cost.total_net_bytes() as u64,
+            cost.total_net_msgs() as u64,
+            cost.total_lock_acquires() as u64,
+            cost.total_nxtval_msgs() as u64,
+            retries as u64,
+        ];
+        assert_eq!(plan.ops(), ops, "{method:?}: op count drifted");
+        assert_eq!(plan.stats(), faults, "{method:?}: fault draws drifted");
+        assert_eq!(got, traffic, "{method:?}: charged traffic drifted");
+    }
 }

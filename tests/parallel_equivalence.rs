@@ -7,34 +7,12 @@ use fcix::core::{
     PoolParams, SigmaCtx, SigmaMethod,
 };
 use fcix::ddi::{Backend, Ddi};
-use fcix::ints::EriTensor;
-use fcix::linalg::Matrix;
 use fcix::scf::MoIntegrals;
 use fcix::xsim::MachineModel;
 
-fn hubbard(n: usize, t: f64, u: f64) -> MoIntegrals {
-    let mut h = Matrix::zeros(n, n);
-    for i in 0..n - 1 {
-        h[(i, i + 1)] = -t;
-        h[(i + 1, i)] = -t;
-    }
-    let mut eri = EriTensor::zeros(n);
-    for i in 0..n {
-        eri.set(i, i, i, i, u);
-    }
-    MoIntegrals {
-        n_orb: n,
-        h,
-        eri,
-        e_core: 0.0,
-        orb_sym: vec![0; n],
-        n_irrep: 1,
-    }
-}
-
 #[test]
 fn energy_invariant_across_processor_counts() {
-    let mo = hubbard(6, 1.0, 4.0);
+    let mo = MoIntegrals::hubbard_chain(6, 1.0, 4.0, false);
     let mut energies = Vec::new();
     // Hubbard diagonals are massively degenerate — use the subspace method
     // (the single-vector schemes presume a dominant reference determinant).
@@ -60,7 +38,7 @@ fn energy_invariant_across_processor_counts() {
 
 #[test]
 fn threaded_backend_full_solve() {
-    let mo = hubbard(5, 1.0, 2.0);
+    let mo = MoIntegrals::hubbard_chain(5, 1.0, 2.0, false);
     let opts = |b: Backend| FciOptions {
         nproc: 3,
         backend: b,

@@ -12,27 +12,6 @@ use fcix::sparse::{
     exc_element, solve_cdfci, solve_selected, ConnGen, Det, SparseOptions, SparseResult,
 };
 
-/// Open Hubbard chain MO integrals (t = 1).
-fn hubbard_mo(sites: usize, u: f64) -> MoIntegrals {
-    let mut h = fcix::linalg::Matrix::zeros(sites, sites);
-    for i in 0..sites - 1 {
-        h[(i, i + 1)] = -1.0;
-        h[(i + 1, i)] = -1.0;
-    }
-    let mut eri = fcix::ints::EriTensor::zeros(sites);
-    for i in 0..sites {
-        eri.set(i, i, i, i, u);
-    }
-    MoIntegrals {
-        n_orb: sites,
-        h,
-        eri,
-        e_core: 0.0,
-        orb_sym: vec![0; sites],
-        n_irrep: 1,
-    }
-}
-
 /// Water / STO-3G at the RHF solution.
 fn water_rhf() -> (Molecule, BasisSet, RhfResult) {
     let mol = Molecule::from_symbols_bohr(
@@ -80,7 +59,7 @@ fn dense_spectrum(mo: &MoIntegrals, na: usize, nb: usize) -> Vec<f64> {
 
 #[test]
 fn hubbard_chain_sparse_engines_match_dense_fci() {
-    let mo = hubbard_mo(6, 4.0);
+    let mo = MoIntegrals::hubbard_chain(6, 1.0, 4.0, false);
     let ham = Hamiltonian::new(&mo);
     let space = DetSpace::for_hamiltonian(&ham, 3, 3, 0);
     // Lattice diagonals are degenerate: the dense reference needs the
@@ -370,7 +349,7 @@ fn walker_emits_the_full_enumerations_sequence() {
     // 4,900 and 63,504 determinants; the 8-site count is the one
     // `fcix-perf` reports as `sparse.conn.count`.
     for (sites, connections) in [(8, 39_200), (10, 635_040)] {
-        let ham = Hamiltonian::new(&hubbard_mo(sites, 4.0));
+        let ham = Hamiltonian::new(&MoIntegrals::hubbard_chain(sites, 1.0, 4.0, false));
         let space = DetSpace::for_hamiltonian(&ham, sites / 2, sites / 2, 0);
         assert_eq!(check("Hubbard", &space, &ham, cut), connections);
     }
@@ -427,7 +406,7 @@ fn one_generator_rebuilds_its_tables_for_another_hamiltonian() {
 
 #[test]
 fn both_solvers_report_the_connection_table_footprint() {
-    let ham = Hamiltonian::new(&hubbard_mo(6, 4.0));
+    let ham = Hamiltonian::new(&MoIntegrals::hubbard_chain(6, 1.0, 4.0, false));
     let space = DetSpace::for_hamiltonian(&ham, 3, 3, 0);
     // 8·(2n + C(n,2)·(n+1) + n²·(n+1)) bytes of bitmask rows at n = 6.
     let expected = 8.0 * (12 + 15 * 7 + 36 * 7) as f64;
