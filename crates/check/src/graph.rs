@@ -43,12 +43,12 @@ use fci_obs::JsonValue;
 
 /// Hot-path roots the transitive analyses start from: the σ-task body
 /// and the GEMM dispatch/macro/micro kernels.
-pub const DEFAULT_ROOTS: [&str; 10] = [
+pub const DEFAULT_ROOTS: [&str; 11] = [
     "process_task_into",
     "dgemm",
-    "packed_dgemm",
+    "dgemm_prepacked",
+    "macro_kernel",
     "small_dgemm",
-    "run_item",
     "micro_8x4",
     "micro_edge",
     // The sparse engine's per-iteration kernels (crates/sparse).
@@ -56,6 +56,8 @@ pub const DEFAULT_ROOTS: [&str; 10] = [
     "scan_gradient",
     // The connection walker both sparse solvers run per determinant.
     "walk_connections",
+    // Called per CSR row and per CDFCI update.
+    "diagonal_element",
 ];
 
 /// Method names resolved to std/core rather than workspace impls; calls

@@ -23,7 +23,7 @@
 use fci_ints::EriTensor;
 use fci_linalg::Matrix;
 use fci_scf::MoIntegrals;
-use fci_strings::pair_index;
+use fci_strings::{pair_index, Bits};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-unique Hamiltonian identity counter (see [`Hamiltonian::id`]).
@@ -120,26 +120,24 @@ impl Hamiltonian {
     /// Diagonal element `⟨D|H|D⟩ − E_core` for the determinant with α
     /// occupation `amask` and β occupation `bmask`.
     pub fn diagonal_element(&self, amask: u64, bmask: u64) -> f64 {
-        let aocc = fci_strings::occ_list(amask);
-        let bocc = fci_strings::occ_list(bmask);
+        let occ = |mask| Bits(mask).map(usize::from);
         let mut e = 0.0;
-        for &p in &aocc {
-            e += self.h[(p, p)];
-        }
-        for &p in &bocc {
+        for p in occ(amask).chain(occ(bmask)) {
             e += self.h[(p, p)];
         }
         // Same-spin pairs.
-        for occ in [&aocc, &bocc] {
-            for (i, &p) in occ.iter().enumerate() {
-                for &q in occ.iter().skip(i + 1) {
+        for mask in [amask, bmask] {
+            let mut above = Bits(mask);
+            while let Some(p) = above.next() {
+                let p = usize::from(p);
+                for q in occ(above.0) {
                     e += self.eri.get(p, p, q, q) - self.eri.get(p, q, q, p);
                 }
             }
         }
         // Opposite-spin pairs.
-        for &p in &aocc {
-            for &q in &bocc {
+        for p in occ(amask) {
+            for q in occ(bmask) {
                 e += self.eri.get(p, p, q, q);
             }
         }

@@ -31,9 +31,7 @@ use crate::hamiltonian::Hamiltonian;
 use crate::phase::charge_comm;
 use crate::taskpool::TaskPool;
 use fci_ddi::{Backend, CommStats, Corruption, DistMatrix, FaultPlan};
-use fci_linalg::{
-    dgemm, dgemm_prepacked, gemm_prefers_packed, gemm_threads, Matrix, PackedA, Trans,
-};
+use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, Trans};
 use fci_obs::Category;
 use fci_xsim::{Clock, MachineModel, RunReport};
 use std::sync::Mutex;
@@ -260,15 +258,7 @@ fn process_task_into(
     match pa {
         // Bitwise equal to the `dgemm` packed path below, which `Auto`
         // selects for every shape where `use_pack` holds.
-        Some(pa) => dgemm_prepacked(
-            gemm_threads(),
-            1.0,
-            pa,
-            Trans::No,
-            &bufs.d,
-            0.0,
-            &mut bufs.e_mat,
-        ),
+        Some(pa) => dgemm_prepacked(1, 1.0, pa, Trans::No, &bufs.d, 0.0, &mut bufs.e_mat),
         None => dgemm(
             Trans::No,
             Trans::No,

@@ -19,9 +19,7 @@ use super::SigmaCtx;
 use crate::hamiltonian::Hamiltonian;
 use crate::phase::run_phase;
 use fci_ddi::DistMatrix;
-use fci_linalg::{
-    dgemm, dgemm_prepacked, gemm_prefers_packed, gemm_threads, Matrix, PackedA, Trans,
-};
+use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, Trans};
 use fci_strings::{Nm2Families, SinglesTable};
 use fci_xsim::RunReport;
 
@@ -130,9 +128,7 @@ pub fn half_sigma_dgemm(
                     }
                     // The DGEMM: E = Ĝ · D.
                     match gpack {
-                        Some(pa) => {
-                            dgemm_prepacked(gemm_threads(), 1.0, pa, Trans::No, &d, 0.0, &mut e_mat)
-                        }
+                        Some(pa) => dgemm_prepacked(1, 1.0, pa, Trans::No, &d, 0.0, &mut e_mat),
                         None => dgemm(Trans::No, Trans::No, 1.0, &ham.g, &d, 0.0, &mut e_mat),
                     }
                     clock.charge_dgemm(model, npair, nloc, npair);

@@ -1,8 +1,8 @@
 //! Reusable scratch buffers for the GEMM packing paths.
 //!
 //! The packed [`dgemm`](crate::gemm::dgemm) needs two kinds of working
-//! storage per call: one shared packed-B panel and one packed-A block per
-//! worker thread. Allocating these with `vec![]` on every call (as the
+//! storage per call: one packed-B panel and one packed-A block.
+//! Allocating these with `vec![]` on every call (as the
 //! seed kernel did) puts a heap allocation — and for large panels a page
 //! fault storm — on the single hottest path of the whole program. This
 //! module replaces that with a process-wide pool of `Vec<f64>` buffers:
@@ -26,8 +26,8 @@
 use std::sync::Mutex;
 
 /// Upper bound on pooled buffers; beyond this, released buffers are
-/// freed. Sized for the deepest realistic nesting: one B panel plus one
-/// A block per hardware thread of a large machine.
+/// freed. Sized for one B panel plus one A block per thread-backend
+/// DDI rank of a large machine.
 const MAX_POOLED: usize = 64;
 
 // The pool itself is the one sanctioned allocation site of the

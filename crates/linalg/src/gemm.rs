@@ -1,4 +1,4 @@
-//! Blocked, cache-aware, multithreaded general matrix multiply.
+//! Blocked, cache-aware general matrix multiply.
 //!
 //! `dgemm` computes `C := alpha * op(A) * op(B) + beta * C`, the single
 //! kernel the paper's σ algorithm funnels >95 % of its flops through.
@@ -13,23 +13,20 @@
 //!   warm-up), which also makes the transposed cases stride-free,
 //! * an `MR×NR = 8×4` register microkernel does the flops with no bounds
 //!   checks in the inner loop, shaped so the autovectorizer turns each
-//!   row update into one 4-wide FMA,
-//! * the macro kernel is parallelized over C tiles with std scoped
-//!   threads: op(B) is packed once and shared read-only, each worker
-//!   packs its own A blocks, and every C tile is owned by exactly one
-//!   work item.
+//!   row update into one 4-wide FMA.
 //!
-//! **Determinism:** the result is bitwise identical at any thread count.
-//! A C tile accumulates its `KC` blocks in ascending `l0` order inside a
-//! single work item, and the per-tile arithmetic never depends on how
-//! items are partitioned or scheduled — threading only changes *which*
-//! thread runs an item, never the order of floating-point operations
-//! within it. The `fci-linalg` property suite and the `fci-check`
-//! determinism harness both assert this.
+//! **One thread per GEMM:** every multiply runs on the calling thread.
+//! The paper fills the machine with DDI ranks, each running a serial
+//! DGEMM on its own column block; a second level of threads inside the
+//! kernel won on no workload (DESIGN.md §11) and is gone.
+//!
+//! **Determinism:** a C tile accumulates its `KC` blocks in ascending
+//! `l0` order, whichever entry point reaches it; the `fci-linalg`
+//! property suite pins the bits of 200 shapes.
 //!
 //! Small multiplies (the mixed-spin `V_K·D` products are often tiny)
-//! skip packing and threading entirely via an unpacked fast path; the
-//! crossover is a measured constant (`SMALL_FLOPS`).
+//! skip packing entirely via an unpacked fast path; the crossover is a
+//! measured constant (`SMALL_FLOPS`).
 //!
 //! **Persistent packed operands:** when the same A operand multiplies
 //! many different B's (the σ build reuses its coupling matrices every
@@ -47,7 +44,6 @@
 
 use crate::arena;
 use crate::matrix::Matrix;
-use std::sync::OnceLock;
 
 /// Transpose flag for [`dgemm`] operands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,11 +72,6 @@ const NC: usize = 512;
 /// midpoint 52³ (see DESIGN.md §11).
 const SMALL_FLOPS: usize = 2 * 52 * 52 * 52;
 
-/// Do not spawn worker threads unless the multiply has at least this
-/// many flops (thread startup ≈ tens of µs; 2·96³ ≈ 1.8 Mflop runs in
-/// that same range single-threaded, so smaller problems stay serial).
-const PAR_MIN_FLOPS: usize = 2 * 96 * 96 * 96;
-
 /// Kernel-path override: this module's tests force each path in
 /// isolation; everything else runs [`GemmPath::Auto`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,23 +83,6 @@ enum GemmPath {
     Small,
     /// Force the packed blocked path.
     Packed,
-}
-
-/// Default GEMM worker-thread count: `FCIX_GEMM_THREADS` if set (≥1),
-/// otherwise the host's available parallelism. Resolved once.
-pub fn gemm_threads() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("FCIX_GEMM_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-    })
 }
 
 /// Reference implementation: straightforward triple loop.
@@ -165,8 +139,8 @@ fn check_dims(
     (m, ka, n)
 }
 
-/// Blocked matrix multiply `C := alpha * op(A) * op(B) + beta * C`,
-/// using the default worker-thread count ([`gemm_threads`]).
+/// Blocked matrix multiply `C := alpha * op(A) * op(B) + beta * C`, on
+/// the calling thread.
 pub fn dgemm(
     transa: Trans,
     transb: Trans,
@@ -176,14 +150,13 @@ pub fn dgemm(
     beta: f64,
     c: &mut Matrix,
 ) {
-    dgemm_with_threads(gemm_threads(), transa, transb, alpha, a, b, beta, c);
+    dgemm_path(GemmPath::Auto, transa, transb, alpha, a, b, beta, c);
 }
 
-/// [`dgemm`] with an explicit worker-thread count.
+/// [`dgemm`] under the signature `perf/` compiles against.
 ///
-/// The result is bitwise identical for every `nthreads ≥ 1` (see the
-/// module docs for the argument); `nthreads` only bounds how many std
-/// scoped threads the macro kernel may use.
+/// `nthreads` is vestigial: GEMM is serial and the argument must be `1`.
+/// It goes when `perf/` next moves (ROADMAP item 2).
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm_with_threads(
     nthreads: usize,
@@ -195,38 +168,18 @@ pub fn dgemm_with_threads(
     beta: f64,
     c: &mut Matrix,
 ) {
-    dgemm_path(
-        GemmPath::Auto,
-        nthreads,
-        transa,
-        transb,
-        alpha,
-        a,
-        b,
-        beta,
-        c,
-    );
+    debug_assert_eq!(nthreads, 1, "GEMM is serial; nthreads is vestigial");
+    dgemm(transa, transb, alpha, a, b, beta, c);
 }
 
-/// [`dgemm`] with an explicit kernel path and thread count.
-#[allow(clippy::too_many_arguments)]
-fn dgemm_path(
-    path: GemmPath,
-    nthreads: usize,
-    transa: Trans,
-    transb: Trans,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut Matrix,
-) {
-    let (m, k, n) = check_dims(transa, transb, a, b, c);
+/// The BLAS prologue both entry points share: `C := beta·C`, and
+/// whether a product term is left to add.
+fn beta_pass(alpha: f64, beta: f64, c: &mut Matrix, k: usize) -> bool {
     // Fast exits in BLAS order: an empty C means nothing at all to do —
     // the `beta` pass must not run (and `scale` on an empty matrix would
     // be wasted work anyway).
-    if m == 0 || n == 0 {
-        return;
+    if c.nrows() == 0 || c.ncols() == 0 {
+        return false;
     }
     // `C := beta·C` happens even when the product term vanishes
     // (`alpha == 0` or `k == 0`): that is the BLAS contract. `beta == 1`
@@ -238,7 +191,23 @@ fn dgemm_path(
             c.scale(beta);
         }
     }
-    if k == 0 || alpha == 0.0 {
+    k != 0 && alpha != 0.0
+}
+
+/// [`dgemm`] with an explicit kernel path.
+#[allow(clippy::too_many_arguments)]
+fn dgemm_path(
+    path: GemmPath,
+    transa: Trans,
+    transb: Trans,
+    alpha: f64,
+    a: &Matrix,
+    b: &Matrix,
+    beta: f64,
+    c: &mut Matrix,
+) {
+    let (m, k, n) = check_dims(transa, transb, a, b, c);
+    if !beta_pass(alpha, beta, c, k) {
         return;
     }
     let small = match path {
@@ -253,7 +222,8 @@ fn dgemm_path(
     if small {
         small_dgemm(transa, transb, alpha, a, b, c, m, k, n);
     } else {
-        packed_dgemm(nthreads, transa, transb, alpha, a, b, c, m, k, n);
+        let asrc = ASource::Matrix(transa, a, arena::acquire(MC * KC));
+        macro_kernel(asrc, alpha, transb, b, c, k);
     }
     if let Some(t0) = timer {
         crate::probe::emit(m, n, k, t0.elapsed().as_secs_f64());
@@ -261,13 +231,13 @@ fn dgemm_path(
 }
 
 // ---------------------------------------------------------------------
-// Small-matrix fast path: no packing, no threads, no scratch.
+// Small-matrix fast path: no packing, no scratch.
 // ---------------------------------------------------------------------
 
 /// Unpacked kernel for small products. For untransposed A the inner loop
 /// is an axpy over a contiguous A column (vectorizes cleanly); for
-/// transposed A it is a dot product over a contiguous A column. Runs on
-/// the calling thread, allocates nothing.
+/// transposed A it is a dot product over a contiguous A column.
+/// Allocates nothing.
 #[allow(clippy::too_many_arguments)]
 fn small_dgemm(
     transa: Trans,
@@ -334,234 +304,76 @@ fn small_dgemm(
 }
 
 // ---------------------------------------------------------------------
-// Packed blocked path (Goto/BLIS five-loop structure, threaded).
+// Packed blocked path (Goto/BLIS five-loop structure).
 // ---------------------------------------------------------------------
 
-/// Raw-pointer view of the C buffer shared by worker threads.
-///
-/// Every work item owns a disjoint set of C tiles (a row block × a
-/// column chunk), so no element is ever written by two threads; debug
-/// builds bounds-check every store.
-#[derive(Clone, Copy)]
-struct COut {
-    ptr: *mut f64,
-    len: usize,
+/// Where the macro kernel gets an `MC×KC` block of op(A): the one thing
+/// [`dgemm`] and [`dgemm_prepacked`] differ in.
+enum ASource<'a> {
+    /// Pack each block out of the matrix into `MC·KC` of arena scratch.
+    Matrix(Trans, &'a Matrix, arena::ScratchGuard),
+    /// Read each block out of a persistent pack.
+    Prepacked(&'a PackedA),
 }
 
-// SAFETY: work items never write overlapping C elements (each tile is
-// owned by exactly one item, and items are partitioned over threads).
-unsafe impl Send for COut {}
-// SAFETY: as above — concurrent access is to disjoint elements only.
-unsafe impl Sync for COut {}
-
-impl COut {
-    /// Accumulate `v` into element `idx`.
-    ///
-    /// # Safety
-    /// `idx < self.len`, and no other thread writes `idx` concurrently.
-    #[inline(always)]
-    // SAFETY: contract documented above; the body's only unsafe op is
-    // the raw-pointer accumulate that contract covers.
-    unsafe fn add(self, idx: usize, v: f64) {
-        debug_assert!(idx < self.len);
-        // SAFETY: caller contract (disjoint-tile ownership).
-        unsafe { *self.ptr.add(idx) += v };
-    }
-}
-
-/// One unit of macro-kernel work: C rows `i0..i0+mc` × B panels
-/// `q_lo..q_hi` (each panel is `NR` columns).
-#[derive(Clone, Copy)]
-struct WorkItem {
-    i0: usize,
-    mc: usize,
-    q_lo: usize,
-    q_hi: usize,
-}
-
-/// Work-item partition for the threaded macro kernel: MC row blocks ×
-/// column chunks of B panels. Shared by the on-the-fly and prepacked
-/// paths so both produce identical tile ownership — and therefore an
-/// identical per-tile summation order (the bitwise-equality contract
-/// between [`dgemm`] and [`dgemm_prepacked`]).
-struct Plan {
-    mblocks: usize,
-    npanels: usize,
-    nchunks: usize,
-    nitems: usize,
-    nt: usize,
-}
-
-fn plan(m: usize, n: usize, k: usize, nthreads: usize) -> Plan {
-    // The base chunking follows NC; when that yields fewer items than
-    // threads, chunks are split further (per-tile arithmetic — and hence
-    // the result — is independent of the partition; see module docs).
-    let npanels = n.div_ceil(NR);
-    let mblocks = m.div_ceil(MC);
-    let nthreads = nthreads.max(1);
-    let par = nthreads > 1 && 2 * m * n * k >= PAR_MIN_FLOPS;
-    let target_items = if par { nthreads } else { 1 };
-    let mut nchunks = n.div_ceil(NC);
-    if mblocks * nchunks < target_items {
-        nchunks = npanels.min(target_items.div_ceil(mblocks));
-    }
-    let nitems = mblocks * nchunks;
-    let nt = if par { nthreads.min(nitems) } else { 1 };
-    Plan {
-        mblocks,
-        npanels,
-        nchunks,
-        nitems,
-        nt,
-    }
-}
-
-impl Plan {
-    /// Work item `idx`: row block `idx % mblocks` of column chunk
-    /// `idx / mblocks`. Chunk boundaries round-robin the B panels
-    /// evenly; a chunk can be empty only when `nchunks > npanels`.
-    fn item(&self, idx: usize, m: usize) -> WorkItem {
-        let ci = idx / self.mblocks;
-        let ib = idx % self.mblocks;
-        let i0 = ib * MC;
-        WorkItem {
-            i0,
-            mc: MC.min(m - i0),
-            q_lo: ci * self.npanels / self.nchunks,
-            q_hi: (ci + 1) * self.npanels / self.nchunks,
+impl ASource<'_> {
+    /// Rows `i0..i0+mc` × depths `l0..l0+kc` of op(A) in tight `kc·MR`
+    /// panels — byte-identical layouts from either variant, so the
+    /// microkernel sees the same inputs.
+    fn a_block(&mut self, i0: usize, mc: usize, l0: usize, kc: usize) -> &[f64] {
+        match self {
+            ASource::Matrix(transa, a, scratch) => {
+                pack_a(*transa, a, i0, mc, l0, kc, scratch.as_mut_slice());
+                scratch.as_slice()
+            }
+            ASource::Prepacked(pa) => pa.block(i0, mc, l0, kc),
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn packed_dgemm(
-    nthreads: usize,
-    transa: Trans,
-    transb: Trans,
+/// The packed path of both entry points: pack all of op(B) once, then
+/// walk NC column chunks × MC row blocks × KC depth blocks × B panels ×
+/// MR tiles. `l0` ascends inside a row block, so every C tile sums its
+/// KC blocks in the same order whichever [`ASource`] feeds it — the
+/// bitwise-equality contract between [`dgemm`] and [`dgemm_prepacked`].
+fn macro_kernel(
+    mut asrc: ASource<'_>,
     alpha: f64,
-    a: &Matrix,
+    transb: Trans,
     b: &Matrix,
     c: &mut Matrix,
-    m: usize,
     k: usize,
-    n: usize,
 ) {
-    // Pack all of op(B) once, shared read-only by every worker. Panel
-    // `q` holds columns `[q·NR, q·NR+NR)` k-major with stride NR
-    // (`bpack[q·k·NR + l·NR + s]`), zero-padded in the column direction.
+    let (m, n) = (c.nrows(), c.ncols());
     let npanels = n.div_ceil(NR);
     let mut bguard = arena::acquire(npanels * k * NR);
-    let bpack: &mut [f64] = bguard.as_mut_slice();
-    pack_b(transb, b, k, n, bpack);
-    let bpack: &[f64] = bpack;
-
-    let cm = c.nrows();
+    pack_b(transb, b, k, n, bguard.as_mut_slice());
+    let bpack = bguard.as_slice();
     let cs = c.as_mut_slice();
-    let cout = COut {
-        ptr: cs.as_mut_ptr(),
-        len: cs.len(),
-    };
-
-    // Work items are enumerated by index (never materialized, so this
-    // path stays allocation-free).
-    let pl = plan(m, n, k, nthreads);
-    if pl.nt <= 1 {
-        let mut aguard = arena::acquire(MC * KC);
-        for idx in 0..pl.nitems {
-            let it = pl.item(idx, m);
-            if it.q_lo < it.q_hi {
-                run_item(
-                    transa,
-                    a,
-                    alpha,
-                    bpack,
-                    k,
-                    n,
-                    cout,
-                    cm,
-                    it,
-                    aguard.as_mut_slice(),
-                );
-            }
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for t in 0..pl.nt {
-                let pl = &pl;
-                scope.spawn(move || {
-                    // Per-thread A packing buffer from the shared pool.
-                    let mut aguard = arena::acquire(MC * KC);
-                    let apack = aguard.as_mut_slice();
-                    let mut idx = t;
-                    while idx < pl.nitems {
-                        let it = pl.item(idx, m);
-                        if it.q_lo < it.q_hi {
-                            run_item(transa, a, alpha, bpack, k, n, cout, cm, it, apack);
+    for q_lo in (0..npanels).step_by(NC / NR) {
+        let q_hi = npanels.min(q_lo + NC / NR);
+        for i0 in (0..m).step_by(MC) {
+            let mc = MC.min(m - i0);
+            for l0 in (0..k).step_by(KC) {
+                let kc = KC.min(k - l0);
+                let apack = asrc.a_block(i0, mc, l0, kc);
+                for q in q_lo..q_hi {
+                    let jr = q * NR;
+                    let nr = NR.min(n - jr);
+                    let bt = &bpack[q * (k * NR) + l0 * NR..][..kc * NR];
+                    let mut ir = 0;
+                    while ir < mc {
+                        let mr = MR.min(mc - ir);
+                        let at = &apack[(ir / MR) * (kc * MR)..][..kc * MR];
+                        if mr == MR && nr == NR {
+                            micro_8x4(kc, alpha, at, bt, cs, i0 + ir, jr, m);
+                        } else {
+                            micro_edge(kc, alpha, at, bt, cs, i0 + ir, jr, m, mr, nr);
                         }
-                        idx += pl.nt;
+                        ir += MR;
                     }
-                });
+                }
             }
-        });
-    }
-}
-
-/// Macro kernel for one work item: loop KC blocks in ascending `l0`,
-/// pack the A block, then sweep the item's B panels and MR tiles.
-#[allow(clippy::too_many_arguments)]
-fn run_item(
-    transa: Trans,
-    a: &Matrix,
-    alpha: f64,
-    bpack: &[f64],
-    k: usize,
-    n: usize,
-    cout: COut,
-    cm: usize,
-    it: WorkItem,
-    apack: &mut [f64],
-) {
-    let mut l0 = 0;
-    while l0 < k {
-        let kc = KC.min(k - l0);
-        pack_a(transa, a, it.i0, it.mc, l0, kc, apack);
-        sweep_panels(alpha, apack, bpack, k, n, l0, kc, cout, cm, it);
-        l0 += KC;
-    }
-}
-
-/// Inner two loops of the macro kernel for one packed KC block: sweep
-/// the item's B panels × MR tiles. `apack` holds the item's A rows for
-/// depths `[l0, l0+kc)` in tight `kc·MR` panels (on-the-fly or a
-/// [`PackedA`] block — byte-identical layouts, so both callers hit the
-/// microkernel with the same inputs in the same order).
-#[allow(clippy::too_many_arguments)]
-fn sweep_panels(
-    alpha: f64,
-    apack: &[f64],
-    bpack: &[f64],
-    k: usize,
-    n: usize,
-    l0: usize,
-    kc: usize,
-    cout: COut,
-    cm: usize,
-    it: WorkItem,
-) {
-    for q in it.q_lo..it.q_hi {
-        let jr = q * NR;
-        let nr = NR.min(n - jr);
-        let bt = &bpack[q * (k * NR) + l0 * NR..][..kc * NR];
-        let mut ir = 0;
-        while ir < it.mc {
-            let mr = MR.min(it.mc - ir);
-            let at = &apack[(ir / MR) * (kc * MR)..][..kc * MR];
-            if mr == MR && nr == NR {
-                micro_8x4(kc, alpha, at, bt, cout, it.i0 + ir, jr, cm);
-            } else {
-                micro_edge(kc, alpha, at, bt, cout, it.i0 + ir, jr, cm, mr, nr);
-            }
-            ir += MR;
         }
     }
 }
@@ -722,7 +534,8 @@ impl PackedA {
     }
 
     /// The packed panels covering rows `i0..i0+mc` of the KC stripe at
-    /// depth `l0` (both MR/KC-aligned by construction of the work plan).
+    /// depth `l0` (both MR/KC-aligned by construction of the macro
+    /// kernel's loops).
     #[inline]
     fn block(&self, i0: usize, mc: usize, l0: usize, kc: usize) -> &[f64] {
         let padded_m = self.m.div_ceil(MR) * MR;
@@ -733,11 +546,15 @@ impl PackedA {
 
 /// `C := alpha · packed(A) · op(B) + beta · C` with a pre-packed A.
 ///
-/// Identical semantics, partition, and per-tile summation order to
-/// [`dgemm_with_threads`] on the packed path — the result is **bitwise
-/// equal** at every thread count — but the per-call A packing traffic is
-/// gone; only op(B) is packed. This is the σ-build hot call: the same
-/// coupling operand multiplies a fresh B every Davidson iteration.
+/// The same macro kernel as [`dgemm`]'s packed path reading its A blocks
+/// out of the handle — the result is **bitwise equal** — so the per-call
+/// A packing traffic is gone; only op(B) is packed. This is the σ-build
+/// hot call: the same coupling operand multiplies a fresh B every
+/// Davidson iteration.
+///
+/// `nthreads` is vestigial: GEMM is serial and the argument must be `1`.
+/// It stays because `perf/` compiles against this signature, and goes
+/// when `perf/` next moves (ROADMAP item 2).
 pub fn dgemm_prepacked(
     nthreads: usize,
     alpha: f64,
@@ -747,6 +564,7 @@ pub fn dgemm_prepacked(
     beta: f64,
     c: &mut Matrix,
 ) {
+    debug_assert_eq!(nthreads, 1, "GEMM is serial; nthreads is vestigial");
     let (m, k) = (pa.m, pa.k);
     let (kb, n) = match transb {
         Trans::No => (b.nrows(), b.ncols()),
@@ -758,94 +576,20 @@ pub fn dgemm_prepacked(
     );
     assert_eq!(c.nrows(), m, "dgemm_prepacked C row count mismatch");
     assert_eq!(c.ncols(), n, "dgemm_prepacked C column count mismatch");
-    // Same fast-exit / beta-pass ordering as `dgemm_path` (BLAS contract).
-    if m == 0 || n == 0 {
-        return;
-    }
-    if beta != 1.0 {
-        if beta == 0.0 {
-            c.fill_zero();
-        } else {
-            c.scale(beta);
-        }
-    }
-    if k == 0 || alpha == 0.0 {
+    if !beta_pass(alpha, beta, c, k) {
         return;
     }
     let timer = crate::probe::active().then(std::time::Instant::now); // lint: allow(wallclock) — real host kernel time by design
-
-    let npanels = n.div_ceil(NR);
-    let mut bguard = arena::acquire(npanels * k * NR);
-    let bpack: &mut [f64] = bguard.as_mut_slice();
-    pack_b(transb, b, k, n, bpack);
-    let bpack: &[f64] = bpack;
-
-    let cm = c.nrows();
-    let cs = c.as_mut_slice();
-    let cout = COut {
-        ptr: cs.as_mut_ptr(),
-        len: cs.len(),
-    };
-
-    let pl = plan(m, n, k, nthreads);
-    if pl.nt <= 1 {
-        for idx in 0..pl.nitems {
-            let it = pl.item(idx, m);
-            if it.q_lo < it.q_hi {
-                run_item_prepacked(pa, alpha, bpack, k, n, cout, cm, it);
-            }
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for t in 0..pl.nt {
-                let pl = &pl;
-                scope.spawn(move || {
-                    let mut idx = t;
-                    while idx < pl.nitems {
-                        let it = pl.item(idx, m);
-                        if it.q_lo < it.q_hi {
-                            run_item_prepacked(pa, alpha, bpack, k, n, cout, cm, it);
-                        }
-                        idx += pl.nt;
-                    }
-                });
-            }
-        });
-    }
-
+    macro_kernel(ASource::Prepacked(pa), alpha, transb, b, c, k);
     if let Some(t0) = timer {
         crate::probe::emit(m, n, k, t0.elapsed().as_secs_f64());
-    }
-}
-
-/// Macro kernel for one work item against a persistent [`PackedA`]:
-/// same ascending-`l0` block loop as [`run_item`], but the A panels are
-/// read straight out of the handle — no packing.
-#[allow(clippy::too_many_arguments)]
-fn run_item_prepacked(
-    pa: &PackedA,
-    alpha: f64,
-    bpack: &[f64],
-    k: usize,
-    n: usize,
-    cout: COut,
-    cm: usize,
-    it: WorkItem,
-) {
-    let mut l0 = 0;
-    while l0 < k {
-        let kc = KC.min(k - l0);
-        let apack = pa.block(it.i0, it.mc, l0, kc);
-        sweep_panels(alpha, apack, bpack, k, n, l0, kc, cout, cm, it);
-        l0 += KC;
     }
 }
 
 /// Fused multiply-add when the build target has hardware FMA, plain
 /// multiply+add otherwise. `mul_add` without hardware support lowers to
 /// a libm call — catastrophically slow in a microkernel — so the fusion
-/// is compile-time gated, never probed at runtime. Which form is chosen
-/// is fixed per build, so thread-count determinism is unaffected.
+/// is compile-time gated, never probed at runtime.
 #[inline(always)]
 fn fmadd(a: f64, b: f64, c: f64) -> f64 {
     #[cfg(target_feature = "fma")]
@@ -872,7 +616,7 @@ fn micro_8x4(
     alpha: f64,
     at: &[f64],
     bt: &[f64],
-    c: COut,
+    c: &mut [f64],
     i0: usize,
     j0: usize,
     cm: usize,
@@ -893,26 +637,26 @@ fn micro_8x4(
             }
         }
     }
+    // One bounds check per column, none inside the loop: indexing `col[r]`
+    // here instead cost the `l` loop above its clean 8-FMA body (31 → 25
+    // Gflop/s at 512³).
     for s in 0..NR {
-        let cbase = (j0 + s) * cm + i0;
-        for r in 0..MR {
-            // SAFETY: the caller guarantees the full 8×4 tile lies inside
-            // C and is owned by this work item (disjoint from all other
-            // concurrent writers).
-            unsafe { c.add(cbase + r, alpha * acc[r][s]) };
+        let col = &mut c[(j0 + s) * cm + i0..][..MR];
+        for (cr, ar) in col.iter_mut().zip(&acc) {
+            *cr += alpha * ar[s];
         }
     }
 }
 
 /// Edge microkernel for partial tiles (mr<8 or nr<4); bounds-checked
-/// reads from the packed panels, tile-ownership-checked writes to C.
+/// throughout.
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 fn micro_edge(
     kc: usize,
     alpha: f64,
     at: &[f64],
     bt: &[f64],
-    c: COut,
+    c: &mut [f64],
     i0: usize,
     j0: usize,
     cm: usize,
@@ -931,11 +675,9 @@ fn micro_edge(
         }
     }
     for s in 0..nr {
-        let cbase = (j0 + s) * cm + i0;
+        let col = &mut c[(j0 + s) * cm + i0..][..mr];
         for r in 0..mr {
-            // SAFETY: r < mr and s < nr keep the store inside the partial
-            // tile, which lies inside C and is owned by this work item.
-            unsafe { c.add(cbase + r, alpha * acc[r][s]) };
+            col[r] += alpha * acc[r][s];
         }
     }
 }
@@ -987,7 +729,6 @@ mod tests {
         let mut c_packed = c0.clone();
         dgemm_path(
             GemmPath::Packed,
-            1,
             transa,
             transb,
             alpha,
@@ -1106,7 +847,6 @@ mod tests {
         let mut c_packed = c0.clone();
         dgemm_path(
             GemmPath::Small,
-            1,
             Trans::No,
             Trans::No,
             1.5,
@@ -1117,7 +857,6 @@ mod tests {
         );
         dgemm_path(
             GemmPath::Packed,
-            1,
             Trans::No,
             Trans::No,
             1.5,
@@ -1132,8 +871,8 @@ mod tests {
     #[test]
     fn prepacked_matches_packed_bitwise() {
         // The prepacked path must be *bitwise* equal to the on-the-fly
-        // packed path at every thread count — it feeds the microkernel
-        // the same panel bytes through the same work plan.
+        // packed path — it feeds the microkernel the same panel bytes
+        // through the same macro kernel.
         for &(ta, m, n, k) in &[
             (Trans::No, 80usize, 45usize, 80usize), // the σ repack shape class
             (Trans::Yes, 130, 37, 260),             // crosses MC and KC
@@ -1149,7 +888,6 @@ mod tests {
             let mut c_ref = c0.clone();
             dgemm_path(
                 GemmPath::Packed,
-                1,
                 ta,
                 Trans::No,
                 1.25,
@@ -1161,11 +899,9 @@ mod tests {
             let pa = PackedA::pack(ta, &a);
             assert_eq!(pa.packs(), 1);
             assert_eq!((pa.m(), pa.k()), (m, k));
-            for &nt in &[1usize, 2, 4] {
-                let mut c = c0.clone();
-                dgemm_prepacked(nt, 1.25, &pa, Trans::No, &b, -0.5, &mut c);
-                assert_eq!(c, c_ref, "{ta:?} m={m} n={n} k={k} nt={nt}");
-            }
+            let mut c = c0.clone();
+            dgemm_prepacked(1, 1.25, &pa, Trans::No, &b, -0.5, &mut c);
+            assert_eq!(c, c_ref, "{ta:?} m={m} n={n} k={k}");
         }
         // Transposed B and alpha/beta corners through the same handle.
         let a = rand_mat(70, 90, 41);
@@ -1175,7 +911,6 @@ mod tests {
         let mut c_ref = c0.clone();
         dgemm_path(
             GemmPath::Packed,
-            1,
             Trans::No,
             Trans::Yes,
             2.0,

@@ -45,8 +45,7 @@ pub use blas1::{dasum, daxpy, dcopy, ddot, dnrm2, dscal, idamax};
 pub use cholqr::{cholesky_lower, cholqr2, trsm_right_ltrans, CholError};
 pub use eigen::{eigh, eigh_2x2, eigh_jacobi, Eigh, EIGH_JACOBI_CUTOFF};
 pub use gemm::{
-    dgemm, dgemm_naive, dgemm_prepacked, dgemm_with_threads, gemm_prefers_packed, gemm_threads,
-    PackedA, Trans,
+    dgemm, dgemm_naive, dgemm_prepacked, dgemm_with_threads, gemm_prefers_packed, PackedA, Trans,
 };
 pub use matrix::Matrix;
 pub use solve::{lu_factor, lu_solve, LuError};

@@ -1,12 +1,23 @@
-//! Property tests for the blocked GEMM engine (PR 4 satellite):
+//! Property test for the blocked GEMM engine: on 200 random shapes
+//! including edge tiles (m, n not multiples of the microkernel MR/NR)
+//! and all four transpose combinations, `dgemm`
 //!
-//! * `dgemm` is **bitwise identical** across thread counts {1, 2, 4, 8},
-//! * and agrees with `dgemm_naive` within `1e-12·k`,
-//!
-//! on 200 random shapes including edge tiles (m, n not multiples of the
-//! microkernel MR/NR) and all four transpose combinations.
+//! * agrees with `dgemm_naive` within `1e-12·k`,
+//! * and produces the bits the threaded engine it replaced produced at
+//!   one thread (that engine was bitwise identical at every thread
+//!   count; the file keeps its name from that property).
 
-use fci_linalg::{dgemm_naive, dgemm_with_threads, Matrix, Trans};
+use fci_linalg::{dgemm, dgemm_naive, Matrix, Trans};
+
+/// FNV-1a-style fold of every result element's `to_bits()`, printed by
+/// this generator at commit 466146e with `dgemm_with_threads(1, ..)`.
+/// The build fixes whether `fmadd` fuses (`gemm.rs`), and the two
+/// roundings differ, so there is one recorded value for each.
+const PARENT_DIGEST: u64 = if cfg!(target_feature = "fma") {
+    0xd26b_c479_bfab_c845
+} else {
+    0x42c7_c7d1_3a8e_7eec
+};
 
 /// Deterministic splitmix64 — no external RNG crates in the workspace.
 struct Rng(u64);
@@ -34,8 +45,9 @@ fn rand_mat(rng: &mut Rng, nr: usize, nc: usize) -> Matrix {
 }
 
 #[test]
-fn bitwise_identical_across_thread_counts_and_close_to_naive() {
+fn close_to_naive_and_bitwise_the_parents() {
     let mut rng = Rng(0x5eed_cafe);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let transes = [Trans::No, Trans::Yes];
     for case in 0..200 {
         // Mix of tiny (small-path), mid, and block-boundary-crossing
@@ -66,21 +78,9 @@ fn bitwise_identical_across_thread_counts_and_close_to_naive() {
         let c0 = rand_mat(&mut rng, m, n);
 
         let mut c1 = c0.clone();
-        dgemm_with_threads(1, ta, tb, alpha, &a, &b, beta, &mut c1);
-
-        for threads in [2usize, 4, 8] {
-            let mut ct = c0.clone();
-            dgemm_with_threads(threads, ta, tb, alpha, &a, &b, beta, &mut ct);
-            let same = c1
-                .as_slice()
-                .iter()
-                .zip(ct.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(
-                same,
-                "case {case}: T={threads} differs bitwise from T=1 \
-                 (m={m} n={n} k={k} {ta:?} {tb:?} alpha={alpha} beta={beta})"
-            );
+        dgemm(ta, tb, alpha, &a, &b, beta, &mut c1);
+        for x in c1.as_slice() {
+            digest = (digest ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
         }
 
         let mut c_ref = c0.clone();
@@ -93,4 +93,5 @@ fn bitwise_identical_across_thread_counts_and_close_to_naive() {
              (m={m} n={n} k={k} {ta:?} {tb:?} alpha={alpha} beta={beta})"
         );
     }
+    assert_eq!(digest, PARENT_DIGEST, "result bits moved: {digest:#018x}");
 }

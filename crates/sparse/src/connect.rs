@@ -38,7 +38,7 @@ use crate::store::Det;
 use fci_core::detspace::{DetSpace, ExcitationFilter};
 use fci_core::hamiltonian::Hamiltonian;
 use fci_core::slater::{double_phase, single_phase};
-use fci_strings::pair_index;
+use fci_strings::{pair_index, Bits};
 
 /// One excitation connecting a pivot determinant to a neighbour. Orbital
 /// labels fit in `u8` (masks are `u64`, so ≤ 64 orbitals).
@@ -155,23 +155,6 @@ fn same_spin_double(
 ) -> f64 {
     let phase = double_phase(m_j, p1, p2, q1, q2);
     phase * (ham.eri.get(p1, q1, p2, q2) - ham.eri.get(p1, q2, p2, q1))
-}
-
-/// Ascending set bits of a mask, as orbital labels.
-struct Bits(u64);
-
-impl Iterator for Bits {
-    type Item = u8;
-
-    #[inline]
-    fn next(&mut self) -> Option<u8> {
-        if self.0 == 0 {
-            return None;
-        }
-        let p = self.0.trailing_zeros() as u8;
-        self.0 &= self.0 - 1;
-        Some(p)
-    }
 }
 
 /// Per-Hamiltonian bitmask rows of the symmetry-allowed excitations whose

@@ -91,6 +91,24 @@ pub fn irrep_of_mask(mask: u64, orb_sym: &[u8]) -> u8 {
     g
 }
 
+/// Ascending set bits of a mask, as orbital labels: [`occ_list`] without
+/// the `Vec`. The field is the bits not yet yielded.
+pub struct Bits(pub u64);
+
+impl Iterator for Bits {
+    type Item = u8;
+
+    #[inline]
+    fn next(&mut self) -> Option<u8> {
+        if self.0 == 0 {
+            return None;
+        }
+        let p = self.0.trailing_zeros() as u8;
+        self.0 &= self.0 - 1;
+        Some(p)
+    }
+}
+
 /// Occupied orbital indices in ascending order.
 pub fn occ_list(mask: u64) -> Vec<usize> {
     let mut v = Vec::with_capacity(mask.count_ones() as usize);

@@ -29,7 +29,7 @@ pub mod rank;
 pub mod space;
 pub mod tables;
 
-pub use bits::{annihilate, create, excite, irrep_of_mask, occ_list, string_from_occ};
+pub use bits::{annihilate, create, excite, irrep_of_mask, occ_list, string_from_occ, Bits};
 pub use rank::{rank_colex, unrank_colex};
 pub use space::{binomial, SpinStrings};
 pub use tables::{
