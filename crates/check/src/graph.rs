@@ -43,8 +43,11 @@ use fci_obs::JsonValue;
 
 /// Hot-path roots the transitive analyses start from: the σ-task body
 /// and the GEMM dispatch/macro/micro kernels.
-pub const DEFAULT_ROOTS: [&str; 11] = [
+pub const DEFAULT_ROOTS: [&str; 13] = [
     "process_task_into",
+    // The same-spin routine's per-rank body and its blocked transpose.
+    "rank_kernel",
+    "transpose_block",
     "dgemm",
     "dgemm_prepacked",
     "macro_kernel",

@@ -3,6 +3,7 @@
 //! statistics into simulated time.
 
 use fci_ddi::{CommStats, Ddi};
+use fci_obs::Tracer;
 use fci_xsim::{Clock, MachineModel, RunReport};
 use std::sync::Mutex;
 
@@ -47,6 +48,64 @@ where
         );
     }
     report
+}
+
+/// Host-time split of one rank's share of a phase into five named parts
+/// — the paper's Table 3 rows on the host clock. It runs only while the
+/// world's tracer records events: each [`HostSplit::lap`] adds the host
+/// µs since the previous lap to one part; without a tracer a lap is one
+/// branch on a `None`.
+#[derive(Clone)]
+pub(crate) struct HostSplit<'t> {
+    tracer: Option<&'t Tracer>,
+    last_us: f64,
+    parts_us: [f64; 5],
+}
+
+impl<'t> HostSplit<'t> {
+    /// A split that times iff `tracer` is enabled (read once, here).
+    pub(crate) fn new(tracer: &'t Tracer) -> Self {
+        HostSplit {
+            tracer: tracer.enabled().then_some(tracer),
+            ..HostSplit::off()
+        }
+    }
+
+    /// A split that never times (no world to trace into).
+    pub(crate) fn off() -> HostSplit<'static> {
+        HostSplit {
+            tracer: None,
+            last_us: 0.0,
+            parts_us: [0.0; 5],
+        }
+    }
+
+    /// Restart the stopwatch: host time since the last lap is nobody's.
+    #[inline]
+    pub(crate) fn start(&mut self) {
+        if let Some(t) = self.tracer {
+            self.last_us = t.now_us();
+        }
+    }
+
+    /// Book the host time since the previous lap (or start) to `part`.
+    #[inline]
+    pub(crate) fn lap(&mut self, part: usize) {
+        if let Some(t) = self.tracer {
+            let now = t.now_us();
+            self.parts_us[part] += now - self.last_us;
+            self.last_us = now;
+        }
+    }
+
+    /// Emit the sums as one `name` counter on `rank`'s lane, one arg per
+    /// part.
+    pub(crate) fn emit(&self, rank: usize, name: &str, parts: [&str; 5]) {
+        if let Some(t) = self.tracer {
+            let args: [(&str, f64); 5] = std::array::from_fn(|i| (parts[i], self.parts_us[i]));
+            t.counter(Some(rank), name, &args);
+        }
+    }
 }
 
 /// Fold one rank's communication counters into its clock.

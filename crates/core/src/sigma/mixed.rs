@@ -28,7 +28,7 @@
 
 use super::SigmaCtx;
 use crate::hamiltonian::Hamiltonian;
-use crate::phase::charge_comm;
+use crate::phase::{charge_comm, HostSplit};
 use crate::taskpool::TaskPool;
 use fci_ddi::{Backend, CommStats, Corruption, DistMatrix, FaultPlan};
 use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, Trans};
@@ -172,6 +172,15 @@ fn with_serial_bufs<R>(
     })
 }
 
+/// Parts of a rank's host time, as indexed in [`HostSplit`] and named in
+/// the `mixed_host_us` trace counter.
+const HOST_PARTS: [&str; 5] = ["get", "build", "gemm", "scatter", "acc"];
+const GET: usize = 0;
+const BUILD: usize = 1;
+const GEMM: usize = 2;
+const SCATTER: usize = 3;
+const ACC: usize = 4;
+
 /// Execute the work of one Kα family on `rank`, handing each α-column
 /// update to `sink` (which normally performs the `DDI_ACC`).
 #[allow(clippy::too_many_arguments)]
@@ -183,6 +192,7 @@ fn process_task_into(
     bufs: &mut WorkBufs,
     stats: &mut CommStats,
     clock: &mut Clock,
+    host: &mut HostSplit,
     sink: &mut ColumnSink,
 ) {
     let space = ctx.space;
@@ -194,6 +204,7 @@ fn process_task_into(
     let fam = space.alpha_nm1.of(ka);
     let nq = fam.len();
     let nd = nq * n;
+    host.start();
 
     // (1) gather the C columns of the family in ONE aggregated DDI op —
     // one latency charge (and one trace event) per remote owner-run
@@ -212,6 +223,7 @@ fn process_task_into(
         }
     }
     clock.charge_gather(model, (nq * nbstr) as f64);
+    host.lap(GET);
 
     // (2) build D through the β N−1 families.
     bufs.d.fill_zero();
@@ -250,6 +262,7 @@ fn process_task_into(
         }
     }
     clock.charge_memcpy(model, (nd * nd * 8) as f64);
+    host.lap(BUILD);
     let pa = if use_pack {
         bufs.pack.panels[ka].as_ref()
     } else {
@@ -270,6 +283,7 @@ fn process_task_into(
         ),
     }
     clock.charge_dgemm(model, nd, nkb, nd);
+    host.lap(GEMM);
 
     // (4) scatter through β families and accumulate.
     bufs.u.iter_mut().for_each(|x| *x = 0.0);
@@ -291,7 +305,9 @@ fn process_task_into(
         for (i, cb) in bufs.colbuf.iter_mut().enumerate() {
             *cb = sgn * bufs.u[i + slot * nbstr];
         }
+        host.lap(SCATTER);
         sink(e.to as usize, &bufs.colbuf, stats);
+        host.lap(ACC);
     }
     clock.charge_gather(model, (nq * nbstr) as f64);
     clock.charge_scalar(model, (2 * nq + 2 * nkb) as f64);
@@ -340,6 +356,7 @@ fn process_task(
     bufs: &mut WorkBufs,
     stats: &mut CommStats,
     clock: &mut Clock,
+    host: &mut HostSplit,
     plan: Option<&FaultPlan>,
 ) {
     let Some(plan) = plan else {
@@ -351,11 +368,12 @@ fn process_task(
             bufs,
             stats,
             clock,
+            host,
             &mut |col, vals, st| sigma.acc_col(rank, col, vals, st),
         );
         return;
     };
-    process_task_guarded(ctx, c, sigma, ka, rank, bufs, stats, clock, plan);
+    process_task_guarded(ctx, c, sigma, ka, rank, bufs, stats, clock, host, plan);
 }
 
 /// The guarded task path: compute into a staging buffer, inject any
@@ -374,6 +392,7 @@ fn process_task_guarded(
     bufs: &mut WorkBufs,
     stats: &mut CommStats,
     clock: &mut Clock,
+    host: &mut HostSplit,
     plan: &FaultPlan,
 ) {
     let tracer = ctx.ddi.tracer();
@@ -388,6 +407,7 @@ fn process_task_guarded(
             bufs,
             stats,
             clock,
+            host,
             &mut |col, vals, _st| pending.push((col, vals.to_vec())),
         );
         // An injected single-event upset strikes the working area after
@@ -415,6 +435,7 @@ fn process_task_guarded(
             for (col, vals) in &pending {
                 sigma.acc_col(rank, *col, vals, stats);
             }
+            host.lap(ACC);
             return;
         }
         // Column guard tripped: discard the whole task and redo it.
@@ -475,6 +496,7 @@ impl MixedWorker {
             &mut self.bufs,
             &mut self.stats,
             &mut self.clock,
+            &mut HostSplit::off(),
             sink,
         );
     }
@@ -514,6 +536,7 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
             // clock is lowest claims the next task (greedy list schedule).
             let mut clocks = vec![Clock::default(); nproc];
             let mut stats = vec![CommStats::default(); nproc];
+            let mut hosts = vec![HostSplit::new(&tracer); nproc];
             for t in 0..pool.len() {
                 let rank = argmin_clock(&clocks, model, &stats);
                 // Claim through the real counter so traces and protocol
@@ -538,9 +561,13 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
                         bufs,
                         &mut stats[rank],
                         &mut clocks[rank],
+                        &mut hosts[rank],
                         plan.as_deref(),
                     );
                 }
+            }
+            for (rank, host) in hosts.iter().enumerate() {
+                host.emit(rank, "mixed_host_us", HOST_PARTS);
             }
             // Every rank's terminating counter probe.
             for (rank, st) in stats.iter_mut().enumerate() {
@@ -557,6 +584,7 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
             let stats_out = ctx.ddi.run(|rank, stats| {
                 let mut clock = Clock::default();
                 let mut bufs = WorkBufs::new(nbstr, nq, n, nkb);
+                let mut host = HostSplit::new(&tracer);
                 loop {
                     let t = ctx.ddi.nxtval_rank(rank, stats);
                     if t >= pool.len() {
@@ -578,10 +606,12 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
                             &mut bufs,
                             stats,
                             &mut clock,
+                            &mut host,
                             plan.as_deref(),
                         );
                     }
                 }
+                host.emit(rank, "mixed_host_us", HOST_PARTS);
                 clocks.lock().unwrap()[rank] = clock;
             });
             let mut clocks = clocks.into_inner().unwrap_or_else(|e| e.into_inner());

@@ -323,4 +323,58 @@ mod tests {
             assert!((a - b).abs() < 1e-10);
         }
     }
+
+    /// FNV-1a fold of every σ element's `to_bits()` for a seeded,
+    /// sector-projected vector on the serial backend.
+    fn sigma_digest(space: &DetSpace, ham: &Hamiltonian, nproc: usize) -> u64 {
+        let ddi = Ddi::new(nproc, Backend::Serial);
+        let model = MachineModel::cray_x1();
+        let ctx = SigmaCtx {
+            space,
+            ham,
+            ddi: &ddi,
+            model: &model,
+            pool: PoolParams::default(),
+        };
+        let c = random_ci(space, nproc, 17);
+        space.project_sector(&c);
+        let (sig, _) = apply_sigma(&ctx, &c, SigmaMethod::Dgemm);
+        sig.to_dense().iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// σ is, bit for bit, what this test printed at commit 5e3a752 (the
+    /// last one whose same-spin routine worked on untransposed blocks).
+    /// The rank counts reach `nloc` = 0, 1, 2–3 and ≥ 4 in both same-spin
+    /// halves; only `nproc = 1` on the random Hamiltonian crosses into the
+    /// packed GEMM path, which fuses differently from the small one when
+    /// the build has hardware FMA (`fci-linalg`'s `fmadd`) — hence its own
+    /// constant there. The Hubbard integrals are exact in binary, so
+    /// fusing changes nothing.
+    #[test]
+    fn sigma_bits_are_the_untransposed_routines() {
+        let fma = cfg!(target_feature = "fma");
+        let ham = random_hamiltonian(9, 7);
+        let space = DetSpace::c1(9, 4, 3);
+        for nproc in [1usize, 2, 5, 50, 126, 130] {
+            let want: u64 = match (fma, nproc) {
+                (true, 1) => 0xebff_b2de_dd3b_d5b8,
+                (true, _) => 0x4594_a3da_7a56_a37d,
+                (false, _) => 0x3856_bd5e_a0bd_ab8f,
+            };
+            let got = sigma_digest(&space, &ham, nproc);
+            assert_eq!(got, want, "random n=9, nproc={nproc}: {got:#018x}");
+        }
+        // Most of this h is zero: the one-electron list is mostly skips.
+        let ham = Hamiltonian::new(&fci_scf::MoIntegrals::hubbard_chain(8, 1.0, 4.0, false));
+        let space = DetSpace::for_hamiltonian(&ham, 4, 4, 0);
+        for nproc in [1usize, 3, 70] {
+            let got = sigma_digest(&space, &ham, nproc);
+            assert_eq!(
+                got, 0x807e_cfe0_7e06_d024,
+                "hubbard 8, nproc={nproc}: {got:#018x}"
+            );
+        }
+    }
 }

@@ -14,14 +14,30 @@
 //! same pass. Work is statically balanced: every rank walks all K but only
 //! touches its own columns, so there is no communication at all — the
 //! property the paper contrasts against the replicated-work MOC routine.
+//!
+//! ### Layout
+//!
+//! Gather and scatter move whole *rows* of a rank's column-major block,
+//! so — as on the X1 — each rank works on a **transposed** local copy:
+//! `clt[k + j·nloc] = C(j, col₀+k)` makes row `j` one contiguous run of
+//! `nloc` values, σ is accumulated into a block of the same shape and
+//! added back into the distributed σ once at the end, and D is held as
+//! `Dᵀ` (`nloc × npair`), so one family entry is a signed copy of one
+//! contiguous C row into one contiguous D column. The product is still
+//! `E = Ĝ·D`: `Dᵀ` enters the GEMM with [`Trans::Yes`], which hands the
+//! kernels the same operands in the same order as an untransposed D.
+//!
+//! The one-electron couplings do not depend on the rank: the singles
+//! table is resolved against `h_pq` once per call into a flat list of the
+//! nonzero `(from, to, h_pq·sign)` entries, which every rank replays.
 
 use super::SigmaCtx;
 use crate::hamiltonian::Hamiltonian;
-use crate::phase::run_phase;
+use crate::phase::{run_phase, HostSplit};
 use fci_ddi::DistMatrix;
 use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, Trans};
 use fci_strings::{Nm2Families, SinglesTable};
-use fci_xsim::RunReport;
+use fci_xsim::{Clock, MachineModel, RunReport};
 
 thread_local! {
     /// Per-thread packed Ĝ operand, keyed by [`Hamiltonian::id`]. Ĝ is
@@ -56,6 +72,197 @@ fn with_g_pack<R>(
     })
 }
 
+/// Parts of a rank's host time, as indexed in [`HostSplit`] and named in
+/// the `same_spin_host_us` trace counter.
+const HOST_PARTS: [&str; 5] = ["transpose", "one_electron", "gather", "gemm", "scatter"];
+const TRANSPOSE: usize = 0;
+const ONE_ELECTRON: usize = 1;
+const GATHER: usize = 2;
+const GEMM: usize = 3;
+const SCATTER: usize = 4;
+
+/// One nonzero one-electron coupling: `σ(to, ·) += h · C(from, ·)`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct OneElectron {
+    from: u32,
+    to: u32,
+    /// `h_pq · sign`.
+    h: f64,
+}
+
+/// Resolve `singles` against `h_pq`: the entries with a nonzero
+/// coupling, in table order. Sized once for the whole table, so it never
+/// regrows (most of `h` is zero under spatial symmetry).
+fn one_electron_list(ham: &Hamiltonian, singles: &SinglesTable, nrows: usize) -> Vec<OneElectron> {
+    let mut list = Vec::with_capacity(singles.n_entries());
+    for j in 0..nrows {
+        for e in singles.of(j) {
+            let h = ham.h[(e.p as usize, e.q as usize)] * e.sign as f64;
+            if h != 0.0 {
+                list.push(OneElectron {
+                    from: j as u32,
+                    to: e.to,
+                    h,
+                });
+            }
+        }
+    }
+    list
+}
+
+/// `dst = srcᵀ` for a column-major `nrows × ncols` block: `dst[k + j·ncols]
+/// = src[j + k·nrows]`, copied in square tiles so that neither side
+/// strides through more than a tile's worth of lines at a time (two
+/// 32×32 `f64` tiles are 16 KB, L1-resident).
+fn transpose_block(src: &[f64], nrows: usize, ncols: usize, dst: &mut [f64]) {
+    const TILE: usize = 32;
+    assert!(src.len() == nrows * ncols && dst.len() == nrows * ncols);
+    for j0 in (0..nrows).step_by(TILE) {
+        let j1 = nrows.min(j0 + TILE);
+        for k0 in (0..ncols).step_by(TILE) {
+            let k1 = ncols.min(k0 + TILE);
+            for j in j0..j1 {
+                let drow = &mut dst[j * ncols + k0..j * ncols + k1];
+                let scol = src[j + k0 * nrows..].iter().step_by(nrows);
+                for (d, s) in drow.iter_mut().zip(scol) {
+                    *d = *s;
+                }
+            }
+        }
+    }
+}
+
+/// Below this many local columns a row is cheaper to walk element by
+/// element than to slice and `zip`: at `nloc` = 1–2 (432 ranks on 715
+/// columns) the slice bounds and the vector-loop prologue cost more than
+/// the row itself.
+const SCALAR_ROW_BELOW: usize = 4;
+
+/// Fold one `n`-long row into another: `f(&mut dst[d0 + k], src[s0 +
+/// k·stride])` for `k` in `0..n`, in `k` order. `dst` is always a
+/// contiguous row of a transposed block; `stride` is 1 for a C row and
+/// `npair` for a row of E.
+#[inline(always)]
+fn fold_row(
+    dst: &mut [f64],
+    d0: usize,
+    src: &[f64],
+    s0: usize,
+    stride: usize,
+    n: usize,
+    f: impl Fn(&mut f64, f64),
+) {
+    if n < SCALAR_ROW_BELOW {
+        for k in 0..n {
+            f(&mut dst[d0 + k], src[s0 + k * stride]);
+        }
+    } else if stride == 1 {
+        for (d, &s) in dst[d0..d0 + n].iter_mut().zip(&src[s0..s0 + n]) {
+            f(d, s);
+        }
+    } else {
+        for (d, &s) in dst[d0..d0 + n]
+            .iter_mut()
+            .zip(src[s0..].iter().step_by(stride))
+        {
+            f(d, s);
+        }
+    }
+}
+
+/// One rank's working storage for a phase.
+struct RankBufs {
+    /// Transposed C block, `clt[k + j·nloc] = C(j, col₀+k)`.
+    clt: Vec<f64>,
+    /// Transposed σ block in the same layout, zero at the start.
+    st: Vec<f64>,
+    /// `Dᵀ`, `nloc × npair`: column `pair` is one gathered C row.
+    dt: Matrix,
+    /// `E = Ĝ·D`, `npair × nloc`.
+    e_mat: Matrix,
+}
+
+/// One rank's share of the same-spin half: replay the one-electron list,
+/// then gather / multiply / scatter every N−2 family, all on the rank's
+/// transposed blocks. Each σ element receives its terms in a fixed order
+/// — singles in table order, then families in `kf` order — whatever
+/// `nloc` is. Allocates nothing.
+#[allow(clippy::too_many_arguments)]
+fn rank_kernel(
+    ham: &Hamiltonian,
+    model: &MachineModel,
+    one_e: &[OneElectron],
+    n_single_entries: usize,
+    nm2: Option<&Nm2Families>,
+    gpack: Option<&PackedA>,
+    bufs: &mut RankBufs,
+    clock: &mut Clock,
+    host: &mut HostSplit,
+) {
+    let nloc = bufs.dt.nrows();
+    let npair = bufs.dt.ncols();
+    let (clt, st) = (&bufs.clt[..], &mut bufs.st[..]);
+
+    // --- one-electron singles ---
+    for e in one_e {
+        let (from, to, h) = (e.from as usize * nloc, e.to as usize * nloc, e.h);
+        fold_row(st, to, clt, from, 1, nloc, |s, c| *s += h * c);
+    }
+    clock.charge_scalar(model, 2.0 * n_single_entries as f64);
+    clock.charge_daxpy(model, (2 * n_single_entries * nloc) as f64);
+    host.lap(ONE_ELECTRON);
+
+    // --- same-spin doubles through N−2 intermediates ---
+    let Some(nm2) = nm2 else { return };
+    for kf in 0..nm2.len() {
+        let fam = nm2.of(kf);
+        if fam.is_empty() {
+            continue;
+        }
+        // Gather (B matrix application): one C row per D column.
+        let dts = bufs.dt.as_mut_slice();
+        for e in fam {
+            let sgn = e.sign as f64;
+            let (col, from) = (e.pair_index() * nloc, e.to as usize * nloc);
+            fold_row(dts, col, clt, from, 1, nloc, |d, c| *d = sgn * c);
+        }
+        host.lap(GATHER);
+        // The DGEMM: E = Ĝ · D. Above the packing crossover Ĝ is the
+        // thread's persistent pack (bitwise equal to the on-the-fly
+        // packed path `dgemm` would take for the same shape).
+        match gpack {
+            Some(pa) => dgemm_prepacked(1, 1.0, pa, Trans::Yes, &bufs.dt, 0.0, &mut bufs.e_mat),
+            None => dgemm(
+                Trans::No,
+                Trans::Yes,
+                1.0,
+                &ham.g,
+                &bufs.dt,
+                0.0,
+                &mut bufs.e_mat,
+            ),
+        }
+        clock.charge_dgemm(model, npair, nloc, npair);
+        host.lap(GEMM);
+        // Scatter (A matrix application) and clear the D columns. E is
+        // read along a row (stride `npair`); σᵀ is written contiguously.
+        let (dts, es) = (bufs.dt.as_mut_slice(), bufs.e_mat.as_slice());
+        for e in fam {
+            let pair = e.pair_index();
+            let sgn = e.sign as f64;
+            fold_row(st, e.to as usize * nloc, es, pair, npair, nloc, |s, ev| {
+                *s += sgn * ev
+            });
+            // Clear through the same helper (the source row is ignored):
+            // a `fill` call per entry costs 5 ms per half at 432 ranks.
+            fold_row(dts, pair * nloc, clt, 0, 1, nloc, |d, _| *d = 0.0);
+        }
+        clock.charge_scalar(model, 2.0 * fam.len() as f64);
+        clock.charge_gather(model, (3 * fam.len() * nloc) as f64);
+        host.lap(SCATTER);
+    }
+}
+
 /// Apply the row-spin (same-spin + one-electron) half of σ for one spin
 /// channel. `c` and `sigma` must have rows indexed by that spin's strings.
 /// `name` labels the phase in traces ("beta_beta" / "alpha_alpha").
@@ -71,82 +278,52 @@ pub fn half_sigma_dgemm(
     let model = ctx.model;
     let nrows = c.nrows();
     let npair = ham.npair();
+    let one_e = one_electron_list(ham, singles, nrows);
+    let tracer = ctx.ddi.tracer();
 
     run_phase(ctx.ddi, model, name, |rank, _stats, clock| {
-        let cols = c.local_cols(rank);
-        let nloc = cols.len();
+        let nloc = c.local_cols(rank).len();
         if nloc == 0 {
             return;
         }
-        // Local copy of the C block (the paper works on a transposed local
-        // copy to vectorize the row gathers; a plain copy serves here).
-        let mut cl = vec![0.0f64; nrows * nloc];
-        c.with_local(rank, |s| cl.copy_from_slice(s));
-        clock.charge_memcpy(model, (cl.len() * 8) as f64);
+        let mut host = HostSplit::new(&tracer);
+        host.start();
+        // The rank's two block-sized buffers: Cᵀ in, σᵀ out.
+        let mut bufs = RankBufs {
+            clt: vec![0.0; nrows * nloc],
+            st: vec![0.0; nrows * nloc],
+            dt: Matrix::zeros(nloc, npair),
+            e_mat: Matrix::zeros(npair, nloc),
+        };
+        c.with_local(rank, |s| transpose_block(s, nrows, nloc, &mut bufs.clt));
+        clock.charge_memcpy(model, (bufs.clt.len() * 8) as f64);
+        host.lap(TRANSPOSE);
 
-        sigma.with_local(rank, |sl| {
-            // --- one-electron singles ---
-            let mut n_single_entries = 0usize;
-            for j in 0..nrows {
-                for e in singles.of(j) {
-                    let hpq = ham.h[(e.p as usize, e.q as usize)] * e.sign as f64;
-                    if hpq == 0.0 {
-                        continue;
-                    }
-                    let to = e.to as usize;
-                    for k in 0..nloc {
-                        sl[to + k * nrows] += hpq * cl[j + k * nrows];
-                    }
-                }
-                n_single_entries += singles.of(j).len();
-            }
-            clock.charge_scalar(model, 2.0 * n_single_entries as f64);
-            clock.charge_daxpy(model, (2 * n_single_entries * nloc) as f64);
-
-            // --- same-spin doubles through N−2 intermediates ---
-            let Some(nm2) = nm2 else { return };
-            let mut d = Matrix::zeros(npair, nloc);
-            let mut e_mat = Matrix::zeros(npair, nloc);
-            // Ĝ is the same operand for every family and every σ
-            // application: above the packing crossover the thread packs
-            // it once and replays it (bitwise equal to the on-the-fly
-            // packed path `dgemm` would take for the same shape).
-            with_g_pack(ham, npair, nloc, npair, |gpack| {
-                for kf in 0..nm2.len() {
-                    let fam = nm2.of(kf);
-                    if fam.is_empty() {
-                        continue;
-                    }
-                    // Gather D rows (B matrix application).
-                    for e in fam {
-                        let row = e.pair_index();
-                        let sgn = e.sign as f64;
-                        let from = e.to as usize;
-                        for k in 0..nloc {
-                            d[(row, k)] = sgn * cl[from + k * nrows];
-                        }
-                    }
-                    // The DGEMM: E = Ĝ · D.
-                    match gpack {
-                        Some(pa) => dgemm_prepacked(1, 1.0, pa, Trans::No, &d, 0.0, &mut e_mat),
-                        None => dgemm(Trans::No, Trans::No, 1.0, &ham.g, &d, 0.0, &mut e_mat),
-                    }
-                    clock.charge_dgemm(model, npair, nloc, npair);
-                    // Scatter (A matrix application) and clear D rows.
-                    for e in fam {
-                        let row = e.pair_index();
-                        let sgn = e.sign as f64;
-                        let to = e.to as usize;
-                        for k in 0..nloc {
-                            sl[to + k * nrows] += sgn * e_mat[(row, k)];
-                            d[(row, k)] = 0.0;
-                        }
-                    }
-                    clock.charge_scalar(model, 2.0 * fam.len() as f64);
-                    clock.charge_gather(model, (3 * fam.len() * nloc) as f64);
-                }
-            });
+        with_g_pack(ham, npair, nloc, npair, |gpack| {
+            host.lap(GEMM); // the thread's first call packs Ĝ
+            rank_kernel(
+                ham,
+                model,
+                &one_e,
+                singles.n_entries(),
+                nm2,
+                gpack,
+                &mut bufs,
+                clock,
+                &mut host,
+            )
         });
+
+        // Back to column-major through the (now spent) C buffer, then
+        // one contiguous add under σ's lock.
+        transpose_block(&bufs.st, nloc, nrows, &mut bufs.clt);
+        sigma.with_local(rank, |sl| {
+            for (s, t) in sl.iter_mut().zip(&bufs.clt) {
+                *s += t;
+            }
+        });
+        host.lap(TRANSPOSE);
+        host.emit(rank, "same_spin_host_us", HOST_PARTS);
     })
 }
 
@@ -232,41 +409,100 @@ mod tests {
         out
     }
 
+    /// The β half on `nproc` ranks against the Slater–Condon reference.
+    fn check_beta_half(space: &DetSpace, ham: &Hamiltonian, nproc: usize) {
+        let ddi = Ddi::new(nproc, Backend::Serial);
+        let model = MachineModel::cray_x1();
+        let ctx = SigmaCtx {
+            space,
+            ham,
+            ddi: &ddi,
+            model: &model,
+            pool: PoolParams::default(),
+        };
+        let c = space.zeros_ci(nproc);
+        let mut seed = 3u64;
+        c.map_inplace(|_, _, _| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((seed >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        });
+        let sigma = space.zeros_ci(nproc);
+        half_sigma_dgemm(
+            &ctx,
+            "beta_beta",
+            &c,
+            &sigma,
+            &space.beta_singles,
+            space.beta_nm2.as_ref(),
+        );
+        let reference = reference_half(space, ham, &c.to_dense());
+        let got = sigma.to_dense();
+        for (a, b) in got.iter().zip(&reference) {
+            assert!((a - b).abs() < 1e-11, "{a} vs {b} (nproc={nproc})");
+        }
+    }
+
+    /// A random Hamiltonian whose `h_pq` vanishes whenever `p + q` is odd
+    /// — the pattern two spatial irreps leave.
+    fn half_zeroed_hamiltonian(n: usize, seed: u64) -> Hamiltonian {
+        let mut ham = random_hamiltonian(n, seed);
+        for p in 0..n {
+            for q in 0..n {
+                if (p + q) % 2 == 1 {
+                    ham.h[(p, q)] = 0.0;
+                }
+            }
+        }
+        ham
+    }
+
     #[test]
     fn beta_half_matches_slater_condon() {
         let ham = random_hamiltonian(5, 17);
         let space = DetSpace::c1(5, 2, 3);
         for nproc in [1usize, 3] {
-            let ddi = Ddi::new(nproc, Backend::Serial);
-            let model = MachineModel::cray_x1();
-            let ctx = SigmaCtx {
-                space: &space,
-                ham: &ham,
-                ddi: &ddi,
-                model: &model,
-                pool: PoolParams::default(),
-            };
-            let c = space.zeros_ci(nproc);
-            let mut seed = 3u64;
-            c.map_inplace(|_, _, _| {
-                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((seed >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            });
-            let sigma = space.zeros_ci(nproc);
-            half_sigma_dgemm(
-                &ctx,
-                "beta_beta",
-                &c,
-                &sigma,
-                &space.beta_singles,
-                space.beta_nm2.as_ref(),
-            );
-            let reference = reference_half(&space, &ham, &c.to_dense());
-            let got = sigma.to_dense();
-            for (a, b) in got.iter().zip(&reference) {
-                assert!((a - b).abs() < 1e-11, "{a} vs {b} (nproc={nproc})");
+            check_beta_half(&space, &ham, nproc);
+        }
+    }
+
+    /// The same check where most one-electron couplings are skipped: a
+    /// Hubbard chain (`h` is the hopping band) and a random Hamiltonian
+    /// with half of `h` zeroed, up to one rank per column.
+    #[test]
+    fn beta_half_matches_slater_condon_with_sparse_h() {
+        let hubbard = Hamiltonian::new(&fci_scf::MoIntegrals::hubbard_chain(6, 1.0, 4.0, false));
+        let cases = [
+            (DetSpace::for_hamiltonian(&hubbard, 3, 3, 0), hubbard),
+            (DetSpace::c1(6, 2, 3), half_zeroed_hamiltonian(6, 23)),
+        ];
+        for (space, ham) in &cases {
+            for nproc in [1, 3, space.alpha.len()] {
+                check_beta_half(space, ham, nproc);
             }
         }
+    }
+
+    #[test]
+    fn one_electron_list_is_the_nonzero_entries_in_table_order() {
+        let ham = half_zeroed_hamiltonian(6, 29);
+        let space = DetSpace::c1(6, 3, 2);
+        let singles = &space.beta_singles;
+        let nstr = space.beta.len();
+        let list = one_electron_list(&ham, singles, nstr);
+        let table = (0..nstr).flat_map(|j| singles.of(j).iter().map(move |e| (j, e)));
+        let want: Vec<OneElectron> = table
+            .map(|(j, e)| OneElectron {
+                from: j as u32,
+                to: e.to,
+                h: ham.h[(e.p as usize, e.q as usize)] * e.sign as f64,
+            })
+            .filter(|e| e.h != 0.0)
+            .collect();
+        assert_eq!(list, want);
+        // Half of h is zero, so a good part of the table is skipped —
+        // but not the diagonal p = q entries.
+        assert!(list.len() < singles.n_entries() && list.len() >= nstr);
+        assert!(list.iter().all(|e| e.h != 0.0));
     }
 
     #[test]

@@ -793,29 +793,56 @@ impl DistMatrix {
     pub fn transpose(&self, stats: &mut [CommStats]) -> DistMatrix {
         assert_eq!(stats.len(), self.nproc);
         self.rec_barrier();
-        let t = DistMatrix::zeros(self.ncols, self.nrows, self.nproc);
-        let dense = self.to_dense();
-        for (p, stat) in stats.iter_mut().enumerate() {
-            let mut remote = 0u64;
-            let mut sources = vec![false; self.nproc];
-            let cols = t.local_cols(p);
-            let mut seg = t.segments[p].lock().unwrap();
-            for (k, newcol) in cols.clone().enumerate() {
-                // New column `newcol` is old row `newcol`.
-                for oldcol in 0..self.ncols {
-                    seg[k * t.nrows + oldcol] = dense[newcol + oldcol * self.nrows];
-                    let o = self.owner(oldcol);
-                    if o != p {
-                        remote += 8;
-                        sources[o] = true;
+        let mut t = DistMatrix::zeros(self.ncols, self.nrows, self.nproc);
+        let new_cols: Vec<_> = (0..self.nproc).map(|p| t.local_cols(p)).collect();
+        // `t` is not shared yet: write its segments without locking.
+        let mut dsts: Vec<&mut Vec<f64>> = t
+            .segments
+            .iter_mut()
+            .map(|m| m.get_mut().unwrap_or_else(|e| e.into_inner()))
+            .collect();
+        // Old element (r, c) becomes new element (c, r): owner `o` of old
+        // column c holds it at `r + (c − c₀)·nrows`, owner `p` of new
+        // column r receives it at `c + (r − r₀)·ncols`. Copy tile by tile
+        // so neither side strides through more than a tile's rows.
+        const TILE: usize = 32;
+        for o in 0..self.nproc {
+            let src = self.segments[o].lock().unwrap();
+            let oc = self.local_cols(o);
+            for (dst, nr) in dsts.iter_mut().zip(&new_cols) {
+                for r0 in nr.clone().step_by(TILE) {
+                    let r1 = nr.end.min(r0 + TILE);
+                    for c0 in oc.clone().step_by(TILE) {
+                        let c1 = oc.end.min(c0 + TILE);
+                        for r in r0..r1 {
+                            let drow = &mut dst[(r - nr.start) * self.ncols..][c0..c1];
+                            let scol = &src[r + (c0 - oc.start) * self.nrows..];
+                            for (d, s) in drow.iter_mut().zip(scol.iter().step_by(self.nrows)) {
+                                *d = *s;
+                            }
+                        }
                     }
                 }
             }
+        }
+        drop(dsts);
+        // Rank p fetches its new columns' elements from every other rank
+        // that owns an old column: one strided SHMEM_GET per source (the
+        // X1's vector gather hardware makes strided remote reads a single
+        // operation, so we do not charge per-element latency).
+        let owners = (0..self.nproc)
+            .filter(|&o| !self.local_cols(o).is_empty())
+            .count();
+        for (p, stat) in stats.iter_mut().enumerate() {
+            let own_cols = self.local_cols(p).len();
+            let (remote, msgs) = match new_cols[p].len() {
+                0 => (0, 0),
+                n => (
+                    (8 * n * (self.ncols - own_cols)) as u64,
+                    (owners - usize::from(own_cols > 0)) as u64,
+                ),
+            };
             stat.get_bytes += remote;
-            // One strided SHMEM_GET per remote source rank (the X1's
-            // vector gather hardware makes strided remote reads a single
-            // operation, so we do not charge per-element latency).
-            let msgs = sources.iter().filter(|&&b| b).count() as u64;
             stat.get_msgs += msgs;
             if let Some(tr) = self.tracer.get() {
                 tr.instant(
@@ -908,8 +935,44 @@ mod tests {
                 assert_eq!(td[j + i * 4], data[i + j * 3]);
             }
         }
-        // Some bytes must have moved.
-        assert!(stats.iter().map(|s| s.get_bytes).sum::<u64>() > 0);
+        // Rank 0 keeps its own 2×2 corner and fetches the other half of
+        // its two new columns; rank 1 fetches one column's other half.
+        let counts = |stats: &[CommStats]| -> Vec<(u64, u64)> {
+            stats.iter().map(|s| (s.get_bytes, s.get_msgs)).collect()
+        };
+        assert_eq!(counts(&stats), [(32, 1), (16, 1)]);
+
+        // More ranks than columns, uneven blocks both ways (7×3 over 5
+        // ranks: old columns 1,1,1,0,0; new columns 2,2,1,1,1), there and
+        // back. Counts as recorded at commit 5e3a752.
+        let data: Vec<f64> = (0..21).map(|x| (x as f64).sin()).collect();
+        let m = DistMatrix::from_dense(7, 3, 5, &data);
+        let mut stats = vec![CommStats::default(); 5];
+        let t = m.transpose(&mut stats);
+        assert_eq!(
+            counts(&stats),
+            [(32, 2), (32, 2), (16, 2), (24, 3), (24, 3)]
+        );
+        let td = t.to_dense();
+        for i in 0..7 {
+            for j in 0..3 {
+                assert_eq!(td[j + i * 3], data[i + j * 7]);
+            }
+        }
+        let mut stats = vec![CommStats::default(); 5];
+        let back = t.transpose(&mut stats);
+        assert_eq!(counts(&stats), [(40, 4), (40, 4), (48, 4), (0, 0), (0, 0)]);
+        assert_eq!(back.to_dense(), data);
+
+        // Blocks wider than a copy tile, edges that are not tile multiples.
+        let data: Vec<f64> = (0..70 * 45).map(|x| x as f64).collect();
+        let m = DistMatrix::from_dense(70, 45, 4, &data);
+        let td = m.transpose(&mut [CommStats::default(); 4]).to_dense();
+        for i in 0..70 {
+            for j in 0..45 {
+                assert_eq!(td[j + i * 45], data[i + j * 70]);
+            }
+        }
     }
 
     #[test]

@@ -87,6 +87,23 @@ pub struct RunSummary {
     /// Rank-death recovery times in simulated seconds (the `lost_s`
     /// payload of `rank_death_recovery` instants).
     pub recovery: HistStats,
+    /// **Host** microseconds inside a σ routine, split by part: one entry
+    /// per `*_host_us` counter name (`same_spin_host_us`: transpose /
+    /// one-electron / gather / GEMM / scatter; `mixed_host_us`: get /
+    /// build / GEMM / scatter / acc), each part summed over every rank
+    /// and phase that emitted it. Empty for traces without the counters.
+    pub host_splits: Vec<(String, Vec<(String, f64)>)>,
+}
+
+/// The value stored under `key` in an insertion-ordered association
+/// list, added with its default on first use.
+fn slot<'a, T: Default>(list: &'a mut Vec<(String, T)>, key: &str) -> &'a mut T {
+    let at = list.iter().position(|(k, _)| k == key);
+    let at = at.unwrap_or_else(|| {
+        list.push((key.to_string(), T::default()));
+        list.len() - 1
+    });
+    &mut list[at].1
 }
 
 impl RunSummary {
@@ -192,6 +209,12 @@ impl RunSummary {
         let mut backoffs: Vec<f64> = Vec::new();
         let mut recoveries: Vec<f64> = Vec::new();
         for e in events {
+            if e.kind == EventKind::Counter && e.name.ends_with("_host_us") {
+                let parts = slot(&mut s.host_splits, &e.name);
+                for (k, v) in &e.args {
+                    *slot(parts, k) += v;
+                }
+            }
             if e.kind != EventKind::Span {
                 // Fault-plane and serving-layer instants carry tallies.
                 if e.kind == EventKind::Instant {
@@ -281,7 +304,7 @@ impl RunSummary {
                 ("max", JsonValue::Num(s.max)),
             ])
         }
-        JsonValue::obj(vec![
+        let mut pairs = vec![
             ("nproc", JsonValue::Num(self.nproc as f64)),
             ("t_dgemm", JsonValue::Num(self.t_dgemm)),
             ("t_daxpy", JsonValue::Num(self.t_daxpy)),
@@ -316,7 +339,17 @@ impl RunSummary {
             ("gflops_per_msp", JsonValue::Num(self.gflops_per_msp())),
             ("tflops", JsonValue::Num(self.tflops())),
             ("host_gflops", JsonValue::Num(self.host_gflops())),
-        ])
+        ];
+        // Only when a trace carried the counters, so summaries of
+        // untraced runs serialize exactly as before.
+        if !self.host_splits.is_empty() {
+            let splits = self.host_splits.iter().map(|(name, parts)| {
+                let parts = parts.iter().map(|(k, v)| (k.clone(), JsonValue::Num(*v)));
+                (name.clone(), JsonValue::Obj(parts.collect()))
+            });
+            pairs.push(("host_splits", JsonValue::Obj(splits.collect())));
+        }
+        JsonValue::obj(pairs)
     }
 
     /// Parse a summary previously written by [`RunSummary::to_json`].
@@ -368,6 +401,21 @@ impl RunSummary {
             serve_elapsed: v.get_f64("serve_elapsed").unwrap_or(0.0),
             backoff: stats_from(v, "backoff"),
             recovery: stats_from(v, "recovery"),
+            // Absent in summaries written before the host-time split.
+            host_splits: match v.get("host_splits") {
+                Some(JsonValue::Obj(splits)) => splits
+                    .iter()
+                    .map(|(name, parts)| {
+                        let parts = match parts {
+                            JsonValue::Obj(parts) => parts.iter(),
+                            _ => [].iter(),
+                        };
+                        let parts = parts.filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)));
+                        (name.clone(), parts.collect())
+                    })
+                    .collect(),
+                _ => Vec::new(),
+            },
         })
     }
 
@@ -420,6 +468,22 @@ impl RunSummary {
                 self.host_elapsed,
                 self.host_gflops()
             ));
+        }
+        for (name, parts) in &self.host_splits {
+            let sum: f64 = parts.iter().map(|(_, us)| us).sum();
+            out.push_str(&format!(
+                "  host: {} split, {:.4} s over all MSPs\n",
+                name.trim_end_matches("_host_us"),
+                sum / 1e6
+            ));
+            for (part, us) in parts {
+                out.push_str(&format!(
+                    "    {:<22} {:>12.4}  {:>5.1}%\n",
+                    part,
+                    us / 1e6,
+                    100.0 * us / sum.max(f64::MIN_POSITIVE)
+                ));
+            }
         }
         out.push_str(&format!(
             "  traffic: {:.3e} bytes in {} msgs; nxtval {}; lock acquires {}\n",
@@ -649,6 +713,41 @@ mod tests {
         assert_eq!(s, back);
         let legacy = RunSummary::from_events(&traced());
         assert!(!legacy.render("t").contains("jobs/s"));
+    }
+
+    #[test]
+    fn host_split_counters_roll_up() {
+        let t = Tracer::in_memory();
+        // Two ranks of one phase, then rank 0 of the next.
+        for (rank, gemm) in [(0, 30.0), (1, 50.0), (0, 20.0)] {
+            t.counter(
+                Some(rank),
+                "same_spin_host_us",
+                &[("transpose", 5.0), ("gemm", gemm)],
+            );
+        }
+        t.counter(Some(0), "mixed_host_us", &[("get", 1.0)]);
+        t.counter(None, "pool_shape", &[("tasks", 9.0)]);
+        let s = RunSummary::from_events(&t.events().unwrap());
+        let want = |name: &str, parts: &[(&str, f64)]| {
+            let parts = parts.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+            (name.to_string(), parts)
+        };
+        assert_eq!(
+            s.host_splits,
+            [
+                want("same_spin_host_us", &[("transpose", 15.0), ("gemm", 100.0)]),
+                want("mixed_host_us", &[("get", 1.0)]),
+            ]
+        );
+        let text = s.render("t");
+        assert!(text.contains("host: same_spin split"), "{text}");
+        assert!(text.contains("gemm"), "{text}");
+        assert_eq!(RunSummary::from_json(&s.to_json()).unwrap(), s);
+        // A trace without the counters prints no split.
+        let plain = RunSummary::from_events(&traced());
+        assert!(plain.host_splits.is_empty());
+        assert!(!plain.render("t").contains("split"));
     }
 
     #[test]

@@ -25,12 +25,16 @@ fn job(id: &str, tenant: &str) -> JobSpec {
 struct Stack {
     addr: String,
     net: Arc<NetServer>,
+    n_workers: usize,
     workers: Option<std::thread::JoinHandle<()>>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     server: Arc<Server>,
 }
 
-fn stack(tag: &str, cfg_net: NetConfig, workers: usize) -> Stack {
+/// The front-end up and accepting, the worker pool not yet started:
+/// whatever is submitted sits queued — in flight by construction —
+/// until [`Stack::start_workers`].
+fn idle_stack(tag: &str, cfg_net: NetConfig, workers: usize) -> Stack {
     let dir = std::env::temp_dir().join(format!("fcix-nettest-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = Arc::new(Server::new(ServeConfig {
@@ -40,20 +44,29 @@ fn stack(tag: &str, cfg_net: NetConfig, workers: usize) -> Stack {
     }));
     let net = Arc::new(NetServer::bind(server.clone(), cfg_net).expect("bind loopback"));
     let addr = net.local_addr().expect("local addr").to_string();
-    let srv = server.clone();
-    let workers = std::thread::spawn(move || srv.run(workers));
     let acc = net.clone();
     let acceptor = std::thread::spawn(move || acc.run());
     Stack {
         addr,
         net,
-        workers: Some(workers),
+        n_workers: workers,
+        workers: None,
         acceptor: Some(acceptor),
         server,
     }
 }
 
+fn stack(tag: &str, cfg_net: NetConfig, workers: usize) -> Stack {
+    let mut st = idle_stack(tag, cfg_net, workers);
+    st.start_workers();
+    st
+}
+
 impl Stack {
+    fn start_workers(&mut self) {
+        let (srv, n) = (self.server.clone(), self.n_workers);
+        self.workers = Some(std::thread::spawn(move || srv.run(n)));
+    }
     fn client(&self) -> NetClient {
         NetClient::connect(&self.addr, 30_000).expect("connect")
     }
@@ -134,7 +147,7 @@ fn greedy_tenant_at_its_rate_limit_cannot_starve_another() {
 
 #[test]
 fn inflight_cap_rejects_with_hint_and_releases_as_jobs_finish() {
-    let st = stack(
+    let mut st = idle_stack(
         "inflight",
         NetConfig {
             max_inflight: 2,
@@ -148,11 +161,13 @@ fn inflight_cap_rejects_with_hint_and_releases_as_jobs_finish() {
             &c.submit(&job(&format!("j{i}"), "t")).expect("submit")
         ));
     }
-    // Third concurrent job trips the cap.
+    // No worker runs yet, so both are still in flight however fast a
+    // solve is: the third concurrent job trips the cap.
     let resp = c.submit(&job("j2", "t")).expect("submit");
     assert_eq!(reason(&resp), "inflight_limit", "resp: {resp}");
     assert!(resp.get_f64("retry_after_ms").is_some(), "hint: {resp}");
     // Once the first two finish, the ledger sweeps and j2 is admitted.
+    st.start_workers();
     for i in 0..2 {
         assert!(is_ok(&c.wait(&format!("j{i}"), 60_000).expect("wait")));
     }
