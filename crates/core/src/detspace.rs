@@ -2,13 +2,20 @@
 //!
 //! The FCI coefficient vector is stored as a matrix `C(Iβ, Iα)` — rows
 //! indexed by β strings, columns by α strings — distributed by columns
-//! (paper §3.1, Fig. 1). Spatial symmetry is handled *logically*: the full
-//! product space is stored, but only determinants whose combined irrep
-//! equals the target irrep are populated. Because H is totally symmetric,
-//! σ of an in-sector vector stays in-sector automatically, so the kernels
-//! need no symmetry branches; the initial guess and the preconditioner
-//! apply the sector mask. (The paper blocks the *storage* too — a memory
-//! optimization our problem sizes don't need; see DESIGN.md.)
+//! (paper §3.1, Fig. 1). Strings are sorted by (irrep, mask), so the
+//! determinants of the target irrep are the blocks `(g_β, g_α)` with
+//! `g_α ⊕ g_β = target`: column `Iα` is in the sector on one contiguous
+//! range of rows, the β strings of irrep `g_Iα ⊕ target`.
+//!
+//! The paper blocks the vector by symmetry and works block by block. So
+//! do the DGEMM σ kernels ([`crate::sigma`]): they read, multiply and
+//! write the in-sector blocks only, which on a D2h molecule is an eighth
+//! of the coefficients and a fifty-eighth of the multiply-adds. The
+//! *storage* is not blocked yet: the full β × α product is allocated and
+//! the out-of-sector coefficients are stored zeros that dot products,
+//! axpys, transposes, GET and ACC still move (ROADMAP item 9(b)). The
+//! guess, the preconditioner's diagonal and [`DetSpace::project_sector`]
+//! keep them zero by walking each column's sector rows.
 
 use crate::hamiltonian::Hamiltonian;
 use fci_ddi::DistMatrix;
@@ -171,13 +178,8 @@ impl DetSpace {
     /// Is the determinant `(row = iβ index, col = iα index)` in the sector?
     #[inline]
     pub fn in_sector(&self, ib: usize, ia: usize) -> bool {
-        if self.alpha.irrep_of_index(ia) ^ self.beta.irrep_of_index(ib) != self.target_irrep {
-            return false;
-        }
-        match &self.excitation {
-            None => true,
-            Some(f) => f.level(self.alpha.mask(ia), self.beta.mask(ib)) <= f.max_level,
-        }
+        self.sector_rows(ia).contains(&ib)
+            && self.within_excitation_limit(self.alpha.mask(ia), self.beta.mask(ib))
     }
 
     /// Allocate a zero CI vector distributed over `nproc` ranks.
@@ -191,11 +193,13 @@ impl DetSpace {
     /// sector).
     pub fn diagonal(&self, ham: &Hamiltonian, nproc: usize) -> DistMatrix {
         let d = self.zeros_ci(nproc);
-        d.map_inplace(|ib, ia, _| {
-            if self.in_sector(ib, ia) {
-                ham.diagonal_element(self.alpha.mask(ia), self.beta.mask(ib))
-            } else {
-                f64::INFINITY
+        d.map_cols_inplace(|ia, col| {
+            col.fill(f64::INFINITY);
+            let amask = self.alpha.mask(ia);
+            for ib in self.sector_rows(ia) {
+                if self.within_excitation_limit(amask, self.beta.mask(ib)) {
+                    col[ib] = ham.diagonal_element(amask, self.beta.mask(ib));
+                }
             }
         });
         d
@@ -203,7 +207,33 @@ impl DetSpace {
 
     /// Zero every out-of-sector coefficient of a CI vector.
     pub fn project_sector(&self, c: &DistMatrix) {
-        c.map_inplace(|ib, ia, v| if self.in_sector(ib, ia) { v } else { 0.0 });
+        c.map_cols_inplace(|ia, col| {
+            let keep = self.sector_rows(ia);
+            col[..keep.start].fill(0.0);
+            col[keep.end..].fill(0.0);
+            if self.excitation.is_some() {
+                let amask = self.alpha.mask(ia);
+                for ib in keep {
+                    if !self.within_excitation_limit(amask, self.beta.mask(ib)) {
+                        col[ib] = 0.0;
+                    }
+                }
+            }
+        });
+    }
+
+    /// The rows of column `ia` that belong to the symmetry sector: the β
+    /// strings of irrep `g_Iα ⊕ target`, one contiguous block.
+    fn sector_rows(&self, ia: usize) -> std::ops::Range<usize> {
+        self.beta
+            .block_range(self.alpha.irrep_of_index(ia) ^ self.target_irrep)
+    }
+
+    /// Does the determinant pass the excitation filter (if any)?
+    #[inline]
+    fn within_excitation_limit(&self, amask: u64, bmask: u64) -> bool {
+        self.excitation
+            .is_none_or(|f| f.level(amask, bmask) <= f.max_level)
     }
 
     /// The lowest-diagonal determinant among those `keep(ib, ia)` admits,

@@ -23,7 +23,7 @@
 use crate::detspace::DetSpace;
 use crate::hamiltonian::Hamiltonian;
 use crate::multiroot::{project_against, subspace_gram};
-use crate::sigma::{apply_sigma, SigmaBreakdown, SigmaCtx, SigmaMethod};
+use crate::sigma::{apply_sigma_in_sector, SigmaBreakdown, SigmaCtx, SigmaMethod};
 use crate::slater;
 use fci_ddi::DistMatrix;
 use fci_linalg::{eigh, eigh_2x2, lu_solve, Matrix};
@@ -323,7 +323,7 @@ fn davidson(
 
     while iterations < opts.max_iter {
         // σ for the newest basis vector.
-        let (hb, bd) = apply_sigma(ctx, basis.last().unwrap(), sm);
+        let (hb, bd) = apply_sigma_in_sector(ctx, basis.last().unwrap(), sm);
         ctx.space.project_sector(&hb);
         cost.merge(&bd);
         hbasis.push(hb);
@@ -404,7 +404,7 @@ fn two_vector(
     let mut e_hist = Vec::new();
     let mut r_hist = Vec::new();
     c.scale(1.0 / c.norm());
-    let (hc, bd) = apply_sigma(ctx, &c, sm);
+    let (hc, bd) = apply_sigma_in_sector(ctx, &c, sm);
     ctx.space.project_sector(&hc);
     cost.merge(&bd);
     let mut iterations = 1;
@@ -429,7 +429,7 @@ fn two_vector(
             break;
         }
         // One H application per iteration: H·t.
-        let (ht, bd) = apply_sigma(ctx, &t, sm);
+        let (ht, bd) = apply_sigma_in_sector(ctx, &t, sm);
         ctx.space.project_sector(&ht);
         cost.merge(&bd);
         iterations += 1;
@@ -506,7 +506,7 @@ fn single_vector(
     let mut trust = 1.0f64;
 
     while iterations < opts.max_iter {
-        let (sigma, bd) = apply_sigma(ctx, &c, sm);
+        let (sigma, bd) = apply_sigma_in_sector(ctx, &c, sm);
         ctx.space.project_sector(&sigma); // P·H·P for truncated-CI spaces
         cost.merge(&bd);
         iterations += 1;
@@ -607,7 +607,7 @@ fn single_vector(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hamiltonian::random_hamiltonian;
+    use crate::hamiltonian::{random_hamiltonian, random_symmetric_hamiltonian};
     use crate::taskpool::PoolParams;
     use fci_ddi::{Backend, Ddi};
     use fci_xsim::MachineModel;
@@ -754,39 +754,9 @@ mod tests {
         // requested irrep, matching a dense diagonalization restricted to
         // that sector.
         let sym = vec![0u8, 1, 0, 1, 1];
-        let mut ham = random_hamiltonian(5, 31);
-        // Zero out symmetry-violating integrals so H commutes with the
-        // (artificial) symmetry: keep only totally symmetric products.
-        let n = 5;
-        let mut h = ham.h.clone();
-        for p in 0..n {
-            for q in 0..n {
-                if sym[p] ^ sym[q] != 0 {
-                    h[(p, q)] = 0.0;
-                }
-            }
-        }
-        let mut eri = fci_ints::EriTensor::zeros(n);
-        for p in 0..n {
-            for q in 0..n {
-                for r in 0..n {
-                    for s in 0..n {
-                        if sym[p] ^ sym[q] ^ sym[r] ^ sym[s] == 0 {
-                            eri.set(p, q, r, s, ham.eri.get(p, q, r, s));
-                        }
-                    }
-                }
-            }
-        }
-        let mo = fci_scf::MoIntegrals {
-            n_orb: n,
-            h,
-            eri,
-            e_core: 0.0,
-            orb_sym: sym.clone(),
-            n_irrep: 2,
-        };
-        ham = Hamiltonian::new(&mo);
+        // Symmetry-violating integrals are exact zeros, so H commutes
+        // with the (artificial) symmetry.
+        let ham = random_symmetric_hamiltonian(5, 31, &sym, 2);
 
         for g in 0..2u8 {
             let space = DetSpace::new(5, 2, 1, &sym, 2, g);

@@ -19,6 +19,13 @@
 //!   by the mixed-spin routine (paper eq. 5),
 //!
 //! plus diagonal elements for preconditioning.
+//!
+//! Totally symmetric integrals make both matrices block-diagonal in the
+//! pair irrep `h = g_p ⊕ g_r = g_q ⊕ g_s`. The DGEMM kernels multiply
+//! only those blocks: `Ĝ_hh` is cut out of **G** once, here, and the
+//! `V_hh` of a mixed-spin family is filled from the per-irrep orbital
+//! lists kept beside it. **G** and **V** are read-only after
+//! construction so that the blocks cannot diverge from their source.
 
 use fci_ints::EriTensor;
 use fci_linalg::Matrix;
@@ -40,17 +47,75 @@ pub struct Hamiltonian {
     pub h: Matrix,
     /// Raw two-electron integrals `(pq|rs)` (kept for Slater–Condon).
     pub eri: EriTensor,
-    /// Mixed-spin integral matrix `V[(p·n+q), (r·n+s)] = (pq|rs)`.
-    pub v: Matrix,
-    /// Same-spin antisymmetrized pair matrix
-    /// `G[pair(p,r), pair(q,s)] = (pq|rs) − (ps|rq)`, `p>r`, `q>s`.
-    pub g: Matrix,
+    /// See [`Hamiltonian::v`].
+    v: Matrix,
+    /// See [`Hamiltonian::g`].
+    g: Matrix,
     /// Irrep of each orbital.
     pub orb_sym: Vec<u8>,
     /// Number of irreps.
     pub n_irrep: usize,
+    /// Block tables derived from `g` and `orb_sym`.
+    blocks: SymBlocks,
     /// Process-unique identity token (see [`Hamiltonian::id`]).
     id: u64,
+}
+
+/// What the blocked σ kernels read of the point group: orbitals and
+/// orbital pairs grouped by irrep, and the diagonal blocks of **G**.
+/// With one irrep every list is the identity and `Ĝ_00` is **G**.
+#[derive(Clone, Debug)]
+struct SymBlocks {
+    /// Orbitals in (irrep, orbital) order; irrep `g` is
+    /// `orbs[orb_off[g]..orb_off[g + 1]]`.
+    orbs: Vec<u8>,
+    orb_off: Vec<usize>,
+    /// Position of each orbital inside its irrep's run of `orbs`.
+    orb_rank: Vec<u8>,
+    /// Position of each pair (by [`pair_index`]) among the pairs of its
+    /// irrep `g_p ⊕ g_r`, which are kept in `pair_index` order.
+    pair_pos: Vec<u32>,
+    /// `Ĝ_hh`, one per pair irrep.
+    g_blocks: Vec<Matrix>,
+}
+
+impl SymBlocks {
+    fn new(g: &Matrix, orb_sym: &[u8], n_irrep: usize) -> Self {
+        let n = orb_sym.len();
+        let mut orbs: Vec<u8> = (0..n as u8).collect();
+        orbs.sort_by_key(|&p| (orb_sym[p as usize], p));
+        let mut orb_off = vec![0usize; n_irrep + 1];
+        let mut orb_rank = vec![0u8; n];
+        for &p in &orbs {
+            let irrep = orb_sym[p as usize] as usize;
+            orb_rank[p as usize] = orb_off[irrep + 1] as u8;
+            orb_off[irrep + 1] += 1;
+        }
+        for i in 0..n_irrep {
+            orb_off[i + 1] += orb_off[i];
+        }
+        // Pairs of each irrep, in pair_index order.
+        let mut pairs: Vec<Vec<usize>> = vec![Vec::new(); n_irrep];
+        let mut pair_pos = vec![0u32; g.nrows()];
+        for p in 1..n {
+            for r in 0..p {
+                let of_h = &mut pairs[(orb_sym[p] ^ orb_sym[r]) as usize];
+                pair_pos[pair_index(p, r)] = of_h.len() as u32;
+                of_h.push(pair_index(p, r));
+            }
+        }
+        let g_blocks = pairs
+            .iter()
+            .map(|ph| Matrix::from_fn(ph.len(), ph.len(), |i, j| g[(ph[i], ph[j])]))
+            .collect();
+        SymBlocks {
+            orbs,
+            orb_off,
+            orb_rank,
+            pair_pos,
+            g_blocks,
+        }
+    }
 }
 
 impl Clone for Hamiltonian {
@@ -68,6 +133,7 @@ impl Clone for Hamiltonian {
             g: self.g.clone(),
             orb_sym: self.orb_sym.clone(),
             n_irrep: self.n_irrep,
+            blocks: self.blocks.clone(),
             id: NEXT_HAM_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -109,12 +175,47 @@ impl Hamiltonian {
             e_core: mo.e_core,
             h: mo.h.clone(),
             eri: mo.eri.clone(),
+            blocks: SymBlocks::new(&g, &mo.orb_sym, mo.n_irrep),
             v,
             g,
             orb_sym: mo.orb_sym.clone(),
             n_irrep: mo.n_irrep,
             id: NEXT_HAM_ID.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// Mixed-spin integral matrix `V[(p·n+q), (r·n+s)] = (pq|rs)`.
+    pub fn v(&self) -> &Matrix {
+        &self.v
+    }
+
+    /// Same-spin antisymmetrized pair matrix
+    /// `G[pair(p,r), pair(q,s)] = (pq|rs) − (ps|rq)`, `p>r`, `q>s`.
+    pub fn g(&self) -> &Matrix {
+        &self.g
+    }
+
+    /// `Ĝ_hh`: the rows and columns of **G** whose pairs have irrep
+    /// `g_p ⊕ g_r = h`, in [`pair_index`] order.
+    pub(crate) fn g_block(&self, h: u8) -> &Matrix {
+        &self.blocks.g_blocks[h as usize]
+    }
+
+    /// Row (and column) of each pair, by [`pair_index`], inside the
+    /// [`Hamiltonian::g_block`] of its irrep.
+    pub(crate) fn pair_pos(&self) -> &[u32] {
+        &self.blocks.pair_pos
+    }
+
+    /// The orbitals of irrep `g`, ascending.
+    pub(crate) fn irrep_orbitals(&self, g: u8) -> &[u8] {
+        let off = &self.blocks.orb_off;
+        &self.blocks.orbs[off[g as usize]..off[g as usize + 1]]
+    }
+
+    /// Position of each orbital among the orbitals of its own irrep.
+    pub(crate) fn orb_rank(&self) -> &[u8] {
+        &self.blocks.orb_rank
     }
 
     /// Diagonal element `⟨D|H|D⟩ − E_core` for the determinant with α
@@ -158,6 +259,20 @@ impl Hamiltonian {
 /// convergence (which, as in real FCI codes, presumes a dominant
 /// reference determinant; see [`crate::diag`]).
 pub fn random_hamiltonian(n: usize, seed: u64) -> Hamiltonian {
+    random_symmetric_hamiltonian(n, seed, &vec![0; n], 1)
+}
+
+/// [`random_hamiltonian`] under an (artificial) point group: the same
+/// random stream with every symmetry-forbidden integral — `h_pq` with
+/// `g_p ≠ g_q`, `(pq|rs)` with `g_p ⊕ g_q ⊕ g_r ⊕ g_s ≠ 0` — left exactly
+/// zero, so that H commutes with the symmetry and its sectors decouple.
+pub fn random_symmetric_hamiltonian(
+    n: usize,
+    seed: u64,
+    orb_sym: &[u8],
+    n_irrep: usize,
+) -> Hamiltonian {
+    assert_eq!(orb_sym.len(), n);
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
     let mut next = move || {
         state = state
@@ -169,8 +284,10 @@ pub fn random_hamiltonian(n: usize, seed: u64) -> Hamiltonian {
     for p in 0..n {
         for q in 0..=p {
             let v = 0.25 * next();
-            h[(p, q)] = v;
-            h[(q, p)] = v;
+            if orb_sym[p] == orb_sym[q] {
+                h[(p, q)] = v;
+                h[(q, p)] = v;
+            }
         }
         // Orbital-energy ladder: the lowest determinant dominates.
         h[(p, p)] = -2.0 + 1.5 * p as f64 + 0.3 * next();
@@ -181,7 +298,10 @@ pub fn random_hamiltonian(n: usize, seed: u64) -> Hamiltonian {
             for r in 0..=p {
                 let smax = if r == p { q } else { r };
                 for s in 0..=smax {
-                    eri.set(p, q, r, s, 0.3 * next());
+                    let v = 0.3 * next();
+                    if orb_sym[p] ^ orb_sym[q] ^ orb_sym[r] ^ orb_sym[s] == 0 {
+                        eri.set(p, q, r, s, v);
+                    }
                 }
             }
         }
@@ -191,8 +311,8 @@ pub fn random_hamiltonian(n: usize, seed: u64) -> Hamiltonian {
         h,
         eri,
         e_core: 0.0,
-        orb_sym: vec![0; n],
-        n_irrep: 1,
+        orb_sym: orb_sym.to_vec(),
+        n_irrep,
     };
     Hamiltonian::new(&mo)
 }
@@ -261,6 +381,53 @@ mod tests {
         let b = random_hamiltonian(4, 42);
         assert_eq!(a.h, b.h);
         assert!(a.v.max_abs_diff(&b.v) == 0.0);
+    }
+
+    #[test]
+    fn one_irrep_is_one_block_and_the_identity_lists() {
+        let ham = random_hamiltonian(5, 3);
+        assert_eq!(ham.g_block(0), ham.g());
+        assert_eq!(ham.irrep_orbitals(0), [0, 1, 2, 3, 4]);
+        assert_eq!(ham.orb_rank(), [0, 1, 2, 3, 4]);
+        assert!(ham.pair_pos().iter().copied().eq(0..10));
+    }
+
+    #[test]
+    fn g_blocks_tile_the_nonzero_part_of_g() {
+        // Unsorted labels over four irreps, one of them (2) unused.
+        let sym = [3u8, 0, 1, 0, 3, 1];
+        let ham = random_symmetric_hamiltonian(6, 5, &sym, 4);
+        assert_eq!(ham.irrep_orbitals(0), [1, 3]);
+        assert_eq!(ham.irrep_orbitals(2), [0u8; 0]);
+        assert_eq!(ham.irrep_orbitals(3), [0, 4]);
+        assert_eq!(ham.orb_rank(), [0, 0, 0, 1, 1, 1]);
+        let pair_irrep = |idx: usize| {
+            let (p, r) = (1..6)
+                .flat_map(|p| (0..p).map(move |r| (p, r)))
+                .find(|&(p, r)| pair_index(p, r) == idx)
+                .unwrap();
+            sym[p] ^ sym[r]
+        };
+        let mut covered = 0;
+        for row in 0..ham.npair() {
+            for col in 0..ham.npair() {
+                let (hr, hc) = (pair_irrep(row), pair_irrep(col));
+                if hr == hc {
+                    let (i, j) = (ham.pair_pos()[row], ham.pair_pos()[col]);
+                    assert_eq!(ham.g_block(hr)[(i as usize, j as usize)], ham.g[(row, col)]);
+                    covered += 1;
+                } else {
+                    assert_eq!(ham.g[(row, col)], 0.0);
+                }
+            }
+        }
+        let tiled: usize = (0..4).map(|h| ham.g_block(h).len()).sum();
+        assert_eq!(covered, tiled);
+        // The forbidden one- and two-electron integrals are exact zeros.
+        assert_eq!(ham.h[(0, 1)], 0.0);
+        assert!(ham.h[(0, 4)] != 0.0);
+        assert_eq!(ham.eri.get(0, 1, 2, 3), 0.0);
+        assert!(ham.eri.get(0, 4, 1, 3) != 0.0);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use detspace::{lowest_det_irrep, DetSpace};
 pub use diag::{
     diagonalize, diagonalize_from, DiagMethod, DiagOptions, DiagResult, Preconditioner,
 };
-pub use hamiltonian::{random_hamiltonian, Hamiltonian};
+pub use hamiltonian::{random_hamiltonian, random_symmetric_hamiltonian, Hamiltonian};
 pub use multiroot::{diagonalize_roots, MultiRootResult};
 pub use perf_model::PerfModel;
 pub use phase::run_phase;

@@ -9,7 +9,7 @@
 //! roots converge together instead of root-flipping.
 
 use crate::diag::{DiagOptions, Preconditioner};
-use crate::sigma::{apply_sigma, SigmaBreakdown, SigmaCtx, SigmaMethod};
+use crate::sigma::{apply_sigma_in_sector, SigmaBreakdown, SigmaCtx, SigmaMethod};
 use fci_ddi::DistMatrix;
 use fci_linalg::{cholesky_lower, dgemm, eigh, trsm_right_ltrans, Matrix, Trans};
 
@@ -71,7 +71,7 @@ pub fn diagonalize_roots(
     while iterations < opts.max_iter * nroots {
         // σ for any basis vectors that lack one.
         while hbasis.len() < basis.len() {
-            let (hb, bd) = apply_sigma(ctx, &basis[hbasis.len()], sigma_method);
+            let (hb, bd) = apply_sigma_in_sector(ctx, &basis[hbasis.len()], sigma_method);
             space.project_sector(&hb);
             cost.merge(&bd);
             hbasis.push(hb);

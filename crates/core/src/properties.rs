@@ -127,7 +127,7 @@ pub fn natural_occupations(space: &DetSpace, c: &DistMatrix) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::diag::{diagonalize, DiagMethod, DiagOptions};
-    use crate::hamiltonian::random_hamiltonian;
+    use crate::hamiltonian::{random_hamiltonian, Hamiltonian};
     use crate::sigma::{SigmaCtx, SigmaMethod};
     use crate::taskpool::PoolParams;
     use fci_ddi::{Backend, Ddi};
@@ -235,10 +235,14 @@ mod tests {
             .map(|(p, q)| ham.h[(p, q)] * g[(q, p)])
             .sum();
         // Reference: build ⟨C|ĥ|C⟩ by a σ with the two-electron part off.
-        let mut ham1 = ham.clone();
-        ham1.eri = fci_ints::EriTensor::zeros(4);
-        ham1.v = fci_linalg::Matrix::zeros(16, 16);
-        ham1.g = fci_linalg::Matrix::zeros(6, 6);
+        let ham1 = Hamiltonian::new(&fci_scf::MoIntegrals {
+            n_orb: 4,
+            h: ham.h.clone(),
+            eri: fci_ints::EriTensor::zeros(4),
+            e_core: 0.0,
+            orb_sym: vec![0; 4],
+            n_irrep: 1,
+        });
         let ctx1 = SigmaCtx {
             space: &space,
             ham: &ham1,

@@ -16,6 +16,38 @@
 //! Communication per Kα is O(family × Nβ-strings) — in total `3·Nci·Nα`
 //! words versus the MOC routine's `Nci·Nα·(n−Nα)` (Table 1).
 //!
+//! ### Symmetry blocks
+//!
+//! The routine computes the α-β part of `P·H·P`, P the projector on the
+//! target irrep. `C(Jα, Jβ)` is in the sector when `g_Jα ⊕ g_Jβ =
+//! target`, i.e. row `(q̃, s)` of D is non-zero in column Kβ only when
+//! `g_q ⊕ g_s = g_Kα ⊕ g_Kβ ⊕ target =: h`, and `(pq|rs)` vanishes unless
+//! `g_p ⊕ g_r = g_q ⊕ g_s`. Kβ strings are sorted by (irrep, mask), so
+//! steps 2–4 run once per irrep block of Kβ:
+//!
+//! ```text
+//! D_h (rows (q̃,s) with g_q ⊕ g_s = h  ×  the Kβ of irrep g_Kα ⊕ h ⊕ target)
+//! E_h = V_hh · D_h
+//! ```
+//!
+//! A family's slots are sorted by (irrep, orbital) and the rows of `D_h`
+//! keep the slot-major order `(q̃, s)`: slot `q̃` owns one row per orbital
+//! `s` of irrep `g_q ⊕ h`, so row = `base[q̃]` + rank of `s` inside its
+//! irrep, and the slots that pair with a given `s` are one contiguous
+//! range. `V_hh` is filled from the per-irrep orbital lists. With one
+//! irrep there is one block, `base[q̃] = q̃·n`, and every list is the
+//! identity: the same loops build the same `nd × n_Kβ` product.
+//!
+//! ### Layout
+//!
+//! The gathered columns and the update buffer are held **slot-minor**
+//! (`cgt[jβ·nq + q̃]`, `ut[iβ·nq + q̃]`): a β family entry `(s, Jβ)` moves
+//! the contiguous run of slots that pair with `s` between one row of
+//! `cgt` / `ut` and a strided column of `D_h` / `E_h`. Only the
+//! in-sector rows of either buffer are ever written or read. `D_h`,
+//! `E_h` and `V_hh` are three matrices sized for an unblocked task and
+//! reshaped per block.
+//!
 //! ### Scheduling simulation
 //!
 //! Under the threads backend every worker claims tasks from the shared
@@ -26,7 +58,7 @@
 //! — greedy list scheduling, which is what `SHMEM_SWAP` self-scheduling
 //! produces on the real machine.
 
-use super::SigmaCtx;
+use super::{SigmaCtx, MAX_IRREP};
 use crate::hamiltonian::Hamiltonian;
 use crate::phase::{charge_comm, HostSplit};
 use crate::taskpool::TaskPool;
@@ -45,16 +77,31 @@ pub type ColumnSink<'s> = dyn FnMut(usize, &[f64], &mut CommStats) + 's;
 /// "working area to store the gathered C vector coefficients and the
 /// computed update coefficients", §3.1).
 struct WorkBufs {
+    /// One α column of the update, as handed to the sink; zero outside
+    /// the column's in-sector rows.
     colbuf: Vec<f64>,
+    /// The family's C columns as `DDI_GET` delivers them, slot-major.
     cg: Vec<f64>,
-    u: Vec<f64>,
+    /// The same, sign-folded and slot-minor: `cgt[jβ·nq + slot]`.
+    cgt: Vec<f64>,
+    /// The update, slot-minor: `ut[iβ·nq + slot]`; all zero between
+    /// tasks.
+    ut: Vec<f64>,
     /// Column indices of the current family (input to the aggregated
     /// [`DistMatrix::get_cols`]); capacity reserved once, reused forever.
     cols: Vec<usize>,
+    /// First row of each slot in the current `D_h` (and one past the
+    /// last slot's rows).
+    base: Vec<usize>,
+    /// Per orbital, where it enters the current `D_h`.
+    orb_rows: Vec<OrbRows>,
+    /// Per row of the current `V_hh`, where its integrals sit in **V**
+    /// (see [`fill_vk`]).
+    vpos: Vec<(usize, usize)>,
     d: Matrix,
     e_mat: Matrix,
     vk: Matrix,
-    /// Persistent packed `V_K` operands, one per Kα, keyed by the
+    /// Persistent packed `V_hh` operands, one per (Kα, h), keyed by the
     /// Hamiltonian identity. Lives as long as the buffers do, so serial
     /// steady-state Davidson iterations never rebuild or repack an
     /// integral block (asserted by `vk_operands_packed_once_per_solve`).
@@ -67,8 +114,12 @@ impl WorkBufs {
         WorkBufs {
             colbuf: vec![0.0; nbstr],
             cg: vec![0.0; nbstr * nq],
-            u: vec![0.0; nbstr * nq],
+            cgt: vec![0.0; nbstr * nq],
+            ut: vec![0.0; nbstr * nq],
             cols: Vec::with_capacity(nq),
+            base: vec![0; nq + 1],
+            orb_rows: vec![OrbRows::default(); n],
+            vpos: vec![(0, 0); nd],
             d: Matrix::zeros(nd, nkb),
             e_mat: Matrix::zeros(nd, nkb),
             vk: Matrix::zeros(nd, nd),
@@ -77,14 +128,28 @@ impl WorkBufs {
     }
 }
 
+/// Where a β orbital `s` enters the current `D_h`: the contiguous slots
+/// `q̃` it pairs with (`g_q ⊕ g_s = h`) and the rows `(q̃, s)` they own.
+#[derive(Clone, Copy, Default)]
+struct OrbRows {
+    /// First pairing slot.
+    slot: usize,
+    /// Number of pairing slots.
+    count: usize,
+    /// Row of `(first pairing slot, s)`.
+    first: usize,
+    /// Rows from one pairing slot's `s` to the next one's.
+    step: usize,
+}
+
 /// Upper bound in bytes on one worker's packed-`V_K` cache. When the
 /// budget fills, remaining families simply keep the build-and-pack-per-call
 /// path — correctness never depends on a cache hit.
 const PACK_CACHE_BYTES: usize = 256 << 20;
 
-/// Cache of packed `V_K` GEMM operands, indexed by Kα.
+/// Cache of packed `V_hh` GEMM operands, indexed by `Kα·n_irrep + h`.
 ///
-/// `V_K` depends only on the Hamiltonian and the family, so once packed
+/// `V_hh` depends only on the Hamiltonian, the family and h, so once packed
 /// it is valid for every σ application against that Hamiltonian. Entries
 /// fill deterministically in task-claim order (which the serial backend
 /// fixes) and are dropped wholesale when the Hamiltonian changes — the
@@ -104,22 +169,22 @@ impl PackedCache {
         }
     }
 
-    /// Point the cache at `(ham_id, nka)`, clearing it on any change
+    /// Point the cache at `(ham_id, slots)`, clearing it on any change
     /// (Hamiltonian ids start at 1, so the fresh cache never matches).
-    fn sync(&mut self, ham_id: u64, nka: usize) {
-        if self.ham_id != ham_id || self.panels.len() != nka {
+    fn sync(&mut self, ham_id: u64, slots: usize) {
+        if self.ham_id != ham_id || self.panels.len() != slots {
             self.ham_id = ham_id;
             self.bytes = 0;
             self.panels.clear();
-            self.panels.resize_with(nka, || None);
+            self.panels.resize_with(slots, || None);
         }
     }
 
-    /// Store a packed operand for `ka` if it fits the budget.
-    fn insert(&mut self, ka: usize, pa: PackedA) {
+    /// Store a packed operand in slot `at` if it fits the budget.
+    fn insert(&mut self, at: usize, pa: PackedA) {
         if self.bytes + pa.bytes() <= PACK_CACHE_BYTES {
             self.bytes += pa.bytes();
-            self.panels[ka] = Some(pa);
+            self.panels[at] = Some(pa);
         }
     }
 
@@ -198,132 +263,214 @@ fn process_task_into(
     let space = ctx.space;
     let ham = ctx.ham;
     let model = ctx.model;
-    let n = space.n_orb();
     let nbstr = space.beta.len();
     let nkb = space.beta_nm1.len();
+    let kbeta = space.beta_nm1.space_k();
+    let n_irrep = kbeta.n_irrep();
+    let target = space.target_irrep;
     let fam = space.alpha_nm1.of(ka);
     let nq = fam.len();
-    let nd = nq * n;
+    let gka = space.alpha_nm1.space_k().irrep_of_index(ka);
+    let orb_sym = &ham.orb_sym[..];
+    let orb_rank = ham.orb_rank();
     host.start();
+
+    // The family's slots are sorted by (irrep, orbital): those of irrep
+    // g are `slots[g]..slots[g + 1]`. The α column of a slot has irrep
+    // g_Kα ⊕ g_q and is non-zero in `sector_rows` only.
+    let mut slots = [0usize; MAX_IRREP + 1];
+    for e in fam {
+        slots[orb_sym[e.p as usize] as usize + 1] += 1;
+    }
+    for g in 0..n_irrep {
+        slots[g + 1] += slots[g];
+    }
+    let sector_rows =
+        |e: &fci_strings::CreateEntry| space.beta.block_range(gka ^ orb_sym[e.p as usize] ^ target);
 
     // (1) gather the C columns of the family in ONE aggregated DDI op —
     // one latency charge (and one trace event) per remote owner-run
     // instead of one per column, the paper's size-ordered aggregated
-    // gather — then fold the excitation signs in place. An in-place
-    // `*v *= -1` produces the same bits as the old `sgn * v` store.
+    // gather — then fold the excitation signs while turning the
+    // in-sector rows slot-minor.
     bufs.cols.clear();
     // lint: allow(alloc) — capacity reserved once in WorkBufs::new; clear+extend never reallocates
     bufs.cols.extend(fam.iter().map(|e| e.to as usize));
     c.get_cols(rank, &bufs.cols, &mut bufs.cg[..nq * nbstr], stats);
     for (slot, e) in fam.iter().enumerate() {
-        if e.sign < 0 {
-            for v in &mut bufs.cg[slot * nbstr..(slot + 1) * nbstr] {
-                *v = -*v;
-            }
+        let rows = sector_rows(e);
+        let sgn = e.sign as f64;
+        let col = &bufs.cg[slot * nbstr..(slot + 1) * nbstr][rows.clone()];
+        let cgt = bufs.cgt[rows.start * nq..rows.end * nq].iter_mut();
+        for (t, &v) in cgt.skip(slot).step_by(nq).zip(col) {
+            *t = sgn * v;
         }
     }
     clock.charge_gather(model, (nq * nbstr) as f64);
     host.lap(GET);
 
-    // (2) build D through the β N−1 families.
-    bufs.d.fill_zero();
-    clock.charge_memcpy(model, (nd * nkb * 8) as f64);
-    let mut touched = 0usize;
-    for kb in 0..nkb {
-        for eb in space.beta_nm1.of(kb) {
-            let s = eb.p as usize;
-            let sgn = eb.sign as f64;
-            let jb = eb.to as usize;
-            for slot in 0..nq {
-                bufs.d[(slot * n + s, kb)] = sgn * bufs.cg[jb + slot * nbstr];
+    for gkb in 0..n_irrep {
+        // (2) build D_h through the β N−1 families of this irrep block.
+        let kbs = kbeta.block_range(gkb as u8);
+        let h = gka ^ gkb as u8 ^ target;
+        // Rows per slot of irrep g: the orbitals of irrep g ⊕ h.
+        let mut per_slot = [0usize; MAX_IRREP];
+        for g in 0..n_irrep {
+            per_slot[g] = ham.irrep_orbitals(g as u8 ^ h).len();
+            for slot in slots[g]..slots[g + 1] {
+                bufs.base[slot + 1] = bufs.base[slot] + per_slot[g];
             }
-            touched += nq;
         }
-    }
-    clock.charge_gather(model, touched as f64);
+        let (nd, nkb_h) = (bufs.base[nq], kbs.len());
+        if nd == 0 || nkb_h == 0 {
+            continue;
+        }
+        for (s, t) in bufs.orb_rows.iter_mut().enumerate() {
+            let g = (orb_sym[s] ^ h) as usize;
+            *t = OrbRows {
+                slot: slots[g],
+                count: slots[g + 1] - slots[g],
+                first: bufs.base[slots[g]] + orb_rank[s] as usize,
+                step: per_slot[g],
+            };
+        }
+        bufs.d.reshape(nd, nkb_h);
+        bufs.d.fill_zero();
+        clock.charge_memcpy(model, (nd * nkb_h * 8) as f64);
+        let mut touched = 0usize;
+        for (dcol, kb) in bufs.d.as_mut_slice().chunks_exact_mut(nd).zip(kbs.clone()) {
+            for eb in space.beta_nm1.of(kb) {
+                let t = bufs.orb_rows[eb.p as usize];
+                let sgn = eb.sign as f64;
+                let mut row = t.first;
+                for &v in &bufs.cgt[eb.to as usize * nq + t.slot..][..t.count] {
+                    dcol[row] = sgn * v;
+                    row += t.step;
+                }
+                touched += t.count;
+            }
+        }
+        clock.charge_gather(model, touched as f64);
 
-    // (3) the integral block and the DGEMM. `V_K` depends only on
-    // (Hamiltonian, Kα), so above the GEMM packing crossover the worker
-    // packs it once into its persistent cache and replays the packed
-    // operand on every later σ application — Davidson iterates dozens of
-    // times against the same integrals, and on a hit both the nd×nd
-    // gather and the GEMM's per-call A-pack disappear. The simulated
-    // clock still charges the full build either way: the cache is a
-    // host-time optimization, invisible to the machine model (and hence
-    // to the simulated schedule, which is driven by those charges).
-    let use_pack = gemm_prefers_packed(nd, nkb, nd);
-    if use_pack {
-        bufs.pack.sync(ham.id(), space.alpha_nm1.len());
-    }
-    if !(use_pack && bufs.pack.panels[ka].is_some()) {
-        fill_vk(&mut bufs.vk, ham, fam, n);
+        // (3) the integral block and the DGEMM. `V_hh` depends only on
+        // (Hamiltonian, Kα, h), so above the GEMM packing crossover the
+        // worker packs it once into its persistent cache and replays the
+        // packed operand on every later σ application — Davidson iterates
+        // dozens of times against the same integrals, and on a hit both
+        // the nd×nd gather and the GEMM's per-call A-pack disappear. The
+        // simulated clock still charges the full build either way: the
+        // cache is a host-time optimization, invisible to the machine
+        // model (and hence to the simulated schedule, which is driven by
+        // those charges).
+        let use_pack = gemm_prefers_packed(nd, nkb_h, nd);
+        let at = ka * n_irrep + h as usize;
         if use_pack {
-            bufs.pack.insert(ka, PackedA::pack(Trans::No, &bufs.vk));
+            bufs.pack.sync(ham.id(), space.alpha_nm1.len() * n_irrep);
         }
-    }
-    clock.charge_memcpy(model, (nd * nd * 8) as f64);
-    host.lap(BUILD);
-    let pa = if use_pack {
-        bufs.pack.panels[ka].as_ref()
-    } else {
-        None
-    };
-    match pa {
-        // Bitwise equal to the `dgemm` packed path below, which `Auto`
-        // selects for every shape where `use_pack` holds.
-        Some(pa) => dgemm_prepacked(1, 1.0, pa, Trans::No, &bufs.d, 0.0, &mut bufs.e_mat),
-        None => dgemm(
-            Trans::No,
-            Trans::No,
-            1.0,
-            &bufs.vk,
-            &bufs.d,
-            0.0,
-            &mut bufs.e_mat,
-        ),
-    }
-    clock.charge_dgemm(model, nd, nkb, nd);
-    host.lap(GEMM);
-
-    // (4) scatter through β families and accumulate.
-    bufs.u.iter_mut().for_each(|x| *x = 0.0);
-    let mut scat = 0usize;
-    for kb in 0..nkb {
-        for eb in space.beta_nm1.of(kb) {
-            let r = eb.p as usize;
-            let sgn = eb.sign as f64;
-            let ib = eb.to as usize;
-            for pi in 0..nq {
-                bufs.u[ib + pi * nbstr] += sgn * bufs.e_mat[(pi * n + r, kb)];
+        if !(use_pack && bufs.pack.panels[at].is_some()) {
+            bufs.vk.reshape(nd, nd);
+            fill_vk(&mut bufs.vk, &mut bufs.vpos, ham, fam, h);
+            if use_pack {
+                bufs.pack.insert(at, PackedA::pack(Trans::No, &bufs.vk));
             }
-            scat += nq;
         }
+        clock.charge_memcpy(model, (nd * nd * 8) as f64);
+        host.lap(BUILD);
+        let pa = if use_pack {
+            bufs.pack.panels[at].as_ref()
+        } else {
+            None
+        };
+        bufs.e_mat.reshape(nd, nkb_h);
+        match pa {
+            // Bitwise equal to the `dgemm` packed path below, which `Auto`
+            // selects for every shape where `use_pack` holds.
+            Some(pa) => dgemm_prepacked(1, 1.0, pa, Trans::No, &bufs.d, 0.0, &mut bufs.e_mat),
+            None => dgemm(
+                Trans::No,
+                Trans::No,
+                1.0,
+                &bufs.vk,
+                &bufs.d,
+                0.0,
+                &mut bufs.e_mat,
+            ),
+        }
+        clock.charge_dgemm(model, nd, nkb_h, nd);
+        host.lap(GEMM);
+
+        // (4) scatter E_h through the same β families.
+        let mut scat = 0usize;
+        for (ecol, kb) in bufs.e_mat.as_slice().chunks_exact(nd).zip(kbs) {
+            for eb in space.beta_nm1.of(kb) {
+                let t = bufs.orb_rows[eb.p as usize];
+                let sgn = eb.sign as f64;
+                let mut row = t.first;
+                for u in &mut bufs.ut[eb.to as usize * nq + t.slot..][..t.count] {
+                    *u += sgn * ecol[row];
+                    row += t.step;
+                }
+                scat += t.count;
+            }
+        }
+        clock.charge_gather(model, scat as f64);
+        host.lap(SCATTER);
     }
-    clock.charge_gather(model, scat as f64);
+
+    // Accumulate: one full-length α column per slot, zero outside its
+    // in-sector rows (which change only where the slots' irrep does).
+    // What is read of the update is cleared behind the read, which
+    // leaves `ut` all zero for the next task.
+    let mut filled = 0..0;
     for (slot, e) in fam.iter().enumerate() {
+        let rows = sector_rows(e);
+        if rows != filled {
+            bufs.colbuf[filled].fill(0.0);
+            filled = rows.clone();
+        }
         let sgn = e.sign as f64;
-        for (i, cb) in bufs.colbuf.iter_mut().enumerate() {
-            *cb = sgn * bufs.u[i + slot * nbstr];
+        let ut = bufs.ut[rows.start * nq..rows.end * nq].iter_mut();
+        for (cb, u) in bufs.colbuf[rows].iter_mut().zip(ut.skip(slot).step_by(nq)) {
+            *cb = sgn * *u;
+            *u = 0.0;
         }
         host.lap(SCATTER);
         sink(e.to as usize, &bufs.colbuf, stats);
         host.lap(ACC);
     }
+    bufs.colbuf[filled].fill(0.0);
     clock.charge_gather(model, (nq * nbstr) as f64);
     clock.charge_scalar(model, (2 * nq + 2 * nkb) as f64);
 }
 
-/// Fill `vk` with the family's integral block (the "INT" box of
-/// Fig. 2b): `V_K[(p̃·n+r), (q̃·n+s)] = (p_{p̃} q_{q̃} | r s)`.
-fn fill_vk(vk: &mut Matrix, ham: &Hamiltonian, fam: &[fci_strings::CreateEntry], n: usize) {
-    for (qi, eq) in fam.iter().enumerate() {
-        for (pi, ep) in fam.iter().enumerate() {
-            let vrow = ep.p as usize * n + eq.p as usize;
-            for r in 0..n {
-                for s in 0..n {
-                    vk[(pi * n + r, qi * n + s)] = ham.v[(vrow, r * n + s)];
-                }
-            }
+/// Fill `vk` with the family's integral block of pair irrep `h` (the
+/// "INT" box of Fig. 2b): row `base[p̃] + i` is `(p̃, r)` with `r` the
+/// `i`-th orbital of irrep `g_p ⊕ h`, columns likewise, and the entry is
+/// `(p_{p̃} q_{q̃} | r s)` — read as `(s r | p q)`, the same number in
+/// **V**, whose position splits into a row part `r + p·n³` and a column
+/// part `s·n + q·n²` (`vpos`: the part of every row, which is also the
+/// other part of the same index as a column).
+fn fill_vk(
+    vk: &mut Matrix,
+    vpos: &mut [(usize, usize)],
+    ham: &Hamiltonian,
+    fam: &[fci_strings::CreateEntry],
+    h: u8,
+) {
+    let n = ham.n;
+    let mut rows = vpos.iter_mut();
+    for e in fam {
+        let p = e.p as usize;
+        for (&r, at) in ham.irrep_orbitals(ham.orb_sym[p] ^ h).iter().zip(&mut rows) {
+            let r = r as usize;
+            *at = (r + p * n * n * n, r * n + p * n * n);
+        }
+    }
+    let nd = vk.nrows();
+    let (v, vpos) = (ham.v().as_slice(), &vpos[..nd]);
+    for (col, &(_, as_col)) in vk.as_mut_slice().chunks_exact_mut(nd).zip(vpos) {
+        for (x, &(as_row, _)) in col.iter_mut().zip(vpos) {
+            *x = v[as_row + as_col];
         }
     }
 }
@@ -502,10 +649,14 @@ impl MixedWorker {
     }
 }
 
-/// Apply the mixed-spin contribution: `sigma += H_αβ · c`.
+/// Apply the mixed-spin contribution of `P·H·P`, P the projector on
+/// `ctx.space.target_irrep`: `sigma += P·H_αβ·P · c`. Out-of-sector
+/// coefficients of `c` are not read, and the out-of-sector rows of every
+/// accumulated column are zero.
 pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> RunReport {
     let space = ctx.space;
     let model = ctx.model;
+    super::assert_same_point_group(space, ctx.ham);
     let n = space.n_orb();
     let nbstr = space.beta.len();
     let nka = space.alpha_nm1.len();

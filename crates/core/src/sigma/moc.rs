@@ -81,7 +81,7 @@ pub fn half_sigma_moc(
                         // This element computation happens on EVERY rank —
                         // the replicated work the paper eliminates.
                         n_elems += 1;
-                        let elem = ham.g[(row1, e2.pair_index())] * (e1.sign * e2.sign) as f64;
+                        let elem = ham.g()[(row1, e2.pair_index())] * (e1.sign * e2.sign) as f64;
                         if elem == 0.0 {
                             continue;
                         }
@@ -134,8 +134,9 @@ pub fn mixed_spin_moc(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> Run
                     }
                     for eb in space.beta_singles.of(jb) {
                         nb_entries += 1;
-                        u[eb.to as usize] +=
-                            eb.sign as f64 * ham.v[(vrow, eb.p as usize * n + eb.q as usize)] * cv;
+                        u[eb.to as usize] += eb.sign as f64
+                            * ham.v()[(vrow, eb.p as usize * n + eb.q as usize)]
+                            * cv;
                     }
                 }
                 clock.charge_scalar(model, 2.0 * nb_entries as f64 + 4.0);

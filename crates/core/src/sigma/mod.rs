@@ -38,6 +38,18 @@ pub struct SigmaCtx<'a> {
     pub pool: PoolParams,
 }
 
+/// The most irreps a point group has here (D2h).
+const MAX_IRREP: usize = 8;
+
+/// The blocked kernels index the space's tables and the Hamiltonian's
+/// blocks by the same irreps: both must carry the same orbital labels.
+fn assert_same_point_group(space: &DetSpace, ham: &Hamiltonian) {
+    assert!(
+        space.alpha.orb_sym() == ham.orb_sym && space.alpha.n_irrep() == ham.n_irrep,
+        "determinant space and Hamiltonian disagree on the orbital irreps"
+    );
+}
+
 /// Which σ algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SigmaMethod {
@@ -83,9 +95,19 @@ impl SigmaBreakdown {
 
 /// Evaluate σ = (H − E_core)·C with the chosen algorithm.
 ///
-/// Returns the distributed σ vector and the simulated-time breakdown. The
-/// numerical result is algorithm-independent (verified by the test suite
-/// to ~1e-10); only the simulated cost differs.
+/// Returns the distributed σ vector and the simulated-time breakdown.
+///
+/// With [`SigmaMethod::Dgemm`] this is `P·(H − E_core)·P·C`, P the
+/// projector on `ctx.space.target_irrep`: the kernels multiply only the
+/// in-sector blocks of C, Ĝ and V, so out-of-sector coefficients of `c`
+/// are ignored and those of σ are exactly zero. For a vector inside the
+/// sector — every iterate of the diagonalisers — that is H·C, because H is
+/// totally symmetric. [`SigmaMethod::Moc`], the paper's baseline, stays
+/// full-space: on a point-group space the two agree on the in-sector
+/// entries of an in-sector vector (to ~1e-10, verified by the test
+/// suite), and MOC's out-of-sector entries are whatever rounding left in
+/// the symmetry-forbidden integrals. Only the simulated cost differs
+/// otherwise.
 pub fn apply_sigma(
     ctx: &SigmaCtx,
     c: &DistMatrix,
@@ -178,6 +200,25 @@ pub fn apply_sigma(
     }
 
     (sigma, bd)
+}
+
+/// [`apply_sigma`] as the diagonalisers call it: on an iterate, which
+/// lies in the sector — the condition under which `P·H·P·C` is `H·C`.
+pub(crate) fn apply_sigma_in_sector(
+    ctx: &SigmaCtx,
+    c: &DistMatrix,
+    method: SigmaMethod,
+) -> (DistMatrix, SigmaBreakdown) {
+    debug_assert!(
+        {
+            let leak = c.duplicate();
+            ctx.space.project_sector(&leak);
+            leak.axpy(-1.0, c);
+            leak.norm() == 0.0
+        },
+        "a solver iterate has coefficients outside its sector"
+    );
+    apply_sigma(ctx, c, method)
 }
 
 #[cfg(test)]

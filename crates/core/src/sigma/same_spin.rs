@@ -15,60 +15,89 @@
 //! touches its own columns, so there is no communication at all — the
 //! property the paper contrasts against the replicated-work MOC routine.
 //!
+//! ### Symmetry blocks
+//!
+//! The routine computes the row-spin part of `P·H·P`, P the projector on
+//! the target irrep: it reads and writes in-sector coefficients only.
+//! Row `I` of irrep `g_I` is non-zero in the columns of irrep
+//! `g_I ⊕ target` alone, and strings are sorted by (irrep, mask), so
+//! those columns are one contiguous *run* of a rank's local block. Ĝ is
+//! block-diagonal in the pair irrep `h = g_p ⊕ g_r = g_q ⊕ g_s`, so steps
+//! 1–3 run once per (K, h): the pairs of irrep h reach rows of irrep
+//! `g_K ⊕ h`, whose run is the columns of irrep `g_K ⊕ h ⊕ target` —
+//!
+//! ```text
+//! D_h (pairs of h × run)   E_h = Ĝ_hh · D_h   σ(I, run) += ± E_h(pr, ·)
+//! ```
+//!
+//! — and the one-electron replay skips `h_pq` with `g_p ≠ g_q` and
+//! touches only a row's run. With one irrep there is one h, one run (all
+//! of the local columns) and `Ĝ_00 = Ĝ`: the same loops do what an
+//! unblocked routine would, bit for bit and charge for charge.
+//!
 //! ### Layout
 //!
-//! Gather and scatter move whole *rows* of a rank's column-major block,
-//! so — as on the X1 — each rank works on a **transposed** local copy:
-//! `clt[k + j·nloc] = C(j, col₀+k)` makes row `j` one contiguous run of
-//! `nloc` values, σ is accumulated into a block of the same shape and
+//! Gather and scatter move *rows* of a rank's column-major block, so —
+//! as on the X1 — each rank works on a **transposed** local copy of the
+//! in-sector part of its block: per row irrep one sub-block, rows of that
+//! irrep against their run, packed back to back, so that a row's run is
+//! contiguous (with one irrep: `clt[k + j·nloc] = C(j, col₀+k)`, the
+//! whole block). σ is accumulated into a buffer of the same shape and
 //! added back into the distributed σ once at the end, and D is held as
-//! `Dᵀ` (`nloc × npair`), so one family entry is a signed copy of one
-//! contiguous C row into one contiguous D column. The product is still
+//! `D_hᵀ` (`run × pairs`), so one family entry is a signed copy of one
+//! contiguous C run into one contiguous D column. The product is still
 //! `E = Ĝ·D`: `Dᵀ` enters the GEMM with [`Trans::Yes`], which hands the
 //! kernels the same operands in the same order as an untransposed D.
+//! `D_hᵀ` and `E_h` are one pair of matrices, sized for the whole block
+//! and reshaped per (K, h).
 //!
 //! The one-electron couplings do not depend on the rank: the singles
 //! table is resolved against `h_pq` once per call into a flat list of the
 //! nonzero `(from, to, h_pq·sign)` entries, which every rank replays.
 
-use super::SigmaCtx;
+use super::{SigmaCtx, MAX_IRREP};
 use crate::hamiltonian::Hamiltonian;
 use crate::phase::{run_phase, HostSplit};
 use fci_ddi::DistMatrix;
 use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, Trans};
-use fci_strings::{Nm2Families, SinglesTable};
+use fci_strings::{Nm2Families, SinglesTable, SpinStrings};
 use fci_xsim::{Clock, MachineModel, RunReport};
+use std::ops::Range;
+
+/// A thread's packed `Ĝ_hh` operands, one slot per pair irrep.
+type GPacks = [Option<PackedA>; MAX_IRREP];
 
 thread_local! {
-    /// Per-thread packed Ĝ operand, keyed by [`Hamiltonian::id`]. Ĝ is
+    /// Per-thread packed Ĝ blocks, keyed by [`Hamiltonian::id`]. `Ĝ_hh` is
     /// constant for a Hamiltonian and multiplies a fresh D on every N−2
     /// family of every σ application, so each worker thread packs it
     /// exactly once and replays the packed form from then on.
-    static G_PACK: std::cell::RefCell<Option<(u64, PackedA)>> =
-        const { std::cell::RefCell::new(None) };
+    static G_PACK: std::cell::RefCell<(u64, GPacks)> =
+        const { std::cell::RefCell::new((0, [const { None }; MAX_IRREP])) };
 }
 
-/// Run `f` with the thread's packed Ĝ operand for `ham` — packing it on
-/// first use — or with `None` when the `m×n×k` product shape sits below
-/// the GEMM packing crossover (where `dgemm` would take the unpacked
-/// small path and a handle could not be replayed bitwise).
+/// Run `f` with the thread's packed Ĝ blocks for `ham`, first packing
+/// every block `h` that `wants(h)` and is not packed yet. A block is
+/// wanted when some product it enters sits above the GEMM packing
+/// crossover; below it `dgemm` takes the unpacked small path and a handle
+/// could not be replayed bitwise, so it stays `None`.
 fn with_g_pack<R>(
     ham: &Hamiltonian,
-    m: usize,
-    n: usize,
-    k: usize,
-    f: impl FnOnce(Option<&PackedA>) -> R,
+    wants: impl Fn(u8) -> bool,
+    f: impl FnOnce(&GPacks) -> R,
 ) -> R {
-    if !gemm_prefers_packed(m, n, k) {
-        return f(None);
-    }
     G_PACK.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        match slot.as_ref() {
-            Some((id, _)) if *id == ham.id() => {}
-            _ => *slot = Some((ham.id(), PackedA::pack(Trans::No, &ham.g))),
+        let (id, packs) = &mut *cell.borrow_mut();
+        if *id != ham.id() {
+            // Hamiltonian ids start at 1: a fresh slot never matches.
+            (*id, *packs) = (ham.id(), [const { None }; MAX_IRREP]);
         }
-        f(slot.as_ref().map(|(_, pa)| pa))
+        for h in 0..ham.n_irrep as u8 {
+            if packs[h as usize].is_none() && wants(h) {
+                packs[h as usize] = Some(PackedA::pack(Trans::No, ham.g_block(h)));
+            }
+        }
+        f(packs)
     })
 }
 
@@ -90,40 +119,78 @@ struct OneElectron {
     h: f64,
 }
 
-/// Resolve `singles` against `h_pq`: the entries with a nonzero
-/// coupling, in table order. Sized once for the whole table, so it never
-/// regrows (most of `h` is zero under spatial symmetry).
-fn one_electron_list(ham: &Hamiltonian, singles: &SinglesTable, nrows: usize) -> Vec<OneElectron> {
-    let mut list = Vec::with_capacity(singles.n_entries());
-    for j in 0..nrows {
-        for e in singles.of(j) {
-            let h = ham.h[(e.p as usize, e.q as usize)] * e.sign as f64;
-            if h != 0.0 {
-                list.push(OneElectron {
-                    from: j as u32,
-                    to: e.to,
-                    h,
-                });
+/// The singles table resolved against `h_pq`, grouped by the irrep of
+/// the source row (rows are sorted by irrep, so table order *is* grouped).
+struct OneElectronList {
+    /// The symmetry-allowed entries with a nonzero coupling, in table
+    /// order.
+    entries: Vec<OneElectron>,
+    /// Entries of source irrep `g` are `entries[off[g]..off[g + 1]]`.
+    off: [usize; MAX_IRREP + 1],
+    /// Symmetry-allowed table entries per source irrep, zero couplings
+    /// included: what the simulated machine walks.
+    allowed: [usize; MAX_IRREP],
+}
+
+/// Resolve `singles` against `h_pq`. A coupling with `g_p ≠ g_q` is
+/// symmetry-forbidden and dropped whatever rounding left in `h`. Sized
+/// once for the whole table, so the list never regrows (most of `h` is
+/// zero under spatial symmetry).
+fn one_electron_list(
+    ham: &Hamiltonian,
+    singles: &SinglesTable,
+    rows: &SpinStrings,
+) -> OneElectronList {
+    let mut list = OneElectronList {
+        entries: Vec::with_capacity(singles.n_entries()),
+        off: [0; MAX_IRREP + 1],
+        allowed: [0; MAX_IRREP],
+    };
+    for g in 0..rows.n_irrep() {
+        for j in rows.block_range(g as u8) {
+            for e in singles.of(j) {
+                let (p, q) = (e.p as usize, e.q as usize);
+                if ham.orb_sym[p] != ham.orb_sym[q] {
+                    continue;
+                }
+                list.allowed[g] += 1;
+                let h = ham.h[(p, q)] * e.sign as f64;
+                if h != 0.0 {
+                    list.entries.push(OneElectron {
+                        from: j as u32,
+                        to: e.to,
+                        h,
+                    });
+                }
             }
         }
+        list.off[g + 1] = list.entries.len();
     }
     list
 }
 
-/// `dst = srcᵀ` for a column-major `nrows × ncols` block: `dst[k + j·ncols]
-/// = src[j + k·nrows]`, copied in square tiles so that neither side
-/// strides through more than a tile's worth of lines at a time (two
-/// 32×32 `f64` tiles are 16 KB, L1-resident).
-fn transpose_block(src: &[f64], nrows: usize, ncols: usize, dst: &mut [f64]) {
+/// `dst[b + a·dst_ld] = src[a + b·src_ld]` for `a < nrows`, `b < ncols`:
+/// an `nrows × ncols` block of a column-major matrix with leading
+/// dimension `src_ld`, written transposed into one with leading dimension
+/// `dst_ld` — copied in square tiles so that neither side strides through
+/// more than a tile's worth of lines at a time (two 32×32 `f64` tiles are
+/// 16 KB, L1-resident).
+fn transpose_block(
+    src: &[f64],
+    src_ld: usize,
+    nrows: usize,
+    ncols: usize,
+    dst: &mut [f64],
+    dst_ld: usize,
+) {
     const TILE: usize = 32;
-    assert!(src.len() == nrows * ncols && dst.len() == nrows * ncols);
-    for j0 in (0..nrows).step_by(TILE) {
-        let j1 = nrows.min(j0 + TILE);
-        for k0 in (0..ncols).step_by(TILE) {
-            let k1 = ncols.min(k0 + TILE);
-            for j in j0..j1 {
-                let drow = &mut dst[j * ncols + k0..j * ncols + k1];
-                let scol = src[j + k0 * nrows..].iter().step_by(nrows);
+    for a0 in (0..nrows).step_by(TILE) {
+        let a1 = nrows.min(a0 + TILE);
+        for b0 in (0..ncols).step_by(TILE) {
+            let b1 = ncols.min(b0 + TILE);
+            for a in a0..a1 {
+                let drow = &mut dst[a * dst_ld + b0..a * dst_ld + b1];
+                let scol = src[a + b0 * src_ld..].iter().step_by(src_ld);
                 for (d, s) in drow.iter_mut().zip(scol) {
                     *d = *s;
                 }
@@ -132,16 +199,16 @@ fn transpose_block(src: &[f64], nrows: usize, ncols: usize, dst: &mut [f64]) {
     }
 }
 
-/// Below this many local columns a row is cheaper to walk element by
-/// element than to slice and `zip`: at `nloc` = 1–2 (432 ranks on 715
-/// columns) the slice bounds and the vector-loop prologue cost more than
-/// the row itself.
+/// Below this many columns a row is cheaper to walk element by element
+/// than to slice and `zip`: at a run of 1–2 (432 ranks on 715 columns)
+/// the slice bounds and the vector-loop prologue cost more than the row
+/// itself.
 const SCALAR_ROW_BELOW: usize = 4;
 
 /// Fold one `n`-long row into another: `f(&mut dst[d0 + k], src[s0 +
 /// k·stride])` for `k` in `0..n`, in `k` order. `dst` is always a
-/// contiguous row of a transposed block; `stride` is 1 for a C row and
-/// `npair` for a row of E.
+/// contiguous run of a transposed block; `stride` is 1 for a C row and
+/// the pair count for a row of E.
 #[inline(always)]
 fn fold_row(
     dst: &mut [f64],
@@ -170,102 +237,208 @@ fn fold_row(
     }
 }
 
+/// The in-sector sub-block of a rank's local block for one row irrep:
+/// the rows of that irrep against the run of local columns in which they
+/// are non-zero.
+#[derive(Clone, Copy, Default)]
+struct SubBlock {
+    /// First row (string index) of the irrep.
+    row0: usize,
+    /// Number of rows.
+    nrows: usize,
+    /// First column of the run, counted from the rank's first column.
+    col0: usize,
+    /// Length of the run.
+    nrun: usize,
+    /// Where the sub-block starts in the rank's transposed buffers.
+    at: usize,
+}
+
+impl SubBlock {
+    /// Start of row `j`'s run in the transposed buffers.
+    #[inline]
+    fn row(&self, j: u32) -> usize {
+        self.at + (j as usize - self.row0) * self.nrun
+    }
+
+    fn len(&self) -> usize {
+        self.nrows * self.nrun
+    }
+}
+
+/// Where a rank's in-sector coefficients sit: one [`SubBlock`] per row
+/// irrep, packed back to back in the transposed buffers.
+struct Sector {
+    n_irrep: u8,
+    blocks: [SubBlock; MAX_IRREP],
+}
+
+impl Sector {
+    /// The sector of a rank that owns the columns `local` of a matrix
+    /// with `rows` × `cols` strings.
+    fn new(rows: &SpinStrings, cols: &SpinStrings, target: u8, local: Range<usize>) -> Sector {
+        let mut blocks = [SubBlock::default(); MAX_IRREP];
+        let mut at = 0;
+        for (g, b) in blocks.iter_mut().enumerate().take(rows.n_irrep()) {
+            let (r, c) = (
+                rows.block_range(g as u8),
+                cols.block_range(g as u8 ^ target),
+            );
+            let (lo, hi) = (c.start.max(local.start), c.end.min(local.end));
+            *b = SubBlock {
+                row0: r.start,
+                nrows: r.len(),
+                at,
+                ..SubBlock::default()
+            };
+            if lo < hi {
+                (b.col0, b.nrun) = (lo - local.start, hi - lo);
+            }
+            at += b.len();
+        }
+        Sector {
+            n_irrep: rows.n_irrep() as u8,
+            blocks,
+        }
+    }
+
+    /// The sub-blocks, by row irrep.
+    fn blocks(&self) -> &[SubBlock] {
+        &self.blocks[..self.n_irrep as usize]
+    }
+
+    /// In-sector elements of the local block.
+    fn len(&self) -> usize {
+        self.blocks().iter().map(SubBlock::len).sum()
+    }
+}
+
 /// One rank's working storage for a phase.
 struct RankBufs {
-    /// Transposed C block, `clt[k + j·nloc] = C(j, col₀+k)`.
+    /// The in-sector part of the C block, transposed: row `j` of irrep g
+    /// is the contiguous run `clt[b.row(j)..][..b.nrun]`, `b` the
+    /// [`SubBlock`] of g — with one irrep, `clt[k + j·nloc] = C(j, col₀+k)`.
     clt: Vec<f64>,
     /// Transposed σ block in the same layout, zero at the start.
     st: Vec<f64>,
-    /// `Dᵀ`, `nloc × npair`: column `pair` is one gathered C row.
+    /// `D_hᵀ`, `run × pairs of h`: column `pair` is one gathered C run.
+    /// All zero between blocks.
     dt: Matrix,
-    /// `E = Ĝ·D`, `npair × nloc`.
+    /// `E_h = Ĝ_hh·D_h`, `pairs of h × run`.
     e_mat: Matrix,
 }
 
 /// One rank's share of the same-spin half: replay the one-electron list,
-/// then gather / multiply / scatter every N−2 family, all on the rank's
-/// transposed blocks. Each σ element receives its terms in a fixed order
-/// — singles in table order, then families in `kf` order — whatever
-/// `nloc` is. Allocates nothing.
+/// then gather / multiply / scatter every (N−2 family, pair irrep) block,
+/// all on the rank's transposed blocks. Each σ element receives its terms
+/// in a fixed order — singles in table order, then families in `kf` order
+/// — whatever the rank's columns are. Allocates nothing.
 #[allow(clippy::too_many_arguments)]
 fn rank_kernel(
     ham: &Hamiltonian,
     model: &MachineModel,
-    one_e: &[OneElectron],
-    n_single_entries: usize,
+    sector: &Sector,
+    one_e: &OneElectronList,
     nm2: Option<&Nm2Families>,
-    gpack: Option<&PackedA>,
+    gpack: &GPacks,
     bufs: &mut RankBufs,
     clock: &mut Clock,
     host: &mut HostSplit,
 ) {
-    let nloc = bufs.dt.nrows();
-    let npair = bufs.dt.ncols();
     let (clt, st) = (&bufs.clt[..], &mut bufs.st[..]);
 
     // --- one-electron singles ---
-    for e in one_e {
-        let (from, to, h) = (e.from as usize * nloc, e.to as usize * nloc, e.h);
-        fold_row(st, to, clt, from, 1, nloc, |s, c| *s += h * c);
+    let (mut walked, mut moved) = (0, 0);
+    for (g, b) in sector.blocks().iter().enumerate() {
+        if b.nrun == 0 {
+            continue;
+        }
+        for e in &one_e.entries[one_e.off[g]..one_e.off[g + 1]] {
+            let h = e.h;
+            fold_row(st, b.row(e.to), clt, b.row(e.from), 1, b.nrun, |s, c| {
+                *s += h * c
+            });
+        }
+        walked += one_e.allowed[g];
+        moved += one_e.allowed[g] * b.nrun;
     }
-    clock.charge_scalar(model, 2.0 * n_single_entries as f64);
-    clock.charge_daxpy(model, (2 * n_single_entries * nloc) as f64);
+    clock.charge_scalar(model, 2.0 * walked as f64);
+    clock.charge_daxpy(model, (2 * moved) as f64);
     host.lap(ONE_ELECTRON);
 
     // --- same-spin doubles through N−2 intermediates ---
     let Some(nm2) = nm2 else { return };
-    for kf in 0..nm2.len() {
-        let fam = nm2.of(kf);
-        if fam.is_empty() {
-            continue;
+    let pos = ham.pair_pos();
+    for gk in 0..sector.n_irrep {
+        for kf in nm2.space_k().block_range(gk) {
+            for h in 0..sector.n_irrep {
+                // Pairs of irrep h lead from K to rows of irrep g_K ⊕ h.
+                let fam = nm2.block(kf, h);
+                let b = &sector.blocks[(gk ^ h) as usize];
+                let nrun = b.nrun;
+                if fam.is_empty() || nrun == 0 {
+                    continue;
+                }
+                let g_hh = ham.g_block(h);
+                let np = g_hh.nrows();
+                bufs.dt.reshape(nrun, np);
+                bufs.e_mat.reshape(np, nrun);
+                // Gather (B matrix application): one C run per D column.
+                let dts = bufs.dt.as_mut_slice();
+                for e in fam {
+                    let sgn = e.sign as f64;
+                    let col = pos[e.pair_index()] as usize * nrun;
+                    fold_row(dts, col, clt, b.row(e.to), 1, nrun, |d, c| *d = sgn * c);
+                }
+                host.lap(GATHER);
+                // The DGEMM: E_h = Ĝ_hh · D_h. Above the packing crossover
+                // Ĝ_hh is the thread's persistent pack (bitwise equal to
+                // the on-the-fly packed path `dgemm` would take for the
+                // same shape).
+                match &gpack[h as usize] {
+                    Some(pa) if gemm_prefers_packed(np, nrun, np) => {
+                        dgemm_prepacked(1, 1.0, pa, Trans::Yes, &bufs.dt, 0.0, &mut bufs.e_mat)
+                    }
+                    _ => dgemm(
+                        Trans::No,
+                        Trans::Yes,
+                        1.0,
+                        g_hh,
+                        &bufs.dt,
+                        0.0,
+                        &mut bufs.e_mat,
+                    ),
+                }
+                clock.charge_dgemm(model, np, nrun, np);
+                host.lap(GEMM);
+                // Scatter (A matrix application) and clear the D columns.
+                // E is read along a row (stride `np`); σᵀ is written
+                // contiguously.
+                let (dts, es) = (bufs.dt.as_mut_slice(), bufs.e_mat.as_slice());
+                for e in fam {
+                    let pair = pos[e.pair_index()] as usize;
+                    let sgn = e.sign as f64;
+                    fold_row(st, b.row(e.to), es, pair, np, nrun, |s, ev| *s += sgn * ev);
+                    // Clear through the same helper (the source row is
+                    // ignored): a `fill` call per entry costs 5 ms per
+                    // half at 432 ranks.
+                    fold_row(dts, pair * nrun, clt, 0, 1, nrun, |d, _| *d = 0.0);
+                }
+                clock.charge_scalar(model, 2.0 * fam.len() as f64);
+                clock.charge_gather(model, (3 * fam.len() * nrun) as f64);
+                host.lap(SCATTER);
+            }
         }
-        // Gather (B matrix application): one C row per D column.
-        let dts = bufs.dt.as_mut_slice();
-        for e in fam {
-            let sgn = e.sign as f64;
-            let (col, from) = (e.pair_index() * nloc, e.to as usize * nloc);
-            fold_row(dts, col, clt, from, 1, nloc, |d, c| *d = sgn * c);
-        }
-        host.lap(GATHER);
-        // The DGEMM: E = Ĝ · D. Above the packing crossover Ĝ is the
-        // thread's persistent pack (bitwise equal to the on-the-fly
-        // packed path `dgemm` would take for the same shape).
-        match gpack {
-            Some(pa) => dgemm_prepacked(1, 1.0, pa, Trans::Yes, &bufs.dt, 0.0, &mut bufs.e_mat),
-            None => dgemm(
-                Trans::No,
-                Trans::Yes,
-                1.0,
-                &ham.g,
-                &bufs.dt,
-                0.0,
-                &mut bufs.e_mat,
-            ),
-        }
-        clock.charge_dgemm(model, npair, nloc, npair);
-        host.lap(GEMM);
-        // Scatter (A matrix application) and clear the D columns. E is
-        // read along a row (stride `npair`); σᵀ is written contiguously.
-        let (dts, es) = (bufs.dt.as_mut_slice(), bufs.e_mat.as_slice());
-        for e in fam {
-            let pair = e.pair_index();
-            let sgn = e.sign as f64;
-            fold_row(st, e.to as usize * nloc, es, pair, npair, nloc, |s, ev| {
-                *s += sgn * ev
-            });
-            // Clear through the same helper (the source row is ignored):
-            // a `fill` call per entry costs 5 ms per half at 432 ranks.
-            fold_row(dts, pair * nloc, clt, 0, 1, nloc, |d, _| *d = 0.0);
-        }
-        clock.charge_scalar(model, 2.0 * fam.len() as f64);
-        clock.charge_gather(model, (3 * fam.len() * nloc) as f64);
-        host.lap(SCATTER);
     }
 }
 
-/// Apply the row-spin (same-spin + one-electron) half of σ for one spin
-/// channel. `c` and `sigma` must have rows indexed by that spin's strings.
-/// `name` labels the phase in traces ("beta_beta" / "alpha_alpha").
+/// Apply the row-spin (same-spin + one-electron) half of `P·H·P` for one
+/// spin channel, P the projector on `ctx.space.target_irrep`:
+/// out-of-sector coefficients of `c` are not read and none of `sigma`
+/// are written. `c` and `sigma` must have rows indexed by that spin's
+/// strings; the spin is the one whose `singles` table of `ctx.space` is
+/// handed in. `name` labels the phase in traces ("beta_beta" /
+/// "alpha_alpha").
 pub fn half_sigma_dgemm(
     ctx: &SigmaCtx,
     name: &str,
@@ -276,9 +449,19 @@ pub fn half_sigma_dgemm(
 ) -> RunReport {
     let ham = ctx.ham;
     let model = ctx.model;
+    let space = ctx.space;
+    // The tables say which spin the rows are: equal string counts do not
+    // (C(5,2) = C(5,3), different irreps per index).
+    let (rows, cols) = if std::ptr::eq(singles, &space.alpha_singles) {
+        (&space.alpha, &space.beta)
+    } else {
+        (&space.beta, &space.alpha)
+    };
+    super::assert_same_point_group(space, ham);
     let nrows = c.nrows();
+    assert_eq!((rows.len(), cols.len()), (nrows, c.ncols()));
     let npair = ham.npair();
-    let one_e = one_electron_list(ham, singles, nrows);
+    let one_e = one_electron_list(ham, singles, rows);
     let tracer = ctx.ddi.tracer();
 
     run_phase(ctx.ddi, model, name, |rank, _stats, clock| {
@@ -286,40 +469,55 @@ pub fn half_sigma_dgemm(
         if nloc == 0 {
             return;
         }
+        let sector = Sector::new(rows, cols, space.target_irrep, c.local_cols(rank));
         let mut host = HostSplit::new(&tracer);
         host.start();
-        // The rank's two block-sized buffers: Cᵀ in, σᵀ out.
+        // The rank's two sector-sized buffers: Cᵀ in, σᵀ out.
         let mut bufs = RankBufs {
-            clt: vec![0.0; nrows * nloc],
-            st: vec![0.0; nrows * nloc],
+            clt: vec![0.0; sector.len()],
+            st: vec![0.0; sector.len()],
             dt: Matrix::zeros(nloc, npair),
             e_mat: Matrix::zeros(npair, nloc),
         };
-        c.with_local(rank, |s| transpose_block(s, nrows, nloc, &mut bufs.clt));
-        clock.charge_memcpy(model, (bufs.clt.len() * 8) as f64);
+        c.with_local(rank, |s| {
+            for b in sector.blocks() {
+                let src = &s[b.row0 + b.col0 * nrows..];
+                transpose_block(src, nrows, b.nrows, b.nrun, &mut bufs.clt[b.at..], b.nrun);
+            }
+        });
+        clock.charge_memcpy(model, (sector.len() * 8) as f64);
         host.lap(TRANSPOSE);
 
-        with_g_pack(ham, npair, nloc, npair, |gpack| {
+        let wants = |h: u8| {
+            let np = ham.g_block(h).nrows();
+            sector
+                .blocks()
+                .iter()
+                .any(|b| gemm_prefers_packed(np, b.nrun, np))
+        };
+        with_g_pack(ham, wants, |gpack| {
             host.lap(GEMM); // the thread's first call packs Ĝ
             rank_kernel(
-                ham,
-                model,
-                &one_e,
-                singles.n_entries(),
-                nm2,
-                gpack,
-                &mut bufs,
-                clock,
-                &mut host,
+                ham, model, &sector, &one_e, nm2, gpack, &mut bufs, clock, &mut host,
             )
         });
 
-        // Back to column-major through the (now spent) C buffer, then
-        // one contiguous add under σ's lock.
-        transpose_block(&bufs.st, nloc, nrows, &mut bufs.clt);
+        // Back to column-major, sub-block by sub-block, through the (now
+        // spent) C buffer, then one contiguous add per column under σ's
+        // lock.
+        for b in sector.blocks() {
+            let (src, dst) = (&bufs.st[b.at..], &mut bufs.clt[b.at..]);
+            transpose_block(src, b.nrun, b.nrun, b.nrows, dst, b.nrows);
+        }
         sigma.with_local(rank, |sl| {
-            for (s, t) in sl.iter_mut().zip(&bufs.clt) {
-                *s += t;
+            for b in sector.blocks() {
+                let back = bufs.clt[b.at..b.at + b.len()].chunks_exact(b.nrows.max(1));
+                for (k, col) in (b.col0..).zip(back) {
+                    let rows = k * nrows + b.row0..k * nrows + b.row0 + b.nrows;
+                    for (s, t) in sl[rows].iter_mut().zip(col) {
+                        *s += t;
+                    }
+                }
             }
         });
         host.lap(TRANSPOSE);
@@ -488,7 +686,10 @@ mod tests {
         let space = DetSpace::c1(6, 3, 2);
         let singles = &space.beta_singles;
         let nstr = space.beta.len();
-        let list = one_electron_list(&ham, singles, nstr);
+        let resolved = one_electron_list(&ham, singles, &space.beta);
+        let list = &resolved.entries;
+        assert_eq!(resolved.off[..2], [0, list.len()]);
+        assert_eq!(resolved.allowed[0], singles.n_entries());
         let table = (0..nstr).flat_map(|j| singles.of(j).iter().map(move |e| (j, e)));
         let want: Vec<OneElectron> = table
             .map(|(j, e)| OneElectron {
@@ -498,7 +699,7 @@ mod tests {
             })
             .filter(|e| e.h != 0.0)
             .collect();
-        assert_eq!(list, want);
+        assert_eq!(list, &want);
         // Half of h is zero, so a good part of the table is skipped —
         // but not the diagonal p = q entries.
         assert!(list.len() < singles.n_entries() && list.len() >= nstr);
@@ -508,19 +709,33 @@ mod tests {
     #[test]
     fn g_operand_packed_once_per_hamiltonian() {
         let ham = random_hamiltonian(6, 1);
-        // Below the packing crossover: no handle.
-        assert!(!with_g_pack(&ham, 4, 4, 4, |p| p.is_some()));
-        // Above it: packed on first use, replayed (packs stays 1) after.
-        let m = ham.npair();
-        assert!(gemm_prefers_packed(m, 1000, m));
-        let first = with_g_pack(&ham, m, 1000, m, |p| p.map(|pa| pa.packs()));
-        let second = with_g_pack(&ham, m, 1000, m, |p| p.map(|pa| pa.packs()));
-        assert_eq!((first, second), (Some(1), Some(1)));
+        let packs = |p: &GPacks| p[0].as_ref().map(|pa| pa.packs());
+        // No product above the packing crossover: no handle.
+        assert_eq!(with_g_pack(&ham, |_| false, packs), None);
+        // Wanted: packed on first use, replayed (packs stays 1) after.
+        assert_eq!(with_g_pack(&ham, |_| true, packs), Some(1));
+        assert_eq!(with_g_pack(&ham, |_| true, packs), Some(1));
         // A different Hamiltonian displaces the entry.
         let ham2 = random_hamiltonian(6, 2);
-        assert_eq!(
-            with_g_pack(&ham2, m, 1000, m, |p| p.map(|pa| pa.packs())),
-            Some(1)
+        assert_eq!(with_g_pack(&ham2, |_| false, packs), None);
+        assert_eq!(with_g_pack(&ham2, |_| true, packs), Some(1));
+    }
+
+    /// Four irreps with unsorted labels: only the blocks asked for are
+    /// packed, each from its own `Ĝ_hh`.
+    #[test]
+    fn g_blocks_are_packed_per_pair_irrep() {
+        let sym = [1u8, 0, 3, 0, 1, 2];
+        let ham = crate::hamiltonian::random_symmetric_hamiltonian(6, 4, &sym, 4);
+        with_g_pack(
+            &ham,
+            |h| h == 2,
+            |p| {
+                let packed: Vec<_> = p.iter().map(|pa| pa.as_ref().map(|pa| pa.m())).collect();
+                let mut want = vec![None; MAX_IRREP];
+                want[2] = Some(ham.g_block(2).nrows());
+                assert_eq!(packed, want);
+            },
         );
     }
 

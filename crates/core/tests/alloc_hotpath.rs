@@ -13,7 +13,9 @@
 
 use fci_core::sigma::mixed::{mixed_spin_dgemm, MixedWorker};
 use fci_core::sigma::SigmaCtx;
-use fci_core::{random_hamiltonian, DetSpace, PoolParams};
+use fci_core::{
+    random_hamiltonian, random_symmetric_hamiltonian, DetSpace, Hamiltonian, PoolParams,
+};
 use fci_ddi::{Backend, Ddi};
 use fci_xsim::MachineModel;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -69,25 +71,20 @@ fn allocs() -> (usize, u64) {
     )
 }
 
-/// Both assertions live in one `#[test]` so no sibling test thread can
-/// perturb the global counters mid-measurement.
-#[test]
-fn sigma_task_hot_path_is_allocation_free_after_warmup() {
-    // Large enough that nd·nkb·nd crosses into the packed (arena-backed)
-    // GEMM path: n=10, 3α3β → nd = 80, nkb = 45.
-    let ham = random_hamiltonian(10, 17);
-    let space = DetSpace::c1(10, 3, 3);
+/// Run every Kα task of `space` on one persistent worker: after a
+/// warm-up pass, a whole pass must not touch the heap.
+fn assert_task_passes_allocate_nothing(space: &DetSpace, ham: &Hamiltonian, what: &str) {
     let nproc = 4;
     let ddi = Ddi::new(nproc, Backend::Serial);
     let model = MachineModel::cray_x1();
     let ctx = SigmaCtx {
-        space: &space,
-        ham: &ham,
+        space,
+        ham,
         ddi: &ddi,
         model: &model,
         pool: PoolParams::default(),
     };
-    let c = space.guess(&ham, nproc);
+    let c = space.guess(ham, nproc);
     let sigma = space.zeros_ci(nproc);
     let nka = space.alpha_nm1.len();
 
@@ -116,8 +113,40 @@ fn sigma_task_hot_path_is_allocation_free_after_warmup() {
     }
     assert_eq!(
         min_calls, 0,
-        "σ task hot path allocated {min_calls} times per pass after warm-up"
+        "{what}: σ task hot path allocated {min_calls} times per pass after warm-up"
     );
+}
+
+/// All assertions live in one `#[test]` so no sibling test thread can
+/// perturb the global counters mid-measurement.
+#[test]
+fn sigma_task_hot_path_is_allocation_free_after_warmup() {
+    // Large enough that nd·nkb·nd crosses into the packed (arena-backed)
+    // GEMM path: n=10, 3α3β → nd = 80, nkb = 45.
+    let ham = random_hamiltonian(10, 17);
+    let space = DetSpace::c1(10, 3, 3);
+    assert_task_passes_allocate_nothing(&space, &ham, "c1");
+
+    // Four irreps, unsorted labels: every task reshapes D, E and V per
+    // Kβ-irrep block, inside the buffers sized for the unblocked task.
+    let sym = [2u8, 0, 3, 1, 0, 2, 1, 3, 0, 2];
+    let ham4 = random_symmetric_hamiltonian(10, 17, &sym, 4);
+    for target in [0u8, 3] {
+        let space4 = DetSpace::new(10, 3, 3, &sym, 4, target);
+        assert_task_passes_allocate_nothing(&space4, &ham4, "4 irreps");
+    }
+
+    let nproc = 4;
+    let ddi = Ddi::new(nproc, Backend::Serial);
+    let model = MachineModel::cray_x1();
+    let ctx = SigmaCtx {
+        space: &space,
+        ham: &ham,
+        ddi: &ddi,
+        model: &model,
+        pool: PoolParams::default(),
+    };
+    let c = space.guess(&ham, nproc);
 
     // Full-phase driver: the first call builds the hoisted serial
     // working area (V_K alone is nd² doubles); steady-state calls keep

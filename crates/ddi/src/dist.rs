@@ -773,14 +773,21 @@ impl DistMatrix {
 
     /// Elementwise map in place.
     pub fn map_inplace(&self, mut f: impl FnMut(usize, usize, f64) -> f64) {
+        self.map_cols_inplace(|col, vals| {
+            for (row, v) in vals.iter_mut().enumerate() {
+                *v = f(row, col, *v);
+            }
+        });
+    }
+
+    /// Hand `f` every column in index order, as `(column, its values)`.
+    pub fn map_cols_inplace(&self, mut f: impl FnMut(usize, &mut [f64])) {
         self.rec_barrier();
         for p in 0..self.nproc {
-            let c0 = self.col_offsets[p];
             let mut seg = self.segments[p].lock().unwrap();
-            for (k, v) in seg.iter_mut().enumerate() {
-                let col = c0 + k / self.nrows;
-                let row = k % self.nrows;
-                *v = f(row, col, *v);
+            let cols = self.local_cols(p);
+            for (col, vals) in cols.zip(seg.chunks_exact_mut(self.nrows.max(1))) {
+                f(col, vals);
             }
         }
         self.rec_barrier();
@@ -1102,6 +1109,19 @@ mod tests {
         for (slot, &c) in cols.iter().enumerate() {
             assert_eq!(&out[slot * 4..(slot + 1) * 4], &data[c * 4..(c + 1) * 4]);
         }
+    }
+
+    #[test]
+    fn map_cols_inplace_hands_out_whole_columns() {
+        let m = DistMatrix::zeros(2, 5, 3);
+        let mut seen = Vec::new();
+        m.map_cols_inplace(|col, vals| {
+            seen.push(col);
+            vals[1] = col as f64;
+        });
+        assert_eq!(seen, [0, 1, 2, 3, 4]);
+        let want = [0.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0];
+        assert_eq!(m.to_dense(), want);
     }
 
     #[test]

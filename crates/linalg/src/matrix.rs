@@ -118,6 +118,21 @@ impl Matrix {
         Matrix::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)])
     }
 
+    /// Re-dimension in place to `nrows × ncols`, inside the allocation
+    /// the matrix was created with: a caller that multiplies many
+    /// sub-blocks of varying shape sizes one matrix for the largest and
+    /// reshapes it per block. The flat buffer keeps its leading
+    /// `min(old, new)` elements and any growth reads zero, so an all-zero
+    /// matrix stays all-zero. Never allocates: a shape beyond the
+    /// capacity is a caller bug and panics.
+    pub fn reshape(&mut self, nrows: usize, ncols: usize) {
+        let len = nrows * ncols;
+        assert!(len <= self.data.capacity(), "reshape beyond capacity");
+        self.data.resize(len, 0.0);
+        self.nrows = nrows;
+        self.ncols = ncols;
+    }
+
     /// Set every element to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
@@ -278,6 +293,29 @@ mod tests {
                 assert_eq!(e[(i, j)], if i == j { 1.0 } else { 0.0 });
             }
         }
+    }
+
+    #[test]
+    fn reshape_stays_inside_the_allocation() {
+        let mut m = Matrix::zeros(4, 6);
+        let (ptr, cap) = (m.as_slice().as_ptr(), 24);
+        m.reshape(2, 3);
+        assert_eq!((m.shape(), m.len()), ((2, 3), 6));
+        m[(1, 2)] = 7.0;
+        // Growth reads zero; the kept prefix is reinterpreted flat.
+        m.reshape(3, 8);
+        assert_eq!((m.shape(), m.len()), ((3, 8), cap));
+        assert_eq!(m[(2, 1)], 7.0);
+        assert_eq!(m.as_slice().iter().filter(|&&x| x != 0.0).count(), 1);
+        assert_eq!(m.as_slice().as_ptr(), ptr);
+        m.reshape(0, 5);
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "reshape beyond capacity")]
+    fn reshape_past_capacity_panics() {
+        Matrix::zeros(2, 2).reshape(5, 1);
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Artifact {
         match self {
             Artifact::Ints(mo) => 8 * (mo.h.len() + mo.eri.n_unique()) + mo.orb_sym.len(),
             Artifact::Ham(h) => {
-                8 * (h.h.len() + h.eri.n_unique() + h.v.len() + h.g.len()) + h.orb_sym.len()
+                8 * (h.h.len() + h.eri.n_unique() + h.v().len() + h.g().len()) + h.orb_sym.len()
             }
             Artifact::Space(s) => {
                 // Strings + per-string tables; the singles/N−1/N−2 tables

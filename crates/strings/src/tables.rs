@@ -167,9 +167,11 @@ impl Nm1Families {
                 fill[k] += 1;
             }
         }
-        // Deterministic order within each family (by created orbital).
+        // Deterministic order within each family: by (irrep, orbital) of
+        // the created orbital, so the members of one irrep are one run.
+        let orb_sym = space.orb_sym();
         for k in 0..nk {
-            entries[offsets[k]..offsets[k + 1]].sort_by_key(|e| e.p);
+            entries[offsets[k]..offsets[k + 1]].sort_by_key(|e| (orb_sym[e.p as usize], e.p));
         }
         Nm1Families {
             space_k,
@@ -230,9 +232,14 @@ pub fn pair_index(p: usize, r: usize) -> usize {
 }
 
 /// N−2 electron intermediate families — the paper's A/B coupling matrices.
+///
+/// A family is ordered by (pair irrep `g_p ⊕ g_r`, p, r), so its members
+/// of one pair irrep are one contiguous [`Nm2Families::block`].
 #[derive(Clone, Debug)]
 pub struct Nm2Families {
     space_k: SpinStrings,
+    /// `offsets[k·n_irrep + h]` starts block `h` of family `k`; the
+    /// family itself is `offsets[k·n_irrep]..offsets[(k+1)·n_irrep]`.
     offsets: Vec<usize>,
     entries: Vec<PairEntry>,
 }
@@ -251,38 +258,38 @@ impl Nm2Families {
             space.n_irrep(),
         );
         let nk = space_k.len();
-        let mut counts = vec![0usize; nk];
-        let visit = |i: usize, mask: u64, record: &mut dyn FnMut(usize, PairEntry)| {
+        let n_irrep = space.n_irrep();
+        let orb_sym = space.orb_sym();
+        // Every connection with its (family, pair irrep) slot of the
+        // offset table, in string order.
+        let per_string = space.n_elec() * (space.n_elec() - 1) / 2;
+        let mut found = Vec::with_capacity(space.len() * per_string);
+        for i in 0..space.len() {
+            let mask = space.mask(i);
             let occ: Vec<usize> = crate::bits::occ_list(mask);
             for (a, &r) in occ.iter().enumerate() {
                 for &p in occ.iter().skip(a + 1) {
-                    // p > r both occupied in I. ⟨I|a†_p a†_r|K⟩: remove in
-                    // the adjoint order — a_r a_p ... easiest: build from K.
+                    // p > r both occupied in I: ⟨K| a_r a_p |I⟩ = s1·s2 =
+                    // ⟨I| a†_p a†_r |K⟩ (real).
                     let (s1, m1) = annihilate(mask, p).unwrap();
                     let (s2, km) = annihilate(m1, r).unwrap();
-                    // ⟨K| a_r a_p |I⟩ = s1·s2 = ⟨I| a†_p a†_r |K⟩ (real).
                     let k = space_k.index_of(km).unwrap();
-                    record(
-                        k,
-                        PairEntry {
-                            p: p as u8,
-                            r: r as u8,
-                            sign: s1 * s2,
-                            to: i as u32,
-                        },
-                    );
+                    let entry = PairEntry {
+                        p: p as u8,
+                        r: r as u8,
+                        sign: s1 * s2,
+                        to: i as u32,
+                    };
+                    found.push((k * n_irrep + (orb_sym[p] ^ orb_sym[r]) as usize, entry));
                 }
             }
-        };
-        for i in 0..space.len() {
-            visit(i, space.mask(i), &mut |k, _| counts[k] += 1);
         }
-        let mut offsets = Vec::with_capacity(nk + 1);
-        let mut acc = 0;
-        offsets.push(0);
-        for &c in &counts {
-            acc += c;
-            offsets.push(acc);
+        let mut offsets = vec![0usize; nk * n_irrep + 1];
+        for (slot, _) in &found {
+            offsets[slot + 1] += 1;
+        }
+        for slot in 0..nk * n_irrep {
+            offsets[slot + 1] += offsets[slot];
         }
         let mut fill = offsets.clone();
         let mut entries = vec![
@@ -292,16 +299,14 @@ impl Nm2Families {
                 sign: 0,
                 to: 0
             };
-            acc
+            found.len()
         ];
-        for i in 0..space.len() {
-            visit(i, space.mask(i), &mut |k, e| {
-                entries[fill[k]] = e;
-                fill[k] += 1;
-            });
+        for (slot, entry) in found {
+            entries[fill[slot]] = entry;
+            fill[slot] += 1;
         }
-        for k in 0..nk {
-            entries[offsets[k]..offsets[k + 1]].sort_by_key(|e| (e.p, e.r));
+        for block in offsets.windows(2) {
+            entries[block[0]..block[1]].sort_by_key(|e| (e.p, e.r));
         }
         Nm2Families {
             space_k,
@@ -329,7 +334,16 @@ impl Nm2Families {
     /// creation, i.e. one column of the A (equivalently B) matrix.
     #[inline]
     pub fn of(&self, k: usize) -> &[PairEntry] {
-        &self.entries[self.offsets[k]..self.offsets[k + 1]]
+        let g = self.space_k.n_irrep();
+        &self.entries[self.offsets[k * g]..self.offsets[(k + 1) * g]]
+    }
+
+    /// The members of family `k` whose created pair has irrep
+    /// `g_p ⊕ g_r = h`, ordered by (p, r).
+    #[inline]
+    pub fn block(&self, k: usize, h: u8) -> &[PairEntry] {
+        let at = k * self.space_k.n_irrep() + h as usize;
+        &self.entries[self.offsets[at]..self.offsets[at + 1]]
     }
 
     /// Total number of stored connections.
@@ -469,6 +483,33 @@ mod tests {
             for e in f.of(k) {
                 let gi = space.irrep_of_index(e.to as usize);
                 assert_eq!(gi, gk ^ sym[e.p as usize]);
+            }
+            // One run per orbital irrep, orbitals ascending inside it.
+            let keys: Vec<_> = f.of(k).iter().map(|e| (sym[e.p as usize], e.p)).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        }
+    }
+
+    #[test]
+    fn nm2_blocks_partition_each_family_by_pair_irrep() {
+        let sym = [2u8, 1, 0, 3, 1, 0];
+        for (n_irrep, sym) in [(4, sym), (1, [0u8; 6])] {
+            let space = SpinStrings::new(6, 3, &sym, n_irrep);
+            let f = Nm2Families::new(&space);
+            for k in 0..f.len() {
+                let mut joined = Vec::new();
+                for h in 0..n_irrep as u8 {
+                    let block = f.block(k, h);
+                    assert!(block
+                        .iter()
+                        .all(|e| sym[e.p as usize] ^ sym[e.r as usize] == h));
+                    assert!(block
+                        .windows(2)
+                        .all(|w| (w[0].p, w[0].r) < (w[1].p, w[1].r)));
+                    joined.extend_from_slice(block);
+                }
+                assert_eq!(joined, f.of(k));
+                assert_eq!(f.of(k).len(), binomial(6 - 1, 2));
             }
         }
     }

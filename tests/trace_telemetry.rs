@@ -4,7 +4,10 @@
 //! must be deterministic modulo host wall-clock, and the Chrome export
 //! must be well-formed JSON.
 
-use fcix::core::{apply_sigma, random_hamiltonian, DetSpace, PoolParams, SigmaCtx, SigmaMethod};
+use fcix::core::{
+    apply_sigma, random_hamiltonian, random_symmetric_hamiltonian, DetSpace, Hamiltonian,
+    PoolParams, SigmaCtx, SigmaMethod,
+};
 use fcix::ddi::{Backend, Ddi};
 use fcix::obs::{
     parse_collapsed, parse_jsonl, to_chrome, to_collapsed, Category, Event, EventKind, JsonValue,
@@ -42,19 +45,28 @@ fn traced_sigma(
     method: SigmaMethod,
 ) -> (Vec<Event>, fcix::xsim::RunReport) {
     let ham = random_hamiltonian(n, seed);
-    let space = DetSpace::c1(n, na, nb);
+    traced_sigma_on(&DetSpace::c1(n, na, nb), &ham, nproc, method)
+}
+
+/// [`traced_sigma`] on a given space and Hamiltonian.
+fn traced_sigma_on(
+    space: &DetSpace,
+    ham: &Hamiltonian,
+    nproc: usize,
+    method: SigmaMethod,
+) -> (Vec<Event>, fcix::xsim::RunReport) {
     let ddi = Ddi::new(nproc, Backend::Serial);
     let tracer = fcix::obs::Tracer::in_memory();
     ddi.attach_tracer(tracer.clone());
     let model = MachineModel::cray_x1();
     let ctx = SigmaCtx {
-        space: &space,
-        ham: &ham,
+        space,
+        ham,
         ddi: &ddi,
         model: &model,
         pool: PoolParams::default(),
     };
-    let c = space.guess(&ham, nproc);
+    let c = space.guess(ham, nproc);
     let (_sigma, bd) = apply_sigma(&ctx, &c, method);
     (tracer.events().expect("in-memory tracer"), bd.total())
 }
@@ -190,7 +202,20 @@ fn jsonl_is_deterministic_and_round_trips() {
 #[test]
 fn host_split_parts_sum_to_the_phase_duration() {
     let (events, _) = traced_sigma(10, 4, 4, 2, 5, SigmaMethod::Dgemm);
-    let summary = RunSummary::from_events(&events);
+    host_split_closes(&events);
+    // The same on a point group, where every part is many small blocks.
+    // Twelve long Kα tasks: claiming a task (counter message, trace
+    // instants) is the driver's time, ≈2 µs that no part covers, which is
+    // 9 % of the phase when a blocked task takes 50 µs.
+    let sym = [2u8, 0, 3, 1, 0, 2, 1, 3, 0, 2, 1, 0];
+    let ham = random_symmetric_hamiltonian(12, 5, &sym, 4);
+    let space = DetSpace::new(12, 2, 6, &sym, 4, 1);
+    let (events, _) = traced_sigma_on(&space, &ham, 2, SigmaMethod::Dgemm);
+    host_split_closes(&events);
+}
+
+fn host_split_closes(events: &[Event]) {
+    let summary = RunSummary::from_events(events);
     // A phase hands every rank the same host interval, split across that
     // rank's spans: rank 0's spans of a phase sum to its duration.
     let phase_us = |phases: &[&str]| -> f64 {
