@@ -41,8 +41,8 @@ use crate::lex::TokKind;
 use crate::lint::{collect_rs, FileCtx};
 use fci_obs::JsonValue;
 
-/// Hot-path roots the transitive analyses start from: the σ-task body
-/// and the GEMM dispatch/macro/micro kernels.
+/// Hot-path roots the transitive analyses start from: the σ-task body,
+/// the GEMM entry points, their one loop nest and the register tile.
 pub const DEFAULT_ROOTS: [&str; 13] = [
     "process_task_into",
     // The same-spin routine's per-rank body and its blocked transpose.
@@ -51,9 +51,11 @@ pub const DEFAULT_ROOTS: [&str; 13] = [
     "dgemm",
     "dgemm_prepacked",
     "macro_kernel",
-    "small_dgemm",
-    "micro_8x4",
-    "micro_edge",
+    // The bounds-establishing entry to the tile, its width/mask dispatch
+    // and the tile itself.
+    "run_tile",
+    "tile_of_width",
+    "tile",
     // The sparse engine's per-iteration kernels (crates/sparse).
     "spmv_rows",
     "scan_gradient",

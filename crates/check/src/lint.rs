@@ -9,7 +9,7 @@
 //!
 //! | rule       | requirement |
 //! |------------|-------------|
-//! | `unsafe`   | every `unsafe` or `get_unchecked[_mut]` token is covered by a `// SAFETY:` comment attached to its enclosing statement: on a line of the statement itself, or in the contiguous comment block immediately above the statement (the covering `unsafe` block may open far from the unchecked access, so each access justifies itself) |
+//! | `unsafe`   | every `unsafe` or `get_unchecked[_mut]` token is covered by a `// SAFETY:` comment attached to its enclosing statement: on a line of the statement itself, or in the contiguous comment block immediately above the statement (the covering `unsafe` block may open far from the unchecked access, so each access justifies itself); an `unsafe fn` is also covered by a `# Safety` section in its doc comment |
 //! | `wallclock`| no `Instant::now` / `SystemTime` outside `crates/obs` (simulated time must come from the cost model; real time only via the tracer) |
 //! | `unwrap`   | no `.unwrap()` / `.expect(` in hot-path or recovery code (`crates/ddi/src`, `crates/linalg/src`, `crates/core/src/sigma`, `crates/fault/src`, `crates/core/src/recovery.rs`, `crates/core/src/checkpoint.rs`, `crates/serve/src` — a scheduler that panics takes every queued tenant down with it — and `crates/sparse/src`, whose solvers must truncate rather than die); the mutex idiom `.lock().unwrap()` is allowed |
 //! | `println`  | no `println!` outside bins, tests, and the bench crate (library output goes through the tracer or return values) |
@@ -293,16 +293,17 @@ impl<'s> FileCtx<'s> {
     /// statement's first line. Unlike the old fixed 3-line window, a
     /// long (reflowed) justification still covers, and a comment pinned
     /// to the `unsafe` block header does *not* cover an access several
-    /// statements deeper.
+    /// statements deeper. An `unsafe fn` declaration states a contract
+    /// rather than discharging one, so a `# Safety` section in its doc
+    /// comment covers it too (a trait method that inherits its contract
+    /// keeps the plain comment).
     fn safety_covered(&self, ci: usize) -> bool {
+        let declares = self.ctext(ci) == "unsafe" && self.ctext(ci + 1) == "fn";
+        let covers = |c: &String| c.contains("SAFETY:") || (declares && c.contains("# Safety"));
         let tok_line = self.ctok(ci).line as usize;
         let start_line = self.ctok(self.stmt_start(ci)).line as usize;
         for l in start_line..=tok_line {
-            if self
-                .comments
-                .get(l - 1)
-                .is_some_and(|c| c.contains("SAFETY:"))
-            {
+            if self.comments.get(l - 1).is_some_and(covers) {
                 return true;
             }
         }
@@ -313,7 +314,7 @@ impl<'s> FileCtx<'s> {
             if self.has_code[idx] || self.comments[idx].trim().is_empty() {
                 break;
             }
-            if self.comments[idx].contains("SAFETY:") {
+            if covers(&self.comments[idx]) {
                 return true;
             }
         }
@@ -733,6 +734,12 @@ mod tests {
         assert_eq!(v[0].rule, "unsafe");
         let good = "// SAFETY: bounds checked above.\nfn f() { unsafe { g() } }\n";
         assert!(lint("crates/linalg/src/x.rs", good).is_empty());
+        // An `unsafe fn` may state its contract under `# Safety` instead;
+        // an `unsafe` block may not.
+        let decl = "/// Reads `p`.\n///\n/// # Safety\n/// `p` is readable.\n#[inline]\nunsafe fn r(p: *const u8) {}\n";
+        assert!(lint("crates/linalg/src/x.rs", decl).is_empty());
+        let block = "/// # Safety\n/// none.\nfn f() { unsafe { g() } }\n";
+        assert_eq!(lint("crates/linalg/src/x.rs", block).len(), 1);
         // `forbid(unsafe_code)` is not an unsafe token.
         assert!(lint("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\n").is_empty());
     }

@@ -22,11 +22,11 @@
 
 use crate::detspace::DetSpace;
 use crate::hamiltonian::Hamiltonian;
-use crate::multiroot::{project_against, subspace_gram};
+use crate::multiroot::Subspace;
 use crate::sigma::{apply_sigma_in_sector, SigmaBreakdown, SigmaCtx, SigmaMethod};
 use crate::slater;
 use fci_ddi::DistMatrix;
-use fci_linalg::{eigh, eigh_2x2, lu_solve, Matrix};
+use fci_linalg::{eigh_2x2, lu_solve, Matrix};
 use fci_obs::Category;
 
 /// Which update scheme drives the iteration.
@@ -310,73 +310,49 @@ fn davidson(
     c0: DistMatrix,
 ) -> DiagResult {
     let mut cost = SigmaBreakdown::default();
-    let mut basis: Vec<DistMatrix> = Vec::new();
-    let mut hbasis: Vec<DistMatrix> = Vec::new();
     let mut e_hist = Vec::new();
     let mut r_hist = Vec::new();
     c0.scale(1.0 / c0.norm());
-    basis.push(c0);
+    let (mut best_c, mut best_e) = (c0.duplicate(), 0.0);
+    let mut sub = Subspace::new(vec![c0]);
 
     let mut iterations = 0;
     let mut converged = false;
-    let (mut best_c, mut best_e) = (basis[0].duplicate(), 0.0);
 
     while iterations < opts.max_iter {
         // σ for the newest basis vector.
-        let (hb, bd) = apply_sigma_in_sector(ctx, basis.last().unwrap(), sm);
+        let Some(b) = sub.pending() else { break };
+        let (hb, bd) = apply_sigma_in_sector(ctx, b, sm);
         ctx.space.project_sector(&hb);
         cost.merge(&bd);
-        hbasis.push(hb);
+        sub.push_sigma(hb);
         iterations += 1;
 
-        let m = basis.len();
-        let hsub = subspace_gram(&basis, &hbasis);
-        // Symmetrize against accumulation noise.
-        let hsub = Matrix::from_fn(m, m, |i, j| 0.5 * (hsub[(i, j)] + hsub[(j, i)]));
-        let es = eigh(&hsub);
-        let theta = es.eigenvalues[0];
-        // Ritz vector and residual.
-        let c = ctx.space.zeros_ci(ctx.ddi.nproc());
-        let r = ctx.space.zeros_ci(ctx.ddi.nproc());
-        for i in 0..m {
-            let y = es.eigenvectors[(i, 0)];
-            c.axpy(y, &basis[i]);
-            r.axpy(y, &hbasis[i]);
-        }
-        r.axpy(-theta, &c);
-        let res = r.norm();
+        let es = sub.ritz();
+        let (theta, c, r, res) = sub.ritz_pair(&es, 0);
         e_hist.push(theta);
         r_hist.push(res);
         trace_iteration(ctx, iterations, theta, res);
-        best_c = c.duplicate();
-        best_e = theta;
+        (best_c, best_e) = (c, theta);
         if res < opts.tol {
             converged = true;
             break;
         }
 
-        let t = olsen_correction(pre, &c, &r, theta);
-        if basis.len() >= opts.max_subspace {
-            // Collapse to the Ritz vector.
-            basis.clear();
-            hbasis.clear();
-            c.scale(1.0 / c.norm());
-            basis.push(c);
-            // hbasis rebuilt on the next loop head (costs one extra σ —
-            // the standard thick-restart tradeoff).
+        let t = olsen_correction(pre, &best_c, &r, theta);
+        if sub.len() >= opts.max_subspace {
+            // Collapse to the Ritz vector; its σ is rebuilt on the next
+            // loop head (costs one extra σ — the standard thick-restart
+            // tradeoff).
+            sub = Subspace::new(vec![best_c.duplicate()]);
             continue;
         }
-        // Orthonormalize t against the basis (two block-CGS passes, each
-        // a pair of DGEMMs over the whole basis).
-        project_against(&basis, &t);
-        project_against(&basis, &t);
-        let tn = t.norm();
-        if tn < 1e-12 {
+        // Two block-CGS passes against the basis, each followed by a
+        // normalization.
+        if sub.expand(vec![t]) == 0 {
             converged = res < opts.tol * 10.0;
             break;
         }
-        t.scale(1.0 / tn);
-        basis.push(t);
     }
 
     DiagResult {
@@ -610,6 +586,7 @@ mod tests {
     use crate::hamiltonian::{random_hamiltonian, random_symmetric_hamiltonian};
     use crate::taskpool::PoolParams;
     use fci_ddi::{Backend, Ddi};
+    use fci_linalg::eigh;
     use fci_xsim::MachineModel;
 
     fn exact_ground(space: &DetSpace, ham: &Hamiltonian) -> f64 {

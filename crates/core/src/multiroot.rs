@@ -11,7 +11,7 @@
 use crate::diag::{DiagOptions, Preconditioner};
 use crate::sigma::{apply_sigma_in_sector, SigmaBreakdown, SigmaCtx, SigmaMethod};
 use fci_ddi::DistMatrix;
-use fci_linalg::{cholesky_lower, dgemm, eigh, trsm_right_ltrans, Matrix, Trans};
+use fci_linalg::{cholesky_lower, eigh, Eigh, Matrix};
 
 /// Result of a multi-root diagonalization.
 #[derive(Debug)]
@@ -55,13 +55,12 @@ pub fn diagonalize_roots(
     let max_subspace = opts.max_subspace.max(4 * nroots);
 
     // Seed with the lowest model-space eigenvectors.
-    let mut basis: Vec<DistMatrix> = pre.model_space_guesses(nproc, nroots).into_iter().collect();
-    if basis.is_empty() {
-        basis.push(space.guess(ctx.ham, nproc));
+    let mut seed = pre.model_space_guesses(nproc, nroots);
+    if seed.is_empty() {
+        seed.push(space.guess(ctx.ham, nproc));
     }
-    orthonormalize(&mut basis, 0);
+    let mut sub = Subspace::new(seed);
 
-    let mut hbasis: Vec<DistMatrix> = Vec::new();
     let mut cost = SigmaBreakdown::default();
     let mut iterations = 0;
     let mut energies = vec![0.0; nroots];
@@ -70,32 +69,21 @@ pub fn diagonalize_roots(
 
     while iterations < opts.max_iter * nroots {
         // σ for any basis vectors that lack one.
-        while hbasis.len() < basis.len() {
-            let (hb, bd) = apply_sigma_in_sector(ctx, &basis[hbasis.len()], sigma_method);
+        while let Some(b) = sub.pending() {
+            let (hb, bd) = apply_sigma_in_sector(ctx, b, sigma_method);
             space.project_sector(&hb);
             cost.merge(&bd);
-            hbasis.push(hb);
+            sub.push_sigma(hb);
             iterations += 1;
         }
-        let m = basis.len();
-        let hsub = subspace_gram(&basis, &hbasis);
-        let hsub = Matrix::from_fn(m, m, |i, j| 0.5 * (hsub[(i, j)] + hsub[(j, i)]));
-        let es = eigh(&hsub);
+        let m = sub.len();
+        let es = sub.ritz();
 
         states.clear();
         let mut residuals = Vec::new();
         for k in 0..nroots.min(m) {
-            let theta = es.eigenvalues[k];
+            let (theta, c, r, res) = sub.ritz_pair(&es, k);
             energies[k] = theta;
-            let c = space.zeros_ci(nproc);
-            let r = space.zeros_ci(nproc);
-            for i in 0..m {
-                let y = es.eigenvectors[(i, k)];
-                c.axpy(y, &basis[i]);
-                r.axpy(y, &hbasis[i]);
-            }
-            r.axpy(-theta, &c);
-            let res = r.norm();
             conv[k] = res < opts.tol;
             states.push(c);
             residuals.push((theta, r, res));
@@ -109,22 +97,16 @@ pub fn diagonalize_roots(
 
         // Collapse if the subspace is full.
         if m + nroots > max_subspace {
-            basis = states.iter().map(DistMatrix::duplicate).collect();
-            orthonormalize(&mut basis, 0);
-            hbasis.clear();
+            sub = Subspace::new(states.iter().map(DistMatrix::duplicate).collect());
             continue;
         }
         // Expand with preconditioned residuals of unconverged roots.
-        let start = basis.len();
-        for (theta, r, res) in residuals {
-            if res < opts.tol {
-                continue;
-            }
-            let t = pre.apply(&r, theta);
-            basis.push(t);
-        }
-        let kept = orthonormalize(&mut basis, start);
-        if kept == 0 {
+        let new = residuals
+            .iter()
+            .filter(|(_, _, res)| *res >= opts.tol)
+            .map(|(theta, r, _)| pre.apply(r, *theta))
+            .collect();
+        if sub.expand(new) == 0 {
             break; // no new directions — as converged as we can get
         }
     }
@@ -138,64 +120,92 @@ pub fn diagonalize_roots(
     }
 }
 
-/// Dense copy of rank `p`'s local slab of each vector in `v`, one vector
-/// per column.
-fn local_block(v: &[DistMatrix], p: usize) -> Matrix {
-    let m = v.len();
-    let len = v[0].with_local(p, |s| s.len());
-    let mut out = Matrix::zeros(len, m);
-    for (i, vi) in v.iter().enumerate() {
-        vi.with_local(p, |s| out.col_mut(i).copy_from_slice(s));
-    }
-    out
+/// The subspace both Davidson solvers grow: an orthonormal basis, H
+/// applied to each vector of it, and the projected matrix `BᵀHB`. The
+/// projection is **kept** across iterations: a new vector adds one row
+/// and column (one dot per basis vector) and nothing already there is
+/// recomputed; a collapse starts a new `Subspace`. All vector work runs
+/// through [`DistMatrix`]'s `dot`/`axpy`/`scale` on the segments where
+/// the vectors live — no copy of the basis is ever made.
+pub(crate) struct Subspace {
+    basis: Vec<DistMatrix>,
+    hbasis: Vec<DistMatrix>,
+    /// `proj[j][i] = ⟨bᵢ|H bⱼ⟩` for `i ≤ j` (H is symmetric: the other
+    /// triangle is its mirror).
+    proj: Vec<Vec<f64>>,
 }
 
-/// Gram matrix `XᵀY` of two lists of equal-shaped distributed vectors,
-/// accumulated rank by rank with DGEMM instead of `x.len()·y.len()`
-/// pairwise dot products. When `x` and `y` are the same slice, each
-/// rank's block is copied once and passed to DGEMM as both operands.
-pub(crate) fn subspace_gram(x: &[DistMatrix], y: &[DistMatrix]) -> Matrix {
-    let mut g = Matrix::zeros(x.len(), y.len());
-    if x.is_empty() || y.is_empty() {
-        return g;
-    }
-    let same = std::ptr::eq(x.as_ptr(), y.as_ptr()) && x.len() == y.len();
-    for p in 0..x[0].nproc() {
-        let xp = local_block(x, p);
-        if same {
-            dgemm(Trans::Yes, Trans::No, 1.0, &xp, &xp, 1.0, &mut g);
-        } else {
-            let yp = local_block(y, p);
-            dgemm(Trans::Yes, Trans::No, 1.0, &xp, &yp, 1.0, &mut g);
+impl Subspace {
+    /// The span of `seed`, orthonormalized; dependent vectors are dropped.
+    pub(crate) fn new(mut seed: Vec<DistMatrix>) -> Subspace {
+        orthonormalize(&mut seed, 0);
+        Subspace {
+            basis: seed,
+            hbasis: Vec::new(),
+            proj: Vec::new(),
         }
     }
-    g
+
+    /// Basis vectors held.
+    pub(crate) fn len(&self) -> usize {
+        self.basis.len()
+    }
+
+    /// The first basis vector H has not been applied to yet.
+    pub(crate) fn pending(&self) -> Option<&DistMatrix> {
+        self.basis.get(self.hbasis.len())
+    }
+
+    /// Record `hb = H·pending()`: its column of the projected matrix.
+    pub(crate) fn push_sigma(&mut self, hb: DistMatrix) {
+        let j = self.hbasis.len();
+        self.proj
+            .push(self.basis[..=j].iter().map(|b| b.dot(&hb)).collect());
+        self.hbasis.push(hb);
+    }
+
+    /// Eigenpairs of the projected matrix (no vector may be pending).
+    pub(crate) fn ritz(&self) -> Eigh {
+        let m = self.basis.len();
+        assert_eq!(self.proj.len(), m, "a basis vector still lacks its σ");
+        eigh(&Matrix::from_fn(m, m, |i, j| self.proj[i.max(j)][i.min(j)]))
+    }
+
+    /// Ritz pair `k` of `es`: the value θ, the vector `c = B·y`, the
+    /// residual `r = (HB)·y − θc` and its norm.
+    pub(crate) fn ritz_pair(&self, es: &Eigh, k: usize) -> (f64, DistMatrix, DistMatrix, f64) {
+        let theta = es.eigenvalues[k];
+        let combine = |vs: &[DistMatrix]| {
+            let out = vs[0].duplicate();
+            out.scale(es.eigenvectors[(0, k)]);
+            for (i, v) in vs.iter().enumerate().skip(1) {
+                out.axpy(es.eigenvectors[(i, k)], v);
+            }
+            out
+        };
+        let c = combine(&self.basis);
+        let r = combine(&self.hbasis);
+        r.axpy(-theta, &c);
+        let res = r.norm();
+        (theta, c, r, res)
+    }
+
+    /// Orthonormalize `new` against the basis and among themselves and
+    /// append what survives; returns how many did.
+    pub(crate) fn expand(&mut self, new: Vec<DistMatrix>) -> usize {
+        let start = self.basis.len();
+        self.basis.extend(new);
+        orthonormalize(&mut self.basis, start)
+    }
 }
 
 /// One classical Gram–Schmidt projection of `t` against `basis` (assumed
-/// orthonormal): `t ← t − B(Bᵀt)`, with both products done per rank by
-/// DGEMM so the coefficient vector is formed once for the whole basis.
-pub(crate) fn project_against(basis: &[DistMatrix], t: &DistMatrix) {
-    if basis.is_empty() {
-        return;
-    }
-    let m = basis.len();
-    let nproc = t.nproc();
-    let mut coeff = Matrix::zeros(m, 1);
-    for p in 0..nproc {
-        let bp = local_block(basis, p);
-        let tp = t.with_local(p, |s| Matrix::from_fn(s.len(), 1, |i, _| s[i]));
-        dgemm(Trans::Yes, Trans::No, 1.0, &bp, &tp, 1.0, &mut coeff);
-    }
-    for p in 0..nproc {
-        let bp = local_block(basis, p);
-        let mut corr = Matrix::zeros(bp.nrows(), 1);
-        dgemm(Trans::No, Trans::No, 1.0, &bp, &coeff, 0.0, &mut corr);
-        t.with_local(p, |s| {
-            for (si, ci) in s.iter_mut().zip(corr.as_slice()) {
-                *si -= ci;
-            }
-        });
+/// orthonormal): `t ← t − B(Bᵀt)`, every coefficient formed before the
+/// first update.
+fn project_against(basis: &[DistMatrix], t: &DistMatrix) {
+    let coeff: Vec<f64> = basis.iter().map(|b| b.dot(t)).collect();
+    for (b, c) in basis.iter().zip(coeff) {
+        t.axpy(-c, b);
     }
 }
 
@@ -204,12 +214,12 @@ pub(crate) fn project_against(basis: &[DistMatrix], t: &DistMatrix) {
 /// Returns how many new vectors survive.
 ///
 /// Two passes of block classical Gram–Schmidt with Cholesky-QR: project
-/// the block against the prefix (DGEMM), drop near-null columns, then
+/// the block against the prefix, drop near-null vectors, then
 /// orthonormalize the block by factoring its Gram matrix and applying
-/// `L⁻ᵀ` to the local slabs. A numerically singular Gram matrix (e.g.
-/// duplicated expansion vectors) fails the Cholesky pivot check, and we
-/// fall back to modified Gram–Schmidt, which sheds dependent vectors one
-/// at a time.
+/// `L⁻ᵀ` by forward substitution over the vectors. A numerically
+/// singular Gram matrix (e.g. duplicated expansion vectors) fails the
+/// Cholesky pivot check, and we fall back to modified Gram–Schmidt, which
+/// sheds dependent vectors one at a time.
 fn orthonormalize(v: &mut Vec<DistMatrix>, start: usize) -> usize {
     for _pass in 0..2 {
         let mut k = start;
@@ -221,19 +231,27 @@ fn orthonormalize(v: &mut Vec<DistMatrix>, start: usize) -> usize {
                 k += 1;
             }
         }
-        if v.len() == start {
+        let block = &v[start..];
+        if block.is_empty() {
             return 0;
         }
-        let mut g = subspace_gram(&v[start..], &v[start..]);
+        // Lower triangle of the block's Gram matrix — all `cholesky_lower`
+        // reads.
+        let mut g = Matrix::zeros(block.len(), block.len());
+        for (j, bj) in block.iter().enumerate() {
+            for (i, bi) in block.iter().enumerate().skip(j) {
+                g[(i, j)] = bi.dot(bj);
+            }
+        }
         if cholesky_lower(&mut g).is_err() {
             return orthonormalize_mgs(v, start);
         }
-        for p in 0..v[start].nproc() {
-            let mut xp = local_block(&v[start..], p);
-            trsm_right_ltrans(&g, &mut xp);
-            for (i, vi) in v[start..].iter().enumerate() {
-                vi.with_local(p, |s| s.copy_from_slice(xp.col(i)));
+        // X ← X·L⁻ᵀ: column j is (xⱼ − Σ_{i<j} L[j,i]·xᵢ) / L[j,j].
+        for (j, bj) in block.iter().enumerate() {
+            for (i, bi) in block.iter().enumerate().take(j) {
+                bj.axpy(-g[(j, i)], bi);
             }
+            bj.scale(1.0 / g[(j, j)]);
         }
     }
     v.len() - start

@@ -353,11 +353,11 @@ fn process_task_into(
         clock.charge_gather(model, touched as f64);
 
         // (3) the integral block and the DGEMM. `V_hh` depends only on
-        // (Hamiltonian, Kα, h), so above the GEMM packing crossover the
-        // worker packs it once into its persistent cache and replays the
-        // packed operand on every later σ application — Davidson iterates
-        // dozens of times against the same integrals, and on a hit both
-        // the nd×nd gather and the GEMM's per-call A-pack disappear. The
+        // (Hamiltonian, Kα, h), so where `gemm_prefers_packed` says a
+        // kept operand pays the worker packs it once into its persistent
+        // cache and replays it on every later σ application — Davidson
+        // iterates dozens of times against the same integrals, and on a
+        // hit the nd×nd gather (`fill_vk`) disappears. The
         // simulated clock still charges the full build either way: the
         // cache is a host-time optimization, invisible to the machine
         // model (and hence to the simulated schedule, which is driven by
@@ -383,8 +383,7 @@ fn process_task_into(
         };
         bufs.e_mat.reshape(nd, nkb_h);
         match pa {
-            // Bitwise equal to the `dgemm` packed path below, which `Auto`
-            // selects for every shape where `use_pack` holds.
+            // Bitwise equal to `dgemm` on `vk` itself, below.
             Some(pa) => dgemm_prepacked(1, 1.0, pa, Trans::No, &bufs.d, 0.0, &mut bufs.e_mat),
             None => dgemm(
                 Trans::No,

@@ -386,27 +386,25 @@ mod tests {
     }
 
     /// σ is, bit for bit, what this test printed at commit 5e3a752 (the
-    /// last one whose same-spin routine worked on untransposed blocks).
-    /// The rank counts reach `nloc` = 0, 1, 2–3 and ≥ 4 in both same-spin
-    /// halves; only `nproc = 1` on the random Hamiltonian crosses into the
-    /// packed GEMM path, which fuses differently from the small one when
-    /// the build has hardware FMA (`fci-linalg`'s `fmadd`) — hence its own
-    /// constant there. The Hubbard integrals are exact in binary, so
-    /// fusing changes nothing.
+    /// last one whose same-spin routine worked on untransposed blocks),
+    /// and the same at every rank count: the counts reach `nloc` = 0, 1,
+    /// 2–3 and ≥ 4 in both same-spin halves and move every GEMM across
+    /// tile widths, row masks and the prepacked entry point, none of which
+    /// `fci-linalg`'s one arithmetic lets into the bits. Only whether the
+    /// build fuses multiply-add does — one constant per build. The
+    /// Hubbard integrals are exact in binary, so fusing changes nothing.
     #[test]
     fn sigma_bits_are_the_untransposed_routines() {
-        let fma = cfg!(target_feature = "fma");
+        let want: u64 = if cfg!(target_feature = "fma") {
+            0x4594_a3da_7a56_a37d
+        } else {
+            0x3856_bd5e_a0bd_ab8f
+        };
         let ham = random_hamiltonian(9, 7);
         let space = DetSpace::c1(9, 4, 3);
-        for nproc in [1usize, 2, 5, 50, 126, 130] {
-            let want: u64 = match (fma, nproc) {
-                (true, 1) => 0xebff_b2de_dd3b_d5b8,
-                (true, _) => 0x4594_a3da_7a56_a37d,
-                (false, _) => 0x3856_bd5e_a0bd_ab8f,
-            };
-            let got = sigma_digest(&space, &ham, nproc);
-            assert_eq!(got, want, "random n=9, nproc={nproc}: {got:#018x}");
-        }
+        let digests = [1usize, 2, 5, 50, 126, 130].map(|nproc| sigma_digest(&space, &ham, nproc));
+        assert_eq!(digests, [digests[0]; 6], "σ bits differ across rank counts");
+        assert_eq!(digests[0], want, "random n=9: {:#018x}", digests[0]);
         // Most of this h is zero: the one-electron list is mostly skips.
         let ham = Hamiltonian::new(&fci_scf::MoIntegrals::hubbard_chain(8, 1.0, 4.0, false));
         let space = DetSpace::for_hamiltonian(&ham, 4, 4, 0);

@@ -78,9 +78,8 @@ thread_local! {
 
 /// Run `f` with the thread's packed Ĝ blocks for `ham`, first packing
 /// every block `h` that `wants(h)` and is not packed yet. A block is
-/// wanted when some product it enters sits above the GEMM packing
-/// crossover; below it `dgemm` takes the unpacked small path and a handle
-/// could not be replayed bitwise, so it stays `None`.
+/// wanted when some product it enters is large enough for a kept handle
+/// to pay (`gemm_prefers_packed`); the σ bits are the same either way.
 fn with_g_pack<R>(
     ham: &Hamiltonian,
     wants: impl Fn(u8) -> bool,
@@ -391,10 +390,9 @@ fn rank_kernel(
                     fold_row(dts, col, clt, b.row(e.to), 1, nrun, |d, c| *d = sgn * c);
                 }
                 host.lap(GATHER);
-                // The DGEMM: E_h = Ĝ_hh · D_h. Above the packing crossover
-                // Ĝ_hh is the thread's persistent pack (bitwise equal to
-                // the on-the-fly packed path `dgemm` would take for the
-                // same shape).
+                // The DGEMM: E_h = Ĝ_hh · D_h. Where a handle pays, Ĝ_hh is
+                // the thread's persistent pack (bitwise equal to `dgemm`
+                // on the block itself).
                 match &gpack[h as usize] {
                     Some(pa) if gemm_prefers_packed(np, nrun, np) => {
                         dgemm_prepacked(1, 1.0, pa, Trans::Yes, &bufs.dt, 0.0, &mut bufs.e_mat)

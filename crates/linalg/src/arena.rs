@@ -1,7 +1,8 @@
 //! Reusable scratch buffers for the GEMM packing paths.
 //!
-//! The packed [`dgemm`](crate::gemm::dgemm) needs two kinds of working
-//! storage per call: one packed-B panel and one packed-A block.
+//! Beyond its in-place bounds [`dgemm`](crate::gemm::dgemm) needs two
+//! kinds of working storage per call: a packed transposed B and one
+//! packed-A block.
 //! Allocating these with `vec![]` on every call (as the
 //! seed kernel did) puts a heap allocation — and for large panels a page
 //! fault storm — on the single hottest path of the whole program. This
@@ -17,7 +18,7 @@
 //! panels in flight — `acquire` performs **zero heap allocations**; the
 //! counting-allocator test in `fci-core` asserts exactly this for the σ
 //! hot path. The pool mutex is touched only at acquire/release, never
-//! inside pack or microkernel loops.
+//! inside pack or tile loops.
 //!
 //! Contents of an acquired buffer are unspecified (stale data from the
 //! previous user); every GEMM packing routine overwrites its panel —

@@ -2,48 +2,61 @@
 //!
 //! `dgemm` computes `C := alpha * op(A) * op(B) + beta * C`, the single
 //! kernel the paper's σ algorithm funnels >95 % of its flops through.
-//! The implementation follows the full Goto/BLIS five-loop structure:
 //!
-//! * the `n` dimension is tiled by `NC` (macro column chunks), the `k`
-//!   dimension by `KC`, the `m` dimension by `MC`, so the packed A block
-//!   (`MC×KC`) stays cache-resident while a `KC×NC` slice of packed B
-//!   streams through,
-//! * A and op(B) are packed into microtile-contiguous buffers drawn from
-//!   the [`crate::arena`] scratch pool (no per-call allocation after
-//!   warm-up), which also makes the transposed cases stride-free,
-//! * an `MR×NR = 8×4` register microkernel does the flops with no bounds
-//!   checks in the inner loop, shaped so the autovectorizer turns each
-//!   row update into one 4-wide FMA.
+//! **One register tile.** Every flop runs in `tile`, written once over
+//! the machine's vector type (`lanes`: eight `f64` in a 512-bit
+//! register with mask registers where the build has AVX-512, plain
+//! `[f64; 4]` lanes everywhere else). A tile holds `MV` vectors of C
+//! rows by `W` columns of accumulators and reads its operands **by
+//! stride**: column `l` of op(A) at `a + l·a_ls`, element `(l, s)` of
+//! op(B) broadcast from `b + l·b_ls + s·b_js`. A row remainder is a lane
+//! mask, a column remainder is cut into tiles of width 8/4/2/1 — neither
+//! is a second kernel, neither is zero-padded.
+//!
+//! **Operands are read where they are** whenever that is no slower, which
+//! the shape alone decides (`A_IN_PLACE_ROWS`, `A_IN_PLACE`,
+//! `B_IN_PLACE`): an untransposed A of few enough rows and doubles is
+//! walked at stride `lda`, an untransposed B at `(1, ldb)` at any size, a
+//! transposed B at `(ldb, 1)` while it is cache-resident. Every σ product
+//! on every workload is below the bounds and packs nothing. Above them
+//! the Goto/BLIS five-loop structure takes over, on the same tile:
+//!
+//! * the `n` dimension is tiled by `NC`, the `k` dimension by `KC`, the
+//!   `m` dimension by `MC`, so a packed A block (`MC×KC`) stays
+//!   cache-resident while a `KC×NC` slice of B streams through,
+//! * A, and B where it is transposed, are packed into tile-contiguous
+//!   panels drawn from the [`crate::arena`] scratch pool (no per-call
+//!   allocation after warm-up), each panel at the width of the tile that
+//!   reads it.
+//!
+//! **One arithmetic.** Every element of C, on every path, is
+//! `acc ← fma(a, b, acc)` over ascending `l` inside one `KC` stripe,
+//! then `c += alpha·acc`, stripes in ascending order (multiply-then-add
+//! in place of the fused step on a build without hardware FMA). The
+//! bits of a product therefore depend on `KC` and on nothing else — not
+//! on m or n, the tile shape, the vector width, packing, or which entry
+//! point was called — and `crates/linalg/tests/gemm_bits.rs` compares
+//! them with a scalar loop that does exactly that.
 //!
 //! **One thread per GEMM:** every multiply runs on the calling thread.
 //! The paper fills the machine with DDI ranks, each running a serial
 //! DGEMM on its own column block; a second level of threads inside the
 //! kernel won on no workload (DESIGN.md §11) and is gone.
 //!
-//! **Determinism:** a C tile accumulates its `KC` blocks in ascending
-//! `l0` order, whichever entry point reaches it; the `fci-linalg`
-//! property suite pins the bits of 200 shapes.
-//!
-//! Small multiplies (the mixed-spin `V_K·D` products are often tiny)
-//! skip packing entirely via an unpacked fast path; the crossover is a
-//! measured constant (`SMALL_FLOPS`).
-//!
 //! **Persistent packed operands:** when the same A operand multiplies
 //! many different B's (the σ build reuses its coupling matrices every
 //! Davidson iteration), [`PackedA::pack`] packs op(A) once into an
-//! arena-backed handle and [`dgemm_prepacked`] consumes it directly,
-//! skipping the per-call `pack_a` entirely. The persistent layout is
-//! byte-identical to what the on-the-fly path feeds the microkernel
-//! (tight `kc·MR` panels), so results are bitwise equal to [`dgemm`].
-//! [`gemm_prefers_packed`] tells callers whether a shape would take the
-//! packed path at all — below the crossover the handle would be dead
-//! weight.
+//! arena-backed handle and [`dgemm_prepacked`] consumes it directly.
+//! By the one-arithmetic rule the result is bitwise equal to [`dgemm`].
+//! [`gemm_prefers_packed`] tells callers whether a handle is worth
+//! keeping for a shape.
 //!
 //! Correctness is established by exhaustive small-size tests and property
 //! tests against [`dgemm_naive`].
 
 use crate::arena;
 use crate::matrix::Matrix;
+use lanes::{Live, LANES, V};
 
 /// Transpose flag for [`dgemm`] operands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,36 +67,39 @@ pub enum Trans {
     Yes,
 }
 
-/// Microkernel rows (one panel of packed A).
-const MR: usize = 8;
-/// Microkernel columns (one panel of packed B).
-const NR: usize = 4;
+/// Vectors of C rows in a full register tile.
+const MV: usize = 2;
+/// Rows of a full register tile, and of a full packed-A panel.
+const MR: usize = MV * LANES;
+/// Columns of a full register tile, and of a full packed-B panel:
+/// `MV·NR` accumulators plus `MV` A vectors and a broadcast must fit the
+/// register file (24 + 3 of 32 `zmm`; 12 + 3 of 16 `ymm`).
+#[cfg(target_feature = "avx512f")]
+const NR: usize = 12;
+#[cfg(not(target_feature = "avx512f"))]
+const NR: usize = 6;
 /// Rows per packed A block (multiple of `MR`; `MC·KC` doubles ≈ 256 KB,
 /// sized to sit in L2 while a B slice streams through L1).
 const MC: usize = 128;
-/// Depth per packed block.
+/// Depth per stripe: the one constant the result bits depend on.
 const KC: usize = 256;
-/// Columns per macro chunk of packed B (multiple of `NR`).
-const NC: usize = 512;
+/// Columns per macro chunk of B (multiple of `NR`).
+const NC: usize = 504;
 
-/// Below this many flops (`2·m·n·k`) the unpacked small path wins; the
-/// crossover was measured between 48³ (small still ahead) and 56³
-/// (packed ahead) on the dev host, so the threshold sits at the
-/// midpoint 52³ (see DESIGN.md §11).
-const SMALL_FLOPS: usize = 2 * 52 * 52 * 52;
-
-/// Kernel-path override: this module's tests force each path in
-/// isolation; everything else runs [`GemmPath::Auto`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(not(test), allow(dead_code))]
-enum GemmPath {
-    /// Pick small vs packed by the measured flop crossover.
-    Auto,
-    /// Force the unpacked small-matrix path.
-    Small,
-    /// Force the packed blocked path.
-    Packed,
-}
+/// An untransposed A is read in place, at stride `lda`, when it has at
+/// most this many rows (beyond them the stride reaches the 4 KiB at
+/// which every column lands in the same L1 sets) …
+const A_IN_PLACE_ROWS: usize = 256;
+/// … and at most this many doubles (`m·k`: a quarter of this host's
+/// L2, re-read once per column tile). A larger or transposed A is packed
+/// block by block.
+const A_IN_PLACE: usize = 64 * 1024;
+/// A transposed B is read in place, at `(ldb, 1)`, up to this many
+/// doubles (`k·n`); a larger one is packed once per call, because its
+/// depth-to-depth stride defeats the prefetcher once it falls out of L2.
+/// An untransposed B is 12 sequential streams at any size and is never
+/// packed. How the three bounds were measured: DESIGN.md §11.
+const B_IN_PLACE: usize = 64 * 1024;
 
 /// Reference implementation: straightforward triple loop.
 ///
@@ -150,7 +166,24 @@ pub fn dgemm(
     beta: f64,
     c: &mut Matrix,
 ) {
-    dgemm_path(GemmPath::Auto, transa, transb, alpha, a, b, beta, c);
+    let (m, k, n) = check_dims(transa, transb, a, b, c);
+    if !beta_pass(alpha, beta, c, k) {
+        return;
+    }
+    // Host-time probe for per-shape throughput metrics; one relaxed
+    // atomic load when nobody is observing. This is real (host) kernel
+    // time by design — linalg sits below the simulated-clock layer.
+    let timer = crate::probe::active().then(std::time::Instant::now); // lint: allow(wallclock) — real host kernel time by design
+    let asrc = if transa == Trans::No && m <= A_IN_PLACE_ROWS && m * k <= A_IN_PLACE {
+        ASource::InPlace(a)
+    } else {
+        let block = packed_rows(m.min(MC)) * k.min(KC);
+        ASource::Pack(transa, a, arena::acquire(block))
+    };
+    macro_kernel(asrc, BSource::of(transb, b, k, n), alpha, c, k);
+    if let Some(t0) = timer {
+        crate::probe::emit(m, n, k, t0.elapsed().as_secs_f64());
+    }
 }
 
 /// [`dgemm`] under the signature `perf/` compiles against.
@@ -194,183 +227,169 @@ fn beta_pass(alpha: f64, beta: f64, c: &mut Matrix, k: usize) -> bool {
     k != 0 && alpha != 0.0
 }
 
-/// [`dgemm`] with an explicit kernel path.
-#[allow(clippy::too_many_arguments)]
-fn dgemm_path(
-    path: GemmPath,
-    transa: Trans,
-    transb: Trans,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut Matrix,
-) {
-    let (m, k, n) = check_dims(transa, transb, a, b, c);
-    if !beta_pass(alpha, beta, c, k) {
-        return;
-    }
-    let small = match path {
-        GemmPath::Auto => 2 * m * n * k <= SMALL_FLOPS,
-        GemmPath::Small => true,
-        GemmPath::Packed => false,
-    };
-    // Host-time probe for per-shape throughput metrics; one relaxed
-    // atomic load when nobody is observing. This is real (host) kernel
-    // time by design — linalg sits below the simulated-clock layer.
-    let timer = crate::probe::active().then(std::time::Instant::now); // lint: allow(wallclock) — real host kernel time by design
-    if small {
-        small_dgemm(transa, transb, alpha, a, b, c, m, k, n);
-    } else {
-        let asrc = ASource::Matrix(transa, a, arena::acquire(MC * KC));
-        macro_kernel(asrc, alpha, transb, b, c, k);
-    }
-    if let Some(t0) = timer {
-        crate::probe::emit(m, n, k, t0.elapsed().as_secs_f64());
-    }
-}
-
 // ---------------------------------------------------------------------
-// Small-matrix fast path: no packing, no scratch.
-// ---------------------------------------------------------------------
-
-/// Unpacked kernel for small products. For untransposed A the inner loop
-/// is an axpy over a contiguous A column (vectorizes cleanly); for
-/// transposed A it is a dot product over a contiguous A column.
-/// Allocates nothing.
-#[allow(clippy::too_many_arguments)]
-fn small_dgemm(
-    transa: Trans,
-    transb: Trans,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let cm = c.nrows();
-    let cs = c.as_mut_slice();
-    let ad = a.as_slice();
-    let am = a.nrows();
-    let bd = b.as_slice();
-    let bm = b.nrows();
-    match transa {
-        Trans::No => {
-            // C[:,j] += Σ_l (alpha·op(B)[l,j]) · A[:,l]
-            for j in 0..n {
-                let cj = &mut cs[j * cm..j * cm + m];
-                for l in 0..k {
-                    let bv = match transb {
-                        Trans::No => bd[l + j * bm],
-                        Trans::Yes => bd[j + l * bm],
-                    };
-                    let w = alpha * bv;
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let al = &ad[l * am..l * am + m];
-                    for (ci, &ai) in cj.iter_mut().zip(al) {
-                        *ci = fmadd(w, ai, *ci);
-                    }
-                }
-            }
-        }
-        Trans::Yes => {
-            // C[i,j] += alpha · ⟨A[:,i], op(B)[:,j]⟩ (A column contiguous).
-            for j in 0..n {
-                for i in 0..m {
-                    let acol = &ad[i * am..i * am + k];
-                    let mut acc = 0.0;
-                    match transb {
-                        Trans::No => {
-                            let bcol = &bd[j * bm..j * bm + k];
-                            for (&x, &y) in acol.iter().zip(bcol) {
-                                acc = fmadd(x, y, acc);
-                            }
-                        }
-                        Trans::Yes => {
-                            for (l, &x) in acol.iter().enumerate() {
-                                acc = fmadd(x, bd[j + l * bm], acc);
-                            }
-                        }
-                    }
-                    cs[j * cm + i] += alpha * acc;
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Packed blocked path (Goto/BLIS five-loop structure).
+// Where the tile's operands come from.
 // ---------------------------------------------------------------------
 
 /// Where the macro kernel gets an `MC×KC` block of op(A): the one thing
 /// [`dgemm`] and [`dgemm_prepacked`] differ in.
 enum ASource<'a> {
-    /// Pack each block out of the matrix into `MC·KC` of arena scratch.
-    Matrix(Trans, &'a Matrix, arena::ScratchGuard),
+    /// Read the untransposed matrix where it is, at stride `lda`.
+    InPlace(&'a Matrix),
+    /// Pack each block out of the matrix into arena scratch.
+    Pack(Trans, &'a Matrix, arena::ScratchGuard),
     /// Read each block out of a persistent pack.
     Prepacked(&'a PackedA),
 }
 
+/// One block of op(A) as the tile walks it: from its first element, with
+/// `lda` for a block read in place and `None` for packed panels.
+struct ABlock<'a> {
+    data: &'a [f64],
+    lda: Option<usize>,
+}
+
 impl ASource<'_> {
-    /// Rows `i0..i0+mc` × depths `l0..l0+kc` of op(A) in tight `kc·MR`
-    /// panels — byte-identical layouts from either variant, so the
-    /// microkernel sees the same inputs.
-    fn a_block(&mut self, i0: usize, mc: usize, l0: usize, kc: usize) -> &[f64] {
+    /// Rows `i0..i0+mc` × depths `l0..l0+kc` of op(A). The two packed
+    /// variants hand out byte-identical panels.
+    fn block(&mut self, i0: usize, mc: usize, l0: usize, kc: usize) -> ABlock<'_> {
         match self {
-            ASource::Matrix(transa, a, scratch) => {
-                pack_a(*transa, a, i0, mc, l0, kc, scratch.as_mut_slice());
-                scratch.as_slice()
+            ASource::InPlace(a) => ABlock {
+                data: &a.as_slice()[l0 * a.nrows() + i0..],
+                lda: Some(a.nrows()),
+            },
+            ASource::Pack(transa, a, scratch) => {
+                let len = packed_rows(mc) * kc;
+                pack_a(
+                    *transa,
+                    a,
+                    i0,
+                    mc,
+                    l0,
+                    kc,
+                    &mut scratch.as_mut_slice()[..len],
+                );
+                ABlock {
+                    data: &scratch.as_slice()[..len],
+                    lda: None,
+                }
             }
-            ASource::Prepacked(pa) => pa.block(i0, mc, l0, kc),
+            ASource::Prepacked(pa) => ABlock {
+                data: pa.block(i0, mc, l0, kc),
+                lda: None,
+            },
         }
     }
 }
 
-/// The packed path of both entry points: pack all of op(B) once, then
-/// walk NC column chunks × MC row blocks × KC depth blocks × B panels ×
-/// MR tiles. `l0` ascends inside a row block, so every C tile sums its
-/// KC blocks in the same order whichever [`ASource`] feeds it — the
-/// bitwise-equality contract between [`dgemm`] and [`dgemm_prepacked`].
-fn macro_kernel(
-    mut asrc: ASource<'_>,
-    alpha: f64,
-    transb: Trans,
-    b: &Matrix,
-    c: &mut Matrix,
-    k: usize,
-) {
+impl ABlock<'_> {
+    /// Rows `ir..ir+mr` of the block (`ir` a multiple of `MR`): the slice
+    /// from their first element, and the stride between depths.
+    #[inline]
+    fn rows(&self, ir: usize, mr: usize, kc: usize) -> (&[f64], usize) {
+        match self.lda {
+            Some(lda) => (&self.data[ir..], lda),
+            // Every panel before this one is `MR` rows of `kc` depths.
+            None => (&self.data[ir * kc..], panel_rows(mr)),
+        }
+    }
+}
+
+/// Where the macro kernel gets op(B), chosen from its shape alone.
+enum BSource<'a> {
+    /// Read the matrix where it is.
+    InPlace(Trans, &'a Matrix),
+    /// All of a transposed B, packed once for this call.
+    Packed(arena::ScratchGuard),
+}
+
+impl<'a> BSource<'a> {
+    fn of(transb: Trans, b: &'a Matrix, k: usize, n: usize) -> Self {
+        if transb == Trans::Yes && k * n > B_IN_PLACE {
+            BSource::packed(b, k, n)
+        } else {
+            BSource::InPlace(transb, b)
+        }
+    }
+
+    fn packed(b: &Matrix, k: usize, n: usize) -> Self {
+        let mut guard = arena::acquire(k * n);
+        pack_bt(b, k, n, guard.as_mut_slice());
+        BSource::Packed(guard)
+    }
+
+    /// Depths `l0..` × columns `jp+s0..` of the `k`-deep op(B), inside the
+    /// `NR` panel that starts at column `jp` and is `wp` wide: the slice
+    /// from element `(l0, jp+s0)`, the stride between depths and the
+    /// stride between columns.
+    #[inline]
+    fn cols(&self, jp: usize, wp: usize, s0: usize, l0: usize, k: usize) -> (&[f64], usize, usize) {
+        let j0 = jp + s0;
+        match self {
+            BSource::InPlace(Trans::No, b) => (&b.as_slice()[j0 * b.nrows() + l0..], 1, b.nrows()),
+            BSource::InPlace(Trans::Yes, b) => (&b.as_slice()[l0 * b.nrows() + j0..], b.nrows(), 1),
+            BSource::Packed(guard) => (&guard.as_slice()[jp * k + l0 * wp + s0..], wp, 1),
+        }
+    }
+}
+
+/// Width of the next column tile when `rem ≥ 1` columns of a panel are
+/// left: the full `NR`, else the largest of 8/4/2/1 that fits.
+#[inline]
+fn tile_width(rem: usize) -> usize {
+    if rem >= NR {
+        NR
+    } else {
+        1 << rem.ilog2()
+    }
+}
+
+/// Rows a packed-A panel stores for `mr ≤ MR` live rows: a remainder that
+/// fits one vector is packed one vector wide.
+#[inline]
+fn panel_rows(mr: usize) -> usize {
+    if mr <= LANES {
+        LANES
+    } else {
+        MR
+    }
+}
+
+/// Rows that `m` rows of op(A) occupy once packed (full `MR` panels, then
+/// one of [`panel_rows`]).
+#[inline]
+fn packed_rows(m: usize) -> usize {
+    m.div_ceil(LANES) * LANES
+}
+
+/// The one loop nest of both entry points and of every operand source:
+/// NC column chunks × MC row blocks × KC stripes × column tiles × row
+/// tiles. `l0` ascends inside a row block, so every C element sums its
+/// stripes in the same order whatever feeds the tile.
+fn macro_kernel(mut asrc: ASource<'_>, bsrc: BSource<'_>, alpha: f64, c: &mut Matrix, k: usize) {
     let (m, n) = (c.nrows(), c.ncols());
-    let npanels = n.div_ceil(NR);
-    let mut bguard = arena::acquire(npanels * k * NR);
-    pack_b(transb, b, k, n, bguard.as_mut_slice());
-    let bpack = bguard.as_slice();
     let cs = c.as_mut_slice();
-    for q_lo in (0..npanels).step_by(NC / NR) {
-        let q_hi = npanels.min(q_lo + NC / NR);
+    for jc in (0..n).step_by(NC) {
+        let nc = NC.min(n - jc);
         for i0 in (0..m).step_by(MC) {
             let mc = MC.min(m - i0);
             for l0 in (0..k).step_by(KC) {
                 let kc = KC.min(k - l0);
-                let apack = asrc.a_block(i0, mc, l0, kc);
-                for q in q_lo..q_hi {
-                    let jr = q * NR;
-                    let nr = NR.min(n - jr);
-                    let bt = &bpack[q * (k * NR) + l0 * NR..][..kc * NR];
-                    let mut ir = 0;
-                    while ir < mc {
-                        let mr = MR.min(mc - ir);
-                        let at = &apack[(ir / MR) * (kc * MR)..][..kc * MR];
-                        if mr == MR && nr == NR {
-                            micro_8x4(kc, alpha, at, bt, cs, i0 + ir, jr, m);
-                        } else {
-                            micro_edge(kc, alpha, at, bt, cs, i0 + ir, jr, m, mr, nr);
+                let ablock = asrc.block(i0, mc, l0, kc);
+                // `NC` is a multiple of `NR`: no panel straddles a chunk.
+                for jp in (jc..jc + nc).step_by(NR) {
+                    let wp = NR.min(n - jp);
+                    let mut s0 = 0;
+                    while s0 < wp {
+                        let w = tile_width(wp - s0);
+                        let (bt, b_ls, b_js) = bsrc.cols(jp, wp, s0, l0, k);
+                        for ir in (0..mc).step_by(MR) {
+                            let mr = MR.min(mc - ir);
+                            let (at, a_ls) = ablock.rows(ir, mr, kc);
+                            let ct = &mut cs[(jp + s0) * m + i0 + ir..];
+                            run_tile(kc, alpha, at, a_ls, bt, b_ls, b_js, ct, m, mr, w);
                         }
-                        ir += MR;
+                        s0 += w;
                     }
                 }
             }
@@ -378,12 +397,12 @@ fn macro_kernel(
     }
 }
 
-/// Pack an `mc×kc` block of op(A) starting at (i0, l0) into microtile
-/// panels: panel `p` holds rows `[p·MR, p·MR+MR)` stored k-major
-/// (`apack[p·kc·MR + l·MR + r]`), zero-padded in the row direction.
-/// Panels are **tight** (stride `kc·MR`, not `KC·MR`), which is what
-/// lets [`PackedA`] store all KC stripes of op(A) back to back with a
-/// purely arithmetic offset.
+/// Pack an `mc×kc` block of op(A) starting at (i0, l0) into row panels:
+/// panel `p` holds rows `[p·MR, p·MR+MR)` stored depth-major at the
+/// stride of the tile that will read it (`apack[p·kc·MR + l·w + r]`,
+/// `w` = [`panel_rows`]), zero-padded up to `w`. Panels are **tight**
+/// (`kc` depths, not `KC`), which is what lets [`PackedA`] store all KC
+/// stripes of op(A) back to back with a purely arithmetic offset.
 fn pack_a(
     transa: Trans,
     a: &Matrix,
@@ -393,48 +412,47 @@ fn pack_a(
     kc: usize,
     apack: &mut [f64],
 ) {
-    let npanels = mc.div_ceil(MR);
-    for p in 0..npanels {
-        let base = p * (kc * MR);
-        let rmax = MR.min(mc - p * MR);
-        for l in 0..kc {
-            for r in 0..MR {
-                let v = if r < rmax {
-                    let i = i0 + p * MR + r;
-                    match transa {
-                        Trans::No => a[(i, l0 + l)],
-                        Trans::Yes => a[(l0 + l, i)],
+    for ir in (0..mc).step_by(MR) {
+        let mr = MR.min(mc - ir);
+        let w = panel_rows(mr);
+        let panel = &mut apack[ir * kc..][..w * kc];
+        match transa {
+            // Rows of op(A) are contiguous in a column of A.
+            Trans::No => {
+                for (l, dst) in panel.chunks_exact_mut(w).enumerate() {
+                    let (live, pad) = dst.split_at_mut(mr);
+                    live.copy_from_slice(&a.col(l0 + l)[i0 + ir..][..mr]);
+                    pad.fill(0.0);
+                }
+            }
+            // Depths of op(A) are contiguous in a column of A.
+            Trans::Yes => {
+                if mr < w {
+                    panel.fill(0.0);
+                }
+                for r in 0..mr {
+                    let src = &a.col(i0 + ir + r)[l0..][..kc];
+                    for (dst, &x) in panel[r..].iter_mut().step_by(w).zip(src) {
+                        *dst = x;
                     }
-                } else {
-                    0.0
-                };
-                apack[base + l * MR + r] = v;
+                }
             }
         }
     }
 }
 
-/// Pack all of op(B) (`k×n`) into column microtiles: panel `q` holds
-/// columns `[q·NR, q·NR+NR)` stored k-major with stride NR
-/// (`bpack[q·k·NR + l·NR + s]`), zero-padded in the column direction.
-fn pack_b(transb: Trans, b: &Matrix, k: usize, n: usize, bpack: &mut [f64]) {
-    let npanels = n.div_ceil(NR);
-    for q in 0..npanels {
-        let base = q * (k * NR);
-        let smax = NR.min(n - q * NR);
-        for l in 0..k {
-            for s in 0..NR {
-                let v = if s < smax {
-                    let j = q * NR + s;
-                    match transb {
-                        Trans::No => b[(l, j)],
-                        Trans::Yes => b[(j, l)],
-                    }
-                } else {
-                    0.0
-                };
-                bpack[base + l * NR + s] = v;
-            }
+/// Pack all of `Bᵀ` (`k×n`, `b` being `n×k`) into column panels: panel
+/// `q` holds columns `[q·NR, q·NR+w)` stored depth-major at its own width
+/// `w = min(NR, n − q·NR)` (`bpack[q·NR·k + l·w + s]`) — a narrow last
+/// panel is not padded, the tiles of width 8/4/2/1 that cover it read it
+/// at stride `w`. The columns of one depth are contiguous in a column of
+/// `b`, so every move is a slice copy.
+fn pack_bt(b: &Matrix, k: usize, n: usize, bpack: &mut [f64]) {
+    for jp in (0..n).step_by(NR) {
+        let w = NR.min(n - jp);
+        let panel = &mut bpack[jp * k..][..w * k];
+        for (l, dst) in panel.chunks_exact_mut(w).enumerate() {
+            dst.copy_from_slice(&b.col(l)[jp..][..w]);
         }
     }
 }
@@ -443,26 +461,30 @@ fn pack_b(transb: Trans, b: &Matrix, k: usize, n: usize, bpack: &mut [f64]) {
 // Persistent packed A operands.
 // ---------------------------------------------------------------------
 
-/// Whether [`dgemm`]'s auto dispatch would take the packed path for an
-/// `m×n×k` product — i.e. whether preparing a [`PackedA`] for this
-/// shape can pay off at all. Below the crossover `dgemm` uses the
-/// unpacked small path, which never reads a packed operand, so a handle
-/// would be dead weight.
+/// Products of at most this many flops (`2·m·n·k`, measured at 52³)
+/// gain nothing from a cached [`PackedA`].
+const PREPACK_MIN_FLOPS: usize = 2 * 52 * 52 * 52;
+
+/// Whether keeping a [`PackedA`] for the A operand of an `m×n×k` product
+/// can pay off. It is advice to callers that cache operands across calls
+/// (what the σ caches save is the refill of the operand they pack, not
+/// kernel time); [`dgemm`] and [`dgemm_prepacked`] give the same bits at
+/// every shape.
 #[inline]
 pub fn gemm_prefers_packed(m: usize, n: usize, k: usize) -> bool {
-    m > 0 && n > 0 && k > 0 && 2 * m * n * k > SMALL_FLOPS
+    m > 0 && n > 0 && k > 0 && 2 * m * n * k > PREPACK_MIN_FLOPS
 }
 
-/// op(A) packed once into the microkernel layout, for reuse across many
+/// op(A) packed once into the tile's layout, for reuse across many
 /// [`dgemm_prepacked`] calls.
 ///
 /// Layout: KC stripes back to back. Stripe `l0` (a multiple of `KC`,
 /// depth `kc = min(KC, k−l0)`) occupies `padded_m·kc` doubles starting
-/// at offset `padded_m·l0`, where `padded_m = ⌈m/MR⌉·MR` — valid
-/// because every stripe before the last has depth exactly `KC`. Within
-/// a stripe, row panel `p` sits at `p·kc·MR`, exactly as [`pack_a`]
-/// lays it out. The buffer comes from the [`crate::arena`] pool and
-/// returns there on drop.
+/// at offset `padded_m·l0`, where `padded_m` = `packed_rows(m)` —
+/// valid because every stripe before the last has depth exactly `KC`.
+/// Within a stripe, row panel `p` sits at `p·kc·MR`, exactly as
+/// [`pack_a`] lays it out. The buffer comes from the [`crate::arena`]
+/// pool and returns there on drop.
 ///
 /// The handle borrows nothing: it is an owned snapshot of op(A) at pack
 /// time. Callers caching one across solves must invalidate it when the
@@ -482,22 +504,13 @@ impl PackedA {
             Trans::No => (a.nrows(), a.ncols()),
             Trans::Yes => (a.ncols(), a.nrows()),
         };
-        let padded_m = m.div_ceil(MR) * MR;
+        let padded_m = packed_rows(m);
         let mut guard = arena::acquire(padded_m * k);
         let buf = guard.as_mut_slice();
-        let mut l0 = 0;
-        while l0 < k {
+        for l0 in (0..k).step_by(KC) {
             let kc = KC.min(k - l0);
-            pack_a(
-                transa,
-                a,
-                0,
-                m,
-                l0,
-                kc,
-                &mut buf[padded_m * l0..padded_m * (l0 + kc)],
-            );
-            l0 += KC;
+            let stripe = &mut buf[padded_m * l0..padded_m * (l0 + kc)];
+            pack_a(transa, a, 0, m, l0, kc, stripe);
         }
         PackedA {
             m,
@@ -530,7 +543,7 @@ impl PackedA {
     /// Heap footprint of the packed buffer in bytes (cache budgeting).
     #[inline]
     pub fn bytes(&self) -> usize {
-        self.m.div_ceil(MR) * MR * self.k * std::mem::size_of::<f64>()
+        packed_rows(self.m) * self.k * std::mem::size_of::<f64>()
     }
 
     /// The packed panels covering rows `i0..i0+mc` of the KC stripe at
@@ -538,19 +551,17 @@ impl PackedA {
     /// kernel's loops).
     #[inline]
     fn block(&self, i0: usize, mc: usize, l0: usize, kc: usize) -> &[f64] {
-        let padded_m = self.m.div_ceil(MR) * MR;
-        let base = padded_m * l0 + (i0 / MR) * (kc * MR);
-        &self.guard.as_slice()[base..base + mc.div_ceil(MR) * (kc * MR)]
+        let base = packed_rows(self.m) * l0 + i0 * kc;
+        &self.guard.as_slice()[base..base + packed_rows(mc) * kc]
     }
 }
 
 /// `C := alpha · packed(A) · op(B) + beta · C` with a pre-packed A.
 ///
-/// The same macro kernel as [`dgemm`]'s packed path reading its A blocks
-/// out of the handle — the result is **bitwise equal** — so the per-call
-/// A packing traffic is gone; only op(B) is packed. This is the σ-build
-/// hot call: the same coupling operand multiplies a fresh B every
-/// Davidson iteration.
+/// The same loop nest and tile as [`dgemm`], reading its A blocks out of
+/// the handle — the result is **bitwise equal** — so the per-call A
+/// packing traffic is gone. This is the σ-build hot call: the same
+/// coupling operand multiplies a fresh B every Davidson iteration.
 ///
 /// `nthreads` is vestigial: GEMM is serial and the argument must be `1`.
 /// It stays because `perf/` compiles against this signature, and goes
@@ -580,16 +591,22 @@ pub fn dgemm_prepacked(
         return;
     }
     let timer = crate::probe::active().then(std::time::Instant::now); // lint: allow(wallclock) — real host kernel time by design
-    macro_kernel(ASource::Prepacked(pa), alpha, transb, b, c, k);
+    let bsrc = BSource::of(transb, b, k, n);
+    macro_kernel(ASource::Prepacked(pa), bsrc, alpha, c, k);
     if let Some(t0) = timer {
         crate::probe::emit(m, n, k, t0.elapsed().as_secs_f64());
     }
 }
 
+// ---------------------------------------------------------------------
+// The register tile.
+// ---------------------------------------------------------------------
+
 /// Fused multiply-add when the build target has hardware FMA, plain
 /// multiply+add otherwise. `mul_add` without hardware support lowers to
-/// a libm call — catastrophically slow in a microkernel — so the fusion
-/// is compile-time gated, never probed at runtime.
+/// a libm call — catastrophically slow in a kernel — so the fusion is
+/// compile-time gated, never probed at runtime.
+#[cfg(not(target_feature = "avx512f"))]
 #[inline(always)]
 fn fmadd(a: f64, b: f64, c: f64) -> f64 {
     #[cfg(target_feature = "fma")]
@@ -602,82 +619,318 @@ fn fmadd(a: f64, b: f64, c: f64) -> f64 {
     }
 }
 
-/// 8×4 register microkernel:
-/// `C[i0..i0+8, j0..j0+4] += alpha · Apanel · Bpanel`.
-///
-/// The accumulator is `MR` rows of `NR`-wide vectors; each `l` step
-/// broadcasts one A element per row against the 4-wide B vector, which
-/// the autovectorizer lowers to one FMA per row (8 vector registers of
-/// accumulators + 1 of B — fits any 16-register vector ISA).
-#[inline(always)]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn micro_8x4(
-    kc: usize,
-    alpha: f64,
-    at: &[f64],
-    bt: &[f64],
-    c: &mut [f64],
-    i0: usize,
-    j0: usize,
-    cm: usize,
-) {
-    let mut acc = [[0.0f64; NR]; MR];
-    // The panels are contiguous k-major tiles; index arithmetic is exact.
-    for l in 0..kc {
-        let ab = l * MR;
-        let bb = l * NR;
-        // SAFETY: `bt` was sliced to length >= kc*NR, so bb..bb+NR is in
-        // bounds for every l < kc.
-        let bv: [f64; NR] = std::array::from_fn(|s| unsafe { *bt.get_unchecked(bb + s) });
-        for r in 0..MR {
-            // SAFETY: `at` was sliced to length >= kc*MR; ab+r < kc*MR.
-            let ar = unsafe { *at.get_unchecked(ab + r) };
-            for s in 0..NR {
-                acc[r][s] = fmadd(ar, bv[s], acc[r][s]);
+/// The vector type the tile is written over: `LANES` doubles, a mask of
+/// live leading lanes, and the four operations the tile needs. Chosen by
+/// `cfg(target_feature)` exactly like [`fmadd`] — no runtime detection.
+#[cfg(target_feature = "avx512f")]
+mod lanes {
+    use core::arch::x86_64::{
+        __m512d, __mmask8, _mm512_add_pd, _mm512_fmadd_pd, _mm512_mask_storeu_pd,
+        _mm512_maskz_loadu_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_setzero_pd,
+    };
+
+    /// Doubles per vector.
+    pub(super) const LANES: usize = 8;
+    /// Masked loads and stores are single instructions.
+    pub(super) const HARDWARE_MASKS: bool = true;
+
+    /// One 512-bit register of doubles.
+    #[derive(Clone, Copy)]
+    pub(super) struct V(__m512d);
+
+    /// The leading lanes of a vector that hold rows of C.
+    #[derive(Clone, Copy)]
+    pub(super) struct Live(__mmask8);
+
+    impl Live {
+        /// Every lane.
+        pub(super) const ALL: Live = Live(!0);
+
+        /// The first `min(n, LANES)` lanes.
+        #[inline(always)]
+        pub(super) fn first(n: usize) -> Live {
+            if n >= LANES {
+                Live::ALL
+            } else {
+                Live((1 << n) - 1)
             }
         }
     }
-    // One bounds check per column, none inside the loop: indexing `col[r]`
-    // here instead cost the `l` loop above its clean 8-FMA body (31 → 25
-    // Gflop/s at 512³).
-    for s in 0..NR {
-        let col = &mut c[(j0 + s) * cm + i0..][..MR];
-        for (cr, ar) in col.iter_mut().zip(&acc) {
-            *cr += alpha * ar[s];
+
+    impl V {
+        #[inline(always)]
+        pub(super) fn zero() -> V {
+            // SAFETY: this module is compiled only with `avx512f` enabled
+            // for the whole build, so the instruction exists.
+            V(unsafe { _mm512_setzero_pd() })
+        }
+
+        #[inline(always)]
+        pub(super) fn splat(x: f64) -> V {
+            // SAFETY: `avx512f` is enabled for the whole build (module cfg).
+            V(unsafe { _mm512_set1_pd(x) })
+        }
+
+        /// `self · b + acc`, one rounding.
+        #[inline(always)]
+        pub(super) fn fma(self, b: V, acc: V) -> V {
+            // SAFETY: `avx512f` is enabled for the whole build (module cfg).
+            V(unsafe { _mm512_fmadd_pd(self.0, b.0, acc.0) })
+        }
+
+        /// The `live` leading doubles at `p`, zero in the other lanes.
+        ///
+        /// # Safety
+        /// `p` must be valid for reads of as many doubles as `live` has
+        /// lanes; nothing beyond them is touched.
+        #[inline(always)]
+        pub(super) unsafe fn load(p: *const f64, live: Live) -> V {
+            // SAFETY: a masked load does not access (and cannot fault on)
+            // the masked-off lanes; the live ones are the caller's.
+            V(unsafe { _mm512_maskz_loadu_pd(live.0, p) })
+        }
+
+        /// `p[r] += alpha[r] · self[r]` on the live lanes (multiply, then
+        /// add: two roundings).
+        ///
+        /// # Safety
+        /// `p` must be valid for reads and writes of as many doubles as
+        /// `live` has lanes; nothing beyond them is touched.
+        #[inline(always)]
+        pub(super) unsafe fn add_scaled_to(self, alpha: V, p: *mut f64, live: Live) {
+            // SAFETY: masked load and store touch the live lanes only,
+            // which the caller vouches for.
+            unsafe {
+                let c = _mm512_maskz_loadu_pd(live.0, p);
+                let sum = _mm512_add_pd(c, _mm512_mul_pd(alpha.0, self.0));
+                _mm512_mask_storeu_pd(p, live.0, sum);
+            }
         }
     }
 }
 
-/// Edge microkernel for partial tiles (mr<8 or nr<4); bounds-checked
-/// throughout.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn micro_edge(
-    kc: usize,
-    alpha: f64,
-    at: &[f64],
-    bt: &[f64],
-    c: &mut [f64],
-    i0: usize,
-    j0: usize,
-    cm: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut acc = [[0.0f64; NR]; MR];
-    for l in 0..kc {
-        let ab = l * MR;
-        let bb = l * NR;
-        for r in 0..mr {
-            let av = at[ab + r];
-            for s in 0..nr {
-                acc[r][s] += av * bt[bb + s];
+/// The vector type the tile is written over: `LANES` doubles, a count of
+/// live leading lanes, and the four operations the tile needs — plain
+/// arrays the compiler maps onto whatever vector registers the target
+/// has. The only lane type on a build without AVX-512.
+#[cfg(not(target_feature = "avx512f"))]
+mod lanes {
+    use super::fmadd;
+
+    /// Doubles per vector.
+    pub(super) const LANES: usize = 4;
+    /// Masks are a per-lane test in software.
+    pub(super) const HARDWARE_MASKS: bool = false;
+
+    /// One vector of doubles.
+    #[derive(Clone, Copy)]
+    pub(super) struct V([f64; LANES]);
+
+    /// The leading lanes of a vector that hold rows of C.
+    #[derive(Clone, Copy)]
+    pub(super) struct Live(usize);
+
+    impl Live {
+        /// Every lane.
+        pub(super) const ALL: Live = Live(LANES);
+
+        /// The first `min(n, LANES)` lanes.
+        #[inline(always)]
+        pub(super) fn first(n: usize) -> Live {
+            Live(n.min(LANES))
+        }
+    }
+
+    impl V {
+        #[inline(always)]
+        pub(super) fn zero() -> V {
+            V([0.0; LANES])
+        }
+
+        #[inline(always)]
+        pub(super) fn splat(x: f64) -> V {
+            V([x; LANES])
+        }
+
+        /// `self · b + acc`, one rounding where the build has FMA.
+        #[inline(always)]
+        pub(super) fn fma(self, b: V, acc: V) -> V {
+            V(std::array::from_fn(|r| fmadd(self.0[r], b.0[r], acc.0[r])))
+        }
+
+        /// The `live` leading doubles at `p`, zero in the other lanes.
+        ///
+        /// # Safety
+        /// `p` must be valid for reads of `live` doubles; nothing beyond
+        /// them is touched.
+        #[inline(always)]
+        pub(super) unsafe fn load(p: *const f64, live: Live) -> V {
+            if live.0 == LANES {
+                // SAFETY: all `LANES` doubles are live, hence readable.
+                return V(unsafe { p.cast::<[f64; LANES]>().read_unaligned() });
+            }
+            // A dead lane reads a zero instead: a select between two
+            // addresses, not a branch per lane.
+            static ZERO: f64 = 0.0;
+            V(std::array::from_fn(|r| {
+                let src = if r < live.0 { p.wrapping_add(r) } else { &ZERO };
+                // SAFETY: `r < live` is inside the caller's readable
+                // range, and `ZERO` is always readable.
+                unsafe { *src }
+            }))
+        }
+
+        /// `p[r] += alpha[r] · self[r]` on the live lanes (multiply, then
+        /// add: two roundings).
+        ///
+        /// # Safety
+        /// `p` must be valid for reads and writes of `live` doubles;
+        /// nothing beyond them is touched.
+        #[inline(always)]
+        pub(super) unsafe fn add_scaled_to(self, alpha: V, p: *mut f64, live: Live) {
+            for r in 0..live.0 {
+                // SAFETY: `r < live`, inside the caller's writable range.
+                unsafe { *p.add(r) += alpha.0[r] * self.0[r] };
             }
         }
     }
-    for s in 0..nr {
-        let col = &mut c[(j0 + s) * cm + i0..][..mr];
-        for r in 0..mr {
-            col[r] += alpha * acc[r][s];
+}
+
+/// What one call of [`tile`] reads and writes.
+#[derive(Clone, Copy)]
+struct TileOperands {
+    /// Depths to sum over (one KC stripe, or less).
+    kc: usize,
+    alpha: f64,
+    /// Row 0, depth 0 of the op(A) rows; depth `l` is `a_ls` doubles on.
+    a: *const f64,
+    a_ls: usize,
+    /// Depth 0, column 0 of the op(B) columns; depth `l` is `b_ls` and
+    /// column `s` is `b_js` doubles on.
+    b: *const f64,
+    b_ls: usize,
+    b_js: usize,
+    /// Row 0, column 0 of the C tile; column `s` is `ldc` doubles on.
+    c: *mut f64,
+    ldc: usize,
+    /// Live rows, `1..=MV·LANES`.
+    mr: usize,
+}
+
+/// The register tile: `C[0..mr, 0..W] += alpha · A[0..mr, 0..kc] ·
+/// B[0..kc, 0..W]` with `MV_` vectors of rows by `W` columns of
+/// accumulators held in registers, each `acc ← fma(a, b, acc)` over
+/// ascending `l`, then `c += alpha·acc`. Rows beyond `mr` are masked out
+/// of every load and store.
+///
+/// # Safety
+/// `live[v]` must be the rows of vector `v` below `o.mr ≤ MV_·LANES`,
+/// and for every `l < o.kc`, `r < o.mr`, `s < W`:
+/// `o.a + l·a_ls + r` and `o.b + l·b_ls + s·b_js` must be valid for
+/// reads and `o.c + s·ldc + r` valid for reads and writes, and the C
+/// elements must not overlap the A or B ones.
+#[inline(always)]
+unsafe fn tile<const MV_: usize, const W: usize>(o: TileOperands, live: [Live; MV_]) {
+    let mut acc = [[V::zero(); MV_]; W];
+    for l in 0..o.kc {
+        // SAFETY: `l < kc`; vector `v` reads rows `v·LANES..` masked to
+        // those below `mr`, which the caller made readable.
+        let av: [V; MV_] =
+            std::array::from_fn(|v| unsafe { V::load(o.a.add(l * o.a_ls + v * LANES), live[v]) });
+        for (s, accs) in acc.iter_mut().enumerate() {
+            // SAFETY: `l < kc` and `s < W`: an element the caller made
+            // readable.
+            let bv = V::splat(unsafe { *o.b.add(l * o.b_ls + s * o.b_js) });
+            for (a, x) in av.iter().zip(accs) {
+                *x = a.fma(bv, *x);
+            }
+        }
+    }
+    let alpha = V::splat(o.alpha);
+    for (s, accs) in acc.iter().enumerate() {
+        for (v, x) in accs.iter().enumerate() {
+            // SAFETY: column `s < W`, rows `v·LANES..` masked to those
+            // below `mr`: C elements the caller made writable.
+            unsafe { x.add_scaled_to(alpha, o.c.add(s * o.ldc + v * LANES), live[v]) };
+        }
+    }
+}
+
+/// [`tile`] at width `W` with as many vectors as `o.mr` rows need, each
+/// masked to its live rows. Where masks are not the hardware's, a full
+/// tile gets a constant all-live mask, which lets the compiler keep the
+/// per-lane tests out of its loop.
+///
+/// # Safety
+/// As for [`tile`], with `o.mr ≤ MR`.
+unsafe fn tile_of_width<const W: usize>(o: TileOperands) {
+    let rows = |v: usize| Live::first(o.mr.saturating_sub(v * LANES));
+    // SAFETY: the caller's contract is `tile`'s; `mr ≤ LANES` rows fit one
+    // vector and `mr ≤ MR` fit `MV`, and each mask covers exactly the
+    // rows below `mr`.
+    unsafe {
+        if !lanes::HARDWARE_MASKS && o.mr == MR {
+            tile::<MV, W>(o, [Live::ALL; MV])
+        } else if o.mr > LANES {
+            tile::<MV, W>(o, [Live::ALL, rows(1)])
+        } else if !lanes::HARDWARE_MASKS && o.mr == LANES {
+            tile::<1, W>(o, [Live::ALL; 1])
+        } else {
+            tile::<1, W>(o, std::array::from_fn(rows))
+        }
+    }
+}
+
+/// Run one tile of `mr ≤ MR` rows by `w` columns (a [`tile_width`]) over
+/// `kc ≥ 1` depths. The slices start at the tile's first element of each
+/// operand; slicing them to the extent the tile touches is the bounds
+/// check the unsafe tile relies on.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn run_tile(
+    kc: usize,
+    alpha: f64,
+    at: &[f64],
+    a_ls: usize,
+    bt: &[f64],
+    b_ls: usize,
+    b_js: usize,
+    ct: &mut [f64],
+    ldc: usize,
+    mr: usize,
+    w: usize,
+) {
+    assert!((1..=MR).contains(&mr) && kc >= 1);
+    let at = &at[..(kc - 1) * a_ls + mr];
+    let bt = &bt[..(kc - 1) * b_ls + (w - 1) * b_js + 1];
+    let ct = &mut ct[..(w - 1) * ldc + mr];
+    let o = TileOperands {
+        kc,
+        alpha,
+        a: at.as_ptr(),
+        a_ls,
+        b: bt.as_ptr(),
+        b_ls,
+        b_js,
+        c: ct.as_mut_ptr(),
+        ldc,
+        mr,
+    };
+    // SAFETY: `mr ≤ MR`; the three slices above end at the last element
+    // the tile reaches — `(kc−1)·a_ls + mr−1`, `(kc−1)·b_ls + (w−1)·b_js`
+    // and `(w−1)·ldc + mr−1` — so every access is in bounds, and `ct` is a
+    // unique borrow, so C overlaps neither A nor B. The arm taken has
+    // `W == w`.
+    unsafe {
+        match w {
+            1 => tile_of_width::<1>(o),
+            2 => tile_of_width::<2>(o),
+            4 => tile_of_width::<4>(o),
+            8 if NR > 8 => tile_of_width::<8>(o),
+            _ => {
+                assert_eq!(w, NR);
+                tile_of_width::<NR>(o)
+            }
         }
     }
 }
@@ -695,6 +948,31 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
         })
+    }
+
+    /// [`dgemm`] with A packed, and B too if it is transposed, whatever
+    /// their size: the paths only shapes beyond the in-place bounds take
+    /// by themselves.
+    fn dgemm_all_packed(
+        transa: Trans,
+        transb: Trans,
+        alpha: f64,
+        a: &Matrix,
+        b: &Matrix,
+        beta: f64,
+        c: &mut Matrix,
+    ) {
+        let (m, k, n) = check_dims(transa, transb, a, b, c);
+        if !beta_pass(alpha, beta, c, k) {
+            return;
+        }
+        let block = packed_rows(m.min(MC)) * k.min(KC);
+        let asrc = ASource::Pack(transa, a, arena::acquire(block));
+        let bsrc = match transb {
+            Trans::No => BSource::InPlace(transb, b),
+            Trans::Yes => BSource::packed(b, k, n),
+        };
+        macro_kernel(asrc, bsrc, alpha, c, k);
     }
 
     fn check_case(
@@ -724,30 +1002,19 @@ mod tests {
             diff < 1e-12 * (k.max(1) as f64),
             "diff {diff} for m={m} n={n} k={k} {transa:?} {transb:?}"
         );
-        // The packed path must agree with the auto-selected path too
-        // (the small path is exercised by the auto calls above).
+        // One arithmetic: packing either operand changes no bit.
         let mut c_packed = c0.clone();
-        dgemm_path(
-            GemmPath::Packed,
-            transa,
-            transb,
-            alpha,
-            &a,
-            &b,
-            beta,
-            &mut c_packed,
-        );
-        let diff = c_packed.max_abs_diff(&c_ref);
-        assert!(
-            diff < 1e-12 * (k.max(1) as f64),
-            "packed diff {diff} for m={m} n={n} k={k} {transa:?} {transb:?}"
+        dgemm_all_packed(transa, transb, alpha, &a, &b, beta, &mut c_packed);
+        assert_eq!(
+            c_packed, c_fast,
+            "packed ≠ in place for m={m} n={n} k={k} {transa:?} {transb:?}"
         );
     }
 
     #[test]
     fn matches_naive_small_exhaustive() {
-        for &m in &[1usize, 2, 3, 4, 5, 7, 8, 9] {
-            for &n in &[1usize, 2, 4, 5, 9] {
+        for &m in &[1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17] {
+            for &n in &[1usize, 2, 3, 4, 5, 9, 11, 12, 13] {
                 for &k in &[0usize, 1, 3, 8] {
                     check_case(Trans::No, Trans::No, m, n, k, 1.0, 0.0);
                 }
@@ -769,11 +1036,15 @@ mod tests {
 
     #[test]
     fn matches_naive_blocked_sizes() {
-        // Cross the MC/KC/NC block boundaries and the MR=8 edge cases.
+        // Cross the MC/KC/NC block boundaries, the row-mask edge cases
+        // and the in-place bounds.
         check_case(Trans::No, Trans::No, 130, 37, 260, 1.0, 0.0);
         check_case(Trans::No, Trans::No, 128, 16, 256, 2.0, 1.0);
         check_case(Trans::Yes, Trans::No, 129, 5, 257, 1.0, -1.0);
         check_case(Trans::No, Trans::Yes, 136, 12, 256, 1.0, 0.5);
+        check_case(Trans::No, Trans::No, 9, 520, 130, 1.0, 0.0);
+        check_case(Trans::No, Trans::Yes, 140, 509, 70, -1.0, 1.0);
+        check_case(Trans::No, Trans::Yes, 260, 300, 259, 1.0, 0.0);
     }
 
     #[test]
@@ -839,40 +1110,10 @@ mod tests {
     }
 
     #[test]
-    fn forced_paths_agree() {
-        let a = rand_mat(33, 20, 5);
-        let b = rand_mat(20, 14, 6);
-        let c0 = rand_mat(33, 14, 7);
-        let mut c_small = c0.clone();
-        let mut c_packed = c0.clone();
-        dgemm_path(
-            GemmPath::Small,
-            Trans::No,
-            Trans::No,
-            1.5,
-            &a,
-            &b,
-            0.25,
-            &mut c_small,
-        );
-        dgemm_path(
-            GemmPath::Packed,
-            Trans::No,
-            Trans::No,
-            1.5,
-            &a,
-            &b,
-            0.25,
-            &mut c_packed,
-        );
-        assert!(c_small.max_abs_diff(&c_packed) < 1e-12 * 20.0);
-    }
-
-    #[test]
-    fn prepacked_matches_packed_bitwise() {
-        // The prepacked path must be *bitwise* equal to the on-the-fly
-        // packed path — it feeds the microkernel the same panel bytes
-        // through the same macro kernel.
+    fn prepacked_matches_dgemm_bitwise() {
+        // One arithmetic: where the A block comes from changes no bit,
+        // whether `dgemm` itself reads A in place (the first shape) or
+        // packs it.
         for &(ta, m, n, k) in &[
             (Trans::No, 80usize, 45usize, 80usize), // the σ repack shape class
             (Trans::Yes, 130, 37, 260),             // crosses MC and KC
@@ -886,16 +1127,7 @@ mod tests {
             let b = rand_mat(k, n, 23);
             let c0 = rand_mat(m, n, 24);
             let mut c_ref = c0.clone();
-            dgemm_path(
-                GemmPath::Packed,
-                ta,
-                Trans::No,
-                1.25,
-                &a,
-                &b,
-                -0.5,
-                &mut c_ref,
-            );
+            dgemm(ta, Trans::No, 1.25, &a, &b, -0.5, &mut c_ref);
             let pa = PackedA::pack(ta, &a);
             assert_eq!(pa.packs(), 1);
             assert_eq!((pa.m(), pa.k()), (m, k));
@@ -909,16 +1141,7 @@ mod tests {
         let c0 = rand_mat(70, 30, 43);
         let pa = PackedA::pack(Trans::No, &a);
         let mut c_ref = c0.clone();
-        dgemm_path(
-            GemmPath::Packed,
-            Trans::No,
-            Trans::Yes,
-            2.0,
-            &a,
-            &bt,
-            1.0,
-            &mut c_ref,
-        );
+        dgemm(Trans::No, Trans::Yes, 2.0, &a, &bt, 1.0, &mut c_ref);
         let mut c = c0.clone();
         dgemm_prepacked(1, 2.0, &pa, Trans::Yes, &bt, 1.0, &mut c);
         assert_eq!(c, c_ref);
@@ -930,10 +1153,22 @@ mod tests {
     }
 
     #[test]
-    fn gemm_prefers_packed_tracks_auto_crossover() {
+    fn column_tiles_cover_every_panel_width() {
+        for wp in 1..=NR {
+            let mut left = wp;
+            while left > 0 {
+                let w = tile_width(left);
+                assert!(w <= left && (w == NR || [8, 4, 2, 1].contains(&w)));
+                left -= w;
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_prefers_packed_keeps_its_crossover() {
         assert!(!gemm_prefers_packed(0, 10, 10));
         assert!(!gemm_prefers_packed(10, 10, 10));
-        assert!(!gemm_prefers_packed(52, 52, 52)); // exactly SMALL_FLOPS: small path
+        assert!(!gemm_prefers_packed(52, 52, 52));
         assert!(gemm_prefers_packed(53, 53, 53));
         assert!(gemm_prefers_packed(80, 45, 80));
     }

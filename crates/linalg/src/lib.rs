@@ -13,8 +13,9 @@
 //! * [`Matrix`] — a column-major dense matrix (the layout every routine in
 //!   the FCI code assumes; CI coefficient blocks are (β-string × α-string)
 //!   column-major matrices),
-//! * [`dgemm`] — a blocked, cache-aware general matrix multiply with an
-//!   unrolled register microkernel, plus a [`dgemm_naive`] reference and
+//! * [`dgemm`] — a blocked, cache-aware general matrix multiply on one
+//!   register tile at the machine's vector width, reading cache-resident
+//!   operands where they are, plus a [`dgemm_naive`] reference and
 //!   a persistent packed-operand form ([`PackedA`] / [`dgemm_prepacked`])
 //!   for operands reused across many products,
 //! * level-1 kernels ([`daxpy`], [`ddot`], [`dnrm2`], [`dscal`]),
@@ -27,9 +28,9 @@
 //!   distributed multiroot solver drives per rank),
 //! * an LU solver ([`lu_solve`]) for DIIS extrapolation.
 //!
-//! Everything is plain safe Rust except the microkernel's bounds-check-free
-//! inner loops, which are encapsulated and exercised by property tests
-//! against the naive reference.
+//! Everything is plain safe Rust except the GEMM register tile, whose
+//! bounds are established by safe slicing before each call and whose
+//! arithmetic a test compares bit for bit with a scalar loop.
 
 pub mod arena;
 pub mod blas1;

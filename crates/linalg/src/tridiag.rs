@@ -44,9 +44,8 @@ use std::fmt;
 const NB: usize = 32;
 
 /// Smallest order where the blocked path beats the scalar `tred2`
-/// (below this the GEMM calls sit under their own small-path crossover
-/// and the panel bookkeeping is pure overhead; measured values are in
-/// DESIGN.md §16).
+/// (below this the panel bookkeeping is pure overhead; measured values
+/// are in DESIGN.md §16).
 const BLOCKED_MIN_N: usize = 48;
 
 /// Reduction-path override for [`reduce_to_tridiag`] /
