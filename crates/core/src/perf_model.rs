@@ -6,7 +6,7 @@
 //! | operations | `Nci·(n−Nα)·Nα·(n−Nβ)·Nβ` | `~Nci·n²·Nα·Nβ` |
 //! | communication | `Nci·Nα·(n−Nα)` words | `3·Nci·Nα` words |
 //!
-//! The harness binary `table1_model` prints these next to the *measured*
+//! `fcix-repro table1` prints these next to the *measured*
 //! counters from instrumented runs.
 
 /// Problem parameters for the model.

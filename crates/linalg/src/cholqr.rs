@@ -149,16 +149,7 @@ pub fn cholqr2(v: &mut Matrix) -> Result<(), CholError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rand_mat(nr: usize, nc: usize, seed: u64) -> Matrix {
-        let mut st = seed.wrapping_mul(6364136223846793005).wrapping_add(7);
-        Matrix::from_fn(nr, nc, |_, _| {
-            st = st
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((st >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        })
-    }
+    use crate::rand_mat;
 
     #[test]
     fn cholesky_recovers_known_factor() {

@@ -198,15 +198,7 @@ mod tests {
     #[test]
     fn random_symmetric_consistency() {
         let n = 20;
-        let mut state = 12345u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        let raw = Matrix::from_fn(n, n, |_, _| next());
-        let a = Matrix::from_fn(n, n, |i, j| raw[(i, j)] + raw[(j, i)]);
+        let a = crate::rand_sym(n, 12345);
         let e = eigh(&a);
         assert!(residual(&a, &e) < 1e-10, "residual {}", residual(&a, &e));
         // Eigenvalues ascend.
@@ -253,15 +245,7 @@ mod tests {
         // the *other* solver to 1e-9 (eigenvalues) so retuning the
         // cutoff can never change physics.
         for &n in &[EIGH_JACOBI_CUTOFF, EIGH_JACOBI_CUTOFF + 1] {
-            let mut state = 777u64 + n as u64;
-            let mut next = move || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            };
-            let raw = Matrix::from_fn(n, n, |_, _| next());
-            let a = Matrix::from_fn(n, n, |i, j| raw[(i, j)] + raw[(j, i)]);
+            let a = crate::rand_sym(n, 777 + n as u64);
             let ej = eigh_jacobi(&a);
             let et = crate::tridiag::eigh_tridiag(&a);
             for (x, y) in ej.eigenvalues.iter().zip(&et.eigenvalues) {

@@ -938,17 +938,7 @@ fn run_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rand_mat(nr: usize, nc: usize, seed: u64) -> Matrix {
-        // Small deterministic LCG so the tests need no external RNG.
-        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        Matrix::from_fn(nr, nc, |_, _| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        })
-    }
+    use crate::rand_mat;
 
     /// [`dgemm`] with A packed, and B too if it is transposed, whatever
     /// their size: the paths only shapes beyond the in-place bounds take

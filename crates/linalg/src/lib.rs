@@ -51,3 +51,23 @@ pub use gemm::{
 pub use matrix::Matrix;
 pub use solve::{lu_factor, lu_solve, LuError};
 pub use tridiag::{eigh_tridiag, TqliError};
+
+/// A matrix of uniform entries in [−½, ½) from a seeded LCG: the one
+/// generator this crate's unit tests draw from.
+#[cfg(test)]
+pub(crate) fn rand_mat(nr: usize, nc: usize, seed: u64) -> Matrix {
+    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+    Matrix::from_fn(nr, nc, |_, _| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+    })
+}
+
+/// `R + Rᵀ` for `R = rand_mat(n, n, seed)`.
+#[cfg(test)]
+pub(crate) fn rand_sym(n: usize, seed: u64) -> Matrix {
+    let raw = rand_mat(n, n, seed);
+    Matrix::from_fn(n, n, |i, j| raw[(i, j)] + raw[(j, i)])
+}

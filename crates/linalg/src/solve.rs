@@ -129,14 +129,8 @@ mod tests {
     #[test]
     fn random_roundtrip() {
         let n = 12;
-        let mut state = 777u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        let a = Matrix::from_fn(n, n, |i, j| next() + if i == j { 2.0 } else { 0.0 });
+        let r = crate::rand_mat(n, n, 777);
+        let a = Matrix::from_fn(n, n, |i, j| r[(i, j)] + if i == j { 2.0 } else { 0.0 });
         let xtrue: Vec<f64> = (0..n).map(|i| (i as f64) - 3.5).collect();
         let mut b = vec![0.0; n];
         for i in 0..n {

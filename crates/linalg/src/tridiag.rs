@@ -594,17 +594,7 @@ fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), TqliError> {
 mod tests {
     use super::*;
     use crate::eigen::eigh_jacobi;
-
-    fn rand_sym(n: usize, seed: u64) -> Matrix {
-        let mut st = seed.wrapping_mul(6364136223846793005).wrapping_add(11);
-        let raw = Matrix::from_fn(n, n, |_, _| {
-            st = st
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((st >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        });
-        Matrix::from_fn(n, n, |i, j| raw[(i, j)] + raw[(j, i)])
-    }
+    use crate::rand_sym;
 
     fn check(a: &Matrix) {
         let n = a.nrows();

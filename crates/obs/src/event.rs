@@ -80,7 +80,8 @@ impl Category {
         }
     }
 
-    /// Parse a wire name (unknown names map to [`Category::Other`]).
+    /// Parse a wire name (unknown names map to [`Category::Other`], which
+    /// no Table 3 row counts).
     pub fn from_wire(s: &str) -> Category {
         match s {
             "dgemm" => Category::Dgemm,
@@ -93,6 +94,11 @@ impl Category {
         }
     }
 }
+
+/// Bound on the `rank` a parsed record may carry: far above any MSP count
+/// a run uses (the paper's largest is 432), low enough that per-rank
+/// tables sized by it stay small.
+const MAX_RANK: usize = 1 << 20;
 
 /// One trace record with **dual timestamps**: host wall-clock microseconds
 /// since the trace epoch, and simulated seconds from the active `Clock`.
@@ -169,7 +175,11 @@ impl Event {
             .ok_or("missing 'name'")?
             .to_string();
         let cat = Category::from_wire(v.get("cat").and_then(JsonValue::as_str).unwrap_or("other"));
-        let rank = v.get_f64("rank").map(|r| r as usize);
+        let rank = match v.get_f64("rank") {
+            Some(r) if r >= 0.0 && r < MAX_RANK as f64 && r.fract() == 0.0 => Some(r as usize),
+            Some(r) => return Err(format!("'rank' {r} is not an integer in 0..{MAX_RANK}")),
+            None => None,
+        };
         let args = match v.get("args") {
             Some(JsonValue::Obj(pairs)) => pairs
                 .iter()
@@ -302,6 +312,31 @@ mod tests {
         // Empty input: no events, no warning, no error.
         let (events, warn) = parse_jsonl_lenient("").unwrap();
         assert!(events.is_empty() && warn.is_none());
+    }
+
+    #[test]
+    fn rank_must_be_a_bounded_integer() {
+        let good = sample().to_json().to_string();
+        let line = |rank: &str| {
+            format!(r#"{{"ev":"span","name":"bb","cat":"dgemm","rank":{rank},"sim_dur_s":1.0}}"#)
+        };
+        let top = (MAX_RANK - 1).to_string();
+        assert_eq!(
+            parse_jsonl(&line(&top)).unwrap()[0].rank,
+            Some(MAX_RANK - 1)
+        );
+        for bad in ["1e15", "-1", "2.5", &MAX_RANK.to_string()] {
+            // Mid-file: an error naming the line, strict and lenient.
+            let text = format!("{good}\n{}\n{good}\n", line(bad));
+            let err = parse_jsonl(&text).unwrap_err();
+            assert!(err.starts_with("line 2:") && err.contains("rank"), "{err}");
+            assert_eq!(parse_jsonl_lenient(&text).unwrap_err(), err);
+            // Last line: dropped with a warning naming it.
+            let text = format!("{good}\n{}\n", line(bad));
+            let (events, warn) = parse_jsonl_lenient(&text).unwrap();
+            assert_eq!(events.len(), 1);
+            assert!(warn.unwrap().starts_with("line 2:"));
+        }
     }
 
     #[test]

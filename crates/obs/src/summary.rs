@@ -4,12 +4,12 @@
 //! compute / network / lock / I/O rows, load imbalance, sustained GF/s per
 //! MSP, aggregate TFlop/s. It can be built from a trace
 //! ([`RunSummary::from_events`]) or filled directly from clock data (the
-//! `fci-xsim` crate does this for `RunReport`), and round-trips through
-//! JSON for the `BENCH_*.json` artifacts.
+//! `fci-xsim` crate does this for `RunReport`).
+
+use std::collections::BTreeMap;
 
 use crate::event::{Category, Event, EventKind};
 use crate::hist::HistStats;
-use crate::json::JsonValue;
 
 /// Aggregate per-category telemetry of one run (or one phase).
 ///
@@ -120,15 +120,18 @@ impl RunSummary {
         }
     }
 
-    fn time_mut(&mut self, cat: Category) -> &mut f64 {
+    /// The row a category's time accumulates in; none for
+    /// [`Category::Other`], which is also what an unknown wire name parses
+    /// to.
+    fn time_mut(&mut self, cat: Category) -> Option<&mut f64> {
         match cat {
-            Category::Dgemm => &mut self.t_dgemm,
-            Category::Daxpy => &mut self.t_daxpy,
-            Category::Gather => &mut self.t_gather,
-            Category::Net => &mut self.t_net,
-            Category::Lock => &mut self.t_lock,
-            Category::Io => &mut self.t_io,
-            Category::Other => &mut self.t_gather, // unreachable by construction
+            Category::Dgemm => Some(&mut self.t_dgemm),
+            Category::Daxpy => Some(&mut self.t_daxpy),
+            Category::Gather => Some(&mut self.t_gather),
+            Category::Net => Some(&mut self.t_net),
+            Category::Lock => Some(&mut self.t_lock),
+            Category::Io => Some(&mut self.t_io),
+            Category::Other => None,
         }
     }
 
@@ -201,7 +204,9 @@ impl RunSummary {
     /// duration sum) of the slowest rank, matching `RunReport::elapsed`.
     pub fn from_events(events: &[Event]) -> RunSummary {
         let mut s = RunSummary::default();
-        let mut busy: Vec<f64> = Vec::new();
+        // Busy seconds per rank that ran a span: a map, so that a rank id
+        // costs one entry whatever its value.
+        let mut busy: BTreeMap<usize, f64> = BTreeMap::new();
         let mut host_first = f64::INFINITY;
         let mut host_last = f64::NEG_INFINITY;
         let mut serve_first = f64::INFINITY;
@@ -250,16 +255,15 @@ impl RunSummary {
                 }
                 continue;
             }
-            *s.time_mut(e.cat) += e.sim_dur_s;
+            if let Some(t) = s.time_mut(e.cat) {
+                *t += e.sim_dur_s;
+            }
             if e.host_us != 0.0 || e.host_dur_us != 0.0 {
                 host_first = host_first.min(e.host_us);
                 host_last = host_last.max(e.host_us + e.host_dur_us);
             }
             if let Some(r) = e.rank {
-                if busy.len() <= r {
-                    busy.resize(r + 1, 0.0);
-                }
-                busy[r] += e.sim_dur_s;
+                *busy.entry(r).or_default() += e.sim_dur_s;
             }
             match e.cat {
                 Category::Dgemm => s.flops_dgemm += e.arg("flops").unwrap_or(0.0),
@@ -274,12 +278,15 @@ impl RunSummary {
                 _ => {}
             }
         }
-        s.nproc = busy.len();
-        s.elapsed = busy.iter().copied().fold(0.0, f64::max);
+        // Ranks below the highest that ran no span were idle.
+        s.nproc = busy
+            .last_key_value()
+            .map_or(0, |(&r, _)| r.saturating_add(1));
+        s.elapsed = busy.values().copied().fold(0.0, f64::max);
         s.mean_busy = if busy.is_empty() {
             0.0
         } else {
-            busy.iter().sum::<f64>() / busy.len() as f64
+            busy.values().sum::<f64>() / s.nproc as f64
         };
         if host_last > host_first {
             s.host_elapsed = (host_last - host_first) / 1e6;
@@ -290,133 +297,6 @@ impl RunSummary {
         s.backoff = HistStats::from_samples(&backoffs);
         s.recovery = HistStats::from_samples(&recoveries);
         s
-    }
-
-    /// Serialize for the `BENCH_*.json` artifacts.
-    pub fn to_json(&self) -> JsonValue {
-        fn stats_json(s: &HistStats) -> JsonValue {
-            JsonValue::obj(vec![
-                ("count", JsonValue::Num(s.count as f64)),
-                ("sum", JsonValue::Num(s.sum)),
-                ("p50", JsonValue::Num(s.p50)),
-                ("p95", JsonValue::Num(s.p95)),
-                ("p99", JsonValue::Num(s.p99)),
-                ("max", JsonValue::Num(s.max)),
-            ])
-        }
-        let mut pairs = vec![
-            ("nproc", JsonValue::Num(self.nproc as f64)),
-            ("t_dgemm", JsonValue::Num(self.t_dgemm)),
-            ("t_daxpy", JsonValue::Num(self.t_daxpy)),
-            ("t_gather", JsonValue::Num(self.t_gather)),
-            ("t_net", JsonValue::Num(self.t_net)),
-            ("t_lock", JsonValue::Num(self.t_lock)),
-            ("t_io", JsonValue::Num(self.t_io)),
-            ("elapsed", JsonValue::Num(self.elapsed)),
-            ("host_elapsed", JsonValue::Num(self.host_elapsed)),
-            ("mean_busy", JsonValue::Num(self.mean_busy)),
-            ("load_imbalance", JsonValue::Num(self.load_imbalance())),
-            ("flops_dgemm", JsonValue::Num(self.flops_dgemm)),
-            ("flops_daxpy", JsonValue::Num(self.flops_daxpy)),
-            ("net_bytes", JsonValue::Num(self.net_bytes)),
-            ("net_msgs", JsonValue::Num(self.net_msgs)),
-            ("lock_acquires", JsonValue::Num(self.lock_acquires)),
-            ("nxtval_msgs", JsonValue::Num(self.nxtval_msgs)),
-            ("faults_injected", JsonValue::Num(self.faults_injected)),
-            ("retries", JsonValue::Num(self.retries)),
-            ("recomputes", JsonValue::Num(self.recomputes)),
-            ("jobs_done", JsonValue::Num(self.jobs_done)),
-            ("jobs_failed", JsonValue::Num(self.jobs_failed)),
-            ("serve_batches", JsonValue::Num(self.serve_batches)),
-            ("cache_hits", JsonValue::Num(self.cache_hits)),
-            ("cache_misses", JsonValue::Num(self.cache_misses)),
-            ("cache_evictions", JsonValue::Num(self.cache_evictions)),
-            ("serve_elapsed", JsonValue::Num(self.serve_elapsed)),
-            ("backoff", stats_json(&self.backoff)),
-            ("recovery", stats_json(&self.recovery)),
-            ("jobs_per_sec", JsonValue::Num(self.jobs_per_sec())),
-            ("cache_hit_rate", JsonValue::Num(self.cache_hit_rate())),
-            ("gflops_per_msp", JsonValue::Num(self.gflops_per_msp())),
-            ("tflops", JsonValue::Num(self.tflops())),
-            ("host_gflops", JsonValue::Num(self.host_gflops())),
-        ];
-        // Only when a trace carried the counters, so summaries of
-        // untraced runs serialize exactly as before.
-        if !self.host_splits.is_empty() {
-            let splits = self.host_splits.iter().map(|(name, parts)| {
-                let parts = parts.iter().map(|(k, v)| (k.clone(), JsonValue::Num(*v)));
-                (name.clone(), JsonValue::Obj(parts.collect()))
-            });
-            pairs.push(("host_splits", JsonValue::Obj(splits.collect())));
-        }
-        JsonValue::obj(pairs)
-    }
-
-    /// Parse a summary previously written by [`RunSummary::to_json`].
-    /// Derived quantities (`load_imbalance`, rates) are recomputed, not read.
-    pub fn from_json(v: &JsonValue) -> Result<RunSummary, String> {
-        let f = |k: &str| v.get_f64(k).ok_or_else(|| format!("missing '{k}'"));
-        // Absent in artifacts written before the fault-plane histograms.
-        fn stats_from(v: &JsonValue, key: &str) -> HistStats {
-            match v.get(key) {
-                Some(o) => HistStats {
-                    count: o.get_f64("count").unwrap_or(0.0) as u64,
-                    sum: o.get_f64("sum").unwrap_or(0.0),
-                    p50: o.get_f64("p50").unwrap_or(0.0),
-                    p95: o.get_f64("p95").unwrap_or(0.0),
-                    p99: o.get_f64("p99").unwrap_or(0.0),
-                    max: o.get_f64("max").unwrap_or(0.0),
-                },
-                None => HistStats::default(),
-            }
-        }
-        Ok(RunSummary {
-            nproc: f("nproc")? as usize,
-            t_dgemm: f("t_dgemm")?,
-            t_daxpy: f("t_daxpy")?,
-            t_gather: f("t_gather")?,
-            t_net: f("t_net")?,
-            t_lock: f("t_lock")?,
-            t_io: f("t_io")?,
-            elapsed: f("elapsed")?,
-            // Absent in summaries written before the host-time rollup.
-            host_elapsed: v.get_f64("host_elapsed").unwrap_or(0.0),
-            mean_busy: f("mean_busy")?,
-            flops_dgemm: f("flops_dgemm")?,
-            flops_daxpy: f("flops_daxpy")?,
-            net_bytes: f("net_bytes")?,
-            net_msgs: v.get_f64("net_msgs").unwrap_or(0.0),
-            lock_acquires: v.get_f64("lock_acquires").unwrap_or(0.0),
-            nxtval_msgs: v.get_f64("nxtval_msgs").unwrap_or(0.0),
-            faults_injected: v.get_f64("faults_injected").unwrap_or(0.0),
-            retries: v.get_f64("retries").unwrap_or(0.0),
-            recomputes: v.get_f64("recomputes").unwrap_or(0.0),
-            // Absent in summaries written before the serving layer.
-            jobs_done: v.get_f64("jobs_done").unwrap_or(0.0),
-            jobs_failed: v.get_f64("jobs_failed").unwrap_or(0.0),
-            serve_batches: v.get_f64("serve_batches").unwrap_or(0.0),
-            cache_hits: v.get_f64("cache_hits").unwrap_or(0.0),
-            cache_misses: v.get_f64("cache_misses").unwrap_or(0.0),
-            cache_evictions: v.get_f64("cache_evictions").unwrap_or(0.0),
-            serve_elapsed: v.get_f64("serve_elapsed").unwrap_or(0.0),
-            backoff: stats_from(v, "backoff"),
-            recovery: stats_from(v, "recovery"),
-            // Absent in summaries written before the host-time split.
-            host_splits: match v.get("host_splits") {
-                Some(JsonValue::Obj(splits)) => splits
-                    .iter()
-                    .map(|(name, parts)| {
-                        let parts = match parts {
-                            JsonValue::Obj(parts) => parts.iter(),
-                            _ => [].iter(),
-                        };
-                        let parts = parts.filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)));
-                        (name.clone(), parts.collect())
-                    })
-                    .collect(),
-                _ => Vec::new(),
-            },
-        })
     }
 
     /// Render the Table-3-style breakdown as text.
@@ -641,6 +521,28 @@ mod tests {
     }
 
     #[test]
+    fn no_rank_id_allocates_in_proportion() {
+        // A per-rank table sized by the largest id would abort here.
+        let span = |rank, sim_dur_s| Event {
+            kind: EventKind::Span,
+            name: "bb".into(),
+            cat: Category::Dgemm,
+            rank: Some(rank),
+            host_us: 0.0,
+            host_dur_us: 0.0,
+            sim_s: 0.0,
+            sim_dur_s,
+            args: vec![],
+        };
+        let s = RunSummary::from_events(&[span(0, 1.0), span(1 << 50, 3.0)]);
+        assert_eq!(s.nproc, (1 << 50) + 1);
+        assert_eq!(s.elapsed, 3.0);
+        assert_eq!(s.mean_busy, 4.0 / s.nproc as f64);
+        let s = RunSummary::from_events(&[span(usize::MAX, 2.0)]);
+        assert_eq!((s.nproc, s.elapsed), (usize::MAX, 2.0));
+    }
+
+    #[test]
     fn host_time_rollup_and_rate() {
         let t = Tracer::in_memory();
         // 2e9 flops over 0.5 host seconds → 4 GF/s actual.
@@ -660,17 +562,11 @@ mod tests {
         assert!((s.host_gflops() - 4.0).abs() < 1e-9);
         let text = s.render("t");
         assert!(text.contains("GF/s actual"), "missing host line:\n{text}");
-        // Round-trips, including through JSON lacking the new key.
-        let back = RunSummary::from_json(&s.to_json()).unwrap();
-        assert_eq!(s, back);
-        let mut legacy = s.clone();
-        legacy.host_elapsed = 0.0;
-        let lv = legacy.to_json();
-        // Simulate a pre-host-rollup artifact by rebuilding from it.
-        let parsed = RunSummary::from_json(&lv).unwrap();
-        assert_eq!(parsed.host_elapsed, 0.0);
-        assert_eq!(parsed.host_gflops(), 0.0);
-        assert!(!parsed.render("t").contains("GF/s actual"));
+        // Without host timestamps there is no host line and no rate.
+        let mut untimed = s.clone();
+        untimed.host_elapsed = 0.0;
+        assert_eq!(untimed.host_gflops(), 0.0);
+        assert!(!untimed.render("t").contains("GF/s actual"));
     }
 
     #[test]
@@ -708,9 +604,6 @@ mod tests {
         let text = s.render("serve");
         assert!(text.contains("jobs/s"), "missing serve section:\n{text}");
         assert!(text.contains("hit rate"), "missing cache line:\n{text}");
-        // Round-trips; legacy artifacts without the serve keys parse.
-        let back = RunSummary::from_json(&s.to_json()).unwrap();
-        assert_eq!(s, back);
         let legacy = RunSummary::from_events(&traced());
         assert!(!legacy.render("t").contains("jobs/s"));
     }
@@ -743,18 +636,10 @@ mod tests {
         let text = s.render("t");
         assert!(text.contains("host: same_spin split"), "{text}");
         assert!(text.contains("gemm"), "{text}");
-        assert_eq!(RunSummary::from_json(&s.to_json()).unwrap(), s);
         // A trace without the counters prints no split.
         let plain = RunSummary::from_events(&traced());
         assert!(plain.host_splits.is_empty());
         assert!(!plain.render("t").contains("split"));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let s = RunSummary::from_events(&traced());
-        let back = RunSummary::from_json(&s.to_json()).unwrap();
-        assert_eq!(s, back);
     }
 
     #[test]
@@ -786,10 +671,6 @@ mod tests {
         let text = s.render("faulty");
         assert!(text.contains("retry backoff"), "missing backoff:\n{text}");
         assert!(text.contains("rank-death recovery"), "missing:\n{text}");
-        // Round-trips through JSON; legacy artifacts without the nested
-        // objects parse with empty stats.
-        let back = RunSummary::from_json(&s.to_json()).unwrap();
-        assert_eq!(s, back);
         let legacy = RunSummary::from_events(&traced());
         assert!(legacy.backoff.is_empty() && legacy.recovery.is_empty());
         assert!(!legacy.render("t").contains("retry backoff"));

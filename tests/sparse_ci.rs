@@ -2,7 +2,7 @@
 //! DGEMM engine: model lattices and a real molecule, ground and excited
 //! states, and the thread-count reproducibility contract. (The larger
 //! shared-space checks — 63k and 854k determinants — run in release mode
-//! in `sparse_sweep`; these tests pin correctness at dev-profile sizes.)
+//! in `fcix-repro sparse`; these tests pin correctness at dev-profile sizes.)
 
 use fcix::core::{slater, solve, DetSpace, DiagMethod, FciOptions, Hamiltonian};
 use fcix::ints::{detect_point_group, overlap, BasisSet, Molecule};
