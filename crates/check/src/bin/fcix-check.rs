@@ -1,5 +1,5 @@
 //! Static and dynamic correctness checks:
-//! `fcix-check <race|explore|graph|locks> [options]`.
+//! `fcix-check <race|explore|graph|locks|lint|dead> [options]`.
 //!
 //! ```text
 //! fcix-check race --fault none        # correct DDI_ACC protocol → expects 0 races
@@ -12,263 +12,296 @@
 //!                                     # call graph + transitive no-alloc/no-panic
 //! fcix-check locks [--format json] [--dynamic] [--path DIR]...
 //!                                     # static lock-order / deadlock analysis
+//! fcix-check lint [ROOT] [--format json]
+//!                                     # source conventions (fci_check::lint)
+//! fcix-check dead                     # pub items nothing else names
 //! ```
 //!
 //! Exit code 0 means the check passed: for `--fault none`, `--solve` and
-//! `--trace` that means no races; for the injected faults it means the
-//! detector *caught* the bug (a silent pass there is the failure); for
-//! `graph` it means every hot-path root is free of reachable
-//! allocation/panic sites; for `locks` it means the lock-order graph is
-//! cycle-free with no condvar hazards (and, with `--dynamic`, that every
-//! observed runtime lock-order edge is predicted by the static graph).
+//! `--trace` that means no races (the lockset and lock-order counts
+//! printed beside them are informational); for the injected faults it
+//! means the detector *caught* the bug (a silent pass there is the
+//! failure); for `graph` it means every hot-path root is free of
+//! reachable allocation/panic sites; for `locks` it means the lock-order
+//! graph is cycle-free with no condvar hazards (and, with `--dynamic`,
+//! that every observed runtime lock-order edge is predicted by the static
+//! graph); for `lint` that no rule is violated; for `dead` that every
+//! `pub` item is named somewhere outside its definition.
 
-use fci_check::{analyze_trace_events, explore_mixed, ExploreConfig, RaceDetector};
-use fci_ddi::{Backend, CheckConfig, Ddi, DistMatrix, FaultConfig, FaultPlan, ProtocolFault};
+use fci_check::lint::{lint_workspace_report, LintConfig};
+use fci_check::{explore_mixed, ExploreConfig, RaceDetector};
+use fci_ddi::{
+    protocol_events, AccessRecorder, Backend, CheckConfig, Ddi, DistMatrix, FaultConfig, FaultPlan,
+    ProtocolFault,
+};
+use fci_obs::JsonValue;
 use fci_scf::MoIntegrals;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: fcix-check race [--fault none|skip-fence|skip-lock] [--solve] [--trace FILE]"
-    );
-    eprintln!("       fcix-check explore [--seeds K]");
-    eprintln!("       fcix-check graph [--format json] [--strict-index] [--root NAME]...");
-    eprintln!("       fcix-check locks [--format json] [--dynamic] [--path DIR]...");
-    ExitCode::FAILURE
-}
+const USAGE: &str = "\
+usage: fcix-check race [--fault none|skip-fence|skip-lock] [--solve] [--trace FILE]
+       fcix-check explore [--seeds K]
+       fcix-check graph [--format json] [--strict-index] [--root NAME]...
+       fcix-check locks [--format json] [--dynamic] [--path DIR]...
+       fcix-check lint [ROOT] [--format json]
+       fcix-check dead
+";
+
+/// A check's outcome: `Ok(passed)`, or an error message (an empty one
+/// means bad usage). Every failure exits 1.
+type Outcome = Result<bool, String>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("race") => race(&args[1..]),
-        Some("explore") => explore(&args[1..]),
-        Some("graph") => graph(&args[1..]),
-        Some("locks") => locks(&args[1..]),
-        _ => usage(),
+    let cmd = args.first().map_or("", String::as_str);
+    let rest = args.get(1..).unwrap_or_default();
+    let outcome = match cmd {
+        "race" => race(rest),
+        "explore" => explore(rest),
+        "graph" => graph(rest),
+        "locks" => locks(rest),
+        "lint" => lint(rest),
+        "dead" if rest.is_empty() => dead(),
+        _ => Err(String::new()),
+    };
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            if e.is_empty() {
+                eprint!("{USAGE}");
+            } else {
+                eprintln!("fcix-check {cmd}: {e}");
+            }
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// The value following a flag; a missing one is a usage error.
+fn value<'a>(it: &mut std::slice::Iter<'a, String>) -> Result<&'a str, String> {
+    it.next().map(String::as_str).ok_or_else(String::new)
+}
+
+/// The value of `--format`: whether JSON (not text) was asked for.
+fn json_format(it: &mut std::slice::Iter<String>) -> Result<bool, String> {
+    match value(it)? {
+        "json" => Ok(true),
+        "text" => Ok(false),
+        _ => Err(String::new()),
+    }
+}
+
+/// Print `fcix-check <what>: PASS (<why>)`, or `…: FAIL`; returns `ok`.
+fn verdict(what: &str, ok: bool, why: &str) -> bool {
+    if ok {
+        println!("fcix-check {what}: PASS ({why})");
+    } else {
+        println!("fcix-check {what}: FAIL");
+    }
+    ok
 }
 
 /// Workspace root: the nearest ancestor of the current directory with a
 /// `Cargo.toml` containing `[workspace]`, else the current directory.
 fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    cwd.ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|text| text.contains("[workspace]"))
+        })
+        .map_or_else(|| PathBuf::from("."), PathBuf::from)
 }
 
 /// `fcix-check graph`: build the workspace call graph and verify the
 /// σ-task / GEMM hot paths are transitively allocation- and panic-free.
-fn graph(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut strict_index = false;
-    let mut roots: Vec<String> = Vec::new();
+fn graph(args: &[String]) -> Outcome {
+    let (mut json, mut strict_index) = (false, false);
+    let mut roots: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--format" => match it.next().map(String::as_str) {
-                Some("json") => json = true,
-                Some("text") => json = false,
-                _ => return usage(),
-            },
+            "--format" => json = json_format(&mut it)?,
             "--strict-index" => strict_index = true,
-            "--root" => match it.next() {
-                Some(r) => roots.push(r.clone()),
-                None => return usage(),
-            },
-            _ => return usage(),
+            "--root" => roots.push(value(&mut it)?),
+            _ => return Err(String::new()),
         }
     }
-    let root_names: Vec<&str> = if roots.is_empty() {
-        fci_check::graph::DEFAULT_ROOTS.to_vec()
-    } else {
-        roots.iter().map(String::as_str).collect()
-    };
+    if roots.is_empty() {
+        roots = fci_check::graph::DEFAULT_ROOTS.to_vec();
+    }
     let ws = workspace_root();
-    let (g, reports) = match fci_check::graph::analyze_hot_paths(&ws, &root_names) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("fcix-check graph: cannot scan {}: {e}", ws.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut ok = reports.len() == root_names.len();
-    if reports.len() != root_names.len() {
+    let (g, reports) = fci_check::graph::analyze_hot_paths(&ws, &roots)
+        .map_err(|e| format!("cannot scan {}: {e}", ws.display()))?;
+    let mut ok = reports.len() == roots.len();
+    if !ok {
         eprintln!(
             "fcix-check graph: {} of {} roots not found/unique in the workspace",
-            root_names.len() - reports.len(),
-            root_names.len()
+            roots.len() - reports.len(),
+            roots.len()
         );
     }
     for r in &reports {
         ok &= r.is_clean() && (!strict_index || r.index_sites == 0);
     }
     if json {
-        let doc = fci_obs::JsonValue::obj(vec![
+        let doc = JsonValue::obj(vec![
             ("graph", g.to_json()),
             (
                 "roots",
-                fci_obs::JsonValue::Arr(reports.iter().map(|r| r.to_json()).collect()),
+                JsonValue::Arr(reports.iter().map(|r| r.to_json()).collect()),
             ),
-            ("clean", fci_obs::JsonValue::Bool(ok)),
+            ("clean", JsonValue::Bool(ok)),
         ]);
         println!("{doc}");
-    } else {
+        return Ok(ok);
+    }
+    println!(
+        "fcix-check graph: {} fns, {} edges, {} unresolved call sites",
+        g.fns.len(),
+        g.edges.iter().map(Vec::len).sum::<usize>(),
+        g.unresolved.len()
+    );
+    for r in &reports {
         println!(
-            "fcix-check graph: {} fns, {} edges, {} unresolved call sites",
-            g.fns.len(),
-            g.edges.iter().map(Vec::len).sum::<usize>(),
-            g.unresolved.len()
+            "  root {}: {} reachable fns, {} alloc, {} panic, {} index sites, {} unresolved",
+            r.root,
+            r.reachable,
+            r.alloc.len(),
+            r.panic.len(),
+            r.index_sites,
+            r.unresolved
         );
-        for r in &reports {
+        for a in r.alloc.iter().chain(&r.panic) {
             println!(
-                "  root {}: {} reachable fns, {} alloc, {} panic, {} index sites, {} unresolved",
-                r.root,
-                r.reachable,
-                r.alloc.len(),
-                r.panic.len(),
-                r.index_sites,
-                r.unresolved
+                "    {}:{}: {} in {} (via {})",
+                a.finding.file,
+                a.finding.line,
+                a.finding.what,
+                a.in_fn,
+                a.chain.join(" -> ")
             );
-            for a in r.alloc.iter().chain(&r.panic) {
-                println!(
-                    "    {}:{}: {} in {} (via {})",
-                    a.finding.file,
-                    a.finding.line,
-                    a.finding.what,
-                    a.in_fn,
-                    a.chain.join(" -> ")
-                );
-            }
         }
-        println!(
-            "fcix-check graph: {}",
-            if ok { "PASS (hot paths clean)" } else { "FAIL" }
-        );
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(verdict("graph", ok, "hot paths clean"))
 }
 
 /// `fcix-check locks`: static lock-order / condvar analysis over the
 /// serve and obs layers, optionally cross-checked against the dynamic
 /// lockset witness of an in-process serve workload.
-fn locks(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut dynamic = false;
-    let mut paths: Vec<String> = Vec::new();
+fn locks(args: &[String]) -> Outcome {
+    let (mut json, mut dynamic) = (false, false);
+    let mut paths: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--format" => match it.next().map(String::as_str) {
-                Some("json") => json = true,
-                Some("text") => json = false,
-                _ => return usage(),
-            },
+            "--format" => json = json_format(&mut it)?,
             "--dynamic" => dynamic = true,
-            "--path" => match it.next() {
-                Some(p) => paths.push(p.clone()),
-                None => return usage(),
-            },
-            _ => return usage(),
+            "--path" => paths.push(value(&mut it)?),
+            _ => return Err(String::new()),
         }
+    }
+    if paths.is_empty() {
+        paths = fci_check::locks::DEFAULT_LOCK_PATHS.to_vec();
     }
     let ws = workspace_root();
-    let scan: Vec<&str> = if paths.is_empty() {
-        fci_check::locks::DEFAULT_LOCK_PATHS.to_vec()
-    } else {
-        paths.iter().map(String::as_str).collect()
-    };
-    let report = match fci_check::locks::analyze_locks(&ws, &scan) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fcix-check locks: cannot scan {}: {e}", ws.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let dynamic_report = if dynamic {
-        Some(fci_check::locks::dynamic_cross_check(&report))
-    } else {
-        None
-    };
-    let mut ok = report.is_clean();
-    if let Some(d) = &dynamic_report {
-        ok &= d.consistent;
-    }
+    let report = fci_check::locks::analyze_locks(&ws, &paths)
+        .map_err(|e| format!("cannot scan {}: {e}", ws.display()))?;
+    let dynamic_report = dynamic.then(|| fci_check::locks::dynamic_cross_check(&report));
+    let ok = report.is_clean() && dynamic_report.as_ref().is_none_or(|d| d.consistent);
     if json {
         let mut pairs = vec![("static", report.to_json())];
         if let Some(d) = &dynamic_report {
             pairs.push(("dynamic", d.to_json()));
         }
-        pairs.push(("clean", fci_obs::JsonValue::Bool(ok)));
-        println!("{}", fci_obs::JsonValue::obj(pairs));
-    } else {
-        print!("{}", report.render_text());
-        if let Some(d) = &dynamic_report {
-            print!("{}", d.render_text());
-        }
-        println!(
-            "fcix-check locks: {}",
-            if ok {
-                "PASS (lock graph cycle-free)"
-            } else {
-                "FAIL"
-            }
-        );
+        pairs.push(("clean", JsonValue::Bool(ok)));
+        println!("{}", JsonValue::obj(pairs));
+        return Ok(ok);
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    print!("{}", report.render_text());
+    if let Some(d) = &dynamic_report {
+        print!("{}", d.render_text());
     }
+    Ok(verdict("locks", ok, "lock graph cycle-free"))
 }
 
-fn race(args: &[String]) -> ExitCode {
-    let mut fault: Option<ProtocolFault> = None;
-    let mut solve = false;
-    let mut trace: Option<String> = None;
+/// `fcix-check lint`: the source-convention rules of `fci_check::lint`
+/// over every `.rs` file under ROOT (default: the current directory).
+fn lint(args: &[String]) -> Outcome {
+    let mut root = PathBuf::from(".");
+    let mut json = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--fault" => match it.next().map(String::as_str) {
-                Some("none") => fault = None,
-                Some("skip-fence") => fault = Some(ProtocolFault::SkipFence),
-                Some("skip-lock") => fault = Some(ProtocolFault::SkipLock),
-                _ => return usage(),
-            },
-            "--solve" => solve = true,
-            "--trace" => match it.next() {
-                Some(f) => trace = Some(f.clone()),
-                None => return usage(),
-            },
-            _ => return usage(),
+            "--format" => json = json_format(&mut it)?,
+            _ => root = PathBuf::from(a),
         }
     }
-    if let Some(f) = trace {
-        return race_trace(&f);
+    let report = lint_workspace_report(&LintConfig::new(root)).map_err(|e| e.to_string())?;
+    let clean = report.violations.is_empty();
+    if json {
+        println!("{}", report.to_json());
+    } else if clean {
+        println!("fcix-check lint: clean");
+    } else {
+        for v in &report.violations {
+            println!("{v}");
+        }
+        println!("fcix-check lint: {} violation(s)", report.violations.len());
     }
-    if solve {
-        return race_solve();
+    Ok(clean)
+}
+
+/// `fcix-check dead`: every `pub` item whose name nothing outside its
+/// definition mentions (`fci_check::dead`). Any finding fails.
+fn dead() -> Outcome {
+    let ws = workspace_root();
+    let items = fci_check::dead::find_dead(&ws)
+        .map_err(|e| format!("cannot scan {}: {e}", ws.display()))?;
+    for d in &items {
+        println!(
+            "{}:{}: pub {} {} is named nowhere outside its definition",
+            d.file, d.line, d.kind, d.name
+        );
     }
-    race_fault(fault)
+    Ok(verdict(
+        "dead",
+        items.is_empty(),
+        "every pub item has a use",
+    ))
+}
+
+fn race(args: &[String]) -> Outcome {
+    let (mut fault, mut solve, mut trace) = (None, false, None);
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--fault" => {
+                fault = match value(&mut it)? {
+                    "none" => None,
+                    "skip-fence" => Some(ProtocolFault::SkipFence),
+                    "skip-lock" => Some(ProtocolFault::SkipLock),
+                    _ => return Err(String::new()),
+                }
+            }
+            "--solve" => solve = true,
+            "--trace" => trace = Some(value(&mut it)?),
+            _ => return Err(String::new()),
+        }
+    }
+    match trace {
+        Some(path) => race_trace(path),
+        None if solve => Ok(race_solve()),
+        None => Ok(race_fault(fault)),
+    }
 }
 
 /// Replay the DDI_ACC protocol (optionally with an injected bug) under
 /// the threads backend with the happens-before detector attached.
-fn race_fault(fault: Option<ProtocolFault>) -> ExitCode {
+fn race_fault(fault: Option<ProtocolFault>) -> bool {
     let nproc = 4;
     let detector = Arc::new(RaceDetector::new());
     let ddi = Ddi::new(nproc, Backend::Threads);
@@ -291,127 +324,91 @@ fn race_fault(fault: Option<ProtocolFault>) -> ExitCode {
             m.acc_col(rank, col, &buf, stats);
         }
     });
-    let races = detector.races();
-    for r in &races {
-        println!("{r}");
-    }
-    let expect_races = fault.is_some();
+    let races = report_races(&detector);
     println!(
-        "fcix-check race: fault={}, {} protocol events, {} race report(s)",
+        "fcix-check race: fault={}, {} protocol events, {races} race report(s)",
         fault.map_or("None".to_string(), |pf| format!("{pf:?}")),
         detector.nevents(),
-        races.len()
     );
-    let caught = !races.is_empty();
-    if expect_races == caught {
-        println!(
-            "fcix-check race: PASS ({})",
-            if expect_races {
-                "injected bug detected"
-            } else {
-                "correct protocol is race-free"
-            }
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "fcix-check race: FAIL ({})",
-            if expect_races {
-                "injected bug NOT detected"
-            } else {
-                "false positive on correct protocol"
-            }
-        );
-        ExitCode::FAILURE
-    }
+    // An injected bug must be caught; the correct protocol must be clean.
+    let why = match fault {
+        Some(_) => "injected bug detected",
+        None => "correct protocol is race-free",
+    };
+    verdict("race", fault.is_some() == (races > 0), why)
 }
 
 /// Online-check a full small FCI solve; the production protocol must be
 /// race-free.
-fn race_solve() -> ExitCode {
-    let nproc = 4;
+fn race_solve() -> bool {
     let detector = Arc::new(RaceDetector::new());
     let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.0, false);
     let opts = fci_core::FciOptions {
-        nproc,
+        nproc: 4,
         backend: Backend::Threads,
         method: fci_core::DiagMethod::Davidson,
         check: CheckConfig::online(detector.clone()),
         ..Default::default()
     };
     let r = fci_core::solve(&mo, 2, 2, 0, &opts);
-    let races = detector.races();
-    for rep in &races {
-        println!("{rep}");
-    }
+    let races = report_races(&detector);
     println!(
-        "fcix-check race --solve: E = {:.10} ({} iters, converged={}), {} protocol events, {} race report(s)",
+        "fcix-check race --solve: E = {:.10} ({} iters, converged={}), {} protocol events, {races} race report(s)",
         r.energy,
         r.iterations,
         r.converged,
         detector.nevents(),
-        races.len()
     );
-    if races.is_empty() && r.converged {
-        println!("fcix-check race --solve: PASS");
-        ExitCode::SUCCESS
-    } else {
-        println!("fcix-check race --solve: FAIL");
-        ExitCode::FAILURE
-    }
+    verdict(
+        "race --solve",
+        races == 0 && r.converged,
+        "race-free, converged",
+    )
 }
 
 /// Offline analysis of an fci-obs JSONL trace.
-fn race_trace(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fcix-check: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let events = match fci_obs::parse_jsonl(&text) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("fcix-check: cannot parse {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let races = analyze_trace_events(&events);
+fn race_trace(path: &str) -> Outcome {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let events = fci_obs::parse_jsonl(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let detector = RaceDetector::new();
+    for access in protocol_events(&events) {
+        detector.record(&access);
+    }
+    let races = report_races(&detector);
+    println!(
+        "fcix-check race --trace: {} events, {races} race report(s)",
+        events.len(),
+    );
+    Ok(races == 0)
+}
+
+/// Print the detector's race reports, and beside them the sizes of its
+/// two informational planes: Eraser lockset violations and observed
+/// lock-order edges. Returns the race count, the only failing signal.
+fn report_races(detector: &RaceDetector) -> usize {
+    let races = detector.races();
     for r in &races {
         println!("{r}");
     }
     println!(
-        "fcix-check race --trace: {} events, {} race report(s)",
-        events.len(),
-        races.len()
+        "fcix-check race: {} lockset violation(s), {} dynamic lock-order edge(s) (informational)",
+        detector.lockset_violations().len(),
+        detector.dynamic_lock_edges().len()
     );
-    if races.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    races.len()
 }
 
-fn explore(args: &[String]) -> ExitCode {
+fn explore(args: &[String]) -> Outcome {
     let mut cfg = ExploreConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seeds" => match it.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(k) if k >= 1 => cfg.seeds = (1..=k).collect(),
-                _ => return usage(),
-            },
-            _ => return usage(),
+        match (a.as_str(), value(&mut it)?.parse::<u64>()) {
+            ("--seeds", Ok(k)) if k >= 1 => cfg.seeds = (1..=k).collect(),
+            _ => return Err(String::new()),
         }
     }
     let report = explore_mixed(&cfg);
     println!("{}", report.summary());
-    if report.identical {
-        println!("fcix-check explore: PASS (σ and energy bitwise identical across schedules)");
-        ExitCode::SUCCESS
-    } else {
-        println!("fcix-check explore: FAIL (schedule-dependent result)");
-        ExitCode::FAILURE
-    }
+    let why = "σ and energy bitwise identical across schedules";
+    Ok(verdict("explore", report.identical, why))
 }

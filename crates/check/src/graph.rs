@@ -209,7 +209,7 @@ pub struct FnItem {
 
 impl FnItem {
     /// `Type::name` or bare `name` for display.
-    pub fn qual_name(&self) -> String {
+    pub(crate) fn qual_name(&self) -> String {
         match &self.impl_type {
             Some(t) => format!("{t}::{}", self.name),
             None => self.name.clone(),
@@ -311,10 +311,6 @@ fn crate_of(relpath: &str) -> String {
     }
 }
 
-fn is_test_path(relpath: &str) -> bool {
-    relpath.contains("/tests/") || relpath.starts_with("tests/")
-}
-
 /// Skip a balanced `<…>` group starting at the `<` at code index `ci`;
 /// returns the index one past the matching `>`.
 pub(crate) fn skip_angles(ctx: &FileCtx, mut ci: usize) -> usize {
@@ -339,7 +335,6 @@ pub(crate) fn skip_angles(ctx: &FileCtx, mut ci: usize) -> usize {
 /// Parse one file: fn items with body ranges, call sites, findings.
 fn parse_file(ctx: &FileCtx, relpath: &str) -> FileItems {
     let krate = crate_of(relpath);
-    let test_file = is_test_path(relpath);
     let mut out = FileItems {
         fns: Vec::new(),
         calls: Vec::new(),
@@ -379,7 +374,6 @@ fn parse_file(ctx: &FileCtx, relpath: &str) -> FileItems {
                 let name_tok = ctx.ctext(ci + 1).to_string();
                 let line = ctx.ctok(ci).line;
                 let body = fn_body_range(ctx, ci + 2);
-                let in_test_region = ctx.in_test.get(line as usize - 1).copied().unwrap_or(false);
                 out.fns.push((
                     FnItem {
                         krate: krate.clone(),
@@ -387,7 +381,7 @@ fn parse_file(ctx: &FileCtx, relpath: &str) -> FileItems {
                         impl_type: impl_stack.last().and_then(|(t, _)| t.clone()),
                         name: name_tok,
                         line,
-                        is_test: test_file || in_test_region,
+                        is_test: ctx.is_test(relpath, line),
                     },
                     body,
                 ));
@@ -629,7 +623,7 @@ fn call_paren_after(ctx: &FileCtx, ci: usize) -> Option<usize> {
 }
 
 /// Build the call graph for every `.rs` file under `root`.
-pub fn build_workspace_graph(root: &Path) -> std::io::Result<CallGraph> {
+pub(crate) fn build_workspace_graph(root: &Path) -> std::io::Result<CallGraph> {
     let mut files = Vec::new();
     collect_rs(root, &mut files)?;
     files.sort();
@@ -835,7 +829,7 @@ pub struct HotPathReport {
 
 impl CallGraph {
     /// Resolve a fn by bare name (must be unique among non-test fns).
-    pub fn find_fn(&self, name: &str) -> Option<usize> {
+    pub(crate) fn find_fn(&self, name: &str) -> Option<usize> {
         let hits: Vec<usize> = self
             .fns
             .iter()
@@ -865,7 +859,7 @@ impl CallGraph {
 
     /// BFS the graph from `root_name` and attribute every reachable
     /// alloc/panic/index finding with its call chain.
-    pub fn hot_path_report(&self, root_name: &str) -> Option<HotPathReport> {
+    pub(crate) fn hot_path_report(&self, root_name: &str) -> Option<HotPathReport> {
         let root = self.find_fn(root_name)?;
         let mut parent: HashMap<usize, usize> = HashMap::new();
         let mut order = vec![root];

@@ -17,7 +17,7 @@
 //!   the mixed-spin task pool of a small FCI case under adversarial worker
 //!   interleavings and checks σ and the variational energy are bitwise
 //!   identical across schedules.
-//! * [`lint`] — a std-only source scanner (`fcix-lint`) enforcing repo
+//! * [`lint`] — a std-only source scanner (`fcix-check lint`) enforcing repo
 //!   conventions: `// SAFETY:` on `unsafe` blocks, no wall-clock reads
 //!   outside `crates/obs`, no `unwrap`/`expect` on hot paths, no stray
 //!   `println!`. v2: all rules run on the [`lex`] token stream.
@@ -31,7 +31,10 @@
 //!   obs layers, with deadlock-cycle detection and a dynamic-lockset
 //!   cross-check against the `fci-obs` lock witness
 //!   (`fcix-check locks`).
+//! * [`dead`] — `pub` items whose name no other code mentions
+//!   (`fcix-check dead`).
 
+pub mod dead;
 pub mod explore;
 pub mod graph;
 pub mod lex;
@@ -40,8 +43,5 @@ pub mod locks;
 pub mod race;
 
 pub use explore::{explore_mixed, ExploreConfig, ExploreOutcome, ExploreReport};
-pub use lint::{lint_paths, lint_source, lint_workspace, LintConfig, Violation};
-pub use race::{
-    analyze, analyze_trace_events, LocksetViolation, RaceDetector, RaceReport, RaceSite,
-    VectorClock,
-};
+pub use lint::{lint_source, lint_workspace, LintConfig, Violation};
+pub use race::{analyze, LocksetViolation, RaceDetector, RaceReport, RaceSite, VectorClock};

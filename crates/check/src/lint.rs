@@ -1,4 +1,4 @@
-//! `fcix-lint`: a std-only source-convention scanner.
+//! `fcix-check lint`: a std-only source-convention scanner.
 //!
 //! v2: every rule runs on the lossless token stream from [`crate::lex`]
 //! instead of the old per-line character state machine. Tokens carry
@@ -22,7 +22,7 @@
 //! waiver is greppable, reviewable, and local. [`lint_workspace_report`]
 //! counts waivers per rule so CI can flag growth, and
 //! [`LintReport::to_json`] emits the machine-readable report
-//! `fcix-lint --format json` prints.
+//! `fcix-check lint --format json` prints.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -142,7 +142,7 @@ pub(crate) struct FileCtx<'s> {
     /// Per line (0-based): the line carries at least one code token.
     pub(crate) has_code: Vec<bool>,
     /// Per line (0-based): inside a `#[cfg(test)]` item.
-    pub(crate) in_test: Vec<bool>,
+    in_test: Vec<bool>,
 }
 
 impl<'s> FileCtx<'s> {
@@ -244,6 +244,21 @@ impl<'s> FileCtx<'s> {
         }
     }
 
+    /// Whether 1-based `line` of the file at `relpath` is test code: the
+    /// file sits under a `tests/` directory, or the line is inside a
+    /// `#[cfg(test)]` item.
+    pub(crate) fn is_test(&self, relpath: &str, line: u32) -> bool {
+        is_test_path(relpath) || self.in_test_region(line)
+    }
+
+    /// Whether 1-based `line` is inside a `#[cfg(test)]` item.
+    pub(crate) fn in_test_region(&self, line: u32) -> bool {
+        self.in_test
+            .get((line as usize).wrapping_sub(1))
+            .copied()
+            .unwrap_or(false)
+    }
+
     /// `lint: allow(<rule>)` waiver in a comment on `line` or the line
     /// above (1-based).
     pub(crate) fn waived(&self, line: usize, rule: &str) -> bool {
@@ -337,21 +352,21 @@ impl<'s> FileCtx<'s> {
 }
 
 /// Normalize a path to forward slashes relative to `root` (best effort).
-fn rel(root: &Path, file: &Path) -> String {
+pub(crate) fn rel(root: &Path, file: &Path) -> String {
     file.strip_prefix(root)
         .unwrap_or(file)
         .to_string_lossy()
         .replace('\\', "/")
 }
 
-fn is_test_context(relpath: &str) -> bool {
+fn is_test_path(relpath: &str) -> bool {
     relpath.contains("/tests/") || relpath.starts_with("tests/")
 }
 
 fn println_allowed(relpath: &str) -> bool {
     relpath.contains("/bin/")
         || relpath.starts_with("src/bin/")
-        || is_test_context(relpath)
+        || is_test_path(relpath)
         || relpath.contains("/benches/")
         || relpath.contains("/examples/")
         || relpath.starts_with("examples/")
@@ -379,8 +394,7 @@ pub fn lint_source(cfg: &LintConfig, relpath: &str, src: &str) -> Vec<Violation>
         .sim_paths
         .iter()
         .any(|h| relpath.starts_with(h.as_str()));
-    let test_file = is_test_context(relpath);
-    let in_test = |line: usize| ctx.in_test.get(line - 1).copied().unwrap_or(false);
+    let in_test = |line: usize| ctx.is_test(relpath, line as u32);
 
     let mut push = |line: usize, rule: &'static str, message: String| {
         if !ctx.waived(line, rule) {
@@ -448,10 +462,10 @@ pub fn lint_source(cfg: &LintConfig, relpath: &str, src: &str) -> Vec<Violation>
                 // Rule: no heap allocation in the zero-alloc GEMM
                 // modules (tests exempt; the arena's pool-growth site is
                 // waived inline).
-                "vec" if zero_alloc && !in_test(line) && !test_file && ctx.ctext(ci + 1) == "!" => {
+                "vec" if zero_alloc && !in_test(line) && ctx.ctext(ci + 1) == "!" => {
                     push(line, "alloc", alloc_msg("vec!"));
                 }
-                "Vec" | "Box" if zero_alloc && !in_test(line) && !test_file => {
+                "Vec" | "Box" if zero_alloc && !in_test(line) => {
                     for ctor in ["new", "with_capacity"] {
                         if ctx.seq_at(ci + 1, &[":", ":", ctor]) && (text == "Vec" || ctor == "new")
                         {
@@ -467,7 +481,7 @@ pub fn lint_source(cfg: &LintConfig, relpath: &str, src: &str) -> Vec<Violation>
                 // Rule: no unwrap/expect on hot paths (tests exempt);
                 // `.lock().unwrap()` is the one allowed form, including
                 // rustfmt's multi-line split of the chain.
-                if hot && !in_test(line) && !test_file && call {
+                if hot && !in_test(line) && call {
                     if name == "unwrap" && ctx.ctext(ci + 3) == ")" {
                         let lock_idiom = ci >= 4 && ctx.seq_at(ci - 4, &[".", "lock", "(", ")"]);
                         if !lock_idiom {
@@ -489,7 +503,7 @@ pub fn lint_source(cfg: &LintConfig, relpath: &str, src: &str) -> Vec<Violation>
                     }
                 }
                 // Rule: no heap allocation in the zero-alloc modules.
-                if zero_alloc && !in_test(line) && !test_file && call {
+                if zero_alloc && !in_test(line) && call {
                     match name {
                         "to_vec" | "collect" if ctx.ctext(ci + 3) == ")" => {
                             push(line, "alloc", alloc_msg(&format!(".{name}()")));
@@ -499,7 +513,7 @@ pub fn lint_source(cfg: &LintConfig, relpath: &str, src: &str) -> Vec<Violation>
                     }
                 }
                 // Rules on metric-recording calls.
-                if call && METRIC_CALLS.contains(&name) && !in_test(line) && !test_file {
+                if call && METRIC_CALLS.contains(&name) && !in_test(line) {
                     // Rule: literal metric names match [a-z0-9_.]+.
                     // Dynamic names (non-literal first argument) are
                     // skipped — the registry can't be linted statically.
@@ -562,7 +576,7 @@ fn alloc_msg(needle: &str) -> String {
 }
 
 /// Per-rule `lint: allow(...)` waiver counts in one file's comments.
-pub fn waivers_in_source(src: &str) -> Vec<(String, usize)> {
+pub(crate) fn waivers_in_source(src: &str) -> Vec<(String, usize)> {
     let mut counts: Vec<(String, usize)> = Vec::new();
     for t in lex(src) {
         if !t.kind.is_comment() {
@@ -592,7 +606,7 @@ pub fn waivers_in_source(src: &str) -> Vec<(String, usize)> {
 }
 
 /// Aggregated lint run: violations plus per-rule waiver counts, the
-/// payload behind `fcix-lint --format json`.
+/// payload behind `fcix-check lint --format json`.
 #[derive(Clone, Debug, Default)]
 pub struct LintReport {
     /// All violations, in path order.
@@ -671,18 +685,6 @@ pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<
         }
     }
     Ok(())
-}
-
-/// Lint the given files (paths may be absolute; rule selection uses their
-/// path relative to `cfg.root`).
-pub fn lint_paths(cfg: &LintConfig, files: &[PathBuf]) -> std::io::Result<Vec<Violation>> {
-    let mut out = Vec::new();
-    for f in files {
-        let src = std::fs::read_to_string(f)?;
-        let relpath = rel(&cfg.root, f);
-        out.extend(lint_source(cfg, &relpath, &src));
-    }
-    Ok(out)
 }
 
 /// Lint every `.rs` file under `cfg.root`.
@@ -863,7 +865,7 @@ mod tests {
         let src = "fn f() { println!(\"x\"); }\n";
         assert_eq!(lint("crates/core/src/x.rs", src).len(), 1);
         assert!(lint("src/bin/fcix.rs", src).is_empty());
-        assert!(lint("crates/check/src/bin/fcix-lint.rs", src).is_empty());
+        assert!(lint("crates/check/src/bin/fcix-check.rs", src).is_empty());
         assert!(lint("crates/core/tests/t.rs", src).is_empty());
         // eprintln is fine anywhere.
         let e = "fn f() { eprintln!(\"x\"); }\n";

@@ -901,9 +901,8 @@ pub fn analyze_lock_sources(sources: &[(String, String)]) -> LockReport {
                     && ctx.ctok(ci + 1).kind == TokKind::Ident =>
                 {
                     let fn_name = ctx.ctext(ci + 1).to_string();
-                    let fn_line = ctx.ctok(ci).line as usize;
-                    let in_test = ctx.in_test.get(fn_line - 1).copied().unwrap_or(false)
-                        || p.contains("/tests/");
+                    let fn_line = ctx.ctok(ci).line;
+                    let in_test = ctx.in_test_region(fn_line) || p.contains("/tests/");
                     if let Some((lo, hi)) = fn_body_range(ctx, ci + 2) {
                         if !in_test {
                             let impl_type = impl_stack.last().and_then(|(t, _)| t.as_deref());

@@ -37,7 +37,8 @@
 //! The detector is an [`AccessRecorder`], so it can run **online**
 //! (attached to a live `Ddi` world through `CheckConfig`) or **offline**
 //! over protocol events parsed back out of an `fci-obs` JSONL trace
-//! ([`analyze`], [`analyze_trace_events`]).
+//! (`fci_ddi::protocol_events`, then [`analyze`] or
+//! `fcix-check race --trace`).
 //!
 //! # The Eraser lockset plane
 //!
@@ -57,7 +58,7 @@
 //! [`RaceDetector::dynamic_lock_edges`]); races stay the failing
 //! signal.
 
-use fci_ddi::{protocol_events, AccessKind, AccessRecorder, DdiAccess, DdiSite};
+use fci_ddi::{AccessKind, AccessRecorder, DdiAccess, DdiSite};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -81,7 +82,7 @@ impl VectorClock {
     }
 
     /// Bump `rank`'s own component, returning its new value.
-    pub fn tick(&mut self, rank: usize) -> u64 {
+    pub(crate) fn tick(&mut self, rank: usize) -> u64 {
         if self.c.len() <= rank {
             self.c.resize(rank + 1, 0);
         }
@@ -251,14 +252,37 @@ struct State {
     nevents: u64,
     /// Locks each rank currently holds, in acquisition order.
     held: HashMap<usize, Vec<SegLock>>,
-    /// Eraser candidate lockset per (matrix, column).
+    /// Eraser candidate lockset per (matrix, column), this barrier epoch.
     colsets: HashMap<(u32, usize), ColLockset>,
+    /// Lockset violations of the epochs a barrier already closed.
+    closed_violations: Vec<LocksetViolation>,
     /// Dynamic lock-order edges (held → acquired), deduplicated.
     lock_edges: Vec<(SegLock, SegLock)>,
     edge_seen: std::collections::HashSet<(SegLock, SegLock)>,
 }
 
 impl State {
+    /// Lockset violations of the current barrier epoch: columns touched
+    /// by ≥ 2 ranks with at least one write whose candidate set is empty.
+    fn epoch_violations(&self) -> Vec<LocksetViolation> {
+        self.colsets
+            .iter()
+            .filter_map(|(&(mat, col), cs)| {
+                let (rank, site) = cs.first_empty?;
+                if cs.ranks.len() < 2 || !cs.written {
+                    return None;
+                }
+                Some(LocksetViolation {
+                    mat,
+                    col,
+                    ranks: cs.ranks.iter().copied().collect(),
+                    rank,
+                    site,
+                })
+            })
+            .collect()
+    }
+
     fn rank_mut(&mut self, rank: usize) -> (&mut VectorClock, &mut VectorClock) {
         if self.vc.len() <= rank {
             self.vc.resize_with(rank + 1, VectorClock::new);
@@ -347,7 +371,10 @@ impl State {
                 // The lockset plane restarts too: accesses in different
                 // barrier epochs need no common lock. Held locks and the
                 // order-edge record survive (a lock held across a barrier
-                // is still held; ordering facts do not expire).
+                // is still held; ordering facts do not expire), and so do
+                // the violations the closing epoch found.
+                let found = self.epoch_violations();
+                self.closed_violations.extend(found);
                 self.colsets.clear();
             }
         }
@@ -446,29 +473,16 @@ impl RaceDetector {
     }
 
     /// Eraser lockset discipline violations: columns touched by ≥ 2 ranks
-    /// with at least one write whose candidate lockset is empty. Sorted by
+    /// within one barrier epoch, with at least one write, whose candidate
+    /// lockset is empty. Every epoch counts, including those a barrier
+    /// (such as the end of a parallel region) has closed. Sorted by
     /// (matrix, column). Informational — a violation with no accompanying
     /// race means the observed interleaving was ordered by luck (e.g. a
     /// nxtval edge), not by a consistent lock.
     pub fn lockset_violations(&self) -> Vec<LocksetViolation> {
         let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<LocksetViolation> = st
-            .colsets
-            .iter()
-            .filter_map(|(&(mat, col), cs)| {
-                let (rank, site) = cs.first_empty?;
-                if cs.ranks.len() < 2 || !cs.written {
-                    return None;
-                }
-                Some(LocksetViolation {
-                    mat,
-                    col,
-                    ranks: cs.ranks.iter().copied().collect(),
-                    rank,
-                    site,
-                })
-            })
-            .collect();
+        let mut out = st.closed_violations.clone();
+        out.extend(st.epoch_violations());
         out.sort_by_key(|v| (v.mat, v.col));
         out
     }
@@ -507,12 +521,6 @@ pub fn analyze(events: &[DdiAccess]) -> Vec<RaceReport> {
         det.record(e);
     }
     det.races()
-}
-
-/// Offline analysis straight from `fci-obs` events (instants named
-/// `hb_*`); non-protocol events are ignored.
-pub fn analyze_trace_events(events: &[fci_obs::Event]) -> Vec<RaceReport> {
-    analyze(&protocol_events(events))
 }
 
 #[cfg(test)]
@@ -843,8 +851,11 @@ mod tests {
         };
         let det = detect(&[w(0), DdiAccess::Barrier, w(1)]);
         assert!(det.lockset_violations().is_empty());
-        // Same accesses without the barrier do violate.
+        // Same accesses without the barrier do violate, and the
+        // violation outlives the barrier that closes its epoch.
         let det = detect(&[w(0), w(1)]);
+        assert_eq!(det.lockset_violations().len(), 1);
+        let det = detect(&[w(0), w(1), DdiAccess::Barrier]);
         assert_eq!(det.lockset_violations().len(), 1);
     }
 

@@ -1,6 +1,8 @@
-//! `fcix-lint` integration: the real workspace is clean, and a fixture
-//! tree seeded with one violation of each rule is fully flagged.
+//! Whole-tree source scans: the real workspace is clean under
+//! `fcix-check lint` and `fcix-check dead`, and a fixture tree seeded
+//! with one violation of each lint rule is fully flagged.
 
+use fci_check::dead::find_dead;
 use fci_check::{lint_workspace, LintConfig};
 use std::path::PathBuf;
 
@@ -25,6 +27,12 @@ fn real_workspace_is_lint_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+#[test]
+fn real_workspace_has_no_dead_pub_items() {
+    let dead = find_dead(&workspace_root()).expect("scan workspace");
+    assert!(dead.is_empty(), "pub items with no use: {dead:?}");
 }
 
 #[test]

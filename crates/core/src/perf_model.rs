@@ -51,12 +51,6 @@ impl PerfModel {
     pub fn dgemm_comm_words(&self) -> f64 {
         3.0 * self.nci * self.na as f64
     }
-
-    /// Ratio of MOC to DGEMM communication — the paper quotes ≈25× for
-    /// the O-atom calculation.
-    pub fn comm_ratio(&self) -> f64 {
-        self.moc_comm_words() / self.dgemm_comm_words()
-    }
 }
 
 #[cfg(test)]
@@ -74,23 +68,11 @@ mod tests {
     }
 
     #[test]
-    fn comm_ratio_grows_with_n() {
-        let small = PerfModel::new(1e6, 10, 3, 3);
-        let big = PerfModel::new(1e6, 80, 3, 3);
-        assert!(big.comm_ratio() > small.comm_ratio());
-        // ratio = (n − Nα)/3
-        assert!((big.comm_ratio() - (80.0 - 3.0) / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn oxygen_like_ratio_near_paper_value() {
         // aug-cc-pVQZ O: n ≈ 80, 5 α / 3 β valence-ish electrons → the
         // ~25× communication saving quoted in §4.
         let m = PerfModel::new(1e9, 80, 5, 3);
-        assert!(
-            m.comm_ratio() > 20.0 && m.comm_ratio() < 30.0,
-            "{}",
-            m.comm_ratio()
-        );
+        let ratio = m.moc_comm_words() / m.dgemm_comm_words();
+        assert!(ratio > 20.0 && ratio < 30.0, "{ratio}");
     }
 }

@@ -14,7 +14,7 @@
 //! never changes what the operation does.
 //!
 //! Events can also be serialized into `fci-obs` trace instants
-//! ([`TraceRecorder`]) and parsed back ([`DdiAccess::from_event`]), which
+//! ([`TraceRecorder`]) and parsed back ([`protocol_events`]), which
 //! is how the offline race detector replays a JSONL trace.
 
 use fci_obs::{Category, Event, EventKind, Tracer};
@@ -56,7 +56,7 @@ impl DdiSite {
     }
 
     /// Inverse of [`DdiSite::code`].
-    pub fn from_code(code: u32) -> Option<DdiSite> {
+    pub(crate) fn from_code(code: u32) -> Option<DdiSite> {
         match code {
             0 => Some(DdiSite::Get),
             1 => Some(DdiSite::AccGet),
@@ -150,7 +150,7 @@ impl DdiAccess {
     }
 
     /// Trace event name used by [`TraceRecorder`].
-    pub fn trace_name(&self) -> &'static str {
+    pub(crate) fn trace_name(&self) -> &'static str {
         match self {
             DdiAccess::Access { .. } => "hb_access",
             DdiAccess::Lock { .. } => "hb_lock",
@@ -163,7 +163,7 @@ impl DdiAccess {
 
     /// Parse an event previously written by [`TraceRecorder`]. Returns
     /// `None` for events that are not protocol records.
-    pub fn from_event(ev: &Event) -> Option<DdiAccess> {
+    pub(crate) fn from_event(ev: &Event) -> Option<DdiAccess> {
         let rank = ev.rank.unwrap_or(0);
         match ev.name.as_str() {
             "hb_access" => Some(DdiAccess::Access {

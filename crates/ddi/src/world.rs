@@ -126,7 +126,7 @@ impl Ddi {
     /// number. One counter message is charged to the caller. With a
     /// fault plan attached, the op counts against the plan's simulated
     /// clock and may draw an injected stall, charged as backoff wait.
-    pub fn nxtval(&self, stats: &mut CommStats) -> usize {
+    pub(crate) fn nxtval(&self, stats: &mut CommStats) -> usize {
         stats.nxtval_msgs += 1;
         if let Some(plan) = self.faults.get() {
             plan.note_op();

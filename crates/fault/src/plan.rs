@@ -381,11 +381,6 @@ impl FaultPlan {
         self.cfg.retry.backoff_ns(attempt)
     }
 
-    /// Is `rank` currently dead?
-    pub fn is_dead(&self, rank: usize) -> bool {
-        self.dead.load(Ordering::SeqCst) == rank
-    }
-
     /// The currently-dead rank, if any.
     pub fn dead_rank(&self) -> Option<usize> {
         match self.dead.load(Ordering::SeqCst) {
@@ -441,12 +436,12 @@ mod tests {
     #[test]
     fn quiet_plan_injects_nothing() {
         let plan = FaultPlan::new(FaultConfig::quiet(9));
-        for i in 0..1000 {
+        for _ in 0..1000 {
             assert_eq!(plan.on_transfer(TransferOp::Get, 0), None);
             assert_eq!(plan.on_nxtval(), None);
             assert_eq!(plan.on_fence(), None);
             assert!(!plan.poison_task(0));
-            assert!(!plan.is_dead(i % 8));
+            assert_eq!(plan.dead_rank(), None);
             plan.note_op();
         }
         assert_eq!(plan.stats().injected(), 0);
@@ -509,8 +504,6 @@ mod tests {
         assert_eq!(plan.dead_rank(), None);
         plan.note_op();
         assert_eq!(plan.dead_rank(), Some(3));
-        assert!(plan.is_dead(3));
-        assert!(!plan.is_dead(2));
         plan.acknowledge_death();
         assert_eq!(plan.dead_rank(), None);
         // Further ops must not resurrect the death.

@@ -130,7 +130,7 @@ impl Shell {
 }
 
 /// Cartesian powers of angular momentum `l` in canonical order.
-pub fn cartesian_components(l: usize) -> Vec<(usize, usize, usize)> {
+pub(crate) fn cartesian_components(l: usize) -> Vec<(usize, usize, usize)> {
     let mut v = Vec::with_capacity((l + 1) * (l + 2) / 2);
     for i in (0..=l).rev() {
         for j in (0..=(l - i)).rev() {

@@ -79,7 +79,7 @@ pub fn eri_tensor(basis: &BasisSet) -> EriTensor {
 /// `|(ab|cd)| ≤ √(ab|ab) · √(cd|cd)`; shell quartets whose bound falls
 /// below `threshold` are skipped. Returns the tensor and the number of
 /// quartets skipped.
-pub fn eri_tensor_screened(basis: &BasisSet, threshold: f64) -> (EriTensor, usize) {
+pub(crate) fn eri_tensor_screened(basis: &BasisSet, threshold: f64) -> (EriTensor, usize) {
     let mut eri = EriTensor::zeros(basis.n_basis());
     let ns = basis.n_shells();
     // Per-shell-pair Schwarz factors Q_ab = max over components √(ab|ab).

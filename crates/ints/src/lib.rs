@@ -36,7 +36,7 @@ pub mod oneint;
 pub mod symmetry;
 
 pub use basis::{BasisSet, Shell};
-pub use eri::{eri_tensor, eri_tensor_screened, EriTensor};
+pub use eri::{eri_tensor, EriTensor};
 pub use molecule::{Atom, Molecule, ANGSTROM_TO_BOHR};
 pub use oneint::{dipole, kinetic, nuclear_attraction, overlap};
 pub use symmetry::{detect_point_group, mo_irreps, PointGroup, SymmetryOp};

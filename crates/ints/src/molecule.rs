@@ -7,20 +7,12 @@ pub const ANGSTROM_TO_BOHR: f64 = 1.8897259886;
 const SYMBOLS: [&str; 10] = ["H", "He", "Li", "Be", "B", "C", "N", "O", "F", "Ne"];
 
 /// Atomic number for an element symbol (case-insensitive), if supported.
-pub fn atomic_number(symbol: &str) -> Option<u32> {
+pub(crate) fn atomic_number(symbol: &str) -> Option<u32> {
     let s = symbol.trim();
     SYMBOLS
         .iter()
         .position(|&e| e.eq_ignore_ascii_case(s))
         .map(|i| (i + 1) as u32)
-}
-
-/// Element symbol for an atomic number.
-pub fn element_symbol(z: u32) -> &'static str {
-    SYMBOLS
-        .get(z as usize - 1)
-        .copied()
-        .expect("unsupported element")
 }
 
 /// One atom: nuclear charge and position in Bohr.
@@ -129,7 +121,6 @@ mod tests {
         assert_eq!(atomic_number("o"), Some(8));
         assert_eq!(atomic_number("Ne"), Some(10));
         assert_eq!(atomic_number("Xx"), None);
-        assert_eq!(element_symbol(6), "C");
     }
 
     #[test]

@@ -60,31 +60,6 @@ pub fn dscal(a: f64, x: &mut [f64]) {
     }
 }
 
-/// `y = x`.
-#[inline]
-pub fn dcopy(x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "dcopy length mismatch");
-    y.copy_from_slice(x);
-}
-
-/// Sum of absolute values `‖x‖₁`.
-pub fn dasum(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
-/// Index of the element with the largest absolute value (0 for empty input).
-pub fn idamax(x: &[f64]) -> usize {
-    let mut best = 0;
-    let mut bv = f64::NEG_INFINITY;
-    for (i, &v) in x.iter().enumerate() {
-        if v.abs() > bv {
-            bv = v.abs();
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,20 +92,9 @@ mod tests {
     }
 
     #[test]
-    fn dscal_dcopy() {
+    fn dscal_basic() {
         let mut x = [1.0, -2.0];
         dscal(-3.0, &mut x);
         assert_eq!(x, [-3.0, 6.0]);
-        let mut y = [0.0, 0.0];
-        dcopy(&x, &mut y);
-        assert_eq!(y, x);
-    }
-
-    #[test]
-    fn dasum_idamax() {
-        let x = [1.0, -5.0, 3.0, 4.99];
-        assert_eq!(dasum(&x), 13.99);
-        assert_eq!(idamax(&x), 1);
-        assert_eq!(idamax(&[]), 0);
     }
 }

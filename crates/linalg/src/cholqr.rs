@@ -18,10 +18,9 @@
 //! which can drop dependent vectors one at a time.
 //!
 //! `fci-core::multiroot` drives steps 1 and 3 over distributed vectors
-//! (per-rank local blocks, GEMM-shaped), using [`cholesky_lower`] and
-//! [`trsm_right_ltrans`] from here; [`cholqr2`] is the dense
-//! single-matrix form used for plain `Matrix` blocks and as the test
-//! oracle.
+//! (per-rank local blocks, GEMM-shaped), using [`cholesky_lower`] from
+//! here; [`cholqr2`] is the dense single-matrix form used for plain
+//! `Matrix` blocks and as the test oracle.
 
 use crate::matrix::Matrix;
 use std::fmt;
@@ -52,8 +51,8 @@ impl std::error::Error for CholError {}
 /// positive-definite matrix.
 ///
 /// Reads the **lower** triangle of `a` and overwrites it with `L`; the
-/// strictly-upper triangle is left untouched (callers use
-/// [`trsm_right_ltrans`], which reads only the lower part). Fails with
+/// strictly-upper triangle is left untouched (the triangular solve that
+/// follows it reads only the lower part). Fails with
 /// [`CholError`] when a pivot falls below `n·ε` times the largest input
 /// diagonal — the practical signature of a rank-deficient Gram matrix.
 pub fn cholesky_lower(a: &mut Matrix) -> Result<(), CholError> {
@@ -105,7 +104,7 @@ pub fn cholesky_lower(a: &mut Matrix) -> Result<(), CholError> {
 /// `(M[:,j] − Σ_{p<j} R[:,p]·L[j,p]) / L[j,j]`, so each column is an
 /// axpy sweep over already-finished columns — contiguous, GEMM-adjacent
 /// memory traffic. Reads only the lower triangle of `L`.
-pub fn trsm_right_ltrans(l: &Matrix, m: &mut Matrix) {
+pub(crate) fn trsm_right_ltrans(l: &Matrix, m: &mut Matrix) {
     let k = l.nrows();
     assert_eq!(k, l.ncols(), "trsm_right_ltrans requires square L");
     assert_eq!(m.ncols(), k, "trsm_right_ltrans dimension mismatch");

@@ -24,8 +24,8 @@
 //!   implicit QL above it, and the analytic 2×2 solve ([`eigh_2x2`])
 //!   at the heart of the automatically adjusted single-vector method,
 //! * Cholesky-QR block orthonormalization ([`cholqr2`] and the
-//!   [`cholesky_lower`] / [`trsm_right_ltrans`] building blocks the
-//!   distributed multiroot solver drives per rank),
+//!   [`cholesky_lower`] factor the distributed multiroot solver drives
+//!   per rank),
 //! * an LU solver ([`lu_solve`]) for DIIS extrapolation.
 //!
 //! Everything is plain safe Rust except the GEMM register tile, whose
@@ -42,14 +42,14 @@ pub mod probe;
 pub mod solve;
 pub mod tridiag;
 
-pub use blas1::{dasum, daxpy, dcopy, ddot, dnrm2, dscal, idamax};
-pub use cholqr::{cholesky_lower, cholqr2, trsm_right_ltrans, CholError};
+pub use blas1::{daxpy, ddot, dnrm2, dscal};
+pub use cholqr::{cholesky_lower, cholqr2, CholError};
 pub use eigen::{eigh, eigh_2x2, eigh_jacobi, Eigh, EIGH_JACOBI_CUTOFF};
 pub use gemm::{
     dgemm, dgemm_naive, dgemm_prepacked, dgemm_with_threads, gemm_prefers_packed, PackedA, Trans,
 };
 pub use matrix::Matrix;
-pub use solve::{lu_factor, lu_solve, LuError};
+pub use solve::{lu_solve, LuError};
 pub use tridiag::{eigh_tridiag, TqliError};
 
 /// A matrix of uniform entries in [−½, ½) from a seeded LCG: the one

@@ -113,11 +113,6 @@ impl Matrix {
         (0..self.ncols).map(|j| self[(i, j)]).collect()
     }
 
-    /// Transposed copy.
-    pub fn transposed(&self) -> Matrix {
-        Matrix::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)])
-    }
-
     /// Re-dimension in place to `nrows × ncols`, inside the allocation
     /// the matrix was created with: a caller that multiplies many
     /// sub-blocks of varying shape sizes one matrix for the largest and
@@ -333,13 +328,6 @@ mod tests {
         assert_eq!(m.shape(), (3, 2));
         assert_eq!(m[(2, 1)], 6.0);
         assert_eq!(m[(0, 1)], 2.0);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = Matrix::from_fn(4, 3, |i, j| (i + 7 * j) as f64);
-        assert_eq!(m.transposed().transposed(), m);
-        assert_eq!(m.transposed()[(2, 3)], m[(3, 2)]);
     }
 
     #[test]

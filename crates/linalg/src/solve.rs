@@ -24,7 +24,7 @@ impl std::error::Error for LuError {}
 ///
 /// Returns the packed LU factors (unit lower triangle implicit) and the
 /// pivot row permutation.
-pub fn lu_factor(a: &Matrix) -> Result<(Matrix, Vec<usize>), LuError> {
+pub(crate) fn lu_factor(a: &Matrix) -> Result<(Matrix, Vec<usize>), LuError> {
     let n = a.nrows();
     assert_eq!(n, a.ncols(), "lu_factor requires a square matrix");
     let mut lu = a.clone();

@@ -13,8 +13,6 @@ pub enum MetricsMode {
     /// A fresh registry whenever tracing is enabled (the default).
     #[default]
     Auto,
-    /// No metrics plane even when tracing is on.
-    Off,
     /// Record into a caller-owned registry. With tracing disabled this
     /// still yields a live metrics-only tracer ([`Tracer::metrics_only`]),
     /// so a server can aggregate metrics across solves without paying for
@@ -26,7 +24,6 @@ impl PartialEq for MetricsMode {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (MetricsMode::Auto, MetricsMode::Auto) => true,
-            (MetricsMode::Off, MetricsMode::Off) => true,
             (MetricsMode::Shared(a), MetricsMode::Shared(b)) => a.same_store(b),
             _ => false,
         }
@@ -90,16 +87,9 @@ impl ObsConfig {
         self
     }
 
-    /// Disable the metrics plane (events only).
-    pub fn without_metrics(mut self) -> ObsConfig {
-        self.metrics = MetricsMode::Off;
-        self
-    }
-
     /// Build the tracer this configuration describes.
     pub fn tracer(&self) -> std::io::Result<Tracer> {
         let metrics = match &self.metrics {
-            MetricsMode::Off => None,
             MetricsMode::Auto => self.enabled.then(MetricsRegistry::new),
             MetricsMode::Shared(r) => Some(r.clone()),
         };
@@ -155,12 +145,5 @@ mod tests {
         assert!(t.enabled());
         t.metrics().unwrap().counter_incr("solves", &[]);
         assert_eq!(reg.value("solves", &[]), Some(2.0));
-    }
-
-    #[test]
-    fn metrics_can_be_disabled() {
-        let t = ObsConfig::in_memory().without_metrics().tracer().unwrap();
-        assert!(t.enabled());
-        assert!(t.metrics().is_none());
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! A positive finite `f64` is bucketed by truncating its bit pattern:
 //! the 11 exponent bits select the octave `[2^e, 2^(e+1))` and the top
-//! [`SUB_BITS`] mantissa bits select one of `2^SUB_BITS` equal-width
+//! `SUB_BITS` mantissa bits select one of `2^SUB_BITS` equal-width
 //! linear sub-buckets inside it. Equivalently,
 //!
 //! ```text
@@ -14,22 +14,19 @@
 //! which is monotone in `v`, needs no `log()` call, and costs one shift.
 //! Within an octave every bucket spans `2^e / 2^SUB_BITS`, so reporting a
 //! bucket's **upper edge** overestimates any member value by at most a
-//! factor of `1 + 2^-SUB_BITS` — the relative-error bound [`REL_ERR`]
-//! that the property tests assert against an exact sorted reference.
+//! factor of `1 + 2^-SUB_BITS` — the relative-error bound the property
+//! tests assert against an exact sorted reference.
 //!
 //! # Determinism
 //!
 //! Buckets are unsigned counts and min/max are exact, so merging shards
 //! is associative and commutative; every derived statistic (percentiles,
-//! `sum()`, `mean()`) is computed from the merged counts in fixed index
+//! `sum()`) is computed from the merged counts in fixed index
 //! order. The rendered output is therefore bitwise identical no matter
 //! which order shards were merged in.
 
 /// Mantissa bits kept per octave: `2^5 = 32` linear sub-buckets.
-pub const SUB_BITS: u32 = 5;
-
-/// Bound on the relative error of bucket-edge percentiles: `2^-SUB_BITS`.
-pub const REL_ERR: f64 = 1.0 / (1u64 << SUB_BITS) as f64;
+pub(crate) const SUB_BITS: u32 = 5;
 
 const SHIFT: u32 = 52 - SUB_BITS;
 
@@ -132,7 +129,7 @@ impl Histogram {
     }
 
     /// Approximate sum: each bucket contributes its midpoint × count
-    /// (±[`REL_ERR`]/2 per sample). Computed in fixed bucket order, so the
+    /// (±`2^-SUB_BITS`/2 relative per sample). Computed in fixed bucket order, so the
     /// result is independent of recording or merge order.
     pub fn sum(&self) -> f64 {
         let mut s = 0.0;
@@ -145,17 +142,12 @@ impl Histogram {
         s
     }
 
-    /// Approximate mean (see [`Histogram::sum`]); `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum() / self.count as f64)
-    }
-
     /// Bucket-bounded percentile `q` in `[0, 100]`, `None` when empty.
     ///
     /// Returns the upper edge of the bucket holding the nearest-rank
     /// sample, clamped to the exact recorded maximum — so the result
     /// never under-reports the true order statistic and over-reports it
-    /// by at most a factor of `1 +` [`REL_ERR`].
+    /// by at most a factor of `1 + 2^-SUB_BITS`.
     pub fn percentile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
@@ -272,20 +264,14 @@ impl HistStats {
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
-
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bound on the relative error of bucket-edge percentiles.
+    const REL_ERR: f64 = 1.0 / (1u64 << SUB_BITS) as f64;
 
     #[test]
     fn empty_histogram() {

@@ -52,7 +52,7 @@ pub use flame::{parse_collapsed, to_collapsed, TimeBase};
 pub use hist::{HistStats, Histogram};
 pub use json::JsonValue;
 pub use lockwitness::{TrackedCondvar, TrackedGuard, TrackedMutex};
-pub use metrics::{fnv1a, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{fnv1a, MetricsRegistry};
 pub use sink::{JsonlSink, MemorySink, NullSink, Sink};
 pub use summary::RunSummary;
 pub use tracer::Tracer;

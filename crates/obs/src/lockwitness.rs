@@ -55,7 +55,7 @@ pub fn set_witness_enabled(on: bool) {
 }
 
 /// Whether the witness is recording.
-pub fn witness_enabled() -> bool {
+pub(crate) fn witness_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 

@@ -3,7 +3,7 @@
 //!
 //! # Design
 //!
-//! The registry is split into [`NSHARDS`] shards, each behind its own
+//! The registry is split into `NSHARDS` shards, each behind its own
 //! mutex. A metric is addressed by `(name, labels)`; an FNV-1a hash of
 //! that key picks the shard **and** indexes an open-addressed table
 //! inside it, so hot-path recording is: hash (no allocation), lock one
@@ -19,10 +19,10 @@
 use std::sync::{Arc, Mutex};
 
 use crate::event::{Event, EventKind};
-use crate::hist::{HistStats, Histogram};
+use crate::hist::Histogram;
 
 /// Number of independently locked shards.
-pub const NSHARDS: usize = 16;
+pub(crate) const NSHARDS: usize = 16;
 
 const EMPTY: usize = usize::MAX;
 
@@ -180,19 +180,19 @@ impl std::fmt::Debug for MetricsRegistry {
 }
 
 /// One metric sample: `(name, sorted labels, value)`.
-pub type LabeledValue = (String, Vec<(String, String)>, f64);
+type LabeledValue = (String, Vec<(String, String)>, f64);
 /// One histogram: `(name, sorted labels, histogram)`.
-pub type LabeledHist = (String, Vec<(String, String)>, Histogram);
+type LabeledHist = (String, Vec<(String, String)>, Histogram);
 
 /// A point-in-time copy of every metric, sorted by `(name, labels)`.
 #[derive(Clone, Debug, Default)]
-pub struct MetricsSnapshot {
+pub(crate) struct MetricsSnapshot {
     /// Monotonic counters.
-    pub counters: Vec<LabeledValue>,
+    pub(crate) counters: Vec<LabeledValue>,
     /// Last-value gauges.
-    pub gauges: Vec<LabeledValue>,
+    pub(crate) gauges: Vec<LabeledValue>,
     /// Histograms.
-    pub hists: Vec<LabeledHist>,
+    pub(crate) hists: Vec<LabeledHist>,
 }
 
 impl MetricsRegistry {
@@ -292,22 +292,6 @@ impl MetricsRegistry {
         })
     }
 
-    /// Copy of a labelled histogram.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        self.read_entry(name, labels, |v| match v {
-            Value::Hist(h) => Some(h.clone()),
-            _ => None,
-        })
-    }
-
-    /// Summary statistics of a labelled histogram.
-    pub fn hist_stats(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistStats> {
-        self.read_entry(name, labels, |v| match v {
-            Value::Hist(h) => Some(h.stats()),
-            _ => None,
-        })
-    }
-
     /// Bucket-bounded percentile of a labelled histogram.
     pub fn percentile(&self, name: &str, labels: &[(&str, &str)], q: f64) -> Option<f64> {
         self.read_entry(name, labels, |v| match v {
@@ -348,7 +332,7 @@ impl MetricsRegistry {
     }
 
     /// Every metric, sorted by `(name, labels)` for deterministic output.
-    pub fn snapshot_all(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot_all(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         for shard in &self.store.shards {
             let shard = shard.lock().unwrap();
@@ -375,7 +359,7 @@ impl MetricsRegistry {
     /// summaries with `quantile` labels), with internal dotted names
     /// mapped to `fcix_<underscored>`. This is the byte stream a future
     /// TCP `/metrics` endpoint will serve, and what
-    /// `fcix-serve --metrics-out` snapshots to disk.
+    /// `fcix batch --metrics-out` snapshots to disk.
     pub fn render_text(&self) -> String {
         let snap = self.snapshot_all();
         let mut out = String::new();
@@ -432,7 +416,7 @@ impl MetricsRegistry {
         out
     }
 
-    /// Rebuild a metrics plane from a recorded trace, so `fcix-trace
+    /// Rebuild a metrics plane from a recorded trace, so `fcix trace
     /// metrics` can expose any JSONL trace without the producing process.
     ///
     /// The mapping mirrors what the live instrumentation records:
@@ -574,11 +558,6 @@ mod tests {
             .percentile("serve.queue_wait_us", &[("tenant", "t0")], 50.0)
             .unwrap();
         assert!((500.0..=500.0 * 1.04).contains(&p50), "p50 = {p50}");
-        let s = m
-            .hist_stats("serve.queue_wait_us", &[("tenant", "t0")])
-            .unwrap();
-        assert_eq!(s.count, 1000);
-        assert_eq!(s.max, 1000.0);
     }
 
     #[test]

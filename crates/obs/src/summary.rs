@@ -188,7 +188,7 @@ impl RunSummary {
     /// simulated [`RunSummary::gflops_per_msp`] answers "how fast would
     /// the X1 run this"; this answers "how fast did the host actually
     /// run it" — the number the GEMM-engine benches track.
-    pub fn host_gflops(&self) -> f64 {
+    pub(crate) fn host_gflops(&self) -> f64 {
         if self.host_elapsed == 0.0 {
             0.0
         } else {
@@ -408,7 +408,7 @@ impl RunSummary {
         out
     }
 
-    /// Render a side-by-side diff of two summaries (for `fcix-trace diff`).
+    /// Render a side-by-side diff of two summaries (for `fcix trace diff`).
     pub fn render_diff(&self, other: &RunSummary) -> String {
         let rel = |a: f64, b: f64| {
             if a == 0.0 && b == 0.0 {

@@ -6,7 +6,6 @@
 //! The FCI program consumes *molecular orbital* integrals. This crate turns
 //! the raw AO integrals from `fci-ints` into that form:
 //!
-//! * [`lowdin`] — symmetric (Löwdin) orthogonalization `X = S^{−1/2}`;
 //! * [`rhf()`] — restricted Hartree–Fock with DIIS convergence acceleration
 //!   (closed-shell reference orbitals; also the baseline energy the FCI
 //!   correlation energy is measured against);
@@ -20,13 +19,9 @@
 //!   [`MoIntegrals`] consumed by `fci-core`.
 
 pub mod motran;
-pub mod mp2;
 pub mod rhf;
 pub mod symadapt;
-pub mod uhf;
 
 pub use motran::{transform_integrals, MoIntegrals};
-pub use mp2::mp2_correlation;
-pub use rhf::{core_orbitals, lowdin, rhf, RhfOptions, RhfResult};
+pub use rhf::{core_orbitals, rhf, RhfOptions, RhfResult};
 pub use symadapt::symmetry_adapt;
-pub use uhf::{uhf, UhfResult};

@@ -6,7 +6,7 @@ use fci_linalg::{eigh, lu_solve, Matrix};
 /// Löwdin symmetric orthogonalizer `X = S^{−1/2}` (so `Xᵀ S X = 1`).
 ///
 /// Panics if the overlap has eigenvalues below `1e-10` (linear dependence).
-pub fn lowdin(s: &Matrix) -> Matrix {
+pub(crate) fn lowdin(s: &Matrix) -> Matrix {
     let e = eigh(s);
     let n = s.nrows();
     for &w in &e.eigenvalues {

@@ -505,7 +505,7 @@ fn reject_json(id: Option<&str>, why: &RejectReason) -> JsonValue {
 }
 
 /// A small blocking client for the line-JSONL protocol — what the
-/// `fcix-served --client` mode and the CI smoke test drive.
+/// `fcix client` subcommand and the CI smoke test drive.
 pub struct NetClient {
     reader: BufReader<TcpStream>,
     out: TcpStream,
@@ -588,19 +588,6 @@ impl NetClient {
             ("v", JsonValue::Str("cancel".into())),
             ("id", JsonValue::Str(id.into())),
         ]))
-    }
-
-    /// The Prometheus-shaped metrics exposition, if the server has one.
-    pub fn metrics_text(&mut self) -> io::Result<String> {
-        let resp = self.request(&JsonValue::obj(vec![(
-            "v",
-            JsonValue::Str("metrics".into()),
-        )]))?;
-        Ok(resp
-            .get("text")
-            .and_then(JsonValue::as_str)
-            .unwrap_or_default()
-            .to_string())
     }
 
     /// Drain the server: every accepted job completes, then it stops.

@@ -1,7 +1,7 @@
 //! Allocation-free inner kernels of the sparse engine.
 //!
 //! These are the per-iteration hot loops of both sparse solvers, listed
-//! in `fcix-lint`'s zero-alloc set and rooted in `fcix-check`'s
+//! in `fcix-check lint`'s zero-alloc set and rooted in `fcix-check`'s
 //! call-graph analysis: no allocation, no `unwrap`/`expect`/`panic!`,
 //! plain counted loops. Each function computes a *disjoint* output range
 //! from read-only shared inputs, which is what makes the solvers

@@ -34,7 +34,7 @@ impl Det {
     /// half; the halves are combined asymmetrically so `(a, b)` and
     /// `(b, a)` collide no more than random pairs).
     #[inline]
-    pub fn hash64(self) -> u64 {
+    pub(crate) fn hash64(self) -> u64 {
         fn mix(mut z: u64) -> u64 {
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

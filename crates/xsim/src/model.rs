@@ -67,11 +67,6 @@ impl MachineModel {
         let s = ((m as f64) * (n as f64) * (k as f64)).cbrt();
         self.dgemm_peak * s / (s + self.dgemm_half_size)
     }
-
-    /// Time for one one-sided transfer of `bytes`.
-    pub fn msg_time(&self, bytes: u64) -> f64 {
-        self.net_latency + bytes as f64 / self.net_bandwidth
-    }
 }
 
 impl Default for MachineModel {
@@ -108,14 +103,6 @@ mod tests {
             prev = r;
         }
         assert!(prev < m.dgemm_peak);
-    }
-
-    #[test]
-    fn message_time_components() {
-        let m = MachineModel::cray_x1();
-        assert!((m.msg_time(0) - m.net_latency).abs() < 1e-18);
-        let big = m.msg_time(8_000_000_000);
-        assert!((big - (m.net_latency + 1.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -89,8 +89,7 @@ impl RunReport {
     ///
     /// If the MSP counts differ, the shorter side is padded with idle
     /// (default) clocks — the missing ranks simply did nothing in that
-    /// phase. Use [`RunReport::try_merge`] to treat a mismatch as an
-    /// error instead.
+    /// phase.
     pub fn merge(&mut self, other: &RunReport) {
         if self.clocks.len() < other.clocks.len() {
             self.clocks.resize(other.clocks.len(), Clock::default());
@@ -98,23 +97,6 @@ impl RunReport {
         for (a, b) in self.clocks.iter_mut().zip(&other.clocks) {
             a.merge(b);
         }
-    }
-
-    /// Like [`RunReport::merge`], but fails on mismatched MSP counts
-    /// (ignoring an empty side, which is the "nothing yet" accumulator).
-    pub fn try_merge(&mut self, other: &RunReport) -> Result<(), String> {
-        if !self.clocks.is_empty()
-            && !other.clocks.is_empty()
-            && self.clocks.len() != other.clocks.len()
-        {
-            return Err(format!(
-                "mismatched MSP counts: {} vs {}",
-                self.clocks.len(),
-                other.clocks.len()
-            ));
-        }
-        self.merge(other);
-        Ok(())
     }
 
     /// Roll the report up into the Table-3-style [`RunSummary`].
@@ -213,23 +195,6 @@ mod tests {
         r2.merge(&RunReport::new(vec![clock_with_daxpy(0.5); 2]));
         assert_eq!(r2.nproc(), 4);
         assert!((r2.clocks[3].total() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn try_merge_rejects_mismatch() {
-        let mut r = RunReport::new(vec![clock_with_daxpy(1.0); 2]);
-        assert!(r
-            .try_merge(&RunReport::new(vec![clock_with_daxpy(0.5); 4]))
-            .is_err());
-        // The failed merge must not have modified the receiver.
-        assert_eq!(r.nproc(), 2);
-        assert!(r
-            .try_merge(&RunReport::new(vec![clock_with_daxpy(0.5); 2]))
-            .is_ok());
-        assert!(r.try_merge(&RunReport::default()).is_ok());
-        let mut empty = RunReport::default();
-        assert!(empty.try_merge(&r).is_ok());
-        assert_eq!(empty.nproc(), 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! With `--trace`, every σ phase is recorded as per-MSP spans in JSONL;
-//! inspect the file with `fcix-trace summarize` / `to-chrome`.
+//! inspect the file with `fcix trace summarize` / `to-chrome`.
 
 use fcix::core::{apply_sigma, random_hamiltonian, DetSpace, PoolParams, SigmaCtx, SigmaMethod};
 use fcix::ddi::{Backend, Ddi};
@@ -89,6 +89,6 @@ fn main() {
     println!("kernel shapes — and therefore the simulated X1 cost — differ.");
     tracer.flush();
     if let Some(p) = trace_path {
-        println!("\ntrace written to {p} — try: fcix-trace summarize {p}");
+        println!("\ntrace written to {p} — try: fcix trace summarize {p}");
     }
 }

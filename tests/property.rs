@@ -1,6 +1,6 @@
 //! Property-style tests on the core invariants: σ-algorithm equivalence,
-//! kernel correctness, combinatorial tables. Cases are drawn from a
-//! deterministic in-repo generator (no external fuzzing dependency), so
+//! kernel correctness, combinatorial tables. Cases are drawn from the
+//! seeded `fci_fault::Xorshift64` (no external fuzzing dependency), so
 //! every run exercises the same inputs and failures are reproducible by
 //! construction.
 
@@ -8,47 +8,28 @@ use fcix::core::{
     apply_sigma, random_hamiltonian, slater, DetSpace, PoolParams, SigmaCtx, SigmaMethod, TaskPool,
 };
 use fcix::ddi::{Backend, Ddi};
+use fcix::fault::Xorshift64;
 use fcix::linalg::{dgemm, dgemm_naive, eigh, lu_solve, Matrix, Trans};
 use fcix::strings::{annihilate, binomial, create, SpinStrings};
 use fcix::xsim::MachineModel;
 
-/// Deterministic case generator (splitmix-style LCG).
-struct Gen(u64);
-
-impl Gen {
-    fn new(seed: u64) -> Self {
-        Gen(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1))
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-    /// Uniform in `lo..hi`.
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next_u64() as usize) % (hi - lo)
-    }
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * (self.next_u64() as f64 / (1u64 << 53) as f64)
-    }
-    fn bool(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
+/// An `nr × nc` matrix of uniform entries in `[−½, ½)` drawn from `seed`.
+fn rand_mat(nr: usize, nc: usize, seed: u64) -> Matrix {
+    let mut g = Xorshift64::new(seed);
+    Matrix::from_fn(nr, nc, |_, _| g.next_f64() - 0.5)
 }
 
 /// σ(DGEMM) == σ(MOC) == dense Slater–Condon for arbitrary electron
 /// counts, processor counts and random (but physical) integrals.
 #[test]
 fn sigma_algorithms_agree() {
-    let mut g = Gen::new(0xFC1);
+    let mut g = Xorshift64::new(0xFC1);
     let mut cases = 0;
     while cases < 24 {
-        let n = g.range(3, 6);
-        let na = g.range(1, 4);
-        let nb = g.range(0, 4);
-        let nproc = g.range(1, 7);
+        let n = 3 + g.next_index(3);
+        let na = 1 + g.next_index(3);
+        let nb = g.next_index(4);
+        let nproc = 1 + g.next_index(6);
         let seed = g.next_u64() % 1000;
         if na > n || nb > n {
             continue;
@@ -69,13 +50,8 @@ fn sigma_algorithms_agree() {
             pool: PoolParams::default(),
         };
         let c = space.zeros_ci(nproc);
-        let mut s = seed.wrapping_mul(77).wrapping_add(13);
-        c.map_inplace(|_, _, _| {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        });
+        let mut vals = Xorshift64::new(seed);
+        c.map_inplace(|_, _, _| vals.next_f64() - 0.5);
         let (sig_d, _) = apply_sigma(&ctx, &c, SigmaMethod::Dgemm);
         let (sig_m, _) = apply_sigma(&ctx, &c, SigmaMethod::Moc);
         let reference = slater::sigma_dense(&space, &ham, &c.to_dense());
@@ -98,32 +74,29 @@ fn sigma_algorithms_agree() {
 /// transposes and alpha/beta.
 #[test]
 fn gemm_matches_naive() {
-    let mut g = Gen::new(0xD6E);
+    let mut g = Xorshift64::new(0xD6E);
     for _ in 0..40 {
-        let m = g.range(1, 40);
-        let n = g.range(1, 40);
-        let k = g.range(0, 40);
-        let ta = g.bool();
-        let tb = g.bool();
-        let alpha = g.f64_in(-2.0, 2.0);
-        let beta = g.f64_in(-2.0, 2.0);
+        let m = 1 + g.next_index(39);
+        let n = 1 + g.next_index(39);
+        let k = g.next_index(40);
+        let ta = g.next_u64() & 1 == 1;
+        let tb = g.next_u64() & 1 == 1;
+        let alpha = 4.0 * g.next_f64() - 2.0;
+        let beta = 4.0 * g.next_f64() - 2.0;
         let seed = g.next_u64() % 100;
         let tra = if ta { Trans::Yes } else { Trans::No };
         let trb = if tb { Trans::Yes } else { Trans::No };
-        let mk = |r: usize, c: usize, s: u64| {
-            let mut st = s.wrapping_add(1);
-            Matrix::from_fn(r, c, |_, _| {
-                st = st.wrapping_mul(6364136223846793005).wrapping_add(99);
-                ((st >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            })
-        };
-        let a = if ta { mk(k, m, seed) } else { mk(m, k, seed) };
-        let b = if tb {
-            mk(n, k, seed + 7)
+        let a = if ta {
+            rand_mat(k, m, seed)
         } else {
-            mk(k, n, seed + 7)
+            rand_mat(m, k, seed)
         };
-        let c0 = mk(m, n, seed + 13);
+        let b = if tb {
+            rand_mat(n, k, seed + 7)
+        } else {
+            rand_mat(k, n, seed + 7)
+        };
+        let c0 = rand_mat(m, n, seed + 13);
         let mut c1 = c0.clone();
         let mut c2 = c0;
         dgemm(tra, trb, alpha, &a, &b, beta, &mut c1);
@@ -138,15 +111,11 @@ fn gemm_matches_naive() {
 /// Jacobi eigendecomposition reconstructs the matrix.
 #[test]
 fn eigh_reconstructs() {
-    let mut g = Gen::new(0xE16);
+    let mut g = Xorshift64::new(0xE16);
     for _ in 0..30 {
-        let n = g.range(1, 12);
+        let n = 1 + g.next_index(11);
         let seed = g.next_u64() % 100;
-        let mut st = seed.wrapping_add(3);
-        let raw = Matrix::from_fn(n, n, |_, _| {
-            st = st.wrapping_mul(6364136223846793005).wrapping_add(17);
-            ((st >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        });
+        let raw = rand_mat(n, n, seed);
         let a = Matrix::from_fn(n, n, |i, j| raw[(i, j)] + raw[(j, i)]);
         let e = eigh(&a);
         // A = V diag(w) Vᵀ
@@ -167,16 +136,12 @@ fn eigh_reconstructs() {
 /// LU solve inverts well-conditioned systems.
 #[test]
 fn lu_roundtrip() {
-    let mut g = Gen::new(0x107);
+    let mut g = Xorshift64::new(0x107);
     for _ in 0..30 {
-        let n = g.range(1, 15);
+        let n = 1 + g.next_index(14);
         let seed = g.next_u64() % 100;
-        let mut st = seed.wrapping_add(5);
-        let a = Matrix::from_fn(n, n, |i, j| {
-            st = st.wrapping_mul(6364136223846793005).wrapping_add(23);
-            let v = ((st >> 11) as f64 / (1u64 << 53) as f64) - 0.5;
-            v + if i == j { 3.0 } else { 0.0 }
-        });
+        let raw = rand_mat(n, n, seed);
+        let a = Matrix::from_fn(n, n, |i, j| raw[(i, j)] + if i == j { 3.0 } else { 0.0 });
         let xt: Vec<f64> = (0..n).map(|i| i as f64 - 1.5).collect();
         let mut b = vec![0.0; n];
         for i in 0..n {
@@ -194,13 +159,13 @@ fn lu_roundtrip() {
 /// Task pools cover every item exactly once for arbitrary shapes.
 #[test]
 fn taskpool_partition() {
-    let mut g = Gen::new(0x7A5);
+    let mut g = Xorshift64::new(0x7A5);
     for _ in 0..60 {
-        let nitems = g.range(0, 3000);
-        let nproc = g.range(1, 64);
-        let fine = g.range(1, 128);
-        let large = g.range(1, 32);
-        let small = g.range(0, 32);
+        let nitems = g.next_index(3000);
+        let nproc = 1 + g.next_index(63);
+        let fine = 1 + g.next_index(127);
+        let large = 1 + g.next_index(31);
+        let small = g.next_index(32);
         let pool = TaskPool::aggregated(
             nitems,
             nproc,
@@ -233,11 +198,11 @@ fn taskpool_partition() {
 /// are consistent.
 #[test]
 fn string_space_consistency() {
-    let mut g = Gen::new(0x57A);
+    let mut g = Xorshift64::new(0x57A);
     let mut cases = 0;
     while cases < 30 {
-        let n = g.range(1, 12);
-        let ne = g.range(0, 6);
+        let n = 1 + g.next_index(11);
+        let ne = g.next_index(6);
         if ne > n {
             continue;
         }
@@ -262,9 +227,9 @@ fn string_space_consistency() {
 /// The Boys function satisfies its downward recursion everywhere.
 #[test]
 fn boys_recursion() {
-    let mut g = Gen::new(0xB05);
+    let mut g = Xorshift64::new(0xB05);
     for _ in 0..50 {
-        let t = g.f64_in(0.0, 200.0);
+        let t = 200.0 * g.next_f64();
         let v = fcix::ints::boys::boys_vec(6, t);
         for m in 0..6 {
             let lhs = (2 * m + 1) as f64 * v[m];

@@ -1,48 +1,28 @@
 //! Property-style tests for the extension modules: graphical string
 //! ranking, dipole integrals, excitation filters, spin diagnostics.
-//! Cases come from a deterministic in-repo generator (see
+//! Cases come from the seeded `fci_fault::Xorshift64` generator (as in
 //! `tests/property.rs`) so runs are reproducible without any external
 //! fuzzing dependency.
 
 use fcix::core::{random_hamiltonian, DetSpace, Hamiltonian};
+use fcix::fault::Xorshift64;
 use fcix::ints::{dipole, overlap, BasisSet, Molecule, Shell};
 use fcix::strings::{binomial, rank_colex, unrank_colex};
-
-struct Gen(u64);
-
-impl Gen {
-    fn new(seed: u64) -> Self {
-        Gen(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1))
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next_u64() as usize) % (hi - lo)
-    }
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * (self.next_u64() as f64 / (1u64 << 53) as f64)
-    }
-}
 
 /// rank/unrank are mutually inverse bijections onto 0..C(n,k).
 #[test]
 fn rank_unrank_bijection() {
-    let mut g = Gen::new(0x4A4B);
+    let mut g = Xorshift64::new(0x4A4B);
     let mut cases = 0;
     while cases < 32 {
-        let n = g.range(1, 16);
-        let ne = g.range(0, 16) % (n + 1);
+        let n = 1 + g.next_index(15);
+        let ne = g.next_index(16) % (n + 1);
         let total = binomial(n, ne);
         if total == 0 {
             continue;
         }
         cases += 1;
-        let r = g.range(0, 10_000) % total;
+        let r = g.next_index(10_000) % total;
         let mask = unrank_colex(n, ne, r);
         assert_eq!(mask.count_ones() as usize, ne);
         assert_eq!(rank_colex(mask), r);
@@ -53,12 +33,12 @@ fn rank_unrank_bijection() {
 /// origin-centred one by exactly −C·S (operator identity).
 #[test]
 fn dipole_origin_identity() {
-    let mut g = Gen::new(0xD1B0);
+    let mut g = Xorshift64::new(0xD1B0);
     for _ in 0..8 {
-        let cx = g.f64_in(-2.0, 2.0);
-        let cy = g.f64_in(-2.0, 2.0);
-        let cz = g.f64_in(-2.0, 2.0);
-        let r = g.f64_in(0.8, 3.0);
+        let cx = 4.0 * g.next_f64() - 2.0;
+        let cy = 4.0 * g.next_f64() - 2.0;
+        let cz = 4.0 * g.next_f64() - 2.0;
+        let r = 0.8 + 2.2 * g.next_f64();
         let mol = Molecule::from_symbols_bohr(&[("H", [0.0; 3]), ("H", [0.0, 0.0, r])], 0);
         let b = BasisSet::build(&mol, "sto-3g");
         let s = overlap(&b);
@@ -80,12 +60,12 @@ fn dipole_origin_identity() {
 /// and nest monotonically.
 #[test]
 fn excitation_filter_nesting() {
-    let mut g = Gen::new(0xE8C);
+    let mut g = Xorshift64::new(0xE8C);
     let mut cases = 0;
     while cases < 12 {
-        let n = g.range(3, 7);
-        let na = g.range(1, 4);
-        let nb = g.range(1, 4);
+        let n = 3 + g.next_index(4);
+        let na = 1 + g.next_index(3);
+        let nb = 1 + g.next_index(3);
         let seed = g.next_u64() % 50;
         if na > n || nb > n {
             continue;
@@ -123,13 +103,13 @@ fn excitation_filter_nesting() {
 /// for a determinant, S₋S₊ counts β-occupied ∧ α-empty orbitals.
 #[test]
 fn s_squared_single_determinant_rule() {
-    let mut g = Gen::new(0x552);
+    let mut g = Xorshift64::new(0x552);
     let mut cases = 0;
     while cases < 32 {
-        let n = g.range(2, 7);
-        let na = g.range(1, 4);
-        let nb = g.range(0, 4);
-        let pick = g.range(0, 1000);
+        let n = 2 + g.next_index(5);
+        let na = 1 + g.next_index(3);
+        let nb = g.next_index(4);
+        let pick = g.next_index(1000);
         if na > n || nb > n || na < nb {
             continue;
         }
@@ -150,11 +130,11 @@ fn s_squared_single_determinant_rule() {
 /// occupations (spin-flip symmetry of the spin-free operator).
 #[test]
 fn diagonal_spin_flip_symmetry() {
-    let mut g = Gen::new(0xD1A6);
+    let mut g = Xorshift64::new(0xD1A6);
     for _ in 0..32 {
-        let n = g.range(2, 7);
+        let n = 2 + g.next_index(5);
         let seed = g.next_u64() % 100;
-        let pick = g.range(0, 500);
+        let pick = g.next_index(500);
         let ham = random_hamiltonian(n, seed);
         let sp = DetSpace::c1(n, 2.min(n), 1.min(n));
         let ia = pick % sp.alpha.len();

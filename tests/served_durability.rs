@@ -1,6 +1,6 @@
 //! Crash-exactly-once property test for the durable serving plane.
 //!
-//! The harness runs `fcix-served` in a child process with
+//! The harness runs `fcix server` in a child process with
 //! `FCIX_WAL_KILL_AT=<offset>` — the WAL's crash-injection hook, which
 //! `abort()`s the process the instant its log reaches that byte offset,
 //! truncating the in-flight record when the offset lands inside one
@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-const BIN: &str = env!("CARGO_BIN_EXE_fcix-served");
+const BIN: &str = env!("CARGO_BIN_EXE_fcix");
 
 /// Seeded kill offsets (WAL byte positions). The clean 6-job log is
 /// ~3.4 KiB; submit records live in roughly the first 1.5 KiB and
@@ -58,6 +58,7 @@ struct Served {
 fn start(dir: &Path, kill_at: Option<u64>) -> Served {
     let mut cmd = Command::new(BIN);
     cmd.args([
+        "server",
         "--listen",
         "127.0.0.1:0",
         "--wal",
@@ -79,7 +80,7 @@ fn start(dir: &Path, kill_at: Option<u64>) -> Served {
         Some(k) => cmd.env("FCIX_WAL_KILL_AT", k.to_string()),
         None => cmd.env_remove("FCIX_WAL_KILL_AT"),
     };
-    let mut child = cmd.spawn().expect("spawn fcix-served");
+    let mut child = cmd.spawn().expect("spawn fcix server");
     let stdout = child.stdout.take().expect("stdout");
     let mut lines = std::io::BufReader::new(stdout).lines();
     let addr = loop {

@@ -15,6 +15,7 @@ use fcix::core::{
     DiagMethod, DiagOptions, Hamiltonian, PoolParams, SigmaCtx, SigmaMethod,
 };
 use fcix::ddi::{Backend, Ddi, DistMatrix};
+use fcix::fault::Xorshift64;
 use fcix::linalg::{eigh, Matrix};
 use fcix::xsim::MachineModel;
 
@@ -46,13 +47,8 @@ const ELECTRONS: [(usize, usize, usize); 7] = [
 /// space's sector.
 fn random_sector_vector(space: &DetSpace, nproc: usize, seed: u64) -> DistMatrix {
     let c = space.zeros_ci(nproc);
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    c.map_inplace(|_, _, _| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-    });
+    let mut rng = Xorshift64::new(seed);
+    c.map_inplace(|_, _, _| rng.next_f64() - 0.5);
     space.project_sector(&c);
     c
 }

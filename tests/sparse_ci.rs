@@ -5,6 +5,7 @@
 //! in `fcix-repro sparse`; these tests pin correctness at dev-profile sizes.)
 
 use fcix::core::{slater, solve, DetSpace, DiagMethod, FciOptions, Hamiltonian};
+use fcix::fault::Xorshift64;
 use fcix::ints::{detect_point_group, overlap, BasisSet, Molecule};
 use fcix::linalg::eigh;
 use fcix::scf::{rhf, symmetry_adapt, transform_integrals, MoIntegrals, RhfOptions, RhfResult};
@@ -228,13 +229,8 @@ fn sparse_energies_bitwise_reproducible_across_thread_counts() {
 fn sparsified_hamiltonian(seed: u64, keep_h: f64, keep_eri: f64) -> Hamiltonian {
     let dense = fcix::core::random_hamiltonian(6, seed);
     let n = dense.n;
-    let mut state = seed ^ 0x5bd1_e995_9e37_79b9;
-    let mut unit = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
+    let mut rng = Xorshift64::new(seed);
+    let mut unit = move || rng.next_f64();
     let (mut h, mut eri) = (dense.h.clone(), dense.eri.clone());
     for p in 0..n {
         for q in 0..p {

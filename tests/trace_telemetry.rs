@@ -9,30 +9,12 @@ use fcix::core::{
     PoolParams, SigmaCtx, SigmaMethod,
 };
 use fcix::ddi::{Backend, Ddi};
+use fcix::fault::Xorshift64;
 use fcix::obs::{
     parse_collapsed, parse_jsonl, to_chrome, to_collapsed, Category, Event, EventKind, JsonValue,
     MetricsRegistry, RunSummary, TimeBase,
 };
 use fcix::xsim::MachineModel;
-
-/// Deterministic case generator (same LCG as `tests/property.rs`).
-struct Gen(u64);
-
-impl Gen {
-    fn new(seed: u64) -> Self {
-        Gen(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1))
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next_u64() as usize) % (hi - lo)
-    }
-}
 
 /// Run one traced σ evaluation; return the trace and the breakdown's
 /// merged report.
@@ -121,13 +103,13 @@ fn trace_summary_matches_report_summary() {
 /// time and invents none.
 #[test]
 fn per_rank_span_sums_match_clock_totals() {
-    let mut g = Gen::new(0x7E1E);
+    let mut g = Xorshift64::new(0x7E1E);
     let mut cases = 0;
     while cases < 10 {
-        let n = g.range(3, 6);
-        let na = g.range(1, 4);
-        let nb = g.range(1, 4);
-        let nproc = g.range(1, 7);
+        let n = 3 + g.next_index(3);
+        let na = 1 + g.next_index(3);
+        let nb = 1 + g.next_index(3);
+        let nproc = 1 + g.next_index(6);
         let seed = g.next_u64() % 500;
         if na > n || nb > n {
             continue;
@@ -251,7 +233,7 @@ fn host_split_closes(events: &[Event]) {
     let emitted = |name: &str| events.iter().filter(|e| e.name == name).count();
     assert_eq!(emitted("same_spin_host_us"), 4);
     assert_eq!(emitted("mixed_host_us"), 2);
-    // And `fcix-trace summarize` prints them.
+    // And `fcix trace summarize` prints them.
     assert!(summary.render("σ").contains("host: mixed split"));
 }
 
@@ -327,7 +309,7 @@ fn flame_round_trips_on_table3_style_run() {
 }
 
 /// Replaying a σ trace through the metrics plane populates the span and
-/// flop histograms the `fcix-trace metrics` subcommand prints.
+/// flop histograms the `fcix trace metrics` subcommand prints.
 #[test]
 fn metrics_replay_covers_sigma_trace() {
     let (events, report) = traced_sigma(5, 2, 2, 3, 7, SigmaMethod::Dgemm);

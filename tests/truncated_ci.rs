@@ -191,3 +191,42 @@ fn cisd_size_consistency_failure() {
         "CISD should NOT be size-consistent; defect = {defect}"
     );
 }
+
+/// `fcix run` with `ci cisd` and `roots 2` lists the states of the CISD
+/// space: root 0 is the single-root CISD energy, not the full-FCI one.
+#[test]
+fn cli_roots_stay_in_the_truncated_space() {
+    let dir = std::env::temp_dir().join(format!("fcix-cli-cisd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let input = dir.join("water_cisd_roots.inp");
+    let example = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/inputs/water_cisd.inp"
+    );
+    let base = std::fs::read_to_string(example).expect("read example input");
+    std::fs::write(&input, format!("{base}roots 2\n")).expect("write input");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fcix"))
+        .arg("run")
+        .arg(&input)
+        .output()
+        .expect("spawn fcix");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "fcix run failed:\n{stdout}");
+    // The first number on the line that starts with `prefix`.
+    let energy = |prefix: &str| -> f64 {
+        let line = stdout
+            .lines()
+            .map(str::trim_start)
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no `{prefix}` line in:\n{stdout}"));
+        line.split_whitespace()
+            .find_map(|w| w.parse().ok())
+            .expect("energy")
+    };
+    let (single, root0) = (energy("E(CISD)"), energy("root 0:"));
+    assert!(
+        (root0 - single).abs() <= 1e-10,
+        "root 0 {root0} vs single-root CISD {single}"
+    );
+}
