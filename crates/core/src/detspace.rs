@@ -1,25 +1,28 @@
 //! The determinant (product) space and its coupling tables.
 //!
-//! The FCI coefficient vector is stored as a matrix `C(Iβ, Iα)` — rows
-//! indexed by β strings, columns by α strings — distributed by columns
-//! (paper §3.1, Fig. 1). Strings are sorted by (irrep, mask), so the
-//! determinants of the target irrep are the blocks `(g_β, g_α)` with
-//! `g_α ⊕ g_β = target`: column `Iα` is in the sector on one contiguous
-//! range of rows, the β strings of irrep `g_Iα ⊕ target`.
+//! The FCI coefficient vector is a matrix `C(Iβ, Iα)` — rows indexed by β
+//! strings, columns by α strings — distributed by columns (paper §3.1,
+//! Fig. 1). Strings are sorted by (irrep, mask), so the determinants of
+//! the target irrep are the blocks `(g_β, g_α)` with `g_α ⊕ g_β = target`:
+//! column `Iα` is in the sector on one contiguous range of rows, the β
+//! strings of irrep `g_Iα ⊕ target`.
 //!
-//! The paper blocks the vector by symmetry and works block by block. So
-//! do the DGEMM σ kernels ([`crate::sigma`]): they read, multiply and
-//! write the in-sector blocks only, which on a D2h molecule is an eighth
-//! of the coefficients and a fifty-eighth of the multiply-adds. The
-//! *storage* is not blocked yet: the full β × α product is allocated and
-//! the out-of-sector coefficients are stored zeros that dot products,
-//! axpys, transposes, GET and ACC still move (ROADMAP item 9(b)). The
-//! guess, the preconditioner's diagonal and [`DetSpace::project_sector`]
-//! keep them zero by walking each column's sector rows.
+//! The paper stores the vector blocked by symmetry and works block by
+//! block, and so does fcix: a CI vector ([`DetSpace::zeros_ci`]) stores
+//! only those rows of each column (a [`Layout`] built from the strings'
+//! irrep blocks), which on a D2h molecule is an eighth of the β × α
+//! product. Dot products, axpys, transposes, GET, ACC and checkpoints
+//! move the sector and nothing else, and the DGEMM σ kernels
+//! ([`crate::sigma`]) multiply its blocks only — a fifty-eighth of the
+//! unblocked multiply-adds. With one irrep the layout is the full matrix.
+//! A truncated-CI [`ExcitationFilter`] further excludes determinants
+//! inside the stored blocks; [`DetSpace::project_sector`] zeroes those.
 
 use crate::hamiltonian::Hamiltonian;
-use fci_ddi::DistMatrix;
+use fci_ddi::{DistMatrix, Layout};
 use fci_strings::{Nm1Families, Nm2Families, SinglesTable, SpinStrings};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Excitation-level restriction relative to a reference determinant —
 /// turns the solver into truncated CI (CISD, CISDT, …) while reusing the
@@ -149,7 +152,8 @@ impl DetSpace {
         self.alpha.n_orb()
     }
 
-    /// Full product dimension (rows × cols of the stored CI matrix).
+    /// Full product dimension (rows × cols of the CI matrix; the stored
+    /// part is [`DetSpace::sector_dim`] without a truncation).
     pub fn dim(&self) -> usize {
         self.alpha.len() * self.beta.len()
     }
@@ -166,11 +170,11 @@ impl DetSpace {
         }
         let mut d = 0;
         for ia in 0..self.alpha.len() {
-            for ib in 0..self.beta.len() {
-                if self.in_sector(ib, ia) {
-                    d += 1;
-                }
-            }
+            let amask = self.alpha.mask(ia);
+            d += self
+                .sector_rows(ia)
+                .filter(|&ib| self.within_excitation_limit(amask, self.beta.mask(ib)))
+                .count();
         }
         d
     }
@@ -182,41 +186,56 @@ impl DetSpace {
             && self.within_excitation_limit(self.alpha.mask(ia), self.beta.mask(ib))
     }
 
-    /// Allocate a zero CI vector distributed over `nproc` ranks.
-    pub fn zeros_ci(&self, nproc: usize) -> DistMatrix {
-        DistMatrix::zeros(self.beta.len(), self.alpha.len(), nproc)
+    /// How a CI vector of this space is stored: column `Iα` holds the β
+    /// strings of irrep `g_Iα ⊕ target`.
+    pub(crate) fn layout(&self) -> Layout {
+        let bounds = |s: &SpinStrings| -> Vec<usize> {
+            let n = s.n_irrep() as u8;
+            (0..n)
+                .map(|g| s.block_range(g).start)
+                .chain([s.len()])
+                .collect()
+        };
+        Layout::blocked(&bounds(&self.beta), &bounds(&self.alpha), self.target_irrep)
     }
 
-    /// The Hamiltonian diagonal (without `E_core`) as a CI-shaped matrix,
-    /// with out-of-sector entries set to `f64::INFINITY` (so that
-    /// `1/(d − E)` vanishes and preconditioning never leaks out of the
-    /// sector).
+    /// Allocate a zero CI vector distributed over `nproc` ranks, storing
+    /// the symmetry sector.
+    pub fn zeros_ci(&self, nproc: usize) -> DistMatrix {
+        DistMatrix::with_layout(Arc::new(self.layout()), nproc)
+    }
+
+    /// The Hamiltonian diagonal (without `E_core`) as a CI vector.
+    /// Determinants a truncation excludes hold `f64::INFINITY`, so that
+    /// `1/(d − E)` vanishes and preconditioning never leaks into them.
     pub fn diagonal(&self, ham: &Hamiltonian, nproc: usize) -> DistMatrix {
         let d = self.zeros_ci(nproc);
-        d.map_cols_inplace(|ia, col| {
-            col.fill(f64::INFINITY);
+        d.map_cols_inplace(|ia, rows, col| {
             let amask = self.alpha.mask(ia);
-            for ib in self.sector_rows(ia) {
-                if self.within_excitation_limit(amask, self.beta.mask(ib)) {
-                    col[ib] = ham.diagonal_element(amask, self.beta.mask(ib));
-                }
+            for (ib, v) in rows.zip(col) {
+                let bmask = self.beta.mask(ib);
+                *v = if self.within_excitation_limit(amask, bmask) {
+                    ham.diagonal_element(amask, bmask)
+                } else {
+                    f64::INFINITY
+                };
             }
         });
         d
     }
 
-    /// Zero every out-of-sector coefficient of a CI vector.
+    /// Zero every coefficient the excitation filter excludes. The
+    /// symmetry sector needs no projection — it is what a CI vector
+    /// stores — so without a filter this does nothing.
     pub fn project_sector(&self, c: &DistMatrix) {
-        c.map_cols_inplace(|ia, col| {
-            let keep = self.sector_rows(ia);
-            col[..keep.start].fill(0.0);
-            col[keep.end..].fill(0.0);
-            if self.excitation.is_some() {
-                let amask = self.alpha.mask(ia);
-                for ib in keep {
-                    if !self.within_excitation_limit(amask, self.beta.mask(ib)) {
-                        col[ib] = 0.0;
-                    }
+        if self.excitation.is_none() {
+            return;
+        }
+        c.map_cols_inplace(|ia, rows, col| {
+            let amask = self.alpha.mask(ia);
+            for (ib, v) in rows.zip(col) {
+                if !self.within_excitation_limit(amask, self.beta.mask(ib)) {
+                    *v = 0.0;
                 }
             }
         });
@@ -224,7 +243,7 @@ impl DetSpace {
 
     /// The rows of column `ia` that belong to the symmetry sector: the β
     /// strings of irrep `g_Iα ⊕ target`, one contiguous block.
-    fn sector_rows(&self, ia: usize) -> std::ops::Range<usize> {
+    fn sector_rows(&self, ia: usize) -> Range<usize> {
         self.beta
             .block_range(self.alpha.irrep_of_index(ia) ^ self.target_irrep)
     }
@@ -236,17 +255,19 @@ impl DetSpace {
             .is_none_or(|f| f.level(amask, bmask) <= f.max_level)
     }
 
-    /// The lowest-diagonal determinant among those `keep(ib, ia)` admits,
-    /// as `(ib, ia, H_dd)`: the first minimum in α-major order.
+    /// The lowest-diagonal determinant among the rows `rows(ia)` of each
+    /// column that `keep(ib, ia)` admits, as `(ib, ia, H_dd)`: the first
+    /// minimum in α-major order.
     fn lowest_where(
         &self,
         ham: &Hamiltonian,
+        rows: impl Fn(usize) -> Range<usize>,
         keep: impl Fn(usize, usize) -> bool,
     ) -> Option<(usize, usize, f64)> {
         let mut best = None;
         let mut lowest = f64::INFINITY;
         for ia in 0..self.alpha.len() {
-            for ib in 0..self.beta.len() {
+            for ib in rows(ia) {
                 if !keep(ib, ia) {
                     continue;
                 }
@@ -264,7 +285,8 @@ impl DetSpace {
     /// `(ib, ia, H_dd)` — the first minimum in α-major order — or `None`
     /// when the sector is empty.
     pub fn lowest_diagonal(&self, ham: &Hamiltonian) -> Option<(usize, usize, f64)> {
-        self.lowest_where(ham, |ib, ia| self.in_sector(ib, ia))
+        let within = |ib, ia| self.within_excitation_limit(self.alpha.mask(ia), self.beta.mask(ib));
+        self.lowest_where(ham, |ia| self.sector_rows(ia), within)
     }
 
     /// Unit guess vector on the lowest-diagonal in-sector determinant.
@@ -273,7 +295,7 @@ impl DetSpace {
             .lowest_diagonal(ham)
             .expect("no determinant in the requested symmetry sector");
         let c = self.zeros_ci(nproc);
-        c.map_inplace(|b, a, _| if (b, a) == (ib, ia) { 1.0 } else { 0.0 });
+        c.set(ib, ia, 1.0);
         c
     }
 }
@@ -283,7 +305,7 @@ impl DetSpace {
 pub fn lowest_det_irrep(ham: &Hamiltonian, na: usize, nb: usize) -> u8 {
     let space = DetSpace::new(ham.n, na, nb, &ham.orb_sym, ham.n_irrep, 0);
     space
-        .lowest_where(ham, |_, _| true)
+        .lowest_where(ham, |_| 0..space.beta.len(), |_, _| true)
         .map_or(0, |(ib, ia, _)| {
             space.alpha.irrep_of_index(ia) ^ space.beta.irrep_of_index(ib)
         })
@@ -339,16 +361,37 @@ mod tests {
     }
 
     #[test]
-    fn projection_zeroes_out_of_sector() {
+    fn ci_vectors_store_the_sector() {
         let sym = [0u8, 1, 0, 1];
         let s = DetSpace::new(4, 1, 1, &sym, 2, 1);
         let c = s.zeros_ci(1);
         c.map_inplace(|_, _, _| 1.0);
-        s.project_sector(&c);
         let dense = c.to_dense();
         let in_count = dense.iter().filter(|&&x| x != 0.0).count();
         assert_eq!(in_count, s.sector_dim());
+        assert_eq!(c.layout().stored(), s.sector_dim());
         assert!(in_count < s.dim());
+        let nb = s.beta.len();
+        for (i, &x) in dense.iter().enumerate() {
+            assert_eq!(x != 0.0, s.in_sector(i % nb, i / nb));
+        }
+    }
+
+    #[test]
+    fn projection_zeroes_what_the_truncation_excludes() {
+        let ham = random_hamiltonian(5, 4);
+        let s = DetSpace::c1(5, 2, 2);
+        let (ib, ia, _) = s.lowest_diagonal(&ham).unwrap();
+        let (ref_a, ref_b) = (s.alpha.mask(ia), s.beta.mask(ib));
+        let s = s.with_excitation_limit(ref_a, ref_b, 1);
+        let c = s.zeros_ci(2);
+        c.map_inplace(|_, _, _| 1.0);
+        s.project_sector(&c);
+        let kept = c.to_dense().iter().filter(|&&x| x != 0.0).count();
+        assert_eq!(kept, s.sector_dim());
+        assert!(kept < s.dim());
+        let d = s.diagonal(&ham, 2);
+        assert_eq!(d.to_dense().iter().filter(|x| x.is_finite()).count(), kept);
     }
 
     #[test]

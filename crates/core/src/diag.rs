@@ -23,7 +23,7 @@
 use crate::detspace::DetSpace;
 use crate::hamiltonian::Hamiltonian;
 use crate::multiroot::Subspace;
-use crate::sigma::{apply_sigma_in_sector, SigmaBreakdown, SigmaCtx, SigmaMethod};
+use crate::sigma::{apply_sigma, SigmaBreakdown, SigmaCtx, SigmaMethod};
 use crate::slater;
 use fci_ddi::DistMatrix;
 use fci_linalg::{eigh_2x2, lu_solve, Matrix};
@@ -96,6 +96,7 @@ pub struct DiagResult {
 
 /// Preconditioner `(H₀ − E)⁻¹` with an exact model-space block.
 pub struct Preconditioner {
+    /// The Hamiltonian diagonal, in the CI vectors' layout.
     diag: DistMatrix,
     /// Model determinants as (row, col) into the CI matrix.
     dets: Vec<(usize, usize)>,
@@ -103,14 +104,25 @@ pub struct Preconditioner {
 }
 
 impl Preconditioner {
-    /// Select the `model_size` lowest-diagonal in-sector determinants.
+    /// Select the `model_size` lowest-diagonal in-sector determinants:
+    /// the lowest values of `diag` in α-major order, ties kept in that
+    /// order (what a stable sort of the whole diagonal picks).
     pub fn new(space: &DetSpace, ham: &Hamiltonian, diag: &DistMatrix, model_size: usize) -> Self {
-        let nb = space.beta.len();
-        let dense = diag.to_dense();
-        let mut order: Vec<usize> = (0..dense.len()).filter(|&i| dense[i].is_finite()).collect();
-        order.sort_by(|&a, &b| dense[a].partial_cmp(&dense[b]).unwrap());
-        order.truncate(model_size);
-        let dets: Vec<(usize, usize)> = order.iter().map(|&i| (i % nb, i / nb)).collect();
+        let diag = diag.duplicate();
+        // Ascending by value; an equal value goes after the ones already
+        // held, so the earliest of a tie stays ahead.
+        let mut best: Vec<(f64, usize, usize)> = Vec::with_capacity(model_size + 1);
+        diag.map_cols_inplace(|ia, rows, vals| {
+            for (ib, &d) in rows.zip(vals.iter()) {
+                let full = best.len() == model_size;
+                if !d.is_finite() || (full && best.last().is_none_or(|b| d >= b.0)) {
+                    continue;
+                }
+                best.insert(best.partition_point(|b| b.0 <= d), (d, ib, ia));
+                best.truncate(model_size);
+            }
+        });
+        let dets: Vec<(usize, usize)> = best.iter().map(|&(_, ib, ia)| (ib, ia)).collect();
         let m = dets.len();
         let mut h_mm = Matrix::zeros(m, m);
         for (i, &(ib, ia)) in dets.iter().enumerate() {
@@ -124,31 +136,23 @@ impl Preconditioner {
                 );
             }
         }
-        Preconditioner {
-            diag: diag.duplicate(),
-            dets,
-            h_mm,
-        }
+        Preconditioner { diag, dets, h_mm }
     }
 
-    /// `x = (H₀ − E)⁻¹ v`. Out-of-sector entries (diag = ∞) map to zero.
+    /// `x = (H₀ − E)⁻¹ v`. Determinants a truncation excludes (diag = ∞)
+    /// map to zero.
     pub fn apply(&self, v: &DistMatrix, e: f64) -> DistMatrix {
         let out = v.duplicate();
-        {
-            let d = self.diag.to_dense();
-            let mut idx = 0;
-            out.map_inplace(|_, _, val| {
-                let den = d[idx] - e;
-                idx += 1;
-                if !den.is_finite() {
-                    0.0
-                } else if den.abs() < 1e-8 {
-                    val / (1e-8 * den.signum().clamp(-1.0, 1.0))
-                } else {
-                    val / den
-                }
-            });
-        }
+        out.map_with(&self.diag, |val, d| {
+            let den = d - e;
+            if !den.is_finite() {
+                0.0
+            } else if den.abs() < 1e-8 {
+                val / (1e-8 * den.signum().clamp(-1.0, 1.0))
+            } else {
+                val / den
+            }
+        });
         // Exact model-space block: solve (H_MM − E + δ) x_M = v_M. The δ
         // regularization matters: near convergence E approaches the lowest
         // eigenvalue of H_MM, the unshifted solve amplifies by ~1/gap and
@@ -185,9 +189,9 @@ impl Preconditioner {
         &self.h_mm
     }
 
-    /// Shape (rows, cols) of the CI matrix this preconditioner serves.
-    pub fn ci_shape(&self) -> (usize, usize) {
-        (self.diag.nrows(), self.diag.ncols())
+    /// The Hamiltonian diagonal this preconditioner divides by.
+    pub(crate) fn diagonal(&self) -> &DistMatrix {
+        &self.diag
     }
 }
 
@@ -279,13 +283,21 @@ pub fn diagonalize_from(
         nproc,
         "guess distributed over the wrong processor count"
     );
+    assert!(
+        **c0.layout() == space.layout(),
+        "guess is not stored in the space's symmetry sector"
+    );
     space.project_sector(&c0);
     assert!(
         c0.norm() > 0.0,
-        "guess vector has no component in the target symmetry sector"
+        "guess vector has no component in the target sector"
     );
-    let diag = space.diagonal(ctx.ham, nproc);
-    let pre = Preconditioner::new(space, ctx.ham, &diag, opts.model_space);
+    let pre = Preconditioner::new(
+        space,
+        ctx.ham,
+        &space.diagonal(ctx.ham, nproc),
+        opts.model_space,
+    );
     match method {
         DiagMethod::Davidson => davidson(ctx, sigma_method, opts, &pre, c0),
         DiagMethod::TwoVector => two_vector(ctx, sigma_method, opts, &pre, c0),
@@ -322,7 +334,7 @@ fn davidson(
     while iterations < opts.max_iter {
         // σ for the newest basis vector.
         let Some(b) = sub.pending() else { break };
-        let (hb, bd) = apply_sigma_in_sector(ctx, b, sm);
+        let (hb, bd) = apply_sigma(ctx, b, sm);
         ctx.space.project_sector(&hb);
         cost.merge(&bd);
         sub.push_sigma(hb);
@@ -380,7 +392,7 @@ fn two_vector(
     let mut e_hist = Vec::new();
     let mut r_hist = Vec::new();
     c.scale(1.0 / c.norm());
-    let (hc, bd) = apply_sigma_in_sector(ctx, &c, sm);
+    let (hc, bd) = apply_sigma(ctx, &c, sm);
     ctx.space.project_sector(&hc);
     cost.merge(&bd);
     let mut iterations = 1;
@@ -405,7 +417,7 @@ fn two_vector(
             break;
         }
         // One H application per iteration: H·t.
-        let (ht, bd) = apply_sigma_in_sector(ctx, &t, sm);
+        let (ht, bd) = apply_sigma(ctx, &t, sm);
         ctx.space.project_sector(&ht);
         cost.merge(&bd);
         iterations += 1;
@@ -482,7 +494,7 @@ fn single_vector(
     let mut trust = 1.0f64;
 
     while iterations < opts.max_iter {
-        let (sigma, bd) = apply_sigma_in_sector(ctx, &c, sm);
+        let (sigma, bd) = apply_sigma(ctx, &c, sm);
         ctx.space.project_sector(&sigma); // P·H·P for truncated-CI spaces
         cost.merge(&bd);
         iterations += 1;
@@ -541,8 +553,7 @@ fn single_vector(
                     _ => {
                         // First iteration: crude ⟨t|H|t⟩ from the diagonal
                         // ("more crudely estimated", §2.2).
-                        let d = ctx.space.diagonal(ctx.ham, ctx.ddi.nproc());
-                        let v = t.dot3(&d, &t);
+                        let v = t.dot3(pre.diagonal(), &t);
                         let (_w, (x, y)) = eigh_2x2(e, b / tau, v / (tau * tau));
                         (x.abs() > 1e-8).then(|| (y / x) / tau)
                     }

@@ -9,9 +9,10 @@
 //! roots converge together instead of root-flipping.
 
 use crate::diag::{DiagOptions, Preconditioner};
-use crate::sigma::{apply_sigma_in_sector, SigmaBreakdown, SigmaCtx, SigmaMethod};
+use crate::sigma::{apply_sigma, SigmaBreakdown, SigmaCtx, SigmaMethod};
 use fci_ddi::DistMatrix;
 use fci_linalg::{cholesky_lower, eigh, Eigh, Matrix};
+use std::sync::Arc;
 
 /// Result of a multi-root diagonalization.
 #[derive(Debug)]
@@ -70,7 +71,7 @@ pub fn diagonalize_roots(
     while iterations < opts.max_iter * nroots {
         // σ for any basis vectors that lack one.
         while let Some(b) = sub.pending() {
-            let (hb, bd) = apply_sigma_in_sector(ctx, b, sigma_method);
+            let (hb, bd) = apply_sigma(ctx, b, sigma_method);
             space.project_sector(&hb);
             cost.merge(&bd);
             sub.push_sigma(hb);
@@ -289,10 +290,10 @@ impl Preconditioner {
             return Vec::new();
         }
         let es = eigh(self.model_block());
-        let (nrows, ncols) = self.ci_shape();
+        let layout = self.diagonal().layout();
         (0..k.min(dets.len()))
             .map(|r| {
-                let c = DistMatrix::zeros(nrows, ncols, nproc);
+                let c = DistMatrix::with_layout(Arc::clone(layout), nproc);
                 for (i, &(ib, ia)) in dets.iter().enumerate() {
                     c.set(ib, ia, es.eigenvectors[(i, r)]);
                 }

@@ -152,7 +152,7 @@ pub fn solve_resilient_prepared(
             pool: opts.pool,
         };
         let mut c0 = if have_ckp {
-            load_ci(&rec.checkpoint, nproc)?
+            load_ci(&rec.checkpoint, space, nproc)?
         } else {
             initial_guess(&ctx, &opts.diag)
         };
@@ -342,6 +342,32 @@ mod tests {
             "resume did not reuse checkpoint progress: {} vs {}",
             resumed.fci.iterations,
             scratch.fci.iterations
+        );
+    }
+
+    /// The checkpoint of a blocked (4-irrep) vector resumes to the
+    /// uninterrupted energy.
+    #[test]
+    fn resumes_a_symmetry_blocked_solve() {
+        let sym = [2u8, 0, 3, 1, 0, 2];
+        let ham = crate::hamiltonian::random_symmetric_hamiltonian(6, 3, &sym, 4);
+        let space = DetSpace::new(6, 3, 2, &sym, 4, 1);
+        assert!(space.sector_dim() < space.dim());
+        let full = crate::solver::solve_prepared(&space, &ham, &base_opts(3));
+        assert!(full.converged);
+        let path = ckp("blocked.ckp");
+        let mut first = base_opts(3);
+        first.diag.max_iter = 5;
+        let rec = RecoveryOptions::new(&path);
+        let partial = solve_resilient_prepared(&space, &ham, &first, &rec).unwrap();
+        assert!(!partial.fci.converged);
+        let resumed = solve_resilient_prepared(&space, &ham, &base_opts(3), &rec).unwrap();
+        assert!(resumed.fci.converged);
+        assert!(
+            (resumed.fci.energy - full.energy).abs() < 1e-10,
+            "{} vs {}",
+            resumed.fci.energy,
+            full.energy
         );
     }
 

@@ -18,12 +18,11 @@
 //!
 //! ### Symmetry blocks
 //!
-//! The routine computes the α-β part of `P·H·P`, P the projector on the
-//! target irrep. `C(Jα, Jβ)` is in the sector when `g_Jα ⊕ g_Jβ =
-//! target`, i.e. row `(q̃, s)` of D is non-zero in column Kβ only when
-//! `g_q ⊕ g_s = g_Kα ⊕ g_Kβ ⊕ target =: h`, and `(pq|rs)` vanishes unless
-//! `g_p ⊕ g_r = g_q ⊕ g_s`. Kβ strings are sorted by (irrep, mask), so
-//! steps 2–4 run once per irrep block of Kβ:
+//! C stores the target irrep's sector only: `C(Jα, Jβ)` is stored when
+//! `g_Jα ⊕ g_Jβ = target`, i.e. row `(q̃, s)` of D is non-zero in column
+//! Kβ only when `g_q ⊕ g_s = g_Kα ⊕ g_Kβ ⊕ target =: h`, and `(pq|rs)`
+//! vanishes unless `g_p ⊕ g_r = g_q ⊕ g_s`. Kβ strings are sorted by
+//! (irrep, mask), so steps 2–4 run once per irrep block of Kβ:
 //!
 //! ```text
 //! D_h (rows (q̃,s) with g_q ⊕ g_s = h  ×  the Kβ of irrep g_Kα ⊕ h ⊕ target)
@@ -292,7 +291,7 @@ fn process_task_into(
     // one latency charge (and one trace event) per remote owner-run
     // instead of one per column, the paper's size-ordered aggregated
     // gather — then fold the excitation signs while turning the
-    // in-sector rows slot-minor.
+    // in-sector rows (the rows a column stores) slot-minor.
     bufs.cols.clear();
     // lint: allow(alloc) — capacity reserved once in WorkBufs::new; clear+extend never reallocates
     bufs.cols.extend(fam.iter().map(|e| e.to as usize));
@@ -306,7 +305,10 @@ fn process_task_into(
             *t = sgn * v;
         }
     }
-    clock.charge_gather(model, (nq * nbstr) as f64);
+    // The stored length, tallied apart: inside the loop above, the tally
+    // slows the fold.
+    let stored: usize = fam.iter().map(|e| sector_rows(e).len()).sum();
+    clock.charge_gather(model, stored as f64);
     host.lap(GET);
 
     for gkb in 0..n_irrep {
@@ -416,8 +418,9 @@ fn process_task_into(
         host.lap(SCATTER);
     }
 
-    // Accumulate: one full-length α column per slot, zero outside its
-    // in-sector rows (which change only where the slots' irrep does).
+    // Accumulate: one full-length α column per slot, of which `DDI_ACC`
+    // adds the in-sector rows (zero elsewhere; they change only where
+    // the slots' irrep does).
     // What is read of the update is cleared behind the read, which
     // leaves `ut` all zero for the next task.
     let mut filled = 0..0;
@@ -438,7 +441,7 @@ fn process_task_into(
         host.lap(ACC);
     }
     bufs.colbuf[filled].fill(0.0);
-    clock.charge_gather(model, (nq * nbstr) as f64);
+    clock.charge_gather(model, stored as f64);
     clock.charge_scalar(model, (2 * nq + 2 * nkb) as f64);
 }
 
@@ -648,10 +651,9 @@ impl MixedWorker {
     }
 }
 
-/// Apply the mixed-spin contribution of `P·H·P`, P the projector on
-/// `ctx.space.target_irrep`: `sigma += P·H_αβ·P · c`. Out-of-sector
-/// coefficients of `c` are not read, and the out-of-sector rows of every
-/// accumulated column are zero.
+/// Add the mixed-spin contribution `H_αβ · c` into `sigma`, both CI
+/// vectors of `ctx.space`: the family's columns are gathered and
+/// accumulated on their stored (in-sector) rows only.
 pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> RunReport {
     let space = ctx.space;
     let model = ctx.model;

@@ -23,6 +23,7 @@ use crate::hamiltonian::Hamiltonian;
 use crate::taskpool::PoolParams;
 use fci_ddi::{Ddi, DistMatrix};
 use fci_xsim::{MachineModel, RunReport};
+use std::sync::Arc;
 
 /// Everything a σ evaluation needs besides the vector itself.
 pub struct SigmaCtx<'a> {
@@ -97,17 +98,13 @@ impl SigmaBreakdown {
 ///
 /// Returns the distributed σ vector and the simulated-time breakdown.
 ///
-/// With [`SigmaMethod::Dgemm`] this is `P·(H − E_core)·P·C`, P the
-/// projector on `ctx.space.target_irrep`: the kernels multiply only the
-/// in-sector blocks of C, Ĝ and V, so out-of-sector coefficients of `c`
-/// are ignored and those of σ are exactly zero. For a vector inside the
-/// sector — every iterate of the diagonalisers — that is H·C, because H is
-/// totally symmetric. [`SigmaMethod::Moc`], the paper's baseline, stays
-/// full-space: on a point-group space the two agree on the in-sector
-/// entries of an in-sector vector (to ~1e-10, verified by the test
-/// suite), and MOC's out-of-sector entries are whatever rounding left in
-/// the symmetry-forbidden integrals. Only the simulated cost differs
-/// otherwise.
+/// `c` and σ are CI vectors of `ctx.space` ([`DetSpace::zeros_ci`]): they
+/// store the target irrep's sector only, and H is totally symmetric, so
+/// σ is H·C. [`SigmaMethod::Dgemm`] multiplies only the in-sector blocks
+/// of C, Ĝ and V. [`SigmaMethod::Moc`], the paper's baseline, works on
+/// full columns and keeps the sector of its result; the two agree to
+/// ~1e-10 (verified by the test suite, with and without symmetry), and
+/// only the simulated cost differs otherwise.
 pub fn apply_sigma(
     ctx: &SigmaCtx,
     c: &DistMatrix,
@@ -149,7 +146,7 @@ pub fn apply_sigma(
         let host_t0 = tracer.now_us();
         let mut tstats = vec![fci_ddi::CommStats::default(); ctx.ddi.nproc()];
         let ct = c.transpose(&mut tstats);
-        let sigma_t = DistMatrix::zeros(ct.nrows(), ct.ncols(), ctx.ddi.nproc());
+        let sigma_t = DistMatrix::with_layout(Arc::clone(ct.layout()), ctx.ddi.nproc());
         ctx.ddi.adopt(&ct);
         ctx.ddi.adopt(&sigma_t);
         let host_t1 = tracer.now_us();
@@ -181,7 +178,7 @@ pub fn apply_sigma(
         for (ck, st) in tclocks.iter_mut().zip(&tstats) {
             crate::phase::charge_comm(ck, st, ctx.model);
             // Local reshuffle cost of the transpose itself.
-            let elems = (c.nrows() * c.ncols()) as f64 / ctx.ddi.nproc() as f64;
+            let elems = c.layout().stored() as f64 / ctx.ddi.nproc() as f64;
             ck.charge_gather(ctx.model, 2.0 * elems);
         }
         bd.transpose = RunReport::new(tclocks);
@@ -200,25 +197,6 @@ pub fn apply_sigma(
     }
 
     (sigma, bd)
-}
-
-/// [`apply_sigma`] as the diagonalisers call it: on an iterate, which
-/// lies in the sector — the condition under which `P·H·P·C` is `H·C`.
-pub(crate) fn apply_sigma_in_sector(
-    ctx: &SigmaCtx,
-    c: &DistMatrix,
-    method: SigmaMethod,
-) -> (DistMatrix, SigmaBreakdown) {
-    debug_assert!(
-        {
-            let leak = c.duplicate();
-            ctx.space.project_sector(&leak);
-            leak.axpy(-1.0, c);
-            leak.norm() == 0.0
-        },
-        "a solver iterate has coefficients outside its sector"
-    );
-    apply_sigma(ctx, c, method)
 }
 
 #[cfg(test)]
@@ -365,8 +343,8 @@ mod tests {
         }
     }
 
-    /// FNV-1a fold of every σ element's `to_bits()` for a seeded,
-    /// sector-projected vector on the serial backend.
+    /// FNV-1a fold of every σ element's `to_bits()` for a seeded vector on
+    /// the serial backend.
     fn sigma_digest(space: &DetSpace, ham: &Hamiltonian, nproc: usize) -> u64 {
         let ddi = Ddi::new(nproc, Backend::Serial);
         let model = MachineModel::cray_x1();
@@ -378,7 +356,6 @@ mod tests {
             pool: PoolParams::default(),
         };
         let c = random_ci(space, nproc, 17);
-        space.project_sector(&c);
         let (sig, _) = apply_sigma(&ctx, &c, SigmaMethod::Dgemm);
         sig.to_dense().iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
             (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3)

@@ -17,9 +17,8 @@
 //!
 //! ### Symmetry blocks
 //!
-//! The routine computes the row-spin part of `P·H·P`, P the projector on
-//! the target irrep: it reads and writes in-sector coefficients only.
-//! Row `I` of irrep `g_I` is non-zero in the columns of irrep
+//! The routine works on CI vectors that store the target irrep's sector
+//! only. Row `I` of irrep `g_I` is stored in the columns of irrep
 //! `g_I ⊕ target` alone, and strings are sorted by (irrep, mask), so
 //! those columns are one contiguous *run* of a rank's local block. Ĝ is
 //! block-diagonal in the pair irrep `h = g_p ⊕ g_r = g_q ⊕ g_s`, so steps
@@ -37,13 +36,15 @@
 //!
 //! ### Layout
 //!
-//! Gather and scatter move *rows* of a rank's column-major block, so —
-//! as on the X1 — each rank works on a **transposed** local copy of the
-//! in-sector part of its block: per row irrep one sub-block, rows of that
-//! irrep against their run, packed back to back, so that a row's run is
-//! contiguous (with one irrep: `clt[k + j·nloc] = C(j, col₀+k)`, the
-//! whole block). σ is accumulated into a buffer of the same shape and
-//! added back into the distributed σ once at the end, and D is held as
+//! A rank's segment stores its columns' sector rows, column by column, so
+//! the run of row irrep g is one column-major sub-block (the rows of g
+//! against the run's columns) at the run's offset in the segment. Gather
+//! and scatter move *rows* of it, so — as on the X1 — each rank works on
+//! a **transposed** copy: every sub-block transposed in place of itself,
+//! so that a row's run is contiguous (with one irrep:
+//! `clt[k + j·nloc] = C(j, col₀+k)`, the whole block). σ is accumulated
+//! into a buffer of the same shape, transposed back and added into the
+//! distributed σ's segment once at the end, and D is held as
 //! `D_hᵀ` (`run × pairs`), so one family entry is a signed copy of one
 //! contiguous C run into one contiguous D column. The product is still
 //! `E = Ĝ·D`: `Dᵀ` enters the GEMM with [`Trans::Yes`], which hands the
@@ -58,7 +59,7 @@
 use super::{SigmaCtx, MAX_IRREP};
 use crate::hamiltonian::Hamiltonian;
 use crate::phase::{run_phase, HostSplit};
-use fci_ddi::DistMatrix;
+use fci_ddi::{transpose_block, DistMatrix, Layout};
 use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, Trans};
 use fci_strings::{Nm2Families, SinglesTable, SpinStrings};
 use fci_xsim::{Clock, MachineModel, RunReport};
@@ -168,36 +169,6 @@ fn one_electron_list(
     list
 }
 
-/// `dst[b + a·dst_ld] = src[a + b·src_ld]` for `a < nrows`, `b < ncols`:
-/// an `nrows × ncols` block of a column-major matrix with leading
-/// dimension `src_ld`, written transposed into one with leading dimension
-/// `dst_ld` — copied in square tiles so that neither side strides through
-/// more than a tile's worth of lines at a time (two 32×32 `f64` tiles are
-/// 16 KB, L1-resident).
-fn transpose_block(
-    src: &[f64],
-    src_ld: usize,
-    nrows: usize,
-    ncols: usize,
-    dst: &mut [f64],
-    dst_ld: usize,
-) {
-    const TILE: usize = 32;
-    for a0 in (0..nrows).step_by(TILE) {
-        let a1 = nrows.min(a0 + TILE);
-        for b0 in (0..ncols).step_by(TILE) {
-            let b1 = ncols.min(b0 + TILE);
-            for a in a0..a1 {
-                let drow = &mut dst[a * dst_ld + b0..a * dst_ld + b1];
-                let scol = src[a + b0 * src_ld..].iter().step_by(src_ld);
-                for (d, s) in drow.iter_mut().zip(scol) {
-                    *d = *s;
-                }
-            }
-        }
-    }
-}
-
 /// Below this many columns a row is cheaper to walk element by element
 /// than to slice and `zip`: at a run of 1–2 (432 ranks on 715 columns)
 /// the slice bounds and the vector-loop prologue cost more than the row
@@ -249,7 +220,8 @@ struct SubBlock {
     col0: usize,
     /// Length of the run.
     nrun: usize,
-    /// Where the sub-block starts in the rank's transposed buffers.
+    /// Where the sub-block starts in the rank's segment, and in the
+    /// transposed buffers.
     at: usize,
 }
 
@@ -265,8 +237,8 @@ impl SubBlock {
     }
 }
 
-/// Where a rank's in-sector coefficients sit: one [`SubBlock`] per row
-/// irrep, packed back to back in the transposed buffers.
+/// Where a rank's coefficients sit: one [`SubBlock`] per row irrep, which
+/// together tile the rank's segment.
 struct Sector {
     n_irrep: u8,
     blocks: [SubBlock; MAX_IRREP],
@@ -274,10 +246,15 @@ struct Sector {
 
 impl Sector {
     /// The sector of a rank that owns the columns `local` of a matrix
-    /// with `rows` × `cols` strings.
-    fn new(rows: &SpinStrings, cols: &SpinStrings, target: u8, local: Range<usize>) -> Sector {
+    /// with `rows` × `cols` strings, stored in `layout`.
+    fn new(
+        rows: &SpinStrings,
+        cols: &SpinStrings,
+        target: u8,
+        local: Range<usize>,
+        layout: &Layout,
+    ) -> Sector {
         let mut blocks = [SubBlock::default(); MAX_IRREP];
-        let mut at = 0;
         for (g, b) in blocks.iter_mut().enumerate().take(rows.n_irrep()) {
             let (r, c) = (
                 rows.block_range(g as u8),
@@ -287,13 +264,12 @@ impl Sector {
             *b = SubBlock {
                 row0: r.start,
                 nrows: r.len(),
-                at,
                 ..SubBlock::default()
             };
             if lo < hi {
                 (b.col0, b.nrun) = (lo - local.start, hi - lo);
+                b.at = layout.offset(lo) - layout.offset(local.start);
             }
-            at += b.len();
         }
         Sector {
             n_irrep: rows.n_irrep() as u8,
@@ -306,7 +282,7 @@ impl Sector {
         &self.blocks[..self.n_irrep as usize]
     }
 
-    /// In-sector elements of the local block.
+    /// Elements of the local block.
     fn len(&self) -> usize {
         self.blocks().iter().map(SubBlock::len).sum()
     }
@@ -314,9 +290,9 @@ impl Sector {
 
 /// One rank's working storage for a phase.
 struct RankBufs {
-    /// The in-sector part of the C block, transposed: row `j` of irrep g
-    /// is the contiguous run `clt[b.row(j)..][..b.nrun]`, `b` the
-    /// [`SubBlock`] of g — with one irrep, `clt[k + j·nloc] = C(j, col₀+k)`.
+    /// The C block, each sub-block transposed: row `j` of irrep g is the
+    /// contiguous run `clt[b.row(j)..][..b.nrun]`, `b` the [`SubBlock`] of
+    /// g — with one irrep, `clt[k + j·nloc] = C(j, col₀+k)`.
     clt: Vec<f64>,
     /// Transposed σ block in the same layout, zero at the start.
     st: Vec<f64>,
@@ -430,13 +406,12 @@ fn rank_kernel(
     }
 }
 
-/// Apply the row-spin (same-spin + one-electron) half of `P·H·P` for one
-/// spin channel, P the projector on `ctx.space.target_irrep`:
-/// out-of-sector coefficients of `c` are not read and none of `sigma`
-/// are written. `c` and `sigma` must have rows indexed by that spin's
-/// strings; the spin is the one whose `singles` table of `ctx.space` is
-/// handed in. `name` labels the phase in traces ("beta_beta" /
-/// "alpha_alpha").
+/// Add the row-spin (same-spin + one-electron) half of H·C for one spin
+/// channel into `sigma`. `c` and `sigma` must share a layout whose rows
+/// are that spin's strings: a CI vector of `ctx.space` for β, its
+/// transpose for α — the spin is the one whose `singles` table of
+/// `ctx.space` is handed in. `name` labels the phase in traces
+/// ("beta_beta" / "alpha_alpha").
 pub fn half_sigma_dgemm(
     ctx: &SigmaCtx,
     name: &str,
@@ -456,8 +431,8 @@ pub fn half_sigma_dgemm(
         (&space.beta, &space.alpha)
     };
     super::assert_same_point_group(space, ham);
-    let nrows = c.nrows();
-    assert_eq!((rows.len(), cols.len()), (nrows, c.ncols()));
+    assert_eq!((rows.len(), cols.len()), (c.nrows(), c.ncols()));
+    assert!(c.layout() == sigma.layout(), "C and σ stored differently");
     let npair = ham.npair();
     let one_e = one_electron_list(ham, singles, rows);
     let tracer = ctx.ddi.tracer();
@@ -467,7 +442,8 @@ pub fn half_sigma_dgemm(
         if nloc == 0 {
             return;
         }
-        let sector = Sector::new(rows, cols, space.target_irrep, c.local_cols(rank));
+        let local = c.local_cols(rank);
+        let sector = Sector::new(rows, cols, space.target_irrep, local, c.layout());
         let mut host = HostSplit::new(&tracer);
         host.start();
         // The rank's two sector-sized buffers: Cᵀ in, σᵀ out.
@@ -479,8 +455,8 @@ pub fn half_sigma_dgemm(
         };
         c.with_local(rank, |s| {
             for b in sector.blocks() {
-                let src = &s[b.row0 + b.col0 * nrows..];
-                transpose_block(src, nrows, b.nrows, b.nrun, &mut bufs.clt[b.at..], b.nrun);
+                let (src, dst) = (&s[b.at..], &mut bufs.clt[b.at..]);
+                transpose_block(src, b.nrows, b.nrows, b.nrun, dst, b.nrun);
             }
         });
         clock.charge_memcpy(model, (sector.len() * 8) as f64);
@@ -500,22 +476,15 @@ pub fn half_sigma_dgemm(
             )
         });
 
-        // Back to column-major, sub-block by sub-block, through the (now
-        // spent) C buffer, then one contiguous add per column under σ's
-        // lock.
+        // Back to the segment's layout, sub-block by sub-block, through
+        // the (now spent) C buffer, then one contiguous add under σ's lock.
         for b in sector.blocks() {
             let (src, dst) = (&bufs.st[b.at..], &mut bufs.clt[b.at..]);
             transpose_block(src, b.nrun, b.nrun, b.nrows, dst, b.nrows);
         }
         sigma.with_local(rank, |sl| {
-            for b in sector.blocks() {
-                let back = bufs.clt[b.at..b.at + b.len()].chunks_exact(b.nrows.max(1));
-                for (k, col) in (b.col0..).zip(back) {
-                    let rows = k * nrows + b.row0..k * nrows + b.row0 + b.nrows;
-                    for (s, t) in sl[rows].iter_mut().zip(col) {
-                        *s += t;
-                    }
-                }
+            for (s, t) in sl.iter_mut().zip(&bufs.clt) {
+                *s += t;
             }
         });
         host.lap(TRANSPOSE);

@@ -1,31 +1,36 @@
 //! Column-distributed dense matrices with one-sided access.
 
+use crate::layout::Layout;
 use crate::record::{AccessKind, AccessRecorder, DdiAccess, DdiSite};
 use crate::stats::CommStats;
 use fci_fault::{checksum_f64s, FaultPlan, ProtocolFault, TransferFault, TransferOp};
 use fci_obs::{Category, Tracer};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Process-wide matrix id source; ids label matrices in protocol records.
 static NEXT_MAT_ID: AtomicU32 = AtomicU32::new(0);
 
-/// A dense `nrows × ncols` matrix distributed by contiguous column blocks
-/// over `nproc` virtual processors.
+/// An `nrows × ncols` matrix distributed by contiguous column blocks over
+/// `nproc` virtual processors, storing the elements its [`Layout`] names.
 ///
 /// This mirrors the paper's layout: the CI matrix has rows indexed by β
 /// strings and columns by α strings, "distributed by columns evenly among
-/// all the processors" (§3.1). Each processor's segment sits behind its own
-/// mutex — the same per-node lock `DDI_ACC` takes on the X1.
+/// all the processors" (§3.1), and stored blocked by symmetry — column j
+/// holds only the rows of its sector. Elements outside the layout are
+/// zero: they are never stored, read, moved or charged. Each processor's
+/// segment sits behind its own mutex — the same per-node lock `DDI_ACC`
+/// takes on the X1.
 pub struct DistMatrix {
-    nrows: usize,
-    ncols: usize,
+    layout: Arc<Layout>,
     nproc: usize,
     /// Process-unique id; names this matrix in protocol records.
     mat_id: u32,
     /// `col_offsets[p]..col_offsets[p+1]` = columns owned by rank p.
     col_offsets: Vec<usize>,
-    /// Per-rank column-major segments.
+    /// Per-rank segments: the stored elements of the rank's columns,
+    /// column by column.
     segments: Vec<Mutex<Vec<f64>>>,
     /// Optional tracer; remote one-sided ops emit events through it.
     tracer: OnceLock<Tracer>,
@@ -44,8 +49,9 @@ pub struct DistMatrix {
 impl std::fmt::Debug for DistMatrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DistMatrix")
-            .field("nrows", &self.nrows)
-            .field("ncols", &self.ncols)
+            .field("nrows", &self.nrows())
+            .field("ncols", &self.ncols())
+            .field("stored", &self.layout.stored())
             .field("nproc", &self.nproc)
             .field("mat_id", &self.mat_id)
             .field("recorder", &self.recorder.get().is_some())
@@ -54,10 +60,17 @@ impl std::fmt::Debug for DistMatrix {
 }
 
 impl DistMatrix {
-    /// Zero matrix distributed over `nproc` ranks (block column layout,
-    /// remainders spread over the first ranks).
+    /// Full zero matrix distributed over `nproc` ranks (block column
+    /// layout, remainders spread over the first ranks).
     pub fn zeros(nrows: usize, ncols: usize, nproc: usize) -> Self {
+        Self::with_layout(Arc::new(Layout::full(nrows, ncols)), nproc)
+    }
+
+    /// Zero matrix storing the elements of `layout`, its columns
+    /// distributed over `nproc` ranks as [`DistMatrix::zeros`] does.
+    pub fn with_layout(layout: Arc<Layout>, nproc: usize) -> Self {
         assert!(nproc >= 1);
+        let ncols = layout.ncols();
         let base = ncols / nproc;
         let extra = ncols % nproc;
         let mut col_offsets = Vec::with_capacity(nproc + 1);
@@ -68,11 +81,13 @@ impl DistMatrix {
             col_offsets.push(acc);
         }
         let segments = (0..nproc)
-            .map(|p| Mutex::new(vec![0.0; nrows * (col_offsets[p + 1] - col_offsets[p])]))
+            .map(|p| {
+                let n = layout.offset(col_offsets[p + 1]) - layout.offset(col_offsets[p]);
+                Mutex::new(vec![0.0; n])
+            })
             .collect();
         DistMatrix {
-            nrows,
-            ncols,
+            layout,
             nproc,
             mat_id: NEXT_MAT_ID.fetch_add(1, Ordering::Relaxed),
             col_offsets,
@@ -148,12 +163,17 @@ impl DistMatrix {
 
     /// Number of rows.
     pub fn nrows(&self) -> usize {
-        self.nrows
+        self.layout.nrows()
     }
 
     /// Number of columns.
     pub fn ncols(&self) -> usize {
-        self.ncols
+        self.layout.ncols()
+    }
+
+    /// Which elements the matrix stores.
+    pub fn layout(&self) -> &Arc<Layout> {
+        &self.layout
     }
 
     /// Number of virtual processors the columns are distributed over.
@@ -164,7 +184,7 @@ impl DistMatrix {
     /// Owner rank of a column.
     #[inline]
     pub fn owner(&self, col: usize) -> usize {
-        debug_assert!(col < self.ncols);
+        debug_assert!(col < self.ncols());
         // Block distribution: binary search the offsets.
         match self.col_offsets.binary_search(&col) {
             Ok(p) => p.min(self.nproc - 1),
@@ -177,8 +197,9 @@ impl DistMatrix {
         self.col_offsets[p]..self.col_offsets[p + 1]
     }
 
-    /// Run `f` with rank `p`'s segment locked (column-major slab of the
-    /// locally owned columns).
+    /// Run `f` with rank `p`'s segment locked: the stored elements of the
+    /// locally owned columns, column by column (column `j` at
+    /// `layout().offset(j) − layout().offset(local_cols(p).start)`).
     ///
     /// Recorded as lock → read+write → unlock by the calling rank `p`
     /// (the closure gets `&mut`, so a write is assumed conservatively).
@@ -216,12 +237,14 @@ impl DistMatrix {
 
     /// One-sided `DDI_GET` of a set of columns (one column = a one-element
     /// `cols`) into a column-major buffer: `out[i + slot·nrows]` receives
-    /// element `i` of column `cols[slot]`.
+    /// element `i` of column `cols[slot]` for every stored row `i`; the
+    /// other rows of `out` are left as they are.
     ///
     /// `rank` is the calling processor; only remote columns count as
-    /// traffic. Columns in one maximal run of `cols` sharing an owner are
-    /// copied under a **single** lock acquisition and — when the owner is
-    /// remote — charged as **one** strided `SHMEM_GET` message carrying
+    /// traffic, and only their stored elements. Columns in one maximal run
+    /// of `cols` sharing an owner are copied under a **single** lock
+    /// acquisition and — when the owner is remote — charged as **one**
+    /// strided `SHMEM_GET` message carrying
     /// the run's total bytes, with one trace event for the whole run. This
     /// mirrors the "one strided get per remote source rank" model of
     /// [`DistMatrix::transpose`] (the X1's vector gather hardware turns a
@@ -236,7 +259,8 @@ impl DistMatrix {
     /// the plan's [`fci_fault::RetryPolicy`]), and the wasted traffic plus
     /// backoff wait are charged to the caller's stats.
     pub fn get_cols(&self, rank: usize, cols: &[usize], out: &mut [f64], stats: &mut CommStats) {
-        assert_eq!(out.len(), self.nrows * cols.len());
+        let nrows = self.nrows();
+        assert_eq!(out.len(), nrows * cols.len());
         if let Some(plan) = self.faults.get() {
             return self.get_cols_checked(plan, rank, cols, out, stats);
         }
@@ -247,11 +271,11 @@ impl DistMatrix {
             while e < cols.len() && self.owner(cols[e]) == owner {
                 e += 1;
             }
+            let mut moved = 0;
             {
                 let seg = self.segments[owner].lock().unwrap();
                 for slot in s..e {
                     let col = cols[slot];
-                    let local0 = col - self.col_offsets[owner];
                     self.rec(DdiAccess::Access {
                         rank,
                         mat: self.mat_id,
@@ -260,12 +284,14 @@ impl DistMatrix {
                         owner,
                         site: DdiSite::Get,
                     });
-                    out[slot * self.nrows..(slot + 1) * self.nrows]
-                        .copy_from_slice(&seg[local0 * self.nrows..(local0 + 1) * self.nrows]);
+                    let rows = self.layout.rows(col);
+                    moved += rows.len();
+                    out[slot * nrows + rows.start..slot * nrows + rows.end]
+                        .copy_from_slice(&seg[self.local_range(owner, col)]);
                 }
             }
             if owner != rank {
-                let bytes = ((e - s) * self.nrows * 8) as u64;
+                let bytes = (moved * 8) as u64;
                 stats.get_msgs += 1;
                 stats.get_bytes += bytes;
                 if let Some(t) = self.tracer.get() {
@@ -299,10 +325,12 @@ impl DistMatrix {
         out: &mut [f64],
         stats: &mut CommStats,
     ) {
-        let bytes = (self.nrows * 8) as u64;
+        let nrows = self.nrows();
         for (slot, &col) in cols.iter().enumerate() {
             let owner = self.owner(col);
             let range = self.local_range(owner, col);
+            let rows = self.layout.rows(col);
+            let bytes = (rows.len() * 8) as u64;
             plan.note_op();
             let duplicated = owner != rank
                 && self.deliver(plan, TransferOp::Get, rank, col, bytes, stats, |wire| {
@@ -318,7 +346,8 @@ impl DistMatrix {
                     owner,
                     site: DdiSite::Get,
                 });
-                out[slot * self.nrows..(slot + 1) * self.nrows].copy_from_slice(&seg[range]);
+                out[slot * nrows + rows.start..slot * nrows + rows.end]
+                    .copy_from_slice(&seg[range]);
             }
             if owner != rank {
                 stats.count(TransferOp::Get, bytes);
@@ -328,15 +357,17 @@ impl DistMatrix {
         }
     }
 
-    /// One-sided `DDI_ACC`: `column += buf`.
+    /// One-sided `DDI_ACC`: `column += buf` on the column's stored rows
+    /// (`buf` is a whole column; its other rows are not read).
     ///
-    /// Remote accumulation counts 2× the payload bytes (fetch + write-back,
-    /// exactly the SHMEM protocol the paper describes) plus one mutex
-    /// acquisition. Local accumulation still takes the lock (the X1 code
-    /// does too — the lock protects against concurrent remote updates) but
-    /// costs no network bytes.
+    /// Remote accumulation counts 2× the stored payload bytes (fetch +
+    /// write-back, exactly the SHMEM protocol the paper describes) plus one
+    /// mutex acquisition. Local accumulation still takes the lock (the X1
+    /// code does too — the lock protects against concurrent remote
+    /// updates) but costs no network bytes.
     pub fn acc_col(&self, rank: usize, col: usize, buf: &[f64], stats: &mut CommStats) {
-        assert_eq!(buf.len(), self.nrows);
+        assert_eq!(buf.len(), self.nrows());
+        let buf = &buf[self.layout.rows(col)];
         let owner = self.owner(col);
         if let Some(plan) = self.faults.get() {
             plan.note_op();
@@ -353,12 +384,13 @@ impl DistMatrix {
         stats.mutex_acquires += 1;
         if owner != rank {
             stats.acc_msgs += 1;
-            stats.acc_bytes += (self.nrows * 16) as u64;
-            self.trace_op(rank, TransferOp::Acc, (self.nrows * 16) as u64, col, owner);
+            stats.acc_bytes += (buf.len() * 16) as u64;
+            self.trace_op(rank, TransferOp::Acc, (buf.len() * 16) as u64, col, owner);
         }
     }
 
-    /// Remote accumulate under a fault plan: the payload is CRC32-validated
+    /// Remote accumulate under a fault plan (`buf` = the stored rows): the
+    /// payload is CRC32-validated
     /// *before* it is applied, so a corrupted delivery never pollutes the
     /// remote column, and only the validated delivery runs the (recorded)
     /// lock/fence protocol.
@@ -371,7 +403,7 @@ impl DistMatrix {
         buf: &[f64],
         stats: &mut CommStats,
     ) {
-        let bytes = (self.nrows * 16) as u64;
+        let bytes = (buf.len() * 16) as u64;
         let duplicated = self.deliver(plan, TransferOp::Acc, rank, col, bytes, stats, |wire| {
             wire.copy_from_slice(buf)
         });
@@ -392,7 +424,7 @@ impl DistMatrix {
     /// is held so the record order is the true lock order:
     /// lock → SHMEM_GET → add → SHMEM_PUT → fence → unlock. `fence:
     /// false` drops the fence record — [`ProtocolFault::SkipFence`], the
-    /// only caller that passes it.
+    /// only caller that passes it. `buf` holds the column's stored rows.
     fn acc_protocol(&self, rank: usize, col: usize, owner: usize, buf: &[f64], fence: bool) {
         let mut seg = self.segments[owner].lock().unwrap();
         self.rec(DdiAccess::Lock {
@@ -430,11 +462,12 @@ impl DistMatrix {
         });
     }
 
-    /// Positions of column `col` inside `owner`'s column-major segment.
+    /// Positions of column `col`'s stored elements inside `owner`'s
+    /// segment.
     #[inline]
     fn local_range(&self, owner: usize, col: usize) -> std::ops::Range<usize> {
-        let local0 = col - self.col_offsets[owner];
-        local0 * self.nrows..(local0 + 1) * self.nrows
+        let base = self.layout.offset(self.col_offsets[owner]);
+        self.layout.offset(col) - base..self.layout.offset(col + 1) - base
     }
 
     /// Checked delivery of one remote transfer — the one retry loop. Each
@@ -462,11 +495,14 @@ impl DistMatrix {
                 Some(TransferFault::Drop) => {}
                 Some(TransferFault::Corrupt(kind)) => {
                     // lint: allow(alloc) — injected-fault recovery path; never runs in a fault-free production sweep
-                    let mut wire = vec![0.0; self.nrows];
+                    let mut wire = vec![0.0; self.layout.rows(col).len()];
                     fill(&mut wire);
                     let sent = checksum_f64s(&wire);
                     plan.corrupt(kind, &mut wire);
-                    debug_assert_ne!(sent, checksum_f64s(&wire), "corruption escaped the CRC");
+                    debug_assert!(
+                        wire.is_empty() || sent != checksum_f64s(&wire),
+                        "corruption escaped the CRC"
+                    );
                 }
                 fault => return fault == Some(TransferFault::Duplicate),
             }
@@ -609,47 +645,49 @@ impl DistMatrix {
         }
         if owner != rank {
             stats.acc_msgs += 1;
-            stats.acc_bytes += (self.nrows * 16) as u64;
-            self.trace_op(rank, TransferOp::Acc, (self.nrows * 16) as u64, col, owner);
+            stats.acc_bytes += (buf.len() * 16) as u64;
+            self.trace_op(rank, TransferOp::Acc, (buf.len() * 16) as u64, col, owner);
         }
     }
 
-    /// Gather the whole matrix into a local column-major buffer
-    /// (test/diagnostic helper; not part of the scalable path).
+    /// Gather the whole matrix into a local column-major buffer, zero
+    /// where nothing is stored (test/diagnostic helper; not part of the
+    /// scalable path).
     pub fn to_dense(&self) -> Vec<f64> {
-        self.rec_barrier();
-        let mut out = vec![0.0; self.nrows * self.ncols];
-        for p in 0..self.nproc {
-            let seg = self.segments[p].lock().unwrap();
-            let c0 = self.col_offsets[p];
-            out[c0 * self.nrows..(c0 + seg.len() / self.nrows.max(1)) * self.nrows]
-                .copy_from_slice(&seg);
-        }
+        let nrows = self.nrows();
+        let mut out = vec![0.0; nrows * self.ncols()];
+        self.map_cols_inplace(|col, rows, vals| {
+            out[col * nrows + rows.start..col * nrows + rows.end].copy_from_slice(vals);
+        });
         out
     }
 
-    /// Load from a local column-major buffer.
+    /// Load a full matrix from a local column-major buffer.
     pub fn from_dense(nrows: usize, ncols: usize, nproc: usize, data: &[f64]) -> Self {
         assert_eq!(data.len(), nrows * ncols);
         let m = Self::zeros(nrows, ncols, nproc);
-        for p in 0..nproc {
-            let mut seg = m.segments[p].lock().unwrap();
-            let (start, n) = (m.col_offsets[p] * nrows, seg.len());
-            seg.copy_from_slice(&data[start..start + n]);
-        }
+        m.map_cols_inplace(|col, _, vals| vals.copy_from_slice(&data[col * nrows..][..nrows]));
         m
     }
 
-    // ----- distributed vector algebra (treats the matrix as one long
-    // vector; every op runs segment-local and reduces) -----
+    /// Both operands store the same elements on the same ranks.
+    fn assert_conforms(&self, other: &DistMatrix) {
+        assert!(
+            self.nproc == other.nproc
+                && (Arc::ptr_eq(&self.layout, &other.layout) || self.layout == other.layout),
+            "operands differ in layout or rank count"
+        );
+    }
+
+    // ----- distributed vector algebra (treats the stored elements as one
+    // long vector; every op runs segment-local and reduces) -----
 
     /// Global Frobenius inner product `⟨self, other⟩`.
     ///
     /// Safe to call with `other` aliasing `self` (the per-segment mutexes
     /// are not reentrant, so the aliased case takes each lock once).
     pub fn dot(&self, other: &DistMatrix) -> f64 {
-        assert_eq!((self.nrows, self.ncols), (other.nrows, other.ncols));
-        assert_eq!(self.nproc, other.nproc);
+        self.assert_conforms(other);
         self.rec_barrier();
         other.rec_barrier();
         let aliased = std::ptr::eq(self, other);
@@ -673,19 +711,23 @@ impl DistMatrix {
 
     /// `self += a · other`.
     pub fn axpy(&self, a: f64, other: &DistMatrix) {
+        self.map_with(other, |x, y| x + a * y);
+    }
+
+    /// `self ← f(self, other)`, element by element.
+    pub fn map_with(&self, other: &DistMatrix, mut f: impl FnMut(f64, f64) -> f64) {
         assert!(
             !std::ptr::eq(self, other),
-            "axpy operands must not alias (non-reentrant locks)"
+            "operands must not alias (non-reentrant locks)"
         );
-        assert_eq!((self.nrows, self.ncols), (other.nrows, other.ncols));
-        assert_eq!(self.nproc, other.nproc);
+        self.assert_conforms(other);
         self.rec_barrier();
         other.rec_barrier();
         for p in 0..self.nproc {
             let mut x = self.segments[p].lock().unwrap();
             let y = other.segments[p].lock().unwrap();
             for (xi, yi) in x.iter_mut().zip(y.iter()) {
-                *xi += a * yi;
+                *xi = f(*xi, *yi);
             }
         }
         self.rec_barrier();
@@ -704,38 +746,42 @@ impl DistMatrix {
         self.rec_barrier();
     }
 
-    /// A new matrix with this one's shape, distribution and contents.
+    /// A new matrix with this one's layout, distribution and contents.
     pub fn duplicate(&self) -> DistMatrix {
         self.rec_barrier();
-        let out = DistMatrix::zeros(self.nrows, self.ncols, self.nproc);
+        let out = DistMatrix::with_layout(Arc::clone(&self.layout), self.nproc);
         for (dst, src) in out.segments.iter().zip(&self.segments) {
             dst.lock().unwrap().copy_from_slice(&src.lock().unwrap());
         }
         out
     }
 
-    /// Read one element (diagnostic / small-model-space use; takes the
-    /// owner's lock per call).
+    /// Read one element, zero if it is not stored (diagnostic /
+    /// small-model-space use; takes the owner's lock per call).
     pub fn get(&self, row: usize, col: usize) -> f64 {
-        assert!(row < self.nrows && col < self.ncols);
+        assert!(row < self.nrows() && col < self.ncols());
+        let rows = self.layout.rows(col);
+        if !rows.contains(&row) {
+            return 0.0;
+        }
         let p = self.owner(col);
-        self.segments[p].lock().unwrap()[self.local_range(p, col).start + row]
+        self.segments[p].lock().unwrap()[self.local_range(p, col).start + row - rows.start]
     }
 
-    /// Write one element (diagnostic / small-model-space use).
+    /// Write one stored element (diagnostic / small-model-space use).
     pub fn set(&self, row: usize, col: usize, v: f64) {
-        assert!(row < self.nrows && col < self.ncols);
+        let rows = self.layout.rows(col);
+        assert!(rows.contains(&row), "({row}, {col}) is not stored");
         let p = self.owner(col);
-        self.segments[p].lock().unwrap()[self.local_range(p, col).start + row] = v;
+        self.segments[p].lock().unwrap()[self.local_range(p, col).start + row - rows.start] = v;
     }
 
     /// Weighted inner product `Σ_i w_i a_i b_i`, skipping entries whose
-    /// weight is not finite (used with sector-masked diagonals, where
-    /// out-of-sector weights are ∞ against structurally zero vectors).
+    /// weight is not finite (used with excitation-masked diagonals, where
+    /// excluded weights are ∞ against structurally zero vectors).
     pub fn dot3(&self, w: &DistMatrix, other: &DistMatrix) -> f64 {
-        assert_eq!((self.nrows, self.ncols), (other.nrows, other.ncols));
-        assert_eq!((self.nrows, self.ncols), (w.nrows, w.ncols));
-        assert_eq!(self.nproc, other.nproc);
+        self.assert_conforms(other);
+        self.assert_conforms(w);
         self.rec_barrier();
         w.rec_barrier();
         other.rec_barrier();
@@ -771,64 +817,83 @@ impl DistMatrix {
         acc
     }
 
-    /// Elementwise map in place.
+    /// Elementwise map in place over the stored elements, as
+    /// `f(row, col, value)`.
     pub fn map_inplace(&self, mut f: impl FnMut(usize, usize, f64) -> f64) {
-        self.map_cols_inplace(|col, vals| {
-            for (row, v) in vals.iter_mut().enumerate() {
+        self.map_cols_inplace(|col, rows, vals| {
+            for (row, v) in rows.zip(vals) {
                 *v = f(row, col, *v);
             }
         });
     }
 
-    /// Hand `f` every column in index order, as `(column, its values)`.
-    pub fn map_cols_inplace(&self, mut f: impl FnMut(usize, &mut [f64])) {
+    /// Hand `f` every column in index order, as `(column, the rows it
+    /// stores, their values)`.
+    pub fn map_cols_inplace(&self, mut f: impl FnMut(usize, Range<usize>, &mut [f64])) {
         self.rec_barrier();
         for p in 0..self.nproc {
             let mut seg = self.segments[p].lock().unwrap();
-            let cols = self.local_cols(p);
-            for (col, vals) in cols.zip(seg.chunks_exact_mut(self.nrows.max(1))) {
-                f(col, vals);
+            for col in self.local_cols(p) {
+                f(
+                    col,
+                    self.layout.rows(col),
+                    &mut seg[self.local_range(p, col)],
+                );
             }
         }
         self.rec_barrier();
     }
 
-    /// Distributed transpose: returns a new `ncols × nrows` matrix with the
-    /// same processor count. Bytes for every element whose source and
-    /// destination rank differ are charged to the *destination* rank's
-    /// stats entry, modelling an all-to-all built from one-sided gets.
+    /// Distributed transpose: a new `ncols × nrows` matrix with the
+    /// transposed layout and the same processor count. Bytes for every
+    /// stored element whose source and destination rank differ are
+    /// charged to the *destination* rank's stats entry, modelling an
+    /// all-to-all built from one-sided gets.
     pub fn transpose(&self, stats: &mut [CommStats]) -> DistMatrix {
         assert_eq!(stats.len(), self.nproc);
         self.rec_barrier();
-        let mut t = DistMatrix::zeros(self.ncols, self.nrows, self.nproc);
+        let lay = &*self.layout;
+        let mut t = DistMatrix::with_layout(Arc::new(lay.transposed()), self.nproc);
+        let tl = Arc::clone(&t.layout);
         let new_cols: Vec<_> = (0..self.nproc).map(|p| t.local_cols(p)).collect();
+        let t_owner: Vec<_> = (0..self.nrows()).map(|r| t.owner(r)).collect();
         // `t` is not shared yet: write its segments without locking.
         let mut dsts: Vec<&mut Vec<f64>> = t
             .segments
             .iter_mut()
             .map(|m| m.get_mut().unwrap_or_else(|e| e.into_inner()))
             .collect();
-        // Old element (r, c) becomes new element (c, r): owner `o` of old
-        // column c holds it at `r + (c − c₀)·nrows`, owner `p` of new
-        // column r receives it at `c + (r − r₀)·ncols`. Copy tile by tile
-        // so neither side strides through more than a tile's rows.
-        const TILE: usize = 32;
+        // Block by block: owner `o`'s old columns `cols` of irrep g store
+        // the old rows `rows` (one column-major block, leading dimension
+        // `rows.len()`); each new column r of `rows` stores the old
+        // columns of irrep g (leading dimension `cb.len()`), so the part of
+        // the block that rank p's new columns own is one block transpose.
         for o in 0..self.nproc {
             let src = self.segments[o].lock().unwrap();
             let oc = self.local_cols(o);
-            for (dst, nr) in dsts.iter_mut().zip(&new_cols) {
-                for r0 in nr.clone().step_by(TILE) {
-                    let r1 = nr.end.min(r0 + TILE);
-                    for c0 in oc.clone().step_by(TILE) {
-                        let c1 = oc.end.min(c0 + TILE);
-                        for r in r0..r1 {
-                            let drow = &mut dst[(r - nr.start) * self.ncols..][c0..c1];
-                            let scol = &src[r + (c0 - oc.start) * self.nrows..];
-                            for (d, s) in drow.iter_mut().zip(scol.iter().step_by(self.nrows)) {
-                                *d = *s;
-                            }
-                        }
+            let base = lay.offset(oc.start);
+            for g in 0..lay.n_irrep() {
+                let (cb, rows) = lay.block(g);
+                let cols = cb.start.max(oc.start)..cb.end.min(oc.end);
+                if cols.is_empty() || rows.is_empty() {
+                    continue;
+                }
+                for p in t_owner[rows.start]..=t_owner[rows.end - 1] {
+                    let nr = &new_cols[p];
+                    let r = rows.start.max(nr.start)..rows.end.min(nr.end);
+                    if r.is_empty() {
+                        continue;
                     }
+                    let s0 = lay.offset(cols.start) - base + (r.start - rows.start);
+                    let d0 = tl.offset(r.start) - tl.offset(nr.start) + (cols.start - cb.start);
+                    transpose_block(
+                        &src[s0..],
+                        rows.len(),
+                        r.len(),
+                        cols.len(),
+                        &mut dsts[p][d0..],
+                        cb.len(),
+                    );
                 }
             }
         }
@@ -836,17 +901,28 @@ impl DistMatrix {
         // Rank p fetches its new columns' elements from every other rank
         // that owns an old column: one strided SHMEM_GET per source (the
         // X1's vector gather hardware makes strided remote reads a single
-        // operation, so we do not charge per-element latency).
+        // operation, so we do not charge per-element latency). Under a
+        // blocked layout a source may hold nothing for p; its message is
+        // still charged, so the count does not depend on the layout
+        // (ROADMAP item 10 weighs changing that).
         let owners = (0..self.nproc)
             .filter(|&o| !self.local_cols(o).is_empty())
             .count();
         for (p, stat) in stats.iter_mut().enumerate() {
-            let own_cols = self.local_cols(p).len();
+            let own = self.local_cols(p);
+            // Stored elements of the new columns whose old column is not p's.
+            let remote_elems: usize = new_cols[p]
+                .clone()
+                .map(|r| {
+                    let c = tl.rows(r);
+                    c.len() - c.end.min(own.end).saturating_sub(c.start.max(own.start))
+                })
+                .sum();
             let (remote, msgs) = match new_cols[p].len() {
                 0 => (0, 0),
-                n => (
-                    (8 * n * (self.ncols - own_cols)) as u64,
-                    (owners - usize::from(own_cols > 0)) as u64,
+                _ => (
+                    (8 * remote_elems) as u64,
+                    (owners - usize::from(!own.is_empty())) as u64,
                 ),
             };
             stat.get_bytes += remote;
@@ -861,6 +937,37 @@ impl DistMatrix {
             }
         }
         t
+    }
+}
+
+/// `dst[b + a·dst_ld] = src[a + b·src_ld]` for `a < nrows`, `b < ncols`:
+/// an `nrows × ncols` block of a column-major matrix with leading
+/// dimension `src_ld`, written transposed into one with leading dimension
+/// `dst_ld` — copied in square tiles so that neither side strides through
+/// more than a tile's worth of lines at a time (two 32×32 `f64` tiles are
+/// 16 KB, L1-resident). The distributed transpose and the same-spin σ's
+/// per-rank transposes both run on it.
+pub fn transpose_block(
+    src: &[f64],
+    src_ld: usize,
+    nrows: usize,
+    ncols: usize,
+    dst: &mut [f64],
+    dst_ld: usize,
+) {
+    const TILE: usize = 32;
+    for a0 in (0..nrows).step_by(TILE) {
+        let a1 = nrows.min(a0 + TILE);
+        for b0 in (0..ncols).step_by(TILE) {
+            let b1 = ncols.min(b0 + TILE);
+            for a in a0..a1 {
+                let drow = &mut dst[a * dst_ld + b0..a * dst_ld + b1];
+                let scol = src[a + b0 * src_ld..].iter().step_by(src_ld);
+                for (d, s) in drow.iter_mut().zip(scol) {
+                    *d = *s;
+                }
+            }
+        }
     }
 }
 
@@ -1115,7 +1222,8 @@ mod tests {
     fn map_cols_inplace_hands_out_whole_columns() {
         let m = DistMatrix::zeros(2, 5, 3);
         let mut seen = Vec::new();
-        m.map_cols_inplace(|col, vals| {
+        m.map_cols_inplace(|col, rows, vals| {
+            assert_eq!(rows, 0..2);
             seen.push(col);
             vals[1] = col as f64;
         });
@@ -1129,5 +1237,67 @@ mod tests {
         let m = DistMatrix::zeros(2, 3, 2);
         m.map_inplace(|r, c, _| (r * 10 + c) as f64);
         assert_eq!(m.to_dense(), vec![0.0, 10.0, 1.0, 11.0, 2.0, 12.0]);
+    }
+
+    /// Two irreps, target 1: rows 0..3 | 3..7, columns 0..4 | 4..6, so
+    /// columns 0..4 store rows 3..7 and columns 4..6 rows 0..3.
+    fn blocked(nproc: usize) -> DistMatrix {
+        let m =
+            DistMatrix::with_layout(Arc::new(Layout::blocked(&[0, 3, 7], &[0, 4, 6], 1)), nproc);
+        m.map_inplace(|r, c, _| (1 + r * 10 + c) as f64);
+        m
+    }
+
+    #[test]
+    fn blocked_layout_stores_only_its_sector() {
+        let m = blocked(3);
+        assert_eq!(m.layout().stored(), 4 * 4 + 2 * 3);
+        let dense = m.to_dense();
+        for (i, &v) in dense.iter().enumerate() {
+            let (r, c) = (i % 7, i / 7);
+            let stored = (r >= 3) == (c < 4);
+            assert_eq!(v, if stored { (1 + r * 10 + c) as f64 } else { 0.0 });
+            assert_eq!(m.get(r, c), v);
+        }
+        // A get fills only the stored rows of the caller's buffer and
+        // charges only them; an accumulate adds only them.
+        let mut st = CommStats::default();
+        let mut out = [-1.0; 14];
+        m.get_cols(0, &[5, 1], &mut out, &mut st);
+        assert_eq!(&out[..7], &[6.0, 16.0, 26.0, -1.0, -1.0, -1.0, -1.0]);
+        assert_eq!(&out[7..], &[-1.0, -1.0, -1.0, 32.0, 42.0, 52.0, 62.0]);
+        assert_eq!((st.get_msgs, st.get_bytes), (1, 24));
+        m.acc_col(0, 5, &[1.0; 7], &mut st);
+        assert_eq!((st.acc_msgs, st.acc_bytes), (1, 48));
+        assert_eq!(m.get(0, 5), 7.0);
+        assert_eq!(m.get(3, 5), 0.0);
+    }
+
+    #[test]
+    fn blocked_transpose_round_trips_and_charges_stored_bytes() {
+        for nproc in [1, 2, 3, 7] {
+            let m = blocked(nproc);
+            let dense = m.to_dense();
+            let mut stats = vec![CommStats::default(); nproc];
+            let t = m.transpose(&mut stats);
+            assert_eq!(**t.layout(), m.layout().transposed());
+            let td = t.to_dense();
+            for r in 0..7 {
+                for c in 0..6 {
+                    assert_eq!(td[c + r * 6], dense[r + c * 7]);
+                }
+            }
+            // Bytes: every stored element whose old and new owners differ.
+            let mut remote = 0;
+            for c in 0..6 {
+                for r in m.layout().rows(c) {
+                    remote += 8 * usize::from(m.owner(c) != t.owner(r));
+                }
+            }
+            let bytes: u64 = stats.iter().map(|s| s.get_bytes).sum();
+            assert_eq!(bytes, remote as u64, "nproc {nproc}");
+            let back = t.transpose(&mut stats);
+            assert_eq!((back.layout(), back.to_dense()), (m.layout(), dense));
+        }
     }
 }

@@ -25,6 +25,10 @@
 //! Every operation updates per-rank [`CommStats`] so harnesses can report
 //! communication volumes the way Table 3 does.
 //!
+//! A [`DistMatrix`] stores the elements its [`Layout`] names — for a CI
+//! vector the symmetry sector, one contiguous row range per column — and
+//! every operation moves and charges those alone.
+//!
 //! For correctness analysis, every one-sided operation can additionally
 //! report its protocol steps (lock, get, put, fence, unlock, counter swap)
 //! to an [`AccessRecorder`] — see [`record`] and the `fci-check` crate's
@@ -38,14 +42,16 @@
 //! the caller's [`CommStats`].
 
 pub mod dist;
+pub mod layout;
 pub mod record;
 pub mod stats;
 pub mod world;
 
-pub use dist::DistMatrix;
+pub use dist::{transpose_block, DistMatrix};
 pub use fci_fault::{
     Corruption, FaultConfig, FaultPlan, FaultStats, ProtocolFault, RankDeath, RetryPolicy,
 };
+pub use layout::Layout;
 pub use record::{
     protocol_events, AccessKind, AccessRecorder, CheckConfig, DdiAccess, DdiSite, TraceRecorder,
 };

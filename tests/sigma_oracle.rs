@@ -8,13 +8,17 @@
 //! the Slater–Condon rules, over seeded random Hamiltonians whose
 //! forbidden integrals are exact zeros, for 1, 2, 4 and 8 irreps with
 //! unsorted orbital labels and **every** target irrep.
+//!
+//! A CI vector stores only its sector, so the same cases also pin the
+//! storage: its size, the blocked transpose, and the vector algebra
+//! against plain loops over the full product.
 
 use fcix::core::slater::dense_h;
 use fcix::core::{
     apply_sigma, diagonalize, diagonalize_roots, random_symmetric_hamiltonian, DetSpace,
     DiagMethod, DiagOptions, Hamiltonian, PoolParams, SigmaCtx, SigmaMethod,
 };
-use fcix::ddi::{Backend, Ddi, DistMatrix};
+use fcix::ddi::{Backend, CommStats, Ddi, DistMatrix};
 use fcix::fault::Xorshift64;
 use fcix::linalg::{eigh, Matrix};
 use fcix::xsim::MachineModel;
@@ -43,13 +47,12 @@ const ELECTRONS: [(usize, usize, usize); 7] = [
     (5, 2, 3),
 ];
 
-/// A seeded vector with every coefficient in (−½, ½), projected on the
-/// space's sector.
+/// A seeded CI vector with every (stored, in-sector) coefficient in
+/// (−½, ½).
 fn random_sector_vector(space: &DetSpace, nproc: usize, seed: u64) -> DistMatrix {
     let c = space.zeros_ci(nproc);
     let mut rng = Xorshift64::new(seed);
     c.map_inplace(|_, _, _| rng.next_f64() - 0.5);
-    space.project_sector(&c);
     c
 }
 
@@ -141,6 +144,64 @@ fn blocked_sigma_matches_explicit_hamiltonian_on_threads() {
         let space = DetSpace::new(6, 3, 2, &labels, n_irrep, target);
         let ddi = Ddi::new(3, Backend::Threads);
         check_sigma(&space, &ham, &h, &ddi, &format!("threads, target {target}"));
+    }
+}
+
+/// Bit patterns, for exact comparisons that tell −0.0 from 0.0.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A CI vector stores exactly the sector; its transpose is blocked and
+/// undoes itself; and `dot`, `norm`, `axpy` and `dot3` on the stored
+/// elements are, bit for bit, the same loops over the full β × α product
+/// (`dot` sums each rank's columns, then the ranks; `dot3` is one running
+/// sum in α-major order): the dropped zeros add only `±0.0` terms.
+#[test]
+fn blocked_storage_matches_full_product_loops() {
+    for (n_irrep, labels) in LABELS {
+        for (n, na, nb) in ELECTRONS {
+            let sym = &labels[..n];
+            for target in 0..n_irrep as u8 {
+                let space = DetSpace::new(n, na, nb, sym, n_irrep, target);
+                for nproc in [1, 2, 5, 40] {
+                    let what = format!(
+                        "{n_irrep} irreps, ({na},{nb}) in {n}, target {target}, {nproc} ranks"
+                    );
+                    let (a, b) = (
+                        random_sector_vector(&space, nproc, 5),
+                        random_sector_vector(&space, nproc, 6),
+                    );
+                    assert_eq!(a.layout().stored(), space.sector_dim(), "{what}");
+                    let (da, db) = (a.to_dense(), b.to_dense());
+                    let mut stats = vec![CommStats::default(); nproc];
+                    let back = a.transpose(&mut stats).transpose(&mut stats);
+                    assert_eq!(back.layout(), a.layout(), "{what}");
+                    assert_eq!(bits(&back.to_dense()), bits(&da), "{what}");
+
+                    let rank_sums = |f: &dyn Fn(usize) -> f64| {
+                        (0..nproc).fold(0.0, |acc, p| {
+                            let cols = a.local_cols(p);
+                            acc + (cols.start * space.beta.len()..cols.end * space.beta.len())
+                                .map(f)
+                                .sum::<f64>()
+                        })
+                    };
+                    let dot = rank_sums(&|i| da[i] * db[i]);
+                    assert_eq!(a.dot(&b).to_bits(), dot.to_bits(), "dot, {what}");
+                    let norm = rank_sums(&|i| da[i] * da[i]).sqrt();
+                    assert_eq!(a.norm().to_bits(), norm.to_bits(), "norm, {what}");
+                    let mut dot3 = 0.0;
+                    for i in 0..da.len() {
+                        dot3 += db[i] * da[i] * da[i];
+                    }
+                    assert_eq!(a.dot3(&b, &a).to_bits(), dot3.to_bits(), "dot3, {what}");
+                    b.axpy(-0.375, &a);
+                    let axpy: Vec<f64> = db.iter().zip(&da).map(|(y, x)| y + -0.375 * x).collect();
+                    assert_eq!(bits(&b.to_dense()), bits(&axpy), "axpy, {what}");
+                }
+            }
+        }
     }
 }
 
