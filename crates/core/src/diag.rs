@@ -6,6 +6,7 @@
 //!   vectors accumulate as basis vectors; the optimal mixing comes from
 //!   the subspace eigenproblem each iteration. Memory grows with the
 //!   subspace — the limitation the paper's single-vector method removes.
+//!   It is the one-root case of [`crate::multiroot::block_davidson`].
 //! * [`DiagMethod::Olsen`] — Olsen's original single-vector scheme:
 //!   `C ← normalize(C + t)`. No minimization, so convergence is not
 //!   guaranteed (the paper shows it failing to converge tightly).
@@ -22,12 +23,12 @@
 
 use crate::detspace::DetSpace;
 use crate::hamiltonian::Hamiltonian;
-use crate::multiroot::Subspace;
+use crate::multiroot::block_davidson;
 use crate::sigma::{apply_sigma, SigmaBreakdown, SigmaCtx, SigmaMethod};
 use crate::slater;
 use fci_ddi::DistMatrix;
 use fci_linalg::{eigh_2x2, lu_solve, Matrix};
-use fci_obs::Category;
+use fci_obs::{Category, Tracer};
 
 /// Which update scheme drives the iteration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,29 +196,58 @@ impl Preconditioner {
     }
 }
 
-/// Emit one solver-iteration telemetry point (energy, residual) through
-/// the tracer attached to the context's DDI world, if any.
-fn trace_iteration(ctx: &SigmaCtx, iter: usize, e: f64, res: f64) {
-    let t = ctx.ddi.tracer();
-    t.instant(
-        None,
-        "diag_iter",
-        Category::Other,
-        &[("iter", iter as f64), ("energy", e), ("residual", res)],
-    );
-    if let Some(m) = t.metrics() {
-        m.counter_incr("davidson.iters", &[]);
-        m.gauge_set("davidson.residual", &[], res);
-        // Simulated seconds this iteration cost: the advance of rank 0's
-        // cursor since the previous `diag_iter` point, parked in a gauge
-        // between calls.
-        let now = t.cursor(0);
-        let prev = m.value("davidson.cursor_s", &[]).unwrap_or(0.0);
-        m.gauge_set("davidson.cursor_s", &[], now);
-        if now > prev {
-            m.observe("davidson.iter_s", &[], now - prev);
+/// A solver's iteration telemetry. Each point emits a `diag_iter` instant
+/// (iteration, energy, residual), advances the `davidson.iters` counter
+/// by the σ evaluations behind it, sets the `davidson.residual` gauge,
+/// and observes `davidson.iter_s`: the simulated seconds rank 0's cursor
+/// advanced since the previous point, or since the solver started. The
+/// previous cursor is this struct's own state, so solves sharing a
+/// registry do not see each other's.
+pub(crate) struct IterTrace {
+    tracer: Tracer,
+    prev_s: f64,
+}
+
+impl IterTrace {
+    pub(crate) fn new(tracer: Tracer) -> IterTrace {
+        IterTrace {
+            prev_s: tracer.cursor(0),
+            tracer,
         }
     }
+
+    pub(crate) fn point(&mut self, iter: usize, sigmas: usize, e: f64, res: f64) {
+        let t = &self.tracer;
+        t.instant(
+            None,
+            "diag_iter",
+            Category::Other,
+            &[("iter", iter as f64), ("energy", e), ("residual", res)],
+        );
+        if let Some(m) = t.metrics() {
+            m.counter_add("davidson.iters", &[], sigmas as f64);
+            m.gauge_set("davidson.residual", &[], res);
+            let now = t.cursor(0);
+            if now > self.prev_s {
+                m.observe("davidson.iter_s", &[], now - self.prev_s);
+            }
+            self.prev_s = now;
+        }
+    }
+}
+
+/// `σ = H·c` through the context's σ algorithm, projected onto the space
+/// (a no-op without a CI truncation), its simulated cost added to `cost`.
+pub(crate) fn projected_sigma(
+    ctx: &SigmaCtx,
+    sm: SigmaMethod,
+    c: &DistMatrix,
+    cost: &mut SigmaBreakdown,
+) -> DistMatrix {
+    let (sigma, bd) = apply_sigma(ctx, c, sm);
+    ctx.space.project_sector(&sigma);
+    cost.merge(&bd);
+    sigma
 }
 
 /// Olsen correction vector: `t = −[(H₀−E)⁻¹ r − Δ (H₀−E)⁻¹ C]` with Δ
@@ -299,7 +329,29 @@ pub fn diagonalize_from(
         opts.model_space,
     );
     match method {
-        DiagMethod::Davidson => davidson(ctx, sigma_method, opts, &pre, c0),
+        DiagMethod::Davidson => {
+            c0.scale(1.0 / c0.norm());
+            let mut cost = SigmaBreakdown::default();
+            let mut run = block_davidson(
+                vec![c0],
+                1,
+                opts.max_subspace,
+                opts.max_iter,
+                opts.tol,
+                |b| projected_sigma(ctx, sigma_method, b, &mut cost),
+                |e, c, r| olsen_correction(&pre, c, r, e),
+                &ctx.ddi.tracer(),
+            );
+            DiagResult {
+                e_elec: run.energies[0],
+                iterations: run.sigmas,
+                converged: run.converged[0],
+                energy_history: run.energy_history,
+                residual_history: run.residual_history,
+                c: run.states.swap_remove(0),
+                sigma_cost: cost,
+            }
+        }
         DiagMethod::TwoVector => two_vector(ctx, sigma_method, opts, &pre, c0),
         DiagMethod::Olsen => single_vector(ctx, sigma_method, opts, &pre, c0, Lambda::Fixed(1.0)),
         DiagMethod::OlsenDamped => single_vector(
@@ -311,70 +363,6 @@ pub fn diagonalize_from(
             Lambda::Fixed(opts.fixed_lambda),
         ),
         DiagMethod::AutoAdjust => single_vector(ctx, sigma_method, opts, &pre, c0, Lambda::Auto),
-    }
-}
-
-fn davidson(
-    ctx: &SigmaCtx,
-    sm: SigmaMethod,
-    opts: &DiagOptions,
-    pre: &Preconditioner,
-    c0: DistMatrix,
-) -> DiagResult {
-    let mut cost = SigmaBreakdown::default();
-    let mut e_hist = Vec::new();
-    let mut r_hist = Vec::new();
-    c0.scale(1.0 / c0.norm());
-    let (mut best_c, mut best_e) = (c0.duplicate(), 0.0);
-    let mut sub = Subspace::new(vec![c0]);
-
-    let mut iterations = 0;
-    let mut converged = false;
-
-    while iterations < opts.max_iter {
-        // σ for the newest basis vector.
-        let Some(b) = sub.pending() else { break };
-        let (hb, bd) = apply_sigma(ctx, b, sm);
-        ctx.space.project_sector(&hb);
-        cost.merge(&bd);
-        sub.push_sigma(hb);
-        iterations += 1;
-
-        let es = sub.ritz();
-        let (theta, c, r, res) = sub.ritz_pair(&es, 0);
-        e_hist.push(theta);
-        r_hist.push(res);
-        trace_iteration(ctx, iterations, theta, res);
-        (best_c, best_e) = (c, theta);
-        if res < opts.tol {
-            converged = true;
-            break;
-        }
-
-        let t = olsen_correction(pre, &best_c, &r, theta);
-        if sub.len() >= opts.max_subspace {
-            // Collapse to the Ritz vector; its σ is rebuilt on the next
-            // loop head (costs one extra σ — the standard thick-restart
-            // tradeoff).
-            sub = Subspace::new(vec![best_c.duplicate()]);
-            continue;
-        }
-        // Two block-CGS passes against the basis, each followed by a
-        // normalization.
-        if sub.expand(vec![t]) == 0 {
-            converged = res < opts.tol * 10.0;
-            break;
-        }
-    }
-
-    DiagResult {
-        e_elec: best_e,
-        iterations,
-        converged,
-        energy_history: e_hist,
-        residual_history: r_hist,
-        c: best_c,
-        sigma_cost: cost,
     }
 }
 
@@ -391,10 +379,9 @@ fn two_vector(
     let mut cost = SigmaBreakdown::default();
     let mut e_hist = Vec::new();
     let mut r_hist = Vec::new();
+    let mut trace = IterTrace::new(ctx.ddi.tracer());
     c.scale(1.0 / c.norm());
-    let (hc, bd) = apply_sigma(ctx, &c, sm);
-    ctx.space.project_sector(&hc);
-    cost.merge(&bd);
+    let hc = projected_sigma(ctx, sm, &c, &mut cost);
     let mut iterations = 1;
     let mut converged = false;
     let mut e = c.dot(&hc);
@@ -406,7 +393,7 @@ fn two_vector(
         let res = r.norm();
         e_hist.push(e);
         r_hist.push(res);
-        trace_iteration(ctx, iterations, e, res);
+        trace.point(iterations, 1, e, res);
         if res < opts.tol {
             converged = true;
             break;
@@ -417,9 +404,7 @@ fn two_vector(
             break;
         }
         // One H application per iteration: H·t.
-        let (ht, bd) = apply_sigma(ctx, &t, sm);
-        ctx.space.project_sector(&ht);
-        cost.merge(&bd);
+        let ht = projected_sigma(ctx, sm, &t, &mut cost);
         iterations += 1;
         // Exact 2×2 in the {C, t̂} basis (⟨C|t⟩ = 0 by construction).
         let b = c.dot(&ht);
@@ -469,6 +454,7 @@ fn single_vector(
     let mut cost = SigmaBreakdown::default();
     let mut e_hist = Vec::new();
     let mut r_hist = Vec::new();
+    let mut trace = IterTrace::new(ctx.ddi.tracer());
     c.scale(1.0 / c.norm());
 
     // State carried between iterations for the auto-adjusted λ (eq. 14/15).
@@ -494,9 +480,7 @@ fn single_vector(
     let mut trust = 1.0f64;
 
     while iterations < opts.max_iter {
-        let (sigma, bd) = apply_sigma(ctx, &c, sm);
-        ctx.space.project_sector(&sigma); // P·H·P for truncated-CI spaces
-        cost.merge(&bd);
+        let sigma = projected_sigma(ctx, sm, &c, &mut cost);
         iterations += 1;
         e = c.dot(&sigma);
         let r = sigma.duplicate();
@@ -504,7 +488,7 @@ fn single_vector(
         let res = r.norm();
         e_hist.push(e);
         r_hist.push(res);
-        trace_iteration(ctx, iterations, e, res);
+        trace.point(iterations, 1, e, res);
         if res < opts.tol {
             converged = true;
             break;
@@ -630,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn davidson_finds_ground_state() {
+    fn single_root_davidson_finds_ground_state() {
         let (r, exact) = run(DiagMethod::Davidson, 5, 2, 2, 2, 3);
         assert!(r.converged, "not converged after {} its", r.iterations);
         assert!((r.e_elec - exact).abs() < 1e-8, "{} vs {exact}", r.e_elec);

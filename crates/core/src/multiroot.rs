@@ -1,17 +1,27 @@
-//! Block Davidson for several lowest roots.
+//! Block Davidson: the one subspace eigensolver.
 //!
-//! The paper solves only the lowest eigenpair; excited states are the
-//! natural extension (and the reason production FCI codes keep a subspace
-//! method around even when a single-vector scheme handles the ground
-//! state). This block Davidson expands the subspace with one
-//! preconditioned residual per *unconverged* root per iteration, and
-//! seeds from the lowest model-space eigenvectors, so near-degenerate
-//! roots converge together instead of root-flipping.
+//! The paper needs a subspace method only as the yardstick its
+//! single-vector scheme is measured against (Table 2); excited states are
+//! the natural extension (and the reason production FCI codes keep a
+//! subspace method around even when a single-vector scheme handles the
+//! ground state). [`block_davidson`] is the one subspace loop: it expands
+//! the subspace with one correction vector per *unconverged* root per
+//! step, so near-degenerate roots converge together instead of
+//! root-flipping. What H is and how a correction is formed belong to its
+//! three callers:
+//!
+//! * [`DiagMethod::Davidson`](crate::diag::DiagMethod::Davidson) — one
+//!   root from the model-space guess, the Olsen correction;
+//! * [`diagonalize_roots`] — the lowest model-space eigenvectors as seeds,
+//!   [`Preconditioner::apply`];
+//! * `fci-sparse`'s selected CI — a CSR mat-vec over the selected space,
+//!   the diagonal correction.
 
-use crate::diag::{DiagOptions, Preconditioner};
-use crate::sigma::{apply_sigma, SigmaBreakdown, SigmaCtx, SigmaMethod};
+use crate::diag::{projected_sigma, DiagOptions, IterTrace, Preconditioner};
+use crate::sigma::{SigmaBreakdown, SigmaCtx, SigmaMethod};
 use fci_ddi::DistMatrix;
 use fci_linalg::{cholesky_lower, eigh, Eigh, Matrix};
+use fci_obs::Tracer;
 use std::sync::Arc;
 
 /// Result of a multi-root diagonalization.
@@ -53,82 +63,139 @@ pub fn diagonalize_roots(
         &diag,
         opts.model_space.max(2 * nroots).min(sector),
     );
-    let max_subspace = opts.max_subspace.max(4 * nroots);
-
     // Seed with the lowest model-space eigenvectors.
-    let mut seed = pre.model_space_guesses(nproc, nroots);
-    if seed.is_empty() {
-        seed.push(space.guess(ctx.ham, nproc));
+    let mut seeds = pre.model_space_guesses(nproc, nroots);
+    if seeds.is_empty() {
+        seeds.push(space.guess(ctx.ham, nproc));
     }
-    let mut sub = Subspace::new(seed);
-
     let mut cost = SigmaBreakdown::default();
-    let mut iterations = 0;
-    let mut energies = vec![0.0; nroots];
-    let mut states: Vec<DistMatrix> = Vec::new();
-    let mut conv = vec![false; nroots];
-
-    while iterations < opts.max_iter * nroots {
-        // σ for any basis vectors that lack one.
-        while let Some(b) = sub.pending() {
-            let (hb, bd) = apply_sigma(ctx, b, sigma_method);
-            space.project_sector(&hb);
-            cost.merge(&bd);
-            sub.push_sigma(hb);
-            iterations += 1;
-        }
-        let m = sub.len();
-        let es = sub.ritz();
-
-        states.clear();
-        let mut residuals = Vec::new();
-        for k in 0..nroots.min(m) {
-            let (theta, c, r, res) = sub.ritz_pair(&es, k);
-            energies[k] = theta;
-            conv[k] = res < opts.tol;
-            states.push(c);
-            residuals.push((theta, r, res));
-        }
-        if conv.iter().all(|&b| b) {
-            break;
-        }
-        if iterations >= opts.max_iter * nroots {
-            break;
-        }
-
-        // Collapse if the subspace is full.
-        if m + nroots > max_subspace {
-            sub = Subspace::new(states.iter().map(DistMatrix::duplicate).collect());
-            continue;
-        }
-        // Expand with preconditioned residuals of unconverged roots.
-        let new = residuals
-            .iter()
-            .filter(|(_, _, res)| *res >= opts.tol)
-            .map(|(theta, r, _)| pre.apply(r, *theta))
-            .collect();
-        if sub.expand(new) == 0 {
-            break; // no new directions — as converged as we can get
-        }
-    }
-
+    let run = block_davidson(
+        seeds,
+        nroots,
+        opts.max_subspace.max(4 * nroots),
+        opts.max_iter * nroots,
+        opts.tol,
+        |b| projected_sigma(ctx, sigma_method, b, &mut cost),
+        |theta, _, r| pre.apply(r, theta),
+        &ctx.ddi.tracer(),
+    );
     MultiRootResult {
-        energies,
-        states,
-        iterations,
-        converged: conv,
+        energies: run.energies,
+        states: run.states,
+        iterations: run.sigmas,
+        converged: run.converged,
         sigma_cost: cost,
     }
 }
 
-/// The subspace both Davidson solvers grow: an orthonormal basis, H
+/// What [`block_davidson`] found: the Ritz pairs of its last step, and how
+/// it got there.
+#[derive(Debug)]
+pub struct RitzPairs {
+    /// The `nroots` lowest Ritz values, ascending (0 for a root the
+    /// subspace never held a vector for).
+    pub energies: Vec<f64>,
+    /// Their Ritz vectors.
+    pub states: Vec<DistMatrix>,
+    /// Per root: whether its residual norm is below `tol`.
+    pub converged: Vec<bool>,
+    /// H applications made.
+    pub sigmas: usize,
+    /// The lowest Ritz value after each step.
+    pub energy_history: Vec<f64>,
+    /// The largest residual norm among the roots after each step.
+    pub residual_history: Vec<f64>,
+}
+
+/// The subspace driver: the `nroots` lowest eigenpairs of the symmetric
+/// operator `apply_h`, from the span of `seeds`.
+///
+/// A step applies H to every basis vector that lacks it, takes the Ritz
+/// pairs of the projected matrix, and ends the run when every root's
+/// residual norm is below `tol` or `budget` H applications have been made
+/// (the seeds' are made whatever the budget). Otherwise it collapses the
+/// subspace onto the Ritz vectors when adding `nroots` more would pass
+/// `max_subspace` (their H is rebuilt next step, the thick-restart
+/// trade-off), or else expands it by `correction(θ, c, r)` of each
+/// unconverged root (Ritz value, vector, residual). A step in which no
+/// correction survives orthonormalization has stagnated and ends the run
+/// unconverged. Every step is a telemetry point through `tracer`: a
+/// `diag_iter` instant with the lowest Ritz value and the largest
+/// residual, and the `davidson.*` metrics.
+#[allow(clippy::too_many_arguments)]
+pub fn block_davidson(
+    seeds: Vec<DistMatrix>,
+    nroots: usize,
+    max_subspace: usize,
+    budget: usize,
+    tol: f64,
+    mut apply_h: impl FnMut(&DistMatrix) -> DistMatrix,
+    mut correction: impl FnMut(f64, &DistMatrix, &DistMatrix) -> DistMatrix,
+    tracer: &Tracer,
+) -> RitzPairs {
+    let mut sub = Subspace::new(seeds);
+    let mut trace = IterTrace::new(tracer.clone());
+    let mut out = RitzPairs {
+        energies: vec![0.0; nroots],
+        states: Vec::new(),
+        converged: vec![false; nroots],
+        sigmas: 0,
+        energy_history: Vec::new(),
+        residual_history: Vec::new(),
+    };
+    loop {
+        let before = out.sigmas;
+        while let Some(b) = sub.pending() {
+            let hb = apply_h(b);
+            sub.push_sigma(hb);
+            out.sigmas += 1;
+        }
+        let es = sub.ritz();
+        out.states.clear();
+        let mut residuals = Vec::new();
+        for k in 0..nroots.min(sub.len()) {
+            let (theta, c, r, res) = sub.ritz_pair(&es, k);
+            out.energies[k] = theta;
+            out.converged[k] = res < tol;
+            out.states.push(c);
+            residuals.push((theta, r, res));
+        }
+        let worst = residuals
+            .iter()
+            .map(|(_, _, res)| *res)
+            .reduce(f64::max)
+            .unwrap_or(0.0);
+        out.energy_history.push(out.energies[0]);
+        out.residual_history.push(worst);
+        trace.point(out.sigmas, out.sigmas - before, out.energies[0], worst);
+        if out.converged.iter().all(|&c| c) || out.sigmas >= budget {
+            break;
+        }
+        if sub.len() + nroots > max_subspace {
+            sub = Subspace::new(out.states.iter().map(DistMatrix::duplicate).collect());
+            continue;
+        }
+        let new = residuals
+            .iter()
+            .zip(&out.states)
+            .filter(|((_, _, res), _)| *res >= tol)
+            .map(|((theta, r, _), c)| correction(*theta, c, r))
+            .collect();
+        if sub.expand(new) == 0 {
+            break;
+        }
+    }
+    out
+}
+
+/// The subspace [`block_davidson`] grows: an orthonormal basis, H
 /// applied to each vector of it, and the projected matrix `BᵀHB`. The
 /// projection is **kept** across iterations: a new vector adds one row
 /// and column (one dot per basis vector) and nothing already there is
 /// recomputed; a collapse starts a new `Subspace`. All vector work runs
 /// through [`DistMatrix`]'s `dot`/`axpy`/`scale` on the segments where
 /// the vectors live — no copy of the basis is ever made.
-pub(crate) struct Subspace {
+struct Subspace {
     basis: Vec<DistMatrix>,
     hbasis: Vec<DistMatrix>,
     /// `proj[j][i] = ⟨bᵢ|H bⱼ⟩` for `i ≤ j` (H is symmetric: the other
@@ -138,7 +205,7 @@ pub(crate) struct Subspace {
 
 impl Subspace {
     /// The span of `seed`, orthonormalized; dependent vectors are dropped.
-    pub(crate) fn new(mut seed: Vec<DistMatrix>) -> Subspace {
+    fn new(mut seed: Vec<DistMatrix>) -> Subspace {
         orthonormalize(&mut seed, 0);
         Subspace {
             basis: seed,
@@ -148,17 +215,17 @@ impl Subspace {
     }
 
     /// Basis vectors held.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.basis.len()
     }
 
     /// The first basis vector H has not been applied to yet.
-    pub(crate) fn pending(&self) -> Option<&DistMatrix> {
+    fn pending(&self) -> Option<&DistMatrix> {
         self.basis.get(self.hbasis.len())
     }
 
     /// Record `hb = H·pending()`: its column of the projected matrix.
-    pub(crate) fn push_sigma(&mut self, hb: DistMatrix) {
+    fn push_sigma(&mut self, hb: DistMatrix) {
         let j = self.hbasis.len();
         self.proj
             .push(self.basis[..=j].iter().map(|b| b.dot(&hb)).collect());
@@ -166,7 +233,7 @@ impl Subspace {
     }
 
     /// Eigenpairs of the projected matrix (no vector may be pending).
-    pub(crate) fn ritz(&self) -> Eigh {
+    fn ritz(&self) -> Eigh {
         let m = self.basis.len();
         assert_eq!(self.proj.len(), m, "a basis vector still lacks its σ");
         eigh(&Matrix::from_fn(m, m, |i, j| self.proj[i.max(j)][i.min(j)]))
@@ -174,7 +241,7 @@ impl Subspace {
 
     /// Ritz pair `k` of `es`: the value θ, the vector `c = B·y`, the
     /// residual `r = (HB)·y − θc` and its norm.
-    pub(crate) fn ritz_pair(&self, es: &Eigh, k: usize) -> (f64, DistMatrix, DistMatrix, f64) {
+    fn ritz_pair(&self, es: &Eigh, k: usize) -> (f64, DistMatrix, DistMatrix, f64) {
         let theta = es.eigenvalues[k];
         let combine = |vs: &[DistMatrix]| {
             let out = vs[0].duplicate();
@@ -193,7 +260,7 @@ impl Subspace {
 
     /// Orthonormalize `new` against the basis and among themselves and
     /// append what survives; returns how many did.
-    pub(crate) fn expand(&mut self, new: Vec<DistMatrix>) -> usize {
+    fn expand(&mut self, new: Vec<DistMatrix>) -> usize {
         let start = self.basis.len();
         self.basis.extend(new);
         orthonormalize(&mut self.basis, start)

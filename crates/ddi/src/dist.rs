@@ -306,6 +306,9 @@ impl DistMatrix {
                             ("owner", owner as f64),
                         ],
                     );
+                    if let Some(m) = t.metrics() {
+                        m.observe("ddi.get_bytes", &[], bytes as f64);
+                    }
                 }
             }
             s = e;

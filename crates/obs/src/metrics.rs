@@ -421,8 +421,8 @@ impl MetricsRegistry {
     ///
     /// The mapping mirrors what the live instrumentation records:
     /// span durations → `trace.span_s{phase,cat}` histograms; DDI
-    /// transfer instants → `ddi.{get,acc,put}_bytes`; fault instants →
-    /// `fault.injected` counters and `ddi.retry_backoff_s`; rank-death
+    /// transfer instants → `ddi.{get,acc}_bytes`; fault instants →
+    /// `fault.injected{kind}` counters and `ddi.retry_backoff_s{kind}`; rank-death
     /// recoveries → `fault.rank_death_recovery_s`; Davidson iteration
     /// instants → `davidson.iter_s` (simulated-time deltas); serve job
     /// instants → per-outcome counters and `serve.{queue_wait,exec}_us`.
@@ -462,7 +462,7 @@ impl MetricsRegistry {
                         reg.counter_incr("fault.injected", &[("kind", kind)]);
                         if let Some(b) = e.arg("backoff_s") {
                             if b > 0.0 {
-                                reg.observe("ddi.retry_backoff_s", &[], b);
+                                reg.observe("ddi.retry_backoff_s", &[("kind", kind)], b);
                             }
                         }
                     }

@@ -27,9 +27,8 @@
 //!   the store picks a block of up to 64 large-gradient coordinates;
 //! * [`selected`] — selected CI: grow the variational determinant set by
 //!   importance screening (`|H_ji·c_i| > ε`), diagonalize in the selected
-//!   space with Davidson on a CSR Hamiltonian (subspace eigenproblems go
-//!   through `fci_linalg::eigh`, block orthonormalization through
-//!   CholQR²).
+//!   space with the dense engine's subspace driver
+//!   (`fci_core::multiroot::block_davidson`) applying a CSR Hamiltonian.
 //!
 //! Both solvers are **bitwise-reproducible at any thread count**: all
 //! parallel loops compute disjoint output ranges whose per-element
@@ -90,7 +89,8 @@ pub struct SparseOptions {
     pub nroots: usize,
     /// Inner Davidson residual tolerance (selected CI).
     pub inner_tol: f64,
-    /// Inner Davidson iteration cap per outer iteration (selected CI).
+    /// Selected CI: each round's inner Davidson stops after
+    /// `inner_max_iter · nroots` σ evaluations.
     pub inner_max_iter: usize,
     /// Matrix elements with `|H_ij|` at or below this are treated as
     /// zero everywhere (connection emission, CSR assembly).
@@ -139,8 +139,8 @@ pub struct SparseResult {
     pub energies: Vec<f64>,
     /// Whether the requested tolerance was met before the caps.
     pub converged: bool,
-    /// Coordinate updates (CDFCI) / cumulative inner Davidson iterations
-    /// (selected CI).
+    /// Coordinate updates (CDFCI) / σ evaluations — CSR mat-vecs — of the
+    /// inner Davidson, summed over rounds (selected CI).
     pub iterations: usize,
     /// Determinants in the final support / selected space.
     pub support: usize,

@@ -4,12 +4,14 @@
 //! by rounds: diagonalize `H` restricted to `V`, then admit every
 //! determinant `j ∉ V` with `max_i |H_ji·c_i| > ε` (the heat-bath/CIPSI
 //! selection criterion, screening connections of the current wave
-//! function). Each round's eigenproblem runs over an explicit CSR of
-//! `H_VV` — built row-parallel from the integral-driven connection
-//! generator — with a Davidson iteration whose subspace eigenproblems go
-//! through `fci_linalg::eigh` and whose warm-start block is
-//! orthonormalized by CholQR² when possible (MGS fallback). Small
-//! selected spaces skip the iteration entirely and call the dense `eigh`.
+//! function). Each round's eigenproblem goes through the dense engine's
+//! subspace driver, [`fci_core::multiroot::block_davidson`]: H is a
+//! mat-vec over an explicit CSR of `H_VV` (built row-parallel from the
+//! integral-driven connection generator), the correction is the diagonal
+//! one, `r_i / (θ − H_ii)`, and the vectors are one-rank, one-column
+//! `DistMatrix`es of length `|V|`. The previous round's vectors, scattered
+//! into the grown space, are the seeds. Every round iterates, however
+//! small `V` is.
 //!
 //! Convergence: the outer loop stops when either no candidate passes the
 //! threshold (the ε-selected space is exhausted — for small ε this is
@@ -40,12 +42,9 @@ use crate::store::{CoefMap, Det, DetSet};
 use crate::{kernel, spmv, tracer_for, SparseOptions, SparseResult, SweepStat};
 use fci_core::detspace::DetSpace;
 use fci_core::hamiltonian::Hamiltonian;
-use fci_linalg::{cholqr2, ddot, dnrm2, dscal, eigh, Matrix};
+use fci_core::multiroot::block_davidson;
+use fci_ddi::DistMatrix;
 use fci_obs::Category;
-
-/// Below this selected-space size the inner eigenproblem is solved
-/// densely (exact, robust, and cheaper than iterating).
-const DENSE_CUTOFF: usize = 128;
 
 /// Selected-CI solve for `opts.nroots` roots.
 pub fn solve_selected(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) -> SparseResult {
@@ -82,12 +81,41 @@ pub fn solve_selected(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions)
         let t0 = tracer.now_us();
         let m = v.len();
         let csr = build_csr(threads, cg, ham, &v, opts.h_cut);
-        let warm = scatter_warm(&prev, &v);
-        let (evals, vecs, inner_conv, inner_iters) =
-            davidson(threads, &csr, nroots.min(m), &warm, opts);
-        total_inner += inner_iters;
-        energies = evals.iter().map(|e| e + ham.e_core).collect();
-        vectors = vecs;
+        let nr = nroots.min(m);
+        let diag = DistMatrix::from_dense(m, 1, 1, &csr.diag);
+        let run = block_davidson(
+            warm_start(&prev, &v, &csr.diag, nr),
+            nr,
+            3 * nr + 9,
+            opts.inner_max_iter * nr,
+            opts.inner_tol,
+            |x| {
+                let y = DistMatrix::zeros(m, 1, 1);
+                x.with_local(0, |x| {
+                    y.with_local(0, |y| {
+                        spmv(threads, &csr.rowptr, &csr.cols, &csr.vals, &csr.diag, x, y)
+                    })
+                });
+                y
+            },
+            |theta, _, r| {
+                let t = r.duplicate();
+                t.map_with(&diag, |ri, d| {
+                    let den = match theta - d {
+                        den if den.abs() >= 1e-8 => den,
+                        den if den < 0.0 => -1e-8,
+                        _ => 1e-8,
+                    };
+                    ri / den
+                });
+                t
+            },
+            &tracer,
+        );
+        total_inner += run.sigmas;
+        let inner_conv = run.converged.iter().all(|&c| c);
+        energies = run.energies.iter().map(|e| e + ham.e_core).collect();
+        vectors = run.states.iter().map(DistMatrix::to_dense).collect();
         let bytes = csr.mem_bytes() + v.mem_bytes() + vectors.len() * m * 8;
         peak = peak.max(bytes);
         let stat = SweepStat {
@@ -253,237 +281,42 @@ fn build_csr(threads: usize, cg: &ConnGen, ham: &Hamiltonian, v: &DetSet, h_cut:
         .unwrap_or_default()
 }
 
-/// Scatter the previous round's eigenvectors into the grown space by
-/// determinant rank (old members keep their coefficients, new ones zero).
-fn scatter_warm(prev: &Option<(DetSet, Vec<Vec<f64>>)>, v: &DetSet) -> Vec<Vec<f64>> {
-    let mut warm = Vec::new();
+/// The inner Davidson's seeds: the previous round's eigenvectors
+/// scattered into the grown space by determinant rank (old members keep
+/// their coefficients, new ones start at zero). While there are fewer than
+/// `nr` of them, unit vectors on the `nr` lowest-diagonal rows (ties by
+/// index) are added, so the seeds span at least `nr` directions.
+fn warm_start(
+    prev: &Option<(DetSet, Vec<Vec<f64>>)>,
+    v: &DetSet,
+    diag: &[f64],
+    nr: usize,
+) -> Vec<DistMatrix> {
+    let m = v.len();
+    let mut seeds = Vec::new();
     if let Some((old_v, old_vecs)) = prev {
         for ov in old_vecs {
-            let mut w = vec![0.0; v.len()];
-            for (i, &d) in old_v.as_slice().iter().enumerate() {
-                if let Some(r) = v.rank(d) {
-                    w[r] = ov[i];
+            let w = DistMatrix::zeros(m, 1, 1);
+            w.with_local(0, |w| {
+                for (&d, &c) in old_v.as_slice().iter().zip(ov) {
+                    if let Some(r) = v.rank(d) {
+                        w[r] = c;
+                    }
                 }
-            }
-            warm.push(w);
+            });
+            seeds.push(w);
         }
     }
-    warm
-}
-
-/// Indices of the `k` lowest-diagonal rows, ties by index — the
-/// deterministic unit-vector guesses.
-fn lowest_diag(diag: &[f64], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..diag.len()).collect();
-    idx.sort_unstable_by(|&a, &b| diag[a].total_cmp(&diag[b]).then(a.cmp(&b)));
-    idx.truncate(k);
-    idx
-}
-
-/// Davidson over the CSR: returns (eigenvalues, eigenvectors, converged,
-/// mat-vec count) for the lowest `nr` roots.
-fn davidson(
-    threads: usize,
-    csr: &Csr,
-    nr: usize,
-    warm: &[Vec<f64>],
-    opts: &SparseOptions,
-) -> (Vec<f64>, Vec<Vec<f64>>, bool, usize) {
-    let m = csr.diag.len();
-    if m <= DENSE_CUTOFF {
-        // Dense path: exact diagonalization of the selected block.
-        let mut h = Matrix::zeros(m, m);
-        for r in 0..m {
-            h[(r, r)] = csr.diag[r];
-            for t in csr.rowptr[r]..csr.rowptr[r + 1] {
-                h[(r, csr.cols[t] as usize)] = csr.vals[t];
-            }
-        }
-        let eig = eigh(&h);
-        let mut vecs = Vec::new();
-        for r in 0..nr.min(m) {
-            let mut x = vec![0.0; m];
-            for (i, xi) in x.iter_mut().enumerate() {
-                *xi = eig.eigenvectors[(i, r)];
-            }
-            vecs.push(x);
-        }
-        let evals = eig.eigenvalues[..nr.min(m)].to_vec();
-        return (evals, vecs, true, 1);
-    }
-
-    let max_sub = (3 * nr + 9).min(m);
-    let mut basis: Vec<Vec<f64>> = Vec::new();
-    let mut sigma: Vec<Vec<f64>> = Vec::new();
-    seed_basis(&mut basis, warm, &csr.diag, nr, m);
-    // Lower triangle of the subspace matrix `basis[p]·sigma[q]`, packed
-    // by rows. Basis and σ vectors never change once pushed, so a row is
-    // computed once, when its vector arrives, and kept until a collapse.
-    let mut gram: Vec<f64> = Vec::new();
-    let mut gram_rows = 0usize;
-    let mut matvecs = 0usize;
-    let mut evals = vec![0.0f64; nr];
-    let mut ritz: Vec<Vec<f64>> = Vec::new();
-    let mut conv = false;
-
-    for _ in 0..opts.inner_max_iter {
-        while sigma.len() < basis.len() {
-            let mut y = vec![0.0; m];
-            spmv(
-                threads,
-                &csr.rowptr,
-                &csr.cols,
-                &csr.vals,
-                &csr.diag,
-                &basis[sigma.len()],
-                &mut y,
-            );
-            sigma.push(y);
-            matvecs += 1;
-        }
-        let k = basis.len();
-        for p in gram_rows..k {
-            gram.extend(sigma[..=p].iter().map(|s| ddot(&basis[p], s)));
-        }
-        gram_rows = k;
-        let mut gm = Matrix::zeros(k, k);
-        for p in 0..k {
-            for q in 0..=p {
-                let g = gram[p * (p + 1) / 2 + q];
-                gm[(p, q)] = g;
-                gm[(q, p)] = g;
-            }
-        }
-        let eig = eigh(&gm);
-        for (r, e) in evals.iter_mut().enumerate() {
-            *e = eig.eigenvalues[r];
-        }
-        ritz.clear();
-        let mut residuals: Vec<Vec<f64>> = Vec::new();
-        let mut worst = 0.0f64;
-        for (r, &eval) in evals.iter().enumerate().take(nr) {
-            let mut x = vec![0.0; m];
-            let mut res = vec![0.0; m];
-            for j in 0..k {
-                let y = eig.eigenvectors[(j, r)];
-                for i in 0..m {
-                    x[i] += y * basis[j][i];
-                    res[i] += y * sigma[j][i];
-                }
-            }
-            for i in 0..m {
-                res[i] -= eval * x[i];
-            }
-            worst = worst.max(dnrm2(&res));
-            ritz.push(x);
-            residuals.push(res);
-        }
-        if worst < opts.inner_tol {
-            conv = true;
-            break;
-        }
-        if k + nr > max_sub {
-            // Collapse to the Ritz block and restart (σ recomputed).
-            basis.clear();
-            sigma.clear();
-            gram.clear();
-            gram_rows = 0;
-            for x in &ritz {
-                push_orthonormal(&mut basis, x);
-            }
-            if basis.is_empty() {
-                break;
-            }
-            continue;
-        }
-        let mut grew = false;
-        for (r, res) in residuals.iter().enumerate() {
-            if dnrm2(res) < opts.inner_tol {
-                continue;
-            }
-            let mut t = vec![0.0; m];
-            for i in 0..m {
-                let mut den = evals[r] - csr.diag[i];
-                if den.abs() < 1e-8 {
-                    den = if den < 0.0 { -1e-8 } else { 1e-8 };
-                }
-                t[i] = res[i] / den;
-            }
-            if push_orthonormal(&mut basis, &t) {
-                grew = true;
-            }
-        }
-        if !grew {
-            break; // stagnated — return the best Ritz data we have
+    if seeds.len() < nr {
+        let mut rows: Vec<usize> = (0..m).collect();
+        rows.sort_unstable_by(|&a, &b| diag[a].total_cmp(&diag[b]).then(a.cmp(&b)));
+        for &row in &rows[..nr] {
+            let u = DistMatrix::zeros(m, 1, 1);
+            u.set(row, 0, 1.0);
+            seeds.push(u);
         }
     }
-    if ritz.is_empty() {
-        // No iteration happened (degenerate); fall back to the seeds.
-        ritz = basis.clone();
-        ritz.truncate(nr);
-    }
-    (evals, ritz, conv, matvecs)
-}
-
-/// Seed the Davidson basis: warm-start block orthonormalized by CholQR²
-/// (MGS fallback on rank deficiency), topped up with unit vectors on the
-/// lowest-diagonal rows until `nr` vectors are in place.
-fn seed_basis(basis: &mut Vec<Vec<f64>>, warm: &[Vec<f64>], diag: &[f64], nr: usize, m: usize) {
-    if warm.len() > 1 {
-        let mut block = Matrix::zeros(m, warm.len());
-        for (j, w) in warm.iter().enumerate() {
-            for (i, &wi) in w.iter().enumerate() {
-                block[(i, j)] = wi;
-            }
-        }
-        if cholqr2(&mut block).is_ok() {
-            for j in 0..warm.len() {
-                let mut x = vec![0.0; m];
-                for (i, xi) in x.iter_mut().enumerate() {
-                    *xi = block[(i, j)];
-                }
-                basis.push(x);
-            }
-        }
-    }
-    if basis.is_empty() {
-        for w in warm {
-            push_orthonormal(basis, w);
-        }
-    }
-    if basis.len() < nr {
-        for &i in &lowest_diag(diag, m) {
-            if basis.len() >= nr {
-                break;
-            }
-            let mut u = vec![0.0; m];
-            u[i] = 1.0;
-            push_orthonormal(basis, &u);
-        }
-    }
-}
-
-/// Two-pass MGS projection of `x` against `basis`; appends the
-/// normalized remainder when it is numerically independent. Returns
-/// whether a vector was added.
-fn push_orthonormal(basis: &mut Vec<Vec<f64>>, x: &[f64]) -> bool {
-    let mut t = x.to_vec();
-    for _ in 0..2 {
-        for b in basis.iter() {
-            let c = ddot(b, &t);
-            for (ti, bi) in t.iter_mut().zip(b) {
-                *ti -= c * bi;
-            }
-        }
-    }
-    let n = dnrm2(&t);
-    if n > 1e-10 {
-        dscal(1.0 / n, &mut t);
-        basis.push(t);
-        true
-    } else {
-        false
-    }
+    seeds
 }
 
 /// Candidate determinants outside `V` with `max_{r,i} |H_ji·c_i^{(r)}|`
@@ -636,8 +469,8 @@ mod tests {
 
     #[test]
     fn multiroot_iterative_davidson_matches_dense() {
-        // 400 determinants: past DENSE_CUTOFF, so the subspace iteration
-        // (not the dense fallback) carries the eigenproblem.
+        // 400 determinants: the largest selected space of these tests,
+        // so the most subspace steps and collapses.
         let ham = random_hamiltonian(6, 21);
         let space = DetSpace::c1(6, 3, 3);
         let opts = SparseOptions {

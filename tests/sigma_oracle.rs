@@ -21,6 +21,7 @@ use fcix::core::{
 use fcix::ddi::{Backend, CommStats, Ddi, DistMatrix};
 use fcix::fault::Xorshift64;
 use fcix::linalg::{eigh, Matrix};
+use fcix::sparse::{solve_selected, SparseOptions};
 use fcix::xsim::MachineModel;
 
 /// Orbital labels per point-group size, in no particular order. The
@@ -215,9 +216,9 @@ fn sector_spectrum(space: &DetSpace, h: &Matrix) -> Vec<f64> {
     eigh(&hs).eigenvalues
 }
 
-/// AutoAdjust, Davidson and two-root block Davidson reach the sector's
-/// lowest eigenvalues of the explicit H, in every irrep of a 4- and an
-/// 8-irrep problem. (A failure here that `blocked_sigma_…` does not share
+/// AutoAdjust, Davidson, two-root block Davidson and selected CI (ε =
+/// 1e-10, one and two roots) reach the sector's lowest eigenvalues of the
+/// explicit H, in every irrep of a 4- and an 8-irrep problem. (A failure here that `blocked_sigma_…` does not share
 /// is the solver's, not σ's: ROADMAP item 4 has single-root Davidson
 /// stalling on an excited root of the guess's spin for some seeds.)
 #[test]
@@ -260,6 +261,23 @@ fn solvers_reach_the_sector_ground_state_in_every_irrep() {
                     r.converged[root] && (e - want).abs() < 1e-8,
                     "{n_irrep} irreps, target {target}, root {root}: {e} vs {want}"
                 );
+            }
+            for nroots in [1, 2] {
+                let opts = SparseOptions {
+                    eps: 1e-10,
+                    tol: 1e-11,
+                    nroots,
+                    ..SparseOptions::default()
+                };
+                let r = solve_selected(&space, &ham, &opts);
+                assert!(r.converged && r.energies.len() == nroots);
+                for (root, (e, want)) in r.energies.iter().zip(&exact).enumerate() {
+                    assert!(
+                        (e - ham.e_core - want).abs() < 1e-8,
+                        "{n_irrep} irreps, target {target}, selected CI root {root} of \
+                         {nroots}: {e} vs {want}"
+                    );
+                }
             }
         }
     }

@@ -5,16 +5,18 @@
 //! must be well-formed JSON.
 
 use fcix::core::{
-    apply_sigma, random_hamiltonian, random_symmetric_hamiltonian, DetSpace, Hamiltonian,
-    PoolParams, SigmaCtx, SigmaMethod,
+    apply_sigma, diagonalize, random_hamiltonian, random_symmetric_hamiltonian, solve_prepared,
+    solve_roots_prepared, DetSpace, DiagMethod, DiagOptions, FciOptions, Hamiltonian, PoolParams,
+    SigmaCtx, SigmaMethod,
 };
-use fcix::ddi::{Backend, Ddi};
+use fcix::ddi::{Backend, Ddi, FaultConfig, FaultPlan};
 use fcix::fault::Xorshift64;
 use fcix::obs::{
     parse_collapsed, parse_jsonl, to_chrome, to_collapsed, Category, Event, EventKind, JsonValue,
-    MetricsRegistry, RunSummary, TimeBase,
+    MetricsRegistry, ObsConfig, RunSummary, TimeBase, Tracer,
 };
 use fcix::xsim::MachineModel;
+use std::sync::Arc;
 
 /// Run one traced σ evaluation; return the trace and the breakdown's
 /// merged report.
@@ -340,6 +342,82 @@ fn metrics_replay_covers_sigma_trace() {
         (got - flops).abs() <= 1e-6 * flops.max(1.0),
         "replayed flops {got} vs clocked {flops}"
     );
+}
+
+/// What a live solve records and what `fcix trace metrics` rebuilds from
+/// its trace agree on every `ddi.*` and `fault.*` series (count, sum, max,
+/// quantiles, labels) for a traced 2-rank solve without a fault plan, where
+/// every gather takes the aggregated fast path, and under transient
+/// faults, where every transfer takes the checked path.
+#[test]
+fn live_ddi_and_fault_metrics_equal_their_replay() {
+    let ham = random_hamiltonian(6, 3);
+    let space = DetSpace::c1(6, 3, 2);
+    let model = MachineModel::cray_x1();
+    let series = |reg: &MetricsRegistry| -> Vec<String> {
+        let text = reg.render_text();
+        let keep = |l: &&str| l.starts_with("fcix_ddi_") || l.starts_with("fcix_fault_");
+        text.lines().filter(keep).map(String::from).collect()
+    };
+    let transient = FaultConfig {
+        seed: 9,
+        p_drop: 0.05,
+        p_corrupt: 0.05,
+        p_duplicate: 0.05,
+        p_fence_delay: 0.05,
+        ..FaultConfig::default()
+    };
+    for (plan, fed) in [
+        (None, "fcix_ddi_get_bytes_count"),
+        (
+            Some(transient),
+            "fcix_ddi_retry_backoff_s_count{kind=\"transient\"}",
+        ),
+    ] {
+        let ddi = Ddi::new(2, Backend::Serial);
+        if let Some(cfg) = plan {
+            ddi.attach_faults(Arc::new(FaultPlan::new(cfg)));
+        }
+        let tracer = Tracer::in_memory();
+        ddi.attach_tracer(tracer.clone());
+        let ctx = SigmaCtx {
+            space: &space,
+            ham: &ham,
+            ddi: &ddi,
+            model: &model,
+            pool: PoolParams::default(),
+        };
+        let opts = DiagOptions::default();
+        assert!(diagonalize(&ctx, SigmaMethod::Dgemm, DiagMethod::AutoAdjust, &opts).converged);
+        let live = series(tracer.metrics().expect("metrics plane"));
+        let replay = MetricsRegistry::from_events(&tracer.events().expect("in-memory tracer"));
+        assert_eq!(live, series(&replay));
+        assert!(live.iter().any(|l| l.starts_with(fed)), "{live:?}");
+    }
+}
+
+/// Solver telemetry belongs to its solve: a single-root Davidson, an
+/// AutoAdjust and a 2-root solve recording into one registry leave no
+/// solver scratch state in it, and `davidson.iters` counts exactly the σ
+/// evaluations of all three.
+#[test]
+fn solves_sharing_a_registry_count_their_sigma_evaluations() {
+    let reg = MetricsRegistry::new();
+    let ham = random_hamiltonian(5, 3);
+    let space = DetSpace::c1(5, 2, 2);
+    let opts = |method| FciOptions {
+        method,
+        obs: ObsConfig::metrics_into(reg.clone()),
+        ..FciOptions::default()
+    };
+    let davidson = solve_prepared(&space, &ham, &opts(DiagMethod::Davidson));
+    let auto = solve_prepared(&space, &ham, &opts(DiagMethod::AutoAdjust));
+    let roots = solve_roots_prepared(&space, &ham, &opts(DiagMethod::Davidson), 2);
+    assert!(davidson.converged && auto.converged && roots.converged == [true, true]);
+    let text = reg.render_text();
+    assert!(!text.contains("cursor"), "{text}");
+    let sigmas = davidson.iterations + auto.iterations + roots.iterations;
+    assert_eq!(reg.value("davidson.iters", &[]), Some(sigmas as f64));
 }
 
 /// The Chrome export is valid JSON with one complete ("X") record per
