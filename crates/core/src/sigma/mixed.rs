@@ -63,7 +63,7 @@ use crate::phase::{charge_comm, HostSplit};
 use crate::taskpool::TaskPool;
 use fci_ddi::{Backend, CommStats, Corruption, DistMatrix, FaultPlan};
 use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, Trans};
-use fci_obs::Category;
+use fci_obs::{Category, FaultKind};
 use fci_xsim::{Clock, MachineModel, RunReport};
 use std::sync::Mutex;
 
@@ -566,16 +566,20 @@ fn process_task_guarded(
             if let Some((_, vals)) = pending.first_mut() {
                 plan.corrupt(Corruption::Nan, vals);
             }
+            let kind = FaultKind::PoisonedTask;
             tracer.instant(
                 Some(rank),
                 "fault_injected",
                 Category::Other,
                 &[
-                    ("kind", 5.0),
+                    ("kind", kind.code()),
                     ("ka", ka as f64),
                     ("attempt", attempt as f64),
                 ],
             );
+            if let Some(m) = tracer.metrics() {
+                m.counter_incr("fault.injected", &[("kind", kind.label())]);
+            }
         }
         let clean = pending
             .iter()
@@ -596,6 +600,9 @@ fn process_task_guarded(
             Category::Other,
             &[("ka", ka as f64), ("attempt", attempt as f64)],
         );
+        if let Some(m) = tracer.metrics() {
+            m.counter_incr("fault.recomputes", &[]);
+        }
         attempt += 1;
     }
 }

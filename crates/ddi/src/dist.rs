@@ -4,7 +4,7 @@ use crate::layout::Layout;
 use crate::record::{AccessKind, AccessRecorder, DdiAccess, DdiSite};
 use crate::stats::CommStats;
 use fci_fault::{checksum_f64s, FaultPlan, ProtocolFault, TransferFault, TransferOp};
-use fci_obs::{Category, Tracer};
+use fci_obs::{Category, FaultKind, Tracer};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -419,7 +419,7 @@ impl DistMatrix {
         // takes longer to drain; pure simulated wait, no reordering.
         if let Some(ns) = plan.on_fence() {
             stats.backoff_ns += ns;
-            self.trace_fault(rank, "fence_delay", TransferOp::Acc, col, 0, ns);
+            self.trace_fault(rank, FaultKind::FenceDelay, TransferOp::Acc, col, 0, ns);
         }
     }
 
@@ -514,7 +514,7 @@ impl DistMatrix {
             let backoff_ns = plan.backoff_ns(attempt);
             stats.backoff_ns += backoff_ns;
             plan.count_retry();
-            self.trace_fault(rank, "transient", op, col, attempt, backoff_ns);
+            self.trace_fault(rank, FaultKind::Transient, op, col, attempt, backoff_ns);
             attempt += 1;
         }
     }
@@ -541,7 +541,7 @@ impl DistMatrix {
                 plan.count_dup_discard();
             }
             stats.count(op, bytes);
-            self.trace_fault(rank, "duplicate", op, col, 0, 0);
+            self.trace_fault(rank, FaultKind::Duplicate, op, col, 0, 0);
         }
     }
 
@@ -553,7 +553,7 @@ impl DistMatrix {
     fn trace_fault(
         &self,
         rank: usize,
-        kind: &str,
+        kind: FaultKind,
         op: TransferOp,
         col: usize,
         attempt: u32,
@@ -564,27 +564,21 @@ impl DistMatrix {
                 TransferOp::Get => 0.0,
                 TransferOp::Acc => 1.0,
             };
-            let kindcode = match kind {
-                "transient" => 0.0,
-                "duplicate" => 1.0,
-                "fence_delay" => 2.0,
-                _ => 3.0,
-            };
             let backoff_s = backoff_ns as f64 / 1e9;
             let args = [
                 ("op", opcode),
                 ("col", col as f64),
                 ("attempt", attempt as f64),
-                ("kind", kindcode),
+                ("kind", kind.code()),
                 ("backoff_s", backoff_s),
             ];
             // `backoff_s` rides along only when the fault cost a wait.
             let n = if backoff_ns > 0 { 5 } else { 4 };
             t.instant(Some(rank), "fault_injected", Category::Other, &args[..n]);
             if let Some(m) = t.metrics() {
-                m.counter_incr("fault.injected", &[("kind", kind)]);
+                m.counter_incr("fault.injected", &[("kind", kind.label())]);
                 if backoff_ns > 0 {
-                    m.observe("ddi.retry_backoff_s", &[("kind", kind)], backoff_s);
+                    m.observe("ddi.retry_backoff_s", &[("kind", kind.label())], backoff_s);
                 }
             }
         }

@@ -5,7 +5,7 @@ use crate::dist::DistMatrix;
 use crate::record::{AccessRecorder, DdiAccess};
 use crate::stats::CommStats;
 use fci_fault::FaultPlan;
-use fci_obs::{Category, Tracer};
+use fci_obs::{Category, FaultKind, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -133,12 +133,16 @@ impl Ddi {
             if let Some(ns) = plan.on_nxtval() {
                 stats.backoff_ns += ns;
                 if let Some(tracer) = self.tracer.get() {
+                    let kind = FaultKind::NxtvalStall;
                     tracer.instant(
                         None,
                         "fault_injected",
                         Category::Other,
-                        &[("kind", 4.0), ("stall_ns", ns as f64)],
+                        &[("kind", kind.code()), ("stall_ns", ns as f64)],
                     );
+                    if let Some(m) = tracer.metrics() {
+                        m.counter_incr("fault.injected", &[("kind", kind.label())]);
+                    }
                 }
             }
         }

@@ -95,6 +95,56 @@ impl Category {
     }
 }
 
+/// What an injected fault was: the `kind` code a `fault_injected` instant
+/// carries and the `kind` label of the `fault.injected` counter. Every
+/// emitter and the metrics replay read this one table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultKind {
+    /// A dropped or corrupted transfer, resent after a backoff.
+    Transient = 0,
+    /// A duplicated delivery, discarded by sequence number.
+    Duplicate = 1,
+    /// A delayed `DDI_ACC` fence.
+    FenceDelay = 2,
+    /// A code this table does not name, or no code at all.
+    Other = 3,
+    /// A stalled `nxtval` counter operation.
+    NxtvalStall = 4,
+    /// A σ task whose working area was poisoned.
+    PoisonedTask = 5,
+}
+
+impl FaultKind {
+    /// The instant's `kind` code.
+    pub fn code(self) -> f64 {
+        self as u8 as f64
+    }
+
+    /// The counter's `kind` label.
+    pub fn label(self) -> &'static str {
+        match self {
+            FaultKind::Transient => "transient",
+            FaultKind::Duplicate => "duplicate",
+            FaultKind::FenceDelay => "fence_delay",
+            FaultKind::Other => "other",
+            FaultKind::NxtvalStall => "nxtval_stall",
+            FaultKind::PoisonedTask => "poisoned_task",
+        }
+    }
+
+    /// The kind an instant's `kind` code names.
+    pub(crate) fn from_code(code: Option<f64>) -> FaultKind {
+        match code.map(|c| c as i64) {
+            Some(0) => FaultKind::Transient,
+            Some(1) => FaultKind::Duplicate,
+            Some(2) => FaultKind::FenceDelay,
+            Some(4) => FaultKind::NxtvalStall,
+            Some(5) => FaultKind::PoisonedTask,
+            _ => FaultKind::Other,
+        }
+    }
+}
+
 /// Bound on the `rank` a parsed record may carry: far above any MSP count
 /// a run uses (the paper's largest is 432), low enough that per-rank
 /// tables sized by it stay small.

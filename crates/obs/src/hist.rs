@@ -206,7 +206,7 @@ impl Histogram {
     }
 
     /// Compact summary statistics of this histogram.
-    pub fn stats(&self) -> HistStats {
+    pub(crate) fn stats(&self) -> HistStats {
         HistStats {
             count: self.count,
             sum: self.sum(),
@@ -218,14 +218,13 @@ impl Histogram {
     }
 }
 
-/// Compact percentile summary of a sample stream — the fixed
-/// p50/p95/p99/max cut that run summaries carry and render.
+/// Compact percentile summary of a histogram — the fixed p50/p95/p99/max
+/// cut the metrics exposition renders.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct HistStats {
+pub(crate) struct HistStats {
     /// Number of samples.
     pub count: u64,
-    /// Sum of samples (exact for [`HistStats::from_samples`], midpoint
-    /// approximation for [`Histogram::stats`]).
+    /// Sum of samples (midpoint approximation).
     pub sum: f64,
     /// Median.
     pub p50: f64,
@@ -235,35 +234,6 @@ pub struct HistStats {
     pub p99: f64,
     /// Maximum.
     pub max: f64,
-}
-
-impl HistStats {
-    /// Exact nearest-rank statistics of a raw sample set.
-    pub fn from_samples(samples: &[f64]) -> HistStats {
-        if samples.is_empty() {
-            return HistStats::default();
-        }
-        let mut s: Vec<f64> = samples.to_vec();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let n = s.len();
-        let pick = |q: f64| {
-            let rank = ((q / 100.0 * n as f64).ceil() as usize).clamp(1, n);
-            s[rank - 1]
-        };
-        HistStats {
-            count: n as u64,
-            sum: s.iter().sum(),
-            p50: pick(50.0),
-            p95: pick(95.0),
-            p99: pick(99.0),
-            max: s[n - 1],
-        }
-    }
-
-    /// Whether any samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
 }
 
 #[cfg(test)]
@@ -307,8 +277,10 @@ mod tests {
             vals.push(v);
             h.record(v);
         }
-        let exact = HistStats::from_samples(&vals);
-        for (q, want) in [(50.0, exact.p50), (95.0, exact.p95), (99.0, exact.p99)] {
+        // Exact nearest-rank order statistics.
+        vals.sort_by(f64::total_cmp);
+        let exact = |q: f64| vals[((q / 100.0 * vals.len() as f64).ceil() as usize).max(1) - 1];
+        for (q, want) in [50.0, 95.0, 99.0].map(|q| (q, exact(q))) {
             let got = h.percentile(q).unwrap();
             assert!(got >= want * (1.0 - 1e-12), "p{q}: {got} < exact {want}");
             assert!(
@@ -316,8 +288,8 @@ mod tests {
                 "p{q}: {got} >> {want}"
             );
         }
-        assert_eq!(h.percentile(100.0), Some(exact.max));
-        assert_eq!(h.max(), Some(exact.max));
+        assert_eq!(h.percentile(100.0), Some(exact(100.0)));
+        assert_eq!(h.max(), Some(exact(100.0)));
     }
 
     #[test]
@@ -404,15 +376,5 @@ mod tests {
         assert_eq!(s.max, 100.0);
         assert!(s.p50 >= 50.0 && s.p50 <= 50.0 * (1.0 + REL_ERR));
         assert!((s.sum - 5050.0).abs() / 5050.0 <= REL_ERR);
-    }
-
-    #[test]
-    fn exact_hist_stats_from_samples() {
-        let s = HistStats::from_samples(&[5.0, 1.0, 3.0, 2.0, 4.0]);
-        assert_eq!(s.count, 5);
-        assert_eq!(s.p50, 3.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.sum, 15.0);
-        assert!(HistStats::from_samples(&[]).is_empty());
     }
 }

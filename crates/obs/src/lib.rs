@@ -18,6 +18,9 @@
 //!   registry of labelled counters, gauges, and log-linear
 //!   ([`Histogram`]) percentile histograms, with a Prometheus-shaped
 //!   text exposition ([`MetricsRegistry::render_text`]).
+//!   [`MetricsRegistry::from_events`] is the one rollup of a trace's
+//!   instants: fault-plane (kinds named by [`FaultKind`]) and serving
+//!   tallies.
 //! * [`flame`] — collapsed-stack (flamegraph) export of span traces,
 //!   keyed by host or simulated time.
 //! * Sinks — [`JsonlSink`] (one JSON event per line), [`MemorySink`]
@@ -25,7 +28,8 @@
 //!   disabled (one branch on [`Tracer::enabled`]).
 //! * [`RunSummary`] — the Table-3-style per-category rollup (compute /
 //!   network / lock / I/O / load imbalance, sustained GF/s per MSP,
-//!   aggregate TFlop/s), buildable from a trace or from clock data.
+//!   aggregate TFlop/s), buildable from a trace's spans or from clock
+//!   data. It reads no instant.
 //! * [`chrome`] — Chrome Trace Event Format export (`chrome://tracing` /
 //!   Perfetto), one lane per virtual MSP.
 //!
@@ -47,9 +51,9 @@ pub mod tracer;
 
 pub use chrome::to_chrome;
 pub use config::{MetricsMode, ObsConfig};
-pub use event::{parse_jsonl, parse_jsonl_lenient, Category, Event, EventKind};
+pub use event::{parse_jsonl, parse_jsonl_lenient, Category, Event, EventKind, FaultKind};
 pub use flame::{parse_collapsed, to_collapsed, TimeBase};
-pub use hist::{HistStats, Histogram};
+pub use hist::Histogram;
 pub use json::JsonValue;
 pub use lockwitness::{TrackedCondvar, TrackedGuard, TrackedMutex};
 pub use metrics::{fnv1a, MetricsRegistry};

@@ -18,7 +18,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, FaultKind};
 use crate::hist::Histogram;
 
 /// Number of independently locked shards.
@@ -419,15 +419,22 @@ impl MetricsRegistry {
     /// Rebuild a metrics plane from a recorded trace, so `fcix trace
     /// metrics` can expose any JSONL trace without the producing process.
     ///
-    /// The mapping mirrors what the live instrumentation records:
+    /// This is the one rollup of a trace's instants (the Table 3 span
+    /// rollup is `RunSummary`). The mapping mirrors what the live
+    /// instrumentation records:
     /// span durations → `trace.span_s{phase,cat}` histograms; DDI
     /// transfer instants → `ddi.{get,acc}_bytes`; fault instants →
-    /// `fault.injected{kind}` counters and `ddi.retry_backoff_s{kind}`; rank-death
-    /// recoveries → `fault.rank_death_recovery_s`; Davidson iteration
-    /// instants → `davidson.iter_s` (simulated-time deltas); serve job
-    /// instants → per-outcome counters and `serve.{queue_wait,exec}_us`.
+    /// `fault.injected{kind}` counters (kinds named by [`FaultKind`]) and
+    /// `ddi.retry_backoff_s{kind}`; σ task recomputes → `fault.recomputes`;
+    /// rank-death recoveries → `fault.rank_deaths` and
+    /// `fault.rank_death_recovery_s`; Davidson iteration instants →
+    /// `davidson.iter_s` (simulated-time deltas); serve job instants →
+    /// per-outcome counters and `serve.{queue_wait,exec}_us`; batched
+    /// solves → `serve.batches`; cache instants → `serve.cache_{hits,
+    /// misses,evictions}`, each adding its `count` payload (default 1).
     pub fn from_events(events: &[Event]) -> MetricsRegistry {
         let reg = MetricsRegistry::new();
+        let count = |e: &Event| e.arg("count").unwrap_or(1.0);
         let mut last_iter_s: Option<f64> = None;
         for e in events {
             match e.kind {
@@ -453,12 +460,7 @@ impl MetricsRegistry {
                         }
                     }
                     "fault_injected" => {
-                        let kind = match e.arg("kind").map(|k| k as i64) {
-                            Some(0) => "transient",
-                            Some(1) => "duplicate",
-                            Some(2) => "fence_delay",
-                            _ => "other",
-                        };
+                        let kind = FaultKind::from_code(e.arg("kind")).label();
                         reg.counter_incr("fault.injected", &[("kind", kind)]);
                         if let Some(b) = e.arg("backoff_s") {
                             if b > 0.0 {
@@ -466,6 +468,7 @@ impl MetricsRegistry {
                             }
                         }
                     }
+                    "task_recompute" => reg.counter_incr("fault.recomputes", &[]),
                     "rank_death_recovery" => {
                         reg.counter_incr("fault.rank_deaths", &[]);
                         if let Some(lost) = e.arg("lost_s") {
@@ -493,8 +496,10 @@ impl MetricsRegistry {
                         }
                     }
                     "job_failed" => reg.counter_incr("serve.jobs_failed", &[]),
-                    "cache_hit" => reg.counter_incr("serve.cache_hits", &[]),
-                    "cache_miss" => reg.counter_incr("serve.cache_misses", &[]),
+                    "batch_solve" => reg.counter_incr("serve.batches", &[]),
+                    "cache_hit" => reg.counter_add("serve.cache_hits", &[], count(e)),
+                    "cache_miss" => reg.counter_add("serve.cache_misses", &[], count(e)),
+                    "cache_evict" => reg.counter_add("serve.cache_evictions", &[], count(e)),
                     _ => {}
                 },
                 EventKind::Counter => {}
@@ -610,6 +615,68 @@ mod tests {
         assert!(text.contains("# TYPE fcix_serve_exec_us summary"));
         assert!(text.contains("quantile=\"0.99\""));
         assert!(text.contains("fcix_serve_exec_us_count{tenant=\"a\"} 1"));
+    }
+
+    /// Every instant tally, from one hand-built trace: plain counts, the
+    /// `count` payload of cache instants, each fault kind (a legacy fault
+    /// instant without a payload files under `other`), and the backoff
+    /// and rank-death histograms.
+    #[test]
+    fn instants_roll_up() {
+        let t = crate::Tracer::in_memory();
+        let instant = |name: &str, args: &[(&str, f64)]| {
+            t.instant(Some(0), name, crate::Category::Other, args);
+        };
+        instant("job_submit", &[]);
+        instant("cache_miss", &[]);
+        instant("cache_hit", &[("count", 3.0)]);
+        instant("cache_evict", &[("count", 2.0)]);
+        instant("batch_solve", &[("jobs", 2.0)]);
+        instant("job_done", &[]);
+        instant("job_done", &[]);
+        instant("job_failed", &[]);
+        for b in [0.001, 0.002, 0.004, 0.008] {
+            instant("fault_injected", &[("kind", 0.0), ("backoff_s", b)]);
+        }
+        instant("fault_injected", &[]);
+        instant("fault_injected", &[("kind", 4.0), ("stall_ns", 5e4)]);
+        instant("fault_injected", &[("kind", 5.0), ("ka", 1.0)]);
+        instant("task_recompute", &[("ka", 1.0), ("attempt", 0.0)]);
+        instant(
+            "rank_death_recovery",
+            &[("survivors", 3.0), ("lost_s", 0.75)],
+        );
+        let reg = MetricsRegistry::from_events(&t.events().unwrap());
+        let kind = |k| [("kind", k)];
+        for (name, labels, want) in [
+            ("serve.jobs_done", &[][..], 2.0),
+            ("serve.jobs_failed", &[], 1.0),
+            ("serve.batches", &[], 1.0),
+            ("serve.cache_hits", &[], 3.0),
+            ("serve.cache_misses", &[], 1.0),
+            ("serve.cache_evictions", &[], 2.0),
+            ("fault.injected", &kind("transient"), 4.0),
+            ("fault.injected", &kind("other"), 1.0),
+            ("fault.injected", &kind("nxtval_stall"), 1.0),
+            ("fault.injected", &kind("poisoned_task"), 1.0),
+            ("fault.recomputes", &[], 1.0),
+            ("fault.rank_deaths", &[], 1.0),
+        ] {
+            assert_eq!(reg.value(name, labels), Some(want), "{name} {labels:?}");
+        }
+        let backoff = |q| reg.percentile("ddi.retry_backoff_s", &kind("transient"), q);
+        let p50 = backoff(50.0).unwrap();
+        assert!((0.002..=0.002 * 1.04).contains(&p50), "p50 = {p50}");
+        assert_eq!(backoff(100.0), Some(0.008));
+        let text = reg.render_text();
+        for line in [
+            "fcix_ddi_retry_backoff_s_count{kind=\"transient\"} 4",
+            "fcix_fault_rank_death_recovery_s_count 1",
+            "fcix_fault_rank_death_recovery_s_max 0.75",
+        ] {
+            assert!(text.lines().any(|l| l == line), "no {line} in:\n{text}");
+        }
+        assert!(!text.contains("fcix_ddi_retry_backoff_s_count{kind=\"other\"}"));
     }
 
     #[test]

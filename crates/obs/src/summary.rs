@@ -2,14 +2,15 @@
 //!
 //! [`RunSummary`] is the per-category rollup the paper prints as Table 3:
 //! compute / network / lock / I/O rows, load imbalance, sustained GF/s per
-//! MSP, aggregate TFlop/s. It can be built from a trace
+//! MSP, aggregate TFlop/s. It can be built from a trace's spans
 //! ([`RunSummary::from_events`]) or filled directly from clock data (the
-//! `fci-xsim` crate does this for `RunReport`).
+//! `fci-xsim` crate does this for `RunReport`). It reads no instant: the
+//! fault-plane and serving tallies instants carry roll up in one place,
+//! `MetricsRegistry::from_events` (`fcix trace metrics`).
 
 use std::collections::BTreeMap;
 
 use crate::event::{Category, Event, EventKind};
-use crate::hist::HistStats;
 
 /// Aggregate per-category telemetry of one run (or one phase).
 ///
@@ -55,38 +56,8 @@ pub struct RunSummary {
     pub lock_acquires: f64,
     /// `nxtval` counter messages (aggregate).
     pub nxtval_msgs: f64,
-    /// Faults injected by the fault plane (`fault_injected` instants).
-    pub faults_injected: f64,
     /// Message resends performed by DDI recovery loops (aggregate).
     pub retries: f64,
-    /// σ tasks recomputed after failing a column guard
-    /// (`task_recompute` instants).
-    pub recomputes: f64,
-    /// Serving layer: jobs completed (`job_done` instants).
-    pub jobs_done: f64,
-    /// Serving layer: jobs failed (`job_failed` instants).
-    pub jobs_failed: f64,
-    /// Serving layer: batched multi-state solves (`batch_solve` instants).
-    pub serve_batches: f64,
-    /// Shared-artifact cache hits (`cache_hit` instants).
-    pub cache_hits: f64,
-    /// Shared-artifact cache misses (`cache_miss` instants).
-    pub cache_misses: f64,
-    /// Shared-artifact cache evictions (`cache_evict` instants; each may
-    /// carry a `count` payload covering several entries).
-    pub cache_evictions: f64,
-    /// **Host** wall-clock seconds spanned by the serving layer's
-    /// instants (first `job_submit` to last `job_done`/`job_failed`).
-    /// Zero for non-server traces. Kept separate from
-    /// [`RunSummary::host_elapsed`], which is defined over spans only.
-    pub serve_elapsed: f64,
-    /// Retry backoff delays in simulated seconds (the `backoff_s` payload
-    /// of `fault_injected` instants). Empty for traces written before the
-    /// payload existed.
-    pub backoff: HistStats,
-    /// Rank-death recovery times in simulated seconds (the `lost_s`
-    /// payload of `rank_death_recovery` instants).
-    pub recovery: HistStats,
     /// **Host** microseconds inside a σ routine, split by part: one entry
     /// per `*_host_us` counter name (`same_spin_host_us`: transpose /
     /// one-electron / gather / GEMM / scatter; `mixed_host_us`: get /
@@ -163,26 +134,6 @@ impl RunSummary {
         }
     }
 
-    /// Serving-layer throughput: jobs completed per **host** second.
-    pub fn jobs_per_sec(&self) -> f64 {
-        if self.serve_elapsed == 0.0 {
-            0.0
-        } else {
-            self.jobs_done / self.serve_elapsed
-        }
-    }
-
-    /// Shared-artifact cache hit rate in [0, 1] (0 when the cache was
-    /// never consulted).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0.0 {
-            0.0
-        } else {
-            self.cache_hits / total
-        }
-    }
-
     /// Sustained GFlop/s over the **host** wall-clock (aggregate flops /
     /// real seconds this process spent in the traced spans). The
     /// simulated [`RunSummary::gflops_per_msp`] answers "how fast would
@@ -199,9 +150,11 @@ impl RunSummary {
     /// Build a summary from a trace.
     ///
     /// Span durations accumulate into the category rows; the standard
-    /// payload keys (`flops`, `bytes`, `msgs`, `acquires`, `nxtval`)
-    /// accumulate into the counters. Wall-clock is the busy time (span
-    /// duration sum) of the slowest rank, matching `RunReport::elapsed`.
+    /// payload keys (`flops`, `bytes`, `msgs`, `acquires`, `nxtval`,
+    /// `retries`) accumulate into the counters, and `*_host_us` counter
+    /// records into [`RunSummary::host_splits`]. Instants are skipped.
+    /// Wall-clock is the busy time (span duration sum) of the slowest
+    /// rank, matching `RunReport::elapsed`.
     pub fn from_events(events: &[Event]) -> RunSummary {
         let mut s = RunSummary::default();
         // Busy seconds per rank that ran a span: a map, so that a rank id
@@ -209,10 +162,6 @@ impl RunSummary {
         let mut busy: BTreeMap<usize, f64> = BTreeMap::new();
         let mut host_first = f64::INFINITY;
         let mut host_last = f64::NEG_INFINITY;
-        let mut serve_first = f64::INFINITY;
-        let mut serve_last = f64::NEG_INFINITY;
-        let mut backoffs: Vec<f64> = Vec::new();
-        let mut recoveries: Vec<f64> = Vec::new();
         for e in events {
             if e.kind == EventKind::Counter && e.name.ends_with("_host_us") {
                 let parts = slot(&mut s.host_splits, &e.name);
@@ -221,38 +170,6 @@ impl RunSummary {
                 }
             }
             if e.kind != EventKind::Span {
-                // Fault-plane and serving-layer instants carry tallies.
-                if e.kind == EventKind::Instant {
-                    let n = e.arg("count").unwrap_or(1.0);
-                    match e.name.as_str() {
-                        "fault_injected" => {
-                            s.faults_injected += 1.0;
-                            if let Some(b) = e.arg("backoff_s") {
-                                backoffs.push(b);
-                            }
-                        }
-                        "rank_death_recovery" => {
-                            if let Some(t) = e.arg("lost_s") {
-                                recoveries.push(t);
-                            }
-                        }
-                        "task_recompute" => s.recomputes += 1.0,
-                        "job_done" => s.jobs_done += n,
-                        "job_failed" => s.jobs_failed += n,
-                        "batch_solve" => s.serve_batches += n,
-                        "cache_hit" => s.cache_hits += n,
-                        "cache_miss" => s.cache_misses += n,
-                        "cache_evict" => s.cache_evictions += n,
-                        _ => {}
-                    }
-                    if matches!(
-                        e.name.as_str(),
-                        "job_submit" | "job_start" | "job_done" | "job_failed"
-                    ) {
-                        serve_first = serve_first.min(e.host_us);
-                        serve_last = serve_last.max(e.host_us);
-                    }
-                }
                 continue;
             }
             if let Some(t) = s.time_mut(e.cat) {
@@ -291,11 +208,6 @@ impl RunSummary {
         if host_last > host_first {
             s.host_elapsed = (host_last - host_first) / 1e6;
         }
-        if serve_last > serve_first {
-            s.serve_elapsed = (serve_last - serve_first) / 1e6;
-        }
-        s.backoff = HistStats::from_samples(&backoffs);
-        s.recovery = HistStats::from_samples(&recoveries);
         s
     }
 
@@ -366,45 +278,9 @@ impl RunSummary {
             }
         }
         out.push_str(&format!(
-            "  traffic: {:.3e} bytes in {} msgs; nxtval {}; lock acquires {}\n",
-            self.net_bytes, self.net_msgs, self.nxtval_msgs, self.lock_acquires
+            "  traffic: {:.3e} bytes in {} msgs ({} resent); nxtval {}; lock acquires {}\n",
+            self.net_bytes, self.net_msgs, self.retries, self.nxtval_msgs, self.lock_acquires
         ));
-        if self.faults_injected > 0.0 || self.retries > 0.0 || self.recomputes > 0.0 {
-            out.push_str(&format!(
-                "  fault plane: {} injected; {} retries; {} recomputes\n",
-                self.faults_injected, self.retries, self.recomputes
-            ));
-        }
-        let quartiles = |label: &str, h: &HistStats| {
-            format!(
-                "  {label}: n={} p50={:.6} p95={:.6} p99={:.6} max={:.6} s\n",
-                h.count, h.p50, h.p95, h.p99, h.max
-            )
-        };
-        if !self.backoff.is_empty() {
-            out.push_str(&quartiles("retry backoff", &self.backoff));
-        }
-        if !self.recovery.is_empty() {
-            out.push_str(&quartiles("rank-death recovery", &self.recovery));
-        }
-        if self.jobs_done > 0.0 || self.jobs_failed > 0.0 {
-            out.push_str(&format!(
-                "  serve: {} jobs done, {} failed, {} batched solves; {:.2} jobs/s (host)\n",
-                self.jobs_done,
-                self.jobs_failed,
-                self.serve_batches,
-                self.jobs_per_sec()
-            ));
-        }
-        if self.cache_hits > 0.0 || self.cache_misses > 0.0 {
-            out.push_str(&format!(
-                "  artifact cache: {} hits / {} misses ({:.1}% hit rate), {} evictions\n",
-                self.cache_hits,
-                self.cache_misses,
-                100.0 * self.cache_hit_rate(),
-                self.cache_evictions
-            ));
-        }
         out
     }
 
@@ -570,45 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_instants_roll_up() {
-        // A server trace is instants-only: job lifecycle + cache events.
-        // The summary must count them, window the host time over the job
-        // instants, and render a serve section — without perturbing the
-        // span-based host_elapsed (zero here: no spans).
-        let t = Tracer::in_memory();
-        t.instant(None, "job_submit", Category::Other, &[]);
-        t.instant(None, "cache_miss", Category::Other, &[]);
-        t.instant(None, "cache_hit", Category::Other, &[("count", 3.0)]);
-        t.instant(None, "cache_evict", Category::Other, &[("count", 2.0)]);
-        t.instant(None, "batch_solve", Category::Other, &[("jobs", 2.0)]);
-        t.instant(None, "job_done", Category::Other, &[]);
-        t.instant(None, "job_done", Category::Other, &[]);
-        t.instant(None, "job_failed", Category::Other, &[]);
-        let mut events = t.events().unwrap();
-        // Pin host timestamps so jobs/s is deterministic: 0.5 s window.
-        let n = events.len();
-        for (i, e) in events.iter_mut().enumerate() {
-            e.host_us = 1_000.0 + 500_000.0 * i as f64 / (n - 1) as f64;
-        }
-        let s = RunSummary::from_events(&events);
-        assert_eq!(s.jobs_done, 2.0);
-        assert_eq!(s.jobs_failed, 1.0);
-        assert_eq!(s.serve_batches, 1.0);
-        assert_eq!(s.cache_hits, 3.0);
-        assert_eq!(s.cache_misses, 1.0);
-        assert_eq!(s.cache_evictions, 2.0);
-        assert_eq!(s.host_elapsed, 0.0);
-        assert!((s.serve_elapsed - 0.5).abs() < 1e-9);
-        assert!((s.jobs_per_sec() - 4.0).abs() < 1e-9);
-        assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
-        let text = s.render("serve");
-        assert!(text.contains("jobs/s"), "missing serve section:\n{text}");
-        assert!(text.contains("hit rate"), "missing cache line:\n{text}");
-        let legacy = RunSummary::from_events(&traced());
-        assert!(!legacy.render("t").contains("jobs/s"));
-    }
-
-    #[test]
     fn host_split_counters_roll_up() {
         let t = Tracer::in_memory();
         // Two ranks of one phase, then rank 0 of the next.
@@ -640,40 +477,6 @@ mod tests {
         let plain = RunSummary::from_events(&traced());
         assert!(plain.host_splits.is_empty());
         assert!(!plain.render("t").contains("split"));
-    }
-
-    #[test]
-    fn fault_plane_histograms_roll_up() {
-        let t = Tracer::in_memory();
-        for b in [0.001, 0.002, 0.004, 0.008] {
-            t.instant(
-                Some(0),
-                "fault_injected",
-                Category::Other,
-                &[("kind", 0.0), ("backoff_s", b)],
-            );
-        }
-        // A legacy fault instant without the payload still counts.
-        t.instant(Some(0), "fault_injected", Category::Other, &[("kind", 1.0)]);
-        t.instant(
-            None,
-            "rank_death_recovery",
-            Category::Other,
-            &[("survivors", 3.0), ("lost_s", 0.75)],
-        );
-        let s = RunSummary::from_events(&t.events().unwrap());
-        assert_eq!(s.faults_injected, 5.0);
-        assert_eq!(s.backoff.count, 4);
-        assert_eq!(s.backoff.p50, 0.002);
-        assert_eq!(s.backoff.max, 0.008);
-        assert_eq!(s.recovery.count, 1);
-        assert_eq!(s.recovery.max, 0.75);
-        let text = s.render("faulty");
-        assert!(text.contains("retry backoff"), "missing backoff:\n{text}");
-        assert!(text.contains("rank-death recovery"), "missing:\n{text}");
-        let legacy = RunSummary::from_events(&traced());
-        assert!(legacy.backoff.is_empty() && legacy.recovery.is_empty());
-        assert!(!legacy.render("t").contains("retry backoff"));
     }
 
     #[test]

@@ -34,10 +34,10 @@ commands:
   batch [options] <jobs.jsonl | ->              run a batch of jobs through the scheduler
   server --listen ADDR --wal FILE [options]     durable TCP/JSONL job server
   client --client ADDR --jobs FILE [options]    submit jobs to a server, collect results
-  trace summarize <trace.jsonl>                 Table-3-style run summary
+  trace summarize <trace.jsonl>                 Table 3: span time, traffic, GF/s
   trace to-chrome <trace.jsonl> [out.json]      Chrome Trace Event Format
   trace flame [--host] <trace.jsonl> [out]      collapsed stacks (simulated time, or host)
-  trace metrics <trace.jsonl>                   metrics-plane text exposition
+  trace metrics <trace.jsonl>                   fault and serve tallies, metrics text
   trace diff <a.jsonl> <b.jsonl>                compare two runs' summaries
   chaos [--schedules N] [--seed S] [--nproc P] [--json FILE]
                                                 solves under seeded fault schedules

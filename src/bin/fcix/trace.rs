@@ -1,10 +1,10 @@
 //! `fcix trace` — inspect JSONL traces written by the `fci-obs` tracer.
 //!
 //! ```text
-//! fcix trace summarize <trace.jsonl>            Table-3-style run summary
+//! fcix trace summarize <trace.jsonl>            Table 3: span time, traffic, GF/s
 //! fcix trace to-chrome <trace.jsonl> [out.json] Chrome Trace Event Format
 //! fcix trace flame [--host] <trace.jsonl> [out] collapsed stacks (flamegraph)
-//! fcix trace metrics <trace.jsonl>              metrics-plane text exposition
+//! fcix trace metrics <trace.jsonl>              fault and serve tallies, metrics text
 //! fcix trace diff <a.jsonl> <b.jsonl>           side-by-side summary diff
 //! ```
 //!
@@ -12,9 +12,11 @@
 //! `FciOptions { obs: ObsConfig::to_file("trace.jsonl"), .. }` (or by
 //! attaching a tracer to a `Ddi` directly; see DESIGN.md §Observability).
 //! The Chrome output loads in `chrome://tracing` / Perfetto with one lane
-//! per virtual MSP; the `flame` output feeds any collapsed-stack consumer
-//! (`flamegraph.pl`, speedscope, inferno). Flame weights are simulated
-//! time by default, host wall-clock with `--host`.
+//! per virtual MSP. `summarize` rolls up spans only (the paper's Table 3);
+//! the instants — injected faults, recomputes, rank deaths, jobs, cache
+//! hits — roll up in `metrics`. The `flame` output feeds any
+//! collapsed-stack consumer (`flamegraph.pl`, speedscope, inferno). Flame
+//! weights are simulated time by default, host wall-clock with `--host`.
 //!
 //! A truncated final line (crashed run) is tolerated with a warning;
 //! corruption anywhere else, and traces with no parsable events at all,

@@ -347,8 +347,9 @@ fn metrics_replay_covers_sigma_trace() {
 /// What a live solve records and what `fcix trace metrics` rebuilds from
 /// its trace agree on every `ddi.*` and `fault.*` series (count, sum, max,
 /// quantiles, labels) for a traced 2-rank solve without a fault plan, where
-/// every gather takes the aggregated fast path, and under transient
-/// faults, where every transfer takes the checked path.
+/// every gather takes the aggregated fast path; under transient faults,
+/// where every transfer takes the checked path; and under `nxtval` stalls
+/// and poisoned σ tasks, whose kinds and recomputes are counted live too.
 #[test]
 fn live_ddi_and_fault_metrics_equal_their_replay() {
     let ham = random_hamiltonian(6, 3);
@@ -367,11 +368,25 @@ fn live_ddi_and_fault_metrics_equal_their_replay() {
         p_fence_delay: 0.05,
         ..FaultConfig::default()
     };
+    let stalls_and_poison = FaultConfig {
+        seed: 11,
+        p_stall: 0.05,
+        p_poison: 0.05,
+        ..FaultConfig::default()
+    };
     for (plan, fed) in [
-        (None, "fcix_ddi_get_bytes_count"),
+        (None, &["fcix_ddi_get_bytes_count"][..]),
         (
             Some(transient),
-            "fcix_ddi_retry_backoff_s_count{kind=\"transient\"}",
+            &["fcix_ddi_retry_backoff_s_count{kind=\"transient\"}"],
+        ),
+        (
+            Some(stalls_and_poison),
+            &[
+                "fcix_fault_injected{kind=\"nxtval_stall\"}",
+                "fcix_fault_injected{kind=\"poisoned_task\"}",
+                "fcix_fault_recomputes ",
+            ],
         ),
     ] {
         let ddi = Ddi::new(2, Backend::Serial);
@@ -392,7 +407,9 @@ fn live_ddi_and_fault_metrics_equal_their_replay() {
         let live = series(tracer.metrics().expect("metrics plane"));
         let replay = MetricsRegistry::from_events(&tracer.events().expect("in-memory tracer"));
         assert_eq!(live, series(&replay));
-        assert!(live.iter().any(|l| l.starts_with(fed)), "{live:?}");
+        for fed in fed {
+            assert!(live.iter().any(|l| l.starts_with(fed)), "{fed}: {live:?}");
+        }
     }
 }
 
