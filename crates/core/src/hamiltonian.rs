@@ -24,8 +24,17 @@
 //! pair irrep `h = g_p ⊕ g_r = g_q ⊕ g_s`. The DGEMM kernels multiply
 //! only those blocks: `Ĝ_hh` is cut out of **G** once, here, and the
 //! `V_hh` of a mixed-spin family is filled from the per-irrep orbital
-//! lists kept beside it. **G** and **V** are read-only after
+//! masks kept beside it. **G** and **V** are read-only after
 //! construction so that the blocks cannot diverge from their source.
+//!
+//! Integrals that are zero *by value* are screened here too, once: a pair
+//! whose row of **G** (or of **V**) holds nothing but exact `0.0` is
+//! *screened*, and the kernels gather, multiply and scatter only the
+//! others. `Ĝ_hh` is kept compacted to its unscreened pairs; the
+//! mixed-spin kernel reads the unscreened `(p, r)` of **V** from
+//! `Hamiltonian::v_pairs`. There is no threshold: a molecule's `(pp|rr)`
+//! and `(pr|pr) − (pr|rp)` are positive, so every one of its pairs stays,
+//! while a Hubbard chain screens all of **G** and all but `(p, p)` of **V**.
 
 use fci_ints::EriTensor;
 use fci_linalg::Matrix;
@@ -61,59 +70,82 @@ pub struct Hamiltonian {
     id: u64,
 }
 
-/// What the blocked σ kernels read of the point group: orbitals and
-/// orbital pairs grouped by irrep, and the diagonal blocks of **G**.
-/// With one irrep every list is the identity and `Ĝ_00` is **G**.
+/// What the blocked σ kernels read of the point group and of the
+/// screen: orbitals and orbital pairs grouped by irrep, the unscreened
+/// pairs, and the diagonal blocks of **G** over them. With one irrep and
+/// nothing screened every list is the identity and `Ĝ_00` is **G**.
 #[derive(Clone, Debug)]
 struct SymBlocks {
-    /// Orbitals in (irrep, orbital) order; irrep `g` is
-    /// `orbs[orb_off[g]..orb_off[g + 1]]`.
-    orbs: Vec<u8>,
-    orb_off: Vec<usize>,
-    /// Position of each orbital inside its irrep's run of `orbs`.
-    orb_rank: Vec<u8>,
-    /// Position of each pair (by [`pair_index`]) among the pairs of its
-    /// irrep `g_p ⊕ g_r`, which are kept in `pair_index` order.
+    /// Position of each pair (by [`pair_index`]) among the unscreened
+    /// pairs of its irrep `g_p ⊕ g_r`, which are kept in `pair_index`
+    /// order; [`SCREENED`] for a pair whose row of **G** is all zero.
     pair_pos: Vec<u32>,
-    /// `Ĝ_hh`, one per pair irrep.
+    /// Pairs of each irrep, screened ones included: the shape the
+    /// simulated machine multiplies.
+    pairs_per_irrep: Vec<usize>,
+    /// `Ĝ_hh` over the unscreened pairs, one per pair irrep.
     g_blocks: Vec<Matrix>,
+    /// Bit `r` of `v_pairs[p]`: some `(pq|rs)` is non-zero.
+    v_pairs: Vec<u64>,
+    /// Bit `p` of `irrep_mask[g]`: orbital `p` has irrep `g`.
+    irrep_mask: Vec<u64>,
 }
 
+/// [`Hamiltonian::pair_pos`] of a pair whose row of **G** is all zero.
+pub(crate) const SCREENED: u32 = u32::MAX;
+
 impl SymBlocks {
-    fn new(g: &Matrix, orb_sym: &[u8], n_irrep: usize) -> Self {
+    fn new(g: &Matrix, v: &Matrix, orb_sym: &[u8], n_irrep: usize) -> Self {
         let n = orb_sym.len();
-        let mut orbs: Vec<u8> = (0..n as u8).collect();
-        orbs.sort_by_key(|&p| (orb_sym[p as usize], p));
-        let mut orb_off = vec![0usize; n_irrep + 1];
-        let mut orb_rank = vec![0u8; n];
-        for &p in &orbs {
-            let irrep = orb_sym[p as usize] as usize;
-            orb_rank[p as usize] = orb_off[irrep + 1] as u8;
-            orb_off[irrep + 1] += 1;
-        }
-        for i in 0..n_irrep {
-            orb_off[i + 1] += orb_off[i];
-        }
-        // Pairs of each irrep, in pair_index order.
+        // A pair is screened when its column of G is exact zeros; G is
+        // exactly symmetric (EriTensor keeps one value per 8-fold class),
+        // so then its row is too. `x << 1` drops the sign bit: the fold is
+        // non-zero iff some `x != 0.0`, and it vectorizes.
+        let npair = g.nrows();
+        let nonzero = |xs: &[f64]| xs.iter().fold(0, |acc, x| acc | x.to_bits() << 1) != 0;
+        let active: Vec<bool> = g
+            .as_slice()
+            .chunks_exact(npair.max(1))
+            .map(nonzero)
+            .collect();
+        // Unscreened pairs of each irrep, in pair_index order.
         let mut pairs: Vec<Vec<usize>> = vec![Vec::new(); n_irrep];
-        let mut pair_pos = vec![0u32; g.nrows()];
+        let mut pairs_per_irrep = vec![0usize; n_irrep];
+        let mut pair_pos = vec![SCREENED; npair];
         for p in 1..n {
             for r in 0..p {
-                let of_h = &mut pairs[(orb_sym[p] ^ orb_sym[r]) as usize];
-                pair_pos[pair_index(p, r)] = of_h.len() as u32;
-                of_h.push(pair_index(p, r));
+                let h = (orb_sym[p] ^ orb_sym[r]) as usize;
+                pairs_per_irrep[h] += 1;
+                let at = pair_index(p, r);
+                if active[at] {
+                    pair_pos[at] = pairs[h].len() as u32;
+                    pairs[h].push(at);
+                }
             }
         }
         let g_blocks = pairs
             .iter()
             .map(|ph| Matrix::from_fn(ph.len(), ph.len(), |i, j| g[(ph[i], ph[j])]))
             .collect();
+        // V[(p·n + q), (r·n + s)] = (pq|rs), and (pq|rs) = (qp|sr): the pairs
+        // (p, r) with a non-zero row of V are also those with a non-zero
+        // column. Column (r, s) of V holds (pq|rs) for one p per run of n.
+        let mut v_pairs = vec![0u64; n];
+        for (col, vcol) in v.as_slice().chunks_exact(n * n).enumerate() {
+            for (row, qs) in v_pairs.iter_mut().zip(vcol.chunks_exact(n)) {
+                *row |= u64::from(nonzero(qs)) << (col / n);
+            }
+        }
+        let mut irrep_mask = vec![0u64; n_irrep];
+        for (p, &g) in orb_sym.iter().enumerate() {
+            irrep_mask[g as usize] |= 1 << p;
+        }
         SymBlocks {
-            orbs,
-            orb_off,
-            orb_rank,
             pair_pos,
+            pairs_per_irrep,
             g_blocks,
+            v_pairs,
+            irrep_mask,
         }
     }
 }
@@ -175,7 +207,7 @@ impl Hamiltonian {
             e_core: mo.e_core,
             h: mo.h.clone(),
             eri: mo.eri.clone(),
-            blocks: SymBlocks::new(&g, &mo.orb_sym, mo.n_irrep),
+            blocks: SymBlocks::new(&g, &v, &mo.orb_sym, mo.n_irrep),
             v,
             g,
             orb_sym: mo.orb_sym.clone(),
@@ -196,26 +228,31 @@ impl Hamiltonian {
     }
 
     /// `Ĝ_hh`: the rows and columns of **G** whose pairs have irrep
-    /// `g_p ⊕ g_r = h`, in [`pair_index`] order.
+    /// `g_p ⊕ g_r = h` and are not screened, in [`pair_index`] order.
     pub(crate) fn g_block(&self, h: u8) -> &Matrix {
         &self.blocks.g_blocks[h as usize]
     }
 
     /// Row (and column) of each pair, by [`pair_index`], inside the
-    /// [`Hamiltonian::g_block`] of its irrep.
+    /// [`Hamiltonian::g_block`] of its irrep, or [`SCREENED`].
     pub(crate) fn pair_pos(&self) -> &[u32] {
         &self.blocks.pair_pos
     }
 
-    /// The orbitals of irrep `g`, ascending.
-    pub(crate) fn irrep_orbitals(&self, g: u8) -> &[u8] {
-        let off = &self.blocks.orb_off;
-        &self.blocks.orbs[off[g as usize]..off[g as usize + 1]]
+    /// Pairs of irrep `h`, screened ones included.
+    pub(crate) fn pairs_of_irrep(&self, h: u8) -> usize {
+        self.blocks.pairs_per_irrep[h as usize]
     }
 
-    /// Position of each orbital among the orbitals of its own irrep.
-    pub(crate) fn orb_rank(&self) -> &[u8] {
-        &self.blocks.orb_rank
+    /// The orbitals `r` (bit `r`) for which some `(pq|rs)` is non-zero:
+    /// the unscreened pairs `(p, r)` of **V**.
+    pub(crate) fn v_pairs(&self, p: usize) -> u64 {
+        self.blocks.v_pairs[p]
+    }
+
+    /// The orbitals of irrep `g` as a bit mask.
+    pub(crate) fn irrep_mask(&self, g: u8) -> u64 {
+        self.blocks.irrep_mask[g as usize]
     }
 
     /// Diagonal element `⟨D|H|D⟩ − E_core` for the determinant with α
@@ -387,9 +424,10 @@ mod tests {
     fn one_irrep_is_one_block_and_the_identity_lists() {
         let ham = random_hamiltonian(5, 3);
         assert_eq!(ham.g_block(0), ham.g());
-        assert_eq!(ham.irrep_orbitals(0), [0, 1, 2, 3, 4]);
-        assert_eq!(ham.orb_rank(), [0, 1, 2, 3, 4]);
+        assert_eq!(ham.irrep_mask(0), 0b11111);
+        assert_eq!(ham.pairs_of_irrep(0), 10);
         assert!(ham.pair_pos().iter().copied().eq(0..10));
+        assert!((0..5).all(|p| ham.v_pairs(p) == 0b11111));
     }
 
     #[test]
@@ -397,10 +435,9 @@ mod tests {
         // Unsorted labels over four irreps, one of them (2) unused.
         let sym = [3u8, 0, 1, 0, 3, 1];
         let ham = random_symmetric_hamiltonian(6, 5, &sym, 4);
-        assert_eq!(ham.irrep_orbitals(0), [1, 3]);
-        assert_eq!(ham.irrep_orbitals(2), [0u8; 0]);
-        assert_eq!(ham.irrep_orbitals(3), [0, 4]);
-        assert_eq!(ham.orb_rank(), [0, 0, 0, 1, 1, 1]);
+        assert_eq!(ham.irrep_mask(0), 0b001010);
+        assert_eq!(ham.irrep_mask(2), 0);
+        assert_eq!(ham.irrep_mask(3), 0b010001);
         let pair_irrep = |idx: usize| {
             let (p, r) = (1..6)
                 .flat_map(|p| (0..p).map(move |r| (p, r)))
@@ -423,11 +460,75 @@ mod tests {
         }
         let tiled: usize = (0..4).map(|h| ham.g_block(h).len()).sum();
         assert_eq!(covered, tiled);
+        // Random integrals screen nothing.
+        assert!((0..4).all(|h| ham.g_block(h).nrows() == ham.pairs_of_irrep(h)));
         // The forbidden one- and two-electron integrals are exact zeros.
         assert_eq!(ham.h[(0, 1)], 0.0);
         assert!(ham.h[(0, 4)] != 0.0);
         assert_eq!(ham.eri.get(0, 1, 2, 3), 0.0);
         assert!(ham.eri.get(0, 4, 1, 3) != 0.0);
+    }
+
+    /// A Hubbard chain's only two-electron integral is `(pp|pp) = U`: **G**
+    /// is all zero, so every pair is screened from it, and of **V** only
+    /// the pairs `(p, p)` stay.
+    #[test]
+    fn hubbard_screens_all_of_g_and_all_but_the_diagonal_of_v() {
+        for periodic in [false, true] {
+            let ham = Hamiltonian::new(&MoIntegrals::hubbard_chain(6, 1.0, 4.0, periodic));
+            assert_eq!(ham.g_block(0).nrows(), 0);
+            assert_eq!(ham.pairs_of_irrep(0), 15);
+            assert!(ham.pair_pos().iter().all(|&at| at == SCREENED));
+            assert!((0..6).all(|p| ham.v_pairs(p) == 1 << p));
+        }
+    }
+
+    /// Zeroing every `(pq|rs)` of one pair `(p, r)` screens exactly that
+    /// pair from **V**, and — as `(pq|rs) − (ps|rq)` then vanishes — from
+    /// **G**; `Ĝ` keeps the other pairs in `pair_index` order.
+    #[test]
+    fn a_planted_zero_pair_is_screened_from_g_and_v() {
+        let dense = random_hamiltonian(5, 9);
+        let (p, r) = (3, 1);
+        let mut mo = MoIntegrals {
+            n_orb: 5,
+            h: dense.h.clone(),
+            eri: dense.eri.clone(),
+            e_core: 0.0,
+            orb_sym: vec![0; 5],
+            n_irrep: 1,
+        };
+        for q in 0..5 {
+            for s in 0..5 {
+                mo.eri.set(p, q, r, s, 0.0);
+            }
+        }
+        let ham = Hamiltonian::new(&mo);
+        for a in 0..5 {
+            let want = if a == p {
+                0b11111 & !(1 << r)
+            } else if a == r {
+                0b11111 & !(1 << p)
+            } else {
+                0b11111
+            };
+            assert_eq!(ham.v_pairs(a), want, "orbital {a}");
+        }
+        let screened = pair_index(p, r);
+        assert_eq!(ham.pair_pos()[screened], SCREENED);
+        assert_eq!(ham.g_block(0).nrows(), 9);
+        for (i, &at) in ham.pair_pos().iter().enumerate() {
+            if i == screened {
+                continue;
+            }
+            let at = at as usize;
+            assert_eq!(at, i - usize::from(i > screened));
+            for (j, &bt) in ham.pair_pos().iter().enumerate() {
+                if j != screened {
+                    assert_eq!(ham.g_block(0)[(at, bt as usize)], ham.g[(i, j)]);
+                }
+            }
+        }
     }
 
     #[test]

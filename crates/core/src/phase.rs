@@ -3,7 +3,7 @@
 //! statistics into simulated time.
 
 use fci_ddi::{CommStats, Ddi};
-use fci_obs::Tracer;
+use fci_obs::{Tracer, HOST_GEMM_FLOPS};
 use fci_xsim::{Clock, MachineModel, RunReport};
 use std::sync::Mutex;
 
@@ -54,12 +54,15 @@ where
 /// — the paper's Table 3 rows on the host clock. It runs only while the
 /// world's tracer records events: each [`HostSplit::lap`] adds the host
 /// µs since the previous lap to one part; without a tracer a lap is one
-/// branch on a `None`.
+/// branch on a `None`. Beside the parts it tallies the GEMM flops the
+/// host ran, which exact-zero screening holds below the flops the
+/// simulated clock charges.
 #[derive(Clone)]
 pub(crate) struct HostSplit<'t> {
     tracer: Option<&'t Tracer>,
     last_us: f64,
     parts_us: [f64; 5],
+    gemm_flops: f64,
 }
 
 impl<'t> HostSplit<'t> {
@@ -77,6 +80,7 @@ impl<'t> HostSplit<'t> {
             tracer: None,
             last_us: 0.0,
             parts_us: [0.0; 5],
+            gemm_flops: 0.0,
         }
     }
 
@@ -98,11 +102,20 @@ impl<'t> HostSplit<'t> {
         }
     }
 
+    /// Count an `m × n × k` GEMM the host ran.
+    #[inline]
+    pub(crate) fn gemm(&mut self, m: usize, n: usize, k: usize) {
+        self.gemm_flops += 2.0 * m as f64 * n as f64 * k as f64;
+    }
+
     /// Emit the sums as one `name` counter on `rank`'s lane, one arg per
-    /// part.
+    /// part, then the host GEMM flops as `gemm_flops`.
     pub(crate) fn emit(&self, rank: usize, name: &str, parts: [&str; 5]) {
         if let Some(t) = self.tracer {
-            let args: [(&str, f64); 5] = std::array::from_fn(|i| (parts[i], self.parts_us[i]));
+            let args: [(&str, f64); 6] = std::array::from_fn(|i| match parts.get(i) {
+                Some(&part) => (part, self.parts_us[i]),
+                None => (HOST_GEMM_FLOPS, self.gemm_flops),
+            });
             t.counter(Some(rank), name, &args);
         }
     }

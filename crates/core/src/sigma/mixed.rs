@@ -31,11 +31,30 @@
 //!
 //! A family's slots are sorted by (irrep, orbital) and the rows of `D_h`
 //! keep the slot-major order `(q̃, s)`: slot `q̃` owns one row per orbital
-//! `s` of irrep `g_q ⊕ h`, so row = `base[q̃]` + rank of `s` inside its
-//! irrep, and the slots that pair with a given `s` are one contiguous
-//! range. `V_hh` is filled from the per-irrep orbital lists. With one
-//! irrep there is one block, `base[q̃] = q̃·n`, and every list is the
-//! identity: the same loops build the same `nd × n_Kβ` product.
+//! `s` of irrep `g_q ⊕ h` whose pair `(q, s)` is not screened (see
+//! below), ascending, so row = `base[q̃]` + the rank of `s` among those.
+//! The slots that pair with a given `s` are one contiguous range; the
+//! rows they own are cut into *runs* of consecutive slots whose rows are
+//! evenly spaced, and one β family entry moves one run at a time. Each
+//! orbital has one run unless screening splits its rows (as on a planted
+//! zero pair, never on a molecule or a Hubbard chain); only a block with
+//! a split orbital takes the loop that tests each entry for more runs,
+//! since at `dense_c2`'s D2h block sizes that test alone costs about a
+//! tenth of the build and of the scatter.
+//! `V_hh` is filled over the same rows. With one irrep and nothing screened
+//! there is one block, `base[q̃] = q̃·n`, and each orbital has one run: the
+//! same loops build the same `nd × n_Kβ` product as an unblocked routine.
+//!
+//! ### Exact-zero screening
+//!
+//! A pair `(p, r)` with `(pq|rs) = 0.0` for every `(q, s)` has an all-zero
+//! row of V, and — as `(pq|rs) = (qp|sr)` — an all-zero column. Its rows
+//! of `D_h`, `E_h` and `V_hh` are dropped: on a Hubbard chain only
+//! `(p, p)` survives, and the 60×60 `V_K` of the 10-site chain becomes
+//! 6×6. Each E element is the same `fma` chain less terms that were
+//! `0·b`, so σ keeps its bits; a dropped E row was zero, and scattering
+//! it added nothing. The simulated clock still charges the unscreened
+//! shapes, so every charge depends on the symmetry blocks only.
 //!
 //! ### Layout
 //!
@@ -58,13 +77,16 @@
 //! produces on the real machine.
 
 use super::{SigmaCtx, MAX_IRREP};
+use crate::detspace::DetSpace;
 use crate::hamiltonian::Hamiltonian;
 use crate::phase::{charge_comm, HostSplit};
 use crate::taskpool::TaskPool;
 use fci_ddi::{Backend, CommStats, Corruption, DistMatrix, FaultPlan};
 use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, Trans};
 use fci_obs::{Category, FaultKind};
+use fci_strings::Bits;
 use fci_xsim::{Clock, MachineModel, RunReport};
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Receives one α-column contribution of a task: `(column, values, stats)`.
@@ -94,6 +116,9 @@ struct WorkBufs {
     base: Vec<usize>,
     /// Per orbital, where it enters the current `D_h`.
     orb_rows: Vec<OrbRows>,
+    /// The runs `orb_rows` points into: at most one per row of an
+    /// unscreened `D_h`, so never more than `nq·n`.
+    runs: Vec<Run>,
     /// Per row of the current `V_hh`, where its integrals sit in **V**
     /// (see [`fill_vk`]).
     vpos: Vec<(usize, usize)>,
@@ -118,6 +143,7 @@ impl WorkBufs {
             cols: Vec::with_capacity(nq),
             base: vec![0; nq + 1],
             orb_rows: vec![OrbRows::default(); n],
+            runs: vec![Run::default(); nd],
             vpos: vec![(0, 0); nd],
             d: Matrix::zeros(nd, nkb),
             e_mat: Matrix::zeros(nd, nkb),
@@ -127,18 +153,91 @@ impl WorkBufs {
     }
 }
 
-/// Where a β orbital `s` enters the current `D_h`: the contiguous slots
-/// `q̃` it pairs with (`g_q ⊕ g_s = h`) and the rows `(q̃, s)` they own.
+/// Where a β orbital `s` enters the current `D_h`: the rows `(q̃, s)` of
+/// the slots pairing with it (`g_q ⊕ g_s = h`) whose pair `(q, s)` is not
+/// screened, as runs. The first run is kept here; it is the only one
+/// unless screening splits the rows, and the others are
+/// `runs[more.0..more.1]`.
 #[derive(Clone, Copy, Default)]
 struct OrbRows {
-    /// First pairing slot.
+    run: Run,
+    more: (usize, usize),
+    /// Slots that pair with `s`, screened pairs included: what the
+    /// simulated machine moves per family entry.
+    pairing: usize,
+}
+
+/// Consecutive slots `slot..slot + count` whose rows `(q̃, s)` for one `s`
+/// are `first`, `first + step`, ….
+#[derive(Clone, Copy, Default)]
+struct Run {
     slot: usize,
-    /// Number of pairing slots.
     count: usize,
-    /// Row of `(first pairing slot, s)`.
     first: usize,
-    /// Rows from one pairing slot's `s` to the next one's.
     step: usize,
+}
+
+/// The β side of one irrep block of a task: its Kβ strings and where each
+/// β orbital enters `D_h` and `E_h`. `build` and `scatter` take `SPLIT`,
+/// whether any orbital has more than one run: without, each β family
+/// entry is one strided copy, with no per-entry test for further runs.
+struct BlockRows<'a> {
+    space: &'a DetSpace,
+    kbs: Range<usize>,
+    nq: usize,
+    nd: usize,
+    orb_rows: &'a [OrbRows],
+    runs: &'a [Run],
+}
+
+impl BlockRows<'_> {
+    /// `D_h((q̃, s), Kβ) = sgn_s · C(slot q̃, Jβ)` for every β family entry
+    /// `(s, Jβ)` of the block, from the slot-minor `cgt`. Returns the
+    /// elements the machine model moves.
+    fn build<const SPLIT: bool>(&self, d: &mut [f64], cgt: &[f64]) -> usize {
+        let mut touched = 0;
+        for (dcol, kb) in d.chunks_exact_mut(self.nd).zip(self.kbs.clone()) {
+            for eb in self.space.beta_nm1.of(kb) {
+                let t = &self.orb_rows[eb.p as usize];
+                let (sgn, at) = (eb.sign as f64, eb.to as usize * self.nq);
+                let mut put = |r: &Run| {
+                    let mut row = r.first;
+                    for &v in &cgt[at + r.slot..][..r.count] {
+                        dcol[row] = sgn * v;
+                        row += r.step;
+                    }
+                };
+                put(&t.run);
+                if SPLIT {
+                    self.runs[t.more.0..t.more.1].iter().for_each(put);
+                }
+                touched += t.pairing;
+            }
+        }
+        touched
+    }
+
+    /// The reverse of [`BlockRows::build`]: add `sgn_s · E_h((q̃, s), Kβ)`
+    /// into the slot-minor update `ut`.
+    fn scatter<const SPLIT: bool>(&self, e: &[f64], ut: &mut [f64]) {
+        for (ecol, kb) in e.chunks_exact(self.nd).zip(self.kbs.clone()) {
+            for eb in self.space.beta_nm1.of(kb) {
+                let t = &self.orb_rows[eb.p as usize];
+                let (sgn, at) = (eb.sign as f64, eb.to as usize * self.nq);
+                let mut take = |r: &Run| {
+                    let mut row = r.first;
+                    for u in &mut ut[at + r.slot..][..r.count] {
+                        *u += sgn * ecol[row];
+                        row += r.step;
+                    }
+                };
+                take(&t.run);
+                if SPLIT {
+                    self.runs[t.more.0..t.more.1].iter().for_each(take);
+                }
+            }
+        }
+    }
 }
 
 /// Upper bound in bytes on one worker's packed-`V_K` cache. When the
@@ -271,7 +370,6 @@ fn process_task_into(
     let nq = fam.len();
     let gka = space.alpha_nm1.space_k().irrep_of_index(ka);
     let orb_sym = &ham.orb_sym[..];
-    let orb_rank = ham.orb_rank();
     host.start();
 
     // The family's slots are sorted by (irrep, orbital): those of irrep
@@ -315,44 +413,84 @@ fn process_task_into(
         // (2) build D_h through the β N−1 families of this irrep block.
         let kbs = kbeta.block_range(gkb as u8);
         let h = gka ^ gkb as u8 ^ target;
-        // Rows per slot of irrep g: the orbitals of irrep g ⊕ h.
-        let mut per_slot = [0usize; MAX_IRREP];
-        for g in 0..n_irrep {
-            per_slot[g] = ham.irrep_orbitals(g as u8 ^ h).len();
-            for slot in slots[g]..slots[g + 1] {
-                bufs.base[slot + 1] = bufs.base[slot] + per_slot[g];
-            }
+        // Rows per slot: the unscreened partners `s` of its orbital among
+        // the orbitals of irrep g_q ⊕ h. The machine model moves all
+        // `nd_all` of them.
+        let mut nd_all = 0;
+        for (slot, e) in fam.iter().enumerate() {
+            let q = e.p as usize;
+            let partners = ham.irrep_mask(orb_sym[q] ^ h);
+            nd_all += partners.count_ones() as usize;
+            bufs.base[slot + 1] =
+                bufs.base[slot] + (partners & ham.v_pairs(q)).count_ones() as usize;
         }
         let (nd, nkb_h) = (bufs.base[nq], kbs.len());
-        if nd == 0 || nkb_h == 0 {
+        if nd_all == 0 || nkb_h == 0 {
             continue;
         }
+        let (mut nruns, mut split) = (0, false);
         for (s, t) in bufs.orb_rows.iter_mut().enumerate() {
             let g = (orb_sym[s] ^ h) as usize;
+            let below = ham.irrep_mask(orb_sym[s]) & ((1u64 << s) - 1);
+            let first_run = nruns;
+            for (slot, e) in (slots[g]..).zip(&fam[slots[g]..slots[g + 1]]) {
+                let pairs = ham.v_pairs(e.p as usize);
+                if pairs >> s & 1 == 0 {
+                    continue;
+                }
+                let row = bufs.base[slot] + (pairs & below).count_ones() as usize;
+                if nruns > first_run {
+                    let last = &mut bufs.runs[nruns - 1];
+                    let next = last.first + last.count * last.step;
+                    if last.slot + last.count == slot && (last.count == 1 || row == next) {
+                        last.step = (row - last.first) / last.count;
+                        last.count += 1;
+                        continue;
+                    }
+                }
+                bufs.runs[nruns] = Run {
+                    slot,
+                    count: 1,
+                    first: row,
+                    step: 0,
+                };
+                nruns += 1;
+            }
+            split |= nruns > first_run + 1;
             *t = OrbRows {
-                slot: slots[g],
-                count: slots[g + 1] - slots[g],
-                first: bufs.base[slots[g]] + orb_rank[s] as usize,
-                step: per_slot[g],
+                run: if nruns > first_run {
+                    bufs.runs[first_run]
+                } else {
+                    Run::default()
+                },
+                more: ((first_run + 1).min(nruns), nruns),
+                pairing: slots[g + 1] - slots[g],
             };
         }
+        let block = BlockRows {
+            space,
+            kbs,
+            nq,
+            nd,
+            orb_rows: &bufs.orb_rows,
+            runs: &bufs.runs[..nruns],
+        };
         bufs.d.reshape(nd, nkb_h);
         bufs.d.fill_zero();
-        clock.charge_memcpy(model, (nd * nkb_h * 8) as f64);
-        let mut touched = 0usize;
-        for (dcol, kb) in bufs.d.as_mut_slice().chunks_exact_mut(nd).zip(kbs.clone()) {
-            for eb in space.beta_nm1.of(kb) {
-                let t = bufs.orb_rows[eb.p as usize];
-                let sgn = eb.sign as f64;
-                let mut row = t.first;
-                for &v in &bufs.cgt[eb.to as usize * nq + t.slot..][..t.count] {
-                    dcol[row] = sgn * v;
-                    row += t.step;
-                }
-                touched += t.count;
-            }
-        }
-        clock.charge_gather(model, touched as f64);
+        clock.charge_memcpy(model, (nd_all * nkb_h * 8) as f64);
+        // A block whose rows are all screened moves nothing on the host;
+        // the machine model still moves what it would have.
+        let moved = match (nd, split) {
+            (0, _) => block
+                .kbs
+                .clone()
+                .flat_map(|kb| space.beta_nm1.of(kb))
+                .map(|eb| block.orb_rows[eb.p as usize].pairing)
+                .sum(),
+            (_, false) => block.build::<false>(bufs.d.as_mut_slice(), &bufs.cgt),
+            (_, true) => block.build::<true>(bufs.d.as_mut_slice(), &bufs.cgt),
+        };
+        clock.charge_gather(model, moved as f64);
 
         // (3) the integral block and the DGEMM. `V_hh` depends only on
         // (Hamiltonian, Kα, h), so where `gemm_prefers_packed` says a
@@ -364,19 +502,19 @@ fn process_task_into(
         // cache is a host-time optimization, invisible to the machine
         // model (and hence to the simulated schedule, which is driven by
         // those charges).
-        let use_pack = gemm_prefers_packed(nd, nkb_h, nd);
+        let use_pack = nd > 0 && gemm_prefers_packed(nd, nkb_h, nd);
         let at = ka * n_irrep + h as usize;
         if use_pack {
             bufs.pack.sync(ham.id(), space.alpha_nm1.len() * n_irrep);
         }
-        if !(use_pack && bufs.pack.panels[at].is_some()) {
+        if nd > 0 && !(use_pack && bufs.pack.panels[at].is_some()) {
             bufs.vk.reshape(nd, nd);
             fill_vk(&mut bufs.vk, &mut bufs.vpos, ham, fam, h);
             if use_pack {
                 bufs.pack.insert(at, PackedA::pack(Trans::No, &bufs.vk));
             }
         }
-        clock.charge_memcpy(model, (nd * nd * 8) as f64);
+        clock.charge_memcpy(model, (nd_all * nd_all * 8) as f64);
         host.lap(BUILD);
         let pa = if use_pack {
             bufs.pack.panels[at].as_ref()
@@ -387,7 +525,7 @@ fn process_task_into(
         match pa {
             // Bitwise equal to `dgemm` on `vk` itself, below.
             Some(pa) => dgemm_prepacked(1, 1.0, pa, Trans::No, &bufs.d, 0.0, &mut bufs.e_mat),
-            None => dgemm(
+            None if nd > 0 => dgemm(
                 Trans::No,
                 Trans::No,
                 1.0,
@@ -396,25 +534,20 @@ fn process_task_into(
                 0.0,
                 &mut bufs.e_mat,
             ),
+            None => {}
         }
-        clock.charge_dgemm(model, nd, nkb_h, nd);
+        host.gemm(nd, nkb_h, nd);
+        clock.charge_dgemm(model, nd_all, nkb_h, nd_all);
         host.lap(GEMM);
 
-        // (4) scatter E_h through the same β families.
-        let mut scat = 0usize;
-        for (ecol, kb) in bufs.e_mat.as_slice().chunks_exact(nd).zip(kbs) {
-            for eb in space.beta_nm1.of(kb) {
-                let t = bufs.orb_rows[eb.p as usize];
-                let sgn = eb.sign as f64;
-                let mut row = t.first;
-                for u in &mut bufs.ut[eb.to as usize * nq + t.slot..][..t.count] {
-                    *u += sgn * ecol[row];
-                    row += t.step;
-                }
-                scat += t.count;
-            }
+        // (4) scatter E_h through the same β families, which move as
+        // many elements as the build did.
+        match (nd, split) {
+            (0, _) => {}
+            (_, false) => block.scatter::<false>(bufs.e_mat.as_slice(), &mut bufs.ut),
+            (_, true) => block.scatter::<true>(bufs.e_mat.as_slice(), &mut bufs.ut),
         }
-        clock.charge_gather(model, scat as f64);
+        clock.charge_gather(model, moved as f64);
         host.lap(SCATTER);
     }
 
@@ -447,7 +580,8 @@ fn process_task_into(
 
 /// Fill `vk` with the family's integral block of pair irrep `h` (the
 /// "INT" box of Fig. 2b): row `base[p̃] + i` is `(p̃, r)` with `r` the
-/// `i`-th orbital of irrep `g_p ⊕ h`, columns likewise, and the entry is
+/// `i`-th orbital of irrep `g_p ⊕ h` whose pair `(p, r)` is not screened,
+/// columns likewise, and the entry is
 /// `(p_{p̃} q_{q̃} | r s)` — read as `(s r | p q)`, the same number in
 /// **V**, whose position splits into a row part `r + p·n³` and a column
 /// part `s·n + q·n²` (`vpos`: the part of every row, which is also the
@@ -463,7 +597,8 @@ fn fill_vk(
     let mut rows = vpos.iter_mut();
     for e in fam {
         let p = e.p as usize;
-        for (&r, at) in ham.irrep_orbitals(ham.orb_sym[p] ^ h).iter().zip(&mut rows) {
+        let partners = ham.irrep_mask(ham.orb_sym[p] ^ h) & ham.v_pairs(p);
+        for (r, at) in Bits(partners).zip(&mut rows) {
             let r = r as usize;
             *at = (r + p * n * n * n, r * n + p * n * n);
         }

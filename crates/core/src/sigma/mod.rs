@@ -362,6 +362,40 @@ mod tests {
         })
     }
 
+    /// The simulated machine charges the shapes of the blocks, never their
+    /// values: a Hubbard chain, whose Ĝ and most of V the kernels screen
+    /// out, is charged exactly what a dense random Hamiltonian over the
+    /// same orbitals and electrons is, on every rank of every phase.
+    #[test]
+    fn charges_depend_on_shapes_not_values() {
+        let hubbard = Hamiltonian::new(&fci_scf::MoIntegrals::hubbard_chain(8, 1.0, 4.0, true));
+        let dense = random_hamiltonian(8, 3);
+        assert_eq!(hubbard.orb_sym, dense.orb_sym);
+        // `{:?}` prints every f64 so that it reads back to the same bits.
+        let charges = |ham: &Hamiltonian, na: usize, nb: usize, nproc: usize| {
+            let space = DetSpace::for_hamiltonian(ham, na, nb, 0);
+            let ddi = Ddi::new(nproc, Backend::Serial);
+            let model = MachineModel::cray_x1();
+            let ctx = SigmaCtx {
+                space: &space,
+                ham,
+                ddi: &ddi,
+                model: &model,
+                pool: PoolParams::default(),
+            };
+            let (_, bd) = apply_sigma(&ctx, &random_ci(&space, nproc, 41), SigmaMethod::Dgemm);
+            let phases = [bd.beta_beta, bd.alpha_alpha, bd.alpha_beta, bd.transpose];
+            phases.map(|r| format!("{:?}", r.clocks))
+        };
+        for (na, nb, nproc) in [(4, 4, 1), (4, 3, 3), (3, 2, 7)] {
+            assert_eq!(
+                charges(&hubbard, na, nb, nproc),
+                charges(&dense, na, nb, nproc),
+                "({na},{nb}) on {nproc} ranks"
+            );
+        }
+    }
+
     /// σ is, bit for bit, what this test printed at commit 5e3a752 (the
     /// last one whose same-spin routine worked on untransposed blocks),
     /// and the same at every rank count: the counts reach `nloc` = 0, 1,

@@ -34,6 +34,18 @@
 //! of the local columns) and `Ĝ_00 = Ĝ`: the same loops do what an
 //! unblocked routine would, bit for bit and charge for charge.
 //!
+//! ### Exact-zero screening
+//!
+//! `Ĝ_hh` holds only the pairs whose row of **G** has a non-zero entry
+//! (`Hamiltonian::g_block`); a family entry of a screened pair is
+//! neither gathered nor scattered, so `D_h` is `run × np′` and the DGEMM
+//! `np′ × run × np′`, with `np′` the unscreened pairs of h. A block with
+//! `np′ = 0` does no work at all: on a Hubbard chain, where **G** is all
+//! zero, only the one-electron list is left. The bits do not move (each E
+//! element loses only `0·d` terms of its `fma` chain, and a dropped E row
+//! was zero), and the simulated clock charges the unscreened shapes, as
+//! the one-electron list charges its zero couplings.
+//!
 //! ### Layout
 //!
 //! A rank's segment stores its columns' sector rows, column by column, so
@@ -45,7 +57,7 @@
 //! `clt[k + j·nloc] = C(j, col₀+k)`, the whole block). σ is accumulated
 //! into a buffer of the same shape, transposed back and added into the
 //! distributed σ's segment once at the end, and D is held as
-//! `D_hᵀ` (`run × pairs`), so one family entry is a signed copy of one
+//! `D_hᵀ` (`run × np′`), so one family entry is a signed copy of one
 //! contiguous C run into one contiguous D column. The product is still
 //! `E = Ĝ·D`: `Dᵀ` enters the GEMM with [`Trans::Yes`], which hands the
 //! kernels the same operands in the same order as an untransposed D.
@@ -57,7 +69,7 @@
 //! nonzero `(from, to, h_pq·sign)` entries, which every rank replays.
 
 use super::{SigmaCtx, MAX_IRREP};
-use crate::hamiltonian::Hamiltonian;
+use crate::hamiltonian::{Hamiltonian, SCREENED};
 use crate::phase::{run_phase, HostSplit};
 use fci_ddi::{transpose_block, DistMatrix, Layout};
 use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, Trans};
@@ -296,10 +308,10 @@ struct RankBufs {
     clt: Vec<f64>,
     /// Transposed σ block in the same layout, zero at the start.
     st: Vec<f64>,
-    /// `D_hᵀ`, `run × pairs of h`: column `pair` is one gathered C run.
-    /// All zero between blocks.
+    /// `D_hᵀ`, `run × unscreened pairs of h`: column `pair` is one
+    /// gathered C run. All zero between blocks.
     dt: Matrix,
-    /// `E_h = Ĝ_hh·D_h`, `pairs of h × run`.
+    /// `E_h = Ĝ_hh·D_h`, `unscreened pairs of h × run`.
     e_mat: Matrix,
 }
 
@@ -356,48 +368,60 @@ fn rank_kernel(
                 }
                 let g_hh = ham.g_block(h);
                 let np = g_hh.nrows();
-                bufs.dt.reshape(nrun, np);
-                bufs.e_mat.reshape(np, nrun);
-                // Gather (B matrix application): one C run per D column.
-                let dts = bufs.dt.as_mut_slice();
-                for e in fam {
-                    let sgn = e.sign as f64;
-                    let col = pos[e.pair_index()] as usize * nrun;
-                    fold_row(dts, col, clt, b.row(e.to), 1, nrun, |d, c| *d = sgn * c);
-                }
-                host.lap(GATHER);
-                // The DGEMM: E_h = Ĝ_hh · D_h. Where a handle pays, Ĝ_hh is
-                // the thread's persistent pack (bitwise equal to `dgemm`
-                // on the block itself).
-                match &gpack[h as usize] {
-                    Some(pa) if gemm_prefers_packed(np, nrun, np) => {
-                        dgemm_prepacked(1, 1.0, pa, Trans::Yes, &bufs.dt, 0.0, &mut bufs.e_mat)
+                if np > 0 {
+                    bufs.dt.reshape(nrun, np);
+                    bufs.e_mat.reshape(np, nrun);
+                    // Gather (B matrix application): one C run per D column.
+                    let dts = bufs.dt.as_mut_slice();
+                    for e in fam {
+                        let at = pos[e.pair_index()];
+                        if at == SCREENED {
+                            continue;
+                        }
+                        let sgn = e.sign as f64;
+                        let col = at as usize * nrun;
+                        fold_row(dts, col, clt, b.row(e.to), 1, nrun, |d, c| *d = sgn * c);
                     }
-                    _ => dgemm(
-                        Trans::No,
-                        Trans::Yes,
-                        1.0,
-                        g_hh,
-                        &bufs.dt,
-                        0.0,
-                        &mut bufs.e_mat,
-                    ),
+                    host.lap(GATHER);
+                    // The DGEMM: E_h = Ĝ_hh · D_h. Where a handle pays, Ĝ_hh
+                    // is the thread's persistent pack (bitwise equal to
+                    // `dgemm` on the block itself).
+                    match &gpack[h as usize] {
+                        Some(pa) if gemm_prefers_packed(np, nrun, np) => {
+                            dgemm_prepacked(1, 1.0, pa, Trans::Yes, &bufs.dt, 0.0, &mut bufs.e_mat)
+                        }
+                        _ => dgemm(
+                            Trans::No,
+                            Trans::Yes,
+                            1.0,
+                            g_hh,
+                            &bufs.dt,
+                            0.0,
+                            &mut bufs.e_mat,
+                        ),
+                    }
+                    host.gemm(np, nrun, np);
+                    host.lap(GEMM);
+                    // Scatter (A matrix application) and clear the D
+                    // columns. E is read along a row (stride `np`); σᵀ is
+                    // written contiguously.
+                    let (dts, es) = (bufs.dt.as_mut_slice(), bufs.e_mat.as_slice());
+                    for e in fam {
+                        let pair = pos[e.pair_index()];
+                        if pair == SCREENED {
+                            continue;
+                        }
+                        let (pair, sgn) = (pair as usize, e.sign as f64);
+                        fold_row(st, b.row(e.to), es, pair, np, nrun, |s, ev| *s += sgn * ev);
+                        // Clear through the same helper (the source row is
+                        // ignored): a `fill` call per entry costs 5 ms per
+                        // half at 432 ranks.
+                        fold_row(dts, pair * nrun, clt, 0, 1, nrun, |d, _| *d = 0.0);
+                    }
                 }
-                clock.charge_dgemm(model, np, nrun, np);
-                host.lap(GEMM);
-                // Scatter (A matrix application) and clear the D columns.
-                // E is read along a row (stride `np`); σᵀ is written
-                // contiguously.
-                let (dts, es) = (bufs.dt.as_mut_slice(), bufs.e_mat.as_slice());
-                for e in fam {
-                    let pair = pos[e.pair_index()] as usize;
-                    let sgn = e.sign as f64;
-                    fold_row(st, b.row(e.to), es, pair, np, nrun, |s, ev| *s += sgn * ev);
-                    // Clear through the same helper (the source row is
-                    // ignored): a `fill` call per entry costs 5 ms per
-                    // half at 432 ranks.
-                    fold_row(dts, pair * nrun, clt, 0, 1, nrun, |d, _| *d = 0.0);
-                }
+                // The machine model multiplies every pair of h.
+                let np_all = ham.pairs_of_irrep(h);
+                clock.charge_dgemm(model, np_all, nrun, np_all);
                 clock.charge_scalar(model, 2.0 * fam.len() as f64);
                 clock.charge_gather(model, (3 * fam.len() * nrun) as f64);
                 host.lap(SCATTER);

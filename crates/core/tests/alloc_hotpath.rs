@@ -17,6 +17,7 @@ use fci_core::{
     random_hamiltonian, random_symmetric_hamiltonian, DetSpace, Hamiltonian, PoolParams,
 };
 use fci_ddi::{Backend, Ddi};
+use fci_scf::MoIntegrals;
 use fci_xsim::MachineModel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -136,36 +137,44 @@ fn sigma_task_hot_path_is_allocation_free_after_warmup() {
         assert_task_passes_allocate_nothing(&space4, &ham4, "4 irreps");
     }
 
-    let nproc = 4;
-    let ddi = Ddi::new(nproc, Backend::Serial);
-    let model = MachineModel::cray_x1();
-    let ctx = SigmaCtx {
-        space: &space,
-        ham: &ham,
-        ddi: &ddi,
-        model: &model,
-        pool: PoolParams::default(),
-    };
-    let c = space.guess(&ham, nproc);
+    // A Hubbard chain screens all of V but the pairs (p, p): every task
+    // cuts its D rows into one-slot runs, in the buffers sized for the
+    // unscreened task.
+    let hub = Hamiltonian::new(&MoIntegrals::hubbard_chain(10, 1.0, 4.0, true));
+    let space_h = DetSpace::for_hamiltonian(&hub, 5, 5, 0);
+    assert_task_passes_allocate_nothing(&space_h, &hub, "hubbard");
 
     // Full-phase driver: the first call builds the hoisted serial
     // working area (V_K alone is nd² doubles); steady-state calls keep
     // only O(nproc + tasks) bookkeeping and must stay far below it.
-    let sigma2 = space.zeros_ci(nproc);
-    let (_, b0) = allocs();
-    mixed_spin_dgemm(&ctx, &c, &sigma2);
-    let (_, b1) = allocs();
-    let warm_bytes = b1 - b0;
-    let mut steady_bytes = u64::MAX;
-    for _ in 0..3 {
-        let (_, s0) = allocs();
+    for (space, ham, what) in [(&space, &ham, "c1"), (&space_h, &hub, "hubbard")] {
+        let nproc = 4;
+        let ddi = Ddi::new(nproc, Backend::Serial);
+        let model = MachineModel::cray_x1();
+        let ctx = SigmaCtx {
+            space,
+            ham,
+            ddi: &ddi,
+            model: &model,
+            pool: PoolParams::default(),
+        };
+        let c = space.guess(ham, nproc);
+        let sigma2 = space.zeros_ci(nproc);
+        let (_, b0) = allocs();
         mixed_spin_dgemm(&ctx, &c, &sigma2);
-        let (_, s1) = allocs();
-        steady_bytes = steady_bytes.min(s1 - s0);
+        let (_, b1) = allocs();
+        let warm_bytes = b1 - b0;
+        let mut steady_bytes = u64::MAX;
+        for _ in 0..3 {
+            let (_, s0) = allocs();
+            mixed_spin_dgemm(&ctx, &c, &sigma2);
+            let (_, s1) = allocs();
+            steady_bytes = steady_bytes.min(s1 - s0);
+        }
+        assert!(
+            steady_bytes * 4 < warm_bytes,
+            "{what}: steady-state mixed_spin_dgemm allocates {steady_bytes} B per call \
+             vs {warm_bytes} B warm-up — WorkBufs hoisting is not effective"
+        );
     }
-    assert!(
-        steady_bytes * 4 < warm_bytes,
-        "steady-state mixed_spin_dgemm allocates {steady_bytes} B per call \
-         vs {warm_bytes} B warm-up — WorkBufs hoisting is not effective"
-    );
 }

@@ -64,7 +64,15 @@ pub struct RunSummary {
     /// build / GEMM / scatter / acc), each part summed over every rank
     /// and phase that emitted it. Empty for traces without the counters.
     pub host_splits: Vec<(String, Vec<(String, f64)>)>,
+    /// GEMM flops the host ran, per `*_host_us` counter name (its
+    /// [`HOST_GEMM_FLOPS`] arg). Exact-zero screening keeps them below
+    /// the charged `flops_dgemm`, which count the unscreened shapes.
+    pub host_gemm_flops: Vec<(String, f64)>,
 }
+
+/// The arg of a `*_host_us` counter that carries the GEMM flops the host
+/// ran (every other arg is a part's host µs).
+pub const HOST_GEMM_FLOPS: &str = "gemm_flops";
 
 /// The value stored under `key` in an insertion-ordered association
 /// list, added with its default on first use.
@@ -164,9 +172,12 @@ impl RunSummary {
         let mut host_last = f64::NEG_INFINITY;
         for e in events {
             if e.kind == EventKind::Counter && e.name.ends_with("_host_us") {
-                let parts = slot(&mut s.host_splits, &e.name);
                 for (k, v) in &e.args {
-                    *slot(parts, k) += v;
+                    if k == HOST_GEMM_FLOPS {
+                        *slot(&mut s.host_gemm_flops, &e.name) += v;
+                    } else {
+                        *slot(slot(&mut s.host_splits, &e.name), k) += v;
+                    }
                 }
             }
             if e.kind != EventKind::Span {
@@ -261,10 +272,16 @@ impl RunSummary {
                 self.host_gflops()
             ));
         }
+        let gemm_flops = |name: &str| {
+            let found = self.host_gemm_flops.iter().find(|(k, _)| k == name);
+            found.map(|&(_, v)| v)
+        };
         for (name, parts) in &self.host_splits {
             let sum: f64 = parts.iter().map(|(_, us)| us).sum();
+            let ran =
+                gemm_flops(name).map_or(String::new(), |v| format!(", GEMM ran {v:.3e} flops"));
             out.push_str(&format!(
-                "  host: {} split, {:.4} s over all MSPs\n",
+                "  host: {} split, {:.4} s over all MSPs{ran}\n",
                 name.trim_end_matches("_host_us"),
                 sum / 1e6
             ));
@@ -276,6 +293,14 @@ impl RunSummary {
                     100.0 * us / sum.max(f64::MIN_POSITIVE)
                 ));
             }
+        }
+        if !self.host_gemm_flops.is_empty() {
+            let ran: f64 = self.host_gemm_flops.iter().map(|(_, v)| v).sum();
+            out.push_str(&format!(
+                "  host: GEMM ran {ran:.3e} of {:.3e} charged DGEMM flops ({:.1}%)\n",
+                self.flops_dgemm,
+                100.0 * ran / self.flops_dgemm.max(f64::MIN_POSITIVE)
+            ));
         }
         out.push_str(&format!(
             "  traffic: {:.3e} bytes in {} msgs ({} resent); nxtval {}; lock acquires {}\n",
@@ -453,7 +478,7 @@ mod tests {
             t.counter(
                 Some(rank),
                 "same_spin_host_us",
-                &[("transpose", 5.0), ("gemm", gemm)],
+                &[("transpose", 5.0), ("gemm", gemm), (HOST_GEMM_FLOPS, 1e6)],
             );
         }
         t.counter(Some(0), "mixed_host_us", &[("get", 1.0)]);
@@ -470,13 +495,21 @@ mod tests {
                 want("mixed_host_us", &[("get", 1.0)]),
             ]
         );
+        // The host GEMM flops are not a part: they roll up on their own.
+        assert_eq!(s.host_gemm_flops, [("same_spin_host_us".to_string(), 3e6)]);
         let text = s.render("t");
         assert!(text.contains("host: same_spin split"), "{text}");
         assert!(text.contains("gemm"), "{text}");
+        assert!(text.contains("GEMM ran 3.000e6 flops"), "{text}");
+        assert!(
+            text.contains("GEMM ran 3.000e6 of 0.000e0 charged"),
+            "{text}"
+        );
         // A trace without the counters prints no split.
         let plain = RunSummary::from_events(&traced());
         assert!(plain.host_splits.is_empty());
         assert!(!plain.render("t").contains("split"));
+        assert!(!plain.render("t").contains("GEMM ran"));
     }
 
     #[test]

@@ -82,14 +82,27 @@ impl ChaosRun {
 /// telemetry trace, all on.
 fn run_schedule(name: &str, cfg: FaultConfig, nproc: usize, backend: Backend) -> ChaosRun {
     let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
+    run_schedule_on(&mo, (2, 2), name, Some(cfg), nproc, backend)
+}
+
+/// [`run_schedule`] on `mo` with `(Nα, Nβ)` electrons; `None` runs the
+/// resilient solve with no fault plan at all.
+fn run_schedule_on(
+    mo: &MoIntegrals,
+    (na, nb): (usize, usize),
+    name: &str,
+    cfg: Option<FaultConfig>,
+    nproc: usize,
+    backend: Backend,
+) -> ChaosRun {
     let detector = Arc::new(RaceDetector::new());
     let trace = tmp(&format!("{name}.trace.jsonl"));
     let mut opts = base_opts(nproc, backend);
-    opts.fault = Some(cfg);
+    opts.fault = cfg;
     opts.check = CheckConfig::online(detector.clone());
     opts.obs = ObsConfig::to_file(&trace);
     let rec = RecoveryOptions::new(tmp(&format!("{name}.ckp")));
-    let r = solve_resilient(&mo, 2, 2, 0, &opts, &rec).expect("resilient solve failed");
+    let r = solve_resilient(mo, na, nb, 0, &opts, &rec).expect("resilient solve failed");
     let text = std::fs::read_to_string(&trace).expect("trace written");
     let events = parse_jsonl(&text).expect("trace parses");
     let fault_series = MetricsRegistry::from_events(&events)
@@ -219,6 +232,35 @@ fn schedule_05_poisoned_sigma_tasks() {
         run.faults("recomputes") > 0.0,
         "telemetry missed the recomputes"
     );
+}
+
+/// A 6-site chain, whose Ĝ and all of V but `(p, p)` the σ kernels
+/// screen out, under poisoned σ tasks: every poisoned task is recomputed,
+/// the energy keeps the fault-free bits, and the recompute count is the
+/// one recorded before the kernels screened anything.
+#[test]
+fn schedule_11_poisoned_tasks_on_a_screened_chain() {
+    let mo = MoIntegrals::hubbard_chain(6, 1.0, 4.0, true);
+    let quiet = run_schedule_on(&mo, (3, 3), "s11-quiet", None, 3, Backend::Serial);
+    let cfg = FaultConfig {
+        p_poison: 0.05,
+        ..FaultConfig::quiet(1111)
+    };
+    let run = run_schedule_on(&mo, (3, 3), "s11-poison", Some(cfg), 3, Backend::Serial);
+    assert!(quiet.converged && run.converged);
+    assert_eq!(
+        run.energy.to_bits(),
+        quiet.energy.to_bits(),
+        "s11: energy bits moved"
+    );
+    assert!(
+        run.races.is_empty(),
+        "s11: recovery path raced: {:?}",
+        run.races
+    );
+    assert_eq!(run.stats.recomputes, run.stats.poisoned_tasks);
+    assert_eq!(run.faults("recomputes"), run.stats.recomputes as f64);
+    assert_eq!(run.stats.recomputes, 84, "s11: recompute count drifted");
 }
 
 // ---- permanent rank death ----

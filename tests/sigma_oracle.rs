@@ -7,7 +7,9 @@
 //! explicit Hamiltonian: `slater::dense_h` built element by element from
 //! the Slater–Condon rules, over seeded random Hamiltonians whose
 //! forbidden integrals are exact zeros, for 1, 2, 4 and 8 irreps with
-//! unsorted orbital labels and **every** target irrep.
+//! unsorted orbital labels and **every** target irrep. The kernels also
+//! skip pair rows of Ĝ and V that hold only exact zeros; Hubbard chains
+//! and random Hamiltonians with planted zero pairs guard that screen.
 //!
 //! A CI vector stores only its sector, so the same cases also pin the
 //! storage: its size, the blocked transpose, and the vector algebra
@@ -21,6 +23,7 @@ use fcix::core::{
 use fcix::ddi::{Backend, CommStats, Ddi, DistMatrix};
 use fcix::fault::Xorshift64;
 use fcix::linalg::{eigh, Matrix};
+use fcix::scf::MoIntegrals;
 use fcix::sparse::{solve_selected, SparseOptions};
 use fcix::xsim::MachineModel;
 
@@ -145,6 +148,73 @@ fn blocked_sigma_matches_explicit_hamiltonian_on_threads() {
         let space = DetSpace::new(6, 3, 2, &labels, n_irrep, target);
         let ddi = Ddi::new(3, Backend::Threads);
         check_sigma(&space, &ham, &h, &ddi, &format!("threads, target {target}"));
+    }
+}
+
+/// `ham` with every `(pq|rs)` of each planted pair `(p, r)` set to an
+/// exact zero: its row of V is screened, and for `p ≠ r` its row of G.
+fn plant_zero_pairs(ham: &Hamiltonian, pairs: &[(usize, usize)]) -> Hamiltonian {
+    let mut mo = MoIntegrals {
+        n_orb: ham.n,
+        h: ham.h.clone(),
+        eri: ham.eri.clone(),
+        e_core: ham.e_core,
+        orb_sym: ham.orb_sym.clone(),
+        n_irrep: ham.n_irrep,
+    };
+    for &(p, r) in pairs {
+        for q in 0..ham.n {
+            for s in 0..ham.n {
+                mo.eri.set(p, q, r, s, 0.0);
+            }
+        }
+    }
+    Hamiltonian::new(&mo)
+}
+
+/// Planted zero pairs: (4, 1) and (5, 0) are every pair of irrep 0 under
+/// the 4- and 8-irrep labels, so a whole `Ĝ_00` is screened there, and
+/// part of it under 1 and 2 irreps; (1, 0) thins another block, and
+/// (3, 3) a diagonal pair of V only.
+const PLANTED: [(usize, usize); 4] = [(4, 1), (5, 0), (1, 0), (3, 3)];
+
+/// Exact-zero screening: the kernels skip the pair rows of Ĝ and V that
+/// hold only zeros, on Hubbard chains (all of G, all but `(p, p)` of V)
+/// and on random Hamiltonians with planted zero pairs, and still give H·c.
+#[test]
+fn screened_sigma_matches_explicit_hamiltonian() {
+    for periodic in [false, true] {
+        let ham = Hamiltonian::new(&MoIntegrals::hubbard_chain(6, 1.0, 4.0, periodic));
+        for (na, nb) in [(3, 3), (4, 2), (3, 2), (2, 1)] {
+            let space = DetSpace::for_hamiltonian(&ham, na, nb, 0);
+            let h = dense_h(&space, &ham);
+            for nproc in [1, 2, 5, 40] {
+                let what = format!("hubbard 6 (periodic {periodic}), ({na},{nb}), {nproc} ranks");
+                check_sigma(&space, &ham, &h, &Ddi::new(nproc, Backend::Serial), &what);
+            }
+            let what = format!("hubbard 6 (periodic {periodic}), ({na},{nb}), threads");
+            check_sigma(&space, &ham, &h, &Ddi::new(3, Backend::Threads), &what);
+        }
+    }
+    for (n_irrep, labels) in LABELS {
+        for (n, na, nb) in [(6, 3, 2), (6, 3, 3)] {
+            let sym = &labels[..n];
+            let dense = random_symmetric_hamiltonian(n, (7 * n_irrep + na) as u64, sym, n_irrep);
+            let ham = plant_zero_pairs(&dense, &PLANTED);
+            let h = dense_h(&DetSpace::new(n, na, nb, sym, n_irrep, 0), &ham);
+            for target in 0..n_irrep as u8 {
+                let space = DetSpace::new(n, na, nb, sym, n_irrep, target);
+                for nproc in [1, 2, 5, 40] {
+                    let what = format!(
+                        "planted, {n_irrep} irreps, ({na},{nb}), target {target}, {nproc} ranks"
+                    );
+                    check_sigma(&space, &ham, &h, &Ddi::new(nproc, Backend::Serial), &what);
+                }
+                let what =
+                    format!("planted, {n_irrep} irreps, ({na},{nb}), target {target}, threads");
+                check_sigma(&space, &ham, &h, &Ddi::new(3, Backend::Threads), &what);
+            }
+        }
     }
 }
 

@@ -239,6 +239,40 @@ fn host_split_closes(events: &[Event]) {
     assert!(summary.render("σ").contains("host: mixed split"));
 }
 
+/// The host GEMM flops beside the split: all of the charged DGEMM flops
+/// when nothing is screened, and on a Hubbard chain — whose Ĝ is all zero
+/// and whose V keeps only the pairs `(p, p)` — none in the same-spin
+/// halves and a small part of the charge in the mixed one.
+#[test]
+fn host_gemm_flops_count_what_the_screen_leaves() {
+    let host_flops = |s: &RunSummary, counter: &str| {
+        let found = s.host_gemm_flops.iter().find(|(name, _)| name == counter);
+        found.map_or(0.0, |&(_, v)| v)
+    };
+    let (events, _) = traced_sigma(8, 3, 3, 3, 5, SigmaMethod::Dgemm);
+    let dense = RunSummary::from_events(&events);
+    let ran = host_flops(&dense, "same_spin_host_us") + host_flops(&dense, "mixed_host_us");
+    assert!(dense.flops_dgemm > 0.0);
+    assert!(
+        (ran - dense.flops_dgemm).abs() <= 1e-12 * ran,
+        "{ran} vs {}",
+        dense.flops_dgemm
+    );
+
+    let ham = Hamiltonian::new(&fcix::scf::MoIntegrals::hubbard_chain(8, 1.0, 4.0, false));
+    let space = DetSpace::for_hamiltonian(&ham, 4, 4, 0);
+    let (events, _) = traced_sigma_on(&space, &ham, 3, SigmaMethod::Dgemm);
+    let hubbard = RunSummary::from_events(&events);
+    assert_eq!(host_flops(&hubbard, "same_spin_host_us"), 0.0);
+    let mixed = host_flops(&hubbard, "mixed_host_us");
+    assert!(
+        mixed > 0.0 && mixed < 0.05 * hubbard.flops_dgemm,
+        "{mixed} of {}",
+        hubbard.flops_dgemm
+    );
+    assert!(hubbard.render("σ").contains("host: GEMM ran"));
+}
+
 /// Golden check: a hand-written trace aggregates to exactly the expected
 /// Table-3 numbers.
 #[test]
