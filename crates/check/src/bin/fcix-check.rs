@@ -1,13 +1,7 @@
-//! Static and dynamic correctness checks:
-//! `fcix-check <race|explore|graph|locks|lint|dead> [options]`.
+//! Source-level correctness checks:
+//! `fcix-check <graph|locks|lint|dead> [options]`.
 //!
 //! ```text
-//! fcix-check race --fault none        # correct DDI_ACC protocol → expects 0 races
-//! fcix-check race --fault skip-fence  # injected bug → expects the detector to flag it
-//! fcix-check race --fault skip-lock   # injected bug → expects the detector to flag it
-//! fcix-check race --solve             # online-check a small FCI solve (must be clean)
-//! fcix-check race --trace run.jsonl   # offline-analyze an fci-obs trace
-//! fcix-check explore --seeds 8        # schedule explorer: σ/energy must be bitwise equal
 //! fcix-check graph [--format json] [--strict-index] [--root NAME]...
 //!                                     # call graph + transitive no-alloc/no-panic
 //! fcix-check locks [--format json] [--dynamic] [--path DIR]...
@@ -17,33 +11,22 @@
 //! fcix-check dead                     # pub items nothing else names
 //! ```
 //!
-//! Exit code 0 means the check passed: for `--fault none`, `--solve` and
-//! `--trace` that means no races (the lockset and lock-order counts
-//! printed beside them are informational); for the injected faults it
-//! means the detector *caught* the bug (a silent pass there is the
-//! failure); for `graph` it means every hot-path root is free of
-//! reachable allocation/panic sites; for `locks` it means the lock-order
-//! graph is cycle-free with no condvar hazards (and, with `--dynamic`,
-//! that every observed runtime lock-order edge is predicted by the static
-//! graph); for `lint` that no rule is violated; for `dead` that every
-//! `pub` item is named somewhere outside its definition.
+//! Exit code 0 means the check passed: for `graph` every hot-path root
+//! is free of reachable allocation/panic sites; for `locks` the
+//! lock-order graph is cycle-free with no condvar hazards (and, with
+//! `--dynamic`, every runtime lock-order edge the witness observes is
+//! predicted by the static graph); for `lint` no rule is violated; for
+//! `dead` every `pub` item is named somewhere outside its definition.
+//! The DDI race detector runs online, inside the test suites
+//! (`crates/check/tests/mutants.rs`, `tests/chaos.rs`) and `fcix chaos`.
 
 use fci_check::lint::{lint_workspace_report, LintConfig};
-use fci_check::{explore_mixed, ExploreConfig, RaceDetector};
-use fci_ddi::{
-    protocol_events, AccessRecorder, Backend, CheckConfig, Ddi, DistMatrix, FaultConfig, FaultPlan,
-    ProtocolFault,
-};
 use fci_obs::JsonValue;
-use fci_scf::MoIntegrals;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 const USAGE: &str = "\
-usage: fcix-check race [--fault none|skip-fence|skip-lock] [--solve] [--trace FILE]
-       fcix-check explore [--seeds K]
-       fcix-check graph [--format json] [--strict-index] [--root NAME]...
+usage: fcix-check graph [--format json] [--strict-index] [--root NAME]...
        fcix-check locks [--format json] [--dynamic] [--path DIR]...
        fcix-check lint [ROOT] [--format json]
        fcix-check dead
@@ -58,8 +41,6 @@ fn main() -> ExitCode {
     let cmd = args.first().map_or("", String::as_str);
     let rest = args.get(1..).unwrap_or_default();
     let outcome = match cmd {
-        "race" => race(rest),
-        "explore" => explore(rest),
         "graph" => graph(rest),
         "locks" => locks(rest),
         "lint" => lint(rest),
@@ -190,8 +171,8 @@ fn graph(args: &[String]) -> Outcome {
 }
 
 /// `fcix-check locks`: static lock-order / condvar analysis over the
-/// serve and obs layers, optionally cross-checked against the dynamic
-/// lockset witness of an in-process serve workload.
+/// serve and obs layers, optionally cross-checked against the lock-order
+/// witness of an in-process serve workload.
 fn locks(args: &[String]) -> Outcome {
     let (mut json, mut dynamic) = (false, false);
     let mut paths: Vec<&str> = Vec::new();
@@ -272,143 +253,4 @@ fn dead() -> Outcome {
         items.is_empty(),
         "every pub item has a use",
     ))
-}
-
-fn race(args: &[String]) -> Outcome {
-    let (mut fault, mut solve, mut trace) = (None, false, None);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--fault" => {
-                fault = match value(&mut it)? {
-                    "none" => None,
-                    "skip-fence" => Some(ProtocolFault::SkipFence),
-                    "skip-lock" => Some(ProtocolFault::SkipLock),
-                    _ => return Err(String::new()),
-                }
-            }
-            "--solve" => solve = true,
-            "--trace" => trace = Some(value(&mut it)?),
-            _ => return Err(String::new()),
-        }
-    }
-    match trace {
-        Some(path) => race_trace(path),
-        None if solve => Ok(race_solve()),
-        None => Ok(race_fault(fault)),
-    }
-}
-
-/// Replay the DDI_ACC protocol (optionally with an injected bug) under
-/// the threads backend with the happens-before detector attached.
-fn race_fault(fault: Option<ProtocolFault>) -> bool {
-    let nproc = 4;
-    let detector = Arc::new(RaceDetector::new());
-    let ddi = Ddi::new(nproc, Backend::Threads);
-    ddi.attach_recorder(detector.clone());
-    // The injected bug rides in on a fault plan, so the ordinary
-    // `acc_col` call site below exercises the broken protocol.
-    if fault.is_some() {
-        ddi.attach_faults(Arc::new(FaultPlan::new(FaultConfig {
-            protocol: fault,
-            ..FaultConfig::quiet(1)
-        })));
-    }
-    let m = DistMatrix::zeros(32, 8, nproc);
-    ddi.adopt(&m);
-    // Every rank accumulates into every column: maximal contention on the
-    // per-node locks, exactly the σ-accumulation pattern of the paper.
-    ddi.run(|rank, stats| {
-        let buf = vec![1.0 + rank as f64; 32];
-        for col in 0..8 {
-            m.acc_col(rank, col, &buf, stats);
-        }
-    });
-    let races = report_races(&detector);
-    println!(
-        "fcix-check race: fault={}, {} protocol events, {races} race report(s)",
-        fault.map_or("None".to_string(), |pf| format!("{pf:?}")),
-        detector.nevents(),
-    );
-    // An injected bug must be caught; the correct protocol must be clean.
-    let why = match fault {
-        Some(_) => "injected bug detected",
-        None => "correct protocol is race-free",
-    };
-    verdict("race", fault.is_some() == (races > 0), why)
-}
-
-/// Online-check a full small FCI solve; the production protocol must be
-/// race-free.
-fn race_solve() -> bool {
-    let detector = Arc::new(RaceDetector::new());
-    let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.0, false);
-    let opts = fci_core::FciOptions {
-        nproc: 4,
-        backend: Backend::Threads,
-        method: fci_core::DiagMethod::Davidson,
-        check: CheckConfig::online(detector.clone()),
-        ..Default::default()
-    };
-    let r = fci_core::solve(&mo, 2, 2, 0, &opts);
-    let races = report_races(&detector);
-    println!(
-        "fcix-check race --solve: E = {:.10} ({} iters, converged={}), {} protocol events, {races} race report(s)",
-        r.energy,
-        r.iterations,
-        r.converged,
-        detector.nevents(),
-    );
-    verdict(
-        "race --solve",
-        races == 0 && r.converged,
-        "race-free, converged",
-    )
-}
-
-/// Offline analysis of an fci-obs JSONL trace.
-fn race_trace(path: &str) -> Outcome {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let events = fci_obs::parse_jsonl(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let detector = RaceDetector::new();
-    for access in protocol_events(&events) {
-        detector.record(&access);
-    }
-    let races = report_races(&detector);
-    println!(
-        "fcix-check race --trace: {} events, {races} race report(s)",
-        events.len(),
-    );
-    Ok(races == 0)
-}
-
-/// Print the detector's race reports, and beside them the sizes of its
-/// two informational planes: Eraser lockset violations and observed
-/// lock-order edges. Returns the race count, the only failing signal.
-fn report_races(detector: &RaceDetector) -> usize {
-    let races = detector.races();
-    for r in &races {
-        println!("{r}");
-    }
-    println!(
-        "fcix-check race: {} lockset violation(s), {} dynamic lock-order edge(s) (informational)",
-        detector.lockset_violations().len(),
-        detector.dynamic_lock_edges().len()
-    );
-    races.len()
-}
-
-fn explore(args: &[String]) -> Outcome {
-    let mut cfg = ExploreConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match (a.as_str(), value(&mut it)?.parse::<u64>()) {
-            ("--seeds", Ok(k)) if k >= 1 => cfg.seeds = (1..=k).collect(),
-            _ => return Err(String::new()),
-        }
-    }
-    let report = explore_mixed(&cfg);
-    println!("{}", report.summary());
-    let why = "σ and energy bitwise identical across schedules";
-    Ok(verdict("explore", report.identical, why))
 }

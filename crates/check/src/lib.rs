@@ -9,9 +9,8 @@
 //! This crate *checks* those claims instead of trusting them:
 //!
 //! * [`race`] — a vector-clock happens-before race detector over the
-//!   protocol events `fci-ddi` records, online (attached to a live run
-//!   through `CheckConfig`) or offline (replayed from an `fci-obs` JSONL
-//!   trace). Validated against deliberately broken protocols
+//!   protocol events `fci-ddi` records, attached to a live run through
+//!   `CheckConfig`. Validated against deliberately broken protocols
 //!   (fault-injected missing fence / missing lock).
 //! * [`explore`] — a deterministic, seeded schedule explorer that replays
 //!   the mixed-spin task pool of a small FCI case under adversarial worker
@@ -28,11 +27,15 @@
 //!   allocation-freedom and panic-freedom analyses rooted at the σ-task
 //!   and GEMM kernels (`fcix-check graph`).
 //! * [`locks`] — static lock-order / condvar analysis over the serve and
-//!   obs layers, with deadlock-cycle detection and a dynamic-lockset
-//!   cross-check against the `fci-obs` lock witness
-//!   (`fcix-check locks`).
+//!   obs layers, with deadlock-cycle detection and a cross-check
+//!   against the lock-order edges the `fci-obs` witness observes at run
+//!   time (`fcix-check locks`).
 //! * [`dead`] — `pub` items whose name no other code mentions
 //!   (`fcix-check dead`).
+//!
+//! `tests/mutants.rs` is the table that justifies each analysis: one
+//! seeded defect per class, and the exact set of detectors that flags
+//! it.
 
 pub mod dead;
 pub mod explore;
@@ -44,4 +47,4 @@ pub mod race;
 
 pub use explore::{explore_mixed, ExploreConfig, ExploreOutcome, ExploreReport};
 pub use lint::{lint_source, lint_workspace, LintConfig, Violation};
-pub use race::{analyze, LocksetViolation, RaceDetector, RaceReport, RaceSite, VectorClock};
+pub use race::{RaceDetector, RaceReport, RaceSite, VectorClock};

@@ -27,11 +27,13 @@
 //!    notified anywhere in the scanned set parks its waiters forever.
 //!
 //! Resolution limits are explicit: `.lock()` calls whose receiver
-//! cannot be mapped to an inventoried lock are counted in
-//! `unresolved_sites` (reported, never silently dropped). The dynamic
-//! half — [`fci_obs::lockwitness`] edges recorded under a live serve
-//! workload — is checked against this graph by [`dynamic_cross_check`]:
-//! every observed edge must be predicted.
+//! cannot be mapped to an inventoried lock are listed in
+//! `unresolved_sites` (reported, never silently dropped). Calls through
+//! a `fn` pointer or a closure variable are not followed at all, so a
+//! lock taken behind one adds no edge. That is the dynamic half's job:
+//! [`fci_obs::lockwitness`] edges recorded under a live serve workload
+//! are checked against this graph by [`dynamic_cross_check`], and every
+//! observed edge must be predicted.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -232,7 +234,17 @@ impl LockReport {
             ),
             (
                 "unresolved_sites",
-                JsonValue::Num(self.unresolved_sites.len() as f64),
+                JsonValue::Arr(
+                    self.unresolved_sites
+                        .iter()
+                        .map(|(file, line)| {
+                            JsonValue::obj(vec![
+                                ("file", JsonValue::Str(file.clone())),
+                                ("line", JsonValue::Num(*line as f64)),
+                            ])
+                        })
+                        .collect(),
+                ),
             ),
             ("clean", JsonValue::Bool(self.is_clean())),
         ])
@@ -269,6 +281,9 @@ impl LockReport {
         }
         for h in &self.hazards {
             s.push_str(&format!("  CONDVAR HAZARD: {}\n", h.describe()));
+        }
+        for (file, line) in &self.unresolved_sites {
+            s.push_str(&format!("  unresolved receiver at {file}:{line}\n"));
         }
         s
     }
@@ -1160,7 +1175,13 @@ pub fn dynamic_cross_check(static_report: &LockReport) -> DynamicReport {
     let report = serve(cfg, jobs);
     fci_obs::lockwitness::set_witness_enabled(false);
     assert!(report.summary.jobs_done > 0, "workload must run jobs");
+    witness_report(static_report)
+}
 
+/// Compare the edges the [`fci_obs::lockwitness`] has recorded so far
+/// against `static_report`'s graph. The witness sees what the static
+/// pass cannot follow, such as a lock taken behind a `fn` pointer.
+pub fn witness_report(static_report: &LockReport) -> DynamicReport {
     let observed = fci_obs::lockwitness::witness_edges();
     let acquisitions: u64 = fci_obs::lockwitness::witness_acquisitions()
         .iter()
@@ -1367,6 +1388,9 @@ mod tests {
         let r = report_of(&[("crates/x/src/lib.rs", &src)]);
         let parsed = JsonValue::parse(&r.to_json().to_string()).expect("valid json");
         assert_eq!(parsed.get("clean"), Some(&JsonValue::Bool(true)));
-        assert!(parsed.get_f64("unresolved_sites").is_some());
+        assert_eq!(
+            parsed.get("unresolved_sites"),
+            Some(&JsonValue::Arr(Vec::new()))
+        );
     }
 }

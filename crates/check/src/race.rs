@@ -34,29 +34,8 @@
 //! protocol sites (`ddi_acc.put`, `with_local`, …), the ranks, and the
 //! column, which is enough to find the offending call in the source.
 //!
-//! The detector is an [`AccessRecorder`], so it can run **online**
-//! (attached to a live `Ddi` world through `CheckConfig`) or **offline**
-//! over protocol events parsed back out of an `fci-obs` JSONL trace
-//! (`fci_ddi::protocol_events`, then [`analyze`] or
-//! `fcix-check race --trace`).
-//!
-//! # The Eraser lockset plane
-//!
-//! Alongside happens-before, the detector keeps an Eraser-style
-//! **lockset** per `(matrix, column)`: the intersection of the
-//! `(matrix, owner)` segment mutexes held at every access. A column
-//! written from two or more ranks whose candidate set is empty has no
-//! *consistent* lock protecting it — a discipline violation the
-//! vector-clock analysis can miss when a fortuitous nxtval/barrier edge
-//! happens to order the particular interleaving observed. Read-only and
-//! single-rank columns are exempt (no discipline required), and a
-//! [`DdiAccess::Barrier`] clears candidate state along with the access
-//! history. Lock acquisitions also record the **dynamic lock-order
-//! edges** (`held → acquired`) that the static `fcix-check locks` graph
-//! predicts. Both planes are informational accessors on
-//! [`RaceDetector`] ([`RaceDetector::lockset_violations`],
-//! [`RaceDetector::dynamic_lock_edges`]); races stay the failing
-//! signal.
+//! The detector is an [`AccessRecorder`]: attach it to a live `Ddi`
+//! world through `CheckConfig` and it checks the run as it executes.
 
 use fci_ddi::{AccessKind, AccessRecorder, DdiAccess, DdiSite};
 use std::collections::hash_map::Entry;
@@ -184,55 +163,6 @@ impl Stamped {
     }
 }
 
-/// A `(matrix, owner)` segment mutex, as the lockset plane names locks.
-pub type SegLock = (u32, usize);
-
-/// Eraser-style candidate-lockset state for one `(matrix, column)`.
-#[derive(Clone, Debug, Default)]
-struct ColLockset {
-    /// Intersection of locks held at every access so far; `None` until
-    /// the first access initializes it to that access's held set.
-    candidates: Option<Vec<SegLock>>,
-    /// Ranks that have touched the column.
-    ranks: std::collections::BTreeSet<usize>,
-    /// Whether any access was a write.
-    written: bool,
-    /// Site of the first access that emptied the candidate set (kept for
-    /// the report even though later accesses keep intersecting).
-    first_empty: Option<(usize, DdiSite)>,
-}
-
-/// A column written by several ranks with no consistent protecting lock.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LocksetViolation {
-    /// Matrix the column belongs to.
-    pub mat: u32,
-    /// The unprotected column.
-    pub col: usize,
-    /// Ranks that touched it (sorted).
-    pub ranks: Vec<usize>,
-    /// Rank and site of the access that emptied the candidate set.
-    pub rank: usize,
-    /// Protocol site of that access.
-    pub site: DdiSite,
-}
-
-impl fmt::Display for LocksetViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "LOCKSET on mat {} col {}: ranks {:?} share it with at least \
-             one write, but no single lock is held across every access \
-             (candidate set emptied at rank {} {})",
-            self.mat,
-            self.col,
-            self.ranks,
-            self.rank,
-            self.site.as_str()
-        )
-    }
-}
-
 #[derive(Default)]
 struct State {
     /// Knowledge clock per rank.
@@ -250,39 +180,9 @@ struct State {
     seen: std::collections::HashSet<(u32, usize, DdiSite, usize, DdiSite)>,
     /// Total protocol events processed.
     nevents: u64,
-    /// Locks each rank currently holds, in acquisition order.
-    held: HashMap<usize, Vec<SegLock>>,
-    /// Eraser candidate lockset per (matrix, column), this barrier epoch.
-    colsets: HashMap<(u32, usize), ColLockset>,
-    /// Lockset violations of the epochs a barrier already closed.
-    closed_violations: Vec<LocksetViolation>,
-    /// Dynamic lock-order edges (held → acquired), deduplicated.
-    lock_edges: Vec<(SegLock, SegLock)>,
-    edge_seen: std::collections::HashSet<(SegLock, SegLock)>,
 }
 
 impl State {
-    /// Lockset violations of the current barrier epoch: columns touched
-    /// by ≥ 2 ranks with at least one write whose candidate set is empty.
-    fn epoch_violations(&self) -> Vec<LocksetViolation> {
-        self.colsets
-            .iter()
-            .filter_map(|(&(mat, col), cs)| {
-                let (rank, site) = cs.first_empty?;
-                if cs.ranks.len() < 2 || !cs.written {
-                    return None;
-                }
-                Some(LocksetViolation {
-                    mat,
-                    col,
-                    ranks: cs.ranks.iter().copied().collect(),
-                    rank,
-                    site,
-                })
-            })
-            .collect()
-    }
-
     fn rank_mut(&mut self, rank: usize) -> (&mut VectorClock, &mut VectorClock) {
         if self.vc.len() <= rank {
             self.vc.resize_with(rank + 1, VectorClock::new);
@@ -303,21 +203,9 @@ impl State {
                 site,
             } => self.access(*rank, *mat, *kind, cols.clone(), *owner, *site),
             DdiAccess::Lock { rank, mat, owner } => {
-                let key = (*mat, *owner);
-                if let Some(l) = self.locks.get(&key) {
+                if let Some(l) = self.locks.get(&(*mat, *owner)) {
                     let l = l.clone();
                     self.rank_mut(*rank).0.join(&l);
-                }
-                // Lockset plane: record dynamic order edges from every
-                // lock the rank already holds, then push.
-                let held = self.held.entry(*rank).or_default();
-                for &h in held.iter() {
-                    if h != key && self.edge_seen.insert((h, key)) {
-                        self.lock_edges.push((h, key));
-                    }
-                }
-                if !held.contains(&key) {
-                    held.push(key);
                 }
             }
             DdiAccess::Unlock { rank, mat, owner } => {
@@ -328,9 +216,6 @@ impl State {
                     Entry::Vacant(e) => {
                         e.insert(c);
                     }
-                }
-                if let Some(held) = self.held.get_mut(rank) {
-                    held.retain(|&h| h != (*mat, *owner));
                 }
             }
             DdiAccess::Fence { rank } => {
@@ -368,14 +253,6 @@ impl State {
                 // Everything before the barrier is ordered before
                 // everything after — the history can never race again.
                 self.frontier.clear();
-                // The lockset plane restarts too: accesses in different
-                // barrier epochs need no common lock. Held locks and the
-                // order-edge record survive (a lock held across a barrier
-                // is still held; ordering facts do not expire), and so do
-                // the violations the closing epoch found.
-                let found = self.epoch_violations();
-                self.closed_violations.extend(found);
-                self.colsets.clear();
             }
         }
     }
@@ -405,19 +282,6 @@ impl State {
             cols: cols.clone(),
             stamp,
         };
-        let held = self.held.get(&rank).cloned().unwrap_or_default();
-        for col in cols.clone() {
-            let cs = self.colsets.entry((mat, col)).or_default();
-            cs.ranks.insert(rank);
-            cs.written |= kind == AccessKind::Write;
-            match &mut cs.candidates {
-                None => cs.candidates = Some(held.clone()),
-                Some(set) => set.retain(|l| held.contains(l)),
-            }
-            if cs.first_empty.is_none() && cs.candidates.as_ref().is_some_and(|s| s.is_empty()) {
-                cs.first_empty = Some((rank, site));
-            }
-        }
         for col in cols {
             let slot = self.frontier.entry((mat, col)).or_default();
             for old in slot.iter() {
@@ -444,7 +308,7 @@ impl State {
     }
 }
 
-/// Online/offline happens-before race detector. Implements
+/// Online happens-before race detector. Implements
 /// [`AccessRecorder`], so it plugs straight into
 /// `CheckConfig::online(Arc::new(RaceDetector::new()))`.
 #[derive(Default)]
@@ -471,32 +335,6 @@ impl RaceDetector {
     pub fn nevents(&self) -> u64 {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).nevents
     }
-
-    /// Eraser lockset discipline violations: columns touched by ≥ 2 ranks
-    /// within one barrier epoch, with at least one write, whose candidate
-    /// lockset is empty. Every epoch counts, including those a barrier
-    /// (such as the end of a parallel region) has closed. Sorted by
-    /// (matrix, column). Informational — a violation with no accompanying
-    /// race means the observed interleaving was ordered by luck (e.g. a
-    /// nxtval edge), not by a consistent lock.
-    pub fn lockset_violations(&self) -> Vec<LocksetViolation> {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = st.closed_violations.clone();
-        out.extend(st.epoch_violations());
-        out.sort_by_key(|v| (v.mat, v.col));
-        out
-    }
-
-    /// Dynamic lock-order edges (held → acquired) observed so far, in
-    /// first-seen order. Cross-check these against the static
-    /// `fcix-check locks` graph: every observed edge should be predicted.
-    pub fn dynamic_lock_edges(&self) -> Vec<(SegLock, SegLock)> {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .lock_edges
-            .clone()
-    }
 }
 
 impl AccessRecorder for RaceDetector {
@@ -511,21 +349,18 @@ impl AccessRecorder for RaceDetector {
     }
 }
 
-/// Offline analysis of a protocol event sequence (e.g. replayed from a
-/// trace). The sequence order must be a real interleaving — which it is
-/// for anything produced by a recorder, since lock/unlock records are
-/// emitted under the segment mutex.
-pub fn analyze(events: &[DdiAccess]) -> Vec<RaceReport> {
-    let det = RaceDetector::new();
-    for e in events {
-        det.record(e);
-    }
-    det.races()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Races the detector finds in a recorded event sequence.
+    fn races_of(events: &[DdiAccess]) -> Vec<RaceReport> {
+        let det = RaceDetector::new();
+        for e in events {
+            det.record(e);
+        }
+        det.races()
+    }
 
     fn acc_protocol(
         rank: usize,
@@ -582,7 +417,7 @@ mod tests {
         // lock/fence protocol: ordered through the lock clock.
         let mut evs = acc_protocol(0, 0, 5, 2, true);
         evs.extend(acc_protocol(1, 0, 5, 2, true));
-        assert!(analyze(&evs).is_empty());
+        assert!(races_of(&evs).is_empty());
     }
 
     #[test]
@@ -591,7 +426,7 @@ mod tests {
         // publish it; rank 1's critical section is unordered with it.
         let mut evs = acc_protocol(0, 0, 5, 2, false);
         evs.extend(acc_protocol(1, 0, 5, 2, true));
-        let races = analyze(&evs);
+        let races = races_of(&evs);
         assert!(!races.is_empty(), "skip-fence must race");
         let r = &races[0];
         assert_eq!(r.first.rank, 0);
@@ -646,7 +481,7 @@ mod tests {
                 owner: 2,
             },
         ];
-        assert!(analyze(&evs).is_empty());
+        assert!(races_of(&evs).is_empty());
     }
 
     #[test]
@@ -677,7 +512,7 @@ mod tests {
         };
         let mut evs = rmw(0);
         evs.extend(rmw(1));
-        let races = analyze(&evs);
+        let races = races_of(&evs);
         assert!(!races.is_empty(), "skip-lock must race");
         // The first conflict seen is rank 0's write vs rank 1's read.
         assert_eq!(races[0].first.kind, AccessKind::Write);
@@ -703,14 +538,14 @@ mod tests {
             owner: 1,
             site: DdiSite::Get,
         });
-        assert!(analyze(&evs).is_empty());
+        assert!(races_of(&evs).is_empty());
         // Without the barrier the same pair races.
         let racy: Vec<_> = evs
             .iter()
             .filter(|e| !matches!(e, DdiAccess::Barrier))
             .cloned()
             .collect();
-        assert_eq!(analyze(&racy).len(), 1);
+        assert_eq!(races_of(&racy).len(), 1);
     }
 
     #[test]
@@ -738,186 +573,7 @@ mod tests {
                 site: DdiSite::Get,
             },
         ];
-        assert!(analyze(&evs).is_empty());
-    }
-
-    fn detect(events: &[DdiAccess]) -> RaceDetector {
-        let det = RaceDetector::new();
-        for e in events {
-            det.record(e);
-        }
-        det
-    }
-
-    #[test]
-    fn locked_protocol_keeps_nonempty_lockset() {
-        let mut evs = acc_protocol(0, 0, 5, 2, true);
-        evs.extend(acc_protocol(1, 0, 5, 2, true));
-        let det = detect(&evs);
-        assert!(det.lockset_violations().is_empty());
-    }
-
-    #[test]
-    fn unlocked_shared_write_violates_lockset_even_when_ordered() {
-        // Rank 0 writes (fenced), hands off through nxtval; rank 1 reads.
-        // Happens-before says race-free — but no lock protects the
-        // column, which the lockset plane surfaces.
-        let mat = 0;
-        let evs = vec![
-            DdiAccess::Access {
-                rank: 0,
-                mat,
-                kind: AccessKind::Write,
-                cols: 3..4,
-                owner: 0,
-                site: DdiSite::WithLocal,
-            },
-            DdiAccess::Nxtval { rank: 0, value: 0 },
-            DdiAccess::Nxtval { rank: 1, value: 1 },
-            DdiAccess::Access {
-                rank: 1,
-                mat,
-                kind: AccessKind::Read,
-                cols: 3..4,
-                owner: 0,
-                site: DdiSite::Get,
-            },
-        ];
-        let det = detect(&evs);
-        assert!(det.races().is_empty(), "hb-ordered by the nxtval chain");
-        let viols = det.lockset_violations();
-        assert_eq!(viols.len(), 1, "{viols:?}");
-        assert_eq!((viols[0].mat, viols[0].col), (0, 3));
-        assert_eq!(viols[0].ranks, vec![0, 1]);
-        assert!(viols[0].to_string().contains("LOCKSET on mat 0 col 3"));
-    }
-
-    #[test]
-    fn single_rank_and_read_only_columns_are_exempt() {
-        let mat = 0;
-        let evs = vec![
-            // Col 0: one rank writes it repeatedly, no lock — private.
-            DdiAccess::Access {
-                rank: 0,
-                mat,
-                kind: AccessKind::Write,
-                cols: 0..1,
-                owner: 0,
-                site: DdiSite::WithLocal,
-            },
-            DdiAccess::Access {
-                rank: 0,
-                mat,
-                kind: AccessKind::Write,
-                cols: 0..1,
-                owner: 0,
-                site: DdiSite::WithLocal,
-            },
-            // Col 1: two ranks read it, no lock — immutable sharing.
-            DdiAccess::Barrier,
-            DdiAccess::Access {
-                rank: 0,
-                mat,
-                kind: AccessKind::Read,
-                cols: 1..2,
-                owner: 1,
-                site: DdiSite::Get,
-            },
-            DdiAccess::Access {
-                rank: 1,
-                mat,
-                kind: AccessKind::Read,
-                cols: 1..2,
-                owner: 1,
-                site: DdiSite::Get,
-            },
-        ];
-        let det = detect(&evs);
-        assert!(det.lockset_violations().is_empty());
-    }
-
-    #[test]
-    fn barrier_resets_lockset_epochs() {
-        // Each rank writes the column in its own barrier epoch, no lock:
-        // no discipline needed across a collective.
-        let mat = 0;
-        let w = |rank: usize| DdiAccess::Access {
-            rank,
-            mat,
-            kind: AccessKind::Write,
-            cols: 7..8,
-            owner: 0,
-            site: DdiSite::WithLocal,
-        };
-        let det = detect(&[w(0), DdiAccess::Barrier, w(1)]);
-        assert!(det.lockset_violations().is_empty());
-        // Same accesses without the barrier do violate, and the
-        // violation outlives the barrier that closes its epoch.
-        let det = detect(&[w(0), w(1)]);
-        assert_eq!(det.lockset_violations().len(), 1);
-        let det = detect(&[w(0), w(1), DdiAccess::Barrier]);
-        assert_eq!(det.lockset_violations().len(), 1);
-    }
-
-    #[test]
-    fn nested_locks_record_dynamic_order_edges() {
-        let mat = 0;
-        let evs = vec![
-            DdiAccess::Lock {
-                rank: 0,
-                mat,
-                owner: 0,
-            },
-            DdiAccess::Lock {
-                rank: 0,
-                mat,
-                owner: 1,
-            },
-            DdiAccess::Unlock {
-                rank: 0,
-                mat,
-                owner: 1,
-            },
-            DdiAccess::Unlock {
-                rank: 0,
-                mat,
-                owner: 0,
-            },
-            // Repeat: the edge is deduplicated.
-            DdiAccess::Lock {
-                rank: 0,
-                mat,
-                owner: 0,
-            },
-            DdiAccess::Lock {
-                rank: 0,
-                mat,
-                owner: 1,
-            },
-            DdiAccess::Unlock {
-                rank: 0,
-                mat,
-                owner: 1,
-            },
-            DdiAccess::Unlock {
-                rank: 0,
-                mat,
-                owner: 0,
-            },
-            // Non-nested acquisition: no edge.
-            DdiAccess::Lock {
-                rank: 1,
-                mat,
-                owner: 1,
-            },
-            DdiAccess::Unlock {
-                rank: 1,
-                mat,
-                owner: 1,
-            },
-        ];
-        let det = detect(&evs);
-        assert_eq!(det.dynamic_lock_edges(), vec![((mat, 0), (mat, 1))]);
+        assert!(races_of(&evs).is_empty());
     }
 
     #[test]
@@ -927,7 +583,7 @@ mod tests {
             evs.extend(acc_protocol(0, 0, col, 1, false));
             evs.extend(acc_protocol(1, 0, col, 1, true));
         }
-        let races = analyze(&evs);
+        let races = races_of(&evs);
         // Ten racy columns, but the (rank0 put, rank1 get) site pair is
         // reported once; the symmetric pairs likewise.
         assert!(!races.is_empty());

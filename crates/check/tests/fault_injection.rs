@@ -7,16 +7,15 @@
 //! ordinary `acc_col` call sites exercise the broken path with no
 //! test-only entry points. These tests assert both broken variants are
 //! flagged with actionable two-site reports while the unmodified protocol
-//! passes cleanly, online and offline, up to a full FCI solve.
+//! passes cleanly, up to a full FCI solve.
 
-use fci_check::{analyze, RaceDetector};
+use fci_check::RaceDetector;
 use fci_ddi::{
-    protocol_events, Backend, CheckConfig, Ddi, DdiAccess, DistMatrix, FaultConfig, FaultPlan,
-    ProtocolFault, TraceRecorder,
+    AccessRecorder, Backend, CheckConfig, Ddi, DdiAccess, DistMatrix, FaultConfig, FaultPlan,
+    ProtocolFault,
 };
-use fci_obs::Tracer;
 use fci_scf::MoIntegrals;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A plan whose only fault is the given broken accumulate protocol.
 fn protocol_plan(pf: Option<ProtocolFault>) -> Arc<FaultPlan> {
@@ -72,10 +71,21 @@ fn skipped_lock_is_flagged() {
     assert_ne!(races[0].first.rank, races[0].second.rank);
 }
 
-/// Offline path: record protocol events into an fci-obs trace, replay the
-/// trace through the analyzer, and reach the same verdicts.
+/// Recorder that keeps every protocol event, in order.
+#[derive(Default)]
+struct Stream(Mutex<Vec<DdiAccess>>);
+
+impl AccessRecorder for Stream {
+    fn record(&self, access: &DdiAccess) {
+        self.0.lock().expect("stream lock").push(access.clone());
+    }
+}
+
+/// The recorded streams of the three protocols reach the online verdicts
+/// when fed to a detector, and the skip-fence fixture is honest: step for
+/// step the correct protocol's record stream, minus the fences.
 #[test]
-fn offline_trace_analysis_matches_online() {
+fn skip_fence_stream_is_the_correct_stream_minus_its_fences() {
     let mut streams = Vec::new();
     for (pf, expect_races) in [
         (None, false),
@@ -83,10 +93,9 @@ fn offline_trace_analysis_matches_online() {
         (Some(ProtocolFault::SkipLock), true),
     ] {
         let nproc = 3;
-        let tracer = Tracer::in_memory();
-        let recorder = Arc::new(TraceRecorder::new(tracer.clone()));
+        let stream = Arc::new(Stream::default());
         let ddi = Ddi::new(nproc, Backend::Serial);
-        ddi.attach_recorder(recorder);
+        ddi.attach_recorder(stream.clone());
         ddi.attach_faults(protocol_plan(pf));
         let m = DistMatrix::zeros(8, 6, nproc);
         ddi.adopt(&m);
@@ -96,21 +105,23 @@ fn offline_trace_analysis_matches_online() {
                 m.acc_col(rank, col, &buf, stats);
             }
         });
-        let events = tracer.events().expect("in-memory tracer");
-        let accesses = protocol_events(&events);
+        let accesses = std::mem::take(&mut *stream.0.lock().expect("stream lock"));
         assert!(!accesses.is_empty());
-        let races = analyze(&accesses);
+        let detector = RaceDetector::new();
+        for a in &accesses {
+            detector.record(a);
+        }
+        let races = detector.races();
         assert_eq!(
             !races.is_empty(),
             expect_races,
-            "fault {pf:?}: wrong offline verdict ({} reports)",
+            "fault {pf:?}: wrong verdict on the recorded stream ({} reports)",
             races.len()
         );
         streams.push(accesses);
     }
     // The skip-fence fixture runs the production accumulate body with
-    // only its fence record switched off: step for step the correct
-    // protocol's record stream, minus the fences.
+    // only its fence record switched off.
     let steps = |evs: &[DdiAccess]| -> Vec<_> {
         evs.iter()
             .filter(|e| !matches!(e, DdiAccess::Fence { .. }))

@@ -82,6 +82,36 @@ fn real_serve_obs_lock_graph_is_cycle_free() {
         "net gate's tenants→results nesting not found: {:?}",
         report.edges
     );
+    // Where the pass is blind: every `.lock()` whose receiver it could
+    // not name is listed, by file and line, in both outputs. Today that
+    // is the WAL handle and the metric shards, each reached through a
+    // closure or local binding.
+    let blind: Vec<&str> = report
+        .unresolved_sites
+        .iter()
+        .map(|(file, _)| file.as_str())
+        .collect();
+    assert_eq!(
+        blind,
+        [
+            "crates/serve/src/server.rs",
+            "crates/serve/src/server.rs",
+            "crates/obs/src/metrics.rs",
+            "crates/obs/src/metrics.rs",
+        ]
+    );
+    let text = report.render_text();
+    let json = report.to_json().to_string();
+    for (file, line) in &report.unresolved_sites {
+        let src = std::fs::read_to_string(workspace_root().join(file)).expect("read site");
+        let at = src.lines().nth(*line as usize - 1).unwrap_or_default();
+        assert!(
+            at.contains(".lock()"),
+            "{file}:{line} is not a lock site: {at}"
+        );
+        assert!(text.contains(&format!("unresolved receiver at {file}:{line}")));
+        assert!(json.contains(&format!("{{\"file\":\"{file}\",\"line\":{line}}}")));
+    }
 }
 
 #[test]

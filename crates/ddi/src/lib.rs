@@ -52,8 +52,6 @@ pub use fci_fault::{
     Corruption, FaultConfig, FaultPlan, FaultStats, ProtocolFault, RankDeath, RetryPolicy,
 };
 pub use layout::Layout;
-pub use record::{
-    protocol_events, AccessKind, AccessRecorder, CheckConfig, DdiAccess, DdiSite, TraceRecorder,
-};
+pub use record::{AccessKind, AccessRecorder, CheckConfig, DdiAccess, DdiSite};
 pub use stats::CommStats;
 pub use world::{Backend, Ddi};

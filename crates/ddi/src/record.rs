@@ -12,12 +12,7 @@
 //! [`Ddi`](crate::Ddi) without an attached recorder pays one pointer load
 //! and a branch per operation. Recording is strictly observational — it
 //! never changes what the operation does.
-//!
-//! Events can also be serialized into `fci-obs` trace instants
-//! ([`TraceRecorder`]) and parsed back ([`protocol_events`]), which
-//! is how the offline race detector replays a JSONL trace.
 
-use fci_obs::{Category, Event, EventKind, Tracer};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -45,27 +40,6 @@ pub enum DdiSite {
 }
 
 impl DdiSite {
-    /// Stable numeric code used in serialized traces (3 is unassigned).
-    pub fn code(self) -> u32 {
-        match self {
-            DdiSite::Get => 0,
-            DdiSite::AccGet => 1,
-            DdiSite::AccPut => 2,
-            DdiSite::WithLocal => 4,
-        }
-    }
-
-    /// Inverse of [`DdiSite::code`].
-    pub(crate) fn from_code(code: u32) -> Option<DdiSite> {
-        match code {
-            0 => Some(DdiSite::Get),
-            1 => Some(DdiSite::AccGet),
-            2 => Some(DdiSite::AccPut),
-            4 => Some(DdiSite::WithLocal),
-            _ => None,
-        }
-    }
-
     /// Human-readable name for reports.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -148,55 +122,6 @@ impl DdiAccess {
             DdiAccess::Barrier => None,
         }
     }
-
-    /// Trace event name used by [`TraceRecorder`].
-    pub(crate) fn trace_name(&self) -> &'static str {
-        match self {
-            DdiAccess::Access { .. } => "hb_access",
-            DdiAccess::Lock { .. } => "hb_lock",
-            DdiAccess::Unlock { .. } => "hb_unlock",
-            DdiAccess::Fence { .. } => "hb_fence",
-            DdiAccess::Nxtval { .. } => "hb_nxtval",
-            DdiAccess::Barrier => "hb_barrier",
-        }
-    }
-
-    /// Parse an event previously written by [`TraceRecorder`]. Returns
-    /// `None` for events that are not protocol records.
-    pub(crate) fn from_event(ev: &Event) -> Option<DdiAccess> {
-        let rank = ev.rank.unwrap_or(0);
-        match ev.name.as_str() {
-            "hb_access" => Some(DdiAccess::Access {
-                rank,
-                mat: ev.arg("mat")? as u32,
-                kind: if ev.arg("write")? != 0.0 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                },
-                cols: (ev.arg("col0")? as usize)..(ev.arg("col1")? as usize),
-                owner: ev.arg("owner")? as usize,
-                site: DdiSite::from_code(ev.arg("site")? as u32)?,
-            }),
-            "hb_lock" => Some(DdiAccess::Lock {
-                rank,
-                mat: ev.arg("mat")? as u32,
-                owner: ev.arg("owner")? as usize,
-            }),
-            "hb_unlock" => Some(DdiAccess::Unlock {
-                rank,
-                mat: ev.arg("mat")? as u32,
-                owner: ev.arg("owner")? as usize,
-            }),
-            "hb_fence" => Some(DdiAccess::Fence { rank }),
-            "hb_nxtval" => Some(DdiAccess::Nxtval {
-                rank,
-                value: ev.arg("task")? as usize,
-            }),
-            "hb_barrier" => Some(DdiAccess::Barrier),
-            _ => None,
-        }
-    }
 }
 
 /// Observer of protocol-level DDI events.
@@ -209,72 +134,6 @@ pub trait AccessRecorder: Send + Sync {
     /// unlock records are emitted while the segment mutex is held, so the
     /// recorded lock order is the true lock order.
     fn record(&self, access: &DdiAccess);
-}
-
-/// Recorder that serializes every protocol event into an `fci-obs` trace
-/// as `hb_*` instants — the input format of the offline race detector.
-pub struct TraceRecorder {
-    tracer: Tracer,
-}
-
-impl TraceRecorder {
-    /// Record through `tracer` (which may share a sink with ordinary
-    /// telemetry; `hb_*` names keep the streams separable).
-    pub fn new(tracer: Tracer) -> TraceRecorder {
-        TraceRecorder { tracer }
-    }
-}
-
-impl AccessRecorder for TraceRecorder {
-    fn record(&self, access: &DdiAccess) {
-        let name = access.trace_name();
-        match access {
-            DdiAccess::Access {
-                rank,
-                mat,
-                kind,
-                cols,
-                owner,
-                site,
-            } => self.tracer.instant(
-                Some(*rank),
-                name,
-                Category::Net,
-                &[
-                    ("mat", f64::from(*mat)),
-                    ("write", if *kind == AccessKind::Write { 1.0 } else { 0.0 }),
-                    ("col0", cols.start as f64),
-                    ("col1", cols.end as f64),
-                    ("owner", *owner as f64),
-                    ("site", f64::from(site.code())),
-                ],
-            ),
-            DdiAccess::Lock { rank, mat, owner } | DdiAccess::Unlock { rank, mat, owner } => {
-                self.tracer.instant(
-                    Some(*rank),
-                    name,
-                    Category::Lock,
-                    &[("mat", f64::from(*mat)), ("owner", *owner as f64)],
-                )
-            }
-            DdiAccess::Fence { rank } => self.tracer.instant(Some(*rank), name, Category::Net, &[]),
-            DdiAccess::Nxtval { rank, value } => {
-                self.tracer
-                    .instant(Some(*rank), name, Category::Net, &[("task", *value as f64)])
-            }
-            DdiAccess::Barrier => self.tracer.instant(None, name, Category::Other, &[]),
-        }
-    }
-}
-
-/// Round-trip helper for tests and the offline detector: keep only
-/// protocol records of a trace, in order.
-pub fn protocol_events(events: &[Event]) -> Vec<DdiAccess> {
-    events
-        .iter()
-        .filter(|e| e.kind == EventKind::Instant)
-        .filter_map(DdiAccess::from_event)
-        .collect()
 }
 
 /// Correctness-checking options, carried on `FciOptions` next to
@@ -332,61 +191,6 @@ mod tests {
         fn record(&self, access: &DdiAccess) {
             self.0.lock().unwrap().push(access.clone());
         }
-    }
-
-    #[test]
-    fn trace_roundtrip_preserves_protocol_events() {
-        let tracer = Tracer::in_memory();
-        let rec = TraceRecorder::new(tracer.clone());
-        let evs = vec![
-            DdiAccess::Lock {
-                rank: 1,
-                mat: 7,
-                owner: 2,
-            },
-            DdiAccess::Access {
-                rank: 1,
-                mat: 7,
-                kind: AccessKind::Read,
-                cols: 3..4,
-                owner: 2,
-                site: DdiSite::AccGet,
-            },
-            DdiAccess::Access {
-                rank: 1,
-                mat: 7,
-                kind: AccessKind::Write,
-                cols: 3..4,
-                owner: 2,
-                site: DdiSite::AccPut,
-            },
-            DdiAccess::Fence { rank: 1 },
-            DdiAccess::Unlock {
-                rank: 1,
-                mat: 7,
-                owner: 2,
-            },
-            DdiAccess::Nxtval { rank: 0, value: 9 },
-            DdiAccess::Barrier,
-        ];
-        for e in &evs {
-            rec.record(e);
-        }
-        let back = protocol_events(&tracer.events().unwrap());
-        assert_eq!(back, evs);
-    }
-
-    #[test]
-    fn site_codes_roundtrip() {
-        for site in [
-            DdiSite::Get,
-            DdiSite::AccGet,
-            DdiSite::AccPut,
-            DdiSite::WithLocal,
-        ] {
-            assert_eq!(DdiSite::from_code(site.code()), Some(site));
-        }
-        assert_eq!(DdiSite::from_code(99), None);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! acquisition records an ordered edge `held → acquired` for each lock
 //! the acquiring thread already holds, into a process-global edge set.
 //!
-//! This is the dynamic half of an Eraser-style lockset check: the static
+//! This is the dynamic half of the lock-order check: the static
 //! lock-order graph (`fcix-check locks`) *predicts* which edges can
 //! occur; the witness *observes* which edges do occur under a real
 //! workload. Observed ⊆ predicted is the cross-check; an observed edge
 //! the static graph missed means the analysis (or its resolution
-//! heuristics) has a hole.
+//! heuristics) has a hole — a lock taken behind a `fn` pointer, say.
 //!
 //! Cost when disabled: one relaxed atomic load per lock/wait — the
 //! wrappers are free enough to leave in production paths (the serve

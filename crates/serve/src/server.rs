@@ -478,10 +478,17 @@ impl Server {
         if n == 0 || n > 64 {
             return Err(RejectReason::Invalid(format!("{n} orbitals unsupported")));
         }
-        if spec.n_alpha > n || spec.n_beta > n {
+        if spec.n_alpha == 0 || spec.n_alpha > n || spec.n_beta > n {
             return Err(RejectReason::Invalid(format!(
                 "{}α/{}β electrons in {n} orbitals",
                 spec.n_alpha, spec.n_beta
+            )));
+        }
+        // Every served recipe is C1: irrep 0 is the only sector.
+        if spec.target_irrep != 0 {
+            return Err(RejectReason::Invalid(format!(
+                "irrep {} on a C1 problem",
+                spec.target_irrep
             )));
         }
         if spec.root > 0 && !spec.may_batch() && spec.solver != SolverKind::SparseSelected {

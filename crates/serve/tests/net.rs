@@ -251,6 +251,32 @@ fn protocol_errors_and_verbs_round_trip() {
 }
 
 #[test]
+fn hostile_sector_specs_get_invalid_and_the_server_keeps_answering() {
+    let st = stack("hostile", NetConfig::default(), 1);
+    let mut c = st.client();
+    let mut irrep = job("irrep-1", "t");
+    irrep.target_irrep = 1;
+    let mut no_alpha = job("no-alpha", "t");
+    no_alpha.n_alpha = 0;
+    let mut no_electrons = job("no-electrons", "t");
+    no_electrons.n_alpha = 0;
+    no_electrons.n_beta = 0;
+    for spec in [irrep, no_alpha, no_electrons] {
+        let resp = c.submit(&spec).expect("submit");
+        assert_eq!(reason(&resp), "invalid", "{}: {resp}", spec.id);
+    }
+    assert!(is_ok(&c.submit(&job("good", "t")).expect("submit")));
+    let resp = c.wait("good", 60_000).expect("wait");
+    let r = resp.get("result").expect("result");
+    assert_eq!(
+        r.get("status").and_then(JsonValue::as_str),
+        Some("done"),
+        "{r}"
+    );
+    st.teardown();
+}
+
+#[test]
 fn oversized_request_line_is_refused_and_connection_dropped() {
     let st = stack(
         "linecap",

@@ -221,6 +221,28 @@ fn backpressure_and_admission_reject_with_reason() {
 }
 
 #[test]
+fn hostile_sector_specs_are_rejected_and_a_good_job_still_runs() {
+    // Sectors the solver would assert on: a nonzero irrep of a C1
+    // problem, and no α electrons.
+    let mut irrep = JobSpec::new("irrep-1", hubbard(4, 4.0), 2, 2);
+    irrep.target_irrep = 1;
+    let jobs = vec![
+        irrep,
+        JobSpec::new("no-alpha", hubbard(4, 4.0), 0, 2),
+        JobSpec::new("no-electrons", hubbard(4, 4.0), 0, 0),
+        JobSpec::new("good", hubbard(4, 4.0), 2, 2),
+    ];
+    let report = serve(cfg("hostile", 2), jobs);
+    assert_eq!(report.summary.jobs_rejected, 3, "{:?}", report.rejected);
+    for (id, why) in &report.rejected {
+        assert_eq!(why.code(), "invalid", "{id}: {why}");
+    }
+    let good = report.result("good").expect("good job answered");
+    assert_eq!(good.status, JobStatus::Done);
+    assert!(good.converged);
+}
+
+#[test]
 fn sparse_job_passes_admission_where_dense_is_rejected() {
     use fci_core::SolverKind;
     use fci_serve::estimated_bytes;
