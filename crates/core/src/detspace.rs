@@ -20,7 +20,7 @@
 
 use crate::hamiltonian::Hamiltonian;
 use fci_ddi::{DistMatrix, Layout};
-use fci_strings::{Nm1Families, Nm2Families, SinglesTable, SpinStrings};
+use fci_strings::{CreationLists, Nm1Families, Nm2Families, SinglesTable, SpinStrings};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -61,6 +61,9 @@ pub struct DetSpace {
     pub alpha_nm1: Nm1Families,
     /// Nβ−1 electron intermediate families.
     pub beta_nm1: Nm1Families,
+    /// `beta_nm1` inverted by created orbital, per Kβ irrep block: the
+    /// mixed-spin kernel's β side.
+    pub beta_creators: CreationLists,
     /// `None` when the spin has fewer than two electrons.
     pub alpha_nm2: Option<Nm2Families>,
     /// Nβ−2 electron intermediate families (`None` below 2 electrons).
@@ -94,6 +97,7 @@ impl DetSpace {
             // Degenerate but well-formed: zero families.
             Nm1Families::new(&SpinStrings::new(n_orb, 1, orb_sym, n_irrep))
         };
+        let beta_creators = CreationLists::new(&beta_nm1);
         let alpha_nm2 = (n_alpha >= 2).then(|| Nm2Families::new(&alpha));
         let beta_nm2 = (n_beta >= 2).then(|| Nm2Families::new(&beta));
         DetSpace {
@@ -103,6 +107,7 @@ impl DetSpace {
             beta_singles,
             alpha_nm1,
             beta_nm1,
+            beta_creators,
             alpha_nm2,
             beta_nm2,
             target_irrep,
@@ -392,6 +397,46 @@ mod tests {
         assert!(kept < s.dim());
         let d = s.diagonal(&ham, 2);
         assert_eq!(d.to_dense().iter().filter(|x| x.is_finite()).count(), kept);
+    }
+
+    /// Every `(Kβ, entry)` of `beta_nm1` sits exactly once in the creation
+    /// list of its Kβ block and created orbital, Kβ ascending in each list:
+    /// on 1, 2, 4 and 8 irreps (the last with empty irreps), for several
+    /// Nβ, for Nβ = 1 (one empty Kβ) and Nβ = 0 (whose families are a
+    /// placeholder's, so only the inversion itself is checked).
+    #[test]
+    fn beta_creators_invert_the_families() {
+        let labels: [(usize, [u8; 6]); 4] = [
+            (1, [0; 6]),
+            (2, [1, 0, 0, 1, 0, 1]),
+            (4, [2, 0, 3, 1, 0, 2]),
+            (8, [5, 0, 3, 6, 0, 5]),
+        ];
+        for (n_irrep, sym) in labels {
+            for nb in [0, 1, 2, 3] {
+                let s = DetSpace::new(6, 2, nb, &sym, n_irrep, 0);
+                let kbeta = s.beta_nm1.space_k();
+                let mut listed = 0;
+                for g in 0..n_irrep as u8 {
+                    let first = kbeta.block_range(g).start;
+                    for p in 0..6 {
+                        let list = s.beta_creators.of(g, p);
+                        assert!(list.windows(2).all(|w| w[0].k < w[1].k), "{list:?}");
+                        for c in list {
+                            let kb = first + c.k as usize;
+                            assert_eq!(kbeta.irrep_of_index(kb), g);
+                            let found = s.beta_nm1.of(kb).iter().filter(|e| {
+                                (e.p as usize, e.to, e.sign as f64) == (p, c.to, c.sign)
+                            });
+                            assert_eq!(found.count(), 1, "{n_irrep} irreps, Nβ {nb}");
+                        }
+                        listed += list.len();
+                    }
+                }
+                let entries: usize = (0..s.beta_nm1.len()).map(|k| s.beta_nm1.of(k).len()).sum();
+                assert_eq!(listed, entries, "{n_irrep} irreps, Nβ {nb}");
+            }
+        }
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //! Work units are Nα−1 electron α occupations Kα, claimed from the
 //! dynamic task pool. For each Kα with family {(q, sgn_q, Jα)}:
 //!
-//! 1. **gather** the remote C columns of the family, sign-folded
-//!    (`DDI_GET` — the only read communication of the whole σ),
-//! 2. build `D((q̃, s), Kβ) = sgn_s · C(Jα(q̃), Jβ(s, Kβ))` by a vector
-//!    gather over the β N−1 families,
+//! 1. **gather** the remote C columns of the family (`DDI_GET` — the
+//!    only read communication of the whole σ),
+//! 2. build `D((q̃, s), Kβ) = sgn_s · sgn_q̃ · C(Jα(q̃), Jβ(s, Kβ))` by a
+//!    vector gather over the β N−1 families,
 //! 3. one dense multiply `E = V_K · D`, where `V_K[(p̃,r),(q̃,s)] =
 //!    (p_{p̃} q_{q̃} | r s)` is the integral block restricted to the
 //!    family's orbitals (the "INT" box of Fig. 2b),
 //! 4. scatter `E` through the β families into the update buffer and
-//!    remote-accumulate each α column of it (`DDI_ACC`, 2× bytes).
+//!    remote-accumulate each α column of it, signed (`DDI_ACC`, 2×
+//!    bytes).
 //!
 //! Communication per Kα is O(family × Nβ-strings) — in total `3·Nci·Nα`
 //! words versus the MOC routine's `Nci·Nα·(n−Nα)` (Table 1).
@@ -33,17 +34,9 @@
 //! keep the slot-major order `(q̃, s)`: slot `q̃` owns one row per orbital
 //! `s` of irrep `g_q ⊕ h` whose pair `(q, s)` is not screened (see
 //! below), ascending, so row = `base[q̃]` + the rank of `s` among those.
-//! The slots that pair with a given `s` are one contiguous range; the
-//! rows they own are cut into *runs* of consecutive slots whose rows are
-//! evenly spaced, and one β family entry moves one run at a time. Each
-//! orbital has one run unless screening splits its rows (as on a planted
-//! zero pair, never on a molecule or a Hubbard chain); only a block with
-//! a split orbital takes the loop that tests each entry for more runs,
-//! since at `dense_c2`'s D2h block sizes that test alone costs about a
-//! tenth of the build and of the scatter.
-//! `V_hh` is filled over the same rows. With one irrep and nothing screened
-//! there is one block, `base[q̃] = q̃·n`, and each orbital has one run: the
-//! same loops build the same `nd × n_Kβ` product as an unblocked routine.
+//! `V_hh` is filled over the same rows. With one irrep and nothing
+//! screened there is one block and `base[q̃] = q̃·n`: the same loops
+//! build the same `nd × n_Kβ` product as an unblocked routine.
 //!
 //! ### Exact-zero screening
 //!
@@ -58,13 +51,33 @@
 //!
 //! ### Layout
 //!
-//! The gathered columns and the update buffer are held **slot-minor**
-//! (`cgt[jβ·nq + q̃]`, `ut[iβ·nq + q̃]`): a β family entry `(s, Jβ)` moves
-//! the contiguous run of slots that pair with `s` between one row of
-//! `cgt` / `ut` and a strided column of `D_h` / `E_h`. Only the
-//! in-sector rows of either buffer are ever written or read. `D_h`,
-//! `E_h` and `V_hh` are three matrices sized for an unblocked task and
-//! reshaped per block.
+//! The loops run **by β orbital**. Which Kβ of a block create `s`, and
+//! the `(Jβ, sgn_s)` they reach, depend on the β strings alone, so the
+//! space keeps them as one list per (Kβ irrep, `s`), Kβ ascending
+//! ([`fci_strings::CreationLists`], `DetSpace::beta_creators`). For each
+//! `s` and each unscreened row `(q̃, s)`, build and scatter are one
+//! branch-free indexed loop over the list of `s`:
+//!
+//! ```text
+//! build     D_hᵀ[row·n_Kβ + Kβ]   = sgn_s · (sgn_q̃ · cg[q̃·nβ + Jβ])
+//! scatter   ut[q̃·nβ + Jβ]        += sgn_s · E_h[row + Kβ·nd]
+//! ```
+//!
+//! The gathered columns `cg` and the update `ut` are **slot-major**, as
+//! `DDI_GET` delivers them and as `DDI_ACC` takes them: a slot's column of
+//! `ut`, signed by `sgn_q̃`, is the α column handed to the sink, and is
+//! cleared behind it. Only in-sector rows of either are written or read.
+//! `D` is held transposed (`D_hᵀ`, `n_Kβ × nd`), so that the build writes
+//! one contiguous column of it per row; it enters the GEMM with
+//! [`Trans::Yes`], which hands the kernels the same operands in the same
+//! order as an untransposed `D_h`, hence the same bits. The scatter visits
+//! the orbitals **descending**: the terms that reach one `ut` element
+//! within a block come from distinct `s` of one irrep, whose Kβ = Jβ∖{s}
+//! ascend as `s` descends (strings are sorted by mask within an irrep),
+//! so each element adds its terms in the Kβ-ascending order a loop over
+//! the families would, and the sums keep their bits. `D_hᵀ`, `E_h` and
+//! `V_hh` are three matrices sized for an unblocked task and reshaped per
+//! block.
 //!
 //! ### Scheduling simulation
 //!
@@ -77,7 +90,6 @@
 //! produces on the real machine.
 
 use super::{SigmaCtx, MAX_IRREP};
-use crate::detspace::DetSpace;
 use crate::hamiltonian::Hamiltonian;
 use crate::phase::{charge_comm, HostSplit};
 use crate::taskpool::TaskPool;
@@ -86,7 +98,6 @@ use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, T
 use fci_obs::{Category, FaultKind};
 use fci_strings::Bits;
 use fci_xsim::{Clock, MachineModel, RunReport};
-use std::ops::Range;
 use std::sync::Mutex;
 
 /// Receives one α-column contribution of a task: `(column, values, stats)`.
@@ -98,15 +109,11 @@ pub type ColumnSink<'s> = dyn FnMut(usize, &[f64], &mut CommStats) + 's;
 /// "working area to store the gathered C vector coefficients and the
 /// computed update coefficients", §3.1).
 struct WorkBufs {
-    /// One α column of the update, as handed to the sink; zero outside
-    /// the column's in-sector rows.
-    colbuf: Vec<f64>,
-    /// The family's C columns as `DDI_GET` delivers them, slot-major.
+    /// The family's C columns as `DDI_GET` delivers them, slot-major:
+    /// `cg[slot·nbstr + jβ]`.
     cg: Vec<f64>,
-    /// The same, sign-folded and slot-minor: `cgt[jβ·nq + slot]`.
-    cgt: Vec<f64>,
-    /// The update, slot-minor: `ut[iβ·nq + slot]`; all zero between
-    /// tasks.
+    /// The update, slot-major like `cg`: the column of a slot is the α
+    /// column handed to the sink. All zero between tasks.
     ut: Vec<f64>,
     /// Column indices of the current family (input to the aggregated
     /// [`DistMatrix::get_cols`]); capacity reserved once, reused forever.
@@ -114,15 +121,11 @@ struct WorkBufs {
     /// First row of each slot in the current `D_h` (and one past the
     /// last slot's rows).
     base: Vec<usize>,
-    /// Per orbital, where it enters the current `D_h`.
-    orb_rows: Vec<OrbRows>,
-    /// The runs `orb_rows` points into: at most one per row of an
-    /// unscreened `D_h`, so never more than `nq·n`.
-    runs: Vec<Run>,
     /// Per row of the current `V_hh`, where its integrals sit in **V**
     /// (see [`fill_vk`]).
     vpos: Vec<(usize, usize)>,
-    d: Matrix,
+    /// `D_hᵀ`, `n_Kβ × nd`: row `(q̃, s)` of `D_h` is a contiguous column.
+    dt: Matrix,
     e_mat: Matrix,
     vk: Matrix,
     /// Persistent packed `V_hh` operands, one per (Kα, h), keyed by the
@@ -136,106 +139,15 @@ impl WorkBufs {
     fn new(nbstr: usize, nq: usize, n: usize, nkb: usize) -> Self {
         let nd = nq * n;
         WorkBufs {
-            colbuf: vec![0.0; nbstr],
             cg: vec![0.0; nbstr * nq],
-            cgt: vec![0.0; nbstr * nq],
             ut: vec![0.0; nbstr * nq],
             cols: Vec::with_capacity(nq),
             base: vec![0; nq + 1],
-            orb_rows: vec![OrbRows::default(); n],
-            runs: vec![Run::default(); nd],
             vpos: vec![(0, 0); nd],
-            d: Matrix::zeros(nd, nkb),
+            dt: Matrix::zeros(nkb, nd),
             e_mat: Matrix::zeros(nd, nkb),
             vk: Matrix::zeros(nd, nd),
             pack: PackedCache::empty(),
-        }
-    }
-}
-
-/// Where a β orbital `s` enters the current `D_h`: the rows `(q̃, s)` of
-/// the slots pairing with it (`g_q ⊕ g_s = h`) whose pair `(q, s)` is not
-/// screened, as runs. The first run is kept here; it is the only one
-/// unless screening splits the rows, and the others are
-/// `runs[more.0..more.1]`.
-#[derive(Clone, Copy, Default)]
-struct OrbRows {
-    run: Run,
-    more: (usize, usize),
-    /// Slots that pair with `s`, screened pairs included: what the
-    /// simulated machine moves per family entry.
-    pairing: usize,
-}
-
-/// Consecutive slots `slot..slot + count` whose rows `(q̃, s)` for one `s`
-/// are `first`, `first + step`, ….
-#[derive(Clone, Copy, Default)]
-struct Run {
-    slot: usize,
-    count: usize,
-    first: usize,
-    step: usize,
-}
-
-/// The β side of one irrep block of a task: its Kβ strings and where each
-/// β orbital enters `D_h` and `E_h`. `build` and `scatter` take `SPLIT`,
-/// whether any orbital has more than one run: without, each β family
-/// entry is one strided copy, with no per-entry test for further runs.
-struct BlockRows<'a> {
-    space: &'a DetSpace,
-    kbs: Range<usize>,
-    nq: usize,
-    nd: usize,
-    orb_rows: &'a [OrbRows],
-    runs: &'a [Run],
-}
-
-impl BlockRows<'_> {
-    /// `D_h((q̃, s), Kβ) = sgn_s · C(slot q̃, Jβ)` for every β family entry
-    /// `(s, Jβ)` of the block, from the slot-minor `cgt`. Returns the
-    /// elements the machine model moves.
-    fn build<const SPLIT: bool>(&self, d: &mut [f64], cgt: &[f64]) -> usize {
-        let mut touched = 0;
-        for (dcol, kb) in d.chunks_exact_mut(self.nd).zip(self.kbs.clone()) {
-            for eb in self.space.beta_nm1.of(kb) {
-                let t = &self.orb_rows[eb.p as usize];
-                let (sgn, at) = (eb.sign as f64, eb.to as usize * self.nq);
-                let mut put = |r: &Run| {
-                    let mut row = r.first;
-                    for &v in &cgt[at + r.slot..][..r.count] {
-                        dcol[row] = sgn * v;
-                        row += r.step;
-                    }
-                };
-                put(&t.run);
-                if SPLIT {
-                    self.runs[t.more.0..t.more.1].iter().for_each(put);
-                }
-                touched += t.pairing;
-            }
-        }
-        touched
-    }
-
-    /// The reverse of [`BlockRows::build`]: add `sgn_s · E_h((q̃, s), Kβ)`
-    /// into the slot-minor update `ut`.
-    fn scatter<const SPLIT: bool>(&self, e: &[f64], ut: &mut [f64]) {
-        for (ecol, kb) in e.chunks_exact(self.nd).zip(self.kbs.clone()) {
-            for eb in self.space.beta_nm1.of(kb) {
-                let t = &self.orb_rows[eb.p as usize];
-                let (sgn, at) = (eb.sign as f64, eb.to as usize * self.nq);
-                let mut take = |r: &Run| {
-                    let mut row = r.first;
-                    for u in &mut ut[at + r.slot..][..r.count] {
-                        *u += sgn * ecol[row];
-                        row += r.step;
-                    }
-                };
-                take(&t.run);
-                if SPLIT {
-                    self.runs[t.more.0..t.more.1].iter().for_each(take);
-                }
-            }
         }
     }
 }
@@ -369,7 +281,7 @@ fn process_task_into(
     let fam = space.alpha_nm1.of(ka);
     let nq = fam.len();
     let gka = space.alpha_nm1.space_k().irrep_of_index(ka);
-    let orb_sym = &ham.orb_sym[..];
+    let (n, orb_sym) = (ham.n, &ham.orb_sym[..]);
     host.start();
 
     // The family's slots are sorted by (irrep, orbital): those of irrep
@@ -388,31 +300,19 @@ fn process_task_into(
     // (1) gather the C columns of the family in ONE aggregated DDI op —
     // one latency charge (and one trace event) per remote owner-run
     // instead of one per column, the paper's size-ordered aggregated
-    // gather — then fold the excitation signs while turning the
-    // in-sector rows (the rows a column stores) slot-minor.
+    // gather.
     bufs.cols.clear();
     // lint: allow(alloc) — capacity reserved once in WorkBufs::new; clear+extend never reallocates
     bufs.cols.extend(fam.iter().map(|e| e.to as usize));
     c.get_cols(rank, &bufs.cols, &mut bufs.cg[..nq * nbstr], stats);
-    for (slot, e) in fam.iter().enumerate() {
-        let rows = sector_rows(e);
-        let sgn = e.sign as f64;
-        let col = &bufs.cg[slot * nbstr..(slot + 1) * nbstr][rows.clone()];
-        let cgt = bufs.cgt[rows.start * nq..rows.end * nq].iter_mut();
-        for (t, &v) in cgt.skip(slot).step_by(nq).zip(col) {
-            *t = sgn * v;
-        }
-    }
-    // The stored length, tallied apart: inside the loop above, the tally
-    // slows the fold.
     let stored: usize = fam.iter().map(|e| sector_rows(e).len()).sum();
     clock.charge_gather(model, stored as f64);
     host.lap(GET);
 
-    for gkb in 0..n_irrep {
-        // (2) build D_h through the β N−1 families of this irrep block.
-        let kbs = kbeta.block_range(gkb as u8);
-        let h = gka ^ gkb as u8 ^ target;
+    for gkb in 0..n_irrep as u8 {
+        // (2) build D_h through the creation lists of this irrep block.
+        let nkb_h = kbeta.block_len(gkb);
+        let h = gka ^ gkb ^ target;
         // Rows per slot: the unscreened partners `s` of its orbital among
         // the orbitals of irrep g_q ⊕ h. The machine model moves all
         // `nd_all` of them.
@@ -424,72 +324,41 @@ fn process_task_into(
             bufs.base[slot + 1] =
                 bufs.base[slot] + (partners & ham.v_pairs(q)).count_ones() as usize;
         }
-        let (nd, nkb_h) = (bufs.base[nq], kbs.len());
+        let nd = bufs.base[nq];
         if nd_all == 0 || nkb_h == 0 {
             continue;
         }
-        let (mut nruns, mut split) = (0, false);
-        for (s, t) in bufs.orb_rows.iter_mut().enumerate() {
+        // The slots pairing with β orbital s, and the rows `(q̃, s)` of
+        // those whose pair `(q, s)` is not screened, as `(q̃, row)`.
+        let pairing = |s: usize| {
             let g = (orb_sym[s] ^ h) as usize;
+            slots[g]..slots[g + 1]
+        };
+        let base = &bufs.base;
+        let rows_of = |s: usize| {
             let below = ham.irrep_mask(orb_sym[s]) & ((1u64 << s) - 1);
-            let first_run = nruns;
-            for (slot, e) in (slots[g]..).zip(&fam[slots[g]..slots[g + 1]]) {
-                let pairs = ham.v_pairs(e.p as usize);
-                if pairs >> s & 1 == 0 {
-                    continue;
-                }
-                let row = bufs.base[slot] + (pairs & below).count_ones() as usize;
-                if nruns > first_run {
-                    let last = &mut bufs.runs[nruns - 1];
-                    let next = last.first + last.count * last.step;
-                    if last.slot + last.count == slot && (last.count == 1 || row == next) {
-                        last.step = (row - last.first) / last.count;
-                        last.count += 1;
-                        continue;
-                    }
-                }
-                bufs.runs[nruns] = Run {
-                    slot,
-                    count: 1,
-                    first: row,
-                    step: 0,
-                };
-                nruns += 1;
-            }
-            split |= nruns > first_run + 1;
-            *t = OrbRows {
-                run: if nruns > first_run {
-                    bufs.runs[first_run]
-                } else {
-                    Run::default()
-                },
-                more: ((first_run + 1).min(nruns), nruns),
-                pairing: slots[g + 1] - slots[g],
-            };
-        }
-        let block = BlockRows {
-            space,
-            kbs,
-            nq,
-            nd,
-            orb_rows: &bufs.orb_rows,
-            runs: &bufs.runs[..nruns],
+            pairing(s).filter_map(move |slot| {
+                let pairs = ham.v_pairs(fam[slot].p as usize);
+                let row = base[slot] + (pairs & below).count_ones() as usize;
+                (pairs >> s & 1 == 1).then_some((slot, row))
+            })
         };
-        bufs.d.reshape(nd, nkb_h);
-        bufs.d.fill_zero();
+        bufs.dt.reshape(nkb_h, nd);
+        bufs.dt.fill_zero();
         clock.charge_memcpy(model, (nd_all * nkb_h * 8) as f64);
-        // A block whose rows are all screened moves nothing on the host;
-        // the machine model still moves what it would have.
-        let moved = match (nd, split) {
-            (0, _) => block
-                .kbs
-                .clone()
-                .flat_map(|kb| space.beta_nm1.of(kb))
-                .map(|eb| block.orb_rows[eb.p as usize].pairing)
-                .sum(),
-            (_, false) => block.build::<false>(bufs.d.as_mut_slice(), &bufs.cgt),
-            (_, true) => block.build::<true>(bufs.d.as_mut_slice(), &bufs.cgt),
-        };
+        let mut moved = 0;
+        let dt = bufs.dt.as_mut_slice();
+        for s in 0..n {
+            let list = space.beta_creators.of(gkb, s);
+            moved += list.len() * pairing(s).len();
+            for (slot, row) in rows_of(s) {
+                let (col, sgn) = (&bufs.cg[slot * nbstr..][..nbstr], fam[slot].sign as f64);
+                let drow = &mut dt[row * nkb_h..][..nkb_h];
+                for b in list {
+                    drow[b.k as usize] = b.sign * (sgn * col[b.to as usize]);
+                }
+            }
+        }
         clock.charge_gather(model, moved as f64);
 
         // (3) the integral block and the DGEMM. `V_hh` depends only on
@@ -521,16 +390,18 @@ fn process_task_into(
         } else {
             None
         };
+        // `D_hᵀ` enters as `Trans::Yes`: the same operands in the same
+        // order as an untransposed `D_h`, so the same bits.
         bufs.e_mat.reshape(nd, nkb_h);
         match pa {
             // Bitwise equal to `dgemm` on `vk` itself, below.
-            Some(pa) => dgemm_prepacked(1, 1.0, pa, Trans::No, &bufs.d, 0.0, &mut bufs.e_mat),
+            Some(pa) => dgemm_prepacked(1, 1.0, pa, Trans::Yes, &bufs.dt, 0.0, &mut bufs.e_mat),
             None if nd > 0 => dgemm(
                 Trans::No,
-                Trans::No,
+                Trans::Yes,
                 1.0,
                 &bufs.vk,
-                &bufs.d,
+                &bufs.dt,
                 0.0,
                 &mut bufs.e_mat,
             ),
@@ -540,40 +411,38 @@ fn process_task_into(
         clock.charge_dgemm(model, nd_all, nkb_h, nd_all);
         host.lap(GEMM);
 
-        // (4) scatter E_h through the same β families, which move as
-        // many elements as the build did.
-        match (nd, split) {
-            (0, _) => {}
-            (_, false) => block.scatter::<false>(bufs.e_mat.as_slice(), &mut bufs.ut),
-            (_, true) => block.scatter::<true>(bufs.e_mat.as_slice(), &mut bufs.ut),
+        // (4) scatter E_h through the same lists, which move as many
+        // elements as the build did. Orbitals descend so that each update
+        // element takes its terms Kβ ascending, the order the families
+        // give them.
+        let e = bufs.e_mat.as_slice();
+        for s in (0..n).rev() {
+            let list = space.beta_creators.of(gkb, s);
+            for (slot, row) in rows_of(s) {
+                let u = &mut bufs.ut[slot * nbstr..][..nbstr];
+                for b in list {
+                    u[b.to as usize] += b.sign * e[row + b.k as usize * nd];
+                }
+            }
         }
         clock.charge_gather(model, moved as f64);
         host.lap(SCATTER);
     }
 
-    // Accumulate: one full-length α column per slot, of which `DDI_ACC`
-    // adds the in-sector rows (zero elsewhere; they change only where
-    // the slots' irrep does).
-    // What is read of the update is cleared behind the read, which
-    // leaves `ut` all zero for the next task.
-    let mut filled = 0..0;
+    // Accumulate: a slot's column of the update is its α column of σ,
+    // zero outside the in-sector rows that `DDI_ACC` adds. Sign it, hand
+    // it over, and clear it behind, which leaves `ut` all zero for the
+    // next task.
     for (slot, e) in fam.iter().enumerate() {
-        let rows = sector_rows(e);
-        if rows != filled {
-            bufs.colbuf[filled].fill(0.0);
-            filled = rows.clone();
-        }
-        let sgn = e.sign as f64;
-        let ut = bufs.ut[rows.start * nq..rows.end * nq].iter_mut();
-        for (cb, u) in bufs.colbuf[rows].iter_mut().zip(ut.skip(slot).step_by(nq)) {
-            *cb = sgn * *u;
-            *u = 0.0;
-        }
+        let (rows, sgn) = (sector_rows(e), e.sign as f64);
+        let col = &mut bufs.ut[slot * nbstr..][..nbstr];
+        col[rows.clone()].iter_mut().for_each(|u| *u *= sgn);
         host.lap(SCATTER);
-        sink(e.to as usize, &bufs.colbuf, stats);
+        sink(e.to as usize, col, stats);
         host.lap(ACC);
+        col[rows].fill(0.0);
     }
-    bufs.colbuf[filled].fill(0.0);
+    host.lap(SCATTER);
     clock.charge_gather(model, stored as f64);
     clock.charge_scalar(model, (2 * nq + 2 * nkb) as f64);
 }

@@ -343,9 +343,17 @@ mod tests {
         }
     }
 
-    /// FNV-1a fold of every σ element's `to_bits()` for a seeded vector on
-    /// the serial backend.
-    fn sigma_digest(space: &DetSpace, ham: &Hamiltonian, nproc: usize) -> u64 {
+    /// FNV-1a fold of a word stream.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// For a seeded vector on the serial backend: the fold of every σ
+    /// element's `to_bits()`, and the fold of the bytes of the `{:?}` of
+    /// the mixed phase's per-rank clocks.
+    fn sigma_digests(space: &DetSpace, ham: &Hamiltonian, nproc: usize) -> (u64, u64) {
         let ddi = Ddi::new(nproc, Backend::Serial);
         let model = MachineModel::cray_x1();
         let ctx = SigmaCtx {
@@ -356,10 +364,12 @@ mod tests {
             pool: PoolParams::default(),
         };
         let c = random_ci(space, nproc, 17);
-        let (sig, _) = apply_sigma(&ctx, &c, SigmaMethod::Dgemm);
-        sig.to_dense().iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
-            (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3)
-        })
+        let (sig, bd) = apply_sigma(&ctx, &c, SigmaMethod::Dgemm);
+        let clocks = format!("{:?}", bd.alpha_beta.clocks);
+        (
+            fnv(sig.to_dense().iter().map(|v| v.to_bits())),
+            fnv(clocks.bytes().map(u64::from)),
+        )
     }
 
     /// The simulated machine charges the shapes of the blocks, never their
@@ -413,18 +423,114 @@ mod tests {
         };
         let ham = random_hamiltonian(9, 7);
         let space = DetSpace::c1(9, 4, 3);
-        let digests = [1usize, 2, 5, 50, 126, 130].map(|nproc| sigma_digest(&space, &ham, nproc));
+        let digests =
+            [1usize, 2, 5, 50, 126, 130].map(|nproc| sigma_digests(&space, &ham, nproc).0);
         assert_eq!(digests, [digests[0]; 6], "σ bits differ across rank counts");
         assert_eq!(digests[0], want, "random n=9: {:#018x}", digests[0]);
         // Most of this h is zero: the one-electron list is mostly skips.
         let ham = Hamiltonian::new(&fci_scf::MoIntegrals::hubbard_chain(8, 1.0, 4.0, false));
         let space = DetSpace::for_hamiltonian(&ham, 4, 4, 0);
         for nproc in [1usize, 3, 70] {
-            let got = sigma_digest(&space, &ham, nproc);
+            let got = sigma_digests(&space, &ham, nproc).0;
             assert_eq!(
                 got, 0x807e_cfe0_7e06_d024,
                 "hubbard 8, nproc={nproc}: {got:#018x}"
             );
         }
+    }
+
+    /// σ and the mixed phase's clocks where the mixed kernel has several
+    /// Kβ blocks per task (4 and 8 irreps, two targets each) and where
+    /// exact-zero screening leaves gaps among an orbital's rows of `D_h`,
+    /// splitting them into runs (planted zero pairs), at 1, 5 and 130
+    /// ranks: each case's σ
+    /// bits are one constant per build (fused or not), and its clocks one
+    /// constant, folded over the rank counts. The constants are what the
+    /// slot-minor mixed-spin build and scatter printed.
+    #[test]
+    fn sigma_bits_pinned_on_blocks_and_split_runs() {
+        let sym4 = [2u8, 0, 3, 1, 0, 2, 0, 3];
+        let sym8 = [5u8, 0, 3, 6, 0, 5, 7, 1];
+        let ham4 = crate::hamiltonian::random_symmetric_hamiltonian(8, 23, &sym4, 4);
+        let ham8 = crate::hamiltonian::random_symmetric_hamiltonian(8, 29, &sym8, 8);
+        let dense = crate::hamiltonian::random_symmetric_hamiltonian(8, 31, &sym4, 4);
+        let mut mo = fci_scf::MoIntegrals {
+            n_orb: 8,
+            h: dense.h.clone(),
+            eri: dense.eri.clone(),
+            e_core: dense.e_core,
+            orb_sym: sym4.to_vec(),
+            n_irrep: 4,
+        };
+        for (p, r) in [(4, 1), (5, 0), (1, 0), (3, 3), (6, 2)] {
+            for q in 0..8 {
+                for s in 0..8 {
+                    mo.eri.set(p, q, r, s, 0.0);
+                }
+            }
+        }
+        let planted = Hamiltonian::new(&mo);
+        // (name, Hamiltonian, target, σ fused, σ unfused, clocks)
+        let cases: [(&str, &Hamiltonian, u8, u64, u64, u64); 5] = [
+            (
+                "4 irreps, target 0",
+                &ham4,
+                0,
+                0x51c5_08d5_2405_d6a2,
+                0x0603_4872_a0ee_fc53,
+                0x2c8c_3807_2a67_76d3,
+            ),
+            (
+                "4 irreps, target 3",
+                &ham4,
+                3,
+                0xb50b_7989_da51_d9dd,
+                0x176d_a002_11d6_cd92,
+                0x66df_205b_83ef_70ff,
+            ),
+            (
+                "8 irreps, target 0",
+                &ham8,
+                0,
+                0xfe8c_a5bf_fa77_6b8a,
+                0x38c5_1f94_814e_8234,
+                0xaf05_8c64_8b17_9b3a,
+            ),
+            (
+                "8 irreps, target 6",
+                &ham8,
+                6,
+                0xa13f_df47_297d_9aeb,
+                0xabec_8ed5_6a53_12a7,
+                0x8fd4_3349_c141_9ef0,
+            ),
+            (
+                "planted, 4 irreps, target 2",
+                &planted,
+                2,
+                0x2ac2_a0c6_bb4a_440b,
+                0xb66b_c3ac_e65f_8d36,
+                0xd25b_1307_9ee6_cda7,
+            ),
+        ];
+        let mut got = Vec::new();
+        for (what, ham, target, fused, unfused, clocks) in cases {
+            let space = DetSpace::for_hamiltonian(ham, 4, 3, target);
+            let runs = [1usize, 5, 130].map(|nproc| sigma_digests(&space, ham, nproc));
+            assert!(
+                runs.iter().all(|r| r.0 == runs[0].0),
+                "{what}: σ bits differ across rank counts"
+            );
+            let want = if cfg!(target_feature = "fma") {
+                fused
+            } else {
+                unfused
+            };
+            got.push((what, runs[0].0, want, fnv(runs.map(|r| r.1)), clocks));
+        }
+        assert!(
+            got.iter().all(|&(_, s, ws, c, wc)| s == ws && c == wc),
+            "(case, σ, want, clocks, want): {got:#018x?}"
+        );
     }
 }

@@ -60,9 +60,10 @@ pub struct RunSummary {
     pub retries: f64,
     /// **Host** microseconds inside a σ routine, split by part: one entry
     /// per `*_host_us` counter name (`same_spin_host_us`: transpose /
-    /// one-electron / gather / GEMM / scatter; `mixed_host_us`: get /
-    /// build / GEMM / scatter / acc), each part summed over every rank
-    /// and phase that emitted it. Empty for traces without the counters.
+    /// one-electron / gather / GEMM / scatter; `mixed_host_us`: get (the
+    /// `DDI_GET` alone) / build / GEMM / scatter / acc), each part summed
+    /// over every rank and phase that emitted it. Empty for traces
+    /// without the counters.
     pub host_splits: Vec<(String, Vec<(String, f64)>)>,
     /// GEMM flops the host ran, per `*_host_us` counter name (its
     /// [`HOST_GEMM_FLOPS`] arg). Exact-zero screening keeps them below

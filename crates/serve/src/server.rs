@@ -36,7 +36,7 @@ use fci_core::{
 use fci_obs::{Category, ObsConfig, Tracer, TrackedCondvar, TrackedMutex};
 use fci_sparse::{solve_cdfci, solve_selected, SparseOptions, SparseResult};
 use fci_strings::binomial;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -138,7 +138,8 @@ struct QueueState {
     shutdown: bool,
     /// Jobs dispatched per tenant — the fairness currency.
     tenant_credit: HashMap<String, u64>,
-    ids: HashSet<String>,
+    /// Every accepted job id, with its slot in the results vector.
+    ids: HashMap<String, usize>,
     next_seq: u64,
     batches: usize,
 }
@@ -227,11 +228,11 @@ impl Server {
         let mut st = QueueState::default();
         let mut results: Vec<Option<JobResult>> = Vec::new();
         for r in &replay.completed {
-            st.ids.insert(r.id.clone());
+            st.ids.entry(r.id.clone()).or_insert(results.len());
             results.push(Some(r.clone()));
         }
         for spec in &replay.pending {
-            st.ids.insert(spec.id.clone());
+            st.ids.entry(spec.id.clone()).or_insert(results.len());
             let seq = st.next_seq;
             st.next_seq += 1;
             results.push(None);
@@ -359,7 +360,7 @@ impl Server {
             let why = RejectReason::Invalid("server is shutting down".into());
             return Err(self.reject(&spec.id, why));
         }
-        if st.ids.contains(&spec.id) {
+        if st.ids.contains_key(&spec.id) {
             drop(st);
             return Err(self.reject(&spec.id, RejectReason::DuplicateId));
         }
@@ -383,7 +384,6 @@ impl Server {
                 .instant(None, "job_rejected", Category::Other, &[("count", 1.0)]);
             return Err(why);
         }
-        st.ids.insert(spec.id.clone());
         let seq = st.next_seq;
         st.next_seq += 1;
         let out = {
@@ -391,6 +391,7 @@ impl Server {
             res.push(None);
             res.len() - 1
         };
+        st.ids.insert(spec.id.clone(), out);
         self.trace
             .instant(None, "job_submit", Category::Other, &[("seq", seq as f64)]);
         st.pending.push(Queued {
@@ -822,14 +823,17 @@ impl Server {
         self.done.notify_all();
     }
 
+    /// The results slot of job `id`, if it was accepted. Takes `state`
+    /// and drops it before the caller takes `results`: `submit` takes
+    /// them in the order state → results, so never the other way round.
+    fn slot_of(&self, id: &str) -> Option<usize> {
+        self.state.lock().ids.get(id).copied()
+    }
+
     /// The result of job `id`, if it reached a terminal state.
     pub fn peek_result(&self, id: &str) -> Option<JobResult> {
-        self.results
-            .lock()
-            .iter()
-            .flatten()
-            .find(|r| r.id == id)
-            .cloned()
+        let out = self.slot_of(id)?;
+        self.results.lock()[out].clone()
     }
 
     /// Block until job `id` has a result or `timeout` elapses. Returns
@@ -838,9 +842,14 @@ impl Server {
     pub fn wait_result(&self, id: &str, timeout: std::time::Duration) -> Option<JobResult> {
         let start = self.clock.now_us();
         let budget_us = timeout.as_micros() as f64;
-        let mut res = self.results.lock();
+        let mut out = None;
         loop {
-            if let Some(r) = res.iter().flatten().find(|r| r.id == id) {
+            // An id not accepted yet may be accepted while this waits.
+            if out.is_none() {
+                out = self.slot_of(id);
+            }
+            let res = self.results.lock();
+            if let Some(r) = out.and_then(|at| res[at].as_ref()) {
                 return Some(r.clone());
             }
             let left = budget_us - (self.clock.now_us() - start);
@@ -849,8 +858,7 @@ impl Server {
             }
             // Chunked waits bound the window of a lost wake-up race.
             let chunk = std::time::Duration::from_micros(left.min(50_000.0) as u64);
-            let (guard, _) = self.done.wait_timeout(res, chunk);
-            res = guard;
+            drop(self.done.wait_timeout(res, chunk));
         }
     }
 

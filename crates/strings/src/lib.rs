@@ -12,7 +12,8 @@
 //! * single-excitation tables `⟨I| E_pq |J⟩ = ±1` (the MOC kernel and the
 //!   one-electron σ),
 //! * N−1 electron intermediate families `I = a†_p K` (the mixed-spin DGEMM
-//!   routine, eqs. 4–6 of the paper),
+//!   routine, eqs. 4–6 of the paper), and the same families inverted by
+//!   created orbital,
 //! * N−2 electron intermediate families `I = a†_p a†_r K`, `p > r` — the
 //!   paper's **A** (creation-pair) and **B** (annihilation-pair) coupling
 //!   matrices of the same-spin routine (eqs. 7–9), following
@@ -33,5 +34,6 @@ pub use bits::{annihilate, create, excite, irrep_of_mask, occ_list, string_from_
 pub use rank::{rank_colex, unrank_colex};
 pub use space::{binomial, SpinStrings};
 pub use tables::{
-    pair_index, CreateEntry, Nm1Families, Nm2Families, PairEntry, SingleEntry, SinglesTable,
+    pair_index, CreateEntry, CreationLists, Creator, Nm1Families, Nm2Families, PairEntry,
+    SingleEntry, SinglesTable,
 };

@@ -10,6 +10,9 @@
 //!   routine loops over these families on *both* spins (eqs. 4–6); they are
 //!   also the task units of the dynamic load balancer ("each processor is
 //!   assigned different sets of Nα−1 electron alpha occupations", §3.3).
+//! * [`CreationLists`] — the same entries inverted: for each irrep block
+//!   of the N−1 strings and each orbital p, the `K` whose family creates
+//!   p. The mixed-spin routine's β side walks these.
 //! * [`Nm2Families`] — for each N−2 electron string `K`, the family of
 //!   `(p, r, sign, I)` with `p > r` and `⟨I| a†_p a†_r |K⟩ = sign`. This is
 //!   simultaneously the paper's creation-pair matrix **A** and (through
@@ -199,6 +202,79 @@ impl Nm1Families {
     #[inline]
     pub fn of(&self, k: usize) -> &[CreateEntry] {
         &self.entries[self.offsets[k]..self.offsets[k + 1]]
+    }
+}
+
+/// One member of a [`CreationLists`] list: an N−1 string `K` whose family
+/// creates the list's orbital p, reaching `I` with `sign · a†_p |K⟩`.
+#[derive(Clone, Copy, Debug)]
+pub struct Creator {
+    /// `K` minus the first index of its irrep block.
+    pub k: u32,
+    /// Global index of the N-electron string `I`.
+    pub to: u32,
+    /// Fermionic phase of `⟨I| a†_p |K⟩`, as ±1.0.
+    pub sign: f64,
+}
+
+/// [`Nm1Families`] inverted by orbital: for each irrep block g of the N−1
+/// strings and each orbital p, every `K` of the block whose family
+/// creates p, `K` ascending. The mixed-spin σ kernel walks one list per
+/// (block, orbital) where the families would make it test every member.
+#[derive(Clone, Debug)]
+pub struct CreationLists {
+    n_orb: usize,
+    /// `offsets[g·n_orb + p]` starts the list of (g, p).
+    offsets: Vec<usize>,
+    entries: Vec<Creator>,
+}
+
+impl CreationLists {
+    /// Invert `families`. Cost: one pass over its entries.
+    pub fn new(families: &Nm1Families) -> Self {
+        let space_k = families.space_k();
+        let n_orb = space_k.n_orb();
+        let list = |k: usize, p: u8| space_k.irrep_of_index(k) as usize * n_orb + p as usize;
+        let mut offsets = vec![0usize; space_k.n_irrep() * n_orb + 1];
+        for k in 0..families.len() {
+            for e in families.of(k) {
+                offsets[list(k, e.p) + 1] += 1;
+            }
+        }
+        for at in 1..offsets.len() {
+            offsets[at] += offsets[at - 1];
+        }
+        let mut fill = offsets.clone();
+        let blank = Creator {
+            k: 0,
+            to: 0,
+            sign: 0.0,
+        };
+        let mut entries = vec![blank; families.entries.len()];
+        for k in 0..families.len() {
+            let first = space_k.block_range(space_k.irrep_of_index(k)).start;
+            for e in families.of(k) {
+                let at = &mut fill[list(k, e.p)];
+                entries[*at] = Creator {
+                    k: (k - first) as u32,
+                    to: e.to,
+                    sign: e.sign as f64,
+                };
+                *at += 1;
+            }
+        }
+        CreationLists {
+            n_orb,
+            offsets,
+            entries,
+        }
+    }
+
+    /// The `K` of irrep `g` whose family creates orbital `p`, ascending.
+    #[inline]
+    pub fn of(&self, g: u8, p: usize) -> &[Creator] {
+        let at = g as usize * self.n_orb + p;
+        &self.entries[self.offsets[at]..self.offsets[at + 1]]
     }
 }
 
