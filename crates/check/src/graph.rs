@@ -43,10 +43,12 @@ use fci_obs::JsonValue;
 
 /// Hot-path roots the transitive analyses start from: the σ-task body,
 /// the GEMM entry points, their one loop nest and the register tile.
-pub const DEFAULT_ROOTS: [&str; 13] = [
+pub const DEFAULT_ROOTS: [&str; 14] = [
     "process_task_into",
-    // The same-spin routine's per-rank body and its blocked transpose.
-    "rank_kernel",
+    // The same-spin routine's arithmetic pass, its per-rank charge walk
+    // and its blocked transpose.
+    "sub_block_kernel",
+    "charge_walk",
     "transpose_block",
     "dgemm",
     "dgemm_prepacked",

@@ -343,6 +343,59 @@ mod tests {
         }
     }
 
+    /// The same-spin halves on the serial backend, where one kernel pass
+    /// serves every rank, and on the threaded one, where each rank serves
+    /// itself: σ bits and every rank's clocks are the same, on a 4-irrep
+    /// sector at 2 and 3 ranks.
+    #[test]
+    fn same_spin_threads_equal_serial_bit_for_bit() {
+        let sym = [2u8, 0, 3, 1, 0, 2, 0, 3];
+        let ham = crate::hamiltonian::random_symmetric_hamiltonian(8, 23, &sym, 4);
+        let space = DetSpace::for_hamiltonian(&ham, 4, 3, 1);
+        let model = MachineModel::cray_x1();
+        let bits =
+            |m: &DistMatrix| -> Vec<u64> { m.to_dense().iter().map(|v| v.to_bits()).collect() };
+        for nproc in [2, 3] {
+            let halves = |backend| {
+                let ddi = Ddi::new(nproc, backend);
+                let ctx = SigmaCtx {
+                    space: &space,
+                    ham: &ham,
+                    ddi: &ddi,
+                    model: &model,
+                    pool: PoolParams::default(),
+                };
+                let c = random_ci(&space, nproc, 13);
+                let ct = c.transpose(&mut vec![fci_ddi::CommStats::default(); nproc]);
+                let sb = space.zeros_ci(nproc);
+                let sa = DistMatrix::with_layout(Arc::clone(ct.layout()), nproc);
+                let (bb, aa) = (
+                    same_spin::half_sigma_dgemm(
+                        &ctx,
+                        "beta_beta",
+                        &c,
+                        &sb,
+                        &space.beta_singles,
+                        space.beta_nm2.as_ref(),
+                    ),
+                    same_spin::half_sigma_dgemm(
+                        &ctx,
+                        "alpha_alpha",
+                        &ct,
+                        &sa,
+                        &space.alpha_singles,
+                        space.alpha_nm2.as_ref(),
+                    ),
+                );
+                (bits(&sb), bits(&sa), bb.clocks, aa.clocks)
+            };
+            assert!(
+                halves(Backend::Serial) == halves(Backend::Threads),
+                "serial and threaded same-spin halves differ at {nproc} ranks"
+            );
+        }
+    }
+
     /// FNV-1a fold of a word stream.
     fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
         words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
@@ -351,9 +404,10 @@ mod tests {
     }
 
     /// For a seeded vector on the serial backend: the fold of every σ
-    /// element's `to_bits()`, and the fold of the bytes of the `{:?}` of
-    /// the mixed phase's per-rank clocks.
-    fn sigma_digests(space: &DetSpace, ham: &Hamiltonian, nproc: usize) -> (u64, u64) {
+    /// element's `to_bits()`, the fold of the bytes of the `{:?}` of the
+    /// mixed phase's per-rank clocks, and the same fold over the two
+    /// same-spin phases' and the transpose phase's clocks.
+    fn sigma_digests(space: &DetSpace, ham: &Hamiltonian, nproc: usize) -> (u64, u64, u64) {
         let ddi = Ddi::new(nproc, Backend::Serial);
         let model = MachineModel::cray_x1();
         let ctx = SigmaCtx {
@@ -366,9 +420,14 @@ mod tests {
         let c = random_ci(space, nproc, 17);
         let (sig, bd) = apply_sigma(&ctx, &c, SigmaMethod::Dgemm);
         let clocks = format!("{:?}", bd.alpha_beta.clocks);
+        let same = format!(
+            "{:?}{:?}{:?}",
+            bd.beta_beta.clocks, bd.alpha_alpha.clocks, bd.transpose.clocks
+        );
         (
             fnv(sig.to_dense().iter().map(|v| v.to_bits())),
             fnv(clocks.bytes().map(u64::from)),
+            fnv(same.bytes().map(u64::from)),
         )
     }
 
@@ -439,14 +498,17 @@ mod tests {
         }
     }
 
-    /// σ and the mixed phase's clocks where the mixed kernel has several
-    /// Kβ blocks per task (4 and 8 irreps, two targets each) and where
-    /// exact-zero screening leaves gaps among an orbital's rows of `D_h`,
-    /// splitting them into runs (planted zero pairs), at 1, 5 and 130
-    /// ranks: each case's σ
-    /// bits are one constant per build (fused or not), and its clocks one
-    /// constant, folded over the rank counts. The constants are what the
-    /// slot-minor mixed-spin build and scatter printed.
+    /// σ and the clocks where the mixed kernel has several Kβ blocks per
+    /// task (4 and 8 irreps, two targets each), where exact-zero screening
+    /// leaves gaps among an orbital's rows of `D_h`, splitting them into
+    /// runs (planted zero pairs), and with one irrep, where at 130 ranks
+    /// every rank owns 0–1 columns in both same-spin halves; at 1, 5 and
+    /// 130 ranks: each case's σ bits are one constant per build (fused or
+    /// not), and its mixed clocks and its same-spin + transpose clocks one
+    /// constant each, folded over the rank counts. The σ and mixed
+    /// constants are what the slot-minor mixed-spin build and scatter
+    /// printed; the same-spin ones what the per-rank same-spin kernel
+    /// printed, before the charges moved into a walk of their own.
     #[test]
     fn sigma_bits_pinned_on_blocks_and_split_runs() {
         let sym4 = [2u8, 0, 3, 1, 0, 2, 0, 3];
@@ -470,8 +532,10 @@ mod tests {
             }
         }
         let planted = Hamiltonian::new(&mo);
-        // (name, Hamiltonian, target, σ fused, σ unfused, clocks)
-        let cases: [(&str, &Hamiltonian, u8, u64, u64, u64); 5] = [
+        let c1 = random_hamiltonian(8, 37);
+        // (name, Hamiltonian, target, σ fused, σ unfused, mixed clocks,
+        // same-spin + transpose clocks)
+        let cases: [(&str, &Hamiltonian, u8, u64, u64, u64, u64); 6] = [
             (
                 "4 irreps, target 0",
                 &ham4,
@@ -479,6 +543,7 @@ mod tests {
                 0x51c5_08d5_2405_d6a2,
                 0x0603_4872_a0ee_fc53,
                 0x2c8c_3807_2a67_76d3,
+                0x8303_5f87_ca5f_0671,
             ),
             (
                 "4 irreps, target 3",
@@ -487,6 +552,7 @@ mod tests {
                 0xb50b_7989_da51_d9dd,
                 0x176d_a002_11d6_cd92,
                 0x66df_205b_83ef_70ff,
+                0x7585_8feb_0637_4d04,
             ),
             (
                 "8 irreps, target 0",
@@ -495,6 +561,7 @@ mod tests {
                 0xfe8c_a5bf_fa77_6b8a,
                 0x38c5_1f94_814e_8234,
                 0xaf05_8c64_8b17_9b3a,
+                0x42e4_0a74_edcc_0b36,
             ),
             (
                 "8 irreps, target 6",
@@ -503,6 +570,7 @@ mod tests {
                 0xa13f_df47_297d_9aeb,
                 0xabec_8ed5_6a53_12a7,
                 0x8fd4_3349_c141_9ef0,
+                0x3c9c_2a95_24a1_1c23,
             ),
             (
                 "planted, 4 irreps, target 2",
@@ -511,10 +579,20 @@ mod tests {
                 0x2ac2_a0c6_bb4a_440b,
                 0xb66b_c3ac_e65f_8d36,
                 0xd25b_1307_9ee6_cda7,
+                0x308a_07d7_970c_9816,
+            ),
+            (
+                "1 irrep",
+                &c1,
+                0,
+                0x490f_c51d_6499_9cc0,
+                0x0420_94ab_88a2_4964,
+                0x3d3d_5f7a_042a_162b,
+                0x2679_22db_cbc8_c2ef,
             ),
         ];
         let mut got = Vec::new();
-        for (what, ham, target, fused, unfused, clocks) in cases {
+        for (what, ham, target, fused, unfused, mixed, same) in cases {
             let space = DetSpace::for_hamiltonian(ham, 4, 3, target);
             let runs = [1usize, 5, 130].map(|nproc| sigma_digests(&space, ham, nproc));
             assert!(
@@ -526,11 +604,15 @@ mod tests {
             } else {
                 unfused
             };
-            got.push((what, runs[0].0, want, fnv(runs.map(|r| r.1)), clocks));
+            got.push((
+                what,
+                [runs[0].0, fnv(runs.map(|r| r.1)), fnv(runs.map(|r| r.2))],
+                [want, mixed, same],
+            ));
         }
         assert!(
-            got.iter().all(|&(_, s, ws, c, wc)| s == ws && c == wc),
-            "(case, σ, want, clocks, want): {got:#018x?}"
+            got.iter().all(|(_, digests, want)| digests == want),
+            "(case, [σ, mixed, same-spin], want): {got:#018x?}"
         );
     }
 }

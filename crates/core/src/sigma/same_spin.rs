@@ -11,16 +11,18 @@
 //! 3. **scatters** `σ(I, ·) += A^{K,I}_{pr} E(pr, ·)`.
 //!
 //! The one-electron part (singles with bare `h_pq`) rides along in the
-//! same pass. Work is statically balanced: every rank walks all K but only
-//! touches its own columns, so there is no communication at all — the
-//! property the paper contrasts against the replicated-work MOC routine.
+//! same pass. Work is statically balanced: on the simulated machine every
+//! rank walks all K but only touches its own columns, so there is no
+//! communication at all — the property the paper contrasts against the
+//! replicated-work MOC routine. The host walks all K once per *pass*, not
+//! once per rank (see "Passes and charges").
 //!
 //! ### Symmetry blocks
 //!
 //! The routine works on CI vectors that store the target irrep's sector
 //! only. Row `I` of irrep `g_I` is stored in the columns of irrep
 //! `g_I ⊕ target` alone, and strings are sorted by (irrep, mask), so
-//! those columns are one contiguous *run* of a rank's local block. Ĝ is
+//! those columns are one contiguous *run* of any range of columns. Ĝ is
 //! block-diagonal in the pair irrep `h = g_p ⊕ g_r = g_q ⊕ g_s`, so steps
 //! 1–3 run once per (K, h): the pairs of irrep h reach rows of irrep
 //! `g_K ⊕ h`, whose run is the columns of irrep `g_K ⊕ h ⊕ target` —
@@ -31,8 +33,30 @@
 //!
 //! — and the one-electron replay skips `h_pq` with `g_p ≠ g_q` and
 //! touches only a row's run. With one irrep there is one h, one run (all
-//! of the local columns) and `Ĝ_00 = Ĝ`: the same loops do what an
+//! of the served columns) and `Ĝ_00 = Ĝ`: the same loops do what an
 //! unblocked routine would, bit for bit and charge for charge.
+//!
+//! ### Passes and charges
+//!
+//! The arithmetic and the simulated clock are kept apart.
+//! `sub_block_kernel` does the arithmetic for a range of columns, one
+//! row irrep g at a time: it transposes sub-block g out of each owning
+//! rank's segment, replays g's singles, visits every (K, h) with
+//! `g_K ⊕ h = g` in family order, and adds σᵀ back into each segment.
+//! Every single and every (K, h) touches the sub-block of one row irrep,
+//! so each σ element receives its terms in the same order however the
+//! columns are grouped, and a GEMM forms each element as the same `fma`
+//! chain whatever its N: the bits do not depend on the grouping. The
+//! serial backend runs one pass over every rank's columns — a pass per
+//! rank would, at 432 ranks on C2's 715 columns, make each (K, h) a GEMM
+//! with N = 1–2 and run the loop 432 times — and the threaded backend one
+//! pass per rank, on the rank's thread. `charge_walk` charges a rank's
+//! clock from the shapes of its sub-blocks alone, making the calls, in
+//! the order, that a rank running its own share of the arithmetic would,
+//! so every per-rank clock keeps its bits. Those shapes are the rank's
+//! runs, and a block distribution leaves few distinct ones, so
+//! `rank_charges` walks once per distinct shape and hands each rank its
+//! clock.
 //!
 //! ### Exact-zero screening
 //!
@@ -51,27 +75,28 @@
 //! A rank's segment stores its columns' sector rows, column by column, so
 //! the run of row irrep g is one column-major sub-block (the rows of g
 //! against the run's columns) at the run's offset in the segment. Gather
-//! and scatter move *rows* of it, so — as on the X1 — each rank works on
-//! a **transposed** copy: every sub-block transposed in place of itself,
-//! so that a row's run is contiguous (with one irrep:
-//! `clt[k + j·nloc] = C(j, col₀+k)`, the whole block). σ is accumulated
-//! into a buffer of the same shape, transposed back and added into the
-//! distributed σ's segment once at the end, and D is held as
-//! `D_hᵀ` (`run × np′`), so one family entry is a signed copy of one
-//! contiguous C run into one contiguous D column. The product is still
-//! `E = Ĝ·D`: `Dᵀ` enters the GEMM with [`Trans::Yes`], which hands the
-//! kernels the same operands in the same order as an untransposed D.
-//! `D_hᵀ` and `E_h` are one pair of matrices, sized for the whole block
-//! and reshaped per (K, h).
+//! and scatter move *rows* of it, so — as on the X1 — the kernel works on
+//! a **transposed** copy of one sub-block at a time, gathered from the
+//! segments of every rank that owns part of its run, so that a row's run
+//! is contiguous (with one irrep: `clt[k + j·n] = C(j, col₀+k)` over the
+//! `n` served columns). σ is accumulated into a buffer of the same shape,
+//! transposed back and added into each owner's segment of the distributed
+//! σ once per sub-block, and D is held as `D_hᵀ` (`run × np′`), so one
+//! family entry is a signed copy of one contiguous C run into one
+//! contiguous D column. The product is still `E = Ĝ·D`: `Dᵀ` enters the
+//! GEMM with [`Trans::Yes`], which hands the kernels the same operands in
+//! the same order as an untransposed D. The two sub-block buffers, `D_hᵀ`
+//! and `E_h` are allocated once per pass for the largest sub-block and
+//! reshaped per (K, h).
 //!
 //! The one-electron couplings do not depend on the rank: the singles
 //! table is resolved against `h_pq` once per call into a flat list of the
-//! nonzero `(from, to, h_pq·sign)` entries, which every rank replays.
+//! nonzero `(from, to, h_pq·sign)` entries, which every pass replays.
 
 use super::{SigmaCtx, MAX_IRREP};
 use crate::hamiltonian::{Hamiltonian, SCREENED};
 use crate::phase::{run_phase, HostSplit};
-use fci_ddi::{transpose_block, DistMatrix, Layout};
+use fci_ddi::{transpose_block, Backend, DistMatrix, Layout};
 use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, Trans};
 use fci_strings::{Nm2Families, SinglesTable, SpinStrings};
 use fci_xsim::{Clock, MachineModel, RunReport};
@@ -182,9 +207,9 @@ fn one_electron_list(
 }
 
 /// Below this many columns a row is cheaper to walk element by element
-/// than to slice and `zip`: at a run of 1–2 (432 ranks on 715 columns)
-/// the slice bounds and the vector-loop prologue cost more than the row
-/// itself.
+/// than to slice and `zip`: at a run of 1–2 (a rank of the threaded
+/// backend that owns 1–2 columns, or a small irrep block) the slice bounds
+/// and the vector-loop prologue cost more than the row itself.
 const SCALAR_ROW_BELOW: usize = 4;
 
 /// Fold one `n`-long row into another: `f(&mut dst[d0 + k], src[s0 +
@@ -219,26 +244,27 @@ fn fold_row(
     }
 }
 
-/// The in-sector sub-block of a rank's local block for one row irrep:
-/// the rows of that irrep against the run of local columns in which they
-/// are non-zero.
+/// The in-sector sub-block of one row irrep over a range of columns: the
+/// rows of that irrep against the run of those columns in which they are
+/// non-zero.
 #[derive(Clone, Copy, Default)]
 struct SubBlock {
     /// First row (string index) of the irrep.
     row0: usize,
     /// Number of rows.
     nrows: usize,
-    /// First column of the run, counted from the rank's first column.
+    /// First column of the run, counted from the range's first column.
     col0: usize,
     /// Length of the run.
     nrun: usize,
-    /// Where the sub-block starts in the rank's segment, and in the
-    /// transposed buffers.
+    /// Where the sub-block starts in the elements the range stores — for
+    /// one rank's columns, in the rank's segment.
     at: usize,
 }
 
 impl SubBlock {
-    /// Start of row `j`'s run in the transposed buffers.
+    /// Start of row `j`'s run in a transposed copy of the sub-block that
+    /// starts at `at`.
     #[inline]
     fn row(&self, j: u32) -> usize {
         self.at + (j as usize - self.row0) * self.nrun
@@ -249,64 +275,86 @@ impl SubBlock {
     }
 }
 
-/// Where a rank's coefficients sit: one [`SubBlock`] per row irrep, which
-/// together tile the rank's segment.
+/// Where the coefficients of a range of columns (one rank's, or all)
+/// sit: one [`SubBlock`] per row irrep, which together tile the range's
+/// stored elements.
 struct Sector {
     n_irrep: u8,
     blocks: [SubBlock; MAX_IRREP],
 }
 
 impl Sector {
-    /// The sector of a rank that owns the columns `local` of a matrix
-    /// with `rows` × `cols` strings, stored in `layout`.
-    fn new(
-        rows: &SpinStrings,
-        cols: &SpinStrings,
-        target: u8,
-        local: Range<usize>,
-        layout: &Layout,
-    ) -> Sector {
-        let mut blocks = [SubBlock::default(); MAX_IRREP];
-        for (g, b) in blocks.iter_mut().enumerate().take(rows.n_irrep()) {
-            let (r, c) = (
-                rows.block_range(g as u8),
-                cols.block_range(g as u8 ^ target),
-            );
-            let (lo, hi) = (c.start.max(local.start), c.end.min(local.end));
-            *b = SubBlock {
-                row0: r.start,
-                nrows: r.len(),
-                ..SubBlock::default()
-            };
-            if lo < hi {
-                (b.col0, b.nrun) = (lo - local.start, hi - lo);
-                b.at = layout.offset(lo) - layout.offset(local.start);
-            }
-        }
-        Sector {
-            n_irrep: rows.n_irrep() as u8,
-            blocks,
-        }
-    }
-
     /// The sub-blocks, by row irrep.
     fn blocks(&self) -> &[SubBlock] {
         &self.blocks[..self.n_irrep as usize]
     }
 
-    /// Elements of the local block.
+    /// Stored elements of the range.
     fn len(&self) -> usize {
         self.blocks().iter().map(SubBlock::len).sum()
     }
 }
 
-/// One rank's working storage for a phase.
-struct RankBufs {
-    /// The C block, each sub-block transposed: row `j` of irrep g is the
-    /// contiguous run `clt[b.row(j)..][..b.nrun]`, `b` the [`SubBlock`] of
-    /// g — with one irrep, `clt[k + j·nloc] = C(j, col₀+k)`.
+/// What every kernel pass and every charge walk of one half reads: the
+/// Hamiltonian, the strings of the rows and the columns, the target irrep
+/// and the two coupling lists.
+struct Half<'a> {
+    ham: &'a Hamiltonian,
+    model: &'a MachineModel,
+    rows: &'a SpinStrings,
+    cols: &'a SpinStrings,
+    target: u8,
+    one_e: OneElectronList,
+    nm2: Option<&'a Nm2Families>,
+}
+
+impl Half<'_> {
+    fn n_irrep(&self) -> u8 {
+        self.rows.n_irrep() as u8
+    }
+
+    /// The sub-block of row irrep `g` over the columns `range` of a matrix
+    /// stored in `layout`.
+    fn sub_block(&self, g: u8, range: Range<usize>, layout: &Layout) -> SubBlock {
+        let (r, c) = (
+            self.rows.block_range(g),
+            self.cols.block_range(g ^ self.target),
+        );
+        let (lo, hi) = (c.start.max(range.start), c.end.min(range.end));
+        let mut b = SubBlock {
+            row0: r.start,
+            nrows: r.len(),
+            ..SubBlock::default()
+        };
+        if lo < hi {
+            (b.col0, b.nrun) = (lo - range.start, hi - lo);
+            b.at = layout.offset(lo) - layout.offset(range.start);
+        }
+        b
+    }
+
+    /// The sector of the columns `range`.
+    fn sector(&self, range: Range<usize>, layout: &Layout) -> Sector {
+        let mut blocks = [SubBlock::default(); MAX_IRREP];
+        for g in 0..self.n_irrep() {
+            blocks[g as usize] = self.sub_block(g, range.clone(), layout);
+        }
+        Sector {
+            n_irrep: self.n_irrep(),
+            blocks,
+        }
+    }
+}
+
+/// The working storage of one kernel pass, sized for the largest
+/// sub-block of the columns it serves.
+struct Workspace {
+    /// One sub-block of C, transposed: row `j` is the contiguous run
+    /// `clt[b.row(j)..][..b.nrun]` — with one irrep, `clt[k + j·nrun] =
+    /// C(j, col₀+k)`. Spent after the sub-block's arithmetic, it takes
+    /// each rank's share of σ in the segment's layout.
     clt: Vec<f64>,
-    /// Transposed σ block in the same layout, zero at the start.
+    /// The sub-block of σ in the same layout, zeroed per sub-block.
     st: Vec<f64>,
     /// `D_hᵀ`, `run × unscreened pairs of h`: column `pair` is one
     /// gathered C run. All zero between blocks.
@@ -315,64 +363,107 @@ struct RankBufs {
     e_mat: Matrix,
 }
 
-/// One rank's share of the same-spin half: replay the one-electron list,
-/// then gather / multiply / scatter every (N−2 family, pair irrep) block,
-/// all on the rank's transposed blocks. Each σ element receives its terms
-/// in a fixed order — singles in table order, then families in `kf` order
-/// — whatever the rank's columns are. Allocates nothing.
-#[allow(clippy::too_many_arguments)]
-fn rank_kernel(
-    ham: &Hamiltonian,
-    model: &MachineModel,
-    sector: &Sector,
-    one_e: &OneElectronList,
-    nm2: Option<&Nm2Families>,
+impl Workspace {
+    /// Storage for the sub-blocks `blocks` (the served columns' runs).
+    fn new(ham: &Hamiltonian, blocks: &[SubBlock]) -> Workspace {
+        let len = blocks.iter().map(SubBlock::len).max().unwrap_or(0);
+        let nrun = blocks.iter().map(|b| b.nrun).max().unwrap_or(0);
+        let np = (0..ham.n_irrep as u8)
+            .map(|h| ham.g_block(h).nrows())
+            .max()
+            .unwrap_or(0);
+        Workspace {
+            clt: vec![0.0; len],
+            st: vec![0.0; len],
+            dt: Matrix::zeros(nrun, np),
+            e_mat: Matrix::zeros(np, nrun),
+        }
+    }
+}
+
+/// The same-spin arithmetic for the columns `served` — one rank's or
+/// several's — one row irrep g at a time: transpose sub-block g straight
+/// out of each owner's segment into the workspace, replay g's
+/// one-electron entries, gather / multiply / scatter every (N−2 family K,
+/// pair irrep h) with `g_K ⊕ h = g` in family order, and add σᵀ back into
+/// each owner's segment of `sigma`. Every single and every (K, h)
+/// touches only the sub-block of its row irrep, so each σ element
+/// receives its terms in a fixed order — singles in table order, then
+/// families in `kf` order — and the GEMM's per-element sum does not
+/// depend on the run's length: the bits are the same for any grouping of
+/// the ranks. Charges nothing
+/// (see [`charge_walk`]); allocates nothing.
+fn sub_block_kernel(
+    half: &Half,
+    c: &DistMatrix,
+    sigma: &DistMatrix,
+    served: Range<usize>,
     gpack: &GPacks,
-    bufs: &mut RankBufs,
-    clock: &mut Clock,
+    ws: &mut Workspace,
     host: &mut HostSplit,
 ) {
-    let (clt, st) = (&bufs.clt[..], &mut bufs.st[..]);
-
-    // --- one-electron singles ---
-    let (mut walked, mut moved) = (0, 0);
-    for (g, b) in sector.blocks().iter().enumerate() {
-        if b.nrun == 0 {
+    let (ham, one_e) = (half.ham, &half.one_e);
+    let pos = ham.pair_pos();
+    let Workspace { clt, st, dt, e_mat } = ws;
+    for g in 0..half.n_irrep() {
+        // Sub-block g of the served columns, as the workspace holds it.
+        let b = SubBlock {
+            at: 0,
+            ..half.sub_block(g, served.clone(), c.layout())
+        };
+        let nrun = b.nrun;
+        if b.len() == 0 {
             continue;
         }
-        for e in &one_e.entries[one_e.off[g]..one_e.off[g + 1]] {
+        let (clt, st) = (&mut clt[..b.len()], &mut st[..b.len()]);
+        // The ranks that own columns of the run, and rank p's share of it
+        // with where in the run that starts.
+        let run0 = served.start + b.col0;
+        let owners = c.owner(run0)..c.owner(run0 + nrun - 1) + 1;
+        let part = |p: usize| {
+            let local = c.local_cols(p);
+            let part = half.sub_block(g, local.clone(), c.layout());
+            (part.nrun > 0).then(|| (part, local.start + part.col0 - run0))
+        };
+        for p in owners.clone() {
+            if let Some((part, k0)) = part(p) {
+                c.with_local(p, |s| {
+                    let src = &s[part.at..];
+                    transpose_block(src, b.nrows, b.nrows, part.nrun, &mut clt[k0..], nrun);
+                });
+            }
+        }
+        st.fill(0.0);
+        host.lap(TRANSPOSE);
+
+        // --- one-electron singles ---
+        for e in &one_e.entries[one_e.off[g as usize]..one_e.off[g as usize + 1]] {
             let h = e.h;
-            fold_row(st, b.row(e.to), clt, b.row(e.from), 1, b.nrun, |s, c| {
+            fold_row(st, b.row(e.to), clt, b.row(e.from), 1, nrun, |s, c| {
                 *s += h * c
             });
         }
-        walked += one_e.allowed[g];
-        moved += one_e.allowed[g] * b.nrun;
-    }
-    clock.charge_scalar(model, 2.0 * walked as f64);
-    clock.charge_daxpy(model, (2 * moved) as f64);
-    host.lap(ONE_ELECTRON);
+        host.lap(ONE_ELECTRON);
 
-    // --- same-spin doubles through N−2 intermediates ---
-    let Some(nm2) = nm2 else { return };
-    let pos = ham.pair_pos();
-    for gk in 0..sector.n_irrep {
-        for kf in nm2.space_k().block_range(gk) {
-            for h in 0..sector.n_irrep {
+        // --- same-spin doubles through N−2 intermediates ---
+        if let Some(nm2) = half.nm2 {
+            for gk in 0..half.n_irrep() {
                 // Pairs of irrep h lead from K to rows of irrep g_K ⊕ h.
-                let fam = nm2.block(kf, h);
-                let b = &sector.blocks[(gk ^ h) as usize];
-                let nrun = b.nrun;
-                if fam.is_empty() || nrun == 0 {
-                    continue;
-                }
+                let h = gk ^ g;
                 let g_hh = ham.g_block(h);
                 let np = g_hh.nrows();
-                if np > 0 {
-                    bufs.dt.reshape(nrun, np);
-                    bufs.e_mat.reshape(np, nrun);
+                if np == 0 {
+                    continue;
+                }
+                for kf in nm2.space_k().block_range(gk) {
+                    let fam = nm2.block(kf, h);
+                    if fam.is_empty() {
+                        continue;
+                    }
+                    dt.reshape(nrun, np);
+                    e_mat.reshape(np, nrun);
                     // Gather (B matrix application): one C run per D column.
-                    let dts = bufs.dt.as_mut_slice();
+                    let dts = dt.as_mut_slice();
                     for e in fam {
                         let at = pos[e.pair_index()];
                         if at == SCREENED {
@@ -388,24 +479,16 @@ fn rank_kernel(
                     // `dgemm` on the block itself).
                     match &gpack[h as usize] {
                         Some(pa) if gemm_prefers_packed(np, nrun, np) => {
-                            dgemm_prepacked(1, 1.0, pa, Trans::Yes, &bufs.dt, 0.0, &mut bufs.e_mat)
+                            dgemm_prepacked(1, 1.0, pa, Trans::Yes, dt, 0.0, e_mat)
                         }
-                        _ => dgemm(
-                            Trans::No,
-                            Trans::Yes,
-                            1.0,
-                            g_hh,
-                            &bufs.dt,
-                            0.0,
-                            &mut bufs.e_mat,
-                        ),
+                        _ => dgemm(Trans::No, Trans::Yes, 1.0, g_hh, dt, 0.0, e_mat),
                     }
                     host.gemm(np, nrun, np);
                     host.lap(GEMM);
                     // Scatter (A matrix application) and clear the D
                     // columns. E is read along a row (stride `np`); σᵀ is
                     // written contiguously.
-                    let (dts, es) = (bufs.dt.as_mut_slice(), bufs.e_mat.as_slice());
+                    let (dts, es) = (dt.as_mut_slice(), e_mat.as_slice());
                     for e in fam {
                         let pair = pos[e.pair_index()];
                         if pair == SCREENED {
@@ -414,20 +497,96 @@ fn rank_kernel(
                         let (pair, sgn) = (pair as usize, e.sign as f64);
                         fold_row(st, b.row(e.to), es, pair, np, nrun, |s, ev| *s += sgn * ev);
                         // Clear through the same helper (the source row is
-                        // ignored): a `fill` call per entry costs 5 ms per
-                        // half at 432 ranks.
+                        // ignored): a `fill` call per entry costs more than
+                        // the entry on a short run.
                         fold_row(dts, pair * nrun, clt, 0, 1, nrun, |d, _| *d = 0.0);
                     }
+                    host.lap(SCATTER);
+                }
+            }
+        }
+
+        // Back to each rank's segment layout through the spent C block,
+        // then one contiguous add under σ's lock.
+        for p in owners.clone() {
+            if let Some((part, k0)) = part(p) {
+                let back = &mut clt[..part.len()];
+                transpose_block(&st[k0..], nrun, part.nrun, b.nrows, back, b.nrows);
+                sigma.with_local(p, |sl| {
+                    for (s, t) in sl[part.at..].iter_mut().zip(back.iter()) {
+                        *s += t;
+                    }
+                });
+            }
+        }
+        host.lap(TRANSPOSE);
+    }
+}
+
+/// One rank's charges for the half, from the shapes of its sub-blocks
+/// alone: the sector transpose, the one-electron walk, then per (g_K,
+/// family, h) the DGEMM over every pair of h, the family's index work and
+/// its gather + scatter — the calls, in the order, that a rank running
+/// its own share of the arithmetic would make. The machine runs every
+/// rank's share, whichever pass the host ran it in. Allocates nothing.
+fn charge_walk(half: &Half, sector: &Sector, clock: &mut Clock) {
+    let model = half.model;
+    clock.charge_memcpy(model, (sector.len() * 8) as f64);
+    let (mut walked, mut moved) = (0, 0);
+    for (g, b) in sector.blocks().iter().enumerate() {
+        if b.nrun > 0 {
+            walked += half.one_e.allowed[g];
+            moved += half.one_e.allowed[g] * b.nrun;
+        }
+    }
+    clock.charge_scalar(model, 2.0 * walked as f64);
+    clock.charge_daxpy(model, (2 * moved) as f64);
+
+    let Some(nm2) = half.nm2 else { return };
+    for gk in 0..sector.n_irrep {
+        for kf in nm2.space_k().block_range(gk) {
+            for h in 0..sector.n_irrep {
+                // Pairs of irrep h lead from K to rows of irrep g_K ⊕ h.
+                let fam = nm2.block(kf, h);
+                let nrun = sector.blocks[(gk ^ h) as usize].nrun;
+                if fam.is_empty() || nrun == 0 {
+                    continue;
                 }
                 // The machine model multiplies every pair of h.
-                let np_all = ham.pairs_of_irrep(h);
-                clock.charge_dgemm(model, np_all, nrun, np_all);
+                let np = half.ham.pairs_of_irrep(h);
+                clock.charge_dgemm(model, np, nrun, np);
                 clock.charge_scalar(model, 2.0 * fam.len() as f64);
                 clock.charge_gather(model, (3 * fam.len() * nrun) as f64);
-                host.lap(SCATTER);
             }
         }
     }
+}
+
+/// Every rank's charges for the half: [`charge_walk`] from a zero clock,
+/// walked once per distinct shape. A rank's charges are a function of its
+/// runs alone, and a block distribution leaves few distinct ones (C2's
+/// 715 columns on 432 ranks: one or two columns of one of 8 irreps, or
+/// one on each side of one of 7 irrep boundaries — at most 23). Ranks
+/// with no columns charge nothing.
+fn rank_charges(half: &Half, c: &DistMatrix, nproc: usize) -> Vec<Clock> {
+    let mut walked: Vec<([usize; MAX_IRREP], Clock)> = Vec::new();
+    (0..nproc)
+        .map(|rank| {
+            let local = c.local_cols(rank);
+            if local.is_empty() {
+                return Clock::default();
+            }
+            let sector = half.sector(local, c.layout());
+            let runs = sector.blocks.map(|b| b.nrun);
+            if let Some((_, clock)) = walked.iter().find(|(r, _)| *r == runs) {
+                return *clock;
+            }
+            let mut clock = Clock::default();
+            charge_walk(half, &sector, &mut clock);
+            walked.push((runs, clock));
+            clock
+        })
+        .collect()
 }
 
 /// Add the row-spin (same-spin + one-electron) half of H·C for one spin
@@ -436,6 +595,13 @@ fn rank_kernel(
 /// transpose for α — the spin is the one whose `singles` table of
 /// `ctx.space` is handed in. `name` labels the phase in traces
 /// ("beta_beta" / "alpha_alpha").
+///
+/// Each rank's clock is charged from the shapes of its columns
+/// (`rank_charges`). The arithmetic (`sub_block_kernel`) runs once per
+/// group of ranks: on the threaded backend each rank serves its own
+/// columns, on the serial one rank 0 serves every rank's in one pass, so
+/// each GEMM spans a whole irrep block of columns however many ranks own
+/// them.
 pub fn half_sigma_dgemm(
     ctx: &SigmaCtx,
     name: &str,
@@ -445,7 +611,6 @@ pub fn half_sigma_dgemm(
     nm2: Option<&Nm2Families>,
 ) -> RunReport {
     let ham = ctx.ham;
-    let model = ctx.model;
     let space = ctx.space;
     // The tables say which spin the rows are: equal string counts do not
     // (C(5,2) = C(5,3), different irreps per index).
@@ -457,61 +622,45 @@ pub fn half_sigma_dgemm(
     super::assert_same_point_group(space, ham);
     assert_eq!((rows.len(), cols.len()), (c.nrows(), c.ncols()));
     assert!(c.layout() == sigma.layout(), "C and σ stored differently");
-    let npair = ham.npair();
-    let one_e = one_electron_list(ham, singles, rows);
+    let half = Half {
+        ham,
+        model: ctx.model,
+        rows,
+        cols,
+        target: space.target_irrep,
+        one_e: one_electron_list(ham, singles, rows),
+        nm2,
+    };
+    let nproc = ctx.ddi.nproc();
+    let serial = ctx.ddi.backend() == Backend::Serial;
     let tracer = ctx.ddi.tracer();
+    let charges = rank_charges(&half, c, nproc);
 
-    run_phase(ctx.ddi, model, name, |rank, _stats, clock| {
-        let nloc = c.local_cols(rank).len();
-        if nloc == 0 {
+    run_phase(ctx.ddi, ctx.model, name, |rank, _stats, clock| {
+        // The phase hands each rank a zero clock, so this is the walk.
+        clock.merge(&charges[rank]);
+        let served = match serial {
+            false => c.local_cols(rank),
+            true if rank == 0 => 0..c.ncols(),
+            true => 0..0,
+        };
+        if served.is_empty() {
             return;
         }
-        let local = c.local_cols(rank);
-        let sector = Sector::new(rows, cols, space.target_irrep, local, c.layout());
         let mut host = HostSplit::new(&tracer);
         host.start();
-        // The rank's two sector-sized buffers: Cᵀ in, σᵀ out.
-        let mut bufs = RankBufs {
-            clt: vec![0.0; sector.len()],
-            st: vec![0.0; sector.len()],
-            dt: Matrix::zeros(nloc, npair),
-            e_mat: Matrix::zeros(npair, nloc),
-        };
-        c.with_local(rank, |s| {
-            for b in sector.blocks() {
-                let (src, dst) = (&s[b.at..], &mut bufs.clt[b.at..]);
-                transpose_block(src, b.nrows, b.nrows, b.nrun, dst, b.nrun);
-            }
-        });
-        clock.charge_memcpy(model, (sector.len() * 8) as f64);
+        let blocks = half.sector(served.clone(), c.layout());
+        let mut ws = Workspace::new(ham, blocks.blocks());
         host.lap(TRANSPOSE);
-
         let wants = |h: u8| {
             let np = ham.g_block(h).nrows();
-            sector
-                .blocks()
-                .iter()
-                .any(|b| gemm_prefers_packed(np, b.nrun, np))
+            let ok = |b: &SubBlock| gemm_prefers_packed(np, b.nrun, np);
+            blocks.blocks().iter().any(ok)
         };
         with_g_pack(ham, wants, |gpack| {
             host.lap(GEMM); // the thread's first call packs Ĝ
-            rank_kernel(
-                ham, model, &sector, &one_e, nm2, gpack, &mut bufs, clock, &mut host,
-            )
+            sub_block_kernel(&half, c, sigma, served, gpack, &mut ws, &mut host)
         });
-
-        // Back to the segment's layout, sub-block by sub-block, through
-        // the (now spent) C buffer, then one contiguous add under σ's lock.
-        for b in sector.blocks() {
-            let (src, dst) = (&bufs.st[b.at..], &mut bufs.clt[b.at..]);
-            transpose_block(src, b.nrun, b.nrun, b.nrows, dst, b.nrows);
-        }
-        sigma.with_local(rank, |sl| {
-            for (s, t) in sl.iter_mut().zip(&bufs.clt) {
-                *s += t;
-            }
-        });
-        host.lap(TRANSPOSE);
         host.emit(rank, "same_spin_host_us", HOST_PARTS);
     })
 }
