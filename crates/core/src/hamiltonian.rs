@@ -151,9 +151,9 @@ impl SymBlocks {
 }
 
 impl Clone for Hamiltonian {
-    /// A clone is a *different* Hamiltonian as far as operand caches are
-    /// concerned: it gets a fresh [`Hamiltonian::id`], because its
-    /// coupling matrices are separate storage the caller may mutate
+    /// A clone is a *different* Hamiltonian as far as `fci_sparse`'s
+    /// `ConnGen` is concerned: it gets a fresh [`Hamiltonian::id`],
+    /// because its integrals are separate storage the caller may mutate
     /// independently of the original.
     fn clone(&self) -> Self {
         Hamiltonian {
@@ -173,10 +173,10 @@ impl Clone for Hamiltonian {
 
 impl Hamiltonian {
     /// Process-unique identity token, assigned at construction (clones
-    /// included). The σ kernels key their persistent packed-operand
-    /// caches on this: a cache entry built for one Hamiltonian is never
-    /// replayed against another, and a rebuilt/cloned Hamiltonian
-    /// naturally invalidates stale entries.
+    /// included). Its one user is `fci_sparse`'s `ConnGen`, which keys
+    /// the coupling tables it derives from the integrals on it and
+    /// rebuilds them when handed another (or a cloned) Hamiltonian. The
+    /// σ kernels keep nothing across calls and do not read it.
     pub fn id(&self) -> u64 {
         self.id
     }

@@ -94,7 +94,7 @@ use crate::hamiltonian::Hamiltonian;
 use crate::phase::{charge_comm, HostSplit};
 use crate::taskpool::TaskPool;
 use fci_ddi::{Backend, CommStats, Corruption, DistMatrix, FaultPlan};
-use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, Trans};
+use fci_linalg::{dgemm, Matrix, Trans};
 use fci_obs::{Category, FaultKind};
 use fci_strings::Bits;
 use fci_xsim::{Clock, MachineModel, RunReport};
@@ -107,7 +107,9 @@ pub type ColumnSink<'s> = dyn FnMut(usize, &[f64], &mut CommStats) + 's;
 
 /// Per-rank working storage for the mixed-spin routine (the paper's
 /// "working area to store the gathered C vector coefficients and the
-/// computed update coefficients", §3.1).
+/// computed update coefficients", §3.1). Scratch only: its size depends
+/// on the dimensions of the space, and no content outlives a task, so
+/// one set serves any Hamiltonian.
 struct WorkBufs {
     /// The family's C columns as `DDI_GET` delivers them, slot-major:
     /// `cg[slot·nbstr + jβ]`.
@@ -127,12 +129,8 @@ struct WorkBufs {
     /// `D_hᵀ`, `n_Kβ × nd`: row `(q̃, s)` of `D_h` is a contiguous column.
     dt: Matrix,
     e_mat: Matrix,
+    /// `V_hh`, built per (Kα, h) by [`fill_vk`].
     vk: Matrix,
-    /// Persistent packed `V_hh` operands, one per (Kα, h), keyed by the
-    /// Hamiltonian identity. Lives as long as the buffers do, so serial
-    /// steady-state Davidson iterations never rebuild or repack an
-    /// integral block (asserted by `vk_operands_packed_once_per_solve`).
-    pack: PackedCache,
 }
 
 impl WorkBufs {
@@ -147,64 +145,7 @@ impl WorkBufs {
             dt: Matrix::zeros(nkb, nd),
             e_mat: Matrix::zeros(nd, nkb),
             vk: Matrix::zeros(nd, nd),
-            pack: PackedCache::empty(),
         }
-    }
-}
-
-/// Upper bound in bytes on one worker's packed-`V_K` cache. When the
-/// budget fills, remaining families simply keep the build-and-pack-per-call
-/// path — correctness never depends on a cache hit.
-const PACK_CACHE_BYTES: usize = 256 << 20;
-
-/// Cache of packed `V_hh` GEMM operands, indexed by `Kα·n_irrep + h`.
-///
-/// `V_hh` depends only on the Hamiltonian, the family and h, so once packed
-/// it is valid for every σ application against that Hamiltonian. Entries
-/// fill deterministically in task-claim order (which the serial backend
-/// fixes) and are dropped wholesale when the Hamiltonian changes — the
-/// id key makes stale replay structurally impossible.
-struct PackedCache {
-    ham_id: u64,
-    bytes: usize,
-    panels: Vec<Option<PackedA>>,
-}
-
-impl PackedCache {
-    fn empty() -> Self {
-        PackedCache {
-            ham_id: 0,
-            bytes: 0,
-            panels: Vec::new(),
-        }
-    }
-
-    /// Point the cache at `(ham_id, slots)`, clearing it on any change
-    /// (Hamiltonian ids start at 1, so the fresh cache never matches).
-    fn sync(&mut self, ham_id: u64, slots: usize) {
-        if self.ham_id != ham_id || self.panels.len() != slots {
-            self.ham_id = ham_id;
-            self.bytes = 0;
-            self.panels.clear();
-            self.panels.resize_with(slots, || None);
-        }
-    }
-
-    /// Store a packed operand in slot `at` if it fits the budget.
-    fn insert(&mut self, at: usize, pa: PackedA) {
-        if self.bytes + pa.bytes() <= PACK_CACHE_BYTES {
-            self.bytes += pa.bytes();
-            self.panels[at] = Some(pa);
-        }
-    }
-
-    /// `(cached entries, total pack operations across them)` — the
-    /// repack-elimination test asserts both equal Nα′ after many solves.
-    #[cfg(test)]
-    fn pack_totals(&self) -> (usize, usize) {
-        let entries = self.panels.iter().flatten().count();
-        let packs: usize = self.panels.iter().flatten().map(|p| p.packs()).sum();
-        (entries, packs)
     }
 }
 
@@ -212,7 +153,8 @@ impl PackedCache {
 type BufKey = (usize, usize, usize, usize);
 
 thread_local! {
-    /// Cached serial-backend working area, keyed by its dimensions.
+    /// The serial backend's scratch [`WorkBufs`], keyed by their
+    /// dimensions alone.
     ///
     /// `mixed_spin_dgemm` runs once per σ application; hoisting the
     /// buffers across calls means steady-state Davidson iterations
@@ -361,42 +303,20 @@ fn process_task_into(
         }
         clock.charge_gather(model, moved as f64);
 
-        // (3) the integral block and the DGEMM. `V_hh` depends only on
-        // (Hamiltonian, Kα, h), so where `gemm_prefers_packed` says a
-        // kept operand pays the worker packs it once into its persistent
-        // cache and replays it on every later σ application — Davidson
-        // iterates dozens of times against the same integrals, and on a
-        // hit the nd×nd gather (`fill_vk`) disappears. The
-        // simulated clock still charges the full build either way: the
-        // cache is a host-time optimization, invisible to the machine
-        // model (and hence to the simulated schedule, which is driven by
-        // those charges).
-        let use_pack = nd > 0 && gemm_prefers_packed(nd, nkb_h, nd);
-        let at = ka * n_irrep + h as usize;
-        if use_pack {
-            bufs.pack.sync(ham.id(), space.alpha_nm1.len() * n_irrep);
-        }
-        if nd > 0 && !(use_pack && bufs.pack.panels[at].is_some()) {
+        // (3) the integral block and the DGEMM. `V_hh` is built on every
+        // call: none is kept across σ applications (DESIGN §16). The
+        // simulated clock charges the unscreened shapes.
+        if nd > 0 {
             bufs.vk.reshape(nd, nd);
             fill_vk(&mut bufs.vk, &mut bufs.vpos, ham, fam, h);
-            if use_pack {
-                bufs.pack.insert(at, PackedA::pack(Trans::No, &bufs.vk));
-            }
         }
         clock.charge_memcpy(model, (nd_all * nd_all * 8) as f64);
         host.lap(BUILD);
-        let pa = if use_pack {
-            bufs.pack.panels[at].as_ref()
-        } else {
-            None
-        };
         // `D_hᵀ` enters as `Trans::Yes`: the same operands in the same
         // order as an untransposed `D_h`, so the same bits.
         bufs.e_mat.reshape(nd, nkb_h);
-        match pa {
-            // Bitwise equal to `dgemm` on `vk` itself, below.
-            Some(pa) => dgemm_prepacked(1, 1.0, pa, Trans::Yes, &bufs.dt, 0.0, &mut bufs.e_mat),
-            None if nd > 0 => dgemm(
+        if nd > 0 {
+            dgemm(
                 Trans::No,
                 Trans::Yes,
                 1.0,
@@ -404,8 +324,7 @@ fn process_task_into(
                 &bufs.dt,
                 0.0,
                 &mut bufs.e_mat,
-            ),
-            None => {}
+            );
         }
         host.gemm(nd, nkb_h, nd);
         clock.charge_dgemm(model, nd_all, nkb_h, nd_all);
@@ -479,18 +398,6 @@ fn fill_vk(
             *x = v[as_row + as_col];
         }
     }
-}
-
-/// Test hook: `(entries, total packs)` of the calling thread's cached
-/// serial working area (zeros when none exists yet).
-#[cfg(test)]
-pub(crate) fn serial_pack_totals() -> (usize, usize) {
-    SERIAL_BUFS.with(|cell| {
-        cell.borrow()
-            .as_ref()
-            .map(|(_, bufs)| bufs.pack.pack_totals())
-            .unwrap_or((0, 0))
-    })
 }
 
 /// Execute the work of one Kα family on `rank`, accumulating into σ.
@@ -973,65 +880,6 @@ mod tests {
         let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(min > 0.0, "an MSP sat completely idle: {times:?}");
         assert!(max < 3.0 * min, "imbalance too large: {times:?}");
-    }
-
-    #[test]
-    fn vk_operands_packed_once_per_solve_sequence() {
-        // DetSpace::c1(10,3,3): nd = 80, nkb = 45, so the V_K·D product
-        // sits above the packing crossover and every family's operand is
-        // cached. Repeated σ applications against the same Hamiltonian
-        // must leave exactly Nα′ cached operands, each packed exactly
-        // once — and must reproduce σ bitwise.
-        let ham = random_hamiltonian(10, 17);
-        let space = DetSpace::c1(10, 3, 3);
-        let nproc = 4;
-        let ddi = Ddi::new(nproc, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
-        let nd = (space.n_orb() - (space.alpha.n_elec() - 1)) * space.n_orb();
-        assert!(fci_linalg::gemm_prefers_packed(
-            nd,
-            space.beta_nm1.len(),
-            nd
-        ));
-        let c = space.guess(&ham, nproc);
-        let nka = space.alpha_nm1.len();
-        let sigma1 = space.zeros_ci(nproc);
-        mixed_spin_dgemm(&ctx, &c, &sigma1);
-        assert_eq!(
-            serial_pack_totals(),
-            (nka, nka),
-            "first solve fills the cache"
-        );
-        let sigma2 = space.zeros_ci(nproc);
-        mixed_spin_dgemm(&ctx, &c, &sigma2);
-        assert_eq!(
-            serial_pack_totals(),
-            (nka, nka),
-            "second solve repacks nothing"
-        );
-        assert_eq!(
-            sigma1.to_dense(),
-            sigma2.to_dense(),
-            "cached replay must be bitwise identical"
-        );
-        // A different Hamiltonian invalidates and refills the cache.
-        let ham2 = random_hamiltonian(10, 18);
-        let ctx2 = SigmaCtx {
-            space: &space,
-            ham: &ham2,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
-        mixed_spin_dgemm(&ctx2, &c, &space.zeros_ci(nproc));
-        assert_eq!(serial_pack_totals(), (nka, nka));
     }
 
     #[test]

@@ -469,8 +469,8 @@ mod tests {
     /// last one whose same-spin routine worked on untransposed blocks),
     /// and the same at every rank count: the counts reach `nloc` = 0, 1,
     /// 2–3 and ≥ 4 in both same-spin halves and move every GEMM across
-    /// tile widths, row masks and the prepacked entry point, none of which
-    /// `fci-linalg`'s one arithmetic lets into the bits. Only whether the
+    /// tile widths and row masks, neither of which `fci-linalg`'s one
+    /// arithmetic lets into the bits. Only whether the
     /// build fuses multiply-add does — one constant per build. The
     /// Hubbard integrals are exact in binary, so fusing changes nothing.
     #[test]
@@ -508,7 +508,11 @@ mod tests {
     /// constant each, folded over the rank counts. The σ and mixed
     /// constants are what the slot-minor mixed-spin build and scatter
     /// printed; the same-spin ones what the per-rank same-spin kernel
-    /// printed, before the charges moved into a walk of their own.
+    /// printed, before the charges moved into a walk of their own. The
+    /// 10-orbital case (mixed 70×45×70, same-spin 45×210×45 and
+    /// 45×120×45) was recorded while the kernels still replayed kept
+    /// packed operands for products that large, so it holds the σ bits
+    /// and clocks of that path.
     #[test]
     fn sigma_bits_pinned_on_blocks_and_split_runs() {
         let sym4 = [2u8, 0, 3, 1, 0, 2, 0, 3];
@@ -533,9 +537,10 @@ mod tests {
         }
         let planted = Hamiltonian::new(&mo);
         let c1 = random_hamiltonian(8, 37);
+        let c1_10 = random_hamiltonian(10, 41);
         // (name, Hamiltonian, target, σ fused, σ unfused, mixed clocks,
         // same-spin + transpose clocks)
-        let cases: [(&str, &Hamiltonian, u8, u64, u64, u64, u64); 6] = [
+        let cases: [(&str, &Hamiltonian, u8, u64, u64, u64, u64); 7] = [
             (
                 "4 irreps, target 0",
                 &ham4,
@@ -589,6 +594,15 @@ mod tests {
                 0x0420_94ab_88a2_4964,
                 0x3d3d_5f7a_042a_162b,
                 0x2679_22db_cbc8_c2ef,
+            ),
+            (
+                "1 irrep, 10 orbitals",
+                &c1_10,
+                0,
+                0xcab9_497f_ae00_b33b,
+                0x9293_9abc_2537_51e8,
+                0xf145_6fb3_0daf_fc4d,
+                0x6461_1c13_bc94_7b81,
             ),
         ];
         let mut got = Vec::new();

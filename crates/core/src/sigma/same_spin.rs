@@ -97,46 +97,10 @@ use super::{SigmaCtx, MAX_IRREP};
 use crate::hamiltonian::{Hamiltonian, SCREENED};
 use crate::phase::{run_phase, HostSplit};
 use fci_ddi::{transpose_block, Backend, DistMatrix, Layout};
-use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, Matrix, PackedA, Trans};
+use fci_linalg::{dgemm, Matrix, Trans};
 use fci_strings::{Nm2Families, SinglesTable, SpinStrings};
 use fci_xsim::{Clock, MachineModel, RunReport};
 use std::ops::Range;
-
-/// A thread's packed `Ĝ_hh` operands, one slot per pair irrep.
-type GPacks = [Option<PackedA>; MAX_IRREP];
-
-thread_local! {
-    /// Per-thread packed Ĝ blocks, keyed by [`Hamiltonian::id`]. `Ĝ_hh` is
-    /// constant for a Hamiltonian and multiplies a fresh D on every N−2
-    /// family of every σ application, so each worker thread packs it
-    /// exactly once and replays the packed form from then on.
-    static G_PACK: std::cell::RefCell<(u64, GPacks)> =
-        const { std::cell::RefCell::new((0, [const { None }; MAX_IRREP])) };
-}
-
-/// Run `f` with the thread's packed Ĝ blocks for `ham`, first packing
-/// every block `h` that `wants(h)` and is not packed yet. A block is
-/// wanted when some product it enters is large enough for a kept handle
-/// to pay (`gemm_prefers_packed`); the σ bits are the same either way.
-fn with_g_pack<R>(
-    ham: &Hamiltonian,
-    wants: impl Fn(u8) -> bool,
-    f: impl FnOnce(&GPacks) -> R,
-) -> R {
-    G_PACK.with(|cell| {
-        let (id, packs) = &mut *cell.borrow_mut();
-        if *id != ham.id() {
-            // Hamiltonian ids start at 1: a fresh slot never matches.
-            (*id, *packs) = (ham.id(), [const { None }; MAX_IRREP]);
-        }
-        for h in 0..ham.n_irrep as u8 {
-            if packs[h as usize].is_none() && wants(h) {
-                packs[h as usize] = Some(PackedA::pack(Trans::No, ham.g_block(h)));
-            }
-        }
-        f(packs)
-    })
-}
 
 /// Parts of a rank's host time, as indexed in [`HostSplit`] and named in
 /// the `same_spin_host_us` trace counter.
@@ -398,7 +362,6 @@ fn sub_block_kernel(
     c: &DistMatrix,
     sigma: &DistMatrix,
     served: Range<usize>,
-    gpack: &GPacks,
     ws: &mut Workspace,
     host: &mut HostSplit,
 ) {
@@ -474,15 +437,8 @@ fn sub_block_kernel(
                         fold_row(dts, col, clt, b.row(e.to), 1, nrun, |d, c| *d = sgn * c);
                     }
                     host.lap(GATHER);
-                    // The DGEMM: E_h = Ĝ_hh · D_h. Where a handle pays, Ĝ_hh
-                    // is the thread's persistent pack (bitwise equal to
-                    // `dgemm` on the block itself).
-                    match &gpack[h as usize] {
-                        Some(pa) if gemm_prefers_packed(np, nrun, np) => {
-                            dgemm_prepacked(1, 1.0, pa, Trans::Yes, dt, 0.0, e_mat)
-                        }
-                        _ => dgemm(Trans::No, Trans::Yes, 1.0, g_hh, dt, 0.0, e_mat),
-                    }
+                    // The DGEMM: E_h = Ĝ_hh · D_h.
+                    dgemm(Trans::No, Trans::Yes, 1.0, g_hh, dt, 0.0, e_mat);
                     host.gemm(np, nrun, np);
                     host.lap(GEMM);
                     // Scatter (A matrix application) and clear the D
@@ -652,15 +608,7 @@ pub fn half_sigma_dgemm(
         let blocks = half.sector(served.clone(), c.layout());
         let mut ws = Workspace::new(ham, blocks.blocks());
         host.lap(TRANSPOSE);
-        let wants = |h: u8| {
-            let np = ham.g_block(h).nrows();
-            let ok = |b: &SubBlock| gemm_prefers_packed(np, b.nrun, np);
-            blocks.blocks().iter().any(ok)
-        };
-        with_g_pack(ham, wants, |gpack| {
-            host.lap(GEMM); // the thread's first call packs Ĝ
-            sub_block_kernel(&half, c, sigma, served, gpack, &mut ws, &mut host)
-        });
+        sub_block_kernel(&half, c, sigma, served, &mut ws, &mut host);
         host.emit(rank, "same_spin_host_us", HOST_PARTS);
     })
 }
@@ -844,39 +792,6 @@ mod tests {
         // but not the diagonal p = q entries.
         assert!(list.len() < singles.n_entries() && list.len() >= nstr);
         assert!(list.iter().all(|e| e.h != 0.0));
-    }
-
-    #[test]
-    fn g_operand_packed_once_per_hamiltonian() {
-        let ham = random_hamiltonian(6, 1);
-        let packs = |p: &GPacks| p[0].as_ref().map(|pa| pa.packs());
-        // No product above the packing crossover: no handle.
-        assert_eq!(with_g_pack(&ham, |_| false, packs), None);
-        // Wanted: packed on first use, replayed (packs stays 1) after.
-        assert_eq!(with_g_pack(&ham, |_| true, packs), Some(1));
-        assert_eq!(with_g_pack(&ham, |_| true, packs), Some(1));
-        // A different Hamiltonian displaces the entry.
-        let ham2 = random_hamiltonian(6, 2);
-        assert_eq!(with_g_pack(&ham2, |_| false, packs), None);
-        assert_eq!(with_g_pack(&ham2, |_| true, packs), Some(1));
-    }
-
-    /// Four irreps with unsorted labels: only the blocks asked for are
-    /// packed, each from its own `Ĝ_hh`.
-    #[test]
-    fn g_blocks_are_packed_per_pair_irrep() {
-        let sym = [1u8, 0, 3, 0, 1, 2];
-        let ham = crate::hamiltonian::random_symmetric_hamiltonian(6, 4, &sym, 4);
-        with_g_pack(
-            &ham,
-            |h| h == 2,
-            |p| {
-                let packed: Vec<_> = p.iter().map(|pa| pa.as_ref().map(|pa| pa.m())).collect();
-                let mut want = vec![None; MAX_IRREP];
-                want[2] = Some(ham.g_block(2).nrows());
-                assert_eq!(packed, want);
-            },
-        );
     }
 
     #[test]

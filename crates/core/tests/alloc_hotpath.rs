@@ -122,8 +122,8 @@ fn assert_task_passes_allocate_nothing(space: &DetSpace, ham: &Hamiltonian, what
 /// perturb the global counters mid-measurement.
 #[test]
 fn sigma_task_hot_path_is_allocation_free_after_warmup() {
-    // Large enough that nd·nkb·nd crosses into the packed (arena-backed)
-    // GEMM path: n=10, 3α3β → nd = 80, nkb = 45.
+    // One irrep, n=10, 3α3β → nd = 80, nkb = 45: every task is one
+    // 80×45×80 V_K·D product (operands read in place, nothing packed).
     let ham = random_hamiltonian(10, 17);
     let space = DetSpace::c1(10, 3, 3);
     assert_task_passes_allocate_nothing(&space, &ham, "c1");

@@ -43,13 +43,11 @@
 //! DGEMM on its own column block; a second level of threads inside the
 //! kernel won on no workload (DESIGN.md §11) and is gone.
 //!
-//! **Persistent packed operands:** when the same A operand multiplies
-//! many different B's (the σ build reuses its coupling matrices every
-//! Davidson iteration), [`PackedA::pack`] packs op(A) once into an
-//! arena-backed handle and [`dgemm_prepacked`] consumes it directly.
-//! By the one-arithmetic rule the result is bitwise equal to [`dgemm`].
-//! [`gemm_prefers_packed`] tells callers whether a handle is worth
-//! keeping for a shape.
+//! **A packed-operand form:** [`PackedA::pack`] packs op(A) once into an
+//! arena-backed handle and [`dgemm_prepacked`] consumes it directly; by
+//! the one-arithmetic rule the result is bitwise equal to [`dgemm`]. No
+//! σ kernel keeps a handle (DESIGN.md §16), so the form is reached from
+//! the benchmark's GEMM probe and the tests only.
 //!
 //! Correctness is established by exhaustive small-size tests and property
 //! tests against [`dgemm_naive`].
@@ -458,22 +456,8 @@ fn pack_bt(b: &Matrix, k: usize, n: usize, bpack: &mut [f64]) {
 }
 
 // ---------------------------------------------------------------------
-// Persistent packed A operands.
+// Packed A operands.
 // ---------------------------------------------------------------------
-
-/// Products of at most this many flops (`2·m·n·k`, measured at 52³)
-/// gain nothing from a cached [`PackedA`].
-const PREPACK_MIN_FLOPS: usize = 2 * 52 * 52 * 52;
-
-/// Whether keeping a [`PackedA`] for the A operand of an `m×n×k` product
-/// can pay off. It is advice to callers that cache operands across calls
-/// (what the σ caches save is the refill of the operand they pack, not
-/// kernel time); [`dgemm`] and [`dgemm_prepacked`] give the same bits at
-/// every shape.
-#[inline]
-pub fn gemm_prefers_packed(m: usize, n: usize, k: usize) -> bool {
-    m > 0 && n > 0 && k > 0 && 2 * m * n * k > PREPACK_MIN_FLOPS
-}
 
 /// op(A) packed once into the tile's layout, for reuse across many
 /// [`dgemm_prepacked`] calls.
@@ -487,13 +471,11 @@ pub fn gemm_prefers_packed(m: usize, n: usize, k: usize) -> bool {
 /// pool and returns there on drop.
 ///
 /// The handle borrows nothing: it is an owned snapshot of op(A) at pack
-/// time. Callers caching one across solves must invalidate it when the
-/// source matrix changes (the σ caches key on `Hamiltonian::id`).
+/// time.
 pub struct PackedA {
     m: usize,
     k: usize,
     guard: arena::ScratchGuard,
-    packs: usize,
 }
 
 impl PackedA {
@@ -512,12 +494,7 @@ impl PackedA {
             let stripe = &mut buf[padded_m * l0..padded_m * (l0 + kc)];
             pack_a(transa, a, 0, m, l0, kc, stripe);
         }
-        PackedA {
-            m,
-            k,
-            guard,
-            packs: 1,
-        }
+        PackedA { m, k, guard }
     }
 
     /// Rows of op(A).
@@ -530,20 +507,6 @@ impl PackedA {
     #[inline]
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// How many times this operand has been packed (always 1 for a live
-    /// handle — the repack-elimination tests sum this over a cache to
-    /// assert each operand was packed exactly once per lifetime).
-    #[inline]
-    pub fn packs(&self) -> usize {
-        self.packs
-    }
-
-    /// Heap footprint of the packed buffer in bytes (cache budgeting).
-    #[inline]
-    pub fn bytes(&self) -> usize {
-        packed_rows(self.m) * self.k * std::mem::size_of::<f64>()
     }
 
     /// The packed panels covering rows `i0..i0+mc` of the KC stripe at
@@ -560,8 +523,7 @@ impl PackedA {
 ///
 /// The same loop nest and tile as [`dgemm`], reading its A blocks out of
 /// the handle — the result is **bitwise equal** — so the per-call A
-/// packing traffic is gone. This is the σ-build hot call: the same
-/// coupling operand multiplies a fresh B every Davidson iteration.
+/// packing traffic is gone.
 ///
 /// `nthreads` is vestigial: GEMM is serial and the argument must be `1`.
 /// It stays because `perf/` compiles against this signature, and goes
@@ -1119,7 +1081,6 @@ mod tests {
             let mut c_ref = c0.clone();
             dgemm(ta, Trans::No, 1.25, &a, &b, -0.5, &mut c_ref);
             let pa = PackedA::pack(ta, &a);
-            assert_eq!(pa.packs(), 1);
             assert_eq!((pa.m(), pa.k()), (m, k));
             let mut c = c0.clone();
             dgemm_prepacked(1, 1.25, &pa, Trans::No, &b, -0.5, &mut c);
@@ -1152,14 +1113,5 @@ mod tests {
                 left -= w;
             }
         }
-    }
-
-    #[test]
-    fn gemm_prefers_packed_keeps_its_crossover() {
-        assert!(!gemm_prefers_packed(0, 10, 10));
-        assert!(!gemm_prefers_packed(10, 10, 10));
-        assert!(!gemm_prefers_packed(52, 52, 52));
-        assert!(gemm_prefers_packed(53, 53, 53));
-        assert!(gemm_prefers_packed(80, 45, 80));
     }
 }

@@ -15,9 +15,9 @@
 //!   column-major matrices),
 //! * [`dgemm`] — a blocked, cache-aware general matrix multiply on one
 //!   register tile at the machine's vector width, reading cache-resident
-//!   operands where they are, plus a [`dgemm_naive`] reference and
-//!   a persistent packed-operand form ([`PackedA`] / [`dgemm_prepacked`])
-//!   for operands reused across many products,
+//!   operands where they are, plus a [`dgemm_naive`] reference and a
+//!   packed-operand form ([`PackedA`] / [`dgemm_prepacked`], bitwise equal
+//!   to [`dgemm`]; no σ kernel keeps one),
 //! * level-1 kernels ([`daxpy`], [`ddot`], [`dnrm2`], [`dscal`]),
 //! * a two-stage symmetric eigensolver ([`eigh`]): cyclic Jacobi below
 //!   [`EIGH_JACOBI_CUTOFF`], blocked Householder tridiagonalization +
@@ -45,9 +45,7 @@ pub mod tridiag;
 pub use blas1::{daxpy, ddot, dnrm2, dscal};
 pub use cholqr::{cholesky_lower, cholqr2, CholError};
 pub use eigen::{eigh, eigh_2x2, eigh_jacobi, Eigh, EIGH_JACOBI_CUTOFF};
-pub use gemm::{
-    dgemm, dgemm_naive, dgemm_prepacked, dgemm_with_threads, gemm_prefers_packed, PackedA, Trans,
-};
+pub use gemm::{dgemm, dgemm_naive, dgemm_prepacked, dgemm_with_threads, PackedA, Trans};
 pub use matrix::Matrix;
 pub use solve::{lu_solve, LuError};
 pub use tridiag::{eigh_tridiag, TqliError};
