@@ -6,8 +6,9 @@
 //! of computing resources" (§2.2). A production run still checkpoints its
 //! *single* current vector once per iteration so a crashed job can resume.
 //! This module provides that: a flat little-endian f64 container with a
-//! header recording the CI matrix shape, plus restart plumbing
-//! ([`crate::diag::diagonalize_from`] accepts the loaded vector).
+//! header recording the CI matrix shape, plus restart plumbing (the
+//! crate's `diagonalize_from` accepts the loaded vector; the resilient
+//! driver in [`crate::recovery`] resumes through it).
 //!
 //! The file holds the full β × α product, zeros outside the symmetry
 //! sector included, so one format serves every layout. Both directions

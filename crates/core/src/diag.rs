@@ -303,7 +303,7 @@ pub fn diagonalize(
 /// Like [`diagonalize`], but starting from a caller-supplied vector —
 /// e.g. a restored checkpoint (see [`crate::checkpoint`]) or the
 /// converged vector of a nearby geometry.
-pub fn diagonalize_from(
+pub(crate) fn diagonalize_from(
     ctx: &SigmaCtx,
     sigma_method: SigmaMethod,
     method: DiagMethod,

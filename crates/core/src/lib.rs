@@ -57,9 +57,7 @@ pub mod taskpool;
 
 pub use checkpoint::{load_ci, save_ci};
 pub use detspace::{lowest_det_irrep, DetSpace};
-pub use diag::{
-    diagonalize, diagonalize_from, DiagMethod, DiagOptions, DiagResult, Preconditioner,
-};
+pub use diag::{diagonalize, DiagMethod, DiagOptions, DiagResult, Preconditioner};
 pub use hamiltonian::{random_hamiltonian, random_symmetric_hamiltonian, Hamiltonian};
 pub use multiroot::{diagonalize_roots, MultiRootResult};
 pub use perf_model::PerfModel;

@@ -1,10 +1,12 @@
 //! Symmetric eigensolvers.
 //!
-//! * [`eigh`] — the front door: dispatches between the robust cyclic
-//!   Jacobi solver ([`eigh_jacobi`]) for small matrices and the faster
-//!   Householder + implicit-QL route ([`crate::tridiag::eigh_tridiag`])
-//!   for larger ones (SCF Fock matrices, Davidson subspaces, dense sector
-//!   references).
+//! * [`eigh`] — the front door: cyclic Jacobi (`eigh_jacobi`) up to
+//!   [`EIGH_JACOBI_CUTOFF`], Householder `tred2` + implicit QL
+//!   (`tridiag.rs`) above it. In a solve, Jacobi takes the
+//!   Davidson subspaces (order ≤ 12 on every benchmark workload), the
+//!   20 × 20 model block and the small RHF Fock matrices; `tred2` + QL
+//!   takes the larger Fock matrices (at most 30 basis functions) and
+//!   the dense oracles.
 //! * [`eigh_2x2`] — the analytic 2×2 symmetric solve. The paper's
 //!   automatically adjusted single-vector method derives its step length λ
 //!   from exactly this 2×2 diagonalization (eqs. 13–15), so it gets a
@@ -21,20 +23,30 @@ pub struct Eigh {
     pub eigenvectors: Matrix,
 }
 
-/// Largest matrix order still solved by cyclic Jacobi; above this the
-/// two-stage tridiagonal route wins (Jacobi's many O(n³) sweeps lose to
-/// tridiagonalization in the low tens on every host measured; the
-/// boundary test below pins agreement of the two solvers at the cutoff).
+/// Largest matrix order solved by cyclic Jacobi; above it `eigh` runs
+/// `tred2` + QL.
+///
+/// Jacobi is kept for what it leaves alone, not for speed: QL is faster
+/// at every order up to here (2.2× at n = 8, 3.3× at 12–16, 3.8× at 20,
+/// 5.2× at 24, single-threaded on a 2-vCPU x86-64 host). Jacobi never
+/// rotates an exactly zero coupling, so when a matrix splits into index
+/// sets with no coupling between them, every eigenvector stays on one
+/// set — even inside a level degenerate across the sets. An RHF Fock
+/// matrix of a linear molecule is such a matrix: its degenerate π pairs
+/// come out irrep-pure, and the MO integrals keep the exact zeros that
+/// σ's screening counts (Table 3). QL mixes such a level arbitrarily;
+/// with QL at every order the π pairs arrive mixed and the MO bits move
+/// (`zero_coupling_keeps_degenerate_eigenvectors_on_one_set` pins the
+/// property).
 pub const EIGH_JACOBI_CUTOFF: usize = 24;
 
 /// Eigendecomposition of a symmetric matrix.
 ///
-/// Dispatches to cyclic Jacobi ([`eigh_jacobi`]) for matrices up to
-/// [`EIGH_JACOBI_CUTOFF`] and to Householder + implicit QL
-/// ([`crate::tridiag::eigh_tridiag`]) above it, where the two-stage
-/// method is decisively faster. Reads the upper triangle; panics if `a`
-/// is not square. When the [`crate::probe`] eigensolver channel is
-/// enabled, the dispatch is timed and reported per shape.
+/// Dispatches to cyclic Jacobi for matrices up to [`EIGH_JACOBI_CUTOFF`]
+/// and to Householder `tred2` + implicit QL (`tridiag.rs`) above it.
+/// Reads the upper triangle; panics if `a` is not square. When the
+/// [`crate::probe`] eigensolver channel is enabled, the dispatch is
+/// timed and reported per shape.
 pub fn eigh(a: &Matrix) -> Eigh {
     // Host-time probe for per-shape eigensolver metrics; one relaxed
     // atomic load when nobody is observing (same budget as the GEMM
@@ -56,7 +68,7 @@ pub fn eigh(a: &Matrix) -> Eigh {
 ///
 /// Panics if `a` is not square; the strictly lower triangle is ignored
 /// (the matrix is assumed symmetric and read from the upper triangle).
-pub fn eigh_jacobi(a: &Matrix) -> Eigh {
+pub(crate) fn eigh_jacobi(a: &Matrix) -> Eigh {
     let n = a.nrows();
     assert_eq!(n, a.ncols(), "eigh requires a square matrix");
     // Work on a symmetrized copy.
@@ -256,6 +268,37 @@ mod tests {
             for (x, y) in ed.eigenvalues.iter().zip(&ej.eigenvalues) {
                 assert!((x - y).abs() < 1e-9, "dispatch n={n}: {x} vs {y}");
             }
+        }
+    }
+
+    #[test]
+    fn zero_coupling_keeps_degenerate_eigenvectors_on_one_set() {
+        // Two interleaved index sets (even, odd) with exactly zero
+        // coupling between them and equal blocks on each, as a π pair's
+        // x and y functions have: every level is degenerate across the
+        // sets. QL on this matrix returns all eight eigenvectors mixed.
+        let k = 4;
+        let m = crate::rand_sym(k, 9);
+        let n = 2 * k;
+        assert!(n <= EIGH_JACOBI_CUTOFF);
+        let a = Matrix::from_fn(n, n, |i, j| {
+            if i % 2 == j % 2 {
+                m[(i / 2, j / 2)]
+            } else {
+                0.0
+            }
+        });
+        let e = eigh(&a);
+        assert!(residual(&a, &e) < 1e-12);
+        for c in 0..n {
+            let v = e.eigenvectors.col(c);
+            let on_even = v.iter().step_by(2).any(|&x| x != 0.0);
+            let on_odd = v.iter().skip(1).step_by(2).any(|&x| x != 0.0);
+            assert!(
+                on_even != on_odd,
+                "eigenvector {c} (w = {}) spans both sets: {v:?}",
+                e.eigenvalues[c]
+            );
         }
     }
 

@@ -19,10 +19,13 @@
 //!   packed-operand form ([`PackedA`] / [`dgemm_prepacked`], bitwise equal
 //!   to [`dgemm`]; no σ kernel keeps one),
 //! * level-1 kernels ([`daxpy`], [`ddot`], [`dnrm2`], [`dscal`]),
-//! * a two-stage symmetric eigensolver ([`eigh`]): cyclic Jacobi below
-//!   [`EIGH_JACOBI_CUTOFF`], blocked Householder tridiagonalization +
-//!   implicit QL above it, and the analytic 2×2 solve ([`eigh_2x2`])
-//!   at the heart of the automatically adjusted single-vector method,
+//! * a symmetric eigensolver ([`eigh`]): cyclic Jacobi up to
+//!   [`EIGH_JACOBI_CUTOFF`] (it keeps degenerate levels of uncoupled
+//!   blocks apart), Householder `tred2` + implicit QL above it, and the
+//!   analytic 2×2 solve ([`eigh_2x2`]) at the heart of the automatically
+//!   adjusted single-vector method. The solves need small orders only:
+//!   subspaces of at most 12, a 20 × 20 model block, Fock matrices of at
+//!   most 30 basis functions,
 //! * Cholesky-QR block orthonormalization ([`cholqr2`] and the
 //!   [`cholesky_lower`] factor the distributed multiroot solver drives
 //!   per rank),
@@ -40,15 +43,14 @@ pub mod gemm;
 pub mod matrix;
 pub mod probe;
 pub mod solve;
-pub mod tridiag;
+mod tridiag;
 
 pub use blas1::{daxpy, ddot, dnrm2, dscal};
 pub use cholqr::{cholesky_lower, cholqr2, CholError};
-pub use eigen::{eigh, eigh_2x2, eigh_jacobi, Eigh, EIGH_JACOBI_CUTOFF};
+pub use eigen::{eigh, eigh_2x2, Eigh, EIGH_JACOBI_CUTOFF};
 pub use gemm::{dgemm, dgemm_naive, dgemm_prepacked, dgemm_with_threads, PackedA, Trans};
 pub use matrix::Matrix;
 pub use solve::{lu_solve, LuError};
-pub use tridiag::{eigh_tridiag, TqliError};
 
 /// A matrix of uniform entries in [−½, ½) from a seeded LCG: the one
 /// generator this crate's unit tests draw from.

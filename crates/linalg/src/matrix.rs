@@ -101,12 +101,6 @@ impl Matrix {
         &self.data[j * self.nrows..(j + 1) * self.nrows]
     }
 
-    /// Mutable view of column `j`.
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        assert!(j < self.ncols);
-        &mut self.data[j * self.nrows..(j + 1) * self.nrows]
-    }
-
     /// Copy of row `i` (rows are strided, so this allocates).
     pub fn row(&self, i: usize) -> Vec<f64> {
         assert!(i < self.nrows);
