@@ -17,8 +17,9 @@
 //! Everything printed is simulated time, operation counts, iteration
 //! counts or energies, so a rerun on the same host reproduces the files
 //! byte for byte. Host time is measured in one place only, `fcix-perf`
-//! (`perf/`). `sparse` exits 1 when a sparse engine misses the dense FCI
-//! energy by more than 1.6 mHa; `all` does too, after writing every file.
+//! (`perf/`). `sparse` exits 1 when its dense FCI reference does not
+//! converge or a sparse engine misses it by more than 1.6 mHa; `all` does
+//! too, after writing every file.
 
 mod systems;
 
@@ -26,14 +27,13 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use fci_core::{
-    apply_sigma, DetSpace, DiagMethod, DiagOptions, FciOptions, FciResult, Hamiltonian, PerfModel,
-    PoolParams, SigmaBreakdown, SigmaCtx, SigmaMethod, TaskPool,
+    solve_prepared, DetSpace, DiagMethod, DiagOptions, FciOptions, FciResult, Hamiltonian,
+    PerfModel, PoolParams, SigmaBreakdown, SigmaMethod, TaskPool,
 };
-use fci_ddi::{Backend, Ddi};
 use fci_scf::MoIntegrals;
 use fci_sparse::{solve_cdfci, solve_selected, SparseOptions, SparseResult};
 use fci_xsim::{MachineModel, RunReport};
-use systems::{c2_system, fig4_system, fig5_system, table2_systems, System};
+use systems::{c2_system, fig4_system, fig5_system, table2_systems};
 
 /// What one subcommand prints, and whether its accuracy gate failed.
 #[derive(Default)]
@@ -124,7 +124,10 @@ fn all() -> ExitCode {
 
 fn gate_status(failed: bool) -> ExitCode {
     if failed {
-        eprintln!("fcix-repro: a sparse engine missed dense FCI by more than {GATE_MHA} mHa");
+        eprintln!(
+            "fcix-repro: the dense reference did not converge, or a sparse engine \
+             missed it by more than {GATE_MHA} mHa"
+        );
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -152,49 +155,6 @@ impl Table {
             .map(|(c, w)| format!("{c:>w$}"))
             .collect();
         say!(o, "{}", cells.join("  "));
-    }
-}
-
-/// A system's determinant space and Hamiltonian, for single σ = H·C
-/// evaluations on the simulated X1 (Table 1, Figs. 4–5, the pool
-/// ablation).
-struct SigmaBench {
-    sys: System,
-    ham: Hamiltonian,
-    space: DetSpace,
-}
-
-impl SigmaBench {
-    fn new(sys: System) -> Self {
-        let ham = Hamiltonian::new(&sys.mo);
-        let space = DetSpace::for_hamiltonian(&ham, sys.na, sys.nb, sys.state_irrep);
-        SigmaBench { sys, ham, space }
-    }
-
-    /// One σ of the lowest-diagonal guess on `p` virtual MSPs.
-    fn sigma(&self, p: usize, method: SigmaMethod, pool: PoolParams) -> SigmaBreakdown {
-        let ddi = Ddi::new(p, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &self.space,
-            ham: &self.ham,
-            ddi: &ddi,
-            model: &model,
-            pool,
-        };
-        apply_sigma(&ctx, &self.space.guess(&self.ham, p), method).1
-    }
-
-    fn describe(&self) -> String {
-        let s = &self.sys;
-        format!(
-            "system: {} (n={}, Nα={}, Nβ={}, dim={})",
-            s.name,
-            s.mo.n_orb,
-            s.na,
-            s.nb,
-            self.space.dim()
-        )
     }
 }
 
@@ -247,15 +207,14 @@ fn fmt_bytes(b: f64) -> String {
 /// communication counts of the MOC and DGEMM algorithms, the analytic
 /// model next to the instrumented counters of one σ on 64 MSPs.
 fn table1(o: &mut Out) {
-    let b = SigmaBench::new(fig4_system());
-    let sys = &b.sys;
-    let (n, na, nb, p) = (sys.mo.n_orb, sys.na, sys.nb, 64);
-    let nci = b.space.dim() as f64;
+    let sys = fig4_system();
+    let (n, na, nb, p) = (sys.ham.n, sys.na, sys.nb, 64);
+    let nci = sys.space.dim() as f64;
     let pm = PerfModel::new(nci, n, na, nb);
-    let dg = b
+    let dg = sys
         .sigma(p, SigmaMethod::Dgemm, PoolParams::default())
         .alpha_beta;
-    let moc = b
+    let moc = sys
         .sigma(p, SigmaMethod::Moc, PoolParams::default())
         .alpha_beta;
     // Communication scaled to "all remote": measured bytes × P/(P−1) / 8.
@@ -343,12 +302,11 @@ fn table2(o: &mut Out) {
         ],
     );
     for sys in table2_systems() {
-        let space = sys.space();
         let mut cells = vec![
             sys.name.clone(),
-            sys.group.clone(),
-            space.dim().to_string(),
-            space.sector_dim().to_string(),
+            sys.group.to_string(),
+            sys.space.dim().to_string(),
+            sys.space.sector_dim().to_string(),
         ];
         let mut energy = f64::NAN;
         for (_, method) in METHODS {
@@ -427,7 +385,7 @@ fn table3(o: &mut Out) {
         "{:<22} FCI({},{})  [{}]",
         "CI space",
         sys.na + sys.nb,
-        sys.mo.n_orb,
+        sys.ham.n,
         sys.group
     );
     say!(
@@ -481,9 +439,9 @@ fn table3(o: &mut Out) {
 /// at all" — its double-excitation list is replicated — while every
 /// DGEMM routine scales, and DGEMM mixed-spin cuts communication ~25×).
 fn fig4(o: &mut Out) {
-    let b = SigmaBench::new(fig4_system());
+    let sys = fig4_system();
     say!(o, "Figure 4 — MOC vs DGEMM σ timing vs MSP count");
-    say!(o, "{}\n", b.describe());
+    say!(o, "{}\n", sys.describe());
     let t = Table::new(
         o,
         &[
@@ -500,8 +458,8 @@ fn fig4(o: &mut Out) {
     // kernel; the paper's O runs are dominated by the β-like side).
     let same_spin = |bd: &SigmaBreakdown| bd.beta_beta.elapsed() + bd.alpha_alpha.elapsed();
     for p in [16, 32, 64, 128] {
-        let moc = b.sigma(p, SigmaMethod::Moc, PoolParams::default());
-        let dg = b.sigma(p, SigmaMethod::Dgemm, PoolParams::default());
+        let moc = sys.sigma(p, SigmaMethod::Moc, PoolParams::default());
+        let dg = sys.sigma(p, SigmaMethod::Dgemm, PoolParams::default());
         t.row(
             o,
             &[
@@ -527,9 +485,9 @@ fn fig4(o: &mut Out) {
 /// routine (paper: near-perfect speedup, same-spin at 9.6 GF/MSP,
 /// mixed-spin 8.5→8.1 GF/MSP).
 fn fig5(o: &mut Out) {
-    let b = SigmaBench::new(fig5_system());
+    let sys = fig5_system();
     say!(o, "Figure 5 — DGEMM σ speedup, 128→256 MSPs");
-    say!(o, "{}\n", b.describe());
+    say!(o, "{}\n", sys.describe());
     let t = Table::new(
         o,
         &[
@@ -544,7 +502,7 @@ fn fig5(o: &mut Out) {
     );
     let mut t128 = None;
     for p in [128, 160, 192, 224, 256] {
-        let bd = b.sigma(p, SigmaMethod::Dgemm, PoolParams::default());
+        let bd = sys.sigma(p, SigmaMethod::Dgemm, PoolParams::default());
         let total = bd.total().elapsed();
         let t0 = *t128.get_or_insert(total);
         let mut ss = bd.beta_beta.clone();
@@ -579,7 +537,7 @@ fn convergence(o: &mut Out, index: usize) {
     eprintln!(
         "# system: {} ({} sector determinants)",
         sys.name,
-        sys.space().sector_dim()
+        sys.space.sector_dim()
     );
     let traces: Vec<Vec<f64>> = METHODS
         .iter()
@@ -607,12 +565,12 @@ fn convergence(o: &mut Out, index: usize) {
 /// routine on 96 MSPs. Load imbalance against counter (SHMEM_SWAP)
 /// traffic is the trade-off the aggregation balances.
 fn ablate_taskpool(o: &mut Out) {
-    let b = SigmaBench::new(fig5_system());
+    let sys = fig5_system();
     let p = 96;
     say!(
         o,
         "Ablation — task pool shape for the α-β routine ({} on {p} MSPs)\n",
-        b.sys.name
+        sys.name
     );
     let t = Table::new(
         o,
@@ -635,8 +593,8 @@ fn ablate_taskpool(o: &mut Out) {
         ("flat fine (64/proc)", flat(64)),
         ("flat fine (256/proc)", flat(256)),
     ] {
-        let ab = b.sigma(p, SigmaMethod::Dgemm, pool).alpha_beta;
-        let tasks = TaskPool::aggregated(b.space.alpha_nm1.len(), p, pool).len();
+        let ab = sys.sigma(p, SigmaMethod::Dgemm, pool).alpha_beta;
+        let tasks = TaskPool::aggregated(sys.space.alpha_nm1.len(), p, pool).len();
         t.row(
             o,
             &[
@@ -830,15 +788,39 @@ fn hubbard_chain(sites: usize) -> (DetSpace, Hamiltonian) {
     (space, ham)
 }
 
+/// Davidson iterations the dense reference may take: the 8- and 10-site
+/// chains converge in 100 and 147.
+const DENSE_MAX_ITER: usize = 300;
+
 /// The chain's dense FCI energy (Davidson — lattice diagonals are
-/// degenerate).
-fn dense_energy(sites: usize) -> f64 {
-    let mo = MoIntegrals::hubbard_chain(sites, 1.0, 4.0, false);
+/// degenerate), said on the accuracy line; a solve that stops
+/// unconverged marks `o` failed.
+fn dense_reference(o: &mut Out, space: &DetSpace, ham: &Hamiltonian, max_iter: usize) -> f64 {
     let opts = FciOptions {
         method: DiagMethod::Davidson,
+        diag: DiagOptions {
+            max_iter,
+            ..DiagOptions::default()
+        },
         ..FciOptions::default()
     };
-    fci_core::solve(&mo, sites / 2, sites / 2, 0, &opts).energy
+    let r = solve_prepared(space, ham, &opts);
+    say!(
+        o,
+        "accuracy: {}-site chain, {} determinants, dense E = {:.9}",
+        ham.n,
+        space.sector_dim(),
+        r.energy
+    );
+    if !r.converged {
+        say!(
+            o,
+            "FAIL: the dense reference did not converge in {} iterations",
+            r.iterations
+        );
+        o.failed = true;
+    }
+    r.energy
 }
 
 /// Say whether both engines' errors pass [`GATE_MHA`]; mark `o` failed if not.
@@ -874,12 +856,8 @@ fn history(o: &mut Out, r: &SparseResult) {
 /// their errors gated at [`GATE_MHA`].
 fn accuracy(o: &mut Out, sites: usize, cdfci: SparseOptions, selected: SparseOptions) {
     let (space, ham) = hubbard_chain(sites);
-    let e_dense = dense_energy(sites);
+    let e_dense = dense_reference(o, &space, &ham, DENSE_MAX_ITER);
     let sector = space.sector_dim();
-    say!(
-        o,
-        "accuracy: {sites}-site chain, {sector} determinants, dense E = {e_dense:.9}"
-    );
     let runs = [
         ("cdfci   ", solve_cdfci(&space, &ham, &cdfci)),
         ("selected", solve_selected(&space, &ham, &selected)),
@@ -1017,6 +995,17 @@ mod tests {
         assert!(!o.failed && o.text.starts_with("OK"));
         gate(&mut o, [GATE_MHA + 0.1, 0.0]);
         assert!(o.failed && o.text.contains("FAIL"));
+    }
+
+    #[test]
+    fn an_unconverged_reference_fails_the_output() {
+        let (space, ham) = hubbard_chain(8);
+        let mut o = Out::default();
+        dense_reference(&mut o, &space, &ham, 60);
+        assert!(o.failed && o.text.contains("FAIL"), "{}", o.text);
+        let mut o = Out::default();
+        dense_reference(&mut o, &space, &ham, DENSE_MAX_ITER);
+        assert!(!o.failed, "{}", o.text);
     }
 
     #[test]

@@ -13,36 +13,33 @@
 //! | C2 X¹Σg⁺ / cc-pVTZ(+) 65e9 dets | C2 / svp window, D2h blocked |
 
 use fci_core::{
-    lowest_det_irrep, solve, DetSpace, DiagMethod, DiagOptions, FciOptions, FciResult, Hamiltonian,
+    apply_sigma, lowest_det_irrep, solve_prepared, DetSpace, DiagMethod, DiagOptions, FciOptions,
+    FciResult, Hamiltonian, PoolParams, SigmaBreakdown, SigmaCtx, SigmaMethod,
 };
-use fci_ints::{
-    detect_point_group, eri_tensor, kinetic, nuclear_attraction, overlap, BasisSet, Molecule,
-};
-use fci_scf::{core_orbitals, rhf, symmetry_adapt, transform_integrals, MoIntegrals, RhfOptions};
+use fci_ddi::{Backend, Ddi};
+use fci_ints::{BasisSet, Molecule};
+use fci_scf::{active_space, Orbitals};
+use fci_xsim::MachineModel;
 
-/// A fully prepared benchmark system.
+/// A fully prepared benchmark system: its Hamiltonian and the
+/// determinant space of its target state, built once.
 pub(crate) struct System {
     pub(crate) name: String,
     /// Point-group name ("D2h", "C2v", …).
-    pub(crate) group: String,
-    /// Active-space MO integrals with orbital irreps.
-    pub(crate) mo: MoIntegrals,
+    pub(crate) group: &'static str,
     /// Active-space α/β electron counts.
     pub(crate) na: usize,
     pub(crate) nb: usize,
-    /// Spatial irrep of the target state.
-    pub(crate) state_irrep: u8,
     /// RHF total energy if an SCF was converged.
     pub(crate) e_scf: Option<f64>,
+    /// Active-space Hamiltonian.
+    pub(crate) ham: Hamiltonian,
+    /// Determinants of the target state's symmetry sector: the irrep of
+    /// the lowest-diagonal determinant.
+    pub(crate) space: DetSpace,
 }
 
 impl System {
-    /// Determinant space of the system over `1` processor (for sizing).
-    pub(crate) fn space(&self) -> DetSpace {
-        let ham = Hamiltonian::new(&self.mo);
-        DetSpace::for_hamiltonian(&ham, self.na, self.nb, self.state_irrep)
-    }
-
     /// Solve the system on `nproc` virtual MSPs of the simulated X1 (DGEMM
     /// σ, the solver's defaults for everything but the diagonaliser).
     pub(crate) fn solve(&self, nproc: usize, method: DiagMethod, diag: DiagOptions) -> FciResult {
@@ -52,18 +49,34 @@ impl System {
             diag,
             ..FciOptions::default()
         };
-        solve(&self.mo, self.na, self.nb, self.state_irrep, &opts)
+        solve_prepared(&self.space, &self.ham, &opts)
     }
-}
 
-/// Orbital source for [`prepare`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Orbitals {
-    /// Converged RHF orbitals (closed shell); falls back to core orbitals
-    /// if the SCF fails to converge (FCI is orbital-invariant).
-    Rhf,
-    /// Core-Hamiltonian orbitals (open-shell systems).
-    Core,
+    /// One σ of the lowest-diagonal guess on `p` virtual MSPs (Table 1,
+    /// Figs. 4–5, the pool ablation).
+    pub(crate) fn sigma(&self, p: usize, method: SigmaMethod, pool: PoolParams) -> SigmaBreakdown {
+        let ddi = Ddi::new(p, Backend::Serial);
+        let model = MachineModel::cray_x1();
+        let ctx = SigmaCtx {
+            space: &self.space,
+            ham: &self.ham,
+            ddi: &ddi,
+            model: &model,
+            pool,
+        };
+        apply_sigma(&ctx, &self.space.guess(&self.ham, p), method).1
+    }
+
+    pub(crate) fn describe(&self) -> String {
+        format!(
+            "system: {} (n={}, Nα={}, Nβ={}, dim={})",
+            self.name,
+            self.ham.n,
+            self.na,
+            self.nb,
+            self.space.dim()
+        )
+    }
 }
 
 /// Build a benchmark system.
@@ -84,71 +97,23 @@ pub(crate) fn prepare(
     nb: usize,
     use_symmetry: bool,
 ) -> System {
-    let basis = BasisSet::build(molecule, basis_name);
-    let nao = basis.n_basis();
-    let s = overlap(&basis);
-
-    let (c, e_scf, h_ao, eri_ao) = match orbitals {
-        Orbitals::Rhf if molecule.n_electrons().is_multiple_of(2) => {
-            let r = rhf(molecule, &basis, &RhfOptions::default());
-            if r.converged {
-                (r.mo_coeffs, Some(r.energy), r.h_ao, r.eri_ao)
-            } else {
-                // Multireference cases (CN⁺, stretched C2) may defeat RHF;
-                // core orbitals are exact for FCI, only convergence-rate
-                // relevant.
-                let (c, _) = core_orbitals(&basis, molecule);
-                (c, None, r.h_ao, r.eri_ao)
-            }
-        }
-        _ => {
-            let (c, _) = core_orbitals(&basis, molecule);
-            let h = {
-                let mut t = kinetic(&basis);
-                t.axpy(1.0, &nuclear_attraction(&basis, molecule));
-                t
-            };
-            (c, None, h, eri_tensor(&basis))
-        }
-    };
-
-    // Symmetry-adapt and label orbitals.
-    let (c, irreps, group, n_irrep) = if use_symmetry {
-        let pg = detect_point_group(molecule);
-        let (cad, irr) = symmetry_adapt(&pg, &basis, &s, &c);
-        (cad, irr, pg.name().to_string(), pg.n_irrep())
-    } else {
-        (c, vec![0u8; nao], "C1".to_string(), 1)
-    };
-
-    let n_act = n_active.unwrap_or(nao - n_frozen);
     assert!(
         na + nb + 2 * n_frozen == molecule.n_electrons(),
         "electron bookkeeping: {na}α + {nb}β active + {n_frozen} frozen pairs ≠ {} electrons",
         molecule.n_electrons()
     );
-    let mo = transform_integrals(
-        &h_ao,
-        &eri_ao,
-        &c,
-        molecule.nuclear_repulsion(),
-        n_frozen,
-        n_act,
-    );
-    let mo = mo.with_symmetry(irreps[n_frozen..n_frozen + n_act].to_vec(), n_irrep);
-
-    // Target state irrep: that of the lowest-diagonal determinant.
-    let ham = Hamiltonian::new(&mo);
-    let state_irrep = lowest_det_irrep(&ham, na, nb);
-
+    let basis = BasisSet::build(molecule, basis_name);
+    let a = active_space(molecule, &basis, orbitals, n_frozen, n_active, use_symmetry);
+    let ham = Hamiltonian::new(&a.mo);
+    let space = DetSpace::for_hamiltonian(&ham, na, nb, lowest_det_irrep(&ham, na, nb));
     System {
         name: name.to_string(),
-        group,
-        mo,
+        group: a.group,
         na,
         nb,
-        state_irrep,
-        e_scf,
+        e_scf: a.scf.map(|(e, _)| e),
+        ham,
+        space,
     }
 }
 
@@ -322,11 +287,11 @@ mod tests {
             1,
             true,
         );
-        assert_eq!(sys.mo.n_orb, 2);
+        assert_eq!(sys.ham.n, 2);
         assert!(sys.e_scf.is_some());
         assert_eq!(sys.group, "D2h");
         // σg ⊗ σg ground state is totally symmetric.
-        assert_eq!(sys.state_irrep, 0);
-        assert_eq!(sys.space().sector_dim(), 2);
+        assert_eq!(sys.space.target_irrep, 0);
+        assert_eq!(sys.space.sector_dim(), 2);
     }
 }

@@ -59,7 +59,6 @@ pub use checkpoint::{load_ci, save_ci};
 pub use detspace::{lowest_det_irrep, DetSpace};
 pub use diag::{diagonalize, DiagMethod, DiagOptions, DiagResult, Preconditioner};
 pub use hamiltonian::{random_hamiltonian, random_symmetric_hamiltonian, Hamiltonian};
-pub use multiroot::{diagonalize_roots, MultiRootResult};
 pub use perf_model::PerfModel;
 pub use phase::run_phase;
 pub use properties::{natural_occupations, one_rdm, s_squared};

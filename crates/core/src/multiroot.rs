@@ -12,8 +12,9 @@
 //!
 //! * [`DiagMethod::Davidson`](crate::diag::DiagMethod::Davidson) — one
 //!   root from the model-space guess, the Olsen correction;
-//! * [`diagonalize_roots`] — the lowest model-space eigenvectors as seeds,
-//!   [`Preconditioner::apply`];
+//! * `diagonalize_roots`, behind
+//!   [`solve_roots_prepared`](crate::solver::solve_roots_prepared) — the
+//!   lowest model-space eigenvectors as seeds, [`Preconditioner::apply`];
 //! * `fci-sparse`'s selected CI — a CSR mat-vec over the selected space,
 //!   the diagonal correction.
 
@@ -26,7 +27,7 @@ use std::sync::Arc;
 
 /// Result of a multi-root diagonalization.
 #[derive(Debug)]
-pub struct MultiRootResult {
+pub(crate) struct MultiRootResult {
     /// Electronic energies of the computed roots, ascending.
     pub energies: Vec<f64>,
     /// CI vectors, one per root.
@@ -40,7 +41,7 @@ pub struct MultiRootResult {
 }
 
 /// Compute the `nroots` lowest eigenpairs of `H − E_core` in the sector.
-pub fn diagonalize_roots(
+pub(crate) fn diagonalize_roots(
     ctx: &SigmaCtx,
     sigma_method: SigmaMethod,
     opts: &DiagOptions,

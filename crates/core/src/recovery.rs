@@ -25,8 +25,10 @@ use crate::diag::{diagonalize_from, initial_guess, DiagOptions};
 use crate::hamiltonian::Hamiltonian;
 use crate::sigma::{SigmaBreakdown, SigmaCtx};
 use crate::solver::{build_space, fci_result, open_tracer, open_world, FciOptions, FciResult};
+use crate::taskpool::PoolParams;
 use fci_ddi::{FaultConfig, FaultPlan, FaultStats};
 use fci_scf::MoIntegrals;
+use fci_xsim::MachineModel;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -144,12 +146,13 @@ pub fn solve_resilient_prepared(
 
     'world: loop {
         let ddi = open_world(opts, nproc, Some(&plan), &tracer);
+        let model = MachineModel::cray_x1();
         let ctx = SigmaCtx {
             space,
             ham,
             ddi: &ddi,
-            model: &opts.machine,
-            pool: opts.pool,
+            model: &model,
+            pool: PoolParams::default(),
         };
         let mut c0 = if have_ckp {
             load_ci(&rec.checkpoint, space, nproc)?

@@ -5,7 +5,7 @@ use crate::diag::{diagonalize, DiagMethod, DiagOptions, DiagResult};
 use crate::hamiltonian::Hamiltonian;
 use crate::sigma::{SigmaBreakdown, SigmaCtx, SigmaMethod};
 use crate::taskpool::PoolParams;
-use fci_ddi::{Backend, CheckConfig, Ddi, FaultConfig, FaultPlan};
+use fci_ddi::{Backend, CheckConfig, Ddi, DistMatrix, FaultConfig, FaultPlan};
 use fci_obs::ObsConfig;
 use fci_scf::MoIntegrals;
 use fci_xsim::MachineModel;
@@ -50,7 +50,10 @@ impl SolverKind {
     }
 }
 
-/// Everything configurable about an FCI run.
+/// Everything configurable about an FCI run. Every solve charges σ to
+/// the Cray-X1 MSP model ([`MachineModel::cray_x1`]) and deals mixed-spin
+/// work through the paper's aggregated task pool ([`PoolParams::default`]);
+/// the ablations that vary either build a [`SigmaCtx`] themselves.
 #[derive(Clone, Debug)]
 pub struct FciOptions {
     /// Virtual MSP count.
@@ -63,10 +66,6 @@ pub struct FciOptions {
     pub method: DiagMethod,
     /// Eigensolver controls.
     pub diag: DiagOptions,
-    /// Mixed-spin task pool shape.
-    pub pool: PoolParams,
-    /// Machine cost model.
-    pub machine: MachineModel,
     /// Optional CI truncation level relative to the lowest-diagonal
     /// determinant (2 = CISD, 3 = CISDT, …; `None` = full CI).
     pub excitation_level: Option<u32>,
@@ -93,8 +92,6 @@ impl Default for FciOptions {
             sigma: SigmaMethod::Dgemm,
             method: DiagMethod::AutoAdjust,
             diag: DiagOptions::default(),
-            pool: PoolParams::default(),
-            machine: MachineModel::cray_x1(),
             excitation_level: None,
             obs: ObsConfig::off(),
             check: CheckConfig::off(),
@@ -185,12 +182,13 @@ pub fn solve_prepared(space: &DetSpace, ham: &Hamiltonian, opts: &FciOptions) ->
             ("sector_dim", space.sector_dim() as f64),
         ],
     );
+    let model = MachineModel::cray_x1();
     let ctx = SigmaCtx {
         space,
         ham,
         ddi: &ddi,
-        model: &opts.machine,
-        pool: opts.pool,
+        model: &model,
+        pool: PoolParams::default(),
     };
     let d = diagonalize(&ctx, opts.sigma, opts.method, &opts.diag);
     tracer.instant(
@@ -286,6 +284,8 @@ pub struct FciRootsResult {
     pub sector_dim: usize,
     /// Accumulated simulated σ cost.
     pub sigma_cost: SigmaBreakdown,
+    /// CI vectors, one per root.
+    pub states: Vec<DistMatrix>,
 }
 
 /// Solve for the `nroots` lowest FCI states of the sector in one block
@@ -309,12 +309,13 @@ pub fn solve_roots_prepared(
         fci_obs::Category::Other,
         &[("nproc", opts.nproc as f64), ("nroots", nroots as f64)],
     );
+    let model = MachineModel::cray_x1();
     let ctx = SigmaCtx {
         space,
         ham,
         ddi: &ddi,
-        model: &opts.machine,
-        pool: opts.pool,
+        model: &model,
+        pool: PoolParams::default(),
     };
     let m = crate::multiroot::diagonalize_roots(&ctx, opts.sigma, &opts.diag, nroots);
     tracer.instant(
@@ -333,6 +334,7 @@ pub fn solve_roots_prepared(
         dim: space.dim(),
         sector_dim: space.sector_dim(),
         sigma_cost: m.sigma_cost,
+        states: m.states,
     }
 }
 

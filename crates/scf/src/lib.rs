@@ -14,14 +14,20 @@
 //!   invariant to orthogonal rotations of the orbital set, so any
 //!   orthonormal set spanning the AO space is exact — only the *rate of
 //!   convergence* of the iterative diagonalizer changes);
+//! * [`active_space`] — the whole recipe from a molecule to labelled
+//!   active-space integrals: [`Orbitals`] picks RHF or core orbitals,
+//!   [`symmetry_adapt`] labels them, [`transform_integrals`] folds the
+//!   frozen core and cuts the active window;
 //! * [`motran`] — the O(n⁵) quarter-transform AO→MO four-index
 //!   transformation and frozen-core folding, producing the
 //!   [`MoIntegrals`] consumed by `fci-core`.
 
+mod active;
 pub mod motran;
 pub mod rhf;
 pub mod symadapt;
 
+pub use active::{active_space, ActiveSpace, Orbitals};
 pub use motran::{transform_integrals, MoIntegrals};
 pub use rhf::{core_orbitals, rhf, RhfOptions, RhfResult};
 pub use symadapt::symmetry_adapt;

@@ -26,15 +26,18 @@ pub(crate) fn lowdin(s: &Matrix) -> Matrix {
     us.matmul_t(&e.eigenvectors)
 }
 
+/// AO core Hamiltonian: kinetic energy plus nuclear attraction.
+pub(crate) fn core_hamiltonian(basis: &BasisSet, molecule: &Molecule) -> Matrix {
+    let mut h = kinetic(basis);
+    h.axpy(1.0, &nuclear_attraction(basis, molecule));
+    h
+}
+
 /// Eigenvectors of the core Hamiltonian in an orthonormalized AO basis —
 /// a cheap, symmetry-clean orbital set for open-shell FCI runs.
 pub fn core_orbitals(basis: &BasisSet, molecule: &Molecule) -> (Matrix, Vec<f64>) {
     let s = overlap(basis);
-    let h = {
-        let mut t = kinetic(basis);
-        t.axpy(1.0, &nuclear_attraction(basis, molecule));
-        t
-    };
+    let h = core_hamiltonian(basis, molecule);
     let x = lowdin(&s);
     let hp = x.t_matmul(&h).matmul(&x);
     let e = eigh(&hp);

@@ -12,8 +12,8 @@
 //! extract the equilibrium distance rₑ and harmonic frequency ωₑ.
 
 use fcix::core::{solve, DiagMethod, DiagOptions, FciOptions};
-use fcix::ints::{detect_point_group, overlap, BasisSet, Molecule};
-use fcix::scf::{core_orbitals, rhf, symmetry_adapt, transform_integrals, RhfOptions};
+use fcix::ints::{BasisSet, Molecule};
+use fcix::scf::{active_space, Orbitals};
 
 /// FCI(8,8) energy of C2 at bond length `r` (bohr), frozen 1s cores.
 fn e_c2(r: f64) -> f64 {
@@ -22,20 +22,9 @@ fn e_c2(r: f64) -> f64 {
         0,
     );
     let basis = BasisSet::build(&mol, "sto-3g");
-    let scf = rhf(&mol, &basis, &RhfOptions::default());
-    // C2 is multireference: fall back to core orbitals if SCF struggles.
-    let (c, h_ao, eri_ao) = if scf.converged {
-        (scf.mo_coeffs, scf.h_ao, scf.eri_ao)
-    } else {
-        let (c, _) = core_orbitals(&basis, &mol);
-        (c, scf.h_ao, scf.eri_ao)
-    };
-    let pg = detect_point_group(&mol);
-    let s = overlap(&basis);
-    let (cad, irreps) = symmetry_adapt(&pg, &basis, &s, &c);
-    let n_act = basis.n_basis() - 2;
-    let mo = transform_integrals(&h_ao, &eri_ao, &cad, mol.nuclear_repulsion(), 2, n_act)
-        .with_symmetry(irreps[2..2 + n_act].to_vec(), pg.n_irrep());
+    // C2 is multireference: RHF orbitals, or core orbitals if the SCF
+    // struggles (FCI does not care which).
+    let mo = active_space(&mol, &basis, Orbitals::Rhf, 2, None, true).mo;
     let opts = FciOptions {
         method: DiagMethod::Davidson,
         diag: DiagOptions {

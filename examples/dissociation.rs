@@ -12,7 +12,7 @@
 
 use fcix::core::{solve, FciOptions};
 use fcix::ints::{BasisSet, Molecule};
-use fcix::scf::{rhf, transform_integrals, RhfOptions};
+use fcix::scf::{active_space, Orbitals};
 
 fn main() {
     println!(
@@ -24,22 +24,14 @@ fn main() {
         let r = 1.0 + 0.5 * i as f64;
         let mol = Molecule::from_symbols_bohr(&[("H", [0.0, 0.0, 0.0]), ("H", [0.0, 0.0, r])], 0);
         let basis = BasisSet::build(&mol, "sto-3g");
-        let scf = rhf(&mol, &basis, &RhfOptions::default());
-        let mo = transform_integrals(
-            &scf.h_ao,
-            &scf.eri_ao,
-            &scf.mo_coeffs,
-            mol.nuclear_repulsion(),
-            0,
-            basis.n_basis(),
-        );
-        let fci = solve(&mo, 1, 1, 0, &FciOptions::default());
+        let a = active_space(&mol, &basis, Orbitals::Rhf, 0, None, false);
+        let (e_rhf, _) = a.scf.unwrap_or_else(|| panic!("RHF failed at R = {r}"));
+        let fci = solve(&a.mo, 1, 1, 0, &FciOptions::default());
         assert!(fci.converged, "FCI failed at R = {r}");
         println!(
-            "{r:>8.2} {:>14.8} {:>14.8} {:>12.3}",
-            scf.energy,
+            "{r:>8.2} {e_rhf:>14.8} {:>14.8} {:>12.3}",
             fci.energy,
-            (fci.energy - scf.energy) * 1e3
+            (fci.energy - e_rhf) * 1e3
         );
         last_fci = fci.energy;
     }

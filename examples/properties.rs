@@ -11,13 +11,11 @@
 //! nuclear), and the three lowest states of the sector via block Davidson.
 
 use fcix::core::{
-    diagonalize_roots, natural_occupations, one_rdm, s_squared, solve, DetSpace, DiagOptions,
-    FciOptions, Hamiltonian, PoolParams, SigmaCtx, SigmaMethod,
+    build_space, natural_occupations, one_rdm, s_squared, solve_prepared, solve_roots_prepared,
+    DiagOptions, FciOptions, Hamiltonian,
 };
-use fcix::ddi::{Backend, Ddi};
 use fcix::ints::{dipole, BasisSet, Molecule};
-use fcix::scf::{rhf, transform_integrals, RhfOptions};
-use fcix::xsim::MachineModel;
+use fcix::scf::{active_space, Orbitals};
 
 fn main() {
     let mol = Molecule::from_symbols_bohr(
@@ -29,27 +27,17 @@ fn main() {
         0,
     );
     let basis = BasisSet::build(&mol, "sto-3g");
-    let scf = rhf(&mol, &basis, &RhfOptions::default());
-    assert!(scf.converged);
-    let nao = basis.n_basis();
-    let mo = transform_integrals(
-        &scf.h_ao,
-        &scf.eri_ao,
-        &scf.mo_coeffs,
-        mol.nuclear_repulsion(),
-        1,
-        6,
-    );
+    let a = active_space(&mol, &basis, Orbitals::Rhf, 1, Some(6), false);
+    let (e_rhf, _) = a.scf.expect("RHF converges for water");
 
-    let r = solve(&mo, 4, 4, 0, &FciOptions::default());
+    let ham = Hamiltonian::new(&a.mo);
+    let space = build_space(&ham, 4, 4, 0, None);
+    let r = solve_prepared(&space, &ham, &FciOptions::default());
     assert!(r.converged);
     println!(
-        "E(FCI)            : {:+.8} Eh  (E(RHF) = {:+.8})",
-        r.energy, scf.energy
+        "E(FCI)            : {:+.8} Eh  (E(RHF) = {e_rhf:+.8})",
+        r.energy
     );
-
-    let ham = Hamiltonian::new(&mo);
-    let space = DetSpace::for_hamiltonian(&ham, 4, 4, 0);
 
     // Spin purity.
     let s2 = s_squared(&space, &r.diag.c);
@@ -75,7 +63,7 @@ fn main() {
             mu[ax] += a.z as f64 * a.pos[ax];
         }
         // MO dipole matrix over all MOs.
-        let d_mo = scf.mo_coeffs.t_matmul(&d_ao[ax]).matmul(&scf.mo_coeffs);
+        let d_mo = a.mo_coeffs.t_matmul(&d_ao[ax]).matmul(&a.mo_coeffs);
         // frozen core (MO 0, doubly occupied)
         mu[ax] -= 2.0 * d_mo[(0, 0)];
         // active space (MOs 1..7)
@@ -94,35 +82,25 @@ fn main() {
         norm,
         norm * 2.541746
     );
-    let _ = nao;
 
     // Excited states.
-    let ddi = Ddi::new(2, Backend::Serial);
-    let model = MachineModel::cray_x1();
-    let ctx = SigmaCtx {
-        space: &space,
-        ham: &ham,
-        ddi: &ddi,
-        model: &model,
-        pool: PoolParams::default(),
-    };
-    let roots = diagonalize_roots(
-        &ctx,
-        SigmaMethod::Dgemm,
-        &DiagOptions {
+    let opts = FciOptions {
+        nproc: 2,
+        diag: DiagOptions {
             max_iter: 60,
             tol: 1e-7,
             ..Default::default()
         },
-        3,
-    );
+        ..Default::default()
+    };
+    let roots = solve_roots_prepared(&space, &ham, &opts, 3);
     println!("\nlowest three states of the sector:");
     for k in 0..3 {
         let s2k = s_squared(&space, &roots.states[k]);
         println!(
             "  root {k}: E = {:+.8} Eh  (ΔE = {:+.4} Eh, <S^2> = {:.3}, {})",
-            roots.energies[k] + ham.e_core,
-            roots.energies[k] - roots.energies[0],
+            roots.energies[k],
+            roots.e_elec[k] - roots.e_elec[0],
             s2k,
             if roots.converged[k] {
                 "converged"

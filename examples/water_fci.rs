@@ -11,8 +11,8 @@
 //! Table 2 on the same Hamiltonian.
 
 use fcix::core::{solve, DiagMethod, DiagOptions, FciOptions};
-use fcix::ints::{detect_point_group, overlap, BasisSet, Molecule};
-use fcix::scf::{rhf, symmetry_adapt, transform_integrals, RhfOptions};
+use fcix::ints::{BasisSet, Molecule};
+use fcix::scf::{active_space, Orbitals};
 
 fn main() {
     let mol = Molecule::from_symbols_bohr(
@@ -24,31 +24,12 @@ fn main() {
         0,
     );
     let basis = BasisSet::build(&mol, "sto-3g");
-    let pg = detect_point_group(&mol);
-    println!(
-        "point group       : {} ({} irreps)",
-        pg.name(),
-        pg.n_irrep()
-    );
-
-    let scf = rhf(&mol, &basis, &RhfOptions::default());
-    assert!(scf.converged);
-    println!("RHF energy        : {:+.8} Eh", scf.energy);
-
-    let s = overlap(&basis);
-    let (c_adapted, irreps) = symmetry_adapt(&pg, &basis, &s, &scf.mo_coeffs);
-    println!("orbital irreps    : {irreps:?}");
-
     // Freeze the O 1s core; keep the remaining 6 orbitals active.
-    let mo = transform_integrals(
-        &scf.h_ao,
-        &scf.eri_ao,
-        &c_adapted,
-        mol.nuclear_repulsion(),
-        1,
-        6,
-    )
-    .with_symmetry(irreps[1..7].to_vec(), pg.n_irrep());
+    let a = active_space(&mol, &basis, Orbitals::Rhf, 1, Some(6), true);
+    let (mo, (e_rhf, _)) = (a.mo, a.scf.expect("RHF converges for water"));
+    println!("point group       : {} ({} irreps)", a.group, mo.n_irrep);
+    println!("RHF energy        : {e_rhf:+.8} Eh");
+    println!("active irreps     : {:?}", mo.orb_sym);
 
     println!(
         "\n{:>14} {:>7} {:>11} {:>16}",
@@ -75,7 +56,7 @@ fn main() {
         );
         if method == DiagMethod::AutoAdjust {
             assert!(r.converged);
-            println!("\ncorrelation energy: {:+.6} Eh", r.energy - scf.energy);
+            println!("\ncorrelation energy: {:+.6} Eh", r.energy - e_rhf);
             println!("CI dimension      : {} (sector {})", r.dim, r.sector_dim);
         }
     }

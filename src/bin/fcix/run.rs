@@ -30,18 +30,22 @@
 //! checkpoint water.ckp    # optional: save the converged CI vector
 //! ```
 //!
+//! The orbitals follow `fci_scf::Orbitals::Rhf`: closed-shell RHF when the
+//! molecule's electron count is even (open-shell states included), core-
+//! Hamiltonian orbitals when it is odd or the SCF does not converge.
+//! A `checkpoint` path is relative to the working directory.
+//!
 //! The energy line is labelled with the CI level (`E(FCI)`, `E(CISD)`,
 //! …); with `roots` > 1 the listed states are those of the same
 //! truncated space. Exit status 1 when the input is bad or the solve
 //! does not converge.
 
 use fcix::core::{
-    build_space, diagonalize_roots, lowest_det_irrep, s_squared, save_ci, solve_prepared,
-    DiagMethod, DiagOptions, FciOptions, Hamiltonian, PoolParams, SigmaCtx, SigmaMethod,
+    build_space, lowest_det_irrep, s_squared, save_ci, solve_prepared, solve_roots_prepared,
+    DiagMethod, DiagOptions, FciOptions, Hamiltonian, SigmaMethod,
 };
-use fcix::ddi::{Backend, Ddi};
-use fcix::ints::{detect_point_group, overlap, BasisSet, Molecule};
-use fcix::scf::{core_orbitals, rhf, symmetry_adapt, transform_integrals, RhfOptions};
+use fcix::ints::{BasisSet, Molecule};
+use fcix::scf::{active_space, Orbitals};
 
 use crate::Args;
 
@@ -196,74 +200,44 @@ fn calculate(inp: &Input) -> Result<(), String> {
         other => return Err(format!("unknown unit {other}")),
     };
     let basis = BasisSet::build(&mol, &inp.basis);
+    let nelec = mol.n_electrons();
     println!(
-        "molecule          : {} atoms, charge {}, {} electrons",
+        "molecule          : {} atoms, charge {}, {nelec} electrons",
         mol.atoms.len(),
-        inp.charge,
-        mol.n_electrons()
+        inp.charge
     );
     println!(
         "basis             : {} ({} Cartesian AOs)",
         inp.basis,
         basis.n_basis()
     );
-
-    // Orbitals: RHF for even electron counts, core orbitals otherwise.
-    let nelec = mol.n_electrons();
-    let (c, e_scf, h_ao, eri_ao) = if nelec % 2 == 0 {
-        let r = rhf(&mol, &basis, &RhfOptions::default());
-        if r.converged {
-            println!(
-                "RHF energy        : {:+.8} Eh ({} iterations)",
-                r.energy, r.iterations
-            );
-            (r.mo_coeffs, Some(r.energy), r.h_ao, r.eri_ao)
-        } else {
-            println!(
-                "RHF did not converge; falling back to core orbitals (FCI is orbital-invariant)"
-            );
-            let (c, _) = core_orbitals(&basis, &mol);
-            (c, None, r.h_ao, r.eri_ao)
-        }
-    } else {
-        println!("odd electron count: using core-Hamiltonian orbitals");
-        let (c, _) = core_orbitals(&basis, &mol);
-        let h = {
-            let mut t = fcix::ints::kinetic(&basis);
-            t.axpy(1.0, &fcix::ints::nuclear_attraction(&basis, &mol));
-            t
-        };
-        (c, None, h, fcix::ints::eri_tensor(&basis))
-    };
-
-    let (c, irreps, n_irrep) = if inp.symmetry {
-        let pg = detect_point_group(&mol);
-        let s = overlap(&basis);
-        let (cad, irr) = symmetry_adapt(&pg, &basis, &s, &c);
-        println!(
-            "point group       : {} ({} irreps)",
-            pg.name(),
-            pg.n_irrep()
-        );
-        (cad, irr, pg.n_irrep())
-    } else {
-        (c, vec![0u8; basis.n_basis()], 1)
-    };
-
-    let n_active = inp.active.unwrap_or(basis.n_basis() - inp.frozen);
-    let mo = transform_integrals(
-        &h_ao,
-        &eri_ao,
-        &c,
-        mol.nuclear_repulsion(),
+    let a = active_space(
+        &mol,
+        &basis,
+        Orbitals::Rhf,
         inp.frozen,
-        n_active,
-    )
-    .with_symmetry(irreps[inp.frozen..inp.frozen + n_active].to_vec(), n_irrep);
+        inp.active,
+        inp.symmetry,
+    );
+    match a.scf {
+        Some((e, iterations)) => {
+            println!("RHF energy        : {e:+.8} Eh ({iterations} iterations)")
+        }
+        None if nelec % 2 == 0 => println!(
+            "RHF did not converge; falling back to core orbitals (FCI is orbital-invariant)"
+        ),
+        None => println!("odd electron count: using core-Hamiltonian orbitals"),
+    }
+    if inp.symmetry {
+        println!("point group       : {} ({} irreps)", a.group, a.mo.n_irrep);
+    }
     let n_act_elec = nelec - 2 * inp.frozen;
     let na = inp.alpha.unwrap_or(n_act_elec.div_ceil(2));
     let nb = inp.beta.unwrap_or(n_act_elec - na);
-    println!("active space      : {n_act_elec} electrons ({na}α, {nb}β) in {n_active} orbitals");
+    println!(
+        "active space      : {n_act_elec} electrons ({na}α, {nb}β) in {} orbitals",
+        a.mo.n_orb
+    );
 
     let opts = FciOptions {
         nproc: inp.msps,
@@ -278,7 +252,7 @@ fn calculate(inp: &Input) -> Result<(), String> {
     };
     // One Hamiltonian and one (possibly truncated) space serve the
     // irrep choice, the single-root solve and the roots.
-    let ham = Hamiltonian::new(&mo);
+    let ham = Hamiltonian::new(&a.mo);
     let irrep = lowest_det_irrep(&ham, na, nb);
     let space = build_space(&ham, na, nb, irrep, inp.excitation);
     let r = solve_prepared(&space, &ham, &opts);
@@ -293,7 +267,7 @@ fn calculate(inp: &Input) -> Result<(), String> {
         .map_or("fci", |(n, _)| n)
         .to_ascii_uppercase();
     println!("{:<18}: {:+.10} Eh", format!("E({level})"), r.energy);
-    if let Some(e) = e_scf {
+    if let Some((e, _)) = a.scf {
         println!("correlation energy: {:+.8} Eh", r.energy - e);
     }
     let total = r.sigma_cost.total();
@@ -305,21 +279,15 @@ fn calculate(inp: &Input) -> Result<(), String> {
         total.tflops()
     );
     if inp.roots > 1 {
-        let ddi = Ddi::new(inp.msps, Backend::Serial);
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &opts.machine,
-            pool: PoolParams::default(),
-        };
-        let roots = diagonalize_roots(
-            &ctx,
-            inp.sigma,
-            &DiagOptions {
-                tol: inp.tol.max(1e-7),
-                max_iter: inp.maxiter,
-                ..Default::default()
+        let roots = solve_roots_prepared(
+            &space,
+            &ham,
+            &FciOptions {
+                diag: DiagOptions {
+                    tol: inp.tol.max(1e-7),
+                    ..opts.diag
+                },
+                ..opts
             },
             inp.roots,
         );
@@ -328,8 +296,8 @@ fn calculate(inp: &Input) -> Result<(), String> {
             let s2 = s_squared(&space, &roots.states[k]);
             println!(
                 "  root {k}: E = {:+.10} Eh  (ΔE = {:+.6}, <S^2> = {:.3}, {})",
-                roots.energies[k] + ham.e_core,
-                roots.energies[k] - roots.energies[0],
+                roots.energies[k],
+                roots.e_elec[k] - roots.e_elec[0],
                 s2,
                 if roots.converged[k] {
                     "converged"

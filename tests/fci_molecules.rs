@@ -5,22 +5,29 @@
 use fcix::core::{slater, solve, DetSpace, FciOptions, Hamiltonian, SigmaMethod};
 use fcix::ints::{detect_point_group, overlap, BasisSet, Molecule};
 use fcix::linalg::eigh;
-use fcix::scf::{core_orbitals, rhf, symmetry_adapt, transform_integrals, MoIntegrals, RhfOptions};
+use fcix::scf::{
+    active_space, core_orbitals, rhf, symmetry_adapt, transform_integrals, MoIntegrals, Orbitals,
+    RhfOptions,
+};
+
+/// Integrals of `mol` in `basis` over converged RHF orbitals, with the
+/// RHF energy: `frozen` core orbitals, then `active` (`None` = the rest).
+fn rhf_mo(mol: &Molecule, basis: &str, frozen: usize, active: Option<usize>) -> (MoIntegrals, f64) {
+    let a = active_space(
+        mol,
+        &BasisSet::build(mol, basis),
+        Orbitals::Rhf,
+        frozen,
+        active,
+        false,
+    );
+    let (e_rhf, _) = a.scf.expect("RHF converges");
+    (a.mo, e_rhf)
+}
 
 fn h2_mo(r: f64) -> (MoIntegrals, f64) {
     let mol = Molecule::from_symbols_bohr(&[("H", [0.0, 0.0, 0.0]), ("H", [0.0, 0.0, r])], 0);
-    let basis = BasisSet::build(&mol, "sto-3g");
-    let scf = rhf(&mol, &basis, &RhfOptions::default());
-    assert!(scf.converged);
-    let mo = transform_integrals(
-        &scf.h_ao,
-        &scf.eri_ao,
-        &scf.mo_coeffs,
-        mol.nuclear_repulsion(),
-        0,
-        2,
-    );
-    (mo, scf.energy)
+    rhf_mo(&mol, "sto-3g", 0, None)
 }
 
 fn dense_ground(mo: &MoIntegrals, na: usize, nb: usize) -> f64 {
@@ -59,14 +66,10 @@ fn h2_triplet_above_singlet() {
 #[test]
 fn helium_fci_below_scf() {
     let mol = Molecule::from_symbols_bohr(&[("He", [0.0; 3])], 0);
-    let basis = BasisSet::build(&mol, "svp");
-    let scf = rhf(&mol, &basis, &RhfOptions::default());
-    assert!(scf.converged);
-    let n = basis.n_basis();
-    let mo = transform_integrals(&scf.h_ao, &scf.eri_ao, &scf.mo_coeffs, 0.0, 0, n);
+    let (mo, e_rhf) = rhf_mo(&mol, "svp", 0, None);
     let r = solve(&mo, 1, 1, 0, &FciOptions::default());
     assert!(r.converged);
-    assert!(r.energy < scf.energy);
+    assert!(r.energy < e_rhf);
     // He exact nonrelativistic energy is −2.9037 Eh — a strict lower
     // bound for any variational method in a finite basis.
     assert!(r.energy > -2.9037);
@@ -83,16 +86,7 @@ fn h4_chain_fci_matches_dense() {
         ],
         0,
     );
-    let basis = BasisSet::build(&mol, "sto-3g");
-    let scf = rhf(&mol, &basis, &RhfOptions::default());
-    let mo = transform_integrals(
-        &scf.h_ao,
-        &scf.eri_ao,
-        &scf.mo_coeffs,
-        mol.nuclear_repulsion(),
-        0,
-        4,
-    );
+    let (mo, _) = rhf_mo(&mol, "sto-3g", 0, None);
     let exact = dense_ground(&mo, 2, 2);
     for sigma in [SigmaMethod::Dgemm, SigmaMethod::Moc] {
         let r = solve(
@@ -124,23 +118,13 @@ fn water_frozen_core_fci() {
         ],
         0,
     );
-    let basis = BasisSet::build(&mol, "sto-3g");
-    let scf = rhf(&mol, &basis, &RhfOptions::default());
-    assert!(scf.converged);
-    let mo = transform_integrals(
-        &scf.h_ao,
-        &scf.eri_ao,
-        &scf.mo_coeffs,
-        mol.nuclear_repulsion(),
-        1,
-        6,
-    );
+    let (mo, e_rhf) = rhf_mo(&mol, "sto-3g", 1, Some(6));
     let r = solve(&mo, 4, 4, 0, &FciOptions::default());
     assert!(r.converged);
     let exact = dense_ground(&mo, 4, 4);
     assert!((r.energy - exact).abs() < 1e-8);
     // Frozen-core correlation of water/STO-3G is a few tens of mEh.
-    let corr = r.energy - scf.energy;
+    let corr = r.energy - e_rhf;
     assert!(corr < -0.02 && corr > -0.15, "corr = {corr}");
 }
 
@@ -190,14 +174,7 @@ fn open_shell_oxygen_like_runs() {
     // freezing; use 3α+1β in the 4 valence orbitals: an O-like open shell)
     let mol = Molecule::from_symbols_bohr(&[("O", [0.0; 3])], 0);
     let basis = BasisSet::build(&mol, "sto-3g");
-    let (c, _) = core_orbitals(&basis, &mol);
-    let h = {
-        let mut t = fcix::ints::kinetic(&basis);
-        t.axpy(1.0, &fcix::ints::nuclear_attraction(&basis, &mol));
-        t
-    };
-    let eri = fcix::ints::eri_tensor(&basis);
-    let mo = transform_integrals(&h, &eri, &c, 0.0, 1, 4);
+    let mo = active_space(&mol, &basis, Orbitals::Core, 1, Some(4), false).mo;
     let r = solve(&mo, 4, 2, 0, &FciOptions::default());
     assert!(r.converged);
     let exact = dense_ground(&mo, 4, 2);

@@ -17,8 +17,8 @@
 
 use fcix::core::slater::dense_h;
 use fcix::core::{
-    apply_sigma, diagonalize, diagonalize_roots, random_symmetric_hamiltonian, DetSpace,
-    DiagMethod, DiagOptions, Hamiltonian, PoolParams, SigmaCtx, SigmaMethod,
+    apply_sigma, diagonalize, random_symmetric_hamiltonian, solve_roots_prepared, DetSpace,
+    DiagMethod, DiagOptions, FciOptions, Hamiltonian, PoolParams, SigmaCtx, SigmaMethod,
 };
 use fcix::ddi::{Backend, CommStats, Ddi, DistMatrix};
 use fcix::fault::Xorshift64;
@@ -325,8 +325,13 @@ fn solvers_reach_the_sector_ground_state_in_every_irrep() {
                     r.converged
                 );
             }
-            let r = diagonalize_roots(&ctx, SigmaMethod::Dgemm, &opts, 2);
-            for (root, (e, want)) in r.energies.iter().zip(&exact).enumerate() {
+            let roots = FciOptions {
+                nproc: 2,
+                diag: opts,
+                ..FciOptions::default()
+            };
+            let r = solve_roots_prepared(&space, &ham, &roots, 2);
+            for (root, (e, want)) in r.e_elec.iter().zip(&exact).enumerate() {
                 assert!(
                     r.converged[root] && (e - want).abs() < 1e-8,
                     "{n_irrep} irreps, target {target}, root {root}: {e} vs {want}"

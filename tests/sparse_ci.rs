@@ -6,15 +6,17 @@
 
 use fcix::core::{slater, solve, DetSpace, DiagMethod, FciOptions, Hamiltonian};
 use fcix::fault::Xorshift64;
-use fcix::ints::{detect_point_group, overlap, BasisSet, Molecule};
+use fcix::ints::{BasisSet, Molecule};
 use fcix::linalg::eigh;
-use fcix::scf::{rhf, symmetry_adapt, transform_integrals, MoIntegrals, RhfOptions, RhfResult};
+use fcix::scf::{active_space, MoIntegrals, Orbitals};
 use fcix::sparse::{
     exc_element, solve_cdfci, solve_selected, ConnGen, Det, SparseOptions, SparseResult,
 };
 
-/// Water / STO-3G at the RHF solution.
-fn water_rhf() -> (Molecule, BasisSet, RhfResult) {
+/// Water / STO-3G in RHF orbitals with the oxygen 1s frozen (225
+/// determinants), in C2v symmetry-adapted orbitals with their irreps when
+/// `symmetry`.
+fn water(symmetry: bool) -> MoIntegrals {
     let mol = Molecule::from_symbols_bohr(
         &[
             ("O", [0.0, 0.0, 0.0]),
@@ -24,31 +26,9 @@ fn water_rhf() -> (Molecule, BasisSet, RhfResult) {
         0,
     );
     let basis = BasisSet::build(&mol, "sto-3g");
-    let scf = rhf(&mol, &basis, &RhfOptions::default());
-    assert!(scf.converged);
-    (mol, basis, scf)
-}
-
-/// Water / STO-3G with the oxygen 1s frozen: 225 determinants.
-fn water_mo() -> MoIntegrals {
-    let (mol, _, scf) = water_rhf();
-    transform_integrals(
-        &scf.h_ao,
-        &scf.eri_ao,
-        &scf.mo_coeffs,
-        mol.nuclear_repulsion(),
-        1,
-        6,
-    )
-}
-
-/// The same, in C2v symmetry-adapted orbitals with their irreps.
-fn water_c2v_mo() -> MoIntegrals {
-    let (mol, basis, scf) = water_rhf();
-    let pg = detect_point_group(&mol);
-    let (cad, irreps) = symmetry_adapt(&pg, &basis, &overlap(&basis), &scf.mo_coeffs);
-    transform_integrals(&scf.h_ao, &scf.eri_ao, &cad, mol.nuclear_repulsion(), 1, 6)
-        .with_symmetry(irreps[1..7].to_vec(), pg.n_irrep())
+    let a = active_space(&mol, &basis, Orbitals::Rhf, 1, Some(6), symmetry);
+    assert!(a.scf.is_some());
+    a.mo
 }
 
 fn dense_spectrum(mo: &MoIntegrals, na: usize, nb: usize) -> Vec<f64> {
@@ -110,7 +90,7 @@ fn hubbard_chain_sparse_engines_match_dense_fci() {
 
 #[test]
 fn water_frozen_core_sparse_matches_dense() {
-    let mo = water_mo();
+    let mo = water(false);
     let ham = Hamiltonian::new(&mo);
     let space = DetSpace::for_hamiltonian(&ham, 4, 4, 0);
     let exact = dense_spectrum(&mo, 4, 4)[0];
@@ -182,7 +162,7 @@ fn selected_excited_roots_match_multiroot_davidson() {
 
 #[test]
 fn sparse_energies_bitwise_reproducible_across_thread_counts() {
-    let mo = water_mo();
+    let mo = water(false);
     let ham = Hamiltonian::new(&mo);
     let space = DetSpace::for_hamiltonian(&ham, 4, 4, 0);
     // Property: for T ∈ {1, 2, 4}, every reported energy is the same
@@ -350,7 +330,7 @@ fn walker_emits_the_full_enumerations_sequence() {
         assert_eq!(check("Hubbard", &space, &ham, cut), connections);
     }
 
-    let mo = water_c2v_mo();
+    let mo = water(true);
     let ham = Hamiltonian::new(&mo);
     for irrep in 0..mo.n_irrep as u8 {
         let space = DetSpace::for_hamiltonian(&ham, 4, 4, irrep);

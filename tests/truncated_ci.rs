@@ -5,27 +5,33 @@
 use fcix::core::{slater, solve, DetSpace, DiagMethod, FciOptions, Hamiltonian};
 use fcix::ints::{BasisSet, Molecule};
 use fcix::linalg::{eigh, Matrix};
-use fcix::scf::{rhf, transform_integrals, RhfOptions};
+use fcix::scf::{active_space, MoIntegrals, Orbitals};
 
-fn h2_mo(r: f64) -> (fcix::scf::MoIntegrals, f64) {
-    let mol = Molecule::from_symbols_bohr(&[("H", [0.0, 0.0, 0.0]), ("H", [0.0, 0.0, r])], 0);
-    let basis = BasisSet::build(&mol, "sto-3g");
-    let scf = rhf(&mol, &basis, &RhfOptions::default());
-    assert!(scf.converged);
-    let mo = transform_integrals(
-        &scf.h_ao,
-        &scf.eri_ao,
-        &scf.mo_coeffs,
-        mol.nuclear_repulsion(),
+/// All-electron, all-orbital integrals of `mol` / STO-3G in converged
+/// RHF orbitals, with the RHF energy.
+fn rhf_mo(mol: &Molecule) -> (MoIntegrals, f64) {
+    let a = active_space(
+        mol,
+        &BasisSet::build(mol, "sto-3g"),
+        Orbitals::Rhf,
         0,
-        2,
+        None,
+        false,
     );
-    (mo, scf.energy)
+    let (e_rhf, _) = a.scf.expect("RHF converges");
+    (a.mo, e_rhf)
+}
+
+fn h2_mo(r: f64) -> (MoIntegrals, f64) {
+    rhf_mo(&Molecule::from_symbols_bohr(
+        &[("H", [0.0, 0.0, 0.0]), ("H", [0.0, 0.0, r])],
+        0,
+    ))
 }
 
 /// Two H2 molecules separated by `d` along x, bond length 1.4.
-fn h2_dimer_mo(d: f64) -> fcix::scf::MoIntegrals {
-    let mol = Molecule::from_symbols_bohr(
+fn h2_dimer_mo(d: f64) -> MoIntegrals {
+    rhf_mo(&Molecule::from_symbols_bohr(
         &[
             ("H", [0.0, 0.0, 0.0]),
             ("H", [0.0, 0.0, 1.4]),
@@ -33,18 +39,8 @@ fn h2_dimer_mo(d: f64) -> fcix::scf::MoIntegrals {
             ("H", [d, 0.0, 1.4]),
         ],
         0,
-    );
-    let basis = BasisSet::build(&mol, "sto-3g");
-    let scf = rhf(&mol, &basis, &RhfOptions::default());
-    assert!(scf.converged);
-    transform_integrals(
-        &scf.h_ao,
-        &scf.eri_ao,
-        &scf.mo_coeffs,
-        mol.nuclear_repulsion(),
-        0,
-        4,
-    )
+    ))
+    .0
 }
 
 #[test]
@@ -192,27 +188,42 @@ fn cisd_size_consistency_failure() {
     );
 }
 
+/// `fcix run` on `input` (the built-in demo when `None`) in a fresh
+/// temporary directory, where an input's `checkpoint` file lands.
+/// Returns the run's stdout; panics unless the run succeeds.
+fn fcix_run(name: &str, input: Option<&str>) -> String {
+    let dir = std::env::temp_dir().join(format!("fcix-cli-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_fcix"));
+    cmd.arg("run").current_dir(&dir);
+    match input {
+        Some(text) => {
+            std::fs::write(dir.join("input.inp"), text).expect("write input");
+            cmd.arg("input.inp");
+        }
+        None => {
+            cmd.arg("--demo");
+        }
+    }
+    let out = cmd.output().expect("spawn fcix");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(out.status.success(), "fcix run {name} failed:\n{stdout}");
+    stdout
+}
+
+/// The text of `examples/inputs/NAME`.
+fn shipped_input(name: &str) -> String {
+    let path = format!("{}/examples/inputs/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
 /// `fcix run` with `ci cisd` and `roots 2` lists the states of the CISD
 /// space: root 0 is the single-root CISD energy, not the full-FCI one.
 #[test]
 fn cli_roots_stay_in_the_truncated_space() {
-    let dir = std::env::temp_dir().join(format!("fcix-cli-cisd-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let input = dir.join("water_cisd_roots.inp");
-    let example = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/examples/inputs/water_cisd.inp"
-    );
-    let base = std::fs::read_to_string(example).expect("read example input");
-    std::fs::write(&input, format!("{base}roots 2\n")).expect("write input");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fcix"))
-        .arg("run")
-        .arg(&input)
-        .output()
-        .expect("spawn fcix");
-    let _ = std::fs::remove_dir_all(&dir);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "fcix run failed:\n{stdout}");
+    let input = format!("{}roots 2\n", shipped_input("water_cisd.inp"));
+    let stdout = fcix_run("cisd-roots", Some(&input));
     // The first number on the line that starts with `prefix`.
     let energy = |prefix: &str| -> f64 {
         let line = stdout
@@ -229,4 +240,36 @@ fn cli_roots_stay_in_the_truncated_space() {
         (root0 - single).abs() <= 1e-10,
         "root 0 {root0} vs single-root CISD {single}"
     );
+}
+
+/// `fcix run` succeeds on the built-in demo and on every input under
+/// `examples/inputs/`, and prints each one's energy line digit for digit.
+#[test]
+fn cli_runs_every_shipped_input() {
+    const PINS: [(&str, &str); 4] = [
+        ("--demo", "E(FCI)            : -75.0125592780 Eh"),
+        ("water_fci.inp", "E(FCI)            : -75.0125592780 Eh"),
+        ("water_cisd.inp", "E(CISD)           : -75.0118537254 Eh"),
+        (
+            "o_atom_triplet.inp",
+            "E(FCI)            : -73.9344636276 Eh",
+        ),
+    ];
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/inputs");
+    for entry in std::fs::read_dir(dir).expect("list inputs") {
+        let name = entry.expect("dir entry").file_name();
+        let name = name.to_string_lossy();
+        assert!(
+            PINS.iter().any(|(pinned, _)| *pinned == name),
+            "examples/inputs/{name} has no pinned energy line"
+        );
+    }
+    for (name, line) in PINS {
+        let input = (name != "--demo").then(|| shipped_input(name));
+        let stdout = fcix_run(name.trim_start_matches('-'), input.as_deref());
+        assert!(
+            stdout.lines().any(|l| l == line),
+            "{name}: no `{line}` in:\n{stdout}"
+        );
+    }
 }
