@@ -125,8 +125,8 @@ fn all() -> ExitCode {
 fn gate_status(failed: bool) -> ExitCode {
     if failed {
         eprintln!(
-            "fcix-repro: the dense reference did not converge, or a sparse engine \
-             missed it by more than {GATE_MHA} mHa"
+            "fcix-repro: a solve behind an E(FCI) or the dense reference did not \
+             converge, or a sparse engine missed it by more than {GATE_MHA} mHa"
         );
         ExitCode::FAILURE
     } else {
@@ -308,16 +308,17 @@ fn table2(o: &mut Out) {
             sys.space.dim().to_string(),
             sys.space.sector_dim().to_string(),
         ];
-        let mut energy = f64::NAN;
+        let mut last_converged = None;
         for (_, method) in METHODS {
             let r = sys.solve(1, method, paper_tol());
             if r.converged {
                 cells.push(r.iterations.to_string());
-                energy = r.energy;
+                last_converged = Some(r);
             } else {
                 cells.push("NC".into());
             }
         }
+        let energy = fci_energy(o, &sys.name, last_converged.as_ref());
         cells.push(format!("{energy:.8}"));
         t.row(o, &cells);
         if let Some(e_scf) = sys.e_scf {
@@ -428,9 +429,10 @@ fn table3(o: &mut Out) {
         "Iterations",
         r.iterations
     );
-    say!(o, "{:<22} {:.8} Eh", "E(FCI)", r.energy);
+    let energy = fci_energy(o, "C2", Some(&r));
+    say!(o, "{:<22} {energy:.8} Eh", "E(FCI)");
     if let Some(e) = sys.e_scf {
-        say!(o, "{:<22} {e:.8} Eh (corr {:.6})", "E(RHF)", r.energy - e);
+        say!(o, "{:<22} {e:.8} Eh (corr {:.6})", "E(RHF)", energy - e);
     }
 }
 
@@ -793,8 +795,8 @@ fn hubbard_chain(sites: usize) -> (DetSpace, Hamiltonian) {
 const DENSE_MAX_ITER: usize = 300;
 
 /// The chain's dense FCI energy (Davidson — lattice diagonals are
-/// degenerate), said on the accuracy line; a solve that stops
-/// unconverged marks `o` failed.
+/// degenerate), said on the accuracy line: NaN, and `o` marked failed,
+/// if the solve stops unconverged.
 fn dense_reference(o: &mut Out, space: &DetSpace, ham: &Hamiltonian, max_iter: usize) -> f64 {
     let opts = FciOptions {
         method: DiagMethod::Davidson,
@@ -805,22 +807,27 @@ fn dense_reference(o: &mut Out, space: &DetSpace, ham: &Hamiltonian, max_iter: u
         ..FciOptions::default()
     };
     let r = solve_prepared(space, ham, &opts);
+    let e = fci_energy(o, "the dense reference", Some(&r));
     say!(
         o,
-        "accuracy: {}-site chain, {} determinants, dense E = {:.9}",
+        "accuracy: {}-site chain, {} determinants, dense E = {e:.9}",
         ham.n,
-        space.sector_dim(),
-        r.energy
+        space.sector_dim()
     );
-    if !r.converged {
-        say!(
-            o,
-            "FAIL: the dense reference did not converge in {} iterations",
-            r.iterations
-        );
-        o.failed = true;
+    e
+}
+
+/// An energy fcix-repro may print as FCI: `r`'s if it converged.
+/// Otherwise a FAIL line naming `what`, `o` marked failed, and NaN.
+fn fci_energy(o: &mut Out, what: &str, r: Option<&FciResult>) -> f64 {
+    match r {
+        Some(r) if r.converged => r.energy,
+        _ => {
+            say!(o, "FAIL: {what} has no converged solve, so no FCI energy");
+            o.failed = true;
+            f64::NAN
+        }
     }
-    r.energy
 }
 
 /// Say whether both engines' errors pass [`GATE_MHA`]; mark `o` failed if not.
@@ -1006,6 +1013,13 @@ mod tests {
         let mut o = Out::default();
         dense_reference(&mut o, &space, &ham, DENSE_MAX_ITER);
         assert!(!o.failed, "{}", o.text);
+    }
+
+    #[test]
+    fn a_table_row_with_no_converged_solve_fails_the_output() {
+        let mut o = Out::default();
+        assert!(fci_energy(&mut o, "X", None).is_nan());
+        assert!(o.failed && o.text.starts_with("FAIL"), "{}", o.text);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! *single* current vector once per iteration so a crashed job can resume.
 //! This module provides that: a flat little-endian f64 container with a
 //! header recording the CI matrix shape, plus restart plumbing (the
-//! crate's `diagonalize_from` accepts the loaded vector; the resilient
+//! crate's `diagonalize_with` starts from the loaded vector; the resilient
 //! driver in [`crate::recovery`] resumes through it).
 //!
 //! The file holds the full β × α product, zeros outside the symmetry
@@ -149,7 +149,7 @@ pub fn load_ci(path: &Path, space: &DetSpace, nproc: usize) -> io::Result<DistMa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::{diagonalize, diagonalize_from, DiagMethod, DiagOptions};
+    use crate::diag::{diagonalize, diagonalize_with, preconditioner, DiagMethod, DiagOptions};
     use crate::hamiltonian::random_hamiltonian;
     use crate::sigma::{SigmaCtx, SigmaMethod};
     use crate::taskpool::PoolParams;
@@ -365,11 +365,12 @@ mod tests {
         save_ci(&path, &wrong).unwrap();
         let err = load_ci(&path, &space, 2).unwrap_err();
         assert!(err.to_string().contains("shape does not match"), "{err}");
-        diagonalize_from(
+        diagonalize_with(
             &ctx,
             SigmaMethod::Dgemm,
             DiagMethod::AutoAdjust,
             &DiagOptions::default(),
+            &preconditioner(&ctx, DiagOptions::default().model_space),
             wrong,
         );
     }
@@ -411,11 +412,12 @@ mod tests {
         let path = tmpdir().join("restart.ckp");
         save_ci(&path, &partial.c).unwrap();
         let c0 = load_ci(&path, &space, 2).unwrap();
-        let resumed = diagonalize_from(
+        let resumed = diagonalize_with(
             &ctx,
             SigmaMethod::Dgemm,
             DiagMethod::AutoAdjust,
             &DiagOptions::default(),
+            &preconditioner(&ctx, DiagOptions::default().model_space),
             c0,
         );
         assert!(resumed.converged);

@@ -27,8 +27,9 @@ use crate::multiroot::block_davidson;
 use crate::sigma::{apply_sigma, SigmaBreakdown, SigmaCtx, SigmaMethod};
 use crate::slater;
 use fci_ddi::DistMatrix;
-use fci_linalg::{eigh_2x2, lu_solve, Matrix};
+use fci_linalg::{daxpy, ddot, eigh, eigh_2x2, Eigh, Matrix};
 use fci_obs::{Category, Tracer};
+use std::sync::Arc;
 
 /// Which update scheme drives the iteration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,7 +102,28 @@ pub struct Preconditioner {
     diag: DistMatrix,
     /// Model determinants as (row, col) into the CI matrix.
     dets: Vec<(usize, usize)>,
-    h_mm: Matrix,
+    /// Eigenpairs of the model-space block `H_MM`, factored once: every
+    /// correction and the model-space guesses read them.
+    model: Eigh,
+}
+
+/// The regularization δ of the model-space solve `(H_MM − E + δ)⁻¹`.
+/// Near convergence E approaches the lowest eigenvalue of `H_MM`: the
+/// unshifted solve amplifies by ~1/gap and the later
+/// ⟨C|t⟩-orthogonalization then cancels catastrophically, stalling the
+/// residual just above tight thresholds.
+const MODEL_SHIFT: f64 = 1e-3;
+
+/// `val / den`, with `den` kept at least 1e-8 from zero; a non-finite
+/// `den` (a determinant a truncation excludes) gives zero.
+fn divide(val: f64, den: f64) -> f64 {
+    if !den.is_finite() {
+        0.0
+    } else if den.abs() < 1e-8 {
+        val / (1e-8 * den.signum().clamp(-1.0, 1.0))
+    } else {
+        val / den
+    }
 }
 
 impl Preconditioner {
@@ -124,75 +146,51 @@ impl Preconditioner {
             }
         });
         let dets: Vec<(usize, usize)> = best.iter().map(|&(_, ib, ia)| (ib, ia)).collect();
-        let m = dets.len();
-        let mut h_mm = Matrix::zeros(m, m);
-        for (i, &(ib, ia)) in dets.iter().enumerate() {
-            for (j, &(jb, ja)) in dets.iter().enumerate() {
-                h_mm[(i, j)] = slater::element(
-                    ham,
-                    space.alpha.mask(ia),
-                    space.beta.mask(ib),
-                    space.alpha.mask(ja),
-                    space.beta.mask(jb),
-                );
-            }
-        }
-        Preconditioner { diag, dets, h_mm }
+        let h_mm = Matrix::from_fn(dets.len(), dets.len(), |i, j| {
+            let ((ib, ia), (jb, ja)) = (dets[i], dets[j]);
+            slater::element(
+                ham,
+                space.alpha.mask(ia),
+                space.beta.mask(ib),
+                space.alpha.mask(ja),
+                space.beta.mask(jb),
+            )
+        });
+        let model = eigh(&h_mm);
+        Preconditioner { diag, dets, model }
     }
 
-    /// `x = (H₀ − E)⁻¹ v`. Determinants a truncation excludes (diag = ∞)
-    /// map to zero.
+    /// `x = (H₀ − E)⁻¹ v`: the diagonal outside the model space, and
+    /// `U (Λ − E + δ)⁻¹ Uᵀ v_M` inside it. Determinants a truncation
+    /// excludes (diag = ∞) map to zero.
     pub fn apply(&self, v: &DistMatrix, e: f64) -> DistMatrix {
         let out = v.duplicate();
-        out.map_with(&self.diag, |val, d| {
-            let den = d - e;
-            if !den.is_finite() {
-                0.0
-            } else if den.abs() < 1e-8 {
-                val / (1e-8 * den.signum().clamp(-1.0, 1.0))
-            } else {
-                val / den
-            }
-        });
-        // Exact model-space block: solve (H_MM − E + δ) x_M = v_M. The δ
-        // regularization matters: near convergence E approaches the lowest
-        // eigenvalue of H_MM, the unshifted solve amplifies by ~1/gap and
-        // the later ⟨C|t⟩-orthogonalization then cancels catastrophically,
-        // stalling the residual just above tight thresholds.
-        const MODEL_SHIFT: f64 = 1e-3;
-        let m = self.dets.len();
-        if m > 0 {
-            let vm: Vec<f64> = self.dets.iter().map(|&(ib, ia)| v.get(ib, ia)).collect();
-            let mut a = self.h_mm.clone();
-            for i in 0..m {
-                a[(i, i)] -= e - MODEL_SHIFT;
-            }
-            if let Ok(xm) = lu_solve(&a, &vm) {
-                for (k, &(ib, ia)) in self.dets.iter().enumerate() {
-                    out.set(ib, ia, xm[k]);
-                }
-            }
-            // On a singular solve, keep the diagonal fallback already in
-            // `out` — robustness over elegance.
+        out.map_with(&self.diag, |val, d| divide(val, d - e));
+        // x_M = U (Λ − E + δ)⁻¹ Uᵀ v_M, one eigenvector at a time.
+        let vm: Vec<f64> = self.dets.iter().map(|&(ib, ia)| v.get(ib, ia)).collect();
+        let mut xm = vec![0.0; vm.len()];
+        for (k, &lam) in self.model.eigenvalues.iter().enumerate() {
+            let uk = self.model.eigenvectors.col(k);
+            daxpy(divide(ddot(uk, &vm), lam - e + MODEL_SHIFT), uk, &mut xm);
+        }
+        for (&(ib, ia), x) in self.dets.iter().zip(xm) {
+            out.set(ib, ia, x);
         }
         out
     }
-}
 
-impl Preconditioner {
-    /// The model-space determinants as (row, col) CI-matrix positions.
-    pub fn model_dets(&self) -> &[(usize, usize)] {
-        &self.dets
-    }
-
-    /// The exact model-space Hamiltonian block.
-    pub fn model_block(&self) -> &Matrix {
-        &self.h_mm
-    }
-
-    /// The Hamiltonian diagonal this preconditioner divides by.
-    pub(crate) fn diagonal(&self) -> &DistMatrix {
-        &self.diag
+    /// The `k` lowest model-space eigenvectors embedded in the CI space,
+    /// distributed as the diagonal is.
+    pub(crate) fn model_space_guesses(&self, k: usize) -> Vec<DistMatrix> {
+        (0..k.min(self.dets.len()))
+            .map(|r| {
+                let c = DistMatrix::with_layout(Arc::clone(self.diag.layout()), self.diag.nproc());
+                for (&(ib, ia), &x) in self.dets.iter().zip(self.model.eigenvectors.col(r)) {
+                    c.set(ib, ia, x);
+                }
+                c
+            })
+            .collect()
     }
 }
 
@@ -266,26 +264,20 @@ fn olsen_correction(pre: &Preconditioner, c: &DistMatrix, r: &DistMatrix, e: f64
 
 /// The Hamiltonian diagonal and the preconditioner over it, which a solve
 /// builds once: the diagonal alone costs ≈ 9 ms on C2 FCI(8,13).
-fn preconditioner(ctx: &SigmaCtx, opts: &DiagOptions) -> Preconditioner {
+pub(crate) fn preconditioner(ctx: &SigmaCtx, model_size: usize) -> Preconditioner {
     let diag = ctx.space.diagonal(ctx.ham, ctx.ddi.nproc());
-    Preconditioner::new(ctx.space, ctx.ham, &diag, opts.model_space)
+    Preconditioner::new(ctx.space, ctx.ham, &diag, model_size)
 }
 
 /// The default starting vector: ground vector of the exact model-space
 /// block — the natural start when a model space is in play, and essential
 /// for multireference systems where no single determinant dominates —
 /// falling back to the lowest-diagonal determinant without one.
-fn guess(ctx: &SigmaCtx, pre: &Preconditioner) -> DistMatrix {
-    let nproc = ctx.ddi.nproc();
-    match pre.model_space_guesses(nproc, 1).pop() {
+pub(crate) fn guess(ctx: &SigmaCtx, pre: &Preconditioner) -> DistMatrix {
+    match pre.model_space_guesses(1).pop() {
         Some(c) => c,
-        None => ctx.space.guess(ctx.ham, nproc),
+        None => ctx.space.guess(ctx.ham, ctx.ddi.nproc()),
     }
-}
-
-/// [`guess`] for a solve that has no preconditioner yet.
-pub(crate) fn initial_guess(ctx: &SigmaCtx, opts: &DiagOptions) -> DistMatrix {
-    guess(ctx, &preconditioner(ctx, opts))
 }
 
 /// Run the chosen diagonalizer for the lowest eigenpair of `H − E_core`.
@@ -295,27 +287,15 @@ pub fn diagonalize(
     method: DiagMethod,
     opts: &DiagOptions,
 ) -> DiagResult {
-    let pre = preconditioner(ctx, opts);
+    let pre = preconditioner(ctx, opts.model_space);
     let c0 = guess(ctx, &pre);
     diagonalize_with(ctx, sigma_method, method, opts, &pre, c0)
 }
 
-/// Like [`diagonalize`], but starting from a caller-supplied vector —
-/// e.g. a restored checkpoint (see [`crate::checkpoint`]) or the
-/// converged vector of a nearby geometry.
-pub(crate) fn diagonalize_from(
-    ctx: &SigmaCtx,
-    sigma_method: SigmaMethod,
-    method: DiagMethod,
-    opts: &DiagOptions,
-    c0: DistMatrix,
-) -> DiagResult {
-    let pre = preconditioner(ctx, opts);
-    diagonalize_with(ctx, sigma_method, method, opts, &pre, c0)
-}
-
-/// The diagonalizer from `c0`, preconditioned by `pre`.
-fn diagonalize_with(
+/// The diagonalizer from `c0`, preconditioned by `pre` — a start that is
+/// not the model-space guess (a restored checkpoint, see
+/// [`crate::checkpoint`]), or a preconditioner one world's chunks share.
+pub(crate) fn diagonalize_with(
     ctx: &SigmaCtx,
     sigma_method: SigmaMethod,
     method: DiagMethod,
@@ -553,7 +533,7 @@ fn single_vector(
                     _ => {
                         // First iteration: crude ⟨t|H|t⟩ from the diagonal
                         // ("more crudely estimated", §2.2).
-                        let v = t.dot3(pre.diagonal(), &t);
+                        let v = t.dot3(&pre.diag, &t);
                         let (_w, (x, y)) = eigh_2x2(e, b / tau, v / (tau * tau));
                         (x.abs() > 1e-8).then(|| (y / x) / tau)
                     }
@@ -686,17 +666,38 @@ mod tests {
         let e_test = -50.0; // far from any eigenvalue: well-conditioned
         let x = pre.apply(&v, e_test);
         // Compute (H_MM − E + δ) x over the model space and compare with
-        // v (δ = the solver's 1e-3 regularization shift).
+        // v (δ = the solver's 1e-3 regularization shift), H_MM rebuilt
+        // from the Slater–Condon rules.
+        let mask = |(ib, ia): (usize, usize)| (space.alpha.mask(ia), space.beta.mask(ib));
         let m = pre.dets.len();
         for i in 0..m {
             let mut acc = 0.0;
             for j in 0..m {
+                let ((ai, bi), (aj, bj)) = (mask(pre.dets[i]), mask(pre.dets[j]));
+                let h_ij = slater::element(&ham, ai, bi, aj, bj);
+                let hij = h_ij - if i == j { e_test - 1e-3 } else { 0.0 };
                 let (jb, ja) = pre.dets[j];
-                let hij = pre.h_mm[(i, j)] - if i == j { e_test - 1e-3 } else { 0.0 };
                 acc += hij * x.get(jb, ja);
             }
             let (ibk, iak) = pre.dets[i];
             assert!((acc - v.get(ibk, iak)).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn preconditioner_is_finite_on_every_model_eigenvalue() {
+        // At E = λ_k + δ the shifted block (H_MM − E + δ) is singular:
+        // the near-zero rule must keep every component finite.
+        let ham = random_hamiltonian(4, 23);
+        let space = DetSpace::c1(4, 2, 2);
+        let pre = Preconditioner::new(&space, &ham, &space.diagonal(&ham, 2), 6);
+        let v = space.zeros_ci(2);
+        v.map_inplace(|ib, ia, _| 1.0 + (ib * 5 + ia) as f64 * 0.1);
+        for &lam in &pre.model.eigenvalues {
+            pre.apply(&v, lam + 1e-3).map_inplace(|ib, ia, x| {
+                assert!(x.is_finite(), "x[{ib},{ia}] = {x} at E = {lam} + δ");
+                x
+            });
         }
     }
 

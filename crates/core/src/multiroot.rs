@@ -14,16 +14,16 @@
 //!   root from the model-space guess, the Olsen correction;
 //! * `diagonalize_roots`, behind
 //!   [`solve_roots_prepared`](crate::solver::solve_roots_prepared) — the
-//!   lowest model-space eigenvectors as seeds, [`Preconditioner::apply`];
+//!   lowest model-space eigenvectors as seeds,
+//!   [`Preconditioner::apply`](crate::diag::Preconditioner::apply);
 //! * `fci-sparse`'s selected CI — a CSR mat-vec over the selected space,
 //!   the diagonal correction.
 
-use crate::diag::{projected_sigma, DiagOptions, IterTrace, Preconditioner};
+use crate::diag::{preconditioner, projected_sigma, DiagOptions, IterTrace};
 use crate::sigma::{SigmaBreakdown, SigmaCtx, SigmaMethod};
 use fci_ddi::DistMatrix;
 use fci_linalg::{cholesky_lower, eigh, Eigh, Matrix};
 use fci_obs::Tracer;
-use std::sync::Arc;
 
 /// Result of a multi-root diagonalization.
 #[derive(Debug)]
@@ -48,30 +48,18 @@ pub(crate) fn diagonalize_roots(
     nroots: usize,
 ) -> MultiRootResult {
     assert!(nroots >= 1);
-    let space = ctx.space;
-    let nproc = ctx.ddi.nproc();
-    let sector = space.sector_dim();
+    let sector = ctx.space.sector_dim();
     assert!(
         nroots <= sector,
         "asked for {nroots} roots in a {sector}-determinant sector"
     );
-    let diag = space.diagonal(ctx.ham, nproc);
     // A model space at least as large as the root count keeps the seed
     // vectors linearly independent.
-    let pre = Preconditioner::new(
-        space,
-        ctx.ham,
-        &diag,
-        opts.model_space.max(2 * nroots).min(sector),
-    );
-    // Seed with the lowest model-space eigenvectors.
-    let mut seeds = pre.model_space_guesses(nproc, nroots);
-    if seeds.is_empty() {
-        seeds.push(space.guess(ctx.ham, nproc));
-    }
+    let pre = preconditioner(ctx, opts.model_space.max(2 * nroots).min(sector));
     let mut cost = SigmaBreakdown::default();
     let run = block_davidson(
-        seeds,
+        // Seed with the lowest model-space eigenvectors.
+        pre.model_space_guesses(nroots),
         nroots,
         opts.max_subspace.max(4 * nroots),
         opts.max_iter * nroots,
@@ -348,27 +336,6 @@ fn orthonormalize_mgs(v: &mut Vec<DistMatrix>, start: usize) -> usize {
         }
     }
     v.len() - start
-}
-
-impl Preconditioner {
-    /// The `k` lowest model-space eigenvectors embedded in the CI space.
-    pub fn model_space_guesses(&self, nproc: usize, k: usize) -> Vec<DistMatrix> {
-        let dets = self.model_dets();
-        if dets.is_empty() {
-            return Vec::new();
-        }
-        let es = eigh(self.model_block());
-        let layout = self.diagonal().layout();
-        (0..k.min(dets.len()))
-            .map(|r| {
-                let c = DistMatrix::with_layout(Arc::clone(layout), nproc);
-                for (i, &(ib, ia)) in dets.iter().enumerate() {
-                    c.set(ib, ia, es.eigenvectors[(i, r)]);
-                }
-                c
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 
 use crate::checkpoint::{load_ci, save_ci};
 use crate::detspace::DetSpace;
-use crate::diag::{diagonalize_from, initial_guess, DiagOptions};
+use crate::diag::{diagonalize_with, guess, preconditioner, DiagOptions};
 use crate::hamiltonian::Hamiltonian;
 use crate::sigma::{SigmaBreakdown, SigmaCtx};
 use crate::solver::{build_space, fci_result, open_tracer, open_world, FciOptions, FciResult};
@@ -154,10 +154,12 @@ pub fn solve_resilient_prepared(
             model: &model,
             pool: PoolParams::default(),
         };
+        // One preconditioner per world: every chunk of this world reads it.
+        let pre = preconditioner(&ctx, opts.diag.model_space);
         let mut c0 = if have_ckp {
             load_ci(&rec.checkpoint, space, nproc)?
         } else {
-            initial_guess(&ctx, &opts.diag)
+            guess(&ctx, &pre)
         };
         if !have_ckp {
             // Checkpoint the starting vector so a death inside the very
@@ -167,7 +169,7 @@ pub fn solve_resilient_prepared(
         }
         loop {
             let budget = (opts.diag.max_iter - total_iters).min(rec.save_every);
-            let chunk = diagonalize_from(
+            let chunk = diagonalize_with(
                 &ctx,
                 opts.sigma,
                 opts.method,
@@ -175,6 +177,7 @@ pub fn solve_resilient_prepared(
                     max_iter: budget,
                     ..opts.diag
                 },
+                &pre,
                 c0,
             );
             if plan.dead_rank().is_some() {

@@ -87,11 +87,6 @@ pub struct SparseOptions {
     /// Selected CI: number of roots (CDFCI computes the ground state
     /// only and ignores this).
     pub nroots: usize,
-    /// Inner Davidson residual tolerance (selected CI).
-    pub inner_tol: f64,
-    /// Selected CI: each round's inner Davidson stops after
-    /// `inner_max_iter · nroots` σ evaluations.
-    pub inner_max_iter: usize,
     /// Matrix elements with `|H_ij|` at or below this are treated as
     /// zero everywhere (connection emission, CSR assembly).
     pub h_cut: f64,
@@ -110,8 +105,6 @@ impl Default for SparseOptions {
             max_updates: 2_000_000,
             max_outer: 40,
             nroots: 1,
-            inner_tol: 1e-8,
-            inner_max_iter: 200,
             h_cut: 1e-14,
             obs: ObsConfig::off(),
         }

@@ -46,6 +46,11 @@ use fci_core::multiroot::block_davidson;
 use fci_ddi::DistMatrix;
 use fci_obs::Category;
 
+/// Each round's inner Davidson stops at residual norm `INNER_TOL` or
+/// after `INNER_MAX_ITER · nroots` σ evaluations.
+const INNER_TOL: f64 = 1e-8;
+const INNER_MAX_ITER: usize = 200;
+
 /// Selected-CI solve for `opts.nroots` roots.
 pub fn solve_selected(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) -> SparseResult {
     let tracer = tracer_for(&opts.obs);
@@ -87,8 +92,8 @@ pub fn solve_selected(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions)
             warm_start(&prev, &v, &csr.diag, nr),
             nr,
             3 * nr + 9,
-            opts.inner_max_iter * nr,
-            opts.inner_tol,
+            INNER_MAX_ITER * nr,
+            INNER_TOL,
             |x| {
                 let y = DistMatrix::zeros(m, 1, 1);
                 x.with_local(0, |x| {

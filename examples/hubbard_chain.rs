@@ -32,23 +32,35 @@ fn main() {
     let band = eigh(&mo0.h).eigenvalues;
     let e_band: f64 = 2.0 * band[..ne].iter().sum::<f64>();
 
-    let mut u = 0.0;
-    while u <= umax + 1e-9 {
+    let mut unconverged = false;
+    for u in (0..)
+        .map(|k| 2.0 * k as f64)
+        .take_while(|&u| u <= umax + 1e-9)
+    {
         let mo = MoIntegrals::hubbard_chain(sites, 1.0, u, false);
         // Lattice diagonals are highly degenerate: use the Davidson
         // subspace method (the single-vector schemes presume a dominant
         // reference determinant — fine for molecules, not for lattices).
+        // The residual stalls near 1e-9 on 10- and 12-site chains, so the
+        // tolerance sits above that floor.
         let opts = FciOptions {
             method: DiagMethod::Davidson,
             diag: DiagOptions {
                 max_iter: 200,
+                tol: 1e-8,
                 model_space: 50,
                 ..Default::default()
             },
             ..Default::default()
         };
         let r = solve(&mo, ne, ne, 0, &opts);
-        assert!(r.converged, "U = {u} failed to converge");
+        if !r.converged {
+            let res = r.residual_history.last().copied().unwrap_or(f64::NAN);
+            let its = r.iterations;
+            println!("{u:>8.1}  not converged: {its} iterations, residual {res:.2e}");
+            unconverged = true;
+            continue;
+        }
         println!(
             "{u:>8.1} {:>16.8} {:>14.6}",
             r.energy,
@@ -60,7 +72,9 @@ fn main() {
                 "U=0 must reproduce the band sum"
             );
         }
-        u += 2.0;
+    }
+    if unconverged {
+        std::process::exit(1);
     }
     println!("\nU = 0 band-theory check: Σ 2ε_i = {e_band:.8} t ✓");
     println!("CI dimension: {}", {
