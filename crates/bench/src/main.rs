@@ -32,7 +32,7 @@ use fci_core::{
 };
 use fci_scf::MoIntegrals;
 use fci_sparse::{solve_cdfci, solve_selected, SparseOptions, SparseResult};
-use fci_xsim::{MachineModel, RunReport};
+use fci_xsim::{Clock, MachineModel, RunReport};
 use systems::{c2_system, fig4_system, fig5_system, table2_systems};
 
 /// What one subcommand prints, and whether its accuracy gate failed.
@@ -740,13 +740,13 @@ fn ablate_io(o: &mut Out) {
         let r = sys.solve(1, method, DiagOptions::default());
         let sigma_t = r.sigma_cost.total().elapsed();
         let vec_bytes = (r.dim * 8) as f64;
-        let mut io_t = 0.0;
+        let mut io = Clock::default();
         let mem_vectors = if disk_subspace {
             // Iteration k writes b_k and σ_k and re-reads the whole
             // stored subspace (2 vectors per iteration, up to the cap).
             for k in 1..=r.iterations {
-                io_t += 2.0 * vec_bytes / model.disk_write;
-                io_t += (2 * k.min(cap)) as f64 * vec_bytes / model.disk_read;
+                let read = (2 * k.min(cap)) as f64 * vec_bytes;
+                io.charge_io(&model, read, 2.0 * vec_bytes);
             }
             "2 (+disk)".to_string()
         } else if method == DiagMethod::Davidson {
@@ -754,6 +754,7 @@ fn ablate_io(o: &mut Out) {
         } else {
             "4".to_string()
         };
+        let io_t = io.t_io;
         t.row(
             o,
             &[

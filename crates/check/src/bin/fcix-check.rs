@@ -8,7 +8,7 @@
 //!                                     # static lock-order / deadlock analysis
 //! fcix-check lint [ROOT] [--format json]
 //!                                     # source conventions (fci_check::lint)
-//! fcix-check dead                     # pub items nothing else names
+//! fcix-check dead                     # pub items no non-test code names
 //! ```
 //!
 //! Exit code 0 means the check passed: for `graph` every hot-path root
@@ -16,7 +16,8 @@
 //! lock-order graph is cycle-free with no condvar hazards (and, with
 //! `--dynamic`, every runtime lock-order edge the witness observes is
 //! predicted by the static graph); for `lint` no rule is violated; for
-//! `dead` every `pub` item is named somewhere outside its definition.
+//! `dead` every `pub` item is named by non-test code outside its
+//! definition, or carries a `lint: allow(dead)` waiver.
 //! The DDI race detector runs online, inside the test suites
 //! (`crates/check/tests/mutants.rs`, `tests/chaos.rs`) and `fcix chaos`.
 
@@ -236,21 +237,25 @@ fn lint(args: &[String]) -> Outcome {
     Ok(clean)
 }
 
-/// `fcix-check dead`: every `pub` item whose name nothing outside its
-/// definition mentions (`fci_check::dead`). Any finding fails.
+/// `fcix-check dead`: every `pub` item whose name no non-test code
+/// outside its definition mentions, unless waived (`fci_check::dead`).
+/// Any finding fails.
 fn dead() -> Outcome {
     let ws = workspace_root();
-    let items = fci_check::dead::find_dead(&ws)
+    let report = fci_check::dead::find_dead(&ws)
         .map_err(|e| format!("cannot scan {}: {e}", ws.display()))?;
-    for d in &items {
+    for d in &report.items {
         println!(
-            "{}:{}: pub {} {} is named nowhere outside its definition",
+            "{}:{}: pub {} {} has no non-test use outside its definition",
             d.file, d.line, d.kind, d.name
         );
     }
     Ok(verdict(
         "dead",
-        items.is_empty(),
-        "every pub item has a use",
+        report.items.is_empty(),
+        &format!(
+            "every pub item has a non-test use; {} waived",
+            report.waived
+        ),
     ))
 }

@@ -2,11 +2,17 @@
 //!
 //! Lists every `pub` fn, struct, enum, trait, const, static or type
 //! defined in the non-test code under `crates/` or `src/` whose name
-//! never appears as an identifier in either of these places:
+//! appears as an identifier in no *non-test* code other than its
+//! definition: neither another `.rs` file under `crates`, `src`,
+//! `examples` or `perf`, nor its own file. Test code is not a caller: a
+//! mention in a file under a `tests/` directory (`tests/`,
+//! `crates/*/tests/`, `perf/tests/`) or inside a `#[cfg(test)]` item
+//! keeps nothing alive.
 //!
-//! * any *other* `.rs` file under `crates`, `src`, `tests`, `examples`
-//!   or `perf` (test code included — a test is a caller);
-//! * its own file's non-test code, apart from its definition.
+//! An item kept on purpose (a test oracle, or support that tests in
+//! other crates share) carries the lint waiver `lint: allow(dead) —
+//! <reason>` in a comment on its definition line or on a comment-only
+//! line just above it; it is counted as waived instead of reported.
 //!
 //! Identifiers inside `pub use` re-exports and the name on a `mod` line
 //! are not uses, and neither is anything in a comment or doc link (the
@@ -14,18 +20,18 @@
 //! same name *is* a use, even an unrelated local or a method of another
 //! type: there is no type resolution here, so the report only ever
 //! errs towards keeping an item, never towards deleting one on a guess.
-//! Items only `perf/` uses therefore stay. Definitions under `perf/`
+//! Items only `perf/src` uses therefore stay. Definitions under `perf/`
 //! are not checked, because `perf/` moves only in a benchmark PR.
 
 use std::collections::HashSet;
 use std::path::Path;
 
 use crate::lex::TokKind;
-use crate::lint::{collect_rs, rel, FileCtx};
+use crate::lint::{collect_rs, is_test_path, rel, FileCtx};
 
-/// Directories (relative to the workspace root) whose identifiers count
-/// as uses.
-const USE_ROOTS: [&str; 5] = ["crates", "src", "tests", "examples", "perf"];
+/// Directories (relative to the workspace root) whose non-test
+/// identifiers count as uses.
+const USE_ROOTS: [&str; 4] = ["crates", "src", "examples", "perf"];
 
 /// Directories whose `pub` items are checked.
 const DEF_ROOTS: [&str; 2] = ["crates/", "src/"];
@@ -46,15 +52,25 @@ pub struct DeadItem {
     pub name: String,
 }
 
-/// Identifiers of one file, split by whether they sit in test code.
-struct FileIdents {
-    all: HashSet<String>,
-    non_test: HashSet<String>,
+/// What `find_dead` found: the items with no use, and how many more the
+/// `lint: allow(dead)` waiver kept.
+#[derive(Clone, Debug, Default)]
+pub struct DeadReport {
+    /// Unwaived `pub` items with no non-test use, in file and line order.
+    pub items: Vec<DeadItem>,
+    /// `pub` items with no non-test use that carry the waiver.
+    pub waived: usize,
 }
 
-/// Scan one file: its `pub` item definitions (when `defs` is set) and
-/// the identifiers that count as uses.
-fn scan(ctx: &FileCtx, relpath: &str, defs: bool) -> (Vec<DeadItem>, FileIdents) {
+/// A `pub` item definition and whether it carries the waiver.
+struct Def {
+    item: DeadItem,
+    waived: bool,
+}
+
+/// Scan one non-test file: its `pub` item definitions (when `defs` is
+/// set) and the identifiers its non-test code uses.
+fn scan(ctx: &FileCtx, relpath: &str, defs: bool) -> (Vec<Def>, HashSet<String>) {
     let n = ctx.code.len();
     // Code-token indices that are never uses: `pub use` bodies, `mod`
     // names and the name of each `pub` definition.
@@ -93,12 +109,15 @@ fn scan(ctx: &FileCtx, relpath: &str, defs: bool) -> (Vec<DeadItem>, FileIdents)
                 if ITEM_KINDS.contains(&ctx.ctext(j)) && is_name(ctx, j + 1) {
                     skip[j + 1] = true;
                     let line = ctx.ctok(j + 1).line;
-                    if defs && !restricted && !ctx.is_test(relpath, line) {
-                        items.push(DeadItem {
-                            file: relpath.to_string(),
-                            line,
-                            kind: ctx.ctext(j).to_string(),
-                            name: ctx.ctext(j + 1).to_string(),
+                    if defs && !restricted && !ctx.in_test_region(line) {
+                        items.push(Def {
+                            item: DeadItem {
+                                file: relpath.to_string(),
+                                line,
+                                kind: ctx.ctext(j).to_string(),
+                                name: ctx.ctext(j + 1).to_string(),
+                            },
+                            waived: ctx.waived(line as usize, "dead"),
                         });
                     }
                 }
@@ -106,18 +125,15 @@ fn scan(ctx: &FileCtx, relpath: &str, defs: bool) -> (Vec<DeadItem>, FileIdents)
             _ => {}
         }
     }
-    let mut idents = FileIdents {
-        all: HashSet::new(),
-        non_test: HashSet::new(),
-    };
-    for ci in (0..n).filter(|&ci| !skip[ci] && ctx.ctok(ci).kind == TokKind::Ident) {
-        let name = ctx.ctext(ci).trim_start_matches("r#");
-        if !ctx.is_test(relpath, ctx.ctok(ci).line) {
-            idents.non_test.insert(name.to_string());
-        }
-        idents.all.insert(name.to_string());
-    }
-    (items, idents)
+    let uses = (0..n)
+        .filter(|&ci| {
+            !skip[ci]
+                && ctx.ctok(ci).kind == TokKind::Ident
+                && !ctx.in_test_region(ctx.ctok(ci).line)
+        })
+        .map(|ci| ctx.ctext(ci).trim_start_matches("r#").to_string())
+        .collect();
+    (items, uses)
 }
 
 /// Whether code token `ci` is an identifier that can name an item.
@@ -127,8 +143,8 @@ fn is_name(ctx: &FileCtx, ci: usize) -> bool {
         && !matches!(ctx.ctext(ci), "fn" | "unsafe" | "extern" | "async")
 }
 
-/// Every `pub` item under `root` with no use, in file and line order.
-pub fn find_dead(root: &Path) -> std::io::Result<Vec<DeadItem>> {
+/// Every `pub` item under `root` with no non-test use.
+pub fn find_dead(root: &Path) -> std::io::Result<DeadReport> {
     let mut files = Vec::new();
     for dir in USE_ROOTS {
         let dir = root.join(dir);
@@ -137,34 +153,37 @@ pub fn find_dead(root: &Path) -> std::io::Result<Vec<DeadItem>> {
         }
     }
     files.sort();
-    let mut defs: Vec<(usize, DeadItem)> = Vec::new();
-    let mut idents = Vec::with_capacity(files.len());
-    for (fi, f) in files.iter().enumerate() {
-        let src = std::fs::read_to_string(f)?;
+    let mut defs = Vec::new();
+    let mut uses = HashSet::new();
+    for f in &files {
         let relpath = rel(root, f);
+        if is_test_path(&relpath) {
+            continue;
+        }
+        let src = std::fs::read_to_string(f)?;
         let checked = DEF_ROOTS.iter().any(|d| relpath.starts_with(d));
         let (items, ids) = scan(&FileCtx::new(&src), &relpath, checked);
-        defs.extend(items.into_iter().map(|it| (fi, it)));
-        idents.push(ids);
+        defs.extend(items);
+        uses.extend(ids);
     }
-    Ok(defs
-        .into_iter()
-        .filter(|(fi, it)| {
-            !idents[*fi].non_test.contains(&it.name)
-                && !idents
-                    .iter()
-                    .enumerate()
-                    .any(|(g, ids)| g != *fi && ids.all.contains(&it.name))
-        })
-        .map(|(_, it)| it)
-        .collect())
+    // `scan` skipped each definition's own name, so one set serves the
+    // item's own file and every other file alike.
+    let mut report = DeadReport::default();
+    for d in defs.into_iter().filter(|d| !uses.contains(&d.item.name)) {
+        if d.waived {
+            report.waived += 1;
+        } else {
+            report.items.push(d.item);
+        }
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn dead_in(sources: &[(&str, &str)]) -> Vec<String> {
+    fn report_in(sources: &[(&str, &str)]) -> DeadReport {
         let dir = std::env::temp_dir().join(format!(
             "fcix-dead-test-{}-{:?}",
             std::process::id(),
@@ -176,14 +195,24 @@ mod tests {
             std::fs::create_dir_all(p.parent().expect("parent")).expect("mkdir");
             std::fs::write(&p, src).expect("write");
         }
-        let dead = find_dead(&dir).expect("scan");
+        let report = find_dead(&dir).expect("scan");
         let _ = std::fs::remove_dir_all(&dir);
-        dead.into_iter().map(|d| d.name).collect()
+        report
+    }
+
+    fn dead_in(sources: &[(&str, &str)]) -> Vec<String> {
+        report_in(sources)
+            .items
+            .into_iter()
+            .map(|d| d.name)
+            .collect()
     }
 
     #[test]
     fn item_used_only_by_its_own_tests_is_dead() {
-        let lib = "pub fn lonely() {}\npub fn used() {}\npub fn caller() { used(); }\n\
+        // The brace-less test-only item above `lonely` covers itself only.
+        let lib = "#[cfg(test)]\nconst PAIR: [u8; 2] = [1, 2];\n\
+                   pub fn lonely() {}\npub fn used() {}\npub fn caller() { used(); }\n\
                    #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::lonely(); }\n}\n";
         let other = "fn main() { fci_a::caller(); }\n";
         assert_eq!(
@@ -193,18 +222,35 @@ mod tests {
     }
 
     #[test]
-    fn uses_from_tests_and_perf_count() {
-        let lib = "pub struct OnlyTests;\npub const ONLY_PERF: u32 = 1;\npub type Nobody = u8;\n";
+    fn a_test_file_is_not_a_caller_but_perf_src_is() {
+        let lib = "pub struct OnlyTests;\npub const ONLY_PERF: u32 = 1;\npub type Nobody = u8;\n\
+                   pub fn only_perf_tests() {}\n";
         let t = "use fci_a::OnlyTests;\n#[test]\nfn t() { let _ = OnlyTests; }\n";
         let perf = "fn main() { let _ = fci_a::ONLY_PERF; }\n";
+        let perf_test = "#[test]\nfn t() { fci_a::only_perf_tests(); }\n";
         assert_eq!(
             dead_in(&[
                 ("crates/a/src/lib.rs", lib),
                 ("tests/t.rs", t),
+                ("crates/a/tests/t.rs", t),
                 ("perf/src/main.rs", perf),
+                ("perf/tests/t.rs", perf_test),
             ]),
-            vec!["Nobody"]
+            vec!["OnlyTests", "Nobody", "only_perf_tests"]
         );
+    }
+
+    #[test]
+    fn the_waiver_keeps_an_item_and_is_counted() {
+        let lib =
+            "pub fn bare() {}\n// lint: allow(dead) — oracle for the tests\npub fn oracle() {}\n\
+                   pub fn also_oracle() {} // lint: allow(dead) — oracle\npub fn after_trailing() {}\n";
+        let t = "#[test]\nfn t() { fci_a::oracle(); fci_a::also_oracle(); fci_a::bare(); }\n";
+        let report = report_in(&[("crates/a/src/lib.rs", lib), ("tests/t.rs", t)]);
+        let names: Vec<_> = report.items.iter().map(|d| d.name.as_str()).collect();
+        // A waiver trailing one item's line does not reach the next item.
+        assert_eq!(names, vec!["bare", "after_trailing"]);
+        assert_eq!(report.waived, 2);
     }
 
     #[test]

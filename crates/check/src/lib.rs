@@ -12,10 +12,6 @@
 //!   protocol events `fci-ddi` records, attached to a live run through
 //!   `CheckConfig`. Validated against deliberately broken protocols
 //!   (fault-injected missing fence / missing lock).
-//! * [`explore`] — a deterministic, seeded schedule explorer that replays
-//!   the mixed-spin task pool of a small FCI case under adversarial worker
-//!   interleavings and checks σ and the variational energy are bitwise
-//!   identical across schedules.
 //! * [`lint`] — a std-only source scanner (`fcix-check lint`) enforcing repo
 //!   conventions: `// SAFETY:` on `unsafe` blocks, no wall-clock reads
 //!   outside `crates/obs`, no `unwrap`/`expect` on hot paths, no stray
@@ -30,21 +26,19 @@
 //!   obs layers, with deadlock-cycle detection and a cross-check
 //!   against the lock-order edges the `fci-obs` witness observes at run
 //!   time (`fcix-check locks`).
-//! * [`dead`] — `pub` items whose name no other code mentions
-//!   (`fcix-check dead`).
+//! * [`dead`] — `pub` items whose name no non-test code mentions
+//!   outside their definition, unless waived (`fcix-check dead`).
 //!
 //! `tests/mutants.rs` is the table that justifies each analysis: one
 //! seeded defect per class, and the exact set of detectors that flags
 //! it.
 
 pub mod dead;
-pub mod explore;
 pub mod graph;
 pub mod lex;
 pub mod lint;
 pub mod locks;
 pub mod race;
 
-pub use explore::{explore_mixed, ExploreConfig, ExploreOutcome, ExploreReport};
-pub use lint::{lint_source, lint_workspace, LintConfig, Violation};
+pub use lint::{lint_source, LintConfig, Violation};
 pub use race::{RaceDetector, RaceReport, RaceSite, VectorClock};

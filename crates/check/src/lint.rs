@@ -18,8 +18,9 @@
 //! | `metric-wallclock` | on simulated-path crates (`crates/ddi`, `crates/core`, `crates/fault`, `crates/xsim`), a metric-recording call must not read host time (`now_us(`, `Instant::now`, `SystemTime`) in the same statement or on the same line — simulated metrics must come from the cost model, or the histogram mixes host jitter into X1 numbers |
 //!
 //! A violation can be waived in place with a trailing comment
-//! `lint: allow(<rule>)` on the offending line or the line above — the
-//! waiver is greppable, reviewable, and local. [`lint_workspace_report`]
+//! `lint: allow(<rule>)` on the offending line, or on a comment line of
+//! its own just above (a waiver trailing other code covers that code
+//! only) — the waiver is greppable, reviewable, and local. [`lint_workspace_report`]
 //! counts waivers per rule so CI can flag growth, and
 //! [`LintReport::to_json`] emits the machine-readable report
 //! `fcix-check lint --format json` prints.
@@ -207,7 +208,8 @@ impl<'s> FileCtx<'s> {
     }
 
     /// Mark every line inside an item annotated `#[cfg(test)]` (tracked
-    /// by brace depth over code tokens from the attribute on).
+    /// by brace depth over code tokens from the attribute on; an item
+    /// with no braces ends at its first `;` outside brackets).
     fn mark_test_regions(&mut self) {
         let attr = ["#", "[", "cfg", "(", "test", ")", "]"];
         let mut ci = 0;
@@ -218,6 +220,7 @@ impl<'s> FileCtx<'s> {
             }
             let start_line = self.ctok(ci).line as usize;
             let mut depth = 0i64;
+            let mut nest = 0i64;
             let mut opened = false;
             let mut j = ci + attr.len();
             let mut end_line = self.in_test.len();
@@ -228,9 +231,14 @@ impl<'s> FileCtx<'s> {
                         opened = true;
                     }
                     "}" => depth -= 1,
+                    "(" | "[" => nest += 1,
+                    ")" | "]" => nest -= 1,
                     _ => {}
                 }
-                if opened && depth <= 0 {
+                // A brace-less item (`use …;`, `const …;`, `mod x;`)
+                // ends at its own `;`, not at the next item's `}`.
+                let bare_end = !opened && nest == 0 && self.ctext(j) == ";";
+                if bare_end || (opened && depth <= 0) {
                     let t = self.ctok(j);
                     end_line = t.line as usize + t.text(self.src).matches('\n').count();
                     break;
@@ -259,8 +267,9 @@ impl<'s> FileCtx<'s> {
             .unwrap_or(false)
     }
 
-    /// `lint: allow(<rule>)` waiver in a comment on `line` or the line
-    /// above (1-based).
+    /// `lint: allow(<rule>)` waiver in a comment on `line`, or on a
+    /// comment-only line just above it (1-based). A waiver trailing the
+    /// code of the line above belongs to that line.
     pub(crate) fn waived(&self, line: usize, rule: &str) -> bool {
         let tag = format!("lint: allow({rule})");
         let hit = |l: usize| {
@@ -270,7 +279,8 @@ impl<'s> FileCtx<'s> {
                     .get(l - 1)
                     .is_some_and(|c| c.contains(tag.as_str()))
         };
-        hit(line) || hit(line - 1)
+        let above = line >= 2 && self.has_code.get(line - 2) == Some(&false) && hit(line - 1);
+        hit(line) || above
     }
 
     /// Code-index of the first token of the statement containing code
@@ -359,7 +369,7 @@ pub(crate) fn rel(root: &Path, file: &Path) -> String {
         .replace('\\', "/")
 }
 
-fn is_test_path(relpath: &str) -> bool {
+pub(crate) fn is_test_path(relpath: &str) -> bool {
     relpath.contains("/tests/") || relpath.starts_with("tests/")
 }
 
@@ -685,11 +695,6 @@ pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<
         }
     }
     Ok(())
-}
-
-/// Lint every `.rs` file under `cfg.root`.
-pub fn lint_workspace(cfg: &LintConfig) -> std::io::Result<Vec<Violation>> {
-    Ok(lint_workspace_report(cfg)?.violations)
 }
 
 /// Lint every `.rs` file under `cfg.root` and tally waivers per rule.

@@ -3,7 +3,8 @@
 //! with one violation of each lint rule is fully flagged.
 
 use fci_check::dead::find_dead;
-use fci_check::{lint_workspace, LintConfig};
+use fci_check::lint::lint_workspace_report;
+use fci_check::LintConfig;
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -17,7 +18,9 @@ fn workspace_root() -> PathBuf {
 #[test]
 fn real_workspace_is_lint_clean() {
     let cfg = LintConfig::new(workspace_root());
-    let violations = lint_workspace(&cfg).expect("scan workspace");
+    let violations = lint_workspace_report(&cfg)
+        .expect("scan workspace")
+        .violations;
     assert!(
         violations.is_empty(),
         "workspace has lint violations:\n{}",
@@ -31,8 +34,8 @@ fn real_workspace_is_lint_clean() {
 
 #[test]
 fn real_workspace_has_no_dead_pub_items() {
-    let dead = find_dead(&workspace_root()).expect("scan workspace");
-    assert!(dead.is_empty(), "pub items with no use: {dead:?}");
+    let dead = find_dead(&workspace_root()).expect("scan workspace").items;
+    assert!(dead.is_empty(), "pub items with no non-test use: {dead:?}");
 }
 
 #[test]
@@ -48,7 +51,9 @@ fn seeded_violations_are_all_caught() {
     )
     .expect("write fixture");
     let cfg = LintConfig::new(&root);
-    let violations = lint_workspace(&cfg).expect("scan fixture");
+    let violations = lint_workspace_report(&cfg)
+        .expect("scan fixture")
+        .violations;
     std::fs::remove_dir_all(&root).ok();
 
     let rules: Vec<&str> = violations.iter().map(|v| v.rule).collect();

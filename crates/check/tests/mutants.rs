@@ -5,17 +5,19 @@
 //!
 //! * Runtime rows run a real online-checked solve with a broken
 //!   `DDI_ACC` protocol injected through the fault plan.
-//! * Source rows copy the real `crates/` and `src/` trees, insert one
-//!   line into a real file, and run the source analyses (`locks`,
-//!   `graph`, `lint`) on the copy.
+//! * Source rows copy the real `crates/`, `src/`, `examples/` and
+//!   `perf/` trees, insert one line into a real file, and run the source
+//!   analyses (`locks`, `graph`, `lint`, `dead`) on the copy.
 //!
 //! The witness row (a lock order only the runtime witness sees) lives in
 //! `mutants_witness.rs`, because the witness is process-global. Run both
 //! with `-- --nocapture` to print the matrix.
 
+use fci_check::dead::find_dead;
 use fci_check::graph::{analyze_hot_paths, DEFAULT_ROOTS};
+use fci_check::lint::lint_workspace_report;
 use fci_check::locks::{analyze_locks, DEFAULT_LOCK_PATHS};
-use fci_check::{lint_workspace, LintConfig, RaceDetector};
+use fci_check::{LintConfig, RaceDetector};
 use fci_ddi::{Backend, CheckConfig, FaultConfig, ProtocolFault};
 use fci_scf::MoIntegrals;
 use std::collections::BTreeSet;
@@ -23,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// The detectors that flagged a row, by name (`race`, `locks:cycle`,
-/// `graph:alloc`, `lint:wallclock`, …).
+/// `graph:alloc`, `lint:wallclock`, `dead`, …).
 type Flags = BTreeSet<String>;
 
 fn flags(names: &[&str]) -> Flags {
@@ -124,7 +126,7 @@ struct Mutant {
     expect: &'static [&'static str],
 }
 
-const SOURCE_ROWS: [Mutant; 7] = [
+const SOURCE_ROWS: [Mutant; 8] = [
     Mutant {
         class: "AB/BA order on Server.state / Server.results",
         file: "crates/serve/src/server.rs",
@@ -174,6 +176,13 @@ const SOURCE_ROWS: [Mutant; 7] = [
         line: "let _t0 = std::time::Instant::now();",
         expect: &["lint:wallclock"],
     },
+    Mutant {
+        class: "pub fn no non-test code calls",
+        file: "crates/xsim/src/clock.rs",
+        anchor: "use crate::model::MachineModel;",
+        line: "pub fn planted_without_a_caller() {}",
+        expect: &["dead"],
+    },
 ];
 
 fn workspace_root() -> PathBuf {
@@ -221,8 +230,12 @@ fn source_flags(root: &Path) -> Flags {
     if reports.iter().any(|r| !r.panic.is_empty()) {
         got.insert("graph:panic".into());
     }
-    for v in lint_workspace(&LintConfig::new(root)).expect("lint scan") {
+    let lint = lint_workspace_report(&LintConfig::new(root)).expect("lint scan");
+    for v in lint.violations {
         got.insert(format!("lint:{}", v.rule));
+    }
+    if !find_dead(root).expect("dead scan").items.is_empty() {
+        got.insert("dead".into());
     }
     got
 }
@@ -233,7 +246,7 @@ fn source_rows() {
     let ws = workspace_root();
     let copy = std::env::temp_dir().join(format!("fcix-mutants-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&copy);
-    for dir in ["crates", "src"] {
+    for dir in ["crates", "src", "examples", "perf"] {
         copy_rs(&ws.join(dir), &copy.join(dir));
     }
     let clean = source_flags(&copy);

@@ -30,16 +30,34 @@ where
     for (ck, st) in clocks.iter_mut().zip(&stats) {
         charge_comm(ck, st, model);
     }
+    let report = RunReport::new(clocks);
+    finish_phase(
+        &tracer,
+        name,
+        &report,
+        host_start,
+        tracer.now_us() - host_start,
+    );
+    report
+}
+
+/// The end of every σ phase, whether its ranks ran through [`run_phase`]
+/// or a routine's own loop: observe the phase on the world's metrics
+/// plane, then emit it into the trace. `host_start_us`/`host_dur_us`
+/// bound the phase's host interval.
+pub(crate) fn finish_phase(
+    tracer: &Tracer,
+    name: &str,
+    report: &RunReport,
+    host_start_us: f64,
+    host_dur_us: f64,
+) {
     if let Some(m) = tracer.metrics() {
         // Distribution of per-rank busy time: its spread *is* the load
         // imbalance Table 3 reports as a residual row.
-        for ck in &clocks {
+        for ck in &report.clocks {
             m.observe("sigma.rank_busy_s", &[("phase", name)], ck.total());
         }
-    }
-    let report = RunReport::new(clocks);
-    report.record_to(&tracer, name, host_start, tracer.now_us() - host_start);
-    if let Some(m) = tracer.metrics() {
         m.observe("sigma.phase_s", &[("phase", name)], report.elapsed());
         m.observe(
             "sigma.phase_gflops",
@@ -47,7 +65,7 @@ where
             report.gflops_per_msp(),
         );
     }
-    report
+    report.record_to(tracer, name, host_start_us, host_dur_us);
 }
 
 /// Host-time split of one rank's share of a phase into five named parts

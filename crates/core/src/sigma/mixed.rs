@@ -91,7 +91,7 @@
 
 use super::{SigmaCtx, MAX_IRREP};
 use crate::hamiltonian::Hamiltonian;
-use crate::phase::{charge_comm, HostSplit};
+use crate::phase::{charge_comm, finish_phase, HostSplit};
 use crate::taskpool::TaskPool;
 use fci_ddi::{Backend, CommStats, Corruption, DistMatrix, FaultPlan};
 use fci_linalg::{dgemm, Matrix, Trans};
@@ -101,8 +101,9 @@ use fci_xsim::{Clock, MachineModel, RunReport};
 use std::sync::Mutex;
 
 /// Receives one α-column contribution of a task: `(column, values, stats)`.
-/// The default sink remote-accumulates into σ; the `fci-check` schedule
-/// explorer substitutes a collecting sink to study accumulation order.
+/// The production sink remote-accumulates into σ (`DDI_ACC`); under a
+/// fault plan a staging sink buffers the task for the column guard.
+/// [`MixedWorker::run_task`] takes any sink.
 pub type ColumnSink<'s> = dyn FnMut(usize, &[f64], &mut CommStats) + 's;
 
 /// Per-rank working storage for the mixed-spin routine (the paper's
@@ -520,10 +521,9 @@ fn process_task_guarded(
 
 /// A persistent mixed-spin worker: owns one rank's working buffers,
 /// statistics, and simulated clock across tasks, exactly like a real
-/// worker holds its scratch area for the whole phase. Used by the
-/// `fci-check` schedule explorer to replay the task pool under arbitrary
-/// interleavings — reusing the same buffers across tasks is what gives
-/// the replay teeth against stale-buffer contamination.
+/// worker holds its scratch area for the whole phase. The
+/// `alloc_hotpath` test drives the task loop through it: after one
+/// warm-up pass sizes the buffers, no task may touch the heap.
 pub struct MixedWorker {
     bufs: WorkBufs,
     /// Communication charged to this worker so far.
@@ -547,6 +547,7 @@ impl MixedWorker {
 
     /// Run one Kα family as `rank`, handing each α-column update to
     /// `sink` instead of accumulating into a σ matrix.
+    // lint: allow(dead) — the hook the `alloc_hotpath` zero-allocation gate drives
     pub fn run_task(
         &mut self,
         ctx: &SigmaCtx,
@@ -691,9 +692,10 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
             RunReport::new(clocks)
         }
     };
-    report.record_to(
+    finish_phase(
         &tracer,
         "alpha_beta",
+        &report,
         host_start,
         tracer.now_us() - host_start,
     );

@@ -157,6 +157,7 @@ pub fn dense_h(space: &DetSpace, ham: &Hamiltonian) -> Matrix {
 
 /// Reference σ = (H − E_core)·c on a dense coefficient vector laid out as
 /// `c[ib + ia·nβ]`.
+// lint: allow(dead) — the Slater–Condon oracle the σ kernels' tests compare against
 pub fn sigma_dense(space: &DetSpace, ham: &Hamiltonian, c: &[f64]) -> Vec<f64> {
     let h = dense_h(space, ham);
     let dim = c.len();

@@ -89,21 +89,6 @@ impl TaskPool {
         TaskPool { tasks }
     }
 
-    /// Uniform (non-aggregated) pool: `ntasks` equal ranges. Ablation
-    /// baseline for the aggregation scheme.
-    pub fn uniform(nitems: usize, ntasks: usize) -> Self {
-        assert!(ntasks >= 1);
-        let mut tasks = Vec::new();
-        let size = nitems.div_ceil(ntasks).max(1);
-        let mut at = 0;
-        while at < nitems {
-            let end = (at + size).min(nitems);
-            tasks.push(at..end);
-            at = end;
-        }
-        TaskPool { tasks }
-    }
-
     /// Number of tasks in the pool.
     pub fn len(&self) -> usize {
         self.tasks.len()
@@ -177,13 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_pool() {
-        let pool = TaskPool::uniform(10, 3);
-        covers_exactly(&pool, 10);
-        assert_eq!(pool.len(), 3);
-    }
-
-    #[test]
     fn empty_items() {
         let pool = TaskPool::aggregated(0, 8, PoolParams::default());
         assert!(pool.is_empty());
@@ -191,7 +169,13 @@ mod tests {
 
     #[test]
     fn more_tasks_than_items() {
-        let pool = TaskPool::uniform(3, 10);
+        // A flat pool, as `ablate-taskpool` builds one: no fine tail.
+        let flat = PoolParams {
+            fine_per_proc: 1,
+            large_per_proc: 1,
+            small_per_proc: 0,
+        };
+        let pool = TaskPool::aggregated(3, 10, flat);
         covers_exactly(&pool, 3);
         assert!(pool.len() <= 3);
     }

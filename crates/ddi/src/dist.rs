@@ -816,6 +816,7 @@ impl DistMatrix {
 
     /// Elementwise map in place over the stored elements, as
     /// `f(row, col, value)`.
+    // lint: allow(dead) — fills CI vectors with test data in fci-core's and the workspace's tests
     pub fn map_inplace(&self, mut f: impl FnMut(usize, usize, f64) -> f64) {
         self.map_cols_inplace(|col, rows, vals| {
             for (row, v) in rows.zip(vals) {

@@ -255,11 +255,6 @@ impl FaultPlan {
         }
     }
 
-    /// The schedule this plan runs.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// The retry/backoff policy checked ops must follow.
     pub fn retry(&self) -> &RetryPolicy {
         &self.cfg.retry

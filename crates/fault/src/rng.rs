@@ -2,11 +2,11 @@
 //!
 //! Fault schedules must be *replayable*: the same seed and the same op
 //! sequence must inject exactly the same faults on every run, so a chaos
-//! failure can be rerun under a debugger or the schedule explorer. A
-//! xorshift64* generator (Vigna, "An experimental exploration of
-//! Marsaglia's xorshift generators") is tiny, has no global state, and
-//! passes the statistical bar this needs — we are sampling Bernoulli
-//! fault coins, not doing Monte Carlo integration.
+//! failure can be rerun under a debugger. A xorshift64* generator
+//! (Vigna, "An experimental exploration of Marsaglia's xorshift
+//! generators") is tiny, has no global state, and passes the statistical
+//! bar this needs — we are sampling Bernoulli fault coins, not doing
+//! Monte Carlo integration.
 
 /// xorshift64* PRNG with a splitmix64-style seed scrambler.
 #[derive(Clone, Debug)]

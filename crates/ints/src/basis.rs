@@ -174,6 +174,7 @@ impl BasisSet {
 
     /// Even-tempered s-type basis on a single center:
     /// exponents `alpha0 · beta^k`, k = 0..n, each its own shell.
+    // lint: allow(dead) — builds the large-basis atoms of fci-scf's RHF tests
     pub fn even_tempered_s(center: [f64; 3], n: usize, alpha0: f64, beta: f64) -> Self {
         let shells = (0..n)
             .map(|k| Shell::new(0, vec![alpha0 * beta.powi(k as i32)], vec![1.0], center, 0))

@@ -50,13 +50,6 @@ pub fn boys(mmax: usize, t: f64, out: &mut [f64]) {
     }
 }
 
-/// Convenience wrapper returning a fresh vector.
-pub fn boys_vec(mmax: usize, t: f64) -> Vec<f64> {
-    let mut v = vec![0.0; mmax + 1];
-    boys(mmax, t, &mut v);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,7 +70,8 @@ mod tests {
 
     #[test]
     fn zero_argument_limit() {
-        let v = boys_vec(4, 0.0);
+        let mut v = [0.0; 5];
+        boys(4, 0.0, &mut v);
         for (m, &x) in v.iter().enumerate() {
             assert!((x - 1.0 / (2 * m + 1) as f64).abs() < 1e-15);
         }
@@ -86,7 +80,8 @@ mod tests {
     #[test]
     fn matches_quadrature_moderate() {
         for &t in &[1e-8, 0.1, 0.5, 1.0, 3.0, 7.5, 14.0, 20.0, 33.0] {
-            let v = boys_vec(6, t);
+            let mut v = [0.0; 7];
+            boys(6, t, &mut v);
             for (m, &x) in v.iter().enumerate() {
                 let q = boys_quad(m, t);
                 assert!((x - q).abs() < 1e-10, "F_{m}({t}) = {x} vs quad {q}");
@@ -97,7 +92,8 @@ mod tests {
     #[test]
     fn matches_quadrature_large() {
         for &t in &[40.0, 60.0, 120.0] {
-            let v = boys_vec(5, t);
+            let mut v = [0.0; 6];
+            boys(5, t, &mut v);
             for (m, &x) in v.iter().enumerate() {
                 let q = boys_quad(m, t);
                 assert!(
@@ -113,7 +109,8 @@ mod tests {
         // The recursion (2m+1) F_m = 2T F_{m+1} + e^{−T} must hold exactly
         // for whatever branch produced the values.
         for &t in &[0.3, 5.0, 25.0, 50.0, 200.0] {
-            let v = boys_vec(8, t);
+            let mut v = [0.0; 9];
+            boys(8, t, &mut v);
             for m in 0..8 {
                 let lhs = (2 * m + 1) as f64 * v[m];
                 let rhs = 2.0 * t * v[m + 1] + (-t).exp();
@@ -125,12 +122,14 @@ mod tests {
     #[test]
     fn monotone_in_order_and_argument() {
         // F_m decreases with m at fixed T, and with T at fixed m.
-        let v = boys_vec(6, 2.0);
+        let mut v = [0.0; 7];
+        boys(6, 2.0, &mut v);
         for m in 0..6 {
             assert!(v[m + 1] < v[m]);
         }
-        let a = boys_vec(0, 1.0)[0];
-        let b = boys_vec(0, 2.0)[0];
-        assert!(b < a);
+        let (mut a, mut b) = ([0.0], [0.0]);
+        boys(0, 1.0, &mut a);
+        boys(0, 2.0, &mut b);
+        assert!(b[0] < a[0]);
     }
 }

@@ -330,7 +330,8 @@ mod tests {
         let qc: Vec<f64> = (0..3).map(|i| (c * rc[i] + d * rd[i]) / q).collect();
         let pq2: f64 = (0..3).map(|i| (pc[i] - qc[i]).powi(2)).sum();
         let rho = p * q / (p + q);
-        let f0 = crate::boys::boys_vec(0, rho * pq2)[0];
+        let mut f0 = [0.0];
+        crate::boys::boys(0, rho * pq2, &mut f0);
         let norm = crate::basis::primitive_norm(a, 0, 0, 0)
             * crate::basis::primitive_norm(b, 0, 0, 0)
             * crate::basis::primitive_norm(c, 0, 0, 0)
@@ -338,7 +339,7 @@ mod tests {
         norm * 2.0 * PI.powf(2.5) / (p * q * (p + q).sqrt())
             * (-mu_ab * ab2).exp()
             * (-mu_cd * cd2).exp()
-            * f0
+            * f0[0]
     }
 
     #[test]

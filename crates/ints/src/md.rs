@@ -230,8 +230,9 @@ mod tests {
         let pc = [0.3, -0.2, 0.5];
         let r2: f64 = pc.iter().map(|x| x * x).sum();
         let r = RTable::new(0, p, pc);
-        let f0 = crate::boys::boys_vec(0, p * r2)[0];
-        assert!((r.get(0, 0, 0) - f0).abs() < 1e-15);
+        let mut f0 = [0.0];
+        crate::boys::boys(0, p * r2, &mut f0);
+        assert!((r.get(0, 0, 0) - f0[0]).abs() < 1e-15);
     }
 
     #[test]

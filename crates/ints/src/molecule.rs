@@ -88,7 +88,8 @@ impl Molecule {
     }
 
     /// Translate every atom by `d` (Bohr). Physics must be invariant.
-    pub fn translated(&self, d: [f64; 3]) -> Molecule {
+    #[cfg(test)]
+    pub(crate) fn translated(&self, d: [f64; 3]) -> Molecule {
         let atoms = self
             .atoms
             .iter()

@@ -101,8 +101,8 @@ const B_IN_PLACE: usize = 64 * 1024;
 
 /// Reference implementation: straightforward triple loop.
 ///
-/// `C := alpha * op(A) * op(B) + beta * C`. Used as the test oracle and as
-/// the "unoptimized kernel" end of the performance ablation.
+/// `C := alpha * op(A) * op(B) + beta * C`. The test oracle for [`dgemm`].
+// lint: allow(dead) — the triple-loop oracle of the GEMM bit and property tests
 pub fn dgemm_naive(
     transa: Trans,
     transb: Trans,

@@ -58,7 +58,8 @@ impl Matrix {
     }
 
     /// Build from row-major slices (convenient for literals in tests).
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[&[f64]]) -> Self {
         let nrows = rows.len();
         let ncols = if nrows == 0 { 0 } else { rows[0].len() };
         assert!(rows.iter().all(|r| r.len() == ncols), "ragged rows");
@@ -155,6 +156,7 @@ impl Matrix {
     }
 
     /// Maximum absolute elementwise difference with `other`.
+    // lint: allow(dead) — the comparison tests in every numeric crate share
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!(self.shape(), other.shape());
         self.data
@@ -165,6 +167,7 @@ impl Matrix {
     }
 
     /// Is the matrix symmetric to within `tol`?
+    // lint: allow(dead) — the symmetry check tests in fci-ints, fci-scf and fci-core share
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if self.nrows != self.ncols {
             return false;

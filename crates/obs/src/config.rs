@@ -71,16 +71,6 @@ impl ObsConfig {
         }
     }
 
-    /// Record metrics into `registry` (no event tracing unless also
-    /// enabled) — the metrics plane without the trace firehose.
-    pub fn metrics_into(registry: MetricsRegistry) -> ObsConfig {
-        ObsConfig {
-            enabled: false,
-            trace_path: None,
-            metrics: MetricsMode::Shared(registry),
-        }
-    }
-
     /// Use a caller-owned registry for the metrics plane.
     pub fn with_metrics(mut self, registry: MetricsRegistry) -> ObsConfig {
         self.metrics = MetricsMode::Shared(registry);
@@ -132,7 +122,7 @@ mod tests {
     #[test]
     fn shared_metrics_survive_the_tracer() {
         let reg = MetricsRegistry::new();
-        let t = ObsConfig::metrics_into(reg.clone()).tracer().unwrap();
+        let t = ObsConfig::off().with_metrics(reg.clone()).tracer().unwrap();
         assert!(!t.enabled());
         t.metrics().unwrap().counter_incr("solves", &[]);
         drop(t);

@@ -68,6 +68,7 @@ pub fn to_collapsed(events: &[Event], base: TimeBase) -> String {
 /// Accepts exactly the format [`to_collapsed`] emits (and the wider
 /// ecosystem convention): `frame;frame;... <integer>` per line, blank
 /// lines ignored.
+// lint: allow(dead) — the reader the flame round-trip test checks `to_collapsed` with
 pub fn parse_collapsed(text: &str) -> Result<Vec<(Vec<String>, u64)>, String> {
     let mut out = Vec::new();
     for (lineno, line) in text.lines().enumerate() {

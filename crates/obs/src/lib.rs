@@ -51,7 +51,7 @@ pub mod tracer;
 
 pub use chrome::to_chrome;
 pub use config::{MetricsMode, ObsConfig};
-pub use event::{parse_jsonl, parse_jsonl_lenient, Category, Event, EventKind, FaultKind};
+pub use event::{parse_jsonl_lenient, Category, Event, EventKind, FaultKind};
 pub use flame::{parse_collapsed, to_collapsed, TimeBase};
 pub use hist::Histogram;
 pub use json::JsonValue;

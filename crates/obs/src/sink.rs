@@ -145,7 +145,8 @@ mod tests {
         sink.record(&ev("b"));
         let buf = sink.writer.into_inner().unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let parsed = crate::event::parse_jsonl(&text).unwrap();
+        let (parsed, warn) = crate::event::parse_jsonl_lenient(&text).unwrap();
+        assert!(warn.is_none());
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].name, "a");
     }

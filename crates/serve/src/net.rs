@@ -550,11 +550,13 @@ impl NetClient {
     /// Submit treating a `duplicate_id` reject as success — the
     /// at-least-once client loop: after a reconnect, a duplicate means
     /// the previous attempt's acceptance record survived the crash.
-    pub fn submit_idempotent(&mut self, spec: &JobSpec) -> io::Result<bool> {
+    /// `None` means accepted; any other reject comes back as the
+    /// response, `retry_after_ms` hint included.
+    pub fn submit_idempotent(&mut self, spec: &JobSpec) -> io::Result<Option<JsonValue>> {
         let resp = self.submit(spec)?;
         let ok = resp.get("ok") == Some(&JsonValue::Bool(true));
         let dup = resp.get("reason").and_then(JsonValue::as_str) == Some("duplicate_id");
-        Ok(ok || dup)
+        Ok((!ok && !dup).then_some(resp))
     }
 
     /// Block server-side until `id` has a result or `timeout_ms` passes.

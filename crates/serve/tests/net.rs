@@ -223,7 +223,10 @@ fn protocol_errors_and_verbs_round_trip() {
     assert!(is_ok(&c.submit(&job("dup", "t")).expect("submit")));
     let resp = c.submit(&job("dup", "t")).expect("resubmit");
     assert_eq!(reason(&resp), "duplicate_id");
-    assert!(c.submit_idempotent(&job("dup", "t")).expect("idempotent"));
+    assert_eq!(
+        c.submit_idempotent(&job("dup", "t")).expect("idempotent"),
+        None
+    );
 
     // STATUS sees the queue; CANCEL on a finished job is refused.
     assert!(is_ok(&c.wait("dup", 60_000).expect("wait")));

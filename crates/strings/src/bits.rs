@@ -18,7 +18,8 @@
 /// Build the mask with the given occupied orbitals.
 ///
 /// Panics (debug) on duplicate orbitals or orbitals ≥ 64.
-pub fn string_from_occ(occ: &[usize]) -> u64 {
+#[cfg(test)]
+pub(crate) fn string_from_occ(occ: &[usize]) -> u64 {
     let mut m = 0u64;
     for &p in occ {
         debug_assert!(p < 64, "orbital index out of range");
@@ -68,8 +69,8 @@ pub fn create(mask: u64, p: usize) -> Option<(i8, u64)> {
 /// returns `(sign, new_mask)` or `None` if it annihilates the string.
 ///
 /// Note `E_pp |J⟩ = |J⟩` when p is occupied (occupation-number operator).
-#[inline]
-pub fn excite(mask: u64, p: usize, q: usize) -> Option<(i8, u64)> {
+#[cfg(test)]
+pub(crate) fn excite(mask: u64, p: usize, q: usize) -> Option<(i8, u64)> {
     let (s1, m1) = annihilate(mask, q)?;
     let (s2, m2) = create(m1, p)?;
     Some((s1 * s2, m2))

@@ -26,12 +26,10 @@
 //! symmetry block is a contiguous index range.
 
 pub mod bits;
-pub mod rank;
 pub mod space;
 pub mod tables;
 
-pub use bits::{annihilate, create, excite, irrep_of_mask, occ_list, string_from_occ, Bits};
-pub use rank::{rank_colex, unrank_colex};
+pub use bits::{annihilate, create, irrep_of_mask, occ_list, Bits};
 pub use space::{binomial, SpinStrings};
 pub use tables::{
     pair_index, CreateEntry, CreationLists, Creator, Nm1Families, Nm2Families, PairEntry,

@@ -362,27 +362,21 @@ pub(crate) fn client(args: Args) -> Result<bool, String> {
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            match client.submit(job) {
-                Ok(resp) => {
-                    let ok = resp.get("ok") == Some(&JsonValue::Bool(true));
-                    let reason = resp.get("reason").and_then(JsonValue::as_str).unwrap_or("");
-                    if ok || reason == "duplicate_id" {
-                        break;
+            match client.submit_idempotent(job) {
+                Ok(None) => break,
+                Ok(Some(resp)) => match resp.get_f64("retry_after_ms") {
+                    Some(ms) if attempts < 200 => {
+                        std::thread::sleep(std::time::Duration::from_millis(ms.max(1.0) as u64))
                     }
-                    match resp.get_f64("retry_after_ms") {
-                        Some(ms) if attempts < 200 => {
-                            std::thread::sleep(std::time::Duration::from_millis(ms.max(1.0) as u64))
-                        }
-                        _ => {
-                            return Err(format!(
-                                "job {} rejected: {}: {}",
-                                job.id,
-                                reason,
-                                resp.get("detail").and_then(JsonValue::as_str).unwrap_or("")
-                            ))
-                        }
+                    _ => {
+                        return Err(format!(
+                            "job {} rejected: {}: {}",
+                            job.id,
+                            resp.get("reason").and_then(JsonValue::as_str).unwrap_or(""),
+                            resp.get("detail").and_then(JsonValue::as_str).unwrap_or("")
+                        ))
                     }
-                }
+                },
                 // Server went away (crash window): reconnect and
                 // resubmit; durability makes the retry idempotent.
                 Err(_) => client = connect_patiently(&cli.addr, cli.reconnect_ms)?,

@@ -19,7 +19,7 @@ use fci_core::{
     RecoveryOptions, SigmaCtx, SigmaMethod,
 };
 use fci_ddi::{Backend, CheckConfig, Ddi, FaultConfig, FaultPlan, FaultStats, RankDeath};
-use fci_obs::{parse_jsonl, MetricsRegistry, ObsConfig, RunSummary};
+use fci_obs::{parse_jsonl_lenient, MetricsRegistry, ObsConfig, RunSummary};
 use fci_scf::MoIntegrals;
 use fci_xsim::MachineModel;
 use std::path::PathBuf;
@@ -104,7 +104,8 @@ fn run_schedule_on(
     let rec = RecoveryOptions::new(tmp(&format!("{name}.ckp")));
     let r = solve_resilient(mo, na, nb, 0, &opts, &rec).expect("resilient solve failed");
     let text = std::fs::read_to_string(&trace).expect("trace written");
-    let events = parse_jsonl(&text).expect("trace parses");
+    let (events, warn) = parse_jsonl_lenient(&text).expect("trace parses");
+    assert!(warn.is_none(), "{warn:?}");
     let fault_series = MetricsRegistry::from_events(&events)
         .render_text()
         .lines()

@@ -230,7 +230,8 @@ fn boys_recursion() {
     let mut g = Xorshift64::new(0xB05);
     for _ in 0..50 {
         let t = 200.0 * g.next_f64();
-        let v = fcix::ints::boys::boys_vec(6, t);
+        let mut v = [0.0; 7];
+        fcix::ints::boys::boys(6, t, &mut v);
         for m in 0..6 {
             let lhs = (2 * m + 1) as f64 * v[m];
             let rhs = 2.0 * t * v[m + 1] + (-t).exp();

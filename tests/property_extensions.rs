@@ -1,5 +1,5 @@
-//! Property-style tests for the extension modules: graphical string
-//! ranking, dipole integrals, excitation filters, spin diagnostics.
+//! Property-style tests for the extension modules: dipole integrals,
+//! excitation filters, spin diagnostics.
 //! Cases come from the seeded `fci_fault::Xorshift64` generator (as in
 //! `tests/property.rs`) so runs are reproducible without any external
 //! fuzzing dependency.
@@ -7,27 +7,6 @@
 use fcix::core::{random_hamiltonian, DetSpace, Hamiltonian};
 use fcix::fault::Xorshift64;
 use fcix::ints::{dipole, overlap, BasisSet, Molecule, Shell};
-use fcix::strings::{binomial, rank_colex, unrank_colex};
-
-/// rank/unrank are mutually inverse bijections onto 0..C(n,k).
-#[test]
-fn rank_unrank_bijection() {
-    let mut g = Xorshift64::new(0x4A4B);
-    let mut cases = 0;
-    while cases < 32 {
-        let n = 1 + g.next_index(15);
-        let ne = g.next_index(16) % (n + 1);
-        let total = binomial(n, ne);
-        if total == 0 {
-            continue;
-        }
-        cases += 1;
-        let r = g.next_index(10_000) % total;
-        let mask = unrank_colex(n, ne, r);
-        assert_eq!(mask.count_ones() as usize, ne);
-        assert_eq!(rank_colex(mask), r);
-    }
-}
 
 /// The dipole operator about a shifted origin differs from the
 /// origin-centred one by exactly −C·S (operator identity).

@@ -390,7 +390,7 @@ fn both_solvers_report_the_connection_table_footprint() {
     for engine in [solve_cdfci as Engine, solve_selected] {
         let registry = fcix::obs::MetricsRegistry::new();
         let opts = SparseOptions {
-            obs: fcix::obs::ObsConfig::metrics_into(registry.clone()),
+            obs: fcix::obs::ObsConfig::off().with_metrics(registry.clone()),
             ..SparseOptions::default()
         };
         assert!(engine(&space, &ham, &opts).converged);

@@ -12,10 +12,10 @@ use fcix::core::{
 use fcix::ddi::{Backend, Ddi, FaultConfig, FaultPlan};
 use fcix::fault::Xorshift64;
 use fcix::obs::{
-    parse_collapsed, parse_jsonl, to_chrome, to_collapsed, Category, Event, EventKind, JsonValue,
+    parse_collapsed, parse_jsonl_lenient, to_chrome, to_collapsed, Event, EventKind, JsonValue,
     MetricsRegistry, ObsConfig, RunSummary, TimeBase, Tracer,
 };
-use fcix::xsim::MachineModel;
+use fcix::xsim::{Clock, MachineModel};
 use std::sync::Arc;
 
 /// Run one traced σ evaluation; return the trace and the breakdown's
@@ -70,7 +70,9 @@ fn trace_summary_matches_report_summary() {
                 "{what}: trace {a} vs clocks {b} ({method:?})"
             );
         };
-        for cat in Category::CLOCKED {
+        // Table 3's rows, in the order the clock emits them.
+        for seg in Clock::default().segments() {
+            let cat = seg.cat;
             close(from_trace.time(cat), from_clocks.time(cat), cat.as_str());
         }
         close(from_trace.elapsed, from_clocks.elapsed, "elapsed");
@@ -175,8 +177,9 @@ fn jsonl_is_deterministic_and_round_trips() {
         );
     }
     let jsonl: String = ev1.iter().map(|e| e.to_json().to_string() + "\n").collect();
-    let parsed = parse_jsonl(&jsonl).expect("own output must parse");
+    let (parsed, warn) = parse_jsonl_lenient(&jsonl).expect("own output must parse");
     assert_eq!(parsed, ev1);
+    assert!(warn.is_none(), "{warn:?}");
 }
 
 /// The host-time split the σ routines emit accounts for the phases it
@@ -289,7 +292,8 @@ fn golden_summary_from_fixed_trace() {
     // Counters ride on spans; instants are annotations and must not
     // perturb any aggregate (the nxtval instant above is ignored). A span
     // of unknown category is rank 1's busy time but no category's.
-    let events = parse_jsonl(jsonl).unwrap();
+    let (events, warn) = parse_jsonl_lenient(jsonl).unwrap();
+    assert!(warn.is_none(), "{warn:?}");
     let s = RunSummary::from_events(&events);
     assert_eq!(s.nproc, 2);
     assert_eq!(s.t_dgemm, 3.0);
@@ -460,7 +464,7 @@ fn solves_sharing_a_registry_count_their_sigma_evaluations() {
     let space = DetSpace::c1(5, 2, 2);
     let opts = |method| FciOptions {
         method,
-        obs: ObsConfig::metrics_into(reg.clone()),
+        obs: ObsConfig::off().with_metrics(reg.clone()),
         ..FciOptions::default()
     };
     let davidson = solve_prepared(&space, &ham, &opts(DiagMethod::Davidson));
@@ -471,6 +475,42 @@ fn solves_sharing_a_registry_count_their_sigma_evaluations() {
     assert!(!text.contains("cursor"), "{text}");
     let sigmas = davidson.iterations + auto.iterations + roots.iterations;
     assert_eq!(reg.value("davidson.iters", &[]), Some(sigmas as f64));
+}
+
+/// Every phase of a DGEMM σ reaches the metrics plane: after a traced-off
+/// Davidson solve with a registry attached, β-β, α-α, α-β and the
+/// transpose each carry one `sigma.phase_s` and `sigma.phase_gflops`
+/// sample per σ evaluation and one `sigma.rank_busy_s` sample per rank.
+#[test]
+fn every_dgemm_sigma_phase_reaches_the_metrics_plane() {
+    let reg = MetricsRegistry::new();
+    let nproc = 2;
+    let opts = FciOptions {
+        nproc,
+        sigma: SigmaMethod::Dgemm,
+        method: DiagMethod::Davidson,
+        obs: ObsConfig::off().with_metrics(reg.clone()),
+        ..FciOptions::default()
+    };
+    let mo = fcix::scf::MoIntegrals::hubbard_chain(6, 1.0, 2.0, false);
+    let r = fcix::core::solve(&mo, 3, 3, 0, &opts);
+    assert!(r.converged);
+    let sigmas = reg.value("davidson.iters", &[]).expect("σ count");
+    assert!(sigmas >= 1.0);
+    let text = reg.render_text();
+    for phase in ["beta_beta", "alpha_alpha", "alpha_beta", "transpose"] {
+        for (metric, per_sigma) in [
+            ("sigma_phase_s", 1.0),
+            ("sigma_phase_gflops", 1.0),
+            ("sigma_rank_busy_s", nproc as f64),
+        ] {
+            let line = format!(
+                "fcix_{metric}_count{{phase=\"{phase}\"}} {}",
+                sigmas * per_sigma
+            );
+            assert!(text.lines().any(|l| l == line), "{line} missing:\n{text}");
+        }
+    }
 }
 
 /// The Chrome export is valid JSON with one complete ("X") record per
