@@ -20,6 +20,12 @@
 //! same name *is* a use, even an unrelated local or a method of another
 //! type: there is no type resolution here, so the report only ever
 //! errs towards keeping an item, never towards deleting one on a guess.
+//! A `pub fn` inside an `impl` block is the one exception: a method can
+//! only be called or named by path, so only a call of that name
+//! (`.name(`, `name(`, `.name::<`) or a path mention (`…::name`, not a
+//! module segment `…::name::x`) keeps it; a field or a local of the same
+//! name does not. Any call of that name still counts, whatever its
+//! receiver.
 //! Items only `perf/src` uses therefore stay. Definitions under `perf/`
 //! are not checked, because `perf/` moves only in a benchmark PR.
 
@@ -62,21 +68,47 @@ pub struct DeadReport {
     pub waived: usize,
 }
 
-/// A `pub` item definition and whether it carries the waiver.
+/// A `pub` item definition, whether it carries the waiver, and whether
+/// it is a method (a `fn` directly inside an `impl` block).
 struct Def {
     item: DeadItem,
     waived: bool,
+    method: bool,
 }
 
 /// Scan one non-test file: its `pub` item definitions (when `defs` is
-/// set) and the identifiers its non-test code uses.
+/// set) and the identifiers its non-test code uses, each called or named
+/// by path also as `name()`.
 fn scan(ctx: &FileCtx, relpath: &str, defs: bool) -> (Vec<Def>, HashSet<String>) {
     let n = ctx.code.len();
     // Code-token indices that are never uses: `pub use` bodies, `mod`
     // names and the name of each `pub` definition.
     let mut skip = vec![false; n];
     let mut items = Vec::new();
+    // Brace depth, and the depth inside each enclosing `impl` body.
+    let mut depth = 0usize;
+    let mut impls: Vec<usize> = Vec::new();
+    let mut impl_pending = false;
     for ci in 0..n {
+        match ctx.ctext(ci) {
+            "{" => {
+                depth += 1;
+                if std::mem::take(&mut impl_pending) {
+                    impls.push(depth);
+                }
+            }
+            "}" => {
+                if impls.last() == Some(&depth) {
+                    impls.pop();
+                }
+                depth = depth.saturating_sub(1);
+            }
+            // An `impl` item, not `impl Trait` in a type.
+            "impl" if ci == 0 || matches!(ctx.ctext(ci - 1), "}" | ";" | "{" | "]" | "unsafe") => {
+                impl_pending = true;
+            }
+            _ => {}
+        }
         if ctx.ctok(ci).kind != TokKind::Ident {
             continue;
         }
@@ -118,6 +150,7 @@ fn scan(ctx: &FileCtx, relpath: &str, defs: bool) -> (Vec<Def>, HashSet<String>)
                                 name: ctx.ctext(j + 1).to_string(),
                             },
                             waived: ctx.waived(line as usize, "dead"),
+                            method: ctx.ctext(j) == "fn" && impls.last() == Some(&depth),
                         });
                     }
                 }
@@ -125,14 +158,22 @@ fn scan(ctx: &FileCtx, relpath: &str, defs: bool) -> (Vec<Def>, HashSet<String>)
             _ => {}
         }
     }
-    let uses = (0..n)
-        .filter(|&ci| {
-            !skip[ci]
-                && ctx.ctok(ci).kind == TokKind::Ident
-                && !ctx.in_test_region(ctx.ctok(ci).line)
-        })
-        .map(|ci| ctx.ctext(ci).trim_start_matches("r#").to_string())
-        .collect();
+    let mut uses = HashSet::new();
+    for (ci, &skipped) in skip.iter().enumerate() {
+        if skipped || ctx.ctok(ci).kind != TokKind::Ident || ctx.in_test_region(ctx.ctok(ci).line) {
+            continue;
+        }
+        let name = ctx.ctext(ci).trim_start_matches("r#").to_string();
+        let called = ctx.ctext(ci + 1) == "(" && (ci == 0 || ctx.ctext(ci - 1) != "fn");
+        // `…::name`, unless `name` is a module segment (`std::time::…`,
+        // `std::ops::{…}`); a turbofish `::<` follows an item.
+        let segment = ctx.seq_at(ci + 1, &[":", ":"]) && ctx.ctext(ci + 3) != "<";
+        let by_path = ci >= 2 && ctx.seq_at(ci - 2, &[":", ":"]) && !segment;
+        if called || by_path || ctx.seq_at(ci + 1, &[":", ":", "<"]) {
+            uses.insert(format!("{name}()"));
+        }
+        uses.insert(name);
+    }
     (items, uses)
 }
 
@@ -168,8 +209,12 @@ pub fn find_dead(root: &Path) -> std::io::Result<DeadReport> {
     }
     // `scan` skipped each definition's own name, so one set serves the
     // item's own file and every other file alike.
+    let used = |d: &Def| match d.method {
+        true => uses.contains(&format!("{}()", d.item.name)),
+        false => uses.contains(&d.item.name),
+    };
     let mut report = DeadReport::default();
-    for d in defs.into_iter().filter(|d| !uses.contains(&d.item.name)) {
+    for d in defs.into_iter().filter(|d| !used(d)) {
         if d.waived {
             report.waived += 1;
         } else {
@@ -259,6 +304,24 @@ mod tests {
         let other = "fn f() { let shared_name = 3; let _ = shared_name; }\n";
         assert!(
             dead_in(&[("crates/a/src/lib.rs", lib), ("crates/b/src/lib.rs", other)]).is_empty()
+        );
+    }
+
+    #[test]
+    fn a_method_is_kept_by_a_call_or_a_path_not_by_a_field_or_a_local() {
+        let lib = "pub struct S { pub budget: usize }\n\
+                   impl S {\n    pub fn budget(&self) -> usize { self.budget }\n\
+                   pub fn called(&self) {}\n    pub fn turbofish<T>(&self) {}\n\
+                   pub fn by_path(&self) {}\n    pub fn other_receiver(&self) {}\n}\n\
+                   pub fn free() {}\n";
+        let user = "fn g(s: &fci_a::S, t: &T) -> usize {\n    let free = 1;\n    s.called();\n\
+                    s.turbofish::<u8>();\n    let f = fci_a::S::by_path;\n\
+                    let _ = std::called::budget::X;\n    use std::budget::{Y};\n\
+                    t.other_receiver();\n    s.budget + free\n}\n\
+                    trait Tr { fn budget(&self) -> usize; }\n";
+        assert_eq!(
+            dead_in(&[("crates/a/src/lib.rs", lib), ("crates/b/src/lib.rs", user)]),
+            vec!["budget"]
         );
     }
 

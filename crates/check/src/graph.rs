@@ -14,7 +14,7 @@
 //!   constructors and ignored;
 //! * `.f(…)` method calls — resolved only when `f` is defined exactly
 //!   once across all workspace impls *and* is not a common std method
-//!   name ([`STD_METHODS`]); everything else lands in the unresolved
+//!   name (`STD_METHODS`); everything else lands in the unresolved
 //!   bucket.
 //!
 //! On top of the graph sit two transitive analyses rooted at the σ-task

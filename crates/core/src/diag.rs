@@ -50,6 +50,32 @@ pub enum DiagMethod {
     AutoAdjust,
 }
 
+impl DiagMethod {
+    /// Stable lowercase name (used in job specs and JSON).
+    pub fn name(&self) -> &'static str {
+        match self {
+            DiagMethod::Davidson => "davidson",
+            DiagMethod::TwoVector => "two_vector",
+            DiagMethod::Olsen => "olsen",
+            DiagMethod::OlsenDamped => "olsen_damped",
+            DiagMethod::AutoAdjust => "auto",
+        }
+    }
+
+    /// Parse a name back ([`DiagMethod::name`]); `auto_adjust` and
+    /// `olsen-damped` are accepted too.
+    pub fn from_name(s: &str) -> Option<DiagMethod> {
+        match s {
+            "davidson" => Some(DiagMethod::Davidson),
+            "two_vector" => Some(DiagMethod::TwoVector),
+            "olsen" => Some(DiagMethod::Olsen),
+            "olsen_damped" | "olsen-damped" => Some(DiagMethod::OlsenDamped),
+            "auto" | "auto_adjust" => Some(DiagMethod::AutoAdjust),
+            _ => None,
+        }
+    }
+}
+
 /// Iteration controls.
 #[derive(Clone, Copy, Debug)]
 pub struct DiagOptions {
@@ -194,13 +220,12 @@ impl Preconditioner {
     }
 }
 
-/// A solver's iteration telemetry. Each point emits a `diag_iter` instant
-/// (iteration, energy, residual), advances the `davidson.iters` counter
-/// by the σ evaluations behind it, sets the `davidson.residual` gauge,
-/// and observes `davidson.iter_s`: the simulated seconds rank 0's cursor
-/// advanced since the previous point, or since the solver started. The
-/// previous cursor is this struct's own state, so solves sharing a
-/// registry do not see each other's.
+/// A solver's iteration telemetry. Each point emits a `diag_iter` instant:
+/// iteration, energy, residual, the σ evaluations behind it (`sigmas`,
+/// summed into `davidson.iters`) and `iter_s`, the simulated seconds rank
+/// 0's cursor advanced since the previous point or since the solver
+/// started. The previous cursor is this struct's own state, so solves
+/// sharing a registry do not see each other's.
 pub(crate) struct IterTrace {
     tracer: Tracer,
     prev_s: f64,
@@ -215,22 +240,20 @@ impl IterTrace {
     }
 
     pub(crate) fn point(&mut self, iter: usize, sigmas: usize, e: f64, res: f64) {
-        let t = &self.tracer;
-        t.instant(
+        let now = self.tracer.cursor(0);
+        self.tracer.instant(
             None,
             "diag_iter",
             Category::Other,
-            &[("iter", iter as f64), ("energy", e), ("residual", res)],
+            &[
+                ("iter", iter as f64),
+                ("energy", e),
+                ("residual", res),
+                ("sigmas", sigmas as f64),
+                ("iter_s", now - self.prev_s),
+            ],
         );
-        if let Some(m) = t.metrics() {
-            m.counter_add("davidson.iters", &[], sigmas as f64);
-            m.gauge_set("davidson.residual", &[], res);
-            let now = t.cursor(0);
-            if now > self.prev_s {
-                m.observe("davidson.iter_s", &[], now - self.prev_s);
-            }
-            self.prev_s = now;
-        }
+        self.prev_s = now;
     }
 }
 
@@ -614,6 +637,17 @@ mod tests {
         let (r, exact) = run(DiagMethod::Davidson, 5, 2, 2, 2, 3);
         assert!(r.converged, "not converged after {} its", r.iterations);
         assert!((r.e_elec - exact).abs() < 1e-8, "{} vs {exact}", r.e_elec);
+    }
+
+    #[test]
+    fn method_names_round_trip() {
+        use DiagMethod::*;
+        for m in [Davidson, TwoVector, Olsen, OlsenDamped, AutoAdjust] {
+            assert_eq!(DiagMethod::from_name(m.name()), Some(m));
+        }
+        assert_eq!(DiagMethod::from_name("auto_adjust"), Some(AutoAdjust));
+        assert_eq!(DiagMethod::from_name("olsen-damped"), Some(OlsenDamped));
+        assert_eq!(DiagMethod::from_name("lanczos"), None);
     }
 
     #[test]

@@ -281,11 +281,6 @@ impl Hamiltonian {
         }
         e
     }
-
-    /// Number of ordered orbital pairs `p > r`.
-    pub fn npair(&self) -> usize {
-        self.n * (self.n - 1) / 2
-    }
 }
 
 /// A synthetic Hamiltonian with random but *physically structured*
@@ -446,8 +441,9 @@ mod tests {
             sym[p] ^ sym[r]
         };
         let mut covered = 0;
-        for row in 0..ham.npair() {
-            for col in 0..ham.npair() {
+        let npair = ham.n * (ham.n - 1) / 2;
+        for row in 0..npair {
+            for col in 0..npair {
                 let (hr, hc) = (pair_irrep(row), pair_irrep(col));
                 if hr == hc {
                     let (i, j) = (ham.pair_pos()[row], ham.pair_pos()[col]);

@@ -208,10 +208,6 @@ pub fn solve_resilient_prepared(
                         ("lost_s", lost_s),
                     ],
                 );
-                if let Some(m) = tracer.metrics() {
-                    m.counter_incr("fault.rank_deaths", &[]);
-                    m.observe("fault.rank_death_recovery_s", &[], lost_s);
-                }
                 continue 'world;
             }
             total_iters += chunk.iterations;

@@ -478,20 +478,16 @@ fn process_task_guarded(
             if let Some((_, vals)) = pending.first_mut() {
                 plan.corrupt(Corruption::Nan, vals);
             }
-            let kind = FaultKind::PoisonedTask;
             tracer.instant(
                 Some(rank),
                 "fault_injected",
                 Category::Other,
                 &[
-                    ("kind", kind.code()),
+                    ("kind", FaultKind::PoisonedTask.code()),
                     ("ka", ka as f64),
                     ("attempt", attempt as f64),
                 ],
             );
-            if let Some(m) = tracer.metrics() {
-                m.counter_incr("fault.injected", &[("kind", kind.label())]);
-            }
         }
         let clean = pending
             .iter()
@@ -512,9 +508,6 @@ fn process_task_guarded(
             Category::Other,
             &[("ka", ka as f64), ("attempt", attempt as f64)],
         );
-        if let Some(m) = tracer.metrics() {
-            m.counter_incr("fault.recomputes", &[]);
-        }
         attempt += 1;
     }
 }

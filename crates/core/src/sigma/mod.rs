@@ -2,10 +2,10 @@
 //!
 //! Two complete implementations, mirroring the paper's comparison:
 //!
-//! * [`dgemm`](crate::sigma::same_spin)/[`mixed`](crate::sigma::mixed) —
+//! * [`dgemm`](crate::sigma::same_spin)/[`mixed`] —
 //!   the paper's contribution: dense matrix–matrix multiply through N−2
 //!   (same-spin) and dual N−1 (mixed-spin) intermediates;
-//! * [`moc`](crate::sigma::moc) — the minimum-operation-count baseline:
+//! * [`moc`] — the minimum-operation-count baseline:
 //!   indexed multiply–add over precomputed excitation lists, with the
 //!   same-spin element work replicated on every processor.
 //!

@@ -140,10 +140,9 @@ impl DistMatrix {
     #[inline]
     fn trace_op(&self, rank: usize, op: TransferOp, bytes: u64, col: usize, owner: usize) {
         if let Some(t) = self.tracer.get() {
-            // Event name and the transfer-size histogram it feeds.
-            let (event, hist) = match op {
-                TransferOp::Get => ("ddi_get", "ddi.get_bytes"),
-                TransferOp::Acc => ("ddi_acc", "ddi.acc_bytes"),
+            let event = match op {
+                TransferOp::Get => "ddi_get",
+                TransferOp::Acc => "ddi_acc",
             };
             t.instant(
                 Some(rank),
@@ -155,9 +154,6 @@ impl DistMatrix {
                     ("owner", owner as f64),
                 ],
             );
-            if let Some(m) = t.metrics() {
-                m.observe(hist, &[], bytes as f64);
-            }
         }
     }
 
@@ -306,9 +302,6 @@ impl DistMatrix {
                             ("owner", owner as f64),
                         ],
                     );
-                    if let Some(m) = t.metrics() {
-                        m.observe("ddi.get_bytes", &[], bytes as f64);
-                    }
                 }
             }
             s = e;
@@ -575,12 +568,6 @@ impl DistMatrix {
             // `backoff_s` rides along only when the fault cost a wait.
             let n = if backoff_ns > 0 { 5 } else { 4 };
             t.instant(Some(rank), "fault_injected", Category::Other, &args[..n]);
-            if let Some(m) = t.metrics() {
-                m.counter_incr("fault.injected", &[("kind", kind.label())]);
-                if backoff_ns > 0 {
-                    m.observe("ddi.retry_backoff_s", &[("kind", kind.label())], backoff_s);
-                }
-            }
         }
     }
 

@@ -76,11 +76,6 @@ impl Ddi {
         let _ = self.recorder.set(recorder);
     }
 
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<Arc<dyn AccessRecorder>> {
-        self.recorder.get().cloned()
-    }
-
     /// Attach a fault plan; `nxtval` then draws stall faults from it,
     /// and matrices adopted via [`Ddi::adopt`] inherit it (their remote
     /// one-sided ops run the checked delivery path). First attachment
@@ -133,16 +128,15 @@ impl Ddi {
             if let Some(ns) = plan.on_nxtval() {
                 stats.backoff_ns += ns;
                 if let Some(tracer) = self.tracer.get() {
-                    let kind = FaultKind::NxtvalStall;
                     tracer.instant(
                         None,
                         "fault_injected",
                         Category::Other,
-                        &[("kind", kind.code()), ("stall_ns", ns as f64)],
+                        &[
+                            ("kind", FaultKind::NxtvalStall.code()),
+                            ("stall_ns", ns as f64),
+                        ],
                     );
-                    if let Some(m) = tracer.metrics() {
-                        m.counter_incr("fault.injected", &[("kind", kind.label())]);
-                    }
                 }
             }
         }

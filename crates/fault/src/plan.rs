@@ -255,11 +255,6 @@ impl FaultPlan {
         }
     }
 
-    /// The retry/backoff policy checked ops must follow.
-    pub fn retry(&self) -> &RetryPolicy {
-        &self.cfg.retry
-    }
-
     /// The broken-protocol mode, if this schedule carries one.
     pub fn protocol_fault(&self) -> Option<ProtocolFault> {
         self.cfg.protocol
@@ -285,6 +280,7 @@ impl FaultPlan {
     }
 
     /// Total DDI ops seen so far.
+    // lint: allow(dead) — the chaos suite pins each schedule's op count with it
     pub fn ops(&self) -> u64 {
         self.ops.load(Ordering::Relaxed)
     }
@@ -470,7 +466,7 @@ mod tests {
             p_drop: 1.0,
             ..FaultConfig::default()
         });
-        let cap = plan.retry().max_retries;
+        let cap = plan.cfg.retry.max_retries;
         for attempt in 0..cap {
             assert_eq!(
                 plan.on_transfer(TransferOp::Get, attempt),

@@ -12,7 +12,7 @@
 //!   preferring the smallest pooled buffer that already has the capacity
 //!   (so one huge solve does not pin every small buffer at its size);
 //! * dropping the returned [`ScratchGuard`] returns the buffer to the
-//!   pool (up to [`MAX_POOLED`] buffers are retained; extras are freed).
+//!   pool (up to `MAX_POOLED` buffers are retained; extras are freed).
 //!
 //! After warm-up — once the pool holds buffers sized for the largest
 //! panels in flight — `acquire` performs **zero heap allocations**; the

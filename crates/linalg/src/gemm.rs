@@ -467,7 +467,7 @@ fn pack_bt(b: &Matrix, k: usize, n: usize, bpack: &mut [f64]) {
 /// at offset `padded_m·l0`, where `padded_m` = `packed_rows(m)` —
 /// valid because every stripe before the last has depth exactly `KC`.
 /// Within a stripe, row panel `p` sits at `p·kc·MR`, exactly as
-/// [`pack_a`] lays it out. The buffer comes from the [`crate::arena`]
+/// `pack_a` lays it out. The buffer comes from the [`crate::arena`]
 /// pool and returns there on drop.
 ///
 /// The handle borrows nothing: it is an owned snapshot of op(A) at pack
@@ -495,18 +495,6 @@ impl PackedA {
             pack_a(transa, a, 0, m, l0, kc, stripe);
         }
         PackedA { m, k, guard }
-    }
-
-    /// Rows of op(A).
-    #[inline]
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Depth (columns of op(A)).
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     /// The packed panels covering rows `i0..i0+mc` of the KC stripe at
@@ -1081,7 +1069,7 @@ mod tests {
             let mut c_ref = c0.clone();
             dgemm(ta, Trans::No, 1.25, &a, &b, -0.5, &mut c_ref);
             let pa = PackedA::pack(ta, &a);
-            assert_eq!((pa.m(), pa.k()), (m, k));
+            assert_eq!((pa.m, pa.k), (m, k));
             let mut c = c0.clone();
             dgemm_prepacked(1, 1.25, &pa, Trans::No, &b, -0.5, &mut c);
             assert_eq!(c, c_ref, "{ta:?} m={m} n={n} k={k}");

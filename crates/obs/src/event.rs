@@ -162,6 +162,8 @@ pub struct Event {
     pub sim_dur_s: f64,
     /// Numeric payload (bytes, flops, task ids/sizes, energies, …).
     pub args: Vec<(String, f64)>,
+    /// String labels (a served job's `tenant`, …); usually empty.
+    pub labels: Vec<(String, String)>,
 }
 
 impl Event {
@@ -199,6 +201,17 @@ impl Event {
                 ),
             ));
         }
+        if !self.labels.is_empty() {
+            pairs.push((
+                "labels".to_string(),
+                JsonValue::Obj(
+                    self.labels
+                        .iter()
+                        .map(|(k, v)| (k.clone(), JsonValue::Str(v.clone())))
+                        .collect(),
+                ),
+            ));
+        }
         JsonValue::Obj(pairs)
     }
 
@@ -227,6 +240,13 @@ impl Event {
                 .collect(),
             _ => Vec::new(),
         };
+        let labels = match v.get("labels") {
+            Some(JsonValue::Obj(pairs)) => pairs
+                .iter()
+                .filter_map(|(k, val)| val.as_str().map(|x| (k.clone(), x.to_string())))
+                .collect(),
+            _ => Vec::new(),
+        };
         Ok(Event {
             kind,
             name,
@@ -237,6 +257,7 @@ impl Event {
             sim_s: v.get_f64("sim_s").unwrap_or(0.0),
             sim_dur_s: v.get_f64("sim_dur_s").unwrap_or(0.0),
             args,
+            labels,
         })
     }
 }
@@ -290,6 +311,7 @@ mod tests {
             sim_s: 0.25,
             sim_dur_s: 1.5,
             args: vec![("flops".into(), 2.0e9), ("bytes".into(), 0.0)],
+            labels: vec![],
         }
     }
 
@@ -314,6 +336,7 @@ mod tests {
                 sim_s: 0.0,
                 sim_dur_s: 0.0,
                 args: vec![],
+                labels: vec![("tenant".into(), "a\"b".into())],
             },
         ];
         let text: String = evs.iter().map(|e| e.to_json().to_string() + "\n").collect();

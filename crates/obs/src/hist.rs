@@ -76,7 +76,7 @@ impl Histogram {
     }
 
     /// Record one sample. Negative, NaN and infinite values are counted
-    /// in [`Histogram::dropped`] and otherwise ignored.
+    /// as dropped and otherwise ignored.
     pub fn record(&mut self, v: f64) {
         if !v.is_finite() || v < 0.0 {
             self.dropped += 1;
@@ -111,11 +111,6 @@ impl Histogram {
     /// Number of recorded (non-dropped) samples.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Samples rejected as negative or non-finite.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Exact minimum, `None` when empty.
@@ -302,7 +297,7 @@ mod tests {
         h.record(f64::NAN);
         h.record(f64::INFINITY);
         assert_eq!(h.count(), 3);
-        assert_eq!(h.dropped(), 3);
+        assert_eq!(h.dropped, 3);
         assert_eq!(h.percentile(50.0), Some(0.0));
         assert_eq!(h.percentile(100.0), Some(4.0));
         assert_eq!(h.min(), Some(0.0));

@@ -284,11 +284,6 @@ impl TrackedCondvar {
     pub fn notify_all(&self) {
         self.inner.notify_all();
     }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
 }
 
 fn unwrap_wait<T>(r: LockResult<MutexGuard<'_, T>>) -> MutexGuard<'_, T> {

@@ -18,7 +18,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::event::{Event, EventKind, FaultKind};
+use crate::event::{Category, Event, EventKind, FaultKind};
 use crate::hist::Histogram;
 
 /// Number of independently locked shards.
@@ -419,93 +419,133 @@ impl MetricsRegistry {
     /// Rebuild a metrics plane from a recorded trace, so `fcix trace
     /// metrics` can expose any JSONL trace without the producing process.
     ///
-    /// This is the one rollup of a trace's instants (the Table 3 span
-    /// rollup is `RunSummary`). The mapping mirrors what the live
-    /// instrumentation records:
-    /// span durations → `trace.span_s{phase,cat}` histograms; DDI
-    /// transfer instants → `ddi.{get,acc}_bytes`; fault instants →
-    /// `fault.injected{kind}` counters (kinds named by [`FaultKind`]) and
-    /// `ddi.retry_backoff_s{kind}`; σ task recomputes → `fault.recomputes`;
-    /// rank-death recoveries → `fault.rank_deaths` and
-    /// `fault.rank_death_recovery_s`; Davidson iteration instants →
-    /// `davidson.iter_s` (simulated-time deltas); serve job instants →
-    /// per-outcome counters and `serve.{queue_wait,exec}_us`; batched
-    /// solves → `serve.batches`; cache instants → `serve.cache_{hits,
-    /// misses,evictions}`, each adding its `count` payload (default 1).
+    /// This is a fold of the one table from an event to metric updates,
+    /// which keeps no state from one event to the next. A
+    /// [`Tracer`](crate::Tracer) with a registry applies the same table
+    /// to every span and instant it builds, so the live plane and the
+    /// replay of its trace agree by construction. They differ only by the
+    /// metrics no event carries, which their layers record directly: the
+    /// `sigma.*` phase rollup, `sparse.cdfci.scans`, the `serve.wal_*`
+    /// gauges, `serve.batch_size`, `net.requests` and `net.rejects`.
+    /// DESIGN.md's metric catalogue lists the table row by row.
     pub fn from_events(events: &[Event]) -> MetricsRegistry {
         let reg = MetricsRegistry::new();
-        let count = |e: &Event| e.arg("count").unwrap_or(1.0);
-        let mut last_iter_s: Option<f64> = None;
         for e in events {
-            match e.kind {
-                EventKind::Span => {
-                    reg.observe(
-                        "trace.span_s",
-                        &[("phase", &e.name), ("cat", e.cat.as_str())],
-                        e.sim_dur_s,
-                    );
-                    if let Some(flops) = e.arg("flops") {
-                        reg.counter_add("trace.flops", &[("cat", e.cat.as_str())], flops);
-                    }
-                }
-                EventKind::Instant => match e.name.as_str() {
-                    "ddi_get" | "ddi_get_cols" => {
-                        if let Some(b) = e.arg("bytes") {
-                            reg.observe("ddi.get_bytes", &[], b);
-                        }
-                    }
-                    "ddi_acc" => {
-                        if let Some(b) = e.arg("bytes") {
-                            reg.observe("ddi.acc_bytes", &[], b);
-                        }
-                    }
-                    "fault_injected" => {
-                        let kind = FaultKind::from_code(e.arg("kind")).label();
-                        reg.counter_incr("fault.injected", &[("kind", kind)]);
-                        if let Some(b) = e.arg("backoff_s") {
-                            if b > 0.0 {
-                                reg.observe("ddi.retry_backoff_s", &[("kind", kind)], b);
-                            }
-                        }
-                    }
-                    "task_recompute" => reg.counter_incr("fault.recomputes", &[]),
-                    "rank_death_recovery" => {
-                        reg.counter_incr("fault.rank_deaths", &[]);
-                        if let Some(lost) = e.arg("lost_s") {
-                            reg.observe("fault.rank_death_recovery_s", &[], lost);
-                        }
-                    }
-                    "diag_iter" => {
-                        let now = e.sim_s;
-                        if let Some(prev) = last_iter_s {
-                            if now > prev {
-                                reg.observe("davidson.iter_s", &[], now - prev);
-                            }
-                        } else if now > 0.0 {
-                            reg.observe("davidson.iter_s", &[], now);
-                        }
-                        last_iter_s = Some(now);
-                    }
-                    "job_done" => {
-                        reg.counter_incr("serve.jobs_done", &[]);
-                        if let Some(q) = e.arg("queue_us") {
-                            reg.observe("serve.queue_wait_us", &[], q);
-                        }
-                        if let Some(x) = e.arg("exec_us") {
-                            reg.observe("serve.exec_us", &[], x);
-                        }
-                    }
-                    "job_failed" => reg.counter_incr("serve.jobs_failed", &[]),
-                    "batch_solve" => reg.counter_incr("serve.batches", &[]),
-                    "cache_hit" => reg.counter_add("serve.cache_hits", &[], count(e)),
-                    "cache_miss" => reg.counter_add("serve.cache_misses", &[], count(e)),
-                    "cache_evict" => reg.counter_add("serve.cache_evictions", &[], count(e)),
-                    _ => {}
-                },
-                EventKind::Counter => {}
-            }
+            reg.record_event(e.kind, &e.name, e.cat, e.sim_dur_s, &e.args, &e.labels);
         }
         reg
+    }
+
+    /// The one table from a trace record to metric updates; it keeps no
+    /// state from one record to the next. Spans feed
+    /// `trace.span_s{phase,cat}` (their simulated duration) and
+    /// `trace.flops{cat}`. Each instant the table names feeds the series
+    /// listed beside it below, from its own args; a missing arg records
+    /// nothing, except the `count` of the cache instants, which defaults
+    /// to 1. Fault kinds are named by [`FaultKind`]; a served job's
+    /// `tenant` label becomes the label of its `serve.*` series.
+    pub(crate) fn record_event<K: AsRef<str>, L: AsRef<str>>(
+        &self,
+        kind: EventKind,
+        name: &str,
+        cat: Category,
+        sim_dur_s: f64,
+        args: &[(K, f64)],
+        labels: &[(L, L)],
+    ) {
+        let arg = |key: &str| {
+            args.iter()
+                .find(|(k, _)| k.as_ref() == key)
+                .map(|(_, v)| *v)
+        };
+        let gauge = |metric: &str, key: &str| {
+            if let Some(v) = arg(key) {
+                self.gauge_set(metric, &[], v);
+            }
+        };
+        let hist = |metric: &str, key: &str, labels: &[(&str, &str)]| {
+            if let Some(v) = arg(key) {
+                self.observe(metric, labels, v);
+            }
+        };
+        match kind {
+            EventKind::Span => {
+                self.observe(
+                    "trace.span_s",
+                    &[("phase", name), ("cat", cat.as_str())],
+                    sim_dur_s,
+                );
+                if let Some(flops) = arg("flops") {
+                    self.counter_add("trace.flops", &[("cat", cat.as_str())], flops);
+                }
+            }
+            EventKind::Instant => match name {
+                "ddi_get" | "ddi_get_cols" => hist("ddi.get_bytes", "bytes", &[]),
+                "ddi_acc" => hist("ddi.acc_bytes", "bytes", &[]),
+                "fault_injected" => {
+                    let kind = [("kind", FaultKind::from_code(arg("kind")).label())];
+                    self.counter_incr("fault.injected", &kind);
+                    if let Some(b) = arg("backoff_s").filter(|b| *b > 0.0) {
+                        self.observe("ddi.retry_backoff_s", &kind, b);
+                    }
+                }
+                "task_recompute" => self.counter_incr("fault.recomputes", &[]),
+                "rank_death_recovery" => {
+                    self.counter_incr("fault.rank_deaths", &[]);
+                    hist("fault.rank_death_recovery_s", "lost_s", &[]);
+                }
+                "diag_iter" => {
+                    if let Some(n) = arg("sigmas") {
+                        self.counter_add("davidson.iters", &[], n);
+                    }
+                    gauge("davidson.residual", "residual");
+                    if let Some(s) = arg("iter_s").filter(|s| *s > 0.0) {
+                        self.observe("davidson.iter_s", &[], s);
+                    }
+                }
+                "cdfci_begin" | "selected_begin" => {
+                    gauge("sparse.conn.table_bytes", "table_bytes");
+                }
+                "cdfci_sweep" => {
+                    gauge("sparse.cdfci.support", "support");
+                    gauge("sparse.cdfci.store_bytes", "store_bytes");
+                    gauge("sparse.cdfci.dropped", "dropped");
+                    hist("sparse.cdfci.sweep_us", "sweep_us", &[]);
+                }
+                "selected_outer" => {
+                    gauge("sparse.selected.support", "support");
+                    gauge("sparse.selected.nnz", "nnz");
+                    gauge("sparse.selected.energy", "energy");
+                    hist("sparse.selected.outer_us", "outer_us", &[]);
+                }
+                "job_submit" => gauge("serve.queue_depth", "depth"),
+                "job_done" | "job_failed" => {
+                    let tenant = labels
+                        .iter()
+                        .find(|(k, _)| k.as_ref() == "tenant")
+                        .map(|(_, v)| [("tenant", v.as_ref())]);
+                    let by_tenant = tenant.as_ref().map_or(&[][..], |t| &t[..]);
+                    let outcome = match name {
+                        "job_done" => "serve.jobs_done",
+                        _ => "serve.jobs_failed",
+                    };
+                    self.counter_incr(outcome, by_tenant);
+                    hist("serve.queue_wait_us", "queue_us", by_tenant);
+                    hist("serve.exec_us", "exec_us", by_tenant);
+                }
+                "batch_solve" => self.counter_incr("serve.batches", &[]),
+                "cache_hit" | "cache_miss" | "cache_evict" => {
+                    let metric = match name {
+                        "cache_hit" => "serve.cache_hits",
+                        "cache_miss" => "serve.cache_misses",
+                        _ => "serve.cache_evictions",
+                    };
+                    self.counter_add(metric, &[], arg("count").unwrap_or(1.0));
+                }
+                _ => {}
+            },
+            EventKind::Counter => {}
+        }
     }
 }
 
@@ -617,24 +657,29 @@ mod tests {
         assert!(text.contains("fcix_serve_exec_us_count{tenant=\"a\"} 1"));
     }
 
-    /// Every instant tally, from one hand-built trace: plain counts, the
-    /// `count` payload of cache instants, each fault kind (a legacy fault
-    /// instant without a payload files under `other`), and the backoff
-    /// and rank-death histograms.
+    /// The table on one hand-built trace: plain counts, the `count`
+    /// payload of cache instants, each fault kind (a legacy fault instant
+    /// without a payload files under `other`), the `tenant` label of job
+    /// instants and the Davidson series; and the tracer that built the
+    /// trace fed its own registry the same lines.
     #[test]
     fn instants_roll_up() {
         let t = crate::Tracer::in_memory();
         let instant = |name: &str, args: &[(&str, f64)]| {
             t.instant(Some(0), name, crate::Category::Other, args);
         };
-        instant("job_submit", &[]);
+        let job = |name: &str, tenant: &str| {
+            let args = [("queue_us", 10.0), ("exec_us", 20.0)];
+            t.instant_labelled(None, name, Category::Other, &args, &[("tenant", tenant)]);
+        };
+        instant("job_submit", &[("seq", 0.0), ("depth", 3.0)]);
         instant("cache_miss", &[]);
         instant("cache_hit", &[("count", 3.0)]);
         instant("cache_evict", &[("count", 2.0)]);
         instant("batch_solve", &[("jobs", 2.0)]);
-        instant("job_done", &[]);
-        instant("job_done", &[]);
-        instant("job_failed", &[]);
+        job("job_done", "a");
+        job("job_done", "a");
+        job("job_failed", "b");
         for b in [0.001, 0.002, 0.004, 0.008] {
             instant("fault_injected", &[("kind", 0.0), ("backoff_s", b)]);
         }
@@ -646,11 +691,18 @@ mod tests {
             "rank_death_recovery",
             &[("survivors", 3.0), ("lost_s", 0.75)],
         );
-        let reg = MetricsRegistry::from_events(&t.events().unwrap());
+        for (sigmas, res, iter_s) in [(2.0, 0.5, 0.25), (3.0, 0.1, 0.0)] {
+            let args = [("sigmas", sigmas), ("residual", res), ("iter_s", iter_s)];
+            instant("diag_iter", &args);
+        }
+        let events = t.events().unwrap();
+        let reg = MetricsRegistry::from_events(&events);
         let kind = |k| [("kind", k)];
+        let tenant = |k| [("tenant", k)];
         for (name, labels, want) in [
-            ("serve.jobs_done", &[][..], 2.0),
-            ("serve.jobs_failed", &[], 1.0),
+            ("serve.queue_depth", &[][..], 3.0),
+            ("serve.jobs_done", &tenant("a"), 2.0),
+            ("serve.jobs_failed", &tenant("b"), 1.0),
             ("serve.batches", &[], 1.0),
             ("serve.cache_hits", &[], 3.0),
             ("serve.cache_misses", &[], 1.0),
@@ -661,6 +713,8 @@ mod tests {
             ("fault.injected", &kind("poisoned_task"), 1.0),
             ("fault.recomputes", &[], 1.0),
             ("fault.rank_deaths", &[], 1.0),
+            ("davidson.iters", &[], 5.0),
+            ("davidson.residual", &[], 0.1),
         ] {
             assert_eq!(reg.value(name, labels), Some(want), "{name} {labels:?}");
         }
@@ -673,10 +727,14 @@ mod tests {
             "fcix_ddi_retry_backoff_s_count{kind=\"transient\"} 4",
             "fcix_fault_rank_death_recovery_s_count 1",
             "fcix_fault_rank_death_recovery_s_max 0.75",
+            "fcix_serve_exec_us_count{tenant=\"a\"} 2",
+            "fcix_serve_queue_wait_us_count{tenant=\"b\"} 1",
+            "fcix_davidson_iter_s_count 1",
         ] {
             assert!(text.lines().any(|l| l == line), "no {line} in:\n{text}");
         }
         assert!(!text.contains("fcix_ddi_retry_backoff_s_count{kind=\"other\"}"));
+        assert_eq!(t.metrics().unwrap().render_text(), text);
     }
 
     #[test]

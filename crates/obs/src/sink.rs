@@ -121,6 +121,7 @@ mod tests {
             sim_s: 0.0,
             sim_dur_s: 0.0,
             args: vec![],
+            labels: vec![],
         }
     }
 

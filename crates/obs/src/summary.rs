@@ -88,6 +88,7 @@ fn slot<'a, T: Default>(list: &'a mut Vec<(String, T)>, key: &str) -> &'a mut T 
 
 impl RunSummary {
     /// Aggregate time of a category.
+    // lint: allow(dead) — oracle: the telemetry tests compare trace and clock rollups by category
     pub fn time(&self, cat: Category) -> f64 {
         match cat {
             Category::Dgemm => self.t_dgemm,
@@ -435,6 +436,7 @@ mod tests {
             sim_s: 0.0,
             sim_dur_s,
             args: vec![],
+            labels: vec![],
         };
         let s = RunSummary::from_events(&[span(0, 1.0), span(1 << 50, 3.0)]);
         assert_eq!(s.nproc, (1 << 50) + 1);

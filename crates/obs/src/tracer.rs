@@ -121,16 +121,16 @@ impl Tracer {
         }
     }
 
-    /// A tracer that records *only* metrics: span/instant emission is
-    /// disabled (the sink is null) but [`Tracer::metrics`] is live, so
-    /// instrumented layers feed the shared registry without paying for
-    /// event serialization.
+    /// A tracer that records *only* metrics: the sink is null, so no
+    /// [`Event`] is built, but every span and instant still feeds the
+    /// registry through the table of [`MetricsRegistry::from_events`].
     pub fn metrics_only(metrics: MetricsRegistry) -> Tracer {
         Tracer::with_sink(Arc::new(NullSink), Some(metrics))
     }
 
-    /// The metrics registry riding along with this tracer, if any.
-    /// Instrumented hot paths guard their recording on this being `Some`.
+    /// The metrics registry riding along with this tracer, if any. Spans
+    /// and instants reach it by themselves; a layer records here directly
+    /// only a metric no event carries.
     #[inline]
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.inner.as_ref().and_then(|i| i.metrics.as_ref())
@@ -141,6 +141,17 @@ impl Tracer {
     pub fn enabled(&self) -> bool {
         match &self.inner {
             Some(inner) => inner.sink.enabled(),
+            None => false,
+        }
+    }
+
+    /// Whether spans and instants reach anything: a sink that records
+    /// events, or a metrics registry. Guard the work of building a phase's
+    /// spans on this.
+    #[inline]
+    pub fn active(&self) -> bool {
+        match &self.inner {
+            Some(inner) => inner.metrics.is_some() || inner.sink.enabled(),
             None => false,
         }
     }
@@ -189,21 +200,34 @@ impl Tracer {
         }
     }
 
-    fn emit(&self, event: Event) {
-        if let Some(inner) = &self.inner {
-            inner.sink.record(&event);
-        }
-    }
-
     /// Emit a point event at the rank's current simulated time.
     pub fn instant(&self, rank: Option<usize>, name: &str, cat: Category, args: &[(&str, f64)]) {
-        if !self.enabled() {
+        self.instant_labelled(rank, name, cat, args, &[]);
+    }
+
+    /// [`Tracer::instant`] with string labels (a served job's `tenant`).
+    /// An attached registry takes the instant through
+    /// [`MetricsRegistry::from_events`]' table, reading the borrowed
+    /// name, args and labels; only a recording sink builds an [`Event`].
+    pub fn instant_labelled(
+        &self,
+        rank: Option<usize>,
+        name: &str,
+        cat: Category,
+        args: &[(&str, f64)],
+        labels: &[(&str, &str)],
+    ) {
+        let Some(inner) = &self.inner else { return };
+        if let Some(m) = &inner.metrics {
+            m.record_event(EventKind::Instant, name, cat, 0.0, args, labels);
+        }
+        if !inner.sink.enabled() {
             return;
         }
         let sim_s = rank.map_or(0.0, |r| self.cursor(r));
-        self.emit(Event {
+        inner.sink.record(&Event {
             kind: EventKind::Instant,
-            // lint: allow(alloc) — behind the `enabled()` gate above; tracing is off in production hot loops
+            // lint: allow(alloc) — behind the sink gate above; tracing is off in production hot loops
             name: name.to_string(),
             cat,
             rank,
@@ -211,18 +235,20 @@ impl Tracer {
             host_dur_us: 0.0,
             sim_s,
             sim_dur_s: 0.0,
-            // lint: allow(alloc) — behind the `enabled()` gate above; tracing is off in production hot loops
+            // lint: allow(alloc) — behind the sink gate above; tracing is off in production hot loops
             args: args.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            // lint: allow(alloc) — behind the sink gate above; tracing is off in production hot loops
+            labels: labels.iter().map(|&(k, v)| (k.into(), v.into())).collect(),
         });
     }
 
     /// Emit a counter sample at the rank's current simulated time.
     pub fn counter(&self, rank: Option<usize>, name: &str, args: &[(&str, f64)]) {
-        if !self.enabled() {
+        let Some(inner) = self.inner.as_ref().filter(|i| i.sink.enabled()) else {
             return;
-        }
+        };
         let sim_s = rank.map_or(0.0, |r| self.cursor(r));
-        self.emit(Event {
+        inner.sink.record(&Event {
             kind: EventKind::Counter,
             name: name.to_string(),
             cat: Category::Other,
@@ -232,6 +258,7 @@ impl Tracer {
             sim_s,
             sim_dur_s: 0.0,
             args: args.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            labels: Vec::new(),
         });
     }
 
@@ -242,7 +269,8 @@ impl Tracer {
     /// (`host_start_us`..`+host_dur_us`) is split across the spans in
     /// proportion to their simulated durations, so both timelines nest the
     /// same way. Segments with zero duration *and* an all-zero payload are
-    /// skipped.
+    /// skipped. An attached registry takes each span through the table of
+    /// [`MetricsRegistry::from_events`], with or without a recording sink.
     pub fn record_phase(
         &self,
         rank: usize,
@@ -251,10 +279,12 @@ impl Tracer {
         host_start_us: f64,
         host_dur_us: f64,
     ) {
-        if !self.enabled() {
+        if !self.active() {
             return;
         }
         let Some(inner) = &self.inner else { return };
+        let events = inner.sink.enabled();
+        let no_labels: &[(&str, &str)] = &[];
         let mut cursors = inner.cursors.lock().unwrap();
         if cursors.len() <= rank {
             cursors.resize(rank + 1, 0.0);
@@ -272,17 +302,30 @@ impl Tracer {
             } else {
                 0.0
             };
-            inner.sink.record(&Event {
-                kind: EventKind::Span,
-                name: phase.to_string(),
-                cat: seg.cat,
-                rank: Some(rank),
-                host_us: host_at,
-                host_dur_us: host_share,
-                sim_s: sim_at,
-                sim_dur_s: seg.sim_s,
-                args: seg.args.clone(),
-            });
+            if let Some(m) = &inner.metrics {
+                m.record_event(
+                    EventKind::Span,
+                    phase,
+                    seg.cat,
+                    seg.sim_s,
+                    &seg.args,
+                    no_labels,
+                );
+            }
+            if events {
+                inner.sink.record(&Event {
+                    kind: EventKind::Span,
+                    name: phase.to_string(),
+                    cat: seg.cat,
+                    rank: Some(rank),
+                    host_us: host_at,
+                    host_dur_us: host_share,
+                    sim_s: sim_at,
+                    sim_dur_s: seg.sim_s,
+                    args: seg.args.clone(),
+                    labels: Vec::new(),
+                });
+            }
             sim_at += seg.sim_s;
             host_at += host_share;
         }
@@ -393,13 +436,21 @@ mod tests {
         let t = Tracer::in_memory();
         t.metrics().unwrap().counter_incr("x", &[]);
         assert_eq!(t.metrics().unwrap().value("x", &[]), Some(1.0));
-        // Metrics-only: events off, registry shared and live.
+        // Metrics-only: no events, but spans and instants feed the shared
+        // registry, and the cursors advance as with a sink.
         let shared = MetricsRegistry::new();
         let mo = Tracer::metrics_only(shared.clone());
-        assert!(!mo.enabled());
-        mo.instant(Some(0), "dropped", Category::Other, &[]);
+        assert!(!mo.enabled() && mo.active());
+        assert!(!Tracer::disabled().active());
+        mo.instant(Some(0), "cache_hit", Category::Other, &[("count", 2.0)]);
+        mo.record_phase(0, "p", &[seg(Category::Dgemm, 1.5)], 0.0, 0.0);
         mo.metrics().unwrap().counter_incr("y", &[]);
         assert_eq!(shared.value("y", &[]), Some(1.0));
+        assert_eq!(shared.value("serve.cache_hits", &[]), Some(2.0));
+        let span = [("phase", "p"), ("cat", "dgemm")];
+        assert_eq!(shared.percentile("trace.span_s", &span, 100.0), Some(1.5));
+        assert_eq!(mo.cursor(0), 1.5);
+        assert!(mo.events().is_none());
     }
 
     #[test]

@@ -156,11 +156,6 @@ impl ArtifactCache {
         }
     }
 
-    /// Byte budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         self.state.lock().stats

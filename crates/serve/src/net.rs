@@ -577,6 +577,7 @@ impl NetClient {
     }
 
     /// Queue counters.
+    // lint: allow(dead) — the client half of the `status` verb; `fcix client` never asks, the wire tests do
     pub fn status(&mut self) -> io::Result<JsonValue> {
         self.request(&JsonValue::obj(vec![(
             "v",

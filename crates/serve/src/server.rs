@@ -288,9 +288,9 @@ impl Server {
         self.trace.metrics()
     }
 
-    /// Emit the job-completion instant plus per-tenant metrics.
+    /// Emit the job-completion instant, labelled with the job's tenant.
     fn note_job(&self, q: &Queued, done: bool, queue_us: f64, exec_us: f64) {
-        self.trace.instant(
+        self.trace.instant_labelled(
             None,
             if done { "job_done" } else { "job_failed" },
             Category::Other,
@@ -299,18 +299,8 @@ impl Server {
                 ("queue_us", queue_us),
                 ("exec_us", exec_us),
             ],
+            &[("tenant", &q.spec.tenant)],
         );
-        if let Some(m) = self.trace.metrics() {
-            let tenant = q.spec.tenant.as_str();
-            let name = if done {
-                "serve.jobs_done"
-            } else {
-                "serve.jobs_failed"
-            };
-            m.counter_incr(name, &[("tenant", tenant)]);
-            m.observe("serve.queue_wait_us", &[("tenant", tenant)], queue_us);
-            m.observe("serve.exec_us", &[("tenant", tenant)], exec_us);
-        }
     }
 
     /// Append to the WAL (no-op without one), tracking size metrics.
@@ -392,17 +382,18 @@ impl Server {
             res.len() - 1
         };
         st.ids.insert(spec.id.clone(), out);
-        self.trace
-            .instant(None, "job_submit", Category::Other, &[("seq", seq as f64)]);
         st.pending.push(Queued {
             submit_us: self.clock.now_us(),
             spec,
             seq,
             out,
         });
-        if let Some(m) = self.trace.metrics() {
-            m.gauge_set("serve.queue_depth", &[], st.pending.len() as f64);
-        }
+        self.trace.instant(
+            None,
+            "job_submit",
+            Category::Other,
+            &[("seq", seq as f64), ("depth", st.pending.len() as f64)],
+        );
         drop(st);
         self.work.notify_all();
         Ok(())
@@ -444,6 +435,7 @@ impl Server {
 
     /// Graceful shutdown: queued jobs are abandoned (reported as
     /// `Shutdown`); in-flight solves run to completion.
+    // lint: allow(dead) — the abandon-the-queue exit no front end offers yet; the serve tests pin it
     pub fn shutdown(&self) {
         let abandoned = {
             let mut st = self.state.lock();
@@ -642,14 +634,6 @@ impl Server {
         let name = if hit { "cache_hit" } else { "cache_miss" };
         self.trace
             .instant(None, name, Category::Other, &[("count", 1.0)]);
-        if let Some(m) = self.trace.metrics() {
-            let metric = if hit {
-                "serve.cache_hits"
-            } else {
-                "serve.cache_misses"
-            };
-            m.counter_incr(metric, &[]);
-        }
     }
 
     /// Per-job solver options, including the per-job trace file.

@@ -346,7 +346,7 @@ impl JobSpec {
             ("nb", JsonValue::Num(self.n_beta as f64)),
             ("irrep", JsonValue::Num(self.target_irrep as f64)),
             ("root", JsonValue::Num(self.root as f64)),
-            ("method", JsonValue::Str(method_name(self.method).into())),
+            ("method", JsonValue::Str(self.method.name().into())),
             ("solver", JsonValue::Str(self.solver.name().into())),
             ("eps", JsonValue::Num(self.eps)),
             ("sparse_cap", JsonValue::Num(self.sparse_cap as f64)),
@@ -404,7 +404,8 @@ impl JobSpec {
             job.root = r as usize;
         }
         if let Some(m) = v.get("method").and_then(JsonValue::as_str) {
-            job.method = method_from_name(m)?;
+            job.method =
+                DiagMethod::from_name(m).ok_or_else(|| format!("unknown diag method `{m}`"))?;
         }
         // Absent on pre-sparse wire/WAL records: default to the dense
         // engine so old logs replay unchanged.
@@ -460,27 +461,6 @@ impl ProblemSpec {
     /// Orbital irrep labels without building the tensors.
     fn build_sym(&self) -> Vec<u8> {
         vec![0; self.n_orb()]
-    }
-}
-
-fn method_name(m: DiagMethod) -> &'static str {
-    match m {
-        DiagMethod::Davidson => "davidson",
-        DiagMethod::TwoVector => "two_vector",
-        DiagMethod::Olsen => "olsen",
-        DiagMethod::OlsenDamped => "olsen_damped",
-        DiagMethod::AutoAdjust => "auto",
-    }
-}
-
-fn method_from_name(s: &str) -> Result<DiagMethod, String> {
-    match s {
-        "davidson" => Ok(DiagMethod::Davidson),
-        "two_vector" => Ok(DiagMethod::TwoVector),
-        "olsen" => Ok(DiagMethod::Olsen),
-        "olsen_damped" => Ok(DiagMethod::OlsenDamped),
-        "auto" | "auto_adjust" => Ok(DiagMethod::AutoAdjust),
-        other => Err(format!("unknown diag method `{other}`")),
     }
 }
 

@@ -79,11 +79,9 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
         &[
             ("connections", ref_connections as f64),
             ("e_ref", d_ref + ham.e_core),
+            ("table_bytes", cg.table_bytes() as f64),
         ],
     );
-    if let Some(m) = tracer.metrics() {
-        m.gauge_set("sparse.conn.table_bytes", &[], cg.table_bytes() as f64);
-    }
 
     // Gradient floor: ‖b − ρc‖∞ below this means the energy error
     // (quadratic in the gradient) is far below `tol`.
@@ -187,14 +185,11 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
                     ("sweep", stat.sweep as f64),
                     ("support", stat.support as f64),
                     ("energy", stat.energy),
+                    ("store_bytes", map.mem_bytes() as f64),
+                    ("dropped", dropped as f64),
+                    ("sweep_us", stat.elapsed_us),
                 ],
             );
-            if let Some(m) = tracer.metrics() {
-                m.gauge_set("sparse.cdfci.support", &[], stat.support as f64);
-                m.gauge_set("sparse.cdfci.store_bytes", &[], map.mem_bytes() as f64);
-                m.gauge_set("sparse.cdfci.dropped", &[], dropped as f64);
-                m.observe("sparse.cdfci.sweep_us", &[], stat.elapsed_us);
-            }
             if (e_now - e_prev_sweep).abs() < opts.tol {
                 converged = true;
                 break;

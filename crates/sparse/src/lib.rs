@@ -173,6 +173,27 @@ pub(crate) fn tracer_for(obs: &ObsConfig) -> fci_obs::Tracer {
 /// sequential merge order never change with `threads`.
 pub(crate) const GRID_CHUNKS: usize = 64;
 
+/// The one fan-out of the sparse engines: split `items` into `parts`
+/// contiguous runs by [`kernel::range_of`] and call `f(first, run)` on
+/// each, where `first` is the index of the run's first item. One part
+/// runs on the calling thread; more run one scoped thread each.
+pub(crate) fn fan_out<T: Send>(parts: usize, items: &mut [T], f: impl Fn(usize, &mut [T]) + Sync) {
+    if parts <= 1 {
+        f(0, items);
+        return;
+    }
+    let (n, f) = (items.len(), &f);
+    std::thread::scope(|sc| {
+        let mut rest = items;
+        for k in 0..parts {
+            let (lo, hi) = kernel::range_of(n, parts, k);
+            let (head, tail) = rest.split_at_mut(hi - lo);
+            rest = tail;
+            sc.spawn(move || f(lo, head));
+        }
+    });
+}
+
 /// `out[k] = f(lo, hi)` for every chunk `lo..hi` of the fixed grid over
 /// `n` slots. Threads only divide the chunks among themselves; each
 /// chunk's result is a pure function of that chunk.
@@ -182,24 +203,11 @@ fn per_grid_chunk<T: Send>(
     out: &mut [T; GRID_CHUNKS],
     f: impl Fn(usize, usize) -> T + Sync,
 ) {
-    let fill = |first: usize, outs: &mut [T]| {
-        for (i, o) in outs.iter_mut().enumerate() {
-            let (lo, hi) = kernel::range_of(n, GRID_CHUNKS, first + i);
+    let parts = if n < 16_384 { 1 } else { threads };
+    fan_out(parts, out, |first, outs| {
+        for (k, o) in (first..).zip(outs) {
+            let (lo, hi) = kernel::range_of(n, GRID_CHUNKS, k);
             *o = f(lo, hi);
-        }
-    };
-    if threads <= 1 || n < 16_384 {
-        fill(0, out);
-        return;
-    }
-    let fill = &fill;
-    std::thread::scope(|sc| {
-        let mut rest = out.as_mut_slice();
-        for t in 0..threads {
-            let (clo, chi) = kernel::range_of(GRID_CHUNKS, threads, t);
-            let (head, tail) = rest.split_at_mut(chi - clo);
-            rest = tail;
-            sc.spawn(move || fill(clo, head));
         }
     });
 }
@@ -253,21 +261,9 @@ pub(crate) fn spmv(
     x: &[f64],
     y: &mut [f64],
 ) {
-    let n = y.len();
-    if threads <= 1 || n < 4096 {
-        kernel::spmv_rows(rowptr, cols, vals, diag, x, 0, y);
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut rest = y;
-        for k in 0..threads {
-            let (lo, hi) = kernel::range_of(n, threads, k);
-            let (head, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            s.spawn(move || {
-                kernel::spmv_rows(rowptr, cols, vals, diag, x, lo, head);
-            });
-        }
+    let parts = if y.len() < 4096 { 1 } else { threads };
+    fan_out(parts, y, |lo, rows| {
+        kernel::spmv_rows(rowptr, cols, vals, diag, x, lo, rows)
     });
 }
 

@@ -39,7 +39,7 @@
 
 use crate::connect::{reference_det, ConnGen};
 use crate::store::{CoefMap, Det, DetSet};
-use crate::{kernel, spmv, tracer_for, SparseOptions, SparseResult, SweepStat};
+use crate::{fan_out, kernel, spmv, tracer_for, SparseOptions, SparseResult, SweepStat};
 use fci_core::detspace::DetSpace;
 use fci_core::hamiltonian::Hamiltonian;
 use fci_core::multiroot::block_davidson;
@@ -76,11 +76,12 @@ pub fn solve_selected(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions)
         None,
         "selected_begin",
         Category::Other,
-        &[("eps", opts.eps), ("nroots", nroots as f64)],
+        &[
+            ("eps", opts.eps),
+            ("nroots", nroots as f64),
+            ("table_bytes", cg.table_bytes() as f64),
+        ],
     );
-    if let Some(mt) = tracer.metrics() {
-        mt.gauge_set("sparse.conn.table_bytes", &[], cg.table_bytes() as f64);
-    }
 
     for outer in 0..opts.max_outer {
         let t0 = tracer.now_us();
@@ -139,14 +140,9 @@ pub fn solve_selected(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions)
                 ("support", m as f64),
                 ("energy", energies[0]),
                 ("nnz", csr.cols.len() as f64),
+                ("outer_us", stat.elapsed_us),
             ],
         );
-        if let Some(mt) = tracer.metrics() {
-            mt.gauge_set("sparse.selected.support", &[], m as f64);
-            mt.gauge_set("sparse.selected.nnz", &[], csr.cols.len() as f64);
-            mt.gauge_set("sparse.selected.energy", &[], energies[0]);
-            mt.observe("sparse.selected.outer_us", &[], stat.elapsed_us);
-        }
 
         // Outer convergence requires EVERY tracked root to have settled:
         // the ground state routinely stabilizes rounds before an excited
@@ -218,21 +214,6 @@ pub fn solve_selected(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions)
     }
 }
 
-/// `f(k, &mut parts[k])` for every part: on the calling thread when
-/// there is one part, one scoped thread each otherwise.
-fn for_each_part<T: Send>(parts: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-    if let [only] = parts {
-        f(0, only);
-        return;
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        for (k, part) in parts.iter_mut().enumerate() {
-            s.spawn(move || f(k, part));
-        }
-    });
-}
-
 /// CSR of the strict off-diagonal of `H` restricted to `V`, plus the
 /// diagonal. Row contents depend only on the row (enumeration order of
 /// the connection generator), so the row-parallel build is
@@ -257,19 +238,21 @@ fn build_csr(threads: usize, cg: &ConnGen, ham: &Hamiltonian, v: &DetSet, h_cut:
     // One CSR per chunk of rows, `rowptr` relative to the chunk.
     let mut parts: Vec<Csr> = Vec::new();
     parts.resize_with(nchunks, Csr::default);
-    for_each_part(&mut parts, |k, part| {
-        let (lo, hi) = kernel::range_of(m, nchunks, k);
-        part.rowptr.push(0);
-        for r in lo..hi {
-            let dr = v.det(r);
-            part.diag.push(ham.diagonal_element(dr.a, dr.b));
-            cg.walk_connections(ham, dr, h_cut, |j, h| {
-                if let Some(c) = v.rank(j) {
-                    part.cols.push(c as u32);
-                    part.vals.push(h);
-                }
-            });
-            part.rowptr.push(part.cols.len());
+    fan_out(nchunks, &mut parts, |first, run| {
+        for (k, part) in (first..).zip(run) {
+            let (lo, hi) = kernel::range_of(m, nchunks, k);
+            part.rowptr.push(0);
+            for r in lo..hi {
+                let dr = v.det(r);
+                part.diag.push(ham.diagonal_element(dr.a, dr.b));
+                cg.walk_connections(ham, dr, h_cut, |j, h| {
+                    if let Some(c) = v.rank(j) {
+                        part.cols.push(c as u32);
+                        part.vals.push(h);
+                    }
+                });
+                part.rowptr.push(part.cols.len());
+            }
         }
     });
     parts
@@ -347,38 +330,40 @@ fn select_candidates(
     let cap = max_store.saturating_mul(2).max(1024);
     let mut parts: Vec<(CoefMap, usize)> = Vec::new();
     parts.resize_with(nchunks, || (CoefMap::with_capacity(1024), 0));
-    for_each_part(&mut parts, |k, (lmap, lost)| {
-        let (lo, hi) = kernel::range_of(m, nchunks, k);
-        for r in lo..hi {
-            // Largest |c| over roots drives the row screen.
-            let mut cmax = 0.0f64;
-            for c in coefs {
-                cmax = cmax.max(c[r].abs());
-            }
-            if cmax < 1e-12 {
-                continue;
-            }
-            cg.walk_connections(ham, v.det(r), h_cut, |j, h| {
-                if h.abs() * cmax <= eps || v.rank(j).is_some() {
-                    return;
-                }
-                let mut w = 0.0f64;
+    fan_out(nchunks, &mut parts, |first, run| {
+        for (k, (lmap, lost)) in (first..).zip(run) {
+            let (lo, hi) = kernel::range_of(m, nchunks, k);
+            for r in lo..hi {
+                // Largest |c| over roots drives the row screen.
+                let mut cmax = 0.0f64;
                 for c in coefs {
-                    w = w.max((h * c[r]).abs());
+                    cmax = cmax.max(c[r].abs());
                 }
-                if w <= eps {
-                    return;
+                if cmax < 1e-12 {
+                    continue;
                 }
-                if lmap.find(j).is_none() && lmap.len() >= cap {
-                    *lost += 1;
-                    return;
-                }
-                let slot = lmap.slot_or_insert(j);
-                let cur = lmap.vals_mut();
-                if w > cur[slot][0] {
-                    cur[slot][0] = w;
-                }
-            });
+                cg.walk_connections(ham, v.det(r), h_cut, |j, h| {
+                    if h.abs() * cmax <= eps || v.rank(j).is_some() {
+                        return;
+                    }
+                    let mut w = 0.0f64;
+                    for c in coefs {
+                        w = w.max((h * c[r]).abs());
+                    }
+                    if w <= eps {
+                        return;
+                    }
+                    if lmap.find(j).is_none() && lmap.len() >= cap {
+                        *lost += 1;
+                        return;
+                    }
+                    let slot = lmap.slot_or_insert(j);
+                    let cur = lmap.vals_mut();
+                    if w > cur[slot][0] {
+                        cur[slot][0] = w;
+                    }
+                });
+            }
         }
     });
     // Merge the per-thread maxima (order-independent) and read out in

@@ -148,11 +148,6 @@ impl SpinStrings {
         self.strings[i]
     }
 
-    /// All masks, in index order.
-    pub fn masks(&self) -> &[u64] {
-        &self.strings
-    }
-
     /// Global index of a mask, if it belongs to this space.
     #[inline]
     pub fn index_of(&self, mask: u64) -> Option<usize> {

@@ -100,6 +100,7 @@ impl RunReport {
     }
 
     /// Roll the report up into the Table-3-style [`RunSummary`].
+    // lint: allow(dead) — oracle: the clock-side rollup the trace's `RunSummary` is tested against
     pub fn summary(&self) -> RunSummary {
         let mut s = RunSummary {
             nproc: self.nproc(),
@@ -128,9 +129,10 @@ impl RunReport {
     /// Emit this phase into a trace: one stack of category spans per MSP
     /// (derived from each rank's clock via [`Clock::segments`]), followed
     /// by the phase barrier. `host_start_us`/`host_dur_us` bound the
-    /// measured host interval of the phase.
+    /// measured host interval of the phase. A tracer with only a metrics
+    /// registry takes the spans too: they feed its `trace.*` series.
     pub fn record_to(&self, tracer: &Tracer, phase: &str, host_start_us: f64, host_dur_us: f64) {
-        if !tracer.enabled() {
+        if !tracer.active() {
             return;
         }
         for (rank, clock) in self.clocks.iter().enumerate() {

@@ -12,7 +12,9 @@
 //! Each subcommand's module documents its input and options: `run.rs`,
 //! `serve.rs` (`batch`, `server`, `client`), `trace.rs`, `chaos.rs`.
 //! Exit status: 0 success, 1 failure, 2 bad usage. `batch`, `server`
-//! and `client` also exit 2 when an input file cannot be read or parsed.
+//! and `client` also exit 2 when an input file cannot be read or parsed;
+//! any other failure of theirs (a server that cannot be reached, a job
+//! refused, an output that cannot be written) exits 1.
 
 mod chaos;
 mod run;
@@ -51,6 +53,13 @@ pub(crate) enum Error {
     Failed(String),
 }
 
+/// A bare message is a failure of the work; a usage error says so.
+impl From<String> for Error {
+    fn from(e: String) -> Error {
+        Error::Failed(e)
+    }
+}
+
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     let cmd = argv.next().unwrap_or_default();
@@ -61,9 +70,9 @@ fn main() -> ExitCode {
         let args = Args(rest.into_iter());
         match cmd.as_str() {
             "run" => run::main(args).map_err(Error::Failed),
-            "batch" => serve::batch(args).map_err(Error::Usage),
-            "server" => serve::server(args).map_err(Error::Usage),
-            "client" => serve::client(args).map_err(Error::Usage),
+            "batch" => serve::batch(args),
+            "server" => serve::server(args),
+            "client" => serve::client(args),
             "trace" => trace::main(args),
             "chaos" => chaos::main(args),
             _ => Err(Error::Usage(String::new())),

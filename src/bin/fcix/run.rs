@@ -19,7 +19,7 @@
 //! active 6                # active orbitals (omit for all)
 //! alpha 4                 # active-space alpha electrons
 //! beta 4
-//! method auto             # auto | davidson | olsen | olsen-damped
+//! method auto             # auto | davidson | two_vector | olsen | olsen_damped
 //! sigma dgemm             # dgemm | moc
 //! symmetry on             # on | off
 //! msps 16                 # virtual Cray-X1 MSP count
@@ -149,13 +149,9 @@ fn parse(text: &str) -> Result<Input, String> {
             "alpha" => inp.alpha = Some(one(&rest)?.parse().map_err(|e| format!("alpha: {e}"))?),
             "beta" => inp.beta = Some(one(&rest)?.parse().map_err(|e| format!("beta: {e}"))?),
             "method" => {
-                inp.method = match one(&rest)?.as_str() {
-                    "auto" => DiagMethod::AutoAdjust,
-                    "davidson" => DiagMethod::Davidson,
-                    "olsen" => DiagMethod::Olsen,
-                    "olsen-damped" => DiagMethod::OlsenDamped,
-                    other => return Err(format!("unknown method {other}")),
-                }
+                let name = one(&rest)?;
+                inp.method =
+                    DiagMethod::from_name(&name).ok_or(format!("unknown method {name}"))?;
             }
             "sigma" => {
                 inp.sigma = match one(&rest)?.as_str() {

@@ -61,7 +61,7 @@
 //! atomically (tmp + rename).
 //!
 //! Exit status: 0 all jobs done (and verified), 1 any failure, 2 bad
-//! usage or an unreadable input.
+//! usage or an unreadable or unparsable input file.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -69,7 +69,7 @@ use std::sync::Arc;
 use fcix::obs::{JsonValue, MetricsRegistry, ObsConfig};
 use fcix::serve::{serve, JobStatus, NetClient, NetConfig, NetServer, ServeConfig, Server};
 
-use crate::{read_jobs, read_refs, verify, write_atomic, write_out, Args};
+use crate::{read_jobs, read_refs, verify, write_atomic, write_out, Args, Error};
 
 /// A scheduler option `batch` and `server` share; `Ok(false)` when
 /// `flag` is not one.
@@ -86,34 +86,39 @@ fn scheduler_flag(cfg: &mut ServeConfig, flag: &str, args: &mut Args) -> Result<
     Ok(true)
 }
 
-pub(crate) fn batch(mut args: Args) -> Result<bool, String> {
+pub(crate) fn batch(mut args: Args) -> Result<bool, Error> {
     let mut cfg = ServeConfig::default();
     let (mut out, mut verify_path, mut metrics_out) = (None, None, None);
     let mut require_cache_hits = false;
     let mut positional = Vec::new();
-    while let Some(arg) = args.next() {
-        if scheduler_flag(&mut cfg, &arg, &mut args)? {
-            continue;
-        }
-        match arg.as_str() {
-            "-o" | "--out" => out = Some(args.value(&arg)?),
-            "--trace" => cfg.obs = ObsConfig::to_file(args.value(&arg)?),
-            "--metrics-out" => metrics_out = Some(args.value(&arg)?),
-            "--job-trace-dir" => cfg.job_trace_dir = Some(args.value(&arg)?.into()),
-            "--verify" => verify_path = Some(args.value(&arg)?),
-            "--require-cache-hits" => require_cache_hits = true,
-            flag if flag.starts_with('-') && flag != "-" => {
-                return Err(format!("unknown option {flag}"))
+    let mut parse = || -> Result<(), String> {
+        while let Some(arg) = args.next() {
+            if scheduler_flag(&mut cfg, &arg, &mut args)? {
+                continue;
             }
-            _ => positional.push(arg),
+            match arg.as_str() {
+                "-o" | "--out" => out = Some(args.value(&arg)?),
+                "--trace" => cfg.obs = ObsConfig::to_file(args.value(&arg)?),
+                "--metrics-out" => metrics_out = Some(args.value(&arg)?),
+                "--job-trace-dir" => cfg.job_trace_dir = Some(args.value(&arg)?.into()),
+                "--verify" => verify_path = Some(args.value(&arg)?),
+                "--require-cache-hits" => require_cache_hits = true,
+                flag if flag.starts_with('-') && flag != "-" => {
+                    return Err(format!("unknown option {flag}"))
+                }
+                _ => positional.push(arg),
+            }
         }
-    }
-    let [jobs_path] = positional.as_slice() else {
-        return Err("expected exactly one jobs file (or `-`)".into());
+        match positional.len() {
+            1 => Ok(()),
+            _ => Err("expected exactly one jobs file (or `-`)".into()),
+        }
     };
-    let jobs = read_jobs(jobs_path)?;
+    parse().map_err(Error::Usage)?;
+    let jobs = read_jobs(&positional[0]).map_err(Error::Usage)?;
     let n_jobs = jobs.len();
-    let refs = verify_path.as_deref().map(read_refs).transpose()?;
+    let refs = verify_path.as_deref().map(read_refs).transpose();
+    let refs = refs.map_err(Error::Usage)?;
 
     // Metrics plane: a caller-owned registry shared with the server, so
     // the snapshot thread can render it live while workers record.
@@ -282,14 +287,14 @@ fn parse_served(mut args: Args, mode_flag: &str) -> Result<Served, String> {
     Ok(s)
 }
 
-pub(crate) fn server(args: Args) -> Result<bool, String> {
+pub(crate) fn server(args: Args) -> Result<bool, Error> {
     let Served {
         addr,
         mut cfg,
         mut net,
         metrics_out,
         ..
-    } = parse_served(args, "--listen")?;
+    } = parse_served(args, "--listen").map_err(Error::Usage)?;
     if metrics_out.is_some() {
         cfg.obs = cfg.obs.with_metrics(MetricsRegistry::new());
     }
@@ -349,10 +354,14 @@ fn connect_patiently(addr: &str, budget_ms: u64) -> Result<NetClient, String> {
     }
 }
 
-pub(crate) fn client(args: Args) -> Result<bool, String> {
-    let cli = parse_served(args, "--client")?;
-    let jobs = read_jobs(cli.jobs_path.as_deref().ok_or("needs --jobs FILE")?)?;
-    let refs = cli.verify.as_deref().map(read_refs).transpose()?;
+pub(crate) fn client(args: Args) -> Result<bool, Error> {
+    let cli = parse_served(args, "--client").map_err(Error::Usage)?;
+    let Some(jobs_path) = cli.jobs_path.as_deref() else {
+        return Err(Error::Usage("needs --jobs FILE".into()));
+    };
+    let jobs = read_jobs(jobs_path).map_err(Error::Usage)?;
+    let refs = cli.verify.as_deref().map(read_refs).transpose();
+    let refs = refs.map_err(Error::Usage)?;
     let mut client = connect_patiently(&cli.addr, cli.reconnect_ms)?;
 
     // Submit at-least-once: a reconnect + duplicate_id reject proves the
@@ -369,12 +378,12 @@ pub(crate) fn client(args: Args) -> Result<bool, String> {
                         std::thread::sleep(std::time::Duration::from_millis(ms.max(1.0) as u64))
                     }
                     _ => {
-                        return Err(format!(
+                        return Err(Error::Failed(format!(
                             "job {} rejected: {}: {}",
                             job.id,
                             resp.get("reason").and_then(JsonValue::as_str).unwrap_or(""),
                             resp.get("detail").and_then(JsonValue::as_str).unwrap_or("")
-                        ))
+                        )))
                     }
                 },
                 // Server went away (crash window): reconnect and

@@ -259,3 +259,33 @@ fn killed_at_seeded_wal_offsets_every_job_completes_exactly_once() {
     );
     let _ = std::fs::remove_dir_all(&base);
 }
+
+/// A runtime failure is not a usage error: a client pointed at a closed
+/// port exits 1 with its message and no usage text, while a bad flag
+/// still exits 2 with the usage.
+#[test]
+fn unreachable_server_exits_1_and_a_bad_flag_exits_2() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("free port");
+    let addr = listener.local_addr().expect("address").to_string();
+    drop(listener);
+    let jobs = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/serve_jobs6.jsonl");
+    let run = |extra: &[&str]| {
+        let out = Command::new(BIN)
+            .args(["client", "--client", &addr, "--reconnect-ms", "0"])
+            .args(extra)
+            .output()
+            .expect("spawn fcix");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (code, stderr) = run(&["--jobs", jobs.to_str().expect("utf-8 path")]);
+    assert!(
+        code == Some(1) && stderr.contains("cannot connect to"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    let (code, stderr) = run(&["--no-such-flag"]);
+    assert!(code == Some(2) && stderr.contains("usage:"), "{stderr}");
+}

@@ -6,16 +6,20 @@
 
 use fcix::core::{
     apply_sigma, diagonalize, random_hamiltonian, random_symmetric_hamiltonian, solve_prepared,
-    solve_roots_prepared, DetSpace, DiagMethod, DiagOptions, FciOptions, Hamiltonian, PoolParams,
-    SigmaCtx, SigmaMethod,
+    solve_resilient, solve_roots_prepared, DetSpace, DiagMethod, DiagOptions, FciOptions,
+    Hamiltonian, PoolParams, RecoveryOptions, SigmaCtx, SigmaMethod,
 };
-use fcix::ddi::{Backend, Ddi, FaultConfig, FaultPlan};
+use fcix::ddi::{Backend, Ddi, FaultConfig, FaultPlan, RankDeath};
 use fcix::fault::Xorshift64;
 use fcix::obs::{
     parse_collapsed, parse_jsonl_lenient, to_chrome, to_collapsed, Event, EventKind, JsonValue,
     MetricsRegistry, ObsConfig, RunSummary, TimeBase, Tracer,
 };
+use fcix::scf::MoIntegrals;
+use fcix::serve::{serve, JobSpec, ServeConfig};
+use fcix::sparse::{solve_cdfci, solve_selected, SparseOptions, SparseResult};
 use fcix::xsim::{Clock, MachineModel};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Run one traced σ evaluation; return the trace and the breakdown's
@@ -384,22 +388,60 @@ fn metrics_replay_covers_sigma_trace() {
     );
 }
 
-/// What a live solve records and what `fcix trace metrics` rebuilds from
-/// its trace agree on every `ddi.*` and `fault.*` series (count, sum, max,
-/// quantiles, labels) for a traced 2-rank solve without a fault plan, where
-/// every gather takes the aggregated fast path; under transient faults,
-/// where every transfer takes the checked path; and under `nxtval` stalls
-/// and poisoned σ tasks, whose kinds and recomputes are counted live too.
+/// What a live run records equals what `fcix trace metrics` rebuilds from
+/// the same run's trace, line for line, once the families no event
+/// carries are set aside (`sigma.*`, `sparse.cdfci.scans`, `serve.wal_*`,
+/// `serve.batch_size`, `net.*`). The runs: a DGEMM AutoAdjust solve with
+/// no fault plan, under transient faults and under `nxtval` stalls with
+/// poisoned σ tasks; a two-root Davidson; CDFCI and selected CI; a
+/// resilient solve that survives a rank death; and the 6-job, two-tenant
+/// serve fixture. Each run names series it must feed.
 #[test]
-fn live_ddi_and_fault_metrics_equal_their_replay() {
-    let ham = random_hamiltonian(6, 3);
-    let space = DetSpace::c1(6, 3, 2);
-    let model = MachineModel::cray_x1();
-    let series = |reg: &MetricsRegistry| -> Vec<String> {
+fn live_metrics_equal_the_replay_of_their_trace() {
+    let evented = |reg: &MetricsRegistry| -> Vec<String> {
+        let direct = [
+            "sigma_",
+            "sparse_cdfci_scans",
+            "serve_wal_",
+            "serve_batch_size",
+            "net_",
+        ];
         let text = reg.render_text();
-        let keep = |l: &&str| l.starts_with("fcix_ddi_") || l.starts_with("fcix_fault_");
+        let keep = |l: &&str| {
+            let name = l.trim_start_matches("# TYPE ").trim_start_matches("fcix_");
+            !direct.iter().any(|d| name.starts_with(d))
+        };
         text.lines().filter(keep).map(String::from).collect()
     };
+    let check = |run: &str, live: &MetricsRegistry, events: &[Event], fed: &[&str]| {
+        let live = evented(live);
+        assert_eq!(
+            live,
+            evented(&MetricsRegistry::from_events(events)),
+            "{run}"
+        );
+        for fed in fed {
+            assert!(
+                live.iter().any(|l| l.starts_with(fed)),
+                "{run}: no {fed}: {live:#?}"
+            );
+        }
+    };
+    let dir = std::env::temp_dir().join(format!("fcix-telemetry-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("ckpt")).expect("temp dir");
+    // A trace file, and the registry the same run records into.
+    let to_file = |name: &str| {
+        let live = MetricsRegistry::new();
+        let obs = ObsConfig::to_file(dir.join(name)).with_metrics(live.clone());
+        (obs, live, dir.join(name))
+    };
+    let read = |path: &Path| {
+        let text = std::fs::read_to_string(path).expect("trace written");
+        parse_jsonl_lenient(&text).expect("trace parses").0
+    };
+
+    let (ham, space) = (random_hamiltonian(6, 3), DetSpace::c1(6, 3, 2));
+    let model = MachineModel::cray_x1();
     let transient = FaultConfig {
         seed: 9,
         p_drop: 0.05,
@@ -408,24 +450,26 @@ fn live_ddi_and_fault_metrics_equal_their_replay() {
         p_fence_delay: 0.05,
         ..FaultConfig::default()
     };
-    let stalls_and_poison = FaultConfig {
+    let stalls = FaultConfig {
         seed: 11,
         p_stall: 0.05,
         p_poison: 0.05,
         ..FaultConfig::default()
     };
     for (plan, fed) in [
-        (None, &["fcix_ddi_get_bytes_count"][..]),
+        (
+            None,
+            &["fcix_ddi_get_bytes_count", "fcix_davidson_iters "][..],
+        ),
         (
             Some(transient),
             &["fcix_ddi_retry_backoff_s_count{kind=\"transient\"}"],
         ),
         (
-            Some(stalls_and_poison),
+            Some(stalls),
             &[
                 "fcix_fault_injected{kind=\"nxtval_stall\"}",
                 "fcix_fault_injected{kind=\"poisoned_task\"}",
-                "fcix_fault_recomputes ",
             ],
         ),
     ] {
@@ -444,13 +488,105 @@ fn live_ddi_and_fault_metrics_equal_their_replay() {
         };
         let opts = DiagOptions::default();
         assert!(diagonalize(&ctx, SigmaMethod::Dgemm, DiagMethod::AutoAdjust, &opts).converged);
-        let live = series(tracer.metrics().expect("metrics plane"));
-        let replay = MetricsRegistry::from_events(&tracer.events().expect("in-memory tracer"));
-        assert_eq!(live, series(&replay));
-        for fed in fed {
-            assert!(live.iter().any(|l| l.starts_with(fed)), "{fed}: {live:?}");
-        }
+        let events = tracer.events().expect("in-memory tracer");
+        check(
+            fed[0],
+            tracer.metrics().expect("metrics plane"),
+            &events,
+            fed,
+        );
     }
+
+    let (obs, live, path) = to_file("roots.jsonl");
+    let opts = FciOptions {
+        nproc: 2,
+        method: DiagMethod::Davidson,
+        obs,
+        ..FciOptions::default()
+    };
+    let roots = solve_roots_prepared(&DetSpace::c1(5, 2, 2), &random_hamiltonian(5, 3), &opts, 2);
+    assert_eq!(roots.converged, [true, true]);
+    check(
+        "two roots",
+        &live,
+        &read(&path),
+        &["fcix_davidson_iter_s_count"],
+    );
+
+    let hub = Hamiltonian::new(&MoIntegrals::hubbard_chain(6, 1.0, 4.0, false));
+    let hub_space = DetSpace::for_hamiltonian(&hub, 3, 3, 0);
+    type Engine = fn(&DetSpace, &Hamiltonian, &SparseOptions) -> SparseResult;
+    for (run, engine, fed) in [
+        (
+            "cdfci",
+            solve_cdfci as Engine,
+            "fcix_sparse_cdfci_sweep_us_count",
+        ),
+        (
+            "selected",
+            solve_selected,
+            "fcix_sparse_selected_outer_us_count",
+        ),
+    ] {
+        let (obs, live, path) = to_file(&format!("{run}.jsonl"));
+        let opts = SparseOptions {
+            obs,
+            ..SparseOptions::default()
+        };
+        assert!(engine(&hub_space, &hub, &opts).converged);
+        check(
+            run,
+            &live,
+            &read(&path),
+            &[fed, "fcix_sparse_conn_table_bytes "],
+        );
+    }
+
+    let (obs, live, path) = to_file("death.jsonl");
+    let death = RankDeath {
+        rank: 2,
+        after_ops: 500,
+    };
+    let opts = FciOptions {
+        nproc: 4,
+        method: DiagMethod::Davidson,
+        fault: Some(FaultConfig {
+            rank_death: Some(death),
+            ..FaultConfig::quiet(606)
+        }),
+        obs,
+        ..FciOptions::default()
+    };
+    let mo = MoIntegrals::hubbard_chain(4, 1.0, 2.5, false);
+    let rec = RecoveryOptions::new(dir.join("death.ckp"));
+    let r = solve_resilient(&mo, 2, 2, 0, &opts, &rec).expect("resilient solve");
+    assert_eq!(r.restarts, 1);
+    check(
+        "rank death",
+        &live,
+        &read(&path),
+        &["fcix_fault_rank_deaths 1"],
+    );
+
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/serve_jobs6.jsonl");
+    let jobs = std::fs::read_to_string(fixture).expect("fixture");
+    let jobs = jobs.lines().filter(|l| l.starts_with('{'));
+    let jobs = jobs.map(|l| JobSpec::from_json(&JsonValue::parse(l).expect("json")).expect("spec"));
+    let (obs, live, path) = to_file("serve.jsonl");
+    // One worker, so the registry and the trace see instants in one order.
+    let cfg = ServeConfig {
+        workers: 1,
+        checkpoint_dir: dir.join("ckpt"),
+        obs,
+        ..ServeConfig::default()
+    };
+    assert_eq!(serve(cfg, jobs.collect()).summary.jobs_done, 6);
+    let fed = [
+        "fcix_serve_jobs_done{tenant=\"alice\"} 3",
+        "fcix_serve_jobs_done{tenant=\"bob\"} 3",
+        "fcix_serve_batches 1",
+    ];
+    check("serve", &live, &read(&path), &fed);
 }
 
 /// Solver telemetry belongs to its solve: a single-root Davidson, an
