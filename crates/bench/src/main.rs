@@ -658,7 +658,7 @@ fn ablate_diag(o: &mut Out) {
         fixed.into_iter().chain([auto]),
     );
 
-    let runs = [3, 6, 12, 24].map(|max_subspace| {
+    let runs = [2, 3, 6, 12, 24].map(|max_subspace| {
         let diag = DiagOptions {
             max_subspace,
             ..paper_tol()
@@ -676,7 +676,9 @@ fn ablate_diag(o: &mut Out) {
     );
     say!(
         o,
-        "\nmemory note: Davidson stores (subspace × 2) CI-sized vectors; the\n\
+        "\nthe cap-2 row is Table 2's 2-vector H2O entry: that method is this loop\n\
+         collapsed at {{C, t}}, one σ per iteration.\n\
+         memory note: Davidson stores (subspace × 2) CI-sized vectors; the\n\
          auto-adjusted method stores O(1) — the paper's motivation for it."
     );
 }

@@ -151,10 +151,8 @@ mod tests {
     use super::*;
     use crate::diag::{diagonalize, diagonalize_with, preconditioner, DiagMethod, DiagOptions};
     use crate::hamiltonian::random_hamiltonian;
-    use crate::sigma::{SigmaCtx, SigmaMethod};
-    use crate::taskpool::PoolParams;
+    use crate::sigma::{test_ctx, SigmaMethod};
     use fci_ddi::{Backend, Ddi};
-    use fci_xsim::MachineModel;
 
     fn tmpdir() -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("fcix-ckp-{}", std::process::id()));
@@ -352,14 +350,7 @@ mod tests {
         let ham = random_hamiltonian(5, 41);
         let space = DetSpace::c1(5, 2, 2);
         let ddi = Ddi::new(2, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let path = tmpdir().join("wrong-shape.ckp");
         let wrong = DistMatrix::from_dense(3, 3, 2, &[0.5; 9]);
         save_ci(&path, &wrong).unwrap();
@@ -383,14 +374,7 @@ mod tests {
         let ham = random_hamiltonian(5, 41);
         let space = DetSpace::c1(5, 2, 2);
         let ddi = Ddi::new(2, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let full = diagonalize(
             &ctx,
             SigmaMethod::Dgemm,

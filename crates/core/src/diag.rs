@@ -1,12 +1,15 @@
 //! Iterative eigensolvers for the lowest FCI eigenpair.
 //!
-//! Four methods, matching Table 2 of the paper:
+//! Five methods, matching Table 2 of the paper:
 //!
 //! * [`DiagMethod::Davidson`] — the subspace method: Olsen correction
 //!   vectors accumulate as basis vectors; the optimal mixing comes from
 //!   the subspace eigenproblem each iteration. Memory grows with the
 //!   subspace — the limitation the paper's single-vector method removes.
 //!   It is the one-root case of [`crate::multiroot::block_davidson`].
+//! * [`DiagMethod::TwoVector`] — the paper's subspace comparator: the
+//!   same loop collapsed at two vectors, {C, t} with the exact 2×2 mixing
+//!   and one σ per iteration.
 //! * [`DiagMethod::Olsen`] — Olsen's original single-vector scheme:
 //!   `C ← normalize(C + t)`. No minimization, so convergence is not
 //!   guaranteed (the paper shows it failing to converge tightly).
@@ -39,8 +42,8 @@ pub enum DiagMethod {
     Davidson,
     /// The paper's Table 2 "subspace" comparator: a two-vector subspace
     /// {C, t} with the *exact* optimal mixing from the 2×2 eigenproblem
-    /// each iteration. Stores t and H·t — the memory doubling the
-    /// auto-adjusted method exists to avoid.
+    /// each iteration — Davidson collapsed at two vectors. Stores t and
+    /// H·t — the memory doubling the auto-adjusted method exists to avoid.
     TwoVector,
     /// Olsen's original single-vector scheme (λ = 1).
     Olsen,
@@ -83,7 +86,10 @@ pub struct DiagOptions {
     pub max_iter: usize,
     /// Convergence threshold on the residual 2-norm.
     pub tol: f64,
-    /// Davidson subspace limit before collapse.
+    /// Basis vectors [`DiagMethod::Davidson`] may hold before the
+    /// subspace collapses onto its Ritz vectors (a multi-root solve holds
+    /// at least 4 per root); [`DiagMethod::TwoVector`] collapses at 2
+    /// whatever this says.
     pub max_subspace: usize,
     /// Model-space size for the preconditioner (0 = pure diagonal).
     pub model_space: usize,
@@ -348,13 +354,18 @@ pub(crate) fn diagonalize_with(
         "guess vector has no component in the target sector"
     );
     match method {
-        DiagMethod::Davidson => {
+        DiagMethod::Davidson | DiagMethod::TwoVector => {
+            let cap = if method == DiagMethod::TwoVector {
+                2
+            } else {
+                opts.max_subspace
+            };
             c0.scale(1.0 / c0.norm());
             let mut cost = SigmaBreakdown::default();
             let mut run = block_davidson(
                 vec![c0],
                 1,
-                opts.max_subspace,
+                cap,
                 opts.max_iter,
                 opts.tol,
                 |b| projected_sigma(ctx, sigma_method, b, &mut cost),
@@ -371,7 +382,6 @@ pub(crate) fn diagonalize_with(
                 sigma_cost: cost,
             }
         }
-        DiagMethod::TwoVector => two_vector(ctx, sigma_method, opts, pre, c0),
         DiagMethod::Olsen => single_vector(ctx, sigma_method, opts, pre, c0, Lambda::Fixed(1.0)),
         DiagMethod::OlsenDamped => single_vector(
             ctx,
@@ -382,78 +392,6 @@ pub(crate) fn diagonalize_with(
             Lambda::Fixed(opts.fixed_lambda),
         ),
         DiagMethod::AutoAdjust => single_vector(ctx, sigma_method, opts, pre, c0, Lambda::Auto),
-    }
-}
-
-/// The exact two-vector subspace method: per iteration one H application
-/// (to the new correction vector) and the optimal 2×2 mixing; the running
-/// σ vector is updated by linearity, so `C`, `σC`, `t`, `Ht` are stored.
-fn two_vector(
-    ctx: &SigmaCtx,
-    sm: SigmaMethod,
-    opts: &DiagOptions,
-    pre: &Preconditioner,
-    c: DistMatrix,
-) -> DiagResult {
-    let mut cost = SigmaBreakdown::default();
-    let mut e_hist = Vec::new();
-    let mut r_hist = Vec::new();
-    let mut trace = IterTrace::new(ctx.ddi.tracer());
-    c.scale(1.0 / c.norm());
-    let hc = projected_sigma(ctx, sm, &c, &mut cost);
-    let mut iterations = 1;
-    let mut converged = false;
-    let mut e = c.dot(&hc);
-
-    while iterations < opts.max_iter {
-        e = c.dot(&hc);
-        let r = hc.duplicate();
-        r.axpy(-e, &c);
-        let res = r.norm();
-        e_hist.push(e);
-        r_hist.push(res);
-        trace.point(iterations, 1, e, res);
-        if res < opts.tol {
-            converged = true;
-            break;
-        }
-        let t = olsen_correction(pre, &c, &r, e);
-        let tau = t.norm();
-        if tau < 1e-14 {
-            break;
-        }
-        // One H application per iteration: H·t.
-        let ht = projected_sigma(ctx, sm, &t, &mut cost);
-        iterations += 1;
-        // Exact 2×2 in the {C, t̂} basis (⟨C|t⟩ = 0 by construction).
-        let b = c.dot(&ht);
-        let tht = t.dot(&ht);
-        let (_w, (x, y)) = eigh_2x2(e, b / tau, tht / (tau * tau));
-        let lambda = if x.abs() > 1e-10 { (y / x) / tau } else { 1.0 };
-        // C ← S (C + λ t); σC updated by linearity.
-        c.axpy(lambda, &t);
-        hc.axpy(lambda, &ht);
-        let s = 1.0 / c.norm();
-        c.scale(s);
-        hc.scale(s);
-    }
-    // Record the final state if the loop ended on the H-application side.
-    if e_hist.len() < iterations && !converged {
-        e = c.dot(&hc);
-        e_hist.push(e);
-        let r = hc.duplicate();
-        r.axpy(-e, &c);
-        r_hist.push(r.norm());
-    }
-
-    DiagResult {
-        e_elec: e,
-        iterations,
-        converged,
-        energy_history: e_hist,
-        residual_history: r_hist,
-        c,
-        sigma_cost: cost,
     }
 }
 
@@ -598,10 +536,9 @@ fn single_vector(
 mod tests {
     use super::*;
     use crate::hamiltonian::{random_hamiltonian, random_symmetric_hamiltonian};
-    use crate::taskpool::PoolParams;
+    use crate::sigma::test_ctx;
     use fci_ddi::{Backend, Ddi};
     use fci_linalg::eigh;
-    use fci_xsim::MachineModel;
 
     fn exact_ground(space: &DetSpace, ham: &Hamiltonian) -> f64 {
         let h = slater::dense_h(space, ham);
@@ -619,24 +556,57 @@ mod tests {
         let ham = random_hamiltonian(n, seed);
         let space = DetSpace::c1(n, na, nb);
         let ddi = Ddi::new(nproc, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let exact = exact_ground(&space, &ham);
         let res = diagonalize(&ctx, SigmaMethod::Dgemm, method, &DiagOptions::default());
         (res, exact)
     }
 
+    /// Davidson finds the ground state; so does `TwoVector`, Davidson
+    /// collapsed at two vectors, in the iterations and to the energies
+    /// that the hand-written {C, t} loop it replaced printed.
     #[test]
     fn single_root_davidson_finds_ground_state() {
         let (r, exact) = run(DiagMethod::Davidson, 5, 2, 2, 2, 3);
         assert!(r.converged, "not converged after {} its", r.iterations);
         assert!((r.e_elec - exact).abs() < 1e-8, "{} vs {exact}", r.e_elec);
+        for ((n, na, nb, nproc, seed), iters, e) in [
+            ((5, 2, 2, 2, 3), 14, -5.408539048736894),
+            ((5, 3, 2, 1, 11), 16, -3.0883425145217145),
+        ] {
+            let (r, exact) = run(DiagMethod::TwoVector, n, na, nb, nproc, seed);
+            assert!(r.converged && (r.e_elec - exact).abs() < 1e-8);
+            assert_eq!(r.iterations, iters, "seed {seed}");
+            assert!((r.e_elec - e).abs() < 1e-12, "seed {seed}: {}", r.e_elec);
+        }
+    }
+
+    /// Every single-root method records one energy and one residual per
+    /// σ, a Davidson that collapses at three vectors included.
+    #[test]
+    fn one_history_entry_per_sigma() {
+        let ham = random_hamiltonian(5, 3);
+        let space = DetSpace::c1(5, 2, 2);
+        let ddi = Ddi::new(2, Backend::Serial);
+        let ctx = test_ctx(&space, &ham, &ddi);
+        use DiagMethod::*;
+        for (method, max_subspace) in [
+            (Davidson, 12),
+            (Davidson, 3),
+            (TwoVector, 12),
+            (Olsen, 12),
+            (OlsenDamped, 12),
+            (AutoAdjust, 12),
+        ] {
+            let opts = DiagOptions {
+                max_subspace,
+                ..Default::default()
+            };
+            let r = diagonalize(&ctx, SigmaMethod::Dgemm, method, &opts);
+            let what = format!("{method:?} at cap {max_subspace}");
+            assert_eq!(r.energy_history.len(), r.iterations, "{what}");
+            assert_eq!(r.residual_history.len(), r.iterations, "{what}");
+        }
     }
 
     #[test]
@@ -740,14 +710,7 @@ mod tests {
         let ham = random_hamiltonian(5, 29);
         let space = DetSpace::c1(5, 2, 2);
         let ddi = Ddi::new(1, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let with = diagonalize(
             &ctx,
             SigmaMethod::Dgemm,
@@ -784,14 +747,7 @@ mod tests {
         for g in 0..2u8 {
             let space = DetSpace::new(5, 2, 1, &sym, 2, g);
             let ddi = Ddi::new(2, Backend::Serial);
-            let model = MachineModel::cray_x1();
-            let ctx = SigmaCtx {
-                space: &space,
-                ham: &ham,
-                ddi: &ddi,
-                model: &model,
-                pool: PoolParams::default(),
-            };
+            let ctx = test_ctx(&space, &ham, &ddi);
             let r = diagonalize(
                 &ctx,
                 SigmaMethod::Dgemm,

@@ -7,11 +7,15 @@
 //! ground state). [`block_davidson`] is the one subspace loop: it expands
 //! the subspace with one correction vector per *unconverged* root per
 //! step, so near-degenerate roots converge together instead of
-//! root-flipping. What H is and how a correction is formed belong to its
-//! three callers:
+//! root-flipping, and past its collapse size it restarts from the Ritz
+//! vectors and the H images it already holds. What H is, how a correction
+//! is formed and where the loop collapses belong to its callers:
 //!
 //! * [`DiagMethod::Davidson`](crate::diag::DiagMethod::Davidson) — one
 //!   root from the model-space guess, the Olsen correction;
+//! * [`DiagMethod::TwoVector`](crate::diag::DiagMethod::TwoVector) — the
+//!   same, collapsed at two vectors: {C, t} with the exact 2×2 mixing,
+//!   one σ per step (Cotton's truncated Davidson at its smallest);
 //! * `diagonalize_roots`, behind
 //!   [`solve_roots_prepared`](crate::solver::solve_roots_prepared) — the
 //!   lowest model-space eigenvectors as seeds,
@@ -25,28 +29,14 @@ use fci_ddi::DistMatrix;
 use fci_linalg::{cholesky_lower, eigh, Eigh, Matrix};
 use fci_obs::Tracer;
 
-/// Result of a multi-root diagonalization.
-#[derive(Debug)]
-pub(crate) struct MultiRootResult {
-    /// Electronic energies of the computed roots, ascending.
-    pub energies: Vec<f64>,
-    /// CI vectors, one per root.
-    pub states: Vec<DistMatrix>,
-    /// σ evaluations used in total.
-    pub iterations: usize,
-    /// Per-root convergence flags.
-    pub converged: Vec<bool>,
-    /// Accumulated simulated σ cost.
-    pub sigma_cost: SigmaBreakdown,
-}
-
-/// Compute the `nroots` lowest eigenpairs of `H − E_core` in the sector.
+/// Compute the `nroots` lowest eigenpairs of `H − E_core` in the sector,
+/// with the simulated cost of the σ evaluations that found them.
 pub(crate) fn diagonalize_roots(
     ctx: &SigmaCtx,
     sigma_method: SigmaMethod,
     opts: &DiagOptions,
     nroots: usize,
-) -> MultiRootResult {
+) -> (RitzPairs, SigmaBreakdown) {
     assert!(nroots >= 1);
     let sector = ctx.space.sector_dim();
     assert!(
@@ -68,13 +58,7 @@ pub(crate) fn diagonalize_roots(
         |theta, _, r| pre.apply(r, theta),
         &ctx.ddi.tracer(),
     );
-    MultiRootResult {
-        energies: run.energies,
-        states: run.states,
-        iterations: run.sigmas,
-        converged: run.converged,
-        sigma_cost: cost,
-    }
+    (run, cost)
 }
 
 /// What [`block_davidson`] found: the Ritz pairs of its last step, and how
@@ -102,11 +86,11 @@ pub struct RitzPairs {
 /// A step applies H to every basis vector that lacks it, takes the Ritz
 /// pairs of the projected matrix, and ends the run when every root's
 /// residual norm is below `tol` or `budget` H applications have been made
-/// (the seeds' are made whatever the budget). Otherwise it collapses the
-/// subspace onto the Ritz vectors when adding `nroots` more would pass
-/// `max_subspace` (their H is rebuilt next step, the thick-restart
-/// trade-off), or else expands it by `correction(θ, c, r)` of each
-/// unconverged root (Ritz value, vector, residual). A step in which no
+/// (the seeds' are made whatever the budget). Otherwise, when adding
+/// `nroots` more would pass `max_subspace`, it collapses the subspace onto
+/// the Ritz vectors, each with its H image `r + θc`, so a collapse applies
+/// H to nothing; then it expands the subspace by `correction(θ, c, r)` of
+/// each unconverged root (Ritz value, vector, residual). A step in which no
 /// correction survives orthonormalization has stagnated and ends the run
 /// unconverged. Every step is a telemetry point through `tracer`: a
 /// `diag_iter` instant with the lowest Ritz value and the largest
@@ -161,8 +145,10 @@ pub fn block_davidson(
             break;
         }
         if sub.len() + nroots > max_subspace {
-            sub = Subspace::new(out.states.iter().map(DistMatrix::duplicate).collect());
-            continue;
+            // The full subspace goes before the collapsed one is built:
+            // the two never coexist.
+            drop(sub);
+            sub = Subspace::restart(&out.states, &residuals);
         }
         let new = residuals
             .iter()
@@ -181,9 +167,10 @@ pub fn block_davidson(
 /// applied to each vector of it, and the projected matrix `BᵀHB`. The
 /// projection is **kept** across iterations: a new vector adds one row
 /// and column (one dot per basis vector) and nothing already there is
-/// recomputed; a collapse starts a new `Subspace`. All vector work runs
-/// through [`DistMatrix`]'s `dot`/`axpy`/`scale` on the segments where
-/// the vectors live — no copy of the basis is ever made.
+/// recomputed; a collapse starts a new `Subspace` from the Ritz pairs.
+/// All vector work runs through [`DistMatrix`]'s `dot`/`axpy`/`scale` on
+/// the segments where the vectors live — no copy of the basis is ever
+/// made.
 struct Subspace {
     basis: Vec<DistMatrix>,
     hbasis: Vec<DistMatrix>,
@@ -201,6 +188,23 @@ impl Subspace {
             hbasis: Vec::new(),
             proj: Vec::new(),
         }
+    }
+
+    /// The collapsed subspace: the Ritz vectors `states` (orthonormal
+    /// already, as `B·Y` with both factors orthonormal) and their H images
+    /// `r + θc`, rebuilt from the `(θ, r, ‖r‖)` of `residuals`.
+    fn restart(states: &[DistMatrix], residuals: &[(f64, DistMatrix, f64)]) -> Subspace {
+        let mut sub = Subspace {
+            basis: states.iter().map(DistMatrix::duplicate).collect(),
+            hbasis: Vec::new(),
+            proj: Vec::new(),
+        };
+        for (c, (theta, r, _)) in states.iter().zip(residuals) {
+            let hc = r.duplicate();
+            hc.axpy(*theta, c);
+            sub.push_sigma(hc);
+        }
+        sub
     }
 
     /// Basis vectors held.
@@ -343,10 +347,9 @@ mod tests {
     use super::*;
     use crate::detspace::DetSpace;
     use crate::hamiltonian::random_hamiltonian;
+    use crate::sigma::test_ctx;
     use crate::slater;
-    use crate::taskpool::PoolParams;
     use fci_ddi::{Backend, Ddi};
-    use fci_xsim::MachineModel;
 
     fn setup(
         n: usize,
@@ -361,15 +364,8 @@ mod tests {
     fn three_lowest_roots_match_dense() {
         let (space, ham) = setup(5, 2, 2, 17);
         let ddi = Ddi::new(2, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
-        let r = diagonalize_roots(
+        let ctx = test_ctx(&space, &ham, &ddi);
+        let (r, _) = diagonalize_roots(
             &ctx,
             SigmaMethod::Dgemm,
             &DiagOptions {
@@ -408,15 +404,8 @@ mod tests {
     fn single_root_agrees_with_ground_solver() {
         let (space, ham) = setup(5, 3, 2, 23);
         let ddi = Ddi::new(1, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
-        let multi = diagonalize_roots(&ctx, SigmaMethod::Dgemm, &DiagOptions::default(), 1);
+        let ctx = test_ctx(&space, &ham, &ddi);
+        let (multi, _) = diagonalize_roots(&ctx, SigmaMethod::Dgemm, &DiagOptions::default(), 1);
         let single = crate::diag::diagonalize(
             &ctx,
             SigmaMethod::Dgemm,
@@ -425,6 +414,41 @@ mod tests {
         );
         assert!(multi.converged[0] && single.converged);
         assert!((multi.energies[0] - single.e_elec).abs() < 1e-8);
+    }
+
+    /// A collapse applies H to nothing: one root capped at three vectors
+    /// collapses each time it holds three, yet makes exactly one σ per
+    /// seed and one per correction it expands by.
+    #[test]
+    fn collapse_applies_h_to_nothing() {
+        let (space, ham) = setup(5, 2, 2, 3);
+        let ddi = Ddi::new(2, Backend::Serial);
+        let ctx = test_ctx(&space, &ham, &ddi);
+        let pre = preconditioner(&ctx, 20);
+        let (mut sigmas, mut corrections) = (0, 0);
+        let mut cost = SigmaBreakdown::default();
+        let run = block_davidson(
+            pre.model_space_guesses(1),
+            1,
+            3,
+            200,
+            1e-9,
+            |b| {
+                sigmas += 1;
+                projected_sigma(&ctx, SigmaMethod::Dgemm, b, &mut cost)
+            },
+            |theta, _, r| {
+                corrections += 1;
+                pre.apply(r, theta)
+            },
+            &ddi.tracer(),
+        );
+        let exact = fci_linalg::eigh(&slater::dense_h(&space, &ham)).eigenvalues[0];
+        assert!(run.converged[0] && (run.energies[0] - exact).abs() < 1e-8);
+        assert!(sigmas > 3, "{sigmas} σ never filled the cap");
+        assert_eq!(run.sigmas, sigmas);
+        assert_eq!(sigmas, 1 + corrections, "a collapse applied H");
+        assert_eq!(run.energy_history.len(), 1 + corrections);
     }
 
     /// 12-component test vector distributed as a 4×3 CI-shaped matrix.
@@ -510,15 +534,8 @@ mod tests {
         // close-lying roots and check the block method separates them.
         let (space, ham) = setup(6, 2, 1, 5);
         let ddi = Ddi::new(3, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
-        let r = diagonalize_roots(
+        let ctx = test_ctx(&space, &ham, &ddi);
+        let (r, _) = diagonalize_roots(
             &ctx,
             SigmaMethod::Dgemm,
             &DiagOptions {

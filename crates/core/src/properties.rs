@@ -128,23 +128,14 @@ mod tests {
     use super::*;
     use crate::diag::{diagonalize, DiagMethod, DiagOptions};
     use crate::hamiltonian::{random_hamiltonian, Hamiltonian};
-    use crate::sigma::{SigmaCtx, SigmaMethod};
-    use crate::taskpool::PoolParams;
+    use crate::sigma::{test_ctx, SigmaMethod};
     use fci_ddi::{Backend, Ddi};
-    use fci_xsim::MachineModel;
 
     fn ground_state(n: usize, na: usize, nb: usize, seed: u64) -> (DetSpace, DistMatrix) {
         let ham = random_hamiltonian(n, seed);
         let space = DetSpace::c1(n, na, nb);
         let ddi = Ddi::new(2, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let r = diagonalize(
             &ctx,
             SigmaMethod::Dgemm,
@@ -215,14 +206,7 @@ mod tests {
         let ham = random_hamiltonian(4, 11);
         let space = DetSpace::c1(4, 2, 1);
         let ddi = Ddi::new(1, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let r = diagonalize(
             &ctx,
             SigmaMethod::Dgemm,
@@ -243,13 +227,7 @@ mod tests {
             orb_sym: vec![0; 4],
             n_irrep: 1,
         });
-        let ctx1 = SigmaCtx {
-            space: &space,
-            ham: &ham1,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx1 = test_ctx(&space, &ham1, &ddi);
         let (hc, _) = crate::sigma::apply_sigma(&ctx1, &r.c, SigmaMethod::Dgemm);
         let expect = r.c.dot(&hc) / r.c.dot(&r.c);
         assert!((e1 - expect).abs() < 1e-9, "{e1} vs {expect}");

@@ -717,6 +717,7 @@ mod tests {
     use super::*;
     use crate::detspace::DetSpace;
     use crate::hamiltonian::random_hamiltonian;
+    use crate::sigma::test_ctx;
     use crate::slater;
     use crate::taskpool::PoolParams;
     use fci_ddi::Ddi;
@@ -797,14 +798,7 @@ mod tests {
         let space = DetSpace::c1(5, 2, 2);
         for nproc in [1usize, 4] {
             let ddi = Ddi::new(nproc, Backend::Serial);
-            let model = MachineModel::cray_x1();
-            let ctx = SigmaCtx {
-                space: &space,
-                ham: &ham,
-                ddi: &ddi,
-                model: &model,
-                pool: PoolParams::default(),
-            };
+            let ctx = test_ctx(&space, &ham, &ddi);
             let c = space.zeros_ci(nproc);
             let mut seed = 5u64;
             c.map_inplace(|_, _, _| {
@@ -829,14 +823,7 @@ mod tests {
         let space = DetSpace::c1(6, 3, 2);
         let nproc = space.alpha.len();
         let ddi = Ddi::new(nproc, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let c = space.guess(&ham, nproc);
         let sigma = space.zeros_ci(nproc);
         let rep = mixed_spin_dgemm(&ctx, &c, &sigma);
@@ -859,14 +846,7 @@ mod tests {
         let space = DetSpace::c1(8, 3, 3);
         let p = 8;
         let ddi = Ddi::new(p, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let c = space.guess(&ham, p);
         let sigma = space.zeros_ci(p);
         let rep = mixed_spin_dgemm(&ctx, &c, &sigma);

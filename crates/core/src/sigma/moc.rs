@@ -191,6 +191,7 @@ mod tests {
     use super::*;
     use crate::detspace::DetSpace;
     use crate::hamiltonian::random_hamiltonian;
+    use crate::sigma::test_ctx;
     use crate::taskpool::PoolParams;
     use fci_ddi::{Backend, Ddi};
     use fci_xsim::MachineModel;
@@ -201,14 +202,7 @@ mod tests {
         let space = DetSpace::c1(6, 2, 3);
         let nproc = 3;
         let ddi = Ddi::new(nproc, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let c = space.zeros_ci(nproc);
         let mut s = 1u64;
         c.map_inplace(|_, _, _| {
@@ -244,14 +238,7 @@ mod tests {
         let space = DetSpace::c1(5, 3, 2);
         let nproc = 4;
         let ddi = Ddi::new(nproc, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let c = space.zeros_ci(nproc);
         let mut s = 17u64;
         c.map_inplace(|_, _, _| {
@@ -346,14 +333,7 @@ mod tests {
         let space = DetSpace::c1(7, 3, 3);
         let nproc = 8;
         let ddi = Ddi::new(nproc, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let c = space.guess(&ham, nproc);
         let s1 = space.zeros_ci(nproc);
         let s2 = space.zeros_ci(nproc);

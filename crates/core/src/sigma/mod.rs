@@ -39,6 +39,24 @@ pub struct SigmaCtx<'a> {
     pub pool: PoolParams,
 }
 
+/// A test context over `space` and `ham` on `ddi`: the X1 model and the
+/// default task pool.
+#[cfg(test)]
+pub(crate) fn test_ctx<'a>(
+    space: &'a DetSpace,
+    ham: &'a Hamiltonian,
+    ddi: &'a Ddi,
+) -> SigmaCtx<'a> {
+    static X1: std::sync::LazyLock<MachineModel> = std::sync::LazyLock::new(MachineModel::cray_x1);
+    SigmaCtx {
+        space,
+        ham,
+        ddi,
+        model: &X1,
+        pool: PoolParams::default(),
+    }
+}
+
 /// The most irreps a point group has here (D2h).
 const MAX_IRREP: usize = 8;
 
@@ -204,6 +222,7 @@ mod tests {
     use crate::hamiltonian::random_hamiltonian;
     use crate::slater::sigma_dense;
     use fci_ddi::Backend;
+    use fci_obs::fnv1a;
 
     fn random_ci(space: &DetSpace, nproc: usize, seed: u64) -> DistMatrix {
         let c = space.zeros_ci(nproc);
@@ -221,14 +240,7 @@ mod tests {
         let ham = random_hamiltonian(n, seed);
         let space = DetSpace::c1(n, na, nb);
         let ddi = Ddi::new(nproc, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let c = random_ci(&space, nproc, seed * 3 + 1);
         let (sig, _bd) = apply_sigma(&ctx, &c, method);
         let reference = sigma_dense(&space, &ham, &c.to_dense());
@@ -274,14 +286,7 @@ mod tests {
         let ham = random_hamiltonian(6, 55);
         let space = DetSpace::c1(6, 3, 3);
         let ddi = Ddi::new(4, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let c = random_ci(&space, 4, 99);
         let (s1, _) = apply_sigma(&ctx, &c, SigmaMethod::Dgemm);
         let (s2, _) = apply_sigma(&ctx, &c, SigmaMethod::Moc);
@@ -395,27 +400,13 @@ mod tests {
         }
     }
 
-    /// FNV-1a fold of a word stream.
-    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
-        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
-            (h ^ w).wrapping_mul(0x0100_0000_01b3)
-        })
-    }
-
-    /// For a seeded vector on the serial backend: the fold of every σ
-    /// element's `to_bits()`, the fold of the bytes of the `{:?}` of the
-    /// mixed phase's per-rank clocks, and the same fold over the two
-    /// same-spin phases' and the transpose phase's clocks.
+    /// For a seeded vector on the serial backend: [`fnv1a`] of every σ
+    /// element's little-endian bytes, of the `{:?}` of the mixed phase's
+    /// per-rank clocks, and of the two same-spin phases' and the
+    /// transpose phase's clocks.
     fn sigma_digests(space: &DetSpace, ham: &Hamiltonian, nproc: usize) -> (u64, u64, u64) {
         let ddi = Ddi::new(nproc, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space,
-            ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(space, ham, &ddi);
         let c = random_ci(space, nproc, 17);
         let (sig, bd) = apply_sigma(&ctx, &c, SigmaMethod::Dgemm);
         let clocks = format!("{:?}", bd.alpha_beta.clocks);
@@ -424,9 +415,14 @@ mod tests {
             bd.beta_beta.clocks, bd.alpha_alpha.clocks, bd.transpose.clocks
         );
         (
-            fnv(sig.to_dense().iter().map(|v| v.to_bits())),
-            fnv(clocks.bytes().map(u64::from)),
-            fnv(same.bytes().map(u64::from)),
+            fnv1a(
+                &sig.to_dense()
+                    .iter()
+                    .flat_map(|v| v.to_le_bytes())
+                    .collect::<Vec<_>>(),
+            ),
+            fnv1a(clocks.as_bytes()),
+            fnv1a(same.as_bytes()),
         )
     }
 
@@ -443,14 +439,7 @@ mod tests {
         let charges = |ham: &Hamiltonian, na: usize, nb: usize, nproc: usize| {
             let space = DetSpace::for_hamiltonian(ham, na, nb, 0);
             let ddi = Ddi::new(nproc, Backend::Serial);
-            let model = MachineModel::cray_x1();
-            let ctx = SigmaCtx {
-                space: &space,
-                ham,
-                ddi: &ddi,
-                model: &model,
-                pool: PoolParams::default(),
-            };
+            let ctx = test_ctx(&space, ham, &ddi);
             let (_, bd) = apply_sigma(&ctx, &random_ci(&space, nproc, 41), SigmaMethod::Dgemm);
             let phases = [bd.beta_beta, bd.alpha_alpha, bd.alpha_beta, bd.transpose];
             phases.map(|r| format!("{:?}", r.clocks))
@@ -465,7 +454,8 @@ mod tests {
     }
 
     /// σ is, bit for bit, what this test printed at commit 5e3a752 (the
-    /// last one whose same-spin routine worked on untransposed blocks),
+    /// last one whose same-spin routine worked on untransposed blocks;
+    /// the constants are those bits' digests under [`fnv1a`]),
     /// and the same at every rank count: the counts reach `nloc` = 0, 1,
     /// 2–3 and ≥ 4 in both same-spin halves and move every GEMM across
     /// tile widths and row masks, neither of which `fci-linalg`'s one
@@ -475,9 +465,9 @@ mod tests {
     #[test]
     fn sigma_bits_are_the_untransposed_routines() {
         let want: u64 = if cfg!(target_feature = "fma") {
-            0x4594_a3da_7a56_a37d
+            0x6762_128f_9016_19d2
         } else {
-            0x3856_bd5e_a0bd_ab8f
+            0xfeb8_025e_f817_2fbc
         };
         let ham = random_hamiltonian(9, 7);
         let space = DetSpace::c1(9, 4, 3);
@@ -491,7 +481,7 @@ mod tests {
         for nproc in [1usize, 3, 70] {
             let got = sigma_digests(&space, &ham, nproc).0;
             assert_eq!(
-                got, 0x807e_cfe0_7e06_d024,
+                got, 0x0bba_b478_29c3_8867,
                 "hubbard 8, nproc={nproc}: {got:#018x}"
             );
         }
@@ -544,64 +534,64 @@ mod tests {
                 "4 irreps, target 0",
                 &ham4,
                 0,
-                0x51c5_08d5_2405_d6a2,
-                0x0603_4872_a0ee_fc53,
-                0x2c8c_3807_2a67_76d3,
-                0x8303_5f87_ca5f_0671,
+                0x850d_aa8d_f415_de1a,
+                0x8d26_b67f_037e_37a4,
+                0xa485_ab9e_0d72_4a08,
+                0xfc1a_d9ad_b350_5271,
             ),
             (
                 "4 irreps, target 3",
                 &ham4,
                 3,
-                0xb50b_7989_da51_d9dd,
-                0x176d_a002_11d6_cd92,
-                0x66df_205b_83ef_70ff,
-                0x7585_8feb_0637_4d04,
+                0xac62_ac4b_5435_357f,
+                0x5625_a39f_29c5_30a2,
+                0x96f8_c195_53e4_2647,
+                0x54eb_7f85_011b_d0a2,
             ),
             (
                 "8 irreps, target 0",
                 &ham8,
                 0,
-                0xfe8c_a5bf_fa77_6b8a,
-                0x38c5_1f94_814e_8234,
-                0xaf05_8c64_8b17_9b3a,
-                0x42e4_0a74_edcc_0b36,
+                0x0d70_7a35_ea5f_1db1,
+                0xdc44_805d_7a34_f427,
+                0xc2f3_c12c_1030_8174,
+                0x31cd_73f4_5247_a1bb,
             ),
             (
                 "8 irreps, target 6",
                 &ham8,
                 6,
-                0xa13f_df47_297d_9aeb,
-                0xabec_8ed5_6a53_12a7,
-                0x8fd4_3349_c141_9ef0,
-                0x3c9c_2a95_24a1_1c23,
+                0xb1c0_2e4b_a184_171e,
+                0x5cdb_9609_2c2a_9907,
+                0x7a8f_f10c_65c7_6143,
+                0x8688_5f44_c455_8715,
             ),
             (
                 "planted, 4 irreps, target 2",
                 &planted,
                 2,
-                0x2ac2_a0c6_bb4a_440b,
-                0xb66b_c3ac_e65f_8d36,
-                0xd25b_1307_9ee6_cda7,
-                0x308a_07d7_970c_9816,
+                0x247b_c915_d503_f5a8,
+                0x05e4_9a0c_e423_0bd7,
+                0xc52e_2ae2_6cbc_131c,
+                0xab09_2538_09ac_28e8,
             ),
             (
                 "1 irrep",
                 &c1,
                 0,
-                0x490f_c51d_6499_9cc0,
-                0x0420_94ab_88a2_4964,
-                0x3d3d_5f7a_042a_162b,
-                0x2679_22db_cbc8_c2ef,
+                0xd719_4427_246a_8dda,
+                0x0547_d230_f2b7_937a,
+                0x747e_3953_7f1d_5cb3,
+                0x4ff8_950c_8670_19fb,
             ),
             (
                 "1 irrep, 10 orbitals",
                 &c1_10,
                 0,
-                0xcab9_497f_ae00_b33b,
-                0x9293_9abc_2537_51e8,
-                0xf145_6fb3_0daf_fc4d,
-                0x6461_1c13_bc94_7b81,
+                0xc82f_fbc9_dd6b_5fdf,
+                0x655f_4b41_97f3_da2c,
+                0x39b9_f0d5_2f57_cdc3,
+                0x2d81_f33f_325c_62ce,
             ),
         ];
         let mut got = Vec::new();
@@ -619,7 +609,11 @@ mod tests {
             };
             got.push((
                 what,
-                [runs[0].0, fnv(runs.map(|r| r.1)), fnv(runs.map(|r| r.2))],
+                [
+                    runs[0].0,
+                    fnv1a(&runs.map(|r| r.1.to_le_bytes()).concat()),
+                    fnv1a(&runs.map(|r| r.2.to_le_bytes()).concat()),
+                ],
                 [want, mixed, same],
             ));
         }

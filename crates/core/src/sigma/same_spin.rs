@@ -618,10 +618,9 @@ mod tests {
     use super::*;
     use crate::detspace::DetSpace;
     use crate::hamiltonian::random_hamiltonian;
+    use crate::sigma::test_ctx;
     use crate::slater;
-    use crate::taskpool::PoolParams;
     use fci_ddi::{Backend, Ddi};
-    use fci_xsim::MachineModel;
 
     /// β-β + β one-electron contribution via Slater–Condon: zero the α
     /// excitations by comparing only determinant pairs with identical α.
@@ -698,14 +697,7 @@ mod tests {
     /// The β half on `nproc` ranks against the Slater–Condon reference.
     fn check_beta_half(space: &DetSpace, ham: &Hamiltonian, nproc: usize) {
         let ddi = Ddi::new(nproc, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space,
-            ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(space, ham, &ddi);
         let c = space.zeros_ci(nproc);
         let mut seed = 3u64;
         c.map_inplace(|_, _, _| {
@@ -801,14 +793,7 @@ mod tests {
         let ham = random_hamiltonian(5, 4);
         let space = DetSpace::c1(5, 2, 2);
         let ddi = Ddi::new(4, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let c = space.guess(&ham, 4);
         let sigma = space.zeros_ci(4);
         let rep = half_sigma_dgemm(
@@ -827,14 +812,7 @@ mod tests {
         let ham = random_hamiltonian(8, 5);
         let space = DetSpace::c1(8, 3, 3);
         let ddi = Ddi::new(2, Backend::Serial);
-        let model = MachineModel::cray_x1();
-        let ctx = SigmaCtx {
-            space: &space,
-            ham: &ham,
-            ddi: &ddi,
-            model: &model,
-            pool: PoolParams::default(),
-        };
+        let ctx = test_ctx(&space, &ham, &ddi);
         let c = space.guess(&ham, 2);
         let sigma = space.zeros_ci(2);
         let rep = half_sigma_dgemm(

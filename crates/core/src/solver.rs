@@ -317,24 +317,25 @@ pub fn solve_roots_prepared(
         model: &model,
         pool: PoolParams::default(),
     };
-    let m = crate::multiroot::diagonalize_roots(&ctx, opts.sigma, &opts.diag, nroots);
+    let (run, sigma_cost) =
+        crate::multiroot::diagonalize_roots(&ctx, opts.sigma, &opts.diag, nroots);
     tracer.instant(
         None,
         "solve_roots_end",
         fci_obs::Category::Other,
-        &[("iterations", m.iterations as f64)],
+        &[("iterations", run.sigmas as f64)],
     );
     tracer.flush();
     FciRootsResult {
-        energies: m.energies.iter().map(|e| e + ham.e_core).collect(),
-        e_elec: m.energies,
+        energies: run.energies.iter().map(|e| e + ham.e_core).collect(),
+        e_elec: run.energies,
         e_core: ham.e_core,
-        iterations: m.iterations,
-        converged: m.converged,
+        iterations: run.sigmas,
+        converged: run.converged,
         dim: space.dim(),
         sector_dim: space.sector_dim(),
-        sigma_cost: m.sigma_cost,
-        states: m.states,
+        sigma_cost,
+        states: run.states,
     }
 }
 

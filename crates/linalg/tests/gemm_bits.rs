@@ -17,6 +17,7 @@
 //! test green is a performance change only. Agreement with `dgemm_naive`
 //! within `1e-12·k` is checked on the same shapes.
 
+use fci_fault::Xorshift64;
 use fci_linalg::{dgemm, dgemm_naive, dgemm_prepacked, Matrix, PackedA, Trans};
 
 /// `gemm.rs`'s depth stripe — the one constant the bits depend on.
@@ -70,34 +71,13 @@ fn dgemm_stated(
     }
 }
 
-/// Deterministic splitmix64 — no external RNG crates in the workspace.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn uniform(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-    }
-
-    fn dim(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() as usize) % (hi - lo + 1)
-    }
-}
-
-fn rand_mat(rng: &mut Rng, nr: usize, nc: usize) -> Matrix {
-    Matrix::from_fn(nr, nc, |_, _| rng.uniform())
+fn rand_mat(rng: &mut Xorshift64, nr: usize, nc: usize) -> Matrix {
+    Matrix::from_fn(nr, nc, |_, _| rng.next_f64() - 0.5)
 }
 
 #[test]
 fn bitwise_the_stated_arithmetic_and_close_to_naive() {
-    let mut rng = Rng(0x5eed_cafe);
+    let mut rng = Xorshift64::new(0x5eed_cafe);
     let transes = [Trans::No, Trans::Yes];
     for case in 0..264 {
         // Tiny, mid, and block-boundary-crossing shapes, biased toward
@@ -105,17 +85,18 @@ fn bitwise_the_stated_arithmetic_and_close_to_naive() {
         // what 432 ranks and a stripe boundary produce: one to three
         // columns, a handful of rows, k beyond one KC stripe. Class 5 is
         // past every in-place bound, where A and a transposed B are packed.
+        let mut dim = |lo: usize, hi: usize| lo + rng.next_index(hi - lo + 1);
         let (m, n, k) = match case % 6 {
-            0 => (rng.dim(1, 24), rng.dim(1, 24), rng.dim(0, 24)),
-            1 => (rng.dim(25, 90), rng.dim(25, 90), rng.dim(1, 90)),
-            2 => (rng.dim(120, 170), rng.dim(1, 40), rng.dim(200, 300)),
+            0 => (dim(1, 24), dim(1, 24), dim(0, 24)),
+            1 => (dim(25, 90), dim(25, 90), dim(1, 90)),
+            2 => (dim(120, 170), dim(1, 40), dim(200, 300)),
             3 => (
-                8 * rng.dim(1, 16) + rng.dim(1, 7),
-                4 * rng.dim(1, 12) + rng.dim(1, 3),
-                rng.dim(1, 128),
+                8 * dim(1, 16) + dim(1, 7),
+                4 * dim(1, 12) + dim(1, 3),
+                dim(1, 128),
             ),
-            4 => (rng.dim(1, 8), rng.dim(1, 3), KC + rng.dim(1, 2 * KC)),
-            _ => (rng.dim(257, 290), rng.dim(240, 280), rng.dim(257, 300)),
+            4 => (dim(1, 8), dim(1, 3), KC + dim(1, 2 * KC)),
+            _ => (dim(257, 290), dim(240, 280), dim(257, 300)),
         };
         let ta = transes[(case / 6) % 2];
         let tb = transes[(case / 12) % 2];
