@@ -32,8 +32,8 @@
 use std::collections::HashSet;
 use std::path::Path;
 
+use crate::front::{call_at, collect_rs, is_test_path, items, rel, FileCtx, Vis};
 use crate::lex::TokKind;
-use crate::lint::{collect_rs, is_test_path, rel, FileCtx};
 
 /// Directories (relative to the workspace root) whose non-test
 /// identifiers count as uses.
@@ -41,9 +41,6 @@ const USE_ROOTS: [&str; 4] = ["crates", "src", "examples", "perf"];
 
 /// Directories whose `pub` items are checked.
 const DEF_ROOTS: [&str; 2] = ["crates/", "src/"];
-
-/// Item keywords the report covers.
-const ITEM_KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "const", "static", "type"];
 
 /// One `pub` item with no use.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,82 +77,37 @@ struct Def {
 /// set) and the identifiers its non-test code uses, each called or named
 /// by path also as `name()`.
 fn scan(ctx: &FileCtx, relpath: &str, defs: bool) -> (Vec<Def>, HashSet<String>) {
-    let n = ctx.code.len();
-    // Code-token indices that are never uses: `pub use` bodies, `mod`
+    // Code-token indices that are never uses: `pub use` trees, `mod`
     // names and the name of each `pub` definition.
-    let mut skip = vec![false; n];
-    let mut items = Vec::new();
-    // Brace depth, and the depth inside each enclosing `impl` body.
-    let mut depth = 0usize;
-    let mut impls: Vec<usize> = Vec::new();
-    let mut impl_pending = false;
-    for ci in 0..n {
-        match ctx.ctext(ci) {
-            "{" => {
-                depth += 1;
-                if std::mem::take(&mut impl_pending) {
-                    impls.push(depth);
-                }
-            }
-            "}" => {
-                if impls.last() == Some(&depth) {
-                    impls.pop();
-                }
-                depth = depth.saturating_sub(1);
-            }
-            // An `impl` item, not `impl Trait` in a type.
-            "impl" if ci == 0 || matches!(ctx.ctext(ci - 1), "}" | ";" | "{" | "]" | "unsafe") => {
-                impl_pending = true;
-            }
-            _ => {}
-        }
-        if ctx.ctok(ci).kind != TokKind::Ident {
-            continue;
-        }
-        match ctx.ctext(ci) {
-            "mod" => skip[(ci + 1).min(n - 1)] = true,
-            "pub" => {
-                let restricted = ctx.ctext(ci + 1) == "(";
-                let mut j = ci + 1;
-                if restricted {
-                    while j < n && ctx.ctext(j) != ")" {
-                        j += 1;
+    let mut skip = vec![false; ctx.code.len()];
+    let mut found = Vec::new();
+    for item in items(ctx, relpath) {
+        match (item.kind, item.vis) {
+            ("mod", _) => skip[item.at] = true,
+            (_, Vis::Private) => {}
+            ("use", _) => {
+                for (ci, skipped) in skip.iter_mut().enumerate().skip(item.at) {
+                    if ctx.ctext(ci) == ";" {
+                        break;
                     }
-                    j += 1;
-                }
-                if ctx.ctext(j) == "use" {
-                    while j < n && ctx.ctext(j) != ";" {
-                        skip[j] = true;
-                        j += 1;
-                    }
-                    continue;
-                }
-                // Qualifiers before the item keyword: `pub const fn`,
-                // `pub unsafe extern "C" fn`, `pub async fn`.
-                while matches!(ctx.ctext(j), "unsafe" | "async" | "extern")
-                    || (ctx.ctext(j) == "const" && !is_name(ctx, j + 1))
-                    || (j < n && ctx.ctok(j).kind == TokKind::StrLit)
-                {
-                    j += 1;
-                }
-                if ITEM_KINDS.contains(&ctx.ctext(j)) && is_name(ctx, j + 1) {
-                    skip[j + 1] = true;
-                    let line = ctx.ctok(j + 1).line;
-                    if defs && !restricted && !ctx.in_test_region(line) {
-                        items.push(Def {
-                            item: DeadItem {
-                                file: relpath.to_string(),
-                                line,
-                                kind: ctx.ctext(j).to_string(),
-                                name: ctx.ctext(j + 1).to_string(),
-                            },
-                            waived: ctx.waived(line as usize, "dead"),
-                            method: ctx.ctext(j) == "fn" && impls.last() == Some(&depth),
-                        });
-                    }
+                    *skipped = true;
                 }
             }
-            _ => {}
+            (kind, vis) => {
+                skip[item.at] = true;
+                if defs && vis == Vis::Pub && !item.test {
+                    found.push(Def {
+                        waived: ctx.waived(item.line as usize, "dead"),
+                        method: item.method,
+                        item: DeadItem {
+                            file: relpath.to_string(),
+                            line: item.line,
+                            kind: kind.to_string(),
+                            name: item.name,
+                        },
+                    });
+                }
+            }
         }
     }
     let mut uses = HashSet::new();
@@ -164,24 +116,16 @@ fn scan(ctx: &FileCtx, relpath: &str, defs: bool) -> (Vec<Def>, HashSet<String>)
             continue;
         }
         let name = ctx.ctext(ci).trim_start_matches("r#").to_string();
-        let called = ctx.ctext(ci + 1) == "(" && (ci == 0 || ctx.ctext(ci - 1) != "fn");
         // `…::name`, unless `name` is a module segment (`std::time::…`,
         // `std::ops::{…}`); a turbofish `::<` follows an item.
         let segment = ctx.seq_at(ci + 1, &[":", ":"]) && ctx.ctext(ci + 3) != "<";
         let by_path = ci >= 2 && ctx.seq_at(ci - 2, &[":", ":"]) && !segment;
-        if called || by_path || ctx.seq_at(ci + 1, &[":", ":", "<"]) {
+        if by_path || call_at(ctx, ci).is_some() {
             uses.insert(format!("{name}()"));
         }
         uses.insert(name);
     }
-    (items, uses)
-}
-
-/// Whether code token `ci` is an identifier that can name an item.
-fn is_name(ctx: &FileCtx, ci: usize) -> bool {
-    ci < ctx.code.len()
-        && ctx.ctok(ci).kind == TokKind::Ident
-        && !matches!(ctx.ctext(ci), "fn" | "unsafe" | "extern" | "async")
+    (found, uses)
 }
 
 /// Every `pub` item under `root` with no non-test use.

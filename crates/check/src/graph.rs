@@ -1,8 +1,9 @@
 //! Workspace call graph + transitive hot-path analyses.
 //!
-//! A lightweight item parser over the [`crate::lex`] token stream finds
-//! every `fn` item (free functions and `impl` methods, with body token
-//! ranges) and every call site inside those bodies. Call sites are
+//! The crate's one item walk yields every `fn` item (free functions,
+//! nested fns and `impl` methods, with body token ranges), and its one
+//! definition of a call site finds every call inside those bodies; the
+//! [`crate::lex`] token stream underlies both. Call sites are
 //! resolved by name/path heuristics — this is *not* type inference, so
 //! the resolver is deliberately conservative and keeps an explicit
 //! **unresolved bucket** instead of guessing:
@@ -37,8 +38,9 @@
 use std::collections::HashMap;
 use std::path::Path;
 
+pub use crate::front::CallKind;
+use crate::front::{call_at, collect_rs, items, rel, FileCtx, KEYWORDS};
 use crate::lex::TokKind;
-use crate::lint::{collect_rs, FileCtx};
 use fci_obs::JsonValue;
 
 /// Hot-path roots the transitive analyses start from: the σ-task body,
@@ -184,12 +186,6 @@ pub(crate) const STD_METHODS: [&str; 112] = [
     "zip",
 ];
 
-/// Identifiers that look like calls but are control flow or bindings.
-const KEYWORDS: [&str; 22] = [
-    "if", "else", "match", "while", "for", "loop", "return", "break", "continue", "let", "fn",
-    "move", "ref", "in", "as", "dyn", "unsafe", "const", "static", "await", "box", "yield",
-];
-
 /// One `fn` item in the workspace.
 #[derive(Clone, Debug)]
 pub struct FnItem {
@@ -202,7 +198,7 @@ pub struct FnItem {
     pub impl_type: Option<String>,
     /// Function name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
+    /// 1-based line of the name.
     pub line: u32,
     /// `#[cfg(test)]` region or a `tests/` file — excluded from
     /// resolution so test helpers never shadow production fns.
@@ -241,17 +237,6 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-}
-
-/// How a call site was written.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CallKind {
-    /// `f(…)`.
-    Bare,
-    /// `qual::f(…)`.
-    Path,
-    /// `.f(…)`.
-    Method,
 }
 
 /// A call site that could not be resolved to a unique workspace fn.
@@ -295,14 +280,6 @@ struct RawCall {
     ci: usize,
 }
 
-/// Per-file parse product.
-struct FileItems {
-    /// (fn metadata, body code-token range).
-    fns: Vec<(FnItem, Option<(usize, usize)>)>,
-    calls: Vec<RawCall>,
-    findings: Vec<(usize, Finding)>,
-}
-
 fn crate_of(relpath: &str) -> String {
     let mut parts = relpath.split('/');
     match parts.next() {
@@ -313,162 +290,15 @@ fn crate_of(relpath: &str) -> String {
     }
 }
 
-/// Skip a balanced `<…>` group starting at the `<` at code index `ci`;
-/// returns the index one past the matching `>`.
-pub(crate) fn skip_angles(ctx: &FileCtx, mut ci: usize) -> usize {
-    let mut depth = 0i64;
-    while ci < ctx.code.len() {
-        match ctx.ctext(ci) {
-            "<" => depth += 1,
-            ">" => {
-                depth -= 1;
-                if depth <= 0 {
-                    return ci + 1;
-                }
-            }
-            ";" | "{" => return ci, // malformed / not generics — bail
-            _ => {}
-        }
-        ci += 1;
-    }
-    ci
-}
-
-/// Parse one file: fn items with body ranges, call sites, findings.
-fn parse_file(ctx: &FileCtx, relpath: &str) -> FileItems {
-    let krate = crate_of(relpath);
-    let mut out = FileItems {
-        fns: Vec::new(),
-        calls: Vec::new(),
-        findings: Vec::new(),
-    };
-
-    // Pass 1: impl scopes and fn items.
-    let mut depth = 0i64;
-    let mut impl_stack: Vec<(Option<String>, i64)> = Vec::new();
-    let mut pending_impl: Option<Option<String>> = None;
-    let n = ctx.code.len();
-    let mut ci = 0;
-    while ci < n {
-        let text = ctx.ctext(ci);
-        match text {
-            "{" => {
-                depth += 1;
-                if let Some(ty) = pending_impl.take() {
-                    impl_stack.push((ty, depth));
-                }
-            }
-            "}" => {
-                if let Some((_, d)) = impl_stack.last() {
-                    if *d == depth {
-                        impl_stack.pop();
-                    }
-                }
-                depth -= 1;
-            }
-            "impl" if ctx.ctok(ci).kind == TokKind::Ident => {
-                pending_impl = Some(parse_impl_type(ctx, ci + 1));
-            }
-            "fn" if ctx.ctok(ci).kind == TokKind::Ident
-                && ctx.code.get(ci + 1).is_some()
-                && ctx.ctok(ci + 1).kind == TokKind::Ident =>
-            {
-                let name_tok = ctx.ctext(ci + 1).to_string();
-                let line = ctx.ctok(ci).line;
-                let body = fn_body_range(ctx, ci + 2);
-                out.fns.push((
-                    FnItem {
-                        krate: krate.clone(),
-                        file: relpath.to_string(),
-                        impl_type: impl_stack.last().and_then(|(t, _)| t.clone()),
-                        name: name_tok,
-                        line,
-                        is_test: ctx.is_test(relpath, line),
-                    },
-                    body,
-                ));
-            }
-            _ => {}
-        }
-        ci += 1;
-    }
-
-    // Pass 2: call sites and findings over the whole token stream; the
-    // caller attribution (innermost enclosing fn body) happens later.
-    scan_calls_and_findings(ctx, relpath, &mut out);
-    out
-}
-
-/// The impl'd type name: last path segment before the opening `{`,
-/// taking the `for` side when present (`impl Trait for Type`).
-pub(crate) fn parse_impl_type(ctx: &FileCtx, mut ci: usize) -> Option<String> {
-    let mut candidate: Option<String> = None;
-    while ci < ctx.code.len() {
-        let text = ctx.ctext(ci);
-        match text {
-            "{" | ";" => break,
-            "<" => ci = skip_angles(ctx, ci),
-            "for" => {
-                candidate = None;
-                ci += 1;
-            }
-            _ => {
-                if ctx.ctok(ci).kind == TokKind::Ident && text != "dyn" && text != "mut" {
-                    candidate = Some(text.to_string());
-                }
-                ci += 1;
-            }
-        }
-    }
-    candidate
-}
-
-/// Body code-token range of a fn whose signature starts at `ci` (just
-/// after the name): `(open_brace_idx, close_brace_idx)` inclusive, or
-/// `None` for a trait method ending in `;`.
-pub(crate) fn fn_body_range(ctx: &FileCtx, mut ci: usize) -> Option<(usize, usize)> {
-    let n = ctx.code.len();
-    let mut paren = 0i64;
-    while ci < n {
-        match ctx.ctext(ci) {
-            "(" => paren += 1,
-            ")" => paren -= 1,
-            "<" if paren == 0 => {
-                ci = skip_angles(ctx, ci);
-                continue;
-            }
-            ";" if paren == 0 => return None,
-            "{" if paren == 0 => {
-                let open = ci;
-                let mut depth = 0i64;
-                while ci < n {
-                    match ctx.ctext(ci) {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return Some((open, ci));
-                            }
-                        }
-                        _ => {}
-                    }
-                    ci += 1;
-                }
-                return Some((open, n.saturating_sub(1)));
-            }
-            _ => {}
-        }
-        ci += 1;
-    }
-    None
-}
-
-fn scan_calls_and_findings(ctx: &FileCtx, relpath: &str, out: &mut FileItems) {
-    let n = ctx.code.len();
+/// One file's call sites and findings, each with the code index it sits
+/// at; the caller attribution (innermost enclosing fn body) happens later.
+fn scan_calls_and_findings(ctx: &FileCtx, relpath: &str) -> (Vec<RawCall>, Vec<(usize, Finding)>) {
+    let mut calls = Vec::new();
+    let mut findings = Vec::new();
     let mut push_finding = |ci: usize, kind: FindingKind, what: &str, rule: &str| {
         let line = ctx.ctok(ci).line;
         if !ctx.waived(line as usize, rule) {
-            out.findings.push((
+            findings.push((
                 ci,
                 Finding {
                     kind,
@@ -480,117 +310,28 @@ fn scan_calls_and_findings(ctx: &FileCtx, relpath: &str, out: &mut FileItems) {
         }
     };
 
-    for ci in 0..n {
+    for ci in 0..ctx.code.len() {
         let tok = ctx.ctok(ci);
         let text = ctx.ctext(ci);
         match tok.kind {
-            TokKind::Ident => {
-                // Macros: alloc/panic macros are findings, never calls.
-                if ctx.ctext(ci + 1) == "!" {
-                    match text {
-                        "vec" | "format" => {
-                            push_finding(ci, FindingKind::Alloc, &format!("{text}!"), "alloc")
-                        }
-                        "panic" | "todo" | "unimplemented" => {
-                            push_finding(ci, FindingKind::Panic, &format!("{text}!"), "unwrap")
-                        }
-                        _ => {}
-                    }
-                    continue;
+            // Macros: alloc/panic macros are findings, never calls.
+            TokKind::Ident if ctx.ctext(ci + 1) == "!" => match text {
+                "vec" | "format" => {
+                    push_finding(ci, FindingKind::Alloc, &format!("{text}!"), "alloc")
                 }
-                // Path constructors that allocate.
-                if (text == "Vec" || text == "Box") && ctx.seq_at(ci + 1, &[":", ":"]) {
-                    let tail = ctx.ctext(ci + 3);
-                    if tail == "new" || (text == "Vec" && tail == "with_capacity") {
-                        push_finding(ci, FindingKind::Alloc, &format!("{text}::{tail}"), "alloc");
-                    }
+                "panic" | "todo" | "unimplemented" => {
+                    push_finding(ci, FindingKind::Panic, &format!("{text}!"), "unwrap")
                 }
-                // Call shapes: `name(`, `qual::name(`, `name::<T>(`.
-                let prev = if ci > 0 { ctx.ctext(ci - 1) } else { "" };
-                if call_paren_after(ctx, ci + 1).is_none() {
-                    continue;
+                _ => {}
+            },
+            // Path constructors that allocate.
+            TokKind::Ident
+                if (text == "Vec" || text == "Box") && ctx.seq_at(ci + 1, &[":", ":"]) =>
+            {
+                let tail = ctx.ctext(ci + 3);
+                if tail == "new" || (text == "Vec" && tail == "with_capacity") {
+                    push_finding(ci, FindingKind::Alloc, &format!("{text}::{tail}"), "alloc");
                 }
-                if KEYWORDS.contains(&text) || prev == "fn" || prev == "." {
-                    // Method calls are handled at the `.` token below.
-                    continue;
-                }
-                let is_path = ci >= 2 && prev == ":" && ctx.ctext(ci - 2) == ":";
-                if is_path {
-                    let qual = if ci >= 3 && ctx.ctok(ci - 3).kind == TokKind::Ident {
-                        Some(ctx.ctext(ci - 3).to_string())
-                    } else {
-                        None
-                    };
-                    // Walk to the path root: `std::array::from_fn` must
-                    // not resolve to a workspace `from_fn` by name.
-                    let mut seg = ci;
-                    while seg >= 3
-                        && ctx.ctext(seg - 1) == ":"
-                        && ctx.ctext(seg - 2) == ":"
-                        && ctx.ctok(seg - 3).kind == TokKind::Ident
-                    {
-                        seg -= 3;
-                    }
-                    if matches!(ctx.ctext(seg), "std" | "core" | "alloc") {
-                        continue;
-                    }
-                    out.calls.push(RawCall {
-                        name: text.to_string(),
-                        qual,
-                        kind: CallKind::Path,
-                        line: tok.line,
-                        ci,
-                    });
-                } else {
-                    out.calls.push(RawCall {
-                        name: text.to_string(),
-                        qual: None,
-                        kind: CallKind::Bare,
-                        line: tok.line,
-                        ci,
-                    });
-                }
-            }
-            TokKind::Punct if text == "." => {
-                let name = ctx.ctext(ci + 1);
-                if ctx
-                    .code
-                    .get(ci + 1)
-                    .is_none_or(|&i| ctx.toks[i].kind != TokKind::Ident)
-                {
-                    continue;
-                }
-                if call_paren_after(ctx, ci + 2).is_none() {
-                    continue;
-                }
-                // Findings on method names, idiom-aware.
-                match name {
-                    "unwrap" if ctx.ctext(ci + 3) == ")" => {
-                        let lock_idiom = ci >= 4 && ctx.seq_at(ci - 4, &[".", "lock", "(", ")"]);
-                        if !lock_idiom {
-                            push_finding(ci, FindingKind::Panic, ".unwrap()", "unwrap");
-                        }
-                    }
-                    "expect" => push_finding(ci, FindingKind::Panic, ".expect(", "unwrap"),
-                    "to_vec" | "to_string" if ctx.ctext(ci + 3) == ")" => {
-                        push_finding(ci, FindingKind::Alloc, &format!(".{name}()"), "alloc")
-                    }
-                    "collect" => push_finding(ci, FindingKind::Alloc, ".collect(", "alloc"),
-                    "reserve" | "push" | "extend" => {
-                        push_finding(ci, FindingKind::Alloc, &format!(".{name}("), "alloc")
-                    }
-                    _ => {}
-                }
-                if STD_METHODS.contains(&name) {
-                    continue;
-                }
-                out.calls.push(RawCall {
-                    name: name.to_string(),
-                    qual: None,
-                    kind: CallKind::Method,
-                    line: ctx.ctok(ci + 1).line,
-                    ci: ci + 1,
-                });
             }
             // Indexing without `get`: `expr[` where expr ends in an
             // identifier, `)`, or `]` (soft category).
@@ -606,22 +347,63 @@ fn scan_calls_and_findings(ctx: &FileCtx, relpath: &str, out: &mut FileItems) {
             }
             _ => {}
         }
-    }
-}
-
-/// If a call's argument list opens at `ci` (allowing one `::<…>`
-/// turbofish), return the index of the `(`.
-fn call_paren_after(ctx: &FileCtx, ci: usize) -> Option<usize> {
-    if ctx.ctext(ci) == "(" {
-        return Some(ci);
-    }
-    if ctx.seq_at(ci, &[":", ":", "<"]) {
-        let after = skip_angles(ctx, ci + 2);
-        if ctx.ctext(after) == "(" {
-            return Some(after);
+        let Some(kind) = call_at(ctx, ci) else {
+            continue;
+        };
+        let mut qual = None;
+        match kind {
+            CallKind::Method => {
+                // Findings on method names, idiom-aware, at the `.`.
+                let dot = ci - 1;
+                match text {
+                    "unwrap" if ctx.ctext(ci + 2) == ")" => {
+                        let lock_idiom = dot >= 4 && ctx.seq_at(dot - 4, &[".", "lock", "(", ")"]);
+                        if !lock_idiom {
+                            push_finding(dot, FindingKind::Panic, ".unwrap()", "unwrap");
+                        }
+                    }
+                    "expect" => push_finding(dot, FindingKind::Panic, ".expect(", "unwrap"),
+                    "to_vec" | "to_string" if ctx.ctext(ci + 2) == ")" => {
+                        push_finding(dot, FindingKind::Alloc, &format!(".{text}()"), "alloc")
+                    }
+                    "collect" => push_finding(dot, FindingKind::Alloc, ".collect(", "alloc"),
+                    "reserve" | "push" | "extend" => {
+                        push_finding(dot, FindingKind::Alloc, &format!(".{text}("), "alloc")
+                    }
+                    _ => {}
+                }
+                if STD_METHODS.contains(&text) {
+                    continue;
+                }
+            }
+            CallKind::Path => {
+                if ci >= 3 && ctx.ctok(ci - 3).kind == TokKind::Ident {
+                    qual = Some(ctx.ctext(ci - 3).to_string());
+                }
+                // Walk to the path root: `std::array::from_fn` must not
+                // resolve to a workspace `from_fn` by name.
+                let mut seg = ci;
+                while seg >= 3
+                    && ctx.seq_at(seg - 2, &[":", ":"])
+                    && ctx.ctok(seg - 3).kind == TokKind::Ident
+                {
+                    seg -= 3;
+                }
+                if matches!(ctx.ctext(seg), "std" | "core" | "alloc") {
+                    continue;
+                }
+            }
+            CallKind::Bare => {}
         }
+        calls.push(RawCall {
+            name: text.to_string(),
+            qual,
+            kind,
+            line: tok.line,
+            ci,
+        });
     }
-    None
+    (calls, findings)
 }
 
 /// Build the call graph for every `.rs` file under `root`.
@@ -638,28 +420,29 @@ pub(crate) fn build_workspace_graph(root: &Path) -> std::io::Result<CallGraph> {
 
     for (fi, f) in files.iter().enumerate() {
         let src = std::fs::read_to_string(f)?;
-        let relpath = f
-            .strip_prefix(root)
-            .unwrap_or(f)
-            .to_string_lossy()
-            .replace('\\', "/");
+        let relpath = rel(root, f);
         let ctx = FileCtx::new(&src);
-        let items = parse_file(&ctx, &relpath);
         let mut file_bodies = Vec::new();
-        for (item, body) in items.fns {
-            let id = g.fns.len();
-            if let Some((lo, hi)) = body {
-                file_bodies.push((lo, hi, id));
+        for item in items(&ctx, &relpath)
+            .into_iter()
+            .filter(|it| it.kind == "fn")
+        {
+            if let Some((lo, hi)) = item.body {
+                file_bodies.push((lo, hi, g.fns.len()));
             }
-            g.fns.push(item);
+            g.fns.push(FnItem {
+                krate: crate_of(&relpath),
+                file: relpath.clone(),
+                impl_type: item.impl_type,
+                name: item.name,
+                line: item.line,
+                is_test: item.test,
+            });
         }
         bodies.push(file_bodies);
-        for c in items.calls {
-            raw_calls.push((fi, c));
-        }
-        for (ci, fnd) in items.findings {
-            raw_findings.push((fi, ci, fnd));
-        }
+        let (calls, findings) = scan_calls_and_findings(&ctx, &relpath);
+        raw_calls.extend(calls.into_iter().map(|c| (fi, c)));
+        raw_findings.extend(findings.into_iter().map(|(ci, f)| (fi, ci, f)));
     }
     g.findings = vec![Vec::new(); g.fns.len()];
 

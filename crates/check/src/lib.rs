@@ -18,8 +18,14 @@
 //!   `println!`. v2: all rules run on the [`lex`] token stream.
 //! * [`lex`] — a lossless std-only Rust lexer (raw strings, nested block
 //!   comments, char/lifetime disambiguation, doc comments) with byte
-//!   spans; the substrate for every source-level analysis here.
-//! * [`graph`] — item parser + workspace call graph with transitive
+//!   spans; the substrate of the front end.
+//! * `front` — the front end `graph`, `locks` and `dead` share: one
+//!   walk over a file's items (kind, name, visibility, enclosing `impl`
+//!   type, method or not, body tokens, test code or not), one definition
+//!   of a call site (bare, path or method) with one keyword list, and
+//!   the per-file token context (`#[cfg(test)]` regions, waivers) `lint`
+//!   reads too. Each analysis keeps only its own semantics on top.
+//! * [`graph`] — workspace call graph with transitive
 //!   allocation-freedom and panic-freedom analyses rooted at the σ-task
 //!   and GEMM kernels (`fcix-check graph`).
 //! * [`locks`] — static lock-order / condvar analysis over the serve and
@@ -34,6 +40,7 @@
 //! it.
 
 pub mod dead;
+mod front;
 pub mod graph;
 pub mod lex;
 pub mod lint;

@@ -26,9 +26,10 @@
 //! `fcix-check lint --format json` prints.
 
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use crate::lex::{lex, Tok, TokKind};
+use crate::front::{collect_rs, is_test_path, rel, FileCtx};
+use crate::lex::{lex, TokKind};
 use fci_obs::JsonValue;
 
 /// One rule violation.
@@ -132,245 +133,52 @@ const METRIC_CALLS: [&str; 5] = [
     "incr",
 ];
 
-/// Tokenized file with the per-line facts every rule needs.
-pub(crate) struct FileCtx<'s> {
-    pub(crate) src: &'s str,
-    pub(crate) toks: Vec<Tok>,
-    /// Indices into `toks` of code tokens only.
-    pub(crate) code: Vec<usize>,
-    /// Per line (0-based): concatenated comment text.
-    pub(crate) comments: Vec<String>,
-    /// Per line (0-based): the line carries at least one code token.
-    pub(crate) has_code: Vec<bool>,
-    /// Per line (0-based): inside a `#[cfg(test)]` item.
-    in_test: Vec<bool>,
+/// Statement-bound SAFETY coverage for the token at code-index `ci`:
+/// a `SAFETY:` comment on any line of the statement up to the token,
+/// or anywhere in the contiguous comment block immediately above the
+/// statement's first line. Unlike the old fixed 3-line window, a
+/// long (reflowed) justification still covers, and a comment pinned
+/// to the `unsafe` block header does *not* cover an access several
+/// statements deeper. An `unsafe fn` declaration states a contract
+/// rather than discharging one, so a `# Safety` section in its doc
+/// comment covers it too (a trait method that inherits its contract
+/// keeps the plain comment).
+fn safety_covered(ctx: &FileCtx, ci: usize) -> bool {
+    let declares = ctx.ctext(ci) == "unsafe" && ctx.ctext(ci + 1) == "fn";
+    let covers = |c: &String| c.contains("SAFETY:") || (declares && c.contains("# Safety"));
+    let tok_line = ctx.ctok(ci).line as usize;
+    let start_line = ctx.ctok(ctx.stmt_start(ci)).line as usize;
+    for l in start_line..=tok_line {
+        if ctx.comments.get(l - 1).is_some_and(covers) {
+            return true;
+        }
+    }
+    let mut l = start_line;
+    while l > 1 {
+        l -= 1;
+        let idx = l - 1;
+        if ctx.has_code[idx] || ctx.comments[idx].trim().is_empty() {
+            break;
+        }
+        if covers(&ctx.comments[idx]) {
+            return true;
+        }
+    }
+    false
 }
 
-impl<'s> FileCtx<'s> {
-    pub(crate) fn new(src: &'s str) -> FileCtx<'s> {
-        let toks = lex(src);
-        let nlines = src.as_bytes().iter().filter(|&&b| b == b'\n').count() + 1;
-        let mut comments = vec![String::new(); nlines];
-        let mut has_code = vec![false; nlines];
-        let code: Vec<usize> = toks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.kind.is_code())
-            .map(|(i, _)| i)
-            .collect();
-        for t in &toks {
-            let text = t.text(src);
-            if t.kind.is_comment() {
-                for (k, part) in text.split('\n').enumerate() {
-                    let l = t.line as usize - 1 + k;
-                    if l < nlines {
-                        comments[l].push_str(part);
-                    }
-                }
-            } else if t.kind.is_code() {
-                let span_lines = text.matches('\n').count();
-                for k in 0..=span_lines {
-                    let l = t.line as usize - 1 + k;
-                    if l < nlines {
-                        has_code[l] = true;
-                    }
-                }
-            }
-        }
-        let mut ctx = FileCtx {
-            src,
-            toks,
-            code,
-            comments,
-            has_code,
-            in_test: vec![false; nlines],
-        };
-        ctx.mark_test_regions();
-        ctx
+/// Clock-read pattern (`now_us(`, `Instant::now`, `SystemTime`)
+/// starting at code-index `ci`, with the needle name for messages.
+fn clock_read_at(ctx: &FileCtx, ci: usize) -> Option<&'static str> {
+    if ctx.ctext(ci) == "now_us" && ctx.ctext(ci + 1) == "(" {
+        Some("now_us(")
+    } else if ctx.seq_at(ci, &["Instant", ":", ":", "now"]) {
+        Some("Instant::now")
+    } else if ctx.ctext(ci) == "SystemTime" {
+        Some("SystemTime")
+    } else {
+        None
     }
-
-    /// Text of the code token at code-index `ci` (`""` out of range).
-    pub(crate) fn ctext(&self, ci: usize) -> &str {
-        self.code
-            .get(ci)
-            .map_or("", |&i| self.toks[i].text(self.src))
-    }
-
-    pub(crate) fn ctok(&self, ci: usize) -> &Tok {
-        &self.toks[self.code[ci]]
-    }
-
-    /// Whether the code tokens starting at `ci` spell out `pat`.
-    pub(crate) fn seq_at(&self, ci: usize, pat: &[&str]) -> bool {
-        pat.iter()
-            .enumerate()
-            .all(|(k, want)| self.ctext(ci + k) == *want)
-    }
-
-    /// Mark every line inside an item annotated `#[cfg(test)]` (tracked
-    /// by brace depth over code tokens from the attribute on; an item
-    /// with no braces ends at its first `;` outside brackets).
-    fn mark_test_regions(&mut self) {
-        let attr = ["#", "[", "cfg", "(", "test", ")", "]"];
-        let mut ci = 0;
-        while ci < self.code.len() {
-            if !self.seq_at(ci, &attr) {
-                ci += 1;
-                continue;
-            }
-            let start_line = self.ctok(ci).line as usize;
-            let mut depth = 0i64;
-            let mut nest = 0i64;
-            let mut opened = false;
-            let mut j = ci + attr.len();
-            let mut end_line = self.in_test.len();
-            while j < self.code.len() {
-                match self.ctext(j) {
-                    "{" => {
-                        depth += 1;
-                        opened = true;
-                    }
-                    "}" => depth -= 1,
-                    "(" | "[" => nest += 1,
-                    ")" | "]" => nest -= 1,
-                    _ => {}
-                }
-                // A brace-less item (`use …;`, `const …;`, `mod x;`)
-                // ends at its own `;`, not at the next item's `}`.
-                let bare_end = !opened && nest == 0 && self.ctext(j) == ";";
-                if bare_end || (opened && depth <= 0) {
-                    let t = self.ctok(j);
-                    end_line = t.line as usize + t.text(self.src).matches('\n').count();
-                    break;
-                }
-                j += 1;
-            }
-            for l in start_line..=end_line.min(self.in_test.len()) {
-                self.in_test[l - 1] = true;
-            }
-            ci = j + 1;
-        }
-    }
-
-    /// Whether 1-based `line` of the file at `relpath` is test code: the
-    /// file sits under a `tests/` directory, or the line is inside a
-    /// `#[cfg(test)]` item.
-    pub(crate) fn is_test(&self, relpath: &str, line: u32) -> bool {
-        is_test_path(relpath) || self.in_test_region(line)
-    }
-
-    /// Whether 1-based `line` is inside a `#[cfg(test)]` item.
-    pub(crate) fn in_test_region(&self, line: u32) -> bool {
-        self.in_test
-            .get((line as usize).wrapping_sub(1))
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// `lint: allow(<rule>)` waiver in a comment on `line`, or on a
-    /// comment-only line just above it (1-based). A waiver trailing the
-    /// code of the line above belongs to that line.
-    pub(crate) fn waived(&self, line: usize, rule: &str) -> bool {
-        let tag = format!("lint: allow({rule})");
-        let hit = |l: usize| {
-            l >= 1
-                && self
-                    .comments
-                    .get(l - 1)
-                    .is_some_and(|c| c.contains(tag.as_str()))
-        };
-        let above = line >= 2 && self.has_code.get(line - 2) == Some(&false) && hit(line - 1);
-        hit(line) || above
-    }
-
-    /// Code-index of the first token of the statement containing code
-    /// token `ci`: the token after the nearest preceding `;`, `{`, or
-    /// `}` (or the first code token of the file).
-    pub(crate) fn stmt_start(&self, ci: usize) -> usize {
-        let mut s = ci;
-        while s > 0 {
-            if matches!(self.ctext(s - 1), ";" | "{" | "}") {
-                break;
-            }
-            s -= 1;
-        }
-        s
-    }
-
-    /// Code-index one past the last token of the statement containing
-    /// `ci`: up to and including the next `;`, or stopping before the
-    /// next `{`/`}` (conservative — block arguments end the walk).
-    pub(crate) fn stmt_end(&self, ci: usize) -> usize {
-        let mut e = ci;
-        while e < self.code.len() {
-            match self.ctext(e) {
-                ";" => return e + 1,
-                "{" | "}" if e > ci => return e,
-                _ => e += 1,
-            }
-        }
-        e
-    }
-
-    /// Statement-bound SAFETY coverage for the token at code-index `ci`:
-    /// a `SAFETY:` comment on any line of the statement up to the token,
-    /// or anywhere in the contiguous comment block immediately above the
-    /// statement's first line. Unlike the old fixed 3-line window, a
-    /// long (reflowed) justification still covers, and a comment pinned
-    /// to the `unsafe` block header does *not* cover an access several
-    /// statements deeper. An `unsafe fn` declaration states a contract
-    /// rather than discharging one, so a `# Safety` section in its doc
-    /// comment covers it too (a trait method that inherits its contract
-    /// keeps the plain comment).
-    fn safety_covered(&self, ci: usize) -> bool {
-        let declares = self.ctext(ci) == "unsafe" && self.ctext(ci + 1) == "fn";
-        let covers = |c: &String| c.contains("SAFETY:") || (declares && c.contains("# Safety"));
-        let tok_line = self.ctok(ci).line as usize;
-        let start_line = self.ctok(self.stmt_start(ci)).line as usize;
-        for l in start_line..=tok_line {
-            if self.comments.get(l - 1).is_some_and(covers) {
-                return true;
-            }
-        }
-        let mut l = start_line;
-        while l > 1 {
-            l -= 1;
-            let idx = l - 1;
-            if self.has_code[idx] || self.comments[idx].trim().is_empty() {
-                break;
-            }
-            if covers(&self.comments[idx]) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Clock-read pattern (`now_us(`, `Instant::now`, `SystemTime`)
-    /// starting at code-index `ci`, with the needle name for messages.
-    fn clock_read_at(&self, ci: usize) -> Option<&'static str> {
-        if self.ctext(ci) == "now_us" && self.ctext(ci + 1) == "(" {
-            Some("now_us(")
-        } else if self.seq_at(ci, &["Instant", ":", ":", "now"]) {
-            Some("Instant::now")
-        } else if self.ctext(ci) == "SystemTime" {
-            Some("SystemTime")
-        } else {
-            None
-        }
-    }
-}
-
-/// Normalize a path to forward slashes relative to `root` (best effort).
-pub(crate) fn rel(root: &Path, file: &Path) -> String {
-    file.strip_prefix(root)
-        .unwrap_or(file)
-        .to_string_lossy()
-        .replace('\\', "/")
-}
-
-pub(crate) fn is_test_path(relpath: &str) -> bool {
-    relpath.contains("/tests/") || relpath.starts_with("tests/")
 }
 
 fn println_allowed(relpath: &str) -> bool {
@@ -429,7 +237,7 @@ pub fn lint_source(cfg: &LintConfig, relpath: &str, src: &str) -> Vec<Violation>
                 // `unsafe` block may open many lines earlier, so each
                 // access must carry (or sit under) a local
                 // justification.
-                "unsafe" | "get_unchecked" | "get_unchecked_mut" if !ctx.safety_covered(ci) => {
+                "unsafe" | "get_unchecked" | "get_unchecked_mut" if !safety_covered(&ctx, ci) => {
                     push(
                         line,
                         "unsafe",
@@ -556,10 +364,10 @@ pub fn lint_source(cfg: &LintConfig, relpath: &str, src: &str) -> Vec<Violation>
                     // one line are still one audited unit).
                     if sim {
                         let (s, e) = (ctx.stmt_start(ci), ctx.stmt_end(ci));
-                        let clocky = (s..e).find_map(|k| ctx.clock_read_at(k)).or_else(|| {
+                        let clocky = (s..e).find_map(|k| clock_read_at(&ctx, k)).or_else(|| {
                             (0..ctx.code.len())
                                 .filter(|&k| ctx.ctok(k).line as usize == line)
-                                .find_map(|k| ctx.clock_read_at(k))
+                                .find_map(|k| clock_read_at(&ctx, k))
                         });
                         if let Some(n) = clocky {
                             push(
@@ -671,30 +479,6 @@ impl LintReport {
             ),
         ])
     }
-}
-
-/// Recursively collect `.rs` files under `dir` (or `dir` itself when it
-/// is a file), skipping build output and VCS internals.
-pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    if dir.is_file() {
-        out.push(dir.to_path_buf());
-        return Ok(());
-    }
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
-                continue;
-            }
-            collect_rs(&path, out)?;
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
 }
 
 /// Lint every `.rs` file under `cfg.root` and tally waivers per rule.

@@ -38,9 +38,9 @@
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
-use crate::graph::{fn_body_range, parse_impl_type, skip_angles, STD_METHODS};
+use crate::front::{call_at, collect_rs, items, rel, skip_angles, CallKind, FileCtx, Item};
+use crate::graph::STD_METHODS;
 use crate::lex::TokKind;
-use crate::lint::{collect_rs, FileCtx};
 use fci_obs::JsonValue;
 
 /// Directories `fcix-check locks` scans by default (workspace-relative).
@@ -366,74 +366,59 @@ impl Scan {
 }
 
 /// Pass 1 over one file: inventory struct lock fields and static locks.
-fn inventory_locks(ctx: &FileCtx, relpath: &str, scan: &mut Scan) {
+fn inventory_locks(ctx: &FileCtx, items: &[Item], relpath: &str, scan: &mut Scan) {
     let n = ctx.code.len();
-    let mut ci = 0;
-    while ci < n {
-        let text = ctx.ctext(ci);
-        if text == "struct"
-            && ctx.ctok(ci).kind == TokKind::Ident
-            && ctx.code.get(ci + 1).is_some()
-            && ctx.ctok(ci + 1).kind == TokKind::Ident
-        {
-            let sname = ctx.ctext(ci + 1).to_string();
-            // Find the `{` opening the field block (skip generics; a `;`
-            // first means a unit/tuple struct — no named fields).
-            let mut j = ci + 2;
-            while j < n && !matches!(ctx.ctext(j), "{" | ";" | "(") {
-                if ctx.ctext(j) == "<" {
-                    j = skip_angles(ctx, j);
-                } else {
-                    j += 1;
-                }
-            }
-            if j >= n || ctx.ctext(j) != "{" {
-                ci += 1;
-                continue;
-            }
-            // Walk fields: segments split at `,` with all depths flat.
-            let mut k = j + 1;
-            let (mut brace, mut paren, mut angle) = (0i64, 0i64, 0i64);
-            let mut seg: Vec<usize> = Vec::new();
-            while k < n {
-                let t = ctx.ctext(k);
-                match t {
-                    "{" => brace += 1,
-                    "}" => {
-                        if brace == 0 {
-                            break;
-                        }
-                        brace -= 1;
+    for item in items {
+        match item.kind {
+            "struct" => {
+                // Find the `{` opening the field block (skip generics; a
+                // `;` or `(` first means no named fields).
+                let mut j = item.at + 1;
+                while j < n && !matches!(ctx.ctext(j), "{" | ";" | "(") {
+                    if ctx.ctext(j) == "<" {
+                        j = skip_angles(ctx, j);
+                    } else {
+                        j += 1;
                     }
-                    "(" => paren += 1,
-                    ")" => paren -= 1,
-                    "<" => angle += 1,
-                    ">" if k > 0 && ctx.ctext(k - 1) != "-" => angle -= 1,
-                    _ => {}
                 }
-                if t == "," && brace == 0 && paren == 0 && angle <= 0 {
-                    field_from_segment(ctx, &seg, &sname, relpath, scan);
-                    seg.clear();
-                    angle = 0;
-                } else {
-                    seg.push(k);
+                if j >= n || ctx.ctext(j) != "{" {
+                    continue;
                 }
-                k += 1;
+                // Walk fields: segments split at `,` with all depths flat.
+                let mut k = j + 1;
+                let (mut brace, mut paren, mut angle) = (0i64, 0i64, 0i64);
+                let mut seg: Vec<usize> = Vec::new();
+                while k < n {
+                    let t = ctx.ctext(k);
+                    match t {
+                        "{" => brace += 1,
+                        "}" => {
+                            if brace == 0 {
+                                break;
+                            }
+                            brace -= 1;
+                        }
+                        "(" => paren += 1,
+                        ")" => paren -= 1,
+                        "<" => angle += 1,
+                        ">" if k > 0 && ctx.ctext(k - 1) != "-" => angle -= 1,
+                        _ => {}
+                    }
+                    if t == "," && brace == 0 && paren == 0 && angle <= 0 {
+                        field_from_segment(ctx, &seg, &item.name, relpath, scan);
+                        seg.clear();
+                        angle = 0;
+                    } else {
+                        seg.push(k);
+                    }
+                    k += 1;
+                }
+                field_from_segment(ctx, &seg, &item.name, relpath, scan);
             }
-            field_from_segment(ctx, &seg, &sname, relpath, scan);
-            ci = k;
-            continue;
-        }
-        // `static NAME: …Mutex…` (and lazy wrappers around one).
-        if text == "static" && ctx.ctok(ci).kind == TokKind::Ident {
-            let mut j = ci + 1;
-            if ctx.ctext(j) == "mut" {
-                j += 1;
-            }
-            if j < n && ctx.ctok(j).kind == TokKind::Ident && ctx.ctext(j + 1) == ":" {
-                let name = ctx.ctext(j).to_string();
+            // `static NAME: …Mutex…` (and lazy wrappers around one).
+            "static" if ctx.ctext(item.at + 1) == ":" => {
                 let mut kind = None;
-                let mut k = j + 2;
+                let mut k = item.at + 2;
                 while k < n && !matches!(ctx.ctext(k), "=" | ";") {
                     match ctx.ctext(k) {
                         "Mutex" | "TrackedMutex" => kind = Some(LockKind::Mutex),
@@ -444,15 +429,15 @@ fn inventory_locks(ctx: &FileCtx, relpath: &str, scan: &mut Scan) {
                 }
                 if let Some(kind) = kind {
                     scan.locks.push(LockDecl {
-                        id: name,
+                        id: item.name.clone(),
                         kind,
                         file: relpath.to_string(),
-                        line: ctx.ctok(ci).line,
+                        line: ctx.ctok(item.kw).line,
                     });
                 }
             }
+            _ => {}
         }
-        ci += 1;
     }
 }
 
@@ -549,33 +534,6 @@ fn resolve_receiver(
     }
 }
 
-/// Keywords that start statements but are not callees.
-fn is_keyword(t: &str) -> bool {
-    matches!(
-        t,
-        "if" | "else"
-            | "match"
-            | "while"
-            | "for"
-            | "loop"
-            | "return"
-            | "break"
-            | "continue"
-            | "let"
-            | "fn"
-            | "move"
-            | "in"
-            | "as"
-            | "unsafe"
-            | "const"
-            | "static"
-            | "Some"
-            | "Ok"
-            | "Err"
-            | "None"
-    )
-}
-
 /// What one fn-body walk produces.
 struct BodyScan {
     fs: FnScan,
@@ -618,8 +576,7 @@ fn scan_fn_body(
     // not `JsonlSink::flush`).
     let mut chain_skip: HashSet<usize> = HashSet::new();
     let mut depth = 0i64;
-    let mut ci = lo;
-    while ci <= hi {
+    for ci in lo..=hi {
         // Retire temporaries whose statement ended.
         guards.retain(|g| g.temp_end.is_none_or(|e| ci < e));
         let text = ctx.ctext(ci);
@@ -688,121 +645,106 @@ fn scan_fn_body(
                     }
                 }
             }
-            "." if ctx.ctok(ci).kind == TokKind::Punct => {
-                let mname =
-                    if ctx.code.get(ci + 1).is_some() && ctx.ctok(ci + 1).kind == TokKind::Ident {
-                        ctx.ctext(ci + 1)
-                    } else {
-                        ""
-                    };
-                let is_call = !mname.is_empty() && ctx.ctext(ci + 2) == "(";
-                if is_call && mname == "lock" {
-                    match resolve_receiver(ctx, ci, impl_type, &aliases, scan_locks) {
-                        Some(id) if scan_locks.lock_kind(&id) == Some(LockKind::Mutex) => {
-                            fs.direct.insert(id.clone());
-                            for g in guards.iter().filter(|g| g.dropped_at.is_none()) {
-                                edges.push(LockEdge {
-                                    from: g.lock.clone(),
-                                    to: id.clone(),
-                                    file: relpath.to_string(),
-                                    line,
-                                    via: None,
-                                });
-                            }
-                            // Binding shape decides the guard's lifetime.
-                            let s = ctx.stmt_start(ci);
-                            let (binding, temp_end) = binding_of(ctx, s, ci);
-                            if let Some(b) = &binding {
-                                // Shadowing / reassignment replaces.
-                                guards.retain(|g| g.binding.as_deref() != Some(b.as_str()));
-                            }
-                            guards.push(Guard {
-                                lock: id,
-                                binding,
-                                depth,
-                                temp_end,
-                                dropped_at: None,
+            _ => {}
+        }
+        // A call: `.lock()`, `.wait(…)` and `.notify_*()` act on guards;
+        // any other callee joins the may-acquire union. Constructors
+        // (capitalized bare or path callees) are skipped.
+        let method = match call_at(ctx, ci) {
+            Some(CallKind::Method) => true,
+            Some(_) if text != "drop" && text.chars().next().is_some_and(char::is_lowercase) => {
+                false
+            }
+            _ => continue,
+        };
+        match text {
+            "lock" if method => {
+                match resolve_receiver(ctx, ci - 1, impl_type, &aliases, scan_locks) {
+                    Some(id) if scan_locks.lock_kind(&id) == Some(LockKind::Mutex) => {
+                        fs.direct.insert(id.clone());
+                        for g in guards.iter().filter(|g| g.dropped_at.is_none()) {
+                            edges.push(LockEdge {
+                                from: g.lock.clone(),
+                                to: id.clone(),
+                                file: relpath.to_string(),
+                                line,
+                                via: None,
                             });
-                            let mut k = close_paren(ctx, ci + 2, hi);
-                            while ctx.ctext(k + 1) == "."
-                                && ctx.code.get(k + 2).is_some()
-                                && ctx.ctok(k + 2).kind == TokKind::Ident
-                                && ctx.ctext(k + 3) == "("
-                            {
-                                chain_skip.insert(k + 2);
-                                k = close_paren(ctx, k + 3, hi);
-                            }
                         }
-                        _ => unresolved.push((relpath.to_string(), line)),
-                    }
-                } else if is_call && matches!(mname, "wait" | "wait_timeout" | "wait_while") {
-                    match resolve_receiver(ctx, ci, impl_type, &aliases, scan_locks) {
-                        Some(cv) if scan_locks.lock_kind(&cv) == Some(LockKind::Condvar) => {
-                            waited.push((cv.clone(), (relpath.to_string(), line)));
-                            // The guard argument: first ident inside `(…)`.
-                            let arg = if ctx.code.get(ci + 3).is_some()
-                                && ctx.ctok(ci + 3).kind == TokKind::Ident
-                            {
-                                Some(ctx.ctext(ci + 3).to_string())
-                            } else {
-                                None
-                            };
-                            let released = arg.as_ref().and_then(|a| {
-                                guards
-                                    .iter()
-                                    .find(|g| g.binding.as_deref() == Some(a.as_str()))
-                                    .map(|g| g.lock.clone())
-                            });
-                            let still_held: Vec<String> = guards
-                                .iter()
-                                .filter(|g| g.dropped_at.is_none())
-                                .filter(|g| match (&released, &g.binding, &arg) {
-                                    (Some(_), Some(b), Some(a)) => b != a,
-                                    _ => released.is_none(),
-                                })
-                                .map(|g| g.lock.clone())
-                                .collect();
-                            if !still_held.is_empty() {
-                                hazards.push(CondvarHazard::WaitWhileHolding {
-                                    condvar: cv,
-                                    released,
-                                    held: still_held,
-                                    file: relpath.to_string(),
-                                    line,
-                                });
-                            }
+                        // Binding shape decides the guard's lifetime.
+                        let (binding, temp_end) = binding_of(ctx, ctx.stmt_start(ci), ci);
+                        if let Some(b) = &binding {
+                            // Shadowing / reassignment replaces.
+                            guards.retain(|g| g.binding.as_deref() != Some(b.as_str()));
                         }
-                        Some(_) => {} // `.wait()` on a non-condvar (e.g. a future)
-                        None => unresolved.push((relpath.to_string(), line)),
+                        guards.push(Guard {
+                            lock: id,
+                            binding,
+                            depth,
+                            temp_end,
+                            dropped_at: None,
+                        });
+                        let mut k = close_paren(ctx, ci + 1, hi);
+                        while ctx.ctext(k + 1) == "."
+                            && ctx.code.get(k + 2).is_some()
+                            && ctx.ctok(k + 2).kind == TokKind::Ident
+                            && ctx.ctext(k + 3) == "("
+                        {
+                            chain_skip.insert(k + 2);
+                            k = close_paren(ctx, k + 3, hi);
+                        }
                     }
-                } else if is_call && matches!(mname, "notify_all" | "notify_one") {
-                    if let Some(cv) = resolve_receiver(ctx, ci, impl_type, &aliases, scan_locks) {
-                        notified.push(cv);
-                    }
-                } else if is_call
-                    && !STD_METHODS.contains(&mname)
-                    && !chain_skip.contains(&(ci + 1))
-                {
-                    fs.all_calls.push(mname.to_string());
-                    let held: Vec<String> = guards
-                        .iter()
-                        .filter(|g| g.dropped_at.is_none())
-                        .map(|g| g.lock.clone())
-                        .collect();
-                    if !held.is_empty() {
-                        fs.holds_at_call.push((held, mname.to_string(), line));
-                    }
-                    ci += 1; // skip the name so it isn't re-seen as bare
+                    _ => unresolved.push((relpath.to_string(), line)),
                 }
             }
-            // Bare or path call; constructors (capitalized) skipped.
-            _ if ctx.ctok(ci).kind == TokKind::Ident
-                && ctx.ctext(ci + 1) == "("
-                && !is_keyword(text)
-                && text != "drop"
-                && !(ci > lo && matches!(ctx.ctext(ci - 1), "." | "fn"))
-                && text.chars().next().is_some_and(char::is_lowercase) =>
-            {
+            "wait" | "wait_timeout" | "wait_while" if method => {
+                match resolve_receiver(ctx, ci - 1, impl_type, &aliases, scan_locks) {
+                    Some(cv) if scan_locks.lock_kind(&cv) == Some(LockKind::Condvar) => {
+                        waited.push((cv.clone(), (relpath.to_string(), line)));
+                        // The guard argument: first ident inside `(…)`.
+                        let arg = if ctx.code.get(ci + 2).is_some()
+                            && ctx.ctok(ci + 2).kind == TokKind::Ident
+                        {
+                            Some(ctx.ctext(ci + 2).to_string())
+                        } else {
+                            None
+                        };
+                        let released = arg.as_ref().and_then(|a| {
+                            guards
+                                .iter()
+                                .find(|g| g.binding.as_deref() == Some(a.as_str()))
+                                .map(|g| g.lock.clone())
+                        });
+                        let still_held: Vec<String> = guards
+                            .iter()
+                            .filter(|g| g.dropped_at.is_none())
+                            .filter(|g| match (&released, &g.binding, &arg) {
+                                (Some(_), Some(b), Some(a)) => b != a,
+                                _ => released.is_none(),
+                            })
+                            .map(|g| g.lock.clone())
+                            .collect();
+                        if !still_held.is_empty() {
+                            hazards.push(CondvarHazard::WaitWhileHolding {
+                                condvar: cv,
+                                released,
+                                held: still_held,
+                                file: relpath.to_string(),
+                                line,
+                            });
+                        }
+                    }
+                    Some(_) => {} // `.wait()` on a non-condvar (e.g. a future)
+                    None => unresolved.push((relpath.to_string(), line)),
+                }
+            }
+            "notify_all" | "notify_one" if method => {
+                if let Some(cv) = resolve_receiver(ctx, ci - 1, impl_type, &aliases, scan_locks) {
+                    notified.push(cv);
+                }
+            }
+            _ if method && (STD_METHODS.contains(&text) || chain_skip.contains(&ci)) => {}
+            _ => {
                 fs.all_calls.push(text.to_string());
                 let held: Vec<String> = guards
                     .iter()
@@ -813,9 +755,7 @@ fn scan_fn_body(
                     fs.holds_at_call.push((held, text.to_string(), line));
                 }
             }
-            _ => {}
         }
-        ci += 1;
     }
     BodyScan {
         fs,
@@ -874,69 +814,41 @@ fn binding_of(ctx: &FileCtx, s: usize, ci: usize) -> (Option<String>, Option<usi
 /// The core the path-walking front end and the tests share.
 pub fn analyze_lock_sources(sources: &[(String, String)]) -> LockReport {
     let mut scan = Scan::default();
-    let ctxs: Vec<(String, FileCtx)> = sources
+    let files: Vec<(&str, FileCtx, Vec<Item>)> = sources
         .iter()
-        .map(|(p, s)| (p.clone(), FileCtx::new(s)))
+        .map(|(p, s)| {
+            let ctx = FileCtx::new(s);
+            let items = items(&ctx, p);
+            (p.as_str(), ctx, items)
+        })
         .collect();
 
     // Pass 1: lock inventory over every file.
-    for (p, ctx) in &ctxs {
-        inventory_locks(ctx, p, &mut scan);
+    for (p, ctx, items) in &files {
+        inventory_locks(ctx, items, p, &mut scan);
     }
 
-    // Pass 2: per-fn symbolic walk.
-    for (p, ctx) in &ctxs {
-        let n = ctx.code.len();
-        let mut depth = 0i64;
-        let mut impl_stack: Vec<(Option<String>, i64)> = Vec::new();
-        let mut pending_impl: Option<Option<String>> = None;
-        let mut ci = 0;
-        while ci < n {
-            let text = ctx.ctext(ci);
-            match text {
-                "{" => {
-                    depth += 1;
-                    if let Some(ty) = pending_impl.take() {
-                        impl_stack.push((ty, depth));
-                    }
-                }
-                "}" => {
-                    if let Some((_, d)) = impl_stack.last() {
-                        if *d == depth {
-                            impl_stack.pop();
-                        }
-                    }
-                    depth -= 1;
-                }
-                "impl" if ctx.ctok(ci).kind == TokKind::Ident => {
-                    pending_impl = Some(parse_impl_type(ctx, ci + 1));
-                }
-                "fn" if ctx.ctok(ci).kind == TokKind::Ident
-                    && ctx.code.get(ci + 1).is_some()
-                    && ctx.ctok(ci + 1).kind == TokKind::Ident =>
-                {
-                    let fn_name = ctx.ctext(ci + 1).to_string();
-                    let fn_line = ctx.ctok(ci).line;
-                    let in_test = ctx.in_test_region(fn_line) || p.contains("/tests/");
-                    if let Some((lo, hi)) = fn_body_range(ctx, ci + 2) {
-                        if !in_test {
-                            let impl_type = impl_stack.last().and_then(|(t, _)| t.as_deref());
-                            let body = scan_fn_body(ctx, lo, hi, &fn_name, impl_type, p, &scan);
-                            scan.edges.extend(body.edges);
-                            scan.hazards.extend(body.hazards);
-                            scan.unresolved.extend(body.unresolved);
-                            for (cv, site) in body.waited {
-                                scan.waited.entry(cv).or_insert(site);
-                            }
-                            scan.notified.extend(body.notified);
-                            scan.fns.push(body.fs);
-                        }
-                        ci = hi; // skip the body either way
-                    }
-                }
-                _ => {}
+    // Pass 2: a symbolic walk of each outermost non-test fn body; a fn
+    // nested in a body is walked as part of it.
+    for (p, ctx, items) in &files {
+        let mut next = 0;
+        for f in items.iter().filter(|it| it.kind == "fn") {
+            let Some((lo, hi)) = f.body.filter(|_| f.kw >= next) else {
+                continue;
+            };
+            next = hi + 1;
+            if f.test {
+                continue;
             }
-            ci += 1;
+            let body = scan_fn_body(ctx, lo, hi, &f.name, f.impl_type.as_deref(), p, &scan);
+            scan.edges.extend(body.edges);
+            scan.hazards.extend(body.hazards);
+            scan.unresolved.extend(body.unresolved);
+            for (cv, site) in body.waited {
+                scan.waited.entry(cv).or_insert(site);
+            }
+            scan.notified.extend(body.notified);
+            scan.fns.push(body.fs);
         }
     }
 
@@ -1077,15 +989,11 @@ pub fn analyze_locks(root: &Path, paths: &[&str]) -> std::io::Result<LockReport>
         collect_rs(&dir, &mut files)?;
         files.sort();
         for f in files {
-            let rel = f
-                .strip_prefix(root)
-                .unwrap_or(&f)
-                .to_string_lossy()
-                .replace('\\', "/");
-            if rel.ends_with("lockwitness.rs") {
+            let relpath = rel(root, &f);
+            if relpath.ends_with("lockwitness.rs") {
                 continue;
             }
-            sources.push((rel, std::fs::read_to_string(&f)?));
+            sources.push((relpath, std::fs::read_to_string(&f)?));
         }
     }
     Ok(analyze_lock_sources(&sources))

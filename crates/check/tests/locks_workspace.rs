@@ -17,7 +17,9 @@ fn workspace_root() -> PathBuf {
 #[test]
 fn seeded_deadlock_fixture_is_flagged() {
     let src = include_str!("fixtures/deadlock.rs");
-    let report = analyze_lock_sources(&[("tests/fixtures/deadlock.rs".into(), src.into())]);
+    // Labelled as production code: a path under `tests/` is test code,
+    // which the analysis skips.
+    let report = analyze_lock_sources(&[("fixtures/deadlock.rs".into(), src.into())]);
 
     assert!(!report.is_clean(), "fixture must not analyze clean");
     // The AB/BA cycle between the two Broker mutexes.

@@ -11,7 +11,9 @@ use fci_obs::lockwitness::{reset_witness, set_witness_enabled};
 #[test]
 fn lock_order_behind_a_fn_pointer_is_flagged_by_the_witness_only() {
     let src = include_str!("fixtures/fn_pointer_locks.rs");
-    let report = analyze_lock_sources(&[("tests/fixtures/fn_pointer_locks.rs".into(), src.into())]);
+    // Labelled as production code: a path under `tests/` is test code,
+    // which the analysis skips.
+    let report = analyze_lock_sources(&[("fixtures/fn_pointer_locks.rs".into(), src.into())]);
     // The static pass sees the direct nesting and nothing else.
     let predicted: Vec<(&str, &str)> = report
         .edges

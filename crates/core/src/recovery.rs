@@ -24,7 +24,7 @@ use crate::detspace::DetSpace;
 use crate::diag::{diagonalize_with, guess, preconditioner, DiagOptions};
 use crate::hamiltonian::Hamiltonian;
 use crate::sigma::{SigmaBreakdown, SigmaCtx};
-use crate::solver::{build_space, fci_result, open_tracer, open_world, FciOptions, FciResult};
+use crate::solver::{build_space, fci_result, open_world, FciOptions, FciResult};
 use crate::taskpool::PoolParams;
 use fci_ddi::{FaultConfig, FaultPlan, FaultStats};
 use fci_scf::MoIntegrals;
@@ -133,7 +133,7 @@ pub fn solve_resilient_prepared(
     let plan = Arc::new(FaultPlan::new(
         opts.fault.clone().unwrap_or_else(|| FaultConfig::quiet(1)),
     ));
-    let tracer = open_tracer(opts);
+    let tracer = opts.obs.tracer_or_warn();
 
     let mut nproc = opts.nproc;
     let mut restarts = 0usize;

@@ -170,7 +170,7 @@ pub fn solve(
 /// bitwise-identical results whether the artifacts were freshly built or
 /// cache hits, because the solve reads them immutably.
 pub fn solve_prepared(space: &DetSpace, ham: &Hamiltonian, opts: &FciOptions) -> FciResult {
-    let tracer = open_tracer(opts);
+    let tracer = opts.obs.tracer_or_warn();
     let ddi = open_world(opts, opts.nproc, None, &tracer);
     tracer.instant(
         None,
@@ -204,15 +204,6 @@ pub fn solve_prepared(space: &DetSpace, ham: &Hamiltonian, opts: &FciOptions) ->
     tracer.flush();
     let sigma_cost = d.sigma_cost.clone();
     fci_result(space, ham, d, sigma_cost)
-}
-
-/// The run's tracer. A trace output that cannot be opened disables
-/// tracing with a warning instead of failing the solve.
-pub(crate) fn open_tracer(opts: &FciOptions) -> fci_obs::Tracer {
-    opts.obs.tracer().unwrap_or_else(|e| {
-        eprintln!("warning: could not open trace output: {e}; tracing disabled");
-        fci_obs::Tracer::disabled()
-    })
 }
 
 /// A world of `nproc` virtual MSPs wired to the run's fault plan, tracer
@@ -301,7 +292,7 @@ pub fn solve_roots_prepared(
     opts: &FciOptions,
     nroots: usize,
 ) -> FciRootsResult {
-    let tracer = open_tracer(opts);
+    let tracer = opts.obs.tracer_or_warn();
     let ddi = open_world(opts, opts.nproc, None, &tracer);
     tracer.instant(
         None,

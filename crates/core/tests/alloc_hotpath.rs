@@ -9,18 +9,26 @@
 //! second assertion bounds steady-state `mixed_spin_dgemm` calls (which
 //! legitimately allocate per-call bookkeeping: clocks, stats, the task
 //! pool, the run report) far below the warm-up call that builds the
-//! working set.
+//! working set. The task loop runs twice per space: on a bare world, and
+//! on one wired as a served solve is, with a metrics registry attached
+//! through a metrics-only tracer and a quiet fault plan, so the
+//! instants every remote gather and accumulate emits reach the registry
+//! and the checked delivery path runs. A registry allocates when it
+//! first sees a key (`Shard::add_entry` in `fci-obs`); after warm-up it
+//! must not.
 
 use fci_core::sigma::mixed::{mixed_spin_dgemm, MixedWorker};
 use fci_core::sigma::SigmaCtx;
 use fci_core::{
     random_hamiltonian, random_symmetric_hamiltonian, DetSpace, Hamiltonian, PoolParams,
 };
-use fci_ddi::{Backend, Ddi};
+use fci_ddi::{Backend, Ddi, FaultConfig, FaultPlan};
+use fci_obs::{MetricsRegistry, ObsConfig};
 use fci_scf::MoIntegrals;
 use fci_xsim::MachineModel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -73,10 +81,22 @@ fn allocs() -> (usize, u64) {
 }
 
 /// Run every Kα task of `space` on one persistent worker: after a
-/// warm-up pass, a whole pass must not touch the heap.
-fn assert_task_passes_allocate_nothing(space: &DetSpace, ham: &Hamiltonian, what: &str) {
+/// warm-up pass, a whole pass must not touch the heap. With `registry`,
+/// the world and both vectors carry a metrics-only tracer recording into
+/// it and a quiet fault plan.
+fn assert_task_passes_allocate_nothing(
+    space: &DetSpace,
+    ham: &Hamiltonian,
+    what: &str,
+    registry: Option<&MetricsRegistry>,
+) {
     let nproc = 4;
     let ddi = Ddi::new(nproc, Backend::Serial);
+    if let Some(reg) = registry {
+        let obs = ObsConfig::off().with_metrics(reg.clone());
+        ddi.attach_tracer(obs.tracer().expect("a metrics-only tracer opens no file"));
+        ddi.attach_faults(Arc::new(FaultPlan::new(FaultConfig::quiet(1))));
+    }
     let model = MachineModel::cray_x1();
     let ctx = SigmaCtx {
         space,
@@ -87,6 +107,8 @@ fn assert_task_passes_allocate_nothing(space: &DetSpace, ham: &Hamiltonian, what
     };
     let c = space.guess(ham, nproc);
     let sigma = space.zeros_ci(nproc);
+    ddi.adopt(&c);
+    ddi.adopt(&sigma);
     let nka = space.alpha_nm1.len();
 
     let mut worker = MixedWorker::new(&ctx);
@@ -116,6 +138,14 @@ fn assert_task_passes_allocate_nothing(space: &DetSpace, ham: &Hamiltonian, what
         min_calls, 0,
         "{what}: σ task hot path allocated {min_calls} times per pass after warm-up"
     );
+    if let Some(reg) = registry {
+        for series in ["ddi.get_bytes", "ddi.acc_bytes"] {
+            assert!(
+                reg.percentile(series, &[], 0.5).is_some(),
+                "{what}: the registry saw no {series}"
+            );
+        }
+    }
 }
 
 /// All assertions live in one `#[test]` so no sibling test thread can
@@ -126,7 +156,10 @@ fn sigma_task_hot_path_is_allocation_free_after_warmup() {
     // 80×45×80 V_K·D product (operands read in place, nothing packed).
     let ham = random_hamiltonian(10, 17);
     let space = DetSpace::c1(10, 3, 3);
-    assert_task_passes_allocate_nothing(&space, &ham, "c1");
+    let registry = MetricsRegistry::new();
+    for reg in [None, Some(&registry)] {
+        assert_task_passes_allocate_nothing(&space, &ham, "c1", reg);
+    }
 
     // Four irreps, unsorted labels: every task reshapes D, E and V per
     // Kβ-irrep block, inside the buffers sized for the unblocked task.
@@ -134,7 +167,9 @@ fn sigma_task_hot_path_is_allocation_free_after_warmup() {
     let ham4 = random_symmetric_hamiltonian(10, 17, &sym, 4);
     for target in [0u8, 3] {
         let space4 = DetSpace::new(10, 3, 3, &sym, 4, target);
-        assert_task_passes_allocate_nothing(&space4, &ham4, "4 irreps");
+        for reg in [None, Some(&registry)] {
+            assert_task_passes_allocate_nothing(&space4, &ham4, "4 irreps", reg);
+        }
     }
 
     // A Hubbard chain screens all of V but the pairs (p, p): every task
@@ -142,7 +177,9 @@ fn sigma_task_hot_path_is_allocation_free_after_warmup() {
     // unscreened task.
     let hub = Hamiltonian::new(&MoIntegrals::hubbard_chain(10, 1.0, 4.0, true));
     let space_h = DetSpace::for_hamiltonian(&hub, 5, 5, 0);
-    assert_task_passes_allocate_nothing(&space_h, &hub, "hubbard");
+    for reg in [None, Some(&registry)] {
+        assert_task_passes_allocate_nothing(&space_h, &hub, "hubbard", reg);
+    }
 
     // Full-phase driver: the first call builds the hoisted serial
     // working area (V_K alone is nd² doubles); steady-state calls keep

@@ -97,6 +97,17 @@ impl ObsConfig {
             None => Ok(Tracer::in_memory_with(metrics)),
         }
     }
+
+    /// [`ObsConfig::tracer`] for a run that observability must not stop:
+    /// a trace output that cannot be opened prints a warning and leaves
+    /// the run untraced ([`Tracer::disabled`]). Every solver and the
+    /// server open their tracer this way.
+    pub fn tracer_or_warn(&self) -> Tracer {
+        self.tracer().unwrap_or_else(|e| {
+            eprintln!("warning: could not open trace output: {e}; tracing disabled");
+            Tracer::disabled()
+        })
+    }
 }
 
 #[cfg(test)]

@@ -196,10 +196,7 @@ impl Server {
     /// (replayed *damage* is never an error — it is counted in
     /// [`Replay::warnings`]).
     pub fn recover(cfg: ServeConfig) -> std::io::Result<(Server, Replay)> {
-        let trace = cfg.obs.tracer().unwrap_or_else(|e| {
-            eprintln!("warning: could not open serve trace output: {e}; tracing disabled");
-            Tracer::disabled()
-        });
+        let trace = cfg.obs.tracer_or_warn();
         if let Err(e) = std::fs::create_dir_all(&cfg.checkpoint_dir) {
             // Resilient jobs will surface the error per job.
             eprintln!(

@@ -37,9 +37,7 @@
 use crate::connect::{reference_det, ConnGen};
 use crate::kernel;
 use crate::store::{CoefMap, Det};
-use crate::{
-    recompute_norms, scan_block, tracer_for, SparseOptions, SparseResult, SweepStat, GRID_CHUNKS,
-};
+use crate::{recompute_norms, scan_block, SparseOptions, SparseResult, SweepStat, GRID_CHUNKS};
 use fci_core::detspace::DetSpace;
 use fci_core::hamiltonian::Hamiltonian;
 use fci_obs::Category;
@@ -53,7 +51,7 @@ const NORM_REFRESH_SWEEPS: usize = 64;
 /// Ground-state CDFCI solve. Returns one energy; `opts.nroots` is
 /// ignored (coordinate descent tracks a single state).
 pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) -> SparseResult {
-    let tracer = tracer_for(&opts.obs);
+    let tracer = opts.obs.tracer_or_warn();
     let threads = opts.threads.max(1);
     let refdet = reference_det(space, ham);
     let d_ref = ham.diagonal_element(refdet.a, refdet.b);

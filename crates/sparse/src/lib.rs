@@ -158,15 +158,6 @@ impl SparseResult {
     }
 }
 
-/// The tracer for a solver run; falls back to disabled on I/O errors
-/// (same policy as `fci_core::solver`).
-pub(crate) fn tracer_for(obs: &ObsConfig) -> fci_obs::Tracer {
-    match obs.tracer() {
-        Ok(t) => t,
-        Err(_) => fci_obs::Tracer::disabled(),
-    }
-}
-
 /// Number of chunks in the fixed slot grid that the block gradient scan
 /// and the norm recomputation both reduce over. The grid is *constant*
 /// (not a function of the thread count), so per-chunk results and their

@@ -39,7 +39,7 @@
 
 use crate::connect::{reference_det, ConnGen};
 use crate::store::{CoefMap, Det, DetSet};
-use crate::{fan_out, kernel, spmv, tracer_for, SparseOptions, SparseResult, SweepStat};
+use crate::{fan_out, kernel, spmv, SparseOptions, SparseResult, SweepStat};
 use fci_core::detspace::DetSpace;
 use fci_core::hamiltonian::Hamiltonian;
 use fci_core::multiroot::block_davidson;
@@ -53,7 +53,7 @@ const INNER_MAX_ITER: usize = 200;
 
 /// Selected-CI solve for `opts.nroots` roots.
 pub fn solve_selected(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) -> SparseResult {
-    let tracer = tracer_for(&opts.obs);
+    let tracer = opts.obs.tracer_or_warn();
     let threads = opts.threads.max(1);
     let nroots = opts.nroots.max(1);
     let refdet = reference_det(space, ham);

@@ -19,6 +19,8 @@ use fcix::scf::MoIntegrals;
 use fcix::serve::{serve, JobSpec, ServeConfig};
 use fcix::sparse::{solve_cdfci, solve_selected, SparseOptions, SparseResult};
 use fcix::xsim::{Clock, MachineModel};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -413,7 +415,13 @@ fn live_metrics_equal_the_replay_of_their_trace() {
         };
         text.lines().filter(keep).map(String::from).collect()
     };
+    // Every series a live registry holds, in exposition form.
+    let held = RefCell::new(BTreeSet::new());
     let check = |run: &str, live: &MetricsRegistry, events: &[Event], fed: &[&str]| {
+        let text = live.render_text();
+        let series = text.lines().filter_map(|l| l.strip_prefix("# TYPE "));
+        held.borrow_mut()
+            .extend(series.filter_map(|l| l.split(' ').next()).map(String::from));
         let live = evented(live);
         assert_eq!(
             live,
@@ -587,6 +595,57 @@ fn live_metrics_equal_the_replay_of_their_trace() {
         "fcix_serve_batches 1",
     ];
     check("serve", &live, &read(&path), &fed);
+
+    let catalogue = metric_catalogue();
+    let missing: Vec<String> = held.into_inner().difference(&catalogue).cloned().collect();
+    assert!(missing.is_empty(), "not in DESIGN.md §13: {missing:?}");
+}
+
+/// The series DESIGN.md §13's catalogue lists, labels stripped, in
+/// exposition form (`trace.span_s{phase,cat}` is `fcix_trace_span_s`).
+fn metric_catalogue() -> BTreeSet<String> {
+    let design = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("DESIGN.md"))
+        .expect("DESIGN.md");
+    let section = design.split("\n## 13. ").nth(1).expect("a §13");
+    let section = section.split("\n## ").next().unwrap_or_default();
+    let mut out = BTreeSet::new();
+    for row in section.lines().filter(|l| l.starts_with("| `")) {
+        let first_cell = row[1..].split(" | ").next().unwrap_or_default();
+        for name in first_cell.split('`').skip(1).step_by(2) {
+            let name = name.split('{').next().unwrap_or_default();
+            out.insert(format!("fcix_{}", name.replace('.', "_")));
+        }
+    }
+    assert!(
+        out.contains("fcix_trace_span_s"),
+        "catalogue not found: {out:?}"
+    );
+    out
+}
+
+/// A trace output that cannot be opened does not stop a solve: the one
+/// policy of `ObsConfig::tracer_or_warn`, which every solver and the
+/// server open their tracer with, warns and runs untraced.
+#[test]
+fn an_unopenable_trace_output_runs_untraced() {
+    let hub = Hamiltonian::new(&MoIntegrals::hubbard_chain(6, 1.0, 4.0, false));
+    let space = DetSpace::for_hamiltonian(&hub, 3, 3, 0);
+    let missing = std::env::temp_dir()
+        .join(format!("fcix-no-such-dir-{}", std::process::id()))
+        .join("cdfci.jsonl");
+    let run = |obs| {
+        let opts = SparseOptions {
+            obs,
+            ..SparseOptions::default()
+        };
+        solve_cdfci(&space, &hub, &opts)
+    };
+    let off = run(ObsConfig::off());
+    let unopenable = run(ObsConfig::to_file(&missing));
+    assert!(!missing.exists());
+    assert!(off.converged && unopenable.converged);
+    let bits = |r: &SparseResult| r.energies.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&unopenable), bits(&off));
 }
 
 /// Solver telemetry belongs to its solve: a single-root Davidson, an
