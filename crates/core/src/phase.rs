@@ -13,7 +13,7 @@ use std::sync::Mutex;
 ///
 /// `name` labels the phase in traces: if a tracer is attached to `ddi`,
 /// the finished phase is emitted as per-MSP category spans (dual host /
-/// simulated timestamps) followed by a barrier.
+/// simulated timestamps) followed by a barrier ([`RunReport::record_to`]).
 pub fn run_phase<F>(ddi: &Ddi, model: &MachineModel, name: &str, f: F) -> RunReport
 where
     F: Fn(usize, &mut CommStats, &mut Clock) + Sync,
@@ -31,41 +31,8 @@ where
         charge_comm(ck, st, model);
     }
     let report = RunReport::new(clocks);
-    finish_phase(
-        &tracer,
-        name,
-        &report,
-        host_start,
-        tracer.now_us() - host_start,
-    );
+    report.record_to(&tracer, name, host_start, tracer.now_us() - host_start);
     report
-}
-
-/// The end of every σ phase, whether its ranks ran through [`run_phase`]
-/// or a routine's own loop: observe the phase on the world's metrics
-/// plane, then emit it into the trace. `host_start_us`/`host_dur_us`
-/// bound the phase's host interval.
-pub(crate) fn finish_phase(
-    tracer: &Tracer,
-    name: &str,
-    report: &RunReport,
-    host_start_us: f64,
-    host_dur_us: f64,
-) {
-    if let Some(m) = tracer.metrics() {
-        // Distribution of per-rank busy time: its spread *is* the load
-        // imbalance Table 3 reports as a residual row.
-        for ck in &report.clocks {
-            m.observe("sigma.rank_busy_s", &[("phase", name)], ck.total());
-        }
-        m.observe("sigma.phase_s", &[("phase", name)], report.elapsed());
-        m.observe(
-            "sigma.phase_gflops",
-            &[("phase", name)],
-            report.gflops_per_msp(),
-        );
-    }
-    report.record_to(tracer, name, host_start_us, host_dur_us);
 }
 
 /// Host-time split of one rank's share of a phase into five named parts

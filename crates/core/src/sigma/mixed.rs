@@ -91,7 +91,7 @@
 
 use super::{SigmaCtx, MAX_IRREP};
 use crate::hamiltonian::Hamiltonian;
-use crate::phase::{charge_comm, finish_phase, HostSplit};
+use crate::phase::{charge_comm, HostSplit};
 use crate::taskpool::TaskPool;
 use fci_ddi::{Backend, CommStats, Corruption, DistMatrix, FaultPlan};
 use fci_linalg::{dgemm, Matrix, Trans};
@@ -685,13 +685,8 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
             RunReport::new(clocks)
         }
     };
-    finish_phase(
-        &tracer,
-        "alpha_beta",
-        &report,
-        host_start,
-        tracer.now_us() - host_start,
-    );
+    let host_dur = tracer.now_us() - host_start;
+    report.record_to(&tracer, "alpha_beta", host_start, host_dur);
     report
 }
 

@@ -202,7 +202,8 @@ pub fn apply_sigma(
         bd.transpose = RunReport::new(tclocks);
         // Host time of the transpose phase = both transpose windows.
         let host_dur = (host_t1 - host_t0) + (tracer.now_us() - host_t2);
-        crate::phase::finish_phase(&tracer, "transpose", &bd.transpose, host_t2, host_dur);
+        bd.transpose
+            .record_to(&tracer, "transpose", host_t2, host_dur);
     }
 
     // Mixed-spin part.

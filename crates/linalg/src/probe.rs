@@ -12,7 +12,7 @@
 //!
 //! probe::install(Arc::new(|m, n, k, secs| {
 //!     let gflops = 2.0 * (m * n * k) as f64 / secs.max(1e-12) / 1e9;
-//!     let _ = (m, n, k, gflops); // e.g. registry.observe("gemm.gflops", …)
+//!     let _ = (m, n, k, gflops); // e.g. a `gemm_probe` instant on a tracer
 //! }));
 //! probe::set_enabled(true);
 //! ```

@@ -123,8 +123,9 @@ mod tests {
 
         let doc = JsonValue::parse(&text).unwrap();
         let arr = doc.as_arr().unwrap();
-        // Metadata: process_name + 2 thread_name; payload: 2 spans + 1 instant.
-        assert_eq!(arr.len(), 6);
+        // Metadata: process_name + 2 thread_name; payload: 2 spans, the
+        // 2 `rank_busy` instants that close them, and 1 instant.
+        assert_eq!(arr.len(), 8);
         let spans: Vec<_> = arr
             .iter()
             .filter(|r| r.get("ph").and_then(JsonValue::as_str) == Some("X"))

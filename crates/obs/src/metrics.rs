@@ -155,11 +155,15 @@ struct Store {
 
 /// Sharded registry of named counters, gauges, and histograms.
 ///
-/// Counters only ever grow ([`MetricsRegistry::counter_add`]); gauges
-/// record the most recent value ([`MetricsRegistry::gauge_set`]);
-/// histograms accumulate samples ([`MetricsRegistry::observe`]) and
-/// answer bucket-bounded percentile queries. All operations take
-/// `&self`; clones share the underlying store.
+/// Counters only ever grow; gauges record the most recent value;
+/// histograms accumulate samples and answer bucket-bounded percentile
+/// queries. Only this crate records: every update comes from the one
+/// table of [`MetricsRegistry::from_events`], applied by a
+/// [`Tracer`](crate::Tracer) with this registry attached or by the
+/// replay of a trace. Readers ([`MetricsRegistry::value`],
+/// [`MetricsRegistry::percentile`], [`MetricsRegistry::render_text`])
+/// are public. All operations take `&self`; clones share the underlying
+/// store.
 #[derive(Clone)]
 pub struct MetricsRegistry {
     store: Arc<Store>,
@@ -247,7 +251,7 @@ impl MetricsRegistry {
     }
 
     /// Add to a labelled monotonic counter (created at 0 on first use).
-    pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: f64) {
+    pub(crate) fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: f64) {
         self.with_entry(
             name,
             labels,
@@ -261,12 +265,12 @@ impl MetricsRegistry {
     }
 
     /// Increment a labelled counter by one.
-    pub fn counter_incr(&self, name: &str, labels: &[(&str, &str)]) {
+    pub(crate) fn counter_incr(&self, name: &str, labels: &[(&str, &str)]) {
         self.counter_add(name, labels, 1.0);
     }
 
     /// Set a labelled gauge to its latest value.
-    pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+    pub(crate) fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         self.with_entry(
             name,
             labels,
@@ -280,7 +284,7 @@ impl MetricsRegistry {
     }
 
     /// Record a sample into a labelled histogram.
-    pub fn observe(&self, name: &str, labels: &[(&str, &str)], sample: f64) {
+    pub(crate) fn observe(&self, name: &str, labels: &[(&str, &str)], sample: f64) {
         self.with_entry(
             name,
             labels,
@@ -308,37 +312,6 @@ impl MetricsRegistry {
             Value::Hist(h) => h.percentile(q),
             _ => None,
         })
-    }
-
-    /// Fold another registry into this one: counters add, gauges take the
-    /// other side's value, histograms merge (order-stable; see
-    /// [`Histogram::merge`]).
-    pub fn merge(&self, other: &MetricsRegistry) {
-        let snap = other.snapshot_all();
-        fn own(labels: &[(String, String)]) -> Vec<(&str, &str)> {
-            labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect()
-        }
-        for (name, labels, v) in &snap.counters {
-            self.counter_add(name, &own(labels), *v);
-        }
-        for (name, labels, v) in &snap.gauges {
-            self.gauge_set(name, &own(labels), *v);
-        }
-        for (name, labels, h) in &snap.hists {
-            self.with_entry(
-                name,
-                &own(labels),
-                || Value::Hist(Histogram::new()),
-                |v| {
-                    if let Value::Hist(mine) = v {
-                        mine.merge(h);
-                    }
-                },
-            );
-        }
     }
 
     /// Every metric, sorted by `(name, labels)` for deterministic output.
@@ -433,10 +406,8 @@ impl MetricsRegistry {
     /// which keeps no state from one event to the next. A
     /// [`Tracer`](crate::Tracer) with a registry applies the same table
     /// to every span and instant it builds, so the live plane and the
-    /// replay of its trace agree by construction. They differ only by the
-    /// metrics no event carries, which their layers record directly: the
-    /// `sigma.*` phase rollup, `sparse.cdfci.scans`, the `serve.wal_*`
-    /// gauges, `serve.batch_size`, `net.requests` and `net.rejects`.
+    /// replay of its trace agree by construction. No layer records any
+    /// other way: the registry's writers are private to this crate.
     /// DESIGN.md's metric catalogue lists the table row by row.
     pub fn from_events(events: &[Event]) -> MetricsRegistry {
         let reg = MetricsRegistry::new();
@@ -452,8 +423,9 @@ impl MetricsRegistry {
     /// `trace.flops{cat}`. Each instant the table names feeds the series
     /// listed beside it below, from its own args; a missing arg records
     /// nothing, except the `count` of the cache instants, which defaults
-    /// to 1. Fault kinds are named by [`FaultKind`]; a served job's
-    /// `tenant` label becomes the label of its `serve.*` series.
+    /// to 1. Fault kinds are named by [`FaultKind`]. A label an instant
+    /// carries (a σ phase, a served job's `tenant`, a request's `verb`)
+    /// becomes the one label of the series it feeds.
     pub(crate) fn record_event<K: AsRef<str>, L: AsRef<str>>(
         &self,
         kind: EventKind,
@@ -468,6 +440,12 @@ impl MetricsRegistry {
                 .find(|(k, _)| k.as_ref() == key)
                 .map(|(_, v)| *v)
         };
+        let label = |key: &'static str| {
+            labels
+                .iter()
+                .find(|(k, _)| k.as_ref() == key)
+                .map(|(_, v)| [(key, v.as_ref())])
+        };
         let gauge = |metric: &str, key: &str| {
             if let Some(v) = arg(key) {
                 self.gauge_set(metric, &[], v);
@@ -478,6 +456,15 @@ impl MetricsRegistry {
                 self.observe(metric, labels, v);
             }
         };
+        let count = |metric: &str, key: &str| {
+            if let Some(n) = arg(key) {
+                self.counter_add(metric, &[], n);
+            }
+        };
+        // A found label as a one-label set; none when the record lacks it.
+        fn one<'a>(label: &'a Option<[(&'a str, &'a str); 1]>) -> &'a [(&'a str, &'a str)] {
+            label.as_ref().map_or(&[], |l| &l[..])
+        }
         match kind {
             EventKind::Span => {
                 self.observe(
@@ -505,9 +492,7 @@ impl MetricsRegistry {
                     hist("fault.rank_death_recovery_s", "lost_s", &[]);
                 }
                 "diag_iter" => {
-                    if let Some(n) = arg("sigmas") {
-                        self.counter_add("davidson.iters", &[], n);
-                    }
+                    count("davidson.iters", "sigmas");
                     gauge("davidson.residual", "residual");
                     if let Some(s) = arg("iter_s").filter(|s| *s > 0.0) {
                         self.observe("davidson.iter_s", &[], s);
@@ -521,7 +506,9 @@ impl MetricsRegistry {
                     gauge("sparse.cdfci.store_bytes", "store_bytes");
                     gauge("sparse.cdfci.dropped", "dropped");
                     hist("sparse.cdfci.sweep_us", "sweep_us", &[]);
+                    count("sparse.cdfci.scans", "scans");
                 }
+                "cdfci_end" => count("sparse.cdfci.scans", "scans"),
                 "selected_outer" => {
                     gauge("sparse.selected.support", "support");
                     gauge("sparse.selected.nnz", "nnz");
@@ -530,11 +517,8 @@ impl MetricsRegistry {
                 }
                 "job_submit" => gauge("serve.queue_depth", "depth"),
                 "job_done" | "job_failed" => {
-                    let tenant = labels
-                        .iter()
-                        .find(|(k, _)| k.as_ref() == "tenant")
-                        .map(|(_, v)| [("tenant", v.as_ref())]);
-                    let by_tenant = tenant.as_ref().map_or(&[][..], |t| &t[..]);
+                    let tenant = label("tenant");
+                    let by_tenant = one(&tenant);
                     let outcome = match name {
                         "job_done" => "serve.jobs_done",
                         _ => "serve.jobs_failed",
@@ -543,7 +527,12 @@ impl MetricsRegistry {
                     hist("serve.queue_wait_us", "queue_us", by_tenant);
                     hist("serve.exec_us", "exec_us", by_tenant);
                 }
-                "batch_solve" => self.counter_incr("serve.batches", &[]),
+                "batch_solve" => {
+                    hist("serve.batch_size", "jobs", &[]);
+                    if arg("jobs").is_some_and(|j| j > 1.0) {
+                        self.counter_incr("serve.batches", &[]);
+                    }
+                }
                 "cache_hit" | "cache_miss" | "cache_evict" => {
                     let metric = match name {
                         "cache_hit" => "serve.cache_hits",
@@ -551,6 +540,34 @@ impl MetricsRegistry {
                         _ => "serve.cache_evictions",
                     };
                     self.counter_add(metric, &[], arg("count").unwrap_or(1.0));
+                }
+                "wal_recovered" => {
+                    gauge("serve.wal_recovered_pending", "pending");
+                    gauge("serve.wal_recovered_completed", "completed");
+                    gauge("serve.wal_warnings", "warnings");
+                }
+                "wal_append" => {
+                    self.counter_incr("serve.wal_appends", &[]);
+                    gauge("serve.wal_bytes", "bytes");
+                }
+                "net_request" => self.counter_incr("net.requests", one(&label("verb"))),
+                "net_reject" => self.counter_incr("net.rejects", one(&label("reason"))),
+                // The spread of per-rank busy time is the load imbalance
+                // Table 3 reports as a residual row.
+                "rank_busy" => hist("sigma.rank_busy_s", "busy_s", one(&label("phase"))),
+                "phase_end" => {
+                    let phase = label("phase");
+                    hist("sigma.phase_s", "elapsed_s", one(&phase));
+                    hist("sigma.phase_gflops", "gflops_per_msp", one(&phase));
+                }
+                "gemm_probe" | "eigh_probe" => {
+                    let (key, gflops, secs) = match name {
+                        "gemm_probe" => ("shape", "linalg.gemm_gflops", "linalg.gemm_s"),
+                        _ => ("n", "linalg.eigh_gflops", "linalg.eigh_s"),
+                    };
+                    let by = label(key);
+                    hist(gflops, "gflops", one(&by));
+                    hist(secs, "s", one(&by));
                 }
                 _ => {}
             },
@@ -629,30 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_order_stable() {
-        let mk = |seed: u64| {
-            let m = MetricsRegistry::new();
-            for i in 0..200 {
-                let v = ((seed * 131 + i * 17) % 10_000) as f64 * 1e-3;
-                m.observe("lat", &[], v);
-                m.counter_add("n", &[], 1.0);
-            }
-            m
-        };
-        let (a, b, c) = (mk(1), mk(2), mk(3));
-        let m1 = MetricsRegistry::new();
-        m1.merge(&a);
-        m1.merge(&b);
-        m1.merge(&c);
-        let m2 = MetricsRegistry::new();
-        m2.merge(&c);
-        m2.merge(&a);
-        m2.merge(&b);
-        assert_eq!(m1.render_text(), m2.render_text());
-        assert_eq!(m1.value("n", &[]), Some(600.0));
-    }
-
-    #[test]
     fn render_text_is_exposition_shaped() {
         let m = MetricsRegistry::new();
         m.counter_add("serve.jobs_done", &[("tenant", "a")], 3.0);
@@ -670,8 +663,10 @@ mod tests {
     /// The table on one hand-built trace: plain counts, the `count`
     /// payload of cache instants, each fault kind (a legacy fault instant
     /// without a payload files under `other`), the `tenant` label of job
-    /// instants and the Davidson series; and the tracer that built the
-    /// trace fed its own registry the same lines.
+    /// instants, the Davidson series, the single-job batch that is no
+    /// coalesced solve, CDFCI scans summed over its points, the WAL and
+    /// network tallies and a GEMM probe's `shape`; and the tracer that
+    /// built the trace fed its own registry the same lines.
     #[test]
     fn instants_roll_up() {
         let t = crate::Tracer::in_memory();
@@ -687,6 +682,18 @@ mod tests {
         instant("cache_hit", &[("count", 3.0)]);
         instant("cache_evict", &[("count", 2.0)]);
         instant("batch_solve", &[("jobs", 2.0)]);
+        instant("batch_solve", &[("jobs", 1.0)]);
+        instant("cdfci_sweep", &[("scans", 4.0)]);
+        instant("cdfci_end", &[("scans", 1.0)]);
+        instant("wal_append", &[("bytes", 100.0)]);
+        instant("wal_append", &[("bytes", 180.0)]);
+        let labelled = |name: &str, args: &[(&str, f64)], label: (&str, &str)| {
+            t.instant_labelled(None, name, Category::Other, args, &[label]);
+        };
+        labelled("net_request", &[], ("verb", "ping"));
+        labelled("net_reject", &[], ("reason", "invalid"));
+        let probe = [("gflops", 2.5), ("s", 1e-3)];
+        labelled("gemm_probe", &probe, ("shape", "4x4x4"));
         job("job_done", "a");
         job("job_done", "a");
         job("job_failed", "b");
@@ -714,6 +721,11 @@ mod tests {
             ("serve.jobs_done", &tenant("a"), 2.0),
             ("serve.jobs_failed", &tenant("b"), 1.0),
             ("serve.batches", &[], 1.0),
+            ("sparse.cdfci.scans", &[], 5.0),
+            ("serve.wal_appends", &[], 2.0),
+            ("serve.wal_bytes", &[], 180.0),
+            ("net.requests", &[("verb", "ping")], 1.0),
+            ("net.rejects", &[("reason", "invalid")], 1.0),
             ("serve.cache_hits", &[], 3.0),
             ("serve.cache_misses", &[], 1.0),
             ("serve.cache_evictions", &[], 2.0),
@@ -740,6 +752,9 @@ mod tests {
             "fcix_serve_exec_us_count{tenant=\"a\"} 2",
             "fcix_serve_queue_wait_us_count{tenant=\"b\"} 1",
             "fcix_davidson_iter_s_count 1",
+            "fcix_serve_batch_size_count 2",
+            "fcix_linalg_gemm_gflops_max{shape=\"4x4x4\"} 2.5",
+            "fcix_linalg_gemm_s_count{shape=\"4x4x4\"} 1",
         ] {
             assert!(text.lines().any(|l| l == line), "no {line} in:\n{text}");
         }

@@ -128,9 +128,9 @@ impl Tracer {
         Tracer::with_sink(Arc::new(NullSink), Some(metrics))
     }
 
-    /// The metrics registry riding along with this tracer, if any. Spans
-    /// and instants reach it by themselves; a layer records here directly
-    /// only a metric no event carries.
+    /// The metrics registry riding along with this tracer, if any, for
+    /// reading. Spans and instants reach it by themselves; no layer
+    /// records into it any other way.
     #[inline]
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.inner.as_ref().and_then(|i| i.metrics.as_ref())
@@ -269,7 +269,10 @@ impl Tracer {
     /// (`host_start_us`..`+host_dur_us`) is split across the spans in
     /// proportion to their simulated durations, so both timelines nest the
     /// same way. Segments with zero duration *and* an all-zero payload are
-    /// skipped. An attached registry takes each span through the table of
+    /// skipped. The phase ends with a `rank_busy` instant on the rank,
+    /// labelled with the phase and carrying the rank's busy seconds
+    /// (`busy_s`, zero for an idle rank). An attached registry takes each
+    /// span and the instant through the table of
     /// [`MetricsRegistry::from_events`], with or without a recording sink.
     pub fn record_phase(
         &self,
@@ -330,6 +333,15 @@ impl Tracer {
             host_at += host_share;
         }
         cursors[rank] += sim_total;
+        // The instant reads the cursor, which takes the lock again.
+        drop(cursors);
+        self.instant_labelled(
+            Some(rank),
+            "rank_busy",
+            Category::Other,
+            &[("busy_s", sim_total)],
+            &[("phase", phase)],
+        );
     }
 
     /// Flush the underlying sink.
@@ -346,6 +358,14 @@ mod tests {
 
     fn seg(cat: Category, s: f64) -> Segment {
         Segment::new(cat, s, vec![])
+    }
+
+    /// The spans a tracer collected, without the instants.
+    fn spans(t: &Tracer) -> Vec<Event> {
+        let evs = t.events().unwrap();
+        evs.into_iter()
+            .filter(|e| e.kind == EventKind::Span)
+            .collect()
     }
 
     #[test]
@@ -369,7 +389,7 @@ mod tests {
             0.0,
             30.0,
         );
-        let evs = t.events().unwrap();
+        let evs = spans(&t);
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].sim_s, 0.0);
         assert_eq!(evs[0].sim_dur_s, 1.0);
@@ -392,8 +412,7 @@ mod tests {
         assert_eq!(t.cursor(2), 5.0);
         // Next phase starts at the barrier.
         t.record_phase(0, "q", &[seg(Category::Io, 1.0)], 0.0, 0.0);
-        let evs = t.events().unwrap();
-        assert_eq!(evs.last().unwrap().sim_s, 5.0);
+        assert_eq!(spans(&t).last().unwrap().sim_s, 5.0);
     }
 
     #[test]
@@ -406,7 +425,7 @@ mod tests {
             seg(Category::Net, 0.3),
         ];
         t.record_phase(2, "p", &segs, 0.0, 0.0);
-        let evs = t.events().unwrap();
+        let evs = spans(&t);
         assert_eq!(evs.len(), 3);
         let sum: f64 = evs.iter().map(|e| e.sim_dur_s).sum();
         assert_eq!(sum, 0.1 + 0.2 + 0.3);
@@ -427,15 +446,34 @@ mod tests {
             0.0,
             0.0,
         );
-        assert_eq!(t.events().unwrap().len(), 1);
+        assert_eq!(spans(&t).len(), 1);
+    }
+
+    /// Every rank's share of a phase ends with one `rank_busy` instant at
+    /// the rank's new cursor, an idle rank's too, and the registry files
+    /// its busy seconds under the phase.
+    #[test]
+    fn a_phase_closes_with_each_ranks_busy_time() {
+        let t = Tracer::in_memory();
+        t.record_phase(0, "p", &[seg(Category::Dgemm, 2.0)], 0.0, 0.0);
+        t.record_phase(1, "p", &[seg(Category::Dgemm, 0.0)], 0.0, 0.0);
+        let busy: Vec<(Option<usize>, f64, Option<f64>)> = t
+            .events()
+            .unwrap()
+            .iter()
+            .filter(|e| e.name == "rank_busy")
+            .map(|e| (e.rank, e.sim_s, e.arg("busy_s")))
+            .collect();
+        assert_eq!(busy, [(Some(0), 2.0, Some(2.0)), (Some(1), 0.0, Some(0.0))]);
+        let reg = t.metrics().unwrap();
+        let p = |q| reg.percentile("sigma.rank_busy_s", &[("phase", "p")], q);
+        assert_eq!((p(0.0), p(100.0)), (Some(0.0), Some(2.0)));
     }
 
     #[test]
     fn metrics_plane_attaches() {
         assert!(Tracer::disabled().metrics().is_none());
-        let t = Tracer::in_memory();
-        t.metrics().unwrap().counter_incr("x", &[]);
-        assert_eq!(t.metrics().unwrap().value("x", &[]), Some(1.0));
+        assert!(Tracer::in_memory().metrics().is_some());
         // Metrics-only: no events, but spans and instants feed the shared
         // registry, and the cursors advance as with a sink.
         let shared = MetricsRegistry::new();
@@ -444,8 +482,7 @@ mod tests {
         assert!(!Tracer::disabled().active());
         mo.instant(Some(0), "cache_hit", Category::Other, &[("count", 2.0)]);
         mo.record_phase(0, "p", &[seg(Category::Dgemm, 1.5)], 0.0, 0.0);
-        mo.metrics().unwrap().counter_incr("y", &[]);
-        assert_eq!(shared.value("y", &[]), Some(1.0));
+        assert!(mo.metrics().unwrap().same_store(&shared));
         assert_eq!(shared.value("serve.cache_hits", &[]), Some(2.0));
         let span = [("phase", "p"), ("cat", "dgemm")];
         assert_eq!(shared.percentile("trace.span_s", &span, 100.0), Some(1.5));

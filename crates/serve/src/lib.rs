@@ -15,7 +15,8 @@
 //!   control and backpressure, the batching coalescer that turns
 //!   same-space jobs into one multi-root solve, and the scoped worker
 //!   pool (deterministic at any worker count — see the module docs);
-//! * [`result`] — per-job JSONL results and the server [`ServeSummary`];
+//! * [`result`] — per-job JSONL results and admission refusals (every
+//!   tally over them is a metric, fed by the server's trace instants);
 //! * [`wal`] — the write-ahead job log: accepted jobs and their state
 //!   transitions survive `kill -9`, and a restarted server resumes with
 //!   crash-exactly-once semantics;
@@ -24,15 +25,20 @@
 //!   overload rejects carrying backoff hints.
 //!
 //! ```
-//! use fci_serve::{serve, JobSpec, ProblemSpec, ServeConfig};
+//! use fci_obs::{MetricsRegistry, ObsConfig};
+//! use fci_serve::{serve, JobSpec, JobStatus, ProblemSpec, ServeConfig};
 //! // Two different "molecules" of the same size: integrals differ, but
 //! // the (4 orbital, 2α2β) determinant space is shared through the cache.
 //! let a = ProblemSpec::Hubbard { sites: 4, t: 1.0, u: 4.0, periodic: false };
 //! let b = ProblemSpec::Hubbard { sites: 4, t: 1.0, u: 2.0, periodic: false };
 //! let jobs = vec![JobSpec::new("a", a, 2, 2), JobSpec::new("b", b, 2, 2)];
-//! let report = serve(ServeConfig { workers: 2, ..Default::default() }, jobs);
-//! assert_eq!(report.summary.jobs_done, 2);
-//! assert!(report.summary.cache.hits >= 1); // the shared string tables
+//! let metrics = MetricsRegistry::new();
+//! let obs = ObsConfig::off().with_metrics(metrics.clone());
+//! let report = serve(ServeConfig { workers: 2, obs, ..Default::default() }, jobs);
+//! assert_eq!(report.results.len(), 2);
+//! assert!(report.results.iter().all(|r| r.status == JobStatus::Done));
+//! // The shared string tables: a tally, so it is read from the metrics.
+//! assert!(metrics.value("serve.cache_hits", &[]) >= Some(1.0));
 //! ```
 
 pub mod cache;
@@ -44,7 +50,7 @@ pub mod wal;
 
 pub use cache::{Artifact, ArtifactCache, CacheKey, CacheStats};
 pub use net::{NetClient, NetConfig, NetServer};
-pub use result::{JobResult, JobStatus, RejectReason, ServeReport, ServeSummary};
+pub use result::{JobResult, JobStatus, RejectReason, ServeReport};
 pub use server::{estimated_bytes, serve, serve_with, QueueStats, ServeConfig, Server};
 pub use spec::{JobSpec, ProblemSpec};
 pub use wal::{Replay, Wal, WalRecord};

@@ -188,19 +188,7 @@ impl NetServer {
         };
         let _ = stream.set_write_timeout(Some(Duration::from_millis(self.cfg.write_timeout_ms)));
         let _ = write_line(&mut stream, &reject_json(None, &why));
-        self.note_reject(why.code());
-    }
-
-    fn note_verb(&self, verb: &str) {
-        if let Some(m) = self.server.metrics() {
-            m.counter_incr("net.requests", &[("verb", verb)]);
-        }
-    }
-
-    fn note_reject(&self, code: &str) {
-        if let Some(m) = self.server.metrics() {
-            m.counter_incr("net.rejects", &[("reason", code)]);
-        }
+        self.server.note("net_reject", ("reason", why.code()));
     }
 
     /// Serve one connection until EOF, error, timeout, or `drain`.
@@ -288,7 +276,8 @@ impl NetServer {
     }
 
     fn dispatch(&self, verb: &str, req: &JsonValue) -> JsonValue {
-        self.note_verb(if verb.is_empty() { "unknown" } else { verb });
+        let label = if verb.is_empty() { "unknown" } else { verb };
+        self.server.note("net_request", ("verb", label));
         match verb {
             "ping" => JsonValue::obj(vec![("ok", JsonValue::Bool(true))]),
             "submit" => self.do_submit(req),
@@ -351,7 +340,7 @@ impl NetServer {
         };
         let id = spec.id.clone();
         if let Err(why) = self.gate(&spec.tenant) {
-            self.note_reject(why.code());
+            self.server.note("net_reject", ("reason", why.code()));
             return reject_json(Some(&id), &why);
         }
         let tenant = spec.tenant.clone();
@@ -369,7 +358,7 @@ impl NetServer {
                 ])
             }
             Err(why) => {
-                self.note_reject(why.code());
+                self.server.note("net_reject", ("reason", why.code()));
                 reject_json(Some(&id), &why)
             }
         }

@@ -1,6 +1,5 @@
-//! Per-job results and the server-level summary.
+//! Per-job results and admission refusals: what a serve run hands back.
 
-use crate::cache::CacheStats;
 use fci_obs::JsonValue;
 
 /// Terminal state of one job.
@@ -267,91 +266,15 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// Server-level rollup of one serve run.
-#[derive(Clone, Debug, Default)]
-pub struct ServeSummary {
-    /// Jobs that finished `Done`.
-    pub jobs_done: usize,
-    /// Jobs that finished `Failed`.
-    pub jobs_failed: usize,
-    /// Jobs cancelled or shut down before running.
-    pub jobs_cancelled: usize,
-    /// Submissions rejected at admission.
-    pub jobs_rejected: usize,
-    /// Multi-root batch solves executed.
-    pub batches: usize,
-    /// Host seconds from first submit to last completion.
-    pub elapsed_s: f64,
-    /// Completed jobs per host second.
-    pub jobs_per_sec: f64,
-    /// Queue-latency percentiles over completed jobs, host µs.
-    pub queue_p50_us: f64,
-    /// 90th percentile queue latency, host µs.
-    pub queue_p90_us: f64,
-    /// Maximum queue latency, host µs.
-    pub queue_max_us: f64,
-    /// Artifact-cache counters.
-    pub cache: CacheStats,
-}
-
-impl ServeSummary {
-    /// JSON object for reports and bench artifacts.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("jobs_done", JsonValue::Num(self.jobs_done as f64)),
-            ("jobs_failed", JsonValue::Num(self.jobs_failed as f64)),
-            ("jobs_cancelled", JsonValue::Num(self.jobs_cancelled as f64)),
-            ("jobs_rejected", JsonValue::Num(self.jobs_rejected as f64)),
-            ("batches", JsonValue::Num(self.batches as f64)),
-            ("elapsed_s", JsonValue::Num(self.elapsed_s)),
-            ("jobs_per_sec", JsonValue::Num(self.jobs_per_sec)),
-            ("queue_p50_us", JsonValue::Num(self.queue_p50_us)),
-            ("queue_p90_us", JsonValue::Num(self.queue_p90_us)),
-            ("queue_max_us", JsonValue::Num(self.queue_max_us)),
-            ("cache_hits", JsonValue::Num(self.cache.hits as f64)),
-            ("cache_misses", JsonValue::Num(self.cache.misses as f64)),
-            (
-                "cache_evictions",
-                JsonValue::Num(self.cache.evictions as f64),
-            ),
-            ("cache_hit_rate", JsonValue::Num(self.cache.hit_rate())),
-        ])
-    }
-
-    /// Human-readable multi-line report.
-    pub fn render(&self) -> String {
-        format!(
-            "serve: {} done, {} failed, {} cancelled, {} rejected | \
-             {} batches | {:.3} s, {:.2} jobs/s\n\
-             queue latency µs: p50 {:.0}, p90 {:.0}, max {:.0}\n\
-             cache: {} hits, {} misses, {} evictions (hit rate {:.0}%)",
-            self.jobs_done,
-            self.jobs_failed,
-            self.jobs_cancelled,
-            self.jobs_rejected,
-            self.batches,
-            self.elapsed_s,
-            self.jobs_per_sec,
-            self.queue_p50_us,
-            self.queue_p90_us,
-            self.queue_max_us,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.evictions,
-            100.0 * self.cache.hit_rate(),
-        )
-    }
-}
-
-/// Everything a serve run produces.
+/// What a serve run hands back: every accepted job's outcome and every
+/// refusal. Tallies over them (batches, cache hits, latencies) live in
+/// the server's metrics plane, fed by its trace instants.
 #[derive(Debug)]
 pub struct ServeReport {
     /// Per-job outcomes, in submission order.
     pub results: Vec<JobResult>,
     /// Rejected submissions: (job id, reason), in submission order.
     pub rejected: Vec<(String, RejectReason)>,
-    /// Server-level rollup.
-    pub summary: ServeSummary,
 }
 
 impl ServeReport {
@@ -361,28 +284,9 @@ impl ServeReport {
     }
 }
 
-/// `p`-th percentile (0–100) of `xs` by nearest-rank; 0 for empty input.
-pub fn percentile(xs: &mut [f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * xs.len() as f64).ceil() as usize;
-    xs[rank.clamp(1, xs.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let mut xs = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&mut xs, 50.0), 2.0);
-        assert_eq!(percentile(&mut xs, 90.0), 4.0);
-        assert_eq!(percentile(&mut xs, 100.0), 4.0);
-        assert_eq!(percentile(&mut [], 50.0), 0.0);
-    }
 
     #[test]
     fn wal_json_roundtrip_is_bitwise_even_for_nan() {
@@ -431,16 +335,5 @@ mod tests {
             RejectReason::RateLimited { retry_after_ms: 40 }.code(),
             "rate_limited"
         );
-    }
-
-    #[test]
-    fn summary_json_has_cache_fields() {
-        let mut s = ServeSummary::default();
-        s.cache.hits = 3;
-        s.cache.misses = 1;
-        let j = s.to_json();
-        assert_eq!(j.get_f64("cache_hits"), Some(3.0));
-        assert_eq!(j.get_f64("cache_hit_rate"), Some(0.75));
-        assert!(s.render().contains("75%"));
     }
 }

@@ -25,7 +25,7 @@
 //! rule) and is reported, never consulted for scheduling.
 
 use crate::cache::{Artifact, ArtifactCache, CacheKey};
-use crate::result::{percentile, JobResult, JobStatus, RejectReason, ServeReport, ServeSummary};
+use crate::result::{JobResult, JobStatus, RejectReason, ServeReport};
 use crate::spec::JobSpec;
 use crate::wal::{Replay, Wal, WalRecord};
 use fci_core::recovery::filename_safe;
@@ -39,6 +39,10 @@ use fci_strings::binomial;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// The most processors a job may ask for: the 432 MSPs of the paper's
+/// largest run, which no committed run exceeds.
+const MAX_NPROC: usize = 432;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -141,7 +145,6 @@ struct QueueState {
     /// Every accepted job id, with its slot in the results vector.
     ids: HashMap<String, usize>,
     next_seq: u64,
-    batches: usize,
 }
 
 /// A running job server. Construct with [`Server::new`], feed it with
@@ -252,19 +255,16 @@ impl Server {
             wal: wal.map(|w| TrackedMutex::new("Server.wal", w)),
             done: TrackedCondvar::new("Server.done"),
         };
-        if let Some(m) = server.trace.metrics() {
-            m.gauge_set(
-                "serve.wal_recovered_pending",
-                &[],
-                replay.pending.len() as f64,
-            );
-            m.gauge_set(
-                "serve.wal_recovered_completed",
-                &[],
-                replay.completed.len() as f64,
-            );
-            m.gauge_set("serve.wal_warnings", &[], replay.warnings.len() as f64);
-        }
+        server.trace.instant(
+            None,
+            "wal_recovered",
+            Category::Other,
+            &[
+                ("pending", replay.pending.len() as f64),
+                ("completed", replay.completed.len() as f64),
+                ("warnings", replay.warnings.len() as f64),
+            ],
+        );
         Ok((server, replay))
     }
 
@@ -285,6 +285,13 @@ impl Server {
         self.trace.metrics()
     }
 
+    /// Emit a label-only instant on the server trace: the network front
+    /// end's `net_request{verb}` and `net_reject{reason}`.
+    pub(crate) fn note(&self, name: &str, label: (&str, &str)) {
+        self.trace
+            .instant_labelled(None, name, Category::Other, &[], &[label]);
+    }
+
     /// Emit the job-completion instant, labelled with the job's tenant.
     fn note_job(&self, q: &Queued, done: bool, queue_us: f64, exec_us: f64) {
         self.trace.instant_labelled(
@@ -300,7 +307,8 @@ impl Server {
         );
     }
 
-    /// Append to the WAL (no-op without one), tracking size metrics.
+    /// Append to the WAL (no-op without one), then emit a `wal_append`
+    /// instant carrying the log's length.
     /// Safe to call with the state lock held: `Server.wal` is a leaf of
     /// the lock graph — nothing else is ever acquired while holding it.
     fn wal_append(&self, rec: &WalRecord) -> std::io::Result<()> {
@@ -311,10 +319,12 @@ impl Server {
         w.append(rec)?;
         let len = w.len();
         drop(w);
-        if let Some(m) = self.trace.metrics() {
-            m.counter_incr("serve.wal_appends", &[]);
-            m.gauge_set("serve.wal_bytes", &[], len as f64);
-        }
+        self.trace.instant(
+            None,
+            "wal_append",
+            Category::Other,
+            &[("bytes", len as f64)],
+        );
         Ok(())
     }
 
@@ -481,6 +491,15 @@ impl Server {
                 spec.target_irrep
             )));
         }
+        // A dense job runs `nproc` simulated ranks, a sparse one `nproc`
+        // host threads: zero cannot run, and no committed run uses more
+        // than the paper's 432 MSPs.
+        if spec.nproc == 0 || spec.nproc > MAX_NPROC {
+            return Err(RejectReason::Invalid(format!(
+                "{} processors (1..={MAX_NPROC})",
+                spec.nproc
+            )));
+        }
         if spec.root > 0 && !spec.may_batch() && spec.solver != SolverKind::SparseSelected {
             return Err(RejectReason::Invalid(
                 "excited-state jobs must be batchable Davidson or selected CI".into(),
@@ -551,9 +570,6 @@ impl Server {
         for q in &batch {
             *st.tenant_credit.entry(q.spec.tenant.clone()).or_insert(0) += 1;
         }
-        if batch.len() > 1 {
-            st.batches += 1;
-        }
         st.running += 1;
         batch
     }
@@ -575,16 +591,13 @@ impl Server {
         let spec0 = &batch[0].spec;
         let (space, ham) = self.artifacts(spec0);
         let sector_dim = space.sector_dim();
-        if let Some(m) = self.trace.metrics() {
-            m.observe("serve.batch_size", &[], batch.len() as f64);
-        }
+        self.trace.instant(
+            None,
+            "batch_solve",
+            Category::Other,
+            &[("jobs", batch.len() as f64)],
+        );
         if batch.len() > 1 {
-            self.trace.instant(
-                None,
-                "batch_solve",
-                Category::Other,
-                &[("jobs", batch.len() as f64)],
-            );
             self.execute_multiroot(&batch, &space, &ham, sector_dim, start_us);
         } else {
             self.execute_single(&batch[0], &space, &ham, sector_dim, start_us);
@@ -885,61 +898,21 @@ impl Server {
         });
     }
 
-    /// Consume the server and roll up the report.
+    /// Consume the server and hand back its results and refusals. The
+    /// cache's eviction count goes out as one `cache_evict` instant; every
+    /// other tally lives in the metrics plane, fed as the server ran.
     pub fn into_report(self) -> ServeReport {
-        let cache = self.cache.stats();
+        let evictions = self.cache.stats().evictions as f64;
         self.trace.instant(
             None,
             "cache_evict",
             Category::Other,
-            &[("count", cache.evictions as f64)],
+            &[("count", evictions)],
         );
         self.trace.flush();
-        let results: Vec<JobResult> = self.results.into_inner().into_iter().flatten().collect();
-        let rejected = self.rejected.into_inner();
-        let batches = self.state.into_inner().batches;
-        let jobs_done = results
-            .iter()
-            .filter(|r| r.status == JobStatus::Done)
-            .count();
-        let jobs_failed = results
-            .iter()
-            .filter(|r| matches!(r.status, JobStatus::Failed(_)))
-            .count();
-        let jobs_cancelled = results.len() - jobs_done - jobs_failed;
-        let mut queue_lat: Vec<f64> = results
-            .iter()
-            .filter(|r| r.status == JobStatus::Done)
-            .map(|r| r.queue_us)
-            .collect();
-        // Elapsed: submit of the earliest job to completion of the last.
-        let elapsed_s = results
-            .iter()
-            .filter(|r| r.status == JobStatus::Done)
-            .map(|r| r.queue_us + r.exec_us)
-            .fold(0.0_f64, f64::max)
-            / 1e6;
-        let summary = ServeSummary {
-            jobs_done,
-            jobs_failed,
-            jobs_cancelled,
-            jobs_rejected: rejected.len(),
-            batches,
-            elapsed_s,
-            jobs_per_sec: if elapsed_s > 0.0 {
-                jobs_done as f64 / elapsed_s
-            } else {
-                0.0
-            },
-            queue_p50_us: percentile(&mut queue_lat, 50.0),
-            queue_p90_us: percentile(&mut queue_lat, 90.0),
-            queue_max_us: queue_lat.iter().fold(0.0_f64, |a, &b| a.max(b)),
-            cache,
-        };
         ServeReport {
-            results,
-            rejected,
-            summary,
+            results: self.results.into_inner().into_iter().flatten().collect(),
+            rejected: self.rejected.into_inner(),
         }
     }
 }
@@ -951,23 +924,26 @@ impl Server {
 /// bounded by the `sparse_cap` determinant store, not the formal sector
 /// dimension, which is exactly what lets a 10⁸-determinant sector pass
 /// admission control that would reject the dense job.
+///
+/// The sector-sized terms saturate, so a sector too large to count reads
+/// as `usize::MAX` and fails any budget instead of wrapping under it.
 pub fn estimated_bytes(spec: &JobSpec) -> usize {
     let n = spec.problem.n_orb();
     let nsa = binomial(n, spec.n_alpha);
     let nsb = binomial(n, spec.n_beta);
     let ham = 8 * (2 * n * n * n * n + n * n);
-    let tables = 8 * (nsa + nsb).saturating_mul(1 + n * n);
-    if spec.solver != SolverKind::Dense {
+    let tables = nsa.saturating_add(nsb).saturating_mul(8 * (1 + n * n));
+    let work = if spec.solver != SolverKind::Dense {
         // Open-addressing store: ≤ 33 bytes/slot at ≤ 70% load plus the
         // selected engine's CSR/subspace overhead — 64 bytes/determinant
         // is a safe ceiling for both engines.
-        return ham + tables + spec.sparse_cap.saturating_mul(64);
-    }
-    let dim = nsa.saturating_mul(nsb);
-    // Davidson keeps a bounded subspace of CI/σ vectors; single-vector
-    // schemes keep ~4. Use the worst case the spec allows.
-    let vectors = dim.saturating_mul(8 * 16);
-    ham + tables + vectors
+        spec.sparse_cap.saturating_mul(64)
+    } else {
+        // Davidson keeps a bounded subspace of CI/σ vectors; single-vector
+        // schemes keep ~4. Use the worst case the spec allows.
+        nsa.saturating_mul(nsb).saturating_mul(8 * 16)
+    };
+    ham.saturating_add(tables).saturating_add(work)
 }
 
 /// Submit every job, drain the queue with `cfg.workers` scoped threads,

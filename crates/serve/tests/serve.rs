@@ -3,7 +3,11 @@
 //! resilient fault path.
 
 use fci_ddi::RankDeath;
-use fci_serve::{serve, serve_with, JobSpec, JobStatus, ProblemSpec, RejectReason, ServeConfig};
+use fci_obs::{MetricsRegistry, ObsConfig};
+use fci_serve::{
+    estimated_bytes, serve, serve_with, JobSpec, JobStatus, ProblemSpec, RejectReason, ServeConfig,
+    ServeReport, Server,
+};
 
 fn hubbard(sites: usize, u: f64) -> ProblemSpec {
     ProblemSpec::Hubbard {
@@ -58,14 +62,30 @@ fn cfg(tag: &str, workers: usize) -> ServeConfig {
     }
 }
 
+/// Jobs of `report` whose status passes `is`.
+fn count(report: &ServeReport, is: fn(&JobStatus) -> bool) -> usize {
+    report.results.iter().filter(|r| is(&r.status)).count()
+}
+
+fn done(report: &ServeReport) -> usize {
+    count(report, |s| *s == JobStatus::Done)
+}
+
+/// `cfg` with its server recording into a fresh registry, returned beside
+/// it: the tallies (batches, cache hits) live there, not in the report.
+fn metered(cfg: ServeConfig) -> (ServeConfig, MetricsRegistry) {
+    let reg = MetricsRegistry::new();
+    let obs = cfg.obs.clone().with_metrics(reg.clone());
+    (ServeConfig { obs, ..cfg }, reg)
+}
+
 #[test]
 fn mixed_workload_bitwise_identical_across_worker_counts() {
     let runs: Vec<Vec<(String, u64)>> = [1usize, 2, 4]
         .iter()
         .map(|&t| {
             let report = serve(cfg("det", t), mixed_jobs());
-            assert_eq!(report.summary.jobs_done, 6, "T={t}: all jobs must finish");
-            assert_eq!(report.summary.jobs_failed, 0);
+            assert_eq!(done(&report), 6, "T={t}: all jobs must finish");
             let mut e: Vec<(String, u64)> = report
                 .results
                 .iter()
@@ -88,22 +108,23 @@ fn batching_coalesces_same_space_jobs_and_matches_solo_solves() {
         j.root = root;
         jobs.push(j);
     }
-    let report = serve(cfg("batch", 2), jobs.clone());
-    assert_eq!(report.summary.jobs_done, 3);
-    assert_eq!(report.summary.batches, 1, "three jobs, one block solve");
+    let (config, reg) = metered(cfg("batch", 2));
+    let report = serve(config, jobs.clone());
+    assert_eq!(done(&report), 3);
+    let batches = reg.value("serve.batches", &[]);
+    assert_eq!(batches, Some(1.0), "three jobs, one block solve");
     for r in &report.results {
         assert_eq!(r.batch_size, 3);
         assert!(r.converged);
     }
     // Energies must match the unbatched path to tight tolerance.
-    let solo = serve(
-        ServeConfig {
-            batching: false,
-            ..cfg("batch", 1)
-        },
-        jobs,
-    );
-    assert_eq!(solo.summary.batches, 0);
+    let (config, reg) = metered(ServeConfig {
+        batching: false,
+        ..cfg("batch", 1)
+    });
+    let solo = serve(config, jobs);
+    assert_eq!(reg.value("serve.batches", &[]), None);
+    assert_eq!(reg.percentile("serve.batch_size", &[], 100.0), Some(1.0));
     for (id, want) in [("r0", &solo), ("r1", &solo), ("r2", &solo)]
         .iter()
         .map(|(id, rep)| (*id, rep.result(id).unwrap().energy))
@@ -123,19 +144,16 @@ fn batching_coalesces_same_space_jobs_and_matches_solo_solves() {
 
 #[test]
 fn cache_on_off_energies_bitwise_identical() {
-    let with_cache = serve(cfg("cache-on", 2), mixed_jobs());
-    let without = serve(
-        ServeConfig {
-            cache_budget: 0,
-            ..cfg("cache-off", 2)
-        },
-        mixed_jobs(),
-    );
-    assert!(
-        with_cache.summary.cache.hits > 0,
-        "workload must share artifacts"
-    );
-    assert_eq!(without.summary.cache.hits, 0);
+    let (config, on) = metered(cfg("cache-on", 2));
+    let with_cache = serve(config, mixed_jobs());
+    let (config, off) = metered(ServeConfig {
+        cache_budget: 0,
+        ..cfg("cache-off", 2)
+    });
+    let without = serve(config, mixed_jobs());
+    let hits = |reg: &MetricsRegistry| reg.value("serve.cache_hits", &[]);
+    assert!(hits(&on) > Some(0.0), "workload must share artifacts");
+    assert_eq!(hits(&off), None);
     for r in &with_cache.results {
         let other = without.result(&r.id).unwrap();
         assert_eq!(
@@ -167,7 +185,7 @@ fn tenant_fairness_interleaves_a_flood() {
         jobs.push(j);
     }
     let report = serve(cfg("fair", 1), jobs);
-    assert_eq!(report.summary.jobs_done, 6);
+    assert_eq!(done(&report), 6);
     let lat = |id: &str| report.result(id).unwrap().queue_us;
     // bob-0 must start before alice's second job (fair share), and both
     // of bob's before alice's fourth.
@@ -205,8 +223,8 @@ fn backpressure_and_admission_reject_with_reason() {
         JobSpec::new("spill", hubbard(4, 6.0), 2, 2), // queue full
     ];
     let report = serve(tight, jobs);
-    assert_eq!(report.summary.jobs_done, 2);
-    assert_eq!(report.summary.jobs_rejected, 3);
+    assert_eq!(done(&report), 2);
+    assert_eq!(report.rejected.len(), 3);
     let reason = |id: &str| {
         report
             .rejected
@@ -233,7 +251,7 @@ fn hostile_sector_specs_are_rejected_and_a_good_job_still_runs() {
         JobSpec::new("good", hubbard(4, 4.0), 2, 2),
     ];
     let report = serve(cfg("hostile", 2), jobs);
-    assert_eq!(report.summary.jobs_rejected, 3, "{:?}", report.rejected);
+    assert_eq!(report.rejected.len(), 3, "{:?}", report.rejected);
     for (id, why) in &report.rejected {
         assert_eq!(why.code(), "invalid", "{id}: {why}");
     }
@@ -245,7 +263,6 @@ fn hostile_sector_specs_are_rejected_and_a_good_job_still_runs() {
 #[test]
 fn sparse_job_passes_admission_where_dense_is_rejected() {
     use fci_core::SolverKind;
-    use fci_serve::estimated_bytes;
     // Same sector, two engines. The sparse estimate is bounded by its
     // determinant-store cap, not the formal dimension…
     let mut dense = JobSpec::new("dense", hubbard(6, 4.0), 3, 3);
@@ -267,8 +284,8 @@ fn sparse_job_passes_admission_where_dense_is_rejected() {
         ..cfg("sparse-admit", 1)
     };
     let report = serve(tight, vec![dense.clone(), sparse]);
-    assert_eq!(report.summary.jobs_done, 1);
-    assert_eq!(report.summary.jobs_rejected, 1);
+    assert_eq!(done(&report), 1);
+    assert_eq!(report.rejected.len(), 1);
     assert!(matches!(
         report.rejected[0].1,
         RejectReason::MemoryBudget { .. }
@@ -332,9 +349,9 @@ fn cancellation_and_graceful_shutdown() {
     for i in 0..4 {
         assert_eq!(status(&format!("j{i}")), JobStatus::Shutdown);
     }
-    assert_eq!(report.summary.jobs_done, 0);
-    assert_eq!(report.summary.jobs_cancelled, 5);
-    assert_eq!(report.summary.jobs_rejected, 1);
+    assert_eq!(report.results.len(), 5);
+    assert_eq!(done(&report), 0);
+    assert_eq!(report.rejected.len(), 1);
 }
 
 #[test]
@@ -349,13 +366,9 @@ fn shutdown_mid_drain_completes_in_flight_work() {
         jobs.push(j);
     }
     let report = serve_with(cfg("mid-drain", 1), jobs, |server| server.shutdown());
-    let abandoned = report
-        .results
-        .iter()
-        .filter(|r| r.status == JobStatus::Shutdown)
-        .count();
-    assert_eq!(report.summary.jobs_done + abandoned, 5);
-    assert_eq!(report.summary.jobs_failed, 0);
+    let abandoned = count(&report, |s| *s == JobStatus::Shutdown);
+    assert_eq!(report.results.len(), 5);
+    assert_eq!(done(&report) + abandoned, 5);
     for r in &report.results {
         if r.status == JobStatus::Done {
             assert!(r.converged, "{} completed but did not converge", r.id);
@@ -392,18 +405,75 @@ fn resilient_fault_job_survives_and_matches_reference() {
 }
 
 #[test]
-fn serve_events_roll_up_into_run_summary() {
-    let config = ServeConfig {
-        obs: fci_obs::ObsConfig::in_memory(),
+fn serve_events_roll_up_into_the_metrics_plane() {
+    let (config, reg) = metered(ServeConfig {
+        obs: ObsConfig::in_memory(),
         ..cfg("events", 2)
-    };
+    });
     let report = serve_with(config, mixed_jobs(), |server| {
         // Drain happens via scope exit; nothing to control here — but
         // grab the live event stream to prove it is wired.
         assert!(server.events().is_some());
     });
-    assert_eq!(report.summary.jobs_done, 6);
-    assert!(report.summary.cache.hits > 0);
-    assert!(report.summary.queue_p90_us >= report.summary.queue_p50_us);
-    assert!(report.summary.jobs_per_sec > 0.0);
+    assert_eq!(done(&report), 6);
+    assert!(reg.value("serve.cache_hits", &[]) > Some(0.0));
+    for tenant in ["alice", "bob"] {
+        let by = [("tenant", tenant)];
+        assert_eq!(reg.value("serve.jobs_done", &by), Some(3.0), "{tenant}");
+        let wait = |q| reg.percentile("serve.queue_wait_us", &by, q).unwrap();
+        assert!(wait(90.0) >= wait(50.0));
+    }
+}
+
+/// A half-filled dense Hubbard job of `n` sites.
+fn half_filled(n: usize) -> JobSpec {
+    let mut j = JobSpec::new(format!("h{n}"), hubbard(n, 4.0), n / 2, n / 2);
+    j.batchable = false;
+    j
+}
+
+/// The admission estimate saturates instead of wrapping: it never falls
+/// as a half-filled sector grows, and a 56- or 64-orbital dense job is
+/// refused by the default budget. Jobs are only submitted, never run.
+#[test]
+fn hopeless_dense_sectors_are_refused_by_the_memory_budget() {
+    let need: Vec<usize> = (8..=64).map(|n| estimated_bytes(&half_filled(n))).collect();
+    for (n, pair) in (9..).zip(need.windows(2)) {
+        assert!(
+            pair[1] >= pair[0],
+            "estimate falls from n = {} to {n}",
+            n - 1
+        );
+    }
+    let server = Server::new(cfg("hopeless", 1));
+    for n in [56, 64] {
+        let why = server.submit(half_filled(n)).unwrap_err();
+        assert!(
+            matches!(why, RejectReason::MemoryBudget { .. }),
+            "n = {n}: {why}"
+        );
+    }
+    assert_eq!(server.stats().pending, 0);
+}
+
+/// `nproc` is checked at admission: zero ranks cannot run and more than
+/// 432 is no committed run's size, for dense and sparse jobs alike. Jobs
+/// are only submitted: a refused one never starts a world or a thread.
+#[test]
+fn processor_counts_outside_one_to_432_are_refused() {
+    use fci_core::SolverKind;
+    let server = Server::new(cfg("nproc", 1));
+    for solver in [SolverKind::Dense, SolverKind::SparseCdfci] {
+        for nproc in [0, 433, 1_000_000] {
+            let mut j = JobSpec::new(format!("{solver:?}-{nproc}"), hubbard(4, 4.0), 2, 2);
+            j.solver = solver;
+            j.nproc = nproc;
+            let why = server.submit(j).unwrap_err();
+            assert_eq!(why.code(), "invalid", "nproc {nproc}: {why}");
+        }
+    }
+    let mut largest = JobSpec::new("432", hubbard(4, 4.0), 2, 2);
+    largest.nproc = 432;
+    assert_eq!(server.submit(largest), Ok(()));
+    server.shutdown();
 }

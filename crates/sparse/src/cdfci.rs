@@ -96,6 +96,8 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
     let mut block = [refdet; GRID_CHUNKS];
     let mut block_len = 0;
     let mut next = 0;
+    // Gradient scans since the previous trace point (`cdfci_sweep`, then
+    // `cdfci_end` for the last partial sweep).
     let mut scans = 0usize;
     // Whether the current block moved any coordinate; true lets the
     // first scan through.
@@ -113,9 +115,6 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
             let mut winners = [(usize::MAX, -1.0f64); GRID_CHUNKS];
             scan_block(threads, flags, vals, a_dot / s_norm, &mut winners);
             scans += 1;
-            if let Some(m) = tracer.metrics() {
-                m.counter_incr("sparse.cdfci.scans", &[]);
-            }
             // An empty chunk's −1.0 is under any floor.
             block_len = winners.iter().take_while(|w| w.1 >= grad_floor).count();
             if block_len == 0 {
@@ -186,8 +185,10 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
                     ("store_bytes", map.mem_bytes() as f64),
                     ("dropped", dropped as f64),
                     ("sweep_us", stat.elapsed_us),
+                    ("scans", scans as f64),
                 ],
             );
+            scans = 0;
             if (e_now - e_prev_sweep).abs() < opts.tol {
                 converged = true;
                 break;

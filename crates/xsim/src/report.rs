@@ -1,7 +1,7 @@
 //! Aggregation of per-MSP clocks into run-level metrics.
 
 use crate::clock::Clock;
-use fci_obs::{RunSummary, Tracer};
+use fci_obs::{Category, RunSummary, Tracer};
 
 /// The simulated-time outcome of one parallel phase (or whole iteration).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -127,10 +127,13 @@ impl RunReport {
     }
 
     /// Emit this phase into a trace: one stack of category spans per MSP
-    /// (derived from each rank's clock via [`Clock::segments`]), followed
-    /// by the phase barrier. `host_start_us`/`host_dur_us` bound the
+    /// (derived from each rank's clock via [`Clock::segments`]), each
+    /// closed by its `rank_busy` instant, then the phase barrier and one
+    /// `phase_end` instant with the phase's `elapsed_s` and
+    /// `gflops_per_msp`. `host_start_us`/`host_dur_us` bound the
     /// measured host interval of the phase. A tracer with only a metrics
-    /// registry takes the spans too: they feed its `trace.*` series.
+    /// registry takes all of it too: it feeds the `trace.*` and `sigma.*`
+    /// series.
     pub fn record_to(&self, tracer: &Tracer, phase: &str, host_start_us: f64, host_dur_us: f64) {
         if !tracer.active() {
             return;
@@ -139,6 +142,16 @@ impl RunReport {
             tracer.record_phase(rank, phase, &clock.segments(), host_start_us, host_dur_us);
         }
         tracer.barrier(self.nproc());
+        tracer.instant_labelled(
+            None,
+            "phase_end",
+            Category::Other,
+            &[
+                ("elapsed_s", self.elapsed()),
+                ("gflops_per_msp", self.gflops_per_msp()),
+            ],
+            &[("phase", phase)],
+        );
     }
 }
 

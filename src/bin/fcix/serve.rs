@@ -66,7 +66,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use fcix::obs::{JsonValue, MetricsRegistry, ObsConfig};
+use fcix::obs::{Category, JsonValue, MetricsRegistry, ObsConfig, Tracer};
 use fcix::serve::{serve, JobStatus, NetClient, NetConfig, NetServer, ServeConfig, Server};
 
 use crate::{read_jobs, read_refs, verify, write_atomic, write_out, Args, Error};
@@ -120,16 +120,17 @@ pub(crate) fn batch(mut args: Args) -> Result<bool, Error> {
     let refs = verify_path.as_deref().map(read_refs).transpose();
     let refs = refs.map_err(Error::Usage)?;
 
-    // Metrics plane: a caller-owned registry shared with the server, so
-    // the snapshot thread can render it live while workers record.
-    let metrics = metrics_out.map(|path| (path, MetricsRegistry::new()));
-    if let Some((_, reg)) = &metrics {
-        cfg.obs = cfg.obs.with_metrics(reg.clone());
-        install_linalg_probes(reg);
+    // Metrics plane: a caller-owned registry shared with the server. The
+    // summary below reads its tallies, and with `--metrics-out` a snapshot
+    // thread renders it live while workers record.
+    let metrics = MetricsRegistry::new();
+    cfg.obs = cfg.obs.with_metrics(metrics.clone());
+    if metrics_out.is_some() {
+        install_linalg_probes(&metrics);
     }
     let stop = Arc::new(AtomicBool::new(false));
-    let snapshotter = metrics.clone().map(|(path, reg)| {
-        let stop = stop.clone();
+    let snapshotter = metrics_out.clone().map(|path| {
+        let (stop, reg) = (stop.clone(), metrics.clone());
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 if let Err(e) = write_atomic(&path, &reg.render_text()) {
@@ -145,9 +146,9 @@ pub(crate) fn batch(mut args: Args) -> Result<bool, Error> {
     if let Some(h) = snapshotter {
         let _ = h.join();
     }
-    if let Some((path, reg)) = &metrics {
+    if let Some(path) = &metrics_out {
         // Final snapshot after the queue drained: the complete exposition.
-        write_atomic(path, &reg.render_text())?;
+        write_atomic(path, &metrics.render_text())?;
         eprintln!("wrote {path}");
     }
 
@@ -172,14 +173,25 @@ pub(crate) fn batch(mut args: Args) -> Result<bool, Error> {
         lines.push('\n');
     }
     write_out(&lines, out.as_deref())?;
-    eprintln!("{}", report.summary.render());
+    let count =
+        |is: fn(&JobStatus) -> bool| report.results.iter().filter(|r| is(&r.status)).count();
+    let done = count(|s| *s == JobStatus::Done);
+    let failed = count(|s| matches!(s, JobStatus::Failed(_)));
+    let tally = |name| metrics.value(name, &[]).unwrap_or(0.0);
+    eprintln!(
+        "serve: {done} done, {failed} failed, {} cancelled, {} rejected | {} batches | \
+         cache: {} hits, {} misses, {} evictions",
+        report.results.len() - done - failed,
+        report.rejected.len(),
+        tally("serve.batches"),
+        tally("serve.cache_hits"),
+        tally("serve.cache_misses"),
+        tally("serve.cache_evictions"),
+    );
 
-    let mut ok = report.summary.jobs_done == n_jobs;
+    let mut ok = done == n_jobs;
     if !ok {
-        eprintln!(
-            "error: {} of {n_jobs} jobs did not complete",
-            n_jobs - report.summary.jobs_done
-        );
+        eprintln!("error: {} of {n_jobs} jobs did not complete", n_jobs - done);
     }
     // Admission refusals are an error exit, never a silent drop: each
     // one gets a structured stderr line and fails the run.
@@ -196,7 +208,7 @@ pub(crate) fn batch(mut args: Args) -> Result<bool, Error> {
             }
         }
     }
-    if require_cache_hits && report.summary.cache.hits == 0 {
+    if require_cache_hits && tally("serve.cache_hits") == 0.0 {
         eprintln!("error: artifact cache never hit (--require-cache-hits)");
         ok = false;
     }
@@ -204,24 +216,33 @@ pub(crate) fn batch(mut args: Args) -> Result<bool, Error> {
 }
 
 /// Feed the GEMM and `eigh` kernel probes into `reg`, so the metrics
-/// exposition carries `linalg_gemm_gflops{shape=...}` lines.
+/// exposition carries `linalg_gemm_gflops{shape=...}` lines. Each probe
+/// is a `gemm_probe` / `eigh_probe` instant on a metrics-only tracer: the
+/// one table maps it, and it never reaches a trace file (a probe fires on
+/// every GEMM).
 fn install_linalg_probes(reg: &MetricsRegistry) {
-    let greg = reg.clone();
+    let probe = Tracer::metrics_only(reg.clone());
+    let gemm = probe.clone();
     fcix::linalg::probe::install(Arc::new(move |m, n, k, secs| {
         let gf = 2.0 * (m as f64) * (n as f64) * (k as f64) / secs.max(1e-12) / 1e9;
         let shape = format!("{m}x{n}x{k}");
-        greg.observe("linalg.gemm_gflops", &[("shape", &shape)], gf);
-        greg.observe("linalg.gemm_s", &[("shape", &shape)], secs);
+        let args = [("gflops", gf), ("s", secs)];
+        gemm.instant_labelled(
+            None,
+            "gemm_probe",
+            Category::Other,
+            &args,
+            &[("shape", &shape)],
+        );
     }));
     fcix::linalg::probe::set_enabled(true);
-    let ereg = reg.clone();
     fcix::linalg::probe::install_eigh(Arc::new(move |n, secs| {
         // Nominal 4n³ flops: tridiagonal reduction (4/3 n³) plus the
         // implicit-QL eigenvector accumulation (~3n³ rotations).
         let gf = 4.0 * (n as f64).powi(3) / secs.max(1e-12) / 1e9;
+        let args = [("gflops", gf), ("s", secs)];
         let dim = n.to_string();
-        ereg.observe("linalg.eigh_gflops", &[("n", &dim)], gf);
-        ereg.observe("linalg.eigh_s", &[("n", &dim)], secs);
+        probe.instant_labelled(None, "eigh_probe", Category::Other, &args, &[("n", &dim)]);
     }));
     fcix::linalg::probe::set_eigh_enabled(true);
 }

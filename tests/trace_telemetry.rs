@@ -16,7 +16,9 @@ use fcix::obs::{
     MetricsRegistry, ObsConfig, RunSummary, TimeBase, Tracer,
 };
 use fcix::scf::MoIntegrals;
-use fcix::serve::{serve, JobSpec, ServeConfig};
+use fcix::serve::{
+    serve, JobSpec, JobStatus, NetClient, NetConfig, NetServer, ServeConfig, Server,
+};
 use fcix::sparse::{solve_cdfci, solve_selected, SparseOptions, SparseResult};
 use fcix::xsim::{Clock, MachineModel};
 use std::cell::RefCell;
@@ -391,30 +393,18 @@ fn metrics_replay_covers_sigma_trace() {
 }
 
 /// What a live run records equals what `fcix trace metrics` rebuilds from
-/// the same run's trace, line for line, once the families no event
-/// carries are set aside (`sigma.*`, `sparse.cdfci.scans`, `serve.wal_*`,
-/// `serve.batch_size`, `net.*`). The runs: a DGEMM AutoAdjust solve with
-/// no fault plan, under transient faults and under `nxtval` stalls with
-/// poisoned σ tasks; a two-root Davidson; CDFCI and selected CI; a
-/// resilient solve that survives a rank death; and the 6-job, two-tenant
-/// serve fixture. Each run names series it must feed.
+/// the same run's trace, line for line over the whole exposition: every
+/// metric comes from the one table in `fci-obs`. The runs: a DGEMM
+/// AutoAdjust solve with no fault plan, under transient faults and under
+/// `nxtval` stalls with poisoned σ tasks; a two-root Davidson; CDFCI and
+/// selected CI; a resilient solve that survives a rank death; the 6-job,
+/// two-tenant serve fixture; a WAL-backed server with one failing job;
+/// and a loopback `NetServer` round trip with one refusal. Each run names
+/// series it must feed. Conversely, every row of DESIGN.md §13's
+/// catalogue but the linalg probes (installed only by `fcix batch
+/// --metrics-out`) is fed by some run, and every series fed is a row.
 #[test]
 fn live_metrics_equal_the_replay_of_their_trace() {
-    let evented = |reg: &MetricsRegistry| -> Vec<String> {
-        let direct = [
-            "sigma_",
-            "sparse_cdfci_scans",
-            "serve_wal_",
-            "serve_batch_size",
-            "net_",
-        ];
-        let text = reg.render_text();
-        let keep = |l: &&str| {
-            let name = l.trim_start_matches("# TYPE ").trim_start_matches("fcix_");
-            !direct.iter().any(|d| name.starts_with(d))
-        };
-        text.lines().filter(keep).map(String::from).collect()
-    };
     // Every series a live registry holds, in exposition form.
     let held = RefCell::new(BTreeSet::new());
     let check = |run: &str, live: &MetricsRegistry, events: &[Event], fed: &[&str]| {
@@ -422,16 +412,15 @@ fn live_metrics_equal_the_replay_of_their_trace() {
         let series = text.lines().filter_map(|l| l.strip_prefix("# TYPE "));
         held.borrow_mut()
             .extend(series.filter_map(|l| l.split(' ').next()).map(String::from));
-        let live = evented(live);
         assert_eq!(
-            live,
-            evented(&MetricsRegistry::from_events(events)),
+            text,
+            MetricsRegistry::from_events(events).render_text(),
             "{run}"
         );
         for fed in fed {
             assert!(
-                live.iter().any(|l| l.starts_with(fed)),
-                "{run}: no {fed}: {live:#?}"
+                text.lines().any(|l| l.starts_with(fed)),
+                "{run}: no {fed}:\n{text}"
             );
         }
     };
@@ -588,17 +577,92 @@ fn live_metrics_equal_the_replay_of_their_trace() {
         obs,
         ..ServeConfig::default()
     };
-    assert_eq!(serve(cfg, jobs.collect()).summary.jobs_done, 6);
+    let report = serve(cfg, jobs.collect());
+    assert!(report.results.iter().all(|r| r.status == JobStatus::Done));
+    assert_eq!(report.results.len(), 6);
     let fed = [
         "fcix_serve_jobs_done{tenant=\"alice\"} 3",
         "fcix_serve_jobs_done{tenant=\"bob\"} 3",
         "fcix_serve_batches 1",
+        "fcix_serve_batch_size_count 5",
     ];
     check("serve", &live, &read(&path), &fed);
 
+    // A write-ahead log, and a job that fails: its root is outside the
+    // 36-determinant sector.
+    let (obs, live, path) = to_file("wal.jsonl");
+    let cfg = ServeConfig {
+        workers: 1,
+        checkpoint_dir: dir.join("ckpt"),
+        wal_path: Some(dir.join("wal").join("jobs.wal")),
+        obs,
+        ..ServeConfig::default()
+    };
+    let hubbard = |u| fcix::serve::ProblemSpec::Hubbard {
+        sites: 4,
+        t: 1.0,
+        u,
+        periodic: false,
+    };
+    let mut beyond = JobSpec::new("beyond", hubbard(3.0), 2, 2);
+    beyond.root = 100;
+    let jobs = vec![JobSpec::new("good", hubbard(4.0), 2, 2), beyond];
+    let report = serve(cfg, jobs);
+    assert_eq!(report.result("good").expect("good").status, JobStatus::Done);
+    let fed = [
+        "fcix_serve_wal_appends 6",
+        "fcix_serve_wal_recovered_pending 0",
+        "fcix_serve_jobs_failed{tenant=\"default\"} 1",
+    ];
+    check("wal", &live, &read(&path), &fed);
+
+    // The network front end: submit, wait, ping, and one refusal.
+    let (obs, live, path) = to_file("net.jsonl");
+    let server = Arc::new(Server::new(ServeConfig {
+        workers: 1,
+        checkpoint_dir: dir.join("ckpt"),
+        obs,
+        ..ServeConfig::default()
+    }));
+    let net = NetServer::bind(server.clone(), NetConfig::default()).expect("bind loopback");
+    let addr = net.local_addr().expect("local addr").to_string();
+    std::thread::scope(|s| {
+        s.spawn(|| server.run(1));
+        s.spawn(|| net.run());
+        let mut client = NetClient::connect(&addr, 10_000).expect("connect");
+        let job = JobSpec::new("net", hubbard(4.0), 2, 2);
+        assert!(client.submit_idempotent(&job).expect("submit").is_none());
+        let done = client.wait("net", 30_000).expect("wait");
+        assert_eq!(done.get("ok"), Some(&JsonValue::Bool(true)), "{done}");
+        assert!(client.ping().expect("ping"));
+        let no_alpha = JobSpec::new("no-alpha", hubbard(4.0), 0, 2);
+        assert!(client
+            .submit_idempotent(&no_alpha)
+            .expect("submit")
+            .is_some());
+        client.drain().expect("drain");
+    });
+    drop(net);
+    let server = Arc::try_unwrap(server).unwrap_or_else(|_| panic!("server still shared"));
+    assert_eq!(server.into_report().results.len(), 1);
+    let fed = [
+        "fcix_net_requests{verb=\"ping\"} 1",
+        "fcix_net_rejects{reason=\"invalid\"} 1",
+    ];
+    check("net", &live, &read(&path), &fed);
+
     let catalogue = metric_catalogue();
-    let missing: Vec<String> = held.into_inner().difference(&catalogue).cloned().collect();
+    let held = held.into_inner();
+    let missing: Vec<&String> = held.difference(&catalogue).collect();
     assert!(missing.is_empty(), "not in DESIGN.md §13: {missing:?}");
+    let unfed: Vec<&String> = catalogue
+        .difference(&held)
+        .filter(|name| !name.starts_with("fcix_linalg_"))
+        .collect();
+    assert!(
+        unfed.is_empty(),
+        "no run feeds these DESIGN.md §13 rows: {unfed:?}"
+    );
 }
 
 /// The series DESIGN.md §13's catalogue lists, labels stripped, in
