@@ -1045,14 +1045,17 @@ pub struct DynamicReport {
     pub observed: Vec<(String, String)>,
     /// Observed edges the static graph did not predict.
     pub unpredicted: Vec<(String, String)>,
-    /// Total tracked-lock acquisitions during the workload.
+    /// Total tracked-lock acquisitions during the workload. It depends
+    /// on how the workers interleave, so only the text report shows it:
+    /// the JSON form is the same on every run of one tree.
     pub acquisitions: u64,
     /// `observed ⊆ static`.
     pub consistent: bool,
 }
 
 impl DynamicReport {
-    /// JSON form for `fcix-check locks --dynamic --format json`.
+    /// JSON form for `fcix-check locks --dynamic --format json`: the
+    /// edges and the verdict, without the acquisition tally.
     pub fn to_json(&self) -> JsonValue {
         let pairs = |v: &[(String, String)]| {
             JsonValue::Arr(
@@ -1069,7 +1072,6 @@ impl DynamicReport {
         JsonValue::obj(vec![
             ("observed", pairs(&self.observed)),
             ("unpredicted", pairs(&self.unpredicted)),
-            ("acquisitions", JsonValue::Num(self.acquisitions as f64)),
             ("consistent", JsonValue::Bool(self.consistent)),
         ])
     }

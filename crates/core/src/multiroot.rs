@@ -106,6 +106,10 @@ pub fn block_davidson(
     mut correction: impl FnMut(f64, &DistMatrix, &DistMatrix) -> DistMatrix,
     tracer: &Tracer,
 ) -> RitzPairs {
+    // Every CI-sized buffer the run drops — σ and its transposes, the
+    // basis, Ritz vectors, residuals, corrections — is handed out again
+    // here, and all of them are freed on return.
+    let _storage = fci_ddi::reuse::scope();
     let mut sub = Subspace::new(seeds);
     let mut trace = IterTrace::new(tracer.clone());
     let mut out = RitzPairs {
@@ -125,14 +129,12 @@ pub fn block_davidson(
         }
         let es = sub.ritz();
         out.states.clear();
-        let mut residuals = Vec::new();
-        for k in 0..nroots.min(sub.len()) {
-            let (theta, c, r, res) = sub.ritz_pair(&es, k);
-            out.energies[k] = theta;
-            out.converged[k] = res < tol;
-            out.states.push(c);
-            residuals.push((theta, r, res));
+        let (states, residuals) = sub.ritz_pairs(&es, nroots);
+        for (k, (theta, _, res)) in residuals.iter().enumerate() {
+            out.energies[k] = *theta;
+            out.converged[k] = *res < tol;
         }
+        out.states = states;
         let worst = residuals
             .iter()
             .map(|(_, _, res)| *res)
@@ -168,9 +170,10 @@ pub fn block_davidson(
 /// projection is **kept** across iterations: a new vector adds one row
 /// and column (one dot per basis vector) and nothing already there is
 /// recomputed; a collapse starts a new `Subspace` from the Ritz pairs.
-/// All vector work runs through [`DistMatrix`]'s `dot`/`axpy`/`scale` on
-/// the segments where the vectors live — no copy of the basis is ever
-/// made.
+/// All vector work runs on the segments where the vectors live, through
+/// [`DistMatrix`]'s block kernels: each step reads every vector it needs
+/// once however many products it forms from it, and no copy of the basis
+/// is ever made.
 struct Subspace {
     basis: Vec<DistMatrix>,
     hbasis: Vec<DistMatrix>,
@@ -217,11 +220,15 @@ impl Subspace {
         self.basis.get(self.hbasis.len())
     }
 
-    /// Record `hb = H·pending()`: its column of the projected matrix.
+    /// Record `hb = H·pending()`: its column of the projected matrix,
+    /// in one multi-dot.
     fn push_sigma(&mut self, hb: DistMatrix) {
         let j = self.hbasis.len();
-        self.proj
-            .push(self.basis[..=j].iter().map(|b| b.dot(&hb)).collect());
+        let mut mats = Vec::with_capacity(j + 2);
+        mats.extend(&self.basis[..=j]);
+        mats.push(&hb);
+        let pairs: Vec<_> = (0..=j).map(|i| (i, j + 1)).collect();
+        self.proj.push(DistMatrix::dots(&mats, &pairs));
         self.hbasis.push(hb);
     }
 
@@ -232,23 +239,32 @@ impl Subspace {
         eigh(&Matrix::from_fn(m, m, |i, j| self.proj[i.max(j)][i.min(j)]))
     }
 
-    /// Ritz pair `k` of `es`: the value θ, the vector `c = B·y`, the
-    /// residual `r = (HB)·y − θc` and its norm.
-    fn ritz_pair(&self, es: &Eigh, k: usize) -> (f64, DistMatrix, DistMatrix, f64) {
-        let theta = es.eigenvalues[k];
-        let combine = |vs: &[DistMatrix]| {
-            let out = vs[0].duplicate();
-            out.scale(es.eigenvectors[(0, k)]);
-            for (i, v) in vs.iter().enumerate().skip(1) {
-                out.axpy(es.eigenvectors[(i, k)], v);
-            }
-            out
-        };
-        let c = combine(&self.basis);
-        let r = combine(&self.hbasis);
-        r.axpy(-theta, &c);
-        let res = r.norm();
-        (theta, c, r, res)
+    /// The lowest `n` Ritz pairs of `es` (all of them if the basis is
+    /// smaller): the vectors `c = B·y`, and per root the value θ, the
+    /// residual `r = (HB)·y − θc` and its norm — one pass over B for
+    /// every c, one over HB (and the c) for every r.
+    fn ritz_pairs(&self, es: &Eigh, n: usize) -> (Vec<DistMatrix>, Vec<(f64, DistMatrix, f64)>) {
+        let m = self.basis.len();
+        let n = n.min(m);
+        let y = |k: usize| (0..m).map(move |j| (k, j, es.eigenvectors[(j, k)]));
+        let mut terms = Vec::with_capacity(n * (m + 1));
+        terms.extend((0..n).flat_map(y));
+        let basis: Vec<&DistMatrix> = self.basis.iter().collect();
+        let c = DistMatrix::combine(&basis, &terms);
+        // Input m + k is c of root k.
+        terms.clear();
+        terms.extend((0..n).flat_map(|k| y(k).chain([(k, m + k, -es.eigenvalues[k])])));
+        let ins: Vec<&DistMatrix> = self.hbasis.iter().chain(&c).collect();
+        let r = DistMatrix::combine(&ins, &terms);
+        let rs: Vec<&DistMatrix> = r.iter().collect();
+        let squares = DistMatrix::dots(&rs, &(0..n).map(|k| (k, k)).collect::<Vec<_>>());
+        let residuals = r
+            .into_iter()
+            .zip(squares)
+            .enumerate()
+            .map(|(k, (r, rr))| (es.eigenvalues[k], r, rr.sqrt()))
+            .collect();
+        (c, residuals)
     }
 
     /// Orthonormalize `new` against the basis and among themselves and
@@ -260,14 +276,25 @@ impl Subspace {
     }
 }
 
-/// One classical Gram–Schmidt projection of `t` against `basis` (assumed
-/// orthonormal): `t ← t − B(Bᵀt)`, every coefficient formed before the
-/// first update.
-fn project_against(basis: &[DistMatrix], t: &DistMatrix) {
-    let coeff: Vec<f64> = basis.iter().map(|b| b.dot(t)).collect();
-    for (b, c) in basis.iter().zip(coeff) {
-        t.axpy(-c, b);
+/// One classical Gram–Schmidt projection of the block `v[start..]`
+/// against the (assumed orthonormal) prefix `v[..start]`: `T ← T −
+/// B(BᵀT)`, every coefficient formed before the first update — one
+/// multi-dot and one combination.
+fn project(v: &[DistMatrix], start: usize) {
+    if start == 0 {
+        return;
     }
+    let mats: Vec<&DistMatrix> = v.iter().collect();
+    let (basis, block) = mats.split_at(start);
+    let mut pairs = Vec::with_capacity(block.len() * start);
+    pairs.extend((0..block.len()).flat_map(|k| (0..start).map(move |j| (j, start + k))));
+    let coef = DistMatrix::dots(&mats, &pairs);
+    let terms: Vec<_> = pairs
+        .iter()
+        .zip(coef)
+        .map(|(&(j, t), c)| (t - start, j, -c))
+        .collect();
+    DistMatrix::add_combination(block, basis, &terms);
 }
 
 /// Orthonormalize `v[start..]` against the (already orthonormal) prefix
@@ -283,25 +310,30 @@ fn project_against(basis: &[DistMatrix], t: &DistMatrix) {
 /// sheds dependent vectors one at a time.
 fn orthonormalize(v: &mut Vec<DistMatrix>, start: usize) -> usize {
     for _pass in 0..2 {
-        let mut k = start;
-        while k < v.len() {
-            project_against(&v[..start], &v[k]);
-            if v[k].norm() < 1e-10 {
-                v.remove(k);
-            } else {
-                k += 1;
-            }
-        }
+        project(v, start);
+        // The projected block's Gram matrix in one multi-dot: its lower
+        // triangle, column by column — all `cholesky_lower` reads — whose
+        // diagonal holds the squared norms.
+        let nb = v.len() - start;
+        let at = |i: usize, j: usize| j * (2 * nb - j + 1) / 2 + i - j;
+        let mut lower = Vec::with_capacity(nb * (nb + 1) / 2);
+        lower.extend((0..nb).flat_map(|j| (j..nb).map(move |i| (i, j))));
+        let gram = DistMatrix::dots(&v[start..].iter().collect::<Vec<_>>(), &lower);
+        let lost: Vec<bool> = (0..nb).map(|i| gram[at(i, i)].sqrt() < 1e-10).collect();
+        let mut i = 0;
+        v.retain(|_| {
+            i += 1;
+            i <= start || !lost[i - start - 1]
+        });
+        let keep: Vec<usize> = (0..nb).filter(|&i| !lost[i]).collect();
         let block = &v[start..];
         if block.is_empty() {
             return 0;
         }
-        // Lower triangle of the block's Gram matrix — all `cholesky_lower`
-        // reads.
         let mut g = Matrix::zeros(block.len(), block.len());
-        for (j, bj) in block.iter().enumerate() {
-            for (i, bi) in block.iter().enumerate().skip(j) {
-                g[(i, j)] = bi.dot(bj);
+        for (b, &j) in keep.iter().enumerate() {
+            for (a, &i) in keep.iter().enumerate().skip(b) {
+                g[(a, b)] = gram[at(i, j)];
             }
         }
         if cholesky_lower(&mut g).is_err() {
@@ -522,9 +554,10 @@ mod tests {
                 let want = if i == j { 1.0 } else { 0.0 };
                 assert!((qr[i].dot(&qr[j]) - want).abs() < 1e-10);
             }
-            let t = qr[i].duplicate();
-            project_against(&gs, &t);
-            assert!(t.norm() < 1e-10, "vector {i} leaves the MGS span");
+            let mut t: Vec<DistMatrix> = gs.iter().map(DistMatrix::duplicate).collect();
+            t.push(qr[i].duplicate());
+            project(&t, 4);
+            assert!(t[4].norm() < 1e-10, "vector {i} leaves the MGS span");
         }
     }
 

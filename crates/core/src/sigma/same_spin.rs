@@ -86,8 +86,11 @@
 //! contiguous D column. The product is still `E = Ĝ·D`: `Dᵀ` enters the
 //! GEMM with [`Trans::Yes`], which hands the kernels the same operands in
 //! the same order as an untransposed D. The two sub-block buffers, `D_hᵀ`
-//! and `E_h` are allocated once per pass for the largest sub-block and
-//! reshaped per (K, h).
+//! and `E_h` are sized once per pass for the largest sub-block and
+//! reshaped per (K, h). The sub-block buffers are CI-sized under one
+//! irrep; inside a solve they come from, and go back to, its storage
+//! scope ([`fci_ddi::reuse`]), so a pass allocates them only once per
+//! solve.
 //!
 //! The one-electron couplings do not depend on the rank: the singles
 //! table is resolved against `h_pq` once per call into a flat list of the
@@ -96,7 +99,7 @@
 use super::{SigmaCtx, MAX_IRREP};
 use crate::hamiltonian::{Hamiltonian, SCREENED};
 use crate::phase::{run_phase, HostSplit};
-use fci_ddi::{transpose_block, Backend, DistMatrix, Layout};
+use fci_ddi::{reuse, transpose_block, Backend, DistMatrix, Layout};
 use fci_linalg::{dgemm, Matrix, Trans};
 use fci_strings::{Nm2Families, SinglesTable, SpinStrings};
 use fci_xsim::{Clock, MachineModel, RunReport};
@@ -337,11 +340,19 @@ impl Workspace {
             .max()
             .unwrap_or(0);
         Workspace {
-            clt: vec![0.0; len],
-            st: vec![0.0; len],
+            clt: reuse::zeroed(len),
+            st: reuse::zeroed(len),
             dt: Matrix::zeros(nrun, np),
             e_mat: Matrix::zeros(np, nrun),
         }
+    }
+}
+
+impl Drop for Workspace {
+    /// The two sub-block buffers go back to the solve's storage scope.
+    fn drop(&mut self) {
+        reuse::recycle(std::mem::take(&mut self.clt));
+        reuse::recycle(std::mem::take(&mut self.st));
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::layout::Layout;
 use crate::record::{AccessKind, AccessRecorder, DdiAccess, DdiSite};
+use crate::reuse;
 use crate::stats::CommStats;
 use fci_fault::{checksum_f64s, FaultPlan, ProtocolFault, TransferFault, TransferOp};
 use fci_obs::{Category, FaultKind, Tracer};
@@ -59,6 +60,15 @@ impl std::fmt::Debug for DistMatrix {
     }
 }
 
+impl Drop for DistMatrix {
+    fn drop(&mut self) {
+        for seg in &mut self.segments {
+            let seg = seg.get_mut().unwrap_or_else(|e| e.into_inner());
+            reuse::recycle(std::mem::take(seg));
+        }
+    }
+}
+
 impl DistMatrix {
     /// Full zero matrix distributed over `nproc` ranks (block column
     /// layout, remainders spread over the first ranks).
@@ -67,8 +77,15 @@ impl DistMatrix {
     }
 
     /// Zero matrix storing the elements of `layout`, its columns
-    /// distributed over `nproc` ranks as [`DistMatrix::zeros`] does.
+    /// distributed over `nproc` ranks as [`DistMatrix::zeros`] does. Its
+    /// segments come from the calling thread's storage scope when one is
+    /// open ([`crate::reuse`]), and go back to it when the matrix drops.
     pub fn with_layout(layout: Arc<Layout>, nproc: usize) -> Self {
+        Self::alloc(layout, nproc, reuse::zeroed)
+    }
+
+    /// A matrix stored as `layout`, its segments from `storage`.
+    fn alloc(layout: Arc<Layout>, nproc: usize, storage: fn(usize) -> Vec<f64>) -> Self {
         assert!(nproc >= 1);
         let ncols = layout.ncols();
         let base = ncols / nproc;
@@ -83,7 +100,7 @@ impl DistMatrix {
         let segments = (0..nproc)
             .map(|p| {
                 let n = layout.offset(col_offsets[p + 1]) - layout.offset(col_offsets[p]);
-                Mutex::new(vec![0.0; n])
+                Mutex::new(storage(n))
             })
             .collect();
         DistMatrix {
@@ -733,11 +750,91 @@ impl DistMatrix {
     /// A new matrix with this one's layout, distribution and contents.
     pub fn duplicate(&self) -> DistMatrix {
         self.rec_barrier();
-        let out = DistMatrix::with_layout(Arc::clone(&self.layout), self.nproc);
+        let out = self.overwritten_like();
         for (dst, src) in out.segments.iter().zip(&self.segments) {
             dst.lock().unwrap().copy_from_slice(&src.lock().unwrap());
         }
         out
+    }
+
+    /// A matrix with this one's layout and distribution, for a caller
+    /// that writes every stored element before reading it.
+    fn overwritten_like(&self) -> DistMatrix {
+        DistMatrix::alloc(Arc::clone(&self.layout), self.nproc, reuse::overwritten)
+    }
+
+    // ----- block kernels: one pass over a set of matrices does the work of
+    // a loop of the per-vector operations above, bit for bit -----
+
+    /// `⟨mats[i], mats[j]⟩` for every pair `(i, j)` of `pairs` — `Bᵀ·T`
+    /// is one pair per (column of B, column of T) — in one pass over the
+    /// matrices, each bit for bit what [`DistMatrix::dot`] returns: within
+    /// a rank's segment a pair's products `x·y` are summed in element
+    /// order from −0.0 (the `f64` `Sum`), and the segments' sums fold into
+    /// 0.0 in rank order. Four sums run side by side over blocks of 512
+    /// elements, so each matrix is read from memory once however many
+    /// pairs name it. The matrices must be distinct; a pair `(i, i)` is a
+    /// squared norm.
+    pub fn dots(mats: &[&DistMatrix], pairs: &[(usize, usize)]) -> Vec<f64> {
+        let n = pairs.len();
+        // The sums, then one segment's partial sums.
+        let mut sums = vec![0.0; 2 * n];
+        if let Some(&first) = mats.first() {
+            check_operands(mats.iter().copied());
+            let mut segs = Vec::with_capacity(mats.len());
+            for p in 0..first.nproc {
+                segs.extend(mats.iter().map(|m| m.segments[p].lock().unwrap()));
+                let (acc, part) = sums.split_at_mut(n);
+                part.fill(-0.0);
+                for r in walk(segs[0].len()) {
+                    let seg = |i: usize| &segs[i][r.clone()];
+                    for (ij, s) in pairs.chunks(LANES).zip(part.chunks_mut(LANES)) {
+                        if let Ok(s) = <&mut [f64; LANES]>::try_from(&mut *s) {
+                            let x = std::array::from_fn(|l| seg(ij[l].0));
+                            dot4(x, std::array::from_fn(|l| seg(ij[l].1)), s);
+                        } else {
+                            for (&(i, j), s) in ij.iter().zip(s) {
+                                *s = seg(i).iter().zip(seg(j)).fold(*s, |s, (x, y)| s + x * y);
+                            }
+                        }
+                    }
+                }
+                for (a, s) in acc.iter_mut().zip(&*part) {
+                    *a += s;
+                }
+                segs.clear();
+            }
+        }
+        sums.truncate(n);
+        sums
+    }
+
+    /// Linear combinations of `ins` into new matrices, in one pass over
+    /// them: term `(k, j, a)` of `terms` adds `a·ins[j]` to output `k`.
+    /// An output's first term sets it to `ins[j]·a` and each later one
+    /// makes it `x + a·ins[j]`, in slice order: bit for bit
+    /// [`DistMatrix::duplicate`] and [`DistMatrix::scale`], then one
+    /// [`DistMatrix::axpy`] per further term. `X = B·Y` is the terms
+    /// `(k, j, Y[j, k])`, j ascending. Outputs are numbered from 0, and
+    /// every one needs a term. The inputs must be distinct.
+    pub fn combine(ins: &[&DistMatrix], terms: &[(usize, usize, f64)]) -> Vec<DistMatrix> {
+        let nout = terms.iter().map(|t| t.0 + 1).max().unwrap_or(0);
+        let outs: Vec<DistMatrix> = (0..nout).map(|_| ins[0].overwritten_like()).collect();
+        combine_into(&outs, ins, terms, true);
+        outs
+    }
+
+    /// `T ← T + B·C` in place, in one pass over the matrices: term
+    /// `(k, j, a)` makes `outs[k]` into `x + a·ins[j]`, in slice order —
+    /// bit for bit one [`DistMatrix::axpy`] per term. Projecting `t`
+    /// against the `bⱼ` is the terms `(k, j, −cⱼ)`. All the matrices must
+    /// be distinct.
+    pub fn add_combination(
+        outs: &[&DistMatrix],
+        ins: &[&DistMatrix],
+        terms: &[(usize, usize, f64)],
+    ) {
+        combine_into(outs, ins, terms, false);
     }
 
     /// Read one element, zero if it is not stored (diagnostic /
@@ -838,7 +935,8 @@ impl DistMatrix {
         assert_eq!(stats.len(), self.nproc);
         self.rec_barrier();
         let lay = &*self.layout;
-        let mut t = DistMatrix::with_layout(Arc::new(lay.transposed()), self.nproc);
+        // Every stored element of `t` is written below.
+        let mut t = DistMatrix::alloc(Arc::new(lay.transposed()), self.nproc, reuse::overwritten);
         let tl = Arc::clone(&t.layout);
         let new_cols: Vec<_> = (0..self.nproc).map(|p| t.local_cols(p)).collect();
         let t_owner: Vec<_> = (0..self.nrows()).map(|r| t.owner(r)).collect();
@@ -922,6 +1020,99 @@ impl DistMatrix {
             }
         }
         t
+    }
+}
+
+/// Elements of each matrix a block kernel walks before moving on to the
+/// next matrix: 512 `f64` (4 KiB), so the dozens of matrices of one
+/// subspace step stay in L1/L2 between their reads.
+const WALK: usize = 512;
+
+/// Independent sums [`DistMatrix::dots`] runs side by side ([`dot4`]):
+/// one sum waits on each add before it, four do not wait on each other.
+const LANES: usize = 4;
+
+/// The blocks of [`WALK`] elements of a segment of `len`.
+fn walk(len: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..len).step_by(WALK).map(move |s| s..len.min(s + WALK))
+}
+
+/// Check the operands of a block kernel — the same elements on the same
+/// ranks, and no matrix twice (the segment mutexes are not reentrant) —
+/// and record the collective operation's start.
+fn check_operands<'a>(mats: impl Iterator<Item = &'a DistMatrix> + Clone) {
+    let Some(first) = mats.clone().next() else {
+        return;
+    };
+    for (k, m) in mats.clone().enumerate() {
+        first.assert_conforms(m);
+        assert!(
+            !mats.clone().take(k).any(|o| std::ptr::eq(o, m)),
+            "a block kernel's operands must be distinct matrices"
+        );
+        m.rec_barrier();
+    }
+}
+
+/// Four sums `Σ x·y` over one block, continued from `s`, each in
+/// element order. Each operand is sliced to the block's length first, so
+/// the loop carries no bounds check.
+fn dot4(x: [&[f64]; LANES], y: [&[f64]; LANES], s: &mut [f64; LANES]) {
+    let n = x[0].len();
+    let (x0, x1, x2, x3) = (&x[0][..n], &x[1][..n], &x[2][..n], &x[3][..n]);
+    let (y0, y1, y2, y3) = (&y[0][..n], &y[1][..n], &y[2][..n], &y[3][..n]);
+    let [mut s0, mut s1, mut s2, mut s3] = *s;
+    for e in 0..n {
+        s0 += x0[e] * y0[e];
+        s1 += x1[e] * y1[e];
+        s2 += x2[e] * y2[e];
+        s3 += x3[e] * y3[e];
+    }
+    *s = [s0, s1, s2, s3];
+}
+
+/// The one pass of [`DistMatrix::combine`] (`set_first`) and
+/// [`DistMatrix::add_combination`].
+fn combine_into<O: std::borrow::Borrow<DistMatrix>>(
+    outs: &[O],
+    ins: &[&DistMatrix],
+    terms: &[(usize, usize, f64)],
+    set_first: bool,
+) {
+    let Some(first) = outs.first().map(O::borrow) else {
+        return;
+    };
+    check_operands(ins.iter().copied().chain(outs.iter().map(O::borrow)));
+    // Per output: whether a term has set it yet in this block.
+    let mut started = vec![true; outs.len()];
+    if set_first {
+        started.fill(false);
+        for &(k, _, _) in terms {
+            started[k] = true;
+        }
+        assert!(started.iter().all(|&s| s), "an output has no term");
+    }
+    let mut segs = Vec::with_capacity(ins.len() + outs.len());
+    for p in 0..first.nproc {
+        segs.extend(ins.iter().map(|m| m.segments[p].lock().unwrap()));
+        segs.extend(outs.iter().map(|m| m.borrow().segments[p].lock().unwrap()));
+        let (src, dst) = segs.split_at_mut(ins.len());
+        for r in walk(dst[0].len()) {
+            started.fill(!set_first);
+            for &(k, j, a) in terms {
+                let x = &src[j][r.clone()];
+                let y = &mut dst[k][r.clone()];
+                if std::mem::replace(&mut started[k], true) {
+                    y.iter_mut().zip(x).for_each(|(y, x)| *y += a * x);
+                } else {
+                    y.iter_mut().zip(x).for_each(|(y, x)| *y = x * a);
+                }
+            }
+        }
+        segs.clear();
+    }
+    for o in outs {
+        o.borrow().rec_barrier();
     }
 }
 
@@ -1019,6 +1210,90 @@ mod tests {
         b.scale(0.5);
         assert_eq!(b.to_dense(), vec![1.5, 2.5, 3.5, 4.5]);
         assert_eq!(a.duplicate().to_dense(), a.to_dense());
+    }
+
+    /// Vectors of `len` elements on `nproc` ranks (one row, so the ranks
+    /// split the elements by columns): all +0.0, all −0.0, a mix of the
+    /// two, and values with signed zeros and exact cancellations among
+    /// them — seven vectors.
+    fn kernel_inputs(len: usize, nproc: usize) -> Vec<DistMatrix> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        };
+        let fills: [&mut dyn FnMut(usize) -> f64; 7] = [
+            &mut |_| 0.0,
+            &mut |_| -0.0,
+            &mut |i| if i % 3 == 0 { -0.0 } else { 0.0 },
+            &mut |i| match i % 5 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => next(),
+            },
+            &mut |i| [1.0, -1.0, 0.5, -0.5][i % 4],
+            &mut |i| (i as f64).sin() * 1e3,
+            &mut |i| 1.0 / (1.0 + i as f64),
+        ];
+        fills
+            .into_iter()
+            .map(|f| {
+                let data: Vec<f64> = (0..len).map(f).collect();
+                DistMatrix::from_dense(1, len, nproc, &data)
+            })
+            .collect()
+    }
+
+    fn bits(m: &DistMatrix) -> Vec<u64> {
+        m.to_dense().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn block_kernels_are_bitwise_the_per_vector_loops() {
+        // Segments shorter than one walk, and longer with a ragged end.
+        for (len, nproc) in [(5, 1), (3 * WALK + 37, 1), (3 * WALK + 37, 3), (2, 3)] {
+            let v = kernel_inputs(len, nproc);
+            let what = format!("{len} elements on {nproc} ranks");
+            let ins: Vec<&DistMatrix> = v.iter().collect();
+            let n = v.len();
+            // Every ordered pair, aliased ones included: twelve passes of
+            // four sums and one left over; then six, two left over.
+            let pairs: Vec<_> = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
+            for pairs in [&pairs[..], &pairs[..6]] {
+                for (&(i, j), d) in pairs.iter().zip(DistMatrix::dots(&ins, pairs)) {
+                    assert_eq!(d.to_bits(), v[i].dot(&v[j]).to_bits(), "dot, {what}");
+                }
+            }
+            // Two coefficients per vector, zeros of both signs among them.
+            let coef =
+                |j: usize, k: usize| [0.75, -0.0, -2.5, 0.0, 1e-3, -1.0, 3.0][(j + 2 * k) % 7];
+            let terms: Vec<_> = (0..5)
+                .flat_map(|k| (0..n).map(move |j| (k, (j + k) % n, coef(j, k))))
+                .collect();
+            let outs = DistMatrix::combine(&ins, &terms);
+            for (k, out) in outs.iter().enumerate() {
+                let mut ts = terms.iter().filter(|t| t.0 == k);
+                let &(_, j, a) = ts.next().unwrap();
+                let want = v[j].duplicate();
+                want.scale(a);
+                for &(_, j, a) in ts {
+                    want.axpy(a, &v[j]);
+                }
+                assert_eq!(bits(out), bits(&want), "combination {k}, {what}");
+            }
+            // Projections t ← t − Σ c·b against the inputs, in place.
+            let want: Vec<DistMatrix> = outs.iter().map(DistMatrix::duplicate).collect();
+            let minus: Vec<_> = terms.iter().map(|&(k, j, a)| (k, j, -a)).collect();
+            for &(k, j, c) in &minus {
+                want[k].axpy(c, &v[j]);
+            }
+            DistMatrix::add_combination(&outs.iter().collect::<Vec<_>>(), &ins, &minus);
+            for (k, (got, want)) in outs.iter().zip(&want).enumerate() {
+                assert_eq!(bits(got), bits(want), "projection {k}, {what}");
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,11 @@
 //!
 //! A [`DistMatrix`] stores the elements its [`Layout`] names — for a CI
 //! vector the symmetry sector, one contiguous row range per column — and
-//! every operation moves and charges those alone.
+//! every operation moves and charges those alone. Its block kernels
+//! ([`DistMatrix::dots`], [`DistMatrix::combine`],
+//! [`DistMatrix::add_combination`]) do a loop of per-vector operations in
+//! one pass, bit for bit; a solve recycles its segments through a
+//! [`reuse`] scope.
 //!
 //! For correctness analysis, every one-sided operation can additionally
 //! report its protocol steps (lock, get, put, fence, unlock, counter swap)
@@ -44,6 +48,7 @@
 pub mod dist;
 pub mod layout;
 pub mod record;
+pub mod reuse;
 pub mod stats;
 pub mod world;
 

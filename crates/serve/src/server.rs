@@ -193,7 +193,11 @@ impl Server {
 
     /// Open the server against its write-ahead log: replay the log,
     /// pre-fill results for jobs whose completion record survived,
-    /// re-enqueue accepted-but-unfinished jobs, and compact the log.
+    /// re-enqueue accepted-but-unfinished jobs that pass admission, and
+    /// compact the log. A logged job admission refuses (a log written
+    /// before admission refused it) is refused again: it goes to the
+    /// report's refusals and to [`Replay::rejected`] with its reason, and
+    /// leaves the log with a `Rejected` record, so no restart runs it.
     /// With `cfg.wal_path` unset this is [`Server::new`] with an empty
     /// [`Replay`]. `Err` means the log could not be opened or rewritten
     /// (replayed *damage* is never an error — it is counted in
@@ -207,19 +211,26 @@ impl Server {
                 cfg.checkpoint_dir.display()
             );
         }
-        let (wal, replay) = match &cfg.wal_path {
+        let (wal, replay, refused) = match &cfg.wal_path {
             Some(path) => {
                 if let Some(dir) = path.parent() {
                     std::fs::create_dir_all(dir)?;
                 }
-                let (mut wal, replay) = Wal::open(path)?;
+                let (mut wal, mut replay) = Wal::open(path)?;
                 wal.set_sync(cfg.wal_sync);
+                let refused = refuse_pending(&cfg, &mut replay);
                 // Rewrite to just the live records so terminal records
                 // of past generations never accumulate.
                 wal.compact(&replay)?;
-                (Some(wal), replay)
+                for (id, why) in &refused {
+                    wal.append(&WalRecord::Rejected {
+                        id: id.clone(),
+                        reason: why.to_string(),
+                    })?;
+                }
+                (Some(wal), replay, refused)
             }
-            None => (None, Replay::default()),
+            None => (None, Replay::default(), Vec::new()),
         };
         // Pre-fill the queue and results as plain values *before* any
         // mutex wraps them: construction acquires no locks, so the lock
@@ -243,6 +254,7 @@ impl Server {
                 out: results.len() - 1,
             });
         }
+        let refusals = refused.len();
         let server = Server {
             cache: ArtifactCache::new(cfg.cache_budget),
             trace,
@@ -251,7 +263,7 @@ impl Server {
             state: TrackedMutex::new("Server.state", st),
             work: TrackedCondvar::new("Server.work"),
             results: TrackedMutex::new("Server.results", results),
-            rejected: TrackedMutex::new("Server.rejected", Vec::new()),
+            rejected: TrackedMutex::new("Server.rejected", refused),
             wal: wal.map(|w| TrackedMutex::new("Server.wal", w)),
             done: TrackedCondvar::new("Server.done"),
         };
@@ -265,6 +277,11 @@ impl Server {
                 ("warnings", replay.warnings.len() as f64),
             ],
         );
+        for _ in 0..refusals {
+            server
+                .trace
+                .instant(None, "job_rejected", Category::Other, &[("count", 1.0)]);
+        }
         Ok((server, replay))
     }
 
@@ -348,7 +365,7 @@ impl Server {
     /// acceptance record is durable — a crash after this returns cannot
     /// lose the job.
     pub fn submit(&self, spec: JobSpec) -> Result<(), RejectReason> {
-        if let Err(why) = self.admit(&spec) {
+        if let Err(why) = Server::admit(&self.cfg, &spec) {
             return Err(self.reject(&spec.id, why));
         }
         let mut st = self.state.lock();
@@ -472,8 +489,8 @@ impl Server {
     }
 
     /// Admission control: validate the spec and check its estimated
-    /// working set against the memory budget.
-    fn admit(&self, spec: &JobSpec) -> Result<(), RejectReason> {
+    /// working set against `cfg`'s memory budget.
+    fn admit(cfg: &ServeConfig, spec: &JobSpec) -> Result<(), RejectReason> {
         let n = spec.problem.n_orb();
         if n == 0 || n > 64 {
             return Err(RejectReason::Invalid(format!("{n} orbitals unsupported")));
@@ -506,10 +523,10 @@ impl Server {
             ));
         }
         let need = estimated_bytes(spec);
-        if need > self.cfg.mem_budget {
+        if need > cfg.mem_budget {
             return Err(RejectReason::MemoryBudget {
                 need,
-                budget: self.cfg.mem_budget,
+                budget: cfg.mem_budget,
             });
         }
         Ok(())
@@ -915,6 +932,27 @@ impl Server {
             rejected: self.rejected.into_inner(),
         }
     }
+}
+
+/// Take the specs [`Server::admit`] refuses out of `replay.pending`, and record
+/// them with their reasons in `replay.rejected`.
+fn refuse_pending(cfg: &ServeConfig, replay: &mut Replay) -> Vec<(String, RejectReason)> {
+    let mut refused = Vec::new();
+    replay
+        .pending
+        .retain(|spec| match Server::admit(cfg, spec) {
+            Ok(()) => true,
+            Err(why) => {
+                refused.push((spec.id.clone(), why));
+                false
+            }
+        });
+    replay.rejected.extend(
+        refused
+            .iter()
+            .map(|(id, why)| (id.clone(), why.to_string())),
+    );
+    refused
 }
 
 /// Estimated working set of one job in bytes: integrals + coupling

@@ -477,3 +477,53 @@ fn processor_counts_outside_one_to_432_are_refused() {
     assert_eq!(server.submit(largest), Ok(()));
     server.shutdown();
 }
+
+/// A log can hold a job that admission refuses — written before
+/// admission refused it, here with `nproc: 0`, which no world can run.
+/// Recovery refuses it again with its reason instead of queueing it, and
+/// leaves a terminal record, so the next recovery finds it neither
+/// pending nor to refuse; the job beside it runs, once.
+#[test]
+fn recovery_refuses_a_logged_job_that_admission_refuses() {
+    use fci_serve::{Wal, WalRecord};
+    let cfg = cfg("recover-refuses", 1);
+    let path = cfg.checkpoint_dir.join("serve.wal");
+    std::fs::create_dir_all(&cfg.checkpoint_dir).unwrap();
+    let mut bad = JobSpec::new("bad", hubbard(4, 4.0), 2, 2);
+    bad.nproc = 0;
+    let good = JobSpec::new("good", hubbard(4, 4.0), 2, 2);
+    {
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        for spec in [bad, good] {
+            let rec = WalRecord::Submitted {
+                spec: Box::new(spec),
+            };
+            wal.append(&rec).unwrap();
+        }
+    }
+    let cfg = ServeConfig {
+        wal_path: Some(path),
+        ..cfg
+    };
+    for restart in 0..2 {
+        let (server, replay) = Server::recover(cfg.clone()).unwrap();
+        let pending: Vec<&str> = replay.pending.iter().map(|j| j.id.as_str()).collect();
+        assert_eq!(pending, ["good"][..1 - restart], "restart {restart}");
+        server.close();
+        server.run(1);
+        let report = server.into_report();
+        if restart == 0 {
+            let [(id, why)] = &report.rejected[..] else {
+                panic!("refusals: {:?}", report.rejected);
+            };
+            assert_eq!((id.as_str(), why.code()), ("bad", "invalid"));
+            assert!(why.to_string().contains("0 processors"), "{why}");
+            assert_eq!(replay.rejected, [("bad".into(), why.to_string())]);
+        } else {
+            assert!(report.rejected.is_empty(), "{:?}", report.rejected);
+        }
+        let ids: Vec<&str> = report.results.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ids, ["good"], "restart {restart}");
+        assert_eq!(report.results[0].status, JobStatus::Done);
+    }
+}
