@@ -3,7 +3,7 @@
 //! statistics into simulated time.
 
 use fci_ddi::{CommStats, Ddi};
-use fci_obs::{Tracer, HOST_GEMM_FLOPS};
+use fci_obs::{Tracer, HOST_COPY_BYTES, HOST_GEMM_FLOPS};
 use fci_xsim::{Clock, MachineModel, RunReport};
 use std::sync::Mutex;
 
@@ -41,13 +41,15 @@ where
 /// µs since the previous lap to one part; without a tracer a lap is one
 /// branch on a `None`. Beside the parts it tallies the GEMM flops the
 /// host ran, which exact-zero screening holds below the flops the
-/// simulated clock charges.
+/// simulated clock charges, and the bytes the first part moved, where the
+/// caller counts them.
 #[derive(Clone)]
 pub(crate) struct HostSplit<'t> {
     tracer: Option<&'t Tracer>,
     last_us: f64,
     parts_us: [f64; 5],
     gemm_flops: f64,
+    copy_bytes: f64,
 }
 
 impl<'t> HostSplit<'t> {
@@ -66,6 +68,7 @@ impl<'t> HostSplit<'t> {
             last_us: 0.0,
             parts_us: [0.0; 5],
             gemm_flops: 0.0,
+            copy_bytes: 0.0,
         }
     }
 
@@ -93,15 +96,24 @@ impl<'t> HostSplit<'t> {
         self.gemm_flops += 2.0 * m as f64 * n as f64 * k as f64;
     }
 
+    /// Count `bytes` the first part read and wrote.
+    #[inline]
+    pub(crate) fn moved(&mut self, bytes: usize) {
+        self.copy_bytes += bytes as f64;
+    }
+
     /// Emit the sums as one `name` counter on `rank`'s lane, one arg per
-    /// part, then the host GEMM flops as `gemm_flops`.
+    /// part, then the host GEMM flops as `gemm_flops` and — if any were
+    /// counted — the first part's bytes as `copy_bytes`.
     pub(crate) fn emit(&self, rank: usize, name: &str, parts: [&str; 5]) {
         if let Some(t) = self.tracer {
-            let args: [(&str, f64); 6] = std::array::from_fn(|i| match parts.get(i) {
+            let args: [(&str, f64); 7] = std::array::from_fn(|i| match parts.get(i) {
                 Some(&part) => (part, self.parts_us[i]),
-                None => (HOST_GEMM_FLOPS, self.gemm_flops),
+                None if i == 5 => (HOST_GEMM_FLOPS, self.gemm_flops),
+                None => (HOST_COPY_BYTES, self.copy_bytes),
             });
-            t.counter(Some(rank), name, &args);
+            let n = if self.copy_bytes > 0.0 { 7 } else { 6 };
+            t.counter(Some(rank), name, &args[..n]);
         }
     }
 }

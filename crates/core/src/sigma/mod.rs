@@ -11,8 +11,10 @@
 //!
 //! Orchestration common to both: the β-spin part acts on rows of the
 //! column-distributed CI matrix (fully local); the α-spin part reuses the
-//! same kernel on the distributed transpose Cᵀ (communication counted);
-//! the mixed part gathers, multiplies and remote-accumulates.
+//! same kernel on the distributed transpose Cᵀ (communication counted),
+//! built before either half so that the serial DGEMM pass of each half
+//! reads its input from the other layout; the mixed part gathers,
+//! multiplies and remote-accumulates.
 
 pub mod mixed;
 pub mod moc;
@@ -136,44 +138,59 @@ pub fn apply_sigma(
     ctx.ddi.adopt(&sigma);
     let mut bd = SigmaBreakdown::default();
 
-    // β-spin same-spin part (one-electron + ββ doubles): local.
-    if space.beta.n_elec() >= 1 {
-        bd.beta_beta = match method {
-            SigmaMethod::Dgemm => same_spin::half_sigma_dgemm(
-                ctx,
-                "beta_beta",
-                c,
-                &sigma,
-                &space.beta_singles,
-                space.beta_nm2.as_ref(),
-            ),
-            SigmaMethod::Moc => moc::half_sigma_moc(
-                ctx,
-                "beta_beta",
-                c,
-                &sigma,
-                &space.beta_singles,
-                space.beta_nm2.as_ref(),
-            ),
-        };
-    }
-
-    // α-spin same-spin part on the transpose.
+    // The same-spin halves. Each works on a matrix whose rows are its
+    // spin's strings — C for β, Cᵀ for α — and each needs the other
+    // layout too: its kernel reads C with its rows contiguous. So Cᵀ, and
+    // σᵀ beside it, are built first (the paper's one distributed
+    // transpose each way, counted as the `transpose` phase). On the serial
+    // backend a half's pass serves every column and takes its input from
+    // the other matrix, where it is or by copy: the β half reads Cᵀ and
+    // sums into σᵀ, the α half reads C and sums into σ (both still zero
+    // when their half runs). A rank of the threaded backend transposes
+    // its own share in and out instead (same_spin.rs, "Layout"). Every σ
+    // element receives each half once, so σ + transpose(σᵀ) is the sum of
+    // the two halves on either backend — the same bits as adding them in
+    // the other order. Cᵀ and σᵀ go before the mixed part starts.
     {
+        let nproc = ctx.ddi.nproc();
         let tracer = ctx.ddi.tracer();
         let host_t0 = tracer.now_us();
-        let mut tstats = vec![fci_ddi::CommStats::default(); ctx.ddi.nproc()];
+        let mut tstats = vec![fci_ddi::CommStats::default(); nproc];
         let ct = c.transpose(&mut tstats);
-        let sigma_t = DistMatrix::with_layout(Arc::clone(ct.layout()), ctx.ddi.nproc());
+        let sigma_t = DistMatrix::with_layout(Arc::clone(ct.layout()), nproc);
         ctx.ddi.adopt(&ct);
         ctx.ddi.adopt(&sigma_t);
         let host_t1 = tracer.now_us();
+
+        // β-spin same-spin part (one-electron + ββ doubles): local.
+        if space.beta.n_elec() >= 1 {
+            bd.beta_beta = match method {
+                SigmaMethod::Dgemm => same_spin::half_sigma_dgemm_both(
+                    ctx,
+                    "beta_beta",
+                    [c, &ct],
+                    [&sigma, &sigma_t],
+                    &space.beta_singles,
+                    space.beta_nm2.as_ref(),
+                ),
+                SigmaMethod::Moc => moc::half_sigma_moc(
+                    ctx,
+                    "beta_beta",
+                    c,
+                    &sigma,
+                    &space.beta_singles,
+                    space.beta_nm2.as_ref(),
+                ),
+            };
+        }
+
+        // α-spin same-spin part, on the transpose.
         bd.alpha_alpha = match method {
-            SigmaMethod::Dgemm => same_spin::half_sigma_dgemm(
+            SigmaMethod::Dgemm => same_spin::half_sigma_dgemm_both(
                 ctx,
                 "alpha_alpha",
-                &ct,
-                &sigma_t,
+                [&ct, c],
+                [&sigma_t, &sigma],
                 &space.alpha_singles,
                 space.alpha_nm2.as_ref(),
             ),
@@ -187,16 +204,15 @@ pub fn apply_sigma(
             ),
         };
         let host_t2 = tracer.now_us();
-        let sigma_tt = sigma_t.transpose(&mut tstats);
-        sigma.axpy(1.0, &sigma_tt);
+        sigma_t.transpose_add_to(&sigma, &mut tstats);
         // Charge the transpose traffic as its own phase. The clocks are
         // built directly from the recorded transpose statistics (no ranks
         // run here — both transposes above already moved the data).
-        let mut tclocks = vec![fci_xsim::Clock::default(); ctx.ddi.nproc()];
+        let mut tclocks = vec![fci_xsim::Clock::default(); nproc];
         for (ck, st) in tclocks.iter_mut().zip(&tstats) {
             crate::phase::charge_comm(ck, st, ctx.model);
             // Local reshuffle cost of the transpose itself.
-            let elems = c.layout().stored() as f64 / ctx.ddi.nproc() as f64;
+            let elems = c.layout().stored() as f64 / nproc as f64;
             ck.charge_gather(ctx.model, 2.0 * elems);
         }
         bd.transpose = RunReport::new(tclocks);
@@ -349,55 +365,80 @@ mod tests {
     }
 
     /// The same-spin halves on the serial backend, where one kernel pass
-    /// serves every rank, and on the threaded one, where each rank serves
-    /// itself: σ bits and every rank's clocks are the same, on a 4-irrep
-    /// sector at 2 and 3 ranks.
+    /// serves every rank and takes its sub-blocks from the other layout
+    /// (in place or by copy), and on the threaded one, where each rank
+    /// serves itself and transposes: each half's σ bits (its two accumulators folded into
+    /// one layout) and every rank's clocks are the same, on two 4-irrep
+    /// sectors and on an 8-site Hubbard chain (Ĝ screened out: the singles
+    /// alone) at 1, 2, 3 and 7 ranks. At 7 ranks sub-blocks split between
+    /// owners, and the 5-orbital sector's 5 α strings leave two ranks of
+    /// the β half without columns. The serial pass of the one-layout
+    /// entry point, which transposes, gives the same bits too.
     #[test]
     fn same_spin_threads_equal_serial_bit_for_bit() {
         let sym = [2u8, 0, 3, 1, 0, 2, 0, 3];
-        let ham = crate::hamiltonian::random_symmetric_hamiltonian(8, 23, &sym, 4);
-        let space = DetSpace::for_hamiltonian(&ham, 4, 3, 1);
+        let ham4 = crate::hamiltonian::random_symmetric_hamiltonian(8, 23, &sym, 4);
+        let small = crate::hamiltonian::random_symmetric_hamiltonian(5, 19, &sym[..5], 4);
+        let hubbard = Hamiltonian::new(&fci_scf::MoIntegrals::hubbard_chain(8, 1.0, 4.0, false));
+        let spaces = [
+            (DetSpace::for_hamiltonian(&ham4, 4, 3, 1), &ham4),
+            (DetSpace::for_hamiltonian(&small, 1, 3, 2), &small),
+            (DetSpace::for_hamiltonian(&hubbard, 4, 4, 0), &hubbard),
+        ];
         let model = MachineModel::cray_x1();
         let bits =
             |m: &DistMatrix| -> Vec<u64> { m.to_dense().iter().map(|v| v.to_bits()).collect() };
-        for nproc in [2, 3] {
-            let halves = |backend| {
-                let ddi = Ddi::new(nproc, backend);
-                let ctx = SigmaCtx {
-                    space: &space,
-                    ham: &ham,
-                    ddi: &ddi,
-                    model: &model,
-                    pool: PoolParams::default(),
+        for (space, ham) in &spaces {
+            for nproc in [1, 2, 3, 7] {
+                let halves = |backend, both: bool| {
+                    let ddi = Ddi::new(nproc, backend);
+                    let ctx = SigmaCtx {
+                        space,
+                        ham,
+                        ddi: &ddi,
+                        model: &model,
+                        pool: PoolParams::default(),
+                    };
+                    let mut stats = vec![fci_ddi::CommStats::default(); nproc];
+                    let c = random_ci(space, nproc, 13);
+                    let ct = c.transpose(&mut stats);
+                    // One half into fresh accumulators in both layouts,
+                    // folded into the layout of `rows`.
+                    let half = |name, rows: &DistMatrix, cols: &DistMatrix, singles, nm2| {
+                        let s = DistMatrix::with_layout(Arc::clone(rows.layout()), nproc);
+                        let st = DistMatrix::with_layout(Arc::clone(cols.layout()), nproc);
+                        let rep = if both {
+                            same_spin::half_sigma_dgemm_both(
+                                &ctx,
+                                name,
+                                [rows, cols],
+                                [&s, &st],
+                                singles,
+                                nm2,
+                            )
+                        } else {
+                            same_spin::half_sigma_dgemm(&ctx, name, rows, &s, singles, nm2)
+                        };
+                        let mut stats = vec![fci_ddi::CommStats::default(); nproc];
+                        s.axpy(1.0, &st.transpose(&mut stats));
+                        (bits(&s), rep.clocks)
+                    };
+                    let (beta, alpha) = (&space.beta_singles, &space.alpha_singles);
+                    let bb = half("beta_beta", &c, &ct, beta, space.beta_nm2.as_ref());
+                    let aa = half("alpha_alpha", &ct, &c, alpha, space.alpha_nm2.as_ref());
+                    (bb.0, aa.0, bb.1, aa.1)
                 };
-                let c = random_ci(&space, nproc, 13);
-                let ct = c.transpose(&mut vec![fci_ddi::CommStats::default(); nproc]);
-                let sb = space.zeros_ci(nproc);
-                let sa = DistMatrix::with_layout(Arc::clone(ct.layout()), nproc);
-                let (bb, aa) = (
-                    same_spin::half_sigma_dgemm(
-                        &ctx,
-                        "beta_beta",
-                        &c,
-                        &sb,
-                        &space.beta_singles,
-                        space.beta_nm2.as_ref(),
-                    ),
-                    same_spin::half_sigma_dgemm(
-                        &ctx,
-                        "alpha_alpha",
-                        &ct,
-                        &sa,
-                        &space.alpha_singles,
-                        space.alpha_nm2.as_ref(),
-                    ),
+                let serial = halves(Backend::Serial, true);
+                let strings = (space.alpha.len(), space.beta.len());
+                assert!(
+                    serial == halves(Backend::Threads, true),
+                    "serial and threaded same-spin halves differ at {nproc} ranks, {strings:?} strings"
                 );
-                (bits(&sb), bits(&sa), bb.clocks, aa.clocks)
-            };
-            assert!(
-                halves(Backend::Serial) == halves(Backend::Threads),
-                "serial and threaded same-spin halves differ at {nproc} ranks"
-            );
+                assert!(
+                    serial == halves(Backend::Serial, false),
+                    "copying and transposing serial passes differ at {nproc} ranks, {strings:?} strings"
+                );
+            }
         }
     }
 

@@ -40,11 +40,11 @@
 //!
 //! The arithmetic and the simulated clock are kept apart.
 //! `sub_block_kernel` does the arithmetic for a range of columns, one
-//! row irrep g at a time: it transposes sub-block g out of each owning
-//! rank's segment, replays g's singles, visits every (K, h) with
-//! `g_K ⊕ h = g` in family order, and adds σᵀ back into each segment.
-//! Every single and every (K, h) touches the sub-block of one row irrep,
-//! so each σ element receives its terms in the same order however the
+//! row irrep g at a time: it takes sub-block g into the workspace in the
+//! transposed layout (see "Layout"), replays g's singles, visits every
+//! (K, h) with `g_K ⊕ h = g` in family order, and adds σ back. Every
+//! single and every (K, h) touches the sub-block of one row irrep, so
+//! each σ element receives its terms in the same order however the
 //! columns are grouped, and a GEMM forms each element as the same `fma`
 //! chain whatever its N: the bits do not depend on the grouping. The
 //! serial backend runs one pass over every rank's columns — a pass per
@@ -76,21 +76,42 @@
 //! the run of row irrep g is one column-major sub-block (the rows of g
 //! against the run's columns) at the run's offset in the segment. Gather
 //! and scatter move *rows* of it, so — as on the X1 — the kernel works on
-//! a **transposed** copy of one sub-block at a time, gathered from the
-//! segments of every rank that owns part of its run, so that a row's run
+//! a **transposed** copy of one sub-block at a time, so that a row's run
 //! is contiguous (with one irrep: `clt[k + j·n] = C(j, col₀+k)` over the
-//! `n` served columns). σ is accumulated into a buffer of the same shape,
-//! transposed back and added into each owner's segment of the distributed
-//! σ once per sub-block, and D is held as `D_hᵀ` (`run × np′`), so one
-//! family entry is a signed copy of one contiguous C run into one
-//! contiguous D column. The product is still `E = Ĝ·D`: `Dᵀ` enters the
-//! GEMM with [`Trans::Yes`], which hands the kernels the same operands in
-//! the same order as an untransposed D. The two sub-block buffers, `D_hᵀ`
-//! and `E_h` are sized once per pass for the largest sub-block and
-//! reshaped per (K, h). The sub-block buffers are CI-sized under one
-//! irrep; inside a solve they come from, and go back to, its storage
-//! scope ([`fci_ddi::reuse`]), so a pass allocates them only once per
-//! solve.
+//! `n` served columns). σ is accumulated into a buffer of the same shape
+//! and added into the distributed σ once per sub-block. D is held as
+//! `D_hᵀ` (`run × np′`), so one family entry is a signed copy of one
+//! contiguous C run into one contiguous D column. The product is still
+//! `E = Ĝ·D`: `Dᵀ` enters the GEMM with [`Trans::Yes`], which hands the
+//! kernels the same operands in the same order as an untransposed D.
+//!
+//! Where the transposed sub-block comes from is the pass's `Stage`:
+//!
+//! * a pass over **every** column (the serial backend, when the caller
+//!   holds C in both layouts) needs no transpose at all. The transposed
+//!   sub-block of row irrep g *is* the columns of irrep g of Cᵀ — one
+//!   contiguous stretch of Cᵀ's stored elements, split only between the
+//!   ranks that own those columns — and its σ belongs in the same stretch
+//!   of a zeroed σᵀ ([`half_sigma_dgemm_both`]). Where one rank owns the
+//!   whole stretch (every sub-block at one rank) the arithmetic reads C
+//!   and sums σ right there, and nothing is moved: a sum that starts at
+//!   σᵀ's +0.0 is the sum a zeroed buffer would hold, and +0.0 plus that
+//!   sum is the sum, bit for bit (no sum from +0.0 reaches −0.0). Where
+//!   several ranks share it, the stage copies the stretch into the
+//!   workspace and adds the workspace's σ back;
+//! * a pass over some of the columns (one rank's, on the threaded
+//!   backend) serves only part of each Cᵀ column, so it transposes its
+//!   share out of each owner's segment of C and σᵀ back into σ, and the
+//!   same-spin step stays free of communication.
+//!
+//! Only the stage differs: the singles, gather, GEMM and scatter between
+//! the two stages are one path. The two sub-block buffers, `D_hᵀ` and
+//! `E_h` are sized once per pass for the largest sub-block and reshaped
+//! per (K, h). The sub-block buffers are CI-sized under one irrep; inside
+//! a solve they come from, and go back to, its storage scope
+//! ([`fci_ddi::reuse`]), so a pass allocates them only once per solve,
+//! and they are handed out unzeroed: every element is written before it
+//! is read.
 //!
 //! The one-electron couplings do not depend on the rank: the singles
 //! table is resolved against `h_pq` once per call into a flat list of the
@@ -106,9 +127,11 @@ use fci_xsim::{Clock, MachineModel, RunReport};
 use std::ops::Range;
 
 /// Parts of a rank's host time, as indexed in [`HostSplit`] and named in
-/// the `same_spin_host_us` trace counter.
-const HOST_PARTS: [&str; 5] = ["transpose", "one_electron", "gather", "gemm", "scatter"];
-const TRANSPOSE: usize = 0;
+/// the `same_spin_host_us` trace counter. `copy` is the [`Stage`] at both
+/// ends of each sub-block (a copy on a serial pass, transposes on a
+/// threaded rank) and the workspace's setup.
+const HOST_PARTS: [&str; 5] = ["copy", "one_electron", "gather", "gemm", "scatter"];
+const COPY: usize = 0;
 const ONE_ELECTRON: usize = 1;
 const GATHER: usize = 2;
 const GEMM: usize = 3;
@@ -137,35 +160,42 @@ struct OneElectronList {
 }
 
 /// Resolve `singles` against `h_pq`. A coupling with `g_p ≠ g_q` is
-/// symmetry-forbidden and dropped whatever rounding left in `h`. Sized
-/// once for the whole table, so the list never regrows (most of `h` is
-/// zero under spatial symmetry).
+/// symmetry-forbidden and dropped whatever rounding left in `h`. The
+/// table is walked twice — once to count, once to fill — so the list is
+/// allocated once at its exact length: most of `h` is zero under spatial
+/// symmetry, and a list sized for the whole table would be mostly slack.
 fn one_electron_list(
     ham: &Hamiltonian,
     singles: &SinglesTable,
     rows: &SpinStrings,
 ) -> OneElectronList {
+    // Every symmetry-allowed entry of source irrep g, with its coupling.
+    let allowed = |g: usize| {
+        rows.block_range(g as u8).flat_map(move |j| {
+            singles.of(j).iter().filter_map(move |e| {
+                let (p, q) = (e.p as usize, e.q as usize);
+                (ham.orb_sym[p] == ham.orb_sym[q]).then(|| OneElectron {
+                    from: j as u32,
+                    to: e.to,
+                    h: ham.h[(p, q)] * e.sign as f64,
+                })
+            })
+        })
+    };
+    let n_irrep = rows.n_irrep();
+    let nonzero = (0..n_irrep)
+        .map(|g| allowed(g).filter(|e| e.h != 0.0).count())
+        .sum();
     let mut list = OneElectronList {
-        entries: Vec::with_capacity(singles.n_entries()),
+        entries: Vec::with_capacity(nonzero),
         off: [0; MAX_IRREP + 1],
         allowed: [0; MAX_IRREP],
     };
-    for g in 0..rows.n_irrep() {
-        for j in rows.block_range(g as u8) {
-            for e in singles.of(j) {
-                let (p, q) = (e.p as usize, e.q as usize);
-                if ham.orb_sym[p] != ham.orb_sym[q] {
-                    continue;
-                }
-                list.allowed[g] += 1;
-                let h = ham.h[(p, q)] * e.sign as f64;
-                if h != 0.0 {
-                    list.entries.push(OneElectron {
-                        from: j as u32,
-                        to: e.to,
-                        h,
-                    });
-                }
+    for g in 0..n_irrep {
+        for e in allowed(g) {
+            list.allowed[g] += 1;
+            if e.h != 0.0 {
+                list.entries.push(e);
             }
         }
         list.off[g + 1] = list.entries.len();
@@ -280,9 +310,9 @@ impl Half<'_> {
         self.rows.n_irrep() as u8
     }
 
-    /// The sub-block of row irrep `g` over the columns `range` of a matrix
-    /// stored in `layout`.
-    fn sub_block(&self, g: u8, range: Range<usize>, layout: &Layout) -> SubBlock {
+    /// The shape of the sub-block of row irrep `g` over the columns
+    /// `range`, at 0.
+    fn shape(&self, g: u8, range: Range<usize>) -> SubBlock {
         let (r, c) = (
             self.rows.block_range(g),
             self.cols.block_range(g ^ self.target),
@@ -295,16 +325,26 @@ impl Half<'_> {
         };
         if lo < hi {
             (b.col0, b.nrun) = (lo - range.start, hi - lo);
-            b.at = layout.offset(lo) - layout.offset(range.start);
         }
         b
     }
 
-    /// The sector of the columns `range`.
-    fn sector(&self, range: Range<usize>, layout: &Layout) -> Sector {
+    /// The sub-block of row irrep `g` over the columns `range` of a matrix
+    /// stored in `layout`, where it starts among the range's elements.
+    fn sub_block(&self, g: u8, range: Range<usize>, layout: &Layout) -> SubBlock {
+        let b = self.shape(g, range.clone());
+        let at = match b.nrun {
+            0 => 0,
+            _ => layout.offset(range.start + b.col0) - layout.offset(range.start),
+        };
+        SubBlock { at, ..b }
+    }
+
+    /// The sub-block shapes of the columns `range`.
+    fn sector(&self, range: Range<usize>) -> Sector {
         let mut blocks = [SubBlock::default(); MAX_IRREP];
         for g in 0..self.n_irrep() {
-            blocks[g as usize] = self.sub_block(g, range.clone(), layout);
+            blocks[g as usize] = self.shape(g, range.clone());
         }
         Sector {
             n_irrep: self.n_irrep(),
@@ -318,7 +358,8 @@ impl Half<'_> {
 struct Workspace {
     /// One sub-block of C, transposed: row `j` is the contiguous run
     /// `clt[b.row(j)..][..b.nrun]` — with one irrep, `clt[k + j·nrun] =
-    /// C(j, col₀+k)`. Spent after the sub-block's arithmetic, it takes
+    /// C(j, col₀+k)`. Written by the stage per sub-block; on a
+    /// transposing stage, spent after the sub-block's arithmetic, it takes
     /// each rank's share of σ in the segment's layout.
     clt: Vec<f64>,
     /// The sub-block of σ in the same layout, zeroed per sub-block.
@@ -331,17 +372,23 @@ struct Workspace {
 }
 
 impl Workspace {
-    /// Storage for the sub-blocks `blocks` (the served columns' runs).
-    fn new(ham: &Hamiltonian, blocks: &[SubBlock]) -> Workspace {
-        let len = blocks.iter().map(SubBlock::len).max().unwrap_or(0);
+    /// Storage for the sub-blocks `blocks` (the served columns' runs)
+    /// taken through `stage`. A sub-block the stage uses in place needs
+    /// no room in the two sub-block buffers.
+    fn new(ham: &Hamiltonian, blocks: &[SubBlock], stage: Stage) -> Workspace {
+        let staged = blocks
+            .iter()
+            .filter(|b| b.len() > 0 && stage.in_place(b).is_none());
+        let len = staged.map(SubBlock::len).max().unwrap_or(0);
         let nrun = blocks.iter().map(|b| b.nrun).max().unwrap_or(0);
         let np = (0..ham.n_irrep as u8)
             .map(|h| ham.g_block(h).nrows())
             .max()
             .unwrap_or(0);
+        // Both are written before they are read, per sub-block.
         Workspace {
-            clt: reuse::zeroed(len),
-            st: reuse::zeroed(len),
+            clt: reuse::overwritten(len),
+            st: reuse::overwritten(len),
             dt: Matrix::zeros(nrun, np),
             e_mat: Matrix::zeros(np, nrun),
         }
@@ -356,137 +403,297 @@ impl Drop for Workspace {
     }
 }
 
+/// Where a kernel pass takes each sub-block of C from and adds its σ
+/// into — the one thing the passes of the two backends differ in (see
+/// "Layout").
+#[derive(Clone, Copy)]
+enum Stage<'a> {
+    /// The sub-block of row irrep g is the columns of irrep g of `ct` (the
+    /// transpose of C), and its σ goes to the same columns of `sigma_t`,
+    /// stored like `ct` and zero there: used where they are when one rank
+    /// owns them ([`Stage::in_place`]), copied in and added back
+    /// otherwise. Only for a pass over every column of C, whose runs are
+    /// whole columns of `ct`.
+    Copy {
+        ct: &'a DistMatrix,
+        sigma_t: &'a DistMatrix,
+    },
+    /// Transpose each owner's part of the sub-block out of its segment of
+    /// `c`, and σᵀ back into its segment of `sigma`.
+    Transpose {
+        c: &'a DistMatrix,
+        sigma: &'a DistMatrix,
+    },
+}
+
+impl<'a> Stage<'a> {
+    /// Where a copying stage has nothing to copy: when one rank owns every
+    /// column of `ct` that sub-block `b` spans, the sub-block is one
+    /// stretch of that owner's segments of `ct` and `sigma_t`, which the
+    /// arithmetic can read and sum in directly. The owner, where the
+    /// stretch starts in its segments, and the two matrices; never for a
+    /// transposing stage.
+    fn in_place(self, b: &SubBlock) -> Option<(usize, usize, &'a DistMatrix, &'a DistMatrix)> {
+        let Stage::Copy { ct, sigma_t } = self else {
+            return None;
+        };
+        let owner = ct.owner(b.row0);
+        let local = ct.local_cols(owner);
+        (b.row0 + b.nrows <= local.end).then(|| {
+            let lay = ct.layout();
+            (
+                owner,
+                lay.offset(b.row0) - lay.offset(local.start),
+                ct,
+                sigma_t,
+            )
+        })
+    }
+
+    /// Bytes the stage's loops read and write per element of a sub-block,
+    /// each `f64` load or store counted once: taking C in (a load and a
+    /// store), zeroing the σ buffer (a store) and adding it into the
+    /// distributed σ (two loads, a store) — and, transposing, σᵀ back
+    /// through the spent C buffer first (a load and a store).
+    fn bytes_per_element(self) -> usize {
+        match self {
+            Stage::Copy { .. } => 8 * (2 + 1 + 3),
+            Stage::Transpose { .. } => 8 * (2 + 1 + 2 + 3),
+        }
+    }
+
+    /// Each owner's share of sub-block `b` (row irrep `g` over the
+    /// columns `served`, as [`Half::shape`] gives it): `f(owner, part,
+    /// k0)`, with `part` where the share sits in the owner's segment. A
+    /// copied share is whole rows of `b` and starts at element `k0` of the
+    /// workspace's copy; a transposed one is whole columns of `b` and
+    /// starts at column `k0` of each of its rows.
+    fn shares(
+        self,
+        half: &Half,
+        g: u8,
+        served: &Range<usize>,
+        b: &SubBlock,
+        mut f: impl FnMut(usize, SubBlock, usize),
+    ) {
+        match self {
+            Stage::Copy { ct, .. } => {
+                // Row j of the sub-block is column j of `ct`, whose stored
+                // elements are the run.
+                let (rows, lay) = (b.row0..b.row0 + b.nrows, ct.layout());
+                for q in ct.owner(rows.start)..=ct.owner(rows.end - 1) {
+                    let local = ct.local_cols(q);
+                    let (lo, hi) = (rows.start.max(local.start), rows.end.min(local.end));
+                    if lo < hi {
+                        debug_assert_eq!(lay.offset(hi) - lay.offset(lo), (hi - lo) * b.nrun);
+                        let part = SubBlock {
+                            row0: lo,
+                            nrows: hi - lo,
+                            col0: 0,
+                            nrun: b.nrun,
+                            at: lay.offset(lo) - lay.offset(local.start),
+                        };
+                        f(q, part, (lo - b.row0) * b.nrun);
+                    }
+                }
+            }
+            Stage::Transpose { c, .. } => {
+                let run0 = served.start + b.col0;
+                for p in c.owner(run0)..=c.owner(run0 + b.nrun - 1) {
+                    let local = c.local_cols(p);
+                    let part = half.sub_block(g, local.clone(), c.layout());
+                    if part.nrun > 0 {
+                        f(p, part, local.start + part.col0 - run0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Write sub-block `b` into `clt` in the kernel's layout.
+    fn take(self, half: &Half, g: u8, served: &Range<usize>, b: &SubBlock, clt: &mut [f64]) {
+        let src = match self {
+            Stage::Copy { ct, .. } => ct,
+            Stage::Transpose { c, .. } => c,
+        };
+        self.shares(half, g, served, b, |owner, part, k0| {
+            src.with_local(owner, |s| {
+                let s = &s[part.at..];
+                match self {
+                    Stage::Copy { .. } => {
+                        clt[k0..][..part.len()].copy_from_slice(&s[..part.len()]);
+                    }
+                    Stage::Transpose { .. } => {
+                        transpose_block(s, b.nrows, b.nrows, part.nrun, &mut clt[k0..], b.nrun);
+                    }
+                }
+            });
+        });
+    }
+
+    /// Add `st`, sub-block `b` of σ in the kernel's layout, into the
+    /// distributed σ, one contiguous add under each owner's lock. A
+    /// transposing stage spends `clt` on the way back.
+    fn give(
+        self,
+        half: &Half,
+        g: u8,
+        served: &Range<usize>,
+        b: &SubBlock,
+        st: &[f64],
+        clt: &mut [f64],
+    ) {
+        let dst = match self {
+            Stage::Copy { sigma_t, .. } => sigma_t,
+            Stage::Transpose { sigma, .. } => sigma,
+        };
+        self.shares(half, g, served, b, |owner, part, k0| {
+            let add: &[f64] = match self {
+                Stage::Copy { .. } => &st[k0..][..part.len()],
+                Stage::Transpose { .. } => {
+                    let back = &mut clt[..part.len()];
+                    transpose_block(&st[k0..], b.nrun, part.nrun, b.nrows, back, b.nrows);
+                    back
+                }
+            };
+            dst.with_local(owner, |d| {
+                for (s, t) in d[part.at..].iter_mut().zip(add) {
+                    *s += t;
+                }
+            });
+        });
+    }
+}
+
 /// The same-spin arithmetic for the columns `served` — one rank's or
-/// several's — one row irrep g at a time: transpose sub-block g straight
-/// out of each owner's segment into the workspace, replay g's
-/// one-electron entries, gather / multiply / scatter every (N−2 family K,
-/// pair irrep h) with `g_K ⊕ h = g` in family order, and add σᵀ back into
-/// each owner's segment of `sigma`. Every single and every (K, h)
-/// touches only the sub-block of its row irrep, so each σ element
-/// receives its terms in a fixed order — singles in table order, then
-/// families in `kf` order — and the GEMM's per-element sum does not
+/// several's — one row irrep g at a time: take sub-block g into the
+/// workspace through `stage`, replay g's one-electron entries, gather /
+/// multiply / scatter every (N−2 family K, pair irrep h) with `g_K ⊕ h =
+/// g` in family order, and add σ back through `stage`. Every single and
+/// every (K, h) touches only the sub-block of its row irrep, so each σ
+/// element receives its terms in a fixed order — singles in table order,
+/// then families in `kf` order — and the GEMM's per-element sum does not
 /// depend on the run's length: the bits are the same for any grouping of
-/// the ranks. Charges nothing
-/// (see [`charge_walk`]); allocates nothing.
+/// the ranks and for either stage. Charges nothing (see
+/// [`charge_walk`]); allocates nothing.
 fn sub_block_kernel(
     half: &Half,
-    c: &DistMatrix,
-    sigma: &DistMatrix,
+    stage: Stage,
     served: Range<usize>,
     ws: &mut Workspace,
     host: &mut HostSplit,
 ) {
-    let (ham, one_e) = (half.ham, &half.one_e);
-    let pos = ham.pair_pos();
     let Workspace { clt, st, dt, e_mat } = ws;
     for g in 0..half.n_irrep() {
         // Sub-block g of the served columns, as the workspace holds it.
-        let b = SubBlock {
-            at: 0,
-            ..half.sub_block(g, served.clone(), c.layout())
-        };
-        let nrun = b.nrun;
+        let b = half.shape(g, served.clone());
         if b.len() == 0 {
             continue;
         }
-        let (clt, st) = (&mut clt[..b.len()], &mut st[..b.len()]);
-        // The ranks that own columns of the run, and rank p's share of it
-        // with where in the run that starts.
-        let run0 = served.start + b.col0;
-        let owners = c.owner(run0)..c.owner(run0 + nrun - 1) + 1;
-        let part = |p: usize| {
-            let local = c.local_cols(p);
-            let part = half.sub_block(g, local.clone(), c.layout());
-            (part.nrun > 0).then(|| (part, local.start + part.col0 - run0))
-        };
-        for p in owners.clone() {
-            if let Some((part, k0)) = part(p) {
-                c.with_local(p, |s| {
-                    let src = &s[part.at..];
-                    transpose_block(src, b.nrows, b.nrows, part.nrun, &mut clt[k0..], nrun);
+        if let Some((owner, at, ct, sigma_t)) = stage.in_place(&b) {
+            // One owner holds the whole sub-block in both matrices: read C
+            // and sum σ where they are (σᵀ is zero there, so the sums are
+            // those of a zeroed buffer added in).
+            ct.with_local(owner, |cs| {
+                sigma_t.with_local(owner, |ss| {
+                    let (cs, ss) = (&cs[at..][..b.len()], &mut ss[at..][..b.len()]);
+                    debug_assert!(ss.iter().all(|s| s.to_bits() == 0), "σᵀ is not zero");
+                    host.lap(COPY);
+                    sub_block_arithmetic(half, g, &b, cs, ss, (dt, e_mat), host);
                 });
-            }
-        }
-        st.fill(0.0);
-        host.lap(TRANSPOSE);
-
-        // --- one-electron singles ---
-        for e in &one_e.entries[one_e.off[g as usize]..one_e.off[g as usize + 1]] {
-            let h = e.h;
-            fold_row(st, b.row(e.to), clt, b.row(e.from), 1, nrun, |s, c| {
-                *s += h * c
             });
+            host.lap(COPY);
+            continue;
         }
-        host.lap(ONE_ELECTRON);
+        let (clt, st) = (&mut clt[..b.len()], &mut st[..b.len()]);
+        stage.take(half, g, &served, &b, clt);
+        st.fill(0.0);
+        host.moved(b.len() * stage.bytes_per_element());
+        host.lap(COPY);
+        sub_block_arithmetic(half, g, &b, clt, st, (dt, e_mat), host);
+        stage.give(half, g, &served, &b, st, clt);
+        host.lap(COPY);
+    }
+}
 
-        // --- same-spin doubles through N−2 intermediates ---
-        if let Some(nm2) = half.nm2 {
-            for gk in 0..half.n_irrep() {
-                // Pairs of irrep h lead from K to rows of irrep g_K ⊕ h.
-                let h = gk ^ g;
-                let g_hh = ham.g_block(h);
-                let np = g_hh.nrows();
-                if np == 0 {
+/// The arithmetic on sub-block `b` of row irrep `g`: `clt` holds C and
+/// `st` sums σ, both in the kernel's layout. Replays g's one-electron
+/// entries, then gathers / multiplies / scatters every (N−2 family K,
+/// pair irrep h) with `g_K ⊕ h = g` in family order. `dt` is all zero on
+/// entry and on exit.
+fn sub_block_arithmetic(
+    half: &Half,
+    g: u8,
+    b: &SubBlock,
+    clt: &[f64],
+    st: &mut [f64],
+    (dt, e_mat): (&mut Matrix, &mut Matrix),
+    host: &mut HostSplit,
+) {
+    let (ham, one_e) = (half.ham, &half.one_e);
+    let pos = ham.pair_pos();
+    let nrun = b.nrun;
+    // --- one-electron singles ---
+    for e in &one_e.entries[one_e.off[g as usize]..one_e.off[g as usize + 1]] {
+        let h = e.h;
+        fold_row(st, b.row(e.to), clt, b.row(e.from), 1, nrun, |s, c| {
+            *s += h * c
+        });
+    }
+    host.lap(ONE_ELECTRON);
+
+    // --- same-spin doubles through N−2 intermediates ---
+    if let Some(nm2) = half.nm2 {
+        for gk in 0..half.n_irrep() {
+            // Pairs of irrep h lead from K to rows of irrep g_K ⊕ h.
+            let h = gk ^ g;
+            let g_hh = ham.g_block(h);
+            let np = g_hh.nrows();
+            if np == 0 {
+                continue;
+            }
+            for kf in nm2.space_k().block_range(gk) {
+                let fam = nm2.block(kf, h);
+                if fam.is_empty() {
                     continue;
                 }
-                for kf in nm2.space_k().block_range(gk) {
-                    let fam = nm2.block(kf, h);
-                    if fam.is_empty() {
+                dt.reshape(nrun, np);
+                e_mat.reshape(np, nrun);
+                // Gather (B matrix application): one C run per D column.
+                let dts = dt.as_mut_slice();
+                for e in fam {
+                    let at = pos[e.pair_index()];
+                    if at == SCREENED {
                         continue;
                     }
-                    dt.reshape(nrun, np);
-                    e_mat.reshape(np, nrun);
-                    // Gather (B matrix application): one C run per D column.
-                    let dts = dt.as_mut_slice();
-                    for e in fam {
-                        let at = pos[e.pair_index()];
-                        if at == SCREENED {
-                            continue;
-                        }
-                        let sgn = e.sign as f64;
-                        let col = at as usize * nrun;
-                        fold_row(dts, col, clt, b.row(e.to), 1, nrun, |d, c| *d = sgn * c);
-                    }
-                    host.lap(GATHER);
-                    // The DGEMM: E_h = Ĝ_hh · D_h.
-                    dgemm(Trans::No, Trans::Yes, 1.0, g_hh, dt, 0.0, e_mat);
-                    host.gemm(np, nrun, np);
-                    host.lap(GEMM);
-                    // Scatter (A matrix application) and clear the D
-                    // columns. E is read along a row (stride `np`); σᵀ is
-                    // written contiguously.
-                    let (dts, es) = (dt.as_mut_slice(), e_mat.as_slice());
-                    for e in fam {
-                        let pair = pos[e.pair_index()];
-                        if pair == SCREENED {
-                            continue;
-                        }
-                        let (pair, sgn) = (pair as usize, e.sign as f64);
-                        fold_row(st, b.row(e.to), es, pair, np, nrun, |s, ev| *s += sgn * ev);
-                        // Clear through the same helper (the source row is
-                        // ignored): a `fill` call per entry costs more than
-                        // the entry on a short run.
-                        fold_row(dts, pair * nrun, clt, 0, 1, nrun, |d, _| *d = 0.0);
-                    }
-                    host.lap(SCATTER);
+                    let sgn = e.sign as f64;
+                    let col = at as usize * nrun;
+                    fold_row(dts, col, clt, b.row(e.to), 1, nrun, |d, c| *d = sgn * c);
                 }
-            }
-        }
-
-        // Back to each rank's segment layout through the spent C block,
-        // then one contiguous add under σ's lock.
-        for p in owners.clone() {
-            if let Some((part, k0)) = part(p) {
-                let back = &mut clt[..part.len()];
-                transpose_block(&st[k0..], nrun, part.nrun, b.nrows, back, b.nrows);
-                sigma.with_local(p, |sl| {
-                    for (s, t) in sl[part.at..].iter_mut().zip(back.iter()) {
-                        *s += t;
+                host.lap(GATHER);
+                // The DGEMM: E_h = Ĝ_hh · D_h.
+                dgemm(Trans::No, Trans::Yes, 1.0, g_hh, dt, 0.0, e_mat);
+                host.gemm(np, nrun, np);
+                host.lap(GEMM);
+                // Scatter (A matrix application) and clear the D
+                // columns. E is read along a row (stride `np`); σᵀ is
+                // written contiguously.
+                let (dts, es) = (dt.as_mut_slice(), e_mat.as_slice());
+                for e in fam {
+                    let pair = pos[e.pair_index()];
+                    if pair == SCREENED {
+                        continue;
                     }
-                });
+                    let (pair, sgn) = (pair as usize, e.sign as f64);
+                    fold_row(st, b.row(e.to), es, pair, np, nrun, |s, ev| *s += sgn * ev);
+                    // Clear through the same helper (the source row is
+                    // ignored): a `fill` call per entry costs more than
+                    // the entry on a short run.
+                    fold_row(dts, pair * nrun, clt, 0, 1, nrun, |d, _| *d = 0.0);
+                }
+                host.lap(SCATTER);
             }
         }
-        host.lap(TRANSPOSE);
     }
 }
 
@@ -543,7 +750,7 @@ fn rank_charges(half: &Half, c: &DistMatrix, nproc: usize) -> Vec<Clock> {
             if local.is_empty() {
                 return Clock::default();
             }
-            let sector = half.sector(local, c.layout());
+            let sector = half.sector(local);
             let runs = sector.blocks.map(|b| b.nrun);
             if let Some((_, clock)) = walked.iter().find(|(r, _)| *r == runs) {
                 return *clock;
@@ -568,12 +775,58 @@ fn rank_charges(half: &Half, c: &DistMatrix, nproc: usize) -> Vec<Clock> {
 /// group of ranks: on the threaded backend each rank serves its own
 /// columns, on the serial one rank 0 serves every rank's in one pass, so
 /// each GEMM spans a whole irrep block of columns however many ranks own
-/// them.
+/// them. Every pass transposes its sub-blocks in and out of the segments
+/// of `c` and `sigma`; [`half_sigma_dgemm_both`] spares the serial pass
+/// that, for a caller that holds C in both layouts.
 pub fn half_sigma_dgemm(
     ctx: &SigmaCtx,
     name: &str,
     c: &DistMatrix,
     sigma: &DistMatrix,
+    singles: &SinglesTable,
+    nm2: Option<&Nm2Families>,
+) -> RunReport {
+    half_sigma(ctx, name, c, sigma, None, singles, nm2)
+}
+
+/// [`half_sigma_dgemm`] for a caller that holds C and a zeroed σ
+/// accumulator in both layouts: `c[0]` and `sigma[0]` with the half's
+/// spin on the rows, `c[1]` the transpose of `c[0]` and `sigma[1]` stored
+/// like it. The serial pass, which serves every column, takes each
+/// sub-block from `c[1]` and sums σ into `sigma[1]` — in place where one
+/// rank owns the sub-block, through the workspace otherwise; a rank of
+/// the threaded backend transposes its share out of `c[0]` and adds into
+/// `sigma[0]`. Either way each σ element is written by exactly one
+/// sub-block, so `sigma[0] + transpose(sigma[1])` is the half, bit for
+/// bit the same on both backends. `sigma[1]` must be zero: an in-place
+/// sum starts from what it holds.
+pub fn half_sigma_dgemm_both(
+    ctx: &SigmaCtx,
+    name: &str,
+    c: [&DistMatrix; 2],
+    sigma: [&DistMatrix; 2],
+    singles: &SinglesTable,
+    nm2: Option<&Nm2Families>,
+) -> RunReport {
+    let ([c, ct], [sigma, sigma_t]) = (c, sigma);
+    assert!(
+        ct.layout().is_transpose_of(c.layout())
+            && ct.layout() == sigma_t.layout()
+            && ct.nproc() == sigma_t.nproc(),
+        "Cᵀ is not stored as the transpose of C, or σᵀ is stored differently"
+    );
+    let copy = Stage::Copy { ct, sigma_t };
+    half_sigma(ctx, name, c, sigma, Some(copy), singles, nm2)
+}
+
+/// The one body of both entry points: `copy` is the serial pass's stage
+/// when the caller holds the transposes.
+fn half_sigma(
+    ctx: &SigmaCtx,
+    name: &str,
+    c: &DistMatrix,
+    sigma: &DistMatrix,
+    copy: Option<Stage>,
     singles: &SinglesTable,
     nm2: Option<&Nm2Families>,
 ) -> RunReport {
@@ -602,24 +855,25 @@ pub fn half_sigma_dgemm(
     let serial = ctx.ddi.backend() == Backend::Serial;
     let tracer = ctx.ddi.tracer();
     let charges = rank_charges(&half, c, nproc);
+    let transpose = Stage::Transpose { c, sigma };
 
     run_phase(ctx.ddi, ctx.model, name, |rank, _stats, clock| {
         // The phase hands each rank a zero clock, so this is the walk.
         clock.merge(&charges[rank]);
-        let served = match serial {
-            false => c.local_cols(rank),
-            true if rank == 0 => 0..c.ncols(),
-            true => 0..0,
+        let (served, stage) = match serial {
+            false => (c.local_cols(rank), transpose),
+            true if rank == 0 => (0..c.ncols(), copy.unwrap_or(transpose)),
+            true => return,
         };
         if served.is_empty() {
             return;
         }
         let mut host = HostSplit::new(&tracer);
         host.start();
-        let blocks = half.sector(served.clone(), c.layout());
-        let mut ws = Workspace::new(ham, blocks.blocks());
-        host.lap(TRANSPOSE);
-        sub_block_kernel(&half, c, sigma, served, &mut ws, &mut host);
+        let blocks = half.sector(served.clone());
+        let mut ws = Workspace::new(ham, blocks.blocks(), stage);
+        host.lap(COPY);
+        sub_block_kernel(&half, stage, served, &mut ws, &mut host);
         host.emit(rank, "same_spin_host_us", HOST_PARTS);
     })
 }
@@ -771,6 +1025,11 @@ mod tests {
         }
     }
 
+    /// Entries of the singles table over the strings `rows`.
+    fn table_len(singles: &SinglesTable, rows: &SpinStrings) -> usize {
+        (0..rows.len()).map(|j| singles.of(j).len()).sum()
+    }
+
     #[test]
     fn one_electron_list_is_the_nonzero_entries_in_table_order() {
         let ham = half_zeroed_hamiltonian(6, 29);
@@ -779,8 +1038,9 @@ mod tests {
         let nstr = space.beta.len();
         let resolved = one_electron_list(&ham, singles, &space.beta);
         let list = &resolved.entries;
+        let n_entries = table_len(singles, &space.beta);
         assert_eq!(resolved.off[..2], [0, list.len()]);
-        assert_eq!(resolved.allowed[0], singles.n_entries());
+        assert_eq!(resolved.allowed[0], n_entries);
         let table = (0..nstr).flat_map(|j| singles.of(j).iter().map(move |e| (j, e)));
         let want: Vec<OneElectron> = table
             .map(|(j, e)| OneElectron {
@@ -793,8 +1053,111 @@ mod tests {
         assert_eq!(list, &want);
         // Half of h is zero, so a good part of the table is skipped —
         // but not the diagonal p = q entries.
-        assert!(list.len() < singles.n_entries() && list.len() >= nstr);
+        assert!(list.len() < n_entries && list.len() >= nstr);
         assert!(list.iter().all(|e| e.h != 0.0));
+    }
+
+    /// The list is allocated at its length: no slack under D2h, where
+    /// most of `h` is symmetry-forbidden, nor on a Hubbard chain, where
+    /// most allowed couplings are zero.
+    #[test]
+    fn one_electron_list_has_no_slack() {
+        let sym = [5u8, 0, 3, 6, 0, 5, 7, 1];
+        let d2h = crate::hamiltonian::random_symmetric_hamiltonian(8, 29, &sym, 8);
+        let hubbard = Hamiltonian::new(&fci_scf::MoIntegrals::hubbard_chain(8, 1.0, 4.0, false));
+        for ham in [&d2h, &hubbard] {
+            let space = DetSpace::for_hamiltonian(ham, 4, 3, 0);
+            for (singles, rows) in [
+                (&space.alpha_singles, &space.alpha),
+                (&space.beta_singles, &space.beta),
+            ] {
+                let list = one_electron_list(ham, singles, rows);
+                let (n, table) = (list.entries.len(), table_len(singles, rows));
+                assert!(n > 0 && n < table / 2, "{n} of {table}");
+                assert_eq!(list.entries.capacity(), n);
+                assert_eq!(list.off[rows.n_irrep()], n);
+            }
+        }
+    }
+
+    /// The `copy` part's bytes are a function of the shapes alone. A
+    /// transposing pass moves each stored element of C at 64 bytes; a
+    /// copying pass moves, at 48 bytes, the elements of the sub-blocks
+    /// that two or more ranks share, and nothing of one that a single rank
+    /// owns (see `Stage::bytes_per_element`) — on 4 irreps and on one, at
+    /// 1 and 3 ranks, on both backends and through both entry points.
+    #[test]
+    fn copy_bytes_are_the_shared_elements_times_the_stage_traffic() {
+        let sym = [2u8, 0, 3, 1, 0, 2, 0, 3];
+        let ham4 = crate::hamiltonian::random_symmetric_hamiltonian(8, 23, &sym, 4);
+        let c1 = random_hamiltonian(6, 5);
+        let spaces = [
+            (DetSpace::for_hamiltonian(&ham4, 4, 3, 1), &ham4),
+            (DetSpace::c1(6, 3, 2), &c1),
+        ];
+        let mut some_shared = [false; 2];
+        for (space, ham) in &spaces {
+            for nproc in [1, 3] {
+                for (backend, both) in [
+                    (Backend::Serial, true),
+                    (Backend::Serial, false),
+                    (Backend::Threads, true),
+                ] {
+                    let ddi = Ddi::new(nproc, backend);
+                    let tracer = fci_obs::Tracer::in_memory();
+                    ddi.attach_tracer(tracer.clone());
+                    let ctx = test_ctx(space, ham, &ddi);
+                    let c = space.guess(ham, nproc);
+                    let ct = c.transpose(&mut vec![fci_ddi::CommStats::default(); nproc]);
+                    let sigma = space.zeros_ci(nproc);
+                    let sigma_t =
+                        DistMatrix::with_layout(std::sync::Arc::clone(ct.layout()), nproc);
+                    let (singles, nm2) = (&space.beta_singles, space.beta_nm2.as_ref());
+                    if both {
+                        let (c, s) = ([&c, &ct], [&sigma, &sigma_t]);
+                        half_sigma_dgemm_both(&ctx, "beta_beta", c, s, singles, nm2);
+                    } else {
+                        half_sigma_dgemm(&ctx, "beta_beta", &c, &sigma, singles, nm2);
+                    }
+                    let bytes: f64 = tracer
+                        .events()
+                        .unwrap_or_default()
+                        .iter()
+                        .filter(|e| e.name == "same_spin_host_us")
+                        .filter_map(|e| e.arg(fci_obs::HOST_COPY_BYTES))
+                        .sum();
+                    // The elements of the sub-blocks (β rows of irrep g,
+                    // α columns of irrep g ⊕ target) whose columns of Cᵀ
+                    // more than one rank owns.
+                    let shared: usize = (0..space.beta.n_irrep() as u8)
+                        .map(|g| {
+                            let rows = space.beta.block_range(g);
+                            let run = space.alpha.block_range(g ^ space.target_irrep).len();
+                            let split =
+                                !rows.is_empty() && ct.owner(rows.start) != ct.owner(rows.end - 1);
+                            if split {
+                                rows.len() * run
+                            } else {
+                                0
+                            }
+                        })
+                        .sum();
+                    let want = match (backend, both) {
+                        (Backend::Serial, true) => 48 * shared,
+                        _ => 64 * c.layout().stored(),
+                    };
+                    assert_eq!(
+                        bytes, want as f64,
+                        "{backend:?}, {nproc} ranks, both: {both}"
+                    );
+                    some_shared[(shared > 0) as usize] = true;
+                }
+            }
+        }
+        assert_eq!(
+            some_shared, [true; 2],
+            "no case copies, or none is in place"
+        );
     }
 
     #[test]

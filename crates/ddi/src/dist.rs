@@ -932,20 +932,53 @@ impl DistMatrix {
     /// charged to the *destination* rank's stats entry, modelling an
     /// all-to-all built from one-sided gets.
     pub fn transpose(&self, stats: &mut [CommStats]) -> DistMatrix {
+        // Every stored element of `t` is written below.
+        let t = DistMatrix::alloc(
+            Arc::new(self.layout.transposed()),
+            self.nproc,
+            reuse::overwritten,
+        );
+        self.transpose_onto(&t, stats, |d, s| *d = s);
+        t
+    }
+
+    /// `dst += selfᵀ`, element by element, for a `dst` stored as the
+    /// transpose on as many ranks: the data [`DistMatrix::transpose`]
+    /// moves, moved and charged the same way, but added where it lands
+    /// instead of into a new matrix that an [`DistMatrix::axpy`] would
+    /// then read. The sums are the axpy's, bit for bit (`x + 1·y` is
+    /// `x + y`).
+    pub fn transpose_add_to(&self, dst: &DistMatrix, stats: &mut [CommStats]) {
+        assert!(
+            !std::ptr::eq(self, dst),
+            "operands must not alias (non-reentrant locks)"
+        );
+        assert!(
+            dst.layout.is_transpose_of(&self.layout) && dst.nproc == self.nproc,
+            "the destination is not stored as the transpose"
+        );
+        dst.rec_barrier();
+        self.transpose_onto(dst, stats, |d, s| *d += s);
+        dst.rec_barrier();
+    }
+
+    /// The one body of [`DistMatrix::transpose`] and
+    /// [`DistMatrix::transpose_add_to`]: `op(dst element, self element)`
+    /// for every stored element, block by block, and the transpose's
+    /// charges into `stats`.
+    fn transpose_onto(
+        &self,
+        t: &DistMatrix,
+        stats: &mut [CommStats],
+        op: impl Fn(&mut f64, f64) + Copy,
+    ) {
         assert_eq!(stats.len(), self.nproc);
         self.rec_barrier();
         let lay = &*self.layout;
-        // Every stored element of `t` is written below.
-        let mut t = DistMatrix::alloc(Arc::new(lay.transposed()), self.nproc, reuse::overwritten);
         let tl = Arc::clone(&t.layout);
         let new_cols: Vec<_> = (0..self.nproc).map(|p| t.local_cols(p)).collect();
         let t_owner: Vec<_> = (0..self.nrows()).map(|r| t.owner(r)).collect();
-        // `t` is not shared yet: write its segments without locking.
-        let mut dsts: Vec<&mut Vec<f64>> = t
-            .segments
-            .iter_mut()
-            .map(|m| m.get_mut().unwrap_or_else(|e| e.into_inner()))
-            .collect();
+        let mut dsts: Vec<_> = t.segments.iter().map(|m| m.lock().unwrap()).collect();
         // Block by block: owner `o`'s old columns `cols` of irrep g store
         // the old rows `rows` (one column-major block, leading dimension
         // `rows.len()`); each new column r of `rows` stores the old
@@ -969,13 +1002,14 @@ impl DistMatrix {
                     }
                     let s0 = lay.offset(cols.start) - base + (r.start - rows.start);
                     let d0 = tl.offset(r.start) - tl.offset(nr.start) + (cols.start - cb.start);
-                    transpose_block(
+                    transpose_block_with(
                         &src[s0..],
                         rows.len(),
                         r.len(),
                         cols.len(),
                         &mut dsts[p][d0..],
                         cb.len(),
+                        op,
                     );
                 }
             }
@@ -1019,7 +1053,6 @@ impl DistMatrix {
                 );
             }
         }
-        t
     }
 }
 
@@ -1131,6 +1164,21 @@ pub fn transpose_block(
     dst: &mut [f64],
     dst_ld: usize,
 ) {
+    transpose_block_with(src, src_ld, nrows, ncols, dst, dst_ld, |d, s| *d = s);
+}
+
+/// [`transpose_block`] with `op(dst element, src element)` in place of
+/// the copy.
+#[inline(always)]
+fn transpose_block_with(
+    src: &[f64],
+    src_ld: usize,
+    nrows: usize,
+    ncols: usize,
+    dst: &mut [f64],
+    dst_ld: usize,
+    op: impl Fn(&mut f64, f64),
+) {
     const TILE: usize = 32;
     for a0 in (0..nrows).step_by(TILE) {
         let a1 = nrows.min(a0 + TILE);
@@ -1140,7 +1188,7 @@ pub fn transpose_block(
                 let drow = &mut dst[a * dst_ld + b0..a * dst_ld + b1];
                 let scol = src[a + b0 * src_ld..].iter().step_by(src_ld);
                 for (d, s) in drow.iter_mut().zip(scol) {
-                    *d = *s;
+                    op(d, *s);
                 }
             }
         }
@@ -1506,6 +1554,30 @@ mod tests {
             DistMatrix::with_layout(Arc::new(Layout::blocked(&[0, 3, 7], &[0, 4, 6], 1)), nproc);
         m.map_inplace(|r, c, _| (1 + r * 10 + c) as f64);
         m
+    }
+
+    /// Adding the transpose in place moves and charges what the
+    /// transpose does, and sums what an axpy of it would, bit for bit —
+    /// on a blocked layout at 1, 2, 3 and 7 ranks.
+    #[test]
+    fn transpose_add_to_is_transpose_then_axpy() {
+        for nproc in [1, 2, 3, 7] {
+            let m = blocked(nproc);
+            let t = m.transpose(&mut vec![CommStats::default(); nproc]);
+            t.map_inplace(|r, c, _| ((r * 7 + c) as f64).sin());
+            let (mut via_copy, mut in_place) = (
+                vec![CommStats::default(); nproc],
+                vec![CommStats::default(); nproc],
+            );
+            let want = t.duplicate();
+            want.axpy(1.0, &m.transpose(&mut via_copy));
+            m.transpose_add_to(&t, &mut in_place);
+            assert_eq!(bits(&t), bits(&want), "nproc {nproc}");
+            let counts = |s: &[CommStats]| -> Vec<(u64, u64)> {
+                s.iter().map(|s| (s.get_bytes, s.get_msgs)).collect()
+            };
+            assert_eq!(counts(&in_place), counts(&via_copy), "nproc {nproc}");
+        }
     }
 
     #[test]

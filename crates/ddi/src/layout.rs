@@ -73,6 +73,12 @@ impl Layout {
         Layout::blocked(&self.col_blocks, &self.row_blocks, self.target)
     }
 
+    /// Whether this is the layout of the transpose of `other`.
+    pub fn is_transpose_of(&self, other: &Layout) -> bool {
+        (&self.row_blocks, &self.col_blocks, self.target)
+            == (&other.col_blocks, &other.row_blocks, other.target)
+    }
+
     /// Number of rows.
     pub(crate) fn nrows(&self) -> usize {
         self.row_blocks[self.row_blocks.len() - 1]

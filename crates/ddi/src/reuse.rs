@@ -11,7 +11,8 @@
 //!   everything it kept and reopens whatever scope was open before, so a
 //!   solve's storage never outlives the solve;
 //! * [`zeroed`] hands out `len` zeros, from a kept buffer of exactly
-//!   that length when the open scope holds one;
+//!   that length when the open scope holds one, and [`overwritten`] the
+//!   same buffer as it was left, for a caller that writes before it reads;
 //! * [`recycle`] keeps a buffer in the open scope, or frees it when no
 //!   scope is open.
 //!
@@ -82,7 +83,7 @@ pub fn zeroed(len: usize) -> Vec<f64> {
 
 /// `len` elements of unspecified (initialised) value, for a caller that
 /// writes every one before reading it.
-pub(crate) fn overwritten(len: usize) -> Vec<f64> {
+pub fn overwritten(len: usize) -> Vec<f64> {
     kept(len).unwrap_or_else(|| vec![0.0; len])
 }
 

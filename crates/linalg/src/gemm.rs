@@ -38,6 +38,16 @@
 //! point was called — and `crates/linalg/tests/gemm_bits.rs` compares
 //! them with a scalar loop that does exactly that.
 //!
+//! **The epilogue reads the whole C tile before writing any of it.** A
+//! tile's accumulators meet C only at the end: every C vector of the tile
+//! is loaded and summed first, and only then are they stored. Loading
+//! and storing column by column makes the masked load of one column wait
+//! on the masked store of the one before whenever `m` is not a multiple
+//! of the lane count (they share a cache line), a stall that cost the
+//! small σ shapes (`6×210×6`, `4×210×4`) three to four times their
+//! arithmetic (DESIGN.md §11). The order of a tile's loads and stores is
+//! not part of the arithmetic, so no bit moves.
+//!
 //! **One thread per GEMM:** every multiply runs on the calling thread.
 //! The paper fills the machine with DDI ranks, each running a serial
 //! DGEMM on its own column block; a second level of threads inside the
@@ -570,7 +580,7 @@ fn fmadd(a: f64, b: f64, c: f64) -> f64 {
 }
 
 /// The vector type the tile is written over: `LANES` doubles, a mask of
-/// live leading lanes, and the four operations the tile needs. Chosen by
+/// live leading lanes, and the operations the tile needs. Chosen by
 /// `cfg(target_feature)` exactly like [`fmadd`] — no runtime detection.
 #[cfg(target_feature = "avx512f")]
 mod lanes {
@@ -640,27 +650,29 @@ mod lanes {
             V(unsafe { _mm512_maskz_loadu_pd(live.0, p) })
         }
 
-        /// `p[r] += alpha[r] · self[r]` on the live lanes (multiply, then
-        /// add: two roundings).
+        /// `self + alpha · x` (multiply, then add: two roundings).
+        #[inline(always)]
+        pub(super) fn add_scaled(self, alpha: V, x: V) -> V {
+            // SAFETY: `avx512f` is enabled for the whole build (module cfg).
+            V(unsafe { _mm512_add_pd(self.0, _mm512_mul_pd(alpha.0, x.0)) })
+        }
+
+        /// Store the `live` leading doubles at `p`.
         ///
         /// # Safety
-        /// `p` must be valid for reads and writes of as many doubles as
-        /// `live` has lanes; nothing beyond them is touched.
+        /// `p` must be valid for writes of as many doubles as `live` has
+        /// lanes; nothing beyond them is touched.
         #[inline(always)]
-        pub(super) unsafe fn add_scaled_to(self, alpha: V, p: *mut f64, live: Live) {
-            // SAFETY: masked load and store touch the live lanes only,
-            // which the caller vouches for.
-            unsafe {
-                let c = _mm512_maskz_loadu_pd(live.0, p);
-                let sum = _mm512_add_pd(c, _mm512_mul_pd(alpha.0, self.0));
-                _mm512_mask_storeu_pd(p, live.0, sum);
-            }
+        pub(super) unsafe fn store(self, p: *mut f64, live: Live) {
+            // SAFETY: a masked store writes the live lanes only, which the
+            // caller vouches for.
+            unsafe { _mm512_mask_storeu_pd(p, live.0, self.0) }
         }
     }
 }
 
 /// The vector type the tile is written over: `LANES` doubles, a count of
-/// live leading lanes, and the four operations the tile needs — plain
+/// live leading lanes, and the operations the tile needs — plain
 /// arrays the compiler maps onto whatever vector registers the target
 /// has. The only lane type on a build without AVX-512.
 #[cfg(not(target_feature = "avx512f"))]
@@ -730,17 +742,26 @@ mod lanes {
             }))
         }
 
-        /// `p[r] += alpha[r] · self[r]` on the live lanes (multiply, then
-        /// add: two roundings).
+        /// `self + alpha · x` (multiply, then add: two roundings).
+        #[inline(always)]
+        pub(super) fn add_scaled(self, alpha: V, x: V) -> V {
+            V(std::array::from_fn(|r| self.0[r] + alpha.0[r] * x.0[r]))
+        }
+
+        /// Store the `live` leading doubles at `p`.
         ///
         /// # Safety
-        /// `p` must be valid for reads and writes of `live` doubles;
-        /// nothing beyond them is touched.
+        /// `p` must be valid for writes of `live` doubles; nothing beyond
+        /// them is touched.
         #[inline(always)]
-        pub(super) unsafe fn add_scaled_to(self, alpha: V, p: *mut f64, live: Live) {
+        pub(super) unsafe fn store(self, p: *mut f64, live: Live) {
+            if live.0 == LANES {
+                // SAFETY: all `LANES` doubles are live, hence writable.
+                return unsafe { p.cast::<[f64; LANES]>().write_unaligned(self.0) };
+            }
             for r in 0..live.0 {
                 // SAFETY: `r < live`, inside the caller's writable range.
-                unsafe { *p.add(r) += alpha.0[r] * self.0[r] };
+                unsafe { *p.add(r) = self.0[r] };
             }
         }
     }
@@ -773,6 +794,15 @@ struct TileOperands {
 /// ascending `l`, then `c += alpha·acc`. Rows beyond `mr` are masked out
 /// of every load and store.
 ///
+/// The epilogue loads and sums **every** C vector of the tile before it
+/// stores any. Interleaved — load, add and store one column, then the
+/// next — a masked load of column `s+1` meets the masked store of column
+/// `s` still in flight: when `mr` is not a multiple of `LANES` the two
+/// share a cache line (`ldc = mr` for a σ product) and the load stalls
+/// until the store retires, which dominated the small masked σ shapes
+/// (DESIGN.md §11). Each element sees the same load, multiply, add and
+/// store either way, so the order changes no bit.
+///
 /// # Safety
 /// `live[v]` must be the rows of vector `v` below `o.mr ≤ MV_·LANES`,
 /// and for every `l < o.kc`, `r < o.mr`, `s < W`:
@@ -797,11 +827,19 @@ unsafe fn tile<const MV_: usize, const W: usize>(o: TileOperands, live: [Live; M
         }
     }
     let alpha = V::splat(o.alpha);
+    for (s, accs) in acc.iter_mut().enumerate() {
+        for (v, x) in accs.iter_mut().enumerate() {
+            // SAFETY: column `s < W`, rows `v·LANES..` masked to those
+            // below `mr`: C elements the caller made readable.
+            let c = unsafe { V::load(o.c.add(s * o.ldc + v * LANES), live[v]) };
+            *x = c.add_scaled(alpha, *x);
+        }
+    }
     for (s, accs) in acc.iter().enumerate() {
         for (v, x) in accs.iter().enumerate() {
-            // SAFETY: column `s < W`, rows `v·LANES..` masked to those
-            // below `mr`: C elements the caller made writable.
-            unsafe { x.add_scaled_to(alpha, o.c.add(s * o.ldc + v * LANES), live[v]) };
+            // SAFETY: as for the loads above; the caller made them
+            // writable too.
+            unsafe { x.store(o.c.add(s * o.ldc + v * LANES), live[v]) };
         }
     }
 }

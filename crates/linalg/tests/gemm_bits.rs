@@ -102,35 +102,66 @@ fn bitwise_the_stated_arithmetic_and_close_to_naive() {
         let tb = transes[(case / 12) % 2];
         let alpha = [1.0, -0.5, 2.25][case % 3];
         let beta = [0.0, 1.0, -1.5][(case / 3) % 3];
-        let what =
-            format!("case {case}: m={m} n={n} k={k} {ta:?} {tb:?} alpha={alpha} beta={beta}");
-
-        let a = match ta {
-            Trans::No => rand_mat(&mut rng, m, k),
-            Trans::Yes => rand_mat(&mut rng, k, m),
-        };
-        let b = match tb {
-            Trans::No => rand_mat(&mut rng, k, n),
-            Trans::Yes => rand_mat(&mut rng, n, k),
-        };
-        let c0 = rand_mat(&mut rng, m, n);
-
-        let mut want = c0.clone();
-        dgemm_stated(ta, tb, alpha, &a, &b, beta, &mut want);
-
-        let mut c1 = c0.clone();
-        dgemm(ta, tb, alpha, &a, &b, beta, &mut c1);
-        assert_eq!(c1, want, "dgemm bits, {what}");
-
-        let pa = PackedA::pack(ta, &a);
-        let mut c2 = c0.clone();
-        dgemm_prepacked(1, alpha, &pa, tb, &b, beta, &mut c2);
-        assert_eq!(c2, want, "dgemm_prepacked bits, {what}");
-
-        let mut c_ref = c0.clone();
-        dgemm_naive(ta, tb, alpha, &a, &b, beta, &mut c_ref);
-        let diff = c1.max_abs_diff(&c_ref);
-        let tol = 1e-12 * (k.max(1) as f64);
-        assert!(diff <= tol, "|fast - naive| = {diff} > {tol}, {what}");
+        check(&mut rng, case, (m, n, k), (ta, tb), alpha, beta);
     }
+}
+
+/// The epilogue's shape class: `m` in 1–7 or 9–15, so the last row
+/// vector is masked on either lane width, and `n` in 37–230, so a masked
+/// column shares its cache lines with the next across many column tiles
+/// (`ldc = m`) — the small σ products (`6×210×6`) live here.
+#[test]
+fn masked_rows_across_many_column_tiles() {
+    let mut rng = Xorshift64::new(0x0e91_1065);
+    let transes = [Trans::No, Trans::Yes];
+    for case in 0..96 {
+        let mut dim = |lo: usize, hi: usize| lo + rng.next_index(hi - lo + 1);
+        let m = if case % 2 == 0 { dim(1, 7) } else { dim(9, 15) };
+        let (n, k) = (dim(37, 230), dim(1, 48));
+        let ta = transes[(case / 2) % 2];
+        let tb = transes[(case / 4) % 2];
+        let alpha = [1.0, -0.5, 2.25][case % 3];
+        let beta = [0.0, 1.0, -1.5][(case / 3) % 3];
+        check(&mut rng, case, (m, n, k), (ta, tb), alpha, beta);
+    }
+}
+
+/// `dgemm` and `dgemm_prepacked` on random operands of one shape: bitwise
+/// the stated arithmetic, and within `1e-12·k` of `dgemm_naive`.
+fn check(
+    rng: &mut Xorshift64,
+    case: usize,
+    (m, n, k): (usize, usize, usize),
+    (ta, tb): (Trans, Trans),
+    alpha: f64,
+    beta: f64,
+) {
+    let what = format!("case {case}: m={m} n={n} k={k} {ta:?} {tb:?} alpha={alpha} beta={beta}");
+    let a = match ta {
+        Trans::No => rand_mat(rng, m, k),
+        Trans::Yes => rand_mat(rng, k, m),
+    };
+    let b = match tb {
+        Trans::No => rand_mat(rng, k, n),
+        Trans::Yes => rand_mat(rng, n, k),
+    };
+    let c0 = rand_mat(rng, m, n);
+
+    let mut want = c0.clone();
+    dgemm_stated(ta, tb, alpha, &a, &b, beta, &mut want);
+
+    let mut c1 = c0.clone();
+    dgemm(ta, tb, alpha, &a, &b, beta, &mut c1);
+    assert_eq!(c1, want, "dgemm bits, {what}");
+
+    let pa = PackedA::pack(ta, &a);
+    let mut c2 = c0.clone();
+    dgemm_prepacked(1, alpha, &pa, tb, &b, beta, &mut c2);
+    assert_eq!(c2, want, "dgemm_prepacked bits, {what}");
+
+    let mut c_ref = c0.clone();
+    dgemm_naive(ta, tb, alpha, &a, &b, beta, &mut c_ref);
+    let diff = c1.max_abs_diff(&c_ref);
+    let tol = 1e-12 * (k.max(1) as f64);
+    assert!(diff <= tol, "|fast - naive| = {diff} > {tol}, {what}");
 }

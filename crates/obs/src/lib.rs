@@ -58,5 +58,5 @@ pub use json::JsonValue;
 pub use lockwitness::{TrackedCondvar, TrackedGuard, TrackedMutex};
 pub use metrics::{fnv1a, MetricsRegistry};
 pub use sink::{JsonlSink, MemorySink, NullSink, Sink};
-pub use summary::{RunSummary, HOST_GEMM_FLOPS};
+pub use summary::{RunSummary, HOST_COPY_BYTES, HOST_GEMM_FLOPS};
 pub use tracer::Tracer;

@@ -59,7 +59,7 @@ pub struct RunSummary {
     /// Message resends performed by DDI recovery loops (aggregate).
     pub retries: f64,
     /// **Host** microseconds inside a σ routine, split by part: one entry
-    /// per `*_host_us` counter name (`same_spin_host_us`: transpose /
+    /// per `*_host_us` counter name (`same_spin_host_us`: copy /
     /// one-electron / gather / GEMM / scatter; `mixed_host_us`: get (the
     /// `DDI_GET` alone) / build / GEMM / scatter / acc), each part summed
     /// over every rank and phase that emitted it. Empty for traces
@@ -69,11 +69,19 @@ pub struct RunSummary {
     /// [`HOST_GEMM_FLOPS`] arg). Exact-zero screening keeps them below
     /// the charged `flops_dgemm`, which count the unscreened shapes.
     pub host_gemm_flops: Vec<(String, f64)>,
+    /// Bytes the `copy` part read and wrote, per `*_host_us` counter name
+    /// that carries them (its [`HOST_COPY_BYTES`] arg): exact, from the
+    /// shapes the part moved.
+    pub host_copy_bytes: Vec<(String, f64)>,
 }
 
 /// The arg of a `*_host_us` counter that carries the GEMM flops the host
-/// ran (every other arg is a part's host µs).
+/// ran (every other arg but [`HOST_COPY_BYTES`] is a part's host µs).
 pub const HOST_GEMM_FLOPS: &str = "gemm_flops";
+
+/// The arg of a `*_host_us` counter that carries the bytes its `copy`
+/// part read and wrote.
+pub const HOST_COPY_BYTES: &str = "copy_bytes";
 
 /// The value stored under `key` in an insertion-ordered association
 /// list, added with its default on first use.
@@ -177,6 +185,8 @@ impl RunSummary {
                 for (k, v) in &e.args {
                     if k == HOST_GEMM_FLOPS {
                         *slot(&mut s.host_gemm_flops, &e.name) += v;
+                    } else if k == HOST_COPY_BYTES {
+                        *slot(&mut s.host_copy_bytes, &e.name) += v;
                     } else {
                         *slot(slot(&mut s.host_splits, &e.name), k) += v;
                     }
@@ -274,22 +284,30 @@ impl RunSummary {
                 self.host_gflops()
             ));
         }
-        let gemm_flops = |name: &str| {
-            let found = self.host_gemm_flops.iter().find(|(k, _)| k == name);
+        let of = |list: &[(String, f64)], name: &str| {
+            let found = list.iter().find(|(k, _)| k == name);
             found.map(|&(_, v)| v)
         };
         for (name, parts) in &self.host_splits {
             let sum: f64 = parts.iter().map(|(_, us)| us).sum();
-            let ran =
-                gemm_flops(name).map_or(String::new(), |v| format!(", GEMM ran {v:.3e} flops"));
+            let ran = of(&self.host_gemm_flops, name)
+                .map_or(String::new(), |v| format!(", GEMM ran {v:.3e} flops"));
             out.push_str(&format!(
                 "  host: {} split, {:.4} s over all MSPs{ran}\n",
                 name.trim_end_matches("_host_us"),
                 sum / 1e6
             ));
+            let copied = of(&self.host_copy_bytes, name);
             for (part, us) in parts {
+                // The copy part's rate, from the bytes its shapes moved.
+                let rate = match copied {
+                    Some(bytes) if part == "copy" && *us > 0.0 => {
+                        format!("  {:>7.2} GB/s", bytes / us / 1e3)
+                    }
+                    _ => String::new(),
+                };
                 out.push_str(&format!(
-                    "    {:<22} {:>12.4}  {:>5.1}%\n",
+                    "    {:<22} {:>12.4}  {:>5.1}%{rate}\n",
                     part,
                     us / 1e6,
                     100.0 * us / sum.max(f64::MIN_POSITIVE)
@@ -481,7 +499,12 @@ mod tests {
             t.counter(
                 Some(rank),
                 "same_spin_host_us",
-                &[("transpose", 5.0), ("gemm", gemm), (HOST_GEMM_FLOPS, 1e6)],
+                &[
+                    ("copy", 5.0),
+                    ("gemm", gemm),
+                    (HOST_GEMM_FLOPS, 1e6),
+                    (HOST_COPY_BYTES, 2e5),
+                ],
             );
         }
         t.counter(Some(0), "mixed_host_us", &[("get", 1.0)]);
@@ -494,15 +517,20 @@ mod tests {
         assert_eq!(
             s.host_splits,
             [
-                want("same_spin_host_us", &[("transpose", 15.0), ("gemm", 100.0)]),
+                want("same_spin_host_us", &[("copy", 15.0), ("gemm", 100.0)]),
                 want("mixed_host_us", &[("get", 1.0)]),
             ]
         );
-        // The host GEMM flops are not a part: they roll up on their own.
+        // The host GEMM flops and the copied bytes are not parts: they
+        // roll up on their own, and the bytes give the copy part a rate
+        // (6e5 B in 15 µs).
         assert_eq!(s.host_gemm_flops, [("same_spin_host_us".to_string(), 3e6)]);
+        assert_eq!(s.host_copy_bytes, [("same_spin_host_us".to_string(), 6e5)]);
         let text = s.render("t");
         assert!(text.contains("host: same_spin split"), "{text}");
         assert!(text.contains("gemm"), "{text}");
+        assert!(text.contains("40.00 GB/s"), "{text}");
+        assert_eq!(text.matches("GB/s").count(), 1, "{text}");
         assert!(text.contains("GEMM ran 3.000e6 flops"), "{text}");
         assert!(
             text.contains("GEMM ran 3.000e6 of 0.000e0 charged"),

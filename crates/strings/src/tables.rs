@@ -83,11 +83,6 @@ impl SinglesTable {
     pub fn of(&self, j: usize) -> &[SingleEntry] {
         &self.entries[self.offsets[j]..self.offsets[j + 1]]
     }
-
-    /// Total number of stored connections.
-    pub fn n_entries(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 /// One `a†_p` connection from an N−1 string family.
@@ -421,11 +416,6 @@ impl Nm2Families {
         let at = k * self.space_k.n_irrep() + h as usize;
         &self.entries[self.offsets[at]..self.offsets[at + 1]]
     }
-
-    /// Total number of stored connections.
-    pub fn n_entries(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -440,7 +430,8 @@ mod tests {
         let t = SinglesTable::new(&space);
         // Each string: N·(n−N) moves + N diagonal entries.
         let per = 2 * (5 - 2) + 2;
-        assert_eq!(t.n_entries(), space.len() * per);
+        let entries: usize = (0..space.len()).map(|j| t.of(j).len()).sum();
+        assert_eq!(entries, space.len() * per);
         for j in 0..space.len() {
             for e in t.of(j) {
                 let (sign, m) = excite(space.mask(j), e.p as usize, e.q as usize).unwrap();
@@ -497,7 +488,8 @@ mod tests {
         let f = Nm2Families::new(&space);
         assert_eq!(f.len(), binomial(6, 1));
         // Every N string contributes C(N,2) pair removals.
-        assert_eq!(f.n_entries(), space.len() * binomial(3, 2));
+        let entries: usize = (0..f.len()).map(|k| f.block(k, 0).len()).sum();
+        assert_eq!(entries, space.len() * binomial(3, 2));
         for k in 0..f.len() {
             let kmask = f.space_k().mask(k);
             for e in f.of(k) {
