@@ -684,7 +684,11 @@ fn ablate_diag(o: &mut Out) {
 }
 
 /// One [`ablate_diag`] sweep: a knob setting per row, with the solve's
-/// iterations, convergence and energy.
+/// iterations, convergence and energy. An unconverged row prints the
+/// iteration cap, `NC` and the last residual's order of magnitude in
+/// place of the energy: the digits of an unconverged energy amplify the
+/// last bit of every earlier step (they differ between builds that do
+/// and do not fuse multiply-adds).
 fn knob_sweep(
     o: &mut Out,
     title: &str,
@@ -697,13 +701,13 @@ fn knob_sweep(
         &[(knob, 14), ("iters", 12), ("converged", 12), ("E [Eh]", 16)],
     );
     for (setting, r) in runs {
-        let cells = [
-            setting,
-            r.iterations.to_string(),
-            r.converged.to_string(),
-            format!("{:.8}", r.energy),
-        ];
-        t.row(o, &cells);
+        let (converged, outcome) = if r.converged {
+            ("true".into(), format!("{:.8}", r.energy))
+        } else {
+            let res = r.residual_history.last().copied().unwrap_or(f64::NAN);
+            ("NC".into(), format!("|r| ~ 1e{}", res.log10().floor()))
+        };
+        t.row(o, &[setting, r.iterations.to_string(), converged, outcome]);
     }
 }
 

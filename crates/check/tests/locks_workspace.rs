@@ -73,6 +73,21 @@ fn real_serve_obs_lock_graph_is_cycle_free() {
         "submit()'s state→results nesting not found: {:?}",
         report.edges
     );
+    // `submit` writes its trace instants after `Server.state` drops, so a
+    // slow trace sink stalls no submitter or worker: no edge from the
+    // scheduler's state into fci-obs's locks.
+    let obs = [
+        "Inner.cursors",
+        "JsonlSink.writer",
+        "MemorySink.events",
+        "Store.shards",
+    ];
+    let into_obs: Vec<_> = report
+        .edges
+        .iter()
+        .filter(|e| e.from == "Server.state" && obs.contains(&e.to.as_str()))
+        .collect();
+    assert!(into_obs.is_empty(), "Server.state -> fci-obs: {into_obs:?}");
     // The TCP front-end's tenant registry nests *around* the scheduler
     // (gate → sweep finished jobs via peek_result), never inside it —
     // the ordering the durable-serving design pins.

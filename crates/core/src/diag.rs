@@ -30,7 +30,7 @@ use crate::multiroot::block_davidson;
 use crate::sigma::{apply_sigma, SigmaBreakdown, SigmaCtx, SigmaMethod};
 use crate::slater;
 use fci_ddi::DistMatrix;
-use fci_linalg::{daxpy, ddot, eigh, eigh_2x2, Eigh, Matrix};
+use fci_linalg::{daxpy, ddot, eigh_2x2, eigh_ql, Eigh, Matrix};
 use fci_obs::{Category, Tracer};
 use std::sync::Arc;
 
@@ -132,8 +132,12 @@ pub struct DiagResult {
 pub struct Preconditioner {
     /// The Hamiltonian diagonal, in the CI vectors' layout.
     diag: DistMatrix,
-    /// Model determinants as (row, col) into the CI matrix.
-    dets: Vec<(usize, usize)>,
+    /// Where the model determinants sit in a vector of that layout, as
+    /// (owner rank, index into its segment), sorted so that each segment
+    /// is visited once.
+    slots: Vec<(usize, usize)>,
+    /// `model_index[i]`: the model-space index of `slots[i]`.
+    model_index: Vec<usize>,
     /// Eigenpairs of the model-space block `H_MM`, factored once: every
     /// correction and the model-space guesses read them.
     model: Eigh,
@@ -159,37 +163,25 @@ fn divide(val: f64, den: f64) -> f64 {
 }
 
 impl Preconditioner {
-    /// Select the `model_size` lowest-diagonal in-sector determinants:
-    /// the lowest values of `diag` in α-major order, ties kept in that
-    /// order (what a stable sort of the whole diagonal picks).
+    /// Select the `model_size` lowest-diagonal in-sector determinants
+    /// (`model_dets`) and factor their block of H.
     pub fn new(space: &DetSpace, ham: &Hamiltonian, diag: &DistMatrix, model_size: usize) -> Self {
-        let diag = diag.duplicate();
-        // Ascending by value; an equal value goes after the ones already
-        // held, so the earliest of a tie stays ahead.
-        let mut best: Vec<(f64, usize, usize)> = Vec::with_capacity(model_size + 1);
-        diag.map_cols_inplace(|ia, rows, vals| {
-            for (ib, &d) in rows.zip(vals.iter()) {
-                let full = best.len() == model_size;
-                if !d.is_finite() || (full && best.last().is_none_or(|b| d >= b.0)) {
-                    continue;
-                }
-                best.insert(best.partition_point(|b| b.0 <= d), (d, ib, ia));
-                best.truncate(model_size);
-            }
-        });
-        let dets: Vec<(usize, usize)> = best.iter().map(|&(_, ib, ia)| (ib, ia)).collect();
-        let h_mm = Matrix::from_fn(dets.len(), dets.len(), |i, j| {
-            let ((ib, ia), (jb, ja)) = (dets[i], dets[j]);
-            slater::element(
-                ham,
-                space.alpha.mask(ia),
-                space.beta.mask(ib),
-                space.alpha.mask(ja),
-                space.beta.mask(jb),
-            )
-        });
-        let model = eigh(&h_mm);
-        Preconditioner { diag, dets, model }
+        let dets = model_dets(diag, model_size);
+        Preconditioner::from_model(diag, &dets, &model_block(space, ham, &dets))
+    }
+
+    /// The preconditioner over `diag` whose model space is `dets`, with
+    /// `h_mm` their block of H (only its upper triangle is read).
+    fn from_model(diag: &DistMatrix, dets: &[(usize, usize)], h_mm: &Matrix) -> Self {
+        let at: Vec<(usize, usize)> = dets.iter().map(|&(ib, ia)| diag.slot(ib, ia)).collect();
+        let mut model_index: Vec<usize> = (0..dets.len()).collect();
+        model_index.sort_by_key(|&i| at[i]);
+        Preconditioner {
+            diag: diag.duplicate(),
+            slots: model_index.iter().map(|&i| at[i]).collect(),
+            model_index,
+            model: eigh_ql(h_mm),
+        }
     }
 
     /// `x = (H₀ − E)⁻¹ v`: the diagonal outside the model space, and
@@ -199,31 +191,68 @@ impl Preconditioner {
         let out = v.duplicate();
         out.map_with(&self.diag, |val, d| divide(val, d - e));
         // x_M = U (Λ − E + δ)⁻¹ Uᵀ v_M, one eigenvector at a time.
-        let vm: Vec<f64> = self.dets.iter().map(|&(ib, ia)| v.get(ib, ia)).collect();
+        let mut vm = vec![0.0; self.slots.len()];
+        v.read_slots(&self.slots, |i, x| vm[self.model_index[i]] = x);
         let mut xm = vec![0.0; vm.len()];
         for (k, &lam) in self.model.eigenvalues.iter().enumerate() {
             let uk = self.model.eigenvectors.col(k);
             daxpy(divide(ddot(uk, &vm), lam - e + MODEL_SHIFT), uk, &mut xm);
         }
-        for (&(ib, ia), x) in self.dets.iter().zip(xm) {
-            out.set(ib, ia, x);
-        }
+        out.write_slots(&self.slots, |i| xm[self.model_index[i]]);
         out
     }
 
     /// The `k` lowest model-space eigenvectors embedded in the CI space,
     /// distributed as the diagonal is.
     pub(crate) fn model_space_guesses(&self, k: usize) -> Vec<DistMatrix> {
-        (0..k.min(self.dets.len()))
+        (0..k.min(self.slots.len()))
             .map(|r| {
                 let c = DistMatrix::with_layout(Arc::clone(self.diag.layout()), self.diag.nproc());
-                for (&(ib, ia), &x) in self.dets.iter().zip(self.model.eigenvectors.col(r)) {
-                    c.set(ib, ia, x);
-                }
+                let u = self.model.eigenvectors.col(r);
+                c.write_slots(&self.slots, |i| u[self.model_index[i]]);
                 c
             })
             .collect()
     }
+}
+
+/// The `model_size` lowest-diagonal in-sector determinants, as (row,
+/// column) of the CI matrix: the lowest values of `diag` in α-major
+/// order, ties kept in that order (what a stable sort of the whole
+/// diagonal picks).
+fn model_dets(diag: &DistMatrix, model_size: usize) -> Vec<(usize, usize)> {
+    // Ascending by value; an equal value goes after the ones already
+    // held, so the earliest of a tie stays ahead.
+    let mut best: Vec<(f64, usize, usize)> = Vec::with_capacity(model_size + 1);
+    diag.map_cols_inplace(|ia, rows, vals| {
+        for (ib, &d) in rows.zip(vals.iter()) {
+            let full = best.len() == model_size;
+            if !d.is_finite() || (full && best.last().is_none_or(|b| d >= b.0)) {
+                continue;
+            }
+            best.insert(best.partition_point(|b| b.0 <= d), (d, ib, ia));
+            best.truncate(model_size);
+        }
+    });
+    best.iter().map(|&(_, ib, ia)| (ib, ia)).collect()
+}
+
+/// The upper triangle of `H_MM` over `dets`, the only part an
+/// eigensolver reads; the strict lower triangle stays zero.
+fn model_block(space: &DetSpace, ham: &Hamiltonian, dets: &[(usize, usize)]) -> Matrix {
+    let mut h_mm = Matrix::zeros(dets.len(), dets.len());
+    for (j, &(jb, ja)) in dets.iter().enumerate() {
+        for (i, &(ib, ia)) in dets[..=j].iter().enumerate() {
+            h_mm[(i, j)] = slater::element(
+                ham,
+                space.alpha.mask(ia),
+                space.beta.mask(ib),
+                space.alpha.mask(ja),
+                space.beta.mask(jb),
+            );
+        }
+    }
+    h_mm
 }
 
 /// A solver's iteration telemetry. Each point emits a `diag_iter` instant:
@@ -664,8 +693,9 @@ mod tests {
         let pre = Preconditioner::new(&space, &ham, &diag, 6);
         // Applying (H0−E) after (H0−E)^{-1} on a model-space unit vector
         // must return the vector (within the model block behaviour).
+        let dets = model_dets(&diag, 6);
         let v = space.zeros_ci(1);
-        let (ib, ia) = pre.dets[0];
+        let (ib, ia) = dets[0];
         v.set(ib, ia, 1.0);
         let e_test = -50.0; // far from any eigenvalue: well-conditioned
         let x = pre.apply(&v, e_test);
@@ -673,19 +703,104 @@ mod tests {
         // v (δ = the solver's 1e-3 regularization shift), H_MM rebuilt
         // from the Slater–Condon rules.
         let mask = |(ib, ia): (usize, usize)| (space.alpha.mask(ia), space.beta.mask(ib));
-        let m = pre.dets.len();
+        let m = dets.len();
         for i in 0..m {
             let mut acc = 0.0;
             for j in 0..m {
-                let ((ai, bi), (aj, bj)) = (mask(pre.dets[i]), mask(pre.dets[j]));
+                let ((ai, bi), (aj, bj)) = (mask(dets[i]), mask(dets[j]));
                 let h_ij = slater::element(&ham, ai, bi, aj, bj);
                 let hij = h_ij - if i == j { e_test - 1e-3 } else { 0.0 };
-                let (jb, ja) = pre.dets[j];
+                let (jb, ja) = dets[j];
                 acc += hij * x.get(jb, ja);
             }
-            let (ibk, iak) = pre.dets[i];
+            let (ibk, iak) = dets[i];
             assert!((acc - v.get(ibk, iak)).abs() < 1e-9);
         }
+    }
+
+    fn bits(m: &DistMatrix) -> Vec<u64> {
+        m.to_dense().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A sector of an 8-orbital, 4-irrep space, and a vector of distinct
+    /// elements over it.
+    fn blocked_case(nproc: usize) -> (DetSpace, Hamiltonian, DistMatrix, DistMatrix) {
+        let sym = [0u8, 1, 2, 3, 0, 1, 2, 3];
+        let ham = random_symmetric_hamiltonian(8, 37, &sym, 4);
+        let space = DetSpace::new(8, 3, 3, &sym, 4, 2);
+        let diag = space.diagonal(&ham, nproc);
+        let v = space.zeros_ci(nproc);
+        v.map_inplace(|ib, ia, _| ((ib * 31 + ia * 7) as f64).sin());
+        (space, ham, diag, v)
+    }
+
+    /// `apply` and the model-space guesses read and write the model
+    /// determinants through slots located once; element by element through
+    /// `get`/`set` gives the same bits, on a blocked layout at 1, 2, 3 and
+    /// 7 ranks.
+    #[test]
+    fn slot_gather_and_scatter_equal_the_per_element_version() {
+        for nproc in [1, 2, 3, 7] {
+            let (space, ham, diag, v) = blocked_case(nproc);
+            let pre = Preconditioner::new(&space, &ham, &diag, 20);
+            let dets = model_dets(&diag, 20);
+            assert_eq!(dets.len(), 20);
+            for e in [-50.0, pre.model.eigenvalues[0] - 0.01] {
+                let want = v.duplicate();
+                want.map_with(&diag, |val, d| divide(val, d - e));
+                let vm: Vec<f64> = dets.iter().map(|&(ib, ia)| v.get(ib, ia)).collect();
+                let mut xm = vec![0.0; vm.len()];
+                for (k, &lam) in pre.model.eigenvalues.iter().enumerate() {
+                    let uk = pre.model.eigenvectors.col(k);
+                    daxpy(divide(ddot(uk, &vm), lam - e + MODEL_SHIFT), uk, &mut xm);
+                }
+                for (&(ib, ia), x) in dets.iter().zip(xm) {
+                    want.set(ib, ia, x);
+                }
+                assert_eq!(bits(&pre.apply(&v, e)), bits(&want), "nproc {nproc}");
+            }
+            for (r, c) in pre.model_space_guesses(3).iter().enumerate() {
+                let want = space.zeros_ci(nproc);
+                for (&(ib, ia), &x) in dets.iter().zip(pre.model.eigenvectors.col(r)) {
+                    want.set(ib, ia, x);
+                }
+                assert_eq!(bits(c), bits(&want), "nproc {nproc}, guess {r}");
+            }
+        }
+    }
+
+    /// Both eigensolvers read the upper triangle only, so the model block
+    /// is built there alone: the preconditioner is the one the full block
+    /// gives, bit for bit.
+    #[test]
+    fn upper_triangle_model_block_gives_the_full_blocks_preconditioner() {
+        let (space, ham, diag, v) = blocked_case(3);
+        let dets = model_dets(&diag, 20);
+        let upper = model_block(&space, &ham, &dets);
+        let full = Matrix::from_fn(dets.len(), dets.len(), |i, j| {
+            let ((ib, ia), (jb, ja)) = (dets[i], dets[j]);
+            let (ai, bi) = (space.alpha.mask(ia), space.beta.mask(ib));
+            slater::element(&ham, ai, bi, space.alpha.mask(ja), space.beta.mask(jb))
+        });
+        for j in 0..dets.len() {
+            for i in 0..dets.len() {
+                let want = if i <= j { full[(i, j)] } else { 0.0 };
+                assert_eq!(upper[(i, j)].to_bits(), want.to_bits(), "({i}, {j})");
+            }
+        }
+        let (a, b) = (
+            Preconditioner::from_model(&diag, &dets, &upper),
+            Preconditioner::from_model(&diag, &dets, &full),
+        );
+        let eig_bits = |p: &Preconditioner| -> Vec<u64> {
+            let m = &p.model;
+            let w = m.eigenvalues.iter();
+            w.chain(m.eigenvectors.as_slice())
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(eig_bits(&a), eig_bits(&b));
+        assert_eq!(bits(&a.apply(&v, -3.0)), bits(&b.apply(&v, -3.0)));
     }
 
     #[test]

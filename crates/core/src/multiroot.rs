@@ -26,7 +26,7 @@
 use crate::diag::{preconditioner, projected_sigma, DiagOptions, IterTrace};
 use crate::sigma::{SigmaBreakdown, SigmaCtx, SigmaMethod};
 use fci_ddi::DistMatrix;
-use fci_linalg::{cholesky_lower, eigh, Eigh, Matrix};
+use fci_linalg::{cholesky_lower, eigh_ql, Eigh, Matrix};
 use fci_obs::Tracer;
 
 /// Compute the `nroots` lowest eigenpairs of `H − E_core` in the sector,
@@ -232,11 +232,13 @@ impl Subspace {
         self.hbasis.push(hb);
     }
 
-    /// Eigenpairs of the projected matrix (no vector may be pending).
+    /// Eigenpairs of the projected matrix (no vector may be pending), by
+    /// `tred2` + QL: a degenerate level's Ritz vectors may be any basis of
+    /// its span.
     fn ritz(&self) -> Eigh {
         let m = self.basis.len();
         assert_eq!(self.proj.len(), m, "a basis vector still lacks its σ");
-        eigh(&Matrix::from_fn(m, m, |i, j| self.proj[i.max(j)][i.min(j)]))
+        eigh_ql(&Matrix::from_fn(m, m, |i, j| self.proj[i.max(j)][i.min(j)]))
     }
 
     /// The lowest `n` Ritz pairs of `es` (all of them if the basis is

@@ -18,35 +18,62 @@ pub fn run_phase<F>(ddi: &Ddi, model: &MachineModel, name: &str, f: F) -> RunRep
 where
     F: Fn(usize, &mut CommStats, &mut Clock) + Sync,
 {
+    run_split_phase(ddi, model, name, |rank, st, ck, _| f(rank, st, ck))
+}
+
+/// [`run_phase`] whose ranks split their host time: `f` gets a
+/// [`HostSplit`] started at the phase's own first clock read, and a phase
+/// in which some rank lapped ends at the latest lap. So a rank's parts
+/// tile the phase's host interval up to its last lap, and time the host
+/// loses anywhere in it (to preemption, say) counts in a part and in the
+/// phase alike.
+pub(crate) fn run_split_phase<F>(ddi: &Ddi, model: &MachineModel, name: &str, f: F) -> RunReport
+where
+    F: Fn(usize, &mut CommStats, &mut Clock, &mut HostSplit) + Sync,
+{
     let tracer = ddi.tracer();
     let host_start = tracer.now_us();
-    let clocks = Mutex::new(vec![Clock::default(); ddi.nproc()]);
+    let ranks = Mutex::new(vec![(Clock::default(), None); ddi.nproc()]);
     let stats = ddi.run(|rank, st| {
         let mut ck = Clock::default();
-        f(rank, st, &mut ck);
-        clocks.lock().unwrap()[rank] = ck;
+        let mut host = HostSplit::new(&tracer);
+        host.start_at(host_start);
+        f(rank, st, &mut ck, &mut host);
+        ranks.lock().unwrap()[rank] = (ck, host.last_lap());
     });
-    let mut clocks = clocks.into_inner().unwrap();
+    let (mut clocks, laps): (Vec<Clock>, Vec<_>) = ranks.into_inner().unwrap().into_iter().unzip();
+    let host_end = host_end(&tracer, laps);
     for (ck, st) in clocks.iter_mut().zip(&stats) {
         charge_comm(ck, st, model);
     }
     let report = RunReport::new(clocks);
-    report.record_to(&tracer, name, host_start, tracer.now_us() - host_start);
+    report.record_to(&tracer, name, host_start, host_end - host_start);
     report
+}
+
+/// Where a phase's host interval ends: at the latest of its ranks' last
+/// laps ([`HostSplit::last_lap`]), or now if no rank timed a lap.
+pub(crate) fn host_end(tracer: &Tracer, laps: impl IntoIterator<Item = Option<f64>>) -> f64 {
+    let last = laps.into_iter().flatten().reduce(f64::max);
+    last.unwrap_or_else(|| tracer.now_us())
 }
 
 /// Host-time split of one rank's share of a phase into five named parts
 /// — the paper's Table 3 rows on the host clock. It runs only while the
 /// world's tracer records events: each [`HostSplit::lap`] adds the host
 /// µs since the previous lap to one part; without a tracer a lap is one
-/// branch on a `None`. Beside the parts it tallies the GEMM flops the
-/// host ran, which exact-zero screening holds below the flops the
-/// simulated clock charges, and the bytes the first part moved, where the
-/// caller counts them.
+/// branch on a `None`. The first lap counts from [`HostSplit::start_at`],
+/// which its phase sets to the phase's own first clock read, and laps
+/// follow one another with no gap: a phase's host interval is its parts,
+/// to the last lap. Beside the parts it tallies the GEMM flops the host
+/// ran, which exact-zero screening holds below the flops the simulated
+/// clock charges, and the bytes the first part moved, where the caller
+/// counts them.
 #[derive(Clone)]
 pub(crate) struct HostSplit<'t> {
     tracer: Option<&'t Tracer>,
     last_us: f64,
+    lapped: bool,
     parts_us: [f64; 5],
     gemm_flops: f64,
     copy_bytes: f64,
@@ -66,18 +93,23 @@ impl<'t> HostSplit<'t> {
         HostSplit {
             tracer: None,
             last_us: 0.0,
+            lapped: false,
             parts_us: [0.0; 5],
             gemm_flops: 0.0,
             copy_bytes: 0.0,
         }
     }
 
-    /// Restart the stopwatch: host time since the last lap is nobody's.
+    /// Count the next lap from `us`, a read of this split's tracer clock.
     #[inline]
-    pub(crate) fn start(&mut self) {
-        if let Some(t) = self.tracer {
-            self.last_us = t.now_us();
-        }
+    pub(crate) fn start_at(&mut self, us: f64) {
+        self.last_us = us;
+    }
+
+    /// The clock read that ended the last lap, if this split timed one.
+    #[inline]
+    pub(crate) fn last_lap(&self) -> Option<f64> {
+        self.lapped.then_some(self.last_us)
     }
 
     /// Book the host time since the previous lap (or start) to `part`.
@@ -87,6 +119,7 @@ impl<'t> HostSplit<'t> {
             let now = t.now_us();
             self.parts_us[part] += now - self.last_us;
             self.last_us = now;
+            self.lapped = true;
         }
     }
 

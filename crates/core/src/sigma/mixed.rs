@@ -91,7 +91,7 @@
 
 use super::{SigmaCtx, MAX_IRREP};
 use crate::hamiltonian::Hamiltonian;
-use crate::phase::{charge_comm, HostSplit};
+use crate::phase::{charge_comm, host_end, HostSplit};
 use crate::taskpool::TaskPool;
 use fci_ddi::{Backend, CommStats, Corruption, DistMatrix, FaultPlan};
 use fci_linalg::{dgemm, Matrix, Trans};
@@ -225,7 +225,6 @@ fn process_task_into(
     let nq = fam.len();
     let gka = space.alpha_nm1.space_k().irrep_of_index(ka);
     let (n, orb_sym) = (ham.n, &ham.orb_sym[..]);
-    host.start();
 
     // The family's slots are sorted by (irrep, orbital): those of irrep
     // g are `slots[g]..slots[g + 1]`. The α column of a slot has irrep
@@ -594,15 +593,21 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
         );
     }
 
-    let report = match ctx.ddi.backend() {
+    let (report, laps) = match ctx.ddi.backend() {
         Backend::Serial => with_serial_bufs(nbstr, nq, n, nkb, |bufs| {
             // Deterministic simulation of self-scheduling: the rank whose
             // clock is lowest claims the next task (greedy list schedule).
             let mut clocks = vec![Clock::default(); nproc];
             let mut stats = vec![CommStats::default(); nproc];
             let mut hosts = vec![HostSplit::new(&tracer); nproc];
+            // One thread runs every rank, so the ranks' laps follow one
+            // another: each task's first lap counts from the last lap of
+            // any rank, the first from the phase's start. Claiming a task
+            // is booked to its gather.
+            let mut last_lap = None;
             for t in 0..pool.len() {
                 let rank = argmin_clock(&clocks, model, &stats);
+                hosts[rank].start_at(last_lap.unwrap_or(host_start));
                 // Claim through the real counter so traces and protocol
                 // records see the same ddi_nxtval stream as the threaded
                 // backend (the greedy argmin IS the claim order here, so
@@ -629,6 +634,7 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
                         plan.as_deref(),
                     );
                 }
+                last_lap = hosts[rank].last_lap().or(last_lap);
             }
             for (rank, host) in hosts.iter().enumerate() {
                 host.emit(rank, "mixed_host_us", HOST_PARTS);
@@ -641,14 +647,15 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
             for (ck, st) in clocks.iter_mut().zip(&stats) {
                 charge_comm(ck, st, model);
             }
-            RunReport::new(clocks)
+            (RunReport::new(clocks), vec![last_lap])
         }),
         Backend::Threads => {
-            let clocks = Mutex::new(vec![Clock::default(); nproc]);
+            let ranks = Mutex::new(vec![(Clock::default(), None); nproc]);
             let stats_out = ctx.ddi.run(|rank, stats| {
                 let mut clock = Clock::default();
                 let mut bufs = WorkBufs::new(nbstr, nq, n, nkb);
                 let mut host = HostSplit::new(&tracer);
+                host.start_at(host_start);
                 loop {
                     let t = ctx.ddi.nxtval_rank(rank, stats);
                     if t >= pool.len() {
@@ -676,16 +683,17 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
                     }
                 }
                 host.emit(rank, "mixed_host_us", HOST_PARTS);
-                clocks.lock().unwrap()[rank] = clock;
+                ranks.lock().unwrap()[rank] = (clock, host.last_lap());
             });
-            let mut clocks = clocks.into_inner().unwrap_or_else(|e| e.into_inner());
+            let ranks = ranks.into_inner().unwrap_or_else(|e| e.into_inner());
+            let (mut clocks, laps): (Vec<Clock>, Vec<_>) = ranks.into_iter().unzip();
             for (ck, st) in clocks.iter_mut().zip(&stats_out) {
                 charge_comm(ck, st, model);
             }
-            RunReport::new(clocks)
+            (RunReport::new(clocks), laps)
         }
     };
-    let host_dur = tracer.now_us() - host_start;
+    let host_dur = host_end(&tracer, laps) - host_start;
     report.record_to(&tracer, "alpha_beta", host_start, host_dur);
     report
 }

@@ -119,7 +119,7 @@
 
 use super::{SigmaCtx, MAX_IRREP};
 use crate::hamiltonian::{Hamiltonian, SCREENED};
-use crate::phase::{run_phase, HostSplit};
+use crate::phase::{run_split_phase, HostSplit};
 use fci_ddi::{reuse, transpose_block, Backend, DistMatrix, Layout};
 use fci_linalg::{dgemm, Matrix, Trans};
 use fci_strings::{Nm2Families, SinglesTable, SpinStrings};
@@ -853,11 +853,10 @@ fn half_sigma(
     };
     let nproc = ctx.ddi.nproc();
     let serial = ctx.ddi.backend() == Backend::Serial;
-    let tracer = ctx.ddi.tracer();
     let charges = rank_charges(&half, c, nproc);
     let transpose = Stage::Transpose { c, sigma };
 
-    run_phase(ctx.ddi, ctx.model, name, |rank, _stats, clock| {
+    run_split_phase(ctx.ddi, ctx.model, name, |rank, _stats, clock, host| {
         // The phase hands each rank a zero clock, so this is the walk.
         clock.merge(&charges[rank]);
         let (served, stage) = match serial {
@@ -868,12 +867,10 @@ fn half_sigma(
         if served.is_empty() {
             return;
         }
-        let mut host = HostSplit::new(&tracer);
-        host.start();
         let blocks = half.sector(served.clone());
         let mut ws = Workspace::new(ham, blocks.blocks(), stage);
         host.lap(COPY);
-        sub_block_kernel(&half, stage, served, &mut ws, &mut host);
+        sub_block_kernel(&half, stage, served, &mut ws, host);
         host.emit(rank, "same_spin_host_us", HOST_PARTS);
     })
 }

@@ -857,6 +857,49 @@ impl DistMatrix {
         self.segments[p].lock().unwrap()[self.local_range(p, col).start + row - rows.start] = v;
     }
 
+    /// Where the stored element `(row, col)` lives: its owner rank and
+    /// its index in that rank's segment. Panics if it is not stored. A
+    /// caller that reads or writes the same few elements of many
+    /// matrices with one layout and rank count locates them once and
+    /// passes the slots to [`DistMatrix::read_slots`] /
+    /// [`DistMatrix::write_slots`].
+    pub fn slot(&self, row: usize, col: usize) -> (usize, usize) {
+        let rows = self.layout.rows(col);
+        assert!(rows.contains(&row), "({row}, {col}) is not stored");
+        let p = self.owner(col);
+        (p, self.local_range(p, col).start + row - rows.start)
+    }
+
+    /// Hand `f(i, value)` the element at each `slots[i]` (as
+    /// [`DistMatrix::slot`] gives it). Each maximal run of slots on one
+    /// rank is read under one lock, so slots sorted by rank take each
+    /// segment's lock once; [`DistMatrix::get`] takes it per element.
+    /// Like `get`, a read of a few elements outside any phase: no protocol
+    /// record, no traffic.
+    pub fn read_slots(&self, slots: &[(usize, usize)], mut f: impl FnMut(usize, f64)) {
+        let mut i = 0;
+        for run in slots.chunk_by(|a, b| a.0 == b.0) {
+            let seg = self.segments[run[0].0].lock().unwrap();
+            for &(_, at) in run {
+                f(i, seg[at]);
+                i += 1;
+            }
+        }
+    }
+
+    /// Write `f(i)` to the element at each `slots[i]`, one lock per run of
+    /// slots on one rank, as [`DistMatrix::read_slots`] reads.
+    pub fn write_slots(&self, slots: &[(usize, usize)], mut f: impl FnMut(usize) -> f64) {
+        let mut i = 0;
+        for run in slots.chunk_by(|a, b| a.0 == b.0) {
+            let mut seg = self.segments[run[0].0].lock().unwrap();
+            for &(_, at) in run {
+                seg[at] = f(i);
+                i += 1;
+            }
+        }
+    }
+
     /// Weighted inner product `Σ_i w_i a_i b_i`, skipping entries whose
     /// weight is not finite (used with excitation-masked diagonals, where
     /// excluded weights are ∞ against structurally zero vectors).
@@ -1554,6 +1597,26 @@ mod tests {
             DistMatrix::with_layout(Arc::new(Layout::blocked(&[0, 3, 7], &[0, 4, 6], 1)), nproc);
         m.map_inplace(|r, c, _| (1 + r * 10 + c) as f64);
         m
+    }
+
+    /// Slots read and write what `get` and `set` do, in the caller's
+    /// order, whatever ranks the elements sit on.
+    #[test]
+    fn slots_read_and_write_what_get_and_set_do() {
+        // Stored elements in an order that visits ranks out of turn.
+        let at = [(3, 0), (0, 4), (6, 3), (2, 5), (4, 1), (5, 2), (1, 4)];
+        for nproc in [1, 2, 3, 7] {
+            let m = blocked(nproc);
+            let slots: Vec<_> = at.iter().map(|&(r, c)| m.slot(r, c)).collect();
+            let mut read = vec![f64::NAN; at.len()];
+            m.read_slots(&slots, |i, x| read[i] = x);
+            let want: Vec<f64> = at.iter().map(|&(r, c)| m.get(r, c)).collect();
+            assert_eq!(read, want, "nproc {nproc}");
+            m.write_slots(&slots, |i| -(i as f64));
+            for (i, &(r, c)) in at.iter().enumerate() {
+                assert_eq!(m.get(r, c), -(i as f64), "nproc {nproc}");
+            }
+        }
     }
 
     /// Adding the transpose in place moves and charges what the

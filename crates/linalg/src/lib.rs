@@ -19,12 +19,13 @@
 //!   packed-operand form ([`PackedA`] / [`dgemm_prepacked`], bitwise equal
 //!   to [`dgemm`]; no σ kernel keeps one),
 //! * level-1 kernels ([`daxpy`], [`ddot`], [`dnrm2`], [`dscal`]),
-//! * a symmetric eigensolver ([`eigh`]): cyclic Jacobi up to
+//! * symmetric eigensolvers: [`eigh`], cyclic Jacobi up to
 //!   [`EIGH_JACOBI_CUTOFF`] (it keeps degenerate levels of uncoupled
-//!   blocks apart), Householder `tred2` + implicit QL above it, and the
-//!   analytic 2×2 solve ([`eigh_2x2`]) at the heart of the automatically
-//!   adjusted single-vector method. The solves need small orders only:
-//!   subspaces of at most 12, a 20 × 20 model block, Fock matrices of at
+//!   blocks apart, which RHF relies on) and Householder `tred2` +
+//!   implicit QL above it; [`eigh_ql`], `tred2` + QL at every order, for
+//!   the diagonalisers' subspaces (at most 12) and 20 × 20 model block;
+//!   and the analytic 2×2 solve ([`eigh_2x2`]) at the heart of the
+//!   automatically adjusted single-vector method. Fock matrices have at
 //!   most 30 basis functions,
 //! * Cholesky-QR block orthonormalization ([`cholqr2`] and the
 //!   [`cholesky_lower`] factor the distributed multiroot solver drives
@@ -47,7 +48,7 @@ mod tridiag;
 
 pub use blas1::{daxpy, ddot, dnrm2, dscal};
 pub use cholqr::{cholesky_lower, cholqr2, CholError};
-pub use eigen::{eigh, eigh_2x2, Eigh, EIGH_JACOBI_CUTOFF};
+pub use eigen::{eigh, eigh_2x2, eigh_ql, Eigh, EIGH_JACOBI_CUTOFF};
 pub use gemm::{dgemm, dgemm_naive, dgemm_prepacked, dgemm_with_threads, PackedA, Trans};
 pub use matrix::Matrix;
 pub use solve::{lu_solve, LuError};

@@ -1,16 +1,21 @@
 //! Householder tridiagonalization + implicit-shift QL eigensolver.
 //!
-//! [`crate::eigen::eigh`] sends every matrix above
-//! [`crate::EIGH_JACOBI_CUTOFF`] here: `tred2` (Numerical Recipes)
-//! reduces the symmetrized input to tridiagonal form and accumulates the
-//! orthogonal factor, then `tqli` (implicit QL with Wilkinson shifts)
-//! diagonalizes the tridiagonal and rotates that factor into the
-//! eigenvectors.
+//! Two doors lead here: [`crate::eigen::eigh_ql`] at every order, and
+//! [`crate::eigen::eigh`] above [`crate::EIGH_JACOBI_CUTOFF`]. `tred2`
+//! (Numerical Recipes) reduces the symmetrized input to tridiagonal form
+//! and accumulates the orthogonal factor, then `tqli` (implicit QL with
+//! Wilkinson shifts) diagonalizes the tridiagonal and rotates that factor
+//! into the eigenvectors.
 //!
-//! Both loops are scalar O(n³) on purpose. On the benchmark workloads
-//! only RHF Fock matrices (order 30, C2) reach this route in a solve;
-//! the 20 × 20 Davidson model block and the subspaces (order ≤ 12) stay
-//! on Jacobi.
+//! Both loops are scalar O(n³) on purpose. In a solve, the Davidson
+//! subspaces (order ≤ 12) and the 20 × 20 model block of the Olsen
+//! preconditioner come through `eigh_ql`; RHF Fock matrices come through
+//! `eigh`, so only those above order 24 (30 on C2) reach this route —
+//! the smaller ones stay on Jacobi, which keeps degenerate π pairs
+//! irrep-pure (see the cutoff's docs). A change to the arithmetic here
+//! moves `results/table3.txt` through C2's order-30 Fock matrix (even
+//! `hypot` → `sqrt` in `tqli` does).
+//!
 //! A panel-blocked reduction (`dsytrd` shape, DGEMM trailing updates)
 //! pays only from n = 48 on — on a 2-vCPU x86-64 host it was 1.1–1.3×
 //! faster than `tred2` at n = 48, 1.4–2.4× at 64–128 and 2.5–3× at

@@ -326,23 +326,36 @@ impl Server {
 
     /// Append to the WAL (no-op without one), then emit a `wal_append`
     /// instant carrying the log's length.
-    /// Safe to call with the state lock held: `Server.wal` is a leaf of
-    /// the lock graph — nothing else is ever acquired while holding it.
     fn wal_append(&self, rec: &WalRecord) -> std::io::Result<()> {
+        let len = self.wal_write(rec)?;
+        self.trace_wal_append(len);
+        Ok(())
+    }
+
+    /// Append to the WAL and return the log's length (`None` without a
+    /// WAL); the caller emits [`Server::trace_wal_append`] once it holds
+    /// no lock. Safe to call with the state lock held: `Server.wal` is a
+    /// leaf of the lock graph — nothing else is ever acquired while
+    /// holding it.
+    fn wal_write(&self, rec: &WalRecord) -> std::io::Result<Option<u64>> {
         let Some(wal) = &self.wal else {
-            return Ok(());
+            return Ok(None);
         };
         let mut w = wal.lock();
         w.append(rec)?;
-        let len = w.len();
-        drop(w);
-        self.trace.instant(
-            None,
-            "wal_append",
-            Category::Other,
-            &[("bytes", len as f64)],
-        );
-        Ok(())
+        Ok(Some(w.len()))
+    }
+
+    /// The `wal_append` instant of an append that returned `len`.
+    fn trace_wal_append(&self, len: Option<u64>) {
+        if let Some(len) = len {
+            self.trace.instant(
+                None,
+                "wal_append",
+                Category::Other,
+                &[("bytes", len as f64)],
+            );
+        }
     }
 
     /// Record a refused submission (report + trace + WAL) and hand the
@@ -388,16 +401,19 @@ impl Server {
         // Durability point: the acceptance record must be on disk before
         // the job becomes visible anywhere (still under the state lock,
         // so the duplicate-id check and the log agree).
-        if let Err(e) = self.wal_append(&WalRecord::Submitted {
+        let wal_len = match self.wal_write(&WalRecord::Submitted {
             spec: Box::new(spec.clone()),
         }) {
-            drop(st);
-            let why = RejectReason::Invalid(format!("write-ahead log append failed: {e}"));
-            self.rejected.lock().push((spec.id.clone(), why.clone()));
-            self.trace
-                .instant(None, "job_rejected", Category::Other, &[("count", 1.0)]);
-            return Err(why);
-        }
+            Ok(len) => len,
+            Err(e) => {
+                drop(st);
+                let why = RejectReason::Invalid(format!("write-ahead log append failed: {e}"));
+                self.rejected.lock().push((spec.id.clone(), why.clone()));
+                self.trace
+                    .instant(None, "job_rejected", Category::Other, &[("count", 1.0)]);
+                return Err(why);
+            }
+        };
         let seq = st.next_seq;
         st.next_seq += 1;
         let out = {
@@ -412,13 +428,17 @@ impl Server {
             seq,
             out,
         });
+        let depth = st.pending.len();
+        drop(st);
+        // Trace output (a file, a registry) is written with no lock held,
+        // so a slow trace stalls no submitter and no worker.
+        self.trace_wal_append(wal_len);
         self.trace.instant(
             None,
             "job_submit",
             Category::Other,
-            &[("seq", seq as f64), ("depth", st.pending.len() as f64)],
+            &[("seq", seq as f64), ("depth", depth as f64)],
         );
-        drop(st);
         self.work.notify_all();
         Ok(())
     }

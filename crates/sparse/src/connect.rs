@@ -462,15 +462,7 @@ impl ConnGen {
         debug_assert_eq!(self.tables.ham_id, ham.id(), "prepare(ham) first");
         let t = &self.tables;
         let n = self.n_orb;
-        let mut emit = |e: Exc| {
-            let to = e.apply(det);
-            if self.level_ok(to) {
-                let h = exc_element(ham, det, e);
-                if h.abs() > cut {
-                    sink(to, h);
-                }
-            }
-        };
+        let mut emit = |e: Exc| self.emit(ham, det, e, cut, &mut sink);
         let all = if n >= 64 { !0 } else { (1u64 << n) - 1 };
         let (avirt, bvirt) = (!det.a & all, !det.b & all);
         for q in Bits(det.a) {
@@ -508,6 +500,22 @@ impl ConnGen {
                         emit(Exc::Mixed { pa, qa, pb, qb });
                     }
                 }
+            }
+        }
+    }
+
+    /// Hand `sink` the connection of `det` through `e` if its target is
+    /// in the space and its element clears `cut`. Always inlined into
+    /// each loop of the walk: left to rustc, that choice flipped when
+    /// unrelated crates changed, and the out-of-line form ran CDFCI
+    /// slower (DESIGN §17).
+    #[inline(always)]
+    fn emit(&self, ham: &Hamiltonian, det: Det, e: Exc, cut: f64, sink: &mut impl FnMut(Det, f64)) {
+        let to = e.apply(det);
+        if self.level_ok(to) {
+            let h = exc_element(ham, det, e);
+            if h.abs() > cut {
+                sink(to, h);
             }
         }
     }

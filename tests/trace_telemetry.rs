@@ -198,10 +198,10 @@ fn jsonl_is_deterministic_and_round_trips() {
 fn host_split_parts_sum_to_the_phase_duration() {
     let (events, _) = traced_sigma(10, 4, 4, 2, 5, SigmaMethod::Dgemm);
     host_split_closes(&events);
-    // The same on a point group, where every part is many small blocks.
-    // Twelve long Kα tasks: claiming a task (counter message, trace
-    // instants) is the driver's time, ≈2 µs that no part covers, which is
-    // 9 % of the phase when a blocked task takes 50 µs.
+    // The same on a point group, where every part is many small blocks
+    // and claiming one of the twelve long Kα tasks (counter message,
+    // trace instants) is ≈ 2 µs beside a 50 µs task: the claim is booked
+    // to the task's gather.
     let sym = [2u8, 0, 3, 1, 0, 2, 1, 3, 0, 2, 1, 0];
     let ham = random_symmetric_hamiltonian(12, 5, &sym, 4);
     let space = DetSpace::new(12, 2, 6, &sym, 4, 1);
@@ -212,7 +212,10 @@ fn host_split_parts_sum_to_the_phase_duration() {
 fn host_split_closes(events: &[Event]) {
     let summary = RunSummary::from_events(events);
     // A phase hands every rank the same host interval, split across that
-    // rank's spans: rank 0's spans of a phase sum to its duration.
+    // rank's spans: rank 0's spans of a phase sum to its duration. The
+    // parts tile that interval — both are differences of the same clock
+    // reads — so they agree to rounding, however long the host was
+    // preempted inside it.
     let phase_us = |phases: &[&str]| -> f64 {
         events
             .iter()
@@ -238,7 +241,7 @@ fn host_split_closes(events: &[Event]) {
         let split: f64 = parts.iter().map(|(_, us)| us).sum();
         let phase = phase_us(phases);
         assert!(
-            split <= phase && split >= 0.9 * phase,
+            split >= 0.9 * phase && (split - phase).abs() <= 1e-9 * phase,
             "{counter}: parts {split:.0} µs vs phases {phase:.0} µs ({parts:?})"
         );
     }
