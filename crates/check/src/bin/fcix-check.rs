@@ -19,7 +19,7 @@
 //! `dead` every `pub` item is named by non-test code outside its
 //! definition, or carries a `lint: allow(dead)` waiver.
 //! The DDI race detector runs online, inside the test suites
-//! (`crates/check/tests/mutants.rs`, `tests/chaos.rs`) and `fcix chaos`.
+//! (`crates/check/tests/mutants.rs`, `tests/chaos.rs`).
 
 use fci_check::lint::{lint_workspace_report, LintConfig};
 use fci_obs::JsonValue;

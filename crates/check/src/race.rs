@@ -323,6 +323,7 @@ impl RaceDetector {
     }
 
     /// Races found so far (deduplicated by site pair).
+    // lint: allow(dead) — the verdict the chaos suite and the mutation matrix read
     pub fn races(&self) -> Vec<RaceReport> {
         self.state
             .lock()

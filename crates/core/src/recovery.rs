@@ -105,6 +105,7 @@ pub struct ResilientResult {
 ///
 /// Errors are I/O only (checkpoint read/write) plus exhaustion of
 /// `max_restarts`.
+// lint: allow(dead) — the molecule-level entry the chaos suite drives; `fcix batch` calls the prepared one
 pub fn solve_resilient(
     mo: &MoIntegrals,
     n_alpha: usize,

@@ -683,7 +683,9 @@ impl DistMatrix {
     // ----- distributed vector algebra (treats the stored elements as one
     // long vector; every op runs segment-local and reduces) -----
 
-    /// Global Frobenius inner product `⟨self, other⟩`.
+    /// Global Frobenius inner product `⟨self, other⟩`, summed by the
+    /// eight-lane rule of [`DistMatrix::dots`] and bit for bit what `dots`
+    /// returns for the pair.
     ///
     /// Safe to call with `other` aliasing `self` (the per-segment mutexes
     /// are not reentrant, so the aliased case takes each lock once).
@@ -691,21 +693,21 @@ impl DistMatrix {
         self.assert_conforms(other);
         self.rec_barrier();
         other.rec_barrier();
-        let aliased = std::ptr::eq(self, other);
         let mut acc = 0.0;
         for p in 0..self.nproc {
             let a = self.segments[p].lock().unwrap();
-            if aliased {
-                acc += a.iter().map(|x| x * x).sum::<f64>();
+            let mut lanes = [0.0; LANES];
+            if std::ptr::eq(self, other) {
+                add_lanes(&a, &a, &mut lanes);
             } else {
-                let b = other.segments[p].lock().unwrap();
-                acc += a.iter().zip(b.iter()).map(|(x, y)| x * y).sum::<f64>();
+                add_lanes(&a, &other.segments[p].lock().unwrap(), &mut lanes);
             }
+            acc += fold_lanes(&lanes);
         }
         acc
     }
 
-    /// Global 2-norm.
+    /// Global 2-norm: the square root of `self.dot(self)`.
     pub fn norm(&self) -> f64 {
         self.dot(self).sqrt()
     }
@@ -768,39 +770,35 @@ impl DistMatrix {
 
     /// `⟨mats[i], mats[j]⟩` for every pair `(i, j)` of `pairs` — `Bᵀ·T`
     /// is one pair per (column of B, column of T) — in one pass over the
-    /// matrices, each bit for bit what [`DistMatrix::dot`] returns: within
-    /// a rank's segment a pair's products `x·y` are summed in element
-    /// order from −0.0 (the `f64` `Sum`), and the segments' sums fold into
-    /// 0.0 in rank order. Four sums run side by side over blocks of 512
-    /// elements, so each matrix is read from memory once however many
-    /// pairs name it. The matrices must be distinct; a pair `(i, i)` is a
-    /// squared norm.
+    /// matrices, each bit for bit what [`DistMatrix::dot`] returns. The
+    /// rule: within a rank's segment, element `e`'s product `x·y` adds to
+    /// lane `e mod 8` of eight lanes that start at +0.0, each lane in
+    /// element order; the lanes fold as `((l0+l4)+(l1+l5))+((l2+l6)+(l3+l7))`,
+    /// and the segments' sums fold into 0.0 in rank order. The lanes are
+    /// contiguous loads, and every pair walks blocks of 512 elements, so
+    /// each matrix is read from memory once however many pairs name it.
+    /// The bits depend neither on the block length nor on the vector
+    /// width. The matrices must be distinct; a pair `(i, i)` is a squared
+    /// norm.
     pub fn dots(mats: &[&DistMatrix], pairs: &[(usize, usize)]) -> Vec<f64> {
         let n = pairs.len();
-        // The sums, then one segment's partial sums.
-        let mut sums = vec![0.0; 2 * n];
+        // The sums, then one segment's lanes per pair.
+        let mut sums = vec![0.0; (1 + LANES) * n];
         if let Some(&first) = mats.first() {
             check_operands(mats.iter().copied());
+            let (acc, lanes) = sums.split_at_mut(n);
+            let lanes = lanes.as_chunks_mut().0;
             let mut segs = Vec::with_capacity(mats.len());
             for p in 0..first.nproc {
                 segs.extend(mats.iter().map(|m| m.segments[p].lock().unwrap()));
-                let (acc, part) = sums.split_at_mut(n);
-                part.fill(-0.0);
+                lanes.fill([0.0; LANES]);
                 for r in walk(segs[0].len()) {
-                    let seg = |i: usize| &segs[i][r.clone()];
-                    for (ij, s) in pairs.chunks(LANES).zip(part.chunks_mut(LANES)) {
-                        if let Ok(s) = <&mut [f64; LANES]>::try_from(&mut *s) {
-                            let x = std::array::from_fn(|l| seg(ij[l].0));
-                            dot4(x, std::array::from_fn(|l| seg(ij[l].1)), s);
-                        } else {
-                            for (&(i, j), s) in ij.iter().zip(s) {
-                                *s = seg(i).iter().zip(seg(j)).fold(*s, |s, (x, y)| s + x * y);
-                            }
-                        }
+                    for (&(i, j), l) in pairs.iter().zip(&mut *lanes) {
+                        add_lanes(&segs[i][r.clone()], &segs[j][r.clone()], l);
                     }
                 }
-                for (a, s) in acc.iter_mut().zip(&*part) {
-                    *a += s;
+                for (a, l) in acc.iter_mut().zip(&*lanes) {
+                    *a += fold_lanes(l);
                 }
                 segs.clear();
             }
@@ -1104,9 +1102,11 @@ impl DistMatrix {
 /// subspace step stay in L1/L2 between their reads.
 const WALK: usize = 512;
 
-/// Independent sums [`DistMatrix::dots`] runs side by side ([`dot4`]):
-/// one sum waits on each add before it, four do not wait on each other.
-const LANES: usize = 4;
+/// Lanes of each sum of [`DistMatrix::dots`]: element `e` of a segment
+/// adds to lane `e mod LANES`. The lanes do not wait on each other, and
+/// [`WALK`] is a multiple of `LANES`, so a block starts at lane 0.
+const LANES: usize = 8;
+const _: () = assert!(WALK % LANES == 0);
 
 /// The blocks of [`WALK`] elements of a segment of `len`.
 fn walk(len: usize) -> impl Iterator<Item = Range<usize>> {
@@ -1130,21 +1130,36 @@ fn check_operands<'a>(mats: impl Iterator<Item = &'a DistMatrix> + Clone) {
     }
 }
 
-/// Four sums `Σ x·y` over one block, continued from `s`, each in
-/// element order. Each operand is sliced to the block's length first, so
-/// the loop carries no bounds check.
-fn dot4(x: [&[f64]; LANES], y: [&[f64]; LANES], s: &mut [f64; LANES]) {
-    let n = x[0].len();
-    let (x0, x1, x2, x3) = (&x[0][..n], &x[1][..n], &x[2][..n], &x[3][..n]);
-    let (y0, y1, y2, y3) = (&y[0][..n], &y[1][..n], &y[2][..n], &y[3][..n]);
-    let [mut s0, mut s1, mut s2, mut s3] = *s;
-    for e in 0..n {
-        s0 += x0[e] * y0[e];
-        s1 += x1[e] * y1[e];
-        s2 += x2[e] * y2[e];
-        s3 += x3[e] * y3[e];
+/// The reduction kernel of [`DistMatrix::dots`] and [`DistMatrix::dot`]:
+/// continue the lanes `l` of a segment's `Σ x·y` over a stretch of it
+/// that starts at a multiple of [`LANES`], element `e` of the stretch
+/// adding to lane `e mod LANES`. A last part shorter than `LANES` is
+/// padded with zeros: its `+0.0` products leave the lanes they reach
+/// past the end as they are, since a lane that starts at +0.0 never
+/// holds −0.0. (Indexing the lanes by a loop variable instead would keep
+/// them in memory rather than in a register.) No `mul_add`: the bits do
+/// not depend on the target.
+fn add_lanes(x: &[f64], y: &[f64], l: &mut [f64; LANES]) {
+    let add = |l: &mut [f64; LANES], x: &[f64; LANES], y: &[f64; LANES]| {
+        for k in 0..LANES {
+            l[k] += x[k] * y[k];
+        }
+    };
+    let ((xs, xt), (ys, yt)) = (x.as_chunks(), y.as_chunks());
+    let mut s = *l;
+    for (x, y) in xs.iter().zip(ys) {
+        add(&mut s, x, y);
     }
-    *s = [s0, s1, s2, s3];
+    if !xt.is_empty() {
+        let pad = |t: &[f64]| std::array::from_fn(|k| t.get(k).copied().unwrap_or(0.0));
+        add(&mut s, &pad(xt), &pad(yt));
+    }
+    *l = s;
+}
+
+/// One segment's sum from its lanes, in a fixed tree.
+fn fold_lanes(l: &[f64; LANES]) -> f64 {
+    ((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7]))
 }
 
 /// The one pass of [`DistMatrix::combine`] (`set_first`) and
@@ -1303,11 +1318,10 @@ mod tests {
         assert_eq!(a.duplicate().to_dense(), a.to_dense());
     }
 
-    /// Vectors of `len` elements on `nproc` ranks (one row, so the ranks
-    /// split the elements by columns): all +0.0, all −0.0, a mix of the
-    /// two, and values with signed zeros and exact cancellations among
-    /// them — seven vectors.
-    fn kernel_inputs(len: usize, nproc: usize) -> Vec<DistMatrix> {
+    /// `nrows × ncols` matrices on `nproc` ranks: all +0.0, all −0.0, a
+    /// mix of the two, and values with signed zeros and exact
+    /// cancellations among them — seven matrices.
+    fn kernel_inputs(nrows: usize, ncols: usize, nproc: usize) -> Vec<DistMatrix> {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state = state
@@ -1331,8 +1345,8 @@ mod tests {
         fills
             .into_iter()
             .map(|f| {
-                let data: Vec<f64> = (0..len).map(f).collect();
-                DistMatrix::from_dense(1, len, nproc, &data)
+                let data: Vec<f64> = (0..nrows * ncols).map(f).collect();
+                DistMatrix::from_dense(nrows, ncols, nproc, &data)
             })
             .collect()
     }
@@ -1345,12 +1359,12 @@ mod tests {
     fn block_kernels_are_bitwise_the_per_vector_loops() {
         // Segments shorter than one walk, and longer with a ragged end.
         for (len, nproc) in [(5, 1), (3 * WALK + 37, 1), (3 * WALK + 37, 3), (2, 3)] {
-            let v = kernel_inputs(len, nproc);
+            // One row, so the ranks split the elements by columns.
+            let v = kernel_inputs(1, len, nproc);
             let what = format!("{len} elements on {nproc} ranks");
             let ins: Vec<&DistMatrix> = v.iter().collect();
             let n = v.len();
-            // Every ordered pair, aliased ones included: twelve passes of
-            // four sums and one left over; then six, two left over.
+            // Every ordered pair, aliased ones included; then the first six.
             let pairs: Vec<_> = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
             for pairs in [&pairs[..], &pairs[..6]] {
                 for (&(i, j), d) in pairs.iter().zip(DistMatrix::dots(&ins, pairs)) {
@@ -1383,6 +1397,46 @@ mod tests {
             DistMatrix::add_combination(&outs.iter().collect::<Vec<_>>(), &ins, &minus);
             for (k, (got, want)) in outs.iter().zip(&want).enumerate() {
                 assert_eq!(bits(got), bits(want), "projection {k}, {what}");
+            }
+        }
+    }
+
+    /// `dots`, `dot` and `norm` against one reference: per rank, element
+    /// `e` of the segment adds `x·y` to lane `e mod 8` (lanes from +0.0),
+    /// the lanes fold as `((l0+l4)+(l1+l5))+((l2+l6)+(l3+l7))`, and the
+    /// ranks' sums fold into 0.0 in rank order.
+    #[test]
+    fn dot_rule_is_the_eight_lane_fold() {
+        let fold = |x: &[f64], y: &[f64], len: usize| {
+            x.chunks(len.max(1))
+                .zip(y.chunks(len.max(1)))
+                .fold(0.0, |acc, (x, y)| {
+                    let mut l = [0.0; 8];
+                    for (e, (x, y)) in x.iter().zip(y).enumerate() {
+                        l[e % 8] += x * y;
+                    }
+                    acc + (((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7])))
+                })
+        };
+        for nproc in [1, 2, 3, 7, 40] {
+            for len in [0, 1, 7, 8, 9, WALK - 1, WALK, WALK + 1, 3 * WALK + 37] {
+                // One column per rank: every segment holds `len` elements.
+                let v = kernel_inputs(len, nproc, nproc);
+                let what = format!("segments of {len} on {nproc} ranks");
+                let dense: Vec<Vec<f64>> = v.iter().map(DistMatrix::to_dense).collect();
+                let ins: Vec<&DistMatrix> = v.iter().collect();
+                let pairs: Vec<_> = (0..v.len())
+                    .flat_map(|i| (0..=i).map(move |j| (i, j)))
+                    .collect();
+                for (&(i, j), d) in pairs.iter().zip(DistMatrix::dots(&ins, &pairs)) {
+                    let want = fold(&dense[i], &dense[j], len).to_bits();
+                    assert_eq!(d.to_bits(), want, "dots ({i}, {j}), {what}");
+                    assert_eq!(v[i].dot(&v[j]).to_bits(), want, "dot ({i}, {j}), {what}");
+                }
+                for (m, x) in v.iter().zip(&dense) {
+                    let want = fold(x, x, len).sqrt().to_bits();
+                    assert_eq!(m.norm().to_bits(), want, "norm, {what}");
+                }
             }
         }
     }

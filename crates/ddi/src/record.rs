@@ -153,6 +153,7 @@ impl CheckConfig {
     }
 
     /// Record every protocol event into `recorder` as the run executes.
+    // lint: allow(dead) — attaches the race detector in the chaos suite and the mutation matrix
     pub fn online(recorder: Arc<dyn AccessRecorder>) -> CheckConfig {
         CheckConfig {
             recorder: Some(recorder),

@@ -194,6 +194,7 @@ pub struct FaultStats {
 impl FaultStats {
     /// Total faults injected (excluding the recovery actions
     /// `retries`/`recomputes`/`dup_discards`, which are *responses*).
+    // lint: allow(dead) — the chaos suite checks each schedule injected faults with it
     pub fn injected(&self) -> u64 {
         self.drops
             + self.duplicates

@@ -6,17 +6,15 @@
 //! fcix server --listen ADDR --wal FILE [options]  the durable TCP/JSONL job server
 //! fcix client --client ADDR --jobs FILE [options] submit to a server, collect results
 //! fcix trace <summarize|to-chrome|flame|metrics|diff> ...  inspect a JSONL trace
-//! fcix chaos [options]                          the solver under seeded fault schedules
 //! ```
 //!
 //! Each subcommand's module documents its input and options: `run.rs`,
-//! `serve.rs` (`batch`, `server`, `client`), `trace.rs`, `chaos.rs`.
+//! `serve.rs` (`batch`, `server`, `client`) and `trace.rs`.
 //! Exit status: 0 success, 1 failure, 2 bad usage. `batch`, `server`
 //! and `client` also exit 2 when an input file cannot be read or parsed;
 //! any other failure of theirs (a server that cannot be reached, a job
 //! refused, an output that cannot be written) exits 1.
 
-mod chaos;
 mod run;
 mod serve;
 mod trace;
@@ -41,8 +39,6 @@ commands:
   trace flame [--host] <trace.jsonl> [out]      collapsed stacks (simulated time, or host)
   trace metrics <trace.jsonl>                   fault and serve tallies, metrics text
   trace diff <a.jsonl> <b.jsonl>                compare two runs' summaries
-  chaos [--schedules N] [--seed S] [--nproc P] [--json FILE]
-                                                solves under seeded fault schedules
 ";
 
 /// Why a subcommand stopped before finishing its work.
@@ -74,7 +70,6 @@ fn main() -> ExitCode {
             "server" => serve::server(args),
             "client" => serve::client(args),
             "trace" => trace::main(args),
-            "chaos" => chaos::main(args),
             _ => Err(Error::Usage(String::new())),
         }
     };

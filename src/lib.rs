@@ -4,7 +4,6 @@
 //! Facade crate re-exporting the whole fcix workspace under one roof —
 //! see the README for the architecture and the per-crate docs for detail.
 
-pub use fci_check as check;
 pub use fci_core as core;
 pub use fci_ddi as ddi;
 pub use fci_fault as fault;

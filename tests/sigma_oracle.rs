@@ -224,10 +224,12 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// A CI vector stores exactly the sector; its transpose is blocked and
-/// undoes itself; and `dot`, `norm`, `axpy` and `dot3` on the stored
-/// elements are, bit for bit, the same loops over the full β × α product
-/// (`dot` sums each rank's columns, then the ranks; `dot3` is one running
-/// sum in α-major order): the dropped zeros add only `±0.0` terms.
+/// undoes itself; `axpy` and `dot3` on the stored elements are, bit for
+/// bit, the same loops over the full β × α product (`dot3` is one running
+/// sum in α-major order: the dropped zeros add only `±0.0` terms); and
+/// `dot` and `norm` are the eight-lane fold over each rank's stored
+/// elements in column order (element `e` of a rank adds to lane `e mod
+/// 8`), then the ranks.
 #[test]
 fn blocked_storage_matches_full_product_loops() {
     for (n_irrep, labels) in LABELS {
@@ -252,10 +254,16 @@ fn blocked_storage_matches_full_product_loops() {
 
                     let rank_sums = |f: &dyn Fn(usize) -> f64| {
                         (0..nproc).fold(0.0, |acc, p| {
-                            let cols = a.local_cols(p);
-                            acc + (cols.start * space.beta.len()..cols.end * space.beta.len())
-                                .map(f)
-                                .sum::<f64>()
+                            let nb = space.beta.len();
+                            let stored = a
+                                .local_cols(p)
+                                .flat_map(|c| a.layout().rows(c).map(move |r| c * nb + r));
+                            let mut l = [0.0; 8];
+                            for (e, i) in stored.enumerate() {
+                                l[e % 8] += f(i);
+                            }
+                            acc + (((l[0] + l[4]) + (l[1] + l[5]))
+                                + ((l[2] + l[6]) + (l[3] + l[7])))
                         })
                     };
                     let dot = rank_sums(&|i| da[i] * db[i]);
