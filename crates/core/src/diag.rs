@@ -321,7 +321,8 @@ fn olsen_correction(pre: &Preconditioner, c: &DistMatrix, r: &DistMatrix, e: f64
 }
 
 /// The Hamiltonian diagonal and the preconditioner over it, which a solve
-/// builds once: the diagonal alone costs ≈ 9 ms on C2 FCI(8,13).
+/// builds once: the diagonal alone (63,848 in-sector determinants) costs
+/// ≈ 2.2 ms on C2 FCI(8,13) on a 2-vCPU Xeon.
 pub(crate) fn preconditioner(ctx: &SigmaCtx, model_size: usize) -> Preconditioner {
     let diag = ctx.space.diagonal(ctx.ham, ctx.ddi.nproc());
     Preconditioner::new(ctx.space, ctx.ham, &diag, model_size)

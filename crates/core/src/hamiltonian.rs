@@ -52,9 +52,12 @@ pub struct Hamiltonian {
     pub n: usize,
     /// Core constant (nuclear repulsion + frozen core).
     pub e_core: f64,
-    /// One-electron integrals `h_pq`.
+    /// One-electron integrals `h_pq`. [`Hamiltonian::diagonal_element`]
+    /// reads its diagonal from a copy taken at construction.
     pub h: Matrix,
     /// Raw two-electron integrals `(pq|rs)` (kept for Slater–Condon).
+    /// [`Hamiltonian::diagonal_element`] reads the pair terms from tables
+    /// derived at construction, as **V** and **G** are.
     pub eri: EriTensor,
     /// See [`Hamiltonian::v`].
     v: Matrix,
@@ -66,6 +69,8 @@ pub struct Hamiltonian {
     pub n_irrep: usize,
     /// Block tables derived from `g` and `orb_sym`.
     blocks: SymBlocks,
+    /// What [`Hamiltonian::diagonal_element`] sums.
+    diag: DiagTables,
     /// Process-unique identity token (see [`Hamiltonian::id`]).
     id: u64,
 }
@@ -150,6 +155,30 @@ impl SymBlocks {
     }
 }
 
+/// The terms of a determinant's diagonal element, each evaluated once:
+/// `h_pp`, and over orbitals `p, q` (row-major, `n × n`) the same-spin
+/// pair term `(pp|qq) − (pq|qp)` and the opposite-spin `(pp|qq)`.
+#[derive(Clone, Debug)]
+struct DiagTables {
+    h_pp: Vec<f64>,
+    same_spin: Vec<f64>,
+    coulomb: Vec<f64>,
+}
+
+impl DiagTables {
+    fn new(h: &Matrix, eri: &EriTensor) -> Self {
+        let n = h.nrows();
+        let pairs = |f: &dyn Fn(usize, usize) -> f64| -> Vec<f64> {
+            (0..n * n).map(|pq| f(pq / n, pq % n)).collect()
+        };
+        DiagTables {
+            h_pp: (0..n).map(|p| h[(p, p)]).collect(),
+            same_spin: pairs(&|p, q| eri.get(p, p, q, q) - eri.get(p, q, q, p)),
+            coulomb: pairs(&|p, q| eri.get(p, p, q, q)),
+        }
+    }
+}
+
 impl Clone for Hamiltonian {
     /// A clone is a *different* Hamiltonian as far as `fci_sparse`'s
     /// `ConnGen` is concerned: it gets a fresh [`Hamiltonian::id`],
@@ -166,6 +195,7 @@ impl Clone for Hamiltonian {
             orb_sym: self.orb_sym.clone(),
             n_irrep: self.n_irrep,
             blocks: self.blocks.clone(),
+            diag: self.diag.clone(),
             id: NEXT_HAM_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -208,6 +238,7 @@ impl Hamiltonian {
             h: mo.h.clone(),
             eri: mo.eri.clone(),
             blocks: SymBlocks::new(&g, &v, &mo.orb_sym, mo.n_irrep),
+            diag: DiagTables::new(&mo.h, &mo.eri),
             v,
             g,
             orb_sym: mo.orb_sym.clone(),
@@ -256,27 +287,38 @@ impl Hamiltonian {
     }
 
     /// Diagonal element `⟨D|H|D⟩ − E_core` for the determinant with α
-    /// occupation `amask` and β occupation `bmask`.
+    /// occupation `amask` and β occupation `bmask`: the `h_pp` of every
+    /// occupied spin orbital (α, then β), the same-spin pair terms (α
+    /// pairs, then β, each `p < q` in ascending order), then the
+    /// opposite-spin ones, summed in that order from tables taken at
+    /// construction.
     pub fn diagonal_element(&self, amask: u64, bmask: u64) -> f64 {
+        let DiagTables {
+            h_pp,
+            same_spin,
+            coulomb,
+        } = &self.diag;
+        let n = self.n;
         let occ = |mask| Bits(mask).map(usize::from);
         let mut e = 0.0;
         for p in occ(amask).chain(occ(bmask)) {
-            e += self.h[(p, p)];
+            e += h_pp[p];
         }
         // Same-spin pairs.
         for mask in [amask, bmask] {
             let mut above = Bits(mask);
             while let Some(p) = above.next() {
-                let p = usize::from(p);
+                let row = &same_spin[usize::from(p) * n..][..n];
                 for q in occ(above.0) {
-                    e += self.eri.get(p, p, q, q) - self.eri.get(p, q, q, p);
+                    e += row[q];
                 }
             }
         }
         // Opposite-spin pairs.
         for p in occ(amask) {
+            let row = &coulomb[p * n..][..n];
             for q in occ(bmask) {
-                e += self.eri.get(p, p, q, q);
+                e += row[q];
             }
         }
         e
@@ -352,6 +394,7 @@ pub fn random_symmetric_hamiltonian(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detspace::{lowest_det_irrep, DetSpace};
 
     #[test]
     fn v_matrix_symmetries() {
@@ -405,6 +448,86 @@ mod tests {
         let e = ham.diagonal_element(0b001, 0b010);
         let expect = ham.h[(0, 0)] + ham.h[(1, 1)] + ham.eri.get(0, 0, 1, 1);
         assert!((e - expect).abs() < 1e-15);
+    }
+
+    /// `⟨D|H|D⟩ − E_core` summed straight from `h` and `eri`, in the
+    /// order [`Hamiltonian::diagonal_element`] documents.
+    fn diagonal_from_integrals(ham: &Hamiltonian, amask: u64, bmask: u64) -> f64 {
+        let occ = |mask| Bits(mask).map(usize::from);
+        let mut e = 0.0;
+        for p in occ(amask).chain(occ(bmask)) {
+            e += ham.h[(p, p)];
+        }
+        for mask in [amask, bmask] {
+            let mut above = Bits(mask);
+            while let Some(p) = above.next() {
+                let p = usize::from(p);
+                for q in occ(above.0) {
+                    e += ham.eri.get(p, p, q, q) - ham.eri.get(p, q, q, p);
+                }
+            }
+        }
+        for p in occ(amask) {
+            for q in occ(bmask) {
+                e += ham.eri.get(p, p, q, q);
+            }
+        }
+        e
+    }
+
+    /// The construction-time tables give every determinant's diagonal to
+    /// the bit, on a D2h Hamiltonian and on a screened Hubbard chain and
+    /// on a clone of each; the lowest-diagonal searches pick the
+    /// determinant a scan of the integral loop picks.
+    #[test]
+    fn diagonal_tables_match_the_integral_loop_bit_for_bit() {
+        let sym = [0u8, 5, 3, 0, 6, 1, 2, 7];
+        let d2h = random_symmetric_hamiltonian(8, 21, &sym, 8);
+        let hubbard = Hamiltonian::new(&MoIntegrals::hubbard_chain(8, 1.0, 4.0, false));
+        for original in [d2h, hubbard] {
+            let clone = original.clone();
+            for ham in [&original, &clone] {
+                for amask in 0..1u64 << 8 {
+                    for bmask in 0..1u64 << 8 {
+                        assert_eq!(
+                            ham.diagonal_element(amask, bmask).to_bits(),
+                            diagonal_from_integrals(ham, amask, bmask).to_bits(),
+                            "{amask:#b} {bmask:#b}"
+                        );
+                    }
+                }
+                let (na, nb) = (3, 2);
+                let full = DetSpace::new(8, na, nb, &ham.orb_sym, ham.n_irrep, 0);
+                let irrep = |ib: usize, ia: usize| {
+                    full.alpha.irrep_of_index(ia) ^ full.beta.irrep_of_index(ib)
+                };
+                // First strict minimum in α-major order, as the searches take it.
+                let lowest = |target: Option<u8>| {
+                    let mut best = (f64::INFINITY, 0, 0);
+                    for ia in 0..full.alpha.len() {
+                        for ib in 0..full.beta.len() {
+                            let (a, b) = (full.alpha.mask(ia), full.beta.mask(ib));
+                            let d = diagonal_from_integrals(ham, a, b);
+                            if target.is_none_or(|g| irrep(ib, ia) == g) && d < best.0 {
+                                best = (d, ib, ia);
+                            }
+                        }
+                    }
+                    best
+                };
+                let (_, ib, ia) = lowest(None);
+                assert_eq!(lowest_det_irrep(ham, na, nb), irrep(ib, ia));
+                for target in 0..ham.n_irrep as u8 {
+                    let space = DetSpace::new(8, na, nb, &ham.orb_sym, ham.n_irrep, target);
+                    let (d, ib, ia) = lowest(Some(target));
+                    let got = space.lowest_diagonal(ham);
+                    assert_eq!(
+                        got.map(|(ib, ia, d)| (ib, ia, d.to_bits())),
+                        Some((ib, ia, d.to_bits()))
+                    );
+                }
+            }
+        }
     }
 
     #[test]

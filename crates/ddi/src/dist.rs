@@ -1106,7 +1106,7 @@ const WALK: usize = 512;
 /// adds to lane `e mod LANES`. The lanes do not wait on each other, and
 /// [`WALK`] is a multiple of `LANES`, so a block starts at lane 0.
 const LANES: usize = 8;
-const _: () = assert!(WALK % LANES == 0);
+const _: () = assert!(WALK.is_multiple_of(LANES));
 
 /// The blocks of [`WALK`] elements of a segment of `len`.
 fn walk(len: usize) -> impl Iterator<Item = Range<usize>> {

@@ -94,30 +94,47 @@ impl ETable {
 
 /// Hermite Coulomb integrals `R_{tuv} ≡ R⁰_{tuv}(p, PC)` for all
 /// `t + u + v ≤ l`, stored with stride `(l+1)` per axis.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RTable {
     l: usize,
     data: Vec<f64>,
+    /// The recursion's other level and the Boys values: kept so that
+    /// [`RTable::fill`] reuses them.
+    next: Vec<f64>,
+    boys: Vec<f64>,
 }
 
 impl RTable {
     /// Build from the total order `l`, exponent `p` and the vector `pc`
     /// from the product center to the charge center.
     pub fn new(l: usize, p: f64, pc: [f64; 3]) -> Self {
+        let mut r = RTable::default();
+        r.fill(l, p, pc);
+        r
+    }
+
+    /// [`RTable::new`] into this table's storage: the same values for
+    /// every `t + u + v ≤ l`, and no allocation once the buffers have
+    /// held an order-`l` table. Entries outside that simplex are not
+    /// defined.
+    pub(crate) fn fill(&mut self, l: usize, p: f64, pc: [f64; 3]) {
         let r2 = pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2];
-        let mut f = vec![0.0; l + 1];
-        boys(l, p * r2, &mut f);
+        self.boys.resize(l + 1, 0.0);
+        boys(l, p * r2, &mut self.boys);
         let dim = l + 1;
         let sz = dim * dim * dim;
-        // work[n] holds R^n_{tuv}; we fill from n = l down to 0.
-        let mut cur = vec![0.0; sz];
-        let mut next = vec![0.0; sz];
+        self.l = l;
+        self.data.resize(sz, 0.0);
+        self.next.resize(sz, 0.0);
+        // Level n holds R^n_{tuv}; we fill from n = l down to 0. Level n
+        // writes every t + u + v ≤ l − n and reads only level n + 1's
+        // t + u + v < l − n, all written one level up.
         let at = |t: usize, u: usize, v: usize| (t * dim + u) * dim + v;
         for n in (0..=l).rev() {
-            std::mem::swap(&mut cur, &mut next);
-            cur.iter_mut().for_each(|x| *x = 0.0);
+            std::mem::swap(&mut self.data, &mut self.next);
+            let (cur, next) = (&mut self.data, &self.next);
             let m2p = (-2.0 * p).powi(n as i32);
-            cur[at(0, 0, 0)] = m2p * f[n];
+            cur[at(0, 0, 0)] = m2p * self.boys[n];
             let order = l - n;
             for t in 0..=order {
                 for u in 0..=(order - t) {
@@ -149,7 +166,6 @@ impl RTable {
                 }
             }
         }
-        RTable { l, data: cur }
     }
 
     /// `R_{tuv}`; caller must keep `t + u + v ≤ l`.
@@ -158,6 +174,12 @@ impl RTable {
         debug_assert!(t + u + v <= self.l);
         let dim = self.l + 1;
         self.data[(t * dim + u) * dim + v]
+    }
+
+    /// The table as one slice: `R_{tuv}` at `(t·(l+1) + u)·(l+1) + v`,
+    /// so `R_{t+τ, u+ν, v+φ}` sits at the sum of the two offsets.
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
     }
 }
 

@@ -47,6 +47,10 @@ fn h2_fci_matches_dense_diagonalization() {
     // Correlation energy is negative and modest for H2/STO-3G (~ −20 mEh).
     let corr = r.energy - e_scf;
     assert!(corr < -0.015 && corr > -0.03, "corr = {corr}");
+    // Minimal-basis H2 full CI: −1.1373 Eh in Szabo & Ostlund (1989),
+    // ch. 4; the quickstart prints −1.13727594.
+    assert!((r.energy + 1.1373).abs() < 5e-5, "E = {}", r.energy);
+    assert!((r.energy + 1.13727594).abs() < 1e-8, "E = {}", r.energy);
 }
 
 #[test]
