@@ -18,7 +18,9 @@
 //! * [`DiagMethod::AutoAdjust`] — the paper's contribution (eqs. 11–15):
 //!   single-vector updates `C ← S (C + λ t)` where λ is the *optimal* 2×2
 //!   mixing of the **previous** iteration, reconstructed without storing
-//!   `H·t` by eq. 14. One σ evaluation and O(1) vectors per iteration.
+//!   `H·t` by eq. 14. One σ evaluation per iteration, and a fixed set of
+//!   CI-sized vectors — C, σ, r, t and x₂ beside the preconditioner's
+//!   diagonal and σ's workspace — reused from a [`fci_ddi::reuse`] scope.
 //!
 //! All methods share the Olsen correction vector built on an `H₀` that is
 //! exact inside a small **model space** (lowest-diagonal determinants) and
@@ -311,13 +313,20 @@ pub(crate) fn projected_sigma(
 fn olsen_correction(pre: &Preconditioner, c: &DistMatrix, r: &DistMatrix, e: f64) -> DistMatrix {
     let x1 = pre.apply(r, e);
     let x2 = pre.apply(c, e);
-    let num = c.dot(&x1);
-    let den = c.dot(&x2);
+    let [num, den] = dots(&[c, &x1, &x2], &[(0, 1), (0, 2)]);
     let delta = if den.abs() > 1e-300 { num / den } else { 0.0 };
     let t = x1;
-    t.axpy(-delta, &x2);
+    DistMatrix::add_combination(&[&t], &[&x2], &[(0, 0, -delta)]);
+    // Not folded into the terms: −(x₁ − δx₂) and −x₁ + δx₂ differ in the
+    // sign of an exact zero.
     t.scale(-1.0);
     t
+}
+
+/// [`DistMatrix::dots`] of `N` pairs, as an array.
+fn dots<const N: usize>(mats: &[&DistMatrix], pairs: &[(usize, usize); N]) -> [f64; N] {
+    let v = DistMatrix::dots(mats, pairs);
+    std::array::from_fn(|k| v[k])
 }
 
 /// The Hamiltonian diagonal and the preconditioner over it, which a solve
@@ -379,10 +388,12 @@ pub(crate) fn diagonalize_with(
         "guess is not stored in the space's symmetry sector"
     );
     space.project_sector(&c0);
+    let norm = c0.norm();
     assert!(
-        c0.norm() > 0.0,
+        norm > 0.0,
         "guess vector has no component in the target sector"
     );
+    c0.scale(1.0 / norm);
     match method {
         DiagMethod::Davidson | DiagMethod::TwoVector => {
             let cap = if method == DiagMethod::TwoVector {
@@ -390,7 +401,6 @@ pub(crate) fn diagonalize_with(
             } else {
                 opts.max_subspace
             };
-            c0.scale(1.0 / c0.norm());
             let mut cost = SigmaBreakdown::default();
             let mut run = block_davidson(
                 vec![c0],
@@ -430,6 +440,7 @@ enum Lambda {
     Auto,
 }
 
+/// Olsen, damped Olsen or AutoAdjust from the unit vector `c`.
 fn single_vector(
     ctx: &SigmaCtx,
     sm: SigmaMethod,
@@ -438,11 +449,13 @@ fn single_vector(
     c: DistMatrix,
     lambda_mode: Lambda,
 ) -> DiagResult {
+    // σ and its α-half layout, r and both preconditioned vectors come
+    // back from here every iteration; all of them are freed on return.
+    let _storage = fci_ddi::reuse::scope();
     let mut cost = SigmaBreakdown::default();
     let mut e_hist = Vec::new();
     let mut r_hist = Vec::new();
     let mut trace = IterTrace::new(ctx.ddi.tracer());
-    c.scale(1.0 / c.norm());
 
     // State carried between iterations for the auto-adjusted λ (eq. 14/15).
     struct Prev {
@@ -469,10 +482,10 @@ fn single_vector(
     while iterations < opts.max_iter {
         let sigma = projected_sigma(ctx, sm, &c, &mut cost);
         iterations += 1;
-        e = c.dot(&sigma);
-        let r = sigma.duplicate();
-        r.axpy(-e, &c);
-        let res = r.norm();
+        [e] = dots(&[&c, &sigma], &[(0, 1)]);
+        let r = DistMatrix::combine(&[&sigma, &c], &[(0, 0, 1.0), (0, 1, -e)]).swap_remove(0);
+        let [rr] = dots(&[&r], &[(0, 0)]);
+        let res = rr.sqrt();
         e_hist.push(e);
         r_hist.push(res);
         trace.point(iterations, 1, e, res);
@@ -482,11 +495,12 @@ fn single_vector(
         }
 
         let t = olsen_correction(pre, &c, &r, e);
-        let tau = t.norm();
+        // ‖t‖², and ⟨C|H|t⟩ with σ = HC.
+        let [tt, b] = dots(&[&t, &sigma], &[(0, 0), (1, 0)]);
+        let tau = tt.sqrt();
         if tau < 1e-14 {
             break;
         }
-        let b = sigma.dot(&t); // ⟨C|H|t⟩ (σ = HC)
 
         if let Some(p) = &prev {
             if res > p.res {
@@ -524,7 +538,7 @@ fn single_vector(
                     _ => {
                         // First iteration: crude ⟨t|H|t⟩ from the diagonal
                         // ("more crudely estimated", §2.2).
-                        let v = t.dot3(&pre.diag, &t);
+                        let v = t.weighted_square(&pre.diag);
                         let (_w, (x, y)) = eigh_2x2(e, b / tau, v / (tau * tau));
                         (x.abs() > 1e-8).then(|| (y / x) / tau)
                     }
@@ -537,9 +551,9 @@ fn single_vector(
         };
 
         // C ← S (C + λ t)
-        c.axpy(lambda, &t);
-        let nrm = c.norm();
-        let s = 1.0 / nrm;
+        DistMatrix::add_combination(&[&c], &[&t], &[(0, 0, lambda)]);
+        let [cc] = dots(&[&c], &[(0, 0)]);
+        let s = 1.0 / cc.sqrt();
         c.scale(s);
         prev = Some(Prev {
             e,

@@ -193,18 +193,26 @@ impl Subspace {
         }
     }
 
-    /// The collapsed subspace: the Ritz vectors `states` (orthonormal
-    /// already, as `B·Y` with both factors orthonormal) and their H images
-    /// `r + θc`, rebuilt from the `(θ, r, ‖r‖)` of `residuals`.
+    /// The collapsed subspace: copies of the Ritz vectors `states`
+    /// (orthonormal already, as `B·Y` with both factors orthonormal) and
+    /// their H images `r + θc`, rebuilt from the `(θ, r, ‖r‖)` of
+    /// `residuals` — all in one pass.
     fn restart(states: &[DistMatrix], residuals: &[(f64, DistMatrix, f64)]) -> Subspace {
+        let n = states.len();
+        let rs = residuals.iter().map(|(_, r, _)| r);
+        let ins: Vec<&DistMatrix> = states.iter().chain(rs).collect();
+        let mut terms = Vec::with_capacity(3 * n);
+        for (k, (theta, _, _)) in residuals.iter().enumerate() {
+            terms.extend([(k, k, 1.0), (n + k, n + k, 1.0), (n + k, k, *theta)]);
+        }
+        let mut basis = DistMatrix::combine(&ins, &terms);
+        let images = basis.split_off(n);
         let mut sub = Subspace {
-            basis: states.iter().map(DistMatrix::duplicate).collect(),
+            basis,
             hbasis: Vec::new(),
             proj: Vec::new(),
         };
-        for (c, (theta, r, _)) in states.iter().zip(residuals) {
-            let hc = r.duplicate();
-            hc.axpy(*theta, c);
+        for hc in images {
             sub.push_sigma(hc);
         }
         sub

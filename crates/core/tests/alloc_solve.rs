@@ -1,16 +1,22 @@
-//! Counting-allocator proof that a block-Davidson solve recycles its
-//! CI-sized storage: σ, its transposes, the same-spin sub-block buffers,
-//! Ritz vectors, residuals, corrections and collapse copies come from the
-//! solve's storage scope after its first steps, so the allocations of at
-//! least one CI vector's bytes do not grow with the σ count.
+//! Counting-allocator proof that both diagonalisers recycle their
+//! CI-sized storage: σ, its transposes and the same-spin sub-block
+//! buffers, and then block Davidson's Ritz vectors, residuals,
+//! corrections and collapse copies, or the single-vector loop's residual
+//! and preconditioned vectors, come from the solve's storage scope after
+//! its first steps, so the allocations of at least one CI vector's bytes
+//! do not grow with the σ count.
 //!
 //! A `#[global_allocator]` shim counts every `alloc`/`alloc_zeroed`/
 //! `realloc` of at least a threshold the test sets to the sector's byte
-//! size. The same two-root solve runs at two σ budgets with a residual
-//! threshold no step can meet, so each spends its whole budget, through
-//! many collapses of a small subspace.
+//! size. Each solve runs at two σ budgets with a residual threshold no
+//! step can meet, so it spends its whole budget: a two-root block
+//! Davidson through many collapses of a small subspace, and AutoAdjust
+//! and Olsen at one rank.
 
-use fci_core::{build_space, solve_roots_prepared, DiagOptions, FciOptions, Hamiltonian};
+use fci_core::{
+    build_space, solve_prepared, solve_roots_prepared, DiagMethod, DiagOptions, FciOptions,
+    Hamiltonian,
+};
 use fci_scf::MoIntegrals;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -63,35 +69,61 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// CI-sized allocations made while `solve` runs, with `bytes` the
+/// threshold.
+fn big_allocations(bytes: usize, solve: impl FnOnce()) -> usize {
+    THRESHOLD.store(bytes, Ordering::Relaxed);
+    let before = BIG.load(Ordering::Relaxed);
+    solve();
+    let big = BIG.load(Ordering::Relaxed) - before;
+    THRESHOLD.store(usize::MAX, Ordering::Relaxed);
+    big
+}
+
 /// One `#[test]`, so no sibling test thread allocates into the counter.
 #[test]
-fn block_davidson_allocates_no_ci_vector_per_sigma() {
+fn diagonalisers_allocate_no_ci_vector_per_sigma() {
     // 8-site Hubbard chain at half filling: 4,900 determinants, one
     // irrep, so the same-spin sub-block buffers are CI-sized too.
     let ham = Hamiltonian::new(&MoIntegrals::hubbard_chain(8, 1.0, 4.0, false));
     let space = build_space(&ham, 4, 4, 0, None);
-    let solve = |budget: usize| {
-        let opts = FciOptions {
-            diag: DiagOptions {
-                // Two roots: a budget of `2·max_iter` σ.
-                max_iter: budget / 2,
-                tol: 0.0,
-                max_subspace: 8,
-                ..DiagOptions::default()
-            },
-            ..FciOptions::default()
-        };
-        THRESHOLD.store(8 * space.sector_dim(), Ordering::Relaxed);
-        let before = BIG.load(Ordering::Relaxed);
-        let run = solve_roots_prepared(&space, &ham, &opts, 2);
-        let big = BIG.load(Ordering::Relaxed) - before;
-        THRESHOLD.store(usize::MAX, Ordering::Relaxed);
-        assert_eq!(run.iterations, budget, "the solve stopped short");
-        big
+    let bytes = 8 * space.sector_dim();
+    let options = |method: DiagMethod, max_iter: usize| FciOptions {
+        method,
+        diag: DiagOptions {
+            max_iter,
+            tol: 0.0,
+            max_subspace: 8,
+            ..DiagOptions::default()
+        },
+        ..FciOptions::default()
     };
-    let (short, long) = (solve(40), solve(120));
+
+    let roots = |budget: usize| {
+        big_allocations(bytes, || {
+            // Two roots: a budget of `2·max_iter` σ.
+            let run =
+                solve_roots_prepared(&space, &ham, &options(DiagMethod::Davidson, budget / 2), 2);
+            assert_eq!(run.iterations, budget, "the solve stopped short");
+        })
+    };
+    let (short, long) = (roots(40), roots(120));
     assert_eq!(
         short, long,
-        "CI-sized allocations grew from {short} at 40 σ to {long} at 120 σ"
+        "block Davidson: CI-sized allocations grew from {short} at 40 σ to {long} at 120 σ"
     );
+
+    for method in [DiagMethod::AutoAdjust, DiagMethod::Olsen] {
+        let single = |budget: usize| {
+            big_allocations(bytes, || {
+                let run = solve_prepared(&space, &ham, &options(method, budget));
+                assert_eq!(run.iterations, budget, "{method:?} stopped short");
+            })
+        };
+        let (short, long) = (single(20), single(60));
+        assert_eq!(
+            short, long,
+            "{method:?}: CI-sized allocations grew from {short} at 20 σ to {long} at 60 σ"
+        );
+    }
 }

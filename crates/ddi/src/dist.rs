@@ -898,41 +898,19 @@ impl DistMatrix {
         }
     }
 
-    /// Weighted inner product `Σ_i w_i a_i b_i`, skipping entries whose
-    /// weight is not finite (used with excitation-masked diagonals, where
-    /// excluded weights are ∞ against structurally zero vectors).
-    pub fn dot3(&self, w: &DistMatrix, other: &DistMatrix) -> f64 {
-        self.assert_conforms(other);
-        self.assert_conforms(w);
-        self.rec_barrier();
-        w.rec_barrier();
-        other.rec_barrier();
-        // The per-segment mutexes are not reentrant — handle aliasing
-        // among the three operands explicitly.
+    /// `Σ wᵢ·xᵢ²` over the stored elements, each term formed as `(w·x)·x`
+    /// and added to one running sum over the segments in rank order. An
+    /// element whose weight is not finite adds nothing: a truncated CI's
+    /// excluded determinants carry an ∞ diagonal against zero coefficients.
+    pub fn weighted_square(&self, w: &DistMatrix) -> f64 {
+        check_operands([self, w].into_iter());
         let mut acc = 0.0;
         for p in 0..self.nproc {
-            let a = self.segments[p].lock().unwrap();
-            let ww = if std::ptr::eq(w, self) {
-                None
-            } else {
-                Some(w.segments[p].lock().unwrap())
-            };
-            let b = if std::ptr::eq(other, self) || std::ptr::eq(other, w) {
-                None
-            } else {
-                Some(other.segments[p].lock().unwrap())
-            };
-            for i in 0..a.len() {
-                let wv = ww.as_ref().map_or(a[i], |s| s[i]);
-                let bv = if std::ptr::eq(other, self) {
-                    a[i]
-                } else if std::ptr::eq(other, w) {
-                    wv
-                } else {
-                    b.as_ref().unwrap()[i] // lint: allow(unwrap) — guarded by the aliasing branches above
-                };
-                if wv.is_finite() {
-                    acc += wv * a[i] * bv;
+            let xs = self.segments[p].lock().unwrap();
+            let ws = w.segments[p].lock().unwrap();
+            for (&x, &wx) in xs.iter().zip(ws.iter()) {
+                if wx.is_finite() {
+                    acc += wx * x * x;
                 }
             }
         }
@@ -1502,9 +1480,7 @@ mod tests {
         assert_eq!(a.dot(&a), 25.0);
         assert_eq!(a.norm(), 5.0);
         let w = DistMatrix::from_dense(2, 2, 2, &[1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(a.dot3(&w, &a), 25.0);
-        assert_eq!(a.dot3(&a, &a), 27.0 + 64.0);
-        assert_eq!(w.dot3(&a, &a), 25.0);
+        assert_eq!(a.weighted_square(&w), 25.0);
     }
 
     #[test]

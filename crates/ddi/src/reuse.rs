@@ -20,27 +20,33 @@
 //! scope, [`zeroed`] is `vec![0.0; len]` and [`recycle`] is `drop`. A
 //! buffer handed out inside a scope is an ordinary `Vec` and may outlive
 //! it. Matching is by exact length, so a scope holds at most, for each
-//! length, as many buffers as the solve ever had live at once.
+//! length, as many buffers as the solve ever had live at once, in one
+//! stack per length: which one comes back does not matter, since
+//! [`zeroed`] fills it and an [`overwritten`] caller writes it first.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
+
+/// A scope's kept buffers, by length.
+type Kept = BTreeMap<usize, Vec<Vec<f64>>>;
 
 thread_local! {
     /// The open scope's kept buffers; `None` when no scope is open.
-    static KEPT: RefCell<Option<Vec<Vec<f64>>>> = const { RefCell::new(None) };
+    static KEPT: RefCell<Option<Kept>> = const { RefCell::new(None) };
 }
 
 /// The guard of an open storage scope (see the module docs). It belongs
 /// to the thread that opened it.
 pub struct StorageScope {
     /// The scope that was open before this one, reopened on drop.
-    outer: Option<Vec<Vec<f64>>>,
+    outer: Option<Kept>,
     _thread: PhantomData<*const ()>,
 }
 
 /// Open a storage scope on the calling thread.
 pub fn scope() -> StorageScope {
-    let outer = KEPT.with(|k| k.replace(Some(Vec::new())));
+    let outer = KEPT.with(|k| k.replace(Some(Kept::new())));
     StorageScope {
         outer,
         _thread: PhantomData,
@@ -57,17 +63,9 @@ impl Drop for StorageScope {
 
 /// A kept buffer of exactly `len` elements, if the open scope has one.
 fn kept(len: usize) -> Option<Vec<f64>> {
-    if len == 0 {
-        return None;
-    }
-    KEPT.try_with(|k| {
-        let mut k = k.borrow_mut();
-        let kept = k.as_mut()?;
-        let i = kept.iter().rposition(|v| v.len() == len)?;
-        Some(kept.swap_remove(i))
-    })
-    .ok()
-    .flatten()
+    KEPT.try_with(|k| k.borrow_mut().as_mut()?.get_mut(&len)?.pop())
+        .ok()
+        .flatten()
 }
 
 /// `len` zeros.
@@ -94,7 +92,7 @@ pub fn recycle(buf: Vec<f64>) {
     }
     let _ = KEPT.try_with(|k| {
         if let Some(kept) = k.borrow_mut().as_mut() {
-            kept.push(buf);
+            kept.entry(buf.len()).or_default().push(buf);
         }
     });
 }

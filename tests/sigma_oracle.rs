@@ -224,12 +224,12 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// A CI vector stores exactly the sector; its transpose is blocked and
-/// undoes itself; `axpy` and `dot3` on the stored elements are, bit for
-/// bit, the same loops over the full β × α product (`dot3` is one running
-/// sum in α-major order: the dropped zeros add only `±0.0` terms); and
-/// `dot` and `norm` are the eight-lane fold over each rank's stored
-/// elements in column order (element `e` of a rank adds to lane `e mod
-/// 8`), then the ranks.
+/// undoes itself; `axpy` and `weighted_square` on the stored elements
+/// are, bit for bit, the same loops over the full β × α product
+/// (`weighted_square` is one running sum in α-major order: the dropped
+/// zeros add only `±0.0` terms); and `dot` and `norm` are the eight-lane
+/// fold over each rank's stored elements in column order (element `e` of
+/// a rank adds to lane `e mod 8`), then the ranks.
 #[test]
 fn blocked_storage_matches_full_product_loops() {
     for (n_irrep, labels) in LABELS {
@@ -270,11 +270,12 @@ fn blocked_storage_matches_full_product_loops() {
                     assert_eq!(a.dot(&b).to_bits(), dot.to_bits(), "dot, {what}");
                     let norm = rank_sums(&|i| da[i] * da[i]).sqrt();
                     assert_eq!(a.norm().to_bits(), norm.to_bits(), "norm, {what}");
-                    let mut dot3 = 0.0;
+                    let mut weighted = 0.0;
                     for i in 0..da.len() {
-                        dot3 += db[i] * da[i] * da[i];
+                        weighted += db[i] * da[i] * da[i];
                     }
-                    assert_eq!(a.dot3(&b, &a).to_bits(), dot3.to_bits(), "dot3, {what}");
+                    let got = a.weighted_square(&b).to_bits();
+                    assert_eq!(got, weighted.to_bits(), "weighted_square, {what}");
                     b.axpy(-0.375, &a);
                     let axpy: Vec<f64> = db.iter().zip(&da).map(|(y, x)| y + -0.375 * x).collect();
                     assert_eq!(bits(&b.to_dense()), bits(&axpy), "axpy, {what}");
